@@ -11,7 +11,6 @@ placement; equality (and therefore hits) is by content.
 
 from __future__ import annotations
 
-import os
 from typing import Mapping, Optional, Tuple
 
 __all__ = [
@@ -23,16 +22,6 @@ __all__ = [
     "rrs_search_key",
     "transformation_key",
 ]
-
-_FALSE_STRINGS = frozenset({"0", "false", "no", "off"})
-
-
-def _env_flag(env_var: str, default: bool) -> bool:
-    raw = os.environ.get(env_var, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in _FALSE_STRINGS
-
 
 def plain_value_key(value) -> Tuple:
     """A hashable content tuple for an arbitrary annotation/condition value.

@@ -16,113 +16,41 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cluster import ClusterSpec
-from repro.core.parallel import SideChannel
+from repro.common.store import CounterStats, ShardedStore
 from repro.whatif.service import CostService, CostServiceStats, resolve_cache_path
 
 __all__ = [
     "CostService",
     "CostServiceStats",
     "StatsWindow",
-    "cost_service_side_channel",
     "ensure_cost_service",
     "resolve_cache_path",
 ]
 
 
-def ensure_cost_service(
-    cluster: ClusterSpec,
-    service: Optional[CostService] = None,
-    cache_path: Optional[str] = None,
-) -> CostService:
-    """Return ``service`` if given, else a fresh :class:`CostService`.
-
-    Components accept an optional service so callers can share one cache
-    across search/optimizer/baseline layers; this helper keeps the
-    default-construction policy in one place.  A shared service must have
-    been built for the same cluster — cached estimates carry no cluster
-    component, so cross-cluster sharing would silently serve wrong costs.
-
-    ``cache_path`` applies only when a fresh service is constructed: the new
-    service warm-starts from the persisted cache at that path (explicit
-    argument, else the ``STUBBY_COST_CACHE`` environment variable).  When an
-    existing service is passed, persistence was that service's constructor's
-    decision and the argument is ignored.
-    """
-    if service is None:
-        return CostService(cluster, cache_path=resolve_cache_path(cache_path))
-    if service.cluster != cluster:
-        raise ValueError(
-            "cost service was built for a different ClusterSpec; "
-            "cached estimates are only valid for the cluster they were computed on"
-        )
-    return service
-
-
-def cost_service_side_channel(service: CostService) -> SideChannel:
-    """Wire a :class:`CostService` into a backend session's side channel.
-
-    * ``worker_init`` (forked workers only) starts the worker's cache export
-      log, so new entries can be merged back to the parent on join.
-    * ``chunk_begin``/``chunk_end`` bracket each worker chunk with a fresh
-      attribution sink on the *worker's* thread, capturing the chunk's exact
-      stats delta without reading the (concurrently moving) global counters.
-      They also propagate the *session opener's* origin label
-      (:meth:`CostService.origin`) onto the worker thread for the chunk's
-      duration: origin labels are thread-local, so without this a thread
-      backend's workers would store and compare entries under no label and
-      misattribute same-origin reuse as cross-origin.
-    * ``chunk_absorb_shared`` (thread backend) re-attributes the delta to the
-      calling thread's sinks only — the shared global counters already saw
-      the work live.
-    * ``chunk_absorb_foreign`` (process backend) folds the delta in fully:
-      the worker's queries never touched this process's counters.
-    * ``final_export``/``final_absorb`` merge the worker's new cache entries
-      into the parent cache when the session joins.
-    """
-
-    # Captured on the thread opening the session (e.g. the experiment cell's
-    # thread), then re-established on whichever thread runs each chunk.
-    origin_label = service.current_origin()
-
-    def chunk_begin():
-        sink = CostServiceStats()
-        service._sink_stack().append(sink)
-        previous_origin = service.current_origin()
-        service._origin.label = origin_label
-        return (sink, previous_origin)
-
-    def chunk_end(token) -> CostServiceStats:
-        sink, previous_origin = token
-        service._origin.label = previous_origin
-        service._sink_stack().pop()
-        return sink
-
-    return SideChannel(
-        worker_init=service.start_export_log,
-        chunk_begin=chunk_begin,
-        chunk_end=chunk_end,
-        chunk_absorb_shared=service.apply_sink_only_delta,
-        chunk_absorb_foreign=service.apply_external_delta,
-        final_export=service.export_log_entries,
-        final_absorb=service.absorb_entries,
-    )
+#: ``ensure_cost_service(cluster, service=None, cache_path=None)``: the given
+#: service (cluster-checked) or a fresh one warm-started from ``cache_path`` /
+#: ``STUBBY_COST_CACHE`` — see :meth:`repro.common.store.ShardedStore.ensure`.
+ensure_cost_service = CostService.ensure
 
 
 class StatsWindow:
-    """Context manager capturing a :class:`CostServiceStats` delta.
+    """Context manager capturing a store's stats delta over a region.
 
     Usage::
 
         with StatsWindow(service) as window:
             ...cost queries...
         window.delta  # CostServiceStats with just this region's counters
+
+    Works on any :class:`~repro.common.store.ShardedStore`; the delta is of
+    the store's own counter class.
     """
 
-    def __init__(self, service: CostService) -> None:
+    def __init__(self, service: ShardedStore) -> None:
         self.service = service
-        self.delta: CostServiceStats = CostServiceStats()
-        self._before: Optional[CostServiceStats] = None
+        self.delta: CounterStats = service.STATS()
+        self._before: Optional[CounterStats] = None
 
     def __enter__(self) -> "StatsWindow":
         self._before = self.service.stats_snapshot()

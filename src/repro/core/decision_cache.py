@@ -37,24 +37,19 @@ everything that can influence the unit's argmin:
 Change any of these and the key changes — the cache *misses*, never serves
 a stale decision (property-tested in ``tests/test_decision_cache.py``).
 
-Concurrency and persistence mirror :class:`~repro.whatif.service.CostService`
-exactly: lock-striped LRU shards, atomic stats with thread-local attribution
-sinks, fork-worker export-log/merge-on-join, origin-tagged entries for
-cross-cell hit attribution, and a versioned pickle snapshot
-(``STUBBY_DECISION_CACHE``) written atomically and rejected wholesale on any
-version/cluster mismatch.
+Concurrency, merge-on-join and persistence are the shared
+:class:`~repro.common.store.ShardedStore` mechanism (see
+:mod:`repro.common.store`); the persisted file is named by
+``STUBBY_DECISION_CACHE``.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.cluster import ClusterSpec
-from repro.common.faults import fault_site
+from repro.common.store import CounterStats, ShardedStore, resolve_env_flag, resolve_env_path
 
 # Content-key helpers live in the leaf module ``repro.core.content_keys``
 # (shared with the sub-result catalog); re-exported here because the search
@@ -69,16 +64,7 @@ from repro.core.content_keys import (  # noqa: F401  (re-exports)
     schema_annotation_key,
     transformation_key,
 )
-from repro.core.parallel import SideChannel
 from repro.core.transformations.base import TransformationApplication
-from repro.whatif import model as whatif_model
-from repro.whatif.service import (
-    CacheLoadReport,
-    _RestrictedUnpickler,
-    _ShardedCache,
-    atomic_pickle_write,
-    cluster_cache_key,
-)
 
 __all__ = [
     "DECISION_CACHE_ENABLED_ENV_VAR",
@@ -90,7 +76,6 @@ __all__ = [
     "SubunitChoice",
     "UnitDecision",
     "decision_cache_enabled",
-    "decision_cache_side_channel",
     "ensure_decision_cache",
     "resolve_decision_cache_path",
 ]
@@ -122,39 +107,20 @@ DECISION_CACHE_VERIFY_ENV_VAR = "STUBBY_DECISION_CACHE_VERIFY"
 #: Cap on decisions a forked worker ships back on merge-on-join.
 MAX_EXPORTED_DECISIONS = 5_000
 
-_FALSE_STRINGS = frozenset({"0", "false", "no", "off"})
-
-
-def _env_flag(env_var: str, default: bool) -> bool:
-    raw = os.environ.get(env_var, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in _FALSE_STRINGS
-
 
 def decision_cache_enabled(enabled: Optional[bool] = None) -> bool:
     """Normalize the enable flag: explicit argument, else environment, else on."""
-    if enabled is not None:
-        return enabled
-    return _env_flag(DECISION_CACHE_ENABLED_ENV_VAR, True)
+    return resolve_env_flag(enabled, DECISION_CACHE_ENABLED_ENV_VAR, True)
 
 
 def decision_cache_verify(verify: Optional[bool] = None) -> bool:
     """Normalize the verify-hits flag: explicit argument, else environment."""
-    if verify is not None:
-        return verify
-    return _env_flag(DECISION_CACHE_VERIFY_ENV_VAR, False)
+    return resolve_env_flag(verify, DECISION_CACHE_VERIFY_ENV_VAR, False)
 
 
 def resolve_decision_cache_path(path: Optional[str]) -> Optional[str]:
-    """Normalize a decision-cache path: explicit path, else the environment.
-
-    ``None`` consults :data:`DECISION_CACHE_PATH_ENV_VAR`; an empty string
-    (explicit or from the environment) means "no persistence".
-    """
-    if path is not None:
-        return path or None
-    return os.environ.get(DECISION_CACHE_PATH_ENV_VAR, "").strip() or None
+    """Explicit decision-cache path, else :data:`DECISION_CACHE_PATH_ENV_VAR` (``""`` = none)."""
+    return resolve_env_path(path, DECISION_CACHE_PATH_ENV_VAR)
 
 
 @dataclass(frozen=True)
@@ -207,7 +173,7 @@ class UnitDecision:
 
 
 @dataclass
-class DecisionCacheStats:
+class DecisionCacheStats(CounterStats):
     """Counters describing how often unit searches were skipped.
 
     ``decision_hits`` / ``decision_misses`` count unit-level lookups (one per
@@ -217,6 +183,8 @@ class DecisionCacheStats:
     :attr:`~repro.whatif.service.CostServiceStats.cross_origin_hits`.
     ``replayed_subunits`` counts the sub-unit searches a hit saved.
     """
+
+    DERIVED: ClassVar[Tuple[str, ...]] = ("hit_rate",)
 
     decision_hits: int = 0
     decision_misses: int = 0
@@ -236,48 +204,12 @@ class DecisionCacheStats:
             return 0.0
         return self.decision_hits / self.lookups
 
-    def accumulate(self, delta: "DecisionCacheStats") -> None:
-        """Add another stats delta into this one, in place."""
-        self.decision_hits += delta.decision_hits
-        self.decision_misses += delta.decision_misses
-        self.cross_origin_hits += delta.cross_origin_hits
-        self.stores += delta.stores
-        self.replayed_subunits += delta.replayed_subunits
 
-    def snapshot(self) -> "DecisionCacheStats":
-        """Immutable copy of the current counters."""
-        return replace(self)
-
-    def since(self, before: "DecisionCacheStats") -> "DecisionCacheStats":
-        """Counter delta between this snapshot and an earlier one."""
-        return DecisionCacheStats(
-            decision_hits=self.decision_hits - before.decision_hits,
-            decision_misses=self.decision_misses - before.decision_misses,
-            cross_origin_hits=self.cross_origin_hits - before.cross_origin_hits,
-            stores=self.stores - before.stores,
-            replayed_subunits=self.replayed_subunits - before.replayed_subunits,
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view for reports and benchmark JSON."""
-        return {
-            "decision_hits": self.decision_hits,
-            "decision_misses": self.decision_misses,
-            "cross_origin_hits": self.cross_origin_hits,
-            "stores": self.stores,
-            "replayed_subunits": self.replayed_subunits,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class DecisionCache:
+class DecisionCache(ShardedStore):
     """Sharded, LRU, optionally persisted memo of unit search decisions.
 
     One instance is safe to share across search threads, forked workers, and
-    experiment cells — the concurrency model is the
-    :class:`~repro.whatif.service.CostService` one: lock-striped shards,
-    atomic stats with thread-local attribution sinks, export-log
-    merge-on-join for forked workers, origin-tagged entries.
+    experiment cells — it is a :class:`~repro.common.store.ShardedStore`.
 
     ``enabled=False`` (or ``STUBBY_DECISION_CACHE_ENABLED=0``) turns every
     lookup into a no-answer and every store into a no-op, so a disabled
@@ -287,6 +219,14 @@ class DecisionCache:
     replay-equals-search contract.
     """
 
+    STATS = DecisionCacheStats
+    FORMAT_VERSION = DECISION_CACHE_FORMAT_VERSION
+    FAULT_PREFIX = "decisions"
+    MAX_EXPORTED = MAX_EXPORTED_DECISIONS
+    PATH_ENV_VAR = DECISION_CACHE_PATH_ENV_VAR
+    LABEL = "decision cache"
+    VALUE_TYPE = UnitDecision
+
     def __init__(
         self,
         cluster: ClusterSpec,
@@ -295,25 +235,9 @@ class DecisionCache:
         cache_path: Optional[str] = None,
         verify_hits: Optional[bool] = None,
     ) -> None:
-        self.cluster = cluster
-        self.enabled = decision_cache_enabled(enabled)
         self.verify_hits = decision_cache_verify(verify_hits)
-        self.max_entries = max(1, max_entries)
-        self._cache = _ShardedCache(self.max_entries)
-        self.stats = DecisionCacheStats()
-        self._stats_lock = threading.Lock()
-        self._sinks = threading.local()
-        #: Append-only log of decisions stored since :meth:`start_export_log`;
-        #: enabled only inside forked workers (single-threaded).
-        self._export_log: Optional[List[Tuple[Tuple, UnitDecision, object]]] = None
-        self.cache_path = cache_path
-        #: Outcome of the constructor's warm-start attempt (``None`` when no
-        #: path was configured or the cache is disabled).
-        self.last_load: Optional[CacheLoadReport] = None
-        if self.cache_path and self.enabled:
-            self.last_load = self.load_cache(self.cache_path)
+        super().__init__(cluster, max_entries, decision_cache_enabled(enabled), cache_path)
 
-    # ------------------------------------------------------------------ API
     def lookup(self, key: Tuple, origin: Optional[str] = None) -> Optional[Tuple[UnitDecision, bool]]:
         """The recorded decision for ``key``, or ``None`` on a miss.
 
@@ -342,164 +266,8 @@ class DecisionCache:
         """Record the winning decision for ``key`` (no-op when disabled)."""
         if not self.enabled:
             return
-        new = self._cache.store(key, decision, origin)
+        self._store(key, decision, origin)
         self._apply_delta(DecisionCacheStats(stores=1))
-        if new and self._export_log is not None:
-            self._export_log.append((key, decision, origin))
-
-    # ------------------------------------------------------- stats plumbing
-    def _apply_delta(self, delta: DecisionCacheStats) -> None:
-        """Fold a stats delta into the global counters and this thread's sinks."""
-        with self._stats_lock:
-            self.stats.accumulate(delta)
-        for sink in self._sink_stack():
-            sink.accumulate(delta)
-
-    def _sink_stack(self) -> List[DecisionCacheStats]:
-        stack = getattr(self._sinks, "stack", None)
-        if stack is None:
-            stack = []
-            self._sinks.stack = stack
-        return stack
-
-    @contextmanager
-    def attribute_to(self, sink: DecisionCacheStats):
-        """Also credit this thread's lookups/stores to ``sink`` while active."""
-        stack = self._sink_stack()
-        stack.append(sink)
-        try:
-            yield sink
-        finally:
-            stack.pop()
-
-    def apply_external_delta(self, delta: DecisionCacheStats) -> None:
-        """Fold in work performed by a foreign process (merge-on-join)."""
-        self._apply_delta(delta)
-
-    def apply_sink_only_delta(self, delta: DecisionCacheStats) -> None:
-        """Re-attribute work already counted globally to this thread's sinks."""
-        for sink in self._sink_stack():
-            sink.accumulate(delta)
-
-    def stats_snapshot(self) -> DecisionCacheStats:
-        """Consistent copy of the global counters."""
-        with self._stats_lock:
-            return self.stats.snapshot()
-
-    # ------------------------------------------------- process merge-on-join
-    def start_export_log(self) -> None:
-        """Begin recording newly stored decisions (forked workers only)."""
-        self._export_log = []
-
-    def export_log_entries(self) -> List[Tuple[Tuple, UnitDecision, object]]:
-        """Drain the export log; freshest :data:`MAX_EXPORTED_DECISIONS` win."""
-        log = self._export_log or []
-        self._export_log = None
-        return log[-MAX_EXPORTED_DECISIONS:]
-
-    def absorb_entries(self, entries: List[Tuple[Tuple, UnitDecision, object]]) -> None:
-        """Merge decisions exported by a worker (or loaded from disk).
-
-        Keys are content-based and decisions deterministic, so merging is
-        idempotent and order-independent; entries keep the origin label they
-        were stored under, preserving cross-origin attribution.
-        """
-        for key, decision, origin in entries:
-            self._cache.store(key, decision, origin)
-
-    # ------------------------------------------------------------ persistence
-    def save_cache(self, path: Optional[str] = None, merge_first: bool = False) -> int:
-        """Persist the decision store to ``path`` (default: ``cache_path``).
-
-        The payload is stamped with the on-disk format version, the cost
-        model version, and the cluster key — a decision is only valid for
-        the exact cost model and cluster it was searched under.  The write
-        is atomic (temp file + ``os.replace``).  Returns the entry count.
-
-        ``merge_first=True`` re-absorbs the current file (if valid) before
-        writing — the long-lived-service idiom: a replica that restarted
-        cold never shrinks a richer store persisted by another.  Decisions
-        are content-keyed and deterministic, so the merge is conflict-free.
-        """
-        path = path or self.cache_path
-        if not path:
-            raise ValueError("no decision cache path configured (pass path= or set cache_path)")
-        if merge_first:
-            self.load_cache(path)
-        entries = [
-            (key, decision, origin)
-            for rows in self._cache.shard_items()
-            for key, decision, origin in rows
-        ]
-        payload = {
-            "format_version": DECISION_CACHE_FORMAT_VERSION,
-            # Read through the module so tests monkeypatching the version
-            # see the stamp move.
-            "model_version": whatif_model.COST_MODEL_VERSION,
-            "cluster_key": cluster_cache_key(self.cluster),
-            "entries": entries,
-        }
-        atomic_pickle_write(path, payload)
-        fault_site("decisions.save", path=path)
-        return len(entries)
-
-    def load_cache(self, path: Optional[str] = None) -> CacheLoadReport:
-        """Warm-start from a persisted decision file; never raises on bad input.
-
-        Rejection is quiet and all-or-nothing: missing, corrupt, truncated,
-        or version/cluster-mismatched files contribute nothing.
-        """
-        path = path or self.cache_path
-        if not path:
-            raise ValueError("no decision cache path configured (pass path= or set cache_path)")
-        # Before the open: a corrupt/truncate fault mangles what we then read.
-        fault_site("decisions.load", path=path)
-        if not os.path.exists(path):
-            return CacheLoadReport(loaded=False, reason="no cache file")
-        try:
-            with open(path, "rb") as handle:
-                payload = _RestrictedUnpickler(handle).load()
-        except Exception as exc:  # corrupt, truncated, or not a pickle at all
-            return CacheLoadReport(
-                loaded=False, reason=f"unreadable cache file ({type(exc).__name__})"
-            )
-        if not isinstance(payload, dict):
-            return CacheLoadReport(loaded=False, reason="malformed cache payload")
-        if payload.get("format_version") != DECISION_CACHE_FORMAT_VERSION:
-            return CacheLoadReport(
-                loaded=False,
-                reason=f"format version mismatch ({payload.get('format_version')!r} "
-                f"!= {DECISION_CACHE_FORMAT_VERSION!r})",
-            )
-        if payload.get("model_version") != whatif_model.COST_MODEL_VERSION:
-            return CacheLoadReport(
-                loaded=False,
-                reason=f"cost model version mismatch ({payload.get('model_version')!r} "
-                f"!= {whatif_model.COST_MODEL_VERSION!r})",
-            )
-        if payload.get("cluster_key") != cluster_cache_key(self.cluster):
-            return CacheLoadReport(
-                loaded=False, reason="cache was computed for a different ClusterSpec"
-            )
-        entries = payload.get("entries")
-        if not isinstance(entries, list):
-            return CacheLoadReport(loaded=False, reason="malformed cache payload")
-        # Validate every row before absorbing any — all-or-nothing.
-        for row in entries:
-            if not (
-                isinstance(row, tuple)
-                and len(row) == 3
-                and isinstance(row[0], tuple)
-                and isinstance(row[1], UnitDecision)
-            ):
-                return CacheLoadReport(loaded=False, reason="malformed cache entries")
-        self.absorb_entries(entries)
-        return CacheLoadReport(loaded=True, entries=len(entries), reason="ok")
-
-    # ------------------------------------------------------------ cache mgmt
-    def invalidate(self) -> None:
-        """Drop every memoized decision (stats are kept)."""
-        self._cache.clear()
 
     def invalidate_key(self, key: Tuple) -> bool:
         """Drop one memoized decision; True when it existed.
@@ -510,71 +278,9 @@ class DecisionCache:
         """
         return self._cache.discard(key)
 
-    @property
-    def cache_size(self) -> int:
-        """Number of memoized unit decisions."""
-        return len(self._cache)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DecisionCache(entries={len(self._cache)}, enabled={self.enabled}, "
-            f"hits={self.stats.decision_hits}, misses={self.stats.decision_misses})"
-        )
-
-
-def ensure_decision_cache(
-    cluster: ClusterSpec,
-    cache: Optional[DecisionCache] = None,
-    cache_path: Optional[str] = None,
-) -> DecisionCache:
-    """Return ``cache`` if given, else a fresh :class:`DecisionCache`.
-
-    The sibling of :func:`~repro.core.costing.ensure_cost_service`: a shared
-    cache must have been built for the same cluster — a recorded decision is
-    only the argmin for the cluster it was searched under, so cross-cluster
-    sharing would silently replay wrong plans.  ``cache_path`` applies only
-    when a fresh cache is constructed (explicit argument, else the
-    ``STUBBY_DECISION_CACHE`` environment variable).
-    """
-    if cache is None:
-        return DecisionCache(cluster, cache_path=resolve_decision_cache_path(cache_path))
-    if cache.cluster != cluster:
-        raise ValueError(
-            "decision cache was built for a different ClusterSpec; "
-            "recorded decisions are only valid for the cluster they were searched on"
-        )
-    return cache
-
-
-def decision_cache_side_channel(cache: DecisionCache) -> SideChannel:
-    """Wire a :class:`DecisionCache` into a backend session's side channel.
-
-    The exact analogue of
-    :func:`~repro.core.costing.cost_service_side_channel`: thread workers
-    re-attribute their stats delta to the calling thread's sinks, forked
-    workers export their privately recorded decisions and full stats delta
-    for merge-on-join.  Origins need no propagation of their own — the
-    search reads its origin from the cost service, whose side channel
-    already re-establishes the session opener's label per worker chunk.
-    """
-
-    def chunk_begin():
-        sink = DecisionCacheStats()
-        cache._sink_stack().append(sink)
-        return sink
-
-    def chunk_end(sink) -> DecisionCacheStats:
-        cache._sink_stack().pop()
-        return sink
-
-    return SideChannel(
-        worker_init=cache.start_export_log,
-        chunk_begin=chunk_begin,
-        chunk_end=chunk_end,
-        chunk_absorb_shared=cache.apply_sink_only_delta,
-        chunk_absorb_foreign=cache.apply_external_delta,
-        final_export=cache.export_log_entries,
-        final_absorb=cache.absorb_entries,
-    )
-
-
+#: ``ensure_decision_cache(cluster, cache=None, cache_path=None)``: the given
+#: cache (cluster-checked — a recorded decision is only the argmin for the
+#: cluster it was searched under) or a fresh one warm-started from
+#: ``cache_path`` / ``STUBBY_DECISION_CACHE``.
+ensure_decision_cache = DecisionCache.ensure

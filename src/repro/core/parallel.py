@@ -55,6 +55,7 @@ import traceback
 from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -73,8 +74,8 @@ __all__ = [
     "ThreadBackend",
     "available_backends",
     "create_backend",
-    "merge_side_channels",
     "resolve_backend",
+    "store_side_channel",
 ]
 
 #: Worker count used when a spec names a backend without an explicit count.
@@ -243,59 +244,70 @@ class SideChannel:
     final_absorb: Optional[Callable[[Any], None]] = None
 
 
-def merge_side_channels(*channels: Optional[SideChannel]) -> Optional[SideChannel]:
-    """Compose several side channels into one riding a single session.
+def store_side_channel(*stores) -> Optional[SideChannel]:
+    """Wire :class:`~repro.common.store.ShardedStore` s into one session's side channel.
 
-    A backend session accepts exactly one :class:`SideChannel`; when two
-    services need to move state across the same fan-out (the cost service
-    *and* the decision cache of one experiment run), their channels are
-    merged: every hook calls the members' hooks in order, and the chunk
-    tokens / payloads / final exports become tuples with one slot per
-    member.  ``None`` members are tolerated (their slots stay ``None``), a
-    single live member is returned as-is (zero overhead), and no live
-    members merge to ``None``.
+    One factory serves the cost service, the decision cache and the
+    sub-result catalog alike, alone or together (a backend session accepts
+    exactly one :class:`SideChannel`; chunk payloads and final exports are
+    tuples with one slot per store).  No stores yield ``None``.
+
+    * ``worker_init`` (forked workers only) starts each worker-side export
+      log, so new entries can be merged back to the parent on join.
+    * ``chunk_begin``/``chunk_end`` bracket each worker chunk with a fresh
+      attribution sink per store on the *worker's* thread, capturing the
+      chunk's exact stats deltas without reading the (concurrently moving)
+      global counters.  They also propagate the *session opener's* origin
+      label (:meth:`~repro.common.store.ShardedStore.origin`) onto the
+      worker thread for the chunk's duration: origin labels are
+      thread-local, so without this a thread backend's workers would store
+      and compare entries under no label and misattribute same-origin reuse
+      as cross-origin.
+    * ``chunk_absorb_shared`` (thread backend) re-attributes the deltas to
+      the calling thread's sinks only — the shared global counters already
+      saw the work live.
+    * ``chunk_absorb_foreign`` (process backend) folds the deltas in fully:
+      the worker's activity never touched this process's counters.
+    * ``final_export``/``final_absorb`` merge the worker's new entries into
+      the parent stores when the session joins.
     """
-    live = [channel for channel in channels if channel is not None]
-    if not live:
+    if not stores:
         return None
-    if len(live) == 1:
-        return live[0]
+    # Captured on the thread opening the session (e.g. the experiment cell's
+    # thread), then re-established on whichever thread runs each chunk.
+    origin_labels = [store.current_origin() for store in stores]
 
     def worker_init() -> None:
-        for channel in live:
-            if channel.worker_init:
-                channel.worker_init()
+        for store in stores:
+            store.start_export_log()
 
-    def chunk_begin() -> Tuple:
-        return tuple(
-            channel.chunk_begin() if channel.chunk_begin else None for channel in live
-        )
+    def chunk_begin():
+        sinks = tuple(store.STATS() for store in stores)
+        scope = ExitStack()
+        for store, label, sink in zip(stores, origin_labels, sinks):
+            scope.enter_context(store.origin(label))
+            scope.enter_context(store.attribute_to(sink))
+        return (sinks, scope)
 
-    def chunk_end(tokens: Tuple) -> Tuple:
-        return tuple(
-            channel.chunk_end(token) if channel.chunk_end else None
-            for channel, token in zip(live, tokens)
-        )
+    def chunk_end(token) -> Tuple:
+        sinks, scope = token
+        scope.close()
+        return sinks
 
-    def chunk_absorb_shared(payloads: Tuple) -> None:
-        for channel, payload in zip(live, payloads):
-            if payload is not None and channel.chunk_absorb_shared:
-                channel.chunk_absorb_shared(payload)
+    def chunk_absorb_shared(sinks: Tuple) -> None:
+        for store, sink in zip(stores, sinks):
+            store.apply_sink_only_delta(sink)
 
-    def chunk_absorb_foreign(payloads: Tuple) -> None:
-        for channel, payload in zip(live, payloads):
-            if payload is not None and channel.chunk_absorb_foreign:
-                channel.chunk_absorb_foreign(payload)
+    def chunk_absorb_foreign(sinks: Tuple) -> None:
+        for store, sink in zip(stores, sinks):
+            store.apply_external_delta(sink)
 
     def final_export() -> Tuple:
-        return tuple(
-            channel.final_export() if channel.final_export else None for channel in live
-        )
+        return tuple(store.export_log_entries() for store in stores)
 
-    def final_absorb(payloads: Tuple) -> None:
-        for channel, payload in zip(live, payloads):
-            if payload is not None and channel.final_absorb:
-                channel.final_absorb(payload)
+    def final_absorb(exports: Tuple) -> None:
+        for store, entries in zip(stores, exports):
+            store.absorb_entries(entries)
 
     return SideChannel(
         worker_init=worker_init,

@@ -40,13 +40,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.cluster import ClusterSpec
 from repro.common.faults import fault_site
 from repro.common.rng import DeterministicRNG
+from repro.common.store import cluster_cache_key
 from repro.core.budget import UNBOUNDED, TimeBudget
-from repro.core.costing import (
-    CostService,
-    CostServiceStats,
-    cost_service_side_channel,
-    ensure_cost_service,
-)
+from repro.core.costing import CostService, CostServiceStats, ensure_cost_service
 from repro.core.decision_cache import (
     DecisionCache,
     SubunitChoice,
@@ -60,14 +56,18 @@ from repro.core.decision_cache import (
 )
 from repro.core.optimization_unit import OptimizationUnit, OptimizationUnitGenerator
 from repro.core.subresults import SubResultUnavailableError
-from repro.core.parallel import BackendSession, ExecutionBackend, resolve_backend
+from repro.core.parallel import (
+    BackendSession,
+    ExecutionBackend,
+    resolve_backend,
+    store_side_channel,
+)
 from repro.core.plan import Plan
 from repro.core.rrs import RecursiveRandomSearch
 from repro.core.transformations.base import Transformation, TransformationApplication
 from repro.core.transformations.configuration import ConfigurationTransformation
 from repro.mapreduce.config import ConfigDimension, ConfigurationSpace
 from repro.whatif import model as whatif_model
-from repro.whatif.service import cluster_cache_key
 
 #: Caps keeping the exhaustive enumeration inside a unit bounded; in practice
 #: (paper §4.2) the number of unique subplans per unit is small.
@@ -762,7 +762,7 @@ class StubbySearch:
                 return self._evaluate_point(tasks[request[1]], request[2])
             raise ValueError(f"unknown search work request {request[0]!r}")
 
-        side = cost_service_side_channel(self.costs)
+        side = store_side_channel(self.costs)
         results: List[Tuple] = []
         with self.backend.session(worker_fn, side) as session:
             if len(tasks) == 1:

@@ -32,43 +32,35 @@ enters the unit search as a sixth transformation, so reuse is
 **cost-model-arbitrated**: the rewritten candidate is costed by the what-if
 engine like any other and wins only when it is estimated cheaper.
 
-Concurrency, attribution, and persistence mirror
-:class:`~repro.core.decision_cache.DecisionCache` exactly: lock-striped LRU
-shards, atomic stats with thread-local attribution sinks, fork-worker
-export-log/merge-on-join, origin-tagged entries, and a versioned pickle
-snapshot (``STUBBY_SUBRESULT_CATALOG``) written atomically, merged with
-``save_cache(merge_first=True)``, and rejected wholesale on any
-version/cluster mismatch (restricted unpickler included).
+Concurrency, attribution, merge-on-join and persistence are the shared
+:class:`~repro.common.store.ShardedStore` mechanism (see
+:mod:`repro.common.store`); the persisted file is named by
+``STUBBY_SUBRESULT_CATALOG`` and merged with ``save_cache(merge_first=True)``.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster import ClusterSpec
 from repro.common.faults import fault_site
 from repro.common.hashing import stable_hash
+from repro.common.store import (
+    CounterStats,
+    ShardedStore,
+    cluster_cache_key,
+    resolve_env_flag,
+    resolve_env_path,
+)
 from repro.core.content_keys import (
-    _env_flag,
     dataset_annotation_key,
     job_annotations_key,
     partition_function_key,
 )
-from repro.core.parallel import SideChannel
 from repro.dfs.dataset import Dataset
 from repro.profiler.profiler import Profiler
 from repro.whatif import model as whatif_model
-from repro.whatif.service import (
-    CacheLoadReport,
-    _RestrictedUnpickler,
-    _ShardedCache,
-    atomic_pickle_write,
-    cluster_cache_key,
-)
 from repro.workflow.annotations import DatasetAnnotation
 from repro.workflow.graph import Workflow
 
@@ -87,7 +79,6 @@ __all__ = [
     "resolve_subresult_catalog_path",
     "subgraph_signature",
     "subresult_catalog_enabled",
-    "subresult_catalog_side_channel",
 ]
 
 #: Default bound on catalog entries; old entries are evicted LRU.  Entries
@@ -123,20 +114,12 @@ class SubResultUnavailableError(RuntimeError):
 
 def subresult_catalog_enabled(enabled: Optional[bool] = None) -> bool:
     """Normalize the enable flag: explicit argument, else environment, else on."""
-    if enabled is not None:
-        return enabled
-    return _env_flag(SUBRESULT_CATALOG_ENABLED_ENV_VAR, True)
+    return resolve_env_flag(enabled, SUBRESULT_CATALOG_ENABLED_ENV_VAR, True)
 
 
 def resolve_subresult_catalog_path(path: Optional[str]) -> Optional[str]:
-    """Normalize a catalog path: explicit path, else the environment.
-
-    ``None`` consults :data:`SUBRESULT_CATALOG_PATH_ENV_VAR`; an empty string
-    (explicit or from the environment) means "no persistence".
-    """
-    if path is not None:
-        return path or None
-    return os.environ.get(SUBRESULT_CATALOG_PATH_ENV_VAR, "").strip() or None
+    """Explicit catalog path, else :data:`SUBRESULT_CATALOG_PATH_ENV_VAR` (``""`` = none)."""
+    return resolve_env_path(path, SUBRESULT_CATALOG_PATH_ENV_VAR)
 
 
 @dataclass(frozen=True)
@@ -177,7 +160,7 @@ class SubResultEntry:
 
 
 @dataclass
-class SubResultCatalogStats:
+class SubResultCatalogStats(CounterStats):
     """Counters describing catalog traffic.
 
     ``hits`` counts successful entry fetches — both applicability probes
@@ -190,6 +173,8 @@ class SubResultCatalogStats:
     after.  ``jobs_eliminated`` sums the producing-cone jobs removed by
     applied rewrites.
     """
+
+    DERIVED: ClassVar[Tuple[str, ...]] = ("hit_rate",)
 
     hits: int = 0
     misses: int = 0
@@ -210,57 +195,27 @@ class SubResultCatalogStats:
             return 0.0
         return self.hits / self.lookups
 
-    def accumulate(self, delta: "SubResultCatalogStats") -> None:
-        """Add another stats delta into this one, in place."""
-        self.hits += delta.hits
-        self.misses += delta.misses
-        self.cross_origin_hits += delta.cross_origin_hits
-        self.stale_skips += delta.stale_skips
-        self.stores += delta.stores
-        self.jobs_eliminated += delta.jobs_eliminated
 
-    def snapshot(self) -> "SubResultCatalogStats":
-        """Immutable copy of the current counters."""
-        return replace(self)
-
-    def since(self, before: "SubResultCatalogStats") -> "SubResultCatalogStats":
-        """Counter delta between this snapshot and an earlier one."""
-        return SubResultCatalogStats(
-            hits=self.hits - before.hits,
-            misses=self.misses - before.misses,
-            cross_origin_hits=self.cross_origin_hits - before.cross_origin_hits,
-            stale_skips=self.stale_skips - before.stale_skips,
-            stores=self.stores - before.stores,
-            jobs_eliminated=self.jobs_eliminated - before.jobs_eliminated,
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view for reports and benchmark JSON."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "cross_origin_hits": self.cross_origin_hits,
-            "stale_skips": self.stale_skips,
-            "stores": self.stores,
-            "jobs_eliminated": self.jobs_eliminated,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class SubResultCatalog:
+class SubResultCatalog(ShardedStore):
     """Sharded, LRU, optionally persisted catalog of materialized sub-results.
 
     One instance is safe to share across search threads, forked workers,
-    experiment cells, and planning-service tenants — the concurrency model
-    is the :class:`~repro.core.decision_cache.DecisionCache` one: lock-striped
-    shards, atomic stats with thread-local attribution sinks, export-log
-    merge-on-join for forked workers, origin-tagged entries.
+    experiment cells, and planning-service tenants — it is a
+    :class:`~repro.common.store.ShardedStore`.
 
     ``enabled=False`` (or ``STUBBY_SUBRESULT_CATALOG_ENABLED=0``) turns
     every lookup into a no-answer and every store into a no-op, so a
     disabled catalog is behaviourally invisible — the reuse transformation
     finds no applications and plans are bit-identical to pre-catalog runs.
     """
+
+    STATS = SubResultCatalogStats
+    FORMAT_VERSION = SUBRESULT_CATALOG_FORMAT_VERSION
+    FAULT_PREFIX = "subresults"
+    MAX_EXPORTED = MAX_EXPORTED_SUBRESULTS
+    PATH_ENV_VAR = SUBRESULT_CATALOG_PATH_ENV_VAR
+    NOUN = LABEL = "catalog"
+    VALUE_TYPE = SubResultEntry
 
     def __init__(
         self,
@@ -269,57 +224,12 @@ class SubResultCatalog:
         enabled: Optional[bool] = None,
         cache_path: Optional[str] = None,
     ) -> None:
-        self.cluster = cluster
-        self.enabled = subresult_catalog_enabled(enabled)
-        self.max_entries = max(1, max_entries)
-        self._cache = _ShardedCache(self.max_entries)
-        self.stats = SubResultCatalogStats()
-        self._stats_lock = threading.Lock()
-        self._sinks = threading.local()
-        self._origins = threading.local()
         #: Monotonic content version; bumped by every mutation so the
         #: decision-key fingerprint (:meth:`decision_key_content`) can be
-        #: cached between mutations.
+        #: cached between mutations.  Set first: a warm start bumps it.
         self._version = 0
         self._fingerprint_cache: Tuple[int, int] = (-1, 0)
-        #: Append-only log of entries stored since :meth:`start_export_log`;
-        #: enabled only inside forked workers (single-threaded).
-        self._export_log: Optional[List[Tuple[Tuple, SubResultEntry, object]]] = None
-        self.cache_path = cache_path
-        #: Outcome of the constructor's warm-start attempt (``None`` when no
-        #: path was configured or the catalog is disabled).
-        self.last_load: Optional[CacheLoadReport] = None
-        if self.cache_path and self.enabled:
-            self.last_load = self.load_cache(self.cache_path)
-
-    # --------------------------------------------------------------- origins
-    @contextmanager
-    def origin(self, label: Optional[str]):
-        """Attribute this thread's stores and hits to ``label`` while active.
-
-        The catalog-side analogue of ``CostService.origin``: entries are
-        stamped with the registering origin, and a fetch served by an entry
-        from a *different* origin counts as a cross-origin hit — the
-        cross-workflow reuse the benchmark reconciles.
-        """
-        stack = self._origin_stack()
-        stack.append(label)
-        try:
-            yield
-        finally:
-            stack.pop()
-
-    def current_origin(self) -> Optional[str]:
-        """The innermost active origin label on this thread, if any."""
-        stack = self._origin_stack()
-        return stack[-1] if stack else None
-
-    def _origin_stack(self) -> List[Optional[str]]:
-        stack = getattr(self._origins, "stack", None)
-        if stack is None:
-            stack = []
-            self._origins.stack = stack
-        return stack
+        super().__init__(cluster, max_entries, subresult_catalog_enabled(enabled), cache_path)
 
     # ------------------------------------------------------------------ API
     def probe(self, signature: Tuple, origin: Optional[str] = None) -> Optional[SubResultEntry]:
@@ -327,6 +237,7 @@ class SubResultCatalog:
 
         A match whose backing records were deleted counts as a
         ``stale_skip`` and answers ``None`` — the caller recomputes.
+        ``origin`` defaults to the thread's active :meth:`origin` label.
         """
         if not self.enabled:
             return None
@@ -373,11 +284,9 @@ class SubResultCatalog:
         if not self.enabled:
             return
         origin = origin if origin is not None else self.current_origin()
-        new = self._cache.store(signature, entry, origin)
+        self._store(signature, entry, origin)
         self._bump_version()
         self._apply_delta(SubResultCatalogStats(stores=1))
-        if new and self._export_log is not None:
-            self._export_log.append((signature, entry, origin))
 
     def evict_payload(self, signature: Tuple) -> bool:
         """Drop an entry's backing records, keeping the signature (stale).
@@ -417,8 +326,7 @@ class SubResultCatalog:
         if cached_version != version:
             material = sorted(
                 str((stable_hash([signature]), entry.has_payload))
-                for rows in self._cache.shard_items()
-                for signature, entry, _origin in rows
+                for signature, entry, _origin in self._entries_snapshot()
             )
             cached_value = stable_hash(material)
             self._fingerprint_cache = (version, cached_value)
@@ -428,231 +336,27 @@ class SubResultCatalog:
         with self._stats_lock:
             self._version += 1
 
-    # ------------------------------------------------------- stats plumbing
-    def _apply_delta(self, delta: SubResultCatalogStats) -> None:
-        """Fold a stats delta into the global counters and this thread's sinks."""
-        with self._stats_lock:
-            self.stats.accumulate(delta)
-        for sink in self._sink_stack():
-            sink.accumulate(delta)
-
-    def _sink_stack(self) -> List[SubResultCatalogStats]:
-        stack = getattr(self._sinks, "stack", None)
-        if stack is None:
-            stack = []
-            self._sinks.stack = stack
-        return stack
-
-    @contextmanager
-    def attribute_to(self, sink: SubResultCatalogStats):
-        """Also credit this thread's probes/stores to ``sink`` while active."""
-        stack = self._sink_stack()
-        stack.append(sink)
-        try:
-            yield sink
-        finally:
-            stack.pop()
-
-    def apply_external_delta(self, delta: SubResultCatalogStats) -> None:
-        """Fold in work performed by a foreign process (merge-on-join)."""
-        self._apply_delta(delta)
-
-    def apply_sink_only_delta(self, delta: SubResultCatalogStats) -> None:
-        """Re-attribute work already counted globally to this thread's sinks."""
-        for sink in self._sink_stack():
-            sink.accumulate(delta)
-
-    def stats_snapshot(self) -> SubResultCatalogStats:
-        """Consistent copy of the global counters."""
-        with self._stats_lock:
-            return self.stats.snapshot()
-
-    # ------------------------------------------------ process merge-on-join
-    def start_export_log(self) -> None:
-        """Begin recording newly stored entries (forked workers only)."""
-        self._export_log = []
-
-    def export_log_entries(self) -> List[Tuple[Tuple, SubResultEntry, object]]:
-        """Drain the export log; freshest :data:`MAX_EXPORTED_SUBRESULTS` win."""
-        log = self._export_log or []
-        self._export_log = None
-        return log[-MAX_EXPORTED_SUBRESULTS:]
-
-    def absorb_entries(self, entries: List[Tuple[Tuple, SubResultEntry, object]]) -> None:
-        """Merge entries exported by a worker (or loaded from disk).
-
-        Signatures are content-based and the registered records are the
-        deterministic output of the signed subgraph, so merging is
-        idempotent and order-independent; entries keep the origin label they
-        were registered under, preserving cross-origin attribution.
-        """
-        for signature, entry, origin in entries:
-            self._cache.store(signature, entry, origin)
-        if entries:
+    def absorb_entries(self, entries) -> None:
+        """Merge entries exported by a worker (or loaded from disk)."""
+        super().absorb_entries(entries)
+        if entries and self.enabled:
             self._bump_version()
 
-    # ----------------------------------------------------------- persistence
-    def save_cache(self, path: Optional[str] = None, merge_first: bool = False) -> int:
-        """Persist the catalog to ``path`` (default: ``cache_path``).
-
-        The payload is stamped with the on-disk format version, the cost
-        model version, and the cluster key — a stored sub-result is only
-        valid for the exact signature machinery it was registered under.
-        The write is atomic (temp file + ``os.replace``).  Returns the
-        entry count.
-
-        ``merge_first=True`` re-absorbs the current file (if valid) before
-        writing — the long-lived-service idiom: a replica that restarted
-        cold never shrinks a richer store persisted by another.
-        """
-        path = path or self.cache_path
-        if not path:
-            raise ValueError("no catalog path configured (pass path= or set cache_path)")
-        if merge_first:
-            self.load_cache(path)
-        entries = [
-            (signature, entry, origin)
-            for rows in self._cache.shard_items()
-            for signature, entry, origin in rows
-        ]
-        payload = {
-            "format_version": SUBRESULT_CATALOG_FORMAT_VERSION,
-            # Read through the module so tests monkeypatching the version
-            # see the stamp move.
-            "model_version": whatif_model.COST_MODEL_VERSION,
-            "cluster_key": cluster_cache_key(self.cluster),
-            "entries": entries,
-        }
-        atomic_pickle_write(path, payload)
-        fault_site("subresults.save", path=path)
-        return len(entries)
-
-    def load_cache(self, path: Optional[str] = None) -> CacheLoadReport:
-        """Warm-start from a persisted catalog file; never raises on bad input.
-
-        Rejection is quiet and all-or-nothing: missing, corrupt, truncated,
-        or version/cluster-mismatched files contribute nothing — a tampered
-        byte never becomes a served sub-result.
-        """
-        path = path or self.cache_path
-        if not path:
-            raise ValueError("no catalog path configured (pass path= or set cache_path)")
-        # Before the open: a corrupt/truncate fault mangles what we then read.
-        fault_site("subresults.load", path=path)
-        if not os.path.exists(path):
-            return CacheLoadReport(loaded=False, reason="no catalog file")
-        try:
-            with open(path, "rb") as handle:
-                payload = _RestrictedUnpickler(handle).load()
-        except Exception as exc:  # corrupt, truncated, or not a pickle at all
-            return CacheLoadReport(
-                loaded=False, reason=f"unreadable catalog file ({type(exc).__name__})"
-            )
-        if not isinstance(payload, dict):
-            return CacheLoadReport(loaded=False, reason="malformed catalog payload")
-        if payload.get("format_version") != SUBRESULT_CATALOG_FORMAT_VERSION:
-            return CacheLoadReport(
-                loaded=False,
-                reason=f"format version mismatch ({payload.get('format_version')!r} "
-                f"!= {SUBRESULT_CATALOG_FORMAT_VERSION!r})",
-            )
-        if payload.get("model_version") != whatif_model.COST_MODEL_VERSION:
-            return CacheLoadReport(
-                loaded=False,
-                reason=f"cost model version mismatch ({payload.get('model_version')!r} "
-                f"!= {whatif_model.COST_MODEL_VERSION!r})",
-            )
-        if payload.get("cluster_key") != cluster_cache_key(self.cluster):
-            return CacheLoadReport(
-                loaded=False, reason="catalog was computed for a different ClusterSpec"
-            )
-        entries = payload.get("entries")
-        if not isinstance(entries, list):
-            return CacheLoadReport(loaded=False, reason="malformed catalog payload")
-        # Validate every row before absorbing any — all-or-nothing.
-        for row in entries:
-            if not (
-                isinstance(row, tuple)
-                and len(row) == 3
-                and isinstance(row[0], tuple)
-                and isinstance(row[1], SubResultEntry)
-            ):
-                return CacheLoadReport(loaded=False, reason="malformed catalog entries")
-        self.absorb_entries(entries)
-        return CacheLoadReport(loaded=True, entries=len(entries), reason="ok")
-
-    # ----------------------------------------------------------- cache mgmt
     def invalidate(self) -> None:
         """Drop every catalog entry (stats are kept)."""
-        self._cache.clear()
+        super().invalidate()
         self._bump_version()
 
-    @property
-    def catalog_size(self) -> int:
-        """Number of registered sub-results."""
-        return len(self._cache)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SubResultCatalog(entries={len(self._cache)}, enabled={self.enabled}, "
-            f"hits={self.stats.hits}, misses={self.stats.misses})"
-        )
+    #: Number of registered sub-results.
+    catalog_size = ShardedStore.cache_size
 
 
-def ensure_subresult_catalog(
-    cluster: ClusterSpec,
-    catalog: Optional[SubResultCatalog] = None,
-    cache_path: Optional[str] = None,
-) -> SubResultCatalog:
-    """Return ``catalog`` if given, else a fresh :class:`SubResultCatalog`.
-
-    The sibling of :func:`~repro.core.decision_cache.ensure_decision_cache`:
-    a shared catalog must have been built for the same cluster — signatures
-    embed the cluster key, so a mismatched catalog would never hit, but
-    sharing one across clusters is almost certainly a wiring bug and fails
-    loudly.  ``cache_path`` applies only when a fresh catalog is
-    constructed (explicit argument, else ``STUBBY_SUBRESULT_CATALOG``).
-    """
-    if catalog is None:
-        return SubResultCatalog(
-            cluster, cache_path=resolve_subresult_catalog_path(cache_path)
-        )
-    if catalog.cluster != cluster:
-        raise ValueError(
-            "sub-result catalog was built for a different ClusterSpec; "
-            "stored sub-results are only valid for the cluster they ran on"
-        )
-    return catalog
-
-
-def subresult_catalog_side_channel(catalog: SubResultCatalog) -> SideChannel:
-    """Wire a :class:`SubResultCatalog` into a backend session's side channel.
-
-    The exact analogue of
-    :func:`~repro.core.decision_cache.decision_cache_side_channel`: thread
-    workers re-attribute their stats delta to the calling thread's sinks,
-    forked workers export their privately registered entries and full stats
-    delta for merge-on-join.
-    """
-
-    def chunk_begin():
-        sink = SubResultCatalogStats()
-        catalog._sink_stack().append(sink)
-        return sink
-
-    def chunk_end(sink) -> SubResultCatalogStats:
-        catalog._sink_stack().pop()
-        return sink
-
-    return SideChannel(
-        worker_init=catalog.start_export_log,
-        chunk_begin=chunk_begin,
-        chunk_end=chunk_end,
-        chunk_absorb_shared=catalog.apply_sink_only_delta,
-        chunk_absorb_foreign=catalog.apply_external_delta,
-        final_export=catalog.export_log_entries,
-        final_absorb=catalog.absorb_entries,
-    )
+#: ``ensure_subresult_catalog(cluster, catalog=None, cache_path=None)``: the
+#: given catalog (cluster-checked — signatures embed the cluster key, so a
+#: mismatched catalog could never hit, and sharing one across clusters is
+#: almost certainly a wiring bug) or a fresh one warm-started from
+#: ``cache_path`` / ``STUBBY_SUBRESULT_CATALOG``.
+ensure_subresult_catalog = SubResultCatalog.ensure
 
 
 # ---------------------------------------------------------------------------

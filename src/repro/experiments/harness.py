@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,18 +48,13 @@ from repro.baselines import (
 from repro.cluster import ClusterSpec
 from repro.common.records import records_equal
 from repro.core.costing import StatsWindow
-from repro.core.decision_cache import (
-    DecisionCache,
-    DecisionCacheStats,
-    resolve_decision_cache_path,
-)
+from repro.core.decision_cache import DecisionCache, DecisionCacheStats
 from repro.core.optimizer import OptimizationResult, StubbyOptimizer
 from repro.core.search import StubbySearch, UnitReport
 from repro.core.subresults import (
     SubResultCatalog,
     SubResultCatalogStats,
     register_workflow_outputs,
-    resolve_subresult_catalog_path,
 )
 from repro.core.transformations import (
     HorizontalPacking,
@@ -71,7 +67,6 @@ from repro.core.transformations.configuration import ConfigurationTransformation
 from repro.experiments.scheduler import ExperimentCell, ExperimentScheduler, build_cells
 from repro.profiler import Profiler
 from repro.whatif import ActualCostModel, CostService, CostServiceStats
-from repro.whatif.service import resolve_cache_path
 from repro.workflow.executor import WorkflowExecutor
 from repro.workloads import WORKLOAD_ORDER, build_workload
 from repro.workloads.base import Workload
@@ -318,26 +313,21 @@ class ExperimentHarness:
         #: Default backend for :meth:`run`'s cell fan-out (spec string,
         #: backend instance, or None for STUBBY_EXPERIMENT_BACKEND / serial).
         self.experiment_backend = experiment_backend
-        #: Persisted-cache path (explicit argument, else the
-        #: STUBBY_COST_CACHE environment variable, else no persistence).
-        #: The cost service warm-starts from it now; :meth:`run` saves back.
-        self.cache_path = resolve_cache_path(cache_path)
-        #: Persisted decision-cache path (explicit argument, else the
-        #: STUBBY_DECISION_CACHE environment variable, else no persistence) —
-        #: deliberately separate from ``cache_path`` so estimate warm starts
-        #: and decision warm starts are opted into independently.
-        self.decision_cache_path = resolve_decision_cache_path(decision_cache_path)
         self.executor = WorkflowExecutor()
         self.actual_model = ActualCostModel(self.cluster)
-        self.costs = CostService(self.cluster, cache_path=self.cache_path)
+        # Each store's persisted path is the explicit argument, else its
+        # environment variable (STUBBY_COST_CACHE / STUBBY_DECISION_CACHE /
+        # STUBBY_SUBRESULT_CATALOG), else no persistence — three separate
+        # paths, so each warm start is opted into independently.  The store
+        # warm-starts from it now; :meth:`run` saves back.
+        self.costs = CostService.ensure(self.cluster, cache_path=cache_path)
+        self.cache_path = self.costs.cache_path
         self.whatif = self.costs.engine
         #: One decision memo shared by every optimizer the harness builds —
         #: a unit solved by one cell is replayed, not re-searched, by every
         #: later cell that meets the same content (cross-origin attributed).
-        self.decisions = DecisionCache(self.cluster, cache_path=self.decision_cache_path)
-        #: Persisted sub-result catalog path (explicit argument, else the
-        #: STUBBY_SUBRESULT_CATALOG environment variable, else no persistence).
-        self.subresult_catalog_path = resolve_subresult_catalog_path(subresult_catalog_path)
+        self.decisions = DecisionCache.ensure(self.cluster, cache_path=decision_cache_path)
+        self.decision_cache_path = self.decisions.cache_path
         #: One sub-result catalog shared by every Stubby-variant optimizer the
         #: harness builds — an intermediate registered by (or for) one cell is
         #: reusable by every later cell that meets the same producing-subgraph
@@ -345,9 +335,8 @@ class ExperimentHarness:
         #: Empty unless something registers (see
         #: :meth:`register_workload_subresults`), so default harness behaviour
         #: is byte-identical to a harness without a catalog.
-        self.subresults = SubResultCatalog(
-            self.cluster, cache_path=self.subresult_catalog_path
-        )
+        self.subresults = SubResultCatalog.ensure(self.cluster, cache_path=subresult_catalog_path)
+        self.subresult_catalog_path = self.subresults.cache_path
         #: Dispatch accounting of the most recent :meth:`run` (None before).
         self.last_dispatch_stats = None
 
@@ -482,17 +471,14 @@ class ExperimentHarness:
             workload, reference_outputs = prepared[cell.workload]
             return self._run_cell(cell, workload, reference_outputs, run_token)
 
-        decisions_before = self.decisions.stats_snapshot()
-        subresults_before = self.subresults.stats_snapshot()
-        with StatsWindow(self.costs) as window:
+        stores = (self.costs, self.decisions, self.subresults)
+        with ExitStack() as scope:
+            windows = [scope.enter_context(StatsWindow(store)) for store in stores]
             cells_started = time.perf_counter()
-            runs = scheduler.map_cells(
-                cells, run_cell, self.costs, self.decisions, self.subresults
-            )
+            runs = scheduler.map_cells(cells, run_cell, stores)
             cells_s = time.perf_counter() - cells_started
         self.last_dispatch_stats = scheduler.last_dispatch_stats
-        decision_stats = self.decisions.stats_snapshot().since(decisions_before)
-        subresult_stats = self.subresults.stats_snapshot().since(subresults_before)
+        cost_stats, decision_stats, subresult_stats = (window.delta for window in windows)
 
         comparisons: Dict[str, WorkloadComparison] = {}
         for cell, run in zip(cells, runs):
@@ -520,7 +506,7 @@ class ExperimentHarness:
             backend=scheduler.spec,
             prepare_s=prepare_s,
             cells_s=cells_s,
-            cost_stats=window.delta,
+            cost_stats=cost_stats,
             warm_start_entries=(
                 self.costs.last_load.entries
                 if self.costs.last_load and self.costs.last_load.loaded

@@ -42,17 +42,14 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.common.hashing import stable_hash
-from repro.core.costing import cost_service_side_channel
-from repro.core.decision_cache import DecisionCache, decision_cache_side_channel
-from repro.core.subresults import SubResultCatalog, subresult_catalog_side_channel
+from repro.common.store import ShardedStore
 from repro.core.parallel import (
     DISPATCH_KINDS,
     DispatchStats,
     ExecutionBackend,
     create_backend,
-    merge_side_channels,
+    store_side_channel,
 )
-from repro.whatif.service import CostService
 
 __all__ = [
     "EXPERIMENT_BACKEND_ENV_VAR",
@@ -168,9 +165,7 @@ class ExperimentScheduler:
         self,
         cells: Sequence[ExperimentCell],
         run_cell: Callable[[ExperimentCell], object],
-        cost_service: Optional[CostService] = None,
-        decision_cache: Optional[DecisionCache] = None,
-        subresult_catalog: Optional[SubResultCatalog] = None,
+        stores: Sequence[ShardedStore] = (),
         cell_costs: Optional[Sequence[float]] = None,
     ) -> List[object]:
         """Run every cell and return its results in cell order.
@@ -178,13 +173,11 @@ class ExperimentScheduler:
         Only the cell *index* crosses a worker boundary (cells hold workload
         names, but a process-backend worker inherits the prepared workloads
         by fork, exactly like the unit search inherits candidate plans);
-        responses must be plain picklable data.  When ``cost_service`` is
-        given, its side channel rides along so worker stats and cache shards
-        merge back into the shared service; a ``decision_cache`` composes
-        its own channel in the same way (forked cells export newly recorded
-        decisions for merge-on-join, so one cell's solved units replay in
-        every later run), and so does a ``subresult_catalog`` (sub-results a
-        forked cell registers become reusable by every later cell).
+        responses must be plain picklable data.  Every store in ``stores``
+        (the harness passes its cost service, decision cache and sub-result
+        catalog) rides along on a side channel, so worker stats and new
+        entries merge back into the shared store: one cell's costed jobs,
+        solved units and registered sub-results serve every later cell.
 
         Cells are heterogeneous — a Baseline cell costs a fraction of a
         Stubby cell on a wide workload — so the scheduler supports
@@ -194,20 +187,7 @@ class ExperimentScheduler:
         accounting surfaced in :attr:`last_dispatch_stats`; results are
         identical either way, in cell order, by the determinism contract.
         """
-        channels = [
-            cost_service_side_channel(cost_service) if cost_service is not None else None,
-            (
-                decision_cache_side_channel(decision_cache)
-                if decision_cache is not None and decision_cache.enabled
-                else None
-            ),
-            (
-                subresult_catalog_side_channel(subresult_catalog)
-                if subresult_catalog is not None and subresult_catalog.enabled
-                else None
-            ),
-        ]
-        side = merge_side_channels(*channels)
+        side = store_side_channel(*stores)
         indexed = list(cells)
 
         def worker(index: int):

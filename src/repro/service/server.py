@@ -34,33 +34,29 @@ import os
 import threading
 import time
 import traceback
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import ClusterSpec
 from repro.common.errors import OptimizationError, TerminalError
 from repro.common.faults import fault_site
+from repro.common.store import CounterStats, ShardedStore
 from repro.core.budget import TimeBudget
-from repro.core.costing import cost_service_side_channel, ensure_cost_service
-from repro.core.decision_cache import (
-    DecisionCache,
-    DecisionCacheStats,
-    decision_cache_side_channel,
-    ensure_decision_cache,
-)
+from repro.core.costing import ensure_cost_service
+from repro.core.decision_cache import DecisionCache, DecisionCacheStats, ensure_decision_cache
 from repro.core.optimizer import OptimizationResult, StubbyOptimizer
 from repro.core.subresults import (
     SubResultCatalog,
     SubResultCatalogStats,
     ensure_subresult_catalog,
     register_workflow_outputs,
-    subresult_catalog_side_channel,
 )
 from repro.core.parallel import (
     DispatchStats,
     ExecutionBackend,
     create_backend,
-    merge_side_channels,
+    store_side_channel,
 )
 from repro.core.plan import Plan
 from repro.service.admission import AdmissionQueue, AdmissionRejected
@@ -72,7 +68,7 @@ from repro.service.degradation import (
     LEVEL_UNOPTIMIZED,
     level_name,
 )
-from repro.service.stats import ServiceStats
+from repro.service.stats import LEDGERS, ServiceStats
 from repro.whatif.service import CostService, CostServiceStats
 
 __all__ = [
@@ -304,6 +300,10 @@ class PlanningServer:
         self.subresults = ensure_subresult_catalog(
             cluster, subresult_catalog, cache_path=subresult_catalog_path
         )
+        #: The shared stores, in :data:`~repro.service.stats.LEDGERS` order:
+        #: everything done per store (side channels, per-request sinks,
+        #: persistence) loops over this.
+        self.stores: Tuple[ShardedStore, ...] = (self.costs, self.decisions, self.subresults)
         self.backend: ExecutionBackend = (
             pool if isinstance(pool, ExecutionBackend) else create_backend(pool)
         )
@@ -425,12 +425,9 @@ class PlanningServer:
         await loop.run_in_executor(None, self._close_session)
         self._running = False
         if persist:
-            if self.costs.cache_path:
-                self.costs.save_cache(merge_first=True)
-            if self.decisions.cache_path and self.decisions.enabled:
-                self.decisions.save_cache(merge_first=True)
-            if self.subresults.cache_path and self.subresults.enabled:
-                self.subresults.save_cache(merge_first=True)
+            for store in self.stores:
+                if store.cache_path and store.enabled:
+                    store.save_cache(merge_first=True)
 
     async def restart(self, persist: bool = True) -> "PlanningServer":
         """Stop (merging worker caches) and start again, warm.
@@ -526,19 +523,7 @@ class PlanningServer:
 
     def _ensure_session(self):
         if self._session is None:
-            side = merge_side_channels(
-                cost_service_side_channel(self.costs),
-                (
-                    decision_cache_side_channel(self.decisions)
-                    if self.decisions.enabled
-                    else None
-                ),
-                (
-                    subresult_catalog_side_channel(self.subresults)
-                    if self.subresults.enabled
-                    else None
-                ),
-            )
+            side = store_side_channel(*self.stores)
             self._session = self.backend.session(
                 self._execute, side, dispatch=self.dispatch
             )
@@ -622,9 +607,7 @@ class PlanningServer:
         """
         tenant, workload, optimizer, seed, deadline_at, allow_full = work
         started = time.perf_counter()
-        cost_sink = CostServiceStats()
-        decision_sink = DecisionCacheStats()
-        subresult_sink = SubResultCatalogStats()
+        sinks = self._new_sinks()
         budget = TimeBudget(deadline_at=deadline_at) if deadline_at is not None else None
         full_attempted = False
         full_failed = False
@@ -644,64 +627,53 @@ class PlanningServer:
             rungs.append(LEVEL_UNOPTIMIZED)
             result = None
             level = LEVEL_UNOPTIMIZED
-            with self.costs.origin(f"tenant:{tenant}"), self.subresults.origin(f"tenant:{tenant}"):
-                with self.costs.attribute_to(cost_sink):
-                    with self.decisions.attribute_to(decision_sink):
-                        with self.subresults.attribute_to(subresult_sink):
-                            for rung in rungs:
-                                name = level_name(rung)
-                                if (
-                                    rung != LEVEL_UNOPTIMIZED
-                                    and budget is not None
-                                    and budget.expired
-                                ):
-                                    # No budget left to search with: only the
-                                    # final rung can still answer in time.
-                                    notes.append(f"{name}: skipped (deadline exhausted)")
-                                    continue
-                                if rung == LEVEL_FULL:
-                                    full_attempted = True
-                                try:
-                                    fault_site(
-                                        f"server.rung.{name}",
-                                        tenant=tenant,
-                                        workload=workload,
-                                        optimizer=optimizer,
-                                    )
-                                    result = self._run_rung(rung, optimizer, seed, plan, budget)
-                                except TerminalError:
-                                    # No rung can fix a terminal failure; the
-                                    # request fails outright.
-                                    if rung == LEVEL_FULL:
-                                        full_failed = True
-                                    raise
-                                except Exception as exc:
-                                    if rung == LEVEL_FULL:
-                                        full_failed = True
-                                    notes.append(f"{name}: {type(exc).__name__}: {exc}")
-                                    continue
-                                level = rung
-                                break
-                            if result is None:
-                                raise OptimizationError(
-                                    "degradation ladder exhausted: " + "; ".join(notes)
-                                )
-                            # Jobs the served plan no longer runs — credited
-                            # from the final plan only (candidates that lost
-                            # the arbitration must not count).
-                            if result.jobs_eliminated_by_reuse:
-                                self.subresults.record_jobs_eliminated(
-                                    result.jobs_eliminated_by_reuse
-                                )
+            with self._attributed(tenant, sinks):
+                for rung in rungs:
+                    name = level_name(rung)
+                    if rung != LEVEL_UNOPTIMIZED and budget is not None and budget.expired:
+                        # No budget left to search with: only the final rung
+                        # can still answer in time.
+                        notes.append(f"{name}: skipped (deadline exhausted)")
+                        continue
+                    if rung == LEVEL_FULL:
+                        full_attempted = True
+                    try:
+                        fault_site(
+                            f"server.rung.{name}",
+                            tenant=tenant,
+                            workload=workload,
+                            optimizer=optimizer,
+                        )
+                        result = self._run_rung(rung, optimizer, seed, plan, budget)
+                    except TerminalError:
+                        # No rung can fix a terminal failure; the request
+                        # fails outright.
+                        if rung == LEVEL_FULL:
+                            full_failed = True
+                        raise
+                    except Exception as exc:
+                        if rung == LEVEL_FULL:
+                            full_failed = True
+                        notes.append(f"{name}: {type(exc).__name__}: {exc}")
+                        continue
+                    level = rung
+                    break
+                if result is None:
+                    raise OptimizationError(
+                        "degradation ladder exhausted: " + "; ".join(notes)
+                    )
+                # Jobs the served plan no longer runs — credited from the
+                # final plan only (candidates that lost the arbitration must
+                # not count).
+                if result.jobs_eliminated_by_reuse:
+                    self.subresults.record_jobs_eliminated(result.jobs_eliminated_by_reuse)
         except Exception:
             return (
                 "error",
                 traceback.format_exc(),
                 os.getpid(),
                 time.perf_counter() - started,
-                cost_sink,
-                decision_sink,
-                subresult_sink,
+                *sinks,
                 full_attempted,
                 full_failed,
             )
@@ -717,15 +689,28 @@ class PlanningServer:
             result.jobs_eliminated_by_reuse,
             os.getpid(),
             time.perf_counter() - started,
-            cost_sink,
-            decision_sink,
-            subresult_sink,
+            *sinks,
             level,
             level_name(level),
             "; ".join(notes),
             full_attempted,
             full_failed,
         )
+
+    def _new_sinks(self) -> Tuple[CounterStats, ...]:
+        """One fresh attribution sink per store, in :attr:`stores` order."""
+        return tuple(store.STATS() for store in self.stores)
+
+    @contextmanager
+    def _attributed(self, tenant: str, sinks: Tuple[CounterStats, ...]):
+        """Run the body under the tenant's origin label, crediting each
+        store's activity on this thread to its sink."""
+        label = f"tenant:{tenant}"
+        with ExitStack() as scope:
+            for store, sink in zip(self.stores, sinks):
+                scope.enter_context(store.origin(label))
+                scope.enter_context(store.attribute_to(sink))
+            yield
 
     def _run_rung(
         self,
@@ -778,12 +763,11 @@ class PlanningServer:
                 error,
                 pid,
                 service_s,
-                cost_sink,
-                decision_sink,
-                subresult_sink,
+                *sinks,
                 full_attempted,
                 full_failed,
             ) = raw
+            ledgers = dict(zip(LEDGERS, sinks))
             response = PlanResponse(
                 tenant=request.tenant,
                 workload=request.workload,
@@ -795,9 +779,7 @@ class PlanningServer:
                 queue_wait_s=dispatched - ticket.enqueued,
                 service_s=service_s,
                 latency_s=now - ticket.enqueued,
-                cost_stats=cost_sink,
-                decision_stats=decision_sink,
-                subresult_stats=subresult_sink,
+                **ledgers,
             )
         else:
             (
@@ -812,15 +794,14 @@ class PlanningServer:
                 jobs_eliminated,
                 pid,
                 service_s,
-                cost_sink,
-                decision_sink,
-                subresult_sink,
+                *sinks,
                 level,
                 level_label,
                 degradation_reason,
                 full_attempted,
                 full_failed,
             ) = raw
+            ledgers = dict(zip(LEDGERS, sinks))
             response = PlanResponse(
                 tenant=request.tenant,
                 workload=request.workload,
@@ -839,9 +820,7 @@ class PlanningServer:
                 cross_origin_decision_hits=cross_origin,
                 subresult_reuse_applications=reuse_applications,
                 jobs_eliminated_by_reuse=jobs_eliminated,
-                cost_stats=cost_sink,
-                decision_stats=decision_sink,
-                subresult_stats=subresult_sink,
+                **ledgers,
                 degradation_level=level,
                 degradation=level_label,
                 degradation_reason=degradation_reason,
@@ -857,10 +836,8 @@ class PlanningServer:
             latency_s=response.latency_s,
             queue_wait_s=response.queue_wait_s,
             service_s=response.service_s,
-            cost_delta=response.cost_stats,
-            decision_delta=response.decision_stats,
+            deltas=ledgers,
             ok=response.ok,
-            subresult_delta=response.subresult_stats,
             count_lifecycle=counted,
             degradation_level=response.degradation_level,
             degradation_label=response.degradation,
@@ -904,8 +881,7 @@ class PlanningServer:
             latency_s=response.latency_s,
             queue_wait_s=response.queue_wait_s,
             service_s=0.0,
-            cost_delta=None,
-            decision_delta=None,
+            deltas={},
             ok=False,
             count_lifecycle=counted,
         )
@@ -924,17 +900,12 @@ class PlanningServer:
         request = ticket.request
         now = time.perf_counter()
         started = now
-        cost_sink = CostServiceStats()
-        decision_sink = DecisionCacheStats()
-        subresult_sink = SubResultCatalogStats()
+        ledgers = dict(zip(LEDGERS, self._new_sinks()))
         reason = "shed: deadline expired before dispatch"
         try:
             plan = self._registry[request.workload]
-            with self.costs.origin(f"tenant:{request.tenant}"):
-                with self.costs.attribute_to(cost_sink):
-                    with self.decisions.attribute_to(decision_sink):
-                        with self.subresults.attribute_to(subresult_sink):
-                            result = self._unoptimized_result(plan)
+            with self._attributed(request.tenant, tuple(ledgers.values())):
+                result = self._unoptimized_result(plan)
             response = PlanResponse(
                 tenant=request.tenant,
                 workload=request.workload,
@@ -948,9 +919,7 @@ class PlanningServer:
                 queue_wait_s=now - ticket.enqueued,
                 service_s=time.perf_counter() - started,
                 latency_s=time.perf_counter() - ticket.enqueued,
-                cost_stats=cost_sink,
-                decision_stats=decision_sink,
-                subresult_stats=subresult_sink,
+                **ledgers,
                 degradation_level=LEVEL_UNOPTIMIZED,
                 degradation=level_name(LEVEL_UNOPTIMIZED),
                 degradation_reason=reason,
@@ -966,9 +935,7 @@ class PlanningServer:
                 error=traceback.format_exc(),
                 queue_wait_s=now - ticket.enqueued,
                 latency_s=time.perf_counter() - ticket.enqueued,
-                cost_stats=cost_sink,
-                decision_stats=decision_sink,
-                subresult_stats=subresult_sink,
+                **ledgers,
                 degradation_reason=reason,
                 shed=True,
             )
@@ -977,10 +944,8 @@ class PlanningServer:
             latency_s=response.latency_s,
             queue_wait_s=response.queue_wait_s,
             service_s=response.service_s,
-            cost_delta=response.cost_stats,
-            decision_delta=response.decision_stats,
+            deltas=ledgers,
             ok=response.ok,
-            subresult_delta=response.subresult_stats,
             degradation_level=response.degradation_level,
             degradation_label=response.degradation,
             shed=True,

@@ -25,13 +25,22 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Type
 
+from repro.common.store import CounterStats
 from repro.core.decision_cache import DecisionCacheStats
 from repro.core.subresults import SubResultCatalogStats
 from repro.whatif.service import CostServiceStats
 
-__all__ = ["ServiceStats", "TenantStats", "percentile"]
+__all__ = ["LEDGERS", "ServiceStats", "TenantStats", "percentile"]
+
+#: The attribution ledgers a request's response and a tenant's row carry, in
+#: the server's store order: field name -> the store's counter class.
+LEDGERS: Dict[str, Type[CounterStats]] = {
+    "cost_stats": CostServiceStats,
+    "decision_stats": DecisionCacheStats,
+    "subresult_stats": SubResultCatalogStats,
+}
 
 
 def percentile(values: List[float], q: float) -> float:
@@ -110,9 +119,7 @@ class TenantStats:
             "latency_p99_s": percentile(self.latencies, 99),
             "cache_hit_rate": self.cache_hit_rate,
             "decision_hit_rate": self.decision_hit_rate,
-            "cost_stats": self.cost_stats.as_dict(),
-            "decision_stats": self.decision_stats.as_dict(),
-            "subresult_stats": self.subresult_stats.as_dict(),
+            **{ledger: getattr(self, ledger).as_dict() for ledger in LEDGERS},
         }
 
 
@@ -151,10 +158,8 @@ class ServiceStats:
         latency_s: float,
         queue_wait_s: float,
         service_s: float,
-        cost_delta: Optional[CostServiceStats],
-        decision_delta: Optional[DecisionCacheStats],
+        deltas: Mapping[str, CounterStats],
         ok: bool = True,
-        subresult_delta: Optional[SubResultCatalogStats] = None,
         count_lifecycle: bool = True,
         degradation_level: int = 0,
         degradation_label: str = "",
@@ -162,6 +167,8 @@ class ServiceStats:
     ) -> None:
         """Fold one finished request's exact deltas into its tenant's row.
 
+        ``deltas`` maps :data:`LEDGERS` names to the request's attribution
+        sinks (empty when the request never reached a worker).
         ``count_lifecycle=False`` suppresses the completed/failed/latency
         counters (the client already claimed the request as cancelled) but
         still folds the attribution deltas — the cache counters saw the
@@ -188,41 +195,33 @@ class ServiceStats:
                     stats.failed += 1
             stats.queue_wait_s += queue_wait_s
             stats.service_s += service_s
-            if cost_delta is not None:
-                stats.cost_stats.accumulate(cost_delta)
-            if decision_delta is not None:
-                stats.decision_stats.accumulate(decision_delta)
-            if subresult_delta is not None:
-                stats.subresult_stats.accumulate(subresult_delta)
+            for ledger, delta in deltas.items():
+                getattr(stats, ledger).accumulate(delta)
 
     # ------------------------------------------------------------- roll-ups
-    def total_cost_stats(self) -> CostServiceStats:
-        """Sum of every tenant's attributed cost-service counters.
+    def total(self, ledger: str) -> CounterStats:
+        """Sum of every tenant's attributed counters of one :data:`LEDGERS` entry.
 
-        By the attribution invariant this equals the global
-        ``CostService.stats_snapshot()`` delta over the served window.
+        By the attribution invariant this equals the corresponding store's
+        global ``stats_snapshot()`` delta over the served window.
         """
-        total = CostServiceStats()
+        total = LEDGERS[ledger]()
         with self._lock:
             for stats in self._tenants.values():
-                total.accumulate(stats.cost_stats)
+                total.accumulate(getattr(stats, ledger))
         return total
+
+    def total_cost_stats(self) -> CostServiceStats:
+        """Sum of every tenant's attributed cost-service counters."""
+        return self.total("cost_stats")
 
     def total_decision_stats(self) -> DecisionCacheStats:
         """Sum of every tenant's attributed decision-cache counters."""
-        total = DecisionCacheStats()
-        with self._lock:
-            for stats in self._tenants.values():
-                total.accumulate(stats.decision_stats)
-        return total
+        return self.total("decision_stats")
 
     def total_subresult_stats(self) -> SubResultCatalogStats:
         """Sum of every tenant's attributed sub-result catalog counters."""
-        total = SubResultCatalogStats()
-        with self._lock:
-            for stats in self._tenants.values():
-                total.accumulate(stats.subresult_stats)
-        return total
+        return self.total("subresult_stats")
 
     def as_dict(self) -> Dict[str, Any]:
         with self._lock:
@@ -231,9 +230,7 @@ class ServiceStats:
         return {
             "batches": batches,
             "tenants": rows,
-            "total_cost_stats": self.total_cost_stats().as_dict(),
-            "total_decision_stats": self.total_decision_stats().as_dict(),
-            "total_subresult_stats": self.total_subresult_stats().as_dict(),
+            **{f"total_{ledger}": self.total(ledger).as_dict() for ledger in LEDGERS},
         }
 
     def report(self) -> str:

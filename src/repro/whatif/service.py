@@ -16,20 +16,12 @@ query of the optimizer stack and makes them incremental:
   estimates, so the returned :class:`~repro.whatif.model.WorkflowCostEstimate`
   is *exactly* equal to a cold full re-estimation.
 
-The service is safe to share across the parallel unit search
-(:mod:`repro.core.parallel`):
-
-* both cache levels are **lock-striped** — entries are sharded by signature
-  hash, each shard carrying its own lock and LRU order, so concurrent
-  candidate costings in the thread backend contend per-shard, not globally;
-* stats counters are updated atomically under a dedicated lock, and
-  **attribution sinks** (:meth:`CostService.attribute_to`) let a caller
-  capture the exact per-candidate stats delta on its own thread even while
-  other candidates run concurrently;
-* forked worker processes accumulate into their private (copy-on-write)
-  shard and hand their new entries and stats back through
-  :meth:`export_log_entries` / :meth:`absorb_entries` /
-  :meth:`apply_external_delta` — the process backend's merge-on-join.
+The service is a :class:`~repro.common.store.ShardedStore` with two levels
+(estimates and dataflow derivations), so it is safe to share across the
+parallel unit search (:mod:`repro.core.parallel`): lock-striped LRU shards,
+atomic stats with thread-local attribution sinks
+(:meth:`CostService.attribute_to`), and export-log / merge-on-join for forked
+workers — see :mod:`repro.common.store` for the model.
 
 The service keeps :class:`CostServiceStats` (queries, cache hits, re-costed
 jobs, effectively-full estimations) that the search surfaces per candidate,
@@ -48,40 +40,38 @@ Two features support the experiment orchestration layer
   reports exactly how much one cell reaped from its neighbours or from a
   warm-started cache;
 * **persistence** — :meth:`CostService.save_cache` /
-  :meth:`CostService.load_cache` write and read a versioned snapshot of the
-  signature→estimate store, keyed by the cluster spec and the cost-model
-  version (:data:`~repro.whatif.model.COST_MODEL_VERSION`), so a later run
-  against the same cluster warm-starts instead of recomputing.  Mismatched,
-  corrupt, or truncated files are rejected (never trusted partially), saves
-  are atomic (`os.replace`) so concurrent writers cannot interleave a torn
-  file, and saves can **compact**: ``save_cache(max_entries=...)`` (or the
-  ``STUBBY_COST_CACHE_MAX_ENTRIES`` environment variable) writes only the
-  most-recently-used entries, bounding long-lived cache files.
+  :meth:`CostService.load_cache` write and read the shared store's
+  versioned snapshot (keyed by cluster spec and
+  :data:`~repro.whatif.model.COST_MODEL_VERSION`, rejected wholesale when
+  untrustworthy, written atomically), so a later run against the same
+  cluster warm-starts instead of recomputing.  Saves can **compact**:
+  ``save_cache(max_entries=...)`` (or the ``STUBBY_COST_CACHE_MAX_ENTRIES``
+  environment variable) writes only the most-recently-used entries,
+  bounding long-lived cache files.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
-import pickle
-import tempfile
-import threading
-from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.cluster import ClusterSpec
 from repro.common.faults import fault_site
+from repro.common.store import (  # noqa: F401  (CacheLoadReport, cluster_cache_key: re-exports)
+    CacheLoadReport,
+    CounterStats,
+    ShardedLRU,
+    ShardedStore,
+    cluster_cache_key,
+    resolve_env_path,
+)
 from repro.whatif.jobmodel import estimate_job_time
 from repro.whatif.model import COST_MODEL_VERSION, VertexCost, WhatIfEngine, WorkflowCostEstimate
 from repro.workflow.graph import Workflow
 
 #: Default bound on cached per-vertex estimates; old entries are evicted LRU.
 DEFAULT_MAX_CACHE_ENTRIES = 200_000
-
-#: Number of independently locked cache shards (a power of two).
-CACHE_STRIPES = 16
 
 #: Cap on entries a forked worker ships back on merge-on-join; beyond this
 #: the freshest entries win (export logs are append-ordered).
@@ -126,83 +116,12 @@ def resolve_cache_max_entries(max_entries: Optional[int]) -> Optional[int]:
 
 
 def resolve_cache_path(path: Optional[str]) -> Optional[str]:
-    """Normalize a cache-path argument: explicit path, else the environment.
-
-    ``None`` consults :data:`CACHE_PATH_ENV_VAR`; an empty string (either
-    explicit or from the environment) means "no persistence".
-    """
-    if path is not None:
-        return path or None
-    return os.environ.get(CACHE_PATH_ENV_VAR, "").strip() or None
-
-
-def cluster_cache_key(cluster: ClusterSpec) -> Tuple:
-    """Plain-data key identifying the cluster a cache was computed for.
-
-    Cached estimates carry no cluster component of their own, so a persisted
-    cache is only valid for a spec-identical cluster; the nested field tuple
-    captures every dimension the cost model reads.
-    """
-    return dataclasses.astuple(cluster)
-
-
-@dataclass(frozen=True)
-class CacheLoadReport:
-    """Outcome of one :meth:`CostService.load_cache` attempt."""
-
-    loaded: bool
-    entries: int = 0
-    reason: str = ""
-
-
-def atomic_pickle_write(path: str, payload) -> None:
-    """Pickle ``payload`` to ``path`` atomically (temp file + ``os.replace``).
-
-    Shared by the cost-cache and decision-cache persistence paths: concurrent
-    writers race to a *complete* file, never a torn one.
-    """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
-class _RestrictedUnpickler(pickle.Unpickler):
-    """Unpickler that only resolves this package's classes and safe builtins.
-
-    Cache files are data, but pickle is a program: a crafted file can name
-    any importable callable.  Persisted payloads only ever contain plain
-    containers and ``repro`` dataclasses, so everything else is refused —
-    the standard-library hardening recipe.  Treat cache paths as trusted
-    input regardless; this narrows the blast radius of a tampered file, it
-    does not make hostile files safe.
-    """
-
-    _SAFE_BUILTINS = frozenset({"frozenset", "set", "complex", "bytearray"})
-
-    def find_class(self, module, name):
-        if module == "builtins" and name in self._SAFE_BUILTINS:
-            return super().find_class(module, name)
-        if module == "repro" or module.startswith("repro."):
-            return super().find_class(module, name)
-        raise pickle.UnpicklingError(
-            f"cache file references forbidden global {module}.{name}"
-        )
+    """Explicit cost-cache path, else :data:`CACHE_PATH_ENV_VAR` (``""`` = none)."""
+    return resolve_env_path(path, CACHE_PATH_ENV_VAR)
 
 
 @dataclass
-class CostServiceStats:
+class CostServiceStats(CounterStats):
     """Counters describing how much what-if work the service performed.
 
     ``queries`` counts workflow-level estimate requests — exactly the number
@@ -229,6 +148,8 @@ class CostServiceStats:
     the one active at lookup time — e.g. a hit on another experiment cell's
     work, or on a warm-started persisted cache.
     """
+
+    DERIVED: ClassVar[Tuple[str, ...]] = ("effective_full_estimates", "cache_hit_rate", "reuse_rate")
 
     queries: int = 0
     fallback_queries: int = 0
@@ -275,133 +196,8 @@ class CostServiceStats:
             return float(self.full_estimates)
         return self.job_full_recosts * self.queries / self.job_queries
 
-    def accumulate(self, delta: "CostServiceStats") -> None:
-        """Add another stats delta into this one, in place."""
-        self.queries += delta.queries
-        self.fallback_queries += delta.fallback_queries
-        self.full_estimates += delta.full_estimates
-        self.job_queries += delta.job_queries
-        self.job_cache_hits += delta.job_cache_hits
-        self.job_dataflow_hits += delta.job_dataflow_hits
-        self.job_full_recosts += delta.job_full_recosts
-        self.cross_origin_hits += delta.cross_origin_hits
 
-    def snapshot(self) -> "CostServiceStats":
-        """Immutable copy of the current counters."""
-        return replace(self)
-
-    def since(self, before: "CostServiceStats") -> "CostServiceStats":
-        """Counter delta between this snapshot and an earlier one."""
-        return CostServiceStats(
-            queries=self.queries - before.queries,
-            fallback_queries=self.fallback_queries - before.fallback_queries,
-            full_estimates=self.full_estimates - before.full_estimates,
-            job_queries=self.job_queries - before.job_queries,
-            job_cache_hits=self.job_cache_hits - before.job_cache_hits,
-            job_dataflow_hits=self.job_dataflow_hits - before.job_dataflow_hits,
-            job_full_recosts=self.job_full_recosts - before.job_full_recosts,
-            cross_origin_hits=self.cross_origin_hits - before.cross_origin_hits,
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view for reports and benchmark JSON."""
-        return {
-            "queries": self.queries,
-            "fallback_queries": self.fallback_queries,
-            "full_estimates": self.full_estimates,
-            "effective_full_estimates": self.effective_full_estimates,
-            "job_queries": self.job_queries,
-            "job_cache_hits": self.job_cache_hits,
-            "job_dataflow_hits": self.job_dataflow_hits,
-            "job_full_recosts": self.job_full_recosts,
-            "cross_origin_hits": self.cross_origin_hits,
-            "cache_hit_rate": self.cache_hit_rate,
-            "reuse_rate": self.reuse_rate,
-        }
-
-
-class _ShardedCache:
-    """A lock-striped LRU mapping from signature tuples to cache entries.
-
-    Signatures are distributed across :data:`CACHE_STRIPES` shards by hash;
-    each shard has its own lock, insertion order, and share of the total
-    capacity, so two threads costing different jobs almost never contend on
-    the same lock.  Shard placement affects only contention — never the
-    cached values — so it is free to vary between processes.
-    """
-
-    def __init__(self, max_entries: int) -> None:
-        self.max_entries = max(1, max_entries)
-        # A shard never holds more than its share of the total capacity, so
-        # the whole cache stays within max_entries; tiny capacities use fewer
-        # stripes rather than rounding every shard up to one entry.
-        self._stripes = max(1, min(CACHE_STRIPES, self.max_entries))
-        per_shard = self.max_entries // self._stripes
-        self._shards: List[Tuple[threading.Lock, "OrderedDict[Tuple, object]", int]] = [
-            (threading.Lock(), OrderedDict(), per_shard) for _ in range(self._stripes)
-        ]
-
-    def _shard(self, signature: Tuple):
-        return self._shards[hash(signature) % self._stripes]
-
-    def lookup(self, signature: Tuple):
-        """Return the ``(value, origin)`` pair for ``signature``, or ``None``."""
-        lock, entries, _cap = self._shard(signature)
-        with lock:
-            entry = entries.get(signature)
-            if entry is not None:
-                entries.move_to_end(signature)
-            return entry
-
-    def store(self, signature: Tuple, value, origin=None) -> bool:
-        """Insert a value (tagged with its origin); True when the signature was new."""
-        lock, entries, cap = self._shard(signature)
-        with lock:
-            new = signature not in entries
-            entries[signature] = (value, origin)
-            if len(entries) > cap:
-                entries.popitem(last=False)
-            return new
-
-    def items(self) -> List[Tuple[Tuple, object, object]]:
-        """Snapshot of every ``(signature, value, origin)`` currently cached."""
-        snapshot: List[Tuple[Tuple, object, object]] = []
-        for rows in self.shard_items():
-            snapshot.extend(rows)
-        return snapshot
-
-    def shard_items(self) -> List[List[Tuple[Tuple, object, object]]]:
-        """Per-shard snapshots, each in LRU→MRU order.
-
-        Each stripe lock is held only for the raw ``dict.items()`` copy; the
-        row tuples are built outside the lock, so a concurrent worker merge
-        (or a big save) no longer stalls lookups for the whole rebuild.
-        """
-        snapshot: List[List[Tuple[Tuple, object, object]]] = []
-        for lock, entries, _cap in self._shards:
-            with lock:
-                raw = list(entries.items())
-            snapshot.append(
-                [(signature, value, origin) for signature, (value, origin) in raw]
-            )
-        return snapshot
-
-    def discard(self, signature: Tuple) -> bool:
-        """Drop one signature; True when it was present."""
-        lock, entries, _cap = self._shard(signature)
-        with lock:
-            return entries.pop(signature, None) is not None
-
-    def clear(self) -> None:
-        for lock, entries, _cap in self._shards:
-            with lock:
-                entries.clear()
-
-    def __len__(self) -> int:
-        return sum(len(entries) for _lock, entries, _cap in self._shards)
-
-
-class CostService:
+class CostService(ShardedStore):
     """Memoizing façade over :class:`WhatIfEngine` for the optimizer stack.
 
     All cost queries of :class:`~repro.core.search.StubbySearch`,
@@ -412,12 +208,12 @@ class CostService:
     objects*, so their signatures come from the engine's identity memo, and
     the content-based keys make even privatized copies cache-transparent.
     One instance may be queried from several
-    search threads concurrently; see the module docstring for the
+    search threads concurrently; see :mod:`repro.common.store` for the
     concurrency model.
 
     ``enable_cache=False`` turns the service into a pass-through that costs
     every job cold (used by tests to prove the memoized results are
-    identical).
+    identical); queries are still counted.
 
     ``cache_path`` opts into persistence: the constructor warm-starts from
     the file when it exists and is valid (:attr:`last_load` records the
@@ -425,6 +221,12 @@ class CostService:
     Loading never raises on a bad file — an invalid cache is worth exactly
     as much as no cache.
     """
+
+    STATS = CostServiceStats
+    FORMAT_VERSION = CACHE_FORMAT_VERSION
+    FAULT_PREFIX = "costcache"
+    MAX_EXPORTED = MAX_EXPORTED_ENTRIES
+    PATH_ENV_VAR = CACHE_PATH_ENV_VAR
 
     def __init__(
         self,
@@ -434,30 +236,13 @@ class CostService:
         enable_cache: bool = True,
         cache_path: Optional[str] = None,
     ) -> None:
-        self.cluster = cluster
         self.engine = engine or WhatIfEngine(cluster)
-        self.stats = CostServiceStats()
-        self.enable_cache = enable_cache
-        self.max_cache_entries = max(1, max_cache_entries)
-        #: Fine cache: full vertex signature -> exact VertexCost.
-        self._cache = _ShardedCache(self.max_cache_entries)
         #: Coarse cache: dataflow signature -> (JobDataflow, contributions);
-        #: reused when only job-model config knobs moved.
-        self._dataflow_cache = _ShardedCache(self.max_cache_entries)
-        self._stats_lock = threading.Lock()
-        self._sinks = threading.local()
-        self._origin = threading.local()
-        #: Append-only log of entries stored since :meth:`start_export_log`;
-        #: enabled only inside forked workers (single-threaded), so it needs
-        #: no lock of its own.
-        self._export_log: Optional[List[Tuple[str, Tuple, object, object]]] = None
-        #: Persistence target (``None`` disables save/load by default).
-        self.cache_path = cache_path
-        #: Outcome of the constructor's warm-start attempt (``None`` when no
-        #: ``cache_path`` was configured or caching is disabled).
-        self.last_load: Optional[CacheLoadReport] = None
-        if self.cache_path and self.enable_cache:
-            self.last_load = self.load_cache(self.cache_path)
+        #: reused when only job-model config knobs moved.  (The inherited
+        #: ``_cache`` is the fine one: full vertex signature -> VertexCost.)
+        #: Built first: the base constructor may warm-start into it.
+        self._dataflow_cache = ShardedLRU(max_cache_entries)
+        super().__init__(cluster, max_cache_entries, enabled=enable_cache, cache_path=cache_path)
 
     # ------------------------------------------------------------------ API
     def estimate_workflow(self, workflow: Workflow) -> WorkflowCostEstimate:
@@ -497,14 +282,15 @@ class CostService:
         current_origin = self.current_origin()
         dataflow_sig = engine.vertex_dataflow_signature(vertex, workflow, sizes)
         full_sig = (dataflow_sig, engine.jobmodel_config_key(vertex.job.config))
-        cached = self._lookup(self._cache, full_sig)
+        enabled = self.enabled
+        cached = self._cache.lookup(full_sig) if enabled else None
         if cached is not None:
             costed, entry_origin = cached
             tallies[0] += 1
             if entry_origin != current_origin:
                 tallies[3] += 1
             return costed
-        cached = self._lookup(self._dataflow_cache, dataflow_sig)
+        cached = self._dataflow_cache.lookup(dataflow_sig) if enabled else None
         if cached is not None:
             derived, entry_origin = cached
             tallies[1] += 1
@@ -513,138 +299,48 @@ class CostService:
         else:
             tallies[2] += 1
             derived = engine.derive_vertex_dataflow(vertex, workflow, sizes)
-            self._store(self._dataflow_cache, "dataflow", dataflow_sig, derived)
+            self._store(dataflow_sig, derived, current_origin, self._dataflow_cache, ("dataflow",))
         dataflow, contributions = derived
         estimate = estimate_job_time(dataflow, vertex.job.config, self.cluster)
         costed = VertexCost(estimate=estimate, output_contributions=contributions)
-        self._store(self._cache, "estimate", full_sig, costed)
+        self._store(full_sig, costed, current_origin, self._cache, ("estimate",))
         return costed
 
     def estimate_plan(self, plan) -> WorkflowCostEstimate:
         """Convenience: estimate a :class:`~repro.core.plan.Plan`'s workflow."""
         return self.estimate_workflow(plan.workflow)
 
-    # ------------------------------------------------------- stats plumbing
-    def _apply_delta(self, delta: CostServiceStats) -> None:
-        """Fold a stats delta into the global counters and this thread's sinks."""
-        with self._stats_lock:
-            self.stats.accumulate(delta)
-        for sink in self._sink_stack():
-            sink.accumulate(delta)
-
-    def _sink_stack(self) -> List[CostServiceStats]:
-        stack = getattr(self._sinks, "stack", None)
-        if stack is None:
-            stack = []
-            self._sinks.stack = stack
-        return stack
-
-    @contextmanager
-    def attribute_to(self, sink: CostServiceStats):
-        """Also credit this thread's queries to ``sink`` while active.
-
-        Sinks are thread-local and stack: the search wraps each candidate
-        costing in one so :class:`~repro.core.search.SubplanRecord` carries
-        its exact stats delta even when candidates run concurrently — the
-        fix for the ordering-dependent ambient-window attribution.
-        """
-        stack = self._sink_stack()
-        stack.append(sink)
-        try:
-            yield sink
-        finally:
-            stack.pop()
-
-    def apply_external_delta(self, delta: CostServiceStats) -> None:
-        """Fold in work performed by a foreign process (merge-on-join).
-
-        The worker's queries never touched this process's counters, so the
-        delta goes through the full path: global stats plus the calling
-        thread's attribution sinks.
-        """
-        self._apply_delta(delta)
-
-    def apply_sink_only_delta(self, delta: CostServiceStats) -> None:
-        """Re-attribute work already counted globally to this thread's sinks.
-
-        Used by the thread backend: worker threads updated the shared global
-        counters live, but the calling thread's sinks (per-candidate stats)
-        never saw the work.
-        """
-        for sink in self._sink_stack():
-            sink.accumulate(delta)
-
-    def stats_snapshot(self) -> CostServiceStats:
-        """Consistent copy of the global counters (for windows/reports)."""
-        with self._stats_lock:
-            return self.stats.snapshot()
-
-    # ---------------------------------------------------- origin attribution
-    @contextmanager
-    def origin(self, label: Optional[str]):
-        """Label this thread's cache activity as coming from ``label``.
-
-        Entries stored while the label is active are tagged with it; a later
-        lookup under a *different* label that hits such an entry counts as a
-        ``cross_origin_hits`` — the experiment harness's measure of how much
-        one cell reuses from other cells or from a warm-started cache.  The
-        label is thread-local (and inherited by forked workers), so
-        concurrent cells never mislabel each other's work.
-        """
-        previous = self.current_origin()
-        self._origin.label = label
-        try:
-            yield
-        finally:
-            self._origin.label = previous
-
-    def current_origin(self) -> Optional[str]:
-        """The origin label active on the calling thread (``None`` outside)."""
-        return getattr(self._origin, "label", None)
-
-    # ------------------------------------------------- process merge-on-join
-    def start_export_log(self) -> None:
-        """Begin recording newly stored cache entries (forked workers only)."""
-        self._export_log = []
-
-    def export_log_entries(self) -> List[Tuple[str, Tuple, object, object]]:
-        """Drain the export log: ``(level, signature, value, origin)`` rows.
-
-        Bounded by :data:`MAX_EXPORTED_ENTRIES`, keeping the *freshest*
-        entries when over budget (the log is append-ordered).
-        """
-        log = self._export_log or []
-        self._export_log = None
-        return log[-MAX_EXPORTED_ENTRIES:]
+    # ------------------------------------------- two-level rows + compaction
+    def _level(self, level: str) -> ShardedLRU:
+        return self._cache if level == "estimate" else self._dataflow_cache
 
     def absorb_entries(self, entries: List[Tuple[str, Tuple, object, object]]) -> None:
-        """Merge cache entries exported by a worker into this service.
-
-        Signatures are content-based and entries are exact, so merging is
-        idempotent and order-independent — absorbing a duplicate simply
-        refreshes its LRU position.  Each entry keeps the origin label it was
-        stored under, so cross-origin attribution survives the merge (and a
-        round-trip through :meth:`save_cache`/:meth:`load_cache`).
-        """
+        """Merge ``(level, signature, value, origin)`` rows into both levels."""
+        if not self.enabled:
+            return
         for level, signature, value, origin in entries:
-            cache = self._cache if level == "estimate" else self._dataflow_cache
-            self._store(cache, level, signature, value, log=False, origin=origin)
+            self._level(level).store(signature, value, origin)
 
-    # ------------------------------------------------------------ persistence
+    def _valid_row(self, row) -> bool:
+        return (
+            isinstance(row, tuple)
+            and len(row) == 4
+            and row[0] in ("estimate", "dataflow")
+            and isinstance(row[1], tuple)
+        )
+
+    def _model_version(self) -> int:
+        # This module's binding, so a test (or a later PR) moving
+        # ``repro.whatif.service.COST_MODEL_VERSION`` moves the stamp.
+        return COST_MODEL_VERSION
+
     def save_cache(
         self,
         path: Optional[str] = None,
         max_entries: Optional[int] = None,
         merge_first: bool = False,
     ) -> int:
-        """Persist both cache levels to ``path`` (default: ``cache_path``).
-
-        The snapshot is stamped with the on-disk format version, the cost
-        model version, and the cluster key, so :meth:`load_cache` can reject
-        anything a current computation would not reproduce.  The write goes
-        through a temporary file in the target directory and an atomic
-        ``os.replace``, so concurrent writers race to a *complete* file —
-        never a torn one.  Returns the number of entries written.
+        """Persist both cache levels; see :meth:`ShardedStore.save_cache`.
 
         ``max_entries`` (default: the ``STUBBY_COST_CACHE_MAX_ENTRIES``
         environment variable; unset means unbounded) **compacts on persist**:
@@ -654,88 +350,10 @@ class CostService:
         drains the stripes' MRU ends round-robin, which preserves global
         recency up to stripe granularity.  A compacted file is an ordinary
         cache file — loading it is just a smaller warm start.
-
-        ``merge_first=True`` re-absorbs the current file (if valid) before
-        writing, so a process that warm-started long ago — or never — does
-        not shrink a richer store some other process persisted meanwhile.
-        Entries are content-keyed and exact, so the merge is conflict-free
-        by construction; the read-merge-write is not transactional, merely
-        last-writer-wins over a superset of both stores.
         """
-        path = path or self.cache_path
-        if not path:
-            raise ValueError("no cache path configured (pass path= or set cache_path)")
-        if merge_first:
-            self.load_cache(path)
-        entries = self._entries_snapshot(resolve_cache_max_entries(max_entries))
-        payload = {
-            "format_version": CACHE_FORMAT_VERSION,
-            "model_version": COST_MODEL_VERSION,
-            "cluster_key": cluster_cache_key(self.cluster),
-            "entries": entries,
-        }
-        atomic_pickle_write(path, payload)
-        # After the atomic replace: a corrupt/truncate fault here models
-        # bit-rot of a complete file, which the next load must reject whole.
-        fault_site("costcache.save", path=path)
-        return len(entries)
-
-    def load_cache(self, path: Optional[str] = None) -> CacheLoadReport:
-        """Warm-start from a persisted cache file; never raises on bad input.
-
-        Returns a :class:`CacheLoadReport` saying whether the file was
-        absorbed and, if not, why: missing file, unreadable/corrupt/truncated
-        content, or a format/model/cluster stamp mismatch.  Rejection is
-        all-or-nothing — a cache that cannot be fully trusted contributes
-        nothing.
-        """
-        path = path or self.cache_path
-        if not path:
-            raise ValueError("no cache path configured (pass path= or set cache_path)")
-        # Before the open: a corrupt/truncate fault mangles what we then read.
-        fault_site("costcache.load", path=path)
-        if not os.path.exists(path):
-            return CacheLoadReport(loaded=False, reason="no cache file")
-        try:
-            with open(path, "rb") as handle:
-                payload = _RestrictedUnpickler(handle).load()
-        except Exception as exc:  # corrupt, truncated, or not a pickle at all
-            return CacheLoadReport(
-                loaded=False, reason=f"unreadable cache file ({type(exc).__name__})"
-            )
-        if not isinstance(payload, dict):
-            return CacheLoadReport(loaded=False, reason="malformed cache payload")
-        if payload.get("format_version") != CACHE_FORMAT_VERSION:
-            return CacheLoadReport(
-                loaded=False,
-                reason=f"format version mismatch ({payload.get('format_version')!r} "
-                f"!= {CACHE_FORMAT_VERSION!r})",
-            )
-        if payload.get("model_version") != COST_MODEL_VERSION:
-            return CacheLoadReport(
-                loaded=False,
-                reason=f"cost model version mismatch ({payload.get('model_version')!r} "
-                f"!= {COST_MODEL_VERSION!r})",
-            )
-        if payload.get("cluster_key") != cluster_cache_key(self.cluster):
-            return CacheLoadReport(
-                loaded=False, reason="cache was computed for a different ClusterSpec"
-            )
-        entries = payload.get("entries")
-        if not isinstance(entries, list):
-            return CacheLoadReport(loaded=False, reason="malformed cache payload")
-        # Validate every row *before* absorbing any, so rejection really is
-        # all-or-nothing — a file that is half right contributes nothing.
-        for row in entries:
-            if not (
-                isinstance(row, tuple)
-                and len(row) == 4
-                and row[0] in ("estimate", "dataflow")
-                and isinstance(row[1], tuple)
-            ):
-                return CacheLoadReport(loaded=False, reason="malformed cache entries")
-        self.absorb_entries(entries)
-        return CacheLoadReport(loaded=True, entries=len(entries), reason="ok")
+        return super().save_cache(
+            path, merge_first, max_entries=resolve_cache_max_entries(max_entries)
+        )
 
     def _entries_snapshot(
         self, max_entries: Optional[int] = None
@@ -750,8 +368,8 @@ class CostService:
         """
         per_stripe: List[List[Tuple[str, Tuple, object, object]]] = []
         total = 0
-        for level, cache in (("estimate", self._cache), ("dataflow", self._dataflow_cache)):
-            for rows in cache.shard_items():
+        for level in ("estimate", "dataflow"):
+            for rows in self._level(level).shard_items():
                 stamped = [(level, signature, value, origin) for signature, value, origin in rows]
                 per_stripe.append(stamped)
                 total += len(stamped)
@@ -772,41 +390,7 @@ class CostService:
         kept.reverse()
         return kept
 
-    # ------------------------------------------------------------ cache mgmt
     def invalidate(self) -> None:
         """Drop every cached per-job estimate and dataflow (stats are kept)."""
         self._cache.clear()
         self._dataflow_cache.clear()
-
-    @property
-    def cache_size(self) -> int:
-        """Number of cached per-vertex estimates."""
-        return len(self._cache)
-
-    def _lookup(self, cache: _ShardedCache, signature: Tuple):
-        if not self.enable_cache:
-            return None
-        return cache.lookup(signature)
-
-    def _store(
-        self,
-        cache: _ShardedCache,
-        level: str,
-        signature: Tuple,
-        value,
-        log: bool = True,
-        origin=None,
-    ) -> None:
-        if not self.enable_cache:
-            return
-        if origin is None:
-            origin = self.current_origin()
-        new = cache.store(signature, value, origin)
-        if new and log and self._export_log is not None:
-            self._export_log.append((level, signature, value, origin))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CostService(entries={len(self._cache)}, queries={self.stats.queries}, "
-            f"hit_rate={self.stats.cache_hit_rate:.2f})"
-        )

@@ -1,0 +1,334 @@
+"""One contract over the three stores built on ``repro.common.store``.
+
+``CostService``, ``DecisionCache`` and ``SubResultCatalog`` differ in what a
+key is and what a lookup counts, but share one mechanism — the sharded LRU,
+stats sinks, origin tags, export log and versioned persistence of
+:class:`~repro.common.store.ShardedStore`.  Every behaviour below is asserted
+for all three, through the same test body, so the shared mechanism cannot
+drift per store again.  Store-specific behaviour (estimate exactness, replay
+identity, signature invalidation) stays in the stores' own test files.
+"""
+
+import dataclasses
+import pickle
+from dataclasses import dataclass
+from typing import Callable
+
+import pytest
+
+import repro.common.store as store_module
+import repro.core.decision_cache as decision_module
+import repro.core.subresults as subresults_module
+import repro.whatif.service as service_module
+from repro.cluster import ClusterSpec
+from repro.common.store import ShardedLRU, ShardedStore
+from repro.core.decision_cache import DecisionCache, SubunitChoice, UnitDecision
+from repro.core.subresults import SubResultCatalog, SubResultEntry
+from repro.profiler import Profiler
+from repro.verification import truncate_file
+from repro.whatif import model as whatif_model
+from repro.whatif.service import CostService
+from repro.workloads import build_workload
+
+CLUSTER = ClusterSpec.paper_cluster()
+OTHER_CLUSTER = dataclasses.replace(CLUSTER, num_nodes=CLUSTER.num_nodes + 1)
+
+#: Entries one ``populate`` call writes, at least.
+MIN_POPULATED = 4
+
+
+@dataclass(frozen=True)
+class Kind:
+    """How the contract drives one store class through its public surface."""
+
+    name: str
+    cls: type
+    #: ``make(cluster, enabled, cache_path)`` -> a store.
+    make: Callable[..., ShardedStore]
+    #: ``populate(store, origin)``: >= MIN_POPULATED public writes (and at
+    #: least one counted lookup) under ``origin``.
+    populate: Callable[[ShardedStore, str], None]
+    #: The module-level constants the class attributes must mirror.
+    format_version: int
+    max_exported: int
+
+    def build(self, cluster=CLUSTER, enabled=True, cache_path=None) -> ShardedStore:
+        return self.make(cluster, enabled, cache_path)
+
+
+_WORKFLOW = []
+
+
+def _profiled_workflow():
+    if not _WORKFLOW:
+        workload = build_workload("PJ", scale=0.1)
+        Profiler().profile_workflow(workload.workflow, workload.base_datasets)
+        _WORKFLOW.append(workload.workflow)
+    return _WORKFLOW[0]
+
+
+def _populate_costs(service, origin):
+    with service.origin(origin):
+        service.estimate_workflow(_profiled_workflow())
+
+
+def _populate_decisions(cache, origin):
+    decision = UnitDecision(choices=(SubunitChoice.no_op(),))
+    cache.lookup(("unit", origin, "absent"), origin=origin)
+    for index in range(MIN_POPULATED + 1):
+        cache.store(("unit", origin, index), decision, origin=origin)
+
+
+def _populate_catalog(catalog, origin):
+    catalog.probe(("subresult", origin, "absent"), origin=origin)
+    with catalog.origin(origin):
+        for index in range(MIN_POPULATED + 1):
+            entry = SubResultEntry(f"d{index}", ({"k": index},), None)
+            catalog.store(("subresult", origin, index), entry)
+
+
+KINDS = [
+    Kind(
+        "cost",
+        CostService,
+        lambda cluster, enabled, path: CostService(cluster, enable_cache=enabled, cache_path=path),
+        _populate_costs,
+        service_module.CACHE_FORMAT_VERSION,
+        service_module.MAX_EXPORTED_ENTRIES,
+    ),
+    Kind(
+        "decision",
+        DecisionCache,
+        lambda cluster, enabled, path: DecisionCache(cluster, enabled=enabled, cache_path=path),
+        _populate_decisions,
+        decision_module.DECISION_CACHE_FORMAT_VERSION,
+        decision_module.MAX_EXPORTED_DECISIONS,
+    ),
+    Kind(
+        "catalog",
+        SubResultCatalog,
+        lambda cluster, enabled, path: SubResultCatalog(cluster, enabled=enabled, cache_path=path),
+        _populate_catalog,
+        subresults_module.SUBRESULT_CATALOG_FORMAT_VERSION,
+        subresults_module.MAX_EXPORTED_SUBRESULTS,
+    ),
+]
+
+
+@pytest.fixture(params=KINDS, ids=lambda kind: kind.name)
+def kind(request) -> Kind:
+    return request.param
+
+
+def without_values(rows):
+    """Persisted/exported rows minus their values: ``(*tag, key, origin)``."""
+    return [row[:-2] + row[-1:] for row in rows]
+
+
+def identities(store):
+    """What the store holds, values aside, as a set."""
+    return set(without_values(store._entries_snapshot()))
+
+
+def saved_file(kind, path, origin="alpha"):
+    """A populated store persisted to ``path``; returns the store."""
+    source = kind.build()
+    kind.populate(source, origin)
+    assert source.save_cache(str(path)) == len(identities(source)) >= MIN_POPULATED
+    return source
+
+
+def rewrite_payload(path, mutate):
+    payload = pickle.loads(path.read_bytes())
+    mutate(payload)
+    path.write_bytes(pickle.dumps(payload))
+
+
+# --------------------------------------------------------------------------
+class TestPersistence:
+    def test_class_attributes_mirror_the_module_constants(self, kind):
+        assert kind.cls.FORMAT_VERSION == kind.format_version
+        assert kind.cls.MAX_EXPORTED == kind.max_exported
+
+    def test_round_trip_preserves_entries_and_origin_tags(self, kind, tmp_path):
+        path = tmp_path / "store.bin"
+        source = saved_file(kind, path, origin="alpha")
+        warmed = kind.build(cache_path=str(path))
+        assert warmed.last_load is not None and warmed.last_load.loaded
+        assert warmed.last_load.entries == len(identities(source))
+        assert identities(warmed) == identities(source)
+        assert {identity[-1] for identity in identities(warmed)} == {"alpha"}
+
+    @pytest.mark.parametrize(
+        "rung, fragment",
+        [
+            ("missing", "no "),
+            ("truncated", "unreadable"),
+            ("non-dict", "malformed"),
+            ("format", "format version"),
+            ("model", "model version"),
+            ("cluster", "different ClusterSpec"),
+            ("row", "malformed"),
+        ],
+    )
+    def test_every_rejection_rung_absorbs_nothing(
+        self, kind, tmp_path, monkeypatch, rung, fragment
+    ):
+        path = tmp_path / "store.bin"
+        cluster = CLUSTER
+        if rung != "missing":
+            saved_file(kind, path)
+        if rung == "truncated":
+            assert truncate_file(str(path), fraction=0.5)
+        elif rung == "non-dict":
+            path.write_bytes(pickle.dumps([1, 2, 3]))
+        elif rung == "format":
+            rewrite_payload(
+                path, lambda payload: payload.update(format_version=kind.format_version + 1)
+            )
+        elif rung == "model":
+            for module in (whatif_model, service_module):
+                monkeypatch.setattr(module, "COST_MODEL_VERSION", module.COST_MODEL_VERSION + 1)
+        elif rung == "cluster":
+            cluster = OTHER_CLUSTER
+        elif rung == "row":
+            # Valid rows ahead of one bad row must not slip in.
+            rewrite_payload(path, lambda payload: payload["entries"].append(("stray",)))
+
+        store = kind.build(cluster=cluster, cache_path=str(path))
+        assert store.last_load is not None and not store.last_load.loaded
+        assert fragment in store.last_load.reason
+        assert store.cache_size == 0 and identities(store) == set()
+        # An explicit load says the same, still without raising.
+        assert not store.load_cache().loaded
+        assert identities(store) == set()
+
+    def test_merge_first_never_shrinks_a_richer_file(self, kind, tmp_path):
+        path = tmp_path / "store.bin"
+        rich = saved_file(kind, path)
+        cold = kind.build()  # never warm-started, holds nothing
+        written = cold.save_cache(str(path), merge_first=True)
+        assert written == len(identities(rich))
+        assert identities(kind.build(cache_path=str(path))) == identities(rich)
+
+    def test_save_and_load_require_a_path(self, kind):
+        store = kind.build()
+        with pytest.raises(ValueError, match="path configured"):
+            store.save_cache()
+        with pytest.raises(ValueError, match="path configured"):
+            store.load_cache()
+
+
+# --------------------------------------------------------------------------
+class TestMergeOnJoin:
+    def test_export_then_absorb_is_idempotent(self, kind):
+        worker = kind.build()
+        worker.start_export_log()
+        kind.populate(worker, "worker")
+        exported = worker.export_log_entries()
+        assert len(exported) == len(identities(worker)) >= MIN_POPULATED
+        assert worker.export_log_entries() == []  # drained, and logging stopped
+
+        parent = kind.build()
+        parent.absorb_entries(exported)
+        once = identities(parent)
+        assert once == identities(worker)
+        parent.absorb_entries(exported)
+        assert identities(parent) == once
+
+    def test_export_is_capped_at_the_freshest_entries(self, kind, monkeypatch):
+        uncapped = kind.build()
+        uncapped.start_export_log()
+        kind.populate(uncapped, "worker")
+        everything = uncapped.export_log_entries()
+
+        monkeypatch.setattr(kind.cls, "MAX_EXPORTED", 3)
+        capped = kind.build()
+        capped.start_export_log()
+        kind.populate(capped, "worker")
+        freshest = capped.export_log_entries()
+        assert len(everything) > 3 == len(freshest)
+        assert without_values(freshest) == without_values(everything)[-3:]
+
+
+# --------------------------------------------------------------------------
+class TestAttribution:
+    def test_nested_sinks_see_exactly_the_global_delta(self, kind):
+        store = kind.build()
+        before = store.stats_snapshot()
+        outer, inner = kind.cls.STATS(), kind.cls.STATS()
+        with store.attribute_to(outer):
+            with store.attribute_to(inner):
+                kind.populate(store, "cell")
+        delta = store.stats_snapshot().since(before)
+        assert any(delta.as_dict().values())
+        assert outer == inner == delta
+        # Outside the scopes the sinks are closed: nothing more is credited.
+        kind.populate(store, "other")
+        assert outer == delta
+
+    def test_foreign_and_sink_only_deltas(self, kind):
+        store = kind.build()
+        foreign = kind.cls.STATS()
+        donor = kind.build()
+        with donor.attribute_to(foreign):
+            kind.populate(donor, "worker")
+        sink = kind.cls.STATS()
+        with store.attribute_to(sink):
+            store.apply_external_delta(foreign)  # process backend: counts everywhere
+            assert store.stats_snapshot() == sink == foreign
+            store.apply_sink_only_delta(foreign)  # thread backend: sinks only
+        assert store.stats_snapshot() == foreign
+        doubled = kind.cls.STATS()
+        doubled.accumulate(foreign)
+        doubled.accumulate(foreign)
+        assert sink == doubled
+
+
+# --------------------------------------------------------------------------
+class TestDisabledStore:
+    """Disabled means: no lookup, no store, no absorb, no load, no export."""
+
+    def test_a_disabled_store_holds_and_ships_nothing(self, kind, tmp_path):
+        path = tmp_path / "store.bin"
+        source = saved_file(kind, path)
+        rows = source._entries_snapshot()
+
+        disabled = kind.build(enabled=False, cache_path=str(path))
+        assert disabled.last_load is None  # the constructor did not even try
+        disabled.start_export_log()
+        kind.populate(disabled, "anyone")
+        disabled.absorb_entries(rows)
+        report = disabled.load_cache()
+        assert not report.loaded and "disabled" in report.reason
+        assert disabled.cache_size == 0 and identities(disabled) == set()
+        assert disabled.export_log_entries() == []
+
+
+# --------------------------------------------------------------------------
+class TestShardedLRU:
+    """The one LRU under all three stores (one stripe, so order is total)."""
+
+    @pytest.fixture(autouse=True)
+    def one_stripe(self, monkeypatch):
+        monkeypatch.setattr(store_module, "CACHE_STRIPES", 1)
+
+    def test_restoring_a_key_refreshes_its_recency(self):
+        lru = ShardedLRU(3)
+        for key in "abc":
+            assert lru.store((key,), key)
+        assert not lru.store(("a",), "a2")  # rewritten, not new
+        lru.store(("d",), "d")  # evicts the LRU entry: b, not the fresh a
+        assert lru.lookup(("a",)) == ("a2", None)
+        assert lru.lookup(("b",)) is None
+        assert len(lru) == 3
+
+    def test_absorbing_a_duplicate_refreshes_its_recency(self):
+        decision = UnitDecision(choices=(SubunitChoice.no_op(),))
+        cache = DecisionCache(CLUSTER, max_entries=3)
+        for index in range(3):
+            cache.store(("k", index), decision)
+        cache.absorb_entries([(("k", 0), decision, None)])  # a worker re-found k0
+        cache.store(("k", 3), decision)
+        assert cache.lookup(("k", 0)) is not None
+        assert cache.lookup(("k", 1)) is None

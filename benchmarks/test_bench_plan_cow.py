@@ -1,30 +1,23 @@
-"""Copy-on-write plan microbenchmark: the deep-copy and re-hash tax of search.
+"""Copy-on-write plan microbenchmark: the copy and re-hash tax of search.
 
-Runs the full Stubby optimizer over canned workloads twice — once in the
-legacy mode (wholesale deep copies, no signature memo) and once in the
-copy-on-write mode (structural sharing + incremental signatures) — and
-records, per workload:
+Runs the full Stubby optimizer cold over canned workloads and records, per
+workload, the work the copy-on-write plans and incremental signatures leave
+behind — as absolute bounds on the one code path there is:
 
-* **vertex copies per candidate**: job-vertex copies actually performed vs.
-  the copies the legacy wholesale ``Workflow.copy`` performs on the same run
-  (the CoW speedup multiplier of candidate generation);
-* **signature derivations per costing query**: full per-vertex signature
-  walks vs. total signature requests (the incremental-signature multiplier);
-* **decision identity**: both modes must produce bit-identical decisions
-  (same transformations, same estimated cost) — CoW must never leak a
-  mutation into a shared ancestor;
+* **vertex copies per optimize()**: full job-vertex copies actually
+  performed (``vertex_copies``), reported beside the number of plan clones
+  (``workflow_copies``) that a wholesale deep copy would have multiplied by
+  the job count.  Asserted: at most ``MAX_VERTEX_COPIES`` per optimize().
+* **signature derivations per signature request**: full per-vertex
+  signature walks vs. total signature requests.  Asserted: at most
+  ``MAX_DERIVATION_SHARE`` of requests pay a walk.
 * **allocation probe**: traced allocations of one costing window, plus proof
-  that the hot value objects really are ``__slots__`` layouts;
-* **wall clock**: whole-optimizer time in both modes (informational), plus a
-  dedicated **candidate-evaluation microloop** — the RRS inner body
-  (plan copy → apply settings → cost) over a wide workflow — whose speedup
-  is the asserted wall-clock contract.  The counter assertions hold on every
-  host; the wall-clock speedup is asserted only on >4-CPU hosts (small CI
-  containers report honestly instead).
+  that the hot value objects really are ``__slots__`` layouts.
 
-Results land in ``BENCH_plan_cow.json`` (override the path through the
-``BENCH_PLAN_COW_OUT`` environment variable), archived by CI next to the
-other benchmark JSONs.
+Counters, not wall clocks, so the bounds hold on every host; wall time is
+``bench/run.py``'s business.  Results land in ``BENCH_plan_cow.json``
+(override the path through the ``BENCH_PLAN_COW_OUT`` environment variable),
+archived by CI next to the other benchmark JSONs.
 """
 
 import json
@@ -34,142 +27,53 @@ import tracemalloc
 
 from conftest import BENCHMARK_SCALE, run_once
 
+from repro.cluster import ClusterSpec
 from repro.core.optimizer import StubbyOptimizer
 from repro.profiler import Profiler
 from repro.whatif.dataflow import JobDataflow
 from repro.whatif.jobmodel import JobTimeEstimate
-from repro.workflow.graph import COPY_COUNTERS, set_cow_enabled
+from repro.workflow.graph import COPY_COUNTERS
 from repro.workloads import build_workload
 
 #: Workloads exercised by the microbench: the paper trio covering vertical
 #: packing (IR), filter/partition pruning (LA), and a wider DAG (BR).
 BENCH_WORKLOADS = ("IR", "LA", "BR")
 
-#: Counter contracts (see ISSUE 5): asserted on every host.
-MIN_COPY_REDUCTION = 5.0
-MIN_SIGNATURE_REDUCTION = 3.0
-#: Wall-clock contract: asserted only where enough CPUs make timing stable.
-MIN_SPEEDUP = 1.5
+#: Full vertex copies allowed per cold optimize() (measured 0 / 1 / 0 on
+#: IR / LA / BR, against 475 / 537 / 1435 plan clones).
+MAX_VERTEX_COPIES = 2
+#: Share of signature requests allowed to pay a derivation walk (measured
+#: 0.5 % / 0.35 % / 0.2 %: 6 / 7 / 16 of 1138 / 2020 / 8130 requests).
+MAX_DERIVATION_SHARE = 0.02
 
 
 def _output_path():
     return os.environ.get("BENCH_PLAN_COW_OUT", "BENCH_plan_cow.json")
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _fingerprint(result):
-    """An optimizer run's decisions as comparable plain data."""
-    return (
-        result.estimated_cost_s,
-        tuple(result.transformations_applied),
-        tuple(sorted(result.plan.workflow.job_names)),
-        result.plan.signature(),
-    )
-
-
-def _run_optimizer(abbr, cow: bool):
-    """One optimize() in the requested mode; returns (row, fingerprint)."""
+def _run_optimizer(abbr):
+    """One cold optimize(); returns the counters it left behind."""
     workload = build_workload(abbr, scale=BENCHMARK_SCALE)
     Profiler().profile_workflow(workload.workflow, workload.base_datasets)
-    optimizer = StubbyOptimizer(workload_cluster(), seed=17)
-    optimizer.search.costs.engine.signature_memo_enabled = cow
+    optimizer = StubbyOptimizer(ClusterSpec.paper_cluster(), seed=17)
 
-    previous = set_cow_enabled(cow)
     COPY_COUNTERS.reset()
-    try:
-        started = time.perf_counter()
-        result = optimizer.optimize(workload.plan)
-        wall_s = time.perf_counter() - started
-    finally:
-        set_cow_enabled(previous)
+    started = time.perf_counter()
+    result = optimizer.optimize(workload.plan)
+    wall_s = time.perf_counter() - started
 
     copies = COPY_COUNTERS.snapshot()
     engine = optimizer.search.costs.engine
     signature_requests = engine.signature_derivations + engine.signature_memo_hits
-    row = {
+    return {
         "wall_s": round(wall_s, 4),
         "workflow_copies": copies["workflow_copies"],
         "vertex_copies": copies["vertex_copies"],
-        "legacy_vertex_copies": copies["legacy_vertex_copies"],
         "signature_derivations": engine.signature_derivations,
         "signature_requests": signature_requests,
+        "derivation_share": engine.signature_derivations / max(signature_requests, 1),
         "whatif_queries": result.cost_stats.queries if result.cost_stats else 0,
         "num_jobs": result.num_jobs,
-    }
-    return row, _fingerprint(result)
-
-
-_CLUSTER = None
-
-
-def workload_cluster():
-    from repro.cluster import ClusterSpec
-
-    global _CLUSTER
-    if _CLUSTER is None:
-        _CLUSTER = ClusterSpec.paper_cluster()
-    return _CLUSTER
-
-
-def _candidate_eval_microloop(iterations=600):
-    """The RRS inner body, timed in both modes over a wide random workflow.
-
-    One candidate evaluation = CoW plan clone + settings applied to one job
-    + incremental workflow costing against a warm cache — exactly what the
-    search executes per RRS sample.  A wide (≥12-job) workflow makes the
-    copy tax the dominant term, which is the regime the CoW refactor
-    targets; the per-workload optimizer walls above cover the small-workflow
-    regime.
-    """
-    from repro.core.costing import CostService
-    from repro.core.transformations.configuration import ConfigurationTransformation
-    from repro.verification import RandomWorkflowGenerator
-
-    generated = RandomWorkflowGenerator().with_config(min_jobs=16, max_jobs=18).generate(4242)
-    plan = generated.plan
-    job = plan.job_names[0]
-
-    def loop(service, n):
-        started = time.perf_counter()
-        for i in range(n):
-            candidate = plan.copy()
-            ConfigurationTransformation.apply_settings_in_place(
-                candidate, {job: {"io_sort_mb": 64 + (i % 8) * 32}}
-            )
-            service.estimate_workflow(candidate.workflow)
-        return time.perf_counter() - started
-
-    # Best-of-N alternating repeats: the min is the noise-robust estimator
-    # for a microloop (anything above it is scheduler/GC interference).
-    timings = {"legacy": float("inf"), "cow": float("inf")}
-    services = {}
-    for label, cow in (("legacy", False), ("cow", True)):
-        previous = set_cow_enabled(cow)
-        try:
-            services[label] = CostService(workload_cluster())
-            services[label].engine.signature_memo_enabled = cow
-            loop(services[label], iterations // 8)  # warm the cache and memos
-        finally:
-            set_cow_enabled(previous)
-    for _ in range(3):
-        for label, cow in (("legacy", False), ("cow", True)):
-            previous = set_cow_enabled(cow)
-            try:
-                timings[label] = min(timings[label], loop(services[label], iterations))
-            finally:
-                set_cow_enabled(previous)
-    return {
-        "num_jobs": plan.num_jobs,
-        "iterations": iterations,
-        "legacy_s": round(timings["legacy"], 4),
-        "cow_s": round(timings["cow"], 4),
-        "speedup": timings["legacy"] / timings["cow"] if timings["cow"] else 0.0,
     }
 
 
@@ -179,7 +83,7 @@ def _allocation_probe():
 
     workload = build_workload("IR", scale=BENCHMARK_SCALE)
     Profiler().profile_workflow(workload.workflow, workload.base_datasets)
-    service = CostService(workload_cluster(), enable_cache=False)
+    service = CostService(ClusterSpec.paper_cluster(), enable_cache=False)
     workflow = workload.plan.workflow
 
     service.estimate_workflow(workflow)  # warm imports and memos
@@ -210,92 +114,42 @@ def _allocation_probe():
 
 
 def test_bench_plan_cow(benchmark):
-    def run_all():
-        rows = {}
-        for abbr in BENCH_WORKLOADS:
-            legacy, legacy_decisions = _run_optimizer(abbr, cow=False)
-            cow, cow_decisions = _run_optimizer(abbr, cow=True)
-            assert cow_decisions == legacy_decisions, (
-                f"{abbr}: CoW plans changed optimizer decisions"
-            )
-            rows[abbr] = {
-                "legacy": legacy,
-                "cow": cow,
-                "copy_reduction": (
-                    legacy["vertex_copies"] / cow["vertex_copies"]
-                    if cow["vertex_copies"]
-                    else float("inf")
-                ),
-                "signature_reduction": (
-                    cow["signature_requests"] / cow["signature_derivations"]
-                    if cow["signature_derivations"]
-                    else float("inf")
-                ),
-                "wall_speedup": legacy["wall_s"] / cow["wall_s"] if cow["wall_s"] else 0.0,
-            }
-        return rows
-
-    rows = run_once(benchmark, run_all)
-    cpus = _usable_cpus()
-    speedup_enforced = cpus > 4
+    rows = run_once(benchmark, lambda: {abbr: _run_optimizer(abbr) for abbr in BENCH_WORKLOADS})
     allocation = _allocation_probe()
-    candidate_eval = _candidate_eval_microloop()
 
     payload = {
         "benchmark": "plan_cow_structural_sharing",
         "scale": BENCHMARK_SCALE,
-        "usable_cpus": cpus,
-        "min_copy_reduction": MIN_COPY_REDUCTION,
-        "min_signature_reduction": MIN_SIGNATURE_REDUCTION,
-        "min_speedup": MIN_SPEEDUP,
-        "speedup_enforced": speedup_enforced,
+        "max_vertex_copies": MAX_VERTEX_COPIES,
+        "max_derivation_share": MAX_DERIVATION_SHARE,
         "allocation_probe": allocation,
-        "candidate_eval": candidate_eval,
         "workloads": rows,
     }
     with open(_output_path(), "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
 
-    print(f"\nCopy-on-write plans vs legacy deep copies ({cpus} usable CPU(s))")
-    print("workload  copies(legacy->cow)  copy_x  sig(req->derived)  sig_x  wall_x")
+    print("\nCopy-on-write plans: copies and signature walks per cold optimize()")
+    print("workload  plan_clones  vertex_copies  sig(req->derived)  derived_share")
     for abbr, row in rows.items():
-        cow, legacy = row["cow"], row["legacy"]
         print(
-            f"{abbr:<9} {legacy['vertex_copies']:>8}->{cow['vertex_copies']:<8} "
-            f"{row['copy_reduction']:>5.1f}x "
-            f"{cow['signature_requests']:>7}->{cow['signature_derivations']:<7} "
-            f"{row['signature_reduction']:>5.1f}x {row['wall_speedup']:>5.2f}x"
+            f"{abbr:<9} {row['workflow_copies']:>11}  {row['vertex_copies']:>13}  "
+            f"{row['signature_requests']:>7}->{row['signature_derivations']:<7}  "
+            f"{row['derivation_share']:>12.2%}"
         )
-    print(
-        f"candidate-eval microloop ({candidate_eval['num_jobs']} jobs, "
-        f"{candidate_eval['iterations']} evals): "
-        f"{candidate_eval['legacy_s']:.3f}s -> {candidate_eval['cow_s']:.3f}s "
-        f"({candidate_eval['speedup']:.2f}x; "
-        f"{'asserted' if speedup_enforced else 'recorded only'})"
-    )
 
     # Slots landed: the hot value objects carry no per-instance __dict__.
     assert not allocation["jobdataflow_has_dict"]
     assert not allocation["jobtimeestimate_has_dict"]
 
     for abbr, row in rows.items():
-        cow, legacy = row["cow"], row["legacy"]
-        # Same amount of logical work in both modes...
-        assert cow["whatif_queries"] == legacy["whatif_queries"], abbr
-        assert cow["workflow_copies"] == legacy["workflow_copies"], abbr
-        # ...but >=5x fewer vertex copies per candidate (same candidate
-        # count, so the per-candidate ratio equals the total ratio)...
-        assert cow["vertex_copies"] * MIN_COPY_REDUCTION <= legacy["vertex_copies"], (
-            f"{abbr}: only {row['copy_reduction']:.1f}x fewer vertex copies"
+        assert row["workflow_copies"] > 0, abbr
+        assert row["vertex_copies"] <= MAX_VERTEX_COPIES, (
+            f"{abbr}: {row['vertex_copies']} full vertex copies over "
+            f"{row['workflow_copies']} plan clones"
         )
-        # ...and >=3x fewer full signature derivations per costing query.
-        assert (
-            cow["signature_derivations"] * MIN_SIGNATURE_REDUCTION
-            <= cow["signature_requests"]
-        ), f"{abbr}: only {row['signature_reduction']:.1f}x fewer signature derivations"
-    if speedup_enforced:
-        assert candidate_eval["speedup"] >= MIN_SPEEDUP, (
-            f"candidate-evaluation speedup {candidate_eval['speedup']:.2f}x < "
-            f"{MIN_SPEEDUP}x with {cpus} CPUs; see {_output_path()}"
+        assert row["signature_requests"] > 0, abbr
+        assert row["derivation_share"] <= MAX_DERIVATION_SHARE, (
+            f"{abbr}: {row['signature_derivations']} of {row['signature_requests']} "
+            f"signature requests paid a derivation walk"
         )
     assert os.path.exists(_output_path())

@@ -141,22 +141,11 @@ def rrs_search_key(rrs) -> Tuple:
 
 def transformation_key(transformation) -> Tuple:
     """Content key of one transformation instance: name plus every
-    constructor option (e.g. ``HorizontalPacking.allow_extended``).
-
-    A transformation may expose ``decision_key_extra()`` for state that
-    lives outside its instance dict but changes which applications it can
-    find — the sub-result reuse module's global kill switch is the one
-    user.  The classic five transformations define no extra, so their keys
-    are byte-identical to earlier releases and persisted decision files
-    stay valid.
-    """
+    constructor option (e.g. ``HorizontalPacking.allow_extended``)."""
     options = tuple(
         sorted(
             ((name, plain_value_key(value)) for name, value in vars(transformation).items()),
             key=repr,
         )
     )
-    extra = getattr(transformation, "decision_key_extra", None)
-    if callable(extra):
-        return (transformation.name, options, extra())
     return (transformation.name, options)

@@ -86,8 +86,9 @@ __all__ = [
 DEFAULT_MAX_DECISIONS = 50_000
 
 #: On-disk layout version of persisted decision files; files written under a
-#: different layout are rejected wholesale.
-DECISION_CACHE_FORMAT_VERSION = 1
+#: different layout are rejected wholesale.  2: the reuse transformation's
+#: key lost its third element, so version-1 rows could never hit again.
+DECISION_CACHE_FORMAT_VERSION = 2
 
 #: Environment variable naming a persisted decision-cache path — the
 #: decision-level sibling of ``STUBBY_COST_CACHE``, deliberately separate so

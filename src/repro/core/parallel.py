@@ -33,14 +33,17 @@ Backends are selected by spec strings — ``"serial"``, ``"thread:4"``,
 a ``backend=`` argument also honour the ``STUBBY_SEARCH_BACKEND``
 environment variable when none is given.
 
-Sessions support two **dispatch** modes.  ``"static"`` (the default) deals
+Sessions support two **dispatch** modes, and each caller passes the one that
+fits its requests — there is no user-facing option.  ``"static"`` deals
 requests round-robin up front — cheap, and optimal when requests cost about
-the same.  ``"stealing"`` lets idle workers pull the next request from a
-shared deque (threads) or receive requests one at a time as they finish
-(processes), which balances *heterogeneous* request costs: a worker stuck on
-an expensive request no longer strands the cheap ones behind it.  Dispatch
-never changes results — only which worker computes them — and every session
-reports what it did in :attr:`BackendSession.dispatch_stats`.  In stealing
+the same (the unit search's candidate costings).  ``"stealing"`` lets idle
+workers pull the next request from a shared deque (threads) or receive
+requests one at a time as they finish (processes), which balances
+*heterogeneous* request costs: a worker stuck on an expensive request no
+longer strands the cheap ones behind it (experiment cells, planning-service
+request batches).  Dispatch never changes results — only which worker
+computes them — and every session reports what it did in
+:attr:`BackendSession.dispatch_stats`.  In stealing
 mode the fork pool additionally survives worker deaths: an in-flight request
 whose worker vanished is retried once on a surviving worker, and only a
 repeat failure (or a pool with no survivors) raises.

@@ -764,7 +764,9 @@ class StubbySearch:
 
         side = store_side_channel(self.costs)
         results: List[Tuple] = []
-        with self.backend.session(worker_fn, side) as session:
+        # Candidate costings are small and alike, so they are dealt up front;
+        # stealing measured no better here (docs/search.md).
+        with self.backend.session(worker_fn, side, dispatch="static") as session:
             if len(tasks) == 1:
                 results.append(self._cost_candidate(tasks[0], point_session=session))
             else:

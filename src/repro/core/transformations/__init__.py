@@ -11,11 +11,7 @@ from repro.core.transformations.inter_vertical import InterJobVerticalPacking
 from repro.core.transformations.horizontal import HorizontalPacking
 from repro.core.transformations.partition_function import PartitionFunctionTransformation
 from repro.core.transformations.configuration import ConfigurationTransformation
-from repro.core.transformations.reuse import (
-    SubResultReuseTransformation,
-    set_subresult_reuse_enabled,
-    subresult_reuse_enabled,
-)
+from repro.core.transformations.reuse import SubResultReuseTransformation
 
 VERTICAL_GROUP = (
     IntraJobVerticalPacking,
@@ -37,8 +33,6 @@ __all__ = [
     "PartitionFunctionTransformation",
     "ConfigurationTransformation",
     "SubResultReuseTransformation",
-    "set_subresult_reuse_enabled",
-    "subresult_reuse_enabled",
     "VERTICAL_GROUP",
     "HORIZONTAL_GROUP",
 ]

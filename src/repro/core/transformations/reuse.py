@@ -24,11 +24,10 @@ engine costs the reuse plan (D is now a base dataset sized by its
 annotation) against the recompute plan, and reuse wins only when estimated
 cheaper.
 
-:func:`set_subresult_reuse_enabled` is the module-level kill switch
-(mirroring ``set_cow_enabled`` / ``set_topology_index_enabled``): disabled,
-:meth:`find_applications` proposes nothing and the search enumerates exactly
-the pre-catalog candidate set — the bit-identity baseline of the
-equivalence sweep.
+The kill switch is the catalog's own (``SubResultCatalog(enabled=False)`` /
+``STUBBY_SUBRESULT_CATALOG_ENABLED=0``): disabled, :meth:`find_applications`
+proposes nothing and the search enumerates exactly the pre-catalog candidate
+set — the bit-identity baseline of the equivalence sweep.
 """
 
 from __future__ import annotations
@@ -52,30 +51,7 @@ from repro.whatif import model as whatif_model
 __all__ = [
     "SubResultReuseTransformation",
     "SubResultUnavailableError",
-    "set_subresult_reuse_enabled",
-    "subresult_reuse_enabled",
 ]
-
-_SUBRESULT_REUSE_ENABLED = True
-
-
-def set_subresult_reuse_enabled(enabled: bool) -> bool:
-    """Globally enable/disable the reuse rewrite; returns the previous value.
-
-    The verification kill switch: with reuse disabled the transformation
-    proposes no applications, so candidate enumeration — and therefore every
-    optimizer decision — is bit-identical to a build without the catalog.
-    """
-    global _SUBRESULT_REUSE_ENABLED
-    previous = _SUBRESULT_REUSE_ENABLED
-    _SUBRESULT_REUSE_ENABLED = bool(enabled)
-    return previous
-
-
-def subresult_reuse_enabled() -> bool:
-    """Whether the reuse rewrite is globally enabled."""
-    return _SUBRESULT_REUSE_ENABLED
-
 
 class SubResultReuseTransformation(Transformation):
     """Replace an intermediate dataset's producing cone with its stored bytes."""
@@ -87,29 +63,12 @@ class SubResultReuseTransformation(Transformation):
     def __init__(self, catalog: Optional[SubResultCatalog] = None) -> None:
         self._catalog = catalog
 
-    def decision_key_extra(self):
-        """Fold the module kill switch into unit decision keys.
-
-        The catalog itself reaches the key through
-        :meth:`~repro.core.subresults.SubResultCatalog.decision_key_content`
-        (via ``transformation_key``'s option walk); the module-level switch
-        lives outside the instance, so it is added here — flipping it must
-        miss every memoized decision, never replay a reuse plan into a
-        reuse-disabled run.
-        """
-        return ("reuse-enabled", subresult_reuse_enabled())
-
     # -------------------------------------------------------------- search
     def find_applications(
         self, plan: Plan, unit_jobs: Sequence[str]
     ) -> List[TransformationApplication]:
         catalog = self._catalog
-        if (
-            catalog is None
-            or not catalog.enabled
-            or not subresult_reuse_enabled()
-            or catalog.catalog_size == 0
-        ):
+        if catalog is None or not catalog.enabled or catalog.catalog_size == 0:
             return []
         workflow = plan.workflow
         unit = set(unit_jobs)

@@ -12,18 +12,15 @@ from repro.experiments.microbench import (
 )
 from repro.experiments.scheduler import (
     EXPERIMENT_BACKEND_ENV_VAR,
-    EXPERIMENT_DISPATCH_ENV_VAR,
     ExperimentCell,
     ExperimentScheduler,
     build_cells,
     cell_seed,
     resolve_experiment_backend,
-    resolve_experiment_dispatch,
 )
 
 __all__ = [
     "EXPERIMENT_BACKEND_ENV_VAR",
-    "EXPERIMENT_DISPATCH_ENV_VAR",
     "ExperimentCell",
     "ExperimentHarness",
     "ExperimentRunResult",
@@ -33,7 +30,6 @@ __all__ = [
     "build_cells",
     "cell_seed",
     "resolve_experiment_backend",
-    "resolve_experiment_dispatch",
     "vertical_packing_tradeoff",
     "horizontal_packing_tradeoff",
 ]

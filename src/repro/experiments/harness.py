@@ -422,7 +422,6 @@ class ExperimentHarness:
         workloads: Optional[Sequence[str]] = None,
         optimizers: Sequence[str] = FIGURE11_OPTIMIZERS,
         backend=None,
-        dispatch: Optional[str] = None,
         persist: bool = True,
     ) -> ExperimentRunResult:
         """Run a whole experiment — every (workload × optimizer) cell — at once.
@@ -445,12 +444,8 @@ class ExperimentHarness:
         """
         abbreviations = tuple(workloads) if workloads is not None else tuple(WORKLOAD_ORDER)
         optimizer_names = tuple(optimizers)
-        # ``dispatch`` picks how cells land on workers ("static" deals them
-        # up front, "stealing" lets idle workers pull the next one — better
-        # for heterogeneous cells); None defers to STUBBY_EXPERIMENT_DISPATCH.
         scheduler = ExperimentScheduler(
-            backend if backend is not None else self.experiment_backend,
-            dispatch=dispatch,
+            backend if backend is not None else self.experiment_backend
         )
 
         # Serial, deterministic preparation: workloads are built, profiled,

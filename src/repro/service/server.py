@@ -257,9 +257,10 @@ class PlanningServer:
 
     ``pool`` is a :mod:`repro.core.parallel` spec string (``"thread:4"``,
     ``"process:2"``, ``"serial"``) or backend instance — the pool that runs
-    the optimizations; ``dispatch`` defaults to ``"stealing"``.  The server
-    owns one shared :class:`CostService` and :class:`DecisionCache` (or
-    accepts externally shared ones); with ``cache_path`` /
+    the optimizations, always under work-stealing dispatch (requests are
+    heterogeneous, and stealing retries a request whose worker died).  The
+    server owns one shared :class:`CostService` and :class:`DecisionCache`
+    (or accepts externally shared ones); with ``cache_path`` /
     ``decision_cache_path`` configured it warm-starts from the persisted
     stores and merge-persists them back on :meth:`stop`.
 
@@ -275,7 +276,6 @@ class PlanningServer:
         self,
         cluster: ClusterSpec,
         pool="thread:4",
-        dispatch: str = "stealing",
         queue_capacity: int = 64,
         per_tenant_capacity: Optional[int] = None,
         max_batch: Optional[int] = None,
@@ -307,7 +307,6 @@ class PlanningServer:
         self.backend: ExecutionBackend = (
             pool if isinstance(pool, ExecutionBackend) else create_backend(pool)
         )
-        self.dispatch = dispatch
         self.admission = AdmissionQueue(queue_capacity, per_tenant_capacity)
         #: Expired-in-queue requests are answered (degraded), not dropped.
         self.admission.on_shed = self._shed_ticket
@@ -327,7 +326,7 @@ class PlanningServer:
         self._running = False
         self._stopping = False
         #: Dispatch counters of already-closed sessions (pool recycles).
-        self._pool_history = DispatchStats(dispatch=dispatch, workers=self.backend.workers)
+        self._pool_history = DispatchStats(dispatch="stealing", workers=self.backend.workers)
 
     # -------------------------------------------------------------- registry
     def register_workload(self, name: str, plan_or_workflow) -> None:
@@ -524,9 +523,7 @@ class PlanningServer:
     def _ensure_session(self):
         if self._session is None:
             side = store_side_channel(*self.stores)
-            self._session = self.backend.session(
-                self._execute, side, dispatch=self.dispatch
-            )
+            self._session = self.backend.session(self._execute, side, dispatch="stealing")
         return self._session
 
     def _close_session(self) -> None:
@@ -962,7 +959,7 @@ class PlanningServer:
     # -------------------------------------------------------------- insight
     def dispatch_stats(self) -> DispatchStats:
         """Aggregated pool accounting across every session so far."""
-        total = DispatchStats(dispatch=self.dispatch, workers=self.backend.workers)
+        total = DispatchStats(dispatch="stealing", workers=self.backend.workers)
         with self._session_lock:
             total.accumulate(self._pool_history)
             if self._session is not None:

@@ -163,10 +163,6 @@ class WhatIfEngine:
         #: memo (``signature_memo_hits``).
         self.signature_derivations = 0
         self.signature_memo_hits = 0
-        #: Benchmark baseline switch: with the memo off every signature pays
-        #: the full derivation walk (the pre-incremental behaviour); results
-        #: are identical either way.
-        self.signature_memo_enabled = True
 
     # ------------------------------------------------------------------ API
     def estimate_workflow(self, workflow: Workflow) -> WorkflowCostEstimate:
@@ -355,8 +351,7 @@ class WhatIfEngine:
         least one real pipeline walk — the dirty cone; everything else is a
         ``signature_memo_hits``.
         """
-        memo = self.signature_memo_enabled
-        entry = self._vertex_keys.get(id(vertex)) if memo else None
+        entry = self._vertex_keys.get(id(vertex))
         if (
             entry is not None
             and entry[0] is vertex
@@ -371,7 +366,7 @@ class WhatIfEngine:
         walked = False
         pipeline_keys = []
         for pipeline in job.pipelines:
-            pipeline_entry = self._pipeline_keys.get(id(pipeline)) if memo else None
+            pipeline_entry = self._pipeline_keys.get(id(pipeline))
             if pipeline_entry is not None and pipeline_entry[0] is pipeline:
                 pipeline_keys.append(pipeline_entry[1])
                 continue
@@ -389,10 +384,9 @@ class WhatIfEngine:
                 output_dataset=pipeline.output_dataset,
             )
             pipeline_keys.append(key)
-            if memo:
-                if len(self._pipeline_keys) >= _MAX_VERTEX_KEYS:
-                    self._pipeline_keys.clear()
-                self._pipeline_keys[id(pipeline)] = (pipeline, key)
+            if len(self._pipeline_keys) >= _MAX_VERTEX_KEYS:
+                self._pipeline_keys.clear()
+            self._pipeline_keys[id(pipeline)] = (pipeline, key)
 
         if walked:
             self.signature_derivations += 1
@@ -405,10 +399,9 @@ class WhatIfEngine:
             profile_key=self._profile_key(vertex.annotations.profile),
             chained_input=config.chained_input,
         )
-        if memo:
-            if len(self._vertex_keys) >= _MAX_VERTEX_KEYS:
-                self._vertex_keys.clear()
-            self._vertex_keys[id(vertex)] = (vertex, job, vertex.annotations.profile, local)
+        if len(self._vertex_keys) >= _MAX_VERTEX_KEYS:
+            self._vertex_keys.clear()
+        self._vertex_keys[id(vertex)] = (vertex, job, vertex.annotations.profile, local)
         return local
 
     @staticmethod

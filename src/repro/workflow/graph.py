@@ -23,9 +23,8 @@ rests on:
   (``update_job``, :meth:`Workflow.replace_job`), so in-place pipeline edits
   on an owned vertex can never reach a sibling plan.
 
-:data:`COPY_COUNTERS` tallies vertex copies actually performed against the
-copies a wholesale deep copy would have performed — the measured basis of
-``BENCH_plan_cow.json``.
+:data:`COPY_COUNTERS` tallies the workflow and vertex copies actually
+performed — the measured basis of ``BENCH_plan_cow.json``.
 
 Structural queries (``producer_of``/``consumers_of``/``producer_jobs``/
 ``consumer_jobs``/``base_datasets``/``terminal_datasets``/
@@ -35,10 +34,10 @@ Structural queries (``producer_of``/``consumers_of``/``producer_jobs``/
 cached topological order and levels, maintained *incrementally* through the
 mutation surface above and shared between CoW clones until either side
 mutates structure.  Answers are bit-identical — including insertion-order
-tie-breaks — to the legacy brute-force scans, which remain available as the
-``_scan_*`` twins and via :func:`set_topology_index_enabled` as the
-measurement baseline of ``BENCH_wide_workflows.json``.
-:data:`TOPOLOGY_COUNTERS` tallies scans avoided against index maintenance
+tie-breaks — to brute-force scans of the job table; that reference
+implementation lives in ``tests/graph_oracle.py`` and
+``tests/test_topology_index.py`` compares against it element for element.
+:data:`TOPOLOGY_COUNTERS` tallies queries answered against index maintenance
 performed.
 """
 
@@ -60,10 +59,7 @@ class CopyCounters:
     ``vertex_copies`` counts *full* job-vertex copies (job + pipelines +
     annotations); ``vertex_shell_copies`` counts borrowed privatizations
     (annotations copied, job payload shared — the cheap CoW path of the
-    configuration hot loop); ``legacy_vertex_copies`` counts the full copies
-    the pre-CoW wholesale ``Workflow.copy`` performs (every job of every
-    copied workflow), so ``legacy_vertex_copies / vertex_copies`` is the
-    measured copy-tax reduction.  Counters are advisory (no lock): the
+    configuration hot loop).  Counters are advisory (no lock): the
     benchmarks that assert on them run single-threaded.
     """
 
@@ -72,7 +68,6 @@ class CopyCounters:
         "vertex_copies",
         "vertex_shell_copies",
         "dataset_vertex_copies",
-        "legacy_vertex_copies",
     )
 
     def __init__(self) -> None:
@@ -84,7 +79,6 @@ class CopyCounters:
         self.vertex_copies = 0
         self.vertex_shell_copies = 0
         self.dataset_vertex_copies = 0
-        self.legacy_vertex_copies = 0
 
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict view of the current counters."""
@@ -94,40 +88,13 @@ class CopyCounters:
 #: The process-wide counter instance (see :class:`CopyCounters`).
 COPY_COUNTERS = CopyCounters()
 
-#: Structural sharing switch.  Always on in production; the plan-CoW
-#: benchmark flips it off to measure the legacy wholesale-deep-copy baseline
-#: against the same workloads (decisions must be bit-identical either way).
-_COW_ENABLED = True
-
-
-def set_cow_enabled(enabled: bool) -> bool:
-    """Enable/disable copy-on-write plan copies; returns the previous value.
-
-    With CoW disabled, :meth:`Workflow.copy` eagerly deep-copies every vertex
-    (the pre-CoW behaviour).  Semantics are identical either way — the CoW
-    protocol only changes *when* copies happen — so this is purely a
-    measurement baseline for ``benchmarks/test_bench_plan_cow.py``.
-    """
-    global _COW_ENABLED
-    previous = _COW_ENABLED
-    _COW_ENABLED = bool(enabled)
-    return previous
-
-
-def cow_enabled() -> bool:
-    """Whether workflow copies currently share vertices (see :func:`set_cow_enabled`)."""
-    return _COW_ENABLED
-
 
 class TopologyCounters:
     """Process-wide tallies of topology-index activity (graph instrumentation).
 
-    ``full_scans`` counts brute-force full passes over the job table (the
-    legacy scan path, one tick per pass — ``producer_of`` is one pass,
-    ``producer_jobs`` is one per input dataset); ``index_queries`` counts
-    structure queries answered from the adjacency index instead.
-    ``index_builds`` are from-scratch adjacency constructions (lazy, once
-    per workflow lineage), ``incremental_updates`` are single-mutation
+    ``index_queries`` counts structure queries answered from the adjacency
+    index.  ``index_builds`` are from-scratch adjacency constructions (lazy,
+    once per workflow lineage), ``incremental_updates`` are single-mutation
     touch-ups, and ``index_copies`` are CoW privatizations of an index
     shared through :meth:`Workflow.copy`.  ``toposort_builds`` vs
     ``toposort_cache_hits`` measure how often the cached topological
@@ -136,7 +103,6 @@ class TopologyCounters:
     """
 
     __slots__ = (
-        "full_scans",
         "index_queries",
         "index_builds",
         "index_copies",
@@ -158,42 +124,16 @@ class TopologyCounters:
         return {name: getattr(self, name) for name in self.__slots__}
 
     def scan_equivalents(self) -> int:
-        """Full-graph passes actually paid: scans plus index (re)builds.
+        """Full-graph passes actually paid: index and toposort (re)builds.
 
-        The honest denominator for the wide-workflow benchmark: an index
-        build walks every job once, so it costs one scan-equivalent; an
-        incremental update or an indexed query does not.
+        An index build walks every job once, so it costs one
+        scan-equivalent; an incremental update or an indexed query does not.
         """
-        return self.full_scans + self.index_builds + self.toposort_builds
+        return self.index_builds + self.toposort_builds
 
 
 #: The process-wide topology counter instance (see :class:`TopologyCounters`).
 TOPOLOGY_COUNTERS = TopologyCounters()
-
-#: Topology-index switch.  Always on in production; the wide-workflow
-#: benchmark flips it off to measure the legacy brute-force-scan baseline
-#: against the same workloads (answers must be bit-identical either way).
-_TOPOLOGY_INDEX_ENABLED = True
-
-
-def set_topology_index_enabled(enabled: bool) -> bool:
-    """Enable/disable the topology index; returns the previous value.
-
-    With the index disabled every structural query falls back to the
-    brute-force graph scans (the pre-index behaviour).  Answers are
-    bit-identical either way — the index only changes *how* they are
-    derived — so this is purely a measurement baseline for
-    ``benchmarks/test_bench_wide_workflows.py``.
-    """
-    global _TOPOLOGY_INDEX_ENABLED
-    previous = _TOPOLOGY_INDEX_ENABLED
-    _TOPOLOGY_INDEX_ENABLED = bool(enabled)
-    return previous
-
-
-def topology_index_enabled() -> bool:
-    """Whether structural queries are answered from the adjacency index."""
-    return _TOPOLOGY_INDEX_ENABLED
 
 
 class _TopologyIndex:
@@ -203,8 +143,8 @@ class _TopologyIndex:
     scanning the job table: ``producers``/``consumers`` map each dataset
     name to the job names writing/reading it, each list kept in *job
     insertion order* so indexed answers are bit-identical (including
-    tie-breaks) to the legacy scans.  Insertion order is tracked through
-    ``order_keys`` — a monotonic key per job; :meth:`replace_job` hands the
+    tie-breaks) to a brute-force scan of the job table.  Insertion order is
+    tracked through ``order_keys`` — a monotonic key per job; :meth:`replace_job` hands the
     old job's key to its replacement, mirroring how
     :meth:`Workflow.replace_job` keeps the vertex's position in the job
     dict.  ``topo_names``/``level_names`` cache the topological order and
@@ -549,44 +489,23 @@ class Workflow:
     # ------------------------------------------------------------- structure
     #
     # Every public structural query answers from the adjacency index in
-    # O(answer size); the ``_scan_*`` twins below each one are the legacy
-    # brute-force implementations, kept as the measurement baseline of
-    # ``benchmarks/test_bench_wide_workflows.py`` (via
-    # :func:`set_topology_index_enabled`) and as the ordering oracle the
-    # equivalence tests assert bit-identical answers against.
+    # O(answer size).
 
     def producer_of(self, dataset_name: str) -> Optional[JobVertex]:
         """The job writing ``dataset_name`` (``None`` for base datasets)."""
-        if not _TOPOLOGY_INDEX_ENABLED:
-            return self._scan_producer_of(dataset_name)
         TOPOLOGY_COUNTERS.index_queries += 1
         writers = self._topology().producers.get(dataset_name)
         return self._jobs[writers[0]] if writers else None
 
-    def _scan_producer_of(self, dataset_name: str) -> Optional[JobVertex]:
-        TOPOLOGY_COUNTERS.full_scans += 1
-        for vertex in self._jobs.values():
-            if dataset_name in vertex.job.output_datasets:
-                return vertex
-        return None
-
     def consumers_of(self, dataset_name: str) -> List[JobVertex]:
         """All jobs reading ``dataset_name``, in job insertion order."""
-        if not _TOPOLOGY_INDEX_ENABLED:
-            return self._scan_consumers_of(dataset_name)
         TOPOLOGY_COUNTERS.index_queries += 1
         readers = self._topology().consumers.get(dataset_name, ())
         return [self._jobs[name] for name in readers]
 
-    def _scan_consumers_of(self, dataset_name: str) -> List[JobVertex]:
-        TOPOLOGY_COUNTERS.full_scans += 1
-        return [v for v in self._jobs.values() if dataset_name in v.job.input_datasets]
-
     def producer_jobs(self, job_name: str) -> List[JobVertex]:
         """Jobs whose output datasets this job reads (input-dataset order)."""
         vertex = self.job(job_name)
-        if not _TOPOLOGY_INDEX_ENABLED:
-            return self._scan_producer_jobs(job_name)
         TOPOLOGY_COUNTERS.index_queries += 1
         index = self._topology()
         producers: List[JobVertex] = []
@@ -601,22 +520,9 @@ class Workflow:
                 producers.append(self._jobs[writer])
         return producers
 
-    def _scan_producer_jobs(self, job_name: str) -> List[JobVertex]:
-        vertex = self.job(job_name)
-        producers: List[JobVertex] = []
-        seen: Set[str] = set()
-        for dataset_name in vertex.job.input_datasets:
-            producer = self._scan_producer_of(dataset_name)
-            if producer is not None and producer.name != job_name and producer.name not in seen:
-                seen.add(producer.name)
-                producers.append(producer)
-        return producers
-
     def consumer_jobs(self, job_name: str) -> List[JobVertex]:
         """Jobs that read any of this job's output datasets (first-seen order)."""
         vertex = self.job(job_name)
-        if not _TOPOLOGY_INDEX_ENABLED:
-            return self._scan_consumer_jobs(job_name)
         TOPOLOGY_COUNTERS.index_queries += 1
         index = self._topology()
         consumers: List[JobVertex] = []
@@ -628,56 +534,26 @@ class Workflow:
                     consumers.append(self._jobs[reader])
         return consumers
 
-    def _scan_consumer_jobs(self, job_name: str) -> List[JobVertex]:
-        vertex = self.job(job_name)
-        consumers: List[JobVertex] = []
-        seen: Set[str] = set()
-        for dataset_name in vertex.job.output_datasets:
-            for consumer in self._scan_consumers_of(dataset_name):
-                if consumer.name != job_name and consumer.name not in seen:
-                    seen.add(consumer.name)
-                    consumers.append(consumer)
-        return consumers
-
     def base_datasets(self) -> List[DatasetVertex]:
         """Dataset vertices produced by no job (the workflow inputs)."""
-        if not _TOPOLOGY_INDEX_ENABLED:
-            return self._scan_base_datasets()
         TOPOLOGY_COUNTERS.index_queries += 1
         producers = self._topology().producers
         return [d for d in self._datasets.values() if not producers.get(d.name)]
 
-    def _scan_base_datasets(self) -> List[DatasetVertex]:
-        return [d for d in self._datasets.values() if self._scan_producer_of(d.name) is None]
-
     def terminal_datasets(self) -> List[DatasetVertex]:
         """Dataset vertices consumed by no job (the workflow outputs)."""
-        if not _TOPOLOGY_INDEX_ENABLED:
-            return self._scan_terminal_datasets()
         TOPOLOGY_COUNTERS.index_queries += 1
         consumers = self._topology().consumers
         return [d for d in self._datasets.values() if not consumers.get(d.name)]
 
-    def _scan_terminal_datasets(self) -> List[DatasetVertex]:
-        return [d for d in self._datasets.values() if not self._scan_consumers_of(d.name)]
-
     def intermediate_datasets(self) -> List[DatasetVertex]:
         """Datasets both produced and consumed inside the workflow."""
-        if not _TOPOLOGY_INDEX_ENABLED:
-            return self._scan_intermediate_datasets()
         TOPOLOGY_COUNTERS.index_queries += 1
         index = self._topology()
         return [
             d
             for d in self._datasets.values()
             if index.producers.get(d.name) and index.consumers.get(d.name)
-        ]
-
-    def _scan_intermediate_datasets(self) -> List[DatasetVertex]:
-        return [
-            d
-            for d in self._datasets.values()
-            if self._scan_producer_of(d.name) is not None and self._scan_consumers_of(d.name)
         ]
 
     @property
@@ -716,8 +592,6 @@ class Workflow:
         the topology index and survives config-only CoW mutations;
         structural edits invalidate it.
         """
-        if not _TOPOLOGY_INDEX_ENABLED:
-            return self._scan_topological_order()
         index = self._topology()
         if index.topo_names is None:
             index.topo_names = self._compute_topo_names(index)
@@ -761,26 +635,6 @@ class Workflow:
             raise WorkflowValidationError("workflow graph contains a cycle")
         return order
 
-    def _scan_topological_order(self) -> List[JobVertex]:
-        """Legacy-path topological sort (scan adjacency, heap tie-breaks)."""
-        in_degree: Dict[str, int] = {}
-        for vertex in self._jobs.values():
-            in_degree[vertex.name] = len(self._scan_producer_jobs(vertex.name))
-        position = {name: key for key, name in enumerate(self._jobs)}
-        heap = [(position[name], name) for name, degree in in_degree.items() if degree == 0]
-        heapq.heapify(heap)
-        order: List[JobVertex] = []
-        while heap:
-            _, name = heapq.heappop(heap)
-            order.append(self._jobs[name])
-            for consumer in self._scan_consumer_jobs(name):
-                in_degree[consumer.name] -= 1
-                if in_degree[consumer.name] == 0:
-                    heapq.heappush(heap, (position[consumer.name], consumer.name))
-        if len(order) != len(self._jobs):
-            raise WorkflowValidationError("workflow graph contains a cycle")
-        return order
-
     def topological_levels(self) -> List[List[JobVertex]]:
         """Jobs grouped into levels of concurrently runnable jobs.
 
@@ -789,8 +643,6 @@ class Workflow:
         run concurrently on the cluster.  Cached alongside the topological
         order (see :meth:`topological_order` for the invalidation rules).
         """
-        if not _TOPOLOGY_INDEX_ENABLED:
-            return self._scan_topological_levels()
         index = self._topology()
         if index.level_names is None:
             order = self.topological_order()
@@ -813,16 +665,6 @@ class Workflow:
             TOPOLOGY_COUNTERS.toposort_cache_hits += 1
         return [[self._jobs[name] for name in level] for level in index.level_names]
 
-    def _scan_topological_levels(self) -> List[List[JobVertex]]:
-        levels: Dict[str, int] = {}
-        for vertex in self._scan_topological_order():
-            producers = self._scan_producer_jobs(vertex.name)
-            levels[vertex.name] = 1 + max((levels[p.name] for p in producers), default=-1)
-        grouped: Dict[int, List[JobVertex]] = {}
-        for name, level in levels.items():
-            grouped.setdefault(level, []).append(self._jobs[name])
-        return [grouped[level] for level in sorted(grouped)]
-
     def depends_on(self, consumer: str, producer: str) -> bool:
         """Whether ``consumer`` transitively depends on ``producer``.
 
@@ -832,8 +674,6 @@ class Workflow:
         for every job — callers pairing a job against itself would have
         concluded it could never be packed with anything.)
         """
-        if not _TOPOLOGY_INDEX_ENABLED:
-            return self._scan_depends_on(consumer, producer)
         TOPOLOGY_COUNTERS.index_queries += 1
         index = self._topology()
         frontier = [p.name for p in self.producer_jobs(consumer)]
@@ -852,19 +692,6 @@ class Workflow:
                     frontier.append(writers[0])
         return False
 
-    def _scan_depends_on(self, consumer: str, producer: str) -> bool:
-        frontier = [p.name for p in self._scan_producer_jobs(consumer)]
-        seen: Set[str] = set()
-        while frontier:
-            current = frontier.pop()
-            if current == producer:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(p.name for p in self._scan_producer_jobs(current))
-        return False
-
     # ----------------------------------------------------------------- copy
     def copy(self, name: Optional[str] = None) -> "Workflow":
         """Structurally shared (copy-on-write) clone of the workflow.
@@ -877,15 +704,7 @@ class Workflow:
         only touch the per-workflow mappings, so they never require copies.
         """
         COPY_COUNTERS.workflow_copies += 1
-        COPY_COUNTERS.legacy_vertex_copies += len(self._jobs)
         clone = Workflow(name=name or self.name)
-        if not _COW_ENABLED:
-            # Benchmark baseline: the pre-CoW wholesale deep copy.
-            for vertex in self._jobs.values():
-                clone._jobs[vertex.name] = vertex.copy()
-            for dataset_vertex in self._datasets.values():
-                clone._datasets[dataset_vertex.name] = dataset_vertex.copy()
-            return clone
         clone._jobs = dict(self._jobs)
         clone._datasets = dict(self._datasets)
         clone._shared_jobs = set(self._jobs)
@@ -992,6 +811,10 @@ class Workflow:
         """Replace a job vertex in place, keeping its position in insertion order."""
         if name not in self._jobs:
             raise WorkflowValidationError(f"job {name!r} not in workflow")
+        if job.name != name and job.name in self._jobs:
+            raise WorkflowValidationError(
+                f"replace_job cannot rename {name!r} to {job.name!r}: duplicate job name"
+            )
         existing = self._jobs[name]
         index = self._topology_for_mutation()
         if index is not None:

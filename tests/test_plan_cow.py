@@ -111,7 +111,6 @@ class TestStructuralSharing:
         clone = plan.copy()
         assert COPY_COUNTERS.vertex_copies == 0
         assert COPY_COUNTERS.workflow_copies == 1
-        assert COPY_COUNTERS.legacy_vertex_copies == plan.num_jobs
         for name in plan.job_names:
             assert clone.workflow.job(name) is plan.workflow.job(name)
 

@@ -1,4 +1,6 @@
-"""The repository's own bookkeeping: what is tracked and what is ignored agree.
+"""The repository's own bookkeeping: what is tracked and what is ignored agree,
+``src/`` carries no mode switches, and the documented ``STUBBY_*`` variables
+are exactly the ones ``src/`` reads.
 
 A file that is both tracked and matched by ``.gitignore`` is rewritten by a
 test or benchmark run *and* committed — so the tier-1 gate dirties the tree
@@ -7,6 +9,7 @@ was added for).
 """
 
 import os
+import re
 import shutil
 import subprocess
 
@@ -31,3 +34,39 @@ def test_no_tracked_file_is_gitignored():
     listing = _git("ls-files", "-ci", "--exclude-standard")
     assert listing.returncode == 0, listing.stderr
     assert listing.stdout.split() == [], "tracked files matched by .gitignore"
+
+
+def _src_sources():
+    """(repo-relative path, text) of every Python file under ``src/``."""
+    for folder, _dirs, names in os.walk(os.path.join(ROOT, "src")):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as handle:
+                    yield os.path.relpath(path, ROOT), handle.read()
+
+
+def test_src_has_no_mode_switches():
+    """ISSUE 13 retired the process-wide ``set_*_enabled`` switches and the
+    cell-dispatch option; a path that needs a baseline keeps it under tests/."""
+    banned = re.compile(r"def set_\w+_enabled|STUBBY_EXPERIMENT_DISPATCH")
+    assert [path for path, text in _src_sources() if banned.search(text)] == []
+
+
+#: Rows of the docs/index.md environment-variable table: name, owner module.
+ENV_TABLE_ROW = re.compile(r"^\| `(STUBBY_[A-Z_]+)` \| `(repro[\w.]+)` \|", re.MULTILINE)
+
+
+def test_env_var_table_lists_exactly_the_variables_src_reads():
+    """docs/index.md's table is the one reference: a twelfth ``STUBBY_*``
+    variable (or a retired one left behind) fails here, not in a reader."""
+    readers = {}
+    for path, text in _src_sources():
+        for literal in re.findall(r"STUBBY_[A-Z_]+", text):
+            readers.setdefault(literal, set()).add(path)
+    with open(os.path.join(ROOT, "docs", "index.md"), encoding="utf-8") as handle:
+        table = dict(ENV_TABLE_ROW.findall(handle.read()))
+    assert set(table) == set(readers)
+    for variable, module in table.items():
+        owner = os.path.join("src", *module.split(".")) + ".py"
+        assert owner in readers[variable], f"{module} never names {variable}"

@@ -15,10 +15,10 @@ proves it four ways:
   a workflow warmed by its *own* previous execution) through all three
   optimizer variants;
 * every canned evaluation workload, self-warmed the same way;
-* a bit-identity baseline: with the kill switch thrown, an empty catalog,
-  a disabled catalog, or the transformation removed outright, the final
-  plans are fingerprint-identical — the catalog machinery is provably
-  invisible until it has something to offer.
+* a bit-identity baseline: with an empty catalog, a disabled catalog, or
+  the transformation removed outright, the final plans are
+  fingerprint-identical — the catalog machinery is provably invisible
+  until it has something to offer.
 
 A deliberately broken reuse rewrite (mutated in-test to drop ~20% of the
 substituted records) must be *caught*, with the divergence bisected to the
@@ -31,10 +31,7 @@ import pytest
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.search import StubbySearch
 from repro.core.subresults import SubResultCatalog, register_workflow_outputs
-from repro.core.transformations.reuse import (
-    SubResultReuseTransformation,
-    set_subresult_reuse_enabled,
-)
+from repro.core.transformations.reuse import SubResultReuseTransformation
 from repro.dfs.dataset import Dataset
 from repro.profiler import Profiler
 from repro.workflow.executor import WorkflowExecutor
@@ -197,15 +194,6 @@ def test_kill_switch_and_empty_catalog_are_bit_identical(cluster, workflow_gener
     empty_result = empty.optimize(second.plan)
     assert empty_result.subresult_reuse_applications == 0
     assert fingerprint(empty_result.plan) == expected
-
-    # The module kill switch silences even a warm catalog.
-    previous = set_subresult_reuse_enabled(False)
-    try:
-        killed = StubbyOptimizer(cluster, subresult_catalog=warm).optimize(second.plan)
-    finally:
-        set_subresult_reuse_enabled(previous)
-    assert killed.subresult_reuse_applications == 0
-    assert fingerprint(killed.plan) == expected
 
     # So does a disabled catalog (STUBBY_SUBRESULT_CATALOG_ENABLED=0 path).
     disabled = SubResultCatalog(cluster, enabled=False)

@@ -5,11 +5,11 @@ The contract under test: every structural query of :class:`Workflow` —
 ``base_datasets``/``terminal_datasets``/``intermediate_datasets``/
 ``depends_on``/``topological_order``/``topological_levels`` — answers from
 the incrementally maintained adjacency index with results **bit-identical**
-(same elements, same order) to the legacy brute-force scans, after *any*
-sequence of mutations through the CoW surface, applied to the original
-workflow and to structurally shared clones alike; and the incrementally
-maintained index always equals a from-scratch rebuild over the current job
-table.
+(same elements, same order) to the brute-force scans of
+``tests/graph_oracle.py``, after *any* sequence of mutations through the CoW
+surface, applied to the original workflow and to structurally shared clones
+alike; and the incrementally maintained index always equals a from-scratch
+rebuild over the current job table.
 """
 
 import random
@@ -20,13 +20,8 @@ from repro.mapreduce.config import JobConfig
 from repro.mapreduce.job import simple_job
 from repro.verification import RandomWorkflowGenerator
 from repro.workflow.annotations import JobAnnotations
-from repro.workflow.graph import (
-    TOPOLOGY_COUNTERS,
-    Workflow,
-    _TopologyIndex,
-    set_topology_index_enabled,
-    topology_index_enabled,
-)
+from repro.workflow.graph import TOPOLOGY_COUNTERS, Workflow, _TopologyIndex
+from tests import graph_oracle as oracle
 
 
 def _identity(key, value):
@@ -79,43 +74,45 @@ def _snapshot(workflow):
 
 
 def _scan_snapshot(workflow):
-    """The same answers derived exclusively through the legacy scans."""
+    """The same answers derived exclusively through the brute-force oracle."""
     dataset_names = [d.name for d in workflow.datasets]
     job_names = workflow.job_names
     producer = {
         name: (
-            workflow._scan_producer_of(name).name
-            if workflow._scan_producer_of(name)
+            oracle.producer_of(workflow, name).name
+            if oracle.producer_of(workflow, name)
             else None
         )
         for name in dataset_names
     }
     consumers = {
-        name: [c.name for c in workflow._scan_consumers_of(name)] for name in dataset_names
+        name: [c.name for c in oracle.consumers_of(workflow, name)] for name in dataset_names
     }
-    upstream = {name: [p.name for p in workflow._scan_producer_jobs(name)] for name in job_names}
+    upstream = {
+        name: [p.name for p in oracle.producer_jobs(workflow, name)] for name in job_names
+    }
     downstream = {
-        name: [c.name for c in workflow._scan_consumer_jobs(name)] for name in job_names
+        name: [c.name for c in oracle.consumer_jobs(workflow, name)] for name in job_names
     }
     depends = {
-        (a, b): workflow._scan_depends_on(a, b) for a in job_names for b in job_names
+        (a, b): oracle.depends_on(workflow, a, b) for a in job_names for b in job_names
     }
     return {
         "producer": producer,
         "consumers": consumers,
         "upstream": upstream,
         "downstream": downstream,
-        "base": [d.name for d in workflow._scan_base_datasets()],
-        "terminal": [d.name for d in workflow._scan_terminal_datasets()],
-        "intermediate": [d.name for d in workflow._scan_intermediate_datasets()],
-        "order": [v.name for v in workflow._scan_topological_order()],
-        "levels": [[v.name for v in level] for level in workflow._scan_topological_levels()],
+        "base": [d.name for d in oracle.base_datasets(workflow)],
+        "terminal": [d.name for d in oracle.terminal_datasets(workflow)],
+        "intermediate": [d.name for d in oracle.intermediate_datasets(workflow)],
+        "order": [v.name for v in oracle.topological_order(workflow)],
+        "levels": [[v.name for v in level] for level in oracle.topological_levels(workflow)],
         "depends": depends,
     }
 
 
 def _assert_index_consistent(workflow):
-    """Indexed answers == legacy scans, and the index == a fresh rebuild."""
+    """Indexed answers == oracle scans, and the index == a fresh rebuild."""
     assert _snapshot(workflow) == _scan_snapshot(workflow)
     maintained = workflow._topology()
     rebuilt = _TopologyIndex.build(workflow._jobs)
@@ -218,17 +215,6 @@ class TestRandomMutationSequences:
             generator.telemetry_rollup(seed, num_channels=20, fanin=6).workflow
         )
 
-    def test_disabled_index_answers_identically(self):
-        generator = RandomWorkflowGenerator().with_config(profile=False)
-        workflow = generator.telemetry_rollup(5, num_channels=12, fanin=4).workflow
-        indexed = _snapshot(workflow)
-        previous = set_topology_index_enabled(False)
-        try:
-            assert not topology_index_enabled()
-            assert _snapshot(workflow) == indexed
-        finally:
-            set_topology_index_enabled(previous)
-
 
 class TestCounterContracts:
     """The index is built once, updated incrementally, shared across CoW."""
@@ -251,7 +237,6 @@ class TestCounterContracts:
         assert snapshot["incremental_updates"] == 0
         assert snapshot["toposort_builds"] == 0
         assert snapshot["toposort_cache_hits"] == 3
-        assert snapshot["full_scans"] == 0
 
     def test_structural_mutation_privatizes_and_updates_incrementally(self):
         workflow = _build_base()
@@ -294,5 +279,4 @@ class TestCounterContracts:
         assert snapshot["index_builds"] == 0
         assert snapshot["index_copies"] == 0
         assert snapshot["toposort_builds"] == 0
-        assert snapshot["full_scans"] == 0
         assert snapshot["toposort_cache_hits"] == 10

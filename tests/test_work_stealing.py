@@ -30,13 +30,7 @@ from repro.core.parallel import (
     DispatchStats,
     create_backend,
 )
-from repro.experiments import (
-    EXPERIMENT_DISPATCH_ENV_VAR,
-    ExperimentHarness,
-    ExperimentScheduler,
-    build_cells,
-    resolve_experiment_dispatch,
-)
+from repro.experiments import ExperimentHarness, ExperimentScheduler, build_cells
 
 #: One expensive request among cheap ones: static round-robin on two
 #: workers deals slots [6+1+1+1, 1+1+1+1] (idle cost 5.0); a balanced
@@ -210,7 +204,7 @@ class TestForkFaultTolerance:
 
 
 class TestExperimentSchedulerStealing:
-    """map_cells keeps cell-order identity while balancing cell costs."""
+    """map_cells always steals: cell-order identity, balanced cell costs."""
 
     CELLS = build_cells(["w1", "w2"], ["o1", "o2", "o3", "o4"], base_seed=7)
 
@@ -219,44 +213,33 @@ class TestExperimentSchedulerStealing:
         time.sleep(0.02 * WEIGHTS[cell.index])
         return (cell.index, cell.label, cell.seed)
 
-    def _map(self, dispatch: str):
-        scheduler = ExperimentScheduler(backend="thread:2", dispatch=dispatch)
+    def _map(self, backend: str):
+        scheduler = ExperimentScheduler(backend=backend)
         results = scheduler.map_cells(self.CELLS, self._run_cell, cell_costs=WEIGHTS)
         return results, scheduler.last_dispatch_stats
 
     def test_stealing_identical_and_balanced(self):
-        static, static_stats = self._map("static")
-        stolen, stealing_stats = self._map("stealing")
-        assert stolen == static
-        assert [index for index, _, _ in static] == list(range(len(self.CELLS)))
-        assert static_stats is not None and stealing_stats is not None
-        assert stealing_stats.steals > 0
-        assert stealing_stats.idle_cost_units < static_stats.idle_cost_units
-
-    def test_resolve_dispatch_env_and_validation(self, monkeypatch):
-        monkeypatch.delenv(EXPERIMENT_DISPATCH_ENV_VAR, raising=False)
-        assert resolve_experiment_dispatch(None) == "static"
-        assert resolve_experiment_dispatch("stealing") == "stealing"
-        monkeypatch.setenv(EXPERIMENT_DISPATCH_ENV_VAR, "stealing")
-        assert resolve_experiment_dispatch(None) == "stealing"
-        assert ExperimentScheduler(backend="serial").dispatch == "stealing"
-        with pytest.raises(ValueError, match="dispatch"):
-            resolve_experiment_dispatch("bogus")
+        serial, _ = self._map("serial")
+        stolen, stats = self._map("thread:2")
+        assert stolen == serial
+        assert [index for index, _, _ in stolen] == list(range(len(self.CELLS)))
+        assert stats is not None and stats.dispatch == "stealing"
+        assert stats.steals > 0
+        # Static round-robin would idle 5.0 cost units on these weights
+        # (TestStealingBalance pins that number at the session level).
+        assert stats.idle_cost_units < 5.0
 
     def test_harness_run_identical_under_stealing(self):
-        def result_of(dispatch):
+        def result_of(backend):
             harness = ExperimentHarness(cluster=ClusterSpec.paper_cluster(), scale=0.12)
             result = harness.run(
-                workloads=("PJ",),
-                optimizers=("Baseline", "Stubby"),
-                backend="thread:2",
-                dispatch=dispatch,
+                workloads=("PJ",), optimizers=("Baseline", "Stubby"), backend=backend
             )
             return result, harness.last_dispatch_stats
 
-        static, static_stats = result_of("static")
-        stolen, stealing_stats = result_of("stealing")
-        assert stolen.decision_fingerprint() == static.decision_fingerprint()
-        assert static_stats is not None and static_stats.dispatch == "static"
+        serial, serial_stats = result_of("serial")
+        stolen, stealing_stats = result_of("thread:2")
+        assert stolen.decision_fingerprint() == serial.decision_fingerprint()
         assert stealing_stats is not None and stealing_stats.dispatch == "stealing"
-        assert stealing_stats.tasks == static_stats.tasks == 2
+        assert serial_stats is not None
+        assert stealing_stats.tasks == serial_stats.tasks == 2

@@ -1,5 +1,7 @@
 """Tests for the workflow DAG model and subgraph classification."""
 
+import copy
+
 import pytest
 
 from repro.common.errors import WorkflowValidationError
@@ -13,6 +15,7 @@ from repro.workflow.subgraphs import (
     concurrently_runnable_groups,
     shared_input_groups,
 )
+from tests import graph_oracle as oracle
 
 
 def _identity(key, value):
@@ -94,7 +97,7 @@ class TestWorkflowStructure:
         workflow = build_diamond()
         for name in workflow.job_names:
             assert not workflow.depends_on(name, name)
-            assert not workflow._scan_depends_on(name, name)
+            assert not oracle.depends_on(workflow, name, name)
 
     def test_validate_detects_double_writer(self):
         workflow = Workflow()
@@ -125,6 +128,25 @@ class TestWorkflowStructure:
         order = [v.name for v in workflow.topological_order()]
         assert order.index("J2b") < order.index("J4")
 
+    def test_replace_job_rejects_name_collision(self):
+        """Regression (ISSUE 13): renaming onto an existing job used to patch
+        the index, then let the original overwrite the replacement."""
+        workflow = build_diamond()
+        order = [v.name for v in workflow.topological_order()]  # builds the index
+        vertices = list(workflow.jobs)
+        index = workflow._topology()
+        adjacency = copy.deepcopy((index.producers, index.consumers, index.order_keys))
+        clash = _job("J3", "D1", "D3", reduce_key="k")
+        with pytest.raises(WorkflowValidationError, match="duplicate job name"):
+            workflow.replace_job("J2", clash)
+        assert all(a is b for a, b in zip(workflow.jobs, vertices, strict=True))
+        assert workflow._topology() is index and index.topo_names == order
+        assert (index.producers, index.consumers, index.order_keys) == adjacency
+        assert [v.name for v in workflow.topological_order()] == order
+        # Replacing a job under its own name is not a collision.
+        workflow.replace_job("J3", clash)
+        assert workflow.job("J3").job is clash
+
     def test_prune_orphan_datasets(self):
         workflow = build_diamond()
         workflow.remove_job("J4")
@@ -135,29 +157,6 @@ class TestWorkflowStructure:
         workflow = build_diamond()
         with pytest.raises(WorkflowValidationError):
             workflow.remove_dataset("D1")
-
-
-def _pre_index_topological_order(workflow):
-    """The pre-ISSUE-6 topological sort, verbatim: FIFO ready list re-sorted
-    against a rebuilt name list every iteration.  Kept here as the ordering
-    oracle for the heap-based replacement."""
-    in_degree = {}
-    for vertex in workflow._jobs.values():
-        in_degree[vertex.name] = len(workflow._scan_producer_jobs(vertex.name))
-    order = []
-    ready = [name for name in workflow._jobs if in_degree[name] == 0]
-    while ready:
-        name = ready.pop(0)
-        vertex = workflow._jobs[name]
-        order.append(vertex)
-        for consumer in workflow._scan_consumer_jobs(name):
-            in_degree[consumer.name] -= 1
-            if in_degree[consumer.name] == 0:
-                ready.append(consumer.name)
-        ready.sort(key=lambda n: list(workflow._jobs).index(n))
-    if len(order) != len(workflow._jobs):
-        raise WorkflowValidationError("workflow graph contains a cycle")
-    return order
 
 
 class TestTopologicalOrderDeterminism:
@@ -171,14 +170,14 @@ class TestTopologicalOrderDeterminism:
             min_jobs=8, max_jobs=14, profile=False
         )
         workflow = generator.generate(seed).workflow
-        expected = [v.name for v in _pre_index_topological_order(workflow)]
+        expected = [v.name for v in oracle.pre_index_topological_order(workflow)]
         assert [v.name for v in workflow.topological_order()] == expected
-        assert [v.name for v in workflow._scan_topological_order()] == expected
+        assert [v.name for v in oracle.topological_order(workflow)] == expected
 
     def test_heap_toposort_matches_after_replace_job(self):
         workflow = build_diamond()
         workflow.replace_job("J2", _job("J2b", "D1", "D2", reduce_key="k"))
-        expected = [v.name for v in _pre_index_topological_order(workflow)]
+        expected = [v.name for v in oracle.pre_index_topological_order(workflow)]
         assert [v.name for v in workflow.topological_order()] == expected
 
 
@@ -202,7 +201,7 @@ class TestProducerConsumerDedup:
         # not the producers' insertion order.
         workflow.add_job(_job("J", ("DB", "DA"), "DJ"))
         assert [p.name for p in workflow.producer_jobs("J")] == ["B", "A"]
-        assert [p.name for p in workflow._scan_producer_jobs("J")] == ["B", "A"]
+        assert [p.name for p in oracle.producer_jobs(workflow, "J")] == ["B", "A"]
 
 
 class TestSubgraphClassification:

@@ -47,6 +47,30 @@ def harness(cluster):
         instance.costs.save_cache(merge_first=True)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (affinity-aware where the OS reports it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def speedup_enforced(policy_env: str, cpus: int) -> bool:
+    """Whether a bench asserts its wall-clock speedup on this host.
+
+    ``policy_env`` names the bench's override variable (``always`` /
+    ``never``); unset or ``auto``, a pool of 4 workers needs a spare core
+    for the parent (and slack for noisy neighbours on shared runners)
+    before wall-clock is a fair gate.
+    """
+    policy = os.environ.get(policy_env, "auto").strip().lower()
+    if policy == "always":
+        return True
+    if policy == "never":
+        return False
+    return cpus > 4
+
+
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, iterations=1, rounds=1)

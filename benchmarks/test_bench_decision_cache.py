@@ -36,7 +36,7 @@ import json
 import os
 import time
 
-from conftest import BENCHMARK_SCALE, run_once
+from conftest import BENCHMARK_SCALE, run_once, speedup_enforced, usable_cpus
 
 from repro.core.decision_cache import DecisionCache
 from repro.core.optimizer import StubbyOptimizer
@@ -51,24 +51,8 @@ def _output_path():
     return os.environ.get("BENCH_DECISION_CACHE_OUT", "BENCH_decision_cache.json")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def _min_speedup() -> float:
     return float(os.environ.get("BENCH_DECISION_MIN_SPEEDUP", "2.0"))
-
-
-def _speedup_enforced(cpus: int) -> bool:
-    policy = os.environ.get("BENCH_DECISION_ENFORCE", "auto").strip().lower()
-    if policy == "always":
-        return True
-    if policy == "never":
-        return False
-    return cpus > 4
 
 
 def _rrs_evaluations(result) -> int:
@@ -158,9 +142,9 @@ def test_bench_decision_cache(benchmark, cluster, tmp_path):
     )
     assert cold_totals["rrs_evaluations"] >= 5 * max(1, warm_totals["rrs_evaluations"])
 
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     speedup = cold_s / max(warm_s, 1e-9)
-    speedup_enforced = _speedup_enforced(cpus)
+    enforced = speedup_enforced("BENCH_DECISION_ENFORCE", cpus)
 
     payload = {
         "benchmark": "decision_cache",
@@ -178,7 +162,7 @@ def test_bench_decision_cache(benchmark, cluster, tmp_path):
             cold_totals["rrs_evaluations"] / max(1, warm_totals["rrs_evaluations"]), 2
         ),
         "warm_speedup": round(speedup, 3),
-        "speedup_enforced": speedup_enforced,
+        "speedup_enforced": enforced,
         "min_speedup": _min_speedup(),
     }
     with open(_output_path(), "w") as handle:
@@ -202,7 +186,7 @@ def test_bench_decision_cache(benchmark, cluster, tmp_path):
         f"warm speedup {speedup:.2f}x"
     )
 
-    if speedup_enforced:
+    if enforced:
         assert speedup >= _min_speedup(), (
             f"warm pass reached only {speedup:.2f}x over cold on {cpus} CPUs "
             f"(required {_min_speedup():.1f}x); see {_output_path()}"

@@ -33,7 +33,7 @@ Three contracts are enforced:
 import json
 import os
 
-from conftest import BENCHMARK_SCALE, run_once
+from conftest import BENCHMARK_SCALE, run_once, speedup_enforced, usable_cpus
 
 from repro.experiments import ExperimentHarness
 
@@ -49,26 +49,8 @@ def _output_path():
     return os.environ.get("BENCH_EXPERIMENT_ORCH_OUT", "BENCH_experiment_orchestration.json")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def _min_speedup() -> float:
     return float(os.environ.get("BENCH_EXPERIMENT_MIN_SPEEDUP", "1.5"))
-
-
-def _speedup_enforced(cpus: int) -> bool:
-    policy = os.environ.get("BENCH_EXPERIMENT_ENFORCE", "auto").strip().lower()
-    if policy == "always":
-        return True
-    if policy == "never":
-        return False
-    # auto: the 4 workers need a spare core for the parent (and slack for
-    # noisy neighbours on shared runners) before wall-clock is a fair gate.
-    return cpus > 4
 
 
 def _run_row(result):
@@ -124,8 +106,8 @@ def test_bench_experiment_orchestration(benchmark, cluster, tmp_path):
     )
     assert warm.cross_unit_hits > 0
 
-    cpus = _usable_cpus()
-    speedup_enforced = _speedup_enforced(cpus)
+    cpus = usable_cpus()
+    enforced = speedup_enforced("BENCH_EXPERIMENT_ENFORCE", cpus)
     speedup = cold.cells_s / max(parallel.cells_s, 1e-9)
 
     payload = {
@@ -137,7 +119,7 @@ def test_bench_experiment_orchestration(benchmark, cluster, tmp_path):
         "usable_cpus": cpus,
         "identity_ok": True,
         "cells_speedup": round(speedup, 3),
-        "speedup_enforced": speedup_enforced,
+        "speedup_enforced": enforced,
         "min_speedup": _min_speedup(),
         "cold_serial": _run_row(cold),
         "cold_parallel": _run_row(parallel),
@@ -162,7 +144,7 @@ def test_bench_experiment_orchestration(benchmark, cluster, tmp_path):
         )
     print(f"cells speedup (cold serial / cold parallel): {speedup:.2f}x")
 
-    if speedup_enforced:
+    if enforced:
         assert speedup >= _min_speedup(), (
             f"{PARALLEL_BACKEND} reached only {speedup:.2f}x over serial on "
             f"{cpus} CPUs (required {_min_speedup():.1f}x); see {_output_path()}"

@@ -2,8 +2,8 @@
 
 Runs the full Stubby optimizer over every canned workload twice — once on the
 serial backend, once on the fork-based process backend at 4 workers — with an
-enlarged RRS budget (the scale-out regime the parallel search exists for),
-and records per-workload wall times, the speedup, and the cost-service
+enlarged RRS budget (heavier candidate costings, the requests the fork pool
+fans out), and records per-workload wall times, the speedup, and the cost-service
 counters of both runs.  The result is written to
 ``BENCH_parallel_search.json`` (path overridable through the
 ``BENCH_PARALLEL_SEARCH_OUT`` environment variable) so CI can archive the
@@ -29,7 +29,7 @@ import json
 import os
 import time
 
-from conftest import BENCHMARK_SCALE, run_once
+from conftest import BENCHMARK_SCALE, run_once, speedup_enforced, usable_cpus
 
 from repro.cluster import ClusterSpec
 from repro.core.optimizer import StubbyOptimizer
@@ -38,10 +38,9 @@ from repro.profiler import Profiler
 from repro.workloads import WORKLOAD_ORDER, build_workload
 
 #: The parallel benchmark runs RRS with a larger sampling budget than the
-#: optimizer default: more samples per generation is precisely the regime
-#: the batched, fanned-out costing is built for (ROADMAP: "bigger RRS
-#: budgets"), and it keeps per-task work comfortably above the fork/IPC
-#: overhead of the process backend.
+#: optimizer default: each candidate costing is one request, so more
+#: samples per candidate keeps per-request work comfortably above the
+#: fork/IPC overhead of the process backend.
 RRS_BUDGET = dict(exploration_samples=24, exploitation_samples=16, restarts=2, seed=17)
 
 PARALLEL_BACKEND = "process:4"
@@ -51,26 +50,8 @@ def _output_path():
     return os.environ.get("BENCH_PARALLEL_SEARCH_OUT", "BENCH_parallel_search.json")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def _min_speedup() -> float:
     return float(os.environ.get("BENCH_PARALLEL_MIN_SPEEDUP", "1.8"))
-
-
-def _speedup_enforced(cpus: int) -> bool:
-    policy = os.environ.get("BENCH_PARALLEL_ENFORCE", "auto").strip().lower()
-    if policy == "always":
-        return True
-    if policy == "never":
-        return False
-    # auto: the 4 workers need a spare core for the parent (and slack for
-    # noisy neighbours on shared runners) before wall-clock is a fair gate.
-    return cpus > 4
 
 
 def _fingerprint(result):
@@ -133,8 +114,8 @@ def test_bench_parallel_search(benchmark, cluster):
     serial_total = sum(row["serial_wall_s"] for row in rows.values())
     parallel_total = sum(row["parallel_wall_s"] for row in rows.values())
     total_speedup = serial_total / max(parallel_total, 1e-9)
-    cpus = _usable_cpus()
-    speedup_enforced = _speedup_enforced(cpus)
+    cpus = usable_cpus()
+    enforced = speedup_enforced("BENCH_PARALLEL_ENFORCE", cpus)
 
     payload = {
         "benchmark": "parallel_unit_search",
@@ -145,7 +126,7 @@ def test_bench_parallel_search(benchmark, cluster):
         "serial_total_s": round(serial_total, 4),
         "parallel_total_s": round(parallel_total, 4),
         "total_speedup": round(total_speedup, 3),
-        "speedup_enforced": speedup_enforced,
+        "speedup_enforced": enforced,
         "min_speedup": _min_speedup(),
         "workloads": rows,
     }
@@ -164,7 +145,7 @@ def test_bench_parallel_search(benchmark, cluster):
     assert len(rows) == len(WORKLOAD_ORDER)
     for abbr, row in rows.items():
         assert row["whatif_queries"] > 0, abbr
-    if speedup_enforced:
+    if enforced:
         assert total_speedup >= _min_speedup(), (
             f"process backend reached only {total_speedup:.2f}x over serial on "
             f"{cpus} CPUs (required {_min_speedup():.1f}x); see {_output_path()}"

@@ -29,7 +29,7 @@ import json
 import os
 import time
 
-from conftest import BENCHMARK_SCALE, run_once
+from conftest import BENCHMARK_SCALE, run_once, speedup_enforced, usable_cpus
 
 from repro.cluster import ClusterSpec
 from repro.profiler import Profiler
@@ -57,24 +57,8 @@ def _output_path():
     return os.environ.get("BENCH_SERVICE_OUT", "BENCH_planning_service.json")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def _min_speedup() -> float:
     return float(os.environ.get("BENCH_SERVICE_MIN_SPEEDUP", "1.3"))
-
-
-def _speedup_enforced(cpus: int) -> bool:
-    policy = os.environ.get("BENCH_SERVICE_ENFORCE", "auto").strip().lower()
-    if policy == "always":
-        return True
-    if policy == "never":
-        return False
-    return cpus > 4
 
 
 def _build_catalog(cluster):
@@ -201,8 +185,8 @@ def test_bench_planning_service(benchmark, cluster):
             },
         }
 
-    cpus = _usable_cpus()
-    speedup_enforced = _speedup_enforced(cpus)
+    cpus = usable_cpus()
+    enforced = speedup_enforced("BENCH_SERVICE_ENFORCE", cpus)
     speedup = serial[1]["cold"]["wall_s"] / max(parallel[1]["cold"]["wall_s"], 1e-9)
 
     payload = {
@@ -214,7 +198,7 @@ def test_bench_planning_service(benchmark, cluster):
         "usable_cpus": cpus,
         "identity_ok": True,
         "cold_soak_speedup": round(speedup, 3),
-        "speedup_enforced": speedup_enforced,
+        "speedup_enforced": enforced,
         "min_speedup": _min_speedup(),
         "pools": pools,
     }
@@ -242,7 +226,7 @@ def test_bench_planning_service(benchmark, cluster):
         )
     print(f"cold soak speedup (serial / {PARALLEL_POOL}): {speedup:.2f}x")
 
-    if speedup_enforced:
+    if enforced:
         assert speedup >= _min_speedup(), (
             f"{PARALLEL_POOL} cold soak reached only {speedup:.2f}x over serial "
             f"on {cpus} CPUs (required {_min_speedup():.1f}x); see {_output_path()}"

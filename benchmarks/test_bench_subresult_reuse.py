@@ -35,7 +35,7 @@ import json
 import os
 import time
 
-from conftest import run_once
+from conftest import run_once, speedup_enforced, usable_cpus
 
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.subresults import (
@@ -55,24 +55,8 @@ def _output_path():
     return os.environ.get("BENCH_SUBRESULT_REUSE_OUT", "BENCH_subresult_reuse.json")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def _min_speedup() -> float:
     return float(os.environ.get("BENCH_SUBRESULT_MIN_SPEEDUP", "1.2"))
-
-
-def _speedup_enforced(cpus: int) -> bool:
-    policy = os.environ.get("BENCH_SUBRESULT_ENFORCE", "auto").strip().lower()
-    if policy == "always":
-        return True
-    if policy == "never":
-        return False
-    return cpus > 4
 
 
 def _execute(workflow, base_datasets, collect=False):
@@ -215,9 +199,9 @@ def test_bench_subresult_reuse(benchmark, cluster):
     assert rows[2]["plan_jobs"] < cold_jobs
     assert warm_makespan < cold_makespan  # eliminated jobs save real time
 
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     speedup = cold_exec_s / max(warm_exec_s, 1e-9)
-    speedup_enforced = _speedup_enforced(cpus)
+    enforced = speedup_enforced("BENCH_SUBRESULT_ENFORCE", cpus)
 
     payload = {
         "benchmark": "subresult_reuse",
@@ -232,7 +216,7 @@ def test_bench_subresult_reuse(benchmark, cluster):
         "recompute_exec_s": round(cold_exec_s, 4),
         "replay_exec_s": round(warm_exec_s, 4),
         "exec_speedup": round(speedup, 3),
-        "speedup_enforced": speedup_enforced,
+        "speedup_enforced": enforced,
         "min_speedup": _min_speedup(),
     }
     with open(_output_path(), "w") as handle:
@@ -252,7 +236,7 @@ def test_bench_subresult_reuse(benchmark, cluster):
         f"execution speedup {speedup:.2f}x"
     )
 
-    if speedup_enforced:
+    if enforced:
         assert speedup >= _min_speedup(), (
             f"replay execution reached only {speedup:.2f}x over recompute on "
             f"{cpus} CPUs (required {_min_speedup():.1f}x); see {_output_path()}"

@@ -1,8 +1,8 @@
 """Parallel unit search: backend selection and cost-service stats readout.
 
 What it demonstrates
-    Running the same optimization on the three execution backends
-    (``serial``, ``thread:4``, ``process:4`` — see ``docs/search.md``),
+    Running the same optimization on the execution backends
+    (``serial``, ``process:2``, ``process:4`` — see ``docs/search.md``),
     proving that their decisions are bit-identical (same optimized plan,
     same estimated cost, same per-unit choices), and reading the
     cost-service stats the search attributes per candidate, per unit, and
@@ -14,7 +14,7 @@ What output to expect
     signatures, e.g.::
 
         serial:1     wall 0.13s  estimated 1224s  plan sha 5a6e…  queries 465
-        thread:4     wall 0.15s  estimated 1224s  plan sha 5a6e…  queries 465
+        process:2    wall 0.35s  estimated 1224s  plan sha 5a6e…  queries 465
         process:4    wall 0.52s  estimated 1224s  plan sha 5a6e…  queries 465
         decisions identical across backends: True
 
@@ -40,7 +40,7 @@ from repro import ClusterSpec, StubbyOptimizer
 from repro.profiler import Profiler
 from repro.workloads import build_workload
 
-BACKENDS = ("serial", "thread:4", "process:4")
+BACKENDS = ("serial", "process:2", "process:4")
 
 
 def plan_sha(plan) -> str:

@@ -8,7 +8,6 @@ from typing import Optional
 
 from repro.cluster import ClusterSpec
 from repro.core.costing import CostService, StatsWindow, ensure_cost_service
-from repro.core.decision_cache import DecisionCache, ensure_decision_cache
 from repro.core.optimizer import OptimizationResult
 from repro.core.plan import Plan
 from repro.workflow.graph import Workflow
@@ -33,19 +32,10 @@ class BaselineOptimizer(ABC):
         cluster: ClusterSpec,
         cost_service: Optional[CostService] = None,
         cache_path: Optional[str] = None,
-        decision_cache: Optional[DecisionCache] = None,
-        decision_cache_path: Optional[str] = None,
     ) -> None:
-        # Baselines are rule-based and never run the unit search, so the
-        # decision cache is wired through for interface parity (the harness
-        # hands every optimizer the same shared caches) but sees no traffic
-        # from them.
         self.cluster = cluster
         self.costs = ensure_cost_service(cluster, cost_service, cache_path=cache_path)
         self.whatif = self.costs.engine
-        self.decisions = ensure_decision_cache(
-            cluster, decision_cache, cache_path=decision_cache_path
-        )
 
     def optimize(self, plan_or_workflow, budget=None) -> OptimizationResult:
         """Optimize a plan (or raw workflow) with this baseline's strategy.

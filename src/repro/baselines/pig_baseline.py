@@ -28,15 +28,11 @@ class PigBaselineOptimizer(BaselineOptimizer):
         enable_multiquery: bool = True,
         cost_service=None,
         cache_path=None,
-        decision_cache=None,
-        decision_cache_path=None,
     ) -> None:
         super().__init__(
             cluster,
             cost_service=cost_service,
             cache_path=cache_path,
-            decision_cache=decision_cache,
-            decision_cache_path=decision_cache_path,
         )
         self.enable_multiquery = enable_multiquery
         self._horizontal = HorizontalPacking(allow_extended=False)

@@ -31,15 +31,11 @@ class StarfishOptimizer(BaselineOptimizer):
         seed: int = 23,
         cost_service=None,
         cache_path=None,
-        decision_cache=None,
-        decision_cache_path=None,
     ) -> None:
         super().__init__(
             cluster,
             cost_service=cost_service,
             cache_path=cache_path,
-            decision_cache=decision_cache,
-            decision_cache_path=decision_cache_path,
         )
         self.rrs = rrs or RecursiveRandomSearch(
             exploration_samples=10, exploitation_samples=8, restarts=1, seed=seed

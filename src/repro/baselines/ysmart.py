@@ -28,15 +28,11 @@ class YSmartOptimizer(BaselineOptimizer):
         cluster,
         cost_service=None,
         cache_path=None,
-        decision_cache=None,
-        decision_cache_path=None,
     ) -> None:
         super().__init__(
             cluster,
             cost_service=cost_service,
             cache_path=cache_path,
-            decision_cache=decision_cache,
-            decision_cache_path=decision_cache_path,
         )
         self._intra = IntraJobVerticalPacking()
         self._inter = InterJobVerticalPacking()

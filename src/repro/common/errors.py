@@ -39,10 +39,6 @@ class OptimizationError(ReproError):
     """The optimizer produced or was given an invalid plan."""
 
 
-class InterfaceCompilationError(ReproError):
-    """The dataflow interface could not compile a logical plan to MapReduce."""
-
-
 class RetryableError(ReproError):
     """A transient failure: a retry — or a degraded fallback — may succeed."""
 

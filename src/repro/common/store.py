@@ -416,15 +416,6 @@ class ShardedStore:
         """
         self._apply_delta(delta)
 
-    def apply_sink_only_delta(self, delta: CounterStats) -> None:
-        """Re-attribute work already counted globally to this thread's sinks.
-
-        Used by the thread backend: worker threads updated the shared global
-        counters live, but the calling thread's sinks never saw the work.
-        """
-        for sink in self._sink_stack():
-            sink.accumulate(delta)
-
     def stats_snapshot(self):
         """Consistent copy of the global counters (for windows/reports)."""
         with self._stats_lock:

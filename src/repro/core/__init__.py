@@ -5,7 +5,6 @@ from repro.core.parallel import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     create_backend,
     resolve_backend,
@@ -19,7 +18,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "StubbyOptimizer",
-    "ThreadBackend",
     "Plan",
     "RecursiveRandomSearch",
     "RRSResult",

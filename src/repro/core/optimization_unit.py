@@ -67,17 +67,11 @@ class OptimizationUnitGenerator:
 
     def __init__(self) -> None:
         self._handled: Set[str] = set()
-        self._emitted: List[OptimizationUnit] = []
 
     @property
     def handled(self) -> Set[str]:
         """Names of jobs that have already served as unit producers."""
         return set(self._handled)
-
-    @property
-    def units_emitted(self) -> List[OptimizationUnit]:
-        """Every unit generated so far, in order."""
-        return list(self._emitted)
 
     def next_unit(self, plan: Plan) -> "OptimizationUnit | None":
         """The next optimization unit of ``plan``, or ``None`` when done."""
@@ -96,9 +90,7 @@ class OptimizationUnitGenerator:
             for consumer in workflow.consumer_jobs(producer_name):
                 if consumer.name not in consumers and consumer.name not in producers:
                     consumers.append(consumer.name)
-        unit = OptimizationUnit(producers=tuple(producers), consumers=tuple(consumers))
-        self._emitted.append(unit)
-        return unit
+        return OptimizationUnit(producers=tuple(producers), consumers=tuple(consumers))
 
     def independent_subunits(self, plan: Plan, unit: OptimizationUnit) -> List[OptimizationUnit]:
         """Split a unit into sub-units that share no workflow vertices.

@@ -1,63 +1,53 @@
 """Pluggable execution backends for the parallel unit search.
 
-Candidates enumerated inside one optimization unit — and the RRS
-configuration samples costed for each candidate — are independent of each
+Candidates enumerated inside one optimization unit are independent of each
 other: they read the shared :class:`~repro.whatif.service.CostService` but
 never each other's results.  This module provides the machinery
-:class:`~repro.core.search.StubbySearch` uses to fan that work out:
+:class:`~repro.core.search.StubbySearch` uses to fan that work out — and
+that the experiment scheduler and the planning server reuse one level up
+for whole cells and requests:
 
 * :class:`SerialBackend` — the reference implementation: a plain loop.
-* :class:`ThreadBackend` — a thread pool sharing the parent's cost-service
-  cache (made safe by the service's lock-striped shards).  Under CPython's
-  GIL this mostly provides *concurrency*, not CPU parallelism; it exists for
-  free-threaded builds and as the cheapest way to exercise the concurrent
-  code paths.
 * :class:`ProcessBackend` — ``fork``-based worker processes.  Workflow
   operators are closures and therefore not picklable, so workers are forked
   *after* the unit's candidate plans exist and inherit them by memory
-  sharing; only plain-data requests (indices, configuration points) and
-  plain-data responses (costs, settings, stats counters) cross the pipe.
-  Each worker keeps a private cost-service shard that is merged back into
-  the parent's cache when the session ends ("merge on join").
+  sharing; only plain-data requests (indices) and plain-data responses
+  (costs, settings, stats counters) cross the pipe.  Each worker keeps a
+  private cost-service shard that is merged back into the parent's cache
+  when the session ends ("merge on join").
 
 Determinism contract: a backend only changes *where* a task runs, never its
 result.  The cost service guarantees bit-identical estimates with or without
 cache reuse, every task derives its RNG from a stable per-candidate key, and
 the search consumes results in task order with index-based tie-breaking —
-so every backend, at any worker count, produces byte-for-byte the same
+so the fork pool, at any worker count, produces byte-for-byte the same
 optimizer decisions as :class:`SerialBackend`.  The property tests in
 ``tests/test_parallel_search.py`` enforce this.
 
-Backends are selected by spec strings — ``"serial"``, ``"thread:4"``,
-``"process:4"`` — resolved by :func:`create_backend`; components that accept
-a ``backend=`` argument also honour the ``STUBBY_SEARCH_BACKEND``
-environment variable when none is given.
+Backends are selected by spec strings — ``"serial"``, ``"process:4"`` —
+resolved by :func:`create_backend`; components that accept a ``backend=``
+argument also honour the ``STUBBY_SEARCH_BACKEND`` environment variable when
+none is given.
 
-Sessions support two **dispatch** modes, and each caller passes the one that
-fits its requests — there is no user-facing option.  ``"static"`` deals
-requests round-robin up front — cheap, and optimal when requests cost about
-the same (the unit search's candidate costings).  ``"stealing"`` lets idle
-workers pull the next request from a shared deque (threads) or receive
-requests one at a time as they finish (processes), which balances
-*heterogeneous* request costs: a worker stuck on an expensive request no
-longer strands the cheap ones behind it (experiment cells, planning-service
-request batches).  Dispatch never changes results — only which worker
-computes them — and every session reports what it did in
-:attr:`BackendSession.dispatch_stats`.  In stealing
-mode the fork pool additionally survives worker deaths: an in-flight request
-whose worker vanished is retried once on a surviving worker, and only a
-repeat failure (or a pool with no survivors) raises.
+A forked session has one dispatch path: the parent keeps every worker busy
+with exactly one request and hands out the next the moment a response
+arrives, which balances *heterogeneous* request costs — a worker stuck on
+an expensive request no longer strands the cheap ones behind it.  Dispatch
+never changes results — only which worker computes them — and every session
+reports what it did in :attr:`BackendSession.dispatch_stats`.  The pool
+survives worker deaths: an in-flight request whose worker vanished is
+retried once on a surviving worker, and only a repeat failure (or a pool
+with no survivors) raises.  ``docs/search.md`` records the measurements
+behind the one pool kind and the one dispatch path.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import traceback
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
@@ -68,13 +58,11 @@ from repro.common.faults import fault_site
 __all__ = [
     "BackendSession",
     "DEFAULT_WORKERS",
-    "DISPATCH_KINDS",
     "DispatchStats",
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
     "SideChannel",
-    "ThreadBackend",
     "available_backends",
     "create_backend",
     "resolve_backend",
@@ -87,11 +75,8 @@ DEFAULT_WORKERS = 4
 #: Environment variable consulted when no backend is passed explicitly.
 BACKEND_ENV_VAR = "STUBBY_SEARCH_BACKEND"
 
-#: The dispatch modes every session understands.
-DISPATCH_KINDS = ("static", "stealing")
-
 #: How many times one request may be *executed* before a worker death makes
-#: it fail for good (stealing mode): the first attempt plus one retry.
+#: it fail for good: the first attempt plus one retry.
 MAX_TASK_ATTEMPTS = 2
 
 
@@ -111,14 +96,6 @@ def _reap_process(process, timeout: float = 5.0) -> None:
     if process.is_alive():  # pragma: no cover - SIGTERM-proof worker
         process.kill()
         process.join(timeout=timeout)
-
-
-def _validate_dispatch(dispatch: str) -> str:
-    if dispatch not in DISPATCH_KINDS:
-        raise ValueError(
-            f"unknown dispatch mode {dispatch!r}; expected one of {DISPATCH_KINDS}"
-        )
-    return dispatch
 
 
 def _request_loads(requests: Sequence[Any], costs: Optional[Sequence[float]]) -> List[float]:
@@ -141,12 +118,11 @@ class DispatchStats:
     executed; :attr:`idle_cost_units` condenses the imbalance into a single
     counter — the cost units workers collectively sit idle while the most
     loaded worker drains its share.  A ``steal`` is any request that ran on
-    a different worker than static round-robin would have assigned; in
-    stealing mode the counters additionally record worker deaths and the
+    a different worker than round-robin dealing (``index % workers``) would
+    have assigned; the counters additionally record worker deaths and the
     requests retried across them.
     """
 
-    dispatch: str = "static"
     workers: int = 1
     runs: int = 0
     tasks: int = 0
@@ -199,7 +175,6 @@ class DispatchStats:
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "dispatch": self.dispatch,
             "workers": self.workers,
             "runs": self.runs,
             "tasks": self.tasks,
@@ -214,70 +189,54 @@ class DispatchStats:
 
 @dataclass
 class SideChannel:
-    """Hooks letting a session move cost-service state between workers.
+    """Hooks moving store state between a fork session's workers and its parent.
 
-    All callables are optional; a backend only invokes the ones that apply
-    to its memory model.
-
-    ``chunk_begin``/``chunk_end`` bracket one worker's share of a
-    :meth:`BackendSession.run` call: ``chunk_begin()`` returns an opaque
-    token in the worker, ``chunk_end(token)`` turns it into a *picklable*
-    payload (for the cost service: the stats delta the chunk produced).
-    The parent then absorbs the payload with ``chunk_absorb_shared`` when
-    the worker shared the parent's memory (thread backend — the global
-    counters already saw the work, only thread-local attribution sinks need
-    it) or ``chunk_absorb_foreign`` when it did not (process backend — the
-    parent's counters never saw the work at all).
+    Built by :func:`store_side_channel`, consumed by the fork session: the
+    worker side calls ``worker_init`` once before executing any request
+    (e.g. to start the cost service's cache export log), then brackets each
+    request with ``chunk_begin()`` — returning an opaque token — and
+    ``chunk_end(token)``, which turns it into a *picklable* payload (for
+    the cost service: the stats delta the request produced).  The parent
+    absorbs each payload with ``chunk_absorb_foreign`` — its counters never
+    saw the work at all.
 
     ``final_export``/``final_absorb`` run once per worker at session end:
     the worker exports its privately accumulated state (cache entries), the
-    parent merges it — the process backend's merge-on-join.
-
-    ``worker_init`` runs once in each *forked* worker before it executes any
-    request (e.g. to start the cost service's cache export log); workers
-    sharing the parent's memory never invoke it.
+    parent merges it — merge-on-join.
     """
 
-    worker_init: Optional[Callable[[], None]] = None
-    chunk_begin: Optional[Callable[[], Any]] = None
-    chunk_end: Optional[Callable[[Any], Any]] = None
-    chunk_absorb_shared: Optional[Callable[[Any], None]] = None
-    chunk_absorb_foreign: Optional[Callable[[Any], None]] = None
-    final_export: Optional[Callable[[], Any]] = None
-    final_absorb: Optional[Callable[[Any], None]] = None
+    worker_init: Callable[[], None]
+    chunk_begin: Callable[[], Any]
+    chunk_end: Callable[[Any], Any]
+    chunk_absorb_foreign: Callable[[Any], None]
+    final_export: Callable[[], Any]
+    final_absorb: Callable[[Any], None]
 
 
-def store_side_channel(*stores) -> Optional[SideChannel]:
+def store_side_channel(*stores) -> SideChannel:
     """Wire :class:`~repro.common.store.ShardedStore` s into one session's side channel.
 
     One factory serves the cost service, the decision cache and the
-    sub-result catalog alike, alone or together (a backend session accepts
+    sub-result catalog alike, alone or together (a backend session holds
     exactly one :class:`SideChannel`; chunk payloads and final exports are
-    tuples with one slot per store).  No stores yield ``None``.
+    tuples with one slot per store).  No stores yield a channel whose hooks
+    loop over nothing.
 
-    * ``worker_init`` (forked workers only) starts each worker-side export
-      log, so new entries can be merged back to the parent on join.
-    * ``chunk_begin``/``chunk_end`` bracket each worker chunk with a fresh
-      attribution sink per store on the *worker's* thread, capturing the
-      chunk's exact stats deltas without reading the (concurrently moving)
-      global counters.  They also propagate the *session opener's* origin
-      label (:meth:`~repro.common.store.ShardedStore.origin`) onto the
-      worker thread for the chunk's duration: origin labels are
-      thread-local, so without this a thread backend's workers would store
-      and compare entries under no label and misattribute same-origin reuse
-      as cross-origin.
-    * ``chunk_absorb_shared`` (thread backend) re-attributes the deltas to
-      the calling thread's sinks only — the shared global counters already
-      saw the work live.
-    * ``chunk_absorb_foreign`` (process backend) folds the deltas in fully:
-      the worker's activity never touched this process's counters.
+    * ``worker_init`` starts each worker-side export log, so new entries
+      can be merged back to the parent on join.
+    * ``chunk_begin``/``chunk_end`` bracket each request with a fresh
+      attribution sink per store in the worker, capturing the request's
+      exact stats deltas.  They also re-establish the *session opener's*
+      origin label (:meth:`~repro.common.store.ShardedStore.origin`) for
+      the request's duration, so a worker tags entries with the cell or
+      tenant that opened the session whatever label was active at the fork.
+    * ``chunk_absorb_foreign`` folds the deltas in fully: the worker's
+      activity never touched this process's counters.
     * ``final_export``/``final_absorb`` merge the worker's new entries into
       the parent stores when the session joins.
     """
-    if not stores:
-        return None
-    # Captured on the thread opening the session (e.g. the experiment cell's
-    # thread), then re-established on whichever thread runs each chunk.
+    # Captured when the session opens (e.g. inside an experiment cell), then
+    # re-established in whichever worker runs each request.
     origin_labels = [store.current_origin() for store in stores]
 
     def worker_init() -> None:
@@ -297,10 +256,6 @@ def store_side_channel(*stores) -> Optional[SideChannel]:
         scope.close()
         return sinks
 
-    def chunk_absorb_shared(sinks: Tuple) -> None:
-        for store, sink in zip(stores, sinks):
-            store.apply_sink_only_delta(sink)
-
     def chunk_absorb_foreign(sinks: Tuple) -> None:
         for store, sink in zip(stores, sinks):
             store.apply_external_delta(sink)
@@ -316,7 +271,6 @@ def store_side_channel(*stores) -> Optional[SideChannel]:
         worker_init=worker_init,
         chunk_begin=chunk_begin,
         chunk_end=chunk_end,
-        chunk_absorb_shared=chunk_absorb_shared,
         chunk_absorb_foreign=chunk_absorb_foreign,
         final_export=final_export,
         final_absorb=final_absorb,
@@ -328,16 +282,16 @@ class BackendSession(ABC):
 
     Sessions exist because the process backend must fork *after* the data
     its workers need (candidate plans) has been created: the search opens a
-    session per optimization unit, issues any number of :meth:`run` calls
-    (candidate costings, RRS sample generations), and closes it, at which
-    point worker state is merged back.  ``run`` preserves request order in
-    its response list regardless of how requests were distributed.
+    session per optimization unit, issues its :meth:`run` call (the unit's
+    candidate costings), and closes it, at which point worker state is
+    merged back.  ``run`` preserves request order in its response list
+    regardless of how requests were distributed.
 
     Every session exposes :attr:`dispatch_stats`, a :class:`DispatchStats`
     accumulated across all of its ``run`` calls.  ``run`` optionally takes
     ``costs=`` — caller-declared per-request cost weights used for load
-    accounting and (in stealing mode) nothing else: dispatch order stays
-    FIFO, so costs influence the *report*, not the results.
+    accounting and nothing else: dispatch order stays FIFO, so costs
+    influence the *report*, not the results.
     """
 
     #: Accumulated dispatch accounting; concrete sessions replace this.
@@ -360,11 +314,8 @@ class BackendSession(ABC):
 class ExecutionBackend(ABC):
     """Factory of :class:`BackendSession` objects for one execution style."""
 
-    #: Spec name ("serial" / "thread" / "process").
+    #: Spec name ("serial" / "process").
     name: str = "backend"
-    #: True when workers share the parent's address space (and therefore the
-    #: parent's cost-service cache and stats counters).
-    shares_memory: bool = True
 
     def __init__(self, workers: int = 1) -> None:
         if workers < 1:
@@ -376,7 +327,6 @@ class ExecutionBackend(ABC):
         self,
         worker_fn: Callable[[Any], Any],
         side_channel: Optional[SideChannel] = None,
-        dispatch: str = "static",
     ) -> BackendSession:
         """Open a fan-out session executing ``worker_fn`` per request."""
 
@@ -397,7 +347,7 @@ class ExecutionBackend(ABC):
 class _SerialSession(BackendSession):
     def __init__(self, worker_fn: Callable[[Any], Any]) -> None:
         self._worker_fn = worker_fn
-        self.dispatch_stats = DispatchStats(dispatch="static", workers=1)
+        self.dispatch_stats = DispatchStats(workers=1)
 
     def run(self, requests: Sequence[Any], costs: Optional[Sequence[float]] = None) -> List[Any]:
         loads = _request_loads(requests, costs)
@@ -417,145 +367,14 @@ class SerialBackend(ExecutionBackend):
     """The reference backend: every request runs inline, in order."""
 
     name = "serial"
-    shares_memory = True
 
     def __init__(self, workers: int = 1) -> None:
         super().__init__(workers=1)
 
-    def session(self, worker_fn, side_channel=None, dispatch: str = "static") -> BackendSession:
+    def session(self, worker_fn, side_channel=None) -> BackendSession:
         # Inline execution hits the parent's service directly; no side
         # channel traffic is needed (or possible — there is no "elsewhere").
-        # With a single inline worker the dispatch modes coincide.
-        _validate_dispatch(dispatch)
         return _SerialSession(worker_fn)
-
-
-# ---------------------------------------------------------------------------
-# Threads
-# ---------------------------------------------------------------------------
-
-
-class _ThreadSession(BackendSession):
-    def __init__(
-        self,
-        worker_fn: Callable[[Any], Any],
-        workers: int,
-        side_channel: Optional[SideChannel],
-        dispatch: str = "static",
-    ) -> None:
-        self._worker_fn = worker_fn
-        self._side = side_channel
-        self._max_workers = workers
-        self._dispatch = _validate_dispatch(dispatch)
-        self.dispatch_stats = DispatchStats(dispatch=dispatch, workers=workers)
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="stubby-search"
-        )
-
-    def run(self, requests: Sequence[Any], costs: Optional[Sequence[float]] = None) -> List[Any]:
-        loads = _request_loads(requests, costs)
-        self.dispatch_stats.runs += 1
-        if len(requests) <= 1:
-            # worker_slot=-1 marks inline execution: a kill spec armed for a
-            # pool worker (worker_slot >= 0) must never fire in the parent.
-            responses = []
-            for request in requests:
-                fault_site("parallel.task", worker_slot=-1, backend="inline")
-                responses.append(self._worker_fn(request))
-            for position in range(len(requests)):
-                self.dispatch_stats.record(0, loads[position])
-            return responses
-        if self._dispatch == "stealing":
-            return self._run_stealing(requests, loads)
-        return self._run_static(requests, loads)
-
-    def _run_static(self, requests: Sequence[Any], loads: List[float]) -> List[Any]:
-        side = self._side
-
-        def run_chunk(slot_chunk: Tuple[int, List[Tuple[int, Any]]]):
-            slot, chunk = slot_chunk
-            token = side.chunk_begin() if side and side.chunk_begin else None
-            try:
-                results = []
-                for index, request in chunk:
-                    fault_site("parallel.task", worker_slot=slot, backend="thread")
-                    results.append((index, self._worker_fn(request)))
-            finally:
-                # Balance the sink stack even when a task raises, so a
-                # caller that catches the error and reuses the session does
-                # not get later chunks double-attributed.
-                payload = side.chunk_end(token) if side and side.chunk_end else None
-            return slot, results, payload
-
-        chunks = _round_robin(list(enumerate(requests)), self._max_workers)
-        responses: List[Any] = [None] * len(requests)
-        for slot, results, payload in self._pool.map(run_chunk, list(enumerate(chunks))):
-            for index, response in results:
-                responses[index] = response
-                self.dispatch_stats.record(slot, loads[index])
-            if payload is not None and side and side.chunk_absorb_shared:
-                # Worker threads updated the shared counters live; the
-                # payload only re-attributes the delta to the *calling*
-                # thread's attribution sinks (per-candidate stats).
-                side.chunk_absorb_shared(payload)
-        return responses
-
-    def _run_stealing(self, requests: Sequence[Any], loads: List[float]) -> List[Any]:
-        """Pull-model dispatch: idle workers pop the next request themselves.
-
-        All workers drain one shared FIFO deque; a request executes on
-        whichever worker got free first, so an expensive request occupies
-        exactly one worker while the others keep draining cheap ones.
-        Results land by index, preserving request order — and since tasks
-        are independent by the backend contract, *which* worker runs a
-        request cannot change its response.
-        """
-        side = self._side
-        workers = self._max_workers
-        pending: deque = deque(enumerate(requests))
-        lock = threading.Lock()
-        responses: List[Any] = [None] * len(requests)
-
-        def worker_loop(slot: int):
-            taken: List[Tuple[int, bool]] = []
-            token = side.chunk_begin() if side and side.chunk_begin else None
-            try:
-                while True:
-                    with lock:
-                        if not pending:
-                            break
-                        index, request = pending.popleft()
-                    fault_site("parallel.task", worker_slot=slot, backend="thread")
-                    responses[index] = self._worker_fn(request)
-                    # "Stolen" = ran somewhere other than its static
-                    # round-robin slot (the imbalance the mode exists for).
-                    taken.append((index, index % workers != slot))
-            finally:
-                payload = side.chunk_end(token) if side and side.chunk_end else None
-            return slot, taken, payload
-
-        for slot, taken, payload in self._pool.map(worker_loop, range(workers)):
-            for index, stolen in taken:
-                self.dispatch_stats.record(slot, loads[index], stolen=stolen)
-            if payload is not None and side and side.chunk_absorb_shared:
-                side.chunk_absorb_shared(payload)
-        return responses
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool backend sharing the parent's cost-service cache."""
-
-    name = "thread"
-    shares_memory = True
-
-    def __init__(self, workers: int = DEFAULT_WORKERS) -> None:
-        super().__init__(workers=workers)
-
-    def session(self, worker_fn, side_channel=None, dispatch: str = "static") -> BackendSession:
-        return _ThreadSession(worker_fn, self.workers, side_channel, dispatch=dispatch)
 
 
 # ---------------------------------------------------------------------------
@@ -563,44 +382,37 @@ class ThreadBackend(ExecutionBackend):
 # ---------------------------------------------------------------------------
 
 
-def _process_worker_main(conn, worker_fn, side_channel, worker_slot: int = -1) -> None:
-    """Loop of one forked worker: execute request chunks until told to stop.
+def _process_worker_main(conn, worker_fn, side: SideChannel, worker_slot: int) -> None:
+    """Loop of one forked worker: execute one request at a time until told to stop.
 
     Runs in the child process.  Everything the worker needs beyond the
-    per-chunk requests (candidate plans, the cost service, the search
-    object) was inherited through ``fork`` — requests and responses are the
-    only data crossing the pipe, so they must be plain picklable values.
+    requests (candidate plans, the cost service, the search object) was
+    inherited through ``fork`` — requests and responses are the only data
+    crossing the pipe, so they must be plain picklable values.
     ``worker_slot`` identifies this worker at the ``parallel.task`` fault
     site, letting a chaos plan target one specific pool member.
     """
-    side = side_channel
     try:
-        if side and side.worker_init:
-            side.worker_init()
+        side.worker_init()
         while True:
             message = conn.recv()
             if message[0] == "stop":
-                payload = None
-                if side and side.final_export:
-                    payload = side.final_export()
-                conn.send(("final", payload))
+                conn.send(("final", side.final_export()))
                 break
-            _, chunk = message
-            token = side.chunk_begin() if side and side.chunk_begin else None
+            token = side.chunk_begin()
             failure = None
             try:
-                results = []
-                for index, request in chunk:
-                    fault_site("parallel.task", worker_slot=worker_slot, backend="process")
-                    results.append((index, worker_fn(request)))
+                fault_site("parallel.task", worker_slot=worker_slot, backend="process")
+                response = worker_fn(message[1])
             except BaseException:
                 failure = traceback.format_exc()
             finally:
-                payload = side.chunk_end(token) if side and side.chunk_end else None
+                # Balance the sink stack even when the request raises.
+                payload = side.chunk_end(token)
             if failure is not None:
                 conn.send(("error", failure))
                 break
-            conn.send(("chunk", results, payload))
+            conn.send(("done", response, payload))
     except EOFError:  # pragma: no cover - parent died; nothing left to do
         pass
     finally:
@@ -617,14 +429,12 @@ class _ForkSession(BackendSession):
         self,
         worker_fn: Callable[[Any], Any],
         workers: int,
-        side_channel: Optional[SideChannel],
-        dispatch: str = "static",
+        side_channel: SideChannel,
     ) -> None:
         self._worker_fn = worker_fn
         self._requested_workers = workers
         self._side = side_channel
-        self._dispatch = _validate_dispatch(dispatch)
-        self.dispatch_stats = DispatchStats(dispatch=dispatch, workers=workers)
+        self.dispatch_stats = DispatchStats(workers=workers)
         self._ctx = multiprocessing.get_context("fork")
         self._workers: List[Tuple[Any, Any]] = []  # (connection, process)
         self._dead: Set[int] = set()  # slots whose worker died or errored
@@ -650,9 +460,10 @@ class _ForkSession(BackendSession):
             if slot not in self._dead
         ]
 
-    # Workers are forked lazily, on the first run() call, so the session
-    # captures the freshest possible parent state (e.g. cache entries from
-    # work done between session creation and first fan-out).
+    # Workers are forked lazily, on the first run() call with more than one
+    # request, so the session captures the freshest possible parent state
+    # (e.g. cache entries from work done between session creation and first
+    # fan-out) and a session that never fans out never forks.
     def _ensure_workers(self) -> None:
         if self._workers:
             return
@@ -686,9 +497,7 @@ class _ForkSession(BackendSession):
         self._ensure_workers()
         if not self._alive_slots():
             raise RuntimeError("parallel worker pool has no live workers left")
-        if self._dispatch == "stealing":
-            return self._run_stealing(requests, loads)
-        return self._run_static(requests, loads)
+        return self._run_on_workers(requests, loads)
 
     def _alive_slots(self) -> List[int]:
         return [slot for slot in range(len(self._workers)) if slot not in self._dead]
@@ -701,79 +510,19 @@ class _ForkSession(BackendSession):
         self.dispatch_stats.worker_deaths += 1
         return process
 
-    def _run_static(self, requests: Sequence[Any], loads: List[float]) -> List[Any]:
-        indexed = list(enumerate(requests))
-        alive = self._alive_slots()
-        chunks = _round_robin(indexed, len(alive))
-        active: List[Tuple[int, Any, Any]] = []
-        errors: List[str] = []
-        for slot, chunk in zip(alive, chunks):
-            if not chunk:
-                continue
-            conn, process = self._workers[slot]
-            try:
-                conn.send(("run", chunk))
-            except (BrokenPipeError, ConnectionError, OSError):
-                # Died while idle (killed between runs): same handling as a
-                # death mid-request, just detected at dispatch time.
-                process = self._mark_dead(slot)
-                errors.append(
-                    f"worker pid {process.pid} died before dispatch "
-                    f"(exit code {process.exitcode})"
-                )
-                continue
-            active.append((slot, conn, process))
+    def _run_on_workers(self, requests: Sequence[Any], loads: List[float]) -> List[Any]:
+        """Parent-driven dispatch: idle workers get requests one at a time.
 
-        side = self._side
-        responses: List[Any] = [None] * len(requests)
-        for slot, conn, process in active:
-            try:
-                message = conn.recv()
-            except (EOFError, ConnectionError, OSError):
-                # The worker died without replying (OOM kill, segfault,
-                # external signal) — reap it so the exit code is readable
-                # and fail the run with an attributable error.  Static mode
-                # does not retry; use dispatch="stealing" for that.
-                process = self._mark_dead(slot)
-                errors.append(
-                    f"worker pid {process.pid} died without replying "
-                    f"(exit code {process.exitcode})"
-                )
-                continue
-            if message[0] == "error":
-                # The worker loop exits after reporting a worker_fn failure.
-                self._dead.add(slot)
-                errors.append(message[1])
-                continue
-            _, results, payload = message
-            for index, response in results:
-                responses[index] = response
-                self.dispatch_stats.record(slot, loads[index])
-            if payload is not None and side and side.chunk_absorb_foreign:
-                # The parent's counters never saw the child's queries: fold
-                # the whole delta in (global stats + attribution sinks).
-                side.chunk_absorb_foreign(payload)
-        if errors:
-            self.close()
-            raise RuntimeError(
-                "parallel search worker failed:\n" + "\n".join(errors)
-            )
-        return responses
-
-    def _run_stealing(self, requests: Sequence[Any], loads: List[float]) -> List[Any]:
-        """Parent-driven stealing: idle workers get requests one at a time.
-
-        The parent keeps every worker busy with exactly one single-request
-        chunk and hands out the next request the moment a response arrives
-        (``multiprocessing.connection.wait``).  One request = one chunk =
-        one side-channel payload, so a death loses precisely the in-flight
+        The parent keeps every worker busy with exactly one request and
+        hands out the next the moment a response arrives
+        (``multiprocessing.connection.wait``).  One request = one
+        side-channel payload, so a death loses precisely the in-flight
         request's delta together with its response — the absorbed stats can
         never double-count or miss a merge.  The orphaned request is retried
         on a surviving worker (up to :data:`MAX_TASK_ATTEMPTS` executions);
         the run only fails if a request exhausts its attempts, every worker
         dies, or a request raises inside ``worker_fn``.
         """
-        side = self._side
         stats = self.dispatch_stats
         total_workers = len(self._workers)
         pending: deque = deque(enumerate(requests))
@@ -796,7 +545,7 @@ class _ForkSession(BackendSession):
                         continue
                     index, request = pending.popleft()
                     try:
-                        conn_of(slot).send(("run", [(index, request)]))
+                        conn_of(slot).send(("run", request))
                     except (BrokenPipeError, ConnectionError, OSError):
                         # Died while idle: the request never executed, so it
                         # goes back without consuming one of its attempts.
@@ -839,12 +588,13 @@ class _ForkSession(BackendSession):
                     errors.append(message[1])
                     aborting = True
                     continue
-                _tag, results, payload = message
-                for result_index, response in results:
-                    responses[result_index] = response
+                _tag, response, payload = message
+                responses[index] = response
+                # "Stolen" = ran somewhere other than its round-robin slot.
                 stats.record(slot, loads[index], stolen=index % total_workers != slot)
-                if payload is not None and side and side.chunk_absorb_foreign:
-                    side.chunk_absorb_foreign(payload)
+                # The parent's counters never saw the child's queries: fold
+                # the whole delta in (global stats + attribution sinks).
+                self._side.chunk_absorb_foreign(payload)
         if errors:
             self.close()
             raise RuntimeError(
@@ -856,7 +606,6 @@ class _ForkSession(BackendSession):
         if self._closed:
             return
         self._closed = True
-        side = self._side
         for slot, (conn, process) in enumerate(self._workers):
             if slot in self._dead:
                 conn.close()
@@ -864,9 +613,8 @@ class _ForkSession(BackendSession):
             try:
                 conn.send(("stop",))
                 message = conn.recv()
-                if message[0] == "final" and message[1] is not None:
-                    if side and side.final_absorb:
-                        side.final_absorb(message[1])
+                if message[0] == "final":
+                    self._side.final_absorb(message[1])
             except (EOFError, BrokenPipeError, ConnectionError, OSError):
                 pass
             finally:
@@ -885,7 +633,6 @@ class ProcessBackend(ExecutionBackend):
     """
 
     name = "process"
-    shares_memory = False
 
     def __init__(self, workers: int = DEFAULT_WORKERS) -> None:
         super().__init__(workers=workers)
@@ -899,11 +646,12 @@ class ProcessBackend(ExecutionBackend):
             return f"process:{self.workers} (serial fallback: no fork)"
         return f"process:{self.workers}"
 
-    def session(self, worker_fn, side_channel=None, dispatch: str = "static") -> BackendSession:
-        _validate_dispatch(dispatch)
+    def session(self, worker_fn, side_channel=None) -> BackendSession:
         if not self._fork_available:  # pragma: no cover - non-POSIX only
             return _SerialSession(worker_fn)
-        return _ForkSession(worker_fn, self.workers, side_channel, dispatch=dispatch)
+        if side_channel is None:
+            side_channel = store_side_channel()
+        return _ForkSession(worker_fn, self.workers, side_channel)
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +660,6 @@ class ProcessBackend(ExecutionBackend):
 
 _BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 
@@ -923,7 +670,7 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def create_backend(spec: str, workers: Optional[int] = None) -> ExecutionBackend:
-    """Build a backend from a spec string (``"process"``, ``"thread:8"``…).
+    """Build a backend from a spec string (``"serial"``, ``"process:8"``…).
 
     An explicit ``workers`` argument overrides a count embedded in the spec.
     """
@@ -944,29 +691,21 @@ def create_backend(spec: str, workers: Optional[int] = None) -> ExecutionBackend
     return _BACKENDS[name](workers=workers)
 
 
-def resolve_backend(backend) -> ExecutionBackend:
+def resolve_backend(backend, env_var: Optional[str] = BACKEND_ENV_VAR) -> ExecutionBackend:
     """Normalize a backend argument into an :class:`ExecutionBackend`.
 
     Accepts an existing backend instance, a spec string, or ``None`` — the
-    latter consults the ``STUBBY_SEARCH_BACKEND`` environment variable and
-    finally falls back to :class:`SerialBackend`, so an entire optimizer
-    stack can be switched from the outside without touching call sites.
+    latter consults the environment variable ``env_var`` (by default
+    ``STUBBY_SEARCH_BACKEND``; ``None`` consults no variable) and finally
+    falls back to :class:`SerialBackend`, so an entire optimizer stack can
+    be switched from the outside without touching call sites.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR, "").strip() or "serial"
+        backend = (os.environ.get(env_var, "").strip() if env_var else "") or "serial"
     if isinstance(backend, str):
         return create_backend(backend)
     raise TypeError(
         "backend must be an ExecutionBackend, a spec string like 'process:4', or None"
     )
-
-
-def _round_robin(indexed: List[Tuple[int, Any]], buckets: int) -> List[List[Tuple[int, Any]]]:
-    """Distribute (index, item) pairs across ``buckets`` deterministically."""
-    buckets = max(1, buckets)
-    chunks: List[List[Tuple[int, Any]]] = [[] for _ in range(buckets)]
-    for position, pair in enumerate(indexed):
-        chunks[position % buckets].append(pair)
-    return chunks

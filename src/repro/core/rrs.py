@@ -9,15 +9,13 @@ space of each enumerated subplan (paper §4.2).  RRS alternates two phases:
   best point, re-centring on improvements and shrinking on failures, until
   the neighbourhood collapses; then restart exploration.
 
-Sampling is **generation-batched**: each phase first draws a whole
-generation of sample points from the RNG, then hands the generation to the
-objective in one call (``objective_batch``), and only then folds the values
-back into the search state.  Because every point of a generation is drawn
-before any of them is evaluated, the points cannot depend on each other's
-values — which is exactly what lets the parallel unit search dispatch a
-whole generation of what-if costings at once
-(:mod:`repro.core.parallel`) while staying bit-identical to serial
-evaluation.  Within a generation, ties are broken by sample index.
+Sampling is **generation-at-a-time**: each phase first draws a whole
+generation of sample points from the RNG, then evaluates the generation's
+distinct, not-yet-seen points, and only then folds the values back into the
+search state.  Because every point of a generation is drawn before any of
+them is evaluated, the points cannot depend on each other's values, and a
+point sampled twice — within a generation or across generations — is
+evaluated once.  Within a generation, ties are broken by sample index.
 
 The implementation is deterministic given its RNG seed, which keeps the
 optimizer's output reproducible across runs, backends, and worker counts.
@@ -32,9 +30,6 @@ from repro.common.rng import DeterministicRNG
 from repro.mapreduce.config import ConfigurationSpace
 
 Objective = Callable[[Mapping[str, object]], float]
-#: Evaluate a whole generation of points at once; must return one value per
-#: point, in point order.
-BatchObjective = Callable[[Sequence[Mapping[str, object]]], Sequence[float]]
 
 
 @dataclass
@@ -81,29 +76,16 @@ class RecursiveRandomSearch:
     def search(
         self,
         space: ConfigurationSpace,
-        objective: Optional[Objective] = None,
+        objective: Objective,
         initial_point: Optional[Mapping[str, object]] = None,
         rng: Optional[DeterministicRNG] = None,
-        objective_batch: Optional[BatchObjective] = None,
     ) -> RRSResult:
         """Run RRS and return the best point found.
 
         ``initial_point`` (typically the job's current configuration) is
         always evaluated first so the search can never return something worse
         than the starting configuration.
-
-        Exactly one of ``objective`` (evaluated point-by-point) or
-        ``objective_batch`` (evaluated one generation at a time) must be
-        provided; with both given, ``objective_batch`` wins.  The two are
-        interchangeable as long as ``objective_batch(points)`` returns
-        ``[objective(p) for p in points]`` — the search draws every point of
-        a generation before evaluating any of them either way.
         """
-        if objective is None and objective_batch is None:
-            raise ValueError("search() needs an objective or an objective_batch")
-        evaluate: BatchObjective = objective_batch or (
-            lambda points: [objective(point) for point in points]
-        )
         rng = rng or DeterministicRNG(self.seed)
         evaluations = 0
         duplicate_points = 0
@@ -133,11 +115,7 @@ class RecursiveRandomSearch:
                     fresh.append(point)
                     fresh_keys.append(key)
             duplicate_points += len(points) - len(fresh)
-            values = list(evaluate(fresh)) if fresh else []
-            if len(values) != len(fresh):
-                raise ValueError(
-                    f"objective_batch returned {len(values)} values for {len(fresh)} points"
-                )
+            values = [objective(point) for point in fresh]
             evaluations += len(values)
             trajectory.extend(values)
             for key, value in zip(fresh_keys, values):

@@ -21,10 +21,9 @@ transformations are applied the same way.  Within each unit:
    sub-unit order and the search moves to the next unit.
 
 Steps 2–3 are independent across candidates and sub-units, so they fan out
-on a pluggable :class:`~repro.core.parallel.ExecutionBackend`: with several
-candidates in flight the backend maps whole candidate costings; with a
-single candidate it maps the RRS sample generations instead (the batched
-``objective_batch`` of :class:`~repro.core.rrs.RecursiveRandomSearch`).
+on a pluggable :class:`~repro.core.parallel.ExecutionBackend`: the backend
+maps whole candidate costings, each running its RRS serially on the worker
+that took it (a unit with a single candidate runs inline and forks nothing).
 Every backend produces bit-identical decisions — same chosen subplans, same
 settings, same costs — at any worker count: candidates derive their RNG from
 a stable key, results are consumed in enumeration order, and the cost
@@ -56,12 +55,7 @@ from repro.core.decision_cache import (
 )
 from repro.core.optimization_unit import OptimizationUnit, OptimizationUnitGenerator
 from repro.core.subresults import SubResultUnavailableError
-from repro.core.parallel import (
-    BackendSession,
-    ExecutionBackend,
-    resolve_backend,
-    store_side_channel,
-)
+from repro.core.parallel import ExecutionBackend, resolve_backend, store_side_channel
 from repro.core.plan import Plan
 from repro.core.rrs import RecursiveRandomSearch
 from repro.core.transformations.base import Transformation, TransformationApplication
@@ -177,7 +171,6 @@ class UnitReport:
 class _CostTask:
     """One candidate costing dispatched to the execution backend."""
 
-    index: int
     subunit_index: int
     candidate_index: int
     record: SubplanRecord
@@ -214,9 +207,9 @@ class StubbySearch:
             exploration_samples=10, exploitation_samples=8, restarts=1, seed=seed
         )
         self.optimize_configurations = optimize_configurations
-        #: Where candidate costings and RRS sample generations execute; a
-        #: backend instance, a spec string ("process:4"), or None (the
-        #: STUBBY_SEARCH_BACKEND environment variable, default serial).
+        #: Where candidate costings execute; a backend instance, a spec
+        #: string ("process:4"), or None (the STUBBY_SEARCH_BACKEND
+        #: environment variable, default serial).
         self.backend: ExecutionBackend = resolve_backend(backend)
         self.seed = seed
         self._rng = DeterministicRNG(seed)
@@ -392,7 +385,6 @@ class StubbySearch:
             for candidate_index, record in enumerate(candidates):
                 tasks.append(
                     _CostTask(
-                        index=len(tasks),
                         subunit_index=subunit_index,
                         candidate_index=candidate_index,
                         record=record,
@@ -744,33 +736,19 @@ class StubbySearch:
     def _cost_tasks(self, tasks: List[_CostTask]) -> None:
         """Cost every task on the backend, writing results onto the records.
 
-        Granularity is adaptive: with several candidates, whole candidate
-        costings are mapped across workers (each worker runs its RRS
-        serially); with a single candidate, the backend instead maps the
-        candidate's RRS sample *generations* point-by-point, so even
-        one-candidate units parallelize.  Both placements produce identical
-        values, so the choice affects wall-clock only.
+        Whole candidate costings are mapped across workers, each running its
+        RRS serially; only the candidate's index crosses a worker boundary.
+        A single candidate runs inline on the session's one-request path.
         """
         if not tasks:
             return
 
-        def worker_fn(request):
-            kind = request[0]
-            if kind == "candidate":
-                return self._cost_candidate(tasks[request[1]])
-            if kind == "point":
-                return self._evaluate_point(tasks[request[1]], request[2])
-            raise ValueError(f"unknown search work request {request[0]!r}")
+        def worker_fn(index: int):
+            return self._cost_candidate(tasks[index])
 
         side = store_side_channel(self.costs)
-        results: List[Tuple] = []
-        # Candidate costings are small and alike, so they are dealt up front;
-        # stealing measured no better here (docs/search.md).
-        with self.backend.session(worker_fn, side, dispatch="static") as session:
-            if len(tasks) == 1:
-                results.append(self._cost_candidate(tasks[0], point_session=session))
-            else:
-                results = session.run([("candidate", task.index) for task in tasks])
+        with self.backend.session(worker_fn, side) as session:
+            results = session.run(list(range(len(tasks))))
 
         for task, result in zip(tasks, results):
             cost, settings, evaluations, stats = result
@@ -781,16 +759,14 @@ class StubbySearch:
             record.cost_stats = stats
 
     def _cost_candidate(
-        self,
-        task: _CostTask,
-        point_session: Optional[BackendSession] = None,
+        self, task: _CostTask
     ) -> Tuple[float, Dict[str, Mapping[str, object]], int, CostServiceStats]:
         """Cost one candidate (baseline estimate + RRS configuration search)."""
         self._budget.check("search.candidate")
         fault_site("search.candidate", rng_key=task.rng_key)
         stats = CostServiceStats()
         with self.costs.attribute_to(stats):
-            cost, settings, evaluations = self._cost_with_configurations(task, point_session)
+            cost, settings, evaluations = self._cost_with_configurations(task)
         return cost, settings, evaluations, stats
 
     def _evaluate_point(self, task: _CostTask, point: Mapping[str, object]) -> float:
@@ -897,9 +873,7 @@ class StubbySearch:
 
     # ------------------------------------------------------------- costing
     def _cost_with_configurations(
-        self,
-        task: _CostTask,
-        point_session: Optional[BackendSession] = None,
+        self, task: _CostTask
     ) -> Tuple[float, Dict[str, Mapping[str, object]], int]:
         plan = task.record.plan
         baseline_estimate = self.costs.estimate_workflow(plan.workflow)
@@ -914,18 +888,12 @@ class StubbySearch:
         if not space.dimensions:
             return baseline_estimate.total_s, {}, 0
 
-        if point_session is None:
-            def objective_batch(points):
-                return [self._evaluate_point(task, point) for point in points]
-        else:
-            def objective_batch(points):
-                return point_session.run(
-                    [("point", task.index, dict(point)) for point in points]
-                )
-
         rng = self._rng.fork(f"{task.rng_key}/{','.join(sorted(jobs_to_tune))}")
         result = self.rrs.search(
-            space, objective_batch=objective_batch, initial_point=initial, rng=rng
+            space,
+            lambda point: self._evaluate_point(task, point),
+            initial_point=initial,
+            rng=rng,
         )
         best_settings = self._split_point(result.best_point)
         best_cost = min(result.best_value, baseline_estimate.total_s)

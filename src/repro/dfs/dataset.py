@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.common.hashing import stable_hash
 from repro.common.records import Record, record_size_bytes, sort_key_for
-from repro.dfs.layout import DataLayout, PartitionScheme
+from repro.dfs.layout import DataLayout
 
 
 @dataclass
@@ -174,8 +174,3 @@ class Dataset:
             f"Dataset(name={self.name!r}, records={self.num_records}, "
             f"partitions={self.num_partitions}, layout={self.layout.partitioning.kind})"
         )
-
-
-def empty_dataset(name: str, layout: Optional[DataLayout] = None) -> Dataset:
-    """Convenience constructor for an empty dataset."""
-    return Dataset(name, records=[], layout=layout or DataLayout(partitioning=PartitionScheme.unpartitioned()))

@@ -9,7 +9,7 @@ what vertical packing transformations eliminate.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.errors import ExecutionError
 from repro.dfs.dataset import Dataset
@@ -49,11 +49,6 @@ class InMemoryFileSystem:
     def names(self) -> List[str]:
         """All stored dataset names, sorted."""
         return sorted(self._datasets)
-
-    def load_all(self, datasets: Iterable[Dataset]) -> None:
-        """Bulk-load several datasets (used to stage workflow inputs)."""
-        for dataset in datasets:
-            self.put(dataset)
 
     def peek(self, name: str) -> Optional[Dataset]:
         """Like :meth:`get` but returns ``None`` instead of raising and does

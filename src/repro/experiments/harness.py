@@ -354,11 +354,16 @@ class ExperimentHarness:
         seed through here.  Rule-based optimizers ignore it.
         """
         seeded = {} if seed is None else {"seed": seed}
-        shared = {"cost_service": self.costs, "decision_cache": self.decisions}
-        # Only the Stubby variants know the reuse transformation; the
-        # baselines take no catalog (and must not — their plans are the
+        shared = {"cost_service": self.costs}
+        # Only the Stubby variants run the unit search and know the reuse
+        # transformation; the baselines take neither decision cache nor
+        # catalog (and must not take the latter — their plans are the
         # recompute reference the reuse rewrite is arbitrated against).
-        stubby = {**shared, "subresult_catalog": self.subresults}
+        stubby = {
+            **shared,
+            "decision_cache": self.decisions,
+            "subresult_catalog": self.subresults,
+        }
         if name == "Baseline":
             return PigBaselineOptimizer(self.cluster, **shared)
         if name == "Stubby":

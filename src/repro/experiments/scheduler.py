@@ -15,9 +15,8 @@ This module provides that fan-out:
   deterministic per-cell seed and origin label;
 * :class:`ExperimentScheduler` — opens one backend session over the cells,
   wires the shared cost service through the session's side channel (so
-  thread cells re-attribute their stats and forked cells merge their cache
-  shards on join), and returns the per-cell results **in cell order**
-  regardless of completion order.
+  forked cells merge their stats and cache shards on join), and returns
+  the per-cell results **in cell order** regardless of completion order.
 
 Backend selection mirrors the unit search: a ``backend=`` argument (spec
 string or :class:`~repro.core.parallel.ExecutionBackend` instance), else the
@@ -37,7 +36,6 @@ at any worker count, reproduces the serial harness's results byte for byte
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -46,7 +44,7 @@ from repro.common.store import ShardedStore
 from repro.core.parallel import (
     DispatchStats,
     ExecutionBackend,
-    create_backend,
+    resolve_backend,
     store_side_channel,
 )
 
@@ -63,23 +61,11 @@ __all__ = [
 #: explicitly (the experiment-level sibling of ``STUBBY_SEARCH_BACKEND``).
 EXPERIMENT_BACKEND_ENV_VAR = "STUBBY_EXPERIMENT_BACKEND"
 
-def resolve_experiment_backend(backend) -> ExecutionBackend:
-    """Normalize an experiment-backend argument into an :class:`ExecutionBackend`.
 
-    Accepts a backend instance, a spec string (``"thread:4"``,
-    ``"process:8"``…), or ``None`` — the latter consults
-    :data:`EXPERIMENT_BACKEND_ENV_VAR` and finally falls back to serial.
-    """
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    if backend is None:
-        backend = os.environ.get(EXPERIMENT_BACKEND_ENV_VAR, "").strip() or "serial"
-    if isinstance(backend, str):
-        return create_backend(backend)
-    raise TypeError(
-        "experiment backend must be an ExecutionBackend, a spec string like "
-        "'process:4', or None"
-    )
+def resolve_experiment_backend(backend) -> ExecutionBackend:
+    """:func:`~repro.core.parallel.resolve_backend` consulting
+    :data:`EXPERIMENT_BACKEND_ENV_VAR` when ``backend`` is ``None``."""
+    return resolve_backend(backend, env_var=EXPERIMENT_BACKEND_ENV_VAR)
 
 
 @dataclass(frozen=True)
@@ -102,8 +88,8 @@ class ExperimentCell:
 def cell_seed(base_seed: int, workload: str, optimizer: str) -> int:
     """Deterministic per-cell RNG seed: a stable hash of the cell key.
 
-    Process-independent (:func:`stable_hash`), so a forked cell worker, a
-    thread, and the serial loop all hand their optimizer the same seed.
+    Process-independent (:func:`stable_hash`), so a forked cell worker and
+    the serial loop hand their optimizer the same seed.
     """
     return stable_hash((base_seed, "experiment-cell", workload, optimizer)) & 0x7FFFFFFF
 
@@ -160,10 +146,8 @@ class ExperimentScheduler:
         solved units and registered sub-results serve every later cell.
 
         Cells are heterogeneous — a Baseline cell costs a fraction of a
-        Stubby cell on a wide workload — so the session is always opened
-        with work-stealing dispatch: idle workers pull the next cell instead
-        of being dealt a fixed share up front (12 cells on ``process:2``:
-        1.16 s stealing vs 1.40 s static, ``docs/search.md``).
+        Stubby cell on a wide workload — and a forked session hands idle
+        workers the next cell instead of dealing a fixed share up front.
         ``cell_costs`` (optional, parallel to ``cells``) declares relative
         cell weights for the load accounting surfaced in
         :attr:`last_dispatch_stats`; results are in cell order whichever
@@ -175,7 +159,7 @@ class ExperimentScheduler:
         def worker(index: int):
             return run_cell(indexed[index])
 
-        with self.backend.session(worker, side, dispatch="stealing") as session:
+        with self.backend.session(worker, side) as session:
             try:
                 return session.run(list(range(len(indexed))), costs=cell_costs)
             finally:

@@ -84,13 +84,6 @@ class MapReduceJob:
                     group_fields.append(field_name)
         return PartitionFunction.default_hash(group_fields)
 
-    def pipeline_by_tag(self, tag: str) -> Pipeline:
-        """Fetch a pipeline by its tag."""
-        for pipeline in self.pipelines:
-            if pipeline.tag == tag:
-                return pipeline
-        raise ExecutionError(f"job {self.name!r} has no pipeline tagged {tag!r}")
-
     # ------------------------------------------------------------- mutation
     def with_config(self, config: JobConfig) -> "MapReduceJob":
         """Copy of this job with a different configuration.

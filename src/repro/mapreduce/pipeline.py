@@ -19,7 +19,6 @@ side, with a tag, input datasets, and an output dataset.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -316,14 +315,3 @@ def _apply_grouped_reduce(
         buffered.append(value)
     for item in flush():
         yield item
-
-
-def unique_operator_names(pipelines: Sequence[Pipeline]) -> List[str]:
-    """All operator names across pipelines, preserving order, without dupes."""
-    seen = set()
-    names = []
-    for op in itertools.chain.from_iterable(p.all_operators for p in pipelines):
-        if op.name not in seen:
-            seen.add(op.name)
-            names.append(op.name)
-    return names

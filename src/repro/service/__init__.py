@@ -11,7 +11,7 @@ requests from many concurrent clients over one shared, persisted
   priority ordering within a tenant, and deadline-expired load shedding;
 * :mod:`repro.service.server` — the asyncio front end
   (:class:`PlanningServer`) and its dispatcher, batching admitted requests
-  onto a :mod:`repro.core.parallel` backend with work-stealing dispatch;
+  onto a :mod:`repro.core.parallel` backend;
 * :mod:`repro.service.degradation` — the graceful-degradation ladder
   (full → replay-only → single-phase → unoptimized) and the per-tenant
   :class:`CircuitBreaker` guarding the full search (``docs/resilience.md``);

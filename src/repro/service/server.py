@@ -3,14 +3,14 @@
 Request path (see ``docs/service.md`` for the full diagram)::
 
     client coroutine --submit()--> AdmissionQueue --take_batch()--> dispatcher
-        thread --session.run(batch, dispatch="stealing")--> worker pool
+        thread --session.run(batch)--> worker pool
         --optimize()--> PlanResponse --call_soon_threadsafe--> client future
 
 One **dispatcher thread** owns the backend session.  It drains the
 admission queue in per-tenant round-robin order into micro-batches and
-fans each batch onto a :mod:`repro.core.parallel` backend with
-work-stealing dispatch, so a tenant's expensive workflow occupies one
-worker while cheap requests keep flowing around it.  Results resolve the
+fans each batch onto a :mod:`repro.core.parallel` backend, whose fork pool
+hands idle workers the next request, so a tenant's expensive workflow
+occupies one worker while cheap requests keep flowing around it.  Results resolve the
 clients' asyncio futures back on the event loop.
 
 Every request executes under the tenant's cost-service **origin label**
@@ -55,7 +55,7 @@ from repro.core.subresults import (
 from repro.core.parallel import (
     DispatchStats,
     ExecutionBackend,
-    create_backend,
+    resolve_backend,
     store_side_channel,
 )
 from repro.core.plan import Plan
@@ -96,10 +96,14 @@ def build_variant(
     backend=None,
 ):
     """Instantiate one optimizer variant over (optionally shared) caches."""
-    shared = {"cost_service": cost_service, "decision_cache": decision_cache}
-    # Only the Stubby variants carry the reuse rewrite; Baseline is the
-    # recompute reference and never sees the catalog.
-    stubby = {**shared, "subresult_catalog": subresult_catalog}
+    # Only the Stubby variants run the unit search and carry the reuse
+    # rewrite; Baseline is the rule-based recompute reference and sees
+    # neither the decision cache nor the catalog.
+    stubby = {
+        "cost_service": cost_service,
+        "decision_cache": decision_cache,
+        "subresult_catalog": subresult_catalog,
+    }
     if name == "Stubby":
         return StubbyOptimizer(cluster, seed=seed, backend=backend, **stubby)
     if name == "Vertical":
@@ -111,7 +115,7 @@ def build_variant(
         # optimizer module this module also imports.
         from repro.baselines.pig_baseline import PigBaselineOptimizer
 
-        return PigBaselineOptimizer(cluster, **shared)
+        return PigBaselineOptimizer(cluster, cost_service=cost_service)
     raise KeyError(f"unknown optimizer variant {name!r}; expected one of {OPTIMIZER_VARIANTS}")
 
 
@@ -158,8 +162,8 @@ class PlanRequest:
     workload: str
     optimizer: str = "Stubby"
     seed: int = 17
-    #: Relative cost weight for the pool's load accounting (heterogeneous
-    #: requests are why dispatch is work-stealing); any positive number.
+    #: Relative cost weight for the pool's load accounting; any positive
+    #: number.
     cost_weight: float = 1.0
     #: Seconds the client is willing to wait for an answer.  The remaining
     #: budget is threaded into the search as a cooperative deadline; a
@@ -255,10 +259,10 @@ class _Ticket:
 class PlanningServer:
     """Long-lived multi-tenant front end over one shared optimizer substrate.
 
-    ``pool`` is a :mod:`repro.core.parallel` spec string (``"thread:4"``,
-    ``"process:2"``, ``"serial"``) or backend instance — the pool that runs
-    the optimizations, always under work-stealing dispatch (requests are
-    heterogeneous, and stealing retries a request whose worker died).  The
+    ``pool`` is a :mod:`repro.core.parallel` spec string (``"serial"``,
+    ``"process:2"``) or backend instance — the pool that runs the
+    optimizations (requests are heterogeneous; a fork pool hands idle
+    workers the next one and retries a request whose worker died).  The
     server owns one shared :class:`CostService` and :class:`DecisionCache`
     (or accepts externally shared ones); with ``cache_path`` /
     ``decision_cache_path`` configured it warm-starts from the persisted
@@ -275,7 +279,7 @@ class PlanningServer:
     def __init__(
         self,
         cluster: ClusterSpec,
-        pool="thread:4",
+        pool="serial",
         queue_capacity: int = 64,
         per_tenant_capacity: Optional[int] = None,
         max_batch: Optional[int] = None,
@@ -304,9 +308,7 @@ class PlanningServer:
         #: everything done per store (side channels, per-request sinks,
         #: persistence) loops over this.
         self.stores: Tuple[ShardedStore, ...] = (self.costs, self.decisions, self.subresults)
-        self.backend: ExecutionBackend = (
-            pool if isinstance(pool, ExecutionBackend) else create_backend(pool)
-        )
+        self.backend: ExecutionBackend = resolve_backend(pool, env_var=None)
         self.admission = AdmissionQueue(queue_capacity, per_tenant_capacity)
         #: Expired-in-queue requests are answered (degraded), not dropped.
         self.admission.on_shed = self._shed_ticket
@@ -326,7 +328,7 @@ class PlanningServer:
         self._running = False
         self._stopping = False
         #: Dispatch counters of already-closed sessions (pool recycles).
-        self._pool_history = DispatchStats(dispatch="stealing", workers=self.backend.workers)
+        self._pool_history = DispatchStats(workers=self.backend.workers)
 
     # -------------------------------------------------------------- registry
     def register_workload(self, name: str, plan_or_workflow) -> None:
@@ -368,7 +370,7 @@ class PlanningServer:
         as ``cross_origin_hits`` in their attribution.  Returns the number
         of catalog entries registered.
 
-        Visibility mirrors the cache side-channel: thread/serial pools see
+        Visibility mirrors the cache side-channel: a serial pool sees
         new entries immediately; a forked process pool's workers see them
         after the next pool recycle or :meth:`restart` (the registration
         lands in the parent, and workers re-fork from it).
@@ -523,7 +525,7 @@ class PlanningServer:
     def _ensure_session(self):
         if self._session is None:
             side = store_side_channel(*self.stores)
-            self._session = self.backend.session(self._execute, side, dispatch="stealing")
+            self._session = self.backend.session(self._execute, side)
         return self._session
 
     def _close_session(self) -> None:
@@ -585,7 +587,7 @@ class PlanningServer:
             return
         for ticket, raw in zip(tickets, raw_responses):
             self._resolve(ticket, raw, dispatched)
-        # A stealing fork pool survives individual deaths; recycle once the
+        # A fork pool survives individual deaths; recycle once the
         # batch is answered so capacity recovers (close merges the
         # survivors' caches, the next batch re-forks at full strength).
         if getattr(session, "forked", False) and session.live_workers < self.backend.workers:
@@ -594,8 +596,8 @@ class PlanningServer:
     def _execute(self, work: Tuple[str, str, str, int, Optional[float], bool]):
         """Worker-side: run one optimization down the degradation ladder.
 
-        Runs on whatever worker the pool chose (a pool thread, a forked
-        process, or inline for one-request batches); returns only plain
+        Runs on whatever worker the pool chose (a forked process, or
+        inline for a serial pool and one-request batches); returns only plain
         picklable data.  Rungs are attempted cheapest-last; a rung's
         transient failure (or an expired time budget) steps down to the
         next, so every request ends in *some* usable plan — only a
@@ -959,7 +961,7 @@ class PlanningServer:
     # -------------------------------------------------------------- insight
     def dispatch_stats(self) -> DispatchStats:
         """Aggregated pool accounting across every session so far."""
-        total = DispatchStats(dispatch="stealing", workers=self.backend.workers)
+        total = DispatchStats(workers=self.backend.workers)
         with self._session_lock:
             total.accumulate(self._pool_history)
             if self._session is not None:

@@ -4,8 +4,8 @@ Every request the :class:`~repro.service.server.PlanningServer` executes
 runs under a cost-service **origin label** (``tenant:<id>``) and a pair of
 **attribution sinks** — one :class:`~repro.whatif.service.CostServiceStats`
 and one :class:`~repro.core.decision_cache.DecisionCacheStats` that receive
-exactly the counter deltas that request produced, wherever it ran (the
-thread pool's shared counters or a forked worker's merged chunk payload).
+exactly the counter deltas that request produced, wherever it ran (inline
+on the shared counters or a forked worker's merged chunk payload).
 :class:`ServiceStats` folds those per-request deltas into per-tenant
 totals.
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cluster import ClusterSpec
-from repro.common.errors import CostModelError
 from repro.dfs.filesystem import InMemoryFileSystem
 from repro.mapreduce.counters import ExecutionCounters
 from repro.mapreduce.job import MapReduceJob
@@ -37,12 +36,6 @@ class ActualWorkflowCost:
 
     total_s: float
     per_job: Dict[str, JobTimeEstimate] = field(default_factory=dict)
-
-    def job_seconds(self, name: str) -> float:
-        """Simulated seconds of one job."""
-        if name not in self.per_job:
-            raise CostModelError(f"no actual cost recorded for job {name!r}")
-        return self.per_job[name].total_s
 
 
 class ActualCostModel:

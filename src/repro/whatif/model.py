@@ -68,12 +68,6 @@ class WorkflowCostEstimate:
         """Number of jobs that were costed."""
         return len(self.per_job)
 
-    def job_seconds(self, name: str) -> float:
-        """Standalone estimated seconds of one job."""
-        if name not in self.per_job:
-            raise CostModelError(f"no estimate available for job {name!r}")
-        return self.per_job[name].total_s
-
 
 @dataclass(frozen=True, slots=True)
 class _PipelineFlow:
@@ -465,17 +459,6 @@ class WhatIfEngine:
         self._profile_keys[id(profile)] = (profile, key)
         return key
 
-    def estimate_job(
-        self,
-        vertex: JobVertex,
-        workflow: Workflow,
-        dataset_sizes: Optional[Dict[str, Tuple[float, float]]] = None,
-    ) -> JobTimeEstimate:
-        """Estimate a single job in the context of its workflow."""
-        sizes = dataset_sizes if dataset_sizes is not None else self._estimate_sizes_until(workflow, vertex.name)
-        dataflow = self.derive_job_dataflow(vertex, workflow, sizes)
-        return estimate_job_time(dataflow, vertex.job.config, self.cluster)
-
     # --------------------------------------------------------- size tracking
     def base_dataset_sizes(self, workflow: Workflow) -> Dict[str, Tuple[float, float]]:
         """Initial size state: the (bytes, records) of every base dataset."""
@@ -507,46 +490,7 @@ class WhatIfEngine:
                 )
         return sizes
 
-    def _estimate_sizes_until(self, workflow: Workflow, job_name: str) -> Dict[str, Tuple[float, float]]:
-        sizes = self._base_dataset_sizes(workflow)
-        for vertex in workflow.topological_order():
-            if vertex.name == job_name:
-                break
-            self._propagate_outputs(vertex, workflow, sizes)
-        return sizes
-
-    def _propagate_outputs(
-        self,
-        vertex: JobVertex,
-        workflow: Workflow,
-        sizes: Dict[str, Tuple[float, float]],
-    ) -> None:
-        profile = vertex.annotations.profile
-        if profile is None:
-            return
-        for pipeline in vertex.job.pipelines:
-            in_bytes, in_records = self._pipeline_input(vertex, pipeline, workflow, sizes)
-            flow = self._pipeline_flow(pipeline, profile, in_bytes, in_records)
-            previous = sizes.get(pipeline.output_dataset, (0.0, 0.0))
-            sizes[pipeline.output_dataset] = (
-                previous[0] + flow.output_bytes,
-                previous[1] + flow.output_records,
-            )
-
     # ------------------------------------------------------ dataflow derive
-    def derive_job_dataflow(
-        self,
-        vertex: JobVertex,
-        workflow: Workflow,
-        sizes: Dict[str, Tuple[float, float]],
-    ) -> JobDataflow:
-        """Derive the expected dataflow of one job from annotations and sizes."""
-        profile = vertex.annotations.profile
-        if profile is None:
-            raise CostModelError(f"job {vertex.name!r} has no profile annotation")
-        flows = self._vertex_flows(vertex, workflow, sizes, profile)
-        return self._dataflow_from_flows(vertex, workflow, sizes, profile, flows)
-
     def _vertex_flows(
         self,
         vertex: JobVertex,

@@ -12,7 +12,7 @@ in ``max(t1, t2)``, so packing them into a single job (whose time is roughly
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from repro.cluster import ClusterSpec
 from repro.whatif.jobmodel import JobTimeEstimate
@@ -49,10 +49,3 @@ def workflow_makespan(
 ) -> float:
     """Total workflow runtime: levels run one after another."""
     return sum(level_makespan(level, cluster) for level in per_level_estimates)
-
-
-def per_job_breakdown(
-    estimates_by_name: Dict[str, JobTimeEstimate],
-) -> Dict[str, float]:
-    """Convenience view: job name -> standalone estimated seconds."""
-    return {name: estimate.total_s for name, estimate in estimates_by_name.items()}

@@ -139,11 +139,6 @@ class SchemaAnnotation:
         """True when K2 (the map output / reduce input key) is known."""
         return self.k2 is not None
 
-    @property
-    def knows_reduce_output_key(self) -> bool:
-        """True when K3 (the reduce output key) is known."""
-        return self.k3 is not None
-
     def key_flows_through_reduce(self, fields: Iterable[str]) -> bool:
         """Whether ``fields`` flow unchanged from reduce input key to output.
 

@@ -113,16 +113,6 @@ def classify_pair(workflow: Workflow, producer_name: str, consumer_name: str) ->
     return None
 
 
-def consumer_input_shape(workflow: Workflow, consumer_name: str) -> Tuple[int, int]:
-    """(number of producer jobs, number of base datasets) feeding a consumer."""
-    consumer = workflow.job(consumer_name)
-    producers = workflow.producer_jobs(consumer_name)
-    base_inputs = [
-        d for d in consumer.job.input_datasets if workflow.producer_of(d) is None
-    ]
-    return (len(producers), len(base_inputs))
-
-
 def shared_input_groups(workflow: Workflow) -> List[Tuple[str, List[str]]]:
     """Datasets read by two or more jobs, with the reader job names.
 

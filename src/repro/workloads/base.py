@@ -38,12 +38,6 @@ class Workload:
         """Scaled (logical) size of all base datasets, in GB."""
         return sum(d.logical_bytes for d in self.base_datasets.values()) / GB
 
-    def attach_datasets(self) -> None:
-        """Attach the generated datasets to the workflow's dataset vertices."""
-        for name, dataset in self.base_datasets.items():
-            if self.workflow.has_dataset(name):
-                self.workflow.add_dataset(name, dataset=dataset)
-
 
 def attach_dataset_annotations(workflow: Workflow, datasets: Dict[str, Dataset]) -> None:
     """Attach materialized data and dataset annotations to base dataset vertices.

@@ -89,6 +89,23 @@ class TestBaselines:
                 assert records_equal(reference_fs.get(name).all_records(), fs.get(name).all_records()), optimizer.name
 
 
+    @pytest.mark.parametrize(
+        "baseline",
+        [PigBaselineOptimizer, StarfishOptimizer, YSmartOptimizer, MRShareOptimizer],
+        ids=lambda cls: cls.name,
+    )
+    def test_baselines_take_no_decision_cache(self, baseline, monkeypatch, tmp_path):
+        # Rule-based optimizers never run the unit search: they neither
+        # accept a decision cache nor open the persisted one on their own.
+        path = tmp_path / "decisions.bin"
+        monkeypatch.setenv("STUBBY_DECISION_CACHE", str(path))
+        optimizer = baseline(CLUSTER)
+        optimizer.optimize(_profiled("PJ", scale=0.1).plan)
+        assert not hasattr(optimizer, "decisions") and not path.exists()
+        with pytest.raises(TypeError, match="decision_cache"):
+            baseline(CLUSTER, decision_cache=None)
+
+
 class TestWorkloadCatalog:
     def test_all_eight_workloads_build(self):
         for abbr in WORKLOAD_ORDER:

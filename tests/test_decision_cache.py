@@ -116,7 +116,7 @@ class TestReplayIdentity:
         assert cold.transformations_applied == warm.transformations_applied
         assert warm.transformations_applied == off.transformations_applied
 
-    @pytest.mark.parametrize("backend", ["thread:2", "process:2"])
+    @pytest.mark.parametrize("backend", ["process:2", "process:4"])
     def test_identity_on_parallel_search_backends(self, backend):
         workload = _profiled()
         reference = _optimizer(decision_cache=DecisionCache(CLUSTER, enabled=False))
@@ -516,27 +516,6 @@ class TestRRSSampleDedup:
         # step and the total drawn is conserved.
         assert result.evaluations == len(result.trajectory)
         assert result.best_point == {"x": 1}
-
-    def test_batch_and_pointwise_agree_with_dedup(self):
-        space = ConfigurationSpace(
-            dimensions=[
-                ConfigDimension("x", "int", 1, 4),
-                ConfigDimension("flag", "bool"),
-            ]
-        )
-
-        def value(point):
-            return point["x"] + (0.5 if point["flag"] else 0.0)
-
-        rrs = RecursiveRandomSearch(
-            exploration_samples=8, exploitation_samples=6, restarts=2, seed=11
-        )
-        pointwise = rrs.search(space, objective=value)
-        batched = rrs.search(space, objective_batch=lambda pts: [value(p) for p in pts])
-        assert pointwise.best_point == batched.best_point
-        assert pointwise.best_value == batched.best_value
-        assert pointwise.trajectory == batched.trajectory
-        assert pointwise.duplicate_points == batched.duplicate_points
 
 
 class TestComposedCombinationDedup:

@@ -11,7 +11,7 @@ signature hits that ``OptimizerRun.cross_unit_hits`` accounts for exactly.
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core.parallel import SerialBackend, ThreadBackend
+from repro.core.parallel import ProcessBackend, SerialBackend
 from repro.experiments import (
     EXPERIMENT_BACKEND_ENV_VAR,
     ExperimentHarness,
@@ -27,7 +27,7 @@ WORKLOADS = ("PJ",)
 OPTIMIZERS = ("Baseline", "Stubby", "Vertical")
 
 #: The backend sweep of the identity property test.
-BACKEND_SPECS = ("serial", "thread:1", "thread:2", "thread:4", "process:2", "process:4")
+BACKEND_SPECS = ("serial", "process:1", "process:2", "process:4")
 
 
 def _fresh_harness(**kwargs):
@@ -64,10 +64,9 @@ class TestBackendIdentity:
     def test_query_totals_identical_across_backends(self, serial_result):
         # Interleaving may move cache hits between cells, but every query is
         # issued (and counted) exactly once wherever a cell runs.
-        for spec in ("thread:2", "process:2"):
-            result = _run(spec)
-            assert result.cost_stats.queries == serial_result.cost_stats.queries, spec
-            assert result.cost_stats.job_queries == serial_result.cost_stats.job_queries, spec
+        result = _run("process:2")
+        assert result.cost_stats.queries == serial_result.cost_stats.queries
+        assert result.cost_stats.job_queries == serial_result.cost_stats.job_queries
 
     def test_repeated_runs_on_one_harness_are_identical(self):
         harness = _fresh_harness()
@@ -86,11 +85,11 @@ class TestBackendIdentity:
     def test_nested_search_backend_keeps_identity_and_attribution(self, serial_result):
         # Experiment-level and search-level backends nest; the inner search
         # workers must inherit the cell's origin label, or same-cell reuse
-        # would masquerade as cross_unit_hits.  A single worker thread keeps
+        # would masquerade as cross_unit_hits.  A single forked worker keeps
         # execution sequential (so per-cell stats are exactly comparable)
-        # while still running every chunk off the cell's own thread — the
-        # path that loses the thread-local label without propagation.
-        harness = _fresh_harness(search_backend="thread:1")
+        # while still running every multi-candidate unit off the cell's own
+        # process.
+        harness = _fresh_harness(search_backend="process:1")
         result = harness.run(workloads=WORKLOADS, optimizers=OPTIMIZERS)
         assert result.decision_fingerprint() == serial_result.decision_fingerprint()
         assert result.comparisons["PJ"].runs["Baseline"].cross_unit_hits == 0
@@ -172,13 +171,13 @@ class TestWarmStart:
 
 class TestSchedulerPlumbing:
     def test_resolve_backend_env_and_passthrough(self, monkeypatch):
-        backend = ThreadBackend(workers=2)
+        backend = ProcessBackend(workers=2)
         assert resolve_experiment_backend(backend) is backend
         monkeypatch.delenv(EXPERIMENT_BACKEND_ENV_VAR, raising=False)
         assert isinstance(resolve_experiment_backend(None), SerialBackend)
-        monkeypatch.setenv(EXPERIMENT_BACKEND_ENV_VAR, "thread:3")
+        monkeypatch.setenv(EXPERIMENT_BACKEND_ENV_VAR, "process:3")
         resolved = resolve_experiment_backend(None)
-        assert isinstance(resolved, ThreadBackend)
+        assert isinstance(resolved, ProcessBackend)
         assert resolved.workers == 3
         with pytest.raises(TypeError):
             resolve_experiment_backend(3.14)
@@ -202,12 +201,12 @@ class TestSchedulerPlumbing:
         assert cells[1].seed != cells[3].seed
 
     def test_map_cells_preserves_cell_order(self):
-        scheduler = ExperimentScheduler("thread:2")
+        scheduler = ExperimentScheduler("process:2")
         cells = build_cells(("PJ", "BR", "IR"), ("A", "B"), base_seed=1)
         labels = scheduler.map_cells(cells, lambda cell: cell.label)
         assert labels == [cell.label for cell in cells]
 
     def test_env_var_drives_harness_run(self, monkeypatch):
-        monkeypatch.setenv(EXPERIMENT_BACKEND_ENV_VAR, "thread:2")
+        monkeypatch.setenv(EXPERIMENT_BACKEND_ENV_VAR, "process:2")
         result = _fresh_harness().run(workloads=WORKLOADS, optimizers=("Baseline",))
-        assert result.backend == "thread:2"
+        assert result.backend == "process:2"

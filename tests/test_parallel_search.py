@@ -1,9 +1,9 @@
 """Parallel unit search: backend identity, stats attribution, plumbing.
 
 The contract under test is the one ``docs/search.md`` documents: an
-execution backend changes *where* candidate costings and RRS sample
-generations run, never what they compute.  The property test sweeps random
-workflows across {serial, thread, process} × {1, 2, 4} workers and asserts
+execution backend changes *where* candidate costings run, never what they
+compute.  The property test sweeps random workflows across serial and the
+fork pool at {1, 2, 4} workers and asserts
 byte-for-byte identical optimizer decisions — same chosen subplans, same
 best settings, same candidate costs — plus the stats invariants that make
 the merged :class:`~repro.whatif.service.CostServiceStats` trustworthy
@@ -14,6 +14,8 @@ import os
 
 import pytest
 
+import repro.core.parallel as parallel
+
 from repro.cluster import ClusterSpec
 from repro.core.optimization_unit import OptimizationUnitGenerator
 from repro.core.optimizer import StubbyOptimizer
@@ -21,7 +23,6 @@ from repro.core.parallel import (
     DEFAULT_WORKERS,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     create_backend,
     resolve_backend,
@@ -29,7 +30,7 @@ from repro.core.parallel import (
 from repro.core.rrs import RecursiveRandomSearch
 from repro.mapreduce.config import ConfigDimension, ConfigurationSpace
 from repro.profiler import Profiler
-from repro.verification import RandomWorkflowGenerator
+from repro.verification import FaultPlan, FaultSpec, RandomWorkflowGenerator, install_fault_plan
 from repro.whatif.service import CostServiceStats
 from repro.workloads import build_workload
 
@@ -38,9 +39,6 @@ CLUSTER = ClusterSpec.paper_cluster()
 #: The backend sweep of the identity property test.
 BACKEND_SPECS = (
     "serial",
-    "thread:1",
-    "thread:2",
-    "thread:4",
     "process:1",
     "process:2",
     "process:4",
@@ -99,7 +97,7 @@ class TestParallelSerialIdentity:
         Profiler().profile_workflow(workload.workflow, workload.base_datasets)
         reference = _optimize(workload.plan, "serial")
         reference_fp = _decision_fingerprint(reference)
-        for spec in ("thread:4", "process:4"):
+        for spec in ("process:2", "process:4"):
             result = _optimize(workload.plan, spec)
             assert _decision_fingerprint(result) == reference_fp, (
                 f"{abbr}: backend {spec} diverged from serial"
@@ -111,7 +109,7 @@ class TestParallelSerialIdentity:
         # matter which worker runs it.
         generated = workflow_generator.generate(2042)
         reference = _optimize(generated.plan, "serial")
-        for spec in ("thread:2", "process:4"):
+        for spec in ("process:2", "process:4"):
             result = _optimize(generated.plan, spec)
             assert result.cost_stats.queries == reference.cost_stats.queries, spec
             assert result.cost_stats.job_queries == reference.cost_stats.job_queries, spec
@@ -120,7 +118,7 @@ class TestParallelSerialIdentity:
 class TestStatsAttribution:
     """Per-candidate stat deltas are explicit, exact, and merge cleanly."""
 
-    @pytest.mark.parametrize("spec", ["serial", "thread:4", "process:4"])
+    @pytest.mark.parametrize("spec", ["serial", "process:2", "process:4"])
     def test_merged_stats_invariants(self, spec, workflow_generator):
         generated = workflow_generator.generate(2077)
         result = _optimize(generated.plan, spec)
@@ -146,7 +144,7 @@ class TestStatsAttribution:
         )
         assert candidate_queries + composition_queries + 1 == stats.queries
 
-    @pytest.mark.parametrize("spec", ["serial", "thread:4", "process:4"])
+    @pytest.mark.parametrize("spec", ["serial", "process:2", "process:4"])
     def test_unit_report_attribution_is_per_candidate(self, spec):
         workload = build_workload("IR", scale=0.12)
         Profiler().profile_workflow(workload.workflow, workload.base_datasets)
@@ -270,36 +268,62 @@ class TestIndependentSubunits:
 
 class TestBackendPlumbing:
     def test_available_and_create(self):
-        assert set(available_backends()) == {"serial", "thread", "process"}
+        assert available_backends() == ("serial", "process")
         assert isinstance(create_backend("serial"), SerialBackend)
-        assert isinstance(create_backend("thread:3"), ThreadBackend)
         backend = create_backend("process:2")
         assert isinstance(backend, ProcessBackend)
         assert backend.workers == 2
         assert backend.spec == "process:2"
-        assert create_backend("thread").workers == DEFAULT_WORKERS
+        assert create_backend("process").workers == DEFAULT_WORKERS
 
     def test_create_rejects_garbage(self):
         with pytest.raises(ValueError, match="unknown search backend"):
             create_backend("quantum:9")
         with pytest.raises(ValueError, match="bad worker count"):
-            create_backend("thread:lots")
+            create_backend("process:lots")
         with pytest.raises(ValueError):
-            ThreadBackend(workers=0)
+            ProcessBackend(workers=0)
+
+    def test_thread_pool_spec_is_rejected_loudly(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"unknown search backend 'thread'.*process.*serial"):
+            create_backend("thread:2")
+        monkeypatch.setenv("STUBBY_SEARCH_BACKEND", "thread:2")
+        with pytest.raises(ValueError, match="unknown search backend"):
+            StubbyOptimizer(CLUSTER)
 
     def test_resolve_backend_env_and_passthrough(self, monkeypatch):
-        backend = ThreadBackend(workers=2)
+        backend = ProcessBackend(workers=2)
         assert resolve_backend(backend) is backend
         monkeypatch.delenv("STUBBY_SEARCH_BACKEND", raising=False)
         assert isinstance(resolve_backend(None), SerialBackend)
-        monkeypatch.setenv("STUBBY_SEARCH_BACKEND", "thread:2")
+        monkeypatch.setenv("STUBBY_SEARCH_BACKEND", "process:2")
         resolved = resolve_backend(None)
-        assert isinstance(resolved, ThreadBackend)
+        assert isinstance(resolved, ProcessBackend)
         assert resolved.workers == 2
         with pytest.raises(TypeError):
             resolve_backend(42)
 
-    @pytest.mark.parametrize("spec", ["thread:2", "process:2"])
+    def test_resolve_backend_consults_the_variable_it_is_given(self, monkeypatch):
+        monkeypatch.setenv("STUBBY_SEARCH_BACKEND", "process:2")
+        monkeypatch.setenv("STUBBY_SOME_OTHER_BACKEND", "process:3")
+        assert resolve_backend(None, env_var="STUBBY_SOME_OTHER_BACKEND").workers == 3
+        # None consults no variable at all (the planning server's pool).
+        assert isinstance(resolve_backend(None, env_var=None), SerialBackend)
+        assert resolve_backend("process:5", env_var=None).workers == 5
+
+    def test_a_session_without_stores_holds_an_empty_channel(self):
+        channel = parallel.store_side_channel()
+        channel.worker_init()
+        payload = channel.chunk_end(channel.chunk_begin())
+        assert payload == () and channel.final_export() == ()
+        channel.chunk_absorb_foreign(payload)
+        channel.final_absorb(())
+        # ...which is what a fork session opened without one runs on.
+        with create_backend("process:2").session(lambda request: -request) as session:
+            assert session.run([1, 2, 3]) == [-1, -2, -3]
+            assert session.forked
+
+    @pytest.mark.parametrize("spec", ["serial", "process:2"])
     def test_session_preserves_request_order(self, spec):
         backend = create_backend(spec)
         with backend.session(lambda request: request * request) as session:
@@ -313,7 +337,7 @@ class TestBackendPlumbing:
                 raise RuntimeError("candidate 3 is cursed")
             return request
 
-        with pytest.raises(RuntimeError, match="parallel search worker failed"):
+        with pytest.raises(RuntimeError, match="parallel worker pool failed"):
             with backend.session(explode) as session:
                 session.run(list(range(6)))
 
@@ -325,6 +349,53 @@ class TestBackendPlumbing:
         assert _optimize(workload.plan, None).search_backend == "serial:1"
 
 
+class TestInSearchForkPool:
+    """What the one dispatch path and the one grain give the in-search pool."""
+
+    def test_killed_worker_is_survived_inside_the_search(self):
+        workload = build_workload("IR", scale=0.12)
+        Profiler().profile_workflow(workload.workflow, workload.base_datasets)
+        reference_fp = _decision_fingerprint(_optimize(workload.plan, "serial"))
+        # Slot 0 of every forked session dies on its first candidate; the
+        # request is retried on slot 1 and the decisions do not move.
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    site="parallel.task",
+                    kind="kill",
+                    match={"worker_slot": 0},
+                    at_hits=(1,),
+                )
+            ]
+        )
+        with install_fault_plan(plan):
+            result = _optimize(workload.plan, "process:2")
+        assert _decision_fingerprint(result) == reference_fp
+
+    def test_single_candidate_units_never_fork(self, monkeypatch):
+        forks = []
+        ensure_workers = parallel._ForkSession._ensure_workers
+
+        def counting(session):
+            if not session.forked:
+                forks.append(session._requested_workers)
+            ensure_workers(session)
+
+        monkeypatch.setattr(parallel._ForkSession, "_ensure_workers", counting)
+        # WG: every unit of both phases enumerates exactly one candidate.
+        workload = build_workload("WG", scale=0.1)
+        Profiler().profile_workflow(workload.workflow, workload.base_datasets)
+        result = _optimize(workload.plan, "process:2")
+        assert result.unit_reports
+        assert all(len(report.subplans) == 1 for report in result.unit_reports)
+        assert forks == []
+        # The counter is live: a unit with several candidates does fork.
+        workload = build_workload("IR", scale=0.1)
+        Profiler().profile_workflow(workload.workflow, workload.base_datasets)
+        _optimize(workload.plan, "process:2")
+        assert forks and set(forks) == {2}
+
+
 class TestBatchedRRS:
     def _space(self):
         return ConfigurationSpace(
@@ -334,28 +405,24 @@ class TestBatchedRRS:
             ]
         )
 
-    def test_batch_equals_pointwise(self):
+    def test_generations_dedup_and_keep_the_argmin(self):
+        calls = []
+
         def objective(point):
+            calls.append(tuple(sorted(point.items())))
             return (point["x"] - 17) ** 2 + (point["y"] - 50) ** 2
 
-        def batch(points):
-            return [objective(p) for p in points]
-
         a = RecursiveRandomSearch(seed=5).search(self._space(), objective)
-        b = RecursiveRandomSearch(seed=5).search(self._space(), objective_batch=batch)
+        first_calls, calls[:] = list(calls), []
+        b = RecursiveRandomSearch(seed=5).search(self._space(), objective)
         assert a.best_point == b.best_point
         assert a.best_value == b.best_value
         assert a.trajectory == b.trajectory
-
-    def test_requires_some_objective(self):
-        with pytest.raises(ValueError, match="objective"):
-            RecursiveRandomSearch().search(self._space())
-
-    def test_batch_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="values for"):
-            RecursiveRandomSearch(seed=1).search(
-                self._space(), objective_batch=lambda points: [1.0]
-            )
+        assert first_calls == calls
+        # Every dispatched point is distinct, and the argmin is over all of them.
+        assert len(calls) == len(set(calls)) == a.evaluations == len(a.trajectory)
+        assert a.best_value == min(a.trajectory)
+        assert objective(a.best_point) == a.best_value
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +431,7 @@ class TestBatchedRRS:
 
 
 @pytest.mark.equivalence
-@pytest.mark.parametrize("spec", ["thread:4", "process:4"])
+@pytest.mark.parametrize("spec", ["process:2", "process:4"])
 def test_equivalence_process_backend(spec, cluster, workflow_generator, differential):
     """Optimized output equivalence holds when the search runs in parallel."""
     seeds = [1000, 1001, 1002]

@@ -57,7 +57,7 @@ COMBOS = (
 )
 
 #: Pools the bit-identity battery sweeps (the acceptance grid).
-POOLS = ("serial", "thread:4", "process:2")
+POOLS = ("serial", "process:2")
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +157,7 @@ class TestBitIdentityUnderLoad:
         """Same combo, many tenants, one server: answers never drift."""
 
         async def main():
-            server = make_server(catalog, pool="thread:2")
+            server = make_server(catalog, pool="process:2")
             async with server:
                 waves = []
                 for _wave in range(3):
@@ -179,7 +179,7 @@ class TestAttributionInvariant:
 
     def test_tenant_sums_equal_global_deltas(self, catalog):
         async def main():
-            server = make_server(catalog, pool="thread:2")
+            server = make_server(catalog, pool="process:2")
             cost_before = server.costs.stats_snapshot()
             decision_before = server.decisions.stats_snapshot()
             async with server:
@@ -267,7 +267,7 @@ class TestFaultInjection:
 
     def test_client_timeout_withdraws_quietly(self, catalog):
         async def main():
-            server = make_server(catalog, pool="thread:1")
+            server = make_server(catalog, pool="serial")
             await server.start(serve=False)
             # Queue a real request, then an impatient one that times out
             # while still queued (nothing dispatches until resume()).
@@ -295,7 +295,7 @@ class TestFaultInjection:
     def test_admission_overflow_rejects_loudly_then_serves_the_admitted(self, catalog):
         async def main():
             server = make_server(
-                catalog, pool="thread:2", queue_capacity=3, per_tenant_capacity=2
+                catalog, pool="process:2", queue_capacity=3, per_tenant_capacity=2
             )
             await server.start(serve=False)
             admitted = [
@@ -330,6 +330,14 @@ class TestFaultInjection:
 
 
 class TestServerGuards:
+    def test_default_pool_is_serial(self, monkeypatch):
+        # The same default as resolve_backend and ExperimentScheduler — and
+        # no environment variable reaches it.
+        monkeypatch.setenv("STUBBY_SEARCH_BACKEND", "process:2")
+        assert PlanningServer(CLUSTER).backend.spec == "serial:1"
+        with pytest.raises(ValueError, match="unknown search backend"):
+            PlanningServer(CLUSTER, pool="thread:4")
+
     def test_unknown_workload_and_variant_rejected(self, catalog):
         async def main():
             server = make_server(catalog, pool="serial")

@@ -48,8 +48,13 @@ def _src_sources():
 
 def test_src_has_no_mode_switches():
     """ISSUE 13 retired the process-wide ``set_*_enabled`` switches and the
-    cell-dispatch option; a path that needs a baseline keeps it under tests/."""
-    banned = re.compile(r"def set_\w+_enabled|STUBBY_EXPERIMENT_DISPATCH")
+    cell-dispatch option, ISSUE 14 the thread pool, the per-session dispatch
+    mode and the batched RRS objective; a path that needs a baseline keeps it
+    under tests/."""
+    banned = re.compile(
+        r"def set_\w+_enabled|STUBBY_EXPERIMENT_DISPATCH"
+        r"|ThreadPoolExecutor|dispatch=|objective_batch"
+    )
     assert [path for path, text in _src_sources() if banned.search(text)] == []
 
 

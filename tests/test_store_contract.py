@@ -11,6 +11,8 @@ identity, signature invalidation) stays in the stores' own test files.
 
 import dataclasses
 import pickle
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -267,7 +269,7 @@ class TestAttribution:
         kind.populate(store, "other")
         assert outer == delta
 
-    def test_foreign_and_sink_only_deltas(self, kind):
+    def test_foreign_delta_counts_everywhere(self, kind):
         store = kind.build()
         foreign = kind.cls.STATS()
         donor = kind.build()
@@ -275,14 +277,53 @@ class TestAttribution:
             kind.populate(donor, "worker")
         sink = kind.cls.STATS()
         with store.attribute_to(sink):
-            store.apply_external_delta(foreign)  # process backend: counts everywhere
-            assert store.stats_snapshot() == sink == foreign
-            store.apply_sink_only_delta(foreign)  # thread backend: sinks only
-        assert store.stats_snapshot() == foreign
-        doubled = kind.cls.STATS()
-        doubled.accumulate(foreign)
-        doubled.accumulate(foreign)
-        assert sink == doubled
+            store.apply_external_delta(foreign)  # a forked worker's merged delta
+        assert store.stats_snapshot() == sink == foreign
+
+    def test_concurrent_threads_reconcile_exactly(self, kind):
+        """4 raw threads hammer one small store: no lost update, no overshoot.
+
+        The planning server's dispatcher and event-loop threads share the
+        stores, so the stats lock, the shard locks and the thread-local
+        sinks/origins must hold without any pool in between: per-thread
+        sink totals sum to the global delta to the counter, and evicting
+        under contention never leaves a store above its capacity.
+        """
+        capacity_arg = "max_cache_entries" if kind.name == "cost" else "max_entries"
+        store = kind.cls(CLUSTER, **{capacity_arg: 16})
+        rounds = 100  # x (1 counted lookup + >= MIN_POPULATED writes) > 500 calls a thread
+        _profiled_workflow()  # built once, before the threads race to build it
+        before = store.stats_snapshot()
+        sinks = [kind.cls.STATS() for _ in range(4)]
+        errors = []
+
+        def hammer(slot: int) -> None:
+            try:
+                with store.attribute_to(sinks[slot]):
+                    for _ in range(rounds):
+                        kind.populate(store, f"thread-{slot}")
+            except Exception as exc:  # reported below, on the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        delta = store.stats_snapshot().since(before)
+        total = kind.cls.STATS()
+        for sink in sinks:
+            assert any(sink.as_dict().values())
+            total.accumulate(sink)
+        assert total == delta
+        assert 0 < store.cache_size <= store.max_entries == 16
 
 
 # --------------------------------------------------------------------------

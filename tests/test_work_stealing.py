@@ -1,17 +1,19 @@
-"""Work-stealing dispatch: identity, balance, fault tolerance, plumbing.
+"""Fork-pool dispatch: identity, balance, fault tolerance, plumbing.
 
-The contract under test is the one ``docs/search.md`` documents for
-``dispatch="stealing"``: stealing changes *which worker* runs a request and
-*when*, never the results — every backend returns the same responses in
-request order as ``dispatch="static"``.  On top of identity the suite
-asserts the two properties stealing exists for:
+The contract under test is the one ``docs/search.md`` documents for a
+forked session: handing idle workers the next request changes *which
+worker* runs a request and *when*, never the results — every pool returns
+the same responses in request order as :class:`SerialBackend`, the
+reference.  On top of identity the suite asserts the two properties the
+one-request-at-a-time dispatch exists for:
 
 * **balance** — under heterogeneous request costs the counter-based
   imbalance metric :attr:`DispatchStats.idle_cost_units` is measurably
-  lower than static round-robin dealing, with ``steals > 0`` proving the
-  dynamic path actually ran (counters, not wall clocks, so it holds on
-  1-CPU CI hosts too);
-* **fault tolerance** (fork pools only) — a worker SIGKILLed mid-request
+  lower than round-robin dealing would give (a figure derived from
+  ``WEIGHTS`` below), with ``steals > 0`` proving requests left their
+  round-robin slot (counters, not wall clocks, so it holds on 1-CPU CI
+  hosts too);
+* **fault tolerance** — a worker SIGKILLed mid-request
   loses exactly that request's chunk, which is retried on a survivor up to
   ``MAX_TASK_ATTEMPTS`` times; deterministic worker exceptions are *never*
   retried; when every worker is dead the session fails loudly.
@@ -24,19 +26,20 @@ import time
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core.parallel import (
-    DISPATCH_KINDS,
-    MAX_TASK_ATTEMPTS,
-    DispatchStats,
-    create_backend,
-)
+from repro.core.parallel import MAX_TASK_ATTEMPTS, DispatchStats, create_backend
 from repro.experiments import ExperimentHarness, ExperimentScheduler, build_cells
 
-#: One expensive request among cheap ones: static round-robin on two
-#: workers deals slots [6+1+1+1, 1+1+1+1] (idle cost 5.0); a balanced
+#: One expensive request among cheap ones: round-robin dealing on two
+#: workers gives slots [6+1+1+1, 1+1+1+1] (idle cost 5.0); a balanced
 #: split is [7, 6] (idle cost 1.0).
 WEIGHTS = [6.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 REQUESTS = list(range(len(WEIGHTS)))
+
+
+def _round_robin_idle_cost(workers: int) -> float:
+    """Idle cost units of dealing ``WEIGHTS`` up front, ``index % workers``."""
+    slots = [sum(WEIGHTS[slot::workers]) for slot in range(workers)]
+    return workers * max(slots) - sum(slots)
 
 
 def _square(request: int) -> int:
@@ -48,16 +51,16 @@ def _weighted_sleep(request: int) -> int:
     return request * request
 
 
-def _run(spec: str, dispatch: str, worker_fn=_square, costs=WEIGHTS):
+def _run(spec: str, worker_fn=_square, costs=WEIGHTS):
     backend = create_backend(spec)
-    with backend.session(worker_fn, dispatch=dispatch) as session:
+    with backend.session(worker_fn) as session:
         responses = session.run(REQUESTS, costs=costs)
         return responses, session.dispatch_stats
 
 
 class TestDispatchStats:
     def test_record_and_idle_cost_units(self):
-        stats = DispatchStats(dispatch="stealing", workers=2)
+        stats = DispatchStats(workers=2)
         stats.record(0, 6.0)
         stats.record(1, 1.0, stolen=True)
         stats.record(1, 1.0, stolen=True)
@@ -69,10 +72,10 @@ class TestDispatchStats:
         assert stats.idle_cost_units == pytest.approx(2 * 6.0 - 8.0)
 
     def test_accumulate_sums_counters_elementwise(self):
-        a = DispatchStats(dispatch="stealing", workers=2)
+        a = DispatchStats(workers=2)
         a.record(0, 2.0)
         a.runs = 1
-        b = DispatchStats(dispatch="stealing", workers=3)
+        b = DispatchStats(workers=3)
         b.record(2, 5.0, stolen=True)
         b.worker_deaths = 1
         b.retried_tasks = 1
@@ -85,30 +88,25 @@ class TestDispatchStats:
         assert a.retried_tasks == 1
         assert a.tasks_per_worker == [1, 0, 1]
         assert a.load_per_worker == [2.0, 0.0, 5.0]
-        assert set(a.as_dict()) >= {"dispatch", "steals", "idle_cost_units"}
-
-    def test_unknown_dispatch_rejected(self):
-        for spec in ("serial", "thread:2", "process:2"):
-            with pytest.raises(ValueError, match="dispatch"):
-                create_backend(spec).session(_square, dispatch="bogus")
-        assert set(DISPATCH_KINDS) == {"static", "stealing"}
+        assert set(a.as_dict()) >= {"steals", "idle_cost_units"}
 
 
 class TestStealingIdentity:
-    """Stealing returns exactly what static returns, in request order."""
+    """A fork pool returns exactly what the serial reference returns, in order."""
 
-    @pytest.mark.parametrize("spec", ["serial", "thread:1", "thread:2", "thread:4", "process:2"])
-    def test_matches_static(self, spec):
-        static, _ = _run(spec, "static")
-        stolen, stats = _run(spec, "stealing")
-        assert stolen == static == [r * r for r in REQUESTS]
-        assert stats.tasks == len(REQUESTS)
+    @pytest.mark.parametrize("spec", ["process:1", "process:2", "process:4"])
+    def test_matches_serial(self, spec):
+        serial, serial_stats = _run("serial")
+        pooled, stats = _run(spec)
+        assert pooled == serial == [r * r for r in REQUESTS]
+        assert stats.tasks == serial_stats.tasks == len(REQUESTS)
         assert sum(stats.tasks_per_worker) == len(REQUESTS)
         assert sum(stats.load_per_worker) == pytest.approx(sum(WEIGHTS))
 
-    def test_cost_length_mismatch_rejected(self):
-        backend = create_backend("thread:2")
-        with backend.session(_square, dispatch="stealing") as session:
+    @pytest.mark.parametrize("spec", ["serial", "process:2"])
+    def test_cost_length_mismatch_rejected(self, spec):
+        backend = create_backend(spec)
+        with backend.session(_square) as session:
             with pytest.raises(ValueError, match="costs"):
                 session.run(REQUESTS, costs=[1.0])
 
@@ -116,27 +114,18 @@ class TestStealingIdentity:
 class TestStealingBalance:
     """Idle-cost imbalance shrinks when idle workers pull work."""
 
-    def test_thread_pool_balances_heterogeneous_load(self):
-        static, static_stats = _run("thread:2", "static", worker_fn=_weighted_sleep)
-        stolen, stealing_stats = _run("thread:2", "stealing", worker_fn=_weighted_sleep)
-        assert stolen == static
-        # Static round-robin is fully determined: slots [9, 4] of 13 units.
-        assert static_stats.idle_cost_units == pytest.approx(5.0)
-        assert static_stats.steals == 0
-        assert stealing_stats.steals > 0
-        assert stealing_stats.idle_cost_units < static_stats.idle_cost_units
-
     def test_fork_pool_balances_heterogeneous_load(self):
-        static, static_stats = _run("process:2", "static", worker_fn=_weighted_sleep)
-        stolen, stealing_stats = _run("process:2", "stealing", worker_fn=_weighted_sleep)
-        assert stolen == static
-        assert static_stats.idle_cost_units == pytest.approx(5.0)
-        assert stealing_stats.steals > 0
-        assert stealing_stats.idle_cost_units < static_stats.idle_cost_units
+        serial, _ = _run("serial")
+        pooled, stats = _run("process:2", worker_fn=_weighted_sleep)
+        assert pooled == serial
+        # Dealing up front is fully determined: slots [9, 4] of 13 units.
+        assert _round_robin_idle_cost(2) == pytest.approx(5.0)
+        assert stats.steals > 0
+        assert stats.idle_cost_units < _round_robin_idle_cost(2)
 
 
 class TestForkFaultTolerance:
-    """Worker deaths are survived (stealing) or reported loudly."""
+    """Worker deaths are survived or reported loudly."""
 
     def test_killed_worker_request_is_retried_on_survivor(self, tmp_path):
         marker = str(tmp_path / "died-once")
@@ -154,7 +143,7 @@ class TestForkFaultTolerance:
             return request * request
 
         backend = create_backend("process:2")
-        with backend.session(die_once, dispatch="stealing") as session:
+        with backend.session(die_once) as session:
             responses = session.run(REQUESTS, costs=WEIGHTS)
             stats = session.dispatch_stats
         assert responses == [r * r for r in REQUESTS]
@@ -168,7 +157,7 @@ class TestForkFaultTolerance:
             return request  # pragma: no cover
 
         backend = create_backend("process:2")
-        session = backend.session(always_die, dispatch="stealing")
+        session = backend.session(always_die)
         with pytest.raises(RuntimeError, match="parallel worker pool"):
             session.run(REQUESTS)
         session.close()
@@ -180,7 +169,7 @@ class TestForkFaultTolerance:
             return request * request
 
         backend = create_backend("process:2")
-        session = backend.session(bad_request, dispatch="stealing")
+        session = backend.session(bad_request)
         with pytest.raises(RuntimeError, match="poisoned"):
             session.run(REQUESTS)
         assert session.dispatch_stats.retried_tasks == 0
@@ -196,7 +185,7 @@ class TestForkFaultTolerance:
             return request * request
 
         backend = create_backend("process:3")
-        session = backend.session(die_always_on_5, dispatch="stealing")
+        session = backend.session(die_always_on_5)
         with pytest.raises(RuntimeError, match="parallel worker pool"):
             session.run(REQUESTS)
         assert session.dispatch_stats.worker_deaths == MAX_TASK_ATTEMPTS
@@ -204,7 +193,7 @@ class TestForkFaultTolerance:
 
 
 class TestExperimentSchedulerStealing:
-    """map_cells always steals: cell-order identity, balanced cell costs."""
+    """map_cells on a fork pool: cell-order identity, balanced cell costs."""
 
     CELLS = build_cells(["w1", "w2"], ["o1", "o2", "o3", "o4"], base_seed=7)
 
@@ -220,14 +209,12 @@ class TestExperimentSchedulerStealing:
 
     def test_stealing_identical_and_balanced(self):
         serial, _ = self._map("serial")
-        stolen, stats = self._map("thread:2")
+        stolen, stats = self._map("process:2")
         assert stolen == serial
         assert [index for index, _, _ in stolen] == list(range(len(self.CELLS)))
-        assert stats is not None and stats.dispatch == "stealing"
+        assert stats is not None
         assert stats.steals > 0
-        # Static round-robin would idle 5.0 cost units on these weights
-        # (TestStealingBalance pins that number at the session level).
-        assert stats.idle_cost_units < 5.0
+        assert stats.idle_cost_units < _round_robin_idle_cost(2)
 
     def test_harness_run_identical_under_stealing(self):
         def result_of(backend):
@@ -238,8 +225,8 @@ class TestExperimentSchedulerStealing:
             return result, harness.last_dispatch_stats
 
         serial, serial_stats = result_of("serial")
-        stolen, stealing_stats = result_of("thread:2")
+        stolen, stealing_stats = result_of("process:2")
         assert stolen.decision_fingerprint() == serial.decision_fingerprint()
-        assert stealing_stats is not None and stealing_stats.dispatch == "stealing"
+        assert stealing_stats is not None
         assert serial_stats is not None
         assert stealing_stats.tasks == serial_stats.tasks == 2

@@ -39,12 +39,9 @@ def harness(cluster):
     """
     instance = ExperimentHarness(cluster=cluster, scale=BENCHMARK_SCALE)
     yield instance
-    if instance.cache_path:
-        # merge_first re-absorbs whatever the file holds before saving, so a
-        # session that ends with a sparse (post-invalidate) in-memory store
-        # never shrinks a richer persisted one — merging is idempotent and
-        # exact.
-        instance.costs.save_cache(merge_first=True)
+    # Merge-saves: a session that ends with a sparse (post-invalidate)
+    # in-memory store never shrinks a richer persisted one.
+    instance.persist_cache()
 
 
 def usable_cpus() -> int:

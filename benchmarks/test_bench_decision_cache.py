@@ -40,7 +40,7 @@ from conftest import BENCHMARK_SCALE, run_once, speedup_enforced, usable_cpus
 
 from repro.core.decision_cache import DecisionCache
 from repro.core.optimizer import StubbyOptimizer
-from repro.core.search import StubbySearch
+from repro.core.search import plan_decision_fingerprint
 from repro.profiler import Profiler
 from repro.workloads import build_workload
 
@@ -71,7 +71,7 @@ def _sweep(cluster, plans, cache_factory):
         optimizer = StubbyOptimizer(cluster, decision_cache=cache_factory())
         result = optimizer.optimize(plan)
         rows[name] = {
-            "fingerprint": StubbySearch._plan_decision_fingerprint(result.plan),
+            "fingerprint": plan_decision_fingerprint(result.plan),
             "queries": result.whatif_queries,
             "rrs_evaluations": _rrs_evaluations(result),
             "decision_hits": result.unit_decision_hits,

@@ -79,7 +79,7 @@ def _run_optimizer(abbr):
 
 def _allocation_probe():
     """Traced allocation cost of one repeated costing window, plus slots proof."""
-    from repro.core.costing import CostService
+    from repro.whatif.service import CostService
 
     workload = build_workload("IR", scale=BENCHMARK_SCALE)
     Profiler().profile_workflow(workload.workflow, workload.base_datasets)

@@ -96,7 +96,7 @@ def _soak(cluster, catalog, pool):
         waves = {}
         async with server:
             for wave in ("cold", "warm"):
-                decisions_before = server.stats.total_decision_stats()
+                decisions_before = server.stats.total("decision_stats")
                 started = time.perf_counter()
                 responses = await asyncio.gather(
                     *[server.submit(_request(i)) for i in range(SOAK_REQUESTS)]
@@ -105,7 +105,7 @@ def _soak(cluster, catalog, pool):
                 waves[wave] = {
                     "responses": responses,
                     "wall_s": elapsed,
-                    "decision_delta": server.stats.total_decision_stats().since(
+                    "decision_delta": server.stats.total("decision_stats").since(
                         decisions_before
                     ),
                 }
@@ -163,8 +163,8 @@ def test_bench_planning_service(benchmark, cluster):
                     f"{pool}: {key} diverged from the cold oracle"
                 )
         # Contract 2a: exact per-tenant attribution reconciliation.
-        assert server.stats.total_cost_stats().as_dict() == cost_delta.as_dict()
-        assert server.stats.total_decision_stats().as_dict() == decision_delta.as_dict()
+        assert server.stats.total("cost_stats").as_dict() == cost_delta.as_dict()
+        assert server.stats.total("decision_stats").as_dict() == decision_delta.as_dict()
         # Contract 2b: the warm wave strictly beats the cold wave.
         assert waves["warm"]["decision_delta"].hit_rate > waves["cold"][
             "decision_delta"

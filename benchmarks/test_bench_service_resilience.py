@@ -74,8 +74,8 @@ def _run(coro):
 def _assert_attribution_exact(server, cost_before, decision_before):
     cost_delta = server.costs.stats_snapshot().since(cost_before)
     decision_delta = server.decisions.stats_snapshot().since(decision_before)
-    assert server.stats.total_cost_stats().as_dict() == cost_delta.as_dict()
-    assert server.stats.total_decision_stats().as_dict() == decision_delta.as_dict()
+    assert server.stats.total("cost_stats").as_dict() == cost_delta.as_dict()
+    assert server.stats.total("decision_stats").as_dict() == decision_delta.as_dict()
 
 
 def _tenant_totals(server):

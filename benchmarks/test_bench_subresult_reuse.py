@@ -37,6 +37,7 @@ import time
 
 from conftest import run_once, speedup_enforced, usable_cpus
 
+from repro.common.store import attributed
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.subresults import (
     SubResultCatalog,
@@ -106,9 +107,8 @@ def test_bench_subresult_reuse(benchmark, cluster):
         sinks, wave_results = [], []
 
         # Wave 1: cold producers — optimize, execute, register.
-        sink = SubResultCatalogStats()
         results = []
-        with catalog.origin("wave-1"), catalog.attribute_to(sink):
+        with attributed((catalog,), "wave-1") as (sink,):
             for seed in WAVE1_SEEDS:
                 first, _second = pairs[seed]
                 results.append(_optimize(cluster, catalog, first))
@@ -117,9 +117,8 @@ def test_bench_subresult_reuse(benchmark, cluster):
         wave_results.append(results)
 
         # Wave 2: warm siblings mixed with brand-new cold producers.
-        sink = SubResultCatalogStats()
         results = []
-        with catalog.origin("wave-2"), catalog.attribute_to(sink):
+        with attributed((catalog,), "wave-2") as (sink,):
             for seed in WAVE1_SEEDS:
                 results.append(_optimize(cluster, catalog, pairs[seed][1]))
             for seed in WAVE2_NEW_SEEDS:
@@ -130,9 +129,8 @@ def test_bench_subresult_reuse(benchmark, cluster):
         wave_results.append(results)
 
         # Wave 3: full replay of every sibling — everything is warm now.
-        sink = SubResultCatalogStats()
         results = []
-        with catalog.origin("wave-3"), catalog.attribute_to(sink):
+        with attributed((catalog,), "wave-3") as (sink,):
             for seed in ALL_SEEDS:
                 results.append(_optimize(cluster, catalog, pairs[seed][1]))
         sinks.append(sink)

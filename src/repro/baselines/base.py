@@ -7,9 +7,10 @@ from abc import ABC, abstractmethod
 from typing import Optional
 
 from repro.cluster import ClusterSpec
-from repro.core.costing import CostService, StatsWindow, ensure_cost_service
+from repro.common.store import attributed, current_origin
 from repro.core.optimizer import OptimizationResult
 from repro.core.plan import Plan
+from repro.whatif.service import CostService
 from repro.workflow.graph import Workflow
 
 
@@ -34,7 +35,7 @@ class BaselineOptimizer(ABC):
         cache_path: Optional[str] = None,
     ) -> None:
         self.cluster = cluster
-        self.costs = ensure_cost_service(cluster, cost_service, cache_path=cache_path)
+        self.costs = CostService.ensure(cluster, cost_service, cache_path=cache_path)
         self.whatif = self.costs.engine
 
     def optimize(self, plan_or_workflow, budget=None) -> OptimizationResult:
@@ -47,7 +48,7 @@ class BaselineOptimizer(ABC):
         plan = self._as_plan(plan_or_workflow)
         if budget is not None:
             budget.check("baseline.optimize")
-        with StatsWindow(self.costs) as window:
+        with attributed((self.costs,), current_origin()) as (cost_stats,):
             started = time.perf_counter()
             optimized = self._optimize_plan(plan.copy())
             # Only the strategy counts as optimization time; the final
@@ -59,7 +60,7 @@ class BaselineOptimizer(ABC):
             estimated_cost_s=estimate.total_s,
             optimization_time_s=elapsed,
             optimizer=self.name,
-            cost_stats=window.delta,
+            cost_stats=cost_stats,
         )
 
     @abstractmethod

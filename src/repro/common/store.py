@@ -1,29 +1,33 @@
-"""One sharded, attributed, persisted store under every optimizer memo.
+"""One attributed, persisted store under every optimizer memo.
 
 The cost service (:class:`~repro.whatif.service.CostService`), the unit
 decision memo (:class:`~repro.core.decision_cache.DecisionCache`) and the
 sub-result catalog (:class:`~repro.core.subresults.SubResultCatalog`) answer
 different questions, but they are the same *kind* of object: a bounded map
-from a content key to an exact value, shared by search threads, forked
+from a content key to an exact value, shared by the server's threads, forked
 workers, experiment cells and service tenants, and optionally warm-started
 from disk.  This module owns that mechanism once; the three stores keep only
 what is theirs — how a key is built, what a lookup counts, when an entry
 dies.
 
 Concurrency model
-    * Entries live in a :class:`ShardedLRU`: sharded by key hash, each shard
-      with its own lock and LRU order, so concurrent lookups contend per
-      shard, not globally.
+    * Entries live in a :class:`ShardedLRU`: one lock around one recency
+      order.  The only in-process sharers are the planning server's
+      event-loop and dispatcher threads; parallelism is forked workers, each
+      holding its own copy-on-write shard of the store.
     * Counters (a :class:`CounterStats` subclass per store) are updated under
-      one dedicated lock.  **Attribution sinks**
-      (:meth:`ShardedStore.attribute_to`) are thread-local and stack: a
+      one dedicated lock.  **Attribution sinks** are per-thread stacks: a
       caller captures the exact delta its own thread produced even while
       other threads move the global counters.
-    * Entries are tagged with the thread-local **origin** label
-      (:meth:`ShardedStore.origin`) active when they were stored; a hit on an
-      entry stored under a different label is a cross-origin hit — the
+    * One ambient, thread-local **origin label** (:func:`current_origin`)
+      tags every entry stored while it is active, in whichever store; a hit
+      on an entry stored under a different label is a cross-origin hit — the
       measure of how much one cell or tenant reaped from another, or from a
       warm-started file.
+    * :func:`attributed` is the one scope that sets both: a label plus a
+      fresh sink per store.  A served request, an experiment cell, one
+      ``optimize()`` call and a forked worker's request bracket all run
+      under it.
 
 Merge-on-join
     A forked worker accumulates into its private copy-on-write store and
@@ -43,7 +47,8 @@ Persistence
     :meth:`ShardedStore.load_cache` never raises on a bad file: a missing,
     corrupt, truncated, mismatched or half-valid file is rejected wholesale
     and quietly (:class:`CacheLoadReport` says why) — an invalid cache is
-    worth exactly as much as no cache.
+    worth exactly as much as no cache.  Owners (harness, server) write
+    their stores back with :func:`persist`.
 
 A disabled store (``enabled=False``) is behaviourally invisible: no lookup
 answers, nothing is stored, absorbed, loaded or exported.
@@ -59,24 +64,23 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Tuple, Type
+from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.common.faults import fault_site
 
 __all__ = [
-    "CACHE_STRIPES",
     "CacheLoadReport",
     "CounterStats",
     "ShardedLRU",
     "ShardedStore",
     "atomic_pickle_write",
+    "attributed",
     "cluster_cache_key",
+    "current_origin",
+    "persist",
     "resolve_env_flag",
     "resolve_env_path",
 ]
-
-#: Number of independently locked cache shards (a power of two).
-CACHE_STRIPES = 16
 
 _FALSE_STRINGS = frozenset({"0", "false", "no", "off"})
 
@@ -216,36 +220,26 @@ class CounterStats:
 
 
 class ShardedLRU:
-    """A lock-striped LRU mapping from key tuples to ``(value, origin)`` entries.
+    """A locked LRU mapping from key tuples to ``(value, origin)`` entries.
 
-    Keys are distributed across :data:`CACHE_STRIPES` shards by hash; each
-    shard has its own lock, recency order, and share of the total capacity,
-    so two threads working on different keys almost never contend on the
-    same lock.  Shard placement affects only contention — never the cached
-    values — so it is free to vary between processes.
+    One lock, one recency order: the map holds exactly ``max_entries``
+    entries before it evicts, and evicts in strict least-recently-used
+    order, whatever ``PYTHONHASHSEED`` the process runs under.  "Shard" is
+    the process's share of a store — a forked worker's copy is its private
+    shard until merge-on-join.
     """
 
     def __init__(self, max_entries: int) -> None:
         self.max_entries = max(1, max_entries)
-        # A shard never holds more than its share of the total capacity, so
-        # the whole cache stays within max_entries; tiny capacities use fewer
-        # stripes rather than rounding every shard up to one entry.
-        self._stripes = max(1, min(CACHE_STRIPES, self.max_entries))
-        per_shard = self.max_entries // self._stripes
-        self._shards: List[Tuple[threading.Lock, "OrderedDict[Tuple, object]", int]] = [
-            (threading.Lock(), OrderedDict(), per_shard) for _ in range(self._stripes)
-        ]
-
-    def _shard(self, key: Tuple):
-        return self._shards[hash(key) % self._stripes]
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Tuple, Tuple[object, object]]" = OrderedDict()
 
     def lookup(self, key: Tuple):
         """Return the ``(value, origin)`` pair for ``key``, or ``None``."""
-        lock, entries, _cap = self._shard(key)
-        with lock:
-            entry = entries.get(key)
+        with self._lock:
+            entry = self._entries.get(key)
             if entry is not None:
-                entries.move_to_end(key)
+                self._entries.move_to_end(key)
             return entry
 
     def store(self, key: Tuple, value, origin=None) -> bool:
@@ -255,43 +249,91 @@ class ShardedLRU:
         merge-on-join and MRU compaction both rely on "just written" meaning
         "most recently used".
         """
-        lock, entries, cap = self._shard(key)
-        with lock:
+        entries = self._entries
+        with self._lock:
             new = key not in entries
             entries[key] = (value, origin)
             if not new:
                 entries.move_to_end(key)
-            elif len(entries) > cap:
+            elif len(entries) > self.max_entries:
                 entries.popitem(last=False)
             return new
 
-    def shard_items(self) -> List[List[Tuple[Tuple, object, object]]]:
-        """Per-shard ``(key, value, origin)`` snapshots, each in LRU→MRU order.
+    def items(self) -> List[Tuple[Tuple, object, object]]:
+        """``(key, value, origin)`` rows in LRU→MRU order.
 
-        Each stripe lock is held only for the raw ``dict.items()`` copy; the
-        row tuples are built outside the lock, so a concurrent worker merge
-        (or a big save) does not stall lookups for the whole rebuild.
+        The lock is held only for the raw ``dict.items()`` copy; the row
+        tuples are built outside it, so a big save does not stall lookups
+        for the whole rebuild.
         """
-        snapshot: List[List[Tuple[Tuple, object, object]]] = []
-        for lock, entries, _cap in self._shards:
-            with lock:
-                raw = list(entries.items())
-            snapshot.append([(key, value, origin) for key, (value, origin) in raw])
-        return snapshot
+        with self._lock:
+            raw = list(self._entries.items())
+        return [(key, value, origin) for key, (value, origin) in raw]
 
     def discard(self, key: Tuple) -> bool:
         """Drop one key; True when it was present."""
-        lock, entries, _cap = self._shard(key)
-        with lock:
-            return entries.pop(key, None) is not None
+        with self._lock:
+            return self._entries.pop(key, None) is not None
 
     def clear(self) -> None:
-        for lock, entries, _cap in self._shards:
-            with lock:
-                entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def __len__(self) -> int:
-        return sum(len(entries) for _lock, entries, _cap in self._shards)
+        return len(self._entries)
+
+
+#: The calling thread's origin label (``.label``); see :func:`current_origin`.
+_AMBIENT = threading.local()
+
+
+def current_origin() -> Optional[str]:
+    """The origin label active on the calling thread (``None`` outside any).
+
+    One label for every store; thread-local (and inherited by forked
+    workers), so concurrent cells never mislabel each other's work.
+    """
+    return getattr(_AMBIENT, "label", None)
+
+
+@contextmanager
+def attributed(stores: Sequence["ShardedStore"], label: Optional[str]) -> Iterator[Tuple]:
+    """Run the body as ``label``, capturing its exact delta on each store.
+
+    Sets the ambient origin label and pushes one fresh attribution sink per
+    store onto the calling thread's sink stacks; yields the sinks, in
+    ``stores`` order.  When the body ends each sink holds exactly the
+    counter delta this thread produced on its store, work merged back from
+    forked workers included.  Scopes nest: sinks stack, and the outer label
+    is restored on exit (pass ``current_origin()`` to capture deltas
+    without relabelling).
+    """
+    sinks = tuple(store.STATS() for store in stores)
+    previous = current_origin()
+    _AMBIENT.label = label
+    for store, sink in zip(stores, sinks):
+        store._sink_stack().append(sink)
+    try:
+        yield sinks
+    finally:
+        for store in stores:
+            store._sink_stack().pop()
+        _AMBIENT.label = previous
+
+
+def persist(stores: Sequence["ShardedStore"]) -> int:
+    """Merge-save every enabled store that has a ``cache_path``.
+
+    ``merge_first`` always: the owner may hold less than the file does (it
+    invalidated, or never warm-started, or another process saved meanwhile),
+    and a save must never shrink what a later run would warm-start from.
+    Returns the number of entries written across all stores.
+    """
+    return sum(
+        store.save_cache(merge_first=True)
+        for store in stores
+        if store.enabled and store.cache_path
+    )
 
 
 class ShardedStore:
@@ -299,8 +341,8 @@ class ShardedStore:
 
     A subclass names its policy through class attributes and adds its own
     query methods on top of ``_cache`` / :meth:`_store`; everything in
-    the module docstring — sinks, origins, the export log, persistence, the
-    disabled rule — is inherited.  Persisted rows are
+    the module docstring — sinks, origin tags, the export log, persistence,
+    the disabled rule — is inherited.  Persisted rows are
     ``(key, value, origin)`` tuples; a store with a different row shape
     overrides :meth:`_entries_snapshot`, :meth:`_valid_row` and
     :meth:`absorb_entries` together.
@@ -336,7 +378,7 @@ class ShardedStore:
         self._cache = ShardedLRU(self.max_entries)
         self.stats = self.STATS()
         self._stats_lock = threading.Lock()
-        #: Per-thread attribution sink stack (``sinks``) and origin (``label``).
+        #: Per-thread attribution sink stack (``sinks``).
         self._local = threading.local()
         #: Append-only log of entries stored since :meth:`start_export_log`;
         #: enabled only inside forked workers (single-threaded), so it needs
@@ -395,10 +437,10 @@ class ShardedStore:
     def attribute_to(self, sink: CounterStats):
         """Also credit this thread's activity to ``sink`` while active.
 
-        Sinks are thread-local and stack: the search wraps each candidate
-        costing in one, the harness each cell, the server each request, so
-        every level carries its exact stats delta even when neighbours run
-        concurrently.
+        Sinks are thread-local and stack, so every level carries its exact
+        stats delta even when neighbours run concurrently.  The search wraps
+        each candidate costing in one; whole requests, cells and
+        ``optimize()`` calls use :func:`attributed`, which also labels.
         """
         stack = self._sink_stack()
         stack.append(sink)
@@ -417,31 +459,9 @@ class ShardedStore:
         self._apply_delta(delta)
 
     def stats_snapshot(self):
-        """Consistent copy of the global counters (for windows/reports)."""
+        """Consistent copy of the global counters (for reports and reconciliation)."""
         with self._stats_lock:
             return self.stats.snapshot()
-
-    # ---------------------------------------------------- origin attribution
-    @contextmanager
-    def origin(self, label: Optional[str]):
-        """Label this thread's store activity as coming from ``label``.
-
-        Entries stored while the label is active are tagged with it; a later
-        lookup under a *different* label that hits such an entry counts as a
-        cross-origin hit.  The label is thread-local (and inherited by
-        forked workers), so concurrent cells never mislabel each other's
-        work.
-        """
-        previous = self.current_origin()
-        self._local.label = label
-        try:
-            yield
-        finally:
-            self._local.label = previous
-
-    def current_origin(self) -> Optional[str]:
-        """The origin label active on the calling thread (``None`` outside)."""
-        return getattr(self._local, "label", None)
 
     # --------------------------------------------------------------- entries
     def _store(
@@ -499,7 +519,7 @@ class ShardedStore:
     # ------------------------------------------------------------ persistence
     def _entries_snapshot(self) -> List[Tuple]:
         """Every entry as the plain rows :meth:`absorb_entries` accepts."""
-        return [row for rows in self._cache.shard_items() for row in rows]
+        return self._cache.items()
 
     def _valid_row(self, row) -> bool:
         """Whether one persisted row has the shape :meth:`absorb_entries` needs."""

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.cluster import ClusterSpec
-from repro.common.store import CounterStats, ShardedStore, resolve_env_flag, resolve_env_path
+from repro.common.store import CounterStats, ShardedStore, current_origin, resolve_env_flag
 
 # Content-key helpers live in the leaf module ``repro.core.content_keys``
 # (shared with the sub-result catalog); re-exported here because the search
@@ -75,9 +75,6 @@ __all__ = [
     "DecisionCacheStats",
     "SubunitChoice",
     "UnitDecision",
-    "decision_cache_enabled",
-    "ensure_decision_cache",
-    "resolve_decision_cache_path",
 ]
 
 #: Default bound on memoized unit decisions; old entries are evicted LRU.
@@ -107,21 +104,6 @@ DECISION_CACHE_VERIFY_ENV_VAR = "STUBBY_DECISION_CACHE_VERIFY"
 
 #: Cap on decisions a forked worker ships back on merge-on-join.
 MAX_EXPORTED_DECISIONS = 5_000
-
-
-def decision_cache_enabled(enabled: Optional[bool] = None) -> bool:
-    """Normalize the enable flag: explicit argument, else environment, else on."""
-    return resolve_env_flag(enabled, DECISION_CACHE_ENABLED_ENV_VAR, True)
-
-
-def decision_cache_verify(verify: Optional[bool] = None) -> bool:
-    """Normalize the verify-hits flag: explicit argument, else environment."""
-    return resolve_env_flag(verify, DECISION_CACHE_VERIFY_ENV_VAR, False)
-
-
-def resolve_decision_cache_path(path: Optional[str]) -> Optional[str]:
-    """Explicit decision-cache path, else :data:`DECISION_CACHE_PATH_ENV_VAR` (``""`` = none)."""
-    return resolve_env_path(path, DECISION_CACHE_PATH_ENV_VAR)
 
 
 @dataclass(frozen=True)
@@ -209,8 +191,9 @@ class DecisionCacheStats(CounterStats):
 class DecisionCache(ShardedStore):
     """Sharded, LRU, optionally persisted memo of unit search decisions.
 
-    One instance is safe to share across search threads, forked workers, and
-    experiment cells — it is a :class:`~repro.common.store.ShardedStore`.
+    One instance is safe to share across the server's threads, forked
+    workers, and experiment cells — it is a
+    :class:`~repro.common.store.ShardedStore`.
 
     ``enabled=False`` (or ``STUBBY_DECISION_CACHE_ENABLED=0``) turns every
     lookup into a no-answer and every store into a no-op, so a disabled
@@ -236,15 +219,16 @@ class DecisionCache(ShardedStore):
         cache_path: Optional[str] = None,
         verify_hits: Optional[bool] = None,
     ) -> None:
-        self.verify_hits = decision_cache_verify(verify_hits)
-        super().__init__(cluster, max_entries, decision_cache_enabled(enabled), cache_path)
+        self.verify_hits = resolve_env_flag(verify_hits, DECISION_CACHE_VERIFY_ENV_VAR, False)
+        enabled = resolve_env_flag(enabled, DECISION_CACHE_ENABLED_ENV_VAR, True)
+        super().__init__(cluster, max_entries, enabled, cache_path)
 
-    def lookup(self, key: Tuple, origin: Optional[str] = None) -> Optional[Tuple[UnitDecision, bool]]:
+    def lookup(self, key: Tuple) -> Optional[Tuple[UnitDecision, bool]]:
         """The recorded decision for ``key``, or ``None`` on a miss.
 
         Returns ``(decision, cross_origin)`` — the second element is True
         when the entry was stored under a different origin label than the
-        caller's (another cell's work, or a warm-started file).
+        one active now (another cell's work, or a warm-started file).
         """
         if not self.enabled:
             return None
@@ -255,7 +239,7 @@ class DecisionCache(ShardedStore):
             self._apply_delta(delta)
             return None
         decision, entry_origin = entry
-        cross_origin = entry_origin != origin
+        cross_origin = entry_origin != current_origin()
         delta.decision_hits = 1
         if cross_origin:
             delta.cross_origin_hits = 1
@@ -263,11 +247,11 @@ class DecisionCache(ShardedStore):
         self._apply_delta(delta)
         return decision, cross_origin
 
-    def store(self, key: Tuple, decision: UnitDecision, origin: Optional[str] = None) -> None:
+    def store(self, key: Tuple, decision: UnitDecision) -> None:
         """Record the winning decision for ``key`` (no-op when disabled)."""
         if not self.enabled:
             return
-        self._store(key, decision, origin)
+        self._store(key, decision, current_origin())
         self._apply_delta(DecisionCacheStats(stores=1))
 
     def invalidate_key(self, key: Tuple) -> bool:
@@ -279,9 +263,3 @@ class DecisionCache(ShardedStore):
         """
         return self._cache.discard(key)
 
-
-#: ``ensure_decision_cache(cluster, cache=None, cache_path=None)``: the given
-#: cache (cluster-checked — a recorded decision is only the argmin for the
-#: cluster it was searched under) or a fresh one warm-started from
-#: ``cache_path`` / ``STUBBY_DECISION_CACHE``.
-ensure_decision_cache = DecisionCache.ensure

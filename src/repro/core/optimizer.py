@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster import ClusterSpec
-from repro.core.costing import CostService, CostServiceStats, StatsWindow, ensure_cost_service
-from repro.core.decision_cache import DecisionCache, ensure_decision_cache
+from repro.common.store import attributed, current_origin
+from repro.core.decision_cache import DecisionCache
 from repro.core.plan import Plan
 from repro.core.rrs import RecursiveRandomSearch
 from repro.core.search import StubbySearch, UnitReport, plan_decision_fingerprint
-from repro.core.subresults import SubResultCatalog, ensure_subresult_catalog
+from repro.core.subresults import SubResultCatalog
 from repro.core.transformations import (
     HorizontalPacking,
     InterJobVerticalPacking,
@@ -31,6 +31,7 @@ from repro.core.transformations import (
     PartitionFunctionTransformation,
     SubResultReuseTransformation,
 )
+from repro.whatif.service import CostService, CostServiceStats
 from repro.workflow.graph import Workflow
 
 
@@ -44,7 +45,8 @@ class OptimizationResult:
     optimizer: str
     unit_reports: List[UnitReport] = field(default_factory=list)
     #: Cost-service counters for this run (what-if queries, cache hits,
-    #: re-costed jobs); ``None`` when the optimizer bypassed the service.
+    #: re-costed jobs) — the exact delta of the calling thread, forked search
+    #: workers included; ``None`` when the optimizer bypassed the service.
     cost_stats: Optional[CostServiceStats] = None
     #: Execution backend the search ran on (e.g. "serial:1", "process:4").
     search_backend: str = "serial:1"
@@ -144,16 +146,16 @@ class StubbyOptimizer:
         # the unit-level decision memo (STUBBY_DECISION_CACHE).
         self.cluster = cluster
         self.phases = tuple(phases)
-        self.costs = ensure_cost_service(cluster, cost_service, cache_path=cache_path)
+        self.costs = CostService.ensure(cluster, cost_service, cache_path=cache_path)
         self.whatif = self.costs.engine
-        self.decisions = ensure_decision_cache(
+        self.decisions = DecisionCache.ensure(
             cluster, decision_cache, cache_path=decision_cache_path
         )
         # ``subresult_catalog`` / ``subresult_catalog_path`` wire the
         # ReStore-style sub-result reuse rewrite (STUBBY_SUBRESULT_CATALOG).
         # A fresh empty catalog is behaviourally invisible: the reuse
         # transformation proposes no applications until something registers.
-        self.subresults = ensure_subresult_catalog(
+        self.subresults = SubResultCatalog.ensure(
             cluster, subresult_catalog, cache_path=subresult_catalog_path
         )
         reuse = SubResultReuseTransformation(self.subresults)
@@ -201,7 +203,7 @@ class StubbyOptimizer:
         """
         plan = self._as_plan(plan_or_workflow)
         selected = self._validated_phases(self.phases if phases is None else tuple(phases))
-        with StatsWindow(self.costs) as window:
+        with attributed((self.costs,), current_origin()) as (cost_stats,):
             started = time.perf_counter()
             optimized, reports = self.search.run(plan, phases=selected, budget=budget)
             # The search is the reported optimization time (comparable with
@@ -216,7 +218,7 @@ class StubbyOptimizer:
             # reports from phase-restricted calls name the right variant.
             optimizer=self._variant_for(selected),
             unit_reports=reports,
-            cost_stats=window.delta,
+            cost_stats=cost_stats,
             search_backend=self.search.backend.spec,
         )
 

@@ -48,12 +48,12 @@ import os
 import traceback
 from abc import ABC, abstractmethod
 from collections import deque
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.faults import fault_site
+from repro.common.store import attributed, current_origin
 
 __all__ = [
     "BackendSession",
@@ -191,23 +191,16 @@ class DispatchStats:
 class SideChannel:
     """Hooks moving store state between a fork session's workers and its parent.
 
-    Built by :func:`store_side_channel`, consumed by the fork session: the
-    worker side calls ``worker_init`` once before executing any request
-    (e.g. to start the cost service's cache export log), then brackets each
-    request with ``chunk_begin()`` — returning an opaque token — and
-    ``chunk_end(token)``, which turns it into a *picklable* payload (for
-    the cost service: the stats delta the request produced).  The parent
-    absorbs each payload with ``chunk_absorb_foreign`` — its counters never
-    saw the work at all.
-
-    ``final_export``/``final_absorb`` run once per worker at session end:
-    the worker exports its privately accumulated state (cache entries), the
-    parent merges it — merge-on-join.
+    Built by :func:`store_side_channel` (which says what each hook does for
+    the stores), consumed by the fork session: a worker calls
+    ``worker_init`` once, runs each request inside ``with chunk() as
+    payload`` — the *picklable* payload is complete once the scope closes —
+    and answers ``final_export()`` when told to stop; the parent feeds each
+    payload to ``chunk_absorb_foreign`` and each export to ``final_absorb``.
     """
 
     worker_init: Callable[[], None]
-    chunk_begin: Callable[[], Any]
-    chunk_end: Callable[[Any], Any]
+    chunk: Callable[[], ContextManager[Any]]
     chunk_absorb_foreign: Callable[[Any], None]
     final_export: Callable[[], Any]
     final_absorb: Callable[[Any], None]
@@ -224,12 +217,11 @@ def store_side_channel(*stores) -> SideChannel:
 
     * ``worker_init`` starts each worker-side export log, so new entries
       can be merged back to the parent on join.
-    * ``chunk_begin``/``chunk_end`` bracket each request with a fresh
-      attribution sink per store in the worker, capturing the request's
-      exact stats deltas.  They also re-establish the *session opener's*
-      origin label (:meth:`~repro.common.store.ShardedStore.origin`) for
-      the request's duration, so a worker tags entries with the cell or
-      tenant that opened the session whatever label was active at the fork.
+    * ``chunk`` is :func:`~repro.common.store.attributed` over the stores:
+      a fresh sink per store in the worker, capturing the request's exact
+      stats deltas, under the *session opener's* origin label — so a worker
+      tags entries with the cell or tenant that opened the session whatever
+      label was active at the fork.
     * ``chunk_absorb_foreign`` folds the deltas in fully: the worker's
       activity never touched this process's counters.
     * ``final_export``/``final_absorb`` merge the worker's new entries into
@@ -237,24 +229,11 @@ def store_side_channel(*stores) -> SideChannel:
     """
     # Captured when the session opens (e.g. inside an experiment cell), then
     # re-established in whichever worker runs each request.
-    origin_labels = [store.current_origin() for store in stores]
+    label = current_origin()
 
     def worker_init() -> None:
         for store in stores:
             store.start_export_log()
-
-    def chunk_begin():
-        sinks = tuple(store.STATS() for store in stores)
-        scope = ExitStack()
-        for store, label, sink in zip(stores, origin_labels, sinks):
-            scope.enter_context(store.origin(label))
-            scope.enter_context(store.attribute_to(sink))
-        return (sinks, scope)
-
-    def chunk_end(token) -> Tuple:
-        sinks, scope = token
-        scope.close()
-        return sinks
 
     def chunk_absorb_foreign(sinks: Tuple) -> None:
         for store, sink in zip(stores, sinks):
@@ -269,8 +248,7 @@ def store_side_channel(*stores) -> SideChannel:
 
     return SideChannel(
         worker_init=worker_init,
-        chunk_begin=chunk_begin,
-        chunk_end=chunk_end,
+        chunk=lambda: attributed(stores, label),
         chunk_absorb_foreign=chunk_absorb_foreign,
         final_export=final_export,
         final_absorb=final_absorb,
@@ -399,16 +377,13 @@ def _process_worker_main(conn, worker_fn, side: SideChannel, worker_slot: int) -
             if message[0] == "stop":
                 conn.send(("final", side.final_export()))
                 break
-            token = side.chunk_begin()
             failure = None
-            try:
-                fault_site("parallel.task", worker_slot=worker_slot, backend="process")
-                response = worker_fn(message[1])
-            except BaseException:
-                failure = traceback.format_exc()
-            finally:
-                # Balance the sink stack even when the request raises.
-                payload = side.chunk_end(token)
+            with side.chunk() as payload:
+                try:
+                    fault_site("parallel.task", worker_slot=worker_slot, backend="process")
+                    response = worker_fn(message[1])
+                except BaseException:
+                    failure = traceback.format_exc()
             if failure is not None:
                 conn.send(("error", failure))
                 break

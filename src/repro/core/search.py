@@ -41,13 +41,11 @@ from repro.common.faults import fault_site
 from repro.common.rng import DeterministicRNG
 from repro.common.store import cluster_cache_key
 from repro.core.budget import UNBOUNDED, TimeBudget
-from repro.core.costing import CostService, CostServiceStats, ensure_cost_service
 from repro.core.decision_cache import (
     DecisionCache,
     SubunitChoice,
     UnitDecision,
     dataset_annotation_key,
-    ensure_decision_cache,
     job_annotations_key,
     partition_function_key,
     rrs_search_key,
@@ -62,6 +60,7 @@ from repro.core.transformations.base import Transformation, TransformationApplic
 from repro.core.transformations.configuration import ConfigurationTransformation
 from repro.mapreduce.config import ConfigDimension, ConfigurationSpace
 from repro.whatif import model as whatif_model
+from repro.whatif.service import CostService, CostServiceStats
 
 #: Caps keeping the exhaustive enumeration inside a unit bounded; in practice
 #: (paper §4.2) the number of unique subplans per unit is small.
@@ -199,7 +198,7 @@ class StubbySearch:
         self.cluster = cluster
         #: All cost queries go through the shared (memoizing) service; the
         #: underlying engine stays reachable for cold/diagnostic estimates.
-        self.costs = ensure_cost_service(cluster, cost_service)
+        self.costs = CostService.ensure(cluster, cost_service)
         self.whatif = self.costs.engine
         self.vertical_transformations = list(vertical_transformations)
         self.horizontal_transformations = list(horizontal_transformations)
@@ -218,7 +217,7 @@ class StubbySearch:
         #: chain instead of searching.  Shared in by the optimizer/harness
         #: for cross-run and cross-cell reuse; constructed fresh (and
         #: possibly warm-started from STUBBY_DECISION_CACHE) otherwise.
-        self.decisions = ensure_decision_cache(cluster, decision_cache)
+        self.decisions = DecisionCache.ensure(cluster, decision_cache)
         self._cluster_key = cluster_cache_key(cluster)
         #: Cooperative deadline for the *current* ``run()``; checked between
         #: candidate evaluations (never mid-rewrite).  Per-run state — like
@@ -315,11 +314,9 @@ class StubbySearch:
         """
         decisions = self.decisions
         key = None
-        origin = None
         if decisions is not None and decisions.enabled:
             key = self._decision_key(plan, subunits, transformations, phase)
-            origin = self.costs.current_origin()
-            hit = decisions.lookup(key, origin=origin)
+            hit = decisions.lookup(key)
             if hit is not None and len(hit[0].choices) == len(subunits):
                 decision, cross_origin = hit
                 try:
@@ -357,7 +354,7 @@ class StubbySearch:
         optimized, reports = self._search_units(plan, subunits, transformations, phase)
         if key is not None:
             reports[0].unit_decision_misses = 1
-            decisions.store(key, self._record_decision(reports), origin=origin)
+            decisions.store(key, self._record_decision(reports))
         return optimized, reports
 
     def _search_units(
@@ -535,17 +532,12 @@ class StubbySearch:
         missing an input — a bug worth crashing on.
         """
         searched, _reports = self._search_units(plan, subunits, transformations, phase)
-        if self._plan_decision_fingerprint(searched) != self._plan_decision_fingerprint(replayed):
+        if plan_decision_fingerprint(searched) != plan_decision_fingerprint(replayed):
             raise RuntimeError(
                 "decision cache replay diverged from a fresh search for unit "
                 f"{[s.producers for s in subunits]!r} in phase {phase!r}; "
                 "the decision key is missing an input that affects the argmin"
             )
-
-    @staticmethod
-    def _plan_decision_fingerprint(plan: Plan) -> Tuple:
-        """Structure plus per-job configurations (signature excludes configs)."""
-        return plan_decision_fingerprint(plan)
 
     def _choose_single(
         self,

@@ -50,8 +50,8 @@ from repro.common.store import (
     CounterStats,
     ShardedStore,
     cluster_cache_key,
+    current_origin,
     resolve_env_flag,
-    resolve_env_path,
 )
 from repro.core.content_keys import (
     dataset_annotation_key,
@@ -73,12 +73,9 @@ __all__ = [
     "SubResultEntry",
     "SubResultUnavailableError",
     "dataset_content_fingerprint",
-    "ensure_subresult_catalog",
     "producing_cone",
     "register_workflow_outputs",
-    "resolve_subresult_catalog_path",
     "subgraph_signature",
-    "subresult_catalog_enabled",
 ]
 
 #: Default bound on catalog entries; old entries are evicted LRU.  Entries
@@ -110,16 +107,6 @@ class SubResultUnavailableError(RuntimeError):
     catches it during decision replay and falls back to a full search — a
     stale catalog degrades to recomputation, never to a failed plan.
     """
-
-
-def subresult_catalog_enabled(enabled: Optional[bool] = None) -> bool:
-    """Normalize the enable flag: explicit argument, else environment, else on."""
-    return resolve_env_flag(enabled, SUBRESULT_CATALOG_ENABLED_ENV_VAR, True)
-
-
-def resolve_subresult_catalog_path(path: Optional[str]) -> Optional[str]:
-    """Explicit catalog path, else :data:`SUBRESULT_CATALOG_PATH_ENV_VAR` (``""`` = none)."""
-    return resolve_env_path(path, SUBRESULT_CATALOG_PATH_ENV_VAR)
 
 
 @dataclass(frozen=True)
@@ -199,7 +186,7 @@ class SubResultCatalogStats(CounterStats):
 class SubResultCatalog(ShardedStore):
     """Sharded, LRU, optionally persisted catalog of materialized sub-results.
 
-    One instance is safe to share across search threads, forked workers,
+    One instance is safe to share across the server's threads, forked workers,
     experiment cells, and planning-service tenants — it is a
     :class:`~repro.common.store.ShardedStore`.
 
@@ -229,19 +216,18 @@ class SubResultCatalog(ShardedStore):
         #: cached between mutations.  Set first: a warm start bumps it.
         self._version = 0
         self._fingerprint_cache: Tuple[int, int] = (-1, 0)
-        super().__init__(cluster, max_entries, subresult_catalog_enabled(enabled), cache_path)
+        enabled = resolve_env_flag(enabled, SUBRESULT_CATALOG_ENABLED_ENV_VAR, True)
+        super().__init__(cluster, max_entries, enabled, cache_path)
 
     # ------------------------------------------------------------------ API
-    def probe(self, signature: Tuple, origin: Optional[str] = None) -> Optional[SubResultEntry]:
+    def probe(self, signature: Tuple) -> Optional[SubResultEntry]:
         """The usable entry for ``signature``, or ``None`` (counts stats).
 
         A match whose backing records were deleted counts as a
         ``stale_skip`` and answers ``None`` — the caller recomputes.
-        ``origin`` defaults to the thread's active :meth:`origin` label.
         """
         if not self.enabled:
             return None
-        origin = origin if origin is not None else self.current_origin()
         entry_row = self._cache.lookup(signature)
         delta = SubResultCatalogStats()
         if entry_row is None:
@@ -254,12 +240,12 @@ class SubResultCatalog(ShardedStore):
             self._apply_delta(delta)
             return None
         delta.hits = 1
-        if entry_origin != origin:
+        if entry_origin != current_origin():
             delta.cross_origin_hits = 1
         self._apply_delta(delta)
         return entry
 
-    def fetch(self, signature: Tuple, origin: Optional[str] = None) -> SubResultEntry:
+    def fetch(self, signature: Tuple) -> SubResultEntry:
         """The entry an applied rewrite substitutes; raises when unavailable.
 
         Unlike :meth:`probe`, absence is an error
@@ -270,7 +256,7 @@ class SubResultCatalog(ShardedStore):
         if not self.enabled:
             raise SubResultUnavailableError("sub-result catalog is disabled")
         fault_site("subresults.fetch")
-        entry = self.probe(signature, origin=origin)
+        entry = self.probe(signature)
         if entry is None:
             raise SubResultUnavailableError(
                 "sub-result entry is missing or its backing records were deleted"
@@ -280,10 +266,14 @@ class SubResultCatalog(ShardedStore):
     def store(
         self, signature: Tuple, entry: SubResultEntry, origin: Optional[str] = None
     ) -> None:
-        """Register a materialized sub-result (no-op when disabled)."""
+        """Register a materialized sub-result (no-op when disabled).
+
+        ``origin`` names the owner of the execution being registered;
+        ``None`` means the ambient label.
+        """
         if not self.enabled:
             return
-        origin = origin if origin is not None else self.current_origin()
+        origin = origin if origin is not None else current_origin()
         self._store(signature, entry, origin)
         self._bump_version()
         self._apply_delta(SubResultCatalogStats(stores=1))
@@ -349,14 +339,6 @@ class SubResultCatalog(ShardedStore):
 
     #: Number of registered sub-results.
     catalog_size = ShardedStore.cache_size
-
-
-#: ``ensure_subresult_catalog(cluster, catalog=None, cache_path=None)``: the
-#: given catalog (cluster-checked — signatures embed the cluster key, so a
-#: mismatched catalog could never hit, and sharing one across clusters is
-#: almost certainly a wiring bug) or a fresh one warm-started from
-#: ``cache_path`` / ``STUBBY_SUBRESULT_CATALOG``.
-ensure_subresult_catalog = SubResultCatalog.ensure
 
 
 # ---------------------------------------------------------------------------

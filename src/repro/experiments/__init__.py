@@ -16,7 +16,6 @@ from repro.experiments.scheduler import (
     ExperimentScheduler,
     build_cells,
     cell_seed,
-    resolve_experiment_backend,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "WorkloadComparison",
     "build_cells",
     "cell_seed",
-    "resolve_experiment_backend",
     "vertical_packing_tradeoff",
     "horizontal_packing_tradeoff",
 ]

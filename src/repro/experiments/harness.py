@@ -35,21 +35,15 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines import (
-    MRShareOptimizer,
-    PigBaselineOptimizer,
-    StarfishOptimizer,
-    YSmartOptimizer,
-)
+from repro.baselines import make_optimizer
 from repro.cluster import ClusterSpec
 from repro.common.records import records_equal
-from repro.core.costing import StatsWindow
+from repro.common.store import ShardedStore, attributed, current_origin, persist as persist_stores
 from repro.core.decision_cache import DecisionCache, DecisionCacheStats
-from repro.core.optimizer import OptimizationResult, StubbyOptimizer
+from repro.core.optimizer import OptimizationResult
 from repro.core.search import StubbySearch, UnitReport
 from repro.core.subresults import (
     SubResultCatalog,
@@ -94,9 +88,9 @@ class OptimizerRun:
     #: :meth:`ExperimentHarness.run`, whose cells share one service;
     #: :meth:`ExperimentHarness.compare` runs each optimizer cold.
     cross_unit_hits: int = 0
-    #: Full per-cell stats breakdown (exact under concurrency: accumulated
-    #: through a per-cell attribution sink, not a global window).  ``None``
-    #: outside the orchestrated :meth:`ExperimentHarness.run` path.
+    #: Full per-cell stats breakdown (exact under concurrency: the cell's
+    #: attribution sink).  ``None`` outside the orchestrated
+    #: :meth:`ExperimentHarness.run` path.
     cost_stats: Optional[CostServiceStats] = None
     #: Decision-cache activity of this run: optimization units whose whole
     #: search was skipped (hit), searched-and-recorded (miss), and hits
@@ -107,6 +101,8 @@ class OptimizerRun:
     unit_decision_hits: int = 0
     unit_decision_misses: int = 0
     cross_origin_decision_hits: int = 0
+    #: The cell's exact decision-cache counter delta (like ``cost_stats``).
+    decision_stats: Optional[DecisionCacheStats] = None
     #: Sub-result reuse activity of this run: rewrites recorded in the final
     #: plan, jobs those rewrites eliminated, and the cell's exact catalog
     #: counter delta (per-cell attribution sink, like ``cost_stats``).
@@ -319,7 +315,7 @@ class ExperimentHarness:
         # environment variable (STUBBY_COST_CACHE / STUBBY_DECISION_CACHE /
         # STUBBY_SUBRESULT_CATALOG), else no persistence — three separate
         # paths, so each warm start is opted into independently.  The store
-        # warm-starts from it now; :meth:`run` saves back.
+        # warm-starts from it now; :meth:`run` merge-saves back.
         self.costs = CostService.ensure(self.cluster, cache_path=cache_path)
         self.cache_path = self.costs.cache_path
         self.whatif = self.costs.engine
@@ -337,54 +333,29 @@ class ExperimentHarness:
         #: is byte-identical to a harness without a catalog.
         self.subresults = SubResultCatalog.ensure(self.cluster, cache_path=subresult_catalog_path)
         self.subresult_catalog_path = self.subresults.cache_path
+        #: The shared stores; cells run attributed over all of them, ride one
+        #: side channel and persist together.
+        self.stores: Tuple[ShardedStore, ...] = (self.costs, self.decisions, self.subresults)
         #: Dispatch accounting of the most recent :meth:`run` (None before).
         self.last_dispatch_stats = None
 
     # ----------------------------------------------------------- optimizers
     def make_optimizer(self, name: str, seed: Optional[int] = None):
-        """Instantiate an optimizer by its display name.
+        """:func:`~repro.baselines.make_optimizer` over the harness's shared stores.
 
-        Every optimizer is handed the harness's shared :class:`CostService`,
-        so exact per-vertex estimates are reused across the optimizers (and
-        workloads) of one comparison; per-run stats stay separable because
-        each ``optimize()`` reports its own counter delta.
-
-        ``seed`` overrides the search-RNG seed of the seeded optimizers
-        (Stubby variants, Starfish); :meth:`run` passes each cell's derived
-        seed through here.  Rule-based optimizers ignore it.
+        Exact per-vertex estimates are thus reused across the optimizers (and
+        workloads) of one comparison, while each ``optimize()`` still reports
+        its own counter delta.  :meth:`run` passes each cell's derived seed.
         """
-        seeded = {} if seed is None else {"seed": seed}
-        shared = {"cost_service": self.costs}
-        # Only the Stubby variants run the unit search and know the reuse
-        # transformation; the baselines take neither decision cache nor
-        # catalog (and must not take the latter — their plans are the
-        # recompute reference the reuse rewrite is arbitrated against).
-        stubby = {
-            **shared,
-            "decision_cache": self.decisions,
-            "subresult_catalog": self.subresults,
-        }
-        if name == "Baseline":
-            return PigBaselineOptimizer(self.cluster, **shared)
-        if name == "Stubby":
-            return StubbyOptimizer(
-                self.cluster, backend=self.search_backend, **stubby, **seeded
-            )
-        if name == "Vertical":
-            return StubbyOptimizer.vertical_only(
-                self.cluster, backend=self.search_backend, **stubby, **seeded
-            )
-        if name == "Horizontal":
-            return StubbyOptimizer.horizontal_only(
-                self.cluster, backend=self.search_backend, **stubby, **seeded
-            )
-        if name == "Starfish":
-            return StarfishOptimizer(self.cluster, **shared, **seeded)
-        if name == "YSmart":
-            return YSmartOptimizer(self.cluster, **shared)
-        if name == "MRShare":
-            return MRShareOptimizer(self.cluster, **shared)
-        raise KeyError(f"unknown optimizer {name!r}")
+        return make_optimizer(
+            name,
+            self.cluster,
+            seed=seed,
+            cost_service=self.costs,
+            decision_cache=self.decisions,
+            subresult_catalog=self.subresults,
+            backend=self.search_backend,
+        )
 
     # ------------------------------------------------------------- workload
     def prepare_workload(self, abbreviation: str) -> Workload:
@@ -471,14 +442,12 @@ class ExperimentHarness:
             workload, reference_outputs = prepared[cell.workload]
             return self._run_cell(cell, workload, reference_outputs, run_token)
 
-        stores = (self.costs, self.decisions, self.subresults)
-        with ExitStack() as scope:
-            windows = [scope.enter_context(StatsWindow(store)) for store in stores]
+        with attributed(self.stores, current_origin()) as run_sinks:
             cells_started = time.perf_counter()
-            runs = scheduler.map_cells(cells, run_cell, stores)
+            runs = scheduler.map_cells(cells, run_cell, self.stores)
             cells_s = time.perf_counter() - cells_started
+        cost_stats, decision_stats, subresult_stats = run_sinks
         self.last_dispatch_stats = scheduler.last_dispatch_stats
-        cost_stats, decision_stats, subresult_stats = (window.delta for window in windows)
 
         comparisons: Dict[str, WorkloadComparison] = {}
         for cell, run in zip(cells, runs):
@@ -493,12 +462,8 @@ class ExperimentHarness:
                 )
             comparison.runs[cell.optimizer] = run
 
-        if persist and self.cache_path:
-            self.costs.save_cache()
-        if persist and self.decision_cache_path:
-            self.decisions.save_cache()
-        if persist and self.subresult_catalog_path:
-            self.subresults.save_cache(merge_first=True)
+        if persist:
+            persist_stores(self.stores)
 
         return ExperimentRunResult(
             comparisons=comparisons,
@@ -531,17 +496,12 @@ class ExperimentHarness:
 
         Runs on whatever worker the experiment backend chose; everything
         here must therefore be deterministic given the cell alone.  The
-        cell's cost activity is captured through a thread-local attribution
-        sink (a global stats window would double-count concurrent
-        neighbours), and its cache stores are origin-labelled so other
-        cells' reuse of them is measurable.
+        cell runs :func:`~repro.common.store.attributed` over every shared
+        store: its exact activity lands in per-cell sinks, and what it
+        stores is origin-labelled so other cells' reuse of it is measurable.
         """
         optimizer = self.make_optimizer(cell.optimizer, seed=cell.seed)
-        sink = CostServiceStats()
-        subresult_sink = SubResultCatalogStats()
-        label = f"{run_token}:{cell.label}"
-        with self.costs.origin(label), self.costs.attribute_to(sink), \
-                self.subresults.origin(label), self.subresults.attribute_to(subresult_sink):
+        with attributed(self.stores, f"{run_token}:{cell.label}") as sinks:
             result = optimizer.optimize(workload.plan)
             run = self._evaluate(result, workload, reference_outputs)
             # Credit eliminated jobs from the *final* plan only — apply()
@@ -549,26 +509,20 @@ class ExperimentHarness:
             # the catalog counter must not be bumped there.
             if result.jobs_eliminated_by_reuse:
                 self.subresults.record_jobs_eliminated(result.jobs_eliminated_by_reuse)
-        # The OptimizationResult's own stats window read the *global*
-        # counters, which concurrent cells pollute; the sink is exact.
-        run.whatif_queries = sink.queries
-        run.jobs_recosted = sink.jobs_recosted
-        run.cache_hit_rate = sink.cache_hit_rate
-        run.cross_unit_hits = sink.cross_origin_hits
-        run.cost_stats = sink
-        run.cross_origin_subresult_hits = subresult_sink.cross_origin_hits
-        run.subresult_stats = subresult_sink
+        # whatif_queries / jobs_recosted / cache_hit_rate already came from
+        # the result's own (equally exact) optimize()-scoped sink.
+        run.cost_stats, run.decision_stats, run.subresult_stats = sinks
+        run.cross_unit_hits = run.cost_stats.cross_origin_hits
+        run.cross_origin_subresult_hits = run.subresult_stats.cross_origin_hits
         return run
 
     def persist_cache(self) -> int:
-        """Save the cost-service store to the configured ``cache_path``.
+        """Merge-save the cost-service store to the configured ``cache_path``.
 
         Returns the number of entries written, or 0 when no path is
         configured (so callers can invoke it unconditionally).
         """
-        if not self.cache_path:
-            return 0
-        return self.costs.save_cache()
+        return persist_stores((self.costs,))
 
     def register_workload_subresults(
         self,

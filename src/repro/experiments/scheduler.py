@@ -54,18 +54,11 @@ __all__ = [
     "ExperimentScheduler",
     "build_cells",
     "cell_seed",
-    "resolve_experiment_backend",
 ]
 
 #: Environment variable consulted when no experiment backend is passed
 #: explicitly (the experiment-level sibling of ``STUBBY_SEARCH_BACKEND``).
 EXPERIMENT_BACKEND_ENV_VAR = "STUBBY_EXPERIMENT_BACKEND"
-
-
-def resolve_experiment_backend(backend) -> ExecutionBackend:
-    """:func:`~repro.core.parallel.resolve_backend` consulting
-    :data:`EXPERIMENT_BACKEND_ENV_VAR` when ``backend`` is ``None``."""
-    return resolve_backend(backend, env_var=EXPERIMENT_BACKEND_ENV_VAR)
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,9 @@ class ExperimentScheduler:
     """Dispatches experiment cells onto a pluggable execution backend."""
 
     def __init__(self, backend=None) -> None:
-        self.backend = resolve_experiment_backend(backend)
+        self.backend: ExecutionBackend = resolve_backend(
+            backend, env_var=EXPERIMENT_BACKEND_ENV_VAR
+        )
         #: Dispatch accounting of the most recent :meth:`map_cells` call
         #: (None until one has run): how cells spread across workers, how
         #: many were stolen, and the idle-cost imbalance metric.

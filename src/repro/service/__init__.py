@@ -40,7 +40,6 @@ from repro.service.server import (
     PlanRequest,
     PlanResponse,
     PlanningServer,
-    build_variant,
     cold_optimize,
     oracle_fingerprint,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "PlanningServer",
     "ServiceStats",
     "TenantStats",
-    "build_variant",
     "cold_optimize",
     "level_name",
     "oracle_fingerprint",

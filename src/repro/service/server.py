@@ -4,7 +4,7 @@ Request path (see ``docs/service.md`` for the full diagram)::
 
     client coroutine --submit()--> AdmissionQueue --take_batch()--> dispatcher
         thread --session.run(batch)--> worker pool
-        --optimize()--> PlanResponse --call_soon_threadsafe--> client future
+        --_execute()--> _Outcome(PlanResponse) --_complete()--> client future
 
 One **dispatcher thread** owns the backend session.  It drains the
 admission queue in per-tenant round-robin order into micro-batches and
@@ -13,10 +13,12 @@ hands idle workers the next request, so a tenant's expensive workflow
 occupies one worker while cheap requests keep flowing around it.  Results resolve the
 clients' asyncio futures back on the event loop.
 
-Every request executes under the tenant's cost-service **origin label**
-and a pair of per-request attribution sinks, so
-:class:`~repro.service.stats.ServiceStats` can report per-tenant hit rates
-and cross-origin reuse that reconcile exactly with the shared caches.
+Every request executes :func:`~repro.common.store.attributed` over the
+shared stores — under the tenant's **origin label**, with one per-request
+attribution sink per store — and its :class:`PlanResponse` is filled in
+where the work ran, so :class:`~repro.service.stats.ServiceStats` can report
+per-tenant hit rates and cross-origin reuse that reconcile exactly with the
+shared caches.  Every admitted request ends in :meth:`PlanningServer._complete`.
 
 The serving contract is the library contract, unchanged: a response's
 ``(plan_signature, decision_fingerprint, estimated_cost_s)`` triple is
@@ -34,22 +36,21 @@ import os
 import threading
 import time
 import traceback
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.baselines import make_optimizer
 from repro.cluster import ClusterSpec
 from repro.common.errors import OptimizationError, TerminalError
 from repro.common.faults import fault_site
-from repro.common.store import CounterStats, ShardedStore
+from repro.common.store import ShardedStore, attributed, persist as persist_stores
 from repro.core.budget import TimeBudget
-from repro.core.costing import ensure_cost_service
-from repro.core.decision_cache import DecisionCache, DecisionCacheStats, ensure_decision_cache
-from repro.core.optimizer import OptimizationResult, StubbyOptimizer
+from repro.core.decision_cache import DecisionCache, DecisionCacheStats
+from repro.core.optimizer import OptimizationResult
 from repro.core.subresults import (
     SubResultCatalog,
     SubResultCatalogStats,
-    ensure_subresult_catalog,
     register_workflow_outputs,
 )
 from repro.core.parallel import (
@@ -76,7 +77,6 @@ __all__ = [
     "PlanRequest",
     "PlanResponse",
     "PlanningServer",
-    "build_variant",
     "cold_optimize",
     "oracle_fingerprint",
 ]
@@ -84,39 +84,6 @@ __all__ = [
 #: Optimizer variants the server accepts (the Stubby phase family plus the
 #: rule-based Pig baseline).
 OPTIMIZER_VARIANTS = ("Stubby", "Vertical", "Horizontal", "Baseline")
-
-
-def build_variant(
-    name: str,
-    cluster: ClusterSpec,
-    seed: int,
-    cost_service: Optional[CostService] = None,
-    decision_cache: Optional[DecisionCache] = None,
-    subresult_catalog: Optional[SubResultCatalog] = None,
-    backend=None,
-):
-    """Instantiate one optimizer variant over (optionally shared) caches."""
-    # Only the Stubby variants run the unit search and carry the reuse
-    # rewrite; Baseline is the rule-based recompute reference and sees
-    # neither the decision cache nor the catalog.
-    stubby = {
-        "cost_service": cost_service,
-        "decision_cache": decision_cache,
-        "subresult_catalog": subresult_catalog,
-    }
-    if name == "Stubby":
-        return StubbyOptimizer(cluster, seed=seed, backend=backend, **stubby)
-    if name == "Vertical":
-        return StubbyOptimizer.vertical_only(cluster, seed=seed, backend=backend, **stubby)
-    if name == "Horizontal":
-        return StubbyOptimizer.horizontal_only(cluster, seed=seed, backend=backend, **stubby)
-    if name == "Baseline":
-        # Imported here: repro.baselines imports OptimizationResult from the
-        # optimizer module this module also imports.
-        from repro.baselines.pig_baseline import PigBaselineOptimizer
-
-        return PigBaselineOptimizer(cluster, cost_service=cost_service)
-    raise KeyError(f"unknown optimizer variant {name!r}; expected one of {OPTIMIZER_VARIANTS}")
 
 
 def cold_optimize(
@@ -135,14 +102,12 @@ def cold_optimize(
     equal-content ``subresult_catalog``; without one the oracle runs with a
     fresh empty catalog, which is behaviourally invisible.
     """
-    costs = CostService(cluster)
-    decisions = DecisionCache(cluster)
-    variant = build_variant(
+    variant = make_optimizer(
         optimizer,
         cluster,
-        seed,
-        cost_service=costs,
-        decision_cache=decisions,
+        seed=seed,
+        cost_service=CostService(cluster),
+        decision_cache=DecisionCache(cluster),
         subresult_catalog=subresult_catalog,
         backend="serial",
     )
@@ -222,6 +187,21 @@ class PlanResponse:
 
 
 @dataclass
+class _Outcome:
+    """What one :meth:`PlanningServer._execute` call hands back across the pool.
+
+    The answer, filled in where the work ran (the parent only stamps the
+    two timings it alone can measure), plus the two facts the tenant's
+    circuit breaker needs.  Plain picklable data.
+    """
+
+    response: PlanResponse
+    #: The full-search rung was attempted / attempted and failed.
+    full_attempted: bool = False
+    full_failed: bool = False
+
+
+@dataclass
 class _Ticket:
     """One admitted request awaiting execution.
 
@@ -254,6 +234,17 @@ class _Ticket:
             if outcome == "cancelled":
                 self.cancelled = True
             return True
+
+    def response(self, **fields) -> PlanResponse:
+        """A parent-side answer to this ticket's request (``ok=False`` until filled)."""
+        request = self.request
+        return PlanResponse(
+            tenant=request.tenant,
+            workload=request.workload,
+            optimizer=request.optimizer,
+            seed=request.seed,
+            **fields,
+        )
 
 
 class PlanningServer:
@@ -294,14 +285,14 @@ class PlanningServer:
         breaker_max_backoff_s: float = 30.0,
     ) -> None:
         self.cluster = cluster
-        self.costs = ensure_cost_service(cluster, cost_service, cache_path=cache_path)
-        self.decisions = ensure_decision_cache(cluster, decision_cache, cache_path=decision_cache_path)
+        self.costs = CostService.ensure(cluster, cost_service, cache_path=cache_path)
+        self.decisions = DecisionCache.ensure(cluster, decision_cache, cache_path=decision_cache_path)
         #: Shared sub-result catalog: tenants report executed outputs through
         #: :meth:`register_execution`, and subsequent plans (any tenant) may
         #: reuse the stored bytes instead of recomputing — the ReStore story
         #: served multi-tenant.  Warm-starts from ``subresult_catalog_path``
         #: (or STUBBY_SUBRESULT_CATALOG) and merge-persists on :meth:`stop`.
-        self.subresults = ensure_subresult_catalog(
+        self.subresults = SubResultCatalog.ensure(
             cluster, subresult_catalog, cache_path=subresult_catalog_path
         )
         #: The shared stores, in :data:`~repro.service.stats.LEDGERS` order:
@@ -426,9 +417,7 @@ class PlanningServer:
         await loop.run_in_executor(None, self._close_session)
         self._running = False
         if persist:
-            for store in self.stores:
-                if store.cache_path and store.enabled:
-                    store.save_cache(merge_first=True)
+            persist_stores(self.stores)
 
     async def restart(self, persist: bool = True) -> "PlanningServer":
         """Stop (merging worker caches) and start again, warm.
@@ -575,7 +564,7 @@ class PlanningServer:
         costs = [t.request.cost_weight for t in tickets]
         dispatched = time.perf_counter()
         try:
-            raw_responses = session.run(work, costs=costs)
+            outcomes = session.run(work, costs=costs)
         except RuntimeError as exc:
             # The pool failed hard (all workers dead, or a request kept
             # dying).  Fail this batch cleanly and recycle the pool so the
@@ -585,15 +574,15 @@ class PlanningServer:
             for ticket in tickets:
                 self._resolve_error(ticket, f"worker pool failed: {exc}", dispatched)
             return
-        for ticket, raw in zip(tickets, raw_responses):
-            self._resolve(ticket, raw, dispatched)
+        for ticket, outcome in zip(tickets, outcomes):
+            self._resolve(ticket, outcome, dispatched)
         # A fork pool survives individual deaths; recycle once the
         # batch is answered so capacity recovers (close merges the
         # survivors' caches, the next batch re-forks at full strength).
         if getattr(session, "forked", False) and session.live_workers < self.backend.workers:
             self._close_session()
 
-    def _execute(self, work: Tuple[str, str, str, int, Optional[float], bool]):
+    def _execute(self, work: Tuple[str, str, str, int, Optional[float], bool]) -> _Outcome:
         """Worker-side: run one optimization down the degradation ladder.
 
         Runs on whatever worker the pool chose (a forked process, or
@@ -602,16 +591,15 @@ class PlanningServer:
         transient failure (or an expired time budget) steps down to the
         next, so every request ends in *some* usable plan — only a
         :class:`~repro.common.errors.TerminalError` (or the whole ladder
-        failing) produces an error tuple.
+        failing) produces an ``ok=False`` response.
         """
-        tenant, workload, optimizer, seed, deadline_at, allow_full = work
         started = time.perf_counter()
-        sinks = self._new_sinks()
+        tenant, workload, optimizer, seed, deadline_at, allow_full = work
+        response = PlanResponse(tenant=tenant, workload=workload, optimizer=optimizer, seed=seed)
+        outcome = _Outcome(response)
         budget = TimeBudget(deadline_at=deadline_at) if deadline_at is not None else None
-        full_attempted = False
-        full_failed = False
         notes: List[str] = []
-        try:
+        with self._answering(response):
             fault_site("server.execute", tenant=tenant, workload=workload, optimizer=optimizer)
             plan = self._registry[workload]
             rungs: List[int] = []
@@ -624,92 +612,78 @@ class PlanningServer:
                 # would just repeat the full rung, so its ladder skips them.
                 rungs.extend((LEVEL_REPLAY_ONLY, LEVEL_SINGLE_PHASE))
             rungs.append(LEVEL_UNOPTIMIZED)
-            result = None
-            level = LEVEL_UNOPTIMIZED
-            with self._attributed(tenant, sinks):
-                for rung in rungs:
-                    name = level_name(rung)
-                    if rung != LEVEL_UNOPTIMIZED and budget is not None and budget.expired:
-                        # No budget left to search with: only the final rung
-                        # can still answer in time.
-                        notes.append(f"{name}: skipped (deadline exhausted)")
-                        continue
+            for rung in rungs:
+                name = level_name(rung)
+                if rung != LEVEL_UNOPTIMIZED and budget is not None and budget.expired:
+                    # No budget left to search with: only the final rung
+                    # can still answer in time.
+                    notes.append(f"{name}: skipped (deadline exhausted)")
+                    continue
+                if rung == LEVEL_FULL:
+                    outcome.full_attempted = True
+                try:
+                    fault_site(
+                        f"server.rung.{name}",
+                        tenant=tenant,
+                        workload=workload,
+                        optimizer=optimizer,
+                    )
+                    result = self._run_rung(rung, optimizer, seed, plan, budget)
+                except Exception as exc:
                     if rung == LEVEL_FULL:
-                        full_attempted = True
-                    try:
-                        fault_site(
-                            f"server.rung.{name}",
-                            tenant=tenant,
-                            workload=workload,
-                            optimizer=optimizer,
-                        )
-                        result = self._run_rung(rung, optimizer, seed, plan, budget)
-                    except TerminalError:
+                        outcome.full_failed = True
+                    if isinstance(exc, TerminalError):
                         # No rung can fix a terminal failure; the request
                         # fails outright.
-                        if rung == LEVEL_FULL:
-                            full_failed = True
                         raise
-                    except Exception as exc:
-                        if rung == LEVEL_FULL:
-                            full_failed = True
-                        notes.append(f"{name}: {type(exc).__name__}: {exc}")
-                        continue
-                    level = rung
-                    break
-                if result is None:
-                    raise OptimizationError(
-                        "degradation ladder exhausted: " + "; ".join(notes)
-                    )
-                # Jobs the served plan no longer runs — credited from the
-                # final plan only (candidates that lost the arbitration must
-                # not count).
-                if result.jobs_eliminated_by_reuse:
-                    self.subresults.record_jobs_eliminated(result.jobs_eliminated_by_reuse)
-        except Exception:
-            return (
-                "error",
-                traceback.format_exc(),
-                os.getpid(),
-                time.perf_counter() - started,
-                *sinks,
-                full_attempted,
-                full_failed,
-            )
-        return (
-            "ok",
-            result.plan_signature(),
-            result.decision_fingerprint(),
-            result.estimated_cost_s,
-            result.unit_decision_hits,
-            result.unit_decision_misses,
-            result.cross_origin_decision_hits,
-            result.subresult_reuse_applications,
-            result.jobs_eliminated_by_reuse,
-            os.getpid(),
-            time.perf_counter() - started,
-            *sinks,
-            level,
-            level_name(level),
-            "; ".join(notes),
-            full_attempted,
-            full_failed,
-        )
-
-    def _new_sinks(self) -> Tuple[CounterStats, ...]:
-        """One fresh attribution sink per store, in :attr:`stores` order."""
-        return tuple(store.STATS() for store in self.stores)
+                    notes.append(f"{name}: {type(exc).__name__}: {exc}")
+                    continue
+                self._fill(response, result, rung)
+                break
+            else:
+                raise OptimizationError("degradation ladder exhausted: " + "; ".join(notes))
+        response.degradation_reason = "; ".join(notes)
+        # Last, so the reported service time covers everything done here.
+        response.service_s = time.perf_counter() - started
+        return outcome
 
     @contextmanager
-    def _attributed(self, tenant: str, sinks: Tuple[CounterStats, ...]):
-        """Run the body under the tenant's origin label, crediting each
-        store's activity on this thread to its sink."""
-        label = f"tenant:{tenant}"
-        with ExitStack() as scope:
-            for store, sink in zip(self.stores, sinks):
-                scope.enter_context(store.origin(label))
-                scope.enter_context(store.attribute_to(sink))
-            yield
+    def _answering(self, response: PlanResponse):
+        """Run the body as ``response``'s tenant and stamp what it did.
+
+        The body runs :func:`~repro.common.store.attributed` over the shared
+        stores under the tenant's origin label; afterwards the response
+        carries the process it ran in, each store's exact delta (the
+        :data:`~repro.service.stats.LEDGERS` fields) and — when the body
+        raised — the traceback instead of a plan.  The caller times it.
+        """
+        response.worker_pid = os.getpid()
+        with attributed(self.stores, f"tenant:{response.tenant}") as sinks:
+            try:
+                yield
+            except Exception:
+                response.ok = False
+                response.error = traceback.format_exc()
+        for ledger, sink in zip(LEDGERS, sinks):
+            setattr(response, ledger, sink)
+
+    def _fill(self, response: PlanResponse, result: OptimizationResult, level: int) -> None:
+        """Write a served plan (and the ladder rung it was served at) onto ``response``."""
+        response.ok = True
+        response.plan_signature = result.plan_signature()
+        response.decision_fingerprint = result.decision_fingerprint()
+        response.estimated_cost_s = result.estimated_cost_s
+        response.unit_decision_hits = result.unit_decision_hits
+        response.unit_decision_misses = result.unit_decision_misses
+        response.cross_origin_decision_hits = result.cross_origin_decision_hits
+        response.subresult_reuse_applications = result.subresult_reuse_applications
+        response.jobs_eliminated_by_reuse = result.jobs_eliminated_by_reuse
+        response.degradation_level = level
+        response.degradation = level_name(level)
+        # Jobs the served plan no longer runs — credited from the final
+        # plan only (candidates that lost the arbitration must not count).
+        if result.jobs_eliminated_by_reuse:
+            self.subresults.record_jobs_eliminated(result.jobs_eliminated_by_reuse)
 
     def _run_rung(
         self,
@@ -722,10 +696,10 @@ class PlanningServer:
         """Execute one ladder rung; the caller handles its failure."""
         if rung == LEVEL_UNOPTIMIZED:
             return self._unoptimized_result(plan)
-        variant = build_variant(
+        variant = make_optimizer(
             optimizer,
             self.cluster,
-            seed,
+            seed=seed,
             cost_service=self.costs,
             decision_cache=self.decisions,
             subresult_catalog=self.subresults,
@@ -753,95 +727,40 @@ class PlanningServer:
         )
 
     # ------------------------------------------------------------ resolution
-    def _resolve(self, ticket: _Ticket, raw, dispatched: float) -> None:
-        request = ticket.request
-        now = time.perf_counter()
-        if raw[0] == "error":
-            (
-                _tag,
-                error,
-                pid,
-                service_s,
-                *sinks,
-                full_attempted,
-                full_failed,
-            ) = raw
-            ledgers = dict(zip(LEDGERS, sinks))
-            response = PlanResponse(
-                tenant=request.tenant,
-                workload=request.workload,
-                optimizer=request.optimizer,
-                seed=request.seed,
-                ok=False,
-                error=error,
-                worker_pid=pid,
-                queue_wait_s=dispatched - ticket.enqueued,
-                service_s=service_s,
-                latency_s=now - ticket.enqueued,
-                **ledgers,
-            )
-        else:
-            (
-                _tag,
-                signature,
-                fingerprint,
-                estimated,
-                decision_hits,
-                decision_misses,
-                cross_origin,
-                reuse_applications,
-                jobs_eliminated,
-                pid,
-                service_s,
-                *sinks,
-                level,
-                level_label,
-                degradation_reason,
-                full_attempted,
-                full_failed,
-            ) = raw
-            ledgers = dict(zip(LEDGERS, sinks))
-            response = PlanResponse(
-                tenant=request.tenant,
-                workload=request.workload,
-                optimizer=request.optimizer,
-                seed=request.seed,
-                ok=True,
-                plan_signature=signature,
-                decision_fingerprint=fingerprint,
-                estimated_cost_s=estimated,
-                worker_pid=pid,
-                queue_wait_s=dispatched - ticket.enqueued,
-                service_s=service_s,
-                latency_s=now - ticket.enqueued,
-                unit_decision_hits=decision_hits,
-                unit_decision_misses=decision_misses,
-                cross_origin_decision_hits=cross_origin,
-                subresult_reuse_applications=reuse_applications,
-                jobs_eliminated_by_reuse=jobs_eliminated,
-                **ledgers,
-                degradation_level=level,
-                degradation=level_label,
-                degradation_reason=degradation_reason,
-            )
-        self._record_full_outcome(request.tenant, full_attempted, full_failed, response.ok)
-        # The tenant's ledger always folds the attribution deltas — the work
-        # happened, so the invariant must include it even for a request the
-        # client already claimed as cancelled; the lifecycle counters,
-        # though, record completed xor cancelled (first claimant wins).
-        counted = ticket.claim("completed")
-        self.stats.record_completion(
-            request.tenant,
-            latency_s=response.latency_s,
-            queue_wait_s=response.queue_wait_s,
-            service_s=response.service_s,
-            deltas=ledgers,
-            ok=response.ok,
-            count_lifecycle=counted,
-            degradation_level=response.degradation_level,
-            degradation_label=response.degradation,
+    def _resolve(self, ticket: _Ticket, outcome: _Outcome, dispatched: float) -> None:
+        """Answer a dispatched request with what its worker handed back."""
+        self._record_full_outcome(
+            ticket.request.tenant, outcome.full_attempted, outcome.full_failed, outcome.response.ok
         )
-        self._deliver(ticket, response)
+        self._complete(ticket, outcome.response, dispatched, counted=ticket.claim("completed"))
+
+    def _resolve_error(self, ticket: _Ticket, error: str, dispatched: float) -> None:
+        """Fail a dispatched request whose pool died under it."""
+        # A pool-level failure killed the full search this ticket was
+        # allowed to attempt; the breaker must see it.
+        self._record_full_outcome(ticket.request.tenant, ticket.allow_full, True, False)
+        response = ticket.response(error=error)
+        self._complete(ticket, response, dispatched, counted=ticket.claim("completed"))
+
+    def _shed_ticket(self, ticket: _Ticket) -> None:
+        """Answer a deadline-expired, never-dispatched request (degraded).
+
+        Called by the admission queue (dispatcher thread, outside its lock)
+        for items shed in ``take_batch``.  The response is the ladder floor
+        — an unoptimized, validated, costed plan — delivered late rather
+        than dropped: the zero-hung-requests contract.
+        """
+        if not ticket.claim("completed"):
+            return  # the client already withdrew it
+        shed_at = time.perf_counter()
+        response = ticket.response(
+            shed=True, degradation_reason="shed: deadline expired before dispatch"
+        )
+        with self._answering(response):
+            plan = self._registry[response.workload]
+            self._fill(response, self._unoptimized_result(plan), LEVEL_UNOPTIMIZED)
+        response.service_s = time.perf_counter() - shed_at
+        self._complete(ticket, response, shed_at, counted=True)
 
     def _record_full_outcome(
         self, tenant: str, full_attempted: bool, full_failed: bool, ok: bool
@@ -858,97 +777,21 @@ class PlanningServer:
         else:
             breaker.record_success()
 
-    def _resolve_error(self, ticket: _Ticket, error: str, dispatched: float) -> None:
-        request = ticket.request
-        now = time.perf_counter()
-        response = PlanResponse(
-            tenant=request.tenant,
-            workload=request.workload,
-            optimizer=request.optimizer,
-            seed=request.seed,
-            ok=False,
-            error=error,
-            queue_wait_s=dispatched - ticket.enqueued,
-            latency_s=now - ticket.enqueued,
-        )
-        # A pool-level failure killed the full search this ticket was
-        # allowed to attempt; the breaker must see it.
-        self._record_full_outcome(request.tenant, ticket.allow_full, True, False)
-        counted = ticket.claim("completed")
-        self.stats.record_completion(
-            request.tenant,
-            latency_s=response.latency_s,
-            queue_wait_s=response.queue_wait_s,
-            service_s=0.0,
-            deltas={},
-            ok=False,
-            count_lifecycle=counted,
-        )
-        self._deliver(ticket, response)
+    def _complete(
+        self, ticket: _Ticket, response: PlanResponse, dispatched: float, counted: bool
+    ) -> None:
+        """The one end of every admitted request: stamp, account, deliver.
 
-    def _shed_ticket(self, ticket: _Ticket) -> None:
-        """Answer a deadline-expired, never-dispatched request (degraded).
-
-        Called by the admission queue (dispatcher thread, outside its lock)
-        for items shed in ``take_batch``.  The response is the ladder floor
-        — an unoptimized, validated, costed plan — delivered late rather
-        than dropped: the zero-hung-requests contract.
+        Stamps the two timings only the parent can measure, folds the
+        response into its tenant's row, and resolves the client's future.
+        The tenant's ledger always folds the attribution deltas — the work
+        happened, so the invariant must include it even for a request the
+        client already claimed as cancelled; the lifecycle counters record
+        completed xor cancelled (``counted``: did the server win the claim).
         """
-        if not ticket.claim("completed"):
-            return  # the client already withdrew it
-        request = ticket.request
-        now = time.perf_counter()
-        started = now
-        ledgers = dict(zip(LEDGERS, self._new_sinks()))
-        reason = "shed: deadline expired before dispatch"
-        try:
-            plan = self._registry[request.workload]
-            with self._attributed(request.tenant, tuple(ledgers.values())):
-                result = self._unoptimized_result(plan)
-            response = PlanResponse(
-                tenant=request.tenant,
-                workload=request.workload,
-                optimizer=request.optimizer,
-                seed=request.seed,
-                ok=True,
-                plan_signature=result.plan_signature(),
-                decision_fingerprint=result.decision_fingerprint(),
-                estimated_cost_s=result.estimated_cost_s,
-                worker_pid=os.getpid(),
-                queue_wait_s=now - ticket.enqueued,
-                service_s=time.perf_counter() - started,
-                latency_s=time.perf_counter() - ticket.enqueued,
-                **ledgers,
-                degradation_level=LEVEL_UNOPTIMIZED,
-                degradation=level_name(LEVEL_UNOPTIMIZED),
-                degradation_reason=reason,
-                shed=True,
-            )
-        except Exception:
-            response = PlanResponse(
-                tenant=request.tenant,
-                workload=request.workload,
-                optimizer=request.optimizer,
-                seed=request.seed,
-                ok=False,
-                error=traceback.format_exc(),
-                queue_wait_s=now - ticket.enqueued,
-                latency_s=time.perf_counter() - ticket.enqueued,
-                **ledgers,
-                degradation_reason=reason,
-                shed=True,
-            )
-        self.stats.record_completion(
-            request.tenant,
-            latency_s=response.latency_s,
-            queue_wait_s=response.queue_wait_s,
-            service_s=response.service_s,
-            deltas=ledgers,
-            ok=response.ok,
-            degradation_level=response.degradation_level,
-            degradation_label=response.degradation,
-            shed=True,
-        )
+        response.queue_wait_s = dispatched - ticket.enqueued
+        response.latency_s = time.perf_counter() - ticket.enqueued
+        self.stats.record_completion(response, count_lifecycle=counted)
         self._deliver(ticket, response)
 
     def _deliver(self, ticket: _Ticket, response: PlanResponse) -> None:

@@ -1,18 +1,17 @@
 """Per-tenant service accounting with an exact reconciliation contract.
 
 Every request the :class:`~repro.service.server.PlanningServer` executes
-runs under a cost-service **origin label** (``tenant:<id>``) and a pair of
-**attribution sinks** — one :class:`~repro.whatif.service.CostServiceStats`
-and one :class:`~repro.core.decision_cache.DecisionCacheStats` that receive
-exactly the counter deltas that request produced, wherever it ran (inline
-on the shared counters or a forked worker's merged chunk payload).
-:class:`ServiceStats` folds those per-request deltas into per-tenant
-totals.
+runs :func:`~repro.common.store.attributed` over the shared stores: under
+the tenant's **origin label** (``tenant:<id>``) and one **attribution sink**
+per store (:data:`LEDGERS`) that receives exactly the counter deltas that
+request produced, wherever it ran (inline on the shared counters or a forked
+worker's merged chunk payload).  :class:`ServiceStats` folds those
+per-request deltas into per-tenant totals.
 
 That design gives an *exact* invariant rather than a monitoring
-approximation: because the global cache counters and the per-request sinks
-are incremented by the same code paths, the per-tenant totals sum to the
-global ``CostService``/``DecisionCache`` deltas **to the counter**, under
+approximation: because the global store counters and the per-request sinks
+are incremented by the same code paths, the per-tenant totals sum to each
+store's global delta **to the counter**, under
 any interleaving of tenants, batches, and backends —
 ``tests/test_planning_service.py`` asserts it.  ``cross_origin_hits``
 additionally shows how much of one tenant's traffic was answered by cache
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Type
+from typing import Any, Dict, List, Type
 
 from repro.common.store import CounterStats
 from repro.core.decision_cache import DecisionCacheStats
@@ -152,51 +151,41 @@ class ServiceStats:
         with self._lock:
             setattr(stats, event, getattr(stats, event) + 1)
 
-    def record_completion(
-        self,
-        tenant: str,
-        latency_s: float,
-        queue_wait_s: float,
-        service_s: float,
-        deltas: Mapping[str, CounterStats],
-        ok: bool = True,
-        count_lifecycle: bool = True,
-        degradation_level: int = 0,
-        degradation_label: str = "",
-        shed: bool = False,
-    ) -> None:
-        """Fold one finished request's exact deltas into its tenant's row.
+    def record_completion(self, response, count_lifecycle: bool = True) -> None:
+        """Fold one finished request's answer into its tenant's row.
 
-        ``deltas`` maps :data:`LEDGERS` names to the request's attribution
-        sinks (empty when the request never reached a worker).
-        ``count_lifecycle=False`` suppresses the completed/failed/latency
-        counters (the client already claimed the request as cancelled) but
-        still folds the attribution deltas — the cache counters saw the
-        work, so the invariant requires the sinks to as well.  ``completed``
-        counts every delivered answer, full or degraded; ``shed`` and
-        ``degraded`` are disjoint refinements of it (a shed response is
-        counted as shed only, a non-shed sub-full response as degraded).
+        ``response`` is the :class:`~repro.service.server.PlanResponse` about
+        to be delivered; its :data:`LEDGERS` fields are the request's
+        attribution sinks (``None`` when the request never reached a
+        worker).  ``count_lifecycle=False`` suppresses the
+        completed/failed/latency counters (the client already claimed the
+        request as cancelled) but still folds the attribution deltas — the
+        cache counters saw the work, so the invariant requires the sinks to
+        as well.  ``completed`` counts every delivered answer, full or
+        degraded; ``shed`` and ``degraded`` are disjoint refinements of it
+        (a shed response is counted as shed only, a non-shed sub-full
+        response as degraded).
         """
-        stats = self.tenant(tenant)
+        stats = self.tenant(response.tenant)
         with self._lock:
             if count_lifecycle:
-                if ok:
+                if response.ok:
                     stats.completed += 1
-                    stats.latencies.append(latency_s)
-                    if shed:
+                    stats.latencies.append(response.latency_s)
+                    if response.shed:
                         stats.shed += 1
-                    elif degradation_level > 0:
+                    elif response.degradation_level > 0:
                         stats.degraded += 1
-                        label = degradation_label or str(degradation_level)
-                        stats.degraded_by_level[label] = (
-                            stats.degraded_by_level.get(label, 0) + 1
-                        )
+                        by_level = stats.degraded_by_level
+                        by_level[response.degradation] = by_level.get(response.degradation, 0) + 1
                 else:
                     stats.failed += 1
-            stats.queue_wait_s += queue_wait_s
-            stats.service_s += service_s
-            for ledger, delta in deltas.items():
-                getattr(stats, ledger).accumulate(delta)
+            stats.queue_wait_s += response.queue_wait_s
+            stats.service_s += response.service_s
+            for ledger in LEDGERS:
+                delta = getattr(response, ledger)
+                if delta is not None:
+                    getattr(stats, ledger).accumulate(delta)
 
     # ------------------------------------------------------------- roll-ups
     def total(self, ledger: str) -> CounterStats:
@@ -210,18 +199,6 @@ class ServiceStats:
             for stats in self._tenants.values():
                 total.accumulate(getattr(stats, ledger))
         return total
-
-    def total_cost_stats(self) -> CostServiceStats:
-        """Sum of every tenant's attributed cost-service counters."""
-        return self.total("cost_stats")
-
-    def total_decision_stats(self) -> DecisionCacheStats:
-        """Sum of every tenant's attributed decision-cache counters."""
-        return self.total("decision_stats")
-
-    def total_subresult_stats(self) -> SubResultCatalogStats:
-        """Sum of every tenant's attributed sub-result catalog counters."""
-        return self.total("subresult_stats")
 
     def as_dict(self) -> Dict[str, Any]:
         with self._lock:

@@ -18,7 +18,6 @@ from repro.whatif.service import (
     CostService,
     CostServiceStats,
     cluster_cache_key,
-    resolve_cache_path,
 )
 from repro.whatif.actual import ActualCostModel
 from repro.whatif.adjustment import (
@@ -40,7 +39,6 @@ __all__ = [
     "CostService",
     "CostServiceStats",
     "cluster_cache_key",
-    "resolve_cache_path",
     "ActualCostModel",
     "adjust_profile_for_intra_job_packing",
     "adjust_profile_for_inter_job_packing",

@@ -18,10 +18,10 @@ query of the optimizer stack and makes them incremental:
 
 The service is a :class:`~repro.common.store.ShardedStore` with two levels
 (estimates and dataflow derivations), so it is safe to share across the
-parallel unit search (:mod:`repro.core.parallel`): lock-striped LRU shards,
-atomic stats with thread-local attribution sinks
-(:meth:`CostService.attribute_to`), and export-log / merge-on-join for forked
-workers — see :mod:`repro.common.store` for the model.
+parallel unit search (:mod:`repro.core.parallel`): locked LRU levels, atomic
+stats with thread-local attribution sinks (:meth:`CostService.attribute_to`,
+:func:`~repro.common.store.attributed`), and export-log / merge-on-join for
+forked workers — see :mod:`repro.common.store` for the model.
 
 The service keeps :class:`CostServiceStats` (queries, cache hits, re-costed
 jobs, effectively-full estimations) that the search surfaces per candidate,
@@ -32,8 +32,9 @@ trajectories.
 Two features support the experiment orchestration layer
 (:mod:`repro.experiments.scheduler`):
 
-* **origin attribution** — every cache entry is tagged with the label active
-  (:meth:`CostService.origin`) when it was stored; a lookup served by an
+* **origin attribution** — every cache entry is tagged with the ambient
+  label (:func:`~repro.common.store.current_origin`) active when it was
+  stored; a lookup served by an
   entry stored under a *different* label counts as a cross-origin hit
   (``CostServiceStats.cross_origin_hits``).  The experiment harness labels
   each (workload × optimizer) cell, so ``OptimizerRun.cross_unit_hits``
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import ClassVar, List, Optional, Tuple
 
 from repro.cluster import ClusterSpec
@@ -64,7 +66,7 @@ from repro.common.store import (  # noqa: F401  (CacheLoadReport, cluster_cache_
     ShardedLRU,
     ShardedStore,
     cluster_cache_key,
-    resolve_env_path,
+    current_origin,
 )
 from repro.whatif.jobmodel import estimate_job_time
 from repro.whatif.model import COST_MODEL_VERSION, VertexCost, WhatIfEngine, WorkflowCostEstimate
@@ -85,7 +87,7 @@ MAX_EXPORTED_ENTRIES = 20_000
 CACHE_FORMAT_VERSION = 2
 
 #: Environment variable naming a persisted-cache path; consulted by
-#: :func:`resolve_cache_path` when no explicit path is configured, so a whole
+#: :meth:`CostService.ensure` when no explicit path is configured, so a whole
 #: stack (harness, benchmarks, examples) can opt into warm-starting from the
 #: outside.
 CACHE_PATH_ENV_VAR = "STUBBY_COST_CACHE"
@@ -115,11 +117,6 @@ def resolve_cache_max_entries(max_entries: Optional[int]) -> Optional[int]:
     return max_entries if max_entries > 0 else None
 
 
-def resolve_cache_path(path: Optional[str]) -> Optional[str]:
-    """Explicit cost-cache path, else :data:`CACHE_PATH_ENV_VAR` (``""`` = none)."""
-    return resolve_env_path(path, CACHE_PATH_ENV_VAR)
-
-
 @dataclass
 class CostServiceStats(CounterStats):
     """Counters describing how much what-if work the service performed.
@@ -144,8 +141,8 @@ class CostServiceStats(CounterStats):
     job-count model (neither cached nor worth caching).
 
     ``cross_origin_hits`` counts the cache hits (at either level) served by
-    an entry stored under a different :meth:`CostService.origin` label than
-    the one active at lookup time — e.g. a hit on another experiment cell's
+    an entry stored under a different origin label than the one active at
+    lookup time — e.g. a hit on another experiment cell's
     work, or on a warm-started persisted cache.
     """
 
@@ -207,9 +204,7 @@ class CostService(ShardedStore):
     plans are copy-on-write clones whose unchanged vertices are *shared
     objects*, so their signatures come from the engine's identity memo, and
     the content-based keys make even privatized copies cache-transparent.
-    One instance may be queried from several
-    search threads concurrently; see :mod:`repro.common.store` for the
-    concurrency model.
+    See :mod:`repro.common.store` for the concurrency model.
 
     ``enable_cache=False`` turns the service into a pass-through that costs
     every job cold (used by tests to prove the memoized results are
@@ -257,8 +252,10 @@ class CostService(ShardedStore):
         # Per-query tallies:
         # [estimate hits, dataflow hits, full recosts, cross-origin hits].
         tallies = [0, 0, 0, 0]
+        origin = current_origin()
         estimate = self.engine.run_costing(
-            workflow, lambda vertex, wf, sizes: self._cost_vertex_cached(vertex, wf, sizes, tallies)
+            workflow,
+            lambda vertex, wf, sizes: self._cost_vertex_cached(vertex, wf, sizes, tallies, origin),
         )
 
         estimate_hits, dataflow_hits, full_recosts, cross_origin = tallies
@@ -272,14 +269,13 @@ class CostService(ShardedStore):
         self._apply_delta(delta)
         return estimate
 
-    def _cost_vertex_cached(self, vertex, workflow, sizes, tallies) -> VertexCost:
+    def _cost_vertex_cached(self, vertex, workflow, sizes, tallies, origin) -> VertexCost:
         """Cache-aware drop-in for :meth:`WhatIfEngine.cost_vertex`.
 
         Plugged into the engine's shared :meth:`~WhatIfEngine.run_costing`
         traversal, so the service cannot drift from the cold path.
         """
         engine = self.engine
-        current_origin = self.current_origin()
         dataflow_sig = engine.vertex_dataflow_signature(vertex, workflow, sizes)
         full_sig = (dataflow_sig, engine.jobmodel_config_key(vertex.job.config))
         enabled = self.enabled
@@ -287,23 +283,23 @@ class CostService(ShardedStore):
         if cached is not None:
             costed, entry_origin = cached
             tallies[0] += 1
-            if entry_origin != current_origin:
+            if entry_origin != origin:
                 tallies[3] += 1
             return costed
         cached = self._dataflow_cache.lookup(dataflow_sig) if enabled else None
         if cached is not None:
             derived, entry_origin = cached
             tallies[1] += 1
-            if entry_origin != current_origin:
+            if entry_origin != origin:
                 tallies[3] += 1
         else:
             tallies[2] += 1
             derived = engine.derive_vertex_dataflow(vertex, workflow, sizes)
-            self._store(dataflow_sig, derived, current_origin, self._dataflow_cache, ("dataflow",))
+            self._store(dataflow_sig, derived, origin, self._dataflow_cache, ("dataflow",))
         dataflow, contributions = derived
         estimate = estimate_job_time(dataflow, vertex.job.config, self.cluster)
         costed = VertexCost(estimate=estimate, output_contributions=contributions)
-        self._store(full_sig, costed, current_origin, self._cache, ("estimate",))
+        self._store(full_sig, costed, origin, self._cache, ("estimate",))
         return costed
 
     def estimate_plan(self, plan) -> WorkflowCostEstimate:
@@ -345,11 +341,9 @@ class CostService(ShardedStore):
         ``max_entries`` (default: the ``STUBBY_COST_CACHE_MAX_ENTRIES``
         environment variable; unset means unbounded) **compacts on persist**:
         only the most-recently-used entries are written, so a long-lived
-        cache file stops growing without bound across runs.  Recency is
-        tracked per stripe (each shard's LRU order); the compacted snapshot
-        drains the stripes' MRU ends round-robin, which preserves global
-        recency up to stripe granularity.  A compacted file is an ordinary
-        cache file — loading it is just a smaller warm start.
+        cache file stops growing without bound across runs.  A compacted
+        file is an ordinary cache file — loading it is just a smaller warm
+        start.
         """
         return super().save_cache(
             path, merge_first, max_entries=resolve_cache_max_entries(max_entries)
@@ -360,33 +354,25 @@ class CostService(ShardedStore):
     ) -> List[Tuple[str, Tuple, object, object]]:
         """Both cache levels as the plain rows :meth:`absorb_entries` accepts.
 
-        With ``max_entries`` set, keeps only the most-recently-used rows:
-        every (level, stripe) list arrives in LRU→MRU order, so the bound is
-        filled by draining the MRU ends round-robin across all stripes of
-        both levels.  Rows are returned oldest-first either way, so a later
-        :meth:`absorb_entries` re-establishes the same relative recency.
+        With ``max_entries`` set, keeps only the most-recently-used rows.
+        Each level keeps its own exact LRU→MRU order (an estimate hit never
+        touches the dataflow level), so the bound is filled from the two MRU
+        tails alternately.  Rows are returned oldest-first either way, so a
+        later :meth:`absorb_entries` re-establishes the same relative recency.
         """
-        per_stripe: List[List[Tuple[str, Tuple, object, object]]] = []
-        total = 0
-        for level in ("estimate", "dataflow"):
-            for rows in self._level(level).shard_items():
-                stamped = [(level, signature, value, origin) for signature, value, origin in rows]
-                per_stripe.append(stamped)
-                total += len(stamped)
-
-        if max_entries is None or total <= max_entries:
-            return [row for rows in per_stripe for row in rows]
-
-        remaining = [len(rows) for rows in per_stripe]
-        kept: List[Tuple[str, Tuple, object, object]] = []
-        while len(kept) < max_entries:
-            for index, rows in enumerate(per_stripe):
-                if remaining[index] == 0:
-                    continue
-                remaining[index] -= 1
-                kept.append(rows[remaining[index]])
-                if len(kept) >= max_entries:
-                    break
+        levels = [
+            [(level, *row) for row in self._level(level).items()]
+            for level in ("estimate", "dataflow")
+        ]
+        if max_entries is None or sum(map(len, levels)) <= max_entries:
+            return [row for rows in levels for row in rows]
+        newest_first = [
+            row
+            for pair in zip_longest(*map(reversed, levels))
+            for row in pair
+            if row is not None
+        ]
+        kept = newest_first[:max_entries]
         kept.reverse()
         return kept
 

@@ -5,13 +5,19 @@ import math
 import pytest
 
 from repro.baselines import (
+    OPTIMIZER_NAMES,
     MRShareOptimizer,
     PigBaselineOptimizer,
     StarfishOptimizer,
     YSmartOptimizer,
+    make_optimizer,
 )
 from repro.cluster import ClusterSpec
 from repro.common.records import records_equal
+from repro.core.decision_cache import DecisionCache
+from repro.core.optimizer import StubbyOptimizer
+from repro.core.subresults import SubResultCatalog
+from repro.whatif.service import CostService
 from repro.profiler import Profiler
 from repro.workflow.executor import WorkflowExecutor
 from repro.workloads import WORKLOAD_ORDER, build_workload
@@ -104,6 +110,55 @@ class TestBaselines:
         assert not hasattr(optimizer, "decisions") and not path.exists()
         with pytest.raises(TypeError, match="decision_cache"):
             baseline(CLUSTER, decision_cache=None)
+
+
+class TestMakeOptimizer:
+    """The one name → optimizer registry (harness, server and oracle use it)."""
+
+    def test_builds_all_seven_display_names_over_the_shared_stores(self):
+        costs, decisions = CostService(CLUSTER), DecisionCache(CLUSTER)
+        catalog = SubResultCatalog(CLUSTER)
+        assert OPTIMIZER_NAMES == (
+            "Stubby", "Vertical", "Horizontal", "Baseline", "Starfish", "YSmart", "MRShare"
+        )
+        phases = {
+            "Stubby": ("vertical", "horizontal"),
+            "Vertical": ("vertical",),
+            "Horizontal": ("horizontal",),
+        }
+        for name in OPTIMIZER_NAMES:
+            optimizer = make_optimizer(
+                name,
+                CLUSTER,
+                seed=5,
+                cost_service=costs,
+                decision_cache=decisions,
+                subresult_catalog=catalog,
+                backend="serial",
+            )
+            assert optimizer.costs is costs
+            if name in phases:
+                assert isinstance(optimizer, StubbyOptimizer)
+                assert optimizer.variant_name == name and optimizer.phases == phases[name]
+                assert optimizer.decisions is decisions and optimizer.subresults is catalog
+                assert optimizer.search.seed == 5
+                assert optimizer.search.backend.spec == "serial:1"
+            else:
+                # Baselines get the cost service only.
+                assert optimizer.name == name
+                assert not hasattr(optimizer, "decisions")
+                assert not hasattr(optimizer, "subresults")
+
+    def test_seed_none_keeps_each_class_default(self):
+        assert make_optimizer("Stubby", CLUSTER).search.seed == StubbyOptimizer(CLUSTER).search.seed
+        seeded = make_optimizer("Starfish", CLUSTER, seed=99)
+        assert seeded._rng.fork("x").random() == StarfishOptimizer(CLUSTER, seed=99)._rng.fork("x").random()
+
+    def test_unknown_name_raises_keyerror_naming_the_choices(self):
+        with pytest.raises(KeyError) as excinfo:
+            make_optimizer("Oracle", CLUSTER)
+        for name in OPTIMIZER_NAMES:
+            assert name in str(excinfo.value)
 
 
 class TestWorkloadCatalog:

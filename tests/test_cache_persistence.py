@@ -16,6 +16,7 @@ import pytest
 
 import repro.whatif.service as service_module
 from repro.cluster import ClusterSpec
+from repro.common.store import resolve_env_path
 from repro.profiler import Profiler
 from repro.verification import (
     FaultPlan,
@@ -31,7 +32,6 @@ from repro.whatif.service import (
     CostService,
     cluster_cache_key,
     resolve_cache_max_entries,
-    resolve_cache_path,
 )
 from repro.workloads import build_workload
 
@@ -245,12 +245,12 @@ class TestConcurrentWriters:
 class TestPathResolution:
     def test_explicit_path_wins(self, monkeypatch):
         monkeypatch.setenv(CACHE_PATH_ENV_VAR, "/elsewhere/env.cache")
-        assert resolve_cache_path("/explicit.cache") == "/explicit.cache"
-        assert resolve_cache_path(None) == "/elsewhere/env.cache"
+        assert resolve_env_path("/explicit.cache", CACHE_PATH_ENV_VAR) == "/explicit.cache"
+        assert resolve_env_path(None, CACHE_PATH_ENV_VAR) == "/elsewhere/env.cache"
         # Empty string (either source) disables persistence.
-        assert resolve_cache_path("") is None
+        assert resolve_env_path("", CACHE_PATH_ENV_VAR) is None
         monkeypatch.setenv(CACHE_PATH_ENV_VAR, "")
-        assert resolve_cache_path(None) is None
+        assert resolve_env_path(None, CACHE_PATH_ENV_VAR) is None
 
     def test_env_var_warm_starts_an_optimizer(self, tmp_path, profiled_workflow, monkeypatch):
         from repro.core.optimizer import StubbyOptimizer
@@ -296,22 +296,15 @@ class TestCompactionOnPersist:
 
     def test_compaction_keeps_most_recently_used_entries(self, tmp_path, profiled_workflow):
         service = _warmed_service(profiled_workflow)
-        # Touch every entry again so recency ordering is well-defined.  The
-        # documented guarantee is *stripe-granular* recency: the compacted
-        # snapshot drains each stripe from its MRU end, so within every
-        # stripe the kept rows must form a suffix of its LRU→MRU order —
-        # regardless of how signatures hash across stripes in this process.
+        # Touch every entry again so recency ordering is well-defined.  Each
+        # level keeps an exact LRU→MRU order and the compacted snapshot
+        # takes the two MRU tails alternately: the kept rows are exactly the
+        # last two estimates and the last dataflow, oldest first.
         service.estimate_workflow(profiled_workflow)
         compacted = service._entries_snapshot(max_entries=3)
-        assert len(compacted) == 3
-        kept = {(level, signature) for level, signature, _v, _o in compacted}
-        for level, cache in (("estimate", service._cache), ("dataflow", service._dataflow_cache)):
-            for rows in cache.shard_items():
-                flags = [(level, signature) in kept for signature, _v, _o in rows]
-                first_kept = flags.index(True) if True in flags else len(flags)
-                assert all(flags[first_kept:]), (
-                    f"kept rows are not an MRU suffix of their {level} stripe"
-                )
+        estimates = [("estimate", *row) for row in service._cache.items()]
+        dataflows = [("dataflow", *row) for row in service._dataflow_cache.items()]
+        assert compacted == [estimates[-2], dataflows[-1], estimates[-1]]
 
     def test_env_var_bounds_saves_by_default(self, tmp_path, profiled_workflow, monkeypatch):
         service = _warmed_service(profiled_workflow)

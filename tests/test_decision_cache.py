@@ -28,17 +28,18 @@ import pickle
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.common.store import resolve_env_flag, resolve_env_path
 from repro.core.decision_cache import (
+    DECISION_CACHE_ENABLED_ENV_VAR,
     DECISION_CACHE_FORMAT_VERSION,
+    DECISION_CACHE_PATH_ENV_VAR,
     DecisionCache,
-    decision_cache_enabled,
-    ensure_decision_cache,
-    resolve_decision_cache_path,
 )
 from repro.core.optimization_unit import OptimizationUnit, OptimizationUnitGenerator
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.rrs import RecursiveRandomSearch
 from repro.core.search import StubbySearch, SubplanRecord
+from repro.core.search import plan_decision_fingerprint as fingerprint
 from repro.core.transformations import (
     HorizontalPacking,
     InterJobVerticalPacking,
@@ -52,8 +53,6 @@ from repro.whatif import model as whatif_model
 from repro.workloads import build_workload
 
 CLUSTER = ClusterSpec.paper_cluster()
-
-fingerprint = StubbySearch._plan_decision_fingerprint
 
 
 def _profiled(abbr="IR", scale=0.05):
@@ -147,9 +146,8 @@ class TestReplayIdentity:
         optimizer.optimize(workload.plan)
         # Corrupt one recorded decision in place: verify mode must crash
         # rather than let a wrong replay masquerade as a search result.
-        shard_rows = [row for rows in cache._cache.shard_items() for row in rows]
-        key, decision, origin = next(
-            row for row in shard_rows if any(c.applications for c in row[1].choices)
+        key, decision, _origin = next(
+            row for row in cache._cache.items() if any(c.applications for c in row[1].choices)
         )
         broken = dataclasses.replace(
             decision,
@@ -160,7 +158,7 @@ class TestReplayIdentity:
                 for choice in decision.choices
             ),
         )
-        cache.store(key, broken, origin=origin)
+        cache.store(key, broken)
         with pytest.raises(RuntimeError, match="replay diverged"):
             optimizer.optimize(workload.plan)
 
@@ -265,7 +263,7 @@ class TestInvalidation:
         after = _first_unit_key(_search(cluster=other_cluster), workload.plan)
         assert before != after
         with pytest.raises(ValueError, match="different ClusterSpec"):
-            ensure_decision_cache(other_cluster, DecisionCache(CLUSTER))
+            DecisionCache.ensure(other_cluster, DecisionCache(CLUSTER))
 
     def test_rrs_knobs_change_key(self):
         workload = _profiled()
@@ -449,19 +447,20 @@ class TestPersistence:
     def test_env_var_controls_path_and_kill_switch(self, monkeypatch, tmp_path):
         env_path = str(tmp_path / "env-decisions.cache")
         monkeypatch.setenv("STUBBY_DECISION_CACHE", env_path)
-        assert resolve_decision_cache_path(None) == env_path
-        assert resolve_decision_cache_path("explicit") == "explicit"
-        assert resolve_decision_cache_path("") is None
+        assert resolve_env_path(None, DECISION_CACHE_PATH_ENV_VAR) == env_path
+        assert resolve_env_path("explicit", DECISION_CACHE_PATH_ENV_VAR) == "explicit"
+        assert resolve_env_path("", DECISION_CACHE_PATH_ENV_VAR) is None
+        assert DecisionCache.ensure(CLUSTER).cache_path == env_path
 
         monkeypatch.setenv("STUBBY_DECISION_CACHE_ENABLED", "0")
-        assert decision_cache_enabled() is False
+        assert resolve_env_flag(None, DECISION_CACHE_ENABLED_ENV_VAR, True) is False
         cache = DecisionCache(CLUSTER)
         assert not cache.enabled
         assert cache.lookup(("anything",)) is None
         cache.store(("anything",), None)
         assert cache.cache_size == 0
         monkeypatch.setenv("STUBBY_DECISION_CACHE_ENABLED", "1")
-        assert decision_cache_enabled() is True
+        assert DecisionCache(CLUSTER).enabled
 
     def test_harness_persists_and_warm_starts_decisions(self, tmp_path):
         path = str(tmp_path / "decisions.cache")

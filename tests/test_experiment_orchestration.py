@@ -18,7 +18,6 @@ from repro.experiments import (
     ExperimentScheduler,
     build_cells,
     cell_seed,
-    resolve_experiment_backend,
 )
 
 #: A small grid that still exercises cross-cell sharing (three optimizer
@@ -168,21 +167,43 @@ class TestWarmStart:
     def test_persist_cache_without_path_is_a_noop(self):
         assert _fresh_harness().persist_cache() == 0
 
+    def test_compare_then_run_never_shrinks_the_persisted_files(self, tmp_path):
+        # compare() invalidates the in-memory stores for its standalone
+        # timings; a run() on the same harness must not then overwrite a
+        # rich warm-start file with the sparse survivor.
+        paths = {
+            "cache_path": str(tmp_path / "costs.cache"),
+            "decision_cache_path": str(tmp_path / "decisions.cache"),
+        }
+
+        def persisted():
+            fresh = _fresh_harness(**paths)
+            return fresh.costs.last_load.entries, fresh.decisions.last_load.entries
+
+        _fresh_harness(**paths).run(workloads=WORKLOADS, optimizers=OPTIMIZERS)
+        rich = persisted()
+        assert min(rich) > 0
+        second = _fresh_harness(**paths)
+        second.compare("PJ", optimizers=("Baseline",))
+        second.run(workloads=WORKLOADS, optimizers=("Baseline",))
+        after = persisted()
+        assert after[0] >= rich[0] and after[1] >= rich[1]
+
 
 class TestSchedulerPlumbing:
     def test_resolve_backend_env_and_passthrough(self, monkeypatch):
         backend = ProcessBackend(workers=2)
-        assert resolve_experiment_backend(backend) is backend
+        assert ExperimentScheduler(backend).backend is backend
         monkeypatch.delenv(EXPERIMENT_BACKEND_ENV_VAR, raising=False)
-        assert isinstance(resolve_experiment_backend(None), SerialBackend)
+        assert isinstance(ExperimentScheduler().backend, SerialBackend)
         monkeypatch.setenv(EXPERIMENT_BACKEND_ENV_VAR, "process:3")
-        resolved = resolve_experiment_backend(None)
+        resolved = ExperimentScheduler().backend
         assert isinstance(resolved, ProcessBackend)
         assert resolved.workers == 3
         with pytest.raises(TypeError):
-            resolve_experiment_backend(3.14)
+            ExperimentScheduler(3.14)
         with pytest.raises(ValueError):
-            resolve_experiment_backend("warp:9")
+            ExperimentScheduler("warp:9")
 
     def test_cells_are_deterministic(self):
         cells = build_cells(("PJ", "BR"), ("Baseline", "Stubby"), base_seed=42)

@@ -314,7 +314,8 @@ class TestBackendPlumbing:
     def test_a_session_without_stores_holds_an_empty_channel(self):
         channel = parallel.store_side_channel()
         channel.worker_init()
-        payload = channel.chunk_end(channel.chunk_begin())
+        with channel.chunk() as payload:
+            pass
         assert payload == () and channel.final_export() == ()
         channel.chunk_absorb_foreign(payload)
         channel.final_absorb(())

@@ -17,6 +17,8 @@ sum *exactly* to the global cache deltas under any interleaving.
 """
 
 import asyncio
+import dataclasses
+import pickle
 
 import pytest
 
@@ -125,15 +127,15 @@ class TestBitIdentityUnderLoad:
         async def main():
             server = make_server(catalog, pool=pool)
             async with server:
-                cold_before = server.stats.total_decision_stats()
+                cold_before = server.stats.total("decision_stats")
                 cold_wave = await asyncio.gather(*[submit_ok(server, i) for i in range(16)])
-                cold_delta = server.stats.total_decision_stats().since(cold_before)
+                cold_delta = server.stats.total("decision_stats").since(cold_before)
                 # Warm restart: worker cache shards merge on stop; the next
                 # wave's units replay from the shared decision cache.
                 await server.restart()
-                warm_before = server.stats.total_decision_stats()
+                warm_before = server.stats.total("decision_stats")
                 warm_wave = await asyncio.gather(*[submit_ok(server, i) for i in range(16)])
-                warm_delta = server.stats.total_decision_stats().since(warm_before)
+                warm_delta = server.stats.total("decision_stats").since(warm_before)
 
                 for (workload, optimizer), response in cold_wave + warm_wave:
                     assert response.identity() == oracle(catalog, workload, optimizer), (
@@ -187,13 +189,13 @@ class TestAttributionInvariant:
             cost_delta = server.costs.stats_snapshot().since(cost_before)
             decision_delta = server.decisions.stats_snapshot().since(decision_before)
             # Exact, counter-for-counter — not approximate monitoring.
-            assert server.stats.total_cost_stats().as_dict() == cost_delta.as_dict()
+            assert server.stats.total("cost_stats").as_dict() == cost_delta.as_dict()
             assert (
-                server.stats.total_decision_stats().as_dict() == decision_delta.as_dict()
+                server.stats.total("decision_stats").as_dict() == decision_delta.as_dict()
             )
             # Tenants share combos, so somebody's lookup was answered by an
             # entry a *different* tenant's request paid for.
-            assert server.stats.total_decision_stats().cross_origin_hits > 0
+            assert server.stats.total("decision_stats").cross_origin_hits > 0
             rows = server.stats.tenants
             assert sorted(rows) == ["t0", "t1", "t2", "t3"]
             assert all(row.completed == 3 for row in rows.values())
@@ -202,6 +204,51 @@ class TestAttributionInvariant:
                 assert tenant in report
 
         asyncio.run(main())
+
+
+class TestTypedWorkerResult:
+    """``_execute`` hands back a picklable ``_Outcome``; the parent only stamps timings."""
+
+    def test_outcome_survives_a_pickle_round_trip_field_for_field(self, catalog):
+        server = make_server(catalog)
+        outcome = server._execute(("t0", "pj", "Stubby", 17, None, True))
+        clone = pickle.loads(pickle.dumps(outcome))
+        assert clone == outcome and clone is not outcome
+        assert dataclasses.asdict(clone) == dataclasses.asdict(outcome)
+        assert outcome.response.ok and outcome.response.cost_stats.queries > 0
+        # The worker never knows the queue: those two stay for the parent.
+        assert outcome.response.queue_wait_s == outcome.response.latency_s == 0.0
+        assert outcome.response.service_s > 0.0
+
+    def test_process_pool_response_equals_the_serial_response(self, catalog):
+        # Two cold requests over disjoint content, held until both are
+        # queued so they ride one batch: on process:2 each runs in its own
+        # forked worker, and everything but where/when it ran must match.
+        requests = [
+            PlanRequest(tenant="t0", workload="rand-a", optimizer="Stubby"),
+            PlanRequest(tenant="t1", workload="pj", optimizer="Baseline"),
+        ]
+
+        async def main(pool):
+            server = make_server(catalog, pool=pool)
+            await server.start(serve=False)
+            futures = [asyncio.ensure_future(server.submit(r)) for r in requests]
+            await asyncio.sleep(0.05)
+            server.resume()
+            responses = await asyncio.gather(*futures)
+            await server.stop(persist=False)
+            return responses
+
+        serial = asyncio.run(asyncio.wait_for(main("serial"), timeout=120))
+        forked = asyncio.run(asyncio.wait_for(main("process:2"), timeout=120))
+        placement = ("worker_pid", "queue_wait_s", "service_s", "latency_s")
+        for ours, theirs in zip(serial, forked):
+            assert ours.ok and theirs.ok
+            assert ours.worker_pid != theirs.worker_pid
+            assert theirs.latency_s >= theirs.queue_wait_s + theirs.service_s > 0.0
+            assert dataclasses.replace(ours, **dict.fromkeys(placement, 0)) == (
+                dataclasses.replace(theirs, **dict.fromkeys(placement, 0))
+            )
 
 
 class TestFaultInjection:
@@ -255,9 +302,9 @@ class TestFaultInjection:
                 await server.stop()
             cost_delta = server.costs.stats_snapshot().since(cost_before)
             decision_delta = server.decisions.stats_snapshot().since(decision_before)
-            assert server.stats.total_cost_stats().as_dict() == cost_delta.as_dict()
+            assert server.stats.total("cost_stats").as_dict() == cost_delta.as_dict()
             assert (
-                server.stats.total_decision_stats().as_dict() == decision_delta.as_dict()
+                server.stats.total("decision_stats").as_dict() == decision_delta.as_dict()
             )
             for row in server.stats.tenants.values():
                 assert row.failed == 0

@@ -36,9 +36,9 @@ def test_no_tracked_file_is_gitignored():
     assert listing.stdout.split() == [], "tracked files matched by .gitignore"
 
 
-def _src_sources():
-    """(repo-relative path, text) of every Python file under ``src/``."""
-    for folder, _dirs, names in os.walk(os.path.join(ROOT, "src")):
+def _sources(top):
+    """(repo-relative path, text) of every Python file under ``top``."""
+    for folder, _dirs, names in os.walk(os.path.join(ROOT, top)):
         for name in sorted(names):
             if name.endswith(".py"):
                 path = os.path.join(folder, name)
@@ -46,16 +46,39 @@ def _src_sources():
                     yield os.path.relpath(path, ROOT), handle.read()
 
 
+def _src_sources():
+    return _sources("src")
+
+
 def test_src_has_no_mode_switches():
     """ISSUE 13 retired the process-wide ``set_*_enabled`` switches and the
     cell-dispatch option, ISSUE 14 the thread pool, the per-session dispatch
-    mode and the batched RRS objective; a path that needs a baseline keeps it
-    under tests/."""
+    mode and the batched RRS objective, ISSUE 15 the stats window, the LRU
+    striping, the server's own optimizer factory and the one-line
+    ``ensure_*`` / ``resolve_*_path`` aliases of ``ShardedStore.ensure`` /
+    ``resolve_env_path``; a
+    path that needs a baseline keeps it under tests/."""
     banned = re.compile(
         r"def set_\w+_enabled|STUBBY_EXPERIMENT_DISPATCH"
         r"|ThreadPoolExecutor|dispatch=|objective_batch"
+        # Split literals: this file must not match its own ban when grepped.
+        r"|Stats" r"Window|CACHE_" r"STRIPES|build_" r"variant"
+        r"|def ensure_\w+|def resolve_(?!env_)\w+_path"
     )
     assert [path for path, text in _src_sources() if banned.search(text)] == []
+
+
+def test_no_test_indexes_a_worker_result_by_constant():
+    """A worker result is a typed ``_Outcome``: nothing under tests/ or
+    benchmarks/ defines ``OK_*`` slot numbers to read it positionally."""
+    slots = re.compile(r"\bOK_\w+ *=")
+    offenders = [
+        path
+        for top in ("tests", "benchmarks")
+        for path, text in _sources(top)
+        if slots.search(text)
+    ]
+    assert offenders == []
 
 
 #: Rows of the docs/index.md environment-variable table: name, owner module.

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.baselines import make_optimizer
 from repro.cluster import ClusterSpec
 from repro.common.errors import DeadlineExceeded, RetryableError, TerminalError, is_terminal
 from repro.core.budget import UNBOUNDED, TimeBudget
@@ -30,7 +31,6 @@ from repro.service import (
     CircuitBreaker,
     PlanRequest,
     PlanningServer,
-    build_variant,
     cold_optimize,
     oracle_fingerprint,
 )
@@ -48,12 +48,6 @@ from repro.verification.faults import plan_from_env
 from repro.workloads import build_workload
 
 CLUSTER = ClusterSpec.paper_cluster()
-
-# Indexes into _execute's "ok" tuple (see PlanningServer._execute).
-OK_SIGNATURE, OK_FINGERPRINT, OK_ESTIMATE = 1, 2, 3
-OK_DECISION_SINK, OK_LEVEL, OK_LABEL, OK_REASON = 12, 14, 15, 16
-OK_FULL_ATTEMPTED, OK_FULL_FAILED = 17, 18
-ERR_TRACE, ERR_FULL_ATTEMPTED, ERR_FULL_FAILED = 1, 7, 8
 
 
 @pytest.fixture(scope="module")
@@ -413,28 +407,28 @@ class TestDegradationLadder:
 
     def test_full_rung_is_bit_identical_to_the_oracle(self, catalog):
         server = make_server(catalog)
-        raw = server._execute(work_for(catalog))
-        assert raw[0] == "ok"
-        assert raw[OK_LEVEL] == 0 and raw[OK_LABEL] == "full"
-        assert (raw[OK_SIGNATURE], raw[OK_FINGERPRINT], raw[OK_ESTIMATE]) == oracle(
-            catalog, "pj", "Stubby"
-        )
-        assert raw[OK_FULL_ATTEMPTED] and not raw[OK_FULL_FAILED]
+        outcome = server._execute(work_for(catalog))
+        response = outcome.response
+        assert response.ok
+        assert response.degradation_level == 0 and response.degradation == "full"
+        assert response.identity() == oracle(catalog, "pj", "Stubby")
+        assert outcome.full_attempted and not outcome.full_failed
 
     def test_warm_replay_rung_reproduces_the_full_plan(self, catalog):
         server = make_server(catalog)
-        full = server._execute(work_for(catalog))
+        full = server._execute(work_for(catalog)).response
         plan = FaultPlan([FaultSpec(site="server.rung.full", kind="exception")])
         with install_fault_plan(plan):
-            degraded = server._execute(work_for(catalog))
-        assert degraded[0] == "ok"
-        assert degraded[OK_LEVEL] == 1 and degraded[OK_LABEL] == "replay_only"
-        assert "full: InjectedFault" in degraded[OK_REASON]
-        assert degraded[OK_FULL_ATTEMPTED] and degraded[OK_FULL_FAILED]
+            outcome = server._execute(work_for(catalog))
+        degraded = outcome.response
+        assert degraded.ok
+        assert degraded.degradation_level == 1 and degraded.degradation == "replay_only"
+        assert "full: InjectedFault" in degraded.degradation_reason
+        assert outcome.full_attempted and outcome.full_failed
         # Every unit was solved by the first run; replay serves its plan.
-        assert degraded[OK_SIGNATURE] == full[OK_SIGNATURE]
-        assert degraded[OK_ESTIMATE] == full[OK_ESTIMATE]
-        assert degraded[OK_DECISION_SINK].decision_hits > 0
+        assert degraded.plan_signature == full.plan_signature
+        assert degraded.estimated_cost_s == full.estimated_cost_s
+        assert degraded.decision_stats.decision_hits > 0
 
     def test_cold_replay_rung_stores_nothing(self, catalog):
         # Rung 1 on a cold cache: misses leave their unit untouched and do
@@ -442,16 +436,14 @@ class TestDegradationLadder:
         server = make_server(catalog)
         plan = FaultPlan([FaultSpec(site="server.rung.full", kind="exception")])
         with install_fault_plan(plan):
-            degraded = server._execute(work_for(catalog))
-        assert degraded[0] == "ok" and degraded[OK_LEVEL] == 1
-        assert degraded[OK_DECISION_SINK].stores == 0
-        assert degraded[OK_DECISION_SINK].decision_hits == 0
+            degraded = server._execute(work_for(catalog)).response
+        assert degraded.ok and degraded.degradation_level == 1
+        assert degraded.decision_stats.stores == 0
+        assert degraded.decision_stats.decision_hits == 0
         # The very next undegraded request runs the true full search.
-        full = server._execute(work_for(catalog))
-        assert full[OK_LEVEL] == 0
-        assert (full[OK_SIGNATURE], full[OK_FINGERPRINT], full[OK_ESTIMATE]) == oracle(
-            catalog, "pj", "Stubby"
-        )
+        full = server._execute(work_for(catalog)).response
+        assert full.degradation_level == 0
+        assert full.identity() == oracle(catalog, "pj", "Stubby")
 
     def test_two_failed_rungs_degrade_to_single_phase(self, catalog):
         server = make_server(catalog)
@@ -462,9 +454,9 @@ class TestDegradationLadder:
             ]
         )
         with install_fault_plan(plan):
-            raw = server._execute(work_for(catalog))
-        assert raw[0] == "ok"
-        assert raw[OK_LEVEL] == 2 and raw[OK_LABEL] == "single_phase"
+            response = server._execute(work_for(catalog)).response
+        assert response.ok
+        assert response.degradation_level == 2 and response.degradation == "single_phase"
         assert plan.fires() == 2
 
     def test_exhausted_ladder_floors_at_unoptimized(self, catalog):
@@ -477,37 +469,38 @@ class TestDegradationLadder:
             ]
         )
         with install_fault_plan(plan):
-            raw = server._execute(work_for(catalog))
-        assert raw[0] == "ok"
-        assert raw[OK_LEVEL] == 3 and raw[OK_LABEL] == "unoptimized"
+            response = server._execute(work_for(catalog)).response
+        assert response.ok
+        assert response.degradation_level == 3 and response.degradation == "unoptimized"
         for rung in ("full", "replay_only", "single_phase"):
-            assert f"{rung}: InjectedFault" in raw[OK_REASON]
+            assert f"{rung}: InjectedFault" in response.degradation_reason
         assert plan.fires() == 3
 
     def test_terminal_fault_fails_the_request_outright(self, catalog):
         server = make_server(catalog)
         plan = FaultPlan([FaultSpec(site="server.rung.full", kind="terminal")])
         with install_fault_plan(plan):
-            raw = server._execute(work_for(catalog))
-        assert raw[0] == "error"
-        assert "TerminalInjectedFault" in raw[ERR_TRACE]
-        assert raw[ERR_FULL_ATTEMPTED] and raw[ERR_FULL_FAILED]
+            outcome = server._execute(work_for(catalog))
+        assert not outcome.response.ok
+        assert "TerminalInjectedFault" in outcome.response.error
+        assert outcome.full_attempted and outcome.full_failed
 
     def test_breaker_denial_skips_the_full_rung(self, catalog):
         server = make_server(catalog)
         server._execute(work_for(catalog))  # warm the decision cache
-        raw = server._execute(work_for(catalog, allow_full=False))
-        assert raw[0] == "ok"
-        assert raw[OK_LEVEL] == 1
-        assert "circuit breaker open" in raw[OK_REASON]
-        assert not raw[OK_FULL_ATTEMPTED]
+        outcome = server._execute(work_for(catalog, allow_full=False))
+        assert outcome.response.ok
+        assert outcome.response.degradation_level == 1
+        assert "circuit breaker open" in outcome.response.degradation_reason
+        assert not outcome.full_attempted
 
     def test_expired_budget_skips_every_searching_rung(self, catalog):
         server = make_server(catalog)
-        raw = server._execute(work_for(catalog, deadline_at=time.monotonic() - 1.0))
-        assert raw[0] == "ok"
-        assert raw[OK_LEVEL] == 3 and raw[OK_LABEL] == "unoptimized"
-        assert raw[OK_REASON].count("deadline exhausted") == 3
+        work = work_for(catalog, deadline_at=time.monotonic() - 1.0)
+        response = server._execute(work).response
+        assert response.ok
+        assert response.degradation_level == 3 and response.degradation == "unoptimized"
+        assert response.degradation_reason.count("deadline exhausted") == 3
 
     def test_baseline_ladder_has_no_search_rungs(self, catalog):
         # Replay/single-phase would just repeat Baseline's only move, so its
@@ -515,24 +508,24 @@ class TestDegradationLadder:
         server = make_server(catalog)
         plan = FaultPlan([FaultSpec(site="server.rung.full", kind="exception")])
         with install_fault_plan(plan):
-            raw = server._execute(work_for(catalog, optimizer="Baseline"))
-        assert raw[0] == "ok"
-        assert raw[OK_LEVEL] == 3 and raw[OK_LABEL] == "unoptimized"
+            response = server._execute(work_for(catalog, optimizer="Baseline")).response
+        assert response.ok
+        assert response.degradation_level == 3 and response.degradation == "unoptimized"
 
 
 class TestBudgetedOptimize:
     def test_expired_budget_raises_between_evaluations(self, catalog):
-        variant = build_variant("Stubby", CLUSTER, 17)
+        variant = make_optimizer("Stubby", CLUSTER, seed=17)
         with pytest.raises(DeadlineExceeded):
             variant.optimize(catalog["pj"].copy(), budget=TimeBudget(seconds=0.0))
 
     def test_baseline_checks_its_budget_too(self, catalog):
-        variant = build_variant("Baseline", CLUSTER, 17)
+        variant = make_optimizer("Baseline", CLUSTER, seed=17)
         with pytest.raises(DeadlineExceeded):
             variant.optimize(catalog["pj"].copy(), budget=TimeBudget(seconds=0.0))
 
     def test_unbounded_budget_changes_nothing(self, catalog):
-        bounded = build_variant("Stubby", CLUSTER, 17)
+        bounded = make_optimizer("Stubby", CLUSTER, seed=17)
         result = bounded.optimize(catalog["pj"].copy(), budget=TimeBudget())
         assert oracle_fingerprint(result) == oracle(catalog, "pj", "Stubby")
 
@@ -559,7 +552,7 @@ class TestWithdrawalRace:
             assert row.cancelled == 1
             assert row.completed == 0 and row.failed == 0
             cost_delta = server.costs.stats_snapshot().since(cost_before)
-            assert server.stats.total_cost_stats().as_dict() == cost_delta.as_dict()
+            assert server.stats.total("cost_stats").as_dict() == cost_delta.as_dict()
 
         with install_fault_plan(plan):
             asyncio.run(main())

@@ -1,8 +1,8 @@
 """One contract over the three stores built on ``repro.common.store``.
 
 ``CostService``, ``DecisionCache`` and ``SubResultCatalog`` differ in what a
-key is and what a lookup counts, but share one mechanism — the sharded LRU,
-stats sinks, origin tags, export log and versioned persistence of
+key is and what a lookup counts, but share one mechanism — the locked LRU,
+stats sinks, the ``attributed()`` scope, export log and versioned persistence of
 :class:`~repro.common.store.ShardedStore`.  Every behaviour below is asserted
 for all three, through the same test body, so the shared mechanism cannot
 drift per store again.  Store-specific behaviour (estimate exactness, replay
@@ -10,7 +10,9 @@ identity, signature invalidation) stays in the stores' own test files.
 """
 
 import dataclasses
+import os
 import pickle
+import subprocess
 import sys
 import threading
 from dataclasses import dataclass
@@ -18,14 +20,15 @@ from typing import Callable
 
 import pytest
 
-import repro.common.store as store_module
 import repro.core.decision_cache as decision_module
 import repro.core.subresults as subresults_module
 import repro.whatif.service as service_module
 from repro.cluster import ClusterSpec
-from repro.common.store import ShardedLRU, ShardedStore
+from repro.common.store import ShardedLRU, ShardedStore, attributed, current_origin, persist
 from repro.core.decision_cache import DecisionCache, SubunitChoice, UnitDecision
+from repro.core.parallel import create_backend, store_side_channel
 from repro.core.subresults import SubResultCatalog, SubResultEntry
+from repro.experiments import ExperimentHarness
 from repro.profiler import Profiler
 from repro.verification import truncate_file
 from repro.whatif import model as whatif_model
@@ -50,6 +53,9 @@ class Kind:
     #: ``populate(store, origin)``: >= MIN_POPULATED public writes (and at
     #: least one counted lookup) under ``origin``.
     populate: Callable[[ShardedStore, str], None]
+    #: ``revisit(store)``: store one fixed unit of content, or — when it is
+    #: already held — hit it; returns how many entries that unit is.
+    revisit: Callable[[ShardedStore], int]
     #: The module-level constants the class attributes must mirror.
     format_version: int
     max_exported: int
@@ -70,23 +76,42 @@ def _profiled_workflow():
 
 
 def _populate_costs(service, origin):
-    with service.origin(origin):
+    with attributed((service,), origin):
         service.estimate_workflow(_profiled_workflow())
+
+
+def _revisit_costs(service):
+    workflow = _profiled_workflow()
+    service.estimate_workflow(workflow)
+    return len(workflow.jobs)
 
 
 def _populate_decisions(cache, origin):
     decision = UnitDecision(choices=(SubunitChoice.no_op(),))
-    cache.lookup(("unit", origin, "absent"), origin=origin)
-    for index in range(MIN_POPULATED + 1):
-        cache.store(("unit", origin, index), decision, origin=origin)
+    with attributed((cache,), origin):
+        cache.lookup(("unit", origin, "absent"))
+        for index in range(MIN_POPULATED + 1):
+            cache.store(("unit", origin, index), decision)
+
+
+def _revisit_decisions(cache):
+    if cache.lookup(("unit", "revisited")) is None:
+        cache.store(("unit", "revisited"), UnitDecision(choices=(SubunitChoice.no_op(),)))
+    return 1
 
 
 def _populate_catalog(catalog, origin):
-    catalog.probe(("subresult", origin, "absent"), origin=origin)
-    with catalog.origin(origin):
+    with attributed((catalog,), origin):
+        catalog.probe(("subresult", origin, "absent"))
         for index in range(MIN_POPULATED + 1):
             entry = SubResultEntry(f"d{index}", ({"k": index},), None)
             catalog.store(("subresult", origin, index), entry)
+
+
+def _revisit_catalog(catalog):
+    if catalog.probe(("subresult", "revisited")) is None:
+        catalog.store(("subresult", "revisited"), SubResultEntry("d", ({"k": 0},), None))
+    return 1
 
 
 KINDS = [
@@ -95,6 +120,7 @@ KINDS = [
         CostService,
         lambda cluster, enabled, path: CostService(cluster, enable_cache=enabled, cache_path=path),
         _populate_costs,
+        _revisit_costs,
         service_module.CACHE_FORMAT_VERSION,
         service_module.MAX_EXPORTED_ENTRIES,
     ),
@@ -103,6 +129,7 @@ KINDS = [
         DecisionCache,
         lambda cluster, enabled, path: DecisionCache(cluster, enabled=enabled, cache_path=path),
         _populate_decisions,
+        _revisit_decisions,
         decision_module.DECISION_CACHE_FORMAT_VERSION,
         decision_module.MAX_EXPORTED_DECISIONS,
     ),
@@ -111,6 +138,7 @@ KINDS = [
         SubResultCatalog,
         lambda cluster, enabled, path: SubResultCatalog(cluster, enabled=enabled, cache_path=path),
         _populate_catalog,
+        _revisit_catalog,
         subresults_module.SUBRESULT_CATALOG_FORMAT_VERSION,
         subresults_module.MAX_EXPORTED_SUBRESULTS,
     ),
@@ -284,8 +312,8 @@ class TestAttribution:
         """4 raw threads hammer one small store: no lost update, no overshoot.
 
         The planning server's dispatcher and event-loop threads share the
-        stores, so the stats lock, the shard locks and the thread-local
-        sinks/origins must hold without any pool in between: per-thread
+        stores, so the stats lock, the LRU lock and the thread-local sinks
+        and origin label must hold without any pool in between: per-thread
         sink totals sum to the global delta to the counter, and evicting
         under contention never leaves a store above its capacity.
         """
@@ -348,11 +376,7 @@ class TestDisabledStore:
 
 # --------------------------------------------------------------------------
 class TestShardedLRU:
-    """The one LRU under all three stores (one stripe, so order is total)."""
-
-    @pytest.fixture(autouse=True)
-    def one_stripe(self, monkeypatch):
-        monkeypatch.setattr(store_module, "CACHE_STRIPES", 1)
+    """The one LRU under all three stores: exact capacity, total order."""
 
     def test_restoring_a_key_refreshes_its_recency(self):
         lru = ShardedLRU(3)
@@ -373,3 +397,120 @@ class TestShardedLRU:
         cache.store(("k", 3), decision)
         assert cache.lookup(("k", 0)) is not None
         assert cache.lookup(("k", 1)) is None
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+    def test_capacity_and_eviction_order_ignore_the_hash_seed(self, hash_seed):
+        """A capacity-N store holds N string-bearing keys and evicts strict LRU.
+
+        In a subprocess per ``PYTHONHASHSEED``: string hashes differ per
+        seed, so anything that places keys by ``hash(key)`` keeps a
+        seed-dependent subset (the striped LRU kept 11-12 of 16).
+        """
+        script = (
+            "from repro.cluster import ClusterSpec\n"
+            "from repro.core.decision_cache import DecisionCache, SubunitChoice, UnitDecision\n"
+            "decision = UnitDecision(choices=(SubunitChoice.no_op(),))\n"
+            "cache = DecisionCache(ClusterSpec.paper_cluster(), max_entries=16)\n"
+            "keys = [('unit', f'job-{index}') for index in range(24)]\n"
+            "for key in keys[:16]:\n"
+            "    cache.store(key, decision)\n"
+            "print(sum(cache.lookup(key) is not None for key in keys[:16]))\n"
+            "for key in keys[16:]:\n"
+            "    cache.store(key, decision)\n"
+            "print([key[1] for key, _value, _origin in cache._entries_snapshot()])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.dirname(service_module.__file__)))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        held, survivors = done.stdout.splitlines()
+        assert held == "16"
+        assert survivors == str([f"job-{index}" for index in range(8, 24)])
+
+
+# --------------------------------------------------------------------------
+class TestAttributedScope:
+    """``attributed(stores, label)``: one ambient label, one fresh sink per store."""
+
+    def test_nested_scopes_restore_the_outer_label(self, kind):
+        store = kind.build()
+        assert current_origin() is None
+        with attributed((store,), "outer") as (outer,):
+            assert current_origin() == "outer"
+            with attributed((store,), "inner") as (inner,):
+                assert current_origin() == "inner"
+                kind.populate(store, "inner")  # nests a third scope of its own
+                assert current_origin() == "inner"
+            assert current_origin() == "outer"
+            with pytest.raises(RuntimeError):
+                with attributed((store,), "failing"):
+                    raise RuntimeError("body failed")
+            assert current_origin() == "outer"
+        assert current_origin() is None
+        assert outer == inner == store.stats_snapshot()
+        assert store._sink_stack() == []
+
+    @pytest.mark.parametrize("spec", ["serial", "process:2"])
+    def test_sink_equals_the_global_delta_on(self, kind, spec):
+        store = kind.build()
+        _profiled_workflow()  # built before any fork, so workers inherit it
+        before = store.stats_snapshot()
+
+        def request(index: int) -> int:
+            kind.populate(store, f"request-{index}")
+            return index
+
+        with attributed((store,), "opener") as (sink,):
+            with create_backend(spec).session(request, store_side_channel(store)) as session:
+                assert session.run([0, 1, 2, 3]) == [0, 1, 2, 3]
+        delta = store.stats_snapshot().since(before)
+        assert any(delta.as_dict().values())
+        assert sink == delta
+        # Merge-on-join brought the workers' entries home under the labels
+        # their requests ran as (never the opener's).
+        labels = {identity[-1] for identity in identities(store)}
+        assert labels and labels <= {f"request-{index}" for index in range(4)}
+
+    def test_a_hit_from_another_scope_is_one_cross_origin_hit_per_entry(self, kind):
+        store = kind.build()
+        with attributed((store,), "alpha") as (alpha,):
+            entries = kind.revisit(store)  # stores
+            kind.revisit(store)  # hits its own entries
+        assert alpha.cross_origin_hits == 0
+        with attributed((store,), "beta") as (beta,):
+            assert kind.revisit(store) == entries
+        assert beta.cross_origin_hits == entries
+        assert store.stats_snapshot().cross_origin_hits == entries
+
+    def test_a_harness_cell_attributes_the_decision_cache_too(self):
+        harness = ExperimentHarness(scale=0.05)
+        cold = harness.run(workloads=["PJ"], optimizers=("Stubby",))
+        warm = harness.run(workloads=["PJ"], optimizers=("Stubby",))
+        for result, crossed in ((cold, False), (warm, True)):
+            cell = result.comparisons["PJ"].runs["Stubby"]
+            # One cell, so the cell's sinks are the run's sinks, on all three stores.
+            assert cell.cost_stats == result.cost_stats
+            assert cell.decision_stats == result.decision_stats
+            assert cell.subresult_stats == result.subresult_stats
+            assert cell.decision_stats.decision_hits == cell.unit_decision_hits
+            assert cell.decision_stats.decision_misses == cell.unit_decision_misses
+            assert cell.decision_stats.cross_origin_hits == cell.cross_origin_decision_hits
+            assert (cell.decision_stats.cross_origin_hits > 0) == crossed
+        # Every unit the second run replayed was solved under the first run's label.
+        assert warm.decision_stats.cross_origin_hits == warm.decision_stats.decision_hits > 0
+
+
+# --------------------------------------------------------------------------
+class TestPersistHelper:
+    def test_persist_merge_saves_enabled_stores_that_have_a_path(self, kind, tmp_path):
+        path = tmp_path / "store.bin"
+        rich = saved_file(kind, path)
+        sparse = kind.build()
+        sparse.cache_path = str(path)  # never warm-started: holds nothing
+        pathless = kind.build()
+        disabled = kind.build(enabled=False, cache_path=str(tmp_path / "never-written.bin"))
+        assert persist((sparse, pathless, disabled)) == len(identities(rich))
+        assert identities(kind.build(cache_path=str(path))) == identities(rich)
+        assert not (tmp_path / "never-written.bin").exists()

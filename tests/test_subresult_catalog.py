@@ -29,22 +29,22 @@ import pickle
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.common.store import attributed, resolve_env_flag, resolve_env_path
 from repro.core.decision_cache import DecisionCache
 from repro.core.optimizer import StubbyOptimizer
-from repro.core.search import StubbySearch
+from repro.core.search import plan_decision_fingerprint as fingerprint
 from repro.core.subresults import (
+    SUBRESULT_CATALOG_ENABLED_ENV_VAR,
     SUBRESULT_CATALOG_FORMAT_VERSION,
+    SUBRESULT_CATALOG_PATH_ENV_VAR,
     SubResultCatalog,
     SubResultCatalogStats,
     SubResultEntry,
     SubResultUnavailableError,
     dataset_content_fingerprint,
-    ensure_subresult_catalog,
     producing_cone,
     register_workflow_outputs,
-    resolve_subresult_catalog_path,
     subgraph_signature,
-    subresult_catalog_enabled,
 )
 from repro.dfs.dataset import Dataset
 from repro.experiments.harness import ExperimentHarness
@@ -54,8 +54,6 @@ from repro.whatif import model as whatif_model
 from repro.workflow.executor import WorkflowExecutor
 
 CLUSTER = ClusterSpec.paper_cluster()
-
-fingerprint = StubbySearch._plan_decision_fingerprint
 
 SEED = 42
 P0, P1 = f"shared{SEED}_p0", f"shared{SEED}_p1"
@@ -80,11 +78,7 @@ def _execute_and_register(catalog, generated, origin=None):
 
 
 def _signatures(catalog):
-    return [
-        signature
-        for rows in catalog._cache.shard_items()
-        for signature, _entry, _origin in rows
-    ]
+    return [signature for signature, _entry, _origin in catalog._cache.items()]
 
 
 class TestSignatures:
@@ -201,13 +195,15 @@ class TestCatalogTraffic:
 
         sink = SubResultCatalogStats()
         with catalog.attribute_to(sink):
-            entry = catalog.probe(signature, origin="producer")
+            with attributed((), "producer"):
+                entry = catalog.probe(signature)
             assert entry is not None and entry.has_payload
             assert entry.producing_jobs == (f"S{SEED}_J0", f"S{SEED}_J1")
             # Same origin: a hit, but not a cross-origin one.
             assert sink.cross_origin_hits == 0
-            assert catalog.probe(signature, origin="consumer") is not None
-            assert catalog.probe(("subresult", "nonsense"), origin="consumer") is None
+            with attributed((), "consumer"):
+                assert catalog.probe(signature) is not None
+                assert catalog.probe(("subresult", "nonsense")) is None
         assert sink.hits == 2
         assert sink.misses == 1
         assert sink.cross_origin_hits == 1
@@ -217,13 +213,13 @@ class TestCatalogTraffic:
     def test_origin_context_manager_labels_stores_and_hits(self):
         first, _ = _pair()
         catalog = SubResultCatalog(CLUSTER)
-        with catalog.origin("wave-1"):
+        with attributed((catalog,), "wave-1"):
             _execute_and_register(catalog, first)
         signature = subgraph_signature(first.workflow, P1, CLUSTER)
-        with catalog.origin("wave-2"):
+        with attributed((catalog,), "wave-2"):
             assert catalog.probe(signature) is not None
         assert catalog.stats_snapshot().cross_origin_hits == 1
-        with catalog.origin("wave-1"):
+        with attributed((catalog,), "wave-1"):
             assert catalog.probe(signature) is not None
         assert catalog.stats_snapshot().cross_origin_hits == 1
 
@@ -256,9 +252,9 @@ class TestCatalogTraffic:
     def test_catalog_sharing_across_clusters_is_refused(self):
         other = dataclasses.replace(CLUSTER, num_nodes=CLUSTER.num_nodes + 1)
         with pytest.raises(ValueError, match="different ClusterSpec"):
-            ensure_subresult_catalog(other, SubResultCatalog(CLUSTER))
+            SubResultCatalog.ensure(other, SubResultCatalog(CLUSTER))
         shared = SubResultCatalog(CLUSTER)
-        assert ensure_subresult_catalog(CLUSTER, shared) is shared
+        assert SubResultCatalog.ensure(CLUSTER, shared) is shared
 
     def test_decision_key_content_moves_with_the_catalog(self):
         first, _ = _pair()
@@ -441,18 +437,19 @@ class TestPersistence:
     def test_env_var_controls_path_and_kill_switch(self, monkeypatch, tmp_path):
         env_path = str(tmp_path / "env-subresults.catalog")
         monkeypatch.setenv("STUBBY_SUBRESULT_CATALOG", env_path)
-        assert resolve_subresult_catalog_path(None) == env_path
-        assert resolve_subresult_catalog_path("explicit") == "explicit"
-        assert resolve_subresult_catalog_path("") is None
+        assert resolve_env_path(None, SUBRESULT_CATALOG_PATH_ENV_VAR) == env_path
+        assert resolve_env_path("explicit", SUBRESULT_CATALOG_PATH_ENV_VAR) == "explicit"
+        assert resolve_env_path("", SUBRESULT_CATALOG_PATH_ENV_VAR) is None
+        assert SubResultCatalog.ensure(CLUSTER).cache_path == env_path
 
         monkeypatch.setenv("STUBBY_SUBRESULT_CATALOG_ENABLED", "0")
-        assert subresult_catalog_enabled() is False
+        assert resolve_env_flag(None, SUBRESULT_CATALOG_ENABLED_ENV_VAR, True) is False
         catalog = SubResultCatalog(CLUSTER)
         assert not catalog.enabled
         catalog.store(("subresult", "x"), SubResultEntry("x", (), None))
         assert catalog.catalog_size == 0
         monkeypatch.setenv("STUBBY_SUBRESULT_CATALOG_ENABLED", "1")
-        assert subresult_catalog_enabled() is True
+        assert SubResultCatalog(CLUSTER).enabled
 
     def test_harness_persists_and_warm_starts_the_catalog(self, tmp_path):
         path = str(tmp_path / "subresults.catalog")

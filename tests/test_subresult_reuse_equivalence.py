@@ -29,7 +29,7 @@ fails loudly.  See ``docs/reuse.md`` and ``docs/verification.md``.
 import pytest
 
 from repro.core.optimizer import StubbyOptimizer
-from repro.core.search import StubbySearch
+from repro.core.search import plan_decision_fingerprint as fingerprint
 from repro.core.subresults import SubResultCatalog, register_workflow_outputs
 from repro.core.transformations.reuse import SubResultReuseTransformation
 from repro.dfs.dataset import Dataset
@@ -40,7 +40,6 @@ from tests.conftest import equivalence_seeds
 
 SEEDS = equivalence_seeds()
 
-fingerprint = StubbySearch._plan_decision_fingerprint
 
 VARIANTS = (
     ("Stubby", StubbyOptimizer),

@@ -59,15 +59,14 @@ def make_optimizer(
     cost_service=None,
     decision_cache=None,
     subresult_catalog=None,
-    backend=None,
 ):
     """Instantiate an optimizer by its display name over (optionally shared) stores.
 
     Only the Stubby variants run the unit search and carry the reuse
-    rewrite, so only they take the decision cache, the sub-result catalog
-    and the search ``backend``; the comparators share the cost service and
-    nothing else (their plans are the recompute reference the reuse rewrite
-    is arbitrated against).  ``seed`` overrides the search-RNG seed of the
+    rewrite, so only they take the decision cache and the sub-result
+    catalog; the comparators share the cost service and nothing else (their
+    plans are the recompute reference the reuse rewrite is arbitrated
+    against).  ``seed`` overrides the search-RNG seed of the
     seeded optimizers (Stubby variants, Starfish); ``None`` keeps each
     class's default, and rule-based optimizers ignore it.
     """
@@ -78,7 +77,6 @@ def make_optimizer(
             cost_service=cost_service,
             decision_cache=decision_cache,
             subresult_catalog=subresult_catalog,
-            backend=backend,
             **seeded,
         )
     if name == "Starfish":

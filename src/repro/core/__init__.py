@@ -5,7 +5,6 @@ from repro.core.parallel import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    available_backends,
     create_backend,
     resolve_backend,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "Plan",
     "RecursiveRandomSearch",
     "RRSResult",
-    "available_backends",
     "create_backend",
     "resolve_backend",
 ]

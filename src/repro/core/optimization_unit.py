@@ -102,12 +102,12 @@ class OptimizationUnitGenerator:
         edges, horizontal packing requires a shared input — so the candidate
         subplans of different sub-units rewrite disjoint parts of the
         workflow graph and can be enumerated, costed, and chosen
-        independently; the parallel search fans them out and composes the
-        chosen rewrites afterwards (see ``docs/search.md``).
+        independently; the search enumerates each on its own and composes
+        the chosen rewrites afterwards (see ``docs/search.md``).
 
         Sub-units are returned in a deterministic order (by each sub-unit's
         first producer in the original unit's producer order), which the
-        composition step relies on for backend-independent results.
+        composition step relies on for placement-independent results.
         """
         workflow = plan.workflow
         jobs = list(unit.jobs)

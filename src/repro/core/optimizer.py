@@ -45,11 +45,9 @@ class OptimizationResult:
     optimizer: str
     unit_reports: List[UnitReport] = field(default_factory=list)
     #: Cost-service counters for this run (what-if queries, cache hits,
-    #: re-costed jobs) — the exact delta of the calling thread, forked search
-    #: workers included; ``None`` when the optimizer bypassed the service.
+    #: re-costed jobs) — the exact delta of the calling thread; ``None``
+    #: when the optimizer bypassed the service.
     cost_stats: Optional[CostServiceStats] = None
-    #: Execution backend the search ran on (e.g. "serial:1", "process:4").
-    search_backend: str = "serial:1"
 
     @property
     def num_jobs(self) -> int:
@@ -144,6 +142,15 @@ class StubbyOptimizer:
         # It is ignored when an explicit ``cost_service`` is shared in.
         # ``decision_cache`` / ``decision_cache_path`` work the same way for
         # the unit-level decision memo (STUBBY_DECISION_CACHE).
+        #
+        # The search is serial.  ``backend`` survives only because the frozen
+        # bench/cold.py passes ``backend="serial"``: nothing is stored.
+        if backend not in (None, "serial", "serial:1"):
+            raise ValueError(
+                f"StubbyOptimizer runs its search serially and takes no backend {backend!r}; "
+                "fan out whole requests with PlanningServer(pool=) or whole cells "
+                "with ExperimentHarness.run(backend=)"
+            )
         self.cluster = cluster
         self.phases = tuple(phases)
         self.costs = CostService.ensure(cluster, cost_service, cache_path=cache_path)
@@ -178,7 +185,6 @@ class StubbyOptimizer:
             seed=seed,
             optimize_configurations=optimize_configurations,
             cost_service=self.costs,
-            backend=backend,
             decision_cache=self.decisions,
         )
 
@@ -219,7 +225,6 @@ class StubbyOptimizer:
             optimizer=self._variant_for(selected),
             unit_reports=reports,
             cost_stats=cost_stats,
-            search_backend=self.search.backend.spec,
         )
 
     @property

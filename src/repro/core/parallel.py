@@ -1,33 +1,35 @@
-"""Pluggable execution backends for the parallel unit search.
+"""The request / experiment-cell pool: execution backends for whole units of work.
 
-Candidates enumerated inside one optimization unit are independent of each
-other: they read the shared :class:`~repro.whatif.service.CostService` but
-never each other's results.  This module provides the machinery
-:class:`~repro.core.search.StubbySearch` uses to fan that work out — and
-that the experiment scheduler and the planning server reuse one level up
-for whole cells and requests:
+Two callers fan work out, one level above the (serial) unit search: the
+planning server runs whole requests on a pool
+(:meth:`~repro.service.server.PlanningServer._ensure_session`) and the
+experiment scheduler whole (workload, optimizer) cells
+(:meth:`~repro.experiments.scheduler.ExperimentScheduler.map_cells`).  Both
+read the shared :class:`~repro.common.store.ShardedStore` s but never each
+other's results, and at that grain a fork pool measurably pays (8 cells
+1.18 s on ``process:2`` against 1.49 s serial; the server's fresh-seed
+requests 1.25 s against 2.31 s — ``docs/search.md``):
 
 * :class:`SerialBackend` — the reference implementation: a plain loop.
 * :class:`ProcessBackend` — ``fork``-based worker processes.  Workflow
   operators are closures and therefore not picklable, so workers are forked
-  *after* the unit's candidate plans exist and inherit them by memory
-  sharing; only plain-data requests (indices) and plain-data responses
-  (costs, settings, stats counters) cross the pipe.  Each worker keeps a
-  private cost-service shard that is merged back into the parent's cache
-  when the session ends ("merge on join").
+  *after* the plans they serve exist and inherit them by memory sharing;
+  only plain-data requests (indices, request tuples) and plain-data
+  responses cross the pipe.  Each worker keeps a private shard of every
+  store that is merged back into the parent's when the session ends
+  ("merge on join").
 
-Determinism contract: a backend only changes *where* a task runs, never its
-result.  The cost service guarantees bit-identical estimates with or without
-cache reuse, every task derives its RNG from a stable per-candidate key, and
-the search consumes results in task order with index-based tie-breaking —
-so the fork pool, at any worker count, produces byte-for-byte the same
-optimizer decisions as :class:`SerialBackend`.  The property tests in
-``tests/test_parallel_search.py`` enforce this.
+Determinism contract: a backend only changes *where* a request runs, never
+its result.  The cost service guarantees bit-identical estimates with or
+without cache reuse, every search derives its RNG streams from stable keys,
+and responses come back in request order — so the fork pool, at any worker
+count, produces byte-for-byte the same optimizer decisions as
+:class:`SerialBackend` (``tests/test_work_stealing.py``,
+``test_experiment_orchestration.py``, ``test_planning_service.py``).
 
 Backends are selected by spec strings — ``"serial"``, ``"process:4"`` —
-resolved by :func:`create_backend`; components that accept a ``backend=``
-argument also honour the ``STUBBY_SEARCH_BACKEND`` environment variable when
-none is given.
+through :func:`create_backend`; :func:`resolve_backend` also takes an
+instance, and reads an environment variable only when its caller names one.
 
 A forked session has one dispatch path: the parent keeps every worker busy
 with exactly one request and hands out the next the moment a response
@@ -38,7 +40,7 @@ reports what it did in :attr:`BackendSession.dispatch_stats`.  The pool
 survives worker deaths: an in-flight request whose worker vanished is
 retried once on a surviving worker, and only a repeat failure (or a pool
 with no survivors) raises.  ``docs/search.md`` records the measurements
-behind the one pool kind and the one dispatch path.
+behind the one pool kind, the one dispatch path and the one fan-out level.
 """
 
 from __future__ import annotations
@@ -57,23 +59,15 @@ from repro.common.store import attributed, current_origin
 
 __all__ = [
     "BackendSession",
-    "DEFAULT_WORKERS",
     "DispatchStats",
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
     "SideChannel",
-    "available_backends",
     "create_backend",
     "resolve_backend",
     "store_side_channel",
 ]
-
-#: Worker count used when a spec names a backend without an explicit count.
-DEFAULT_WORKERS = 4
-
-#: Environment variable consulted when no backend is passed explicitly.
-BACKEND_ENV_VAR = "STUBBY_SEARCH_BACKEND"
 
 #: How many times one request may be *executed* before a worker death makes
 #: it fail for good: the first attempt plus one retry.
@@ -259,9 +253,9 @@ class BackendSession(ABC):
     """One fan-out scope: a batch-oriented ``request -> response`` executor.
 
     Sessions exist because the process backend must fork *after* the data
-    its workers need (candidate plans) has been created: the search opens a
-    session per optimization unit, issues its :meth:`run` call (the unit's
-    candidate costings), and closes it, at which point worker state is
+    its workers need (prepared workloads, the server's registry) has been
+    created: the caller opens a session, issues :meth:`run` calls (a cell
+    list, a request batch), and closes it, at which point worker state is
     merged back.  ``run`` preserves request order in its response list
     regardless of how requests were distributed.
 
@@ -272,12 +266,23 @@ class BackendSession(ABC):
     influence the *report*, not the results.
     """
 
-    #: Accumulated dispatch accounting; concrete sessions replace this.
-    dispatch_stats: DispatchStats = DispatchStats()
+    #: Accumulated dispatch accounting; every concrete session assigns its own.
+    dispatch_stats: DispatchStats
+    #: True once requests run in other processes (a fork pool after its lazy fork).
+    forked = False
 
     @abstractmethod
     def run(self, requests: Sequence[Any], costs: Optional[Sequence[float]] = None) -> List[Any]:
         """Execute every request and return responses in request order."""
+
+    @property
+    def live_workers(self) -> int:
+        """Workers currently able to take requests (an inline session: itself)."""
+        return 1
+
+    def worker_pids(self) -> List[int]:
+        """PIDs of the live pool workers (none for a session that runs inline)."""
+        return []
 
     def close(self) -> None:
         """Tear the session down (merge worker state, reap workers)."""
@@ -333,8 +338,7 @@ class _SerialSession(BackendSession):
         responses: List[Any] = []
         for position, request in enumerate(requests):
             # worker_slot=-1: serial execution runs on the caller, never in a
-            # pool member — kill specs targeting pool slots must not fire
-            # here (a forked worker's *inner* serial search included).
+            # pool member — kill specs targeting pool slots must not fire here.
             fault_site("parallel.task", worker_slot=-1, backend="serial")
             responses.append(self._worker_fn(request))
             self.dispatch_stats.record(0, loads[position])
@@ -364,7 +368,7 @@ def _process_worker_main(conn, worker_fn, side: SideChannel, worker_slot: int) -
     """Loop of one forked worker: execute one request at a time until told to stop.
 
     Runs in the child process.  Everything the worker needs beyond the
-    requests (candidate plans, the cost service, the search object) was
+    requests (registered plans, the stores, the server or harness) was
     inherited through ``fork`` — requests and responses are the only data
     crossing the pipe, so they must be plain picklable values.
     ``worker_slot`` identifies this worker at the ``parallel.task`` fault
@@ -609,14 +613,14 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, workers: int = DEFAULT_WORKERS) -> None:
+    def __init__(self, workers: int) -> None:
         super().__init__(workers=workers)
         self._fork_available = "fork" in multiprocessing.get_all_start_methods()
 
     @property
     def spec(self) -> str:
         """Reports the serial degradation so results never claim parallelism
-        that did not happen (e.g. in ``OptimizationResult.search_backend``)."""
+        that did not happen (e.g. in ``ExperimentRunResult.backend``)."""
         if not self._fork_available:  # pragma: no cover - non-POSIX only
             return f"process:{self.workers} (serial fallback: no fork)"
         return f"process:{self.workers}"
@@ -633,47 +637,37 @@ class ProcessBackend(ExecutionBackend):
 # Construction / resolution
 # ---------------------------------------------------------------------------
 
-_BACKENDS = {
-    "serial": SerialBackend,
-    "process": ProcessBackend,
-}
 
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of the registered backend kinds."""
-    return tuple(_BACKENDS)
-
-
-def create_backend(spec: str, workers: Optional[int] = None) -> ExecutionBackend:
-    """Build a backend from a spec string (``"serial"``, ``"process:8"``…).
-
-    An explicit ``workers`` argument overrides a count embedded in the spec.
-    """
+def create_backend(spec: str) -> ExecutionBackend:
+    """Build a backend from a spec string: ``"serial"`` or ``"process:N"``."""
     name, _, count = spec.strip().partition(":")
     name = name.strip().lower()
-    if name not in _BACKENDS:
+    if name not in ("serial", "process"):
         raise ValueError(
-            f"unknown search backend {name!r}; expected one of {sorted(_BACKENDS)}"
+            f"unknown execution backend {name!r} in spec {spec!r}; "
+            "expected 'serial' or 'process:N'"
         )
+    try:
+        workers = int(count) if count else None
+    except ValueError:
+        raise ValueError(f"bad worker count in backend spec {spec!r}") from None
+    if name == "serial":
+        return SerialBackend()
     if workers is None:
-        if count:
-            try:
-                workers = int(count)
-            except ValueError:
-                raise ValueError(f"bad worker count in backend spec {spec!r}")
-        else:
-            workers = 1 if name == "serial" else DEFAULT_WORKERS
-    return _BACKENDS[name](workers=workers)
+        raise ValueError(
+            f"backend spec {spec!r} names no worker count; write 'process:N' "
+            "(N = worker processes to fork)"
+        )
+    return ProcessBackend(workers=workers)
 
 
-def resolve_backend(backend, env_var: Optional[str] = BACKEND_ENV_VAR) -> ExecutionBackend:
+def resolve_backend(backend, env_var: Optional[str] = None) -> ExecutionBackend:
     """Normalize a backend argument into an :class:`ExecutionBackend`.
 
     Accepts an existing backend instance, a spec string, or ``None`` — the
-    latter consults the environment variable ``env_var`` (by default
-    ``STUBBY_SEARCH_BACKEND``; ``None`` consults no variable) and finally
-    falls back to :class:`SerialBackend`, so an entire optimizer stack can
-    be switched from the outside without touching call sites.
+    latter consults the environment variable ``env_var`` when the caller
+    names one (the experiment scheduler does; the planning server does not)
+    and finally falls back to :class:`SerialBackend`.
     """
     if isinstance(backend, ExecutionBackend):
         return backend

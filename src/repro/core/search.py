@@ -20,15 +20,15 @@ transformations are applied the same way.  Within each unit:
    (ties broken by candidate index); the chosen rewrites are composed in
    sub-unit order and the search moves to the next unit.
 
-Steps 2–3 are independent across candidates and sub-units, so they fan out
-on a pluggable :class:`~repro.core.parallel.ExecutionBackend`: the backend
-maps whole candidate costings, each running its RRS serially on the worker
-that took it (a unit with a single candidate runs inline and forks nothing).
-Every backend produces bit-identical decisions — same chosen subplans, same
-settings, same costs — at any worker count: candidates derive their RNG from
-a stable key, results are consumed in enumeration order, and the cost
-service guarantees estimates identical with or without cache reuse.  See
-``docs/search.md``.
+The search itself is straight-line code: candidates are costed one after
+another in enumeration order, in the process that called ``run()``.  Work
+fans out one level up — whole requests on the planning server's pool, whole
+(workload, optimizer) cells on the experiment scheduler's — and those pools
+return bit-identical decisions wherever a search lands because nothing here
+depends on placement: every candidate derives its RNG from a stable key,
+candidates are consumed in enumeration order with index tie-breaks, and the
+cost service guarantees estimates identical with or without cache reuse.
+See ``docs/search.md``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from repro.core.decision_cache import (
 )
 from repro.core.optimization_unit import OptimizationUnit, OptimizationUnitGenerator
 from repro.core.subresults import SubResultUnavailableError
-from repro.core.parallel import ExecutionBackend, resolve_backend, store_side_channel
 from repro.core.plan import Plan
 from repro.core.rrs import RecursiveRandomSearch
 from repro.core.transformations.base import Transformation, TransformationApplication
@@ -123,7 +122,7 @@ class UnitReport:
     #: queries issued, job estimates served from the cache, and jobs that
     #: actually had to be re-costed.  Sums of the explicit per-candidate
     #: deltas (:attr:`SubplanRecord.cost_stats`), not an ambient window —
-    #: so the attribution is exact under any execution backend.
+    #: so the attribution is exact whichever thread or process ran the search.
     cost_queries: int = 0
     job_cache_hits: int = 0
     jobs_recosted: int = 0
@@ -166,20 +165,6 @@ class UnitReport:
         return chosen.transformations if chosen is not None else ()
 
 
-@dataclass
-class _CostTask:
-    """One candidate costing dispatched to the execution backend."""
-
-    subunit_index: int
-    candidate_index: int
-    record: SubplanRecord
-    unit_jobs: Tuple[str, ...]
-    #: Stable identity of this candidate within the unit — the basis of its
-    #: forked RNG stream, so the stream does not depend on which worker (or
-    #: how many workers) costs the candidate.
-    rng_key: str
-
-
 class StubbySearch:
     """Greedy, unit-by-unit plan search over the transformation space."""
 
@@ -192,7 +177,6 @@ class StubbySearch:
         seed: int = 17,
         optimize_configurations: bool = True,
         cost_service: Optional[CostService] = None,
-        backend=None,
         decision_cache: Optional[DecisionCache] = None,
     ) -> None:
         self.cluster = cluster
@@ -206,10 +190,6 @@ class StubbySearch:
             exploration_samples=10, exploitation_samples=8, restarts=1, seed=seed
         )
         self.optimize_configurations = optimize_configurations
-        #: Where candidate costings execute; a backend instance, a spec
-        #: string ("process:4"), or None (the STUBBY_SEARCH_BACKEND
-        #: environment variable, default serial).
-        self.backend: ExecutionBackend = resolve_backend(backend)
         self.seed = seed
         self._rng = DeterministicRNG(seed)
         #: Memoized unit decisions (:mod:`repro.core.decision_cache`): a unit
@@ -366,34 +346,25 @@ class StubbySearch:
     ) -> Tuple[Plan, List[UnitReport]]:
         """Enumerate, cost, choose, and compose over independent sub-units.
 
-        All candidates of all sub-units are costed through the execution
-        backend.  A lone sub-unit keeps the classic choice (cheapest
-        candidate, ties by index); a split unit makes a *joint* choice over
-        composed candidate combinations (:meth:`_choose_composed`) and then
-        composes the winning rewrites in sub-unit order by replaying each
-        chosen candidate's application chain (the sub-units touch disjoint
-        vertices, so replay order cannot change any individual rewrite).
+        Every sub-unit is enumerated first, then every candidate is costed
+        in enumeration order.  A lone sub-unit keeps the classic choice
+        (cheapest candidate, ties by index); a split unit makes a *joint*
+        choice over composed candidate combinations
+        (:meth:`_choose_composed`) and then composes the winning rewrites in
+        sub-unit order by replaying each chosen candidate's application chain
+        (the sub-units touch disjoint vertices, so replay order cannot change
+        any individual rewrite).
         """
-        tasks: List[_CostTask] = []
-        per_subunit: List[List[SubplanRecord]] = []
-        for subunit_index, subunit in enumerate(subunits):
-            candidates = self.enumerate_subplans(plan, subunit, transformations)
-            per_subunit.append(candidates)
+        per_subunit = [
+            self.enumerate_subplans(plan, subunit, transformations) for subunit in subunits
+        ]
+        for subunit, candidates in zip(subunits, per_subunit):
             for candidate_index, record in enumerate(candidates):
-                tasks.append(
-                    _CostTask(
-                        subunit_index=subunit_index,
-                        candidate_index=candidate_index,
-                        record=record,
-                        unit_jobs=record_unit_jobs(record, subunit),
-                        rng_key=(
-                            f"{phase}/{'|'.join(subunit.producers)}"
-                            f"/candidate-{candidate_index}"
-                        ),
-                    )
-                )
-
-        self._cost_tasks(tasks)
+                # The candidate's stable identity within the unit — the basis
+                # of its forked RNG stream, so the stream depends on neither
+                # the process nor the order the candidate is costed in.
+                rng_key = f"{phase}/{'|'.join(subunit.producers)}/candidate-{candidate_index}"
+                self._cost_candidate(record, record_unit_jobs(record, subunit), rng_key)
 
         if len(subunits) == 1:
             return self._choose_single(plan, subunits[0], per_subunit[0], phase)
@@ -586,9 +557,8 @@ class StubbySearch:
         (bounded, deterministic) cross-product of per-sub-unit candidates
         is composed onto the plan and re-scored with single what-if
         estimates — cheap against the warm incremental cache, since the
-        expensive per-candidate RRS tuning already ran, fanned out, above.
-        Ties prefer the lexicographically smallest index vector, keeping
-        the choice backend-independent.
+        expensive per-candidate RRS tuning already ran above.
+        Ties prefer the lexicographically smallest index vector.
 
         Content-identical compositions are costed once: different index
         vectors can denote the same composed plan (two candidates of one
@@ -724,44 +694,23 @@ class StubbySearch:
             combos = [combo + (index,) for combo in combos for index in shortlist]
         return combos
 
-    # --------------------------------------------------------- task fan-out
-    def _cost_tasks(self, tasks: List[_CostTask]) -> None:
-        """Cost every task on the backend, writing results onto the records.
-
-        Whole candidate costings are mapped across workers, each running its
-        RRS serially; only the candidate's index crosses a worker boundary.
-        A single candidate runs inline on the session's one-request path.
-        """
-        if not tasks:
-            return
-
-        def worker_fn(index: int):
-            return self._cost_candidate(tasks[index])
-
-        side = store_side_channel(self.costs)
-        with self.backend.session(worker_fn, side) as session:
-            results = session.run(list(range(len(tasks))))
-
-        for task, result in zip(tasks, results):
-            cost, settings, evaluations, stats = result
-            record = task.record
-            record.estimated_cost = cost
-            record.best_settings = settings
-            record.rrs_evaluations = evaluations
-            record.cost_stats = stats
-
+    # ------------------------------------------------------------ candidates
     def _cost_candidate(
-        self, task: _CostTask
-    ) -> Tuple[float, Dict[str, Mapping[str, object]], int, CostServiceStats]:
-        """Cost one candidate (baseline estimate + RRS configuration search)."""
-        self._budget.check("search.candidate")
-        fault_site("search.candidate", rng_key=task.rng_key)
-        stats = CostServiceStats()
-        with self.costs.attribute_to(stats):
-            cost, settings, evaluations = self._cost_with_configurations(task)
-        return cost, settings, evaluations, stats
+        self, record: SubplanRecord, unit_jobs: Tuple[str, ...], rng_key: str
+    ) -> None:
+        """Cost one candidate (baseline estimate + RRS configuration search).
 
-    def _evaluate_point(self, task: _CostTask, point: Mapping[str, object]) -> float:
+        Cost, settings, evaluation count and the candidate's exact
+        cost-service delta are written onto ``record``.
+        """
+        self._budget.check("search.candidate")
+        fault_site("search.candidate", rng_key=rng_key)
+        with self.costs.attribute_to(record.cost_stats):
+            record.estimated_cost, record.best_settings, record.rrs_evaluations = (
+                self._cost_with_configurations(record.plan, unit_jobs, rng_key)
+            )
+
+    def _evaluate_point(self, plan: Plan, point: Mapping[str, object]) -> float:
         """Objective value of one RRS configuration sample for a candidate.
 
         The hottest loop of the whole search: one CoW plan clone per sample,
@@ -770,7 +719,7 @@ class StubbySearch:
         costs one attribute read here.)
         """
         self._budget.check("search.rrs_point")
-        candidate = task.record.plan.copy()
+        candidate = plan.copy()
         ConfigurationTransformation.apply_settings_in_place(candidate, self._split_point(point))
         return self.costs.estimate_workflow(candidate.workflow).total_s
 
@@ -865,14 +814,13 @@ class StubbySearch:
 
     # ------------------------------------------------------------- costing
     def _cost_with_configurations(
-        self, task: _CostTask
+        self, plan: Plan, unit_jobs: Tuple[str, ...], rng_key: str
     ) -> Tuple[float, Dict[str, Mapping[str, object]], int]:
-        plan = task.record.plan
         baseline_estimate = self.costs.estimate_workflow(plan.workflow)
         if baseline_estimate.cost_basis != "whatif" or not self.optimize_configurations:
             return baseline_estimate.total_s, {}, 0
 
-        jobs_to_tune = [name for name in task.unit_jobs if plan.workflow.has_job(name)]
+        jobs_to_tune = [name for name in unit_jobs if plan.workflow.has_job(name)]
         if not jobs_to_tune:
             return baseline_estimate.total_s, {}, 0
 
@@ -880,10 +828,10 @@ class StubbySearch:
         if not space.dimensions:
             return baseline_estimate.total_s, {}, 0
 
-        rng = self._rng.fork(f"{task.rng_key}/{','.join(sorted(jobs_to_tune))}")
+        rng = self._rng.fork(f"{rng_key}/{','.join(sorted(jobs_to_tune))}")
         result = self.rrs.search(
             space,
-            lambda point: self._evaluate_point(task, point),
+            lambda point: self._evaluate_point(plan, point),
             initial_point=initial,
             rng=rng,
         )

@@ -23,8 +23,9 @@ Two entry points cover the two evaluation styles:
 * :meth:`ExperimentHarness.run` — a whole experiment at once: every
   (workload × optimizer) **cell** is dispatched through the
   :class:`~repro.experiments.scheduler.ExperimentScheduler` onto a pluggable
-  execution backend (``STUBBY_EXPERIMENT_BACKEND``), all cells sharing the
-  harness's :class:`CostService` so cross-cell signature hits are reaped
+  execution backend (``run(backend=)``, else ``STUBBY_EXPERIMENT_BACKEND``,
+  else serial — the one fan-out level; each cell's search is serial), all
+  cells sharing the harness's :class:`CostService` so cross-cell hits are reaped
   (surfaced as ``OptimizerRun.cross_unit_hits``), and — when a ``cache_path``
   is configured — the signature→estimate store persists across runs, so a
   repeated experiment warm-starts instead of recomputing.
@@ -291,8 +292,6 @@ class ExperimentHarness:
         scale: float = 0.25,
         profile_noise: float = 0.0,
         seed: int = 42,
-        search_backend=None,
-        experiment_backend=None,
         cache_path: Optional[str] = None,
         decision_cache_path: Optional[str] = None,
         subresult_catalog_path: Optional[str] = None,
@@ -301,14 +300,6 @@ class ExperimentHarness:
         self.scale = scale
         self.profile_noise = profile_noise
         self.seed = seed
-        #: Execution backend handed to every Stubby-search optimizer (spec
-        #: string, backend instance, or None for STUBBY_SEARCH_BACKEND /
-        #: serial).  The chosen plans are backend-independent by contract,
-        #: so this only affects optimization wall-clock.
-        self.search_backend = search_backend
-        #: Default backend for :meth:`run`'s cell fan-out (spec string,
-        #: backend instance, or None for STUBBY_EXPERIMENT_BACKEND / serial).
-        self.experiment_backend = experiment_backend
         self.executor = WorkflowExecutor()
         self.actual_model = ActualCostModel(self.cluster)
         # Each store's persisted path is the explicit argument, else its
@@ -354,7 +345,6 @@ class ExperimentHarness:
             cost_service=self.costs,
             decision_cache=self.decisions,
             subresult_catalog=self.subresults,
-            backend=self.search_backend,
         )
 
     # ------------------------------------------------------------- workload
@@ -408,10 +398,9 @@ class ExperimentHarness:
         by several cells are costed once (``OptimizerRun.cross_unit_hits``
         counts what each cell reaped from the others).  Cells are dispatched
         through the :class:`~repro.experiments.scheduler.ExperimentScheduler`
-        onto ``backend`` (else the harness's ``experiment_backend``, else
-        ``STUBBY_EXPERIMENT_BACKEND``, else serial); results are identical on
-        every backend at any worker count, by the same determinism contract
-        the unit search honours.
+        onto ``backend`` (else ``STUBBY_EXPERIMENT_BACKEND``, else serial);
+        results are identical on every backend at any worker count, by the
+        scheduler's determinism contract.
 
         With a ``cache_path`` configured the run warm-starts from the
         persisted store (done at harness construction) and — unless
@@ -420,9 +409,7 @@ class ExperimentHarness:
         """
         abbreviations = tuple(workloads) if workloads is not None else tuple(WORKLOAD_ORDER)
         optimizer_names = tuple(optimizers)
-        scheduler = ExperimentScheduler(
-            backend if backend is not None else self.experiment_backend
-        )
+        scheduler = ExperimentScheduler(backend)
 
         # Serial, deterministic preparation: workloads are built, profiled,
         # and reference-executed before any fan-out, so forked cell workers

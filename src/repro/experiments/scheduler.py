@@ -18,15 +18,14 @@ This module provides that fan-out:
   forked cells merge their stats and cache shards on join), and returns
   the per-cell results **in cell order** regardless of completion order.
 
-Backend selection mirrors the unit search: a ``backend=`` argument (spec
-string or :class:`~repro.core.parallel.ExecutionBackend` instance), else the
-``STUBBY_EXPERIMENT_BACKEND`` environment variable, else serial.  The two
-levels nest: a parallel experiment backend dispatches whole cells, and each
-cell's unit search runs on its own (by default serial) search backend — see
-``docs/experiments.md`` for how to combine them without oversubscription.
+Backend selection: a ``backend=`` argument (spec string or
+:class:`~repro.core.parallel.ExecutionBackend` instance), else the
+``STUBBY_EXPERIMENT_BACKEND`` environment variable, else serial.  Cells are
+the only fan-out level of an experiment run: a parallel backend dispatches
+whole cells, and each cell's unit search runs serially on the worker that
+took the cell.
 
-Determinism contract (the same one the unit search honours): a backend only
-changes *where* a cell runs.  Cell seeds derive from the cell key via
+Determinism contract: a backend only changes *where* a cell runs.  Cell seeds derive from the cell key via
 :func:`~repro.common.hashing.stable_hash` — never from draw order on a
 shared stream — the shared cost service returns bit-identical estimates
 cached or not, and results are collected in cell order.  So every backend,
@@ -57,7 +56,7 @@ __all__ = [
 ]
 
 #: Environment variable consulted when no experiment backend is passed
-#: explicitly (the experiment-level sibling of ``STUBBY_SEARCH_BACKEND``).
+#: explicitly.
 EXPERIMENT_BACKEND_ENV_VAR = "STUBBY_EXPERIMENT_BACKEND"
 
 
@@ -133,8 +132,7 @@ class ExperimentScheduler:
 
         Only the cell *index* crosses a worker boundary (cells hold workload
         names, but a process-backend worker inherits the prepared workloads
-        by fork, exactly like the unit search inherits candidate plans);
-        responses must be plain picklable data.  Every store in ``stores``
+        by fork); responses must be plain picklable data.  Every store in ``stores``
         (the harness passes its cost service, decision cache and sub-result
         catalog) rides along on a side channel, so worker stats and new
         entries merge back into the shared store: one cell's costed jobs,

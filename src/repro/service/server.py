@@ -95,7 +95,7 @@ def cold_optimize(
 ) -> OptimizationResult:
     """The oracle: a cold, serial, in-process run of the requested variant.
 
-    Fresh caches (nothing persisted, nothing shared), serial backend —
+    Fresh caches (nothing persisted, nothing shared), no pool —
     the baseline every server answer must be bit-identical to.  A stored
     sub-result legitimately changes which plan is optimal, so a server
     whose catalog has registrations is compared against an oracle handed an
@@ -109,7 +109,6 @@ def cold_optimize(
         cost_service=CostService(cluster),
         decision_cache=DecisionCache(cluster),
         subresult_catalog=subresult_catalog,
-        backend="serial",
     )
     return variant.optimize(plan.copy())
 
@@ -299,7 +298,7 @@ class PlanningServer:
         #: everything done per store (side channels, per-request sinks,
         #: persistence) loops over this.
         self.stores: Tuple[ShardedStore, ...] = (self.costs, self.decisions, self.subresults)
-        self.backend: ExecutionBackend = resolve_backend(pool, env_var=None)
+        self.backend: ExecutionBackend = resolve_backend(pool)
         self.admission = AdmissionQueue(queue_capacity, per_tenant_capacity)
         #: Expired-in-queue requests are answered (degraded), not dropped.
         self.admission.on_shed = self._shed_ticket
@@ -329,7 +328,7 @@ class PlanningServer:
         registry by memory, and a plan registered later would be invisible
         to them (and unpicklable to send).
         """
-        if self._session is not None and getattr(self._session, "forked", False):
+        if self._session is not None and self._session.forked:
             raise RuntimeError(
                 "cannot register a workload after the process pool has forked; "
                 "restart() the server to re-fork with the new registry"
@@ -579,7 +578,7 @@ class PlanningServer:
         # A fork pool survives individual deaths; recycle once the
         # batch is answered so capacity recovers (close merges the
         # survivors' caches, the next batch re-forks at full strength).
-        if getattr(session, "forked", False) and session.live_workers < self.backend.workers:
+        if session.forked and session.live_workers < self.backend.workers:
             self._close_session()
 
     def _execute(self, work: Tuple[str, str, str, int, Optional[float], bool]) -> _Outcome:
@@ -703,7 +702,6 @@ class PlanningServer:
             cost_service=self.costs,
             decision_cache=self.decisions,
             subresult_catalog=self.subresults,
-            backend="serial",
         )
         if rung == LEVEL_REPLAY_ONLY:
             # Memoized replay only: decision-cache hits are applied, misses
@@ -813,6 +811,5 @@ class PlanningServer:
 
     def worker_pids(self) -> List[int]:
         """PIDs of the live pool workers (process pools only; else [])."""
-        if self._session is not None and hasattr(self._session, "worker_pids"):
-            return self._session.worker_pids()
-        return []
+        session = self._session
+        return session.worker_pids() if session is not None else []

@@ -18,7 +18,7 @@ query of the optimizer stack and makes them incremental:
 
 The service is a :class:`~repro.common.store.ShardedStore` with two levels
 (estimates and dataflow derivations), so it is safe to share across the
-parallel unit search (:mod:`repro.core.parallel`): locked LRU levels, atomic
+request and experiment-cell pools (:mod:`repro.core.parallel`): locked LRU levels, atomic
 stats with thread-local attribution sinks (:meth:`CostService.attribute_to`,
 :func:`~repro.common.store.attributed`), and export-log / merge-on-join for
 forked workers — see :mod:`repro.common.store` for the model.
@@ -26,8 +26,7 @@ forked workers — see :mod:`repro.common.store` for the model.
 The service keeps :class:`CostServiceStats` (queries, cache hits, re-costed
 jobs, effectively-full estimations) that the search surfaces per candidate,
 per optimization unit, and per optimizer run; the counters are the basis of
-the ``BENCH_cost_service.json`` and ``BENCH_parallel_search.json`` perf
-trajectories.
+the ``BENCH_cost_service.json`` perf trajectory.
 
 Two features support the experiment orchestration layer
 (:mod:`repro.experiments.scheduler`):

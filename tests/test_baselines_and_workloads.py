@@ -134,7 +134,6 @@ class TestMakeOptimizer:
                 cost_service=costs,
                 decision_cache=decisions,
                 subresult_catalog=catalog,
-                backend="serial",
             )
             assert optimizer.costs is costs
             if name in phases:
@@ -142,7 +141,6 @@ class TestMakeOptimizer:
                 assert optimizer.variant_name == name and optimizer.phases == phases[name]
                 assert optimizer.decisions is decisions and optimizer.subresults is catalog
                 assert optimizer.search.seed == 5
-                assert optimizer.search.backend.spec == "serial:1"
             else:
                 # Baselines get the cost service only.
                 assert optimizer.name == name

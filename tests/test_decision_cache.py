@@ -115,21 +115,6 @@ class TestReplayIdentity:
         assert cold.transformations_applied == warm.transformations_applied
         assert warm.transformations_applied == off.transformations_applied
 
-    @pytest.mark.parametrize("backend", ["process:2", "process:4"])
-    def test_identity_on_parallel_search_backends(self, backend):
-        workload = _profiled()
-        reference = _optimizer(decision_cache=DecisionCache(CLUSTER, enabled=False))
-        expected = fingerprint(reference.optimize(workload.plan).plan)
-
-        optimizer = _optimizer(
-            decision_cache=DecisionCache(CLUSTER, enabled=True), backend=backend
-        )
-        cold = optimizer.optimize(workload.plan)
-        warm = optimizer.optimize(workload.plan)
-        assert warm.unit_decision_hits == cold.unit_decision_misses > 0
-        assert fingerprint(cold.plan) == expected
-        assert fingerprint(warm.plan) == expected
-
     def test_verify_hits_mode_asserts_replay_equality(self):
         workload = _profiled()
         cache = DecisionCache(CLUSTER, enabled=True, verify_hits=True)
@@ -173,9 +158,9 @@ class TestReplayIdentity:
 
 class TestObservability:
     def test_orchestrated_runs_share_and_attribute_decisions(self):
-        harness = ExperimentHarness(scale=0.05, experiment_backend="serial")
-        first = harness.run(workloads=["IR"], optimizers=("Baseline", "Stubby"))
-        second = harness.run(workloads=["IR"], optimizers=("Baseline", "Stubby"))
+        harness = ExperimentHarness(scale=0.05)
+        first = harness.run(workloads=["IR"], optimizers=("Baseline", "Stubby"), backend="serial")
+        second = harness.run(workloads=["IR"], optimizers=("Baseline", "Stubby"), backend="serial")
 
         assert first.decision_fingerprint() == second.decision_fingerprint()
         assert first.unit_decision_hits == 0
@@ -195,12 +180,12 @@ class TestObservability:
         assert "unit_decision" not in repr(stubby.decision_fingerprint())
 
     def test_process_backend_merges_worker_decisions(self):
-        harness = ExperimentHarness(scale=0.05, experiment_backend="process:2")
-        first = harness.run(workloads=["IR"], optimizers=("Stubby", "Vertical"))
+        harness = ExperimentHarness(scale=0.05)
+        first = harness.run(workloads=["IR"], optimizers=("Stubby", "Vertical"), backend="process:2")
         assert first.decision_stats.stores > 0
         # Decisions recorded inside forked cell workers merged on join: a
         # second run on the same harness replays them without re-searching.
-        second = harness.run(workloads=["IR"], optimizers=("Stubby", "Vertical"))
+        second = harness.run(workloads=["IR"], optimizers=("Stubby", "Vertical"), backend="process:2")
         assert second.unit_decision_hits > 0
         assert second.decision_stats.decision_misses == 0
         assert first.decision_fingerprint() == second.decision_fingerprint()

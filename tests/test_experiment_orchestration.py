@@ -81,26 +81,6 @@ class TestBackendIdentity:
         assert first.cache_entries_at_start == 0
         assert second.cache_entries_at_start > 0
 
-    def test_nested_search_backend_keeps_identity_and_attribution(self, serial_result):
-        # Experiment-level and search-level backends nest; the inner search
-        # workers must inherit the cell's origin label, or same-cell reuse
-        # would masquerade as cross_unit_hits.  A single forked worker keeps
-        # execution sequential (so per-cell stats are exactly comparable)
-        # while still running every multi-candidate unit off the cell's own
-        # process.
-        harness = _fresh_harness(search_backend="process:1")
-        result = harness.run(workloads=WORKLOADS, optimizers=OPTIMIZERS)
-        assert result.decision_fingerprint() == serial_result.decision_fingerprint()
-        assert result.comparisons["PJ"].runs["Baseline"].cross_unit_hits == 0
-        # The nested run attributes exactly the same cross-cell reuse as the
-        # serial reference (placement-independent by the origin contract).
-        serial_runs = serial_result.comparisons["PJ"].runs
-        for name in OPTIMIZERS:
-            assert (
-                result.comparisons["PJ"].runs[name].cross_unit_hits
-                == serial_runs[name].cross_unit_hits
-            ), name
-
 
 class TestCrossCellSharing:
     """Cells of one run share the service; the reuse is attributed exactly."""

@@ -379,11 +379,19 @@ class TestFaultInjection:
 class TestServerGuards:
     def test_default_pool_is_serial(self, monkeypatch):
         # The same default as resolve_backend and ExperimentScheduler — and
-        # no environment variable reaches it.
-        monkeypatch.setenv("STUBBY_SEARCH_BACKEND", "process:2")
+        # no environment variable reaches it, the cell pool's included.
+        monkeypatch.setenv("STUBBY_EXPERIMENT_BACKEND", "process:2")
         assert PlanningServer(CLUSTER).backend.spec == "serial:1"
-        with pytest.raises(ValueError, match="unknown search backend"):
+
+    def test_bad_pool_specs_are_rejected_in_pool_terms(self):
+        # Regression: the message used to say "unknown search backend", and a
+        # bare "process" silently meant four workers whatever the host.
+        with pytest.raises(
+            ValueError, match=r"unknown execution backend 'thread'.*'serial' or 'process:N'"
+        ):
             PlanningServer(CLUSTER, pool="thread:4")
+        with pytest.raises(ValueError, match=r"no worker count.*process:N"):
+            PlanningServer(CLUSTER, pool="process")
 
     def test_unknown_workload_and_variant_rejected(self, catalog):
         async def main():

@@ -56,7 +56,8 @@ def test_src_has_no_mode_switches():
     mode and the batched RRS objective, ISSUE 15 the stats window, the LRU
     striping, the server's own optimizer factory and the one-line
     ``ensure_*`` / ``resolve_*_path`` aliases of ``ShardedStore.ensure`` /
-    ``resolve_env_path``; a
+    ``resolve_env_path``, ISSUE 16 the in-search fork path with its
+    variable, its constructor arguments and the backend registry; a
     path that needs a baseline keeps it under tests/."""
     banned = re.compile(
         r"def set_\w+_enabled|STUBBY_EXPERIMENT_DISPATCH"
@@ -64,8 +65,21 @@ def test_src_has_no_mode_switches():
         # Split literals: this file must not match its own ban when grepped.
         r"|Stats" r"Window|CACHE_" r"STRIPES|build_" r"variant"
         r"|def ensure_\w+|def resolve_(?!env_)\w+_path"
+        r"|STUBBY_SEARCH_" r"BACKEND|search_" r"backend|experiment_" r"backend"
+        r"|_cost_" r"tasks|DEFAULT_" r"WORKERS|available_" r"backends"
     )
     assert [path for path, text in _src_sources() if banned.search(text)] == []
+    # One fan-out level: requests and cells fork, the unit search does not.
+    pool_import = re.compile(
+        r"^\s*(from|import) repro\.core\.parallel|^\s*from repro\.core import .*\bparallel",
+        re.MULTILINE,
+    )
+    serial = ("src/repro/core/search.py", "src/repro/core/optimizer.py", "src/repro/baselines/")
+    assert [
+        path
+        for path, text in _src_sources()
+        if path.replace(os.sep, "/").startswith(serial) and pool_import.search(text)
+    ] == []
 
 
 def test_no_test_indexes_a_worker_result_by_constant():
@@ -86,7 +100,7 @@ ENV_TABLE_ROW = re.compile(r"^\| `(STUBBY_[A-Z_]+)` \| `(repro[\w.]+)` \|", re.M
 
 
 def test_env_var_table_lists_exactly_the_variables_src_reads():
-    """docs/index.md's table is the one reference: a twelfth ``STUBBY_*``
+    """docs/index.md's table is the one reference: an eleventh ``STUBBY_*``
     variable (or a retired one left behind) fails here, not in a reader."""
     readers = {}
     for path, text in _src_sources():

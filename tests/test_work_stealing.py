@@ -1,4 +1,4 @@
-"""Fork-pool dispatch: identity, balance, fault tolerance, plumbing.
+"""Fork-pool dispatch: plumbing, identity, balance, fault tolerance.
 
 The contract under test is the one ``docs/search.md`` documents for a
 forked session: handing idle workers the next request changes *which
@@ -26,7 +26,15 @@ import time
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core.parallel import MAX_TASK_ATTEMPTS, DispatchStats, create_backend
+from repro.core.parallel import (
+    MAX_TASK_ATTEMPTS,
+    DispatchStats,
+    ProcessBackend,
+    SerialBackend,
+    create_backend,
+    resolve_backend,
+    store_side_channel,
+)
 from repro.experiments import ExperimentHarness, ExperimentScheduler, build_cells
 
 #: One expensive request among cheap ones: round-robin dealing on two
@@ -89,6 +97,89 @@ class TestDispatchStats:
         assert a.tasks_per_worker == [1, 0, 1]
         assert a.load_per_worker == [2.0, 0.0, 5.0]
         assert set(a.as_dict()) >= {"steals", "idle_cost_units"}
+
+
+class TestBackendPlumbing:
+    def test_create(self):
+        assert isinstance(create_backend("serial"), SerialBackend)
+        backend = create_backend("process:2")
+        assert isinstance(backend, ProcessBackend)
+        assert backend.workers == 2
+        assert backend.spec == "process:2"
+
+    def test_create_rejects_garbage(self):
+        with pytest.raises(ValueError, match="unknown execution backend 'quantum'"):
+            create_backend("quantum:9")
+        with pytest.raises(ValueError, match="bad worker count"):
+            create_backend("process:lots")
+        with pytest.raises(ValueError):
+            ProcessBackend(workers=0)
+
+    def test_unknown_kinds_are_rejected_in_pool_terms(self, monkeypatch):
+        # Regression: the message said "unknown search backend" wherever the
+        # spec came from — a server pool, the cell variable.
+        expected = r"unknown execution backend 'thread'.*'serial' or 'process:N'"
+        with pytest.raises(ValueError, match=expected):
+            create_backend("thread:2")
+        monkeypatch.setenv("STUBBY_EXPERIMENT_BACKEND", "thread:2")
+        with pytest.raises(ValueError, match=expected):
+            ExperimentScheduler()
+
+    def test_a_process_spec_must_name_its_worker_count(self):
+        # Regression: a bare "process" silently meant four workers, whatever
+        # the host had.
+        with pytest.raises(ValueError, match=r"no worker count.*process:N"):
+            create_backend("process")
+
+    def test_resolve_backend_passthrough_and_env_var(self, monkeypatch):
+        backend = ProcessBackend(workers=2)
+        assert resolve_backend(backend) is backend
+        assert resolve_backend("process:5").workers == 5
+        with pytest.raises(TypeError):
+            resolve_backend(42)
+        # A variable is consulted only when the caller names one.
+        monkeypatch.setenv("STUBBY_SOME_OTHER_BACKEND", "process:3")
+        assert isinstance(resolve_backend(None), SerialBackend)
+        assert resolve_backend(None, env_var="STUBBY_SOME_OTHER_BACKEND").workers == 3
+        monkeypatch.delenv("STUBBY_SOME_OTHER_BACKEND")
+        assert isinstance(resolve_backend(None, env_var="STUBBY_SOME_OTHER_BACKEND"), SerialBackend)
+
+    def test_a_session_without_stores_holds_an_empty_channel(self):
+        channel = store_side_channel()
+        channel.worker_init()
+        with channel.chunk() as payload:
+            pass
+        assert payload == () and channel.final_export() == ()
+        channel.chunk_absorb_foreign(payload)
+        channel.final_absorb(())
+        # ...which is what a fork session opened without one runs on.
+        with create_backend("process:2").session(lambda request: -request) as session:
+            assert session.run([1, 2, 3]) == [-1, -2, -3]
+            assert session.forked
+
+    def test_an_inline_session_reports_no_pool(self):
+        with create_backend("serial").session(_square) as session:
+            assert session.run([3]) == [9]
+            assert not session.forked
+            assert session.live_workers == 1 and session.worker_pids() == []
+
+    @pytest.mark.parametrize("spec", ["serial", "process:2"])
+    def test_session_preserves_request_order(self, spec):
+        backend = create_backend(spec)
+        with backend.session(_square) as session:
+            assert session.run(list(range(23))) == [i * i for i in range(23)]
+
+    def test_process_worker_errors_propagate(self):
+        backend = ProcessBackend(workers=2)
+
+        def explode(request):
+            if request == 3:
+                raise RuntimeError("request 3 is cursed")
+            return request
+
+        with pytest.raises(RuntimeError, match="parallel worker pool failed"):
+            with backend.session(explode) as session:
+                session.run(list(range(6)))
 
 
 class TestStealingIdentity:

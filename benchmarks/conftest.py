@@ -24,48 +24,8 @@ def cluster():
 
 @pytest.fixture(scope="session")
 def harness(cluster):
-    """The shared harness behind the fig10–fig14 benchmarks.
-
-    Honours the ``STUBBY_COST_CACHE`` environment variable (resolved inside
-    :class:`ExperimentHarness`): when set, the session warm-starts its cost
-    service from the persisted cache and merges the store back at teardown.
-    The warm start pays off in the benchmarks that estimate on a shared
-    service without resetting it (fig10's unit enumeration, fig14's deep
-    dive); the ``compare()``-based figures (11–13) deliberately invalidate
-    the cache before each timed optimizer so their reported numbers stay
-    standalone — persistence cannot and does not speed those up.  Results
-    are unaffected either way: cached estimates are bit-identical by the
-    service's exactness contract.
-    """
-    instance = ExperimentHarness(cluster=cluster, scale=BENCHMARK_SCALE)
-    yield instance
-    # Merge-saves: a session that ends with a sparse (post-invalidate)
-    # in-memory store never shrinks a richer persisted one.
-    instance.persist_cache()
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (affinity-aware where the OS reports it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def speedup_enforced(policy_env: str, cpus: int) -> bool:
-    """Whether a bench asserts its wall-clock speedup on this host.
-
-    ``policy_env`` names the bench's override variable (``always`` /
-    ``never``); unset or ``auto``, a pool of 4 workers needs a spare core
-    for the parent (and slack for noisy neighbours on shared runners)
-    before wall-clock is a fair gate.
-    """
-    policy = os.environ.get(policy_env, "auto").strip().lower()
-    if policy == "always":
-        return True
-    if policy == "never":
-        return False
-    return cpus > 4
+    """The shared harness behind the fig10–fig14 benchmarks."""
+    return ExperimentHarness(cluster=cluster, scale=BENCHMARK_SCALE)
 
 
 def run_once(benchmark, fn):

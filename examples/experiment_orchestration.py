@@ -30,8 +30,8 @@ What output to expect
     signatures heavily; in the warm run even the first cell hits the
     persisted entries.  Wall-clock differences depend on your core count:
     on a single-CPU machine the process backend is slower (fork overhead,
-    no spare core) — with four or more cores the cell phase pulls ahead,
-    the regime ``BENCH_experiment_orchestration.json`` benchmarks.
+    no spare core) — with two or more cores the cell phase pulls ahead
+    (1.18 s on ``process:2`` against 1.49 s serial, docs/search.md).
 
 Run with::
 

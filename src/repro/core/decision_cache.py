@@ -14,8 +14,8 @@ enumeration, RRS, and costing entirely and deterministically **replays** the
 recorded chain through the existing composition-replay machinery
 (:meth:`~repro.core.search.StubbySearch._apply_candidate`); on a miss it
 runs the full search and records the winning chain.  The hard contract —
-asserted by ``tests/test_decision_cache.py`` and the
-``BENCH_decision_cache.json`` benchmark — is that a replayed plan is
+asserted by ``tests/test_decision_cache.py`` on IR, PJ and BR — is that a
+replayed plan is
 **bit-identical** to a freshly searched one: same ``signature()``, same
 configurations, same recorded history.
 
@@ -70,7 +70,6 @@ __all__ = [
     "DECISION_CACHE_ENABLED_ENV_VAR",
     "DECISION_CACHE_FORMAT_VERSION",
     "DECISION_CACHE_PATH_ENV_VAR",
-    "DECISION_CACHE_VERIFY_ENV_VAR",
     "DecisionCache",
     "DecisionCacheStats",
     "SubunitChoice",
@@ -96,11 +95,6 @@ DECISION_CACHE_PATH_ENV_VAR = "STUBBY_DECISION_CACHE"
 #: Environment kill switch: "0"/"false"/"no"/"off" disables decision
 #: memoization everywhere (the nightly equivalence sweep runs both ways).
 DECISION_CACHE_ENABLED_ENV_VAR = "STUBBY_DECISION_CACHE_ENABLED"
-
-#: Environment debug switch: truthy values make every cache hit *also* run
-#: the full search and assert the replayed plan is bit-identical to the
-#: searched one (slow; for debugging and the identity test suite).
-DECISION_CACHE_VERIFY_ENV_VAR = "STUBBY_DECISION_CACHE_VERIFY"
 
 #: Cap on decisions a forked worker ships back on merge-on-join.
 MAX_EXPORTED_DECISIONS = 5_000
@@ -197,10 +191,9 @@ class DecisionCache(ShardedStore):
 
     ``enabled=False`` (or ``STUBBY_DECISION_CACHE_ENABLED=0``) turns every
     lookup into a no-answer and every store into a no-op, so a disabled
-    cache is behaviourally invisible.  ``verify_hits=True`` (or
-    ``STUBBY_DECISION_CACHE_VERIFY=1``) makes the search re-derive every hit
-    from scratch and assert bit-identity — the debug mode of the hard
-    replay-equals-search contract.
+    cache is behaviourally invisible.  ``verify_hits=True`` makes the search
+    re-derive every hit from scratch and assert bit-identity — the debug
+    mode of the hard replay-equals-search contract.
     """
 
     STATS = DecisionCacheStats
@@ -217,9 +210,9 @@ class DecisionCache(ShardedStore):
         max_entries: int = DEFAULT_MAX_DECISIONS,
         enabled: Optional[bool] = None,
         cache_path: Optional[str] = None,
-        verify_hits: Optional[bool] = None,
+        verify_hits: bool = False,
     ) -> None:
-        self.verify_hits = resolve_env_flag(verify_hits, DECISION_CACHE_VERIFY_ENV_VAR, False)
+        self.verify_hits = verify_hits
         enabled = resolve_env_flag(enabled, DECISION_CACHE_ENABLED_ENV_VAR, True)
         super().__init__(cluster, max_entries, enabled, cache_path)
 

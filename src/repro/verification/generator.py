@@ -337,7 +337,7 @@ class RandomWorkflowGenerator:
         registering its intermediates in a
         :class:`~repro.core.subresults.SubResultCatalog` makes the other's
         prefix reusable (a cross-workflow hit).  This is the shape the
-        reuse equivalence sweep and ``BENCH_subresult_reuse.json`` lean on;
+        reuse equivalence sweep and its three-wave traffic test lean on;
         everything the differential battery needs (profiles, annotations,
         validation) is attached as usual.
         """

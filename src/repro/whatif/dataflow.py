@@ -23,8 +23,8 @@ class JobDataflow:
 
     ``slots=True``: dataflows are minted once per re-costed job in the
     optimizer's hot loop, so the slots layout trades the per-instance
-    ``__dict__`` for a flat, smaller allocation (measured by the allocation
-    probe in ``benchmarks/test_bench_plan_cow.py``).
+    ``__dict__`` for a flat, smaller allocation (``tests/test_plan_cow.py``
+    asserts the layout).
 
     All byte and record quantities are *logical* (paper-scale) values: the
     evaluation datasets are generated at MB scale and scaled up through the

@@ -151,10 +151,10 @@ class WhatIfEngine:
         #: per-pipeline keys survive RRS configuration samples even though
         #: each sample privatizes (re-creates) the tuned job's vertex.
         self._pipeline_keys: Dict[int, Tuple[object, _PipelineLocalKey]] = {}
-        #: Incremental-signature counters (the ``BENCH_plan_cow.json``
-        #: contract): how many vertex signatures were derived by walking the
-        #: vertex (``signature_derivations``) vs. served from the identity
-        #: memo (``signature_memo_hits``).
+        #: Incremental-signature counters (bounded per cold ``optimize()`` by
+        #: ``tests/test_plan_cow.py``): how many vertex signatures were derived
+        #: by walking the vertex (``signature_derivations``) vs. served from
+        #: the identity memo (``signature_memo_hits``).
         self.signature_derivations = 0
         self.signature_memo_hits = 0
 

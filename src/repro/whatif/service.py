@@ -26,7 +26,7 @@ forked workers — see :mod:`repro.common.store` for the model.
 The service keeps :class:`CostServiceStats` (queries, cache hits, re-costed
 jobs, effectively-full estimations) that the search surfaces per candidate,
 per optimization unit, and per optimizer run; the counters are the basis of
-the ``BENCH_cost_service.json`` perf trajectory.
+the ``whatif.service.*`` per-layer metrics of ``bench/run.py``.
 
 Two features support the experiment orchestration layer
 (:mod:`repro.experiments.scheduler`):

@@ -24,7 +24,7 @@ rests on:
   on an owned vertex can never reach a sibling plan.
 
 :data:`COPY_COUNTERS` tallies the workflow and vertex copies actually
-performed — the measured basis of ``BENCH_plan_cow.json``.
+performed — bounded per cold ``optimize()`` by ``tests/test_plan_cow.py``.
 
 Structural queries (``producer_of``/``consumers_of``/``producer_jobs``/
 ``consumer_jobs``/``base_datasets``/``terminal_datasets``/

@@ -43,6 +43,21 @@ def equivalence_seeds():
     return [EQUIVALENCE_BASE_SEED + i for i in range(max(25, count))]
 
 
+def ledger_marks(server):
+    """Snapshots of a planning server's cost and decision store counters."""
+    return server.costs.stats_snapshot(), server.decisions.stats_snapshot()
+
+
+def assert_ledgers_reconcile(server, marks):
+    """Per-tenant attributed stats sum to the stores' own deltas since
+    ``marks`` — exactly, counter for counter, not approximate monitoring."""
+    for ledger, store, before in zip(
+        ("cost_stats", "decision_stats"), (server.costs, server.decisions), marks
+    ):
+        delta = store.stats_snapshot().since(before)
+        assert server.stats.total(ledger).as_dict() == delta.as_dict(), ledger
+
+
 @pytest.fixture(scope="session", autouse=True)
 def env_fault_plan():
     """Install the ``STUBBY_FAULT_PLAN`` fault plan (if set) for the session.

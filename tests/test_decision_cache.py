@@ -90,8 +90,9 @@ def _first_unit_key(search, plan):
 
 
 class TestReplayIdentity:
-    def test_warm_replay_is_bit_identical_and_skips_the_search(self):
-        workload = _profiled()
+    @pytest.mark.parametrize("abbr", ("IR", "PJ", "BR"))
+    def test_warm_replay_is_bit_identical_and_skips_the_search(self, abbr):
+        workload = _profiled(abbr)
         optimizer = _optimizer(decision_cache=DecisionCache(CLUSTER, enabled=True))
         cold = optimizer.optimize(workload.plan)
         assert cold.unit_decision_hits == 0

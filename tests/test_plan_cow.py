@@ -18,7 +18,9 @@ leak shows up as a parent-fingerprint diff with the guilty seed attached.
 
 import pytest
 
+from repro.cluster import ClusterSpec
 from repro.common.hashing import stable_hash
+from repro.core.optimizer import StubbyOptimizer
 from repro.core.plan import Plan
 from repro.core.transformations import (
     HorizontalPacking,
@@ -29,6 +31,9 @@ from repro.core.transformations import (
 from repro.core.transformations.configuration import ConfigurationTransformation
 from repro.profiler import Profiler
 from repro.verification import RandomWorkflowGenerator
+from repro.whatif.dataflow import JobDataflow
+from repro.whatif.jobmodel import JobTimeEstimate
+from repro.whatif.service import CostService
 from repro.workflow.graph import COPY_COUNTERS
 from repro.workloads import build_workload
 
@@ -171,6 +176,50 @@ class TestStructuralSharing:
         assert all(v.annotations.has_profile for v in pristine.jobs)
         # The workload's own workflow (the shared ancestor) stayed pristine.
         assert all(not v.annotations.has_profile for v in workload.workflow.jobs)
+
+
+class TestColdOptimizeBounds:
+    """What sharing leaves behind over a whole cold search, as absolute bounds.
+
+    Counters, not wall clocks, so they hold on every host; the time they buy
+    is ``workflow.graph.vertex_copies`` / ``whatif.model.signature_memo_hit_rate``
+    next to ``optimize_sweep_s`` on ``cold_canned`` (``bench/README.md``).
+    """
+
+    #: Full vertex copies allowed per cold optimize() (measured 0 / 1 / 0 on
+    #: IR / LA / BR, against 475 / 537 / 1435 plan clones).
+    MAX_VERTEX_COPIES = 2
+    #: Share of signature requests allowed to pay a derivation walk (measured
+    #: 0.5 % / 0.35 % / 0.2 %: 6 / 7 / 16 of 1138 / 2020 / 8130 requests).
+    MAX_DERIVATION_SHARE = 0.02
+
+    # The paper trio covering vertical packing (IR), filter/partition
+    # pruning (LA), and a wider DAG (BR).
+    @pytest.mark.parametrize("abbr", ("IR", "LA", "BR"))
+    def test_cold_optimize_copies_and_rederives_almost_nothing(self, abbr):
+        _, plan = _profiled_plan(abbr)
+        optimizer = StubbyOptimizer(ClusterSpec.paper_cluster(), seed=17)
+        COPY_COUNTERS.reset()
+        optimizer.optimize(plan)
+        assert COPY_COUNTERS.workflow_copies > 0
+        assert COPY_COUNTERS.vertex_copies <= self.MAX_VERTEX_COPIES, (
+            f"{COPY_COUNTERS.vertex_copies} full vertex copies over "
+            f"{COPY_COUNTERS.workflow_copies} plan clones"
+        )
+        engine = optimizer.search.costs.engine
+        requests = engine.signature_derivations + engine.signature_memo_hits
+        assert requests > 0
+        assert engine.signature_derivations <= self.MAX_DERIVATION_SHARE * requests, (
+            f"{engine.signature_derivations} of {requests} signature requests "
+            f"paid a derivation walk"
+        )
+
+    def test_hot_value_objects_carry_no_instance_dict(self):
+        _, plan = _profiled_plan()
+        estimate = CostService(ClusterSpec.paper_cluster()).estimate_workflow(plan.workflow)
+        sample = next(iter(estimate.per_job.values()))
+        assert isinstance(sample, JobTimeEstimate) and not hasattr(sample, "__dict__")
+        assert not hasattr(JobDataflow(*[1] * 9), "__dict__")
 
 
 class TestRecordMergeAliasing:

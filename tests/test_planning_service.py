@@ -42,6 +42,7 @@ from repro.verification import (
 )
 from repro.verification.generator import GeneratorConfig
 from repro.workloads import build_workload
+from tests.conftest import assert_ledgers_reconcile, ledger_marks
 
 CLUSTER = ClusterSpec.paper_cluster()
 
@@ -126,6 +127,7 @@ class TestBitIdentityUnderLoad:
     def test_concurrent_responses_match_cold_oracle(self, pool, catalog):
         async def main():
             server = make_server(catalog, pool=pool)
+            marks = ledger_marks(server)
             async with server:
                 cold_before = server.stats.total("decision_stats")
                 cold_wave = await asyncio.gather(*[submit_ok(server, i) for i in range(16)])
@@ -149,6 +151,9 @@ class TestBitIdentityUnderLoad:
                 # Pool accounting saw every request exactly once, across
                 # batches, sessions, and the restart — no double counts.
                 assert server.dispatch_stats().tasks == 32
+            # Attribution stays exact across the restart's merge, on the
+            # serial pool as on the forked one.
+            assert_ledgers_reconcile(server, marks)
             return server
 
         server = asyncio.run(main())
@@ -182,17 +187,10 @@ class TestAttributionInvariant:
     def test_tenant_sums_equal_global_deltas(self, catalog):
         async def main():
             server = make_server(catalog, pool="process:2")
-            cost_before = server.costs.stats_snapshot()
-            decision_before = server.decisions.stats_snapshot()
+            marks = ledger_marks(server)
             async with server:
                 await asyncio.gather(*[submit_ok(server, i) for i in range(12)])
-            cost_delta = server.costs.stats_snapshot().since(cost_before)
-            decision_delta = server.decisions.stats_snapshot().since(decision_before)
-            # Exact, counter-for-counter — not approximate monitoring.
-            assert server.stats.total("cost_stats").as_dict() == cost_delta.as_dict()
-            assert (
-                server.stats.total("decision_stats").as_dict() == decision_delta.as_dict()
-            )
+            assert_ledgers_reconcile(server, marks)
             # Tenants share combos, so somebody's lookup was answered by an
             # entry a *different* tenant's request paid for.
             assert server.stats.total("decision_stats").cross_origin_hits > 0
@@ -273,8 +271,7 @@ class TestFaultInjection:
 
         async def main():
             server = make_server(catalog, pool="process:2")
-            cost_before = server.costs.stats_snapshot()
-            decision_before = server.decisions.stats_snapshot()
+            marks = ledger_marks(server)
             await server.start(serve=False)
             try:
                 # One guaranteed 4-request batch, so the pool forks; worker 0
@@ -300,12 +297,7 @@ class TestFaultInjection:
                 assert stats.tasks == 8
             finally:
                 await server.stop()
-            cost_delta = server.costs.stats_snapshot().since(cost_before)
-            decision_delta = server.decisions.stats_snapshot().since(decision_before)
-            assert server.stats.total("cost_stats").as_dict() == cost_delta.as_dict()
-            assert (
-                server.stats.total("decision_stats").as_dict() == decision_delta.as_dict()
-            )
+            assert_ledgers_reconcile(server, marks)
             for row in server.stats.tenants.values():
                 assert row.failed == 0
 

@@ -4,14 +4,16 @@ are exactly the ones ``src/`` reads.
 
 A file that is both tracked and matched by ``.gitignore`` is rewritten by a
 test or benchmark run *and* committed — so the tier-1 gate dirties the tree
-and every commit carries timing noise (the six ``BENCH_*.json`` this test
-was added for).
+and every commit carries timing noise (the six per-bench JSON files this test
+was added for; ISSUE 17 retired their writers, and ``bench/run.py`` is the
+only thing left that times anything).
 """
 
 import os
 import re
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -36,11 +38,11 @@ def test_no_tracked_file_is_gitignored():
     assert listing.stdout.split() == [], "tracked files matched by .gitignore"
 
 
-def _sources(top):
-    """(repo-relative path, text) of every Python file under ``top``."""
+def _sources(top, suffixes=(".py",)):
+    """(repo-relative path, text) of every ``suffixes`` file under ``top``."""
     for folder, _dirs, names in os.walk(os.path.join(ROOT, top)):
         for name in sorted(names):
-            if name.endswith(".py"):
+            if name.endswith(suffixes):
                 path = os.path.join(folder, name)
                 with open(path, encoding="utf-8") as handle:
                     yield os.path.relpath(path, ROOT), handle.read()
@@ -100,7 +102,7 @@ ENV_TABLE_ROW = re.compile(r"^\| `(STUBBY_[A-Z_]+)` \| `(repro[\w.]+)` \|", re.M
 
 
 def test_env_var_table_lists_exactly_the_variables_src_reads():
-    """docs/index.md's table is the one reference: an eleventh ``STUBBY_*``
+    """docs/index.md's table is the one reference: a tenth ``STUBBY_*``
     variable (or a retired one left behind) fails here, not in a reader."""
     readers = {}
     for path, text in _src_sources():
@@ -112,3 +114,77 @@ def test_env_var_table_lists_exactly_the_variables_src_reads():
     for variable, module in table.items():
         owner = os.path.join("src", *module.split(".")) + ".py"
         assert owner in readers[variable], f"{module} never names {variable}"
+
+
+def test_benchmarks_holds_only_the_paper_reproductions():
+    """One benchmark tree: ``benchmarks/`` reproduces the paper's figures and
+    Table 1; everything that times the system lives in ``bench/``."""
+    allowed = re.compile(r"conftest\.py|test_fig\d+_\w+\.py|test_table\d+_\w+\.py")
+    names = set(os.listdir(os.path.join(ROOT, "benchmarks"))) - {"__pycache__"}
+    assert sorted(name for name in names if not allowed.fullmatch(name)) == []
+
+
+def test_no_retired_bench_knob_or_json_is_named_anywhere():
+    """The 18 per-bench environment knobs and eight per-bench JSON files of
+    the retired tree stay retired (``BENCHMARK.json`` and ``BENCHMARK_SCALE``
+    carry no underscore after ``BENCH`` and do not match)."""
+    # Split literal: this file must not match its own ban when grepped.
+    retired = re.compile(r"BENCH" r"_[A-Za-z_]+")
+    tops = ("src", "tests", "benchmarks", "examples", "docs", ".github")
+    texts = [
+        item for top in tops for item in _sources(top, (".py", ".md", ".yml"))
+    ]
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        texts.append(("README.md", handle.read()))
+    assert [path for path, text in texts if retired.search(text)] == []
+
+
+def _pytest_subprocess(args, extra_env):
+    env = {**os.environ, **extra_env}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_ambient_path_variables_never_reach_the_suites(tmp_path):
+    """README's quick-start exports ``STUBBY_COST_CACHE`` and
+    ``STUBBY_EXPERIMENT_BACKEND``; with them in the shell the orchestration
+    tests used to warm-start one harness from the file the previous one
+    persisted (``assert 3 == 787``) and leave 550 kB at the user's path."""
+    targets = {
+        "STUBBY_COST_CACHE": str(tmp_path / "costs.cache"),
+        "STUBBY_DECISION_CACHE": str(tmp_path / "decisions.cache"),
+        "STUBBY_SUBRESULT_CATALOG": str(tmp_path / "subresults.cache"),
+        "STUBBY_COST_CACHE_MAX_ENTRIES": "100000",
+        "STUBBY_EXPERIMENT_BACKEND": "process:4",
+    }
+    run = _pytest_subprocess(["tests/test_experiment_orchestration.py"], targets)
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(
+    "STUBBY_DECISION_CACHE_ENABLED" not in os.environ,
+    reason="probe: the test below runs it with the switch exported",
+)
+def test_probe_default_decision_cache_obeys_the_exported_kill_switch():
+    from repro.cluster import ClusterSpec
+    from repro.core.decision_cache import DecisionCache
+
+    # CI and the test below export "0" or "1", nothing fancier.
+    assert DecisionCache(ClusterSpec.paper_cluster()).enabled == (
+        os.environ["STUBBY_DECISION_CACHE_ENABLED"] != "0"
+    )
+
+
+def test_kill_switch_set_outside_pytest_still_reaches_the_library():
+    """The scrub above must not eat what the nightly CI sets on purpose."""
+    name = test_probe_default_decision_cache_obeys_the_exported_kill_switch.__name__
+    probe = f"tests/test_repo_hygiene.py::{name}"
+    for exported in ("0", "1"):
+        run = _pytest_subprocess([probe], {"STUBBY_DECISION_CACHE_ENABLED": exported})
+        assert run.returncode == 0 and "1 passed" in run.stdout, run.stdout[-2000:]

@@ -13,7 +13,9 @@ Unit layers first (TimeBudget, FaultPlan, CircuitBreaker, the admission
 queue's deadline handling), then the ladder via direct ``_execute`` calls
 (deterministic, no queue timing), then the asyncio integration paths:
 client withdrawal racing a hung worker, queue shedding, breaker
-short-circuiting under a poisoned tenant.
+short-circuiting under a poisoned tenant, and whole-server scenarios under
+seeded fault plans (a rung fault, a hang against a deadline, mangled
+persisted stores), each under a hard ``wait_for`` lid.
 """
 
 import asyncio
@@ -46,6 +48,7 @@ from repro.verification import (
 )
 from repro.verification.faults import plan_from_env
 from repro.workloads import build_workload
+from tests.conftest import assert_ledgers_reconcile, ledger_marks
 
 CLUSTER = ClusterSpec.paper_cluster()
 
@@ -78,6 +81,12 @@ def make_server(catalog, **kwargs):
 
 def work_for(catalog, tenant="t0", optimizer="Stubby", deadline_at=None, allow_full=True):
     return (tenant, "pj", optimizer, 17, deadline_at, allow_full)
+
+
+def run_lidded(coro):
+    """The zero-hung-requests gate: a scenario's whole traffic completes
+    under a hard lid — an answer may be degraded or shed, never missing."""
+    return asyncio.run(asyncio.wait_for(coro, timeout=180))
 
 
 class FakeClock:
@@ -562,6 +571,7 @@ class TestShedding:
     def test_expired_in_queue_is_answered_not_dropped(self, catalog):
         async def main():
             server = make_server(catalog)
+            marks = ledger_marks(server)
             await server.start(serve=False)  # hold dispatch so the deadline passes
             try:
                 future = asyncio.ensure_future(
@@ -583,6 +593,8 @@ class TestShedding:
             assert row.shed == 1 and row.completed == 1
             assert row.degraded == 0  # shed and degraded are disjoint
             assert server.admission.stats.shed_expired == 1
+            # The floor plan a shed request is answered with is costed too.
+            assert_ledgers_reconcile(server, marks)
 
         asyncio.run(main())
 
@@ -623,6 +635,7 @@ class TestBreakerIntegration:
             server = make_server(
                 catalog, breaker_threshold=2, breaker_backoff_s=60.0
             )
+            marks = ledger_marks(server)
             async with server:
                 responses = []
                 for _ in range(4):
@@ -652,6 +665,147 @@ class TestBreakerIntegration:
             # The quiet tenant's answer stayed bit-identical.
             assert control.degradation_level == 0
             assert control.identity() == oracle(catalog, "pj", "Stubby")
+            # Failed and short-circuited attempts still queried the stores.
+            assert_ledgers_reconcile(server, marks)
 
         with install_fault_plan(plan):
             asyncio.run(main())
+
+
+class TestSeededFaultScenarios:
+    """Whole-server scenarios under a seeded :class:`FaultPlan`, each under
+    the :func:`run_lidded` gate: injected-fault arithmetic explains every
+    degraded answer, level-0 answers stay bit-identical, ledgers reconcile."""
+
+    # Which of t0's full attempts blows up.  (The retired chaos sweep's ten
+    # "seeds" armed ``seed % 3 + 1``: these three ordinals, three times over.)
+    @pytest.mark.parametrize("ordinal", (1, 2, 3))
+    def test_one_injected_full_rung_fault_is_exactly_one_degraded_answer(
+        self, ordinal, catalog
+    ):
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    site="server.rung.full",
+                    kind="exception",
+                    match={"tenant": "t0"},
+                    at_hits=(ordinal,),
+                )
+            ]
+        )
+
+        async def main():
+            # Threshold high enough that the breaker never trips: the fault
+            # count must explain the degraded count by itself.
+            server = make_server(catalog, breaker_threshold=99)
+            marks = ledger_marks(server)
+            async with server:
+                victim = [
+                    await server.submit(PlanRequest(tenant="t0", workload="pj"))
+                    for _ in range(4)
+                ]
+                control = await asyncio.gather(
+                    *[
+                        server.submit(PlanRequest(tenant=f"t{i}", workload="pj"))
+                        for i in (1, 2, 3)
+                    ]
+                )
+            assert plan.fires("server.rung.full") == 1
+            degraded = [r for r in victim if r.degradation_level > 0]
+            assert len(degraded) == 1  # exact: one fire, one degraded answer
+            assert "full: InjectedFault" in degraded[0].degradation_reason
+            for response in victim + list(control):
+                assert response.ok, response.error
+                if response.degradation_level == 0:
+                    assert response.identity() == oracle(catalog, "pj", "Stubby")
+            assert_ledgers_reconcile(server, marks)
+            rows = server.stats.tenants.values()
+            assert sum(r.degraded for r in rows) == 1 and sum(r.failed for r in rows) == 0
+
+        with install_fault_plan(plan):
+            run_lidded(main())
+
+    def test_a_hung_dependency_is_floored_by_its_deadline(self, catalog):
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    site="server.execute",
+                    kind="hang",
+                    match={"tenant": "victim"},
+                    delay_s=0.5,
+                )
+            ]
+        )
+
+        async def main():
+            server = make_server(catalog)
+            marks = ledger_marks(server)
+            async with server:
+                # Sequential victims: dispatched immediately (so never shed),
+                # then hung past their whole budget — the ladder floors them.
+                hung = [
+                    await server.submit(
+                        PlanRequest(tenant="victim", workload="pj", deadline_s=0.3)
+                    )
+                    for _ in range(2)
+                ]
+                bystanders = await asyncio.gather(
+                    *[
+                        server.submit(PlanRequest(tenant=f"t{i}", workload="pj"))
+                        for i in range(4)
+                    ]
+                )
+            assert plan.fires("server.execute") == 2
+            for response in hung:
+                assert response.ok, response.error
+                assert response.degradation_level == 3 and not response.shed
+                assert "deadline exhausted" in response.degradation_reason
+            for response in bystanders:
+                assert response.ok and response.degradation_level == 0
+                assert response.identity() == oracle(catalog, "pj", "Stubby")
+            assert_ledgers_reconcile(server, marks)
+            rows = server.stats.tenants.values()
+            assert sum(r.degraded for r in rows) == 2 and sum(r.shed for r in rows) == 0
+
+        with install_fault_plan(plan):
+            run_lidded(main())
+
+    def test_corrupt_and_truncated_stores_are_rejected_and_served_cold(
+        self, catalog, tmp_path
+    ):
+        paths = {
+            "cache_path": str(tmp_path / "costs.cache"),
+            "decision_cache_path": str(tmp_path / "decisions.cache"),
+        }
+
+        async def wave(server):
+            async with server:
+                return await asyncio.gather(
+                    *[
+                        server.submit(PlanRequest(tenant=f"t{i}", workload="pj"))
+                        for i in range(4)
+                    ]
+                )
+
+        async def main():
+            # Populate and persist, then mangle both files on disk.
+            for response in await wave(make_server(catalog, **paths)):
+                assert response.ok and response.identity() == oracle(catalog, "pj", "Stubby")
+            assert corrupt_file(paths["cache_path"], seed=5)
+            assert truncate_file(paths["decision_cache_path"], fraction=0.5)
+
+            # The warm restart loads nothing — and says why — but serves
+            # cold, undegraded, bit-identical answers.
+            second = make_server(catalog, **paths)
+            for store in (second.costs, second.decisions):
+                assert not store.last_load.loaded and store.last_load.reason
+            marks = ledger_marks(second)
+            for response in await wave(second):
+                assert response.ok, response.error
+                assert response.degradation_level == 0
+                assert response.identity() == oracle(catalog, "pj", "Stubby")
+            assert_ledgers_reconcile(second, marks)
+            rows = second.stats.tenants.values()
+            assert sum(r.degraded for r in rows) == 0 and sum(r.failed for r in rows) == 0
+
+        run_lidded(main())

@@ -16,9 +16,11 @@ import random
 
 import pytest
 
+from repro.cluster import ClusterSpec
 from repro.mapreduce.config import JobConfig
 from repro.mapreduce.job import simple_job
 from repro.verification import RandomWorkflowGenerator
+from repro.whatif.model import WhatIfEngine
 from repro.workflow.annotations import JobAnnotations
 from repro.workflow.graph import TOPOLOGY_COUNTERS, Workflow, _TopologyIndex
 from tests import graph_oracle as oracle
@@ -216,40 +218,58 @@ class TestRandomMutationSequences:
         )
 
 
+#: The wide input of the counter contracts: a ~100-job telemetry rollup (88
+#: fan-out channels into staged fan-in rollups), where a per-candidate
+#: rebuild would cost a full pass over the job table.
+def _build_wide():
+    generator = RandomWorkflowGenerator().with_config(profile=False, records_per_dataset=60)
+    return generator.telemetry_rollup(99, num_channels=88, fanin=8).workflow
+
+
+BUILDERS = pytest.mark.parametrize(
+    "build", (_build_base, _build_wide), ids=("chain6", "rollup100")
+)
+
+
 class TestCounterContracts:
     """The index is built once, updated incrementally, shared across CoW."""
 
-    def test_config_only_mutations_keep_the_cached_topology(self):
-        workflow = _build_base()
+    @BUILDERS
+    def test_config_only_mutations_keep_the_cached_topology(self, build):
+        workflow = build()
+        names = workflow.job_names
         workflow.topological_levels()  # build index + caches
         TOPOLOGY_COUNTERS.reset()
         clone = workflow.copy()
         clone.topological_levels()  # shared warm cache
         clone.update_job(
-            "J2", lambda job: job.with_config(job.config.replace(num_reduce_tasks=5))
+            names[2], lambda job: job.with_config(job.config.replace(num_reduce_tasks=5))
         )
-        clone.mutate_job("J3", copy_job=False).annotations.conditions["x"] = True
+        clone.mutate_job(names[3], copy_job=False).annotations.conditions["x"] = True
         clone.topological_levels()
         clone.topological_order()
+        # The cached order answers every walk; nothing else moves.
         snapshot = TOPOLOGY_COUNTERS.snapshot()
-        assert snapshot["index_builds"] == 0
-        assert snapshot["index_copies"] == 0
-        assert snapshot["incremental_updates"] == 0
-        assert snapshot["toposort_builds"] == 0
-        assert snapshot["toposort_cache_hits"] == 3
+        assert snapshot == {**dict.fromkeys(snapshot, 0), "toposort_cache_hits": 3}
 
-    def test_structural_mutation_privatizes_and_updates_incrementally(self):
-        workflow = _build_base()
+    @BUILDERS
+    def test_structural_mutation_privatizes_and_updates_incrementally(self, build):
+        workflow = build()
+        names = workflow.job_names
         workflow.topological_levels()
         TOPOLOGY_COUNTERS.reset()
         clone = workflow.copy()
-        clone.replace_job("J2", _chain_job("J2b", "D1", "D2"))
+        old = clone.job(names[2]).job
+        clone.replace_job(
+            names[2], _chain_job(f"{names[2]}b", old.input_datasets, old.output_datasets[0])
+        )
         snapshot = TOPOLOGY_COUNTERS.snapshot()
         assert snapshot["index_copies"] == 1  # privatized once...
         assert snapshot["incremental_updates"] == 1  # ...then patched in place
         assert snapshot["index_builds"] == 0  # never rebuilt from scratch
-        clone.remove_job("J5")
-        clone.add_job(_chain_job("J6", "D4", "D6"))
+        feed = clone.job(names[-2]).job.output_datasets[0]
+        clone.remove_job(names[-1])
+        clone.add_job(_chain_job("Jextra", feed, "Dextra"))
         snapshot = TOPOLOGY_COUNTERS.snapshot()
         assert snapshot["index_copies"] == 1  # already private: no more copies
         assert snapshot["incremental_updates"] == 3
@@ -262,15 +282,17 @@ class TestCounterContracts:
         _assert_index_consistent(clone)
         _assert_index_consistent(workflow)
 
-    def test_costing_a_candidate_does_not_rebuild_the_index(self):
+    @BUILDERS
+    def test_costing_a_candidate_does_not_rebuild_the_index(self, build):
         """The search hot loop: copy, reconfigure one job, re-walk topology."""
-        workflow = _build_base()
+        workflow = build()
+        names = workflow.job_names
         workflow.topological_levels()
         TOPOLOGY_COUNTERS.reset()
         for sample in range(10):
             candidate = workflow.copy()
             candidate.update_job(
-                "J1",
+                names[sample % len(names)],
                 lambda job: job.with_config(job.config.replace(num_reduce_tasks=sample + 1)),
             )
             candidate.topological_levels()
@@ -280,3 +302,24 @@ class TestCounterContracts:
         assert snapshot["index_copies"] == 0
         assert snapshot["toposort_builds"] == 0
         assert snapshot["toposort_cache_hits"] == 10
+
+    # Total jobs = channels + ceil(channels / 8) + 1 grand rollup (skipped
+    # when a single rollup suffices): 10, 31, 100, 298, 996.
+    @pytest.mark.parametrize("channels", (8, 26, 88, 264, 884))
+    def test_warm_costing_queries_never_walk_the_graph(self, channels):
+        """Zero from-scratch index or toposort builds over three costing
+        queries on a warm workflow, at every width: every structural answer
+        comes from the index.  The time this buys is
+        ``workflow.graph.index_copies`` / ``.toposort_builds`` next to
+        ``optimize_sweep_s`` on ``cold_wide`` (``bench/README.md``)."""
+        generator = RandomWorkflowGenerator().with_config(records_per_dataset=60)
+        workflow = generator.telemetry_rollup(
+            4242 + channels, num_channels=channels, fanin=8
+        ).workflow
+        engine = WhatIfEngine(ClusterSpec.paper_cluster())
+        workflow.topological_levels()  # warm the index + caches
+        TOPOLOGY_COUNTERS.reset()
+        for _ in range(3):
+            engine.estimate_workflow(workflow)
+        assert TOPOLOGY_COUNTERS.snapshot()["index_queries"] > 0
+        assert TOPOLOGY_COUNTERS.scan_equivalents() == 0

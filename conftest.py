@@ -22,7 +22,6 @@ if _SRC not in sys.path:
 #: around pytest on purpose.
 AMBIENT_PATH_VARIABLES = (
     "STUBBY_COST_CACHE",
-    "STUBBY_COST_CACHE_MAX_ENTRIES",
     "STUBBY_DECISION_CACHE",
     "STUBBY_SUBRESULT_CATALOG",
     "STUBBY_EXPERIMENT_BACKEND",

@@ -246,8 +246,7 @@ class ShardedLRU:
         """Insert a value (tagged with its origin); True when the key was new.
 
         Re-storing an existing key refreshes its recency like a lookup does:
-        merge-on-join and MRU compaction both rely on "just written" meaning
-        "most recently used".
+        merge-on-join relies on "just written" meaning "most recently used".
         """
         entries = self._entries
         with self._lock:
@@ -343,9 +342,7 @@ class ShardedStore:
     query methods on top of ``_cache`` / :meth:`_store`; everything in
     the module docstring — sinks, origin tags, the export log, persistence,
     the disabled rule — is inherited.  Persisted rows are
-    ``(key, value, origin)`` tuples; a store with a different row shape
-    overrides :meth:`_entries_snapshot`, :meth:`_valid_row` and
-    :meth:`absorb_entries` together.
+    ``(key, value, origin)`` tuples.
     """
 
     #: The :class:`CounterStats` subclass of this store's counters.
@@ -464,19 +461,12 @@ class ShardedStore:
             return self.stats.snapshot()
 
     # --------------------------------------------------------------- entries
-    def _store(
-        self, key: Tuple, value, origin, cache: Optional[ShardedLRU] = None, tag: Tuple = ()
-    ) -> None:
-        """Insert one entry (no-op when disabled); new keys reach the export log.
-
-        ``cache``/``tag`` address a store with several levels: the level's
-        LRU and the prefix its persisted rows carry.
-        """
+    def _store(self, key: Tuple, value, origin) -> None:
+        """Insert one entry (no-op when disabled); new keys reach the export log."""
         if not self.enabled:
             return
-        new = (self._cache if cache is None else cache).store(key, value, origin)
-        if new and self._export_log is not None:
-            self._export_log.append(tag + (key, value, origin))
+        if self._cache.store(key, value, origin) and self._export_log is not None:
+            self._export_log.append((key, value, origin))
 
     def invalidate(self) -> None:
         """Drop every entry (stats are kept)."""
@@ -546,7 +536,7 @@ class ShardedStore:
             )
         return path
 
-    def save_cache(self, path: Optional[str] = None, merge_first: bool = False, **snapshot) -> int:
+    def save_cache(self, path: Optional[str] = None, merge_first: bool = False) -> int:
         """Persist the store to ``path`` (default: ``cache_path``).
 
         The payload is stamped with the on-disk format version, the cost
@@ -562,15 +552,11 @@ class ShardedStore:
         so the merge is conflict-free by construction; the read-merge-write
         is not transactional, merely last-writer-wins over a superset of
         both stores.
-
-        Extra keyword arguments go to :meth:`_entries_snapshot` — a subclass
-        whose snapshot takes options (the cost service's compaction bound)
-        passes them through its own ``save_cache``.
         """
         path = self._resolve_path(path)
         if merge_first:
             self.load_cache(path)
-        entries = self._entries_snapshot(**snapshot)
+        entries = self._entries_snapshot()
         payload = {
             "format_version": self.FORMAT_VERSION,
             "model_version": self._model_version(),

@@ -105,7 +105,7 @@ class SubplanRecord:
     best_settings: Dict[str, Mapping[str, object]] = field(default_factory=dict)
     rrs_evaluations: int = 0
     #: Exact cost-service activity of costing *this* candidate (queries, job
-    #: cache hits, re-costed jobs), captured through a per-candidate
+    #: memo hits, from-scratch derivations), captured through a per-candidate
     #: attribution sink — correct even when candidates run concurrently.
     cost_stats: CostServiceStats = field(default_factory=CostServiceStats)
 
@@ -119,8 +119,8 @@ class UnitReport:
     subplans: List[SubplanRecord] = field(default_factory=list)
     chosen_index: int = -1
     #: Cost-service activity attributed to this unit: workflow-level what-if
-    #: queries issued, job estimates served from the cache, and jobs that
-    #: actually had to be re-costed.  Sums of the explicit per-candidate
+    #: queries issued, job lookups served from the memo, and jobs derived
+    #: from scratch (``job_full_recosts``).  Sums of the explicit per-candidate
     #: deltas (:attr:`SubplanRecord.cost_stats`), not an ambient window —
     #: so the attribution is exact whichever thread or process ran the search.
     cost_queries: int = 0
@@ -627,7 +627,7 @@ class StubbySearch:
         """Per-unit aggregates: explicit sums of the per-candidate deltas."""
         report.cost_queries = sum(r.cost_stats.queries for r in report.subplans)
         report.job_cache_hits = sum(r.cost_stats.job_cache_hits for r in report.subplans)
-        report.jobs_recosted = sum(r.cost_stats.job_cache_misses for r in report.subplans)
+        report.jobs_recosted = sum(r.cost_stats.job_full_recosts for r in report.subplans)
 
     def _apply_candidate(
         self,

@@ -79,8 +79,9 @@ class OptimizerRun:
     output_equivalent: bool
     transformations: List[str] = field(default_factory=list)
     #: Cost-service activity of the optimizer run (Figure 13 companion
-    #: metrics): workflow-level what-if queries, jobs actually re-costed,
-    #: and the fraction of job estimates served from the cache.
+    #: metrics): workflow-level what-if queries, jobs derived from scratch
+    #: (``job_full_recosts``), and the fraction of job lookups served from
+    #: the memo.
     whatif_queries: int = 0
     jobs_recosted: int = 0
     cache_hit_rate: float = 0.0
@@ -586,7 +587,7 @@ class ExperimentHarness:
             output_equivalent=equivalent,
             transformations=[t for t in result.transformations_applied if t != "configuration"],
             whatif_queries=stats.queries if stats is not None else 0,
-            jobs_recosted=stats.jobs_recosted if stats is not None else 0,
+            jobs_recosted=stats.job_full_recosts if stats is not None else 0,
             cache_hit_rate=stats.cache_hit_rate if stats is not None else 0.0,
             unit_decision_hits=result.unit_decision_hits,
             unit_decision_misses=result.unit_decision_misses,

@@ -9,9 +9,10 @@ downstream jobs, and combines per-level makespans into the workflow estimate.
 Costing is exposed as composable per-vertex steps — :meth:`WhatIfEngine.cost_vertex`
 produces one job's time estimate together with its output-size contributions,
 :meth:`WhatIfEngine.apply_output_contributions` advances the size state, and
-:meth:`WhatIfEngine.vertex_cost_signature` captures every input the per-vertex
-step reads — so :class:`repro.whatif.service.CostService` can memoize unchanged
-jobs and re-cost only the mutated cone of a workflow.
+:meth:`WhatIfEngine.vertex_dataflow_signature` captures every input the
+dataflow derivation of a vertex reads — so
+:class:`repro.whatif.service.CostService` can memoize the derivation of
+unchanged jobs and re-derive only the mutated cone of a workflow.
 :meth:`WhatIfEngine.estimate_workflow` is the cold (uncached) composition of
 those steps.
 
@@ -259,13 +260,13 @@ class WhatIfEngine:
         Two vertices (possibly across different plan copies or even different
         workflows) with equal signatures derive identical
         :class:`~repro.whatif.dataflow.JobDataflow` and output-size
-        contributions, so the signature is the coarse memoization key of the
+        contributions, so the signature is the memoization key of the
         incremental :class:`~repro.whatif.service.CostService`.  Deliberately
         excludes the job *name* (structurally identical jobs share cache
         entries) and the configuration dimensions only the per-phase job
         model reads (reduce tasks, split size, sort buffer, compression) —
-        those live in :meth:`jobmodel_config_key` — so RRS samples that only
-        move job-model knobs still reuse the derived dataflow.
+        the service runs the job model on every lookup, hit or miss — so RRS
+        samples that only move job-model knobs reuse the derived dataflow.
 
         Producer-dependent facts are only included where the derivation
         reads them — partition counts only for inputs with a
@@ -397,33 +398,6 @@ class WhatIfEngine:
             self._vertex_keys.clear()
         self._vertex_keys[id(vertex)] = (vertex, job, vertex.annotations.profile, local)
         return local
-
-    @staticmethod
-    def jobmodel_config_key(config) -> Tuple:
-        """The configuration dimensions read only by the per-phase job model."""
-        return (
-            config.num_reduce_tasks,
-            config.split_size_mb,
-            config.io_sort_mb,
-            config.compress_map_output,
-            config.compress_output,
-        )
-
-    def vertex_cost_signature(
-        self,
-        vertex: JobVertex,
-        workflow: Workflow,
-        sizes: Dict[str, Tuple[float, float]],
-    ) -> Tuple[Tuple, Tuple]:
-        """Full per-vertex cost key: (dataflow signature, job-model config key).
-
-        Equal full signatures imply an identical :meth:`cost_vertex` result;
-        equal first components alone imply an identical derived dataflow.
-        """
-        return (
-            self.vertex_dataflow_signature(vertex, workflow, sizes),
-            self.jobmodel_config_key(vertex.job.config),
-        )
 
     def _profile_key(self, profile: Optional[ProfileAnnotation]) -> Optional[Tuple]:
         """Content-based key of a profile annotation, memoized by identity.

@@ -16,7 +16,7 @@ import pytest
 
 import repro.whatif.service as service_module
 from repro.cluster import ClusterSpec
-from repro.common.store import resolve_env_path
+from repro.common.store import persist, resolve_env_path
 from repro.profiler import Profiler
 from repro.verification import (
     FaultPlan,
@@ -27,11 +27,9 @@ from repro.verification import (
 )
 from repro.whatif.service import (
     CACHE_FORMAT_VERSION,
-    CACHE_MAX_ENTRIES_ENV_VAR,
     CACHE_PATH_ENV_VAR,
     CostService,
     cluster_cache_key,
-    resolve_cache_max_entries,
 )
 from repro.workloads import build_workload
 
@@ -160,6 +158,37 @@ class TestHostileFiles:
         service = CostService(CLUSTER, cache_path=str(path))
         self._assert_rejected_but_functional(service, "format version", profiled_workflow)
 
+    def test_version_2_file_of_level_tagged_rows_is_replaced_on_persist(
+        self, tmp_path, profiled_workflow
+    ):
+        # What a pre-one-level deployment left on disk: version 2, 4-tuple
+        # rows tagged "estimate" / "dataflow".  The planning server's
+        # stop() -> restart() cycle meets such a file exactly once.
+        path = tmp_path / "two_level.cache"
+        rows = []
+        for signature, derived, origin in _warmed_service(profiled_workflow)._entries_snapshot():
+            rows.append(("dataflow", signature, derived, origin))
+            rows.append(("estimate", (signature, (1, 64, 128, False, False)), derived, origin))
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "format_version": 2,
+                    "model_version": service_module.COST_MODEL_VERSION,
+                    "cluster_key": cluster_cache_key(CLUSTER),
+                    "entries": rows,
+                }
+            )
+        )
+        service = CostService(CLUSTER, cache_path=str(path))
+        assert service.cache_size == 0
+        self._assert_rejected_but_functional(service, "format version mismatch", profiled_workflow)
+        # The next persist() merge-saves over it: rejected again, then replaced.
+        assert persist([service]) == service.cache_size > 0
+        with open(path, "rb") as handle:
+            assert pickle.load(handle)["format_version"] == CACHE_FORMAT_VERSION == 3
+        reloaded = CostService(CLUSTER, cache_path=str(path))
+        assert reloaded.last_load.loaded and reloaded.last_load.entries == service.cache_size
+
     def test_model_version_mismatch(self, tmp_path, profiled_workflow, monkeypatch):
         path = str(tmp_path / "old_model.cache")
         _warmed_service(profiled_workflow).save_cache(path)
@@ -182,7 +211,7 @@ class TestHostileFiles:
                     "format_version": CACHE_FORMAT_VERSION,
                     "model_version": service_module.COST_MODEL_VERSION,
                     "cluster_key": cluster_cache_key(CLUSTER),
-                    "entries": rows + [("estimate", ("sig",))],  # 2-tuple row
+                    "entries": rows + [(("sig",), ())],  # 2-tuple row
                 }
             )
         )
@@ -263,63 +292,3 @@ class TestPathResolution:
         # A shared service passed in explicitly is never overridden by the env.
         shared = CostService(CLUSTER)
         assert StubbyOptimizer(CLUSTER, cost_service=shared).costs is shared
-
-
-class TestCompactionOnPersist:
-    def test_max_entries_bounds_the_file(self, tmp_path, profiled_workflow):
-        service = _warmed_service(profiled_workflow)
-        full = len(service._entries_snapshot())
-        assert full > 4
-        path = str(tmp_path / "compact.cache")
-        written = service.save_cache(path, max_entries=4)
-        assert written == 4
-
-        fresh = CostService(CLUSTER)
-        report = fresh.load_cache(path)
-        assert report.loaded and report.entries == 4
-
-    def test_compacted_file_is_a_valid_warm_start(self, tmp_path, profiled_workflow):
-        service = _warmed_service(profiled_workflow)
-        path = str(tmp_path / "compact.cache")
-        service.save_cache(path, max_entries=6)
-
-        warmed = CostService(CLUSTER, cache_path=path)
-        assert warmed.last_load is not None and warmed.last_load.loaded
-        # Warm-started estimates are bit-identical to cold ones.
-        cold = CostService(CLUSTER, enable_cache=False)
-        assert (
-            warmed.estimate_workflow(profiled_workflow).total_s
-            == cold.estimate_workflow(profiled_workflow).total_s
-        )
-        # The partial store contributed at least one job-level cache hit.
-        assert warmed.stats.job_cache_hits + warmed.stats.job_dataflow_hits > 0
-
-    def test_compaction_keeps_most_recently_used_entries(self, tmp_path, profiled_workflow):
-        service = _warmed_service(profiled_workflow)
-        # Touch every entry again so recency ordering is well-defined.  Each
-        # level keeps an exact LRU→MRU order and the compacted snapshot
-        # takes the two MRU tails alternately: the kept rows are exactly the
-        # last two estimates and the last dataflow, oldest first.
-        service.estimate_workflow(profiled_workflow)
-        compacted = service._entries_snapshot(max_entries=3)
-        estimates = [("estimate", *row) for row in service._cache.items()]
-        dataflows = [("dataflow", *row) for row in service._dataflow_cache.items()]
-        assert compacted == [estimates[-2], dataflows[-1], estimates[-1]]
-
-    def test_env_var_bounds_saves_by_default(self, tmp_path, profiled_workflow, monkeypatch):
-        service = _warmed_service(profiled_workflow)
-        path = str(tmp_path / "env-compact.cache")
-        monkeypatch.setenv(CACHE_MAX_ENTRIES_ENV_VAR, "5")
-        assert service.save_cache(path) == 5
-        # Explicit argument beats the environment.
-        assert service.save_cache(path, max_entries=3) == 3
-
-    def test_resolve_cache_max_entries(self, monkeypatch):
-        assert resolve_cache_max_entries(7) == 7
-        assert resolve_cache_max_entries(0) is None
-        monkeypatch.setenv(CACHE_MAX_ENTRIES_ENV_VAR, "12")
-        assert resolve_cache_max_entries(None) == 12
-        monkeypatch.setenv(CACHE_MAX_ENTRIES_ENV_VAR, "not-a-number")
-        assert resolve_cache_max_entries(None) is None
-        monkeypatch.setenv(CACHE_MAX_ENTRIES_ENV_VAR, "")
-        assert resolve_cache_max_entries(None) is None

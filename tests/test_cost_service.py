@@ -7,13 +7,16 @@ The contract under test (see ``docs/costing.md``):
   workflows, config perturbations (the RRS access pattern), and structural
   transformations (the enumeration access pattern).
 * **Stats invariants** — every job lookup is classified exactly once
-  (estimate hit, dataflow hit, or full recost), and the counters add up.
+  (memo hit or full recost), the counters add up, and the memo holds one row
+  per from-scratch derivation — nothing per configuration sample.
 * **Decision invariance** — the optimizer picks identical plans and costs
   with the cache enabled and disabled, on every canned workload.
 * **Savings** — per ``optimize()`` the service performs at least 5x fewer
   full-workflow what-if computations than the pre-refactor engine, which
   computed every query cold (one full computation per query).
 """
+
+import dataclasses
 
 import pytest
 
@@ -28,6 +31,8 @@ from repro.core.transformations import (
     InterJobVerticalPacking,
     IntraJobVerticalPacking,
 )
+from repro.experiments import ExperimentHarness
+from repro.mapreduce.config import JobConfig
 from repro.profiler import Profiler
 from repro.verification import RandomWorkflowGenerator
 from repro.whatif import CostService, WhatIfEngine
@@ -141,12 +146,8 @@ class TestStatsInvariants:
         # Every query and every job lookup is accounted for, exactly once.
         assert stats.queries == queries
         assert stats.job_queries == num_jobs
-        assert (
-            stats.job_cache_hits + stats.job_dataflow_hits + stats.job_full_recosts
-            == stats.job_queries
-        )
-        assert stats.job_cache_misses == stats.job_dataflow_hits + stats.job_full_recosts
-        assert 0.0 <= stats.cache_hit_rate <= stats.reuse_rate <= 1.0
+        assert stats.job_cache_hits + stats.job_full_recosts == stats.job_queries
+        assert 0.0 <= stats.cache_hit_rate <= 1.0
         assert stats.full_estimates <= stats.queries
 
     def test_repeated_estimate_is_all_hits(self):
@@ -158,7 +159,7 @@ class TestStatsInvariants:
         delta = service.stats.since(before)
         assert delta.queries == 1
         assert delta.job_cache_hits == workload.workflow.num_jobs
-        assert delta.job_full_recosts == 0 and delta.job_dataflow_hits == 0
+        assert delta.job_full_recosts == 0
         assert delta.full_estimates == 0
         assert first.total_s == second.total_s
 
@@ -168,7 +169,7 @@ class TestStatsInvariants:
         service.estimate_workflow(workload.workflow)
         service.estimate_workflow(workload.workflow)
         stats = service.stats
-        assert stats.job_cache_hits == 0 and stats.job_dataflow_hits == 0
+        assert stats.job_cache_hits == 0
         assert stats.job_full_recosts == 2 * workload.workflow.num_jobs
         assert stats.full_estimates == 2
         assert service.cache_size == 0
@@ -179,6 +180,95 @@ class TestStatsInvariants:
         for seed in PROPERTY_SEEDS[:6]:
             service.estimate_workflow(generator.generate(seed).workflow)
         assert service.cache_size <= 5
+
+
+class TestOneMemoLevel:
+    """The memo holds dataflow derivations only — never a row per RRS sample."""
+
+    @pytest.mark.parametrize("abbr", WORKLOAD_ORDER)
+    def test_every_row_is_one_from_scratch_derivation(self, abbr):
+        workload = _profiled(abbr)
+        optimizer = StubbyOptimizer(CLUSTER, seed=17)
+        optimizer.optimize(workload.plan)
+        stats = optimizer.costs.stats
+        assert stats.job_cache_hits > 0 and stats.job_full_recosts > 0
+        assert optimizer.costs.cache_size == stats.job_full_recosts
+        assert stats.job_cache_hits + stats.job_full_recosts == stats.job_queries
+
+    def test_workers_ship_no_more_rows_than_they_derived(self, monkeypatch):
+        harness = ExperimentHarness(cluster=CLUSTER, scale=0.12)
+        shipped = []
+        absorb = harness.costs.absorb_entries
+
+        def counting_absorb(entries):
+            shipped.append(len(entries))
+            absorb(entries)
+
+        monkeypatch.setattr(harness.costs, "absorb_entries", counting_absorb)
+        result = harness.run(
+            workloads=("PJ",), optimizers=("Baseline", "Stubby", "Vertical"), backend="process:2"
+        )
+        derived = sum(
+            run.cost_stats.job_full_recosts
+            for comparison in result.comparisons.values()
+            for run in comparison.runs.values()
+        )
+        # One export per worker at join; each row is a derivation some cell
+        # of that worker paid for.
+        assert len(shipped) == 2 and 0 < sum(shipped) <= derived
+        assert harness.costs.cache_size <= harness.costs.stats.job_full_recosts
+
+
+def _perturbed_values(value):
+    """Other values of one :class:`JobConfig` field, by the field's type."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [0, 1, value + 1, 2 * value + 3]
+    raise TypeError(
+        f"no perturbation rule for a {type(value).__name__} JobConfig field: add one here"
+    )
+
+
+class TestKeyCompleteness:
+    """The dataflow signature needs no job-model field of :class:`JobConfig`.
+
+    The service runs the job model on every lookup, so a configuration field
+    can only go stale through the *dataflow* it keys.  Enumerating
+    ``dataclasses.fields`` covers a field the day it is added.
+    """
+
+    @pytest.mark.parametrize("abbr", ["SN", "BR"])
+    def test_warm_equals_cold_under_every_single_field_perturbation(self, abbr):
+        workload = _profiled(abbr)
+        optimized = StubbyOptimizer(CLUSTER, seed=17).optimize(workload.plan).plan
+        service = CostService(CLUSTER)  # shared: worst case for staleness
+        checked = 0
+        # The optimized plan adds what packing leaves behind: chained inputs,
+        # partition-pruning filters, merged multi-pipeline jobs.
+        for plan in (workload.plan, optimized):
+            assert plan.num_jobs > 1
+            service.estimate_workflow(plan.workflow)
+            for name in plan.job_names:
+                config = plan.job(name).job.config
+                for config_field in dataclasses.fields(config):
+                    for value in _perturbed_values(getattr(config, config_field.name)):
+                        try:
+                            changed = config.replace(**{config_field.name: value})
+                        except ValueError:
+                            continue  # rejected by JobConfig's own validation
+                        if changed == config:
+                            continue
+                        perturbed = plan.copy()
+                        perturbed.set_job_config(name, changed)
+                        warm = service.estimate_workflow(perturbed.workflow)
+                        cold = WhatIfEngine(CLUSTER).estimate_workflow(perturbed.workflow)
+                        _assert_estimates_identical(
+                            warm, cold, context=f"{abbr} {name}.{config_field.name}={value!r}"
+                        )
+                        checked += 1
+        assert checked >= 2 * len(dataclasses.fields(JobConfig))
+        assert service.stats.job_cache_hits > 0
 
 
 class TestOptimizerIntegration:

@@ -59,8 +59,10 @@ def test_src_has_no_mode_switches():
     striping, the server's own optimizer factory and the one-line
     ``ensure_*`` / ``resolve_*_path`` aliases of ``ShardedStore.ensure`` /
     ``resolve_env_path``, ISSUE 16 the in-search fork path with its
-    variable, its constructor arguments and the backend registry; a
-    path that needs a baseline keeps it under tests/."""
+    variable, its constructor arguments and the backend registry, ISSUE 18
+    the cost service's per-sample estimate level with its second key, its
+    second LRU and the compaction knob; a path that needs a baseline keeps
+    it under tests/."""
     banned = re.compile(
         r"def set_\w+_enabled|STUBBY_EXPERIMENT_DISPATCH"
         r"|ThreadPoolExecutor|dispatch=|objective_batch"
@@ -69,6 +71,8 @@ def test_src_has_no_mode_switches():
         r"|def ensure_\w+|def resolve_(?!env_)\w+_path"
         r"|STUBBY_SEARCH_" r"BACKEND|search_" r"backend|experiment_" r"backend"
         r"|_cost_" r"tasks|DEFAULT_" r"WORKERS|available_" r"backends"
+        r"|_dataflow_" r"cache|jobmodel_" r"config_key|vertex_cost_" r"signature"
+        r"|resolve_cache_" r"max_entries|STUBBY_COST_CACHE_" r"MAX_ENTRIES"
     )
     assert [path for path, text in _src_sources() if banned.search(text)] == []
     # One fan-out level: requests and cells fork, the unit search does not.
@@ -102,7 +106,7 @@ ENV_TABLE_ROW = re.compile(r"^\| `(STUBBY_[A-Z_]+)` \| `(repro[\w.]+)` \|", re.M
 
 
 def test_env_var_table_lists_exactly_the_variables_src_reads():
-    """docs/index.md's table is the one reference: a tenth ``STUBBY_*``
+    """docs/index.md's table is the one reference: a ninth ``STUBBY_*``
     variable (or a retired one left behind) fails here, not in a reader."""
     readers = {}
     for path, text in _src_sources():
@@ -159,7 +163,6 @@ def test_ambient_path_variables_never_reach_the_suites(tmp_path):
         "STUBBY_COST_CACHE": str(tmp_path / "costs.cache"),
         "STUBBY_DECISION_CACHE": str(tmp_path / "decisions.cache"),
         "STUBBY_SUBRESULT_CATALOG": str(tmp_path / "subresults.cache"),
-        "STUBBY_COST_CACHE_MAX_ENTRIES": "100000",
         "STUBBY_EXPERIMENT_BACKEND": "process:4",
     }
     run = _pytest_subprocess(["tests/test_experiment_orchestration.py"], targets)

@@ -167,13 +167,9 @@ class TestStatsAttribution:
         generated = workflow_generator.generate(2077)
         result = _optimize(generated.plan)
         stats = result.cost_stats
-        # Job lookups are served exactly one of three ways.
-        assert (
-            stats.job_cache_hits + stats.job_dataflow_hits + stats.job_full_recosts
-            == stats.job_queries
-        )
+        # Job lookups are served exactly one of two ways.
+        assert stats.job_cache_hits + stats.job_full_recosts == stats.job_queries
         assert 0.0 <= stats.cache_hit_rate <= 1.0
-        assert 0.0 <= stats.reuse_rate <= 1.0
         assert stats.full_estimates <= stats.queries
         # Every query of the run is one candidate's costing work, a split
         # unit's composed-combination scoring, or the optimizer's single
@@ -197,9 +193,7 @@ class TestStatsAttribution:
                 # Every candidate issues at least its baseline estimate.
                 assert record.cost_stats.queries >= 1
                 assert (
-                    record.cost_stats.job_cache_hits
-                    + record.cost_stats.job_dataflow_hits
-                    + record.cost_stats.job_full_recosts
+                    record.cost_stats.job_cache_hits + record.cost_stats.job_full_recosts
                     == record.cost_stats.job_queries
                 )
             assert report.cost_queries == sum(r.cost_stats.queries for r in report.subplans)
@@ -207,7 +201,7 @@ class TestStatsAttribution:
                 r.cost_stats.job_cache_hits for r in report.subplans
             )
             assert report.jobs_recosted == sum(
-                r.cost_stats.job_cache_misses for r in report.subplans
+                r.cost_stats.job_full_recosts for r in report.subplans
             )
 
 

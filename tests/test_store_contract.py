@@ -69,7 +69,8 @@ _WORKFLOW = []
 
 def _profiled_workflow():
     if not _WORKFLOW:
-        workload = build_workload("PJ", scale=0.1)
+        # Seven jobs: one cost row per job, so a populate clears MIN_POPULATED.
+        workload = build_workload("BR", scale=0.1)
         Profiler().profile_workflow(workload.workflow, workload.base_datasets)
         _WORKFLOW.append(workload.workflow)
     return _WORKFLOW[0]
@@ -151,8 +152,8 @@ def kind(request) -> Kind:
 
 
 def without_values(rows):
-    """Persisted/exported rows minus their values: ``(*tag, key, origin)``."""
-    return [row[:-2] + row[-1:] for row in rows]
+    """Persisted/exported rows minus their values: ``(key, origin)``."""
+    return [(key, origin) for key, _value, origin in rows]
 
 
 def identities(store):

@@ -10,10 +10,23 @@ records let the optimizer reason about "data flowing unchanged" by field name.
 from __future__ import annotations
 
 from collections import Counter
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Record = Dict[str, object]
 KeyValue = Tuple[Record, Record]
+
+
+def read_only(mapping: Mapping) -> Mapping:
+    """A read-only snapshot of ``mapping`` (item assignment raises ``TypeError``).
+
+    The dict-valued fields of the frozen plan values are stored this way; an
+    existing snapshot is returned as is, so ``dataclasses.replace`` of an
+    untouched field copies nothing.
+    """
+    if type(mapping) is MappingProxyType:
+        return mapping
+    return MappingProxyType(dict(mapping))
 
 
 def project(record: Mapping[str, object], fields: Iterable[str]) -> Record:

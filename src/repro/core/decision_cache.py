@@ -84,7 +84,9 @@ DEFAULT_MAX_DECISIONS = 50_000
 #: On-disk layout version of persisted decision files; files written under a
 #: different layout are rejected wholesale.  2: the reuse transformation's
 #: key lost its third element, so version-1 rows could never hit again.
-DECISION_CACHE_FORMAT_VERSION = 2
+#: 3: the key pins every ``JobConfig`` field (version-2 keys left out
+#: ``forced_single_reduce``), so version-2 rows could never hit again either.
+DECISION_CACHE_FORMAT_VERSION = 3
 
 #: Environment variable naming a persisted decision-cache path — the
 #: decision-level sibling of ``STUBBY_COST_CACHE``, deliberately separate so

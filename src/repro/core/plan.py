@@ -50,32 +50,19 @@ class Plan:
 
     # ------------------------------------------------------------- plumbing
     def copy(self) -> "Plan":
-        """Independent copy (workflow structurally shared, history duplicated).
+        """Independent copy (vertex objects shared, history duplicated).
 
-        The workflow clone is copy-on-write (:meth:`Workflow.copy`): vertex
-        objects are shared until mutated through the CoW accessors, so
-        copying a plan is cheap no matter how large the workflow — the basis
-        of the enumeration/RRS hot loop.  History and merge lineage are
-        duplicated eagerly (they are small and mutated by plain appends).
+        Vertices are immutable values (:meth:`Workflow.copy` is two dict
+        copies), so copying a plan is cheap no matter how large the workflow
+        — the basis of the enumeration/RRS hot loop.  History and merge
+        lineage are duplicated eagerly (they are small and mutated by plain
+        appends).
         """
         return Plan(
             self.workflow.copy(),
             history=list(self.history),
             merge_lineage=dict(self.merge_lineage),
         )
-
-    def mutate_vertex(self, job_name: str, copy_job: bool = True) -> JobVertex:
-        """Privatize-and-return one job vertex for in-place mutation.
-
-        The copy-on-write entry point for transformations: only the vertices
-        a rewrite actually touches are ever copied
-        (:meth:`repro.workflow.graph.Workflow.mutate_job`).
-        """
-        return self.workflow.mutate_job(job_name, copy_job=copy_job)
-
-    def dirty_jobs(self):
-        """Names of job vertices this plan owns privately (its dirty set)."""
-        return self.workflow.dirty_jobs()
 
     def record(self, applied: AppliedTransformation) -> None:
         """Append a transformation application to the history."""
@@ -123,7 +110,7 @@ class Plan:
 
     # ------------------------------------------------------------ mutation
     def set_job_config(self, job_name: str, config: JobConfig) -> None:
-        """Replace one job's configuration (copy-on-write on the vertex)."""
+        """Rebind one job's vertex to the job under ``config``."""
         self.workflow.update_job(job_name, lambda job: job.with_config(config))
 
     def signature(self) -> Tuple:

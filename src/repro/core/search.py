@@ -398,7 +398,7 @@ class StubbySearch:
                 (
                     vertex.name,
                     self.whatif.vertex_content_key(vertex),
-                    tuple(sorted(job.config.as_dict().items())),
+                    job.config.key,
                     partition_function_key(job.effective_partitioner),
                     job_annotations_key(vertex.annotations),
                 )
@@ -713,8 +713,8 @@ class StubbySearch:
     def _evaluate_point(self, plan: Plan, point: Mapping[str, object]) -> float:
         """Objective value of one RRS configuration sample for a candidate.
 
-        The hottest loop of the whole search: one CoW plan clone per sample,
-        privatizing only the jobs whose configuration the sample moves.
+        The hottest loop of the whole search: one plan copy per sample,
+        rebinding only the jobs whose configuration the sample moves.
         (Also the finest-grained deadline check point — an unbounded budget
         costs one attribute read here.)
         """
@@ -732,8 +732,8 @@ class StubbySearch:
     ) -> List[SubplanRecord]:
         """Exhaustively enumerate the unit's subplans (configuration excluded).
 
-        Candidate plans are copy-on-write clones: each application privatizes
-        only the vertices its rewrite touches, so enumerating (and later
+        Candidate plans are copies sharing their vertices: each application
+        rebinds only the vertices its rewrite touches, so enumerating (and later
         re-costing) a candidate costs O(vertices touched), not O(workflow).
         """
         structural = [t for t in transformations if t.name != ConfigurationTransformation.name]

@@ -40,9 +40,8 @@ class ConfigurationTransformation(Transformation):
         return []
 
     def apply(self, plan: Plan, application: TransformationApplication) -> Plan:
-        # ``set_job_config`` is copy-on-write: only the reconfigured vertex
-        # is privatized (cheaply — annotations copied, pipelines shared), so
-        # a configuration candidate costs O(1), not O(workflow).
+        # ``set_job_config`` rebinds only the reconfigured vertex (annotations
+        # and pipelines shared), so a candidate costs O(1), not O(workflow).
         new_plan = plan.copy()
         job_name = application.details["job"]
         settings: Mapping[str, object] = application.details["settings"]

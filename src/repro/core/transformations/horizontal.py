@@ -28,7 +28,7 @@ from repro.mapreduce.config import JobConfig
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.partitioner import PartitionFunction
 from repro.whatif.adjustment import adjust_profile_for_horizontal_packing
-from repro.workflow.annotations import JobAnnotations
+from repro.workflow.annotations import FilterAnnotation, JobAnnotations
 from repro.workflow.graph import JobVertex, Workflow
 
 
@@ -180,20 +180,14 @@ class HorizontalPacking(Transformation):
 
     # --------------------------------------------------------------- apply
     def apply(self, plan: Plan, application: TransformationApplication) -> Plan:
-        # Copy-on-write safe without explicit privatization: the packed
-        # vertex is built from *copied* pipelines (the sources stay shared
-        # with the parent plan, untouched), and ``replace_job``/``remove_job``
-        # only touch this plan's own mappings.  Copying the pipelines keeps
-        # the CoW invariant that an owned vertex's payload is private, so a
-        # later in-place edit (partition pruning) cannot reach a sibling.
+        # The packed job holds the source jobs' (immutable) pipeline objects;
+        # ``replace_job``/``remove_job`` bind it in this plan only.
         new_plan = plan.copy()
         workflow = new_plan.workflow
         names = list(application.target_jobs)
         vertices = [workflow.job(name) for name in names]
 
-        pipelines = []
-        for vertex in vertices:
-            pipelines.extend(p.copy() for p in vertex.job.pipelines)
+        pipelines = [p for vertex in vertices for p in vertex.job.pipelines]
 
         merged_config = self._merged_config([vertex.job for vertex in vertices])
         merged_name = "+".join(names)
@@ -227,14 +221,15 @@ class HorizontalPacking(Transformation):
 
     @staticmethod
     def _merged_annotations(vertices: Sequence[JobVertex]) -> JobAnnotations:
-        annotations = JobAnnotations()
         # The combined map-output key of a horizontally packed job has no
         # single schema, so schema/filter annotations are dropped — which is
         # what later prevents vertical packing across the packed job (§4).
         profiles = [v.annotations.profile for v in vertices if v.annotations.profile is not None]
+        profile = None
         if len(profiles) == len(vertices) and profiles:
-            annotations.profile = adjust_profile_for_horizontal_packing(profiles)
+            profile = adjust_profile_for_horizontal_packing(profiles)
+        filters: Dict[str, FilterAnnotation] = {}
         for vertex in vertices:
             for dataset_name, filter_annotation in vertex.annotations.per_input_filters.items():
-                annotations.per_input_filters.setdefault(dataset_name, filter_annotation)
-        return annotations
+                filters.setdefault(dataset_name, filter_annotation)
+        return JobAnnotations(profile=profile, per_input_filters=filters)

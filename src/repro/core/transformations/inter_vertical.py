@@ -15,6 +15,7 @@ a Map-only job.  Two cases:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from repro.core.plan import Plan
@@ -102,10 +103,8 @@ class InterJobVerticalPacking(Transformation):
 
     # --------------------------------------------------------------- apply
     def apply(self, plan: Plan, application: TransformationApplication) -> Plan:
-        # Copy-on-write safe without explicit privatization: the producer and
-        # consumer vertices are only *read* (``_merged_annotations`` copies
-        # before mutating), and the merged vertex is built fresh —
-        # ``replace_job``/``remove_job`` only touch this plan's own mappings.
+        # The producer and consumer vertices are only read; the merged vertex
+        # is built fresh and bound by ``replace_job``/``remove_job``.
         new_plan = plan.copy()
         workflow = new_plan.workflow
         producer_name, consumer_name = application.target_jobs
@@ -130,19 +129,19 @@ class InterJobVerticalPacking(Transformation):
         merged_name = f"{producer.name}+{consumer.name}"
 
         if producer.job.is_map_only:
-            map_ops = list(producer_pipeline.map_ops) + list(consumer_pipeline.map_ops)
-            reduce_ops: list = []
+            map_ops = producer_pipeline.map_ops + consumer_pipeline.map_ops
+            reduce_ops: tuple = ()
         else:
-            map_ops = list(producer_pipeline.map_ops)
-            reduce_ops = list(producer_pipeline.reduce_ops) + list(consumer_pipeline.map_ops)
+            map_ops = producer_pipeline.map_ops
+            reduce_ops = producer_pipeline.reduce_ops + consumer_pipeline.map_ops
 
         merged_pipeline = Pipeline(
             tag=producer_pipeline.tag,
-            input_datasets=tuple(producer_pipeline.input_datasets),
+            input_datasets=producer_pipeline.input_datasets,
             map_ops=map_ops,
             reduce_ops=reduce_ops,
             output_dataset=consumer_pipeline.output_dataset,
-            input_partition_filter=dict(producer_pipeline.input_partition_filter),
+            input_partition_filter=producer_pipeline.input_partition_filter,
         )
         merged_job = MapReduceJob(
             name=merged_name,
@@ -169,11 +168,11 @@ class InterJobVerticalPacking(Transformation):
 
         merged_pipeline = Pipeline(
             tag=consumer_pipeline.tag,
-            input_datasets=tuple(producer_pipeline.input_datasets),
-            map_ops=list(producer_pipeline.map_ops) + list(consumer_pipeline.map_ops),
-            reduce_ops=list(consumer_pipeline.reduce_ops),
+            input_datasets=producer_pipeline.input_datasets,
+            map_ops=producer_pipeline.map_ops + consumer_pipeline.map_ops,
+            reduce_ops=consumer_pipeline.reduce_ops,
             output_dataset=consumer_pipeline.output_dataset,
-            input_partition_filter=dict(producer_pipeline.input_partition_filter),
+            input_partition_filter=producer_pipeline.input_partition_filter,
         )
         config = consumer.job.config
         if producer.job.config.chained_input and not config.chained_input:
@@ -191,7 +190,6 @@ class InterJobVerticalPacking(Transformation):
             output_schema_from=consumer,
             input_schema_from=producer,
         )
-        annotations.partition_constraint = consumer.annotations.partition_constraint
         return JobVertex(job=merged_job, annotations=annotations)
 
     @staticmethod
@@ -202,12 +200,12 @@ class InterJobVerticalPacking(Transformation):
         output_schema_from: JobVertex,
         input_schema_from: Optional[JobVertex] = None,
     ) -> JobAnnotations:
-        annotations = surviving.annotations.copy()
+        changes: dict = {}
         surviving_schema = surviving.annotations.schema
         output_schema = output_schema_from.annotations.schema
         input_schema = (input_schema_from or surviving).annotations.schema
         if surviving_schema is not None:
-            annotations.schema = SchemaAnnotation(
+            changes["schema"] = SchemaAnnotation(
                 k1=input_schema.k1 if input_schema else surviving_schema.k1,
                 v1=input_schema.v1 if input_schema else surviving_schema.v1,
                 k2=surviving_schema.k2,
@@ -218,9 +216,10 @@ class InterJobVerticalPacking(Transformation):
         surviving_profile = surviving.annotations.profile
         absorbed_profile = absorbed.annotations.profile
         if surviving_profile is not None and absorbed_profile is not None:
-            annotations.profile = adjust_profile_for_inter_job_packing(
+            changes["profile"] = adjust_profile_for_inter_job_packing(
                 surviving_profile, absorbed_profile, absorbed_into_map_side
             )
+        filters = dict(surviving.annotations.per_input_filters)
         for dataset_name, filter_annotation in absorbed.annotations.per_input_filters.items():
-            annotations.per_input_filters.setdefault(dataset_name, filter_annotation)
-        return annotations
+            filters.setdefault(dataset_name, filter_annotation)
+        return replace(surviving.annotations, per_input_filters=filters, **changes)

@@ -160,9 +160,8 @@ class IntraJobVerticalPacking(Transformation):
 
     # -------------------------------------------------------------- apply
     def apply(self, plan: Plan, application: TransformationApplication) -> Plan:
-        # The rewrite is local: only the producer and consumer vertices are
-        # privatized (copy-on-write); every other vertex stays shared with
-        # the input plan.
+        # The rewrite is local: only the producer and consumer names are
+        # rebound; every other vertex stays shared with the input plan.
         new_plan = plan.copy()
         workflow = new_plan.workflow
         case = application.details["case"]
@@ -189,13 +188,17 @@ class IntraJobVerticalPacking(Transformation):
                 producer_name, lambda job: job.with_partitioner(new_partitioner)
             )
             producer_profile = producer.annotations.profile
-            producer.annotations.partition_constraint = new_partitioner
-            producer.annotations.conditions["chained_consumer"] = consumer_name
+            workflow.annotate_job(
+                producer_name,
+                partition_constraint=new_partitioner,
+                conditions={**producer.annotations.conditions, "chained_consumer": consumer_name},
+            )
 
         if original_consumer_profile is not None:
             base = producer_profile if producer_profile is not None else original_consumer_profile
-            consumer.annotations.profile = adjust_profile_for_intra_job_packing(
-                base, original_consumer_profile
+            workflow.annotate_job(
+                consumer_name,
+                profile=adjust_profile_for_intra_job_packing(base, original_consumer_profile),
             )
 
         return self._record(new_plan, application)
@@ -206,11 +209,10 @@ class IntraJobVerticalPacking(Transformation):
         old = job.pipelines[0]
         packed = Pipeline(
             tag=old.tag,
-            input_datasets=tuple(old.input_datasets),
-            map_ops=list(old.map_ops) + list(old.reduce_ops),
-            reduce_ops=[],
+            input_datasets=old.input_datasets,
+            map_ops=old.map_ops + old.reduce_ops,
             output_dataset=old.output_dataset,
-            input_partition_filter=dict(old.input_partition_filter),
+            input_partition_filter=old.input_partition_filter,
         )
         new_config = job.config.replace(
             num_reduce_tasks=0,

@@ -15,6 +15,7 @@ by a prior intra-job vertical packing).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.plan import Plan
@@ -209,9 +210,8 @@ class PartitionFunctionTransformation(Transformation):
 
     # --------------------------------------------------------------- apply
     def apply(self, plan: Plan, application: TransformationApplication) -> Plan:
-        # Copy-on-write: only the producer and the consumers whose pruning
-        # filters actually change are privatized; untouched vertices stay
-        # shared with the input plan.
+        # Only the producer and the consumers whose pruning filters actually
+        # change are rebound; untouched vertices stay shared with the input.
         new_plan = plan.copy()
         workflow = new_plan.workflow
         dataset_name = application.details["dataset"]
@@ -245,24 +245,18 @@ class PartitionFunctionTransformation(Transformation):
         dataset_name: str,
         consumer_filters: Dict[str, Tuple[float, float]],
     ) -> None:
-        """Set partition-pruning filters on each consumer's reading pipelines.
-
-        Pipelines are mutated in place, so each touched consumer is
-        privatized first — ``mutate_job`` with a full job copy guarantees
-        the pipelines edited here belong to this workflow alone.
-        """
+        """Rebind each consumer with pruning filters on its reading pipelines."""
         for consumer_name, (low, high) in consumer_filters.items():
             if not workflow.has_job(consumer_name):
                 continue
             allowed = ranges.partitions_overlapping(low, high)
             if not allowed:
                 continue
-            if not any(
-                pipeline.reads(dataset_name)
-                for pipeline in workflow.job(consumer_name).job.pipelines
-            ):
+            pipelines = workflow.job(consumer_name).job.pipelines
+            if not any(pipeline.reads(dataset_name) for pipeline in pipelines):
                 continue
-            consumer = workflow.mutate_job(consumer_name)
-            for pipeline in consumer.job.pipelines:
-                if pipeline.reads(dataset_name):
-                    pipeline.input_partition_filter[dataset_name] = tuple(allowed)
+            pruned = [
+                p.with_partition_filter(dataset_name, allowed) if p.reads(dataset_name) else p
+                for p in pipelines
+            ]
+            workflow.update_job(consumer_name, lambda job: replace(job, pipelines=pruned))

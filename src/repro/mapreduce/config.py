@@ -10,7 +10,8 @@ can be sampled and clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.rng import DeterministicRNG
@@ -94,8 +95,17 @@ class JobConfig:
                 allowed[name] = bool(value)
         return self.replace(**allowed)
 
+    @cached_property
+    def key(self) -> Tuple[object, ...]:
+        """Every field's value in declaration order, built once per config.
+
+        The content a cache key must pin: :meth:`as_dict` leaves out the two
+        constraint fields, and :meth:`with_settings` reads one of them.
+        """
+        return tuple(getattr(self, f.name) for f in fields(self))
+
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view used for reporting and for RRS seeding."""
+        """Plain-dict view of the searched settings, for reporting and RRS seeding."""
         return {
             "num_reduce_tasks": self.num_reduce_tasks,
             "split_size_mb": self.split_size_mb,

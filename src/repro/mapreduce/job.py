@@ -10,7 +10,7 @@ of tagged pipelines plus the partition function; ``c`` is the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import ExecutionError
 from repro.mapreduce.config import JobConfig
@@ -18,25 +18,29 @@ from repro.mapreduce.partitioner import PartitionFunction
 from repro.mapreduce.pipeline import Operator, Pipeline, map_operator, reduce_operator
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MapReduceJob:
-    """An executable (possibly packed) MapReduce job."""
+    """An executable (possibly packed) MapReduce job.
+
+    Immutable, compared and hashed by identity; derive variants with
+    :meth:`with_config` / :meth:`with_partitioner` (or ``dataclasses.replace``).
+    """
 
     name: str
-    pipelines: List[Pipeline]
+    pipelines: Tuple[Pipeline, ...]
     partitioner: Optional[PartitionFunction] = None
     config: JobConfig = field(default_factory=JobConfig)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pipelines", tuple(self.pipelines))
         if not self.pipelines:
             raise ExecutionError(f"job {self.name!r} has no pipelines")
         tags = [p.tag for p in self.pipelines]
         if len(tags) != len(set(tags)):
             raise ExecutionError(f"job {self.name!r} has duplicate pipeline tags")
-        if self.is_map_only and not self.config.is_map_only:
-            self.config = self.config.replace(num_reduce_tasks=0)
-        if not self.is_map_only and self.config.is_map_only:
-            self.config = self.config.replace(num_reduce_tasks=1)
+        if self.is_map_only != self.config.is_map_only:
+            reduces = 0 if self.is_map_only else 1
+            object.__setattr__(self, "config", self.config.replace(num_reduce_tasks=reduces))
 
     # ------------------------------------------------------------ properties
     @property
@@ -84,45 +88,14 @@ class MapReduceJob:
                     group_fields.append(field_name)
         return PartitionFunction.default_hash(group_fields)
 
-    # ------------------------------------------------------------- mutation
+    # ----------------------------------------------------------- derivation
     def with_config(self, config: JobConfig) -> "MapReduceJob":
-        """Copy of this job with a different configuration.
-
-        The pipeline *objects* are shared with the source job (fresh list,
-        same pipelines): configurations live on the job, so a config-only
-        derivation needs no pipeline copies — the allocation that used to
-        dominate the RRS sampling loop.  Nothing mutates pipelines in place
-        except the partition-function transformation, which goes through the
-        workflow CoW layer (:meth:`repro.workflow.graph.Workflow.mutate_job`)
-        and receives privately copied pipelines first.
-        """
-        return MapReduceJob(
-            name=self.name,
-            pipelines=list(self.pipelines),
-            partitioner=self.partitioner,
-            config=config,
-        )
+        """This job under a different configuration (pipelines shared)."""
+        return MapReduceJob(self.name, self.pipelines, self.partitioner, config)
 
     def with_partitioner(self, partitioner: PartitionFunction) -> "MapReduceJob":
-        """Copy of this job with a different partition function.
-
-        Shares pipeline objects with the source, like :meth:`with_config`.
-        """
-        return MapReduceJob(
-            name=self.name,
-            pipelines=list(self.pipelines),
-            partitioner=partitioner,
-            config=self.config,
-        )
-
-    def copy(self, name: Optional[str] = None) -> "MapReduceJob":
-        """Deep-enough copy of the job (operators themselves are immutable)."""
-        return MapReduceJob(
-            name=name or self.name,
-            pipelines=[p.copy() for p in self.pipelines],
-            partitioner=self.partitioner,
-            config=self.config,
-        )
+        """This job under a different partition function (pipelines shared)."""
+        return MapReduceJob(self.name, self.pipelines, partitioner, self.config)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shape = "map-only" if self.is_map_only else f"{self.config.num_reduce_tasks} reducers"
@@ -131,7 +104,7 @@ class MapReduceJob:
 
 def simple_job(
     name: str,
-    input_dataset: str,
+    input_dataset: Union[str, Sequence[str]],
     output_dataset: str,
     map_fn,
     reduce_fn=None,
@@ -147,6 +120,8 @@ def simple_job(
 
     This is the "program-based interface": the user provides plain map and
     reduce callables, exactly as they would write Hadoop jobs by hand.
+    ``input_dataset`` is one name, or several for a job whose single
+    pipeline reads more than one dataset (a repartition join).
     """
     map_ops: List[Operator] = [
         map_operator(map_name or f"{name}.map", map_fn, cpu_cost_per_record=map_cpu_cost)
@@ -166,7 +141,7 @@ def simple_job(
         )
     pipeline = Pipeline(
         tag=name,
-        input_datasets=(input_dataset,),
+        input_datasets=(input_dataset,) if isinstance(input_dataset, str) else input_dataset,
         map_ops=map_ops,
         reduce_ops=reduce_ops,
         output_dataset=output_dataset,

@@ -20,10 +20,10 @@ side, with a tag, input datasets, and an output dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
-from repro.common.records import KeyValue, Record, sort_key_for
+from repro.common.records import KeyValue, Record, read_only, sort_key_for
 
 MapCallable = Callable[[Record, Record], Iterable[KeyValue]]
 ReduceCallable = Callable[[Record, List[Record]], Iterable[KeyValue]]
@@ -108,7 +108,7 @@ def identity_map(key: Record, value: Record) -> Iterable[KeyValue]:
     yield key, value
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Pipeline:
     """A tagged chain of operators from input dataset(s) to an output dataset.
 
@@ -117,17 +117,26 @@ class Pipeline:
     output carrying this pipeline's tag.  A pipeline with no reduce
     operators is *map-only*: its map-side output is written directly to the
     output dataset without the partition/sort/shuffle machinery.
+
+    Immutable, compared and hashed by identity: list arguments are stored as
+    tuples and the partition filter as a read-only mapping, so jobs derived
+    from one another share pipeline objects freely.
     """
 
     tag: str
     input_datasets: Tuple[str, ...]
-    map_ops: List[Operator] = field(default_factory=list)
-    reduce_ops: List[Operator] = field(default_factory=list)
+    map_ops: Tuple[Operator, ...] = ()
+    reduce_ops: Tuple[Operator, ...] = ()
     output_dataset: str = ""
     #: Optional partition pruning: dataset name -> partition indexes to read.
-    input_partition_filter: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
+    input_partition_filter: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("input_datasets", "map_ops", "reduce_ops"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(
+            self, "input_partition_filter", read_only(self.input_partition_filter)
+        )
         if not self.input_datasets:
             raise ValueError(f"pipeline {self.tag!r} has no input datasets")
         if not self.output_dataset:
@@ -172,16 +181,10 @@ class Pipeline:
         """Partition indexes to read for ``dataset_name`` (None = all)."""
         return self.input_partition_filter.get(dataset_name)
 
-    def copy(self) -> "Pipeline":
-        """Deep-enough copy (operators are immutable and shared)."""
-        return Pipeline(
-            tag=self.tag,
-            input_datasets=tuple(self.input_datasets),
-            map_ops=list(self.map_ops),
-            reduce_ops=list(self.reduce_ops),
-            output_dataset=self.output_dataset,
-            input_partition_filter=dict(self.input_partition_filter),
-        )
+    def with_partition_filter(self, dataset_name: str, allowed: Sequence[int]) -> "Pipeline":
+        """This pipeline reading only partitions ``allowed`` of ``dataset_name``."""
+        pruned = {**self.input_partition_filter, dataset_name: tuple(allowed)}
+        return replace(self, input_partition_filter=pruned)
 
 
 # ---------------------------------------------------------------------------

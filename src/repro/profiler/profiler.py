@@ -89,12 +89,8 @@ class Profiler:
             result.job_profiles[vertex.name] = profile
 
         if attach:
-            for name in list(workflow.job_names):
-                # Workflows are copy-on-write: privatize each vertex before
-                # writing its profile so a shared ancestor (e.g. the workload
-                # the caller copied this workflow from) never sees it.
-                owned = workflow.mutate_job(name, copy_job=False)
-                owned.annotations.profile = result.job_profiles[name]
+            for name, profile in result.job_profiles.items():
+                workflow.annotate_job(name, profile=profile)
             for name, annotation in result.dataset_annotations.items():
                 if workflow.has_dataset(name):
                     workflow.add_dataset(name, dataset=base_datasets[name], annotation=annotation)

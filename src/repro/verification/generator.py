@@ -202,13 +202,16 @@ class RandomWorkflowGenerator:
         workflow.add_job(branch_a, annotations_a)
         workflow.add_job(branch_b, annotations_b)
 
+        # The sum job's single pipeline reads both diamond branches: the map
+        # keys by "k" either way, and summing is order-insensitive, so the
+        # fan-in is a pure multiset union of the two inputs.
         fan_in, fan_in_annotations = self._build_sum(
-            f"D{seed}_J2", f"diamond{seed}_d0", f"diamond{seed}_d2", job_rng.fork("j2"), config
+            f"D{seed}_J2",
+            (f"diamond{seed}_d0", f"diamond{seed}_d1"),
+            f"diamond{seed}_d2",
+            job_rng.fork("j2"),
+            config,
         )
-        # Widen the sum job's single pipeline to read both diamond branches:
-        # the map keys by "k" either way, and summing is order-insensitive,
-        # so the fan-in is a pure multiset union of the two inputs.
-        fan_in.pipelines[0].input_datasets = (f"diamond{seed}_d0", f"diamond{seed}_d1")
         workflow.add_job(fan_in, fan_in_annotations)
 
         sink_a, sink_a_annotations = self._build_aggregate(
@@ -303,18 +306,16 @@ class RandomWorkflowGenerator:
             group = channel_outputs[start : start + fanin]
             output = f"telemetry{seed}_roll{index}"
             job, annotations = self._build_sum(
-                f"T{seed}_R{index}", group[0], output, job_rng.fork(f"roll{index}"), config
+                f"T{seed}_R{index}", tuple(group), output, job_rng.fork(f"roll{index}"), config
             )
-            job.pipelines[0].input_datasets = tuple(group)
             workflow.add_job(job, annotations)
             rollup_outputs.append(output)
 
         if len(rollup_outputs) > 1:
             total, total_annotations = self._build_sum(
-                f"T{seed}_TOTAL", rollup_outputs[0], f"telemetry{seed}_total",
+                f"T{seed}_TOTAL", tuple(rollup_outputs), f"telemetry{seed}_total",
                 job_rng.fork("total"), config,
             )
-            total.pipelines[0].input_datasets = tuple(rollup_outputs)
             workflow.add_job(total, total_annotations)
         return self._finalize(seed, workflow, base_datasets)
 
@@ -492,8 +493,9 @@ class RandomWorkflowGenerator:
 
     @staticmethod
     def _build_sum(
-        name: str, input_name: str, output_name: str, rng: DeterministicRNG, config: GeneratorConfig
+        name: str, input_name, output_name: str, rng: DeterministicRNG, config: GeneratorConfig
     ) -> Tuple[MapReduceJob, JobAnnotations]:
+        """``input_name`` is one dataset name or a tuple of them (fan-in)."""
         combiner = common.sum_combiner("x") if rng.random() < config.combiner_probability else None
         job = simple_job(
             name=name,

@@ -117,7 +117,7 @@ class _PipelineLocalKey:
 class _VertexLocalKey:
     """Everything a vertex's dataflow signature reads from the vertex itself.
 
-    Memoized per shared-vertex identity: under copy-on-write plans an
+    Memoized per shared-vertex identity: across plan copies an
     unchanged vertex is literally the same object across candidate plans, so
     its local key — the expensive part of the signature, walking every
     pipeline and operator — is derived once and reused by every candidate
@@ -139,18 +139,15 @@ class WhatIfEngine:
         self.cluster = cluster
         #: id(profile) -> (pinned profile, content key); see ``_profile_key``.
         self._profile_keys: Dict[int, Tuple[ProfileAnnotation, Tuple]] = {}
-        #: id(vertex) -> (pinned vertex, pinned job, pinned profile, local
-        #: key); the whole-vertex extension of the ``_profile_key`` pattern.
-        #: Valid while the pinned vertex still carries the pinned job and
-        #: profile objects — any CoW privatization produces a new vertex (new
-        #: id), and the rebind guards catch in-place ``.job`` / ``.profile``
-        #: swaps on a surviving vertex.
-        self._vertex_keys: Dict[int, Tuple[JobVertex, MapReduceJob, object, _VertexLocalKey]] = {}
+        #: id(vertex) -> (pinned vertex, local key); the whole-vertex
+        #: extension of the ``_profile_key`` pattern.  Vertices are frozen,
+        #: so an entry is valid for as long as its vertex is pinned.
+        self._vertex_keys: Dict[int, Tuple[JobVertex, _VertexLocalKey]] = {}
         #: id(pipeline) -> (pinned pipeline, pipeline local key).  Pipelines
         #: are shared across config-only job derivations
         #: (:meth:`~repro.mapreduce.job.MapReduceJob.with_config`), so the
         #: per-pipeline keys survive RRS configuration samples even though
-        #: each sample privatizes (re-creates) the tuned job's vertex.
+        #: each sample rebinds the tuned job to a new vertex.
         self._pipeline_keys: Dict[int, Tuple[object, _PipelineLocalKey]] = {}
         #: Incremental-signature counters (bounded per cold ``optimize()`` by
         #: ``tests/test_plan_cow.py``): how many vertex signatures were derived
@@ -179,7 +176,7 @@ class WhatIfEngine:
         ``topological_levels()`` and ``base_datasets()`` answer from the
         workflow's cached topology index, so the per-query topology tax is
         O(jobs) — and amortizes to the cache lookup across the repeated
-        costing of candidate plans, whose CoW copies share the index with
+        costing of candidate plans, whose copies share the index with
         the plan they were cloned from (see ``docs/costing.md``).
         """
         sizes = self._base_dataset_sizes(workflow)
@@ -276,8 +273,8 @@ class WhatIfEngine:
 
         The signature is assembled **incrementally**: the vertex-content half
         (pipelines, operators, partitioner, profile key) is memoized per
-        vertex identity (``_vertex_local_key``), so under copy-on-write plans
-        only a candidate's *dirty* vertices — the ones its rewrite privatized
+        vertex identity (``_vertex_local_key``), so across plan copies
+        only a candidate's *dirty* vertices — the ones its rewrite rebound
         — ever pay the full derivation walk.  The assembled tuple is
         bit-identical to a from-scratch derivation, so cache keys (and
         persisted caches) are unaffected by where the parts came from.
@@ -321,7 +318,7 @@ class WhatIfEngine:
         (operators, inputs, outputs), partitioner fields, combiner activity,
         profile content, and the chaining flag.  Served by the incremental
         memo (:meth:`_vertex_local_key`), so deriving it for every vertex of
-        a mostly-shared CoW plan is O(dirty vertices) — the decision cache
+        a mostly-shared plan copy is O(dirty vertices) — the decision cache
         (:mod:`repro.core.decision_cache`) builds unit signatures from it.
         """
         return self._vertex_local_key(vertex)
@@ -329,12 +326,11 @@ class WhatIfEngine:
     def _vertex_local_key(self, vertex: JobVertex) -> _VertexLocalKey:
         """The vertex-content half of the signature, memoized by identity.
 
-        Two memo levels, mirroring what copy-on-write plans actually share:
+        Two memo levels, mirroring what plan copies actually share:
 
         * **vertex level** — an unchanged vertex is the *same object* across
-          CoW plan copies, so its complete local key is served by identity
-          (pinning the vertex keeps the id stable; the job/profile rebind
-          guards catch in-place swaps on a surviving owned vertex);
+          plan copies, so its complete local key is served by identity
+          (pinning the vertex keeps the id stable, and a vertex is frozen);
         * **pipeline level** — a config-only derivation
           (:meth:`~repro.mapreduce.job.MapReduceJob.with_config`, the RRS
           sampling loop) creates a fresh vertex but *shares* the pipeline
@@ -347,14 +343,9 @@ class WhatIfEngine:
         ``signature_memo_hits``.
         """
         entry = self._vertex_keys.get(id(vertex))
-        if (
-            entry is not None
-            and entry[0] is vertex
-            and entry[1] is vertex.job
-            and entry[2] is vertex.annotations.profile
-        ):
+        if entry is not None and entry[0] is vertex:
             self.signature_memo_hits += 1
-            return entry[3]
+            return entry[1]
 
         job = vertex.job
         config = job.config
@@ -396,7 +387,7 @@ class WhatIfEngine:
         )
         if len(self._vertex_keys) >= _MAX_VERTEX_KEYS:
             self._vertex_keys.clear()
-        self._vertex_keys[id(vertex)] = (vertex, job, vertex.annotations.profile, local)
+        self._vertex_keys[id(vertex)] = (vertex, local)
         return local
 
     def _profile_key(self, profile: Optional[ProfileAnnotation]) -> Optional[Tuple]:

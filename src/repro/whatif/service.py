@@ -164,9 +164,9 @@ class CostService(ShardedStore):
     :class:`~repro.core.optimizer.StubbyOptimizer`, and the baseline
     optimizers go through one service instance, so cache entries are shared
     across candidate subplans, RRS samples, units, and phases — candidate
-    plans are copy-on-write clones whose unchanged vertices are *shared
-    objects*, so their signatures come from the engine's identity memo, and
-    the content-based keys make even privatized copies cache-transparent.
+    plans are copies whose unchanged vertices are *shared objects*, so their
+    signatures come from the engine's identity memo, and the content-based
+    keys make even rebound vertices cache-transparent.
     See :mod:`repro.common.store` for the concurrency model.
 
     The inherited ``_cache`` is the one memo level: dataflow signature →

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import AnnotationError
+from repro.common.records import read_only
+from repro.mapreduce.partitioner import PartitionFunction
 
 FieldSet = FrozenSet[str]
 
@@ -339,12 +341,13 @@ class ProfileAnnotation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class JobAnnotations:
     """All annotations attached to one job vertex.
 
-    ``slots=True``: the container is copied once per vertex privatized by a
-    copy-on-write plan mutation — a hot allocation in the enumeration loop.
+    Immutable: the two mapping fields are stored read-only, and an edit is
+    ``dataclasses.replace(annotations, ...)`` bound to the vertex through
+    :meth:`repro.workflow.graph.Workflow.annotate_job`.
 
     Besides the paper's three annotation categories, the container also
     carries *conditions* imposed on the job by previously applied
@@ -360,24 +363,15 @@ class JobAnnotations:
     profile: Optional[ProfileAnnotation] = None
     #: Filters applied per input dataset name (when a job reads several
     #: datasets with different predicates, e.g. the log-analysis join).
-    per_input_filters: Dict[str, FilterAnnotation] = field(default_factory=dict)
+    per_input_filters: Mapping[str, FilterAnnotation] = field(default_factory=dict)
     #: Constraint on the job's partition function imposed by a transformation.
-    #: Typed loosely to avoid an import cycle; holds a
-    #: :class:`repro.mapreduce.partitioner.PartitionFunction` when set.
-    partition_constraint: Optional[object] = None
+    partition_constraint: Optional[PartitionFunction] = None
     #: Free-form condition flags, e.g. {"chained_consumer": "J7"}.
-    conditions: Dict[str, object] = field(default_factory=dict)
+    conditions: Mapping[str, object] = field(default_factory=dict)
 
-    def copy(self) -> "JobAnnotations":
-        """Shallow copy (the contained annotations are immutable)."""
-        return JobAnnotations(
-            schema=self.schema,
-            filter=self.filter,
-            profile=self.profile,
-            per_input_filters=dict(self.per_input_filters),
-            partition_constraint=self.partition_constraint,
-            conditions=dict(self.conditions),
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "per_input_filters", read_only(self.per_input_filters))
+        object.__setattr__(self, "conditions", read_only(self.conditions))
 
     @property
     def has_schema(self) -> bool:

@@ -5,26 +5,18 @@ datasets, and whose edges connect jobs to their input and output datasets
 (paper §2.1).  Edges are derived from the jobs' declared input/output dataset
 names, so the graph is always consistent with the executable jobs it holds.
 
-Workflows are **copy-on-write**: :meth:`Workflow.copy` shares the vertex
-objects between the original and the clone (only the name→vertex mappings are
-duplicated), and every shared vertex is copied lazily the first time either
-side mutates it through :meth:`Workflow.mutate_job` /
-:meth:`Workflow.update_job` / :meth:`Workflow.add_dataset`.  Stubby's
-transformations are local rewrites (paper §3), so a candidate plan typically
-privatizes one or two vertices out of a workflow of many — the deep-copy tax
-of enumeration drops from O(jobs) to O(jobs touched).  The contract this
-rests on:
-
-* **shared vertices are never mutated in place** — all mutation goes through
-  the CoW accessors above, which privatize first;
-* **an owned (privatized) vertex's payload is private** — its
-  ``JobAnnotations`` is always copied, and its job/pipelines are either
-  copied (``mutate_job``) or freshly constructed by the caller
-  (``update_job``, :meth:`Workflow.replace_job`), so in-place pipeline edits
-  on an owned vertex can never reach a sibling plan.
-
-:data:`COPY_COUNTERS` tallies the workflow and vertex copies actually
-performed — bounded per cold ``optimize()`` by ``tests/test_plan_cow.py``.
+Everything a workflow maps a name to is an **immutable value**: job and
+dataset vertices, and the jobs, pipelines and annotations under them, are
+frozen dataclasses compared by identity.  A workflow owns only its two
+name→vertex dicts and its topology index, so :meth:`Workflow.copy` is two
+dict copies and every edit *rebinds a name* to a new value
+(:meth:`Workflow.update_job` / :meth:`Workflow.annotate_job` /
+:meth:`Workflow.replace_job` / :meth:`Workflow.add_dataset`) — no other
+workflow holding the old value can see it.  Stubby's transformations are
+local rewrites (paper §3), so a candidate plan rebinds one or two names out
+of many and shares every other vertex object with its parent.
+:data:`COPY_COUNTERS` tallies the workflow copies and vertex rebinds
+performed.
 
 Structural queries (``producer_of``/``consumers_of``/``producer_jobs``/
 ``consumer_jobs``/``base_datasets``/``terminal_datasets``/
@@ -32,7 +24,7 @@ Structural queries (``producer_of``/``consumers_of``/``producer_jobs``/
 ``topological_levels``) answer from a lazily built **topology index**
 (:class:`_TopologyIndex`): producer/consumer adjacency per dataset plus
 cached topological order and levels, maintained *incrementally* through the
-mutation surface above and shared between CoW clones until either side
+mutation surface above and shared between copies until either side
 mutates structure.  Answers are bit-identical — including insertion-order
 tie-breaks — to brute-force scans of the job table; that reference
 implementation lives in ``tests/graph_oracle.py`` and
@@ -44,8 +36,8 @@ performed.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import WorkflowValidationError
 from repro.dfs.dataset import Dataset
@@ -54,21 +46,17 @@ from repro.workflow.annotations import DatasetAnnotation, JobAnnotations
 
 
 class CopyCounters:
-    """Process-wide tallies of plan/vertex copying (CoW instrumentation).
+    """Process-wide tallies of plan copying and vertex rebinding.
 
-    ``vertex_copies`` counts *full* job-vertex copies (job + pipelines +
-    annotations); ``vertex_shell_copies`` counts borrowed privatizations
-    (annotations copied, job payload shared — the cheap CoW path of the
-    configuration hot loop).  Counters are advisory (no lock): the
-    benchmarks that assert on them run single-threaded.
+    ``workflow_copies`` counts :meth:`Workflow.copy` calls and
+    ``vertex_shell_copies`` the vertices rebound by
+    :meth:`Workflow.update_job` / :meth:`Workflow.annotate_job`.
+    ``vertex_copies`` (deep job copies) no longer has a writer and reads 0;
+    the slot stays because ``bench/cold.py`` reads it by name.  Counters are
+    advisory (no lock): the tests that assert on them run single-threaded.
     """
 
-    __slots__ = (
-        "workflow_copies",
-        "vertex_copies",
-        "vertex_shell_copies",
-        "dataset_vertex_copies",
-    )
+    __slots__ = ("workflow_copies", "vertex_copies", "vertex_shell_copies")
 
     def __init__(self) -> None:
         self.reset()
@@ -78,7 +66,6 @@ class CopyCounters:
         self.workflow_copies = 0
         self.vertex_copies = 0
         self.vertex_shell_copies = 0
-        self.dataset_vertex_copies = 0
 
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict view of the current counters."""
@@ -95,7 +82,7 @@ class TopologyCounters:
     ``index_queries`` counts structure queries answered from the adjacency
     index.  ``index_builds`` are from-scratch adjacency constructions (lazy,
     once per workflow lineage), ``incremental_updates`` are single-mutation
-    touch-ups, and ``index_copies`` are CoW privatizations of an index
+    touch-ups, and ``index_copies`` are private copies taken of an index
     shared through :meth:`Workflow.copy`.  ``toposort_builds`` vs
     ``toposort_cache_hits`` measure how often the cached topological
     order/levels survive mutation.  Counters are advisory (no lock): the
@@ -149,15 +136,14 @@ class _TopologyIndex:
     :meth:`Workflow.replace_job` keeps the vertex's position in the job
     dict.  ``topo_names``/``level_names`` cache the topological order and
     levels (by name — the caller re-binds names to its *current* vertex
-    objects, so CoW vertex privatization never stales the cache); any
-    structural mutation clears them, while config-only CoW mutations
-    (:meth:`Workflow.mutate_job`, edge-preserving
-    :meth:`Workflow.update_job`) leave them valid.
+    objects, so rebinding a vertex never stales the cache); any structural
+    mutation clears them, while edge-preserving rebinds
+    (:meth:`Workflow.annotate_job`, config-only :meth:`Workflow.update_job`)
+    leave them valid.
 
     Lifecycle: built lazily on the first structural query, shared between a
-    workflow and its CoW clones by :meth:`Workflow.copy`, and privatized
-    (copied) by whichever side mutates structure first — exactly the
-    vertex-sharing protocol, applied to the index.
+    workflow and its copies by :meth:`Workflow.copy`, and privatized
+    (copied) by whichever side mutates structure first.
     """
 
     __slots__ = ("producers", "consumers", "order_keys", "next_key", "topo_names", "level_names")
@@ -183,7 +169,7 @@ class _TopologyIndex:
         return index
 
     def copy(self) -> "_TopologyIndex":
-        """Independent copy (CoW privatization of a shared index)."""
+        """Independent copy (privatization of a shared index)."""
         clone = _TopologyIndex()
         clone.producers = {name: list(jobs) for name, jobs in self.producers.items()}
         clone.consumers = {name: list(jobs) for name, jobs in self.consumers.items()}
@@ -264,9 +250,9 @@ class _TopologyIndex:
         TOPOLOGY_COUNTERS.incremental_updates += 1
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class JobVertex:
-    """A job vertex: the executable job plus its annotations."""
+    """A job vertex: the executable job plus its annotations (immutable)."""
 
     job: MapReduceJob
     annotations: JobAnnotations = field(default_factory=JobAnnotations)
@@ -276,38 +262,18 @@ class JobVertex:
         """The job's name (vertex identity)."""
         return self.job.name
 
-    def copy(self, copy_job: bool = True) -> "JobVertex":
-        """Copy of the vertex with copied annotations (and, by default, job).
 
-        ``copy_job=False`` *borrows* the job object instead of copying it —
-        for callers about to rebind ``.job`` with a derived job anyway
-        (:meth:`Workflow.update_job`) or that only mutate annotations.  A
-        borrowed job must never be mutated in place; the owning workflow
-        tracks borrowed payloads and copies them before any in-place job
-        mutation (see :meth:`Workflow.mutate_job`).
-        """
-        if copy_job:
-            COPY_COUNTERS.vertex_copies += 1
-        else:
-            COPY_COUNTERS.vertex_shell_copies += 1
-        return JobVertex(
-            job=self.job.copy() if copy_job else self.job,
-            annotations=self.annotations.copy(),
-        )
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DatasetVertex:
-    """A dataset vertex: name, optional materialized data, and annotations."""
+    """A dataset vertex: name, optional materialized data, and annotations.
+
+    The vertex is immutable; the materialized :class:`Dataset` it may point
+    at is data, not plan, and is shared by every vertex that names it.
+    """
 
     name: str
     dataset: Optional[Dataset] = None
     annotation: Optional[DatasetAnnotation] = None
-
-    def copy(self) -> "DatasetVertex":
-        """Copy of the vertex (the materialized dataset object is shared)."""
-        COPY_COUNTERS.dataset_vertex_copies += 1
-        return DatasetVertex(name=self.name, dataset=self.dataset, annotation=self.annotation)
 
 
 class Workflow:
@@ -317,17 +283,8 @@ class Workflow:
         self.name = name
         self._jobs: Dict[str, JobVertex] = {}
         self._datasets: Dict[str, DatasetVertex] = {}
-        #: Names of vertices whose *objects* are shared with another workflow
-        #: (populated by :meth:`copy`, drained by the CoW accessors).  A name
-        #: absent from the set means this workflow owns the vertex privately.
-        self._shared_jobs: Set[str] = set()
-        self._shared_datasets: Set[str] = set()
-        #: Owned vertices whose ``.job`` payload is still shared (privatized
-        #: with ``copy_job=False``); an in-place job mutation must copy the
-        #: payload first.
-        self._borrowed_jobs: Set[str] = set()
         #: Lazily built topology index (see :class:`_TopologyIndex`), shared
-        #: with CoW clones until either side mutates structure.
+        #: with copies until either side mutates structure.
         self._topo_index: Optional[_TopologyIndex] = None
         self._topo_shared: bool = False
 
@@ -351,8 +308,7 @@ class Workflow:
 
         ``None`` when no index has been built yet (nothing to maintain — the
         next structural query rebuilds from scratch); a private copy when the
-        current index is shared with a CoW sibling (privatize-before-mutate,
-        the same protocol the vertices follow).
+        current index is shared with a sibling (privatize-before-mutate).
         """
         index = self._topo_index
         if index is None:
@@ -374,14 +330,17 @@ class Workflow:
             raise WorkflowValidationError(f"duplicate job name {job.name!r}")
         vertex = JobVertex(job=job, annotations=annotations or JobAnnotations())
         self._jobs[job.name] = vertex
-        self._shared_jobs.discard(job.name)
-        for dataset_name in job.input_datasets + job.output_datasets:
-            if dataset_name not in self._datasets:
-                self._datasets[dataset_name] = DatasetVertex(name=dataset_name)
+        self._ensure_datasets(job)
         index = self._topology_for_mutation()
         if index is not None:
             index.add_job(job)
         return vertex
+
+    def _ensure_datasets(self, job: MapReduceJob) -> None:
+        """Create bare dataset vertices for names ``job`` reads or writes."""
+        for dataset_name in job.input_datasets + job.output_datasets:
+            if dataset_name not in self._datasets:
+                self._datasets[dataset_name] = DatasetVertex(name=dataset_name)
 
     def add_dataset(
         self,
@@ -389,34 +348,28 @@ class Workflow:
         dataset: Optional[Dataset] = None,
         annotation: Optional[DatasetAnnotation] = None,
     ) -> DatasetVertex:
-        """Add (or enrich) a dataset vertex (copy-on-write when shared).
+        """Add a dataset vertex, or rebind it enriched with data / an annotation.
 
         Index-neutral: dataset payloads and annotations carry no edges, so
         the topology index and its cached order/levels stay valid.
         """
         vertex = self._datasets.get(name)
         if vertex is None:
-            vertex = DatasetVertex(name=name)
-            self._datasets[name] = vertex
-            self._shared_datasets.discard(name)
-        elif (dataset is not None or annotation is not None) and name in self._shared_datasets:
-            vertex = vertex.copy()
-            self._datasets[name] = vertex
-            self._shared_datasets.discard(name)
-        if dataset is not None:
-            vertex.dataset = dataset
-        if annotation is not None:
-            vertex.annotation = annotation
+            vertex = DatasetVertex(name, dataset, annotation)
+        elif dataset is not None or annotation is not None:
+            vertex = DatasetVertex(
+                name,
+                vertex.dataset if dataset is None else dataset,
+                vertex.annotation if annotation is None else annotation,
+            )
+        self._datasets[name] = vertex
         return vertex
 
     def remove_job(self, name: str) -> None:
         """Remove a job vertex (dataset vertices are kept; prune separately)."""
         if name not in self._jobs:
             raise WorkflowValidationError(f"job {name!r} not in workflow")
-        removed = self._jobs[name]
-        del self._jobs[name]
-        self._shared_jobs.discard(name)
-        self._borrowed_jobs.discard(name)
+        removed = self._jobs.pop(name)
         index = self._topology_for_mutation()
         if index is not None:
             index.remove_job(removed.job)
@@ -430,7 +383,6 @@ class Workflow:
                     f"dataset {name!r} is still referenced by job {job.name!r}"
                 )
         self._datasets.pop(name, None)
-        self._shared_datasets.discard(name)
 
     def prune_orphan_datasets(self) -> List[str]:
         """Drop dataset vertices no job reads or writes; returns their names.
@@ -447,7 +399,6 @@ class Workflow:
         orphans = [name for name in self._datasets if name not in referenced]
         for name in orphans:
             del self._datasets[name]
-            self._shared_datasets.discard(name)
         return orphans
 
     # ------------------------------------------------------------- accessors
@@ -589,7 +540,7 @@ class Workflow:
         (a min-heap over insertion keys; the original implementation
         re-sorted the ready list against a rebuilt name list every
         iteration, with the same emitted order).  The order is cached on
-        the topology index and survives config-only CoW mutations;
+        the topology index and survives config-only rebinds;
         structural edits invalidate it.
         """
         index = self._topology()
@@ -694,95 +645,43 @@ class Workflow:
 
     # ----------------------------------------------------------------- copy
     def copy(self, name: Optional[str] = None) -> "Workflow":
-        """Structurally shared (copy-on-write) clone of the workflow.
+        """Clone holding the same (immutable) vertex objects.
 
-        Only the name→vertex mappings are duplicated; the vertex objects
-        themselves are shared between the clone and the original, and both
-        sides mark every current vertex as shared so any later mutation —
-        on either side — privatizes the touched vertex first (see the module
-        docstring for the contract).  Structural edits (add/remove/replace)
-        only touch the per-workflow mappings, so they never require copies.
+        Two dict copies; the source's dicts and vertices are left untouched.
+        The topology index is shared too (cached order/levels included)
+        until either side mutates structure, at which point the mutator
+        takes a private copy first.
         """
         COPY_COUNTERS.workflow_copies += 1
         clone = Workflow(name=name or self.name)
         clone._jobs = dict(self._jobs)
         clone._datasets = dict(self._datasets)
-        clone._shared_jobs = set(self._jobs)
-        clone._shared_datasets = set(self._datasets)
-        clone._borrowed_jobs = set(self._borrowed_jobs)
-        # Every vertex the original holds is now also referenced by the
-        # clone, so the original must CoW its own future mutations too.
-        self._shared_jobs = set(self._jobs)
-        self._shared_datasets = set(self._datasets)
-        # The topology index is shared the same way: both sides keep the one
-        # object (cached order/levels included) until either mutates
-        # structure, at which point the mutator privatizes its copy first.
         if self._topo_index is not None:
             clone._topo_index = self._topo_index
             clone._topo_shared = True
             self._topo_shared = True
         return clone
 
-    # --------------------------------------------------------- CoW mutation
-    def mutate_job(self, name: str, copy_job: bool = True) -> JobVertex:
-        """Privatize (if shared) and return the job vertex for mutation.
-
-        The returned vertex is exclusively owned by this workflow: in-place
-        edits to it (annotations, and — with ``copy_job=True`` — its job's
-        pipelines) cannot reach any other workflow.  ``copy_job=False``
-        borrows the job payload for callers that will rebind ``.job`` or
-        only touch annotations; prefer :meth:`update_job` for the rebind
-        pattern, which clears the borrow marker.
-
-        In-place edits through this accessor must not change which datasets
-        the job reads or writes — the topology index (and its cached
-        order/levels) deliberately survives ``mutate_job``, which is what
-        makes the configuration hot loop index-free.  Edge rewrites go
-        through :meth:`update_job` or :meth:`replace_job`, which diff the
-        dataset lists and update the index cone incrementally.
-        """
-        vertex = self.job(name)
-        if name in self._shared_jobs:
-            vertex = vertex.copy(copy_job=copy_job)
-            self._jobs[name] = vertex
-            self._shared_jobs.discard(name)
-            if copy_job:
-                self._borrowed_jobs.discard(name)
-            else:
-                self._borrowed_jobs.add(name)
-            return vertex
-        if copy_job and name in self._borrowed_jobs:
-            # Owned vertex, but its job payload is still shared: privatize
-            # the payload before the caller mutates pipelines in place.
-            COPY_COUNTERS.vertex_copies += 1
-            vertex.job = vertex.job.copy()
-            self._borrowed_jobs.discard(name)
-        return vertex
-
+    # -------------------------------------------------------------- rebinding
     def update_job(self, name: str, derive: Callable[[MapReduceJob], MapReduceJob]) -> JobVertex:
-        """CoW-rebind a vertex's job: ``vertex.job = derive(vertex.job)``.
+        """Rebind ``name`` to a vertex holding ``derive(vertex.job)``.
 
-        The job object is never copied — ``derive`` builds the replacement
-        (e.g. ``job.with_config(...)``), a fresh job of the same name.  This
-        is the cheap path for the configuration hot loop: one annotations
-        copy plus whatever ``derive`` builds, instead of a full vertex deep
-        copy.  The derived job may *share* pipeline objects with the source
-        (``with_config``/``with_partitioner`` do), so the vertex keeps its
-        borrowed-payload marker: a later :meth:`mutate_job` with
-        ``copy_job=True`` still privatizes the pipelines before any in-place
-        edit.
+        ``derive`` builds the replacement (e.g. ``job.with_config(...)``), a
+        job of the same name that may share pipelines with the old one; the
+        annotations object is carried over as is.  Config-only derivations
+        (the RRS hot loop) keep the cached topology; a derivation that
+        rewires datasets updates the index cone like :meth:`replace_job`.
         """
-        vertex = self.mutate_job(name, copy_job=False)
-        old_job = vertex.job
+        old = self.job(name)
+        old_job = old.job
         new_job = derive(old_job)
         if new_job.name != name:
             raise WorkflowValidationError(
                 f"update_job cannot rename {name!r} to {new_job.name!r}; use replace_job"
             )
-        vertex.job = new_job
-        # Config-only derivations (the hot path) keep the cached topology;
-        # a derivation that rewires datasets is a structural edit and must
-        # update the index cone like replace_job does.
+        vertex = JobVertex(new_job, old.annotations)
+        self._jobs[name] = vertex
+        COPY_COUNTERS.vertex_shell_copies += 1
         if (
             old_job.input_datasets != new_job.input_datasets
             or old_job.output_datasets != new_job.output_datasets
@@ -790,25 +689,26 @@ class Workflow:
             index = self._topology_for_mutation()
             if index is not None:
                 index.replace_job(old_job, new_job)
-            for dataset_name in new_job.input_datasets + new_job.output_datasets:
-                if dataset_name not in self._datasets:
-                    self._datasets[dataset_name] = DatasetVertex(name=dataset_name)
+            self._ensure_datasets(new_job)
         return vertex
 
-    def dirty_jobs(self) -> Set[str]:
-        """Names of job vertices privately owned by this workflow.
+    def annotate_job(self, name: str, **changes: object) -> JobVertex:
+        """Rebind ``name`` to a vertex whose annotations have ``changes`` applied.
 
-        After a :meth:`copy` the set is empty; it grows as vertices are
-        privatized (mutated) or created.  Together with structural sharing
-        this is the plan's *dirty set*: a vertex outside it is the same
-        object as in the workflow it was copied from, which is what lets the
-        What-if engine serve its cost signature from an identity-keyed memo
-        (see :meth:`repro.whatif.model.WhatIfEngine.vertex_dataflow_signature`).
+        ``changes`` are :class:`JobAnnotations` fields
+        (``dataclasses.replace``); the job object is carried over as is.
         """
-        return set(self._jobs) - self._shared_jobs
+        old = self.job(name)
+        vertex = JobVertex(old.job, replace(old.annotations, **changes))
+        self._jobs[name] = vertex
+        COPY_COUNTERS.vertex_shell_copies += 1
+        return vertex
 
     def replace_job(self, name: str, job: MapReduceJob, annotations: Optional[JobAnnotations] = None) -> None:
-        """Replace a job vertex in place, keeping its position in insertion order."""
+        """Replace a job vertex, keeping its position in insertion order.
+
+        ``annotations`` defaults to the replaced vertex's.
+        """
         if name not in self._jobs:
             raise WorkflowValidationError(f"job {name!r} not in workflow")
         if job.name != name and job.name in self._jobs:
@@ -819,13 +719,7 @@ class Workflow:
         index = self._topology_for_mutation()
         if index is not None:
             index.replace_job(existing.job, job)
-        if annotations is None:
-            # Defaulting from a *shared* vertex must not alias its mutable
-            # annotations container into the new (owned) vertex.
-            annotations = (
-                existing.annotations.copy() if name in self._shared_jobs else existing.annotations
-            )
-        new_vertex = JobVertex(job=job, annotations=annotations)
+        new_vertex = JobVertex(job, existing.annotations if annotations is None else annotations)
         rebuilt: Dict[str, JobVertex] = {}
         for key, value in self._jobs.items():
             if key == name:
@@ -833,13 +727,7 @@ class Workflow:
             else:
                 rebuilt[key] = value
         self._jobs = rebuilt
-        self._shared_jobs.discard(name)
-        self._borrowed_jobs.discard(name)
-        self._shared_jobs.discard(job.name)
-        self._borrowed_jobs.discard(job.name)
-        for dataset_name in job.input_datasets + job.output_datasets:
-            if dataset_name not in self._datasets:
-                self._datasets[dataset_name] = DatasetVertex(name=dataset_name)
+        self._ensure_datasets(job)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Workflow(name={self.name!r}, jobs={len(self._jobs)}, datasets={len(self._datasets)})"

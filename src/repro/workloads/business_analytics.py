@@ -123,7 +123,7 @@ def build_business_analytics(scale: float = 1.0, seed: int = 42) -> Workload:
 
     j3 = simple_job(
         name="BA_J3",
-        input_dataset="ba_items",
+        input_dataset=("ba_items", "ba_avgqty"),
         output_dataset="ba_filtered",
         map_fn=_avgqty_join_map,
         reduce_fn=_small_quantity_reduce,
@@ -132,7 +132,6 @@ def build_business_analytics(scale: float = 1.0, seed: int = 42) -> Workload:
         reduce_cpu_cost=4.0,
         config=JobConfig(num_reduce_tasks=8),
     )
-    j3.pipelines[0].input_datasets = ("ba_items", "ba_avgqty")
     workflow.add_job(
         j3,
         JobAnnotations(

@@ -71,7 +71,8 @@ def build_log_analysis(scale: float = 1.0, seed: int = 42) -> Workload:
 
     j1 = simple_job(
         name="LA_J1",
-        input_dataset="uservisits",
+        # The join reads both inputs through one pipeline (repartition join).
+        input_dataset=("uservisits", "pageranks"),
         output_dataset="la_joined",
         map_fn=_join_map,
         reduce_fn=common.join_reduce("visits", "ranks", ["ip", "revenue", "rank"]),
@@ -80,8 +81,6 @@ def build_log_analysis(scale: float = 1.0, seed: int = 42) -> Workload:
         reduce_cpu_cost=4.0,
         config=JobConfig(num_reduce_tasks=8),
     )
-    # The join reads both inputs through one pipeline (repartition join).
-    j1.pipelines[0].input_datasets = ("uservisits", "pageranks")
     workflow.add_job(
         j1,
         JobAnnotations(

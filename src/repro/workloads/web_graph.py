@@ -63,7 +63,7 @@ def build_web_graph(scale: float = 1.0, seed: int = 42) -> Workload:
 
     j1 = simple_job(
         name="WG_J1",
-        input_dataset="adjacency",
+        input_dataset=("adjacency", "ranks"),
         output_dataset="wg_contribs",
         map_fn=_join_map,
         reduce_fn=_contrib_reduce,
@@ -72,7 +72,6 @@ def build_web_graph(scale: float = 1.0, seed: int = 42) -> Workload:
         reduce_cpu_cost=4.0,
         config=JobConfig(num_reduce_tasks=8),
     )
-    j1.pipelines[0].input_datasets = ("adjacency", "ranks")
     workflow.add_job(
         j1,
         JobAnnotations(

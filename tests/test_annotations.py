@@ -1,5 +1,7 @@
 """Tests for dataset, schema, filter, and profile annotations."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import AnnotationError
@@ -121,11 +123,18 @@ class TestProfileAnnotation:
 
 class TestJobAnnotations:
     def test_copy_is_independent(self):
-        annotations = JobAnnotations(filter=FilterAnnotation.of(x=(0, 1)))
-        annotations.conditions["flag"] = 1
-        copy = annotations.copy()
-        copy.conditions["flag"] = 2
-        assert annotations.conditions["flag"] == 1
+        # Annotations are frozen: a "copy" is dataclasses.replace, and neither
+        # the source dict nor an in-place write can reach a built value.
+        source = {"flag": 1}
+        annotations = JobAnnotations(filter=FilterAnnotation.of(x=(0, 1)), conditions=source)
+        source["flag"] = 3
+        copy = dataclasses.replace(annotations, conditions={**annotations.conditions, "flag": 2})
+        assert annotations.conditions["flag"] == 1 and copy.conditions["flag"] == 2
+        assert copy.filter is annotations.filter
+        with pytest.raises(TypeError):
+            annotations.conditions["flag"] = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            annotations.filter = None
 
     def test_filter_for_prefers_per_input(self):
         annotations = JobAnnotations(

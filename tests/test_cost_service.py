@@ -362,7 +362,7 @@ class TestMergeProvenance:
         merged = plan.copy()
         vertex = merged.workflow.job("IR_J1")
         # Rename the job to something '+'-parsing could never attribute.
-        renamed_job = vertex.job.copy(name="fused_scan_group")
+        renamed_job = dataclasses.replace(vertex.job, name="fused_scan_group")
         merged.workflow.replace_job("IR_J1", renamed_job, vertex.annotations)
         merged.workflow.remove_job("IR_J2")
         merged.workflow.prune_orphan_datasets()

@@ -28,7 +28,7 @@ import pickle
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.common.store import resolve_env_flag, resolve_env_path
+from repro.common.store import persist, resolve_env_flag, resolve_env_path
 from repro.core.decision_cache import (
     DECISION_CACHE_ENABLED_ENV_VAR,
     DECISION_CACHE_FORMAT_VERSION,
@@ -47,8 +47,9 @@ from repro.core.transformations import (
     PartitionFunctionTransformation,
 )
 from repro.experiments.harness import ExperimentHarness
-from repro.mapreduce.config import ConfigDimension, ConfigurationSpace
+from repro.mapreduce.config import ConfigDimension, ConfigurationSpace, JobConfig
 from repro.profiler import Profiler
+from repro.whatif import CostService
 from repro.whatif import model as whatif_model
 from repro.workloads import build_workload
 
@@ -213,34 +214,38 @@ class TestInvalidation:
         assert _first_unit_key(search, twin.plan) == _first_unit_key(search, workload.plan)
 
     def test_profile_change_changes_key(self):
-        workload = _profiled()
+        plan = _profiled().plan
         search = _search()
-        before = _first_unit_key(search, workload.plan)
-        vertex = workload.plan.workflow.jobs[0]
+        before = _first_unit_key(search, plan)
+        vertex = plan.workflow.jobs[0]
         profile = vertex.annotations.profile
-        vertex.annotations.profile = dataclasses.replace(
-            profile, map_cpu_cost_per_record=profile.map_cpu_cost_per_record * 2.0
+        plan.workflow.annotate_job(
+            vertex.name,
+            profile=dataclasses.replace(
+                profile, map_cpu_cost_per_record=profile.map_cpu_cost_per_record * 2.0
+            ),
         )
-        assert _first_unit_key(search, workload.plan) != before
+        assert _first_unit_key(search, plan) != before
 
     def test_job_annotation_change_changes_key(self):
-        workload = _profiled()
+        plan = _profiled().plan
         search = _search()
-        before = _first_unit_key(search, workload.plan)
-        workload.plan.workflow.jobs[0].annotations.conditions["probe"] = 1
-        assert _first_unit_key(search, workload.plan) != before
+        before = _first_unit_key(search, plan)
+        plan.workflow.annotate_job(plan.job_names[0], conditions={"probe": 1})
+        assert _first_unit_key(search, plan) != before
 
     def test_dataset_annotation_change_changes_key(self):
-        workload = _profiled()
+        plan = _profiled().plan
         search = _search()
-        before = _first_unit_key(search, workload.plan)
-        annotated = next(
-            dv for dv in workload.plan.workflow.datasets if dv.annotation is not None
+        before = _first_unit_key(search, plan)
+        annotated = next(dv for dv in plan.workflow.datasets if dv.annotation is not None)
+        plan.workflow.add_dataset(
+            annotated.name,
+            annotation=dataclasses.replace(
+                annotated.annotation, size_bytes=annotated.annotation.size_bytes * 2
+            ),
         )
-        annotated.annotation = dataclasses.replace(
-            annotated.annotation, size_bytes=annotated.annotation.size_bytes * 2
-        )
-        assert _first_unit_key(search, workload.plan) != before
+        assert _first_unit_key(search, plan) != before
 
     def test_cluster_change_changes_key_and_sharing_is_refused(self):
         workload = _profiled()
@@ -393,6 +398,22 @@ class TestPersistence:
         assert not reloaded.last_load.loaded
         assert "format version" in reloaded.last_load.reason
 
+    def test_version_2_file_is_rejected_whole_and_replaced_on_persist(self, tmp_path):
+        # Version-2 keys left out two JobConfig fields: no row may be served.
+        workload = _profiled()
+        path = str(tmp_path / "decisions.cache")
+        cache, _ = self._warm_cache(workload)
+        cache.save_cache(path)
+        self._rewrite_payload(path, format_version=2)
+        reloaded = DecisionCache(CLUSTER, enabled=True, cache_path=path)
+        assert not reloaded.last_load.loaded and reloaded.cache_size == 0
+        assert "format version" in reloaded.last_load.reason
+        _optimizer(decision_cache=reloaded).optimize(workload.plan)
+        assert persist([reloaded]) == reloaded.cache_size > 0
+        with open(path, "rb") as handle:
+            assert pickle.load(handle)["format_version"] == DECISION_CACHE_FORMAT_VERSION == 3
+        assert DecisionCache(CLUSTER, enabled=True, cache_path=path).last_load.loaded
+
     def test_model_version_mismatch_is_rejected(self, tmp_path, monkeypatch):
         workload = _profiled()
         path = str(tmp_path / "decisions.cache")
@@ -461,6 +482,59 @@ class TestPersistence:
         assert result2.unit_decision_hits > 0
         assert result2.cross_origin_decision_hits == result2.unit_decision_hits
         assert result1.decision_fingerprint() == result2.decision_fingerprint()
+
+
+def _perturbed(value):
+    """Another value of one :class:`JobConfig` field, by the field's type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    raise TypeError(
+        f"no perturbation rule for a {type(value).__name__} JobConfig field: add one here"
+    )
+
+
+class TestKeyCompleteness:
+    """The unit decision key pins every field of :class:`JobConfig`.
+
+    A field the key leaves out serves one plan another plan's decision, warm,
+    forever (``forced_single_reduce`` did: ``with_settings`` reads it to
+    decide whether RRS may move ``num_reduce_tasks``).  Enumerating
+    ``dataclasses.fields`` covers a field the day it is added; the shared
+    cache also re-searches every hit (``verify_hits``) as a second oracle.
+    """
+
+    @pytest.mark.parametrize("abbr", ["SN", "BR"])
+    def test_warm_equals_cold_under_every_single_field_perturbation(self, abbr):
+        base = _profiled(abbr).plan
+        decisions = DecisionCache(CLUSTER, enabled=True, verify_hits=True)
+        costs = CostService(CLUSTER)  # shared as well: worst case for staleness
+
+        def warm(plan):
+            return _optimizer(seed=17, decision_cache=decisions, cost_service=costs).optimize(plan)
+
+        warm(base)  # the shared stores have solved the raw plan
+        reducing = [v.name for v in base.workflow.jobs if not v.job.is_map_only]
+        checked = 0
+        # The first reducing job runs many reduce tasks, the last exactly one.
+        for name in (reducing[0], reducing[-1]):
+            config = base.job(name).job.config
+            for config_field in dataclasses.fields(config):
+                value = _perturbed(getattr(config, config_field.name))
+                perturbed = base.copy()
+                perturbed.set_job_config(name, config.replace(**{config_field.name: value}))
+                context = f"{abbr} {name}.{config_field.name}={value!r}"
+                try:
+                    served = warm(perturbed)
+                except RuntimeError as exc:  # verify_hits caught a stale hit
+                    pytest.fail(f"{context}: {exc}")
+                cold = _optimizer(seed=17).optimize(perturbed)
+                assert fingerprint(served.plan) == fingerprint(cold.plan), context
+                assert served.estimated_cost_s == cold.estimated_cost_s, context
+                checked += 1
+        assert checked == 2 * len(dataclasses.fields(JobConfig))
+        assert decisions.stats.decision_hits > 0
 
 
 class TestRRSSampleDedup:

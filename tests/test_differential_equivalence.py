@@ -199,8 +199,8 @@ class _LossyIntraJobPacking(IntraJobVerticalPacking):
 
     def apply(self, plan, application):
         new_plan = super().apply(plan, application)
-        consumer = new_plan.workflow.job(application.target_jobs[-1])
-        pipeline = consumer.job.pipelines[0]
+        consumer_name = application.target_jobs[-1]
+        pipeline = new_plan.workflow.job(consumer_name).job.pipelines[0]
         first = pipeline.map_ops[0]
         inner = first.fn
 
@@ -211,7 +211,12 @@ class _LossyIntraJobPacking(IntraJobVerticalPacking):
                     continue  # silently lose the record
                 yield out_key, out_value
 
-        pipeline.map_ops[0] = dataclass_replace(first, fn=lossy)
+        broken = dataclass_replace(
+            pipeline, map_ops=(dataclass_replace(first, fn=lossy),) + pipeline.map_ops[1:]
+        )
+        new_plan.workflow.update_job(
+            consumer_name, lambda job: dataclass_replace(job, pipelines=(broken,))
+        )
         return new_plan
 
 

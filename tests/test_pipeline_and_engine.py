@@ -1,5 +1,7 @@
 """Tests for the operator pipeline machinery and the local MapReduce engine."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -210,7 +212,8 @@ class TestLocalEngineShapes:
             yield {}, dict(value)
 
         job = simple_job("reader", "numbers", "read", identity_map)
-        job.pipelines[0].input_partition_filter["numbers"] = (0,)
+        pruned = job.pipelines[0].with_partition_filter("numbers", (0,))
+        job = dataclasses.replace(job, pipelines=[pruned])
         result = LocalEngine().execute_job(job, fs)
         assert result.counters.map_input_records == 5
         assert all(r["x"] < 5 for r in fs.get("read").all_records())

@@ -1,20 +1,25 @@
-"""Copy-on-write plan semantics: sharing, privatization, and aliasing hazards.
+"""Plan copies share immutable vertices: sharing, rebinding, and aliasing hazards.
 
-``Plan.copy`` / ``Workflow.copy`` are structurally shared clones: the vertex
-objects are the *same* objects until a mutation privatizes them through the
-CoW accessors (``mutate_job`` / ``update_job`` / ``set_job_config`` /
-``add_dataset``).  These tests pin the contract from both sides:
+``Plan.copy`` / ``Workflow.copy`` duplicate the name→vertex dicts only; the
+vertices, jobs, pipelines and annotations under them are frozen values, so
+the clone and the original hold the *same* objects until an edit rebinds a
+name (``update_job`` / ``annotate_job`` / ``set_job_config`` /
+``replace_job`` / ``add_dataset``).  These tests pin the contract from both
+sides:
 
-* the *sharing* side — copying performs no vertex copies, unchanged vertices
-  stay identical objects, and the copy counters record the saved work;
-* the *isolation* side — mutating a candidate plan (through any of the five
-  transformation kinds, and through every mutation API) never changes its
-  parent's structural signature, configurations, merge lineage, or history.
+* the *sharing* side — copying copies no vertex, unchanged vertices stay
+  identical objects, and the copy counters record it;
+* the *isolation* side — editing a candidate plan (through any of the five
+  transformation kinds, and through every rebinding entry point) never
+  changes its parent's structural signature, configurations, merge lineage,
+  or history, and every in-place write raises.
 
 The property sweep runs every transformation over seeded random workflows —
-the same generator the differential-equivalence battery replays — so any CoW
+the same generator the differential-equivalence battery replays — so any
 leak shows up as a parent-fingerprint diff with the guilty seed attached.
 """
+
+import dataclasses
 
 import pytest
 
@@ -91,18 +96,35 @@ def _workflow_hash(plan):
 
 
 def _vandalize(candidate):
-    """Mutate a candidate plan through every public mutation channel."""
-    for name in list(candidate.workflow.job_names):
-        vertex = candidate.workflow.job(name)
+    """Edit a candidate plan through every public mutation channel.
+
+    Each in-place write must raise on the candidate; the same edit is then
+    made through the rebinding entry points.
+    """
+    workflow = candidate.workflow
+    for name in list(workflow.job_names):
+        vertex = workflow.job(name)
         candidate.set_job_config(
             name, vertex.job.config.replace(io_sort_mb=vertex.job.config.io_sort_mb + 32)
         )
-        owned = candidate.mutate_vertex(name, copy_job=False)
-        owned.annotations.conditions["vandalized"] = True
-        owned.annotations.profile = None
-        pipelined = candidate.mutate_vertex(name)
-        for pipeline in pipelined.job.pipelines:
-            pipeline.input_partition_filter["bogus-dataset"] = (0,)
+        vertex = workflow.job(name)
+        with pytest.raises(TypeError):
+            vertex.annotations.conditions["vandalized"] = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vertex.annotations.profile = None
+        for pipeline in vertex.job.pipelines:
+            with pytest.raises(TypeError):
+                pipeline.input_partition_filter["bogus-dataset"] = (0,)
+        workflow.annotate_job(
+            name, conditions={**vertex.annotations.conditions, "vandalized": True}, profile=None
+        )
+        workflow.update_job(
+            name,
+            lambda job: dataclasses.replace(
+                job,
+                pipelines=[p.with_partition_filter("bogus-dataset", (0,)) for p in job.pipelines],
+            ),
+        )
     candidate.record_merge("bogus+merge", tuple(candidate.workflow.job_names)[:1])
     candidate.record(
         ConfigurationTransformation.application_for("bogus", {"io_sort_mb": 1}).as_applied()
@@ -114,10 +136,13 @@ class TestStructuralSharing:
         _, plan = _profiled_plan()
         COPY_COUNTERS.reset()
         clone = plan.copy()
-        assert COPY_COUNTERS.vertex_copies == 0
-        assert COPY_COUNTERS.workflow_copies == 1
+        assert COPY_COUNTERS.snapshot() == {
+            "workflow_copies": 1, "vertex_copies": 0, "vertex_shell_copies": 0
+        }
         for name in plan.job_names:
             assert clone.workflow.job(name) is plan.workflow.job(name)
+        for vertex in plan.workflow.datasets:
+            assert clone.workflow.dataset(vertex.name) is vertex
 
     def test_set_job_config_privatizes_only_the_touched_vertex(self):
         _, plan = _profiled_plan()
@@ -129,34 +154,33 @@ class TestStructuralSharing:
         assert clone.workflow.job(target) is not before
         assert plan.workflow.job(target) is before
         assert plan.workflow.job(target).job.config == old_config
-        for name in plan.job_names:
-            if name != target:
-                assert clone.workflow.job(name) is plan.workflow.job(name)
-        assert clone.dirty_jobs() == {target}
+        # The clone rebound one name; every other value — and the rebound
+        # vertex's annotations and pipelines — is the same object on both sides.
+        assert clone.workflow.job(target).annotations is before.annotations
+        assert clone.workflow.job(target).job.pipelines is before.job.pipelines
+        dirty = {
+            name
+            for name in plan.job_names
+            if clone.workflow.job(name) is not plan.workflow.job(name)
+        }
+        assert dirty == {target}
 
     def test_mutation_on_the_parent_side_also_cows(self):
-        """After a copy, the *original* must privatize its mutations too."""
+        """After a copy, an edit on the *original* rebinds there and nowhere else."""
         _, plan = _profiled_plan()
         clone = plan.copy()
         target = plan.job_names[0]
         clone_fingerprint = _plan_fingerprint(clone)
+        clone_vertices = list(clone.workflow.jobs)
         plan.set_job_config(
             target, plan.workflow.job(target).job.config.replace(num_reduce_tasks=63)
         )
         assert _plan_fingerprint(clone) == clone_fingerprint
-
-    def test_mutate_job_privatizes_borrowed_payload_before_pipeline_edits(self):
-        """copy_job=False borrows the job; a later in-place mutation must copy it."""
-        _, plan = _profiled_plan()
-        clone = plan.copy()
-        target = plan.job_names[0]
-        borrowed = clone.mutate_vertex(target, copy_job=False)
-        assert borrowed.job is plan.workflow.job(target).job
-        owned = clone.mutate_vertex(target)  # full privatization on demand
-        assert owned is borrowed
-        assert owned.job is not plan.workflow.job(target).job
-        owned.job.pipelines[0].input_partition_filter["bogus"] = (1,)
-        assert "bogus" not in plan.workflow.job(target).job.pipelines[0].input_partition_filter
+        assert all(a is b for a, b in zip(clone.workflow.jobs, clone_vertices, strict=True))
+        assert [
+            name for name in plan.job_names
+            if plan.workflow.job(name) is not clone.workflow.job(name)
+        ] == [target]
 
     def test_add_dataset_cows_shared_dataset_vertices(self):
         workload, plan = _profiled_plan()

@@ -61,8 +61,9 @@ def test_src_has_no_mode_switches():
     ``resolve_env_path``, ISSUE 16 the in-search fork path with its
     variable, its constructor arguments and the backend registry, ISSUE 18
     the cost service's per-sample estimate level with its second key, its
-    second LRU and the compaction knob; a path that needs a baseline keeps
-    it under tests/."""
+    second LRU and the compaction knob, ISSUE 19 the copy-on-write
+    ownership protocol (plan values are frozen, an edit rebinds a name); a
+    path that needs a baseline keeps it under tests/."""
     banned = re.compile(
         r"def set_\w+_enabled|STUBBY_EXPERIMENT_DISPATCH"
         r"|ThreadPoolExecutor|dispatch=|objective_batch"
@@ -73,6 +74,8 @@ def test_src_has_no_mode_switches():
         r"|_cost_" r"tasks|DEFAULT_" r"WORKERS|available_" r"backends"
         r"|_dataflow_" r"cache|jobmodel_" r"config_key|vertex_cost_" r"signature"
         r"|resolve_cache_" r"max_entries|STUBBY_COST_CACHE_" r"MAX_ENTRIES"
+        r"|mutate_" r"job|mutate_" r"vertex|copy_" r"job|dirty_" r"jobs"
+        r"|_borrowed_" r"jobs|_shared_" r"jobs|_shared_" r"datasets"
     )
     assert [path for path, text in _src_sources() if banned.search(text)] == []
     # One fan-out level: requests and cells fork, the unit search does not.

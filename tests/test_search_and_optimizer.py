@@ -224,7 +224,14 @@ class TestOptimizeLeavesInputUntouched:
                 name: plan.workflow.job(name).job.config.as_dict()
                 for name in plan.workflow.job_names
             }
+            jobs_before = list(plan.workflow.jobs)
+            datasets_before = list(plan.workflow.datasets)
             result = _optimize(plan)
+            # Vertices are frozen values, so identity is the whole proof.
+            assert all(a is b for a, b in zip(plan.workflow.jobs, jobs_before, strict=True))
+            assert all(
+                a is b for a, b in zip(plan.workflow.datasets, datasets_before, strict=True)
+            )
             assert len(plan.history) == history_before, f"seed {seed}"
             assert plan.signature() == signature_before, f"seed {seed}"
             for name in plan.workflow.job_names:
@@ -373,9 +380,8 @@ class TestStubbyOptimizer:
     def test_without_annotations_stubby_is_safe(self):
         """With zero annotations Stubby still returns a correct (unchanged) plan."""
         workload = build_workload("IR", scale=0.15)
-        for vertex in workload.workflow.jobs:
-            vertex.annotations.schema = None
-            vertex.annotations.profile = None
+        for name in workload.workflow.job_names:
+            workload.workflow.annotate_job(name, schema=None, profile=None)
         result = StubbyOptimizer(CLUSTER).optimize(workload.plan)
         assert result.num_jobs == workload.num_jobs
         assert "intra-job-vertical-packing" not in result.transformations_applied

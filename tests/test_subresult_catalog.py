@@ -130,8 +130,11 @@ class TestSignatures:
         first, _ = _pair()
         before = subgraph_signature(first.workflow, P1, CLUSTER)
         annotated = first.workflow.dataset(SRC)
-        annotated.annotation = dataclasses.replace(
-            annotated.annotation, size_bytes=annotated.annotation.size_bytes * 2
+        first.workflow.add_dataset(
+            SRC,
+            annotation=dataclasses.replace(
+                annotated.annotation, size_bytes=annotated.annotation.size_bytes * 2
+            ),
         )
         assert subgraph_signature(first.workflow, P1, CLUSTER) != before
 

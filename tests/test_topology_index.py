@@ -31,20 +31,15 @@ def _identity(key, value):
 
 
 def _chain_job(name, inputs, output, reduce_key=None):
-    if isinstance(inputs, str):
-        inputs = (inputs,)
-    job = simple_job(
+    return simple_job(
         name,
-        inputs[0],
+        inputs,
         output,
         _identity,
         reduce_fn=(lambda key, values: iter([(key, values[0])])) if reduce_key else None,
         group_fields=(reduce_key,) if reduce_key else (),
         config=JobConfig(num_reduce_tasks=2 if reduce_key else 0),
     )
-    if len(inputs) > 1:
-        job.pipelines[0].input_datasets = tuple(inputs)
-    return job
 
 
 def _snapshot(workflow):
@@ -182,10 +177,10 @@ class TestRandomMutationSequences:
                 name, lambda job: _chain_job(name, new_input, old.output_datasets[0])
             )
 
-        def op_mutate(w):
+        def op_annotate(w):
             name = rng.choice(w.job_names)
-            vertex = w.mutate_job(name, copy_job=False)
-            vertex.annotations.conditions[fresh_name("c")] = True
+            conditions = {**w.job(name).annotations.conditions, fresh_name("c"): True}
+            w.annotate_job(name, conditions=conditions)
 
         def op_prune(w):
             w.prune_orphan_datasets()
@@ -196,7 +191,7 @@ class TestRandomMutationSequences:
 
         ops = [
             op_add, op_add, op_remove, op_replace, op_update_config,
-            op_update_edges, op_mutate, op_prune, op_copy,
+            op_update_edges, op_annotate, op_prune, op_copy,
         ]
         for _ in range(30):
             target = rng.choice(workflows)
@@ -245,7 +240,7 @@ class TestCounterContracts:
         clone.update_job(
             names[2], lambda job: job.with_config(job.config.replace(num_reduce_tasks=5))
         )
-        clone.mutate_job(names[3], copy_job=False).annotations.conditions["x"] = True
+        clone.annotate_job(names[3], conditions={"x": True})
         clone.topological_levels()
         clone.topological_order()
         # The cached order answers every walk; nothing else moves.

@@ -50,7 +50,7 @@ class TestIntraJobVerticalPacking:
 
     def test_no_application_without_schema(self):
         _, plan = _profiled_plan("IR")
-        plan.job("IR_J2").annotations.schema = None
+        plan.workflow.annotate_job("IR_J2", schema=None)
         assert IntraJobVerticalPacking().find_applications(plan, ("IR_J1", "IR_J2")) == []
 
     def test_no_application_when_keys_do_not_flow(self):
@@ -254,7 +254,7 @@ class TestPartitionFunctionTransformation:
         from repro.mapreduce.partitioner import PartitionFunction
 
         constraint = PartitionFunction(kind="hash", fields=("userid",), sort_fields=("userid",))
-        plan.job("US_J1").annotations.partition_constraint = constraint
+        plan.workflow.annotate_job("US_J1", partition_constraint=constraint)
         applications = [
             a
             for a in PartitionFunctionTransformation().find_applications(plan, ("US_J1", "US_J2", "US_J3"))

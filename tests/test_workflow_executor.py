@@ -42,17 +42,12 @@ def _diamond_workflow():
     join_map = common.tagged_join_map(("k",), {"left": ("x", ("k", "x")), "right": ("n", ("k", "n"))})
     workflow.add_job(
         simple_job(
-            "J_bottom", "d2", "d4",
+            "J_bottom", ("d2", "d3"), "d4",
             map_fn=join_map,
             reduce_fn=common.join_reduce("left", "right", ("k", "x", "n")),
             group_fields=("k",),
         )
     )
-    # J_bottom reads both d2 and d3: extend its pipeline's inputs.
-    vertex = workflow.job("J_bottom")
-    pipeline = vertex.job.pipelines[0]
-    pipeline.input_datasets = ("d2", "d3")
-    workflow.add_dataset("d3")
     return workflow
 
 

@@ -1,13 +1,20 @@
 """Tests for the workflow DAG model and subgraph classification."""
 
 import copy
+import dataclasses
+import typing
 
 import pytest
 
 from repro.common.errors import WorkflowValidationError
+from repro.dfs.dataset import Dataset
 from repro.mapreduce.config import JobConfig
-from repro.mapreduce.job import simple_job
-from repro.workflow.graph import Workflow
+from repro.mapreduce.job import MapReduceJob, simple_job
+from repro.mapreduce.pipeline import Operator, Pipeline
+from repro.profiler import Profiler
+from repro.workflow.annotations import JobAnnotations
+from repro.workflow.graph import DatasetVertex, JobVertex, Workflow
+from repro.workloads import build_workload
 from repro.workflow.subgraphs import (
     SubgraphType,
     classify_pair,
@@ -23,20 +30,15 @@ def _identity(key, value):
 
 
 def _job(name, inputs, output, reduce_key=None):
-    if isinstance(inputs, str):
-        inputs = (inputs,)
-    job = simple_job(
+    return simple_job(
         name,
-        inputs[0],
+        inputs,
         output,
         _identity,
         reduce_fn=(lambda key, values: iter([(key, values[0])])) if reduce_key else None,
         group_fields=(reduce_key,) if reduce_key else (),
         config=JobConfig(num_reduce_tasks=2 if reduce_key else 0),
     )
-    if len(inputs) > 1:
-        job.pipelines[0].input_datasets = tuple(inputs)
-    return job
 
 
 def build_diamond() -> Workflow:
@@ -244,3 +246,79 @@ class TestSubgraphClassification:
         workflow = build_diamond()
         groups = concurrently_runnable_groups(workflow)
         assert ["J2", "J3"] in groups
+
+
+def _dataclasses_reached_from(*roots):
+    """Every dataclass reachable from ``roots`` through field type hints."""
+    reached, pending = set(), list(roots)
+    while pending:
+        hint = pending.pop()
+        if dataclasses.is_dataclass(hint) and hint not in reached:
+            reached.add(hint)
+            pending.extend(typing.get_type_hints(hint).values())
+        pending.extend(typing.get_args(hint))
+    return reached
+
+
+class TestFrozenValues:
+    """Everything a workflow maps a name to is immutable, by type.
+
+    Walking the type hints (not a hand-kept list) covers a field — or a whole
+    value class — the day it is added.
+    """
+
+    #: The materialised records a dataset vertex may point at: data, not plan.
+    DATA_NOT_PLAN = {Dataset}
+
+    def test_every_dataclass_under_a_vertex_is_frozen(self):
+        reached = _dataclasses_reached_from(JobVertex, DatasetVertex)
+        assert {JobAnnotations, MapReduceJob, Pipeline, Operator, JobConfig} <= reached
+        thawed = {
+            cls.__name__
+            for cls in reached - self.DATA_NOT_PLAN
+            if not cls.__dataclass_params__.frozen
+        }
+        assert not thawed
+
+    def test_no_field_of_a_built_plan_can_be_assigned(self):
+        workload = build_workload("BR", scale=0.05)
+        Profiler().profile_workflow(workload.workflow, workload.base_datasets)
+        pending = list(workload.workflow.jobs) + list(workload.workflow.datasets)
+        seen = set()
+        while pending:
+            value = pending.pop()
+            if isinstance(value, (tuple, list, frozenset)):
+                pending.extend(value)
+            elif isinstance(value, typing.Mapping):
+                pending.extend(value.values())
+            elif dataclasses.is_dataclass(value) and type(value) not in self.DATA_NOT_PLAN:
+                seen.add(type(value))
+                for field in dataclasses.fields(value):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(value, field.name, None)
+                    pending.append(getattr(value, field.name))
+        assert {JobVertex, DatasetVertex, JobAnnotations, MapReduceJob, Pipeline} <= seen
+        # The mapping fields of the graph values are read-only content too.
+        vertex = workload.workflow.jobs[0]
+        for mapping in (
+            vertex.annotations.conditions,
+            vertex.annotations.per_input_filters,
+            vertex.job.pipelines[0].input_partition_filter,
+        ):
+            with pytest.raises(TypeError):
+                mapping["probe"] = None
+
+    def test_copy_leaves_its_source_untouched(self):
+        workflow = build_diamond()
+        workflow.topological_order()  # an index to share
+        before = {name: (value, copy.copy(value)) for name, value in vars(workflow).items()}
+        workflow.copy()
+        after = vars(workflow)
+        assert after.keys() == before.keys()
+        changed = {
+            name
+            for name, (value, snapshot) in before.items()
+            if after[name] is not value
+            or (isinstance(value, (dict, set, list)) and value != snapshot)
+        }
+        assert changed <= {"_topo_shared"}

@@ -54,19 +54,20 @@ class StarfishOptimizer(BaselineOptimizer):
             space = ConfigurationTransformation.space_for_job(plan, vertex.name, self.cluster)
             if not space.dimensions:
                 continue
-            current = plan.workflow.job(vertex.name).job.config.as_dict()
+            config = plan.workflow.job(vertex.name).job.config
 
-            def objective(point: Mapping[str, object], job_name: str = vertex.name) -> float:
-                candidate = plan.copy()
-                ConfigurationTransformation.apply_settings_in_place(candidate, {job_name: point})
-                return self.costs.estimate_workflow(candidate.workflow).total_s
+            def objective(point: Mapping[str, object], name: str = vertex.name, config=config) -> float:
+                overlay = {name: config.with_settings(point)}  # on the plan as tuned so far
+                return self.costs.estimate_workflow(plan.workflow, overlay, baseline).total_s
 
             result = self.rrs.search(
-                space, objective, initial_point=current, rng=self._rng.fork(vertex.name)
+                space, objective, initial_point=config.as_dict(), rng=self._rng.fork(vertex.name)
             )
             if result.best_point:
                 ConfigurationTransformation.apply_settings_in_place(plan, {vertex.name: result.best_point})
                 plan.record(
                     ConfigurationTransformation.application_for(vertex.name, result.best_point).as_applied()
                 )
+                # The edit retired the base (it answers for the vertices it was taken on).
+                baseline = self.costs.estimate_workflow(plan.workflow)
         return plan

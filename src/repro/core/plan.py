@@ -54,7 +54,7 @@ class Plan:
 
         Vertices are immutable values (:meth:`Workflow.copy` is two dict
         copies), so copying a plan is cheap no matter how large the workflow
-        — the basis of the enumeration/RRS hot loop.  History and merge
+        — the basis of candidate enumeration.  History and merge
         lineage are duplicated eagerly (they are small and mutated by plain
         appends).
         """

@@ -57,8 +57,9 @@ from repro.core.plan import Plan
 from repro.core.rrs import RecursiveRandomSearch
 from repro.core.transformations.base import Transformation, TransformationApplication
 from repro.core.transformations.configuration import ConfigurationTransformation
-from repro.mapreduce.config import ConfigDimension, ConfigurationSpace
+from repro.mapreduce.config import ConfigDimension, ConfigurationSpace, JobConfig
 from repro.whatif import model as whatif_model
+from repro.whatif.model import WorkflowCostEstimate
 from repro.whatif.service import CostService, CostServiceStats
 
 #: Caps keeping the exhaustive enumeration inside a unit bounded; in practice
@@ -68,6 +69,9 @@ MAX_ENUMERATION_DEPTH = 6
 #: Cap on the composed cross-product combinations scored when a unit was
 #: split into several independent sub-units.
 MAX_COMPOSED_COMBINATIONS = 64
+
+#: Job -> (its configuration, the ``(point name, setting)`` pairs of its RRS dimensions).
+TunedJobs = Dict[str, Tuple[JobConfig, Tuple[Tuple[str, str], ...]]]
 
 
 def plan_decision_fingerprint(plan: Plan) -> Tuple:
@@ -710,18 +714,22 @@ class StubbySearch:
                 self._cost_with_configurations(record.plan, unit_jobs, rng_key)
             )
 
-    def _evaluate_point(self, plan: Plan, point: Mapping[str, object]) -> float:
+    def _evaluate_point(
+        self, plan: Plan, baseline: WorkflowCostEstimate, tuned: TunedJobs, point: Mapping[str, object]
+    ) -> float:
         """Objective value of one RRS configuration sample for a candidate.
 
-        The hottest loop of the whole search: one plan copy per sample,
-        rebinding only the jobs whose configuration the sample moves.
+        The hottest loop of the whole search, and it materialises nothing: the
+        sample is one ``JobConfig`` per tuned job, an overlay on ``baseline``.
         (Also the finest-grained deadline check point — an unbounded budget
         costs one attribute read here.)
         """
         self._budget.check("search.rrs_point")
-        candidate = plan.copy()
-        ConfigurationTransformation.apply_settings_in_place(candidate, self._split_point(point))
-        return self.costs.estimate_workflow(candidate.workflow).total_s
+        configs = {
+            job_name: tuned[job_name][0].with_settings(settings)
+            for job_name, settings in self._settings_by_job(tuned, point).items()
+        }
+        return self.costs.estimate_workflow(plan.workflow, configs, baseline).total_s
 
     # ----------------------------------------------------------- enumeration
     def enumerate_subplans(
@@ -816,55 +824,62 @@ class StubbySearch:
     def _cost_with_configurations(
         self, plan: Plan, unit_jobs: Tuple[str, ...], rng_key: str
     ) -> Tuple[float, Dict[str, Mapping[str, object]], int]:
-        baseline_estimate = self.costs.estimate_workflow(plan.workflow)
+        workflow = plan.workflow
+        baseline_estimate = self.costs.estimate_workflow(workflow)
         if baseline_estimate.cost_basis != "whatif" or not self.optimize_configurations:
             return baseline_estimate.total_s, {}, 0
 
-        jobs_to_tune = [name for name in unit_jobs if plan.workflow.has_job(name)]
+        jobs_to_tune = [name for name in unit_jobs if workflow.has_job(name)]
         if not jobs_to_tune:
             return baseline_estimate.total_s, {}, 0
 
-        space, initial = self._joint_space(plan, jobs_to_tune)
+        space, initial, tuned = self._joint_space(plan, jobs_to_tune)
         if not space.dimensions:
             return baseline_estimate.total_s, {}, 0
 
         rng = self._rng.fork(f"{rng_key}/{','.join(sorted(jobs_to_tune))}")
         result = self.rrs.search(
             space,
-            lambda point: self._evaluate_point(plan, point),
+            lambda point: self._evaluate_point(plan, baseline_estimate, tuned, point),
             initial_point=initial,
             rng=rng,
         )
-        best_settings = self._split_point(result.best_point)
+        best_settings = self._settings_by_job(tuned, result.best_point)
         best_cost = min(result.best_value, baseline_estimate.total_s)
         if result.best_value > baseline_estimate.total_s:
             best_settings = {}
         return best_cost, best_settings, result.evaluations
 
-    def _joint_space(self, plan: Plan, job_names: Sequence[str]) -> Tuple[ConfigurationSpace, Dict[str, object]]:
+    def _joint_space(
+        self, plan: Plan, job_names: Sequence[str]
+    ) -> Tuple[ConfigurationSpace, Dict[str, object], TunedJobs]:
+        """The jobs' joint space (dimensions ``job::setting``), its initial point, and the way back."""
         dimensions: List[ConfigDimension] = []
         initial: Dict[str, object] = {}
+        tuned: TunedJobs = {}
         for job_name in job_names:
             job_space = ConfigurationTransformation.space_for_job(plan, job_name, self.cluster)
-            current = plan.workflow.job(job_name).job.config.as_dict()
+            config = plan.workflow.job(job_name).job.config
+            current = config.as_dict()
+            names = []
             for dim in job_space.dimensions:
                 prefixed = ConfigDimension(
                     name=f"{job_name}::{dim.name}", kind=dim.kind, low=dim.low, high=dim.high
                 )
                 dimensions.append(prefixed)
+                names.append((prefixed.name, dim.name))
                 if dim.name in current:
                     initial[prefixed.name] = current[dim.name]
-        return ConfigurationSpace(dimensions=dimensions), initial
+            tuned[job_name] = (config, tuple(names))
+        return ConfigurationSpace(dimensions=dimensions), initial, tuned
 
     @staticmethod
-    def _split_point(point: Mapping[str, object]) -> Dict[str, Dict[str, object]]:
-        by_job: Dict[str, Dict[str, object]] = {}
-        for name, value in point.items():
-            if "::" not in name:
-                continue
-            job_name, param = name.split("::", 1)
-            by_job.setdefault(job_name, {})[param] = value
-        return by_job
+    def _settings_by_job(tuned: TunedJobs, point: Mapping[str, object]) -> Dict[str, Dict[str, object]]:
+        """``point`` split per job: ``{job: {setting: value}}``."""
+        return {
+            job_name: {setting: point[name] for name, setting in names if name in point}
+            for job_name, (_, names) in tuned.items()
+        }
 
 
 def record_unit_jobs(record: SubplanRecord, unit: OptimizationUnit) -> Tuple[str, ...]:

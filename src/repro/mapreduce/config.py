@@ -81,19 +81,23 @@ class JobConfig:
         Constraints already present on the config (forced single reduce,
         chained input) are preserved regardless of the sampled settings —
         this is how configuration transformations "satisfy all current
-        conditions" on the configuration (paper §3.5).
+        conditions" on the configuration (paper §3.5).  ``self`` if nothing changes.
         """
-        allowed = {}
+        changes = {}
         for name, value in settings.items():
             if name == "num_reduce_tasks":
                 if self.forced_single_reduce or self.is_map_only:
                     continue
-                allowed[name] = max(1, int(round(float(value))))
+                value = max(1, int(round(float(value))))
             elif name in ("split_size_mb", "io_sort_mb"):
-                allowed[name] = max(8, int(round(float(value))))
+                value = max(8, int(round(float(value))))
             elif name in ("combiner_enabled", "compress_map_output", "compress_output"):
-                allowed[name] = bool(value)
-        return self.replace(**allowed)
+                value = bool(value)
+            else:
+                continue
+            if value != getattr(self, name):
+                changes[name] = value
+        return self.replace(**changes) if changes else self
 
     @cached_property
     def key(self) -> Tuple[object, ...]:

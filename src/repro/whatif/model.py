@@ -23,18 +23,19 @@ When a job carries no profile annotation the engine falls back to the simple
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster import ClusterSpec
 from repro.common.errors import CostModelError
+from repro.mapreduce.config import JobConfig
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.pipeline import Pipeline
 from repro.whatif.dataflow import JobDataflow
 from repro.whatif.jobmodel import JobTimeEstimate, estimate_job_time
-from repro.whatif.scheduling import workflow_makespan
+from repro.whatif.scheduling import level_makespan
 from repro.workflow.annotations import OperatorProfile, ProfileAnnotation
-from repro.workflow.graph import JobVertex, Workflow
+from repro.workflow.graph import DatasetVertex, JobVertex, Workflow
 
 #: Simulated seconds charged per job under the fallback job-count cost model.
 JOB_COUNT_COST_SECONDS = 1_000.0
@@ -55,6 +56,16 @@ _MAX_PROFILE_KEYS = 16_384
 _MAX_VERTEX_KEYS = 65_536
 
 
+#: A query's overlay: job name -> the configuration to cost it under (else: its own).
+ConfigOverlay = Optional[Mapping[str, JobConfig]]
+
+
+def config_of(vertex: JobVertex, configs: ConfigOverlay) -> JobConfig:
+    """The configuration ``vertex`` is costed under; every read by the engine
+    and the cost service goes through here, so an overlay needs no plan copy."""
+    return (configs and configs.get(vertex.job.name)) or vertex.job.config
+
+
 @dataclass
 class WorkflowCostEstimate:
     """Estimated cost of a whole workflow."""
@@ -63,6 +74,9 @@ class WorkflowCostEstimate:
     per_job: Dict[str, JobTimeEstimate] = field(default_factory=dict)
     dataset_sizes: Dict[str, Tuple[float, float]] = field(default_factory=dict)
     cost_basis: str = "whatif"
+    #: What :meth:`WhatIfEngine.run_costing` needs to take this estimate as its
+    #: ``base`` (``None``: it cannot be one).  Not part of the estimate's value.
+    basis: Optional["CostingBasis"] = field(default=None, repr=False, compare=False)
 
     @property
     def num_jobs(self) -> int:
@@ -96,6 +110,22 @@ class VertexCost:
 
     estimate: JobTimeEstimate
     output_contributions: Tuple[Tuple[str, float, float], ...]
+    #: What ``estimate`` was computed from (job-model-only moves reuse it).
+    dataflow: JobDataflow
+
+
+@dataclass(frozen=True, slots=True)
+class CostingBasis:
+    """One full traversal's intermediate results, held by reference (``run_costing``)."""
+
+    #: The job and dataset vertices (compared by identity) it answers for.
+    vertices: Tuple[List[JobVertex], List[DatasetVertex]]
+    levels: List[List[JobVertex]]
+    costed: Dict[str, VertexCost]
+    level_makespans: List[float]
+    #: The jobs whose signature reads a producer's reduce-task count or chaining
+    #: (chained jobs, partition-pruned readers); all else reaches them as sizes.
+    fact_readers: Set[str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,12 +147,10 @@ class _PipelineLocalKey:
 class _VertexLocalKey:
     """Everything a vertex's dataflow signature reads from the vertex itself.
 
-    Memoized per shared-vertex identity: across plan copies an
-    unchanged vertex is literally the same object across candidate plans, so
-    its local key — the expensive part of the signature, walking every
-    pipeline and operator — is derived once and reused by every candidate
-    costing query.  Only the cheap query context (dataset sizes, producer
-    partition counts, the chaining constraint's task count) is recomputed.
+    Memoized per vertex identity: an unchanged vertex is the same object
+    across candidate plans, so its local key — the expensive part of the
+    signature — is derived once.  Only the cheap query context (dataset
+    sizes, producer partition counts, chained task count) is recomputed.
     """
 
     pipelines: Tuple[_PipelineLocalKey, ...]
@@ -145,9 +173,8 @@ class WhatIfEngine:
         self._vertex_keys: Dict[int, Tuple[JobVertex, _VertexLocalKey]] = {}
         #: id(pipeline) -> (pinned pipeline, pipeline local key).  Pipelines
         #: are shared across config-only job derivations
-        #: (:meth:`~repro.mapreduce.job.MapReduceJob.with_config`), so the
-        #: per-pipeline keys survive RRS configuration samples even though
-        #: each sample rebinds the tuned job to a new vertex.
+        #: (:meth:`~repro.mapreduce.job.MapReduceJob.with_config`), so their
+        #: keys survive the rebind that applies a chosen configuration.
         self._pipeline_keys: Dict[int, Tuple[object, _PipelineLocalKey]] = {}
         #: Incremental-signature counters (bounded per cold ``optimize()`` by
         #: ``tests/test_plan_cow.py``): how many vertex signatures were derived
@@ -160,40 +187,105 @@ class WhatIfEngine:
     def estimate_workflow(self, workflow: Workflow) -> WorkflowCostEstimate:
         """Estimate the total runtime of ``workflow`` on the engine's cluster."""
         if any(not vertex.annotations.has_profile for vertex in workflow.jobs):
-            return self._job_count_estimate(workflow)
+            return self.job_count_estimate(workflow)
         return self.run_costing(workflow, self.cost_vertex)
 
-    def run_costing(self, workflow: Workflow, cost_vertex_fn) -> WorkflowCostEstimate:
+    def run_costing(
+        self,
+        workflow: Workflow,
+        cost_vertex_fn: Callable[..., VertexCost],
+        configs: ConfigOverlay = None,
+        base: Optional[WorkflowCostEstimate] = None,
+    ) -> WorkflowCostEstimate:
         """The one workflow-costing traversal, parameterized by per-vertex costing.
 
         Walks the topological levels, calls ``cost_vertex_fn(vertex,
-        workflow, sizes)`` for each job (the cold :meth:`cost_vertex` here;
-        a cache-aware wrapper in the cost service), propagates the returned
-        output-size contributions, and combines per-level makespans.
+        workflow, sizes, configs)`` for each job (the cold :meth:`cost_vertex`
+        here; a cache-aware wrapper in the cost service), propagates the
+        returned output-size contributions, and combines per-level makespans.
         Sharing this single driver is what keeps the memoized service
         *exactly* equal to a cold estimation by construction.
 
-        ``topological_levels()`` and ``base_datasets()`` answer from the
-        workflow's cached topology index, so the per-query topology tax is
-        O(jobs) — and amortizes to the cache lookup across the repeated
-        costing of candidate plans, whose copies share the index with
-        the plan they were cloned from (see ``docs/costing.md``).
+        ``base``, an estimate of the same ``workflow`` without ``configs``
+        (ignored once a vertex was rebound), spares the jobs the overlay
+        cannot move: a job not overlaid and reading no moved producer fact is
+        *carried* by reference; an overlaid job whose signature inputs are
+        all as in the base is *kept* — the base's dataflow under the job
+        model again; any other is *re-derived* by ``cost_vertex_fn``, and if
+        its contributions differ sizes move downstream and the query starts
+        over without the base (``docs/costing.md``, "Costing a sample").
         """
-        sizes = self._base_dataset_sizes(workflow)
-        per_job: Dict[str, JobTimeEstimate] = {}
-        per_level: List[List[JobTimeEstimate]] = []
+        cluster = self.cluster
+        basis = base.basis if base is not None else None
+        if basis is not None and basis.vertices != (workflow.jobs, workflow.datasets):
+            basis = None  # some vertex was rebound, added or removed since
+        if basis is None:
+            levels = workflow.topological_levels()
+            costed: Dict[str, VertexCost] = {}
+            makespans: List[Optional[float]] = [None] * len(levels)
+            sizes = self.base_dataset_sizes(workflow)
+            fact_readers: Set[str] = set()
+            # Every dataset was sized once, before its first reader: the final
+            # sizes are then the sizes each job was costed on.
+            settled = True
+        else:
+            levels = basis.levels
+            costed = dict(basis.costed)
+            makespans = list(basis.level_makespans)
+            sizes = base.dataset_sizes
+            fact_readers = basis.fact_readers
+            # A producer's reduce-task count or chaining moved (it is costed before its readers).
+            facts_moved = False
 
-        for level in workflow.topological_levels():
-            level_estimates: List[JobTimeEstimate] = []
+        for index, level in enumerate(levels):
             for vertex in level:
-                costed = cost_vertex_fn(vertex, workflow, sizes)
-                per_job[vertex.name] = costed.estimate
-                level_estimates.append(costed.estimate)
-                self.apply_output_contributions(sizes, costed.output_contributions)
-            per_level.append(level_estimates)
+                name = vertex.job.name
+                if basis is None:
+                    costed_vertex = cost_vertex_fn(vertex, workflow, sizes, configs)
+                    contributions = costed_vertex.output_contributions
+                    settled = settled and not any(entry[0] in sizes for entry in contributions)
+                    self.apply_output_contributions(sizes, contributions)
+                    if vertex.job.config.chained_input or any(
+                        pipeline.input_partition_filter for pipeline in vertex.job.pipelines
+                    ):
+                        fact_readers.add(name)
+                else:
+                    prior = costed[name]
+                    config = configs.get(name) if configs else None
+                    rederive = facts_moved and name in fact_readers
+                    if config is None:
+                        if not rederive:
+                            continue  # carried
+                    else:
+                        own = vertex.job.config
+                        chaining_moved = config.chained_input != own.chained_input
+                        if chaining_moved or config.num_reduce_tasks != own.num_reduce_tasks:
+                            facts_moved = True
+                        rederive = rederive or chaining_moved or (
+                            config.combiner_enabled != own.combiner_enabled and vertex.job.has_combiner
+                        )
+                    if rederive:
+                        costed_vertex = cost_vertex_fn(vertex, workflow, sizes, configs)
+                        if costed_vertex.output_contributions != prior.output_contributions:
+                            return self.run_costing(workflow, cost_vertex_fn, configs)
+                    else:  # kept
+                        estimate = estimate_job_time(prior.dataflow, config, cluster)
+                        costed_vertex = VertexCost(estimate, prior.output_contributions, prior.dataflow)
+                costed[name] = costed_vertex
+                makespans[index] = None
 
-        total = workflow_makespan(per_level, self.cluster)
-        return WorkflowCostEstimate(total_s=total, per_job=per_job, dataset_sizes=dict(sizes))
+        for index, known in enumerate(makespans):
+            if known is None:  # the level holds a job that was not carried
+                estimates = [costed[vertex.job.name].estimate for vertex in levels[index]]
+                makespans[index] = level_makespan(estimates, cluster)
+        reusable = not configs and (basis is not None or settled)
+        vertices = (workflow.jobs, workflow.datasets)
+        return WorkflowCostEstimate(
+            total_s=sum(makespans),
+            per_job={name: costed_vertex.estimate for name, costed_vertex in costed.items()},
+            dataset_sizes=dict(sizes),
+            basis=CostingBasis(vertices, levels, costed, makespans, fact_readers) if reusable else None,
+        )
 
     # ------------------------------------------------------ per-vertex steps
     def cost_vertex(
@@ -201,6 +293,7 @@ class WhatIfEngine:
         vertex: JobVertex,
         workflow: Workflow,
         sizes: Dict[str, Tuple[float, float]],
+        configs: ConfigOverlay = None,
     ) -> VertexCost:
         """Cost one job given the dataset sizes known so far.
 
@@ -209,15 +302,16 @@ class WhatIfEngine:
         output-size contributions the caller must apply (via
         :meth:`apply_output_contributions`) before costing downstream jobs.
         """
-        dataflow, contributions = self.derive_vertex_dataflow(vertex, workflow, sizes)
-        estimate = estimate_job_time(dataflow, vertex.job.config, self.cluster)
-        return VertexCost(estimate=estimate, output_contributions=contributions)
+        dataflow, contributions = self.derive_vertex_dataflow(vertex, workflow, sizes, configs)
+        estimate = estimate_job_time(dataflow, config_of(vertex, configs), self.cluster)
+        return VertexCost(estimate, contributions, dataflow)
 
     def derive_vertex_dataflow(
         self,
         vertex: JobVertex,
         workflow: Workflow,
         sizes: Dict[str, Tuple[float, float]],
+        configs: ConfigOverlay = None,
     ) -> Tuple[JobDataflow, Tuple[Tuple[str, float, float], ...]]:
         """Derive one job's dataflow and output-size contributions together.
 
@@ -229,8 +323,8 @@ class WhatIfEngine:
         profile = vertex.annotations.profile
         if profile is None:
             raise CostModelError(f"job {vertex.name!r} has no profile annotation")
-        flows = self._vertex_flows(vertex, workflow, sizes, profile)
-        dataflow = self._dataflow_from_flows(vertex, workflow, sizes, profile, flows)
+        flows = self._vertex_flows(vertex, workflow, sizes, profile, configs)
+        dataflow = self._dataflow_from_flows(vertex, workflow, sizes, profile, flows, configs)
         contributions = tuple(
             (flow.output_dataset, flow.output_bytes, flow.output_records) for flow in flows
         )
@@ -251,6 +345,7 @@ class WhatIfEngine:
         vertex: JobVertex,
         workflow: Workflow,
         sizes: Dict[str, Tuple[float, float]],
+        configs: ConfigOverlay = None,
     ) -> Tuple:
         """Everything the *dataflow derivation* of a vertex reads, hashable.
 
@@ -278,14 +373,19 @@ class WhatIfEngine:
         — ever pay the full derivation walk.  The assembled tuple is
         bit-identical to a from-scratch derivation, so cache keys (and
         persisted caches) are unaffected by where the parts came from.
+        Under ``configs`` it is the signature with the overlay bound.
         """
         local = self._vertex_local_key(vertex)
+        config = configs and configs.get(vertex.job.name)
+        if config:
+            active = vertex.job.has_combiner and config.combiner_enabled
+            local = replace(local, combiner_active=active, chained_input=config.chained_input)
         pipeline_parts = []
         for pipeline_key in local.pipelines:
             inputs = []
             for dataset_name, allowed in pipeline_key.inputs:
                 partition_count = (
-                    self._dataset_partition_count(dataset_name, workflow)
+                    self._dataset_partition_count(dataset_name, workflow, configs)
                     if allowed is not None
                     else None
                 )
@@ -301,7 +401,7 @@ class WhatIfEngine:
                 )
             )
         chained_map_tasks = (
-            self._chained_map_tasks(vertex, workflow) if local.chained_input else None
+            self._chained_map_tasks(vertex, workflow, configs) if local.chained_input else None
         )
         return (
             tuple(pipeline_parts),
@@ -332,11 +432,9 @@ class WhatIfEngine:
           plan copies, so its complete local key is served by identity
           (pinning the vertex keeps the id stable, and a vertex is frozen);
         * **pipeline level** — a config-only derivation
-          (:meth:`~repro.mapreduce.job.MapReduceJob.with_config`, the RRS
-          sampling loop) creates a fresh vertex but *shares* the pipeline
-          objects, so the expensive operator walks are reused per pipeline
-          and only the cheap job-level facts (partitioner fields, combiner
-          flag, profile key, chaining) are re-read.
+          (:meth:`~repro.mapreduce.job.MapReduceJob.with_config`) creates a
+          fresh vertex but *shares* the pipeline objects, so the operator
+          walks are reused and only the cheap job-level facts are re-read.
 
         ``signature_derivations`` counts the vertices whose key required at
         least one real pipeline walk — the dirty cone; everything else is a
@@ -348,7 +446,7 @@ class WhatIfEngine:
             return entry[1]
 
         job = vertex.job
-        config = job.config
+        config = job.config  # its own (memo by identity); overlays: vertex_dataflow_signature
         walked = False
         pipeline_keys = []
         for pipeline in job.pipelines:
@@ -427,13 +525,6 @@ class WhatIfEngine:
     # --------------------------------------------------------- size tracking
     def base_dataset_sizes(self, workflow: Workflow) -> Dict[str, Tuple[float, float]]:
         """Initial size state: the (bytes, records) of every base dataset."""
-        return self._base_dataset_sizes(workflow)
-
-    def job_count_estimate(self, workflow: Workflow) -> WorkflowCostEstimate:
-        """The profile-free fallback estimate (cost basis ``job_count``)."""
-        return self._job_count_estimate(workflow)
-
-    def _base_dataset_sizes(self, workflow: Workflow) -> Dict[str, Tuple[float, float]]:
         sizes: Dict[str, Tuple[float, float]] = {}
         for dataset_vertex in workflow.base_datasets():
             annotation = dataset_vertex.annotation
@@ -462,10 +553,11 @@ class WhatIfEngine:
         workflow: Workflow,
         sizes: Dict[str, Tuple[float, float]],
         profile: ProfileAnnotation,
+        configs: ConfigOverlay,
     ) -> List[_PipelineFlow]:
         flows: List[_PipelineFlow] = []
         for pipeline in vertex.job.pipelines:
-            p_bytes, p_records = self._pipeline_input(vertex, pipeline, workflow, sizes)
+            p_bytes, p_records = self._pipeline_input(vertex, pipeline, workflow, sizes, configs)
             flows.append(self._pipeline_flow(pipeline, profile, p_bytes, p_records))
         return flows
 
@@ -476,9 +568,10 @@ class WhatIfEngine:
         sizes: Dict[str, Tuple[float, float]],
         profile: ProfileAnnotation,
         flows: List[_PipelineFlow],
+        configs: ConfigOverlay,
     ) -> JobDataflow:
         job = vertex.job
-        input_bytes, input_records = self._job_input(vertex, workflow, sizes)
+        input_bytes, input_records = self._job_input(vertex, workflow, sizes, configs)
 
         map_output_records = sum(f.map_output_records for f in flows if not f.is_map_only)
         map_output_bytes = sum(f.map_output_bytes for f in flows if not f.is_map_only)
@@ -489,7 +582,7 @@ class WhatIfEngine:
 
         shuffle_records = map_output_records
         shuffle_bytes = map_output_bytes
-        if job.has_combiner and job.config.combiner_enabled and map_output_records > 0:
+        if job.has_combiner and config_of(vertex, configs).combiner_enabled and map_output_records > 0:
             reduction = max(0.0, min(1.0, profile.combine_reduction))
             shuffle_records = map_output_records * reduction
             shuffle_bytes = map_output_bytes * reduction
@@ -502,7 +595,7 @@ class WhatIfEngine:
 
         distinct_groups = self._distinct_reduce_groups(job, profile)
         distinct_partition_keys = self._distinct_partition_keys(job, profile)
-        chained_map_tasks = self._chained_map_tasks(vertex, workflow)
+        chained_map_tasks = self._chained_map_tasks(vertex, workflow, configs)
 
         return JobDataflow(
             input_bytes=max(input_bytes, 1.0),
@@ -529,12 +622,13 @@ class WhatIfEngine:
         vertex: JobVertex,
         workflow: Workflow,
         sizes: Dict[str, Tuple[float, float]],
+        configs: ConfigOverlay,
     ) -> Tuple[float, float]:
         total_bytes = 0.0
         total_records = 0.0
         for dataset_name in vertex.job.input_datasets:
             d_bytes, d_records = self._dataset_size(dataset_name, sizes, vertex)
-            fraction = self._job_prune_fraction(vertex.job, dataset_name, workflow)
+            fraction = self._job_prune_fraction(vertex.job, dataset_name, workflow, configs)
             total_bytes += d_bytes * fraction
             total_records += d_records * fraction
         return total_bytes, total_records
@@ -545,12 +639,13 @@ class WhatIfEngine:
         pipeline: Pipeline,
         workflow: Workflow,
         sizes: Dict[str, Tuple[float, float]],
+        configs: ConfigOverlay,
     ) -> Tuple[float, float]:
         total_bytes = 0.0
         total_records = 0.0
         for dataset_name in pipeline.input_datasets:
             d_bytes, d_records = self._dataset_size(dataset_name, sizes, vertex)
-            fraction = self._prune_fraction(pipeline, dataset_name, workflow)
+            fraction = self._prune_fraction(pipeline, dataset_name, workflow, configs)
             total_bytes += d_bytes * fraction
             total_records += d_records * fraction
         return total_bytes, total_records
@@ -568,33 +663,37 @@ class WhatIfEngine:
             "was the workflow traversed out of topological order?"
         )
 
-    def _job_prune_fraction(self, job: MapReduceJob, dataset_name: str, workflow: Workflow) -> float:
+    def _job_prune_fraction(
+        self, job: MapReduceJob, dataset_name: str, workflow: Workflow, configs: ConfigOverlay
+    ) -> float:
         fractions = []
         for pipeline in job.pipelines:
             if pipeline.reads(dataset_name):
-                fractions.append(self._prune_fraction(pipeline, dataset_name, workflow))
+                fractions.append(self._prune_fraction(pipeline, dataset_name, workflow, configs))
         if not fractions:
             return 1.0
         return max(fractions)
 
-    def _prune_fraction(self, pipeline: Pipeline, dataset_name: str, workflow: Workflow) -> float:
+    def _prune_fraction(
+        self, pipeline: Pipeline, dataset_name: str, workflow: Workflow, configs: ConfigOverlay
+    ) -> float:
         allowed = pipeline.allowed_partitions(dataset_name)
         if allowed is None:
             return 1.0
-        total = self._dataset_partition_count(dataset_name, workflow)
+        total = self._dataset_partition_count(dataset_name, workflow, configs)
         if total is None or total <= 0:
             return 1.0
         return max(0.0, min(1.0, len(allowed) / total))
 
     @staticmethod
-    def _dataset_partition_count(dataset_name: str, workflow: Workflow) -> Optional[int]:
+    def _dataset_partition_count(dataset_name: str, workflow: Workflow, configs: ConfigOverlay) -> Optional[int]:
         producer = workflow.producer_of(dataset_name)
         if producer is not None:
             partitioner = producer.job.effective_partitioner
             if partitioner.kind == "range":
                 return len(partitioner.split_points) + 1
             if not producer.job.is_map_only:
-                return max(1, producer.job.config.num_reduce_tasks)
+                return max(1, config_of(producer, configs).num_reduce_tasks)
             return None
         if workflow.has_dataset(dataset_name):
             annotation = workflow.dataset(dataset_name).annotation
@@ -682,22 +781,23 @@ class WhatIfEngine:
         return cardinality if cardinality > 0 else None
 
     @staticmethod
-    def _chained_map_tasks(vertex: JobVertex, workflow: Workflow) -> Optional[int]:
-        if not vertex.job.config.chained_input:
+    def _chained_map_tasks(vertex: JobVertex, workflow: Workflow, configs: ConfigOverlay) -> Optional[int]:
+        if not config_of(vertex, configs).chained_input:
             return None
         for dataset_name in vertex.job.input_datasets:
             producer = workflow.producer_of(dataset_name)
             if producer is not None and not producer.job.is_map_only:
-                return max(1, producer.job.config.num_reduce_tasks)
-            if producer is not None and producer.job.config.chained_input:
+                return max(1, config_of(producer, configs).num_reduce_tasks)
+            if producer is not None and config_of(producer, configs).chained_input:
                 # Producer is itself chained; inherit its constraint.
-                inherited = WhatIfEngine._chained_map_tasks(producer, workflow)
+                inherited = WhatIfEngine._chained_map_tasks(producer, workflow, configs)
                 if inherited is not None:
                     return inherited
         return None
 
     # ------------------------------------------------------------- fallback
-    def _job_count_estimate(self, workflow: Workflow) -> WorkflowCostEstimate:
+    def job_count_estimate(self, workflow: Workflow, configs: ConfigOverlay = None) -> WorkflowCostEstimate:
+        """The profile-free fallback estimate (cost basis ``job_count``)."""
         per_job: Dict[str, JobTimeEstimate] = {}
         for vertex in workflow.jobs:
             per_job[vertex.name] = JobTimeEstimate(
@@ -706,7 +806,7 @@ class WhatIfEngine:
                 reduce_phase_s=0.0 if vertex.job.is_map_only else JOB_COUNT_COST_SECONDS / 2,
                 startup_s=0.0,
                 num_map_tasks=1,
-                num_reduce_tasks=vertex.job.config.num_reduce_tasks,
+                num_reduce_tasks=config_of(vertex, configs).num_reduce_tasks,
                 map_task_s=0.0,
                 reduce_task_s=0.0,
                 details={"basis": 1.0},

@@ -14,11 +14,14 @@ query of the optimizer stack and makes them incremental:
   the expensive half of costing a job;
 * only the mutated jobs — and downstream jobs whose input sizes or
   producer-dependent facts actually changed — are derived again;
-* the cheap per-phase job model (``estimate_job_time``) runs on the looked-up
-  or derived dataflow every time, under the job's current configuration, and
-  the per-level makespan combination is recomputed from those estimates, so
-  the returned :class:`~repro.whatif.model.WorkflowCostEstimate` is *exactly*
-  equal to a cold full re-estimation.
+* an RRS sample is costed as a configuration overlay on the candidate's
+  baseline estimate (``estimate_workflow(workflow, configs, base)``): no plan
+  copy, and no signature or lookup for a job whose dataflow it cannot move;
+* the cheap per-phase job model (``estimate_job_time``) runs on the dataflow
+  of every job whose configuration is asked about, and the makespan of every
+  level holding one is recomputed, so the returned
+  :class:`~repro.whatif.model.WorkflowCostEstimate` is *exactly* equal to a
+  cold full re-estimation.
 
 There is one memo level on purpose: nothing is stored per RRS sample.  A
 finer level (signature + job-model knobs → final estimate) would hold ~92 %
@@ -73,6 +76,7 @@ from repro.common.store import (  # noqa: F401  (CacheLoadReport, cluster_cache_
 )
 from repro.whatif.jobmodel import estimate_job_time
 from repro.whatif.model import COST_MODEL_VERSION, VertexCost, WhatIfEngine, WorkflowCostEstimate
+from repro.whatif.model import ConfigOverlay, config_of
 from repro.workflow.graph import Workflow
 
 #: Default bound on cached per-vertex dataflows; old entries are evicted LRU.
@@ -102,24 +106,21 @@ class CostServiceStats(CounterStats):
     ``queries`` counts workflow-level estimate requests — exactly the number
     of full-workflow what-if computations a non-incremental engine would have
     performed.  ``full_estimates`` counts the queries that could not reuse
-    *anything*: no job's dataflow was in the memo, i.e. the computations that
-    really were full.
+    *anything*, i.e. the computations that really were full.
 
-    Job-granularity counters: every query looks up each job once
-    (``job_queries``).  A lookup has one of two outcomes —
+    Job-granularity counters: every query answers for each job of the
+    workflow once (``job_queries``), with one of two outcomes —
 
-    * ``job_cache_hits`` — the dataflow derivation was served from the memo
-      and only the cheap per-phase job model ran;
+    * ``job_cache_hits`` — answered **without a dataflow derivation**: a memo
+      row, or the query's ``base`` result carried over or kept under the job
+      model again (at most the cheap per-phase job model ran);
     * ``job_full_recosts`` — the job was derived and costed from scratch (and
       the derivation stored: one memo row per from-scratch derivation).
 
     ``fallback_queries`` counts profile-free queries answered by the trivial
-    job-count model (neither cached nor worth caching).
-
-    ``cross_origin_hits`` counts the memo hits served by an entry stored
-    under a different origin label than the one active at lookup time — e.g.
-    a hit on another experiment cell's work, or on a warm-started persisted
-    cache.
+    job-count model.  ``cross_origin_hits`` counts the hits *the LRU served*
+    from a row stored under another origin label than the one active at
+    lookup — another experiment cell's work, or a warm-started cache.
     """
 
     DERIVED: ClassVar[Tuple[str, ...]] = ("effective_full_estimates", "cache_hit_rate")
@@ -202,42 +203,69 @@ class CostService(ShardedStore):
         super().__init__(cluster, max_cache_entries, enabled=enable_cache, cache_path=cache_path)
 
     # ------------------------------------------------------------------ API
-    def estimate_workflow(self, workflow: Workflow) -> WorkflowCostEstimate:
-        """Estimate ``workflow``, reusing memoized per-job dataflows where valid."""
+    def estimate_workflow(
+        self,
+        workflow: Workflow,
+        configs: ConfigOverlay = None,
+        base: Optional[WorkflowCostEstimate] = None,
+    ) -> WorkflowCostEstimate:
+        """Estimate ``workflow``, reusing memoized per-job dataflows where valid.
+
+        ``configs`` (job name -> ``JobConfig``) asks what ``workflow`` would
+        cost with those bound, without the plan copy.  ``base``, an estimate
+        of the same ``workflow`` without ``configs``, spares the jobs the overlay
+        cannot move (:meth:`WhatIfEngine.run_costing`) and never changes the
+        answer.  It answers for the vertices it snapshotted: once ``workflow``
+        rebinds, adds or removes one it is ignored — take a fresh base after
+        every edit of the plan.
+        """
         fault_site("whatif.estimate", jobs=workflow.num_jobs)
         delta = CostServiceStats(queries=1)
+        if configs:
+            overlay = {}
+            for name, config in configs.items():
+                own = workflow.job(name).job.config
+                if (config.num_reduce_tasks == 0) != (own.num_reduce_tasks == 0):
+                    # Reconciled with the job's shape, as MapReduceJob.__post_init__ would.
+                    config = config.replace(num_reduce_tasks=min(1, own.num_reduce_tasks))
+                if config is not own:  # else binding it changes nothing
+                    overlay[name] = config
+            configs = overlay
         if not all(vertex.annotations.has_profile for vertex in workflow.jobs):
             delta.fallback_queries = 1
             self._apply_delta(delta)
-            return self.engine.job_count_estimate(workflow)
+            return self.engine.job_count_estimate(workflow, configs)
 
         engine = self.engine
         cluster = self.cluster
         enabled = self.enabled
         origin = current_origin()
+        recosted = set()  # by name: a query that starts over meets its jobs twice
 
-        def cost_vertex(vertex, workflow, sizes) -> VertexCost:
+        def cost_vertex(vertex, workflow, sizes, configs) -> VertexCost:
             # Cache-aware drop-in for WhatIfEngine.cost_vertex, plugged into
             # the engine's shared run_costing traversal so the service cannot
             # drift from the cold path.  Hit or miss, the job model runs on
-            # the vertex's current configuration: nothing here is per sample.
-            signature = engine.vertex_dataflow_signature(vertex, workflow, sizes)
+            # the configuration asked about: nothing here is per sample.
+            signature = engine.vertex_dataflow_signature(vertex, workflow, sizes, configs)
             cached = self._cache.lookup(signature) if enabled else None
             if cached is not None:
                 derived, entry_origin = cached
-                delta.job_cache_hits += 1
                 if entry_origin != origin:
                     delta.cross_origin_hits += 1
             else:
-                delta.job_full_recosts += 1
-                derived = engine.derive_vertex_dataflow(vertex, workflow, sizes)
+                recosted.add(vertex.job.name)
+                derived = engine.derive_vertex_dataflow(vertex, workflow, sizes, configs)
                 self._store(signature, derived, origin)
             dataflow, contributions = derived
-            estimate = estimate_job_time(dataflow, vertex.job.config, cluster)
-            return VertexCost(estimate=estimate, output_contributions=contributions)
+            estimate = estimate_job_time(dataflow, config_of(vertex, configs), cluster)
+            return VertexCost(estimate, contributions, dataflow)
 
-        estimate = engine.run_costing(workflow, cost_vertex)
-        delta.job_queries = delta.job_cache_hits + delta.job_full_recosts
+        estimate = engine.run_costing(workflow, cost_vertex, configs, base)
+        # A hit: answered without a derivation (a memo row, or the base's result).
+        delta.job_queries = len(estimate.per_job)
+        delta.job_full_recosts = len(recosted)
+        delta.job_cache_hits = delta.job_queries - delta.job_full_recosts
         if delta.job_cache_hits == 0:
             delta.full_estimates = 1
         self._apply_delta(delta)

@@ -669,7 +669,7 @@ class Workflow:
         ``derive`` builds the replacement (e.g. ``job.with_config(...)``), a
         job of the same name that may share pipelines with the old one; the
         annotations object is carried over as is.  Config-only derivations
-        (the RRS hot loop) keep the cached topology; a derivation that
+        keep the cached topology; a derivation that
         rewires datasets updates the index cone like :meth:`replace_job`.
         """
         old = self.job(name)
@@ -682,7 +682,9 @@ class Workflow:
         vertex = JobVertex(new_job, old.annotations)
         self._jobs[name] = vertex
         COPY_COUNTERS.vertex_shell_copies += 1
-        if (
+        # Same pipelines tuple (every ``with_config`` / ``with_partitioner``
+        # derivation): same edges, without building four name tuples to compare.
+        if new_job.pipelines is not old_job.pipelines and (
             old_job.input_datasets != new_job.input_datasets
             or old_job.output_datasets != new_job.output_datasets
         ):

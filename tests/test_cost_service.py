@@ -21,6 +21,7 @@ import dataclasses
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.common.errors import WorkflowValidationError
 from repro.common.rng import DeterministicRNG
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.search import record_unit_jobs, SubplanRecord
@@ -30,13 +31,15 @@ from repro.core.transformations import (
     HorizontalPacking,
     InterJobVerticalPacking,
     IntraJobVerticalPacking,
+    PartitionFunctionTransformation,
 )
 from repro.experiments import ExperimentHarness
-from repro.mapreduce.config import JobConfig
+from repro.mapreduce.config import ConfigurationSpace, JobConfig
 from repro.profiler import Profiler
 from repro.verification import RandomWorkflowGenerator
 from repro.whatif import CostService, WhatIfEngine
 from repro.workloads import WORKLOAD_ORDER, build_workload
+from tests.conftest import equivalence_seeds
 
 CLUSTER = ClusterSpec.paper_cluster()
 
@@ -269,6 +272,260 @@ class TestKeyCompleteness:
                         checked += 1
         assert checked >= 2 * len(dataclasses.fields(JobConfig))
         assert service.stats.job_cache_hits > 0
+
+
+def _materialised(plan, configs):
+    """The plan with ``configs`` bound the way an edit binds them: the oracle's input."""
+    bound = plan.copy()
+    for name, config in configs.items():
+        bound.set_job_config(name, config)
+    return bound
+
+
+def _assert_overlay_equals_cold(service, plan, base, configs, context):
+    """``service`` under an overlay == a fresh cold engine on the materialised plan."""
+    overlay = service.estimate_workflow(plan.workflow, configs, base)
+    cold = WhatIfEngine(CLUSTER).estimate_workflow(_materialised(plan, configs).workflow)
+    assert overlay == cold, context  # total_s, per_job, dataset_sizes, cost_basis
+    assert list(overlay.per_job) == list(cold.per_job), context
+    assert list(overlay.dataset_sizes) == list(cold.dataset_sizes), context
+    return overlay
+
+
+def _random_overlay(plan, rng):
+    """Points from each job's own search space, on a random subset of the jobs."""
+    names = [name for name in plan.job_names if rng.random() < 0.5] or plan.job_names[:1]
+    configs = {}
+    for name in names:
+        job = plan.job(name).job
+        space = ConfigurationSpace.for_job(
+            max_reduce_tasks=2 * CLUSTER.total_reduce_slots,
+            map_only=job.is_map_only,
+            has_combiner=job.has_combiner,
+        )
+        configs[name] = job.config.with_settings(space.sample(rng))
+    return configs
+
+
+@pytest.mark.equivalence
+class TestOverlayEqualsCold:
+    """``estimate_workflow(workflow, configs, base)`` == the cold engine on a
+    materialised copy.  The oracle lives here, not behind a switch in ``src/``."""
+
+    @pytest.mark.parametrize("seed", equivalence_seeds())
+    def test_random_workflows_random_subsets_random_points(self, seed):
+        plan = RandomWorkflowGenerator().generate(seed).plan
+        rng = DeterministicRNG(seed)
+        service = CostService(CLUSTER)
+        base = service.estimate_workflow(plan.workflow)
+        assert base == WhatIfEngine(CLUSTER).estimate_workflow(plan.workflow)
+        for step in range(6):
+            configs = _random_overlay(plan, rng)
+            overlay = _assert_overlay_equals_cold(
+                service, plan, base, configs, f"seed={seed} step={step}"
+            )
+            # The same query without the base, and without the memo: same answer.
+            assert service.estimate_workflow(plan.workflow, configs) == overlay
+            assert (
+                CostService(CLUSTER, enable_cache=False).estimate_workflow(
+                    plan.workflow, configs, base
+                )
+                == overlay
+            )
+        stats = service.stats
+        assert stats.job_cache_hits + stats.job_full_recosts == stats.job_queries
+        assert stats.job_queries == stats.queries * plan.num_jobs
+
+    @pytest.mark.parametrize("abbr", ["IR", "LA", "BA", "US"])
+    def test_candidates_with_chained_and_pruned_readers(self, abbr):
+        """Every subplan the search enumerated on a canned plan, intra-job
+        packing (IR, BA, US: chained readers) and partition pruning (US: pruned
+        readers of a produced dataset; LA prunes a base dataset, which has no
+        producer to overlay) included: overlaying a producer must reach the
+        readers of its reduce-task count."""
+        workload = _profiled(abbr, scale=0.15)
+        result = StubbyOptimizer(CLUSTER, seed=17).optimize(workload.plan)
+        rng = DeterministicRNG(17)
+        service = CostService(CLUSTER)
+        readers_reached = 0
+        for report in result.unit_reports:
+            for index, record in enumerate(report.subplans):
+                plan = record.plan
+                base = service.estimate_workflow(plan.workflow)
+                for step in range(4):
+                    configs = _random_overlay(plan, rng)
+                    _assert_overlay_equals_cold(
+                        service, plan, base, configs,
+                        f"{abbr} {report.phase} {record.transformations} #{index} step={step}",
+                    )
+                readers_reached += len(base.basis.fact_readers)
+        assert readers_reached > 0 or abbr == "LA", f"{abbr}: no fact reader was ever reached"
+
+    def test_moved_contributions_turn_the_query_into_a_full_walk(self):
+        """A hash-partitioned producer feeding a partition-pruned reader: its
+        reduce-task count sets the reader's pruned fraction, so overlaying it
+        moves the reader's output sizes and everything downstream."""
+        moved = 0
+        for seed in equivalence_seeds()[:10]:
+            plan = RandomWorkflowGenerator().generate(seed).plan
+            workflow = plan.workflow
+            for producer in workflow.jobs:
+                readers = workflow.consumer_jobs(producer.name)
+                if producer.job.is_map_only or producer.job.effective_partitioner.kind == "range":
+                    continue
+                if not readers or not workflow.consumer_jobs(readers[0].name):
+                    continue
+                dataset = producer.job.output_datasets[0]
+                workflow.update_job(
+                    readers[0].name,
+                    lambda job: dataclasses.replace(
+                        job,
+                        pipelines=[
+                            p.with_partition_filter(dataset, (0,)) if p.reads(dataset) else p
+                            for p in job.pipelines
+                        ],
+                    ),
+                )
+                service = CostService(CLUSTER)
+                base = service.estimate_workflow(workflow)
+                config = producer.job.config
+                configs = {
+                    producer.name: config.replace(num_reduce_tasks=config.num_reduce_tasks + 3)
+                }
+                overlay = _assert_overlay_equals_cold(
+                    service, plan, base, configs, f"seed={seed} {producer.name}"
+                )
+                assert overlay.dataset_sizes != base.dataset_sizes
+                assert overlay.basis is None and base.basis is not None
+                moved += 1
+                break
+        assert moved > 0
+
+    @pytest.mark.parametrize("abbr", ["BR", "US"])
+    def test_every_single_field_perturbation(self, abbr):
+        """ROADMAP item 4, incremental half: a ``JobConfig`` field the model
+        starts reading without the carried / kept / re-derived rule knowing
+        fails here the day it is added."""
+        raw = _profiled(abbr).plan
+        # Partition pruning (US) then intra-job packing, applied directly: the
+        # plan then holds pruned and chained readers whatever the search prefers.
+        rewritten = raw
+        for transformation in (PartitionFunctionTransformation(), IntraJobVerticalPacking()):
+            for application in transformation.find_applications(rewritten, tuple(rewritten.job_names))[:1]:
+                rewritten = transformation.apply(rewritten, application)
+        service = CostService(CLUSTER)
+        checked = 0
+        fact_readers = set()
+        for plan in (raw, rewritten):
+            base = service.estimate_workflow(plan.workflow)
+            for name in plan.job_names:
+                config = plan.job(name).job.config
+                for config_field in dataclasses.fields(config):
+                    for value in _perturbed_values(getattr(config, config_field.name)):
+                        try:
+                            changed = config.replace(**{config_field.name: value})
+                        except ValueError:
+                            continue  # rejected by JobConfig's own validation
+                        _assert_overlay_equals_cold(
+                            service, plan, base, {name: changed},
+                            f"{abbr} {name}.{config_field.name}={value!r}",
+                        )
+                        checked += 1
+            fact_readers |= base.basis.fact_readers
+        assert checked >= 2 * len(dataclasses.fields(JobConfig))
+        assert fact_readers, f"{abbr}: the rewritten plan holds no chained or pruned reader"
+
+
+class TestOverlayContract:
+    """What the overlay path may skip, and what it may never mix in."""
+
+    def test_untouched_jobs_are_carried_and_knob_moves_skip_the_signature(self):
+        workload = _profiled("BR")
+        plan = workload.plan
+        service = CostService(CLUSTER)
+        base = service.estimate_workflow(plan.workflow)
+        engine = service.engine
+        target = next(v.name for v in plan.workflow.jobs if not v.job.is_map_only)
+        config = plan.job(target).job.config
+        signatures = engine.signature_derivations + engine.signature_memo_hits
+        before = service.stats.snapshot()
+        overlay = service.estimate_workflow(
+            plan.workflow, {target: config.replace(io_sort_mb=config.io_sort_mb + 64)}, base
+        )
+        for name in plan.job_names:
+            assert (overlay.per_job[name] is base.per_job[name]) == (name != target)
+        service.estimate_workflow(plan.workflow, {target: config.replace(io_sort_mb=8)}, base)
+        assert engine.signature_derivations + engine.signature_memo_hits == signatures
+        delta = service.stats.since(before)
+        assert (delta.queries, delta.job_queries) == (2, 2 * plan.num_jobs)
+        assert (delta.job_cache_hits, delta.job_full_recosts) == (delta.job_queries, 0)
+        assert delta.cross_origin_hits == 0  # nothing above was served by the LRU
+
+    def test_an_unchanged_config_is_no_overlay(self):
+        plan = _profiled("IR").plan
+        service = CostService(CLUSTER)
+        base = service.estimate_workflow(plan.workflow)
+        name = plan.job_names[0]
+        config = plan.job(name).job.config
+        assert config.with_settings(config.as_dict()) is config
+        same = service.estimate_workflow(plan.workflow, {name: config}, base)
+        assert same == base and same.per_job[name] is base.per_job[name]
+        assert same.basis is not None  # costed under no overlay: a base in its own right
+
+    def test_an_edit_after_the_base_was_taken_is_not_mixed_in(self):
+        """A base answers for the vertices it snapshotted; Starfish edits the
+        plan between jobs and must not be served its pre-edit costs."""
+        plan = _profiled("BR").plan
+        service = CostService(CLUSTER)
+        base = service.estimate_workflow(plan.workflow)
+        reducing = [v.name for v in plan.workflow.jobs if not v.job.is_map_only]
+        edited, tuned = reducing[0], reducing[-1]
+        plan.set_job_config(
+            edited, plan.job(edited).job.config.replace(num_reduce_tasks=23, io_sort_mb=64)
+        )
+        config = plan.job(tuned).job.config
+        configs = {tuned: config.replace(split_size_mb=config.split_size_mb + 32)}
+        stale = _assert_overlay_equals_cold(service, plan, base, configs, "stale base")
+        assert stale.per_job[edited] != base.per_job[edited]
+        fresh = service.estimate_workflow(plan.workflow)
+        assert service.estimate_workflow(plan.workflow, configs, fresh) == stale
+        # Dataset vertices are part of the snapshot too.
+        source = plan.workflow.base_datasets()[0]
+        annotation = dataclasses.replace(source.annotation, size_bytes=source.annotation.size_bytes * 2)
+        plan.workflow.add_dataset(source.name, annotation=annotation)
+        _assert_overlay_equals_cold(service, plan, fresh, configs, "stale dataset")
+
+    def test_a_dataset_sized_twice_makes_no_base(self):
+        """A base hands re-derived jobs its *final* sizes; that is only the
+        size a job was costed on if no dataset is contributed to by two jobs."""
+        plan = RandomWorkflowGenerator().generate(PROPERTY_SEEDS[1]).plan
+        workflow = plan.workflow
+        writer = next(v for v in workflow.jobs if workflow.consumer_jobs(v.name))
+        twin = dataclasses.replace(writer.job, name=f"{writer.name}_twin")
+        workflow.add_job(twin, writer.annotations)
+        service = CostService(CLUSTER)
+        base = service.estimate_workflow(workflow)
+        assert base.basis is None
+        assert base == WhatIfEngine(CLUSTER).estimate_workflow(workflow)
+        config = writer.job.config
+        configs = {writer.name: config.replace(io_sort_mb=config.io_sort_mb + 64)}
+        _assert_overlay_equals_cold(service, plan, base, configs, "two writers")
+
+    def test_overlay_of_an_unknown_job_is_rejected(self):
+        plan = _profiled("IR").plan
+        service = CostService(CLUSTER)
+        with pytest.raises(WorkflowValidationError):
+            service.estimate_workflow(plan.workflow, {"no-such-job": JobConfig()})
+
+    def test_profile_free_fallback_honours_the_overlay(self):
+        generated = RandomWorkflowGenerator().with_config(profile=False).generate(PROPERTY_SEEDS[0])
+        plan = generated.plan
+        name = next(v.name for v in plan.workflow.jobs if not v.job.is_map_only)
+        configs = {name: plan.job(name).job.config.replace(num_reduce_tasks=9)}
+        overlay = CostService(CLUSTER).estimate_workflow(plan.workflow, configs)
+        cold = WhatIfEngine(CLUSTER).estimate_workflow(_materialised(plan, configs).workflow)
+        assert overlay == cold and overlay.cost_basis == "job_count"
+        assert overlay.per_job[name].num_reduce_tasks == 9
 
 
 class TestOptimizerIntegration:

@@ -42,6 +42,13 @@ class TestJobConfig:
         config = JobConfig(num_reduce_tasks=0)
         assert config.with_settings({"num_reduce_tasks": 50}).num_reduce_tasks == 0
 
+    def test_with_settings_returns_self_when_nothing_changes(self):
+        config = JobConfig(num_reduce_tasks=1, forced_single_reduce=True)
+        assert config.with_settings(config.as_dict()) is config
+        assert config.with_settings({"num_reduce_tasks": 40, "bogus": 1}) is config  # both ignored
+        assert config.with_settings({"io_sort_mb": 128.4}) is config  # rounds to the value held
+        assert config.with_settings({"io_sort_mb": 129}) == config.replace(io_sort_mb=129)
+
     def test_with_settings_ignores_unknown_keys(self):
         config = JobConfig().with_settings({"bogus": 12})
         assert config == JobConfig()

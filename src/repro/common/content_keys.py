@@ -1,8 +1,9 @@
 """Content-key helpers shared by the decision cache and sub-result catalog.
 
-A leaf module (no ``repro.core`` imports) so both
-:mod:`repro.core.decision_cache` and :mod:`repro.core.subresults` can build
-keys without an import cycle through the transformation registry.  The
+A leaf module (it imports nothing from ``repro``) so
+:mod:`repro.core.decision_cache`, :mod:`repro.core.subresults` and the
+annotation classes, which build their own ``key`` from these
+(:mod:`repro.workflow.annotations`), can use it without an import cycle.  The
 search composes these into full decision keys; the catalog composes them
 into subgraph signatures.  They all return hashable, picklable,
 *content-based* plain tuples — ``hash()`` is only ever used for shard
@@ -14,10 +15,8 @@ from __future__ import annotations
 from typing import Mapping, Optional, Tuple
 
 __all__ = [
-    "dataset_annotation_key",
     "filter_annotation_key",
-    "job_annotations_key",
-    "partition_function_key",
+    "optional_key",
     "plain_value_key",
     "rrs_search_key",
     "transformation_key",
@@ -48,16 +47,10 @@ def plain_value_key(value) -> Tuple:
     return ("repr", type(value).__name__, repr(value))
 
 
-def partition_function_key(partitioner) -> Optional[Tuple]:
-    """Content key of a :class:`~repro.mapreduce.partitioner.PartitionFunction`."""
-    if partitioner is None:
-        return None
-    return (
-        partitioner.kind,
-        tuple(partitioner.fields),
-        tuple(partitioner.effective_sort_fields),
-        tuple(partitioner.split_points),
-    )
+def optional_key(value) -> Optional[Tuple]:
+    """``value.key`` — the content key a frozen value builds once, on first read
+    (``PartitionFunction``, ``DatasetAnnotation``, ...) — or ``None`` for no value."""
+    return None if value is None else value.key
 
 
 def filter_annotation_key(filter_annotation) -> Optional[Tuple]:
@@ -79,49 +72,6 @@ def schema_annotation_key(schema) -> Optional[Tuple]:
     return tuple(
         None if component is None else tuple(sorted(component))
         for component in (schema.k1, schema.v1, schema.k2, schema.v2, schema.k3, schema.v3)
-    )
-
-
-def job_annotations_key(annotations) -> Tuple:
-    """Content key of one job's :class:`JobAnnotations`.
-
-    The profile is deliberately *not* re-keyed here: its content already
-    reaches the decision key through the vertex local key
-    (:attr:`~repro.whatif.model._VertexLocalKey.profile_key`).
-    """
-    return (
-        schema_annotation_key(annotations.schema),
-        filter_annotation_key(annotations.filter),
-        tuple(
-            sorted(
-                (name, filter_annotation_key(flt))
-                for name, flt in annotations.per_input_filters.items()
-            )
-        ),
-        partition_function_key(annotations.partition_constraint),
-        tuple(
-            sorted(
-                ((str(name), plain_value_key(value)) for name, value in annotations.conditions.items()),
-                key=repr,
-            )
-        ),
-    )
-
-
-def dataset_annotation_key(annotation) -> Optional[Tuple]:
-    """Content key of a :class:`~repro.workflow.annotations.DatasetAnnotation`."""
-    if annotation is None:
-        return None
-    return (
-        annotation.schema,
-        annotation.partition_kind,
-        annotation.partition_fields,
-        annotation.split_points,
-        annotation.sort_fields,
-        annotation.compressed,
-        annotation.size_bytes,
-        annotation.num_records,
-        tuple(sorted(annotation.field_ranges.items())),
     )
 
 

@@ -51,14 +51,13 @@ from typing import ClassVar, Dict, Optional, Tuple
 from repro.cluster import ClusterSpec
 from repro.common.store import CounterStats, ShardedStore, current_origin, resolve_env_flag
 
-# Content-key helpers live in the leaf module ``repro.core.content_keys``
-# (shared with the sub-result catalog); re-exported here because the search
-# and the test suite have always imported them from this module.
-from repro.core.content_keys import (  # noqa: F401  (re-exports)
-    dataset_annotation_key,
+# Content-key helpers live in the leaf module ``repro.common.content_keys``
+# (shared with the sub-result catalog and the annotation classes); re-exported
+# here because the search and the test suite have always imported them from
+# this module.
+from repro.common.content_keys import (  # noqa: F401  (re-exports)
     filter_annotation_key,
-    job_annotations_key,
-    partition_function_key,
+    optional_key,
     plain_value_key,
     rrs_search_key,
     schema_annotation_key,

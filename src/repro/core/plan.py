@@ -119,38 +119,11 @@ class Plan:
         Two plans with the same jobs, pipelines, partition functions, and
         pruning filters are considered structurally identical (their
         configurations may still differ — configurations are searched
-        separately by RRS).
+        separately by RRS).  Each job's part is built once per job
+        (:attr:`~repro.mapreduce.job.MapReduceJob.structure_key`); sorting them
+        is all a call does.
         """
-        parts = []
-        for vertex in self.workflow.jobs:
-            job = vertex.job
-            partitioner = job.effective_partitioner
-            pipelines = tuple(
-                (
-                    pipeline.tag,
-                    tuple(pipeline.input_datasets),
-                    tuple(op.name for op in pipeline.map_ops),
-                    tuple(op.name for op in pipeline.reduce_ops),
-                    pipeline.output_dataset,
-                    tuple(sorted(
-                        (name, tuple(indexes))
-                        for name, indexes in pipeline.input_partition_filter.items()
-                    )),
-                )
-                for pipeline in job.pipelines
-            )
-            parts.append(
-                (
-                    job.name,
-                    pipelines,
-                    partitioner.kind,
-                    tuple(partitioner.fields),
-                    tuple(partitioner.effective_sort_fields),
-                    tuple(partitioner.split_points),
-                    job.config.chained_input,
-                )
-            )
-        return tuple(sorted(parts))
+        return tuple(sorted(vertex.job.structure_key for vertex in self.workflow.jobs))
 
     def describe(self) -> str:
         """Human-readable multi-line description of the plan."""

@@ -45,9 +45,7 @@ from repro.core.decision_cache import (
     DecisionCache,
     SubunitChoice,
     UnitDecision,
-    dataset_annotation_key,
-    job_annotations_key,
-    partition_function_key,
+    optional_key,
     rrs_search_key,
     transformation_key,
 )
@@ -392,7 +390,9 @@ class StubbySearch:
         (RRS parameters including the seed, the transformation set with its
         options, the enumeration caps, the cost-model version, the cluster).
         Equal keys are decision-equivalent by construction; any input change
-        produces a miss, never a stale hit.
+        produces a miss, never a stale hit.  What describes a frozen value is
+        built once per value (``docs/search.md``, "What building it costs");
+        per unit the key reads the dataset statistics and the knobs.
         """
         workflow = plan.workflow
         job_parts = []
@@ -403,8 +403,8 @@ class StubbySearch:
                     vertex.name,
                     self.whatif.vertex_content_key(vertex),
                     job.config.key,
-                    partition_function_key(job.effective_partitioner),
-                    job_annotations_key(vertex.annotations),
+                    job.effective_partitioner.key,
+                    vertex.annotations.key,
                 )
             )
         dataset_parts = []
@@ -413,7 +413,8 @@ class StubbySearch:
             dataset_parts.append(
                 (
                     dataset_vertex.name,
-                    dataset_annotation_key(dataset_vertex.annotation),
+                    optional_key(dataset_vertex.annotation),
+                    # Read live: ``scale_factor`` is assigned after loading.
                     None
                     if dataset is None
                     else (dataset.logical_bytes, dataset.logical_records),

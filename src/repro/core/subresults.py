@@ -44,6 +44,7 @@ from dataclasses import dataclass, replace
 from typing import ClassVar, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster import ClusterSpec
+from repro.common.content_keys import optional_key
 from repro.common.faults import fault_site
 from repro.common.hashing import stable_hash
 from repro.common.store import (
@@ -52,11 +53,6 @@ from repro.common.store import (
     cluster_cache_key,
     current_origin,
     resolve_env_flag,
-)
-from repro.core.content_keys import (
-    dataset_annotation_key,
-    job_annotations_key,
-    partition_function_key,
 )
 from repro.dfs.dataset import Dataset
 from repro.profiler.profiler import Profiler
@@ -352,11 +348,10 @@ def dataset_content_fingerprint(dataset: Optional[Dataset]) -> Optional[int]:
     Base-data content reaches the what-if engine only through profiles and
     annotations, but a stored *sub-result* is a function of the bytes
     themselves — two structurally identical subgraphs over different base
-    records must never share an entry, so the signature hashes the records.
+    records must never share an entry, so the signature pins the records'
+    hash (:attr:`Dataset.content_fingerprint`, taken once per load).
     """
-    if dataset is None:
-        return None
-    return stable_hash(sorted(str(sorted(record.items())) for record in dataset.records()))
+    return None if dataset is None else dataset.content_fingerprint
 
 
 def producing_cone(
@@ -416,8 +411,8 @@ def subgraph_signature(
                 job_name,
                 engine.vertex_content_key(vertex),
                 tuple(sorted(job.config.as_dict().items())),
-                partition_function_key(job.effective_partitioner),
-                job_annotations_key(vertex.annotations),
+                job.effective_partitioner.key,
+                vertex.annotations.key,
                 tuple(job.input_datasets),
                 tuple(job.output_datasets),
             )
@@ -429,13 +424,13 @@ def subgraph_signature(
         base_parts.append(
             (
                 name,
-                dataset_annotation_key(vertex.annotation if vertex is not None else None),
+                optional_key(vertex.annotation if vertex is not None else None),
                 None if dataset is None else (dataset.logical_bytes, dataset.logical_records),
                 dataset_content_fingerprint(dataset),
             )
         )
     annotation_parts = tuple(
-        (name, dataset_annotation_key(workflow.dataset(name).annotation))
+        (name, optional_key(workflow.dataset(name).annotation))
         for name in sorted(touched_datasets)
         if workflow.has_dataset(name)
     )

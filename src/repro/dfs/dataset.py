@@ -3,7 +3,9 @@
 A :class:`Dataset` is the payload behind a dataset vertex of the workflow
 DAG.  It holds records partitioned into :class:`DatasetPartition` objects
 according to its :class:`~repro.dfs.layout.DataLayout`, plus the aggregate
-statistics (record count, raw byte size) the cost model needs.
+statistics (record count, raw byte size) the cost model needs.  The
+statistics are fixed when the records are stored (:meth:`Dataset.load`):
+reading one never walks the records.
 
 Datasets are deliberately simple: lists of dict records.  The evaluation
 datasets are generated at megabyte scale (see ``repro.workloads.datagen``)
@@ -15,33 +17,47 @@ read-sharing opportunities — are preserved at small scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.hashing import stable_hash
 from repro.common.records import Record, record_size_bytes, sort_key_for
 from repro.dfs.layout import DataLayout
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetPartition:
-    """One stored partition (file) of a dataset."""
+    """One stored partition (file) of a dataset.
+
+    Read-only: the records are a tuple, in stored order, and must not be
+    edited in place — :attr:`raw_bytes` is summed once, when the partition
+    is built.  New contents are a new :meth:`Dataset.load`.
+    """
 
     index: int
-    records: List[Record] = field(default_factory=list)
+    records: Tuple[Record, ...] = ()
+    #: Uncompressed serialized size of this partition.
+    raw_bytes: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "raw_bytes", sum(map(record_size_bytes, self.records)))
 
     @property
     def num_records(self) -> int:
         """Number of records in this partition."""
         return len(self.records)
 
-    @property
-    def raw_bytes(self) -> int:
-        """Uncompressed serialized size of this partition."""
-        return sum(record_size_bytes(record) for record in self.records)
-
 
 class Dataset:
-    """A named, partitioned collection of records with a physical layout."""
+    """A named, partitioned collection of records with a physical layout.
+
+    :meth:`load` is the only writer of the contents: it stores the records
+    read-only and fixes :attr:`num_records`, :attr:`raw_bytes` and (on first
+    read) :attr:`content_fingerprint` for that load, so the search and the
+    what-if engine read a dataset's statistics without touching a record.
+    ``scale_factor`` stays a plain attribute, assigned freely after loading;
+    the ``logical_*`` sizes multiply by its current value on every read.
+    """
 
     def __init__(
         self,
@@ -56,42 +72,41 @@ class Dataset:
         #: size.  Workloads generate MB-scale data but describe the logical
         #: dataset the paper used (hundreds of GB) through this factor.
         self.scale_factor = scale_factor
-        self._partitions: List[DatasetPartition] = []
+        self._store([])
         if records is not None:
             self.load(records)
 
     # ------------------------------------------------------------------ load
     def load(self, records: Iterable[Record]) -> None:
         """(Re)load the dataset contents, partitioning per the layout."""
-        materialized = list(records)
         scheme = self.layout.partitioning
         if scheme.kind == "range" and scheme.ranges is not None:
-            buckets: Dict[int, List[Record]] = {
-                i: [] for i in range(scheme.ranges.num_partitions)
-            }
-            for record in materialized:
-                buckets[scheme.ranges.partition_index(record.get(scheme.ranges.field))].append(record)
-            self._partitions = [
-                DatasetPartition(index=i, records=bucket) for i, bucket in sorted(buckets.items())
-            ]
+            ranges = scheme.ranges
+            buckets: List[List[Record]] = [[] for _ in range(ranges.num_partitions)]
+            for record in records:
+                buckets[ranges.partition_index(record.get(ranges.field))].append(record)
         elif scheme.kind == "hash":
-            num_partitions = max(1, min(16, len(materialized) // 64 + 1))
-            buckets = {i: [] for i in range(num_partitions)}
+            materialized = list(records)
+            buckets = [[] for _ in range(max(1, min(16, len(materialized) // 64 + 1)))]
             for record in materialized:
                 # Process-independent bucketing so a dataset loaded from the
                 # same records always lands in the same partitions run to run.
                 key = tuple(record.get(f) for f in scheme.fields)
-                buckets[stable_hash(key) % num_partitions].append(record)
-            self._partitions = [
-                DatasetPartition(index=i, records=bucket) for i, bucket in sorted(buckets.items())
-            ]
+                buckets[stable_hash(key) % len(buckets)].append(record)
         else:
-            self._partitions = [DatasetPartition(index=0, records=materialized)]
-        if self.layout.sort_fields:
-            for partition in self._partitions:
-                partition.records.sort(
-                    key=lambda record: sort_key_for(record, self.layout.sort_fields)
-                )
+            buckets = [list(records)]
+        sort_fields = self.layout.sort_fields
+        if sort_fields:
+            for bucket in buckets:
+                bucket.sort(key=lambda record: sort_key_for(record, sort_fields))
+        self._store([DatasetPartition(i, bucket) for i, bucket in enumerate(buckets)])
+
+    def _store(self, partitions: List[DatasetPartition]) -> None:
+        """Bind the partitions and the statistics that hold while they are bound."""
+        self._partitions = partitions
+        self._num_records = sum(p.num_records for p in partitions)
+        self._raw_bytes = sum(p.raw_bytes for p in partitions)
+        self._content_fingerprint: Optional[int] = None
 
     # ------------------------------------------------------------ inspection
     @property
@@ -107,12 +122,12 @@ class Dataset:
     @property
     def num_records(self) -> int:
         """Total record count (unscaled, i.e. the in-memory count)."""
-        return sum(p.num_records for p in self._partitions)
+        return self._num_records
 
     @property
     def raw_bytes(self) -> int:
         """Total uncompressed serialized size in bytes (unscaled)."""
-        return sum(p.raw_bytes for p in self._partitions)
+        return self._raw_bytes
 
     @property
     def stored_bytes(self) -> float:
@@ -128,6 +143,20 @@ class Dataset:
     def logical_records(self) -> float:
         """Scaled record count representing the paper-scale dataset."""
         return self.num_records * self.scale_factor
+
+    @property
+    def content_fingerprint(self) -> int:
+        """Order-independent :func:`stable_hash` of the records of this load.
+
+        Hashed on first read and kept until the next :meth:`load`: a stored
+        sub-result is a function of the bytes themselves, so its signature
+        (:func:`repro.core.subresults.subgraph_signature`) pins them.
+        """
+        if self._content_fingerprint is None:
+            self._content_fingerprint = stable_hash(
+                sorted(str(sorted(r.items())) for p in self._partitions for r in p.records)
+            )
+        return self._content_fingerprint
 
     def records(self, partition_indexes: Optional[Sequence[int]] = None) -> Iterator[Record]:
         """Iterate records, optionally restricted to some partitions.

@@ -10,7 +10,7 @@ can be sampled and clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -72,8 +72,16 @@ class JobConfig:
         return self.max_parallel_maps_per_producer_reduce == 1
 
     def replace(self, **changes: object) -> "JobConfig":
-        """Functional update preserving immutability."""
-        return replace(self, **changes)
+        """Functional update preserving immutability.
+
+        The constructor builds (and ``__post_init__`` validates) the derived
+        config from this one's field values — never from its cached
+        :attr:`key`, which describes ``self``.
+        """
+        values = dict(self.__dict__)
+        values.pop("key", None)
+        values.update(changes)
+        return type(self)(**values)
 
     def with_settings(self, settings: Mapping[str, object]) -> "JobConfig":
         """Apply a point from a :class:`ConfigurationSpace` to this config.

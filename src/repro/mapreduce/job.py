@@ -10,6 +10,7 @@ of tagged pipelines plus the partition function; ``c`` is the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import ExecutionError
@@ -24,6 +25,8 @@ class MapReduceJob:
 
     Immutable, compared and hashed by identity; derive variants with
     :meth:`with_config` / :meth:`with_partitioner` (or ``dataclasses.replace``).
+    What follows from the fields alone is worked out once per job, on first
+    read (a derived job is a new object and starts without any of it).
     """
 
     name: str
@@ -43,12 +46,12 @@ class MapReduceJob:
             object.__setattr__(self, "config", self.config.replace(num_reduce_tasks=reduces))
 
     # ------------------------------------------------------------ properties
-    @property
+    @cached_property
     def is_map_only(self) -> bool:
         """True when no pipeline needs a reduce phase."""
         return all(p.is_map_only for p in self.pipelines)
 
-    @property
+    @cached_property
     def input_datasets(self) -> Tuple[str, ...]:
         """All input dataset names read by any pipeline, in first-seen order."""
         names: List[str] = []
@@ -58,7 +61,7 @@ class MapReduceJob:
                     names.append(dataset)
         return tuple(names)
 
-    @property
+    @cached_property
     def output_datasets(self) -> Tuple[str, ...]:
         """All output dataset names, in pipeline order."""
         names: List[str] = []
@@ -67,12 +70,12 @@ class MapReduceJob:
                 names.append(pipeline.output_dataset)
         return tuple(names)
 
-    @property
+    @cached_property
     def has_combiner(self) -> bool:
         """True when at least one pipeline exposes a combine function."""
         return any(p.map_side_combiner is not None for p in self.pipelines)
 
-    @property
+    @cached_property
     def effective_partitioner(self) -> PartitionFunction:
         """The partition function actually used at execution time.
 
@@ -88,10 +91,42 @@ class MapReduceJob:
                     group_fields.append(field_name)
         return PartitionFunction.default_hash(group_fields)
 
+    @cached_property
+    def shape_key(self) -> Tuple:
+        """Name, pipelines (operators by name, wiring, pruning filters) and
+        partition function: :attr:`structure_key` minus the configuration."""
+        pipelines = tuple(
+            (
+                pipeline.tag,
+                pipeline.input_datasets,
+                tuple(op.name for op in pipeline.map_ops),
+                tuple(op.name for op in pipeline.reduce_ops),
+                pipeline.output_dataset,
+                tuple(sorted(
+                    (name, tuple(indexes))
+                    for name, indexes in pipeline.input_partition_filter.items()
+                )),
+            )
+            for pipeline in self.pipelines
+        )
+        return (self.name, pipelines) + self.effective_partitioner.key
+
+    @property
+    def structure_key(self) -> Tuple:
+        """This job's part of :meth:`repro.core.plan.Plan.signature`: its shape
+        and the chaining flag (the rest of the configuration is RRS's to search)."""
+        return self.shape_key + (self.config.chained_input,)
+
     # ----------------------------------------------------------- derivation
     def with_config(self, config: JobConfig) -> "MapReduceJob":
         """This job under a different configuration (pipelines shared)."""
-        return MapReduceJob(self.name, self.pipelines, self.partitioner, config)
+        derived = MapReduceJob(self.name, self.pipelines, self.partitioner, config)
+        # Same pipelines and partitioner: what this job worked out from them
+        # holds for the derived one, which shares it instead of rebuilding it.
+        for name in ("input_datasets", "output_datasets", "has_combiner", "effective_partitioner", "shape_key"):
+            if name in self.__dict__:
+                derived.__dict__[name] = self.__dict__[name]
+        return derived
 
     def with_partitioner(self, partitioner: PartitionFunction) -> "MapReduceJob":
         """This job under a different partition function (pipelines shared)."""

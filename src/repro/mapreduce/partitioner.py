@@ -10,6 +10,7 @@ of both producer and consumer with a single shuffle — Figure 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from repro.common.hashing import stable_hash
@@ -52,6 +53,17 @@ class PartitionFunction:
     def effective_sort_fields(self) -> Tuple[str, ...]:
         """Sort fields, defaulting to the partition fields."""
         return self.sort_fields if self.sort_fields else self.fields
+
+    @cached_property
+    def key(self) -> Tuple:
+        """``(kind, fields, effective sort fields, split points)`` as plain
+        tuples, built once per function: what a cache key pins of it."""
+        return (
+            self.kind,
+            tuple(self.fields),
+            tuple(self.effective_sort_fields),
+            tuple(self.split_points),
+        )
 
     def partition_index(self, key: Record, num_partitions: int) -> int:
         """Compute the reduce partition for a map output key."""

@@ -18,8 +18,15 @@ simply disable the transformations that need them (never break correctness).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
+from repro.common.content_keys import (
+    filter_annotation_key,
+    optional_key,
+    plain_value_key,
+    schema_annotation_key,
+)
 from repro.common.errors import AnnotationError
 from repro.common.records import read_only
 from repro.mapreduce.partitioner import PartitionFunction
@@ -88,6 +95,26 @@ class DatasetAnnotation:
             return False
         prefix = set(self.sort_fields[: len(wanted)])
         return wanted.issubset(prefix) or wanted.issubset(set(self.sort_fields)) and prefix.issubset(wanted)
+
+    @cached_property
+    def key(self) -> Tuple:
+        """Every field's content as one hashable tuple, built once per annotation.
+
+        What a decision key or subgraph signature pins of a dataset vertex's
+        annotation; a derived annotation (``dataclasses.replace``) starts
+        without it.
+        """
+        return (
+            self.schema,
+            self.partition_kind,
+            self.partition_fields,
+            self.split_points,
+            self.sort_fields,
+            self.compressed,
+            self.size_bytes,
+            self.num_records,
+            tuple(sorted(self.field_ranges.items())),
+        )
 
     def with_size(self, size_bytes: float, num_records: float) -> "DatasetAnnotation":
         """Copy with updated size statistics."""
@@ -341,7 +368,7 @@ class ProfileAnnotation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class JobAnnotations:
     """All annotations attached to one job vertex.
 
@@ -372,6 +399,32 @@ class JobAnnotations:
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_input_filters", read_only(self.per_input_filters))
         object.__setattr__(self, "conditions", read_only(self.conditions))
+
+    @cached_property
+    def key(self) -> Tuple:
+        """Content of everything but the profile, built once per container.
+
+        The profile is deliberately *not* re-keyed here: its content already
+        reaches the decision key through the vertex local key
+        (:attr:`~repro.whatif.model._VertexLocalKey.profile_key`).
+        """
+        return (
+            schema_annotation_key(self.schema),
+            filter_annotation_key(self.filter),
+            tuple(
+                sorted(
+                    (name, filter_annotation_key(flt))
+                    for name, flt in self.per_input_filters.items()
+                )
+            ),
+            optional_key(self.partition_constraint),
+            tuple(
+                sorted(
+                    ((str(name), plain_value_key(value)) for name, value in self.conditions.items()),
+                    key=repr,
+                )
+            ),
+        )
 
     @property
     def has_schema(self) -> bool:

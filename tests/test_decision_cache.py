@@ -247,6 +247,36 @@ class TestInvalidation:
         )
         assert _first_unit_key(search, plan) != before
 
+    @pytest.mark.parametrize("change", ("load", "scale_factor"))
+    def test_materialised_dataset_change_changes_key_and_misses(self, change):
+        """The key pins each base dataset's logical sizes: fixed per ``load()``,
+        times a ``scale_factor`` that is read at every unit."""
+        workload = _profiled()
+        plan = workload.plan
+        name, dataset = next(iter(workload.base_datasets.items()))
+        assert plan.workflow.dataset(name).dataset is dataset
+        cache = DecisionCache(CLUSTER, enabled=True, verify_hits=True)
+        search = _search(decision_cache=cache)
+        before = _first_unit_key(search, plan)
+        _optimizer(decision_cache=cache).optimize(plan)
+        assert _optimizer(decision_cache=cache).optimize(plan).unit_decision_misses == 0
+
+        if change == "load":
+            dataset.load(dataset.all_records()[: dataset.num_records // 2])
+        else:
+            dataset.scale_factor *= 2.0
+        assert _first_unit_key(search, plan) != before
+
+        # Every unit misses (nothing stale is replayed), the verifying cache
+        # stays green on the way back to warm, and warm == cold.
+        changed = _optimizer(decision_cache=cache).optimize(plan)
+        assert changed.unit_decision_hits == 0 < changed.unit_decision_misses
+        warm = _optimizer(decision_cache=cache).optimize(plan)
+        assert warm.unit_decision_misses == 0 < warm.unit_decision_hits
+        cold = _optimizer(decision_cache=DecisionCache(CLUSTER, enabled=False)).optimize(plan)
+        assert fingerprint(changed.plan) == fingerprint(warm.plan) == fingerprint(cold.plan)
+        assert warm.estimated_cost_s == cold.estimated_cost_s
+
     def test_cluster_change_changes_key_and_sharing_is_refused(self):
         workload = _profiled()
         other_cluster = dataclasses.replace(CLUSTER, num_nodes=CLUSTER.num_nodes + 1)

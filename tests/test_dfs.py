@@ -1,6 +1,9 @@
 """Tests for the simulated DFS: layouts, datasets, and the filesystem."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.errors import ExecutionError
 from repro.dfs import (
@@ -10,6 +13,7 @@ from repro.dfs import (
     PartitionScheme,
     RangePartitioning,
 )
+from tests import key_oracle
 
 
 class TestRangePartitioning:
@@ -133,6 +137,68 @@ class TestDataset:
         relaid = dataset.relayout(DataLayout(partitioning=PartitionScheme.hashed("k")))
         assert relaid.num_records == dataset.num_records
         assert relaid.num_partitions >= 1
+
+
+_VALUES = st.one_of(st.none(), st.integers(-50, 50), st.floats(-50, 50), st.text(max_size=6))
+_RECORD_LISTS = st.lists(
+    st.fixed_dictionaries({"k": _VALUES, "v": _VALUES}, optional={"w": _VALUES}), max_size=150
+)
+_PARTITIONINGS = st.sampled_from(
+    (
+        PartitionScheme.unpartitioned(),
+        PartitionScheme.hashed("k"),
+        PartitionScheme.hashed("k", "v"),
+    )
+)
+_SORT_FIELDS = st.sampled_from(((), ("k",), ("v", "k")))
+
+
+class TestStatisticsAreFixedAtLoad:
+    """``num_records`` / ``raw_bytes`` / the content fingerprint are taken once
+    per ``load()`` and must say what a recount of the records says."""
+
+    @given(_RECORD_LISTS, _RECORD_LISTS, _PARTITIONINGS, _PARTITIONINGS, _SORT_FIELDS, _SORT_FIELDS)
+    def test_statistics_equal_a_recount_after_load_reload_and_relayout(
+        self, first, second, partitioning, other_partitioning, sort_fields, other_sort_fields
+    ):
+        layout = DataLayout(partitioning=partitioning, sort_fields=sort_fields)
+        dataset = Dataset("d", records=first, layout=layout, scale_factor=3.5)
+        key_oracle.assert_statistics_match_a_recount(dataset)
+        loaded_first = dataset.content_fingerprint
+        dataset.load(second)
+        key_oracle.assert_statistics_match_a_recount(dataset)
+        assert dataset.num_records == len(second)
+        if sorted(map(repr, first)) != sorted(map(repr, second)):
+            assert dataset.content_fingerprint != loaded_first
+        dataset.scale_factor = 0.25  # assigned after loading, read live
+        key_oracle.assert_statistics_match_a_recount(dataset)
+        relaid = dataset.relayout(
+            DataLayout(partitioning=other_partitioning, sort_fields=other_sort_fields)
+        )
+        key_oracle.assert_statistics_match_a_recount(relaid)
+        assert (relaid.num_records, relaid.raw_bytes) == (dataset.num_records, dataset.raw_bytes)
+        assert relaid.content_fingerprint == dataset.content_fingerprint
+
+    @given(st.lists(st.fixed_dictionaries({"v": st.floats(-5, 25)}), max_size=80), _SORT_FIELDS)
+    def test_range_partitioned_statistics_equal_a_recount(self, records, sort_fields):
+        layout = DataLayout(
+            partitioning=PartitionScheme.ranged("v", [0.0, 10.0, 20.0]), sort_fields=sort_fields
+        )
+        dataset = Dataset("d", records=records, layout=layout)
+        assert dataset.num_partitions == 4
+        key_oracle.assert_statistics_match_a_recount(dataset)
+        dataset.load(records[::2])
+        key_oracle.assert_statistics_match_a_recount(dataset)
+
+    def test_an_unloaded_dataset_is_empty_and_partitions_are_read_only(self):
+        empty = Dataset("d")
+        assert (empty.num_partitions, empty.num_records, empty.raw_bytes) == (0, 0, 0)
+        partition = Dataset("d", records=_records()).partitions[0]
+        assert isinstance(partition.records, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            partition.records = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            partition.raw_bytes = 0
 
 
 class TestInMemoryFileSystem:

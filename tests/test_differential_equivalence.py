@@ -11,6 +11,12 @@ multisets as the unoptimized workflow.  This battery proves it three ways:
   cost grounds are still executed and checked;
 * every canned evaluation workload through all three variants.
 
+The same seeded workflows also carry the key-integrity sweep: a replayed
+decision is only as right as the key it was found under, so at every unit —
+on the plan going in and the plan coming out, cold and warm — the memoised
+decision key must equal the from-scratch builder (``tests/key_oracle.py``),
+and every materialised dataset's statistics a recount of its records.
+
 A deliberately broken transformation (mutated in-test to drop records) must
 be *caught*, with the divergence bisected to the guilty unit and reported at
 job/record granularity — the harness is only trustworthy if it fails loudly.
@@ -35,6 +41,7 @@ from repro.core.transformations import (
 )
 from repro.profiler import Profiler
 from repro.workloads import WORKLOAD_ORDER, build_workload
+from tests import key_oracle
 from tests.conftest import equivalence_seeds
 
 SEEDS = equivalence_seeds()
@@ -74,6 +81,41 @@ def test_random_workflow_equivalence(seed, cluster, workflow_generator, differen
             generated.workflow, generated.base_datasets, result
         )
         assert report.equivalent, f"[seed={seed}, {variant_name}]\n{report.describe()}"
+
+
+#: The generator's fixed shapes, small; each seed of the sweep takes the next.
+KEYED_SHAPES = (
+    lambda generator, seed: generator.diamond_shared_sink(seed),
+    lambda generator, seed: generator.wide_fanout(seed, num_jobs=9),
+    lambda generator, seed: generator.telemetry_rollup(seed, num_channels=7, fanin=3),
+    lambda generator, seed: generator.shared_prefix_pair(seed)[seed % 2],
+)
+
+
+@pytest.mark.equivalence
+@pytest.mark.parametrize("seed", SEEDS)
+def test_unit_keys_and_dataset_statistics_equal_their_reference_builders(
+    seed, cluster, workflow_generator
+):
+    """Random DAG + one fixed shape per seed, default-constructed optimizer (so
+    ``STUBBY_DECISION_CACHE_ENABLED`` forces the cache on or off around it):
+    keys are compared whether or not the search looks them up."""
+    shape = KEYED_SHAPES[seed % len(KEYED_SHAPES)]
+    for generated in (workflow_generator.generate(seed), shape(workflow_generator, seed)):
+        plan = generated.plan
+        optimizer = StubbyOptimizer(cluster)
+        cold, compared = key_oracle.optimize_checking_keys(optimizer, plan)
+        warm, compared_warm = key_oracle.optimize_checking_keys(optimizer, plan)
+        assert compared == compared_warm > 0, generated.workflow.name
+        assert warm.decision_fingerprint() == cold.decision_fingerprint()
+        if optimizer.search.decisions.enabled:
+            assert warm.unit_decision_hits == cold.unit_decision_misses == compared // 2
+        datasets = [v.dataset for v in warm.plan.workflow.datasets if v.dataset is not None]
+        assert datasets
+        for dataset in datasets:
+            key_oracle.assert_statistics_match_a_recount(dataset)
+            dataset.load(dataset.all_records()[::2])
+            key_oracle.assert_statistics_match_a_recount(dataset)
 
 
 @pytest.mark.equivalence

@@ -79,19 +79,24 @@ def compute_digests():
     return digests
 
 
-@functools.lru_cache(maxsize=None)
-def _digests_under(hash_seed):
+def run_script_under(hash_seed, script):
+    """Standard output of ``script`` in a fresh interpreter under ``hash_seed``."""
     # No STUBBY_* variable reaches the child: a warm-start file would turn
     # searched units into replays and move the query count.
     env = {k: v for k, v in os.environ.items() if not k.startswith("STUBBY_")}
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
     done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__)],
+        [sys.executable, os.path.abspath(script)],
         env=env, capture_output=True, text=True, timeout=300,
     )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
+    assert done.returncode == 0, done.stderr[-4000:]
+    return done.stdout
+
+
+@functools.lru_cache(maxsize=None)
+def _digests_under(hash_seed):
+    return json.loads(run_script_under(hash_seed, __file__))
 
 
 @pytest.mark.parametrize("hash_seed", HASH_SEEDS)

@@ -1,5 +1,7 @@
 """Tests for job configuration, configuration spaces, and partition functions."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,27 @@ class TestJobConfig:
             JobConfig(num_reduce_tasks=-1)
         with pytest.raises(ValueError):
             JobConfig(split_size_mb=0)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(JobConfig)])
+    def test_replace_keys_the_derived_config_from_its_own_fields(self, field):
+        config = JobConfig(num_reduce_tasks=7, io_sort_mb=200, compress_output=True)
+        config.key  # cached on ``config``: must not travel to what is derived from it
+        held = getattr(config, field)
+        value = (not held) if isinstance(held, bool) else held + 1
+        derived = config.replace(**{field: value})
+        values = {f.name: getattr(config, f.name) for f in dataclasses.fields(JobConfig)}
+        fresh = JobConfig(**{**values, field: value})
+        assert derived == fresh and derived.key == fresh.key != config.key
+        assert derived.key[[f.name for f in dataclasses.fields(JobConfig)].index(field)] == value
+        assert config.replace() == config and config.replace() is not config
+
+    def test_replace_validates_like_the_constructor(self):
+        config = JobConfig()
+        for bad in ({"num_reduce_tasks": -1}, {"split_size_mb": 0}, {"io_sort_mb": 0}):
+            with pytest.raises(ValueError):
+                config.replace(**bad)
+        with pytest.raises(TypeError):
+            config.replace(no_such_field=1)
 
     def test_chained_input_flag(self):
         assert JobConfig(max_parallel_maps_per_producer_reduce=1).chained_input
@@ -134,6 +157,13 @@ class TestPartitionFunction:
         assert not bad_fields.satisfies(constraint)
         bad_sort = PartitionFunction(kind="hash", fields=("a",), sort_fields=("b", "a"))
         assert not bad_sort.satisfies(constraint)
+
+    def test_key_is_plain_content_built_once(self):
+        function = PartitionFunction.default_hash(["a", "b"])
+        assert function.key == ("hash", ("a", "b"), ("a", "b"), ())
+        assert function.key is function.key
+        ranged = function.with_split_points([1.0, 2.0])
+        assert ranged.key == ("range", ("a", "b"), ("a", "b"), (1.0, 2.0)) != function.key
 
     def test_satisfies_none_constraint(self):
         assert PartitionFunction.default_hash(["a"]).satisfies(None)

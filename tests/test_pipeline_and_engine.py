@@ -89,6 +89,43 @@ class TestPipelineValidation:
         assert pipeline.reads("a") and not pipeline.reads("b")
 
 
+class TestJobDerivedFacts:
+    """What follows from a frozen job's fields is worked out once per job."""
+
+    FACTS = ("is_map_only", "input_datasets", "output_datasets", "has_combiner",
+             "effective_partitioner", "shape_key")
+
+    def test_two_reads_return_the_same_object(self):
+        job = _wordcount_job(combiner=count_combine)
+        for name in self.FACTS:
+            assert getattr(job, name) is getattr(job, name), name
+        assert job.effective_partitioner == PartitionFunction.default_hash(["word"])
+        assert (job.input_datasets, job.output_datasets) == (("docs",), ("counts",))
+        assert job.has_combiner and not job.is_map_only
+
+    def test_with_config_shares_what_the_pipelines_decide_and_nothing_else(self):
+        job = _wordcount_job(combiner=count_combine)
+        facts = {name: getattr(job, name) for name in self.FACTS}
+        chained = job.with_config(job.config.replace(max_parallel_maps_per_producer_reduce=1))
+        for name, value in facts.items():
+            assert getattr(chained, name) is value, name
+        assert chained.structure_key == job.shape_key + (True,) != job.structure_key
+        # Nothing was read on this one: the derived job works it out itself.
+        unread = _wordcount_job()
+        assert unread.with_config(JobConfig(num_reduce_tasks=5)).input_datasets == ("docs",)
+
+    def test_with_partitioner_does_not_inherit_a_stale_effective_partitioner(self):
+        job = _wordcount_job()
+        default = job.effective_partitioner
+        before = job.structure_key
+        ranged = PartitionFunction.ranged("word", [1.0], sort_fields=("word",))
+        derived = job.with_partitioner(ranged)
+        assert derived.effective_partitioner is ranged is not default
+        assert derived.structure_key[2:6] == ranged.key != before[2:6]
+        assert dataclasses.replace(job, partitioner=ranged).effective_partitioner is ranged
+        assert job.effective_partitioner is default and job.structure_key == before
+
+
 class TestChains:
     def test_map_chain_counts_records(self):
         stats = OperatorStats()

@@ -19,6 +19,7 @@ the same generator the differential-equivalence battery replays — so any
 leak shows up as a parent-fingerprint diff with the guilty seed attached.
 """
 
+import collections
 import dataclasses
 
 import pytest
@@ -26,6 +27,7 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.common.faults import active_plan, set_active_plan
 from repro.common.hashing import stable_hash
+from repro.core.decision_cache import DecisionCache
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.plan import Plan
 from repro.core.search import SubplanRecord
@@ -36,14 +38,19 @@ from repro.core.transformations import (
     PartitionFunctionTransformation,
 )
 from repro.core.transformations.configuration import ConfigurationTransformation
+from repro.dfs import dataset as dataset_module
+from repro.mapreduce.config import JobConfig
 from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.partitioner import PartitionFunction
 from repro.profiler import Profiler
 from repro.verification import RandomWorkflowGenerator
 from repro.whatif.dataflow import JobDataflow
 from repro.whatif.jobmodel import JobTimeEstimate
 from repro.whatif.service import CostService
-from repro.workflow.graph import COPY_COUNTERS
+from repro.workflow.annotations import DatasetAnnotation, JobAnnotations
+from repro.workflow.graph import COPY_COUNTERS, DatasetVertex, JobVertex
 from repro.workloads import build_workload
+from tests import key_oracle, test_golden_fingerprints as golden
 
 STRUCTURAL_TRANSFORMATIONS = [
     IntraJobVerticalPacking(),
@@ -298,6 +305,84 @@ class TestColdOptimizeBounds:
         sample = next(iter(estimate.per_job.values()))
         assert isinstance(sample, JobTimeEstimate) and not hasattr(sample, "__dict__")
         assert not hasattr(JobDataflow(*[1] * 9), "__dict__")
+
+
+class TestWarmReplayBounds:
+    """What a decision replay touches, as absolute bounds (the warm twin of
+    :class:`TestColdOptimizeBounds`).
+
+    A warm ``optimize()`` rebuilds the unit decision key once per unit; the
+    time that costs is ``core.search.self_ms`` next to ``latency_p50_ms`` on
+    ``serve_warm`` (``bench/README.md``).  It must be what the replay
+    touched — no record, and no key part of a value that was keyed before.
+    """
+
+    #: The memoised parts of a decision key: (owner, cached property, builds
+    #: allowed per vertex the replay creates — a job vertex can bring a new
+    #: effective partitioner *and* a new partition constraint).
+    PARTS = (
+        (MapReduceJob, "shape_key", 1),
+        (MapReduceJob, "effective_partitioner", 1),
+        (JobAnnotations, "key", 1),
+        (JobConfig, "key", 1),
+        (PartitionFunction, "key", 2),
+        (DatasetAnnotation, "key", 1),
+    )
+
+    @pytest.fixture(scope="class")
+    def plans(self):
+        return dict(golden._plans())
+
+    @staticmethod
+    def _count_calls(monkeypatch, counts, label, target, attribute):
+        original = getattr(target, attribute)
+
+        def counting(*args, **kwargs):
+            counts[label] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, attribute, counting)
+
+    # The eight canned plans and the widest generated one.
+    @pytest.mark.parametrize("label", [*golden.GOLDEN][:8] + ["rollup100"])
+    def test_warm_optimize_sizes_no_record_and_keys_only_what_the_replay_made(
+        self, label, plans, monkeypatch
+    ):
+        plan = plans[label]
+        cluster = ClusterSpec.paper_cluster()
+        optimizer = StubbyOptimizer(
+            cluster, seed=17, decision_cache=DecisionCache(cluster, enabled=True)
+        )
+        cold = optimizer.optimize(plan)
+        engine = optimizer.search.costs.engine
+        walks_before = engine.signature_derivations
+
+        def no_sizing(record):
+            raise AssertionError("a warm optimize() sized a record")
+
+        monkeypatch.setattr(dataset_module, "record_size_bytes", no_sizing)
+        counts = collections.Counter()
+        for owner, name, _ in self.PARTS:
+            # A cached_property calls its ``func`` only for a value not built yet.
+            self._count_calls(monkeypatch, counts, (owner, name), owner.__dict__[name], "func")
+        for vertex_class in (JobVertex, DatasetVertex):
+            self._count_calls(monkeypatch, counts, vertex_class, vertex_class, "__init__")
+
+        warm = optimizer.optimize(plan)
+        units = cold.unit_decision_misses
+        assert warm.unit_decision_hits == units > 0 and warm.unit_decision_misses == 0
+        assert warm.decision_fingerprint() == cold.decision_fingerprint()
+
+        for owner, name, per_vertex in self.PARTS:
+            made = counts[DatasetVertex if owner is DatasetAnnotation else JobVertex]
+            assert counts[owner, name] <= per_vertex * made, (owner.__name__, name, counts)
+        assert engine.signature_derivations - walks_before <= counts[JobVertex]
+
+    @pytest.mark.parametrize("hash_seed", golden.HASH_SEEDS)
+    def test_every_unit_key_equals_the_from_scratch_builder(self, hash_seed):
+        """8 canned + 3 wide plans, cold and warm, in a fresh interpreter."""
+        compared = golden.run_script_under(hash_seed, key_oracle.__file__)
+        assert [line.split()[0] for line in compared.splitlines()] == [*golden.GOLDEN]
 
 
 class TestRecordMergeAliasing:

@@ -8,8 +8,8 @@ What it demonstrates
     (``OptimizerRun.cross_unit_hits``), persisting the cost cache to disk,
     and warm-starting a second run from it — with bit-identical results
     every time.  Also shows the selection mechanisms: the ``backend=``
-    argument / ``STUBBY_EXPERIMENT_BACKEND`` for the cell fan-out and
-    ``cache_path=`` / ``STUBBY_COST_CACHE`` for persistence.
+    argument of ``run()`` for the cell fan-out, and ``cache_path=`` for
+    persistence (a harness built without one reads ``STUBBY_COST_CACHE``).
 
 What output to expect
     A per-cell table of the cold run, then the cold-vs-warm comparison,
@@ -36,10 +36,6 @@ What output to expect
 Run with::
 
     PYTHONPATH=src python examples/experiment_orchestration.py
-
-    # or pick backend and cache from the environment:
-    STUBBY_EXPERIMENT_BACKEND=process:4 STUBBY_COST_CACHE=stubby.cache \\
-        PYTHONPATH=src python examples/experiment_orchestration.py
 """
 
 import os
@@ -70,8 +66,7 @@ def main() -> None:
         # 1. Cold run.  All cells share the harness's CostService (so the
         #    Stubby/Vertical cells reap the Baseline cell's signatures), and
         #    cache_path= persists the store when the run finishes.  backend=
-        #    accepts a spec string, an ExecutionBackend, or None (which
-        #    reads STUBBY_EXPERIMENT_BACKEND, defaulting to serial).
+        #    accepts a spec string, an ExecutionBackend, or None (serial).
         harness = ExperimentHarness(scale=0.15, cache_path=cache_path)
         cold = harness.run(workloads=WORKLOADS, optimizers=OPTIMIZERS)
         print(f"cold run on {cold.backend}")

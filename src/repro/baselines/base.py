@@ -20,22 +20,16 @@ class BaselineOptimizer(ABC):
     Baselines issue their cost queries through the same shared
     :class:`CostService` as Stubby, so cost-based baselines (Starfish,
     MRShare) get the same incremental memoization — and report the same
-    what-if statistics — as the main optimizer.  ``cache_path`` (or the
-    ``STUBBY_COST_CACHE`` environment variable) warm-starts a standalone
-    baseline's service from a persisted cache; it is ignored when an
-    explicit ``cost_service`` is shared in.
+    what-if statistics — as the main optimizer.  Without a ``cost_service``
+    the baseline costs against a fresh in-memory one; nothing is read from
+    the environment.
     """
 
     name = "baseline"
 
-    def __init__(
-        self,
-        cluster: ClusterSpec,
-        cost_service: Optional[CostService] = None,
-        cache_path: Optional[str] = None,
-    ) -> None:
+    def __init__(self, cluster: ClusterSpec, cost_service: Optional[CostService] = None) -> None:
         self.cluster = cluster
-        self.costs = CostService.ensure(cluster, cost_service, cache_path=cache_path)
+        self.costs = CostService.ensure(cluster, cost_service)
         self.whatif = self.costs.engine
 
     def optimize(self, plan_or_workflow, budget=None) -> OptimizationResult:

@@ -19,17 +19,8 @@ class MRShareOptimizer(BaselineOptimizer):
 
     name = "MRShare"
 
-    def __init__(
-        self,
-        cluster,
-        cost_service=None,
-        cache_path=None,
-    ) -> None:
-        super().__init__(
-            cluster,
-            cost_service=cost_service,
-            cache_path=cache_path,
-        )
+    def __init__(self, cluster, cost_service=None) -> None:
+        super().__init__(cluster, cost_service=cost_service)
         self._horizontal = HorizontalPacking(allow_extended=False)
 
     def _optimize_plan(self, plan: Plan) -> Plan:

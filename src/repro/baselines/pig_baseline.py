@@ -22,25 +22,12 @@ class PigBaselineOptimizer(BaselineOptimizer):
 
     name = "Baseline"
 
-    def __init__(
-        self,
-        cluster,
-        enable_multiquery: bool = True,
-        cost_service=None,
-        cache_path=None,
-    ) -> None:
-        super().__init__(
-            cluster,
-            cost_service=cost_service,
-            cache_path=cache_path,
-        )
-        self.enable_multiquery = enable_multiquery
+    def __init__(self, cluster, cost_service=None) -> None:
+        super().__init__(cluster, cost_service=cost_service)
         self._horizontal = HorizontalPacking(allow_extended=False)
 
     def _optimize_plan(self, plan: Plan) -> Plan:
-        current = plan
-        if self.enable_multiquery:
-            current = self._pack_shared_inputs(current)
+        current = self._pack_shared_inputs(plan)
         ConfigurationTransformation.rule_of_thumb_config(current, self.cluster)
         self._enable_combiners(current)
         return current

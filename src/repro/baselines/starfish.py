@@ -30,13 +30,8 @@ class StarfishOptimizer(BaselineOptimizer):
         rrs: Optional[RecursiveRandomSearch] = None,
         seed: int = 23,
         cost_service=None,
-        cache_path=None,
     ) -> None:
-        super().__init__(
-            cluster,
-            cost_service=cost_service,
-            cache_path=cache_path,
-        )
+        super().__init__(cluster, cost_service=cost_service)
         self.rrs = rrs or RecursiveRandomSearch(
             exploration_samples=10, exploitation_samples=8, restarts=1, seed=seed
         )

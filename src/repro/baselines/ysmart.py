@@ -23,17 +23,8 @@ class YSmartOptimizer(BaselineOptimizer):
 
     name = "YSmart"
 
-    def __init__(
-        self,
-        cluster,
-        cost_service=None,
-        cache_path=None,
-    ) -> None:
-        super().__init__(
-            cluster,
-            cost_service=cost_service,
-            cache_path=cache_path,
-        )
+    def __init__(self, cluster, cost_service=None) -> None:
+        super().__init__(cluster, cost_service=cost_service)
         self._intra = IntraJobVerticalPacking()
         self._inter = InterJobVerticalPacking()
         self._horizontal = HorizontalPacking(allow_extended=False)

@@ -78,32 +78,18 @@ __all__ = [
     "cluster_cache_key",
     "current_origin",
     "persist",
-    "resolve_env_flag",
     "resolve_env_path",
 ]
-
-_FALSE_STRINGS = frozenset({"0", "false", "no", "off"})
-
-
-def resolve_env_flag(value: Optional[bool], env_var: str, default: bool) -> bool:
-    """Normalize an on/off switch: explicit argument, else environment, else default.
-
-    "0"/"false"/"no"/"off" (any case) read as off; any other non-empty value
-    reads as on; an unset or empty variable yields ``default``.
-    """
-    if value is not None:
-        return value
-    raw = os.environ.get(env_var, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in _FALSE_STRINGS
 
 
 def resolve_env_path(path: Optional[str], env_var: str) -> Optional[str]:
     """Normalize a persistence path: explicit path, else the environment.
 
     ``None`` consults ``env_var``; an empty string (explicit or from the
-    environment) means "no persistence".
+    environment) means "no persistence".  Only the two owners that also
+    merge-save their stores call it — ``ExperimentHarness`` and
+    ``PlanningServer`` — so a store, optimizer or search built anywhere else
+    never reads the environment.
     """
     if path is not None:
         return path or None
@@ -354,7 +340,8 @@ class ShardedStore:
     #: Cap on entries a forked worker ships back on merge-on-join; beyond it
     #: the freshest entries win (export logs are append-ordered).
     MAX_EXPORTED: ClassVar[int] = 0
-    #: Environment variable naming the persisted file (see :meth:`ensure`).
+    #: Environment variable naming the persisted file; read only by the
+    #: owners that persist (see :func:`resolve_env_path`).
     PATH_ENV_VAR: ClassVar[str] = ""
     #: What load reports call the store's file, and what errors call the store.
     NOUN: ClassVar[str] = "cache"
@@ -390,24 +377,18 @@ class ShardedStore:
             self.last_load = self.load_cache(self.cache_path)
 
     @classmethod
-    def ensure(cls, cluster, store=None, cache_path: Optional[str] = None):
-        """Return ``store`` if given, else a fresh instance of this class.
+    def ensure(cls, cluster, store=None):
+        """Return ``store`` if given, else a fresh in-memory instance.
 
         Components accept an optional store so callers can share one across
-        search/optimizer/baseline/service layers; this keeps the
-        default-construction policy in one place.  A shared store must have
+        search/optimizer/baseline/service layers.  A shared store must have
         been built for the same cluster — entries carry no cluster component
         (or embed it, so a mismatched store could never hit), and
         cross-cluster sharing would silently serve wrong answers.
-
-        ``cache_path`` applies only when a fresh store is constructed: it
-        warm-starts from that file (explicit argument, else the class's
-        :attr:`PATH_ENV_VAR`).  When an existing store is passed,
-        persistence was its constructor's decision and the argument is
-        ignored.
+        Persistence is the store constructor's ``cache_path``.
         """
         if store is None:
-            return cls(cluster, cache_path=resolve_env_path(cache_path, cls.PATH_ENV_VAR))
+            return cls(cluster)
         if store.cluster != cluster:
             raise ValueError(
                 f"{cls.__name__} was built for a different ClusterSpec; "

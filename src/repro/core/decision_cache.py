@@ -39,8 +39,8 @@ a stale decision (property-tested in ``tests/test_decision_cache.py``).
 
 Concurrency, merge-on-join and persistence are the shared
 :class:`~repro.common.store.ShardedStore` mechanism (see
-:mod:`repro.common.store`); the persisted file is named by
-``STUBBY_DECISION_CACHE``.
+:mod:`repro.common.store`); the harness and the server name the persisted
+file with ``STUBBY_DECISION_CACHE``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.cluster import ClusterSpec
-from repro.common.store import CounterStats, ShardedStore, current_origin, resolve_env_flag
+from repro.common.store import CounterStats, ShardedStore, current_origin
 
 # Content-key helpers live in the leaf module ``repro.common.content_keys``
 # (shared with the sub-result catalog and the annotation classes); re-exported
@@ -66,7 +66,6 @@ from repro.common.content_keys import (  # noqa: F401  (re-exports)
 from repro.core.transformations.base import TransformationApplication
 
 __all__ = [
-    "DECISION_CACHE_ENABLED_ENV_VAR",
     "DECISION_CACHE_FORMAT_VERSION",
     "DECISION_CACHE_PATH_ENV_VAR",
     "DecisionCache",
@@ -87,15 +86,11 @@ DEFAULT_MAX_DECISIONS = 50_000
 #: ``forced_single_reduce``), so version-2 rows could never hit again either.
 DECISION_CACHE_FORMAT_VERSION = 3
 
-#: Environment variable naming a persisted decision-cache path — the
-#: decision-level sibling of ``STUBBY_COST_CACHE``, deliberately separate so
-#: cost-cache warm starts and decision warm starts can be opted into
-#: independently.
+#: Environment variable naming the persisted decision-cache path of an
+#: ``ExperimentHarness`` or ``PlanningServer`` — the decision-level sibling of
+#: ``STUBBY_COST_CACHE``, deliberately separate so cost-cache warm starts and
+#: decision warm starts can be opted into independently.
 DECISION_CACHE_PATH_ENV_VAR = "STUBBY_DECISION_CACHE"
-
-#: Environment kill switch: "0"/"false"/"no"/"off" disables decision
-#: memoization everywhere (the nightly equivalence sweep runs both ways).
-DECISION_CACHE_ENABLED_ENV_VAR = "STUBBY_DECISION_CACHE_ENABLED"
 
 #: Cap on decisions a forked worker ships back on merge-on-join.
 MAX_EXPORTED_DECISIONS = 5_000
@@ -190,9 +185,10 @@ class DecisionCache(ShardedStore):
     workers, and experiment cells — it is a
     :class:`~repro.common.store.ShardedStore`.
 
-    ``enabled=False`` (or ``STUBBY_DECISION_CACHE_ENABLED=0``) turns every
-    lookup into a no-answer and every store into a no-op, so a disabled
-    cache is behaviourally invisible.  ``verify_hits=True`` makes the search
+    ``enabled=False`` turns every lookup into a no-answer and every store
+    into a no-op, so a disabled cache is behaviourally invisible — the
+    reference the equivalence suites compare a warm cache against.
+    ``verify_hits=True`` makes the search
     re-derive every hit from scratch and assert bit-identity — the debug
     mode of the hard replay-equals-search contract.
     """
@@ -209,12 +205,11 @@ class DecisionCache(ShardedStore):
         self,
         cluster: ClusterSpec,
         max_entries: int = DEFAULT_MAX_DECISIONS,
-        enabled: Optional[bool] = None,
+        enabled: bool = True,
         cache_path: Optional[str] = None,
         verify_hits: bool = False,
     ) -> None:
         self.verify_hits = verify_hits
-        enabled = resolve_env_flag(enabled, DECISION_CACHE_ENABLED_ENV_VAR, True)
         super().__init__(cluster, max_entries, enabled, cache_path)
 
     def lookup(self, key: Tuple) -> Optional[Tuple[UnitDecision, bool]]:

@@ -112,7 +112,16 @@ class OptimizationResult:
 
 
 class StubbyOptimizer:
-    """Cost-based, transformation-based optimizer for MapReduce workflows."""
+    """Cost-based, transformation-based optimizer for MapReduce workflows.
+
+    The optimizer sees only what it is handed: the plan's annotations and
+    profiles, the cluster, and the stores.  ``cost_service``,
+    ``decision_cache`` and ``subresult_catalog`` share stores in; each one
+    left out is a fresh in-memory store, and nothing is read from the
+    environment.  A standalone optimizer that wants a warm start passes a
+    store built on the file — ``cost_service=CostService(cluster,
+    cache_path=p)`` — and writes it back with ``self.costs.save_cache()``.
+    """
 
     name = "Stubby"
 
@@ -121,27 +130,16 @@ class StubbyOptimizer:
         cluster: ClusterSpec,
         phases: Sequence[str] = ("vertical", "horizontal"),
         rrs: Optional[RecursiveRandomSearch] = None,
-        allow_extended_horizontal: bool = True,
         optimize_configurations: bool = True,
         seed: int = 17,
         cost_service: Optional[CostService] = None,
         backend=None,
-        cache_path: Optional[str] = None,
         decision_cache: Optional[DecisionCache] = None,
-        decision_cache_path: Optional[str] = None,
         subresult_catalog: Optional[SubResultCatalog] = None,
-        subresult_catalog_path: Optional[str] = None,
     ) -> None:
         # Phases are validated lazily, when optimize() actually uses them, so
         # an optimizer can be constructed from not-yet-complete configuration
         # (and so per-call phase overrides go through the same validation).
-        #
-        # ``cache_path`` (or the STUBBY_COST_CACHE environment variable) makes
-        # a standalone optimizer warm-start its cost service from a persisted
-        # cache; call ``self.costs.save_cache()`` to write the store back.
-        # It is ignored when an explicit ``cost_service`` is shared in.
-        # ``decision_cache`` / ``decision_cache_path`` work the same way for
-        # the unit-level decision memo (STUBBY_DECISION_CACHE).
         #
         # The search is serial.  ``backend`` survives only because the frozen
         # bench/cold.py passes ``backend="serial"``: nothing is stored.
@@ -153,18 +151,13 @@ class StubbyOptimizer:
             )
         self.cluster = cluster
         self.phases = tuple(phases)
-        self.costs = CostService.ensure(cluster, cost_service, cache_path=cache_path)
+        self.costs = CostService.ensure(cluster, cost_service)
         self.whatif = self.costs.engine
-        self.decisions = DecisionCache.ensure(
-            cluster, decision_cache, cache_path=decision_cache_path
-        )
-        # ``subresult_catalog`` / ``subresult_catalog_path`` wire the
-        # ReStore-style sub-result reuse rewrite (STUBBY_SUBRESULT_CATALOG).
-        # A fresh empty catalog is behaviourally invisible: the reuse
+        self.decisions = DecisionCache.ensure(cluster, decision_cache)
+        # The catalog wires the ReStore-style sub-result reuse rewrite.  A
+        # fresh empty catalog is behaviourally invisible: the reuse
         # transformation proposes no applications until something registers.
-        self.subresults = SubResultCatalog.ensure(
-            cluster, subresult_catalog, cache_path=subresult_catalog_path
-        )
+        self.subresults = SubResultCatalog.ensure(cluster, subresult_catalog)
         reuse = SubResultReuseTransformation(self.subresults)
         vertical = [
             reuse,
@@ -174,7 +167,7 @@ class StubbyOptimizer:
         ]
         horizontal = [
             reuse,
-            HorizontalPacking(allow_extended=allow_extended_horizontal),
+            HorizontalPacking(),
             PartitionFunctionTransformation(),
         ]
         self.search = StubbySearch(

@@ -29,7 +29,7 @@ count, produces byte-for-byte the same optimizer decisions as
 
 Backends are selected by spec strings — ``"serial"``, ``"process:4"`` —
 through :func:`create_backend`; :func:`resolve_backend` also takes an
-instance, and reads an environment variable only when its caller names one.
+instance or ``None`` (serial).
 
 A forked session has one dispatch path: the parent keeps every worker busy
 with exactly one request and hands out the next the moment a response
@@ -661,18 +661,16 @@ def create_backend(spec: str) -> ExecutionBackend:
     return ProcessBackend(workers=workers)
 
 
-def resolve_backend(backend, env_var: Optional[str] = None) -> ExecutionBackend:
+def resolve_backend(backend) -> ExecutionBackend:
     """Normalize a backend argument into an :class:`ExecutionBackend`.
 
-    Accepts an existing backend instance, a spec string, or ``None`` — the
-    latter consults the environment variable ``env_var`` when the caller
-    names one (the experiment scheduler does; the planning server does not)
-    and finally falls back to :class:`SerialBackend`.
+    Accepts an existing backend instance, a spec string, or ``None``
+    (:class:`SerialBackend`).
     """
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend is None:
-        backend = (os.environ.get(env_var, "").strip() if env_var else "") or "serial"
+        return SerialBackend()
     if isinstance(backend, str):
         return create_backend(backend)
     raise TypeError(

@@ -160,12 +160,6 @@ class UnitReport:
             return self.subplans[self.chosen_index]
         return None
 
-    @property
-    def chosen_transformations(self) -> Tuple[str, ...]:
-        """Names of the structural transformations applied in this unit."""
-        chosen = self.chosen
-        return chosen.transformations if chosen is not None else ()
-
 
 class StubbySearch:
     """Greedy, unit-by-unit plan search over the transformation space."""
@@ -197,8 +191,7 @@ class StubbySearch:
         #: Memoized unit decisions (:mod:`repro.core.decision_cache`): a unit
         #: whose content key was solved before replays its recorded rewrite
         #: chain instead of searching.  Shared in by the optimizer/harness
-        #: for cross-run and cross-cell reuse; constructed fresh (and
-        #: possibly warm-started from STUBBY_DECISION_CACHE) otherwise.
+        #: for cross-run and cross-cell reuse; a fresh in-memory one otherwise.
         self.decisions = DecisionCache.ensure(cluster, decision_cache)
         self._cluster_key = cluster_cache_key(cluster)
         #: Cooperative deadline for the *current* ``run()``; checked between

@@ -34,8 +34,9 @@ engine like any other and wins only when it is estimated cheaper.
 
 Concurrency, attribution, merge-on-join and persistence are the shared
 :class:`~repro.common.store.ShardedStore` mechanism (see
-:mod:`repro.common.store`); the persisted file is named by
-``STUBBY_SUBRESULT_CATALOG`` and merged with ``save_cache(merge_first=True)``.
+:mod:`repro.common.store`); the harness and the server name the persisted
+file with ``STUBBY_SUBRESULT_CATALOG`` and merge it with
+``save_cache(merge_first=True)``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from repro.common.store import (
     ShardedStore,
     cluster_cache_key,
     current_origin,
-    resolve_env_flag,
 )
 from repro.dfs.dataset import Dataset
 from repro.profiler.profiler import Profiler
@@ -61,7 +61,6 @@ from repro.workflow.annotations import DatasetAnnotation
 from repro.workflow.graph import Workflow
 
 __all__ = [
-    "SUBRESULT_CATALOG_ENABLED_ENV_VAR",
     "SUBRESULT_CATALOG_FORMAT_VERSION",
     "SUBRESULT_CATALOG_PATH_ENV_VAR",
     "SubResultCatalog",
@@ -82,13 +81,10 @@ DEFAULT_MAX_SUBRESULTS = 2_000
 #: different layout are rejected wholesale.
 SUBRESULT_CATALOG_FORMAT_VERSION = 1
 
-#: Environment variable naming a persisted catalog path — the data-level
-#: sibling of ``STUBBY_COST_CACHE`` / ``STUBBY_DECISION_CACHE``.
+#: Environment variable naming the persisted catalog path of an
+#: ``ExperimentHarness`` or ``PlanningServer`` — the data-level sibling of
+#: ``STUBBY_COST_CACHE`` / ``STUBBY_DECISION_CACHE``.
 SUBRESULT_CATALOG_PATH_ENV_VAR = "STUBBY_SUBRESULT_CATALOG"
-
-#: Environment kill switch: "0"/"false"/"no"/"off" disables the catalog
-#: everywhere (lookups answer nothing, stores are no-ops).
-SUBRESULT_CATALOG_ENABLED_ENV_VAR = "STUBBY_SUBRESULT_CATALOG_ENABLED"
 
 #: Cap on entries a forked worker ships back on merge-on-join.  Entries
 #: carry records, so the cap is much tighter than the decision cache's.
@@ -186,10 +182,10 @@ class SubResultCatalog(ShardedStore):
     experiment cells, and planning-service tenants — it is a
     :class:`~repro.common.store.ShardedStore`.
 
-    ``enabled=False`` (or ``STUBBY_SUBRESULT_CATALOG_ENABLED=0``) turns
-    every lookup into a no-answer and every store into a no-op, so a
-    disabled catalog is behaviourally invisible — the reuse transformation
-    finds no applications and plans are bit-identical to pre-catalog runs.
+    ``enabled=False`` turns every lookup into a no-answer and every store
+    into a no-op, so a disabled catalog is behaviourally invisible — the
+    reuse transformation finds no applications and plans are bit-identical
+    to pre-catalog runs.
     """
 
     STATS = SubResultCatalogStats
@@ -204,7 +200,7 @@ class SubResultCatalog(ShardedStore):
         self,
         cluster: ClusterSpec,
         max_entries: int = DEFAULT_MAX_SUBRESULTS,
-        enabled: Optional[bool] = None,
+        enabled: bool = True,
         cache_path: Optional[str] = None,
     ) -> None:
         #: Monotonic content version; bumped by every mutation so the
@@ -212,7 +208,6 @@ class SubResultCatalog(ShardedStore):
         #: cached between mutations.  Set first: a warm start bumps it.
         self._version = 0
         self._fingerprint_cache: Tuple[int, int] = (-1, 0)
-        enabled = resolve_env_flag(enabled, SUBRESULT_CATALOG_ENABLED_ENV_VAR, True)
         super().__init__(cluster, max_entries, enabled, cache_path)
 
     # ------------------------------------------------------------------ API

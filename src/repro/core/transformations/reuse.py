@@ -24,8 +24,8 @@ engine costs the reuse plan (D is now a base dataset sized by its
 annotation) against the recompute plan, and reuse wins only when estimated
 cheaper.
 
-The kill switch is the catalog's own (``SubResultCatalog(enabled=False)`` /
-``STUBBY_SUBRESULT_CATALOG_ENABLED=0``): disabled, :meth:`find_applications`
+The off switch is the catalog's own (``SubResultCatalog(enabled=False)``):
+disabled, :meth:`find_applications`
 proposes nothing and the search enumerates exactly the pre-catalog candidate
 set — the bit-identity baseline of the equivalence sweep.
 """

@@ -11,7 +11,6 @@ from repro.experiments.microbench import (
     vertical_packing_tradeoff,
 )
 from repro.experiments.scheduler import (
-    EXPERIMENT_BACKEND_ENV_VAR,
     ExperimentCell,
     ExperimentScheduler,
     build_cells,
@@ -19,7 +18,6 @@ from repro.experiments.scheduler import (
 )
 
 __all__ = [
-    "EXPERIMENT_BACKEND_ENV_VAR",
     "ExperimentCell",
     "ExperimentHarness",
     "ExperimentRunResult",

@@ -23,12 +23,16 @@ Two entry points cover the two evaluation styles:
 * :meth:`ExperimentHarness.run` — a whole experiment at once: every
   (workload × optimizer) **cell** is dispatched through the
   :class:`~repro.experiments.scheduler.ExperimentScheduler` onto a pluggable
-  execution backend (``run(backend=)``, else ``STUBBY_EXPERIMENT_BACKEND``,
-  else serial — the one fan-out level; each cell's search is serial), all
-  cells sharing the harness's :class:`CostService` so cross-cell hits are reaped
-  (surfaced as ``OptimizerRun.cross_unit_hits``), and — when a ``cache_path``
-  is configured — the signature→estimate store persists across runs, so a
+  execution backend (``run(backend=)``, serial by default — the one fan-out
+  level; each cell's search is serial), all cells sharing the harness's
+  :class:`CostService` so cross-cell hits are reaped (surfaced as
+  ``OptimizerRun.cross_unit_hits``), and — when a ``cache_path`` is
+  configured — the signature→estimate store persists across runs, so a
   repeated experiment warm-starts instead of recomputing.
+
+The harness is one of the two owners that persist its stores (the planning
+server is the other), so it resolves the stores' ``STUBBY_*`` path
+variables; the optimizers it builds read none.
 """
 
 from __future__ import annotations
@@ -42,7 +46,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.baselines import make_optimizer
 from repro.cluster import ClusterSpec
 from repro.common.records import records_equal
-from repro.common.store import ShardedStore, attributed, current_origin, persist as persist_stores
+from repro.common.store import (
+    ShardedStore,
+    attributed,
+    current_origin,
+    persist as persist_stores,
+    resolve_env_path,
+)
 from repro.core.decision_cache import DecisionCache, DecisionCacheStats
 from repro.core.optimizer import OptimizationResult
 from repro.core.search import StubbySearch, UnitReport
@@ -203,11 +213,6 @@ class ExperimentRunResult:
     subresult_catalog_path: Optional[str] = None
 
     @property
-    def wall_s(self) -> float:
-        """Total wall-clock seconds (preparation + cells)."""
-        return self.prepare_s + self.cells_s
-
-    @property
     def cross_unit_hits(self) -> int:
         """Cache hits reaped across cell boundaries, summed over all cells."""
         return sum(
@@ -291,7 +296,6 @@ class ExperimentHarness:
         self,
         cluster: Optional[ClusterSpec] = None,
         scale: float = 0.25,
-        profile_noise: float = 0.0,
         seed: int = 42,
         cache_path: Optional[str] = None,
         decision_cache_path: Optional[str] = None,
@@ -299,7 +303,6 @@ class ExperimentHarness:
     ) -> None:
         self.cluster = cluster or ClusterSpec.paper_cluster()
         self.scale = scale
-        self.profile_noise = profile_noise
         self.seed = seed
         self.executor = WorkflowExecutor()
         self.actual_model = ActualCostModel(self.cluster)
@@ -308,13 +311,18 @@ class ExperimentHarness:
         # STUBBY_SUBRESULT_CATALOG), else no persistence — three separate
         # paths, so each warm start is opted into independently.  The store
         # warm-starts from it now; :meth:`run` merge-saves back.
-        self.costs = CostService.ensure(self.cluster, cache_path=cache_path)
+        self.costs = CostService(
+            self.cluster, cache_path=resolve_env_path(cache_path, CostService.PATH_ENV_VAR)
+        )
         self.cache_path = self.costs.cache_path
         self.whatif = self.costs.engine
         #: One decision memo shared by every optimizer the harness builds —
         #: a unit solved by one cell is replayed, not re-searched, by every
         #: later cell that meets the same content (cross-origin attributed).
-        self.decisions = DecisionCache.ensure(self.cluster, cache_path=decision_cache_path)
+        self.decisions = DecisionCache(
+            self.cluster,
+            cache_path=resolve_env_path(decision_cache_path, DecisionCache.PATH_ENV_VAR),
+        )
         self.decision_cache_path = self.decisions.cache_path
         #: One sub-result catalog shared by every Stubby-variant optimizer the
         #: harness builds — an intermediate registered by (or for) one cell is
@@ -323,7 +331,10 @@ class ExperimentHarness:
         #: Empty unless something registers (see
         #: :meth:`register_workload_subresults`), so default harness behaviour
         #: is byte-identical to a harness without a catalog.
-        self.subresults = SubResultCatalog.ensure(self.cluster, cache_path=subresult_catalog_path)
+        self.subresults = SubResultCatalog(
+            self.cluster,
+            cache_path=resolve_env_path(subresult_catalog_path, SubResultCatalog.PATH_ENV_VAR),
+        )
         self.subresult_catalog_path = self.subresults.cache_path
         #: The shared stores; cells run attributed over all of them, ride one
         #: side channel and persist together.
@@ -352,7 +363,7 @@ class ExperimentHarness:
     def prepare_workload(self, abbreviation: str) -> Workload:
         """Build and profile a workload (profiles attached to its workflow)."""
         workload = build_workload(abbreviation, scale=self.scale, seed=self.seed)
-        profiler = Profiler(noise=self.profile_noise, seed=self.seed)
+        profiler = Profiler(seed=self.seed)
         profiler.profile_workflow(workload.workflow, workload.base_datasets)
         return workload
 
@@ -399,9 +410,9 @@ class ExperimentHarness:
         by several cells are costed once (``OptimizerRun.cross_unit_hits``
         counts what each cell reaped from the others).  Cells are dispatched
         through the :class:`~repro.experiments.scheduler.ExperimentScheduler`
-        onto ``backend`` (else ``STUBBY_EXPERIMENT_BACKEND``, else serial);
-        results are identical on every backend at any worker count, by the
-        scheduler's determinism contract.
+        onto ``backend`` (a spec string or backend instance, serial when
+        ``None``); results are identical on every backend at any worker
+        count, by the scheduler's determinism contract.
 
         With a ``cache_path`` configured the run warm-starts from the
         persisted store (done at harness construction) and — unless

@@ -19,8 +19,7 @@ This module provides that fan-out:
   the per-cell results **in cell order** regardless of completion order.
 
 Backend selection: a ``backend=`` argument (spec string or
-:class:`~repro.core.parallel.ExecutionBackend` instance), else the
-``STUBBY_EXPERIMENT_BACKEND`` environment variable, else serial.  Cells are
+:class:`~repro.core.parallel.ExecutionBackend` instance), else serial.  Cells are
 the only fan-out level of an experiment run: a parallel backend dispatches
 whole cells, and each cell's unit search runs serially on the worker that
 took the cell.
@@ -48,16 +47,11 @@ from repro.core.parallel import (
 )
 
 __all__ = [
-    "EXPERIMENT_BACKEND_ENV_VAR",
     "ExperimentCell",
     "ExperimentScheduler",
     "build_cells",
     "cell_seed",
 ]
-
-#: Environment variable consulted when no experiment backend is passed
-#: explicitly.
-EXPERIMENT_BACKEND_ENV_VAR = "STUBBY_EXPERIMENT_BACKEND"
 
 
 @dataclass(frozen=True)
@@ -108,9 +102,7 @@ class ExperimentScheduler:
     """Dispatches experiment cells onto a pluggable execution backend."""
 
     def __init__(self, backend=None) -> None:
-        self.backend: ExecutionBackend = resolve_backend(
-            backend, env_var=EXPERIMENT_BACKEND_ENV_VAR
-        )
+        self.backend: ExecutionBackend = resolve_backend(backend)
         #: Dispatch accounting of the most recent :meth:`map_cells` call
         #: (None until one has run): how cells spread across workers, how
         #: many were stolen, and the idle-cost imbalance metric.

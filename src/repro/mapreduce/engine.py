@@ -26,7 +26,7 @@ by the profiler and by the cluster cost simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.common.records import Record, merge, record_size_bytes, sort_key_for
@@ -66,21 +66,20 @@ class JobExecutionResult:
 # A tagged map-output entry: (tag, sort_key, key, value)
 _ShuffleEntry = Tuple[str, tuple, Record, Record]
 
+#: Records per map split of an input that is not read chained.
+RECORDS_PER_SPLIT = 2_000
+
 
 class LocalEngine:
     """Executes MapReduce jobs over in-memory datasets."""
 
     def __init__(
         self,
-        target_records_per_split: int = 2_000,
         max_exec_reduce_tasks: int = 4,
         collect_outputs: bool = False,
     ) -> None:
-        if target_records_per_split <= 0:
-            raise ValueError("target_records_per_split must be positive")
         if max_exec_reduce_tasks <= 0:
             raise ValueError("max_exec_reduce_tasks must be positive")
-        self.target_records_per_split = target_records_per_split
         self.max_exec_reduce_tasks = max_exec_reduce_tasks
         self.collect_outputs = collect_outputs
 
@@ -156,8 +155,8 @@ class LocalEngine:
                     for record in dataset.records(partition_indexes=allowed)
                 ]
                 self._count_input(records, counters)
-                for chunk_start in range(0, len(records), self.target_records_per_split):
-                    chunk = records[chunk_start : chunk_start + self.target_records_per_split]
+                for chunk_start in range(0, len(records), RECORDS_PER_SPLIT):
+                    chunk = records[chunk_start : chunk_start + RECORDS_PER_SPLIT]
                     if chunk:
                         splits.append(chunk)
         if not splits:

@@ -162,11 +162,6 @@ class Pipeline:
         return self.reduce_ops[0].group_fields
 
     @property
-    def all_operators(self) -> List[Operator]:
-        """Map-side then reduce-side operators."""
-        return list(self.map_ops) + list(self.reduce_ops)
-
-    @property
     def map_side_combiner(self) -> Optional[ReduceCallable]:
         """Combiner usable on the map side (from the first reduce operator)."""
         if not self.reduce_ops:

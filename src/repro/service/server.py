@@ -44,7 +44,12 @@ from repro.baselines import make_optimizer
 from repro.cluster import ClusterSpec
 from repro.common.errors import OptimizationError, TerminalError
 from repro.common.faults import fault_site
-from repro.common.store import ShardedStore, attributed, persist as persist_stores
+from repro.common.store import (
+    ShardedStore,
+    attributed,
+    persist as persist_stores,
+    resolve_env_path,
+)
 from repro.core.budget import TimeBudget
 from repro.core.decision_cache import DecisionCache, DecisionCacheStats
 from repro.core.optimizer import OptimizationResult
@@ -116,6 +121,13 @@ def cold_optimize(
 def oracle_fingerprint(result: OptimizationResult) -> Tuple:
     """The identity triple responses are byte-compared on."""
     return (result.plan_signature(), result.decision_fingerprint(), result.estimated_cost_s)
+
+
+def _owned_store(cls, cluster: ClusterSpec, store: Optional[ShardedStore], path: Optional[str]):
+    """``store`` when shared in, else a fresh one on ``path`` or the class's path variable."""
+    if store is None:
+        return cls(cluster, cache_path=resolve_env_path(path, cls.PATH_ENV_VAR))
+    return cls.ensure(cluster, store)
 
 
 @dataclass(frozen=True)
@@ -253,10 +265,11 @@ class PlanningServer:
     ``"process:2"``) or backend instance — the pool that runs the
     optimizations (requests are heterogeneous; a fork pool hands idle
     workers the next one and retries a request whose worker died).  The
-    server owns one shared :class:`CostService` and :class:`DecisionCache`
-    (or accepts externally shared ones); with ``cache_path`` /
-    ``decision_cache_path`` configured it warm-starts from the persisted
-    stores and merge-persists them back on :meth:`stop`.
+    server owns one shared :class:`CostService`, :class:`DecisionCache` and
+    :class:`SubResultCatalog` (or accepts externally shared ones).  A store
+    it builds itself warm-starts from its path — ``cache_path`` /
+    ``decision_cache_path`` / ``subresult_catalog_path``, else the store's
+    ``STUBBY_*`` path variable — and is merge-persisted back on :meth:`stop`.
 
     Workloads are registered up front (:meth:`register_workload`) — plans
     hold closure-based operators that cannot cross a pickle boundary, so a
@@ -272,7 +285,6 @@ class PlanningServer:
         pool="serial",
         queue_capacity: int = 64,
         per_tenant_capacity: Optional[int] = None,
-        max_batch: Optional[int] = None,
         cost_service: Optional[CostService] = None,
         decision_cache: Optional[DecisionCache] = None,
         cache_path: Optional[str] = None,
@@ -281,18 +293,16 @@ class PlanningServer:
         subresult_catalog_path: Optional[str] = None,
         breaker_threshold: int = 3,
         breaker_backoff_s: float = 0.5,
-        breaker_max_backoff_s: float = 30.0,
     ) -> None:
         self.cluster = cluster
-        self.costs = CostService.ensure(cluster, cost_service, cache_path=cache_path)
-        self.decisions = DecisionCache.ensure(cluster, decision_cache, cache_path=decision_cache_path)
+        self.costs = _owned_store(CostService, cluster, cost_service, cache_path)
+        self.decisions = _owned_store(DecisionCache, cluster, decision_cache, decision_cache_path)
         #: Shared sub-result catalog: tenants report executed outputs through
         #: :meth:`register_execution`, and subsequent plans (any tenant) may
         #: reuse the stored bytes instead of recomputing — the ReStore story
-        #: served multi-tenant.  Warm-starts from ``subresult_catalog_path``
-        #: (or STUBBY_SUBRESULT_CATALOG) and merge-persists on :meth:`stop`.
-        self.subresults = SubResultCatalog.ensure(
-            cluster, subresult_catalog, cache_path=subresult_catalog_path
+        #: served multi-tenant.
+        self.subresults = _owned_store(
+            SubResultCatalog, cluster, subresult_catalog, subresult_catalog_path
         )
         #: The shared stores, in :data:`~repro.service.stats.LEDGERS` order:
         #: everything done per store (side channels, per-request sinks,
@@ -305,9 +315,9 @@ class PlanningServer:
         self.stats = ServiceStats()
         #: Per-tenant full-search circuit breakers (dispatcher-thread only).
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._breaker_config = (breaker_threshold, breaker_backoff_s, breaker_max_backoff_s)
+        self._breaker_config = (breaker_threshold, breaker_backoff_s)
         self._registry: Dict[str, Plan] = {}
-        self._max_batch = max_batch or max(2 * self.backend.workers, 4)
+        self._max_batch = max(2 * self.backend.workers, 4)
         self._session = None
         #: Guards the detach-then-accumulate handoff between a session and
         #: ``_pool_history`` so concurrent ``dispatch_stats()`` readers never
@@ -529,11 +539,9 @@ class PlanningServer:
         """The (created-on-first-use) circuit breaker of one tenant."""
         breaker = self._breakers.get(tenant)
         if breaker is None:
-            threshold, backoff, max_backoff = self._breaker_config
+            threshold, backoff = self._breaker_config
             breaker = self._breakers[tenant] = CircuitBreaker(
-                failure_threshold=threshold,
-                backoff_s=backoff,
-                max_backoff_s=max_backoff,
+                failure_threshold=threshold, backoff_s=backoff
             )
         return breaker
 

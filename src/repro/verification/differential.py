@@ -30,6 +30,9 @@ from repro.dfs.dataset import Dataset
 from repro.workflow.executor import WorkflowExecutor
 from repro.workflow.graph import Workflow
 
+#: Missing / extra records a divergence report quotes per dataset.
+MAX_SAMPLES = 5
+
 
 @dataclass
 class DatasetDivergence:
@@ -132,12 +135,10 @@ class DifferentialExecutor:
         executor: Optional[WorkflowExecutor] = None,
         float_digits: int = 6,
         float_atol: float = 1e-6,
-        max_samples: int = 5,
     ) -> None:
         self.executor = executor or WorkflowExecutor()
         self.float_digits = float_digits
         self.float_atol = float_atol
-        self.max_samples = max_samples
 
     # ------------------------------------------------------------------ API
     def compare(
@@ -241,8 +242,8 @@ class DifferentialExecutor:
                     candidate_job=self._producer_name(candidate, name),
                     missing_count=len(missing),
                     extra_count=len(extra),
-                    missing_sample=missing[: self.max_samples],
-                    extra_sample=extra[: self.max_samples],
+                    missing_sample=missing[:MAX_SAMPLES],
+                    extra_sample=extra[:MAX_SAMPLES],
                 )
             )
         return divergences
@@ -265,11 +266,12 @@ class DifferentialExecutor:
             )
             if step.equivalent:
                 continue
+            chosen = unit_report.chosen
             return CulpritReport(
                 unit_index=index,
                 phase=getattr(unit_report, "phase", "?"),
                 unit_jobs=tuple(getattr(unit_report.unit, "jobs", ())),
-                transformations=tuple(getattr(unit_report, "chosen_transformations", ())),
+                transformations=tuple(chosen.transformations) if chosen is not None else (),
                 divergences=step.divergences,
                 error=step.error,
             )

@@ -92,10 +92,9 @@ MAX_EXPORTED_ENTRIES = 20_000
 #: version-2 files held level-tagged 4-tuples.
 CACHE_FORMAT_VERSION = 3
 
-#: Environment variable naming a persisted-cache path; consulted by
-#: :meth:`CostService.ensure` when no explicit path is configured, so a whole
-#: stack (harness, benchmarks, examples) can opt into warm-starting from the
-#: outside.
+#: Environment variable naming a persisted-cache path; consulted only by the
+#: owners that also merge-save it (``ExperimentHarness``, ``PlanningServer``)
+#: when no explicit path is given.
 CACHE_PATH_ENV_VAR = "STUBBY_COST_CACHE"
 
 

@@ -281,14 +281,24 @@ class TestPathResolution:
         monkeypatch.setenv(CACHE_PATH_ENV_VAR, "")
         assert resolve_env_path(None, CACHE_PATH_ENV_VAR) is None
 
-    def test_env_var_warm_starts_an_optimizer(self, tmp_path, profiled_workflow, monkeypatch):
-        from repro.core.optimizer import StubbyOptimizer
+    def test_env_vars_warm_start_the_harness_and_the_server(
+        self, tmp_path, profiled_workflow, monkeypatch
+    ):
+        from repro.core.decision_cache import DecisionCache
+        from repro.core.subresults import SubResultCatalog
+        from repro.experiments import ExperimentHarness
+        from repro.service import PlanningServer
 
-        path = str(tmp_path / "env.cache")
-        _warmed_service(profiled_workflow).save_cache(path)
-        monkeypatch.setenv(CACHE_PATH_ENV_VAR, path)
-        optimizer = StubbyOptimizer(CLUSTER)
-        assert optimizer.costs.last_load is not None and optimizer.costs.last_load.loaded
-        # A shared service passed in explicitly is never overridden by the env.
+        _warmed_service(profiled_workflow).save_cache(str(tmp_path / "env.cache"))
+        monkeypatch.setenv(CACHE_PATH_ENV_VAR, str(tmp_path / "env.cache"))
+        for cls in (DecisionCache, SubResultCatalog):
+            path = str(tmp_path / f"{cls.__name__}.bin")
+            cls(CLUSTER).save_cache(path)
+            monkeypatch.setenv(cls.PATH_ENV_VAR, path)
+        for owner in (ExperimentHarness(), PlanningServer(CLUSTER)):
+            assert [store.last_load.loaded for store in owner.stores] == [True] * 3
+            assert owner.costs.last_load.entries > 0
+        # A shared store passed in explicitly is never overridden by the env.
         shared = CostService(CLUSTER)
-        assert StubbyOptimizer(CLUSTER, cost_service=shared).costs is shared
+        server = PlanningServer(CLUSTER, cost_service=shared)
+        assert server.costs is shared and shared.cache_path is None

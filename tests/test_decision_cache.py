@@ -28,9 +28,8 @@ import pickle
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.common.store import persist, resolve_env_flag, resolve_env_path
+from repro.common.store import persist, resolve_env_path
 from repro.core.decision_cache import (
-    DECISION_CACHE_ENABLED_ENV_VAR,
     DECISION_CACHE_FORMAT_VERSION,
     DECISION_CACHE_PATH_ENV_VAR,
     DecisionCache,
@@ -481,22 +480,20 @@ class TestPersistence:
         assert "malformed cache entries" in reloaded.last_load.reason
         assert reloaded.cache_size == 0
 
-    def test_env_var_controls_path_and_kill_switch(self, monkeypatch, tmp_path):
+    def test_path_variable_is_read_by_the_owner_not_the_cache(self, monkeypatch, tmp_path):
         env_path = str(tmp_path / "env-decisions.cache")
         monkeypatch.setenv("STUBBY_DECISION_CACHE", env_path)
         assert resolve_env_path(None, DECISION_CACHE_PATH_ENV_VAR) == env_path
         assert resolve_env_path("explicit", DECISION_CACHE_PATH_ENV_VAR) == "explicit"
         assert resolve_env_path("", DECISION_CACHE_PATH_ENV_VAR) is None
-        assert DecisionCache.ensure(CLUSTER).cache_path == env_path
+        assert DecisionCache.ensure(CLUSTER).cache_path is None
+        assert ExperimentHarness(scale=0.05).decisions.cache_path == env_path
 
-        monkeypatch.setenv("STUBBY_DECISION_CACHE_ENABLED", "0")
-        assert resolve_env_flag(None, DECISION_CACHE_ENABLED_ENV_VAR, True) is False
-        cache = DecisionCache(CLUSTER)
-        assert not cache.enabled
+    def test_disabled_cache_answers_and_stores_nothing(self):
+        cache = DecisionCache(CLUSTER, enabled=False)
         assert cache.lookup(("anything",)) is None
         cache.store(("anything",), None)
         assert cache.cache_size == 0
-        monkeypatch.setenv("STUBBY_DECISION_CACHE_ENABLED", "1")
         assert DecisionCache(CLUSTER).enabled
 
     def test_harness_persists_and_warm_starts_decisions(self, tmp_path):

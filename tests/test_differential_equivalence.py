@@ -5,11 +5,12 @@ optimized plan executed on the same inputs must produce the same output
 multisets as the unoptimized workflow.  This battery proves it three ways:
 
 * a seeded sweep of random workflows (>= 25 seeds, scaled up via
-  ``EQUIVALENCE_SEEDS``) through all three optimizer variants;
+  ``EQUIVALENCE_SEEDS``) through all three optimizer variants, and Stubby
+  once more with its decision cache disabled;
 * every transformation applied *in isolation* — bypassing the cost-based
   search, so e.g. horizontal packings that the optimizer would decline on
   cost grounds are still executed and checked;
-* every canned evaluation workload through all three variants.
+* every canned evaluation workload through the same variants.
 
 The same seeded workflows also carry the key-integrity sweep: a replayed
 decision is only as right as the key it was found under, so at every unit —
@@ -32,6 +33,7 @@ from dataclasses import replace as dataclass_replace
 import pytest
 
 from repro.common.hashing import stable_hash
+from repro.core.decision_cache import DecisionCache
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.transformations import (
     HorizontalPacking,
@@ -50,6 +52,12 @@ VARIANTS = (
     ("Stubby", lambda cluster: StubbyOptimizer(cluster)),
     ("Vertical", StubbyOptimizer.vertical_only),
     ("Horizontal", StubbyOptimizer.horizontal_only),
+    (
+        "Stubby, decision cache off",
+        lambda cluster: StubbyOptimizer(
+            cluster, decision_cache=DecisionCache(cluster, enabled=False)
+        ),
+    ),
 )
 
 TRANSFORMATIONS = (
@@ -67,7 +75,7 @@ def _profiled_workload(abbr, scale=0.12):
 
 
 # ---------------------------------------------------------------------------
-# Random-workflow sweep: all three variants on every seed
+# Random-workflow sweep: every variant on every seed
 # ---------------------------------------------------------------------------
 
 
@@ -93,23 +101,25 @@ KEYED_SHAPES = (
 
 
 @pytest.mark.equivalence
+@pytest.mark.parametrize("decisions", (True, False), ids=("decisions-on", "decisions-off"))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_unit_keys_and_dataset_statistics_equal_their_reference_builders(
-    seed, cluster, workflow_generator
+    seed, decisions, cluster, workflow_generator
 ):
-    """Random DAG + one fixed shape per seed, default-constructed optimizer (so
-    ``STUBBY_DECISION_CACHE_ENABLED`` forces the cache on or off around it):
-    keys are compared whether or not the search looks them up."""
+    """Random DAG + one fixed shape per seed, with the decision cache on and
+    off: keys are compared whether or not the search looks them up."""
     shape = KEYED_SHAPES[seed % len(KEYED_SHAPES)]
     for generated in (workflow_generator.generate(seed), shape(workflow_generator, seed)):
         plan = generated.plan
-        optimizer = StubbyOptimizer(cluster)
+        optimizer = StubbyOptimizer(
+            cluster, decision_cache=DecisionCache(cluster, enabled=decisions)
+        )
         cold, compared = key_oracle.optimize_checking_keys(optimizer, plan)
         warm, compared_warm = key_oracle.optimize_checking_keys(optimizer, plan)
         assert compared == compared_warm > 0, generated.workflow.name
         assert warm.decision_fingerprint() == cold.decision_fingerprint()
-        if optimizer.search.decisions.enabled:
-            assert warm.unit_decision_hits == cold.unit_decision_misses == compared // 2
+        replayed = compared // 2 if decisions else 0
+        assert warm.unit_decision_hits == cold.unit_decision_misses == replayed
         datasets = [v.dataset for v in warm.plan.workflow.datasets if v.dataset is not None]
         assert datasets
         for dataset in datasets:
@@ -215,7 +225,7 @@ def test_single_transformation_equivalence_on_ir(transformation, differential):
 
 
 # ---------------------------------------------------------------------------
-# Canned evaluation workloads through all three variants
+# Canned evaluation workloads through every variant
 # ---------------------------------------------------------------------------
 
 

@@ -13,7 +13,6 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.core.parallel import ProcessBackend, SerialBackend
 from repro.experiments import (
-    EXPERIMENT_BACKEND_ENV_VAR,
     ExperimentHarness,
     ExperimentScheduler,
     build_cells,
@@ -171,15 +170,11 @@ class TestWarmStart:
 
 
 class TestSchedulerPlumbing:
-    def test_resolve_backend_env_and_passthrough(self, monkeypatch):
+    def test_resolve_backend_passthrough(self):
         backend = ProcessBackend(workers=2)
         assert ExperimentScheduler(backend).backend is backend
-        monkeypatch.delenv(EXPERIMENT_BACKEND_ENV_VAR, raising=False)
         assert isinstance(ExperimentScheduler().backend, SerialBackend)
-        monkeypatch.setenv(EXPERIMENT_BACKEND_ENV_VAR, "process:3")
-        resolved = ExperimentScheduler().backend
-        assert isinstance(resolved, ProcessBackend)
-        assert resolved.workers == 3
+        assert ExperimentScheduler("process:3").backend.workers == 3
         with pytest.raises(TypeError):
             ExperimentScheduler(3.14)
         with pytest.raises(ValueError):
@@ -206,8 +201,3 @@ class TestSchedulerPlumbing:
         cells = build_cells(("PJ", "BR", "IR"), ("A", "B"), base_seed=1)
         labels = scheduler.map_cells(cells, lambda cell: cell.label)
         assert labels == [cell.label for cell in cells]
-
-    def test_env_var_drives_harness_run(self, monkeypatch):
-        monkeypatch.setenv(EXPERIMENT_BACKEND_ENV_VAR, "process:2")
-        result = _fresh_harness().run(workloads=WORKLOADS, optimizers=("Baseline",))
-        assert result.backend == "process:2"

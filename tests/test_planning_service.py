@@ -369,10 +369,8 @@ class TestFaultInjection:
 
 
 class TestServerGuards:
-    def test_default_pool_is_serial(self, monkeypatch):
-        # The same default as resolve_backend and ExperimentScheduler — and
-        # no environment variable reaches it, the cell pool's included.
-        monkeypatch.setenv("STUBBY_EXPERIMENT_BACKEND", "process:2")
+    def test_default_pool_is_serial(self):
+        # The same default as resolve_backend and ExperimentScheduler.
         assert PlanningServer(CLUSTER).backend.spec == "serial:1"
 
     def test_bad_pool_specs_are_rejected_in_pool_terms(self):

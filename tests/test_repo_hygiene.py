@@ -9,6 +9,7 @@ was added for; ISSUE 17 retired their writers, and ``bench/run.py`` is the
 only thing left that times anything).
 """
 
+import ast
 import os
 import re
 import shutil
@@ -53,17 +54,18 @@ def _src_sources():
 
 
 def test_src_has_no_mode_switches():
-    """ISSUE 13 retired the process-wide ``set_*_enabled`` switches and the
-    cell-dispatch option, ISSUE 14 the thread pool, the per-session dispatch
-    mode and the batched RRS objective, ISSUE 15 the stats window, the LRU
+    """Retired switches stay retired: the process-wide ``set_*_enabled``
+    switches and the cell-dispatch option; the thread pool, the per-session
+    dispatch mode and the batched RRS objective; the stats window, the LRU
     striping, the server's own optimizer factory and the one-line
     ``ensure_*`` / ``resolve_*_path`` aliases of ``ShardedStore.ensure`` /
-    ``resolve_env_path``, ISSUE 16 the in-search fork path with its
-    variable, its constructor arguments and the backend registry, ISSUE 18
-    the cost service's per-sample estimate level with its second key, its
-    second LRU and the compaction knob, ISSUE 19 the copy-on-write
-    ownership protocol (plan values are frozen, an edit rebinds a name); a
-    path that needs a baseline keeps it under tests/."""
+    ``resolve_env_path``; the in-search fork path with its variable, its
+    constructor arguments and the backend registry; the cost service's
+    per-sample estimate level with its second key, its second LRU and the
+    compaction knob; the copy-on-write ownership protocol (plan values are
+    frozen, an edit rebinds a name); the two store kill switches and the
+    cell-backend variable with their readers, and the settable values
+    nothing set.  A path that needs a baseline keeps it under tests/."""
     banned = re.compile(
         r"def set_\w+_enabled|STUBBY_EXPERIMENT_DISPATCH"
         r"|ThreadPoolExecutor|dispatch=|objective_batch"
@@ -76,6 +78,11 @@ def test_src_has_no_mode_switches():
         r"|resolve_cache_" r"max_entries|STUBBY_COST_CACHE_" r"MAX_ENTRIES"
         r"|mutate_" r"job|mutate_" r"vertex|copy_" r"job|dirty_" r"jobs"
         r"|_borrowed_" r"jobs|_shared_" r"jobs|_shared_" r"datasets"
+        r"|resolve_env_" r"flag|_ENABLED_" r"ENV_VAR|CACHE_" r"ENABLED|CATALOG_" r"ENABLED"
+        r"|EXPERIMENT_" r"BACKEND|env_" r"var="
+        r"|allow_extended_" r"horizontal|enable_" r"multiquery|target_records_" r"per_split"
+        r"|profile_" r"noise|\bmax_" r"samples\b|\bmax_" r"batch\b|breaker_max_" r"backoff"
+        r"|chosen_" r"transformations|all_" r"operators|def wall_" r"s\b"
     )
     assert [path for path, text in _src_sources() if banned.search(text)] == []
     # One fan-out level: requests and cells fork, the unit search does not.
@@ -106,6 +113,40 @@ def test_no_test_indexes_a_worker_result_by_constant():
 
 #: Rows of the docs/index.md environment-variable table: name, owner module.
 ENV_TABLE_ROW = re.compile(r"^\| `(STUBBY_[A-Z_]+)` \| `(repro[\w.]+)` \|", re.MULTILINE)
+
+
+def test_only_two_functions_read_the_environment():
+    """``os.environ`` is read by the one path resolver the persisting owners
+    call and by the fault-plan parser; every other object sees only its
+    arguments (``tests/test_ambient_environment.py`` drives the same rule)."""
+    readers = set()
+    for path, text in _src_sources():
+        module = os.path.splitext(os.path.relpath(path, "src"))[0].replace(os.sep, ".")
+        tree = ast.parse(text)
+        functions = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node in ast.walk(tree):
+            reads = (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("environ", "environb", "getenv")
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and {alias.name for alias in node.names} & {"environ", "environb", "getenv"}
+            )
+            if not reads:
+                continue
+            enclosing = [
+                f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno
+            ]
+            readers.add(f"{module}.{enclosing[-1] if enclosing else '<module>'}")
+    assert readers == {
+        "repro.common.store.resolve_env_path",
+        "repro.verification.faults.plan_from_env",
+    }
 
 
 def test_env_var_table_lists_exactly_the_variables_src_reads():
@@ -158,39 +199,16 @@ def _pytest_subprocess(args, extra_env):
 
 
 def test_ambient_path_variables_never_reach_the_suites(tmp_path):
-    """README's quick-start exports ``STUBBY_COST_CACHE`` and
-    ``STUBBY_EXPERIMENT_BACKEND``; with them in the shell the orchestration
-    tests used to warm-start one harness from the file the previous one
-    persisted (``assert 3 == 787``) and leave 550 kB at the user's path."""
+    """README's quick-start exports ``STUBBY_COST_CACHE``; with it in the
+    shell the orchestration tests used to warm-start one harness from the
+    file the previous one persisted (``assert 3 == 787``) and leave 550 kB
+    at the user's path."""
     targets = {
         "STUBBY_COST_CACHE": str(tmp_path / "costs.cache"),
         "STUBBY_DECISION_CACHE": str(tmp_path / "decisions.cache"),
         "STUBBY_SUBRESULT_CATALOG": str(tmp_path / "subresults.cache"),
-        "STUBBY_EXPERIMENT_BACKEND": "process:4",
     }
     run = _pytest_subprocess(["tests/test_experiment_orchestration.py"], targets)
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
     assert os.listdir(tmp_path) == []
 
-
-@pytest.mark.skipif(
-    "STUBBY_DECISION_CACHE_ENABLED" not in os.environ,
-    reason="probe: the test below runs it with the switch exported",
-)
-def test_probe_default_decision_cache_obeys_the_exported_kill_switch():
-    from repro.cluster import ClusterSpec
-    from repro.core.decision_cache import DecisionCache
-
-    # CI and the test below export "0" or "1", nothing fancier.
-    assert DecisionCache(ClusterSpec.paper_cluster()).enabled == (
-        os.environ["STUBBY_DECISION_CACHE_ENABLED"] != "0"
-    )
-
-
-def test_kill_switch_set_outside_pytest_still_reaches_the_library():
-    """The scrub above must not eat what the nightly CI sets on purpose."""
-    name = test_probe_default_decision_cache_obeys_the_exported_kill_switch.__name__
-    probe = f"tests/test_repo_hygiene.py::{name}"
-    for exported in ("0", "1"):
-        run = _pytest_subprocess([probe], {"STUBBY_DECISION_CACHE_ENABLED": exported})
-        assert run.returncode == 0 and "1 passed" in run.stdout, run.stdout[-2000:]

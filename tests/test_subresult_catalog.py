@@ -29,12 +29,11 @@ import pickle
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.common.store import attributed, resolve_env_flag, resolve_env_path
+from repro.common.store import attributed, resolve_env_path
 from repro.core.decision_cache import DecisionCache
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.search import plan_decision_fingerprint as fingerprint
 from repro.core.subresults import (
-    SUBRESULT_CATALOG_ENABLED_ENV_VAR,
     SUBRESULT_CATALOG_FORMAT_VERSION,
     SUBRESULT_CATALOG_PATH_ENV_VAR,
     SubResultCatalog,
@@ -437,21 +436,19 @@ class TestPersistence:
         sparse = SubResultCatalog(CLUSTER)
         assert sparse.save_cache(path, merge_first=True) == 2
 
-    def test_env_var_controls_path_and_kill_switch(self, monkeypatch, tmp_path):
+    def test_path_variable_is_read_by_the_owner_not_the_catalog(self, monkeypatch, tmp_path):
         env_path = str(tmp_path / "env-subresults.catalog")
         monkeypatch.setenv("STUBBY_SUBRESULT_CATALOG", env_path)
         assert resolve_env_path(None, SUBRESULT_CATALOG_PATH_ENV_VAR) == env_path
         assert resolve_env_path("explicit", SUBRESULT_CATALOG_PATH_ENV_VAR) == "explicit"
         assert resolve_env_path("", SUBRESULT_CATALOG_PATH_ENV_VAR) is None
-        assert SubResultCatalog.ensure(CLUSTER).cache_path == env_path
+        assert SubResultCatalog.ensure(CLUSTER).cache_path is None
+        assert ExperimentHarness(scale=0.05).subresults.cache_path == env_path
 
-        monkeypatch.setenv("STUBBY_SUBRESULT_CATALOG_ENABLED", "0")
-        assert resolve_env_flag(None, SUBRESULT_CATALOG_ENABLED_ENV_VAR, True) is False
-        catalog = SubResultCatalog(CLUSTER)
-        assert not catalog.enabled
+    def test_disabled_catalog_stores_nothing(self):
+        catalog = SubResultCatalog(CLUSTER, enabled=False)
         catalog.store(("subresult", "x"), SubResultEntry("x", (), None))
         assert catalog.catalog_size == 0
-        monkeypatch.setenv("STUBBY_SUBRESULT_CATALOG_ENABLED", "1")
         assert SubResultCatalog(CLUSTER).enabled
 
     def test_harness_persists_and_warm_starts_the_catalog(self, tmp_path):

@@ -248,7 +248,7 @@ def test_canned_workload_self_reuse_equivalence(abbr, cluster, differential):
 
 
 @pytest.mark.equivalence
-def test_kill_switch_and_empty_catalog_are_bit_identical(cluster, workflow_generator):
+def test_disabled_and_empty_catalog_are_bit_identical(cluster, workflow_generator):
     first, second = workflow_generator.shared_prefix_pair(57)
     warm = SubResultCatalog(cluster, enabled=True)
     _register_execution(warm, first.workflow, first.base_datasets)
@@ -268,7 +268,7 @@ def test_kill_switch_and_empty_catalog_are_bit_identical(cluster, workflow_gener
     assert empty_result.subresult_reuse_applications == 0
     assert fingerprint(empty_result.plan) == expected
 
-    # So does a disabled catalog (STUBBY_SUBRESULT_CATALOG_ENABLED=0 path).
+    # So does a disabled catalog.
     disabled = SubResultCatalog(cluster, enabled=False)
     off = StubbyOptimizer(cluster, subresult_catalog=disabled).optimize(second.plan)
     assert off.subresult_reuse_applications == 0

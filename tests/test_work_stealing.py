@@ -115,15 +115,14 @@ class TestBackendPlumbing:
         with pytest.raises(ValueError):
             ProcessBackend(workers=0)
 
-    def test_unknown_kinds_are_rejected_in_pool_terms(self, monkeypatch):
+    def test_unknown_kinds_are_rejected_in_pool_terms(self):
         # Regression: the message said "unknown search backend" wherever the
-        # spec came from — a server pool, the cell variable.
+        # spec came from — a server pool, an experiment run.
         expected = r"unknown execution backend 'thread'.*'serial' or 'process:N'"
         with pytest.raises(ValueError, match=expected):
             create_backend("thread:2")
-        monkeypatch.setenv("STUBBY_EXPERIMENT_BACKEND", "thread:2")
         with pytest.raises(ValueError, match=expected):
-            ExperimentScheduler()
+            ExperimentScheduler("thread:2")
 
     def test_a_process_spec_must_name_its_worker_count(self):
         # Regression: a bare "process" silently meant four workers, whatever
@@ -131,18 +130,13 @@ class TestBackendPlumbing:
         with pytest.raises(ValueError, match=r"no worker count.*process:N"):
             create_backend("process")
 
-    def test_resolve_backend_passthrough_and_env_var(self, monkeypatch):
+    def test_resolve_backend_passthrough(self):
         backend = ProcessBackend(workers=2)
         assert resolve_backend(backend) is backend
         assert resolve_backend("process:5").workers == 5
+        assert isinstance(resolve_backend(None), SerialBackend)
         with pytest.raises(TypeError):
             resolve_backend(42)
-        # A variable is consulted only when the caller names one.
-        monkeypatch.setenv("STUBBY_SOME_OTHER_BACKEND", "process:3")
-        assert isinstance(resolve_backend(None), SerialBackend)
-        assert resolve_backend(None, env_var="STUBBY_SOME_OTHER_BACKEND").workers == 3
-        monkeypatch.delenv("STUBBY_SOME_OTHER_BACKEND")
-        assert isinstance(resolve_backend(None, env_var="STUBBY_SOME_OTHER_BACKEND"), SerialBackend)
 
     def test_a_session_without_stores_holds_an_empty_channel(self):
         channel = store_side_channel()

@@ -10,12 +10,12 @@ order so upstream choices are visible when tuning downstream jobs).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.baselines.base import BaselineOptimizer
 from repro.common.rng import DeterministicRNG
 from repro.core.plan import Plan
-from repro.core.rrs import RecursiveRandomSearch
+from repro.core.rrs import Point, RecursiveRandomSearch
 from repro.core.transformations.configuration import ConfigurationTransformation
 
 
@@ -50,14 +50,16 @@ class StarfishOptimizer(BaselineOptimizer):
             if not space.dimensions:
                 continue
             config = plan.workflow.job(vertex.name).job.config
+            slots = config.setting_slots(enumerate(space.names))
+            # One session per tuned job: its base is the plan as tuned so far.
+            with self.costs.overlay(plan.workflow, baseline) as session:
 
-            def objective(point: Mapping[str, object], name: str = vertex.name, config=config) -> float:
-                overlay = {name: config.with_settings(point)}  # on the plan as tuned so far
-                return self.costs.estimate_workflow(plan.workflow, overlay, baseline).total_s
+                def objective(point: Point, name: str = vertex.name, config=config) -> float:
+                    return session.estimate({name: config.with_values(point, slots)}).total_s
 
-            result = self.rrs.search(
-                space, objective, initial_point=config.as_dict(), rng=self._rng.fork(vertex.name)
-            )
+                result = self.rrs.search(
+                    space, objective, initial_point=config.as_dict(), rng=self._rng.fork(vertex.name)
+                )
             if result.best_point:
                 ConfigurationTransformation.apply_settings_in_place(plan, {vertex.name: result.best_point})
                 plan.record(

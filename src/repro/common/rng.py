@@ -8,7 +8,7 @@ explicitly, so experiments and tests are reproducible run to run.
 from __future__ import annotations
 
 import random
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from repro.common.hashing import stable_hash
 
@@ -57,6 +57,11 @@ class DeterministicRNG:
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""
         return self._random.random()
+
+    @property
+    def draw(self) -> Callable[[], float]:
+        """The stream's own ``random()``, for a loop that draws many values."""
+        return self._random.random
 
     def choice(self, items: Sequence[T]) -> T:
         """Pick one element uniformly at random."""

@@ -23,13 +23,15 @@ optimizer's output reproducible across runs, backends, and worker counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.rng import DeterministicRNG
 from repro.mapreduce.config import ConfigurationSpace
 
-Objective = Callable[[Mapping[str, object]], float]
+#: A sample: its values in the space's dimension order.
+Point = Tuple[object, ...]
+Objective = Callable[[Point], float]
 
 
 @dataclass
@@ -39,7 +41,6 @@ class RRSResult:
     best_point: Dict[str, object]
     best_value: float
     evaluations: int
-    trajectory: List[float] = field(default_factory=list)
     #: Sampled points that were *not* dispatched to the objective because an
     #: identical point had already been evaluated in this search (within the
     #: same generation or an earlier one).  ``evaluations`` counts only
@@ -82,60 +83,49 @@ class RecursiveRandomSearch:
     ) -> RRSResult:
         """Run RRS and return the best point found.
 
-        ``initial_point`` (typically the job's current configuration) is
+        A point is the tuple of its values in ``space.dimensions`` order; the
+        objective receives it as such.  ``initial_point`` (typically the job's
+        current configuration, by dimension name, naming every dimension) is
         always evaluated first so the search can never return something worse
         than the starting configuration.
         """
         rng = rng or DeterministicRNG(self.seed)
-        evaluations = 0
         duplicate_points = 0
-        trajectory: List[float] = []
-        #: Every value computed so far, keyed by point content.  Identical
-        #: points — within one generation or across generations of the same
-        #: search — are dispatched to the objective once; duplicates reuse
-        #: the memoized value.  The objective is deterministic in the point
-        #: (same forked RNG stream per candidate), so the per-point values
-        #: the search state folds in are identical to evaluating everything,
-        #: and the argmin is unchanged.
-        evaluated: Dict[tuple, float] = {}
+        #: Every value computed so far, keyed by the point.  Identical points
+        #: — within one generation or across generations of the same search —
+        #: are dispatched to the objective once; duplicates reuse the memoized
+        #: value.  The objective is deterministic in the point (same forked
+        #: RNG stream per candidate), so the per-point values the search
+        #: state folds in are identical to evaluating everything, and the
+        #: argmin is unchanged.
+        evaluated: Dict[Point, float] = {}
 
-        best_point: Dict[str, object] = {}
-        best_value = float("inf")
-
-        def point_key(point: Mapping[str, object]) -> tuple:
-            return tuple(sorted(point.items()))
-
-        def run_generation(points: Sequence[Mapping[str, object]]) -> List[float]:
-            nonlocal evaluations, duplicate_points
-            fresh: List[Mapping[str, object]] = []
-            fresh_keys: List[tuple] = []
-            keys = [point_key(point) for point in points]
-            for point, key in zip(points, keys):
-                if key not in evaluated and key not in fresh_keys:
-                    fresh.append(point)
-                    fresh_keys.append(key)
+        def run_generation(points: Sequence[Point]) -> List[float]:
+            nonlocal duplicate_points
+            fresh: Dict[Point, None] = {}
+            for point in points:
+                if point not in evaluated:
+                    fresh[point] = None
             duplicate_points += len(points) - len(fresh)
-            values = [objective(point) for point in fresh]
-            evaluations += len(values)
-            trajectory.extend(values)
-            for key, value in zip(fresh_keys, values):
-                evaluated[key] = value
-            return [evaluated[key] for key in keys]
+            for point in fresh:
+                evaluated[point] = objective(point)
+            return [evaluated[point] for point in points]
 
         if not space.dimensions:
-            value = run_generation([{}])[0]
+            value = run_generation([()])[0]
             return RRSResult(
                 best_point={},
                 best_value=value,
-                evaluations=evaluations,
-                trajectory=trajectory,
+                evaluations=len(evaluated),
                 duplicate_points=duplicate_points,
             )
 
+        best_point: Point = ()
+        best_value = float("inf")
         if initial_point is not None:
-            candidate = space.clamp(initial_point)
-            value = run_generation([candidate])[0]
-            best_point, best_value = candidate, value
+            clamped = space.clamp(initial_point)
+            best_point = tuple(clamped[name] for name in space.names)
+            best_value = run_generation([best_point])[0]
 
         for _ in range(self.restarts):
             # Exploration generation: draw everything, then evaluate at once.
@@ -157,7 +147,7 @@ class RecursiveRandomSearch:
             # by sample index) or shrinks when nothing improved.  The round
             # cap bounds the run when the objective keeps improving slightly.
             radius = self.initial_radius
-            center, center_value = dict(region_center), region_value
+            center, center_value = region_center, region_value
             rounds = 0
             while radius >= self.min_radius and rounds < 12:
                 rounds += 1
@@ -169,17 +159,16 @@ class RecursiveRandomSearch:
                 improved = False
                 for point, value in zip(exploit_points, exploit_values):
                     if value < center_value:
-                        center, center_value = dict(point), value
+                        center, center_value = point, value
                         improved = True
                     if value < best_value:
-                        best_point, best_value = dict(point), value
+                        best_point, best_value = point, value
                 if not improved:
                     radius *= self.shrink_factor
 
         return RRSResult(
-            best_point=best_point,
+            best_point=dict(zip(space.names, best_point)),
             best_value=best_value,
-            evaluations=evaluations,
-            trajectory=trajectory,
+            evaluations=len(evaluated),
             duplicate_points=duplicate_points,
         )

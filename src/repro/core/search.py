@@ -52,13 +52,12 @@ from repro.core.decision_cache import (
 from repro.core.optimization_unit import OptimizationUnit, OptimizationUnitGenerator
 from repro.core.subresults import SubResultUnavailableError
 from repro.core.plan import Plan
-from repro.core.rrs import RecursiveRandomSearch
+from repro.core.rrs import Point, RecursiveRandomSearch
 from repro.core.transformations.base import Transformation, TransformationApplication
 from repro.core.transformations.configuration import ConfigurationTransformation
-from repro.mapreduce.config import ConfigDimension, ConfigurationSpace, JobConfig
+from repro.mapreduce.config import ConfigDimension, ConfigurationSpace, JobConfig, SettingSlots
 from repro.whatif import model as whatif_model
-from repro.whatif.model import WorkflowCostEstimate
-from repro.whatif.service import CostService, CostServiceStats
+from repro.whatif.service import CostService, CostServiceStats, OverlaySession
 
 #: Caps keeping the exhaustive enumeration inside a unit bounded; in practice
 #: (paper §4.2) the number of unique subplans per unit is small.
@@ -68,8 +67,9 @@ MAX_ENUMERATION_DEPTH = 6
 #: split into several independent sub-units.
 MAX_COMPOSED_COMBINATIONS = 64
 
-#: Job -> (its configuration, the ``(point name, setting)`` pairs of its RRS dimensions).
-TunedJobs = Dict[str, Tuple[JobConfig, Tuple[Tuple[str, str], ...]]]
+#: Job -> (its configuration, the ``(dimension index, setting)`` pairs of its
+#: RRS dimensions, and the slots :meth:`JobConfig.with_values` reads them by).
+TunedJobs = Dict[str, Tuple[JobConfig, Tuple[Tuple[int, str], ...], SettingSlots]]
 
 
 def plan_decision_fingerprint(plan: Plan) -> Tuple:
@@ -708,22 +708,21 @@ class StubbySearch:
                 self._cost_with_configurations(record.plan, unit_jobs, rng_key)
             )
 
-    def _evaluate_point(
-        self, plan: Plan, baseline: WorkflowCostEstimate, tuned: TunedJobs, point: Mapping[str, object]
-    ) -> float:
+    def _evaluate_point(self, session: OverlaySession, tuned: TunedJobs, point: Point) -> float:
         """Objective value of one RRS configuration sample for a candidate.
 
         The hottest loop of the whole search, and it materialises nothing: the
-        sample is one ``JobConfig`` per tuned job, an overlay on ``baseline``.
-        (Also the finest-grained deadline check point — an unbounded budget
-        costs one attribute read here.)
+        sample is one ``JobConfig`` per tuned job it moves, an overlay costed
+        in the candidate's session.  (Also the finest-grained deadline check
+        point — an unbounded budget costs one attribute read here.)
         """
         self._budget.check("search.rrs_point")
-        configs = {
-            job_name: tuned[job_name][0].with_settings(settings)
-            for job_name, settings in self._settings_by_job(tuned, point).items()
-        }
-        return self.costs.estimate_workflow(plan.workflow, configs, baseline).total_s
+        configs = {}
+        for job_name, (config, _, slots) in tuned.items():
+            moved = config.with_values(point, slots)
+            if moved is not config:
+                configs[job_name] = moved
+        return session.estimate(configs).total_s
 
     # ----------------------------------------------------------- enumeration
     def enumerate_subplans(
@@ -819,26 +818,28 @@ class StubbySearch:
         self, plan: Plan, unit_jobs: Tuple[str, ...], rng_key: str
     ) -> Tuple[float, Dict[str, Mapping[str, object]], int]:
         workflow = plan.workflow
-        baseline_estimate = self.costs.estimate_workflow(workflow)
-        if baseline_estimate.cost_basis != "whatif" or not self.optimize_configurations:
-            return baseline_estimate.total_s, {}, 0
+        # One session for the baseline and every sample: its first answer is their base.
+        with self.costs.overlay(workflow) as session:
+            baseline_estimate = session.estimate()
+            if baseline_estimate.cost_basis != "whatif" or not self.optimize_configurations:
+                return baseline_estimate.total_s, {}, 0
 
-        jobs_to_tune = [name for name in unit_jobs if workflow.has_job(name)]
-        if not jobs_to_tune:
-            return baseline_estimate.total_s, {}, 0
+            jobs_to_tune = [name for name in unit_jobs if workflow.has_job(name)]
+            if not jobs_to_tune:
+                return baseline_estimate.total_s, {}, 0
 
-        space, initial, tuned = self._joint_space(plan, jobs_to_tune)
-        if not space.dimensions:
-            return baseline_estimate.total_s, {}, 0
+            space, initial, tuned = self._joint_space(plan, jobs_to_tune)
+            if not space.dimensions:
+                return baseline_estimate.total_s, {}, 0
 
-        rng = self._rng.fork(f"{rng_key}/{','.join(sorted(jobs_to_tune))}")
-        result = self.rrs.search(
-            space,
-            lambda point: self._evaluate_point(plan, baseline_estimate, tuned, point),
-            initial_point=initial,
-            rng=rng,
-        )
-        best_settings = self._settings_by_job(tuned, result.best_point)
+            rng = self._rng.fork(f"{rng_key}/{','.join(sorted(jobs_to_tune))}")
+            result = self.rrs.search(
+                space,
+                lambda point: self._evaluate_point(session, tuned, point),
+                initial_point=initial,
+                rng=rng,
+            )
+        best_settings = self._settings_by_job(tuned, space.names, result.best_point)
         best_cost = min(result.best_value, baseline_estimate.total_s)
         if result.best_value > baseline_estimate.total_s:
             best_settings = {}
@@ -855,24 +856,23 @@ class StubbySearch:
             job_space = ConfigurationTransformation.space_for_job(plan, job_name, self.cluster)
             config = plan.workflow.job(job_name).job.config
             current = config.as_dict()
-            names = []
+            dims = []
             for dim in job_space.dimensions:
-                prefixed = ConfigDimension(
-                    name=f"{job_name}::{dim.name}", kind=dim.kind, low=dim.low, high=dim.high
-                )
-                dimensions.append(prefixed)
-                names.append((prefixed.name, dim.name))
-                if dim.name in current:
-                    initial[prefixed.name] = current[dim.name]
-            tuned[job_name] = (config, tuple(names))
+                name = f"{job_name}::{dim.name}"
+                dims.append((len(dimensions), dim.name))
+                dimensions.append(ConfigDimension(name, dim.kind, dim.low, dim.high))
+                initial[name] = current[dim.name]
+            tuned[job_name] = (config, tuple(dims), config.setting_slots(dims))
         return ConfigurationSpace(dimensions=dimensions), initial, tuned
 
     @staticmethod
-    def _settings_by_job(tuned: TunedJobs, point: Mapping[str, object]) -> Dict[str, Dict[str, object]]:
-        """``point`` split per job: ``{job: {setting: value}}``."""
+    def _settings_by_job(
+        tuned: TunedJobs, names: Sequence[str], point: Mapping[str, object]
+    ) -> Dict[str, Dict[str, object]]:
+        """The best point split per job: ``{job: {setting: value}}``."""
         return {
-            job_name: {setting: point[name] for name, setting in names if name in point}
-            for job_name, (_, names) in tuned.items()
+            job_name: {setting: point[names[index]] for index, setting in dims}
+            for job_name, (_, dims, _) in tuned.items()
         }
 
 

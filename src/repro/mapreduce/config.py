@@ -12,9 +12,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.rng import DeterministicRNG
+
+#: The settings :meth:`JobConfig.with_settings` applies, each with the floor
+#: its value is rounded up to (``None``: a flag, taken as ``bool``).
+SETTING_FLOORS: Dict[str, Optional[int]] = {
+    "num_reduce_tasks": 1,
+    "split_size_mb": 8,
+    "io_sort_mb": 8,
+    "combiner_enabled": None,
+    "compress_map_output": None,
+    "compress_output": None,
+}
+
+#: ``(index into a point, setting, floor)``: how :meth:`JobConfig.with_values` reads a point.
+SettingSlots = Tuple[Tuple[int, str, Optional[int]], ...]
 
 
 @dataclass(frozen=True)
@@ -91,21 +105,37 @@ class JobConfig:
         this is how configuration transformations "satisfy all current
         conditions" on the configuration (paper §3.5).  ``self`` if nothing changes.
         """
-        changes = {}
-        for name, value in settings.items():
-            if name == "num_reduce_tasks":
-                if self.forced_single_reduce or self.is_map_only:
-                    continue
-                value = max(1, int(round(float(value))))
-            elif name in ("split_size_mb", "io_sort_mb"):
-                value = max(8, int(round(float(value))))
-            elif name in ("combiner_enabled", "compress_map_output", "compress_output"):
-                value = bool(value)
-            else:
-                continue
-            if value != getattr(self, name):
-                changes[name] = value
-        return self.replace(**changes) if changes else self
+        return self.with_values(tuple(settings.values()), self.setting_slots(enumerate(settings)))
+
+    def setting_slots(self, names: Iterable[Tuple[int, str]]) -> SettingSlots:
+        """The ``(index, setting)`` pairs :meth:`with_values` applies here, with
+        their floors (unknown names and a constraint-held reduce count left out)."""
+        held = self.forced_single_reduce or self.is_map_only
+        return tuple(
+            (index, name, SETTING_FLOORS[name])
+            for index, name in names
+            if name in SETTING_FLOORS and not (held and name == "num_reduce_tasks")
+        )
+
+    def with_values(self, point: Sequence[object], slots: SettingSlots) -> "JobConfig":
+        """:meth:`with_settings` for a point given as values (an RRS sample)."""
+        current = self.__dict__
+        values = None
+        for index, name, floor in slots:
+            value = point[index]
+            value = bool(value) if floor is None else max(floor, int(round(float(value))))
+            if value != current[name]:
+                if values is None:
+                    values = current.copy()
+                    values.pop("key", None)
+                values[name] = value
+        if values is None:
+            return self
+        # The constructor's work without its keyword round trip; __post_init__ still validates.
+        config = object.__new__(type(self))
+        config.__dict__.update(values)
+        config.__post_init__()
+        return config
 
     @cached_property
     def key(self) -> Tuple[object, ...]:
@@ -153,26 +183,11 @@ class ConfigDimension:
         if self.kind == "int" and self.high < self.low:
             raise ValueError(f"dimension {self.name!r} has empty range")
 
-    def sample(self, rng: DeterministicRNG) -> object:
-        """Sample a value uniformly from this dimension."""
-        if self.kind == "bool":
-            return rng.random() < 0.5
-        return int(round(rng.uniform(self.low, self.high)))
-
     def clamp(self, value: object) -> object:
         """Clamp/convert a value into this dimension's domain."""
         if self.kind == "bool":
             return bool(value)
         return int(round(min(max(float(value), self.low), self.high)))
-
-    def sample_near(self, center: object, radius: float, rng: DeterministicRNG) -> object:
-        """Sample within a scaled neighbourhood of ``center`` (for RRS exploit)."""
-        if self.kind == "bool":
-            if rng.random() < radius:
-                return rng.random() < 0.5
-            return bool(center)
-        span = (self.high - self.low) * radius
-        return self.clamp(rng.uniform(float(center) - span, float(center) + span))
 
 
 @dataclass
@@ -210,33 +225,48 @@ class ConfigurationSpace:
         """Dimension names in declaration order."""
         return [dim.name for dim in self.dimensions]
 
-    def sample(self, rng: DeterministicRNG) -> Dict[str, object]:
-        """One uniformly random point."""
-        return {dim.name: dim.sample(rng) for dim in self.dimensions}
+    def sample(self, rng: DeterministicRNG) -> Tuple[object, ...]:
+        """One uniformly random point: its values in dimension order.
+
+        A bool takes one draw; an int takes ``low + (high - low) * draw``
+        rounded (``random.uniform``'s arithmetic), so each dimension consumes
+        the stream exactly as it always has.
+        """
+        draw = rng.draw
+        point = []
+        for dim in self.dimensions:
+            if dim.kind == "bool":
+                point.append(draw() < 0.5)
+            else:
+                point.append(int(round(dim.low + (dim.high - dim.low) * draw())))
+        return tuple(point)
 
     def sample_near(
         self,
-        center: Mapping[str, object],
+        center: Sequence[object],
         radius: float,
         rng: DeterministicRNG,
-    ) -> Dict[str, object]:
-        """One point in the neighbourhood of ``center`` of relative size ``radius``."""
-        point = {}
-        for dim in self.dimensions:
-            if dim.name in center:
-                point[dim.name] = dim.sample_near(center[dim.name], radius, rng)
+    ) -> Tuple[object, ...]:
+        """One point in the neighbourhood of ``center`` of relative size ``radius``.
+
+        A bool is redrawn with probability ``radius`` (two draws) and kept
+        otherwise (one); an int is drawn uniformly within ``radius`` of the
+        range around its centre value, then clamped.
+        """
+        draw = rng.draw
+        point = []
+        for dim, value in zip(self.dimensions, center):
+            if dim.kind == "bool":
+                point.append(draw() < 0.5 if draw() < radius else bool(value))
             else:
-                point[dim.name] = dim.sample(rng)
-        return point
+                low, high = dim.low, dim.high
+                span = (high - low) * radius
+                start = float(value) - span
+                drawn = start + (float(value) + span - start) * draw()
+                point.append(int(round(min(max(drawn, low), high))))
+        return tuple(point)
 
     def clamp(self, point: Mapping[str, object]) -> Dict[str, object]:
         """Clamp a point into the space's domain, dropping unknown names."""
         by_name = {dim.name: dim for dim in self.dimensions}
         return {name: by_name[name].clamp(value) for name, value in point.items() if name in by_name}
-
-    def size_estimate(self) -> float:
-        """Rough cardinality of the (discretized) space, for reporting."""
-        size = 1.0
-        for dim in self.dimensions:
-            size *= 2 if dim.kind == "bool" else max(1.0, dim.high - dim.low + 1)
-        return size

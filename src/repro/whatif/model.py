@@ -74,8 +74,8 @@ class WorkflowCostEstimate:
     per_job: Dict[str, JobTimeEstimate] = field(default_factory=dict)
     dataset_sizes: Dict[str, Tuple[float, float]] = field(default_factory=dict)
     cost_basis: str = "whatif"
-    #: What :meth:`WhatIfEngine.run_costing` needs to take this estimate as its
-    #: ``base`` (``None``: it cannot be one).  Not part of the estimate's value.
+    #: What a ``CostService.overlay`` session needs to take this estimate as
+    #: its base (``None``: it cannot be one).  Not part of the estimate's value.
     basis: Optional["CostingBasis"] = field(default=None, repr=False, compare=False)
 
     @property
@@ -195,90 +195,41 @@ class WhatIfEngine:
         workflow: Workflow,
         cost_vertex_fn: Callable[..., VertexCost],
         configs: ConfigOverlay = None,
-        base: Optional[WorkflowCostEstimate] = None,
     ) -> WorkflowCostEstimate:
-        """The one workflow-costing traversal, parameterized by per-vertex costing.
+        """The one full workflow-costing traversal, parameterized by per-vertex costing.
 
         Walks the topological levels, calls ``cost_vertex_fn(vertex,
         workflow, sizes, configs)`` for each job (the cold :meth:`cost_vertex`
         here; a cache-aware wrapper in the cost service), propagates the
         returned output-size contributions, and combines per-level makespans.
         Sharing this single driver is what keeps the memoized service
-        *exactly* equal to a cold estimation by construction.
-
-        ``base``, an estimate of the same ``workflow`` without ``configs``
-        (ignored once a vertex was rebound), spares the jobs the overlay
-        cannot move: a job not overlaid and reading no moved producer fact is
-        *carried* by reference; an overlaid job whose signature inputs are
-        all as in the base is *kept* — the base's dataflow under the job
-        model again; any other is *re-derived* by ``cost_vertex_fn``, and if
-        its contributions differ sizes move downstream and the query starts
-        over without the base (``docs/costing.md``, "Costing a sample").
+        *exactly* equal to a cold estimation by construction.  An answer
+        without ``configs`` carries the :class:`CostingBasis` a cost-service
+        session walks its samples from (``docs/costing.md``, "Costing a sample").
         """
         cluster = self.cluster
-        basis = base.basis if base is not None else None
-        if basis is not None and basis.vertices != (workflow.jobs, workflow.datasets):
-            basis = None  # some vertex was rebound, added or removed since
-        if basis is None:
-            levels = workflow.topological_levels()
-            costed: Dict[str, VertexCost] = {}
-            makespans: List[Optional[float]] = [None] * len(levels)
-            sizes = self.base_dataset_sizes(workflow)
-            fact_readers: Set[str] = set()
-            # Every dataset was sized once, before its first reader: the final
-            # sizes are then the sizes each job was costed on.
-            settled = True
-        else:
-            levels = basis.levels
-            costed = dict(basis.costed)
-            makespans = list(basis.level_makespans)
-            sizes = base.dataset_sizes
-            fact_readers = basis.fact_readers
-            # A producer's reduce-task count or chaining moved (it is costed before its readers).
-            facts_moved = False
-
-        for index, level in enumerate(levels):
+        levels = workflow.topological_levels()
+        costed: Dict[str, VertexCost] = {}
+        makespans: List[float] = []
+        sizes = self.base_dataset_sizes(workflow)
+        fact_readers: Set[str] = set()
+        # Every dataset was sized once, before its first reader: the final
+        # sizes are then the sizes each job was costed on.
+        settled = True
+        for level in levels:
             for vertex in level:
-                name = vertex.job.name
-                if basis is None:
-                    costed_vertex = cost_vertex_fn(vertex, workflow, sizes, configs)
-                    contributions = costed_vertex.output_contributions
-                    settled = settled and not any(entry[0] in sizes for entry in contributions)
-                    self.apply_output_contributions(sizes, contributions)
-                    if vertex.job.config.chained_input or any(
-                        pipeline.input_partition_filter for pipeline in vertex.job.pipelines
-                    ):
-                        fact_readers.add(name)
-                else:
-                    prior = costed[name]
-                    config = configs.get(name) if configs else None
-                    rederive = facts_moved and name in fact_readers
-                    if config is None:
-                        if not rederive:
-                            continue  # carried
-                    else:
-                        own = vertex.job.config
-                        chaining_moved = config.chained_input != own.chained_input
-                        if chaining_moved or config.num_reduce_tasks != own.num_reduce_tasks:
-                            facts_moved = True
-                        rederive = rederive or chaining_moved or (
-                            config.combiner_enabled != own.combiner_enabled and vertex.job.has_combiner
-                        )
-                    if rederive:
-                        costed_vertex = cost_vertex_fn(vertex, workflow, sizes, configs)
-                        if costed_vertex.output_contributions != prior.output_contributions:
-                            return self.run_costing(workflow, cost_vertex_fn, configs)
-                    else:  # kept
-                        estimate = estimate_job_time(prior.dataflow, config, cluster)
-                        costed_vertex = VertexCost(estimate, prior.output_contributions, prior.dataflow)
-                costed[name] = costed_vertex
-                makespans[index] = None
-
-        for index, known in enumerate(makespans):
-            if known is None:  # the level holds a job that was not carried
-                estimates = [costed[vertex.job.name].estimate for vertex in levels[index]]
-                makespans[index] = level_makespan(estimates, cluster)
-        reusable = not configs and (basis is not None or settled)
+                costed_vertex = cost_vertex_fn(vertex, workflow, sizes, configs)
+                contributions = costed_vertex.output_contributions
+                settled = settled and not any(entry[0] in sizes for entry in contributions)
+                self.apply_output_contributions(sizes, contributions)
+                if vertex.job.config.chained_input or any(
+                    pipeline.input_partition_filter for pipeline in vertex.job.pipelines
+                ):
+                    fact_readers.add(vertex.job.name)
+                costed[vertex.job.name] = costed_vertex
+            estimates = [costed[vertex.job.name].estimate for vertex in level]
+            makespans.append(level_makespan(estimates, cluster))
+        reusable = settled and not configs
         vertices = (workflow.jobs, workflow.datasets)
         return WorkflowCostEstimate(
             total_s=sum(makespans),

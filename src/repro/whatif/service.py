@@ -14,14 +14,17 @@ query of the optimizer stack and makes them incremental:
   the expensive half of costing a job;
 * only the mutated jobs — and downstream jobs whose input sizes or
   producer-dependent facts actually changed — are derived again;
-* an RRS sample is costed as a configuration overlay on the candidate's
-  baseline estimate (``estimate_workflow(workflow, configs, base)``): no plan
-  copy, and no signature or lookup for a job whose dataflow it cannot move;
+* a candidate's RRS samples are configuration overlays costed in one
+  :meth:`CostService.overlay` session: the snapshot check, profile check,
+  origin label, walk order and stats delta are paid once per candidate, and
+  a sample walks only the jobs it overlays and the fact readers they can
+  reach — no plan copy, and no signature or lookup for a job whose dataflow
+  it cannot move;
 * the cheap per-phase job model (``estimate_job_time``) runs on the dataflow
   of every job whose configuration is asked about, and the makespan of every
   level holding one is recomputed, so the returned
   :class:`~repro.whatif.model.WorkflowCostEstimate` is *exactly* equal to a
-  cold full re-estimation.
+  cold full re-estimation (``docs/costing.md``, "Costing a sample").
 
 There is one memo level on purpose: nothing is stored per RRS sample.  A
 finer level (signature + job-model knobs → final estimate) would hold ~92 %
@@ -63,7 +66,8 @@ Two features support the experiment orchestration layer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple
+from itertools import chain
+from typing import ClassVar, Dict, List, Optional, Set, Tuple
 
 from repro.cluster import ClusterSpec
 from repro.common.faults import fault_site
@@ -74,10 +78,12 @@ from repro.common.store import (  # noqa: F401  (CacheLoadReport, cluster_cache_
     cluster_cache_key,
     current_origin,
 )
-from repro.whatif.jobmodel import estimate_job_time
+from repro.mapreduce.config import JobConfig
+from repro.whatif.jobmodel import JobTimeEstimate, estimate_job_time
 from repro.whatif.model import COST_MODEL_VERSION, VertexCost, WhatIfEngine, WorkflowCostEstimate
-from repro.whatif.model import ConfigOverlay, config_of
-from repro.workflow.graph import Workflow
+from repro.whatif.model import ConfigOverlay, CostingBasis, config_of
+from repro.whatif.scheduling import level_makespan
+from repro.workflow.graph import JobVertex, Workflow
 
 #: Default bound on cached per-vertex dataflows; old entries are evicted LRU.
 DEFAULT_MAX_CACHE_ENTRIES = 200_000
@@ -202,6 +208,21 @@ class CostService(ShardedStore):
         super().__init__(cluster, max_cache_entries, enabled=enable_cache, cache_path=cache_path)
 
     # ------------------------------------------------------------------ API
+    def overlay(
+        self, workflow: Workflow, base: Optional[WorkflowCostEstimate] = None
+    ) -> "OverlaySession":
+        """A costing session (a context manager): many overlays on one unedited ``workflow``.
+
+        ``base``, an estimate of ``workflow`` without an overlay, spares each
+        sample the jobs the overlay cannot move and never changes an answer;
+        without one, the session's first overlay-free answer becomes its base.
+        A base answers for the vertices it snapshotted: once ``workflow``
+        rebinds, adds or removes one it is ignored.  The session's counters
+        reach the global stats and the attribution sinks when it closes, in
+        one delta, whatever ends it.
+        """
+        return OverlaySession(self, workflow, base)
+
     def estimate_workflow(
         self,
         workflow: Workflow,
@@ -211,15 +232,66 @@ class CostService(ShardedStore):
         """Estimate ``workflow``, reusing memoized per-job dataflows where valid.
 
         ``configs`` (job name -> ``JobConfig``) asks what ``workflow`` would
-        cost with those bound, without the plan copy.  ``base``, an estimate
-        of the same ``workflow`` without ``configs``, spares the jobs the overlay
-        cannot move (:meth:`WhatIfEngine.run_costing`) and never changes the
-        answer.  It answers for the vertices it snapshotted: once ``workflow``
-        rebinds, adds or removes one it is ignored — take a fresh base after
-        every edit of the plan.
+        cost with those bound, without the plan copy; ``base`` is as for
+        :meth:`overlay`, of which this is a one-sample session.
         """
+        with self.overlay(workflow, base) as session:
+            return session.estimate(configs)
+
+    def _model_version(self) -> int:
+        # This module's binding, so a test (or a later PR) moving
+        # ``repro.whatif.service.COST_MODEL_VERSION`` moves the stamp.
+        return COST_MODEL_VERSION
+
+
+class OverlaySession:
+    """One :meth:`CostService.overlay` session (``docs/costing.md``, "Costing a sample").
+
+    A sample walks only the overlaid jobs and the base's fact readers, in the
+    base's walk order: each is *carried*, *kept* (the base's dataflow under
+    the job model again) or *re-derived*, and if a re-derived job's output
+    sizes differ the sample starts over as a full walk.
+    """
+
+    def __init__(
+        self, service: CostService, workflow: Workflow, base: Optional[WorkflowCostEstimate]
+    ) -> None:
+        self.service = service
+        self.workflow = workflow
+        self.delta = CostServiceStats()
+        self._origin = current_origin()
+        self._profiled = all(vertex.annotations.has_profile for vertex in workflow.jobs)
+        self._base: Optional[WorkflowCostEstimate] = None
+        #: The base's walk, built at the first sample: per position (level
+        #: index, name, vertex, own config, has combiner, base result), and
+        #: each job's position.
+        self._walk: List[Tuple[int, str, JobVertex, JobConfig, bool, VertexCost]] = []
+        self._rank: Dict[str, int] = {}
+        self._recosted: Set[str] = set()
+        self._cross_origin_hits = 0
+        basis = base.basis if base is not None else None
+        if basis is not None and basis.vertices == (workflow.jobs, workflow.datasets):
+            self._base = base  # else none, or some vertex was rebound, added or removed since
+
+    def __enter__(self) -> "OverlaySession":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.service._apply_delta(self.delta)  # whatever ends the session
+
+    def _build_walk(self, basis: CostingBasis) -> None:
+        for index, level in enumerate(basis.levels):
+            for vertex in level:
+                job = vertex.job
+                self._rank[job.name] = len(self._walk)
+                self._walk.append(
+                    (index, job.name, vertex, job.config, job.has_combiner, basis.costed[job.name])
+                )
+
+    def estimate(self, configs: ConfigOverlay = None) -> WorkflowCostEstimate:
+        """What the workflow costs with ``configs`` bound: ``==`` a cold estimate."""
+        workflow = self.workflow
         fault_site("whatif.estimate", jobs=workflow.num_jobs)
-        delta = CostServiceStats(queries=1)
         if configs:
             overlay = {}
             for name, config in configs.items():
@@ -230,51 +302,97 @@ class CostService(ShardedStore):
                 if config is not own:  # else binding it changes nothing
                     overlay[name] = config
             configs = overlay
-        if not all(vertex.annotations.has_profile for vertex in workflow.jobs):
-            delta.fallback_queries = 1
-            self._apply_delta(delta)
-            return self.engine.job_count_estimate(workflow, configs)
+        delta = self.delta
+        if not self._profiled:
+            delta.queries += 1
+            delta.fallback_queries += 1
+            return self.service.engine.job_count_estimate(workflow, configs)
 
-        engine = self.engine
-        cluster = self.cluster
-        enabled = self.enabled
-        origin = current_origin()
-        recosted = set()  # by name: a query that starts over meets its jobs twice
-
-        def cost_vertex(vertex, workflow, sizes, configs) -> VertexCost:
-            # Cache-aware drop-in for WhatIfEngine.cost_vertex, plugged into
-            # the engine's shared run_costing traversal so the service cannot
-            # drift from the cold path.  Hit or miss, the job model runs on
-            # the configuration asked about: nothing here is per sample.
-            signature = engine.vertex_dataflow_signature(vertex, workflow, sizes, configs)
-            cached = self._cache.lookup(signature) if enabled else None
-            if cached is not None:
-                derived, entry_origin = cached
-                if entry_origin != origin:
-                    delta.cross_origin_hits += 1
-            else:
-                recosted.add(vertex.job.name)
-                derived = engine.derive_vertex_dataflow(vertex, workflow, sizes, configs)
-                self._store(signature, derived, origin)
-            dataflow, contributions = derived
-            estimate = estimate_job_time(dataflow, config_of(vertex, configs), cluster)
-            return VertexCost(estimate, contributions, dataflow)
-
-        estimate = engine.run_costing(workflow, cost_vertex, configs, base)
+        self._recosted = set()  # by name: a sample that starts over meets its jobs twice
+        self._cross_origin_hits = 0
+        base = self._base
+        if base is None:
+            estimate = self.service.engine.run_costing(workflow, self._cost_vertex, configs)
+            if estimate.basis is not None:
+                self._base = estimate
+        elif not configs:
+            estimate = base
+        else:
+            estimate = self._sample(base, configs)
         # A hit: answered without a derivation (a memo row, or the base's result).
-        delta.job_queries = len(estimate.per_job)
-        delta.job_full_recosts = len(recosted)
-        delta.job_cache_hits = delta.job_queries - delta.job_full_recosts
-        if delta.job_cache_hits == 0:
-            delta.full_estimates = 1
-        self._apply_delta(delta)
+        jobs = len(estimate.per_job)
+        recosted = len(self._recosted)
+        delta.queries += 1
+        delta.job_queries += jobs
+        delta.job_full_recosts += recosted
+        delta.job_cache_hits += jobs - recosted
+        if jobs == recosted:
+            delta.full_estimates += 1
+        delta.cross_origin_hits += self._cross_origin_hits
         return estimate
 
-    def estimate_plan(self, plan) -> WorkflowCostEstimate:
-        """Convenience: estimate a :class:`~repro.core.plan.Plan`'s workflow."""
-        return self.estimate_workflow(plan.workflow)
+    def _sample(self, base: WorkflowCostEstimate, configs: Dict[str, JobConfig]) -> WorkflowCostEstimate:
+        workflow = self.workflow
+        cluster = self.service.cluster
+        basis = base.basis
+        fact_readers = basis.fact_readers
+        sizes = base.dataset_sizes
+        if not self._walk:
+            self._build_walk(basis)
+        walk, rank = self._walk, self._rank
+        positions = {rank[name] for name in chain(configs, fact_readers)}
+        moved: Dict[str, JobTimeEstimate] = {}
+        touched: Dict[int, None] = {}
+        # A producer's reduce-task count or chaining moved (it is walked before its readers).
+        facts_moved = False
+        for position in sorted(positions):
+            index, name, vertex, own, has_combiner, prior = walk[position]
+            config = configs.get(name)
+            rederive = facts_moved and name in fact_readers
+            if config is None:
+                if not rederive:
+                    continue  # carried
+            else:
+                chaining_moved = config.chained_input != own.chained_input
+                if chaining_moved or config.num_reduce_tasks != own.num_reduce_tasks:
+                    facts_moved = True
+                rederive = rederive or chaining_moved or (
+                    has_combiner and config.combiner_enabled != own.combiner_enabled
+                )
+            if rederive:
+                costed_vertex = self._cost_vertex(vertex, workflow, sizes, configs)
+                if costed_vertex.output_contributions != prior.output_contributions:
+                    return self.service.engine.run_costing(workflow, self._cost_vertex, configs)
+                moved[name] = costed_vertex.estimate
+            else:  # kept
+                moved[name] = estimate_job_time(prior.dataflow, config, cluster)
+            touched[index] = None
 
-    def _model_version(self) -> int:
-        # This module's binding, so a test (or a later PR) moving
-        # ``repro.whatif.service.COST_MODEL_VERSION`` moves the stamp.
-        return COST_MODEL_VERSION
+        per_job = dict(base.per_job)
+        per_job.update(moved)
+        makespans = list(basis.level_makespans)
+        for index in touched:
+            estimates = [per_job[vertex.job.name] for vertex in basis.levels[index]]
+            makespans[index] = level_makespan(estimates, cluster)
+        return WorkflowCostEstimate(total_s=sum(makespans), per_job=per_job, dataset_sizes=sizes)
+
+    def _cost_vertex(self, vertex, workflow, sizes, configs) -> VertexCost:
+        # Cache-aware drop-in for WhatIfEngine.cost_vertex, plugged into the
+        # engine's shared run_costing traversal so the service cannot drift
+        # from the cold path.  Hit or miss, the job model runs on the
+        # configuration asked about: nothing here is per sample.
+        service = self.service
+        engine = service.engine
+        signature = engine.vertex_dataflow_signature(vertex, workflow, sizes, configs)
+        cached = service._cache.lookup(signature) if service.enabled else None
+        if cached is not None:
+            derived, entry_origin = cached
+            if entry_origin != self._origin:
+                self._cross_origin_hits += 1
+        else:
+            self._recosted.add(vertex.job.name)
+            derived = engine.derive_vertex_dataflow(vertex, workflow, sizes, configs)
+            service._store(signature, derived, self._origin)
+        dataflow, contributions = derived
+        estimate = estimate_job_time(dataflow, config_of(vertex, configs), service.cluster)
+        return VertexCost(estimate, contributions, dataflow)

@@ -16,13 +16,17 @@ The contract under test (see ``docs/costing.md``):
   computed every query cold (one full computation per query).
 """
 
+import contextlib
 import dataclasses
+import itertools
 
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.common.errors import WorkflowValidationError
+from repro.common.errors import DeadlineExceeded, WorkflowValidationError
 from repro.common.rng import DeterministicRNG
+from repro.common.store import attributed
+from repro.core.budget import TimeBudget
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.search import record_unit_jobs, SubplanRecord
 from repro.core.optimization_unit import OptimizationUnit
@@ -36,8 +40,15 @@ from repro.core.transformations import (
 from repro.experiments import ExperimentHarness
 from repro.mapreduce.config import ConfigurationSpace, JobConfig
 from repro.profiler import Profiler
-from repro.verification import RandomWorkflowGenerator
+from repro.verification import (
+    FaultPlan,
+    FaultSpec,
+    InjectedFault,
+    RandomWorkflowGenerator,
+    install_fault_plan,
+)
 from repro.whatif import CostService, WhatIfEngine
+from repro.whatif.service import CostServiceStats, OverlaySession
 from repro.workloads import WORKLOAD_ORDER, build_workload
 from tests.conftest import equivalence_seeds
 
@@ -303,7 +314,7 @@ def _random_overlay(plan, rng):
             map_only=job.is_map_only,
             has_combiner=job.has_combiner,
         )
-        configs[name] = job.config.with_settings(space.sample(rng))
+        configs[name] = job.config.with_settings(dict(zip(space.names, space.sample(rng))))
     return configs
 
 
@@ -526,6 +537,154 @@ class TestOverlayContract:
         cold = WhatIfEngine(CLUSTER).estimate_workflow(_materialised(plan, configs).workflow)
         assert overlay == cold and overlay.cost_basis == "job_count"
         assert overlay.per_job[name].num_reduce_tasks == 9
+
+
+def _with_fact_readers(abbr):
+    """A canned plan after partition pruning then intra-job packing, applied
+    directly: it holds pruned and chained readers whatever the search prefers."""
+    plan = _profiled(abbr).plan
+    for transformation in (PartitionFunctionTransformation(), IntraJobVerticalPacking()):
+        for application in transformation.find_applications(plan, tuple(plan.job_names))[:1]:
+            plan = transformation.apply(plan, application)
+    return plan
+
+
+class TestOverlaySession:
+    """``CostService.overlay``: a candidate's samples in one session, paying
+    once what is the same for all of them and crediting exactly what the same
+    samples asked one by one would (``docs/costing.md``, "Costing a sample")."""
+
+    @pytest.mark.parametrize("abbr", ["BR", "US"])
+    def test_a_session_credits_what_its_samples_one_by_one_would(self, abbr, monkeypatch):
+        plan = _with_fact_readers(abbr)
+        rng = DeterministicRNG(11)
+        samples = [_random_overlay(plan, rng) for _ in range(16)]
+        runs = {}
+        for mode in ("session", "one by one"):
+            service = CostService(CLUSTER)
+            with attributed((service,), "warm"):  # rows another origin stored
+                warm = service.estimate_workflow(plan.workflow)
+                for configs in samples[::2]:
+                    service.estimate_workflow(plan.workflow, configs, warm)
+            before = service.stats_snapshot()
+            applies = []
+            apply_delta = service._apply_delta
+            monkeypatch.setattr(
+                service, "_apply_delta", lambda delta: applies.append(delta) or apply_delta(delta)
+            )
+            visits = FaultPlan([])  # no spec: it only counts site visits
+            with install_fault_plan(visits), attributed((service,), "cold") as (outer,):
+                inner = CostServiceStats()
+                with service.attribute_to(inner):
+                    base = service.estimate_workflow(plan.workflow)
+                    if mode == "session":
+                        with service.overlay(plan.workflow, base) as session:
+                            answers = [session.estimate(configs) for configs in samples]
+                    else:
+                        answers = [
+                            service.estimate_workflow(plan.workflow, configs, base)
+                            for configs in samples
+                        ]
+            delta = service.stats_snapshot().since(before)
+            assert outer == inner == delta, mode  # every sink saw what the global counters saw
+            runs[mode] = (delta, visits.report()["site_visits"], answers, len(applies))
+        (delta, visits, answers, applies), one_by_one = runs["session"], runs["one by one"]
+        assert (delta, visits, answers) == one_by_one[:3]
+        assert applies == 2 and one_by_one[3] == 1 + len(samples)  # the base, then the session
+        assert delta.queries == 1 + len(samples) == visits["whatif.estimate"]
+        assert delta.cross_origin_hits > 0 and delta.job_full_recosts > 0
+
+    @pytest.mark.parametrize("interrupt", ["deadline", "fault"])
+    def test_an_interrupted_session_credits_every_sample_it_costed(self, interrupt, monkeypatch):
+        plan = _profiled("BR").plan
+        costed = 7  # samples costed before the interruption
+
+        def cost_candidate(search, record):
+            search._cost_candidate(record, tuple(plan.job_names), "vertical/test/candidate-0")
+            return record
+
+        # The reference: an uninterrupted candidate, its session's delta after each query.
+        progress = []
+        estimate = OverlaySession.estimate
+
+        def recording(session, configs=None):
+            answer = estimate(session, configs)
+            progress.append(session.delta.snapshot())
+            return answer
+
+        monkeypatch.setattr(OverlaySession, "estimate", recording)
+        reference = cost_candidate(
+            StubbyOptimizer(CLUSTER, seed=17).search, SubplanRecord(plan=plan, transformations=())
+        )
+        monkeypatch.setattr(OverlaySession, "estimate", estimate)
+        assert reference.cost_stats == progress[-1] and len(progress) > costed + 2
+
+        search = StubbyOptimizer(CLUSTER, seed=17).search
+        if interrupt == "deadline":
+            # One tick per check: the candidate's, then one per sample; the
+            # budget expires at the check before sample ``costed + 1``.
+            ticks = itertools.count(1)
+            search._budget = TimeBudget(deadline_at=costed + 2, clock=lambda: next(ticks))
+            scope, raised = contextlib.nullcontext(), DeadlineExceeded
+        else:
+            # Visit 1 is the baseline: the fault stops sample ``costed + 1``.
+            fault = FaultSpec(site="whatif.estimate", at_hits=(costed + 2,))
+            scope, raised = install_fault_plan(FaultPlan([fault])), InjectedFault
+        record = SubplanRecord(plan=plan, transformations=())
+        with scope, pytest.raises(raised):
+            cost_candidate(search, record)
+        # The baseline and ``costed`` samples, in the candidate's sink and the global counters.
+        assert record.cost_stats == search.costs.stats == progress[costed]
+        assert record.cost_stats.queries == costed + 1
+
+    def test_a_stale_base_is_ignored_for_every_sample(self):
+        plan = _profiled("BR").plan
+        service = CostService(CLUSTER)
+        base = service.estimate_workflow(plan.workflow)
+        edited = next(v.name for v in plan.workflow.jobs if not v.job.is_map_only)
+        plan.set_job_config(
+            edited, plan.job(edited).job.config.replace(num_reduce_tasks=23, io_sort_mb=64)
+        )
+        rng = DeterministicRNG(5)
+        with service.overlay(plan.workflow, base) as session:
+            for step in range(8):
+                configs = _random_overlay(plan, rng)
+                configs.pop(edited, None)  # the edit alone tells stale from fresh
+                cold = WhatIfEngine(CLUSTER).estimate_workflow(_materialised(plan, configs).workflow)
+                assert session.estimate(configs) == cold, f"step={step}"
+
+    @pytest.mark.equivalence
+    @pytest.mark.parametrize("seed", equivalence_seeds())
+    def test_sessions_on_random_candidates_equal_cold(self, seed):
+        """Random workflows, the candidates one application of each
+        transformation makes, several samples per session: every answer ``==``
+        the cold engine on the materialised plan, key order included."""
+        plan = RandomWorkflowGenerator().generate(seed).plan
+        candidates = [plan]
+        for transformation in (
+            IntraJobVerticalPacking(),
+            InterJobVerticalPacking(),
+            HorizontalPacking(),
+            PartitionFunctionTransformation(),
+        ):
+            for application in transformation.find_applications(plan, tuple(plan.job_names))[:1]:
+                candidates.append(transformation.apply(plan, application))
+        rng = DeterministicRNG(seed)
+        service = CostService(CLUSTER)  # shared: answers may come from any candidate's rows
+        for index, candidate in enumerate(candidates):
+            with service.overlay(candidate.workflow) as session:
+                samples = [{}] + [_random_overlay(candidate, rng) for _ in range(5)]
+                for step, configs in enumerate(samples):
+                    answer = session.estimate(configs)
+                    cold = WhatIfEngine(CLUSTER).estimate_workflow(
+                        _materialised(candidate, configs).workflow
+                    )
+                    context = f"seed={seed} candidate={index} step={step}"
+                    assert answer == cold, context
+                    assert list(answer.per_job) == list(cold.per_job), context
+                    assert list(answer.dataset_sizes) == list(cold.dataset_sizes), context
+        stats = service.stats
+        assert stats.job_cache_hits + stats.job_full_recosts == stats.job_queries
 
 
 class TestOptimizerIntegration:

@@ -572,8 +572,8 @@ class TestRRSSampleDedup:
         calls = []
 
         def objective(point):
-            calls.append(dict(point))
-            return (point["x"] - 3) ** 2
+            calls.append(point)
+            return (point[0] - 3) ** 2
 
         rrs = RecursiveRandomSearch(
             exploration_samples=12, exploitation_samples=10, restarts=2, seed=7
@@ -582,9 +582,8 @@ class TestRRSSampleDedup:
         # A 3-value space sampled dozens of times must collide constantly...
         assert result.duplicate_points > 0
         # ...and every dispatched point is unique.
-        assert len(calls) == result.evaluations == len(result.trajectory)
-        keys = [tuple(sorted(p.items())) for p in calls]
-        assert len(keys) == len(set(keys))
+        assert len(calls) == result.evaluations
+        assert len(calls) == len(set(calls))
         # The argmin is exact: the global optimum of a tiny space.
         assert result.best_point == {"x": 3}
         assert result.best_value == 0
@@ -594,13 +593,14 @@ class TestRRSSampleDedup:
         rrs = RecursiveRandomSearch(
             exploration_samples=5, exploitation_samples=4, restarts=1, seed=3
         )
+        calls = []
         result = rrs.search(
-            space, objective=lambda p: float(p["x"]), initial_point={"x": 1}
+            space, objective=lambda p: calls.append(p) or float(p[0]), initial_point={"x": 1}
         )
         # The initial point is drawn again during exploration with high
-        # probability; either way evaluations and trajectory stay in lock
-        # step and the total drawn is conserved.
-        assert result.evaluations == len(result.trajectory)
+        # probability; it is still dispatched once, and first.
+        assert calls[0] == (1,) and calls.count((1,)) == 1
+        assert result.evaluations == len(calls)
         assert result.best_point == {"x": 1}
 
 

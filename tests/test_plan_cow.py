@@ -280,6 +280,27 @@ class TestColdOptimizeBounds:
         }
 
     @pytest.mark.parametrize("abbr", ("IR", "LA", "BR"))
+    def test_nothing_is_folded_per_sample(self, abbr, monkeypatch):
+        """One costing session per candidate: the cost service folds a stats
+        delta per candidate, per composition query and for the final
+        estimate — never one per RRS sample."""
+        _, plan = _profiled_plan(abbr)
+        folded = []
+        apply_delta = CostService._apply_delta
+
+        def counting(service, delta):
+            folded.append(delta.queries)
+            apply_delta(service, delta)
+
+        monkeypatch.setattr(CostService, "_apply_delta", counting)
+        result = StubbyOptimizer(ClusterSpec.paper_cluster(), seed=17).optimize(plan)
+        reports = result.unit_reports
+        subplans = sum(len(report.subplans) for report in reports)
+        compositions = sum(report.composition_queries for report in reports)
+        assert len(folded) <= subplans + compositions + 1 < result.cost_stats.queries
+        assert sum(folded) == result.cost_stats.queries
+
+    @pytest.mark.parametrize("abbr", ("IR", "LA", "BR"))
     def test_every_query_visits_the_estimate_fault_site_once(self, abbr):
         """The chaos plans address ``whatif.estimate`` by hit ordinal."""
 

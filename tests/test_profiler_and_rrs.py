@@ -1,5 +1,7 @@
 """Tests for the profiler and Recursive Random Search."""
 
+import random
+
 import pytest
 
 from repro.common.rng import DeterministicRNG
@@ -84,26 +86,30 @@ class TestRecursiveRandomSearch:
         )
 
     def test_finds_near_optimal_point(self):
+        calls = []
+
         def objective(point):
-            penalty = 0.0 if point.get("flag") else 25.0
-            return (point["x"] - 70) ** 2 + (point["y"] - 30) ** 2 + penalty
+            calls.append(point)
+            x, y, flag = point
+            return (x - 70) ** 2 + (y - 30) ** 2 + (0.0 if flag else 25.0)
 
         rrs = RecursiveRandomSearch(seed=3)
         result = rrs.search(self._space(), objective)
         assert result.best_value <= 400
-        assert result.evaluations == len(result.trajectory)
+        assert result.evaluations == len(calls)
 
     def test_never_worse_than_initial_point(self):
         def objective(point):
-            return abs(point["x"] - 10) + abs(point["y"] - 10)
+            return abs(point[0] - 10) + abs(point[1] - 10)
 
         initial = {"x": 10, "y": 10, "flag": False}
         result = RecursiveRandomSearch(seed=1).search(self._space(), objective, initial_point=initial)
-        assert result.best_value <= objective(initial)
+        assert result.best_value <= objective(tuple(initial.values()))
+        assert result.best_point == initial  # the optimum, by dimension name
 
     def test_deterministic_given_rng(self):
         def objective(point):
-            return point["x"] + point["y"]
+            return point[0] + point[1]
 
         space = self._space()
         a = RecursiveRandomSearch(seed=9).search(space, objective, rng=DeterministicRNG(4))
@@ -121,3 +127,69 @@ class TestRecursiveRandomSearch:
             RecursiveRandomSearch(exploration_samples=0)
         with pytest.raises(ValueError):
             RecursiveRandomSearch(shrink_factor=1.5)
+
+
+def _oracle_sample(dim, rng):
+    """``ConfigDimension.sample`` as it was before points became value tuples."""
+    if dim.kind == "bool":
+        return rng.random() < 0.5
+    return int(round(rng.uniform(dim.low, dim.high)))
+
+
+def _oracle_sample_near(dim, center, radius, rng):
+    """``ConfigDimension.sample_near`` as it was before points became value tuples."""
+    if dim.kind == "bool":
+        if rng.random() < radius:
+            return rng.random() < 0.5
+        return bool(center)
+    span = (dim.high - dim.low) * radius
+    return dim.clamp(rng.uniform(float(center) - span, float(center) + span))
+
+
+class TestSamplerDrawOrder:
+    """The space's tuple samplers consume the stream exactly as the
+    per-dimension samplers they replaced: same values, same generator state,
+    so every RRS run — and every decision built on one — is unchanged."""
+
+    @staticmethod
+    def _random_space(maker):
+        dims = []
+        for index in range(maker.randint(1, 12)):
+            if maker.random() < 0.4:
+                dims.append(ConfigDimension(f"d{index}", "bool"))
+                continue
+            low = maker.choice([0, 1, 8, 32, 64, maker.uniform(-50.0, 50.0)])
+            width = maker.choice([0, 1, 7, 255, maker.uniform(0.0, 900.0)])
+            dims.append(ConfigDimension(f"d{index}", "int", low, low + width))
+        return ConfigurationSpace(dimensions=dims)
+
+    @staticmethod
+    def _random_centre(maker, space):
+        return tuple(
+            maker.random() < 0.5
+            if dim.kind == "bool"
+            else maker.choice([dim.low, dim.high, int(dim.high) + 40, maker.uniform(dim.low, dim.high)])
+            for dim in space.dimensions
+        )
+
+    def test_tuple_samplers_draw_as_the_per_dimension_samplers_did(self):
+        maker = random.Random(2024)
+        for trial in range(250):
+            space = self._random_space(maker)
+            seed = maker.randrange(2**31)
+            ours, oracle = DeterministicRNG(seed), DeterministicRNG(seed)
+            point = space.sample(ours)
+            expected = tuple(_oracle_sample(dim, oracle) for dim in space.dimensions)
+            assert [(type(v), v) for v in point] == [(type(v), v) for v in expected], trial
+            assert ours._random.getstate() == oracle._random.getstate(), trial
+            for step in range(4):
+                centre = point if step % 2 else self._random_centre(maker, space)
+                radius = maker.choice([0.05, 0.3, 1.0, maker.random()])
+                point = space.sample_near(centre, radius, ours)
+                expected = tuple(
+                    _oracle_sample_near(dim, value, radius, oracle)
+                    for dim, value in zip(space.dimensions, centre)
+                )
+                context = f"trial={trial} step={step}"
+                assert [(type(v), v) for v in point] == [(type(v), v) for v in expected], context
+                assert ours._random.getstate() == oracle._random.getstate(), context

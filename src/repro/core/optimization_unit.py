@@ -16,10 +16,11 @@ later unit — exactly the dynamic behaviour of Figure 9.
 
 Each :meth:`OptimizationUnitGenerator.next_unit` call walks the topological
 order and the producer/consumer adjacency of every unhandled job; both are
-answered from the workflow's incremental topology index (cached order, O(1)
-adjacency — see :mod:`repro.workflow.graph`), so unit generation over a
-whole run is O(units · (jobs + edges)) instead of the O(jobs³) the
-brute-force scans cost on wide DAGs.
+answered from the workflow's topology index (cached order, O(1) adjacency,
+rebuilt in one O(jobs + edges) pass after a transformation moves an edge —
+see :mod:`repro.workflow.graph`), so unit generation over a whole run is
+O(units · (jobs + edges)) instead of the O(jobs³) the brute-force scans
+cost on wide DAGs.
 """
 
 from __future__ import annotations

@@ -53,9 +53,9 @@ class ActualCostModel:
         """Cost a fully executed workflow.
 
         Walks the same cached ``topological_levels()`` the What-if engine
-        uses (the workflow's topology index — usually already warm from the
-        execution that produced ``execution``), so actual-cost accounting
-        stays cheap on wide DAGs.
+        uses (the workflow's topology index, built once per edge structure
+        and usually already warm from the execution that produced
+        ``execution``), so actual-cost accounting stays cheap on wide DAGs.
         """
         per_job: Dict[str, JobTimeEstimate] = {}
         per_level: List[List[JobTimeEstimate]] = []

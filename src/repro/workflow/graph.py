@@ -8,8 +8,8 @@ names, so the graph is always consistent with the executable jobs it holds.
 Everything a workflow maps a name to is an **immutable value**: job and
 dataset vertices, and the jobs, pipelines and annotations under them, are
 frozen dataclasses compared by identity.  A workflow owns only its two
-name→vertex dicts and its topology index, so :meth:`Workflow.copy` is two
-dict copies and every edit *rebinds a name* to a new value
+name→vertex dicts, so :meth:`Workflow.copy` is two dict copies and every
+edit *rebinds a name* to a new value
 (:meth:`Workflow.update_job` / :meth:`Workflow.annotate_job` /
 :meth:`Workflow.replace_job` / :meth:`Workflow.add_dataset`) — no other
 workflow holding the old value can see it.  Stubby's transformations are
@@ -23,14 +23,15 @@ Structural queries (``producer_of``/``consumers_of``/``producer_jobs``/
 ``intermediate_datasets``/``depends_on``/``topological_order``/
 ``topological_levels``) answer from a lazily built **topology index**
 (:class:`_TopologyIndex`): producer/consumer adjacency per dataset plus
-cached topological order and levels, maintained *incrementally* through the
-mutation surface above and shared between copies until either side
-mutates structure.  Answers are bit-identical — including insertion-order
-tie-breaks — to brute-force scans of the job table; that reference
-implementation lives in ``tests/graph_oracle.py`` and
-``tests/test_topology_index.py`` compares against it element for element.
-:data:`TOPOLOGY_COUNTERS` tallies queries answered against index maintenance
-performed.
+cached topological order and levels.  The index is a value built in one
+pass over the job table: copies share it, and an edit that moves an edge
+(``add_job`` / ``remove_job`` / ``replace_job`` / an edge-changing
+``update_job``) drops it, so the next structural query rebuilds it.  Answers
+are bit-identical — including insertion-order tie-breaks — to brute-force
+scans of the job table; that reference implementation lives in
+``tests/graph_oracle.py`` and ``tests/test_topology_index.py`` compares
+against it element for element.  :data:`TOPOLOGY_COUNTERS` tallies queries
+answered against builds and sorts paid.
 """
 
 from __future__ import annotations
@@ -80,20 +81,19 @@ class TopologyCounters:
     """Process-wide tallies of topology-index activity (graph instrumentation).
 
     ``index_queries`` counts structure queries answered from the adjacency
-    index.  ``index_builds`` are from-scratch adjacency constructions (lazy,
-    once per workflow lineage), ``incremental_updates`` are single-mutation
-    touch-ups, and ``index_copies`` are private copies taken of an index
-    shared through :meth:`Workflow.copy`.  ``toposort_builds`` vs
-    ``toposort_cache_hits`` measure how often the cached topological
-    order/levels survive mutation.  Counters are advisory (no lock): the
-    benchmarks that assert on them run single-threaded.
+    index and ``index_builds`` the indexes built (lazily, on the first
+    structural query after construction or after an edge-moving edit).
+    ``toposort_builds`` vs ``toposort_cache_hits`` measure how often the
+    cached topological order/levels answer a walk.  ``index_copies`` no
+    longer has a writer and reads 0; the slot stays because ``bench/cold.py``
+    reads it by name.  Counters are advisory (no lock): the benchmarks that
+    assert on them run single-threaded.
     """
 
     __slots__ = (
         "index_queries",
         "index_builds",
         "index_copies",
-        "incremental_updates",
         "toposort_builds",
         "toposort_cache_hits",
     )
@@ -110,14 +110,6 @@ class TopologyCounters:
         """Plain-dict view of the current counters."""
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def scan_equivalents(self) -> int:
-        """Full-graph passes actually paid: index and toposort (re)builds.
-
-        An index build walks every job once, so it costs one
-        scan-equivalent; an incremental update or an indexed query does not.
-        """
-        return self.index_builds + self.toposort_builds
-
 
 #: The process-wide topology counter instance (see :class:`TopologyCounters`).
 TOPOLOGY_COUNTERS = TopologyCounters()
@@ -128,126 +120,37 @@ class _TopologyIndex:
 
     The index answers every structural query of :class:`Workflow` without
     scanning the job table: ``producers``/``consumers`` map each dataset
-    name to the job names writing/reading it, each list kept in *job
-    insertion order* so indexed answers are bit-identical (including
-    tie-breaks) to a brute-force scan of the job table.  Insertion order is
-    tracked through ``order_keys`` — a monotonic key per job; :meth:`replace_job` hands the
-    old job's key to its replacement, mirroring how
-    :meth:`Workflow.replace_job` keeps the vertex's position in the job
-    dict.  ``topo_names``/``level_names`` cache the topological order and
-    levels (by name — the caller re-binds names to its *current* vertex
-    objects, so rebinding a vertex never stales the cache); any structural
-    mutation clears them, while edge-preserving rebinds
-    (:meth:`Workflow.annotate_job`, config-only :meth:`Workflow.update_job`)
-    leave them valid.
+    name to the job names writing/reading it, each list in *job insertion
+    order* so indexed answers are bit-identical (including tie-breaks) to a
+    brute-force scan of the job table, and ``order`` maps each job name to
+    its position in that table.  All three are filled in one pass by the
+    constructor and never edited.  ``topo_names``/``level_names`` cache the
+    topological order and levels by name (the caller re-binds names to its
+    *current* vertex objects, so rebinding a vertex never stales them); they
+    are filled on first use and are the only writes to a built index.
 
-    Lifecycle: built lazily on the first structural query, shared between a
-    workflow and its copies by :meth:`Workflow.copy`, and privatized
-    (copied) by whichever side mutates structure first.
+    A workflow holds its index until an edit moves an edge, then drops it;
+    edge-preserving rebinds (:meth:`Workflow.annotate_job`, config-only
+    :meth:`Workflow.update_job`) keep it.  So every workflow holding an index
+    has the edges it was built from, and :meth:`Workflow.copy` shares it —
+    lazy caches filled through one holder included — with no protocol.
     """
 
-    __slots__ = ("producers", "consumers", "order_keys", "next_key", "topo_names", "level_names")
+    __slots__ = ("producers", "consumers", "order", "topo_names", "level_names")
 
-    def __init__(self) -> None:
+    def __init__(self, jobs: Dict[str, "JobVertex"]) -> None:
         self.producers: Dict[str, List[str]] = {}
         self.consumers: Dict[str, List[str]] = {}
-        self.order_keys: Dict[str, int] = {}
-        self.next_key: int = 0
+        self.order: Dict[str, int] = {}
+        for position, (name, vertex) in enumerate(jobs.items()):
+            self.order[name] = position
+            for dataset_name in vertex.job.input_datasets:
+                self.consumers.setdefault(dataset_name, []).append(name)
+            for dataset_name in vertex.job.output_datasets:
+                self.producers.setdefault(dataset_name, []).append(name)
         self.topo_names: Optional[List[str]] = None
         self.level_names: Optional[List[List[str]]] = None
-
-    @classmethod
-    def build(cls, jobs: Dict[str, "JobVertex"]) -> "_TopologyIndex":
-        """From-scratch adjacency build over the current job table."""
-        index = cls()
-        for vertex in jobs.values():
-            key = index.next_key
-            index.next_key += 1
-            index.order_keys[vertex.name] = key
-            index._link(vertex.job, key)
         TOPOLOGY_COUNTERS.index_builds += 1
-        return index
-
-    def copy(self) -> "_TopologyIndex":
-        """Independent copy (privatization of a shared index)."""
-        clone = _TopologyIndex()
-        clone.producers = {name: list(jobs) for name, jobs in self.producers.items()}
-        clone.consumers = {name: list(jobs) for name, jobs in self.consumers.items()}
-        clone.order_keys = dict(self.order_keys)
-        clone.next_key = self.next_key
-        clone.topo_names = list(self.topo_names) if self.topo_names is not None else None
-        clone.level_names = (
-            [list(level) for level in self.level_names] if self.level_names is not None else None
-        )
-        TOPOLOGY_COUNTERS.index_copies += 1
-        return clone
-
-    # -------------------------------------------------------- edge plumbing
-    def _link(self, job: MapReduceJob, key: int) -> None:
-        """Insert the job's edges, keeping adjacency lists in job order."""
-        name = job.name
-        for dataset_name in job.input_datasets:
-            entries = self.consumers.setdefault(dataset_name, [])
-            entries.append(name)
-            if len(entries) > 1 and self.order_keys[entries[-2]] > key:
-                entries.sort(key=self.order_keys.__getitem__)
-        for dataset_name in job.output_datasets:
-            entries = self.producers.setdefault(dataset_name, [])
-            entries.append(name)
-            if len(entries) > 1 and self.order_keys[entries[-2]] > key:
-                entries.sort(key=self.order_keys.__getitem__)
-
-    def _unlink(self, job: MapReduceJob) -> None:
-        """Remove the job's edges (empty adjacency entries are dropped)."""
-        name = job.name
-        for dataset_name in job.input_datasets:
-            entries = self.consumers.get(dataset_name)
-            if entries is not None:
-                if name in entries:
-                    entries.remove(name)
-                if not entries:
-                    del self.consumers[dataset_name]
-        for dataset_name in job.output_datasets:
-            entries = self.producers.get(dataset_name)
-            if entries is not None:
-                if name in entries:
-                    entries.remove(name)
-                if not entries:
-                    del self.producers[dataset_name]
-
-    def _invalidate_topology(self) -> None:
-        self.topo_names = None
-        self.level_names = None
-
-    # ------------------------------------------------- incremental mutation
-    def add_job(self, job: MapReduceJob) -> None:
-        """Incremental update for :meth:`Workflow.add_job`."""
-        key = self.next_key
-        self.next_key += 1
-        self.order_keys[job.name] = key
-        self._link(job, key)
-        self._invalidate_topology()
-        TOPOLOGY_COUNTERS.incremental_updates += 1
-
-    def remove_job(self, job: MapReduceJob) -> None:
-        """Incremental update for :meth:`Workflow.remove_job`."""
-        self._unlink(job)
-        self.order_keys.pop(job.name, None)
-        self._invalidate_topology()
-        TOPOLOGY_COUNTERS.incremental_updates += 1
-
-    def replace_job(self, old_job: MapReduceJob, new_job: MapReduceJob) -> None:
-        """Incremental update for :meth:`Workflow.replace_job`.
-
-        The replacement inherits the old job's order key, so indexed
-        tie-breaks keep matching the rebuilt job dict (same position).
-        """
-        key = self.order_keys.pop(old_job.name)
-        self._unlink(old_job)
-        self.order_keys[new_job.name] = key
-        self._link(new_job, key)
-        self._invalidate_topology()
-        TOPOLOGY_COUNTERS.incremental_updates += 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,40 +186,17 @@ class Workflow:
         self.name = name
         self._jobs: Dict[str, JobVertex] = {}
         self._datasets: Dict[str, DatasetVertex] = {}
-        #: Lazily built topology index (see :class:`_TopologyIndex`), shared
-        #: with copies until either side mutates structure.
+        #: Lazily built topology index (see :class:`_TopologyIndex`); shared
+        #: with copies, dropped by an edit that moves an edge.
         self._topo_index: Optional[_TopologyIndex] = None
-        self._topo_shared: bool = False
 
     # ------------------------------------------------------- topology index
     def _topology(self) -> _TopologyIndex:
-        """The adjacency index, built lazily on first structural query.
-
-        Reading a shared index is safe: workflows only share an index while
-        their edge structures are identical, so even cache fills (topological
-        order/levels) computed through one sharer are valid for all of them.
-        """
+        """The adjacency index, built on the first structural query after
+        construction or after an edge-moving edit dropped it."""
         index = self._topo_index
         if index is None:
-            index = _TopologyIndex.build(self._jobs)
-            self._topo_index = index
-            self._topo_shared = False
-        return index
-
-    def _topology_for_mutation(self) -> Optional[_TopologyIndex]:
-        """The index to update incrementally for a structural mutation.
-
-        ``None`` when no index has been built yet (nothing to maintain — the
-        next structural query rebuilds from scratch); a private copy when the
-        current index is shared with a sibling (privatize-before-mutate).
-        """
-        index = self._topo_index
-        if index is None:
-            return None
-        if self._topo_shared:
-            index = index.copy()
-            self._topo_index = index
-            self._topo_shared = False
+            index = self._topo_index = _TopologyIndex(self._jobs)
         return index
 
     # ---------------------------------------------------------- construction
@@ -331,9 +211,7 @@ class Workflow:
         vertex = JobVertex(job=job, annotations=annotations or JobAnnotations())
         self._jobs[job.name] = vertex
         self._ensure_datasets(job)
-        index = self._topology_for_mutation()
-        if index is not None:
-            index.add_job(job)
+        self._topo_index = None
         return vertex
 
     def _ensure_datasets(self, job: MapReduceJob) -> None:
@@ -369,28 +247,15 @@ class Workflow:
         """Remove a job vertex (dataset vertices are kept; prune separately)."""
         if name not in self._jobs:
             raise WorkflowValidationError(f"job {name!r} not in workflow")
-        removed = self._jobs.pop(name)
-        index = self._topology_for_mutation()
-        if index is not None:
-            index.remove_job(removed.job)
-
-    def remove_dataset(self, name: str) -> None:
-        """Remove a dataset vertex if no remaining job references it."""
-        for vertex in self._jobs.values():
-            job = vertex.job
-            if name in job.input_datasets or name in job.output_datasets:
-                raise WorkflowValidationError(
-                    f"dataset {name!r} is still referenced by job {job.name!r}"
-                )
-        self._datasets.pop(name, None)
+        del self._jobs[name]
+        self._topo_index = None
 
     def prune_orphan_datasets(self) -> List[str]:
         """Drop dataset vertices no job reads or writes; returns their names.
 
         Index-neutral by construction: the adjacency index only holds
-        entries for datasets some job references (``_unlink`` drops entries
-        as they empty), so an orphan has none and the cached topology stays
-        valid.
+        entries for datasets some job references, so an orphan has none and
+        the cached topology stays valid.
         """
         referenced: Set[str] = set()
         for vertex in self._jobs.values():
@@ -540,8 +405,8 @@ class Workflow:
         (a min-heap over insertion keys; the original implementation
         re-sorted the ready list against a rebuilt name list every
         iteration, with the same emitted order).  The order is cached on
-        the topology index and survives config-only rebinds;
-        structural edits invalidate it.
+        the topology index and survives config-only rebinds; an edit that
+        moves an edge drops the index and with it the order.
         """
         index = self._topology()
         if index.topo_names is None:
@@ -553,7 +418,7 @@ class Workflow:
 
     def _compute_topo_names(self, index: _TopologyIndex) -> List[str]:
         """Kahn's algorithm over the index, insertion-order tie-breaks."""
-        keys = index.order_keys
+        keys = index.order
         in_degree: Dict[str, int] = {}
         heap: List[Tuple[int, str]] = []
         for name, vertex in self._jobs.items():
@@ -647,19 +512,15 @@ class Workflow:
     def copy(self, name: Optional[str] = None) -> "Workflow":
         """Clone holding the same (immutable) vertex objects.
 
-        Two dict copies; the source's dicts and vertices are left untouched.
-        The topology index is shared too (cached order/levels included)
-        until either side mutates structure, at which point the mutator
-        takes a private copy first.
+        Two dict copies and a shared reference to the topology index (cached
+        order/levels included); nothing is written into the source.  An
+        edge-moving edit on either side only drops that side's reference.
         """
         COPY_COUNTERS.workflow_copies += 1
         clone = Workflow(name=name or self.name)
         clone._jobs = dict(self._jobs)
         clone._datasets = dict(self._datasets)
-        if self._topo_index is not None:
-            clone._topo_index = self._topo_index
-            clone._topo_shared = True
-            self._topo_shared = True
+        clone._topo_index = self._topo_index
         return clone
 
     # -------------------------------------------------------------- rebinding
@@ -669,8 +530,8 @@ class Workflow:
         ``derive`` builds the replacement (e.g. ``job.with_config(...)``), a
         job of the same name that may share pipelines with the old one; the
         annotations object is carried over as is.  Config-only derivations
-        keep the cached topology; a derivation that
-        rewires datasets updates the index cone like :meth:`replace_job`.
+        keep the topology index; a derivation that rewires datasets drops it
+        like :meth:`replace_job`.
         """
         old = self.job(name)
         old_job = old.job
@@ -688,9 +549,7 @@ class Workflow:
             old_job.input_datasets != new_job.input_datasets
             or old_job.output_datasets != new_job.output_datasets
         ):
-            index = self._topology_for_mutation()
-            if index is not None:
-                index.replace_job(old_job, new_job)
+            self._topo_index = None
             self._ensure_datasets(new_job)
         return vertex
 
@@ -718,9 +577,6 @@ class Workflow:
                 f"replace_job cannot rename {name!r} to {job.name!r}: duplicate job name"
             )
         existing = self._jobs[name]
-        index = self._topology_for_mutation()
-        if index is not None:
-            index.replace_job(existing.job, job)
         new_vertex = JobVertex(job, existing.annotations if annotations is None else annotations)
         rebuilt: Dict[str, JobVertex] = {}
         for key, value in self._jobs.items():
@@ -730,6 +586,7 @@ class Workflow:
                 rebuilt[key] = value
         self._jobs = rebuilt
         self._ensure_datasets(job)
+        self._topo_index = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Workflow(name={self.name!r}, jobs={len(self._jobs)}, datasets={len(self._datasets)})"

@@ -11,8 +11,8 @@ and a consumer job through a dataset:
 
 Transformations key their preconditions off these types, so classification is
 centralised here.  All lookups go through the workflow's topology index
-(:mod:`repro.workflow.graph`): classifying one dataset is O(its consumers),
-and the workflow-wide sweeps (:func:`shared_input_groups`,
+(:mod:`repro.workflow.graph`, built in one pass per edge structure):
+classifying one dataset is O(its consumers), and the workflow-wide sweeps (:func:`shared_input_groups`,
 :func:`concurrently_runnable_groups`) are O(datasets + edges) rather than
 O(datasets · jobs).
 """
@@ -93,24 +93,6 @@ def classify_subgraph(workflow: Workflow, dataset_name: str) -> List[ProducerCon
                 )
             )
     return edges
-
-
-def classify_pair(workflow: Workflow, producer_name: str, consumer_name: str) -> Optional[SubgraphType]:
-    """Classify the relationship between a specific producer and consumer job.
-
-    Returns ``None`` when the consumer does not read any dataset produced by
-    the producer.
-    """
-    producer = workflow.job(producer_name)
-    consumer = workflow.job(consumer_name)
-    shared = [d for d in producer.job.output_datasets if d in consumer.job.input_datasets]
-    if not shared:
-        return None
-    dataset_name = shared[0]
-    for edge in classify_subgraph(workflow, dataset_name):
-        if edge.producer == producer_name and edge.consumer == consumer_name:
-            return edge.subgraph
-    return None
 
 
 def shared_input_groups(workflow: Workflow) -> List[Tuple[str, List[str]]]:

@@ -65,7 +65,11 @@ def test_src_has_no_mode_switches():
     compaction knob; the copy-on-write ownership protocol (plan values are
     frozen, an edit rebinds a name); the two store kill switches and the
     cell-backend variable with their readers, and the settable values
-    nothing set.  A path that needs a baseline keeps it under tests/."""
+    nothing set; the topology index's sharing protocol (``_topo_shared``,
+    ``_topology_for_mutation``, ``incremental_updates``: an edge-moving
+    edit drops the index) and the graph layer's test-only API
+    (``scan_equivalents``, ``remove_dataset``, ``classify_pair``).  A path
+    that needs a baseline keeps it under tests/."""
     banned = re.compile(
         r"def set_\w+_enabled|STUBBY_EXPERIMENT_DISPATCH"
         r"|ThreadPoolExecutor|dispatch=|objective_batch"
@@ -83,6 +87,8 @@ def test_src_has_no_mode_switches():
         r"|allow_extended_" r"horizontal|enable_" r"multiquery|target_records_" r"per_split"
         r"|profile_" r"noise|\bmax_" r"samples\b|\bmax_" r"batch\b|breaker_max_" r"backoff"
         r"|chosen_" r"transformations|all_" r"operators|def wall_" r"s\b"
+        r"|_topo_" r"shared|_topology_for_" r"mutation|incremental_" r"updates"
+        r"|scan_" r"equivalents|remove_" r"dataset|classify_" r"pair"
     )
     assert [path for path, text in _src_sources() if banned.search(text)] == []
     # One fan-out level: requests and cells fork, the unit search does not.

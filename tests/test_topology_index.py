@@ -1,15 +1,15 @@
-"""Property tests for the incremental topology index (see ISSUE 6).
+"""Property tests for the topology index.
 
 The contract under test: every structural query of :class:`Workflow` —
 ``producer_of``/``consumers_of``/``producer_jobs``/``consumer_jobs``/
 ``base_datasets``/``terminal_datasets``/``intermediate_datasets``/
 ``depends_on``/``topological_order``/``topological_levels`` — answers from
-the incrementally maintained adjacency index with results **bit-identical**
-(same elements, same order) to the brute-force scans of
-``tests/graph_oracle.py``, after *any* sequence of mutations through the CoW
-surface, applied to the original workflow and to structurally shared clones
-alike; and the incrementally maintained index always equals a from-scratch
-rebuild over the current job table.
+the adjacency index with results **bit-identical** (same elements, same
+order) to the brute-force scans of ``tests/graph_oracle.py``, after *any*
+sequence of edits, applied to the original workflow and to clones sharing
+its index alike.  The index is built in one pass and never edited: copies
+share it, an edit that moves an edge drops it, and the next structural query
+rebuilds it.
 """
 
 import random
@@ -22,7 +22,7 @@ from repro.mapreduce.job import simple_job
 from repro.verification import RandomWorkflowGenerator
 from repro.whatif.model import WhatIfEngine
 from repro.workflow.annotations import JobAnnotations
-from repro.workflow.graph import TOPOLOGY_COUNTERS, Workflow, _TopologyIndex
+from repro.workflow.graph import TOPOLOGY_COUNTERS, Workflow
 from tests import graph_oracle as oracle
 
 
@@ -109,15 +109,10 @@ def _scan_snapshot(workflow):
 
 
 def _assert_index_consistent(workflow):
-    """Indexed answers == oracle scans, and the index == a fresh rebuild."""
+    """Indexed answers == oracle scans, and ``order`` == job-dict positions."""
     assert _snapshot(workflow) == _scan_snapshot(workflow)
-    maintained = workflow._topology()
-    rebuilt = _TopologyIndex.build(workflow._jobs)
-    assert maintained.producers == rebuilt.producers
-    assert maintained.consumers == rebuilt.consumers
-    # Relative order of the maintained keys must equal job insertion order.
-    keys = maintained.order_keys
-    assert sorted(keys, key=keys.__getitem__) == workflow.job_names
+    order = workflow._topology().order
+    assert list(order.items()) == [(name, i) for i, name in enumerate(workflow.job_names)]
 
 
 def _build_base(num_jobs=6):
@@ -129,10 +124,10 @@ def _build_base(num_jobs=6):
 
 
 class TestRandomMutationSequences:
-    """Any mutation sequence, on the original and CoW clones alike."""
+    """Any mutation sequence, on the original and index-sharing clones alike."""
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_incremental_index_equals_rebuild_after_random_mutations(self, seed):
+    def test_indexed_answers_equal_the_oracle_after_random_mutations(self, seed):
         rng = random.Random(seed)
         workflows = [_build_base(num_jobs=rng.randint(3, 7))]
         counter = [100 * seed]
@@ -227,7 +222,7 @@ BUILDERS = pytest.mark.parametrize(
 
 
 class TestCounterContracts:
-    """The index is built once, updated incrementally, shared across CoW."""
+    """The index is built once per edge structure and shared across copies."""
 
     @BUILDERS
     def test_config_only_mutations_keep_the_cached_topology(self, build):
@@ -248,30 +243,29 @@ class TestCounterContracts:
         assert snapshot == {**dict.fromkeys(snapshot, 0), "toposort_cache_hits": 3}
 
     @BUILDERS
-    def test_structural_mutation_privatizes_and_updates_incrementally(self, build):
+    def test_a_structural_edit_drops_the_index_and_one_query_rebuilds_it(self, build):
         workflow = build()
         names = workflow.job_names
         workflow.topological_levels()
         TOPOLOGY_COUNTERS.reset()
         clone = workflow.copy()
+        assert clone._topo_index is workflow._topo_index
         old = clone.job(names[2]).job
         clone.replace_job(
             names[2], _chain_job(f"{names[2]}b", old.input_datasets, old.output_datasets[0])
         )
-        snapshot = TOPOLOGY_COUNTERS.snapshot()
-        assert snapshot["index_copies"] == 1  # privatized once...
-        assert snapshot["incremental_updates"] == 1  # ...then patched in place
-        assert snapshot["index_builds"] == 0  # never rebuilt from scratch
         feed = clone.job(names[-2]).job.output_datasets[0]
         clone.remove_job(names[-1])
         clone.add_job(_chain_job("Jextra", feed, "Dextra"))
-        snapshot = TOPOLOGY_COUNTERS.snapshot()
-        assert snapshot["index_copies"] == 1  # already private: no more copies
-        assert snapshot["incremental_updates"] == 3
-        # The clone re-sorts; the original's cached topology is untouched.
+        # Three edits: the clone dropped its reference, nothing was built.
+        assert clone._topo_index is None and workflow._topo_index is not None
+        assert TOPOLOGY_COUNTERS.snapshot()["index_builds"] == 0
+        # The clone's next query rebuilds once and re-sorts once; the
+        # original still answers from its cached order.
         clone.topological_order()
         workflow.topological_order()
         snapshot = TOPOLOGY_COUNTERS.snapshot()
+        assert snapshot["index_builds"] == 1
         assert snapshot["toposort_builds"] == 1
         assert snapshot["toposort_cache_hits"] == 1
         _assert_index_consistent(clone)
@@ -305,8 +299,8 @@ class TestCounterContracts:
         """Zero from-scratch index or toposort builds over three costing
         queries on a warm workflow, at every width: every structural answer
         comes from the index.  The time this buys is
-        ``workflow.graph.index_copies`` / ``.toposort_builds`` next to
-        ``optimize_sweep_s`` on ``cold_wide`` (``bench/README.md``)."""
+        ``workflow.graph.toposort_builds`` next to ``optimize_sweep_s`` on
+        ``cold_wide`` (``bench/README.md``)."""
         generator = RandomWorkflowGenerator().with_config(records_per_dataset=60)
         workflow = generator.telemetry_rollup(
             4242 + channels, num_channels=channels, fanin=8
@@ -317,4 +311,5 @@ class TestCounterContracts:
         for _ in range(3):
             engine.estimate_workflow(workflow)
         assert TOPOLOGY_COUNTERS.snapshot()["index_queries"] > 0
-        assert TOPOLOGY_COUNTERS.scan_equivalents() == 0
+        snapshot = TOPOLOGY_COUNTERS.snapshot()
+        assert snapshot["index_builds"] + snapshot["toposort_builds"] == 0

@@ -17,7 +17,6 @@ from repro.workflow.graph import DatasetVertex, JobVertex, Workflow
 from repro.workloads import build_workload
 from repro.workflow.subgraphs import (
     SubgraphType,
-    classify_pair,
     classify_subgraph,
     concurrently_runnable_groups,
     shared_input_groups,
@@ -137,13 +136,13 @@ class TestWorkflowStructure:
         order = [v.name for v in workflow.topological_order()]  # builds the index
         vertices = list(workflow.jobs)
         index = workflow._topology()
-        adjacency = copy.deepcopy((index.producers, index.consumers, index.order_keys))
+        adjacency = copy.deepcopy((index.producers, index.consumers, index.order))
         clash = _job("J3", "D1", "D3", reduce_key="k")
         with pytest.raises(WorkflowValidationError, match="duplicate job name"):
             workflow.replace_job("J2", clash)
         assert all(a is b for a, b in zip(workflow.jobs, vertices, strict=True))
         assert workflow._topology() is index and index.topo_names == order
-        assert (index.producers, index.consumers, index.order_keys) == adjacency
+        assert (index.producers, index.consumers, index.order) == adjacency
         assert [v.name for v in workflow.topological_order()] == order
         # Replacing a job under its own name is not a collision.
         workflow.replace_job("J3", clash)
@@ -156,9 +155,15 @@ class TestWorkflowStructure:
         assert "D4" in orphans
 
     def test_remove_referenced_dataset_rejected(self):
+        # Pruning is the one way to drop a dataset vertex: it removes only
+        # datasets no job reads or writes, never a referenced one.
         workflow = build_diamond()
-        with pytest.raises(WorkflowValidationError):
-            workflow.remove_dataset("D1")
+        workflow.add_dataset("Dspare")
+        assert workflow.prune_orphan_datasets() == ["Dspare"]
+        assert all(workflow.has_dataset(f"D{i}") for i in range(5))
+        workflow.remove_job("J4")
+        assert workflow.prune_orphan_datasets() == ["D4"]
+        assert all(workflow.has_dataset(f"D{i}") for i in range(4))
 
 
 class TestTopologicalOrderDeterminism:
@@ -220,7 +225,11 @@ class TestSubgraphClassification:
 
     def test_many_to_one(self):
         workflow = build_diamond()
-        assert classify_pair(workflow, "J2", "J4") is SubgraphType.MANY_TO_ONE
+        # J4 reads D2 from J2 and D3 from J3.
+        edges = classify_subgraph(workflow, "D2")
+        assert [(e.producer, e.consumer, e.subgraph) for e in edges] == [
+            ("J2", "J4", SubgraphType.MANY_TO_ONE)
+        ]
 
     def test_one_to_none(self):
         workflow = build_diamond()
@@ -231,11 +240,21 @@ class TestSubgraphClassification:
         workflow = Workflow()
         workflow.add_job(_job("A", "D0", "D1", reduce_key="k"))
         workflow.add_job(_job("B", "D1", "D2", reduce_key="k"))
-        assert classify_pair(workflow, "A", "B") is SubgraphType.ONE_TO_ONE
+        edges = classify_subgraph(workflow, "D1")
+        assert [(e.producer, e.consumer, e.subgraph) for e in edges] == [
+            ("A", "B", SubgraphType.ONE_TO_ONE)
+        ]
 
     def test_classify_pair_unrelated(self):
+        # J2 and J3 only share an input: no dataset links them as a pair.
         workflow = build_diamond()
-        assert classify_pair(workflow, "J2", "J3") is None
+        pairs = {
+            (e.producer, e.consumer)
+            for name in ("D0", "D1", "D2", "D3", "D4")
+            for e in classify_subgraph(workflow, name)
+        }
+        assert ("J2", "J3") not in pairs and ("J3", "J2") not in pairs
+        assert ("J1", "J2") in pairs and ("J3", "J4") in pairs
 
     def test_shared_input_groups(self):
         workflow = build_diamond()
@@ -321,4 +340,4 @@ class TestFrozenValues:
             if after[name] is not value
             or (isinstance(value, (dict, set, list)) and value != snapshot)
         }
-        assert changed <= {"_topo_shared"}
+        assert changed == set()

@@ -1,26 +1,63 @@
 """Content-key helpers shared by the decision cache and sub-result catalog.
 
 A leaf module (it imports nothing from ``repro``) so
-:mod:`repro.core.decision_cache`, :mod:`repro.core.subresults` and the
-annotation classes, which build their own ``key`` from these
-(:mod:`repro.workflow.annotations`), can use it without an import cycle.  The
-search composes these into full decision keys; the catalog composes them
-into subgraph signatures.  They all return hashable, picklable,
-*content-based* plain tuples — ``hash()`` is only ever used for shard
+:mod:`repro.core.decision_cache`, :mod:`repro.core.subresults` and the plan
+values, which build their own key from these (:mod:`repro.workflow.annotations`,
+:mod:`repro.mapreduce.pipeline`, :mod:`repro.workflow.graph`), can use it
+without an import cycle.  The search composes these into full decision keys;
+the catalog composes them into subgraph signatures.  They are all hashable,
+picklable and *content-based* — ``hash()`` is only ever used for shard
 placement; equality (and therefore hits) is by content.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 __all__ = [
+    "PipelineContentKey",
+    "VertexContentKey",
     "filter_annotation_key",
     "optional_key",
     "plain_value_key",
     "rrs_search_key",
     "transformation_key",
 ]
+
+
+@dataclass(frozen=True, slots=True)
+class PipelineContentKey:
+    """The vertex-content half of one pipeline's signature part
+    (:attr:`repro.mapreduce.pipeline.Pipeline.content_key`).
+
+    ``inputs`` keeps ``(dataset_name, allowed_partitions)`` pairs; the
+    query-dependent facts (current dataset sizes, producer partition counts)
+    are filled in per query by
+    :meth:`~repro.whatif.model.WhatIfEngine.vertex_dataflow_signature`.
+    """
+
+    inputs: Tuple[Tuple[str, Optional[Tuple[int, ...]]], ...]
+    map_ops: Tuple[Tuple[str, float], ...]
+    reduce_ops: Tuple[Tuple[str, float, Tuple[str, ...]], ...]
+    output_dataset: str
+
+
+@dataclass(frozen=True, slots=True)
+class VertexContentKey:
+    """Everything a vertex's dataflow signature reads from the vertex itself
+    (:attr:`repro.workflow.graph.JobVertex.content_key`).
+
+    Only the cheap query context (dataset sizes, producer partition counts,
+    chained task count) is added per query.
+    """
+
+    pipelines: Tuple[PipelineContentKey, ...]
+    partitioner_fields: Tuple[str, ...]
+    combiner_active: bool
+    profile_key: Optional[Tuple]
+    chained_input: bool
+
 
 def plain_value_key(value) -> Tuple:
     """A hashable content tuple for an arbitrary annotation/condition value.

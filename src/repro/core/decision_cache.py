@@ -23,9 +23,10 @@ What makes a hit provably decision-equivalent is the key.  The search
 (:meth:`~repro.core.search.StubbySearch._decision_key`) derives it from
 everything that can influence the unit's argmin:
 
-* the unit subgraph's per-vertex local content keys (the incremental
-  :meth:`~repro.whatif.model.WhatIfEngine.vertex_content_key`), plus every
-  job's configuration, partitioner, and :class:`JobAnnotations` content;
+* the unit subgraph's per-vertex content keys
+  (:attr:`~repro.workflow.graph.JobVertex.content_key`, read through the
+  counting :meth:`~repro.whatif.model.WhatIfEngine.vertex_content_key`), plus
+  every job's configuration, partitioner, and :class:`JobAnnotations` content;
 * input dataset profiles/annotations and the plan's structural signature —
   workflow cost is a per-level *makespan* (a max), so a unit's best rewrite
   can depend on neighbouring jobs, and the whole-plan content must pin it;
@@ -84,7 +85,9 @@ DEFAULT_MAX_DECISIONS = 50_000
 #: key lost its third element, so version-1 rows could never hit again.
 #: 3: the key pins every ``JobConfig`` field (version-2 keys left out
 #: ``forced_single_reduce``), so version-2 rows could never hit again either.
-DECISION_CACHE_FORMAT_VERSION = 3
+#: 4: the vertex content key is a :mod:`repro.common.content_keys` class, so
+#: a version-3 row unpickles by a module path that no longer holds it.
+DECISION_CACHE_FORMAT_VERSION = 4
 
 #: Environment variable naming the persisted decision-cache path of an
 #: ``ExperimentHarness`` or ``PlanningServer`` — the decision-level sibling of

@@ -46,7 +46,6 @@ from repro.core.transformations.base import (
     TransformationApplication,
     TransformationGroup,
 )
-from repro.whatif import model as whatif_model
 
 __all__ = [
     "SubResultReuseTransformation",
@@ -72,7 +71,6 @@ class SubResultReuseTransformation(Transformation):
             return []
         workflow = plan.workflow
         unit = set(unit_jobs)
-        engine = whatif_model.WhatIfEngine(catalog.cluster)
         applications: List[TransformationApplication] = []
         for dataset_vertex in workflow.datasets:
             name = dataset_vertex.name
@@ -88,7 +86,7 @@ class SubResultReuseTransformation(Transformation):
                 continue
             if not self._cone_is_self_contained(workflow, cone_jobs, name):
                 continue
-            signature = subgraph_signature(workflow, name, catalog.cluster, engine=engine)
+            signature = subgraph_signature(workflow, name, catalog.cluster)
             if catalog.probe(signature) is None:
                 continue
             applications.append(

@@ -20,8 +20,10 @@ side, with a tag, input datasets, and an output dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.common.content_keys import PipelineContentKey
 from repro.common.errors import ExecutionError
 from repro.common.records import KeyValue, Record, read_only, sort_key_for
 
@@ -71,10 +73,6 @@ class Operator:
         if self.cpu_cost_per_record < 0:
             raise ValueError("cpu_cost_per_record must be non-negative")
 
-    def renamed(self, name: str) -> "Operator":
-        """Copy of this operator with a different name."""
-        return replace(self, name=name)
-
 
 def map_operator(
     name: str,
@@ -101,11 +99,6 @@ def reduce_operator(
         cpu_cost_per_record=cpu_cost_per_record,
         combiner=combiner,
     )
-
-
-def identity_map(key: Record, value: Record) -> Iterable[KeyValue]:
-    """A map function that forwards its input unchanged."""
-    yield key, value
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +168,19 @@ class Pipeline:
     def allowed_partitions(self, dataset_name: str) -> Optional[Tuple[int, ...]]:
         """Partition indexes to read for ``dataset_name`` (None = all)."""
         return self.input_partition_filter.get(dataset_name)
+
+    @cached_property
+    def content_key(self) -> PipelineContentKey:
+        """Inputs with their allowed partitions, operators and output, built
+        once per pipeline: jobs derived by ``with_config`` share it."""
+        return PipelineContentKey(
+            inputs=tuple((name, self.allowed_partitions(name)) for name in self.input_datasets),
+            map_ops=tuple((op.name, op.cpu_cost_per_record) for op in self.map_ops),
+            reduce_ops=tuple(
+                (op.name, op.cpu_cost_per_record, op.group_fields) for op in self.reduce_ops
+            ),
+            output_dataset=self.output_dataset,
+        )
 
     def with_partition_filter(self, dataset_name: str, allowed: Sequence[int]) -> "Pipeline":
         """This pipeline reading only partitions ``allowed`` of ``dataset_name``."""

@@ -14,7 +14,9 @@ dataflow derivation of a vertex reads — so
 :class:`repro.whatif.service.CostService` can memoize the derivation of
 unchanged jobs and re-derive only the mutated cone of a workflow.
 :meth:`WhatIfEngine.estimate_workflow` is the cold (uncached) composition of
-those steps.
+those steps.  The vertex-content half of a signature is the vertex's own
+``content_key``, built once per frozen value; the engine holds no per-vertex
+state, only the two counters of :meth:`WhatIfEngine.vertex_content_key`.
 
 When a job carries no profile annotation the engine falls back to the simple
 "number of jobs" cost model used by rule-based optimizers such as YSmart [11]
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster import ClusterSpec
+from repro.common.content_keys import VertexContentKey
 from repro.common.errors import CostModelError
 from repro.mapreduce.config import JobConfig
 from repro.mapreduce.job import MapReduceJob
@@ -46,15 +49,6 @@ JOB_COUNT_COST_SECONDS = 1_000.0
 #: estimate, so stale caches self-invalidate instead of serving estimates a
 #: current computation would not produce.
 COST_MODEL_VERSION = 1
-
-#: Cap on the per-engine profile-content-key memo (see ``_profile_key``).
-_MAX_PROFILE_KEYS = 16_384
-
-#: Cap on the per-engine vertex local-signature memo (see
-#: ``_vertex_local_key``); entries pin their vertex, so the cap also bounds
-#: how many otherwise-dead vertices the memo keeps alive.
-_MAX_VERTEX_KEYS = 65_536
-
 
 #: A query's overlay: job name -> the configuration to cost it under (else: its own).
 ConfigOverlay = Optional[Mapping[str, JobConfig]]
@@ -128,58 +122,15 @@ class CostingBasis:
     fact_readers: Set[str]
 
 
-@dataclass(frozen=True, slots=True)
-class _PipelineLocalKey:
-    """The vertex-content half of one pipeline's signature part.
-
-    ``inputs`` keeps ``(dataset_name, allowed_partitions)`` pairs; the
-    query-dependent facts (current dataset sizes, producer partition counts)
-    are filled in per query by :meth:`WhatIfEngine.vertex_dataflow_signature`.
-    """
-
-    inputs: Tuple[Tuple[str, Optional[Tuple[int, ...]]], ...]
-    map_ops: Tuple[Tuple[str, float], ...]
-    reduce_ops: Tuple[Tuple[str, float, Tuple[str, ...]], ...]
-    output_dataset: str
-
-
-@dataclass(frozen=True, slots=True)
-class _VertexLocalKey:
-    """Everything a vertex's dataflow signature reads from the vertex itself.
-
-    Memoized per vertex identity: an unchanged vertex is the same object
-    across candidate plans, so its local key — the expensive part of the
-    signature — is derived once.  Only the cheap query context (dataset
-    sizes, producer partition counts, chained task count) is recomputed.
-    """
-
-    pipelines: Tuple[_PipelineLocalKey, ...]
-    partitioner_fields: Tuple[str, ...]
-    combiner_active: bool
-    profile_key: Optional[Tuple]
-    chained_input: bool
-
-
 class WhatIfEngine:
     """Analytical cost estimation for annotated MapReduce workflows."""
 
     def __init__(self, cluster: ClusterSpec) -> None:
         self.cluster = cluster
-        #: id(profile) -> (pinned profile, content key); see ``_profile_key``.
-        self._profile_keys: Dict[int, Tuple[ProfileAnnotation, Tuple]] = {}
-        #: id(vertex) -> (pinned vertex, local key); the whole-vertex
-        #: extension of the ``_profile_key`` pattern.  Vertices are frozen,
-        #: so an entry is valid for as long as its vertex is pinned.
-        self._vertex_keys: Dict[int, Tuple[JobVertex, _VertexLocalKey]] = {}
-        #: id(pipeline) -> (pinned pipeline, pipeline local key).  Pipelines
-        #: are shared across config-only job derivations
-        #: (:meth:`~repro.mapreduce.job.MapReduceJob.with_config`), so their
-        #: keys survive the rebind that applies a chosen configuration.
-        self._pipeline_keys: Dict[int, Tuple[object, _PipelineLocalKey]] = {}
-        #: Incremental-signature counters (bounded per cold ``optimize()`` by
-        #: ``tests/test_plan_cow.py``): how many vertex signatures were derived
-        #: by walking the vertex (``signature_derivations``) vs. served from
-        #: the identity memo (``signature_memo_hits``).
+        #: Content-key reads through :meth:`vertex_content_key` (bounded per
+        #: cold ``optimize()`` by ``tests/test_plan_cow.py``): how many had to
+        #: walk a pipeline (``signature_derivations``) vs. found every key
+        #: they needed already built (``signature_memo_hits``).
         self.signature_derivations = 0
         self.signature_memo_hits = 0
 
@@ -318,15 +269,15 @@ class WhatIfEngine:
         invalidate consumers.
 
         The signature is assembled **incrementally**: the vertex-content half
-        (pipelines, operators, partitioner, profile key) is memoized per
-        vertex identity (``_vertex_local_key``), so across plan copies
-        only a candidate's *dirty* vertices — the ones its rewrite rebound
-        — ever pay the full derivation walk.  The assembled tuple is
-        bit-identical to a from-scratch derivation, so cache keys (and
-        persisted caches) are unaffected by where the parts came from.
-        Under ``configs`` it is the signature with the overlay bound.
+        (pipelines, operators, partitioner, profile key) is the vertex's own
+        content key (:meth:`vertex_content_key`), so across plan copies only
+        a candidate's *dirty* vertices — the ones its rewrite rebound — ever
+        pay the full derivation walk.  The assembled tuple is bit-identical
+        to a from-scratch derivation, so cache keys (and persisted caches)
+        are unaffected by where the parts came from.  Under ``configs`` it
+        is the signature with the overlay bound.
         """
-        local = self._vertex_local_key(vertex)
+        local = self.vertex_content_key(vertex)
         config = configs and configs.get(vertex.job.name)
         if config:
             active = vertex.job.has_combiner and config.combiner_enabled
@@ -362,116 +313,24 @@ class WhatIfEngine:
             (local.chained_input, chained_map_tasks),
         )
 
-    def vertex_content_key(self, vertex: JobVertex) -> _VertexLocalKey:
-        """Public content key of one job vertex's local half of the signature.
+    def vertex_content_key(self, vertex: JobVertex) -> VertexContentKey:
+        """:attr:`JobVertex.content_key <repro.workflow.graph.JobVertex.content_key>`, counted.
 
         Hashable, picklable, and content-equal across plan copies: pipelines
         (operators, inputs, outputs), partitioner fields, combiner activity,
-        profile content, and the chaining flag.  Served by the incremental
-        memo (:meth:`_vertex_local_key`), so deriving it for every vertex of
-        a mostly-shared plan copy is O(dirty vertices) — the decision cache
-        (:mod:`repro.core.decision_cache`) builds unit signatures from it.
-        """
-        return self._vertex_local_key(vertex)
-
-    def _vertex_local_key(self, vertex: JobVertex) -> _VertexLocalKey:
-        """The vertex-content half of the signature, memoized by identity.
-
-        Two memo levels, mirroring what plan copies actually share:
-
-        * **vertex level** — an unchanged vertex is the *same object* across
-          plan copies, so its complete local key is served by identity
-          (pinning the vertex keeps the id stable, and a vertex is frozen);
-        * **pipeline level** — a config-only derivation
-          (:meth:`~repro.mapreduce.job.MapReduceJob.with_config`) creates a
-          fresh vertex but *shares* the pipeline objects, so the operator
-          walks are reused and only the cheap job-level facts are re-read.
-
-        ``signature_derivations`` counts the vertices whose key required at
-        least one real pipeline walk — the dirty cone; everything else is a
+        profile content, and the chaining flag.  Each part is built once per
+        value it describes, so keying every vertex of a mostly-shared plan
+        copy walks only the pipelines its rewrite rebound.  A read that has to
+        walk one counts as a ``signature_derivations``, any other as a
         ``signature_memo_hits``.
         """
-        entry = self._vertex_keys.get(id(vertex))
-        if entry is not None and entry[0] is vertex:
-            self.signature_memo_hits += 1
-            return entry[1]
-
-        job = vertex.job
-        config = job.config  # its own (memo by identity); overlays: vertex_dataflow_signature
-        walked = False
-        pipeline_keys = []
-        for pipeline in job.pipelines:
-            pipeline_entry = self._pipeline_keys.get(id(pipeline))
-            if pipeline_entry is not None and pipeline_entry[0] is pipeline:
-                pipeline_keys.append(pipeline_entry[1])
-                continue
-            walked = True
-            key = _PipelineLocalKey(
-                inputs=tuple(
-                    (dataset_name, pipeline.allowed_partitions(dataset_name))
-                    for dataset_name in pipeline.input_datasets
-                ),
-                map_ops=tuple((op.name, op.cpu_cost_per_record) for op in pipeline.map_ops),
-                reduce_ops=tuple(
-                    (op.name, op.cpu_cost_per_record, op.group_fields)
-                    for op in pipeline.reduce_ops
-                ),
-                output_dataset=pipeline.output_dataset,
-            )
-            pipeline_keys.append(key)
-            if len(self._pipeline_keys) >= _MAX_VERTEX_KEYS:
-                self._pipeline_keys.clear()
-            self._pipeline_keys[id(pipeline)] = (pipeline, key)
-
-        if walked:
+        if "content_key" not in vertex.__dict__ and any(
+            "content_key" not in pipeline.__dict__ for pipeline in vertex.job.pipelines
+        ):
             self.signature_derivations += 1
         else:
             self.signature_memo_hits += 1
-        local = _VertexLocalKey(
-            pipelines=tuple(pipeline_keys),
-            partitioner_fields=tuple(job.effective_partitioner.fields),
-            combiner_active=job.has_combiner and config.combiner_enabled,
-            profile_key=self._profile_key(vertex.annotations.profile),
-            chained_input=config.chained_input,
-        )
-        if len(self._vertex_keys) >= _MAX_VERTEX_KEYS:
-            self._vertex_keys.clear()
-        self._vertex_keys[id(vertex)] = (vertex, local)
-        return local
-
-    def _profile_key(self, profile: Optional[ProfileAnnotation]) -> Optional[Tuple]:
-        """Content-based key of a profile annotation, memoized by identity.
-
-        Profiles are immutable and shared across plan copies, so keying the
-        memo on ``id`` is safe as long as the profile object is pinned (kept
-        referenced) by the memo itself — which also keeps the id stable.
-        """
-        if profile is None:
-            return None
-        entry = self._profile_keys.get(id(profile))
-        if entry is not None and entry[0] is profile:
-            return entry[1]
-        key = (
-            profile.map_selectivity,
-            profile.reduce_selectivity,
-            profile.map_output_record_bytes,
-            profile.output_record_bytes,
-            profile.input_record_bytes,
-            profile.combine_reduction,
-            profile.map_cpu_cost_per_record,
-            profile.reduce_cpu_cost_per_record,
-            tuple(sorted(profile.key_cardinalities.items())),
-            tuple(
-                sorted(
-                    (name, op.selectivity, op.cpu_cost_per_record, op.output_record_bytes)
-                    for name, op in profile.operator_profiles.items()
-                )
-            ),
-        )
-        if len(self._profile_keys) >= _MAX_PROFILE_KEYS:
-            self._profile_keys.clear()
-        self._profile_keys[id(profile)] = (profile, key)
-        return key
+        return vertex.content_key
 
     # --------------------------------------------------------- size tracking
     def base_dataset_sizes(self, workflow: Workflow) -> Dict[str, Tuple[float, float]]:

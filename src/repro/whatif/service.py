@@ -170,9 +170,10 @@ class CostService(ShardedStore):
     :class:`~repro.core.optimizer.StubbyOptimizer`, and the baseline
     optimizers go through one service instance, so cache entries are shared
     across candidate subplans, RRS samples, units, and phases — candidate
-    plans are copies whose unchanged vertices are *shared objects*, so their
-    signatures come from the engine's identity memo, and the content-based
-    keys make even rebound vertices cache-transparent.
+    plans are copies whose unchanged vertices are *shared objects* that
+    carry their own content keys, and the content-based signatures make even
+    rebound vertices cache-transparent.  The service owns its
+    :class:`WhatIfEngine` (``engine``), which holds no per-vertex state.
     See :mod:`repro.common.store` for the concurrency model.
 
     The inherited ``_cache`` is the one memo level: dataflow signature →
@@ -199,12 +200,11 @@ class CostService(ShardedStore):
     def __init__(
         self,
         cluster: ClusterSpec,
-        engine: Optional[WhatIfEngine] = None,
         max_cache_entries: int = DEFAULT_MAX_CACHE_ENTRIES,
         enable_cache: bool = True,
         cache_path: Optional[str] = None,
     ) -> None:
-        self.engine = engine or WhatIfEngine(cluster)
+        self.engine = WhatIfEngine(cluster)
         super().__init__(cluster, max_cache_entries, enabled=enable_cache, cache_path=cache_path)
 
     # ------------------------------------------------------------------ API

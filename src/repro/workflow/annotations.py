@@ -116,10 +116,6 @@ class DatasetAnnotation:
             tuple(sorted(self.field_ranges.items())),
         )
 
-    def with_size(self, size_bytes: float, num_records: float) -> "DatasetAnnotation":
-        """Copy with updated size statistics."""
-        return replace(self, size_bytes=size_bytes, num_records=num_records)
-
 
 # ---------------------------------------------------------------------------
 # Program annotations: schema and filter
@@ -212,13 +208,6 @@ class FilterRange:
         """Whether a value satisfies the filter."""
         return self.low <= value < self.high
 
-    def fraction_of(self, domain_low: float, domain_high: float) -> float:
-        """Fraction of ``[domain_low, domain_high]`` covered by this range."""
-        if domain_high <= domain_low:
-            return 1.0
-        covered = max(0.0, min(self.high, domain_high) - max(self.low, domain_low))
-        return min(1.0, covered / (domain_high - domain_low))
-
 
 @dataclass(frozen=True)
 class FilterAnnotation:
@@ -242,10 +231,6 @@ class FilterAnnotation:
     def range_for(self, field_name: str) -> Optional[FilterRange]:
         """The range constraining ``field_name`` (or ``None``)."""
         return self.ranges.get(field_name)
-
-    def is_empty(self) -> bool:
-        """True when no predicate is present."""
-        return not self.ranges
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +273,9 @@ class ProfileAnnotation:
     preserve operator identities, so the What-if engine can *adjust* packed
     jobs' annotations simply by chaining the operator profiles along the new
     pipelines (selectivities multiply, CPU costs add — paper §5).
+
+    Immutable like the plan that holds it: the two mappings are stored
+    read-only, so :attr:`key` cannot go stale under an in-place edit.
     """
 
     map_selectivity: float = 1.0
@@ -302,6 +290,8 @@ class ProfileAnnotation:
     operator_profiles: Mapping[str, OperatorProfile] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "key_cardinalities", read_only(self.key_cardinalities))
+        object.__setattr__(self, "operator_profiles", read_only(self.operator_profiles))
         for name in (
             "map_selectivity",
             "reduce_selectivity",
@@ -314,6 +304,28 @@ class ProfileAnnotation:
         ):
             if getattr(self, name) < 0:
                 raise AnnotationError(f"profile statistic {name} cannot be negative")
+
+    @cached_property
+    def key(self) -> Tuple:
+        """Every statistic the dataflow derivation reads, built once per profile
+        (:attr:`repro.common.content_keys.VertexContentKey.profile_key`)."""
+        return (
+            self.map_selectivity,
+            self.reduce_selectivity,
+            self.map_output_record_bytes,
+            self.output_record_bytes,
+            self.input_record_bytes,
+            self.combine_reduction,
+            self.map_cpu_cost_per_record,
+            self.reduce_cpu_cost_per_record,
+            tuple(sorted(self.key_cardinalities.items())),
+            tuple(
+                sorted(
+                    (name, op.selectivity, op.cpu_cost_per_record, op.output_record_bytes)
+                    for name, op in self.operator_profiles.items()
+                )
+            ),
+        )
 
     def operator(self, name: str) -> Optional[OperatorProfile]:
         """Profile of a named operator, or ``None`` when not profiled."""
@@ -405,8 +417,9 @@ class JobAnnotations:
         """Content of everything but the profile, built once per container.
 
         The profile is deliberately *not* re-keyed here: its content already
-        reaches the decision key through the vertex local key
-        (:attr:`~repro.whatif.model._VertexLocalKey.profile_key`).
+        reaches the decision key through the vertex content key
+        (:attr:`ProfileAnnotation.key`, held by
+        :attr:`repro.workflow.graph.JobVertex.content_key`).
         """
         return (
             schema_annotation_key(self.schema),
@@ -425,11 +438,6 @@ class JobAnnotations:
                 )
             ),
         )
-
-    @property
-    def has_schema(self) -> bool:
-        """Whether a schema annotation is available."""
-        return self.schema is not None
 
     @property
     def has_profile(self) -> bool:

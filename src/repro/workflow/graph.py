@@ -38,8 +38,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.common.content_keys import VertexContentKey, optional_key
 from repro.common.errors import WorkflowValidationError
 from repro.dfs.dataset import Dataset
 from repro.mapreduce.job import MapReduceJob
@@ -164,6 +166,20 @@ class JobVertex:
     def name(self) -> str:
         """The job's name (vertex identity)."""
         return self.job.name
+
+    @cached_property
+    def content_key(self) -> VertexContentKey:
+        """What the dataflow derivation reads from this vertex, built once per
+        vertex from its pipelines' and profile's own keys: an unchanged vertex
+        is the same object in every candidate plan, so it keys once."""
+        job = self.job
+        return VertexContentKey(
+            pipelines=tuple(pipeline.content_key for pipeline in job.pipelines),
+            partitioner_fields=tuple(job.effective_partitioner.fields),
+            combiner_active=job.has_combiner and job.config.combiner_enabled,
+            profile_key=optional_key(self.annotations.profile),
+            chained_input=job.config.chained_input,
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,17 +3,19 @@
 ``src/`` builds each part of a unit decision key once per frozen value it
 describes (``JobConfig.key``, ``PartitionFunction.key``, ``JobAnnotations.key``,
 ``DatasetAnnotation.key``, ``MapReduceJob.shape_key`` /
-``effective_partitioner``, the what-if engine's vertex memo) and fixes a
-dataset's statistics at ``Dataset.load()``.  The functions here are the
-builders as they stood before that (ISSUE 21), relocated out of ``src/``:
-they read no memo — every tuple is rebuilt from the fields, every size
-recounted from the records — so ``==`` against them shows that a memoised
-part still says what its value says.  Run as a script to compare every unit
-key of the eleven pinned plans, cold and warm (exit status 1 on a mismatch).
+``effective_partitioner``, ``JobVertex.content_key`` / ``Pipeline.content_key``
+/ ``ProfileAnnotation.key``) and fixes a dataset's statistics at
+``Dataset.load()``.  The functions here are the builders as they stood before
+any of that was memoised, relocated out of ``src/``: they read no memo —
+every tuple is rebuilt from the fields, every size recounted from the
+records — so ``==`` against them shows that a memoised part still says what
+its value says.  Run as a script to compare every unit key of the eleven
+pinned plans, cold and warm (exit status 1 on a mismatch).
 """
 
 import dataclasses
 
+from repro.common.content_keys import PipelineContentKey, VertexContentKey
 from repro.common.hashing import stable_hash
 from repro.common.records import record_size_bytes
 from repro.common.store import cluster_cache_key
@@ -151,15 +153,52 @@ def plan_signature(plan):
     return tuple(sorted(parts))
 
 
-def vertex_content_key(cluster, vertex):
-    """The engine's local key from an engine that has memoised nothing, its
-    two reads of the job's own memos checked against a fresh derivation."""
-    local = whatif_model.WhatIfEngine(cluster).vertex_content_key(vertex)
+def profile_key(profile):
+    if profile is None:
+        return None
+    return (
+        profile.map_selectivity,
+        profile.reduce_selectivity,
+        profile.map_output_record_bytes,
+        profile.output_record_bytes,
+        profile.input_record_bytes,
+        profile.combine_reduction,
+        profile.map_cpu_cost_per_record,
+        profile.reduce_cpu_cost_per_record,
+        tuple(sorted(profile.key_cardinalities.items())),
+        tuple(
+            sorted(
+                (name, op.selectivity, op.cpu_cost_per_record, op.output_record_bytes)
+                for name, op in profile.operator_profiles.items()
+            )
+        ),
+    )
+
+
+def pipeline_content_key(pipeline):
+    return PipelineContentKey(
+        inputs=tuple(
+            (dataset_name, pipeline.allowed_partitions(dataset_name))
+            for dataset_name in pipeline.input_datasets
+        ),
+        map_ops=tuple((op.name, op.cpu_cost_per_record) for op in pipeline.map_ops),
+        reduce_ops=tuple(
+            (op.name, op.cpu_cost_per_record, op.group_fields) for op in pipeline.reduce_ops
+        ),
+        output_dataset=pipeline.output_dataset,
+    )
+
+
+def vertex_content_key(vertex):
     job = vertex.job
-    assert local.partitioner_fields == tuple(effective_partitioner(job).fields)
     has_combiner = any(p.map_side_combiner is not None for p in job.pipelines)
-    assert local.combiner_active == (has_combiner and job.config.combiner_enabled)
-    return local
+    return VertexContentKey(
+        pipelines=tuple(pipeline_content_key(pipeline) for pipeline in job.pipelines),
+        partitioner_fields=tuple(effective_partitioner(job).fields),
+        combiner_active=has_combiner and job.config.combiner_enabled,
+        profile_key=profile_key(vertex.annotations.profile),
+        chained_input=job.config.chained_input,
+    )
 
 
 # ------------------------------------------------------------------ the unit key
@@ -172,7 +211,7 @@ def decision_key(search, plan, subunits, transformations, phase):
         job_parts.append(
             (
                 vertex.name,
-                vertex_content_key(search.cluster, vertex),
+                vertex_content_key(vertex),
                 config_key(job.config),
                 partition_function_key(effective_partitioner(job)),
                 job_annotations_key(vertex.annotations),

@@ -39,10 +39,6 @@ class TestDatasetAnnotation:
         with pytest.raises(AnnotationError):
             DatasetAnnotation(partition_kind="zigzag")
 
-    def test_with_size(self):
-        annotation = DatasetAnnotation().with_size(100.0, 10.0)
-        assert annotation.size_bytes == 100.0 and annotation.num_records == 10.0
-
 
 class TestSchemaAnnotation:
     def test_of_builds_fieldsets(self):
@@ -77,17 +73,11 @@ class TestFilterAnnotation:
         with pytest.raises(AnnotationError):
             FilterRange(5.0, 5.0)
 
-    def test_fraction_of_domain(self):
-        fr = FilterRange(0.0, 50.0)
-        assert fr.fraction_of(0.0, 100.0) == pytest.approx(0.5)
-        assert fr.fraction_of(60.0, 100.0) == 0.0
-
     def test_of_constructor_and_lookup(self):
         annotation = FilterAnnotation.of(age=(10.0, 35.0))
         assert annotation.fields == ("age",)
         assert annotation.range_for("age").high == 35.0
         assert annotation.range_for("other") is None
-        assert not annotation.is_empty()
 
 
 class TestProfileAnnotation:
@@ -146,6 +136,5 @@ class TestJobAnnotations:
         assert annotations.filter_for().fields == ("x",)
 
     def test_has_flags(self):
-        assert not JobAnnotations().has_schema
-        assert JobAnnotations(schema=SchemaAnnotation.of(k2=["a"])).has_schema
         assert not JobAnnotations().has_profile
+        assert JobAnnotations(profile=ProfileAnnotation()).has_profile

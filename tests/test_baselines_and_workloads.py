@@ -185,7 +185,7 @@ class TestWorkloadCatalog:
         for abbr in WORKLOAD_ORDER:
             workload = build_workload(abbr, scale=0.1)
             for vertex in workload.workflow.jobs:
-                assert vertex.annotations.has_schema, f"{abbr}:{vertex.name}"
+                assert vertex.annotations.schema is not None, f"{abbr}:{vertex.name}"
 
     def test_base_datasets_are_annotated(self):
         workload = build_workload("LA", scale=0.1)

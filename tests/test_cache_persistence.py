@@ -70,6 +70,26 @@ class TestRoundTrip:
         assert warmed.stats.job_cache_hits == warmed.stats.job_queries
         assert warmed.stats.job_full_recosts == 0
 
+    def test_rows_name_no_key_class_so_a_version_3_file_outlives_a_key_move(
+        self, tmp_path, profiled_workflow
+    ):
+        # A row is plain tuples around a JobDataflow: when the vertex content
+        # key classes moved module (decision format 4, catalog format 2), a
+        # cost file written before the move kept loading, unbumped.
+        path = str(tmp_path / "costs.cache")
+        _warmed_service(profiled_workflow).save_cache(path)
+        named = set()
+
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                named.add((module, name))
+                return super().find_class(module, name)
+
+        with open(path, "rb") as handle:
+            Recording(handle).load()
+        assert named == {("repro.whatif.dataflow", "JobDataflow")}
+        assert CostService(CLUSTER, cache_path=path).last_load.loaded
+
     def test_save_requires_a_path(self, profiled_workflow):
         service = _warmed_service(profiled_workflow)
         with pytest.raises(ValueError, match="no cache path"):

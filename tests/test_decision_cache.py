@@ -427,21 +427,45 @@ class TestPersistence:
         assert not reloaded.last_load.loaded
         assert "format version" in reloaded.last_load.reason
 
-    def test_version_2_file_is_rejected_whole_and_replaced_on_persist(self, tmp_path):
-        # Version-2 keys left out two JobConfig fields: no row may be served.
+    # Version-2 keys left out two JobConfig fields; version-3 keys name the
+    # vertex content key by a module path that no longer holds it: no row of
+    # either may be served.
+    @pytest.mark.parametrize("old_version", [2, 3])
+    def test_version_2_file_is_rejected_whole_and_replaced_on_persist(
+        self, tmp_path, old_version
+    ):
         workload = _profiled()
         path = str(tmp_path / "decisions.cache")
         cache, _ = self._warm_cache(workload)
         cache.save_cache(path)
-        self._rewrite_payload(path, format_version=2)
+        self._rewrite_payload(path, format_version=old_version)
         reloaded = DecisionCache(CLUSTER, enabled=True, cache_path=path)
         assert not reloaded.last_load.loaded and reloaded.cache_size == 0
         assert "format version" in reloaded.last_load.reason
         _optimizer(decision_cache=reloaded).optimize(workload.plan)
         assert persist([reloaded]) == reloaded.cache_size > 0
         with open(path, "rb") as handle:
-            assert pickle.load(handle)["format_version"] == DECISION_CACHE_FORMAT_VERSION == 3
+            assert pickle.load(handle)["format_version"] == DECISION_CACHE_FORMAT_VERSION == 4
         assert DecisionCache(CLUSTER, enabled=True, cache_path=path).last_load.loaded
+
+    def test_keys_naming_a_class_that_moved_are_rejected_quietly(self, tmp_path, monkeypatch):
+        # A version-3 file pickles each vertex content key as a class of
+        # ``repro.whatif.model``, which no longer holds it.
+        workload = _profiled()
+        path = str(tmp_path / "decisions.cache")
+        cache, _ = self._warm_cache(workload)
+        cache.save_cache(path)
+        old_key = type("_VertexLocalKey", (), {"__module__": whatif_model.__name__})
+        monkeypatch.setattr(whatif_model, old_key.__name__, old_key, raising=False)
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        payload["entries"] = [((old_key(), key), *rest) for key, *rest in payload["entries"]]
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.undo()
+        reloaded = DecisionCache(CLUSTER, enabled=True, cache_path=path)
+        assert not reloaded.last_load.loaded and reloaded.cache_size == 0
+        assert "unreadable" in reloaded.last_load.reason
 
     def test_model_version_mismatch_is_rejected(self, tmp_path, monkeypatch):
         workload = _profiled()

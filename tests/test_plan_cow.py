@@ -42,12 +42,13 @@ from repro.dfs import dataset as dataset_module
 from repro.mapreduce.config import JobConfig
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.partitioner import PartitionFunction
+from repro.mapreduce.pipeline import Pipeline
 from repro.profiler import Profiler
 from repro.verification import RandomWorkflowGenerator
 from repro.whatif.dataflow import JobDataflow
 from repro.whatif.jobmodel import JobTimeEstimate
 from repro.whatif.service import CostService
-from repro.workflow.annotations import DatasetAnnotation, JobAnnotations
+from repro.workflow.annotations import DatasetAnnotation, JobAnnotations, ProfileAnnotation
 from repro.workflow.graph import COPY_COUNTERS, DatasetVertex, JobVertex
 from repro.workloads import build_workload
 from tests import key_oracle, test_golden_fingerprints as golden
@@ -340,7 +341,8 @@ class TestWarmReplayBounds:
 
     #: The memoised parts of a decision key: (owner, cached property, builds
     #: allowed per vertex the replay creates — a job vertex can bring a new
-    #: effective partitioner *and* a new partition constraint).
+    #: effective partitioner *and* a new partition constraint; pipelines
+    #: measured at most 2 per 13 new vertices, on IR).
     PARTS = (
         (MapReduceJob, "shape_key", 1),
         (MapReduceJob, "effective_partitioner", 1),
@@ -348,6 +350,9 @@ class TestWarmReplayBounds:
         (JobConfig, "key", 1),
         (PartitionFunction, "key", 2),
         (DatasetAnnotation, "key", 1),
+        (JobVertex, "content_key", 1),
+        (Pipeline, "content_key", 1),
+        (ProfileAnnotation, "key", 1),
     )
 
     @pytest.fixture(scope="class")

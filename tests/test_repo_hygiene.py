@@ -68,7 +68,9 @@ def test_src_has_no_mode_switches():
     nothing set; the topology index's sharing protocol (``_topo_shared``,
     ``_topology_for_mutation``, ``incremental_updates``: an edge-moving
     edit drops the index) and the graph layer's test-only API
-    (``scan_equivalents``, ``remove_dataset``, ``classify_pair``).  A path
+    (``scan_equivalents``, ``remove_dataset``, ``classify_pair``); the
+    what-if engine's three identity tables, their caps and builders (a
+    vertex's content key is a ``cached_property`` on the vertex).  A path
     that needs a baseline keeps it under tests/."""
     banned = re.compile(
         r"def set_\w+_enabled|STUBBY_EXPERIMENT_DISPATCH"
@@ -89,6 +91,8 @@ def test_src_has_no_mode_switches():
         r"|chosen_" r"transformations|all_" r"operators|def wall_" r"s\b"
         r"|_topo_" r"shared|_topology_for_" r"mutation|incremental_" r"updates"
         r"|scan_" r"equivalents|remove_" r"dataset|classify_" r"pair"
+        r"|_vertex_" r"keys|_pipeline_" r"keys|_profile_" r"keys"
+        r"|_MAX_VERTEX_" r"KEYS|_MAX_PROFILE_" r"KEYS|_vertex_local_" r"key|_PipelineLocal" r"Key"
     )
     assert [path for path, text in _src_sources() if banned.search(text)] == []
     # One fan-out level: requests and cells fork, the unit search does not.
@@ -102,6 +106,20 @@ def test_src_has_no_mode_switches():
         for path, text in _src_sources()
         if path.replace(os.sep, "/").startswith(serial) and pool_import.search(text)
     ] == []
+
+
+def test_src_keeps_no_identity_table():
+    """Nothing under src/ calls the builtin ``id()``: what describes a frozen
+    value is a ``cached_property`` on it, never a table keyed by identity."""
+    calls = [
+        f"{path}:{node.lineno}"
+        for path, text in _src_sources()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "id"
+    ]
+    assert calls == []
 
 
 def test_no_test_indexes_a_worker_result_by_constant():

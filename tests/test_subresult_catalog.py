@@ -29,7 +29,7 @@ import pickle
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.common.store import attributed, resolve_env_path
+from repro.common.store import attributed, persist, resolve_env_path
 from repro.core.decision_cache import DecisionCache
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.search import plan_decision_fingerprint as fingerprint
@@ -47,10 +47,12 @@ from repro.core.subresults import (
 )
 from repro.dfs.dataset import Dataset
 from repro.experiments.harness import ExperimentHarness
+from repro.mapreduce.config import JobConfig
 from repro.mapreduce.partitioner import PartitionFunction
 from repro.verification.generator import RandomWorkflowGenerator
 from repro.whatif import model as whatif_model
 from repro.workflow.executor import WorkflowExecutor
+from repro.workloads import build_workload
 
 CLUSTER = ClusterSpec.paper_cluster()
 
@@ -113,6 +115,35 @@ class TestSignatures:
         mutated = config.with_settings({"split_size_mb": config.split_size_mb * 2})
         first.workflow.replace_job(f"S{SEED}_J0", vertex.job.with_config(mutated))
         assert subgraph_signature(first.workflow, P1, CLUSTER) != before
+
+    @pytest.mark.parametrize("source", ["pair", "BR"])
+    def test_every_job_config_field_moves_the_signature(self, source):
+        """The signature pins ``JobConfig.key``, every field; the six searched
+        settings of ``as_dict()`` left ``forced_single_reduce`` out."""
+        if source == "pair":
+            workflow = _pair()[0].workflow
+        else:
+            workflow = build_workload(source, scale=0.05).workflow
+        checked = 0
+        for dataset_vertex in workflow.datasets:
+            name = dataset_vertex.name
+            producer = workflow.producer_of(name)
+            if producer is None or producer.job.is_map_only or not workflow.consumers_of(name):
+                continue
+            before = subgraph_signature(workflow, name, CLUSTER)
+            config = producer.job.config
+            for config_field in dataclasses.fields(JobConfig):
+                value = getattr(config, config_field.name)
+                changed = config.replace(
+                    **{config_field.name: (not value) if isinstance(value, bool) else value + 1}
+                )
+                perturbed = workflow.copy()
+                perturbed.update_job(producer.name, lambda job: job.with_config(changed))
+                assert subgraph_signature(perturbed, name, CLUSTER) != before, (
+                    name, config_field.name
+                )
+                checked += 1
+        assert checked >= len(dataclasses.fields(JobConfig))
 
     def test_partitioner_change_misses(self):
         first, _ = _pair()
@@ -394,6 +425,21 @@ class TestPersistence:
         reloaded = SubResultCatalog(CLUSTER, cache_path=path)
         assert not reloaded.last_load.loaded
         assert "format version" in reloaded.last_load.reason
+
+    def test_version_1_file_is_rejected_whole_and_replaced_on_persist(self, tmp_path):
+        # Version-1 signatures keyed six JobConfig fields: no row may be served.
+        path = str(tmp_path / "subresults.catalog")
+        catalog, first, _ = self._warm_catalog()
+        catalog.save_cache(path)
+        self._rewrite_payload(path, format_version=1)
+        reloaded = SubResultCatalog(CLUSTER, cache_path=path)
+        assert not reloaded.last_load.loaded and reloaded.catalog_size == 0
+        assert "format version" in reloaded.last_load.reason
+        _execute_and_register(reloaded, first)
+        assert persist([reloaded]) == reloaded.catalog_size == 2
+        with open(path, "rb") as handle:
+            assert pickle.load(handle)["format_version"] == SUBRESULT_CATALOG_FORMAT_VERSION == 2
+        assert SubResultCatalog(CLUSTER, cache_path=path).last_load.loaded
 
     def test_model_version_mismatch_is_rejected(self, tmp_path, monkeypatch):
         path = str(tmp_path / "subresults.catalog")

@@ -317,12 +317,15 @@ class TestFrozenValues:
                         setattr(value, field.name, None)
                     pending.append(getattr(value, field.name))
         assert {JobVertex, DatasetVertex, JobAnnotations, MapReduceJob, Pipeline} <= seen
-        # The mapping fields of the graph values are read-only content too.
+        # The mapping fields of the graph values are read-only content too
+        # (a profile's two are what its cached ``key`` is built from).
         vertex = workload.workflow.jobs[0]
         for mapping in (
             vertex.annotations.conditions,
             vertex.annotations.per_input_filters,
             vertex.job.pipelines[0].input_partition_filter,
+            vertex.annotations.profile.key_cardinalities,
+            vertex.annotations.profile.operator_profiles,
         ):
             with pytest.raises(TypeError):
                 mapping["probe"] = None

@@ -14,6 +14,10 @@ that scales the per-record CPU costs recorded in profile annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Tuple
+
+MB = 1024.0 * 1024.0
 
 
 @dataclass(frozen=True)
@@ -93,17 +97,21 @@ class ClusterSpec:
         """Aggregate memory across the cluster."""
         return self.num_nodes * self.node.memory_mb
 
-    def map_waves(self, num_map_tasks: int) -> int:
-        """Number of sequential map waves needed for ``num_map_tasks``."""
-        if num_map_tasks <= 0:
-            return 0
-        return -(-num_map_tasks // self.total_map_slots)
-
-    def reduce_waves(self, num_reduce_tasks: int) -> int:
-        """Number of sequential reduce waves needed for ``num_reduce_tasks``."""
-        if num_reduce_tasks <= 0:
-            return 0
-        return -(-num_reduce_tasks // self.total_reduce_slots)
+    @cached_property
+    def job_model_constants(self) -> Tuple[float, float, float, int, int, int]:
+        """What the job model derives from the spec, once per spec: disk read,
+        disk write and network bytes/s, total map and reduce slots, and the
+        cap on parallel shuffle streams (``min(total reduce slots, nodes)``)."""
+        node = self.node
+        reduce_slots = self.total_reduce_slots
+        return (
+            node.disk_read_mb_per_s * MB,
+            node.disk_write_mb_per_s * MB,
+            self.network_mb_per_s * MB,
+            self.total_map_slots,
+            reduce_slots,
+            min(reduce_slots, self.num_nodes),
+        )
 
     def scaled(self, num_nodes: int) -> "ClusterSpec":
         """Return a copy of this spec with a different node count."""

@@ -3,14 +3,14 @@
 The configuration transformation (§3.5) changes settings such as the number
 of reduce tasks, the map-output sort buffer, and output compression.  Stubby
 searches this space with Recursive Random Search, so the space itself is
-modelled explicitly as :class:`ConfigurationSpace`: a list of named
+modelled explicitly as :class:`ConfigurationSpace`: a frozen tuple of named
 dimensions, each either numeric (with bounds) or boolean, from which points
 can be sampled and clamped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -123,7 +123,7 @@ class JobConfig:
         values = None
         for index, name, floor in slots:
             value = point[index]
-            value = bool(value) if floor is None else max(floor, int(round(float(value))))
+            value = bool(value) if floor is None else max(floor, round(float(value)))
             if value != current[name]:
                 if values is None:
                     values = current.copy()
@@ -190,11 +190,14 @@ class ConfigDimension:
         return int(round(min(max(float(value), self.low), self.high)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfigurationSpace:
     """The set of dimensions searched by configuration transformations."""
 
-    dimensions: List[ConfigDimension] = field(default_factory=list)
+    dimensions: Tuple[ConfigDimension, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dimensions", tuple(self.dimensions))
 
     @classmethod
     def for_job(
@@ -220,10 +223,17 @@ class ConfigurationSpace:
             dims.append(ConfigDimension("combiner_enabled", "bool"))
         return cls(dimensions=dims)
 
-    @property
-    def names(self) -> List[str]:
+    @cached_property
+    def names(self) -> Tuple[str, ...]:
         """Dimension names in declaration order."""
-        return [dim.name for dim in self.dimensions]
+        return tuple(dim.name for dim in self.dimensions)
+
+    @cached_property
+    def _rows(self) -> Tuple[Tuple[bool, float, float, float], ...]:
+        # What the samplers read per dimension: (is bool, low, high, high - low).
+        return tuple(
+            (dim.kind == "bool", dim.low, dim.high, dim.high - dim.low) for dim in self.dimensions
+        )
 
     def sample(self, rng: DeterministicRNG) -> Tuple[object, ...]:
         """One uniformly random point: its values in dimension order.
@@ -233,13 +243,10 @@ class ConfigurationSpace:
         the stream exactly as it always has.
         """
         draw = rng.draw
-        point = []
-        for dim in self.dimensions:
-            if dim.kind == "bool":
-                point.append(draw() < 0.5)
-            else:
-                point.append(int(round(dim.low + (dim.high - dim.low) * draw())))
-        return tuple(point)
+        return tuple([
+            draw() < 0.5 if is_bool else round(low + width * draw())
+            for is_bool, low, _, width in self._rows
+        ])
 
     def sample_near(
         self,
@@ -251,19 +258,20 @@ class ConfigurationSpace:
 
         A bool is redrawn with probability ``radius`` (two draws) and kept
         otherwise (one); an int is drawn uniformly within ``radius`` of the
-        range around its centre value, then clamped.
+        range around its centre value, then clamped (``round`` of a float is
+        already an ``int``).
         """
         draw = rng.draw
         point = []
-        for dim, value in zip(self.dimensions, center):
-            if dim.kind == "bool":
+        for (is_bool, low, high, width), value in zip(self._rows, center):
+            if is_bool:
                 point.append(draw() < 0.5 if draw() < radius else bool(value))
             else:
-                low, high = dim.low, dim.high
-                span = (high - low) * radius
-                start = float(value) - span
-                drawn = start + (float(value) + span - start) * draw()
-                point.append(int(round(min(max(drawn, low), high))))
+                value = float(value)
+                span = width * radius
+                start = value - span
+                drawn = start + (value + span - start) * draw()
+                point.append(round(low if drawn < low else high if high < drawn else drawn))
         return tuple(point)
 
     def clamp(self, point: Mapping[str, object]) -> Dict[str, object]:

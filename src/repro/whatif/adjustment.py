@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence
 
+from repro.common import left_sum
 from repro.workflow.annotations import ProfileAnnotation
 
 
@@ -102,12 +103,12 @@ def adjust_profile_for_horizontal_packing(
     assert merged is not None
     return replace(
         merged,
-        map_selectivity=sum(p.map_selectivity for p in profiles),
+        map_selectivity=left_sum(p.map_selectivity for p in profiles),
         reduce_selectivity=(
-            sum(p.map_selectivity * p.reduce_selectivity for p in profiles)
-            / max(1e-12, sum(p.map_selectivity for p in profiles))
+            left_sum(p.map_selectivity * p.reduce_selectivity for p in profiles)
+            / max(1e-12, left_sum(p.map_selectivity for p in profiles))
         ),
-        map_cpu_cost_per_record=sum(p.map_cpu_cost_per_record for p in profiles),
+        map_cpu_cost_per_record=left_sum(p.map_cpu_cost_per_record for p in profiles),
         reduce_cpu_cost_per_record=max(p.reduce_cpu_cost_per_record for p in profiles),
         input_record_bytes=max(p.input_record_bytes for p in profiles),
         map_output_record_bytes=max(p.map_output_record_bytes for p in profiles),

@@ -74,14 +74,6 @@ class JobDataflow:
         if self.pipeline_count < 1:
             raise ValueError("pipeline_count must be at least 1")
 
-    @property
-    def parallelism_cap(self) -> Optional[float]:
-        """The tightest known bound on useful reduce parallelism."""
-        caps = [c for c in (self.distinct_reduce_groups, self.distinct_partition_keys) if c]
-        if not caps:
-            return None
-        return max(1.0, min(caps))
-
     def scaled(self, factor: float) -> "JobDataflow":
         """Scale every byte/record quantity by ``factor`` (cardinalities kept)."""
         if factor <= 0:

@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
 
-from repro.cluster import ClusterSpec
+from repro.cluster.spec import MB, ClusterSpec
 from repro.mapreduce.config import JobConfig
 from repro.whatif.dataflow import JobDataflow
-
-MB = 1024.0 * 1024.0
 
 #: Seconds of CPU time represented by one "cost unit" applied to one record.
 #: Workload operators declare costs in the 1–30 range, so a cost of 4 means
@@ -51,7 +48,6 @@ class JobTimeEstimate:
     num_reduce_tasks: int
     map_task_s: float
     reduce_task_s: float
-    details: Dict[str, float]
 
     @property
     def total_s(self) -> float:
@@ -64,182 +60,103 @@ def estimate_job_time(
     config: JobConfig,
     cluster: ClusterSpec,
 ) -> JobTimeEstimate:
-    """Estimate the runtime of one job from its dataflow, config, and cluster."""
-    details: Dict[str, float] = {}
+    """Estimate the runtime of one job from its dataflow, config, and cluster.
 
-    num_map_tasks = _num_map_tasks(dataflow, config)
-    details["num_map_tasks"] = num_map_tasks
-
-    map_task_s = _map_task_time(dataflow, config, cluster, num_map_tasks, details)
-    map_waves = cluster.map_waves(num_map_tasks)
-    map_phase_s = map_waves * (map_task_s + cluster.task_startup_s)
-    details["map_waves"] = map_waves
-
-    if dataflow.map_only or config.is_map_only:
-        return JobTimeEstimate(
-            map_phase_s=map_phase_s,
-            shuffle_s=0.0,
-            reduce_phase_s=0.0,
-            startup_s=cluster.job_startup_s,
-            num_map_tasks=num_map_tasks,
-            num_reduce_tasks=0,
-            map_task_s=map_task_s,
-            reduce_task_s=0.0,
-            details=details,
-        )
-
-    num_reduce_tasks = max(1, config.num_reduce_tasks)
-    effective_reducers = _effective_reducers(dataflow, num_reduce_tasks)
-    details["effective_reducers"] = effective_reducers
-
-    shuffle_bytes = dataflow.shuffle_bytes
-    if config.compress_map_output:
-        shuffle_bytes *= COMPRESSION_RATIO
-    shuffle_s = _shuffle_time(shuffle_bytes, num_reduce_tasks, cluster)
-    details["shuffle_bytes"] = shuffle_bytes
-
-    reduce_task_s = _reduce_task_time(
-        dataflow, config, cluster, effective_reducers, shuffle_bytes, details
+    One flat function: every RRS sample runs it, so it reads each input once
+    and builds no object but its answer.  Each float keeps the operation
+    order of the phase-by-phase derivation it replaced
+    (``tests/jobmodel_oracle.py`` holds that derivation and checks ``==``).
+    """
+    read_bps, write_bps, network_bps, map_slots, reduce_slots, max_streams = (
+        cluster.job_model_constants
     )
-    reduce_waves = cluster.reduce_waves(num_reduce_tasks)
-    reduce_phase_s = reduce_waves * cluster.task_startup_s + reduce_task_s
-    details["reduce_waves"] = reduce_waves
+    task_startup_s = cluster.task_startup_s
+    cpu_speed_factor = cluster.cpu_speed_factor
+    pipeline_count = dataflow.pipeline_count
+    contention = 1.0 + PIPELINE_CONTENTION_FACTOR * (pipeline_count - 1)
+    map_only = dataflow.map_only or config.num_reduce_tasks == 0
 
-    return JobTimeEstimate(
-        map_phase_s=map_phase_s,
-        shuffle_s=shuffle_s,
-        reduce_phase_s=reduce_phase_s,
-        startup_s=cluster.job_startup_s,
-        num_map_tasks=num_map_tasks,
-        num_reduce_tasks=num_reduce_tasks,
-        map_task_s=map_task_s,
-        reduce_task_s=reduce_task_s,
-        details=details,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Phase helpers
-# ---------------------------------------------------------------------------
-
-
-def _num_map_tasks(dataflow: JobDataflow, config: JobConfig) -> int:
-    if dataflow.chained_map_tasks:
-        return max(1, int(dataflow.chained_map_tasks))
-    split_bytes = config.split_size_mb * MB
-    return max(1, int(math.ceil(dataflow.input_bytes / split_bytes)))
-
-
-def _map_task_time(
-    dataflow: JobDataflow,
-    config: JobConfig,
-    cluster: ClusterSpec,
-    num_map_tasks: int,
-    details: Dict[str, float],
-) -> float:
-    node = cluster.node
-    input_bytes_per_task = dataflow.input_bytes / num_map_tasks
-    input_records_per_task = dataflow.input_records / num_map_tasks
-
-    read_s = input_bytes_per_task / (node.disk_read_mb_per_s * MB)
-
-    contention = 1.0 + PIPELINE_CONTENTION_FACTOR * (dataflow.pipeline_count - 1)
+    # Map: one task per split, or per producer reduce task under chaining.
+    chained = dataflow.chained_map_tasks
+    if chained:
+        num_map_tasks = max(1, int(chained))
+    else:
+        num_map_tasks = max(1, math.ceil(dataflow.input_bytes / (config.split_size_mb * MB)))
+    read_s = dataflow.input_bytes / num_map_tasks / read_bps
     cpu_s = (
-        input_records_per_task
+        dataflow.input_records / num_map_tasks
         * dataflow.map_cpu_cost_per_record
         * CPU_COST_UNIT_SECONDS
-        * cluster.cpu_speed_factor
+        * cpu_speed_factor
         * contention
     )
-
-    # Collect / spill / sort of the map output (skipped for map-only jobs,
-    # whose output is written straight back to the DFS).
-    map_output_bytes_per_task = dataflow.map_output_bytes / num_map_tasks
-    if dataflow.map_only or config.is_map_only:
+    if map_only:
+        # Written straight back to the DFS: no collect, spill or sort.
         write_bytes = dataflow.output_bytes / num_map_tasks
         compress_cpu = 0.0
         if config.compress_output:
             compress_cpu = (write_bytes / MB) * COMPRESSION_CPU_S_PER_MB
             write_bytes *= COMPRESSION_RATIO
-        spill_s = write_bytes / (node.disk_write_mb_per_s * MB) + compress_cpu
-        details["map_sort_spill_s"] = 0.0
+        spill_s = write_bytes / write_bps + compress_cpu
     else:
         # Memory available to the sort buffer is shared by packed pipelines.
-        effective_sort_mb = max(8.0, config.io_sort_mb / dataflow.pipeline_count)
-        spill_passes = max(
-            1.0, math.ceil((map_output_bytes_per_task / MB) / effective_sort_mb)
-        )
-        sort_factor = 1.0 + 0.25 * math.log2(max(1.0, spill_passes))
-        spill_bytes = map_output_bytes_per_task * sort_factor
+        map_output_bytes_per_task = dataflow.map_output_bytes / num_map_tasks
+        effective_sort_mb = max(8.0, config.io_sort_mb / pipeline_count)
+        spill_passes = max(1.0, math.ceil((map_output_bytes_per_task / MB) / effective_sort_mb))
+        spill_bytes = map_output_bytes_per_task * (1.0 + 0.25 * math.log2(max(1.0, spill_passes)))
         compress_cpu = 0.0
         if config.compress_map_output:
             compress_cpu = (spill_bytes / MB) * COMPRESSION_CPU_S_PER_MB
             spill_bytes *= COMPRESSION_RATIO
-        spill_s = (
-            spill_bytes / (node.disk_write_mb_per_s * MB)
-            + spill_bytes / (node.disk_read_mb_per_s * MB) * 0.5
-            + compress_cpu
+        spill_s = spill_bytes / write_bps + spill_bytes / read_bps * 0.5 + compress_cpu
+    map_task_s = read_s + cpu_s + spill_s
+    map_phase_s = -(-num_map_tasks // map_slots) * (map_task_s + task_startup_s)
+
+    if map_only:
+        return JobTimeEstimate(
+            map_phase_s, 0.0, 0.0, cluster.job_startup_s, num_map_tasks, 0, map_task_s, 0.0
         )
-        details["map_sort_spill_s"] = spill_s
 
-    details["map_read_s"] = read_s
-    details["map_cpu_s"] = cpu_s
-    return read_s + cpu_s + spill_s
+    # Shuffle: one stream per reduce task, up to one per node.
+    num_reduce_tasks = max(1, config.num_reduce_tasks)
+    shuffle_bytes = dataflow.shuffle_bytes
+    if config.compress_map_output:
+        shuffle_bytes *= COMPRESSION_RATIO
+    shuffle_s = shuffle_bytes / (network_bps * max(1, min(num_reduce_tasks, max_streams)))
 
-
-def _effective_reducers(dataflow: JobDataflow, num_reduce_tasks: int) -> float:
-    cap = dataflow.parallelism_cap
-    if cap is None:
-        return float(num_reduce_tasks)
-    return float(max(1.0, min(float(num_reduce_tasks), cap)))
-
-
-def _shuffle_time(shuffle_bytes: float, num_reduce_tasks: int, cluster: ClusterSpec) -> float:
-    parallel_streams = max(1, min(num_reduce_tasks, cluster.total_reduce_slots, cluster.num_nodes))
-    effective_bandwidth = cluster.network_mb_per_s * MB * parallel_streams
-    return shuffle_bytes / effective_bandwidth
-
-
-def _reduce_task_time(
-    dataflow: JobDataflow,
-    config: JobConfig,
-    cluster: ClusterSpec,
-    effective_reducers: float,
-    shuffle_bytes: float,
-    details: Dict[str, float],
-) -> float:
-    node = cluster.node
-    records_per_reducer = dataflow.reduce_input_records / effective_reducers
-    bytes_per_reducer = shuffle_bytes / effective_reducers
-    output_bytes_per_reducer = dataflow.output_bytes / effective_reducers
-
+    # Reduce: useful parallelism is capped by distinct groups / partition keys.
+    groups, keys = dataflow.distinct_reduce_groups, dataflow.distinct_partition_keys
+    reducers = float(num_reduce_tasks)
+    if groups or keys:
+        cap = max(1.0, min(groups, keys) if groups and keys else groups or keys)
+        reducers = float(max(1.0, min(reducers, cap)))
+    bytes_per_reducer = shuffle_bytes / reducers
     decompress_cpu = 0.0
     if config.compress_map_output:
         decompress_cpu = (bytes_per_reducer / MB) * DECOMPRESSION_CPU_S_PER_MB
-
-    merge_s = (
-        bytes_per_reducer / (node.disk_write_mb_per_s * MB) * 0.5
-        + bytes_per_reducer / (node.disk_read_mb_per_s * MB)
-        + decompress_cpu
-    )
-
-    contention = 1.0 + PIPELINE_CONTENTION_FACTOR * (dataflow.pipeline_count - 1)
+    merge_s = bytes_per_reducer / write_bps * 0.5 + bytes_per_reducer / read_bps + decompress_cpu
     cpu_s = (
-        records_per_reducer
+        dataflow.reduce_input_records / reducers
         * dataflow.reduce_cpu_cost_per_record
         * CPU_COST_UNIT_SECONDS
-        * cluster.cpu_speed_factor
+        * cpu_speed_factor
         * contention
     )
-
+    write_bytes = dataflow.output_bytes / reducers
     compress_cpu = 0.0
-    write_bytes = output_bytes_per_reducer
     if config.compress_output:
         compress_cpu = (write_bytes / MB) * COMPRESSION_CPU_S_PER_MB
         write_bytes *= COMPRESSION_RATIO
-    write_s = write_bytes / (node.disk_write_mb_per_s * MB) + compress_cpu
-
-    details["reduce_merge_s"] = merge_s
-    details["reduce_cpu_s"] = cpu_s
-    details["reduce_write_s"] = write_s
-    return merge_s + cpu_s + write_s
+    write_s = write_bytes / write_bps + compress_cpu
+    reduce_task_s = merge_s + cpu_s + write_s
+    reduce_phase_s = -(-num_reduce_tasks // reduce_slots) * task_startup_s + reduce_task_s
+    return JobTimeEstimate(
+        map_phase_s,
+        shuffle_s,
+        reduce_phase_s,
+        cluster.job_startup_s,
+        num_map_tasks,
+        num_reduce_tasks,
+        map_task_s,
+        reduce_task_s,
+    )

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster import ClusterSpec
+from repro.common import left_sum
 from repro.common.content_keys import VertexContentKey
 from repro.common.errors import CostModelError
 from repro.mapreduce.config import JobConfig
@@ -183,7 +184,7 @@ class WhatIfEngine:
         reusable = settled and not configs
         vertices = (workflow.jobs, workflow.datasets)
         return WorkflowCostEstimate(
-            total_s=sum(makespans),
+            total_s=left_sum(makespans),
             per_job={name: costed_vertex.estimate for name, costed_vertex in costed.items()},
             dataset_sizes=dict(sizes),
             basis=CostingBasis(vertices, levels, costed, makespans, fact_readers) if reusable else None,
@@ -383,12 +384,12 @@ class WhatIfEngine:
         job = vertex.job
         input_bytes, input_records = self._job_input(vertex, workflow, sizes, configs)
 
-        map_output_records = sum(f.map_output_records for f in flows if not f.is_map_only)
-        map_output_bytes = sum(f.map_output_bytes for f in flows if not f.is_map_only)
-        output_records = sum(f.output_records for f in flows)
-        output_bytes = sum(f.output_bytes for f in flows)
-        map_cpu_units = sum(f.map_cpu_units for f in flows)
-        reduce_cpu_units = sum(f.reduce_cpu_units for f in flows)
+        map_output_records = left_sum(f.map_output_records for f in flows if not f.is_map_only)
+        map_output_bytes = left_sum(f.map_output_bytes for f in flows if not f.is_map_only)
+        output_records = left_sum(f.output_records for f in flows)
+        output_bytes = left_sum(f.output_bytes for f in flows)
+        map_cpu_units = left_sum(f.map_cpu_units for f in flows)
+        reduce_cpu_units = left_sum(f.reduce_cpu_units for f in flows)
 
         shuffle_records = map_output_records
         shuffle_bytes = map_output_bytes
@@ -619,7 +620,6 @@ class WhatIfEngine:
                 num_reduce_tasks=config_of(vertex, configs).num_reduce_tasks,
                 map_task_s=0.0,
                 reduce_task_s=0.0,
-                details={"basis": 1.0},
             )
-        total = sum(estimate.total_s for estimate in per_job.values())
+        total = left_sum(estimate.total_s for estimate in per_job.values())
         return WorkflowCostEstimate(total_s=total, per_job=per_job, cost_basis="job_count")

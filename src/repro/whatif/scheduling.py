@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.cluster import ClusterSpec
+from repro.common import left_sum
 from repro.whatif.jobmodel import JobTimeEstimate
 
 
@@ -25,14 +26,16 @@ def level_makespan(estimates: Sequence[JobTimeEstimate], cluster: ClusterSpec) -
     if len(estimates) == 1:
         return estimates[0].total_s
 
-    # Bound (a): slot-constrained aggregate work.
-    map_slot_seconds = sum(e.num_map_tasks * (e.map_task_s + cluster.task_startup_s) for e in estimates)
-    reduce_slot_seconds = sum(
-        e.num_reduce_tasks * (e.reduce_task_s + cluster.task_startup_s) for e in estimates
-    )
+    # Bound (a): slot-constrained aggregate work, summed left to right.
+    map_slots, reduce_slots = cluster.job_model_constants[3:5]
+    task_startup_s = cluster.task_startup_s
+    map_slot_seconds = reduce_slot_seconds = 0
+    for e in estimates:
+        map_slot_seconds += e.num_map_tasks * (e.map_task_s + task_startup_s)
+        reduce_slot_seconds += e.num_reduce_tasks * (e.reduce_task_s + task_startup_s)
     aggregate_bound = (
-        map_slot_seconds / cluster.total_map_slots
-        + reduce_slot_seconds / cluster.total_reduce_slots
+        map_slot_seconds / map_slots
+        + reduce_slot_seconds / reduce_slots
         + max(e.shuffle_s for e in estimates)
         + max(e.startup_s for e in estimates)
     )
@@ -48,4 +51,4 @@ def workflow_makespan(
     cluster: ClusterSpec,
 ) -> float:
     """Total workflow runtime: levels run one after another."""
-    return sum(level_makespan(level, cluster) for level in per_level_estimates)
+    return left_sum(level_makespan(level, cluster) for level in per_level_estimates)

@@ -70,6 +70,7 @@ from itertools import chain
 from typing import ClassVar, Dict, List, Optional, Set, Tuple
 
 from repro.cluster import ClusterSpec
+from repro.common import left_sum
 from repro.common.faults import fault_site
 from repro.common.store import (  # noqa: F401  (CacheLoadReport, cluster_cache_key: re-exports)
     CacheLoadReport,
@@ -374,7 +375,7 @@ class OverlaySession:
         for index in touched:
             estimates = [per_job[vertex.job.name] for vertex in basis.levels[index]]
             makespans[index] = level_makespan(estimates, cluster)
-        return WorkflowCostEstimate(total_s=sum(makespans), per_job=per_job, dataset_sizes=sizes)
+        return WorkflowCostEstimate(total_s=left_sum(makespans), per_job=per_job, dataset_sizes=sizes)
 
     def _cost_vertex(self, vertex, workflow, sizes, configs) -> VertexCost:
         # Cache-aware drop-in for WhatIfEngine.cost_vertex, plugged into the

@@ -283,7 +283,7 @@ def optimize_checking_keys(optimizer, plan):
 
 
 if __name__ == "__main__":
-    import test_golden_fingerprints as golden
+    import golden_digests as golden
 
     from repro.cluster import ClusterSpec
     from repro.core.decision_cache import DecisionCache

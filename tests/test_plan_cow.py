@@ -51,7 +51,7 @@ from repro.whatif.service import CostService
 from repro.workflow.annotations import DatasetAnnotation, JobAnnotations, ProfileAnnotation
 from repro.workflow.graph import COPY_COUNTERS, DatasetVertex, JobVertex
 from repro.workloads import build_workload
-from tests import key_oracle, test_golden_fingerprints as golden
+from tests import golden_digests as golden, key_oracle
 
 STRUCTURAL_TRANSFORMATIONS = [
     IntraJobVerticalPacking(),
@@ -327,6 +327,11 @@ class TestColdOptimizeBounds:
         sample = next(iter(estimate.per_job.values()))
         assert isinstance(sample, JobTimeEstimate) and not hasattr(sample, "__dict__")
         assert not hasattr(JobDataflow(*[1] * 9), "__dict__")
+        # The eight phase fields and nothing else: every RRS sample builds one.
+        assert JobTimeEstimate.__slots__ == (
+            "map_phase_s", "shuffle_s", "reduce_phase_s", "startup_s",
+            "num_map_tasks", "num_reduce_tasks", "map_task_s", "reduce_task_s",
+        )
 
 
 class TestWarmReplayBounds:

@@ -122,6 +122,22 @@ def test_src_keeps_no_identity_table():
     assert calls == []
 
 
+def test_whatif_adds_floats_left_to_right():
+    """No builtin ``sum()`` under src/repro/whatif/: from Python 3.12 on it
+    compensates float rounding and can return other bits than 3.11, so
+    estimates sum through ``repro.common.left_sum`` (or an explicit loop)."""
+    whatif = os.path.join("src", "repro", "whatif")
+    calls = [
+        f"{path}:{node.lineno}"
+        for path, text in _sources(whatif)
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
+    assert calls == []
+
+
 def test_no_test_indexes_a_worker_result_by_constant():
     """A worker result is a typed ``_Outcome``: nothing under tests/ or
     benchmarks/ defines ``OK_*`` slot numbers to read it positionally."""

@@ -4,6 +4,20 @@ import pytest
 
 from repro.cluster import ClusterSpec, NodeSpec
 from repro.common.rng import DeterministicRNG
+from repro.mapreduce.config import JobConfig
+from repro.whatif import JobDataflow, estimate_job_time
+
+
+def _dataflow(**overrides):
+    values = dict.fromkeys(
+        (
+            "input_bytes", "input_records", "map_output_records", "map_output_bytes",
+            "shuffle_records", "shuffle_bytes", "reduce_input_records", "output_records",
+            "output_bytes",
+        ),
+        1e9,
+    )
+    return JobDataflow(**{**values, **overrides})
 
 
 class TestDeterministicRNG:
@@ -72,15 +86,34 @@ class TestClusterSpec:
         assert cluster.total_reduce_slots == 51 * 2
 
     def test_map_waves(self):
+        """One map wave per ``total_map_slots`` tasks, charged a task start-up each."""
         cluster = ClusterSpec.paper_cluster()
-        assert cluster.map_waves(0) == 0
-        assert cluster.map_waves(1) == 1
-        assert cluster.map_waves(cluster.total_map_slots) == 1
-        assert cluster.map_waves(cluster.total_map_slots + 1) == 2
+        for tasks, waves in ((1, 1), (cluster.total_map_slots, 1), (cluster.total_map_slots + 1, 2)):
+            estimate = estimate_job_time(
+                _dataflow(chained_map_tasks=tasks), JobConfig(num_reduce_tasks=1), cluster
+            )
+            assert estimate.num_map_tasks == tasks
+            assert estimate.map_phase_s == waves * (estimate.map_task_s + cluster.task_startup_s)
 
     def test_reduce_waves(self):
         cluster = ClusterSpec.paper_cluster()
-        assert cluster.reduce_waves(cluster.total_reduce_slots * 3) == 3
+        estimate = estimate_job_time(
+            _dataflow(), JobConfig(num_reduce_tasks=cluster.total_reduce_slots * 3), cluster
+        )
+        assert estimate.reduce_phase_s == 3 * cluster.task_startup_s + estimate.reduce_task_s
+
+    def test_job_model_constants_are_the_derived_rates(self):
+        cluster = ClusterSpec.small_test_cluster()
+        mb = 1024.0 * 1024.0
+        assert cluster.job_model_constants == (
+            cluster.node.disk_read_mb_per_s * mb,
+            cluster.node.disk_write_mb_per_s * mb,
+            cluster.network_mb_per_s * mb,
+            cluster.total_map_slots,
+            cluster.total_reduce_slots,
+            min(cluster.total_reduce_slots, cluster.num_nodes),
+        )
+        assert cluster.scaled(1).job_model_constants[3:] == (2, 2, 1)
 
     def test_scaled_changes_node_count_only(self):
         cluster = ClusterSpec.paper_cluster().scaled(10)

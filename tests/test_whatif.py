@@ -1,6 +1,10 @@
 """Tests for the What-if cost model, actual-cost model, and adjustments."""
 
+import dataclasses
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ClusterSpec
 from repro.mapreduce.config import JobConfig
@@ -18,6 +22,8 @@ from repro.whatif.scheduling import level_makespan, workflow_makespan
 from repro.workflow.annotations import ProfileAnnotation
 from repro.workflow.executor import WorkflowExecutor
 from repro.workloads import build_workload
+from tests import jobmodel_oracle
+from tests.conftest import equivalence_seeds
 
 CLUSTER = ClusterSpec.paper_cluster()
 GB = 1024.0 ** 3
@@ -93,6 +99,119 @@ class TestJobModel:
     def test_dataflow_scaling(self):
         doubled = _dataflow().scaled(2.0)
         assert doubled.input_bytes == 2 * _dataflow().input_bytes
+
+
+#: The paper's cluster, the small test cluster and a 7-node paper cluster,
+#: plus one whose CPU speed factor is not 1.0: with 1.0, multiplying by it is
+#: exact whatever the grouping, so only the fourth shows that the CPU product
+#: keeps its order.
+ORACLE_CLUSTERS = (
+    ClusterSpec.paper_cluster(),
+    ClusterSpec.small_test_cluster(),
+    ClusterSpec.paper_cluster().scaled(7),
+    dataclasses.replace(ClusterSpec.small_test_cluster(), cpu_speed_factor=1.37, network_mb_per_s=47.0),
+)
+
+_amounts = st.one_of(st.just(0.0), st.floats(0.0, 1e13, allow_nan=False), st.integers(1, 10**9))
+_costs = st.floats(0.0, 50.0, allow_nan=False)
+_caps = st.one_of(st.none(), st.just(0.0), st.floats(0.01, 1e6), st.integers(1, 500))
+
+_dataflows = st.builds(
+    JobDataflow,
+    **{name: _amounts for name in (
+        "input_bytes", "input_records", "map_output_records", "map_output_bytes",
+        "shuffle_records", "shuffle_bytes", "reduce_input_records", "output_records",
+        "output_bytes",
+    )},
+    map_cpu_cost_per_record=_costs,
+    reduce_cpu_cost_per_record=_costs,
+    map_only=st.booleans(),
+    pipeline_count=st.integers(1, 4),
+    distinct_reduce_groups=_caps,
+    distinct_partition_keys=_caps,
+    chained_map_tasks=st.one_of(st.none(), st.integers(0, 400)),
+)
+_configs = st.builds(
+    JobConfig,
+    num_reduce_tasks=st.integers(0, 300),
+    split_size_mb=st.integers(1, 1024),
+    io_sort_mb=st.integers(1, 2048),
+    combiner_enabled=st.booleans(),
+    compress_map_output=st.booleans(),
+    compress_output=st.booleans(),
+    max_parallel_maps_per_producer_reduce=st.integers(0, 3),
+    forced_single_reduce=st.booleans(),
+)
+
+
+def _random_job(rng):
+    """One ``(dataflow, config)`` from ``rng``: the strategies above, seeded."""
+    def amount():
+        return rng.choice([0.0, rng.uniform(0.0, 1e13), rng.uniform(0.0, 1e6), rng.randint(1, 10**9)])
+
+    def cap():
+        return rng.choice([None, 0.0, rng.uniform(0.01, 1e6), rng.randint(1, 500)])
+
+    dataflow = JobDataflow(
+        *[amount() for _ in range(9)],
+        map_cpu_cost_per_record=rng.uniform(0.0, 50.0),
+        reduce_cpu_cost_per_record=rng.uniform(0.0, 50.0),
+        map_only=rng.random() < 0.3,
+        pipeline_count=rng.randint(1, 4),
+        distinct_reduce_groups=cap(),
+        distinct_partition_keys=cap(),
+        chained_map_tasks=rng.choice([None, 0, rng.randint(1, 400)]),
+    )
+    config = JobConfig(
+        num_reduce_tasks=rng.randint(0, 300),
+        split_size_mb=rng.randint(1, 1024),
+        io_sort_mb=rng.randint(1, 2048),
+        combiner_enabled=rng.random() < 0.5,
+        compress_map_output=rng.random() < 0.5,
+        compress_output=rng.random() < 0.5,
+        max_parallel_maps_per_producer_reduce=rng.randint(0, 3),
+        forced_single_reduce=rng.random() < 0.2,
+    )
+    return dataflow, config
+
+
+def _assert_equals_the_oracle(dataflow, config, cluster):
+    ours = estimate_job_time(dataflow, config, cluster)
+    theirs = jobmodel_oracle.estimate_job_time(dataflow, config, cluster)
+    for name in jobmodel_oracle.FIELDS:
+        assert getattr(ours, name) == getattr(theirs, name), (name, dataflow, config, cluster)
+        assert type(getattr(ours, name)) is type(getattr(theirs, name)), name
+    assert ours.total_s == theirs.total_s
+    return ours
+
+
+class TestJobModelOracle:
+    """The flat job model ``==`` the phase-by-phase one it replaced, on every
+    field, and ``level_makespan`` ``==`` its loop-summed original: exact
+    equality, so every estimate and decision built on them is unchanged."""
+
+    @settings(max_examples=400)
+    @given(_dataflows, _configs, st.sampled_from(ORACLE_CLUSTERS))
+    def test_estimate_job_time_equals_the_oracle(self, dataflow, config, cluster):
+        _assert_equals_the_oracle(dataflow, config, cluster)
+
+    @settings(max_examples=150)
+    @given(st.lists(st.tuples(_dataflows, _configs), max_size=8), st.sampled_from(ORACLE_CLUSTERS))
+    def test_level_makespan_equals_the_oracle(self, jobs, cluster):
+        estimates = [estimate_job_time(dataflow, config, cluster) for dataflow, config in jobs]
+        assert level_makespan(estimates, cluster) == jobmodel_oracle.level_makespan(estimates, cluster)
+
+    @pytest.mark.equivalence
+    @pytest.mark.parametrize("seed", equivalence_seeds())
+    def test_seeded_sweep_equals_the_oracle(self, seed):
+        rng = random.Random(seed)
+        for cluster in ORACLE_CLUSTERS:
+            level = [_assert_equals_the_oracle(*_random_job(rng), cluster) for _ in range(60)]
+            for size in (2, 5, 60):
+                estimates = level[:size]
+                assert level_makespan(estimates, cluster) == jobmodel_oracle.level_makespan(
+                    estimates, cluster
+                )
 
 
 class TestScheduling:

@@ -5,9 +5,9 @@ What it demonstrates
     ``ExperimentHarness.run`` (see ``docs/experiments.md``): fanning the
     cells out on an experiment-level execution backend, reading the
     cross-cell cache reuse the shared ``CostService`` makes possible
-    (``OptimizerRun.cross_unit_hits``), persisting the cost cache to disk,
-    and warm-starting a second run from it — with bit-identical results
-    every time.  Also shows the selection mechanisms: the ``backend=``
+    (``OptimizerRun.cost_stats.cross_origin_hits``), persisting the cost
+    cache to disk, and warm-starting a second run from it — with
+    bit-identical results every time.  Also shows the selection mechanisms: the ``backend=``
     argument of ``run()`` for the cell fan-out, and ``cache_path=`` for
     persistence (a harness built without one reads ``STUBBY_COST_CACHE``).
 
@@ -52,10 +52,11 @@ def print_cells(result) -> None:
     print("cell                        jobs  actual_s  queries  hit_rate  cross_hits")
     for abbr, comparison in result.comparisons.items():
         for name, run in comparison.runs.items():
+            stats = run.cost_stats
             print(
                 f"{abbr + '/' + name:<27} {run.num_jobs:>4} {run.actual_s:>9.1f} "
-                f"{run.whatif_queries:>8} {run.cache_hit_rate:>9.3f} "
-                f"{run.cross_unit_hits:>11}"
+                f"{stats.queries:>8} {stats.cache_hit_rate:>9.3f} "
+                f"{stats.cross_origin_hits:>11}"
             )
 
 
@@ -77,9 +78,9 @@ def main() -> None:
         warm_harness = ExperimentHarness(scale=0.15, cache_path=cache_path)
         warm = warm_harness.run(workloads=WORKLOADS, optimizers=OPTIMIZERS)
         print(f"\ncold run:  hit rate {cold.cost_stats.cache_hit_rate:.2f}, "
-              f"{cold.cross_unit_hits} cross-cell hits, cells {cold.cells_s:.1f}s")
+              f"{cold.cost_stats.cross_origin_hits} cross-cell hits, cells {cold.cells_s:.1f}s")
         print(f"warm run:  hit rate {warm.cost_stats.cache_hit_rate:.2f}, "
-              f"{warm.cross_unit_hits} cross-cell hits, cells {warm.cells_s:.1f}s")
+              f"{warm.cost_stats.cross_origin_hits} cross-cell hits, cells {warm.cells_s:.1f}s")
         print(f"           ({warm.warm_start_entries} entries loaded from "
               f"{os.path.basename(cache_path)})")
 

@@ -92,11 +92,6 @@ class ClusterSpec:
         """Cluster-wide concurrent reduce task capacity (one reduce wave)."""
         return self.num_nodes * self.node.reduce_slots
 
-    @property
-    def total_memory_mb(self) -> int:
-        """Aggregate memory across the cluster."""
-        return self.num_nodes * self.node.memory_mb
-
     @cached_property
     def job_model_constants(self) -> Tuple[float, float, float, int, int, int]:
         """What the job model derives from the spec, once per spec: disk read,

@@ -25,8 +25,8 @@ cost on wide DAGs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from repro.core.plan import Plan
 
@@ -166,16 +166,3 @@ class OptimizationUnitGenerator:
                 self._handled.add(name)
         # Drop handled names that no longer exist to keep the set tidy.
         self._handled = {name for name in self._handled if workflow.has_job(name)}
-
-    def iterate(self, plan: Plan) -> Iterator[OptimizationUnit]:
-        """Iterate units over a *static* plan (no transformations applied).
-
-        Useful for inspecting the unit structure of a workflow without
-        optimizing it.
-        """
-        while True:
-            unit = self.next_unit(plan)
-            if unit is None:
-                return
-            self.mark_handled(plan, unit)
-            yield unit

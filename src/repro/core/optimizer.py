@@ -19,11 +19,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster import ClusterSpec
 from repro.common.store import attributed, current_origin
-from repro.core.decision_cache import DecisionCache
+from repro.core.decision_cache import DecisionCache, DecisionCacheStats
 from repro.core.plan import Plan
 from repro.core.rrs import RecursiveRandomSearch
 from repro.core.search import StubbySearch, UnitReport, plan_decision_fingerprint
-from repro.core.subresults import SubResultCatalog
+from repro.core.subresults import SubResultCatalog, SubResultCatalogStats
 from repro.core.transformations import (
     HorizontalPacking,
     InterJobVerticalPacking,
@@ -44,10 +44,12 @@ class OptimizationResult:
     optimization_time_s: float
     optimizer: str
     unit_reports: List[UnitReport] = field(default_factory=list)
-    #: Cost-service counters for this run (what-if queries, cache hits,
-    #: re-costed jobs) — the exact delta of the calling thread; ``None``
-    #: when the optimizer bypassed the service.
-    cost_stats: Optional[CostServiceStats] = None
+    #: The exact delta this run produced on each store — the one count of
+    #: its what-if queries, memo hits, decision hits and sub-result reuse
+    #: (empty for a result no ``optimize()`` scope produced).
+    cost_stats: CostServiceStats = field(default_factory=CostServiceStats)
+    decision_stats: DecisionCacheStats = field(default_factory=DecisionCacheStats)
+    subresult_stats: SubResultCatalogStats = field(default_factory=SubResultCatalogStats)
 
     @property
     def num_jobs(self) -> int:
@@ -70,28 +72,13 @@ class OptimizationResult:
 
     @property
     def whatif_queries(self) -> int:
-        """Workflow-level what-if queries issued during this run."""
-        return self.cost_stats.queries if self.cost_stats is not None else 0
+        """``cost_stats.queries``; kept for the frozen ``bench/cold.py``."""
+        return self.cost_stats.queries
 
     @property
     def transformations_applied(self) -> List[str]:
         """Names of all transformations recorded in the optimized plan."""
         return self.plan.transformations_applied()
-
-    @property
-    def unit_decision_hits(self) -> int:
-        """Optimization units whose entire search was skipped via a memoized decision."""
-        return sum(report.unit_decision_hits for report in self.unit_reports)
-
-    @property
-    def unit_decision_misses(self) -> int:
-        """Optimization units that were searched (and whose decision was recorded)."""
-        return sum(report.unit_decision_misses for report in self.unit_reports)
-
-    @property
-    def cross_origin_decision_hits(self) -> int:
-        """Decision hits served by another origin (cell, run, or persisted file)."""
-        return sum(report.cross_origin_decision_hits for report in self.unit_reports)
 
     @property
     def subresult_reuse_applications(self) -> int:
@@ -202,23 +189,31 @@ class StubbyOptimizer:
         """
         plan = self._as_plan(plan_or_workflow)
         selected = self._validated_phases(self.phases if phases is None else tuple(phases))
-        with attributed((self.costs,), current_origin()) as (cost_stats,):
+        stores = (self.costs, self.decisions, self.subresults)
+        with attributed(stores, current_origin()) as ledgers:
+            cost_stats, decision_stats, subresult_stats = ledgers
             started = time.perf_counter()
             optimized, reports = self.search.run(plan, phases=selected, budget=budget)
             # The search is the reported optimization time (comparable with
             # Figure 13); the final estimate below is accounting, not search.
             elapsed = time.perf_counter() - started
             estimate = self.costs.estimate_workflow(optimized.workflow)
-        return OptimizationResult(
-            plan=optimized,
-            estimated_cost_s=estimate.total_s,
-            optimization_time_s=elapsed,
-            # Label the result by the phases that actually ran, so divergence
-            # reports from phase-restricted calls name the right variant.
-            optimizer=self._variant_for(selected),
-            unit_reports=reports,
-            cost_stats=cost_stats,
-        )
+            result = OptimizationResult(
+                plan=optimized,
+                estimated_cost_s=estimate.total_s,
+                optimization_time_s=elapsed,
+                # Label the result by the phases that actually ran, so divergence
+                # reports from phase-restricted calls name the right variant.
+                optimizer=self._variant_for(selected),
+                unit_reports=reports,
+                cost_stats=cost_stats,
+                decision_stats=decision_stats,
+                subresult_stats=subresult_stats,
+            )
+            # The one place eliminated jobs are credited: from the final plan,
+            # since apply() also runs for candidates that lose the arbitration.
+            self.subresults.record_jobs_eliminated(result.jobs_eliminated_by_reuse)
+        return result
 
     @property
     def variant_name(self) -> str:

@@ -120,14 +120,6 @@ class UnitReport:
     phase: str
     subplans: List[SubplanRecord] = field(default_factory=list)
     chosen_index: int = -1
-    #: Cost-service activity attributed to this unit: workflow-level what-if
-    #: queries issued, job lookups served from the memo, and jobs derived
-    #: from scratch (``job_full_recosts``).  Sums of the explicit per-candidate
-    #: deltas (:attr:`SubplanRecord.cost_stats`), not an ambient window —
-    #: so the attribution is exact whichever thread or process ran the search.
-    cost_queries: int = 0
-    job_cache_hits: int = 0
-    jobs_recosted: int = 0
     #: What-if queries spent scoring composed sub-unit combinations (set on
     #: the first report of a split unit; zero for unsplit units).
     composition_queries: int = 0
@@ -524,7 +516,6 @@ class StubbySearch:
             if record.estimated_cost < best_cost:
                 best_cost = record.estimated_cost
                 best_index = index
-        self._attribute_unit_stats(report)
 
         report.chosen_index = best_index
         if best_index < 0:
@@ -610,7 +601,6 @@ class StubbySearch:
         for subunit_index, subunit in enumerate(subunits):
             report = UnitReport(unit=subunit, phase=phase, plan_before=current)
             report.subplans = list(per_subunit[subunit_index])
-            self._attribute_unit_stats(report)
             report.chosen_index = best_combo[subunit_index]
             chosen = report.subplans[report.chosen_index]
             current = self._apply_candidate(current, chosen, transformations)
@@ -619,13 +609,6 @@ class StubbySearch:
         reports[0].composition_queries = composition_stats.queries
         reports[0].composition_combinations = len(combos)
         return current, reports
-
-    @staticmethod
-    def _attribute_unit_stats(report: UnitReport) -> None:
-        """Per-unit aggregates: explicit sums of the per-candidate deltas."""
-        report.cost_queries = sum(r.cost_stats.queries for r in report.subplans)
-        report.job_cache_hits = sum(r.cost_stats.job_cache_hits for r in report.subplans)
-        report.jobs_recosted = sum(r.cost_stats.job_full_recosts for r in report.subplans)
 
     def _apply_candidate(
         self,

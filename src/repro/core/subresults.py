@@ -288,7 +288,10 @@ class SubResultCatalog(ShardedStore):
         return True
 
     def record_jobs_eliminated(self, count: int) -> None:
-        """Credit ``count`` eliminated jobs to the global and sink counters."""
+        """Credit ``count`` eliminated jobs to the global and sink counters.
+
+        Called once per ``StubbyOptimizer.optimize()``, for its final plan.
+        """
         if count:
             self._apply_delta(SubResultCatalogStats(jobs_eliminated=count))
 

@@ -174,13 +174,6 @@ class Dataset:
         """All records as a list of copies."""
         return list(self.records())
 
-    def distinct_count(self, fields: Sequence[str]) -> int:
-        """Number of distinct value combinations over ``fields``."""
-        seen = set()
-        for record in self.records():
-            seen.add(tuple(str(record.get(f)) for f in fields))
-        return len(seen)
-
     def field_range(self, field_name: str) -> Optional[tuple]:
         """(min, max) of a numeric field, or ``None`` if absent/non-numeric."""
         values = [
@@ -191,12 +184,6 @@ class Dataset:
         if not values:
             return None
         return (min(values), max(values))
-
-    def relayout(self, layout: DataLayout) -> "Dataset":
-        """Return a copy of this dataset stored under a different layout."""
-        copy = Dataset(self.name, layout=layout, scale_factor=self.scale_factor)
-        copy.load(self.all_records())
-        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

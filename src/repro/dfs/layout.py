@@ -144,33 +144,3 @@ class DataLayout:
         if self.compressed:
             return raw_bytes * self.compression_ratio
         return raw_bytes
-
-    def with_partitioning(self, partitioning: PartitionScheme) -> "DataLayout":
-        """Copy of this layout with a different partitioning scheme."""
-        return DataLayout(
-            partitioning=partitioning,
-            sort_fields=self.sort_fields,
-            compressed=self.compressed,
-            compression_ratio=self.compression_ratio,
-            block_size_mb=self.block_size_mb,
-        )
-
-    def with_sort_fields(self, sort_fields: Sequence[str]) -> "DataLayout":
-        """Copy of this layout with different per-partition sort fields."""
-        return DataLayout(
-            partitioning=self.partitioning,
-            sort_fields=tuple(sort_fields),
-            compressed=self.compressed,
-            compression_ratio=self.compression_ratio,
-            block_size_mb=self.block_size_mb,
-        )
-
-    def with_compression(self, compressed: bool) -> "DataLayout":
-        """Copy of this layout with compression toggled."""
-        return DataLayout(
-            partitioning=self.partitioning,
-            sort_fields=self.sort_fields,
-            compressed=compressed,
-            compression_ratio=self.compression_ratio,
-            block_size_mb=self.block_size_mb,
-        )

@@ -26,9 +26,9 @@ Two entry points cover the two evaluation styles:
   execution backend (``run(backend=)``, serial by default — the one fan-out
   level; each cell's search is serial), all cells sharing the harness's
   :class:`CostService` so cross-cell hits are reaped (surfaced as
-  ``OptimizerRun.cross_unit_hits``), and — when a ``cache_path`` is
-  configured — the signature→estimate store persists across runs, so a
-  repeated experiment warm-starts instead of recomputing.
+  ``OptimizerRun.cost_stats.cross_origin_hits``), and — when a
+  ``cache_path`` is configured — the signature→estimate store persists
+  across runs, so a repeated experiment warm-starts instead of recomputing.
 
 The harness is one of the two owners that persist its stores (the planning
 server is the other), so it resolves the stores' ``STUBBY_*`` path
@@ -55,7 +55,7 @@ from repro.common.store import (
 )
 from repro.core.decision_cache import DecisionCache, DecisionCacheStats
 from repro.core.optimizer import OptimizationResult
-from repro.core.search import StubbySearch, UnitReport
+from repro.core.search import StubbySearch
 from repro.core.subresults import (
     SubResultCatalog,
     SubResultCatalogStats,
@@ -88,43 +88,18 @@ class OptimizerRun:
     optimization_time_s: float
     output_equivalent: bool
     transformations: List[str] = field(default_factory=list)
-    #: Cost-service activity of the optimizer run (Figure 13 companion
-    #: metrics): workflow-level what-if queries, jobs derived from scratch
-    #: (``job_full_recosts``), and the fraction of job lookups served from
-    #: the memo.
-    whatif_queries: int = 0
-    jobs_recosted: int = 0
-    cache_hit_rate: float = 0.0
-    #: Cache hits served by entries another experiment cell (or a
-    #: warm-started persisted cache) stored — only populated by
-    #: :meth:`ExperimentHarness.run`, whose cells share one service;
-    #: :meth:`ExperimentHarness.compare` runs each optimizer cold.
-    cross_unit_hits: int = 0
-    #: Full per-cell stats breakdown (exact under concurrency: the cell's
-    #: attribution sink).  ``None`` outside the orchestrated
-    #: :meth:`ExperimentHarness.run` path.
-    cost_stats: Optional[CostServiceStats] = None
-    #: Decision-cache activity of this run: optimization units whose whole
-    #: search was skipped (hit), searched-and-recorded (miss), and hits
-    #: served by a decision another origin recorded.  Exact per cell —
-    #: summed from the run's own :class:`UnitReport` counters, which cross
-    #: process pipes as plain data.  Deliberately *not* part of
-    #: :meth:`decision_fingerprint`: warmth changes hit counts, never plans.
-    unit_decision_hits: int = 0
-    unit_decision_misses: int = 0
-    cross_origin_decision_hits: int = 0
-    #: The cell's exact decision-cache counter delta (like ``cost_stats``).
-    decision_stats: Optional[DecisionCacheStats] = None
-    #: Sub-result reuse activity of this run: rewrites recorded in the final
-    #: plan, jobs those rewrites eliminated, and the cell's exact catalog
-    #: counter delta (per-cell attribution sink, like ``cost_stats``).
-    #: ``cross_origin_subresult_hits`` counts catalog hits served by entries
-    #: another cell/run registered — the cross-workflow reuse the ReStore
-    #: design exists for.
+    #: Sub-result reuse rewrites recorded in the final plan.
     subresult_reuse_applications: int = 0
-    jobs_eliminated_by_reuse: int = 0
-    cross_origin_subresult_hits: int = 0
-    subresult_stats: Optional[SubResultCatalogStats] = None
+    #: The optimizer run's exact delta on each shared store
+    #: (:class:`~repro.core.optimizer.OptimizationResult`'s ledgers): what-if
+    #: queries and memo hits for Figure 13, unit searches skipped, catalog
+    #: hits and jobs eliminated.  ``cross_origin_hits`` on each counts what
+    #: this cell reaped from another cell, run or persisted file.  Deliberately
+    #: *not* part of :meth:`decision_fingerprint`: warmth changes counts,
+    #: never plans.
+    cost_stats: CostServiceStats = field(default_factory=CostServiceStats)
+    decision_stats: DecisionCacheStats = field(default_factory=DecisionCacheStats)
+    subresult_stats: SubResultCatalogStats = field(default_factory=SubResultCatalogStats)
 
     def speedup_over(self, baseline: "OptimizerRun") -> float:
         """Speedup of this run's actual runtime over the baseline's."""
@@ -211,51 +186,6 @@ class ExperimentRunResult:
     subresult_stats: SubResultCatalogStats = field(default_factory=SubResultCatalogStats)
     #: The persisted sub-result catalog path in effect, or ``None``.
     subresult_catalog_path: Optional[str] = None
-
-    @property
-    def cross_unit_hits(self) -> int:
-        """Cache hits reaped across cell boundaries, summed over all cells."""
-        return sum(
-            run.cross_unit_hits
-            for comparison in self.comparisons.values()
-            for run in comparison.runs.values()
-        )
-
-    @property
-    def unit_decision_hits(self) -> int:
-        """Unit searches skipped via memoized decisions, summed over all cells."""
-        return sum(
-            run.unit_decision_hits
-            for comparison in self.comparisons.values()
-            for run in comparison.runs.values()
-        )
-
-    @property
-    def cross_origin_decision_hits(self) -> int:
-        """Decision hits served across cell (or run) boundaries, all cells."""
-        return sum(
-            run.cross_origin_decision_hits
-            for comparison in self.comparisons.values()
-            for run in comparison.runs.values()
-        )
-
-    @property
-    def subresult_reuse_applications(self) -> int:
-        """Sub-result reuse rewrites across every cell's final plan."""
-        return sum(
-            run.subresult_reuse_applications
-            for comparison in self.comparisons.values()
-            for run in comparison.runs.values()
-        )
-
-    @property
-    def jobs_eliminated_by_reuse(self) -> int:
-        """Jobs the run's plans no longer execute thanks to stored sub-results."""
-        return sum(
-            run.jobs_eliminated_by_reuse
-            for comparison in self.comparisons.values()
-            for run in comparison.runs.values()
-        )
 
     def comparison(self, abbreviation: str) -> WorkloadComparison:
         """The comparison of one workload."""
@@ -407,8 +337,9 @@ class ExperimentHarness:
         Unlike :meth:`compare` (cold cache per optimizer, for standalone
         Figure 11–13 timings), the cells of one ``run`` share the harness's
         warm :class:`CostService`: structurally identical job signatures met
-        by several cells are costed once (``OptimizerRun.cross_unit_hits``
-        counts what each cell reaped from the others).  Cells are dispatched
+        by several cells are costed once (each cell's
+        ``OptimizerRun.cost_stats.cross_origin_hits`` counts what it reaped
+        from the others).  Cells are dispatched
         through the :class:`~repro.experiments.scheduler.ExperimentScheduler`
         onto ``backend`` (a spec string or backend instance, serial when
         ``None``); results are identical on every backend at any worker
@@ -491,37 +422,17 @@ class ExperimentHarness:
         reference_outputs: Dict[str, list],
         run_token: str,
     ) -> OptimizerRun:
-        """Execute one cell: optimize, evaluate, attach exact per-cell stats.
+        """Execute one cell: optimize under the cell's origin label, evaluate.
 
         Runs on whatever worker the experiment backend chose; everything
-        here must therefore be deterministic given the cell alone.  The
-        cell runs :func:`~repro.common.store.attributed` over every shared
-        store: its exact activity lands in per-cell sinks, and what it
-        stores is origin-labelled so other cells' reuse of it is measurable.
+        here must therefore be deterministic given the cell alone.  What the
+        cell stores is labelled with it, so other cells' reuse of it is
+        measurable; its exact activity is the result's own ledgers.
         """
         optimizer = self.make_optimizer(cell.optimizer, seed=cell.seed)
-        with attributed(self.stores, f"{run_token}:{cell.label}") as sinks:
+        with attributed((), f"{run_token}:{cell.label}"):
             result = optimizer.optimize(workload.plan)
-            run = self._evaluate(result, workload, reference_outputs)
-            # Credit eliminated jobs from the *final* plan only — apply()
-            # also runs for candidates that lose the cost arbitration, so
-            # the catalog counter must not be bumped there.
-            if result.jobs_eliminated_by_reuse:
-                self.subresults.record_jobs_eliminated(result.jobs_eliminated_by_reuse)
-        # whatif_queries / jobs_recosted / cache_hit_rate already came from
-        # the result's own (equally exact) optimize()-scoped sink.
-        run.cost_stats, run.decision_stats, run.subresult_stats = sinks
-        run.cross_unit_hits = run.cost_stats.cross_origin_hits
-        run.cross_origin_subresult_hits = run.subresult_stats.cross_origin_hits
-        return run
-
-    def persist_cache(self) -> int:
-        """Merge-save the cost-service store to the configured ``cache_path``.
-
-        Returns the number of entries written, or 0 when no path is
-        configured (so callers can invoke it unconditionally).
-        """
-        return persist_stores((self.costs,))
+        return self._evaluate(result, workload, reference_outputs)
 
     def register_workload_subresults(
         self,
@@ -588,7 +499,6 @@ class ExperimentHarness:
                 continue
             if not records_equal(reference, filesystem.get(name).all_records()):
                 equivalent = False
-        stats = result.cost_stats
         return OptimizerRun(
             optimizer=result.optimizer,
             num_jobs=result.num_jobs,
@@ -597,14 +507,10 @@ class ExperimentHarness:
             optimization_time_s=result.optimization_time_s,
             output_equivalent=equivalent,
             transformations=[t for t in result.transformations_applied if t != "configuration"],
-            whatif_queries=stats.queries if stats is not None else 0,
-            jobs_recosted=stats.job_full_recosts if stats is not None else 0,
-            cache_hit_rate=stats.cache_hit_rate if stats is not None else 0.0,
-            unit_decision_hits=result.unit_decision_hits,
-            unit_decision_misses=result.unit_decision_misses,
-            cross_origin_decision_hits=result.cross_origin_decision_hits,
             subresult_reuse_applications=result.subresult_reuse_applications,
-            jobs_eliminated_by_reuse=result.jobs_eliminated_by_reuse,
+            cost_stats=result.cost_stats,
+            decision_stats=result.decision_stats,
+            subresult_stats=result.subresult_stats,
         )
 
     # ---------------------------------------------------------- deep dives
@@ -680,7 +586,7 @@ class ExperimentHarness:
             pct = 100.0 * stubby.optimization_time_s / max(1e-9, baseline.actual_s)
             lines.append(
                 f"{comparison.abbreviation:<9} {stubby.optimization_time_s:>14.2f} "
-                f"{baseline.actual_s:>19.1f} {pct:>13.3f} {stubby.whatif_queries:>9d} "
-                f"{stubby.cache_hit_rate:>9.2f}"
+                f"{baseline.actual_s:>19.1f} {pct:>13.3f} {stubby.cost_stats.queries:>9d} "
+                f"{stubby.cost_stats.cache_hit_rate:>9.2f}"
             )
         return "\n".join(lines)

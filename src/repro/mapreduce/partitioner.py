@@ -9,7 +9,7 @@ of both producer and consumer with a single shuffle — Figure 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
@@ -102,14 +102,6 @@ class PartitionFunction:
         required = other.effective_sort_fields
         ours = self.effective_sort_fields
         return tuple(ours[: len(required)]) == tuple(required)
-
-    def with_sort_fields(self, sort_fields: Sequence[str]) -> "PartitionFunction":
-        """Copy with a different per-partition sort key."""
-        return replace(self, sort_fields=tuple(sort_fields))
-
-    def with_split_points(self, split_points: Sequence[float]) -> "PartitionFunction":
-        """Copy converted to range partitioning with the given split points."""
-        return replace(self, kind="range", split_points=tuple(split_points))
 
     @classmethod
     def default_hash(cls, fields: Sequence[str]) -> "PartitionFunction":

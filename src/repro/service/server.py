@@ -169,13 +169,8 @@ class PlanResponse:
     queue_wait_s: float = 0.0
     service_s: float = 0.0
     latency_s: float = 0.0
-    unit_decision_hits: int = 0
-    unit_decision_misses: int = 0
-    cross_origin_decision_hits: int = 0
-    #: Sub-result reuse recorded in the served plan (rewrites and the jobs
-    #: they eliminated) plus this tenant's cross-origin catalog hits.
+    #: Sub-result reuse rewrites recorded in the served plan.
     subresult_reuse_applications: int = 0
-    jobs_eliminated_by_reuse: int = 0
     #: Exact cost-service delta this request produced (its attribution sink).
     cost_stats: Optional[CostServiceStats] = None
     #: Exact decision-cache delta this request produced.
@@ -680,17 +675,9 @@ class PlanningServer:
         response.plan_signature = result.plan_signature()
         response.decision_fingerprint = result.decision_fingerprint()
         response.estimated_cost_s = result.estimated_cost_s
-        response.unit_decision_hits = result.unit_decision_hits
-        response.unit_decision_misses = result.unit_decision_misses
-        response.cross_origin_decision_hits = result.cross_origin_decision_hits
         response.subresult_reuse_applications = result.subresult_reuse_applications
-        response.jobs_eliminated_by_reuse = result.jobs_eliminated_by_reuse
         response.degradation_level = level
         response.degradation = level_name(level)
-        # Jobs the served plan no longer runs — credited from the final
-        # plan only (candidates that lost the arbitration must not count).
-        if result.jobs_eliminated_by_reuse:
-            self.subresults.record_jobs_eliminated(result.jobs_eliminated_by_reuse)
 
     def _run_rung(
         self,

@@ -88,15 +88,6 @@ class TenantStats:
     #: sub-results another tenant's executions registered.
     subresult_stats: SubResultCatalogStats = field(default_factory=SubResultCatalogStats)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of this tenant's job lookups served from the cost cache."""
-        return self.cost_stats.cache_hit_rate
-
-    @property
-    def decision_hit_rate(self) -> float:
-        return self.decision_stats.hit_rate
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "tenant": self.tenant,
@@ -116,8 +107,6 @@ class TenantStats:
             "service_s": self.service_s,
             "latency_p50_s": percentile(self.latencies, 50),
             "latency_p99_s": percentile(self.latencies, 99),
-            "cache_hit_rate": self.cache_hit_rate,
-            "decision_hit_rate": self.decision_hit_rate,
             **{ledger: getattr(self, ledger).as_dict() for ledger in LEDGERS},
         }
 
@@ -225,8 +214,8 @@ class ServiceStats:
                 f"{stats.rejected:>5} {stats.cancelled:>5} "
                 f"{percentile(stats.latencies, 50) * 1e3:>8.1f} "
                 f"{percentile(stats.latencies, 99) * 1e3:>8.1f} "
-                f"{stats.cache_hit_rate * 100:>9.1f}% "
-                f"{stats.decision_hit_rate * 100:>13.1f}% "
-                f"{stats.decision_stats.cross_origin_hits + stats.cost_stats.cross_origin_hits:>13}"
+                f"{stats.cost_stats.cache_hit_rate * 100:>9.1f}% "
+                f"{stats.decision_stats.hit_rate * 100:>13.1f}% "
+                f"{sum(getattr(stats, ledger).cross_origin_hits for ledger in LEDGERS):>13}"
             )
         return "\n".join(lines)

@@ -40,8 +40,9 @@ forked workers — see :mod:`repro.common.store` for the model.
 
 The service keeps :class:`CostServiceStats` (queries, memo hits, from-scratch
 derivations, effectively-full estimations) that the search surfaces per
-candidate, per optimization unit, and per optimizer run; the counters are the
-basis of the ``whatif.service.*`` per-layer metrics of ``bench/run.py``.
+candidate and the optimizer per run (a unit's activity is the sum over its
+candidates); the counters are the basis of the ``whatif.service.*``
+per-layer metrics of ``bench/run.py``.
 
 Two features support the experiment orchestration layer
 (:mod:`repro.experiments.scheduler`):
@@ -51,9 +52,9 @@ Two features support the experiment orchestration layer
   stored; a lookup served by an
   entry stored under a *different* label counts as a cross-origin hit
   (``CostServiceStats.cross_origin_hits``).  The experiment harness labels
-  each (workload × optimizer) cell, so ``OptimizerRun.cross_unit_hits``
-  reports exactly how much one cell reaped from its neighbours or from a
-  warm-started cache;
+  each (workload × optimizer) cell, so a cell's
+  ``OptimizerRun.cost_stats.cross_origin_hits`` reports exactly how much it
+  reaped from its neighbours or from a warm-started cache;
 * **persistence** — :meth:`CostService.save_cache` /
   :meth:`CostService.load_cache` write and read the shared store's
   versioned snapshot (keyed by cluster spec and

@@ -294,6 +294,7 @@ if __name__ == "__main__":
         pinned = StubbyOptimizer(CLUSTER, seed=17, decision_cache=DecisionCache(CLUSTER, enabled=True))
         cold, cold_keys = optimize_checking_keys(pinned, pinned_plan)
         warm, warm_keys = optimize_checking_keys(pinned, pinned_plan)
-        assert cold.unit_decision_hits == 0 < cold.unit_decision_misses == warm.unit_decision_hits
-        assert cold_keys == warm_keys == 2 * cold.unit_decision_misses
+        units = cold.decision_stats.decision_misses
+        assert cold.decision_stats.decision_hits == 0 < units == warm.decision_stats.decision_hits
+        assert cold_keys == warm_keys == 2 * units
         print(label, cold_keys + warm_keys)

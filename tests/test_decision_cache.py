@@ -95,21 +95,21 @@ class TestReplayIdentity:
         workload = _profiled(abbr)
         optimizer = _optimizer(decision_cache=DecisionCache(CLUSTER, enabled=True))
         cold = optimizer.optimize(workload.plan)
-        assert cold.unit_decision_hits == 0
-        assert cold.unit_decision_misses > 0
+        assert cold.decision_stats.decision_hits == 0
+        assert cold.decision_stats.decision_misses > 0
 
         warm = optimizer.optimize(workload.plan)
-        assert warm.unit_decision_hits == cold.unit_decision_misses
-        assert warm.unit_decision_misses == 0
+        assert warm.decision_stats.decision_hits == cold.decision_stats.decision_misses
+        assert warm.decision_stats.decision_misses == 0
         # Every unit replayed: the only what-if query left is the final
         # whole-plan estimate, and no candidate ran RRS.
-        assert warm.whatif_queries == 1
+        assert warm.cost_stats.queries == 1
         assert all(r.rrs_evaluations == 0 for rep in warm.unit_reports for r in rep.subplans)
 
         # The hard contract: bit-identical plans, cold vs warm vs disabled.
         disabled = _optimizer(decision_cache=DecisionCache(CLUSTER, enabled=False))
         off = disabled.optimize(workload.plan)
-        assert off.unit_decision_hits == 0 and off.unit_decision_misses == 0
+        assert off.decision_stats.lookups == 0
         assert fingerprint(cold.plan) == fingerprint(warm.plan) == fingerprint(off.plan)
         assert cold.plan.signature() == warm.plan.signature()
         assert cold.estimated_cost_s == warm.estimated_cost_s == off.estimated_cost_s
@@ -123,7 +123,7 @@ class TestReplayIdentity:
         optimizer.optimize(workload.plan)
         # Every hit re-runs the full search and raises on any divergence.
         warm = optimizer.optimize(workload.plan)
-        assert warm.unit_decision_hits > 0
+        assert warm.decision_stats.decision_hits > 0
 
     def test_replay_decision_divergence_is_detected(self):
         workload = _profiled()
@@ -153,7 +153,7 @@ class TestReplayIdentity:
         cache = DecisionCache(CLUSTER, enabled=True)
         first = _optimizer(decision_cache=cache).optimize(workload.plan)
         second = _optimizer(decision_cache=cache).optimize(workload.plan)
-        assert second.unit_decision_hits == first.unit_decision_misses > 0
+        assert second.decision_stats.decision_hits == first.decision_stats.decision_misses > 0
         assert fingerprint(first.plan) == fingerprint(second.plan)
 
 
@@ -164,18 +164,17 @@ class TestObservability:
         second = harness.run(workloads=["IR"], optimizers=("Baseline", "Stubby"), backend="serial")
 
         assert first.decision_fingerprint() == second.decision_fingerprint()
-        assert first.unit_decision_hits == 0
+        assert first.decision_stats.decision_hits == 0
         assert first.decision_stats.stores > 0
         # The second run replays every unit the first run solved; the hits
         # are cross-origin because run tokens differ between run() calls.
-        assert second.unit_decision_hits > 0
-        assert second.cross_origin_decision_hits == second.unit_decision_hits
-        assert second.decision_stats.decision_hits == second.unit_decision_hits
+        assert second.decision_stats.decision_hits > 0
+        assert second.decision_stats.cross_origin_hits == second.decision_stats.decision_hits
         assert second.decision_stats.hit_rate == 1.0
 
         stubby = second.comparison("IR").runs["Stubby"]
-        assert stubby.unit_decision_hits > 0
-        assert stubby.unit_decision_misses == 0
+        assert stubby.decision_stats.decision_hits > 0
+        assert stubby.decision_stats.decision_misses == 0
         # Decision counters are observability, not results: fingerprints
         # exclude them by design (warmth must never change a decision).
         assert "unit_decision" not in repr(stubby.decision_fingerprint())
@@ -187,7 +186,7 @@ class TestObservability:
         # Decisions recorded inside forked cell workers merged on join: a
         # second run on the same harness replays them without re-searching.
         second = harness.run(workloads=["IR"], optimizers=("Stubby", "Vertical"), backend="process:2")
-        assert second.unit_decision_hits > 0
+        assert second.decision_stats.decision_hits > 0
         assert second.decision_stats.decision_misses == 0
         assert first.decision_fingerprint() == second.decision_fingerprint()
 
@@ -197,7 +196,7 @@ class TestObservability:
         # compare() invalidates the decision cache per optimizer (standalone
         # Figure 13 timings), so nothing is served warm within one call.
         for run in comparison.runs.values():
-            assert run.unit_decision_hits == 0
+            assert run.decision_stats.decision_hits == 0
 
 
 class TestInvalidation:
@@ -258,7 +257,7 @@ class TestInvalidation:
         search = _search(decision_cache=cache)
         before = _first_unit_key(search, plan)
         _optimizer(decision_cache=cache).optimize(plan)
-        assert _optimizer(decision_cache=cache).optimize(plan).unit_decision_misses == 0
+        assert _optimizer(decision_cache=cache).optimize(plan).decision_stats.decision_misses == 0
 
         if change == "load":
             dataset.load(dataset.all_records()[: dataset.num_records // 2])
@@ -269,9 +268,9 @@ class TestInvalidation:
         # Every unit misses (nothing stale is replayed), the verifying cache
         # stays green on the way back to warm, and warm == cold.
         changed = _optimizer(decision_cache=cache).optimize(plan)
-        assert changed.unit_decision_hits == 0 < changed.unit_decision_misses
+        assert changed.decision_stats.decision_hits == 0 < changed.decision_stats.decision_misses
         warm = _optimizer(decision_cache=cache).optimize(plan)
-        assert warm.unit_decision_misses == 0 < warm.unit_decision_hits
+        assert warm.decision_stats.decision_misses == 0 < warm.decision_stats.decision_hits
         cold = _optimizer(decision_cache=DecisionCache(CLUSTER, enabled=False)).optimize(plan)
         assert fingerprint(changed.plan) == fingerprint(warm.plan) == fingerprint(cold.plan)
         assert warm.estimated_cost_s == cold.estimated_cost_s
@@ -349,8 +348,8 @@ class TestInvalidation:
         cache = DecisionCache(CLUSTER, enabled=True)
         _optimizer(decision_cache=cache, seed=17).optimize(workload.plan)
         rerun = _optimizer(decision_cache=cache, seed=18).optimize(workload.plan)
-        assert rerun.unit_decision_hits == 0
-        assert rerun.unit_decision_misses > 0
+        assert rerun.decision_stats.decision_hits == 0
+        assert rerun.decision_stats.decision_misses > 0
 
 
 class TestPersistence:
@@ -370,7 +369,7 @@ class TestPersistence:
         assert warmed.last_load is not None and warmed.last_load.loaded
         assert warmed.last_load.entries == written
         result = _optimizer(decision_cache=warmed).optimize(workload.plan)
-        assert result.unit_decision_hits == cold.unit_decision_misses
+        assert result.decision_stats.decision_hits == cold.decision_stats.decision_misses
         # Disk-warm hits are cross-origin: the recording run's origin label
         # (None here) is not this process's lookup origin only when origins
         # differ — entries keep the origin they were stored under, so a
@@ -530,8 +529,8 @@ class TestPersistence:
         second = ExperimentHarness(scale=0.05, decision_cache_path=path)
         assert second.decisions.last_load.loaded
         result2 = second.run(workloads=["IR"], optimizers=("Stubby",))
-        assert result2.unit_decision_hits > 0
-        assert result2.cross_origin_decision_hits == result2.unit_decision_hits
+        assert result2.decision_stats.decision_hits > 0
+        assert result2.decision_stats.cross_origin_hits == result2.decision_stats.decision_hits
         assert result1.decision_fingerprint() == result2.decision_fingerprint()
 
 

@@ -119,7 +119,7 @@ def test_unit_keys_and_dataset_statistics_equal_their_reference_builders(
         assert compared == compared_warm > 0, generated.workflow.name
         assert warm.decision_fingerprint() == cold.decision_fingerprint()
         replayed = compared // 2 if decisions else 0
-        assert warm.unit_decision_hits == cold.unit_decision_misses == replayed
+        assert warm.decision_stats.decision_hits == cold.decision_stats.decision_misses == replayed
         datasets = [v.dataset for v in warm.plan.workflow.datasets if v.dataset is not None]
         assert datasets
         for dataset in datasets:

@@ -5,7 +5,8 @@ experiment scheduler changes *where* a (workload × optimizer) cell runs,
 never what it reports.  ``ExperimentHarness.run`` must produce bit-identical
 results on every backend at any worker count — and with a warm-started
 persisted cache — while the shared :class:`CostService` reaps cross-cell
-signature hits that ``OptimizerRun.cross_unit_hits`` accounts for exactly.
+signature hits that ``OptimizerRun.cost_stats.cross_origin_hits`` accounts for
+exactly.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.experiments import (
     build_cells,
     cell_seed,
 )
+from repro.service.stats import LEDGERS
 
 #: A small grid that still exercises cross-cell sharing (three optimizer
 #: variants of one workload overlap heavily in job signatures).
@@ -84,35 +86,46 @@ class TestBackendIdentity:
 class TestCrossCellSharing:
     """Cells of one run share the service; the reuse is attributed exactly."""
 
-    def test_cross_unit_hits_surface_on_optimizer_runs(self, serial_result):
+    def test_cross_cell_hits_surface_on_optimizer_runs(self, serial_result):
         runs = serial_result.comparisons["PJ"].runs
         # The first cell can only hit entries it stored itself.
-        assert runs["Baseline"].cross_unit_hits == 0
+        assert runs["Baseline"].cost_stats.cross_origin_hits == 0
         # Later variants re-cost the same annotated plan: they must reap
         # signature hits from their neighbours.
-        assert runs["Stubby"].cross_unit_hits > 0
-        assert runs["Vertical"].cross_unit_hits > 0
-        assert serial_result.cross_unit_hits == sum(r.cross_unit_hits for r in runs.values())
+        assert runs["Stubby"].cost_stats.cross_origin_hits > 0
+        assert runs["Vertical"].cost_stats.cross_origin_hits > 0
 
     @pytest.mark.parametrize("spec", ["serial", "process:2"])
     def test_per_cell_sinks_sum_to_run_totals(self, spec):
-        result = _run(spec)
+        harness = _fresh_harness()
+        harness.register_workload_subresults("IR")
+        result = harness.run(workloads=("IR", "PJ"), optimizers=OPTIMIZERS, backend=spec)
         runs = [
             run
             for comparison in result.comparisons.values()
             for run in comparison.runs.values()
         ]
-        assert all(run.cost_stats is not None for run in runs)
-        assert sum(run.cost_stats.queries for run in runs) == result.cost_stats.queries
-        assert sum(run.cost_stats.job_queries for run in runs) == result.cost_stats.job_queries
+        assert len(runs) == 6
+        for ledger in LEDGERS:
+            total = LEDGERS[ledger]()
+            for run in runs:
+                total.accumulate(getattr(run, ledger))
+            assert total == getattr(result, ledger), ledger
+        # Every store saw traffic, so the sums are not vacuous.
+        assert result.cost_stats.cross_origin_hits > 0
+        assert result.decision_stats.decision_misses > 0
+        assert result.subresult_stats.jobs_eliminated >= 1
         for run in runs:
             stats = run.cost_stats
-            assert (
-                stats.job_cache_hits + stats.job_dataflow_hits + stats.job_full_recosts
-                == stats.job_queries
-            )
-            assert run.whatif_queries == stats.queries
-            assert run.cross_unit_hits == stats.cross_origin_hits
+            assert stats.job_cache_hits + stats.job_full_recosts == stats.job_queries
+
+    def test_compare_runs_carry_their_results_ledgers(self):
+        comparison = _fresh_harness().compare("PJ", optimizers=("Baseline", "Stubby"))
+        for run in comparison.runs.values():
+            assert all(getattr(run, ledger) is not None for ledger in LEDGERS)
+        stubby = comparison.runs["Stubby"]
+        assert stubby.cost_stats.queries > comparison.runs["Baseline"].cost_stats.queries > 0
+        assert stubby.decision_stats.decision_misses > 0
 
 
 class TestWarmStart:
@@ -130,7 +143,7 @@ class TestWarmStart:
         assert warm.cost_stats.cache_hit_rate > cold.cost_stats.cache_hit_rate
         # Warm-started entries come from a previous run's cells: even the
         # first cell now sees cross-origin hits.
-        assert warm.comparisons["PJ"].runs["Baseline"].cross_unit_hits > 0
+        assert warm.comparisons["PJ"].runs["Baseline"].cost_stats.cross_origin_hits > 0
         # And the cache never changes results relative to a no-cache run.
         assert cold.decision_fingerprint() == serial_result.decision_fingerprint()
 
@@ -139,12 +152,6 @@ class TestWarmStart:
         harness = _fresh_harness(cache_path=path)
         harness.run(workloads=WORKLOADS, optimizers=("Baseline",), persist=False)
         assert not (tmp_path / "unused.cache").exists()
-        # persist_cache() writes it on demand.
-        assert harness.persist_cache() > 0
-        assert (tmp_path / "unused.cache").exists()
-
-    def test_persist_cache_without_path_is_a_noop(self):
-        assert _fresh_harness().persist_cache() == 0
 
     def test_compare_then_run_never_shrinks_the_persisted_files(self, tmp_path):
         # compare() invalidates the in-memory stores for its standalone

@@ -159,16 +159,11 @@ class TestPartitionFunction:
         function = PartitionFunction.default_hash(["a", "b"])
         assert function.key == ("hash", ("a", "b"), ("a", "b"), ())
         assert function.key is function.key
-        ranged = function.with_split_points([1.0, 2.0])
-        assert ranged.key == ("range", ("a", "b"), ("a", "b"), (1.0, 2.0)) != function.key
+        ranged = PartitionFunction.ranged("a", [1.0, 2.0], sort_fields=("a", "b"))
+        assert ranged.key == ("range", ("a",), ("a", "b"), (1.0, 2.0)) != function.key
 
     def test_satisfies_none_constraint(self):
         assert PartitionFunction.default_hash(["a"]).satisfies(None)
-
-    def test_with_helpers(self):
-        pf = PartitionFunction.default_hash(["a"])
-        assert pf.with_sort_fields(["a", "b"]).effective_sort_fields == ("a", "b")
-        assert pf.with_split_points([5.0]).kind == "range"
 
     @given(
         st.dictionaries(st.sampled_from(["a", "b"]), st.integers(-50, 50), min_size=1),

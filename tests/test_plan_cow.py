@@ -400,8 +400,9 @@ class TestWarmReplayBounds:
             self._count_calls(monkeypatch, counts, vertex_class, vertex_class, "__init__")
 
         warm = optimizer.optimize(plan)
-        units = cold.unit_decision_misses
-        assert warm.unit_decision_hits == units > 0 and warm.unit_decision_misses == 0
+        units = cold.decision_stats.decision_misses
+        assert warm.decision_stats.decision_hits == units > 0
+        assert warm.decision_stats.decision_misses == 0
         assert warm.decision_fingerprint() == cold.decision_fingerprint()
 
         for owner, name, per_vertex in self.PARTS:

@@ -23,13 +23,17 @@ import pickle
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.core.decision_cache import DecisionCacheStats
+from repro.core.subresults import SubResultCatalogStats
 from repro.profiler import Profiler
 from repro.service import (
     AdmissionQueue,
     AdmissionRejected,
     OPTIMIZER_VARIANTS,
     PlanRequest,
+    PlanResponse,
     PlanningServer,
+    ServiceStats,
     cold_optimize,
     oracle_fingerprint,
     percentile,
@@ -41,6 +45,7 @@ from repro.verification import (
     install_fault_plan,
 )
 from repro.verification.generator import GeneratorConfig
+from repro.whatif.service import CostServiceStats
 from repro.workloads import build_workload
 from tests.conftest import assert_ledgers_reconcile, ledger_marks
 
@@ -202,6 +207,20 @@ class TestAttributionInvariant:
                 assert tenant in report
 
         asyncio.run(main())
+
+    def test_report_counts_catalog_hits_as_cross_origin_reuse(self):
+        # A tenant whose only cross-origin reuse is another tenant's stored
+        # sub-result: the table's column sums every ledger, the catalog's too.
+        stats = ServiceStats()
+        response = PlanResponse(
+            tenant="reader", workload="pj", optimizer="Stubby", seed=17, ok=True,
+            cost_stats=CostServiceStats(),
+            decision_stats=DecisionCacheStats(),
+            subresult_stats=SubResultCatalogStats(hits=2, cross_origin_hits=2),
+        )
+        stats.record_completion(response)
+        row = next(line for line in stats.report().splitlines() if line.startswith("reader"))
+        assert row.split()[-1] == "2"
 
 
 class TestTypedWorkerResult:

@@ -122,6 +122,56 @@ def test_src_keeps_no_identity_table():
     assert calls == []
 
 
+def test_a_store_event_has_one_count():
+    """A store's attributed ledger (``cost_stats`` / ``decision_stats`` /
+    ``subresult_stats``) is the only count of its events: no result type
+    copies or re-sums one, and the test-only API that went with the copies
+    (``persist_cache``, the layout and partition-function ``with_*`` helpers,
+    ``relayout``, ``distinct_count``, ``iterate``, ``total_memory_mb``) stays
+    gone.  Eliminated jobs are credited by ``optimize()`` alone."""
+    banned = re.compile(
+        # Split literals: this file must not match its own ban when grepped.
+        r"cross_unit_" r"hits|cross_origin_subresult_" r"hits|cost_" r"queries"
+        r"|jobs_" r"recosted|_attribute_unit_" r"stats|decision_hit_" r"rate"
+        r"|persist_" r"cache|with_split_" r"points|with_" r"partitioning"
+        r"|with_" r"compression|with_sort_" r"fields|def re" r"layout"
+        r"|def distinct_" r"count\b|def it" r"erate|total_memory_" r"mb"
+    )
+    assert [path for path, text in _src_sources() if banned.search(text)] == []
+    # Names that survive on exactly one class: the per-unit decision outcome,
+    # the final plan's reuse facts and the frozen bench's query alias.
+    owners = {
+        "unit_decision_hits": {"UnitReport"},
+        "unit_decision_misses": {"UnitReport"},
+        "cross_origin_decision_hits": {"UnitReport"},
+        "jobs_eliminated_by_reuse": {"OptimizationResult"},
+        "whatif_queries": {"OptimizationResult"},
+        "cache_hit_rate": {"CostServiceStats"},
+    }
+    declared = {name: set() for name in owners}
+    credits = []
+    for path, text in _src_sources():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        name = item.name
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                    else:
+                        continue
+                    if name in declared:
+                        declared[name].add(node.name)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "record_jobs_eliminated"
+            ):
+                credits.append(path.replace(os.sep, "/"))
+    assert declared == owners
+    assert credits == ["src/repro/core/optimizer.py"]
+
+
 def test_whatif_adds_floats_left_to_right():
     """No builtin ``sum()`` under src/repro/whatif/: from Python 3.12 on it
     compensates float rounding and can return other bits than 3.11, so

@@ -125,7 +125,3 @@ class TestClusterSpec:
             ClusterSpec(num_nodes=0)
         with pytest.raises(ValueError):
             ClusterSpec(network_mb_per_s=0)
-
-    def test_total_memory(self):
-        cluster = ClusterSpec.small_test_cluster()
-        assert cluster.total_memory_mb == cluster.num_nodes * cluster.node.memory_mb

@@ -495,9 +495,6 @@ class TestAttributedScope:
             assert cell.cost_stats == result.cost_stats
             assert cell.decision_stats == result.decision_stats
             assert cell.subresult_stats == result.subresult_stats
-            assert cell.decision_stats.decision_hits == cell.unit_decision_hits
-            assert cell.decision_stats.decision_misses == cell.unit_decision_misses
-            assert cell.decision_stats.cross_origin_hits == cell.cross_origin_decision_hits
             assert (cell.decision_stats.cross_origin_hits > 0) == crossed
         # Every unit the second run replayed was solved under the first run's label.
         assert warm.decision_stats.cross_origin_hits == warm.decision_stats.decision_hits > 0

@@ -256,6 +256,18 @@ class TestCatalogTraffic:
             assert catalog.probe(signature) is not None
         assert catalog.stats_snapshot().cross_origin_hits == 1
 
+    def test_a_plain_optimize_credits_its_eliminated_jobs_once(self):
+        first, second = _pair()
+        catalog = SubResultCatalog(CLUSTER)
+        _execute_and_register(catalog, first, origin="producer")
+        before = catalog.stats_snapshot()
+        result = StubbyOptimizer(CLUSTER, subresult_catalog=catalog).optimize(second.plan)
+        # The result's ledger is the catalog's whole delta, and the credit is
+        # the final plan's count, not the candidates' (losers also apply()).
+        assert result.subresult_stats == catalog.stats_snapshot().since(before)
+        assert result.subresult_stats.jobs_eliminated == result.jobs_eliminated_by_reuse >= 1
+        assert result.subresult_stats.cross_origin_hits > 0
+
     def test_stale_entry_is_skipped_and_fetch_raises(self):
         first, _ = _pair()
         catalog = SubResultCatalog(CLUSTER)
@@ -504,11 +516,11 @@ class TestPersistence:
         result1 = first.run(workloads=["IR"], optimizers=("Stubby",))
         assert os.path.exists(path)
         assert result1.subresult_catalog_path == path
-        assert result1.jobs_eliminated_by_reuse >= 1
+        assert result1.subresult_stats.jobs_eliminated >= 1
 
         second = ExperimentHarness(scale=0.05, subresult_catalog_path=path)
         assert second.subresults.last_load.loaded
         result2 = second.run(workloads=["IR"], optimizers=("Stubby",))
-        assert result2.jobs_eliminated_by_reuse >= 1
+        assert result2.subresult_stats.jobs_eliminated >= 1
         assert result2.subresult_stats.cross_origin_hits > 0
         assert result1.decision_fingerprint() == result2.decision_fingerprint()

@@ -136,11 +136,7 @@ def test_three_waves_of_shared_prefix_traffic_reconcile_exactly(cluster, workflo
     catalog = SubResultCatalog(cluster, enabled=True)
 
     def optimize(generated):
-        # One tenant request: credit the eliminated jobs as harness/server do.
-        result = StubbyOptimizer(cluster, subresult_catalog=catalog).optimize(generated.plan)
-        if result.jobs_eliminated_by_reuse:
-            catalog.record_jobs_eliminated(result.jobs_eliminated_by_reuse)
-        return result
+        return StubbyOptimizer(cluster, subresult_catalog=catalog).optimize(generated.plan)
 
     def produce(seed, origin):
         producer = pairs[seed][0]
@@ -161,7 +157,9 @@ def test_three_waves_of_shared_prefix_traffic_reconcile_exactly(cluster, workflo
     assert replay.hit_rate >= 0.5 and mixed.misses > 0
     assert cold.cross_origin_hits == 0 < mixed.cross_origin_hits
     assert replay.cross_origin_hits > 0
-    eliminated = [
+    # Each wave's ledger credits exactly the jobs its final plans eliminated.
+    eliminated = [sink.jobs_eliminated for sink in (cold, mixed, replay)]
+    assert eliminated == [
         sum(r.jobs_eliminated_by_reuse for r in results)
         for results in (cold_results, mixed_results, replay_results)
     ]

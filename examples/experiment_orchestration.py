@@ -67,7 +67,7 @@ def main() -> None:
         # 1. Cold run.  All cells share the harness's CostService (so the
         #    Stubby/Vertical cells reap the Baseline cell's signatures), and
         #    cache_path= persists the store when the run finishes.  backend=
-        #    accepts a spec string, an ExecutionBackend, or None (serial).
+        #    takes a pool spec string: "serial" (the default) or "process:N".
         harness = ExperimentHarness(scale=0.15, cache_path=cache_path)
         cold = harness.run(workloads=WORKLOADS, optimizers=OPTIMIZERS)
         print(f"cold run on {cold.backend}")

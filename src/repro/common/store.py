@@ -36,8 +36,8 @@ Merge-on-join
     parent (:meth:`~ShardedStore.absorb_entries` /
     :meth:`~ShardedStore.apply_external_delta`).  Keys are content-based and
     values exact, so merging is idempotent and order-independent.
-    :func:`repro.core.parallel.store_side_channel` wires any store into a
-    backend session.
+    :meth:`repro.core.parallel.Pool.session` takes the stores and makes
+    exactly these calls, each request under :func:`attributed`.
 
 Persistence
     :meth:`ShardedStore.save_cache` writes one pickle — stamped with the

@@ -215,11 +215,6 @@ class StubbyOptimizer:
             self.subresults.record_jobs_eliminated(result.jobs_eliminated_by_reuse)
         return result
 
-    @property
-    def variant_name(self) -> str:
-        """Stubby / Vertical / Horizontal, depending on the enabled phases."""
-        return self._variant_for(self.phases)
-
     @classmethod
     def _variant_for(cls, phases: Sequence[str]) -> str:
         if tuple(phases) == ("vertical",):

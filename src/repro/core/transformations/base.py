@@ -20,18 +20,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.plan import AppliedTransformation, Plan
-
-
-class TransformationGroup(Enum):
-    """The two (overlapping) groups used by the two-phase search (paper §4)."""
-
-    VERTICAL = "vertical"
-    HORIZONTAL = "horizontal"
-    BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -56,11 +47,6 @@ class Transformation(ABC):
 
     #: Short identifier used in plan histories and reports.
     name: str = "transformation"
-    #: Which search phase(s) the transformation belongs to.
-    group: TransformationGroup = TransformationGroup.BOTH
-    #: Structural transformations change the workflow graph; non-structural
-    #: ones (partition function, configuration) do not.
-    structural: bool = True
 
     @abstractmethod
     def find_applications(self, plan: Plan, unit_jobs: Sequence[str]) -> List[TransformationApplication]:

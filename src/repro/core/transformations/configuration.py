@@ -20,11 +20,7 @@ from typing import Dict, List, Mapping, Sequence
 
 from repro.cluster import ClusterSpec
 from repro.core.plan import Plan
-from repro.core.transformations.base import (
-    Transformation,
-    TransformationApplication,
-    TransformationGroup,
-)
+from repro.core.transformations.base import Transformation, TransformationApplication
 from repro.mapreduce.config import ConfigurationSpace, JobConfig
 
 
@@ -32,8 +28,6 @@ class ConfigurationTransformation(Transformation):
     """Apply a configuration point (from RRS or a rule) to one job."""
 
     name = "configuration"
-    group = TransformationGroup.BOTH
-    structural = False
 
     def find_applications(self, plan: Plan, unit_jobs: Sequence[str]) -> List[TransformationApplication]:
         """Configuration changes are proposed by the search (RRS), not enumerated."""

@@ -19,11 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.plan import Plan
-from repro.core.transformations.base import (
-    Transformation,
-    TransformationApplication,
-    TransformationGroup,
-)
+from repro.core.transformations.base import Transformation, TransformationApplication
 from repro.mapreduce.config import JobConfig
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.partitioner import PartitionFunction
@@ -36,8 +32,6 @@ class HorizontalPacking(Transformation):
     """Pack sibling jobs into one job with tagged parallel pipelines."""
 
     name = "horizontal-packing"
-    group = TransformationGroup.HORIZONTAL
-    structural = True
 
     def __init__(self, allow_extended: bool = True) -> None:
         #: When true, also propose packing concurrently runnable jobs that do

@@ -19,11 +19,7 @@ from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from repro.core.plan import Plan
-from repro.core.transformations.base import (
-    Transformation,
-    TransformationApplication,
-    TransformationGroup,
-)
+from repro.core.transformations.base import Transformation, TransformationApplication
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.pipeline import Pipeline
 from repro.whatif.adjustment import adjust_profile_for_inter_job_packing
@@ -35,8 +31,6 @@ class InterJobVerticalPacking(Transformation):
     """Eliminate a Map-only job by merging it into its producer or consumer."""
 
     name = "inter-job-vertical-packing"
-    group = TransformationGroup.VERTICAL
-    structural = True
 
     def find_applications(self, plan: Plan, unit_jobs: Sequence[str]) -> List[TransformationApplication]:
         workflow = plan.workflow

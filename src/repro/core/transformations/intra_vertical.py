@@ -24,11 +24,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.plan import Plan
-from repro.core.transformations.base import (
-    Transformation,
-    TransformationApplication,
-    TransformationGroup,
-)
+from repro.core.transformations.base import Transformation, TransformationApplication
 from repro.mapreduce.partitioner import PartitionFunction
 from repro.mapreduce.pipeline import Pipeline
 from repro.whatif.adjustment import adjust_profile_for_intra_job_packing
@@ -39,8 +35,6 @@ class IntraJobVerticalPacking(Transformation):
     """Turn a consumer job into a map-only job pipelined after its producer."""
 
     name = "intra-job-vertical-packing"
-    group = TransformationGroup.VERTICAL
-    structural = True
 
     def find_applications(self, plan: Plan, unit_jobs: Sequence[str]) -> List[TransformationApplication]:
         workflow = plan.workflow

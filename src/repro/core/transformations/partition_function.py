@@ -19,11 +19,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.plan import Plan
-from repro.core.transformations.base import (
-    Transformation,
-    TransformationApplication,
-    TransformationGroup,
-)
+from repro.core.transformations.base import Transformation, TransformationApplication
 from repro.dfs.layout import RangePartitioning
 from repro.mapreduce.partitioner import PartitionFunction
 from repro.workflow.annotations import FilterAnnotation
@@ -38,8 +34,6 @@ class PartitionFunctionTransformation(Transformation):
     """Range-partition a producer's output to enable partition pruning."""
 
     name = "partition-function"
-    group = TransformationGroup.BOTH
-    structural = False
 
     def find_applications(self, plan: Plan, unit_jobs: Sequence[str]) -> List[TransformationApplication]:
         workflow = plan.workflow

@@ -41,11 +41,7 @@ from repro.core.subresults import (
     producing_cone,
     subgraph_signature,
 )
-from repro.core.transformations.base import (
-    Transformation,
-    TransformationApplication,
-    TransformationGroup,
-)
+from repro.core.transformations.base import Transformation, TransformationApplication
 
 __all__ = [
     "SubResultReuseTransformation",
@@ -56,8 +52,6 @@ class SubResultReuseTransformation(Transformation):
     """Replace an intermediate dataset's producing cone with its stored bytes."""
 
     name = "sub-result-reuse"
-    group = TransformationGroup.BOTH
-    structural = True
 
     def __init__(self, catalog: Optional[SubResultCatalog] = None) -> None:
         self._catalog = catalog

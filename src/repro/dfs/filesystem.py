@@ -42,10 +42,6 @@ class InMemoryFileSystem:
         """Whether a dataset with this name is stored."""
         return name in self._datasets
 
-    def delete(self, name: str) -> None:
-        """Remove a dataset if present."""
-        self._datasets.pop(name, None)
-
     def names(self) -> List[str]:
         """All stored dataset names, sorted."""
         return sorted(self._datasets)

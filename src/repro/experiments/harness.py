@@ -22,9 +22,9 @@ Two entry points cover the two evaluation styles:
   counters are standalone (the Figures 11–13 requirement);
 * :meth:`ExperimentHarness.run` — a whole experiment at once: every
   (workload × optimizer) **cell** is dispatched through the
-  :class:`~repro.experiments.scheduler.ExperimentScheduler` onto a pluggable
-  execution backend (``run(backend=)``, serial by default — the one fan-out
-  level; each cell's search is serial), all cells sharing the harness's
+  :class:`~repro.experiments.scheduler.ExperimentScheduler` onto a pool
+  (``run(backend=)``, a spec string, ``"serial"`` by default — the one
+  fan-out level; each cell's search is serial), all cells sharing the harness's
   :class:`CostService` so cross-cell hits are reaped (surfaced as
   ``OptimizerRun.cost_stats.cross_origin_hits``), and — when a
   ``cache_path`` is configured — the signature→estimate store persists
@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import make_optimizer
 from repro.cluster import ClusterSpec
-from repro.common.records import records_equal
+from repro.common.records import diff_record_multisets
 from repro.common.store import (
     ShardedStore,
     attributed,
@@ -158,13 +158,13 @@ class ExperimentRunResult:
     comparisons: Dict[str, WorkloadComparison]
     #: Optimizer names, in the requested (and per-workload run) order.
     optimizers: Tuple[str, ...]
-    #: Spec of the experiment backend the cells ran on (e.g. "process:4").
+    #: Spec of the pool the cells ran on (e.g. "process:4").
     backend: str
     #: Wall-clock seconds of the serial preparation phase (build + profile +
     #: reference execution of every workload).
     prepare_s: float = 0.0
-    #: Wall-clock seconds of the fanned-out cell phase — the part the
-    #: experiment backend parallelizes.
+    #: Wall-clock seconds of the fanned-out cell phase — the part a fork
+    #: pool parallelizes.
     cells_s: float = 0.0
     #: Cost-service counter delta over the whole run (all cells combined).
     cost_stats: CostServiceStats = field(default_factory=CostServiceStats)
@@ -194,7 +194,7 @@ class ExperimentRunResult:
     def decision_fingerprint(self) -> Tuple:
         """Every cell's results as plain data — the identity-contract value.
 
-        Two runs of the same experiment (any backend, any worker count, warm
+        Two runs of the same experiment (any pool, any worker count, warm
         or cold cache) must produce equal fingerprints; see
         ``tests/test_experiment_orchestration.py``.
         """
@@ -267,7 +267,7 @@ class ExperimentHarness:
         )
         self.subresult_catalog_path = self.subresults.cache_path
         #: The shared stores; cells run attributed over all of them, ride one
-        #: side channel and persist together.
+        #: pool session and persist together.
         self.stores: Tuple[ShardedStore, ...] = (self.costs, self.decisions, self.subresults)
         #: Dispatch accounting of the most recent :meth:`run` (None before).
         self.last_dispatch_stats = None
@@ -329,7 +329,7 @@ class ExperimentHarness:
         self,
         workloads: Optional[Sequence[str]] = None,
         optimizers: Sequence[str] = FIGURE11_OPTIMIZERS,
-        backend=None,
+        backend: str = "serial",
         persist: bool = True,
     ) -> ExperimentRunResult:
         """Run a whole experiment — every (workload × optimizer) cell — at once.
@@ -341,9 +341,9 @@ class ExperimentHarness:
         ``OptimizerRun.cost_stats.cross_origin_hits`` counts what it reaped
         from the others).  Cells are dispatched
         through the :class:`~repro.experiments.scheduler.ExperimentScheduler`
-        onto ``backend`` (a spec string or backend instance, serial when
-        ``None``); results are identical on every backend at any worker
-        count, by the scheduler's determinism contract.
+        onto the pool ``backend`` names (``"serial"`` or ``"process:N"``);
+        results are identical on every pool at any worker count, by the
+        scheduler's determinism contract.
 
         With a ``cache_path`` configured the run warm-starts from the
         persisted store (done at harness construction) and — unless
@@ -424,7 +424,7 @@ class ExperimentHarness:
     ) -> OptimizerRun:
         """Execute one cell: optimize under the cell's origin label, evaluate.
 
-        Runs on whatever worker the experiment backend chose; everything
+        Runs on whatever worker the pool chose; everything
         here must therefore be deterministic given the cell alone.  What the
         cell stores is labelled with it, so other cells' reuse of it is
         measurable; its exact activity is the result's own ledgers.
@@ -492,13 +492,13 @@ class ExperimentHarness:
             result.plan.workflow, base_datasets=workload.base_datasets
         )
         actual = self.actual_model.workflow_cost(result.plan.workflow, execution, filesystem)
-        equivalent = True
-        for name, reference in reference_outputs.items():
-            if not filesystem.exists(name):
-                equivalent = False
-                continue
-            if not records_equal(reference, filesystem.get(name).all_records()):
-                equivalent = False
+        # The differential battery's tolerance-aware comparison, so a plan
+        # whose float sums straddle a rounding boundary is judged alike here.
+        equivalent = all(
+            filesystem.exists(name)
+            and diff_record_multisets(reference, filesystem.get(name).all_records()) == ([], [])
+            for name, reference in reference_outputs.items()
+        )
         return OptimizerRun(
             optimizer=result.optimizer,
             num_jobs=result.num_jobs,

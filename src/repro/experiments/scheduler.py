@@ -13,21 +13,20 @@ This module provides that fan-out:
 
 * :class:`ExperimentCell` — one (workload, optimizer) pair with its
   deterministic per-cell seed and origin label;
-* :class:`ExperimentScheduler` — opens one backend session over the cells,
-  wires the shared cost service through the session's side channel (so
-  forked cells merge their stats and cache shards on join), and returns
-  the per-cell results **in cell order** regardless of completion order.
+* :class:`ExperimentScheduler` — opens one pool session over the cells and
+  the shared stores (so forked cells merge their stats and cache shards on
+  join), and returns the per-cell results **in cell order** regardless of
+  completion order.
 
-Backend selection: a ``backend=`` argument (spec string or
-:class:`~repro.core.parallel.ExecutionBackend` instance), else serial.  Cells are
-the only fan-out level of an experiment run: a parallel backend dispatches
-whole cells, and each cell's unit search runs serially on the worker that
-took the cell.
+Pool selection: a ``backend=`` spec string (``"serial"``, the default, or
+``"process:N"``).  Cells are the only fan-out level of an experiment run: a
+fork pool dispatches whole cells, and each cell's unit search runs serially
+on the worker that took the cell.
 
-Determinism contract: a backend only changes *where* a cell runs.  Cell seeds derive from the cell key via
+Determinism contract: a pool only changes *where* a cell runs.  Cell seeds derive from the cell key via
 :func:`~repro.common.hashing.stable_hash` — never from draw order on a
 shared stream — the shared cost service returns bit-identical estimates
-cached or not, and results are collected in cell order.  So every backend,
+cached or not, and results are collected in cell order.  So every pool,
 at any worker count, reproduces the serial harness's results byte for byte
 (``tests/test_experiment_orchestration.py`` enforces it).
 """
@@ -39,12 +38,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.common.hashing import stable_hash
 from repro.common.store import ShardedStore
-from repro.core.parallel import (
-    DispatchStats,
-    ExecutionBackend,
-    resolve_backend,
-    store_side_channel,
-)
+from repro.core.parallel import DispatchStats, Pool
 
 __all__ = [
     "ExperimentCell",
@@ -99,10 +93,10 @@ def build_cells(
 
 
 class ExperimentScheduler:
-    """Dispatches experiment cells onto a pluggable execution backend."""
+    """Dispatches experiment cells onto a :class:`~repro.core.parallel.Pool`."""
 
-    def __init__(self, backend=None) -> None:
-        self.backend: ExecutionBackend = resolve_backend(backend)
+    def __init__(self, backend: str = "serial") -> None:
+        self.pool = Pool(backend)
         #: Dispatch accounting of the most recent :meth:`map_cells` call
         #: (None until one has run): how cells spread across workers, how
         #: many were stolen, and the idle-cost imbalance metric.
@@ -110,42 +104,38 @@ class ExperimentScheduler:
 
     @property
     def spec(self) -> str:
-        """Spec string of the resolved backend (``"process:4"`` …)."""
-        return self.backend.spec
+        """Spec string of the pool (``"process:4"`` …)."""
+        return self.pool.spec
 
     def map_cells(
         self,
         cells: Sequence[ExperimentCell],
         run_cell: Callable[[ExperimentCell], object],
         stores: Sequence[ShardedStore] = (),
-        cell_costs: Optional[Sequence[float]] = None,
     ) -> List[object]:
         """Run every cell and return its results in cell order.
 
         Only the cell *index* crosses a worker boundary (cells hold workload
-        names, but a process-backend worker inherits the prepared workloads
-        by fork); responses must be plain picklable data.  Every store in ``stores``
+        names, but a forked worker inherits the prepared workloads by
+        fork); responses must be plain picklable data.  Every store in ``stores``
         (the harness passes its cost service, decision cache and sub-result
-        catalog) rides along on a side channel, so worker stats and new
+        catalog) rides along with the session, so worker stats and new
         entries merge back into the shared store: one cell's costed jobs,
         solved units and registered sub-results serve every later cell.
 
         Cells are heterogeneous — a Baseline cell costs a fraction of a
         Stubby cell on a wide workload — and a forked session hands idle
-        workers the next cell instead of dealing a fixed share up front.
-        ``cell_costs`` (optional, parallel to ``cells``) declares relative
-        cell weights for the load accounting surfaced in
-        :attr:`last_dispatch_stats`; results are in cell order whichever
-        worker computed them, by the determinism contract.
+        workers the next cell instead of dealing a fixed share up front;
+        :attr:`last_dispatch_stats` records the split.  Results are in cell
+        order whichever worker computed them, by the determinism contract.
         """
-        side = store_side_channel(*stores)
         indexed = list(cells)
 
         def worker(index: int):
             return run_cell(indexed[index])
 
-        with self.backend.session(worker, side) as session:
+        with self.pool.session(worker, stores) as session:
             try:
-                return session.run(list(range(len(indexed))), costs=cell_costs)
+                return session.run(list(range(len(indexed))))
             finally:
                 self.last_dispatch_stats = session.dispatch_stats

@@ -6,9 +6,9 @@ Request path (see ``docs/service.md`` for the full diagram)::
         thread --session.run(batch)--> worker pool
         --_execute()--> _Outcome(PlanResponse) --_complete()--> client future
 
-One **dispatcher thread** owns the backend session.  It drains the
+One **dispatcher thread** owns the pool session.  It drains the
 admission queue in per-tenant round-robin order into micro-batches and
-fans each batch onto a :mod:`repro.core.parallel` backend, whose fork pool
+fans each batch onto a :class:`~repro.core.parallel.Pool`, whose fork pool
 hands idle workers the next request, so a tenant's expensive workflow
 occupies one worker while cheap requests keep flowing around it.  Results resolve the
 clients' asyncio futures back on the event loop.
@@ -58,12 +58,7 @@ from repro.core.subresults import (
     SubResultCatalogStats,
     register_workflow_outputs,
 )
-from repro.core.parallel import (
-    DispatchStats,
-    ExecutionBackend,
-    resolve_backend,
-    store_side_channel,
-)
+from repro.core.parallel import DispatchStats, Pool
 from repro.core.plan import Plan
 from repro.service.admission import AdmissionQueue, AdmissionRejected
 from repro.service.degradation import (
@@ -138,9 +133,6 @@ class PlanRequest:
     workload: str
     optimizer: str = "Stubby"
     seed: int = 17
-    #: Relative cost weight for the pool's load accounting; any positive
-    #: number.
-    cost_weight: float = 1.0
     #: Seconds the client is willing to wait for an answer.  The remaining
     #: budget is threaded into the search as a cooperative deadline; a
     #: request still queued when its deadline passes is shed — answered
@@ -256,8 +248,8 @@ class _Ticket:
 class PlanningServer:
     """Long-lived multi-tenant front end over one shared optimizer substrate.
 
-    ``pool`` is a :mod:`repro.core.parallel` spec string (``"serial"``,
-    ``"process:2"``) or backend instance — the pool that runs the
+    ``pool`` is a :class:`~repro.core.parallel.Pool` spec string
+    (``"serial"``, ``"process:2"``) — the pool that runs the
     optimizations (requests are heterogeneous; a fork pool hands idle
     workers the next one and retries a request whose worker died).  The
     server owns one shared :class:`CostService`, :class:`DecisionCache` and
@@ -277,7 +269,7 @@ class PlanningServer:
     def __init__(
         self,
         cluster: ClusterSpec,
-        pool="serial",
+        pool: str = "serial",
         queue_capacity: int = 64,
         per_tenant_capacity: Optional[int] = None,
         cost_service: Optional[CostService] = None,
@@ -300,10 +292,10 @@ class PlanningServer:
             SubResultCatalog, cluster, subresult_catalog, subresult_catalog_path
         )
         #: The shared stores, in :data:`~repro.service.stats.LEDGERS` order:
-        #: everything done per store (side channels, per-request sinks,
+        #: everything done per store (pool sessions, per-request sinks,
         #: persistence) loops over this.
         self.stores: Tuple[ShardedStore, ...] = (self.costs, self.decisions, self.subresults)
-        self.backend: ExecutionBackend = resolve_backend(pool)
+        self.pool = Pool(pool)
         self.admission = AdmissionQueue(queue_capacity, per_tenant_capacity)
         #: Expired-in-queue requests are answered (degraded), not dropped.
         self.admission.on_shed = self._shed_ticket
@@ -312,7 +304,7 @@ class PlanningServer:
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breaker_config = (breaker_threshold, breaker_backoff_s)
         self._registry: Dict[str, Plan] = {}
-        self._max_batch = max(2 * self.backend.workers, 4)
+        self._max_batch = max(2 * self.pool.workers, 4)
         self._session = None
         #: Guards the detach-then-accumulate handoff between a session and
         #: ``_pool_history`` so concurrent ``dispatch_stats()`` readers never
@@ -323,7 +315,7 @@ class PlanningServer:
         self._running = False
         self._stopping = False
         #: Dispatch counters of already-closed sessions (pool recycles).
-        self._pool_history = DispatchStats(workers=self.backend.workers)
+        self._pool_history = DispatchStats(workers=self.pool.workers)
 
     # -------------------------------------------------------------- registry
     def register_workload(self, name: str, plan_or_workflow) -> None:
@@ -365,7 +357,7 @@ class PlanningServer:
         as ``cross_origin_hits`` in their attribution.  Returns the number
         of catalog entries registered.
 
-        Visibility mirrors the cache side-channel: a serial pool sees
+        Visibility mirrors merge-on-join: a serial pool sees
         new entries immediately; a forked process pool's workers see them
         after the next pool recycle or :meth:`restart` (the registration
         lands in the parent, and workers re-fork from it).
@@ -517,8 +509,7 @@ class PlanningServer:
 
     def _ensure_session(self):
         if self._session is None:
-            side = store_side_channel(*self.stores)
-            self._session = self.backend.session(self._execute, side)
+            self._session = self.pool.session(self._execute, self.stores)
         return self._session
 
     def _close_session(self) -> None:
@@ -563,15 +554,14 @@ class PlanningServer:
             )
             for t in tickets
         ]
-        costs = [t.request.cost_weight for t in tickets]
         dispatched = time.perf_counter()
         try:
-            outcomes = session.run(work, costs=costs)
+            outcomes = session.run(work)
         except RuntimeError as exc:
             # The pool failed hard (all workers dead, or a request kept
             # dying).  Fail this batch cleanly and recycle the pool so the
             # next batch gets fresh workers; nothing was double-absorbed —
-            # one request is one chunk is one payload.
+            # one request is one reply carrying its deltas.
             self._close_session()
             for ticket in tickets:
                 self._resolve_error(ticket, f"worker pool failed: {exc}", dispatched)
@@ -581,7 +571,7 @@ class PlanningServer:
         # A fork pool survives individual deaths; recycle once the
         # batch is answered so capacity recovers (close merges the
         # survivors' caches, the next batch re-forks at full strength).
-        if session.forked and session.live_workers < self.backend.workers:
+        if session.forked and session.live_workers < self.pool.workers:
             self._close_session()
 
     def _execute(self, work: Tuple[str, str, str, int, Optional[float], bool]) -> _Outcome:
@@ -797,7 +787,7 @@ class PlanningServer:
     # -------------------------------------------------------------- insight
     def dispatch_stats(self) -> DispatchStats:
         """Aggregated pool accounting across every session so far."""
-        total = DispatchStats(workers=self.backend.workers)
+        total = DispatchStats(workers=self.pool.workers)
         with self._session_lock:
             total.accumulate(self._pool_history)
             if self._session is not None:

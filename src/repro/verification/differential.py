@@ -193,14 +193,10 @@ class DifferentialExecutor:
         self, target, base_datasets: Mapping[str, Dataset]
     ) -> Dict[str, List[Record]]:
         """Run a workflow or plan, returning {dataset name: records} per job."""
-        if isinstance(target, Plan):
-            execution, _ = self.executor.execute_plan(
-                target.copy(), base_datasets=base_datasets, collect_outputs=True
-            )
-        else:
-            execution, _ = self.executor.execute(
-                target.copy(), base_datasets=base_datasets, collect_outputs=True
-            )
+        workflow = target.workflow if isinstance(target, Plan) else target
+        execution, _ = self.executor.execute(
+            workflow.copy(), base_datasets=base_datasets, collect_outputs=True
+        )
         outputs: Dict[str, List[Record]] = {}
         for job_outputs in execution.job_outputs.values():
             outputs.update(job_outputs)

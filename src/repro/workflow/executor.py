@@ -36,19 +36,6 @@ class WorkflowExecutionResult:
     job_outputs: Dict[str, Dict[str, List[Record]]] = field(default_factory=dict)
 
     @property
-    def execution_order(self) -> List[str]:
-        """Job names in the order they were executed (topological)."""
-        return list(self.job_results)
-
-    @property
-    def total_counters(self) -> ExecutionCounters:
-        """Counters summed over every job in the workflow."""
-        total = ExecutionCounters()
-        for result in self.job_results.values():
-            total.merge(result.counters)
-        return total
-
-    @property
     def num_jobs(self) -> int:
         """Number of jobs that were executed."""
         return len(self.job_results)
@@ -105,27 +92,6 @@ class WorkflowExecutor:
                 }
         result.wall_clock_seconds = time.perf_counter() - started
         return result, fs
-
-    def execute_plan(
-        self,
-        plan,
-        base_datasets: Optional[Mapping[str, Dataset]] = None,
-        filesystem: Optional[InMemoryFileSystem] = None,
-        collect_outputs: bool = True,
-    ) -> tuple:
-        """Execute a :class:`~repro.core.plan.Plan` end to end.
-
-        Convenience hook for the verification subsystem: runs the plan's
-        workflow and (by default) collects per-job outputs so divergences can
-        be localized to the job that produced them.  Returns
-        ``(result, filesystem)`` exactly like :meth:`execute`.
-        """
-        return self.execute(
-            plan.workflow,
-            base_datasets=base_datasets,
-            filesystem=filesystem,
-            collect_outputs=collect_outputs,
-        )
 
     @staticmethod
     def _stage_inputs(

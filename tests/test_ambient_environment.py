@@ -25,7 +25,6 @@ from repro.common.faults import active_plan
 from repro.common.store import ShardedStore
 from repro.core.decision_cache import DecisionCache
 from repro.core.optimizer import StubbyOptimizer
-from repro.core.parallel import SerialBackend
 from repro.core.search import StubbySearch
 from repro.core.subresults import SubResultCatalog
 from repro.experiments import ExperimentScheduler
@@ -89,7 +88,7 @@ def test_default_constructed_objects_ignore_the_environment(tmp_path, monkeypatc
     for store in stores:
         assert store.cache_path is None and store.last_load is None, type(store).__name__
         assert store.enabled is True, type(store).__name__
-    assert isinstance(ExperimentScheduler().backend, SerialBackend)
+    assert ExperimentScheduler().spec == "serial:1"
 
     result = variants[0].optimize(plan.copy())
     assert result.decision_fingerprint() == clean

@@ -138,7 +138,7 @@ class TestMakeOptimizer:
             assert optimizer.costs is costs
             if name in phases:
                 assert isinstance(optimizer, StubbyOptimizer)
-                assert optimizer.variant_name == name and optimizer.phases == phases[name]
+                assert optimizer.phases == phases[name]
                 assert optimizer.decisions is decisions and optimizer.subresults is catalog
                 assert optimizer.search.seed == 5
             else:

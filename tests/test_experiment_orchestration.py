@@ -12,7 +12,7 @@ exactly.
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core.parallel import ProcessBackend, SerialBackend
+from repro.core.parallel import Pool
 from repro.experiments import (
     ExperimentHarness,
     ExperimentScheduler,
@@ -177,13 +177,12 @@ class TestWarmStart:
 
 
 class TestSchedulerPlumbing:
-    def test_resolve_backend_passthrough(self):
-        backend = ProcessBackend(workers=2)
-        assert ExperimentScheduler(backend).backend is backend
-        assert isinstance(ExperimentScheduler().backend, SerialBackend)
-        assert ExperimentScheduler("process:3").backend.workers == 3
-        with pytest.raises(TypeError):
-            ExperimentScheduler(3.14)
+    def test_the_backend_is_a_spec_string(self):
+        assert ExperimentScheduler().spec == "serial:1"
+        assert ExperimentScheduler("process:3").pool.workers == 3
+        for not_a_spec in (None, 3.14, Pool("process:2")):
+            with pytest.raises(TypeError):
+                ExperimentScheduler(not_a_spec)
         with pytest.raises(ValueError):
             ExperimentScheduler("warp:9")
 

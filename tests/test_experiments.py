@@ -1,13 +1,22 @@
 """Tests for the experiment harness and the Figure 5 micro-benchmarks."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.common.records import diff_record_multisets
+from repro.core.optimizer import OptimizationResult
+from repro.core.plan import Plan
+from repro.dfs.dataset import Dataset
 from repro.experiments import (
     ExperimentHarness,
     horizontal_packing_tradeoff,
     vertical_packing_tradeoff,
 )
+from repro.mapreduce.job import simple_job
+from repro.workflow.graph import Workflow
+from repro.workloads import common
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +35,28 @@ class TestHarness:
 
     def test_every_optimized_plan_is_equivalent(self, pj_comparison):
         assert all(run.output_equivalent for run in pj_comparison.runs.values())
+
+    def test_output_equivalence_is_the_differential_batterys(self, harness):
+        # Two floats 2e-16 apart that straddle a 9-digit rounding boundary:
+        # the battery's comparison accepts them, so the harness must too.
+        value = 0.1234567895
+        workflow = Workflow(name="copy")
+        workflow.add_job(simple_job("J", "base", "out", map_fn=common.key_by(("k",))))
+        result = OptimizationResult(
+            plan=Plan(workflow), estimated_cost_s=0.0, optimization_time_s=0.0, optimizer="copy"
+        )
+        workload = SimpleNamespace(
+            base_datasets={"base": Dataset("base", records=[{"k": "a", "v": value}])}
+        )
+
+        def judged(reference):
+            return harness._evaluate(result, workload, {"out": reference}).output_equivalent
+
+        shifted = [{"k": "a", "v": value + 2e-16}]
+        assert diff_record_multisets(shifted, [{"k": "a", "v": value}]) == ([], [])
+        assert judged(shifted)
+        assert not judged([{"k": "a", "v": value + 1e-3}])
+        assert not judged([{"k": "a", "v": value}, {"k": "a", "v": value}])
 
     def test_baseline_speedup_is_one(self, pj_comparison):
         assert pj_comparison.speedup("Baseline") == pytest.approx(1.0)

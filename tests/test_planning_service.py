@@ -99,14 +99,9 @@ def oracle(catalog, workload, optimizer):
 
 def request_for(i: int) -> PlanRequest:
     workload, optimizer = COMBOS[i % len(COMBOS)]
-    return PlanRequest(
-        tenant=f"t{i % 4}",
-        workload=workload,
-        optimizer=optimizer,
-        # Heterogeneous declared costs: the full Stubby search is the
-        # expensive request the stealing pool routes around.
-        cost_weight=3.0 if optimizer == "Stubby" else 1.0,
-    )
+    # Heterogeneous costs: the full Stubby search is the expensive request
+    # the pool routes the cheap ones around.
+    return PlanRequest(tenant=f"t{i % 4}", workload=workload, optimizer=optimizer)
 
 
 def make_server(catalog, **kwargs):
@@ -389,8 +384,8 @@ class TestFaultInjection:
 
 class TestServerGuards:
     def test_default_pool_is_serial(self):
-        # The same default as resolve_backend and ExperimentScheduler.
-        assert PlanningServer(CLUSTER).backend.spec == "serial:1"
+        # The same default as Pool and ExperimentScheduler.
+        assert PlanningServer(CLUSTER).pool.spec == "serial:1"
 
     def test_bad_pool_specs_are_rejected_in_pool_terms(self):
         # Regression: the message used to say "unknown search backend", and a

@@ -172,6 +172,26 @@ def test_a_store_event_has_one_count():
     assert credits == ["src/repro/core/optimizer.py"]
 
 
+def test_one_pool_one_session():
+    """``core/parallel.py`` is one ``Pool(spec)`` opening ``Session`` s over
+    the stores: the backend hierarchy, its resolvers and the side channel
+    stay gone, and so do the declared per-request cost weights and the
+    test-only API that went with them (the transformation group metadata,
+    ``execute_plan``, the execution result's order and counter totals,
+    ``variant_name``, the filesystem's ``delete``)."""
+    banned = re.compile(
+        # Split literals: this file must not match its own ban when grepped.
+        r"Serial" r"Backend|Process" r"Backend|Execution" r"Backend|Backend" r"Session"
+        r"|Side" r"Channel|store_side_" r"channel|create_" r"backend|resolve_" r"backend"
+        r"|cost_" r"weight|cell_" r"costs|_request_" r"loads"
+        r"|Transformation" r"Group|VERTICAL_" r"GROUP|HORIZONTAL_" r"GROUP"
+        r"|execute_" r"plan|execution_" r"order|total_" r"counters|variant_" r"name"
+        r"|def de" r"lete\b"
+    )
+    texts = [*_sources("src"), *_sources("examples"), *_sources("docs", (".md",))]
+    assert [path for path, text in texts if banned.search(text)] == []
+
+
 def test_whatif_adds_floats_left_to_right():
     """No builtin ``sum()`` under src/repro/whatif/: from Python 3.12 on it
     compensates float rounding and can return other bits than 3.11, so

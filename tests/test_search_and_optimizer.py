@@ -8,7 +8,7 @@ from repro.cluster import ClusterSpec
 from repro.common.records import records_equal
 from repro.core.optimization_unit import OptimizationUnit, OptimizationUnitGenerator
 from repro.core.optimizer import StubbyOptimizer
-from repro.core.parallel import create_backend
+from repro.core.parallel import Pool
 from repro.core.plan import Plan
 from repro.core.rrs import RecursiveRandomSearch
 from repro.core.search import StubbySearch
@@ -296,9 +296,13 @@ class TestBatchedRRS:
 
 class TestStubbyOptimizer:
     def test_variant_names(self):
-        assert StubbyOptimizer(CLUSTER).variant_name == "Stubby"
-        assert StubbyOptimizer.vertical_only(CLUSTER).variant_name == "Vertical"
-        assert StubbyOptimizer.horizontal_only(CLUSTER).variant_name == "Horizontal"
+        # A result is labelled by the phases that ran.
+        for factory, label in (
+            (StubbyOptimizer, "Stubby"),
+            (StubbyOptimizer.vertical_only, "Vertical"),
+            (StubbyOptimizer.horizontal_only, "Horizontal"),
+        ):
+            assert StubbyOptimizer._variant_for(factory(CLUSTER).phases) == label
 
     def test_search_is_serial_and_says_where_work_fans_out(self):
         # bench/cold.py still passes backend="serial"; nothing else is taken.
@@ -317,7 +321,7 @@ class TestStubbyOptimizer:
             assert result.unit_reports and result.estimated_cost_s > 0
         # The trap is live: the pool that does fork walks into it.
         with pytest.raises(AssertionError, match="started a process"):
-            with create_backend("process:2").session(abs) as session:
+            with Pool("process:2").session(abs) as session:
                 session.run([1, 2])
 
     def test_rejects_unknown_phase_lazily(self):
@@ -340,7 +344,6 @@ class TestStubbyOptimizer:
         assert optimizer.phases == ("vertical", "horizontal")  # config untouched
         # The result is labeled by the phases that actually ran.
         assert result.optimizer == "Vertical"
-        assert optimizer.variant_name == "Stubby"
 
     def test_as_plan_accepts_plan_and_workflow(self):
         workload = _profiled("IR")

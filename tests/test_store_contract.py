@@ -26,7 +26,7 @@ import repro.whatif.service as service_module
 from repro.cluster import ClusterSpec
 from repro.common.store import ShardedLRU, ShardedStore, attributed, current_origin, persist
 from repro.core.decision_cache import DecisionCache, SubunitChoice, UnitDecision
-from repro.core.parallel import create_backend, store_side_channel
+from repro.core.parallel import Pool
 from repro.core.subresults import SubResultCatalog, SubResultEntry
 from repro.experiments import ExperimentHarness
 from repro.profiler import Profiler
@@ -464,7 +464,7 @@ class TestAttributedScope:
             return index
 
         with attributed((store,), "opener") as (sink,):
-            with create_backend(spec).session(request, store_side_channel(store)) as session:
+            with Pool(spec).session(request, (store,)) as session:
                 assert session.run([0, 1, 2, 3]) == [0, 1, 2, 3]
         delta = store.stats_snapshot().since(before)
         assert any(delta.as_dict().values())

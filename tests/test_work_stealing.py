@@ -3,16 +3,14 @@
 The contract under test is the one ``docs/search.md`` documents for a
 forked session: handing idle workers the next request changes *which
 worker* runs a request and *when*, never the results — every pool returns
-the same responses in request order as :class:`SerialBackend`, the
+the same responses in request order as ``Pool("serial")``, the
 reference.  On top of identity the suite asserts the two properties the
 one-request-at-a-time dispatch exists for:
 
-* **balance** — under heterogeneous request costs the counter-based
-  imbalance metric :attr:`DispatchStats.idle_cost_units` is measurably
-  lower than round-robin dealing would give (a figure derived from
-  ``WEIGHTS`` below), with ``steals > 0`` proving requests left their
-  round-robin slot (counters, not wall clocks, so it holds on 1-CPU CI
-  hosts too);
+* **balance** — under heterogeneous request costs the worker stuck on the
+  slow request runs fewer than its round-robin share of requests, with
+  ``steals > 0`` proving requests left their round-robin slot (counters,
+  not wall clocks, so it holds on 1-CPU CI hosts too);
 * **fault tolerance** — a worker SIGKILLed mid-request
   loses exactly that request's chunk, which is retried on a survivor up to
   ``MAX_TASK_ATTEMPTS`` times; deterministic worker exceptions are *never*
@@ -26,28 +24,16 @@ import time
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core.parallel import (
-    MAX_TASK_ATTEMPTS,
-    DispatchStats,
-    ProcessBackend,
-    SerialBackend,
-    create_backend,
-    resolve_backend,
-    store_side_channel,
-)
+from repro.core.parallel import MAX_TASK_ATTEMPTS, DispatchStats, Pool
 from repro.experiments import ExperimentHarness, ExperimentScheduler, build_cells
+from repro.verification import FaultPlan, FaultSpec, install_fault_plan
 
-#: One expensive request among cheap ones: round-robin dealing on two
-#: workers gives slots [6+1+1+1, 1+1+1+1] (idle cost 5.0); a balanced
-#: split is [7, 6] (idle cost 1.0).
+#: One expensive request among cheap ones.  Slot 0 always takes a batch's
+#: first request, so on two workers it sleeps through request 0 while slot
+#: 1 drains the cheap ones: round-robin dealing would give each worker 4.
 WEIGHTS = [6.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 REQUESTS = list(range(len(WEIGHTS)))
-
-
-def _round_robin_idle_cost(workers: int) -> float:
-    """Idle cost units of dealing ``WEIGHTS`` up front, ``index % workers``."""
-    slots = [sum(WEIGHTS[slot::workers]) for slot in range(workers)]
-    return workers * max(slots) - sum(slots)
+ROUND_ROBIN_SHARE = len(REQUESTS) // 2
 
 
 def _square(request: int) -> int:
@@ -59,32 +45,32 @@ def _weighted_sleep(request: int) -> int:
     return request * request
 
 
-def _run(spec: str, worker_fn=_square, costs=WEIGHTS):
-    backend = create_backend(spec)
-    with backend.session(worker_fn) as session:
-        responses = session.run(REQUESTS, costs=costs)
+def _run(spec: str, worker_fn=_square):
+    with Pool(spec).session(worker_fn) as session:
+        responses = session.run(REQUESTS)
         return responses, session.dispatch_stats
 
 
 class TestDispatchStats:
     def test_record_and_idle_cost_units(self):
-        stats = DispatchStats(workers=2)
-        stats.record(0, 6.0)
-        stats.record(1, 1.0, stolen=True)
-        stats.record(1, 1.0, stolen=True)
+        stats = DispatchStats(workers=3)
+        stats.record(0)
+        stats.record(1, stolen=True)
+        stats.record(1, stolen=True)
         assert stats.tasks == 3
         assert stats.steals == 2
-        assert stats.load_per_worker == [6.0, 2.0]
-        # width * max(load) - sum(load): worker 1 idles 4 cost units while
-        # worker 0 finishes its share.
-        assert stats.idle_cost_units == pytest.approx(2 * 6.0 - 8.0)
+        assert stats.tasks_per_worker == [1, 2]
+        assert stats.load_per_worker == [1.0, 2.0]
+        # width * max(tasks) - sum(tasks): worker 0 idles one request and
+        # the never-used worker 2 two while worker 1 finishes its share.
+        assert stats.idle_cost_units == 3 * 2 - 3
 
     def test_accumulate_sums_counters_elementwise(self):
         a = DispatchStats(workers=2)
-        a.record(0, 2.0)
+        a.record(0)
         a.runs = 1
         b = DispatchStats(workers=3)
-        b.record(2, 5.0, stolen=True)
+        b.record(2, stolen=True)
         b.worker_deaths = 1
         b.retried_tasks = 1
         b.runs = 2
@@ -95,32 +81,36 @@ class TestDispatchStats:
         assert a.worker_deaths == 1
         assert a.retried_tasks == 1
         assert a.tasks_per_worker == [1, 0, 1]
-        assert a.load_per_worker == [2.0, 0.0, 5.0]
+        assert a.load_per_worker == [1.0, 0.0, 1.0]
         assert set(a.as_dict()) >= {"steals", "idle_cost_units"}
 
 
 class TestBackendPlumbing:
     def test_create(self):
-        assert isinstance(create_backend("serial"), SerialBackend)
-        backend = create_backend("process:2")
-        assert isinstance(backend, ProcessBackend)
-        assert backend.workers == 2
-        assert backend.spec == "process:2"
+        serial = Pool("serial")
+        assert (serial.spec, serial.workers, serial.forks) == ("serial:1", 1, False)
+        pool = Pool("process:2")
+        assert pool.workers == 2 and pool.forks
+        assert pool.spec == "process:2"
 
     def test_create_rejects_garbage(self):
         with pytest.raises(ValueError, match="unknown execution backend 'quantum'"):
-            create_backend("quantum:9")
+            Pool("quantum:9")
         with pytest.raises(ValueError, match="bad worker count"):
-            create_backend("process:lots")
-        with pytest.raises(ValueError):
-            ProcessBackend(workers=0)
+            Pool("process:lots")
+        with pytest.raises(ValueError, match="worker count must be >= 1"):
+            Pool("process:0")
+        # A spec string is the only input form: no instance, no None.
+        for not_a_spec in (None, 4, Pool("serial")):
+            with pytest.raises(TypeError, match="spec string"):
+                Pool(not_a_spec)
 
     def test_unknown_kinds_are_rejected_in_pool_terms(self):
         # Regression: the message said "unknown search backend" wherever the
         # spec came from — a server pool, an experiment run.
         expected = r"unknown execution backend 'thread'.*'serial' or 'process:N'"
         with pytest.raises(ValueError, match=expected):
-            create_backend("thread:2")
+            Pool("thread:2")
         with pytest.raises(ValueError, match=expected):
             ExperimentScheduler("thread:2")
 
@@ -128,43 +118,56 @@ class TestBackendPlumbing:
         # Regression: a bare "process" silently meant four workers, whatever
         # the host had.
         with pytest.raises(ValueError, match=r"no worker count.*process:N"):
-            create_backend("process")
+            Pool("process")
 
-    def test_resolve_backend_passthrough(self):
-        backend = ProcessBackend(workers=2)
-        assert resolve_backend(backend) is backend
-        assert resolve_backend("process:5").workers == 5
-        assert isinstance(resolve_backend(None), SerialBackend)
-        with pytest.raises(TypeError):
-            resolve_backend(42)
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [("serial", "serial:1"), ("serial:3", "serial:1"), (" Process:2 ", "process:2")],
+    )
+    def test_spec_is_parsed_once_into_its_canonical_form(self, spec, expected):
+        pool = Pool(spec)
+        assert pool.spec == expected
+        assert Pool(pool.spec).spec == expected
 
-    def test_a_session_without_stores_holds_an_empty_channel(self):
-        channel = store_side_channel()
-        channel.worker_init()
-        with channel.chunk() as payload:
-            pass
-        assert payload == () and channel.final_export() == ()
-        channel.chunk_absorb_foreign(payload)
-        channel.final_absorb(())
-        # ...which is what a fork session opened without one runs on.
-        with create_backend("process:2").session(lambda request: -request) as session:
+    @pytest.mark.parametrize("spec", ["serial", "process:2"])
+    def test_the_inline_path_visits_the_fault_site_as_the_caller(self, spec):
+        # worker_slot=-1 marks a request run on the caller: every request of
+        # a serial pool, and a one-request batch on a fork pool.
+        inline = FaultSpec(
+            site="parallel.task", kind="latency", match={"worker_slot": -1}, delay_s=0.0
+        )
+        with install_fault_plan(FaultPlan([inline])) as plan:
+            with Pool(spec).session(_square) as session:
+                assert session.run([3]) == [9]
+                assert plan.fires("parallel.task") == 1
+                assert session.run([1, 2]) == [1, 4]
+                # The fork pool ran that batch on its workers, not inline.
+                assert plan.fires("parallel.task") == (3 if spec == "serial" else 1)
+                assert session.forked == (spec != "serial")
+
+    def test_a_session_without_stores_forks_and_runs(self):
+        with Pool("process:2").session(lambda request: -request) as session:
             assert session.run([1, 2, 3]) == [-1, -2, -3]
             assert session.forked
 
     def test_an_inline_session_reports_no_pool(self):
-        with create_backend("serial").session(_square) as session:
-            assert session.run([3]) == [9]
+        with Pool("serial").session(_square) as session:
+            assert session.run([3, 4]) == [9, 16]
             assert not session.forked
             assert session.live_workers == 1 and session.worker_pids() == []
+        # A one-request batch takes the same inline path on a fork pool.
+        with Pool("process:2").session(_square) as session:
+            assert session.run([3]) == [9]
+            assert not session.forked and session.worker_pids() == []
+            assert session.dispatch_stats.tasks_per_worker == [1]
 
     @pytest.mark.parametrize("spec", ["serial", "process:2"])
     def test_session_preserves_request_order(self, spec):
-        backend = create_backend(spec)
-        with backend.session(_square) as session:
+        with Pool(spec).session(_square) as session:
             assert session.run(list(range(23))) == [i * i for i in range(23)]
 
     def test_process_worker_errors_propagate(self):
-        backend = ProcessBackend(workers=2)
+        pool = Pool("process:2")
 
         def explode(request):
             if request == 3:
@@ -172,7 +175,7 @@ class TestBackendPlumbing:
             return request
 
         with pytest.raises(RuntimeError, match="parallel worker pool failed"):
-            with backend.session(explode) as session:
+            with pool.session(explode) as session:
                 session.run(list(range(6)))
 
 
@@ -186,27 +189,17 @@ class TestStealingIdentity:
         assert pooled == serial == [r * r for r in REQUESTS]
         assert stats.tasks == serial_stats.tasks == len(REQUESTS)
         assert sum(stats.tasks_per_worker) == len(REQUESTS)
-        assert sum(stats.load_per_worker) == pytest.approx(sum(WEIGHTS))
-
-    @pytest.mark.parametrize("spec", ["serial", "process:2"])
-    def test_cost_length_mismatch_rejected(self, spec):
-        backend = create_backend(spec)
-        with backend.session(_square) as session:
-            with pytest.raises(ValueError, match="costs"):
-                session.run(REQUESTS, costs=[1.0])
 
 
 class TestStealingBalance:
-    """Idle-cost imbalance shrinks when idle workers pull work."""
+    """Idle workers pull work, so the slow request's worker runs fewer."""
 
     def test_fork_pool_balances_heterogeneous_load(self):
         serial, _ = _run("serial")
         pooled, stats = _run("process:2", worker_fn=_weighted_sleep)
         assert pooled == serial
-        # Dealing up front is fully determined: slots [9, 4] of 13 units.
-        assert _round_robin_idle_cost(2) == pytest.approx(5.0)
         assert stats.steals > 0
-        assert stats.idle_cost_units < _round_robin_idle_cost(2)
+        assert stats.tasks_per_worker[0] < ROUND_ROBIN_SHARE
 
 
 class TestForkFaultTolerance:
@@ -227,9 +220,8 @@ class TestForkFaultTolerance:
                     pass
             return request * request
 
-        backend = create_backend("process:2")
-        with backend.session(die_once) as session:
-            responses = session.run(REQUESTS, costs=WEIGHTS)
+        with Pool("process:2").session(die_once) as session:
+            responses = session.run(REQUESTS)
             stats = session.dispatch_stats
         assert responses == [r * r for r in REQUESTS]
         assert stats.worker_deaths == 1
@@ -241,8 +233,7 @@ class TestForkFaultTolerance:
             os.kill(os.getpid(), signal.SIGKILL)
             return request  # pragma: no cover
 
-        backend = create_backend("process:2")
-        session = backend.session(always_die)
+        session = Pool("process:2").session(always_die)
         with pytest.raises(RuntimeError, match="parallel worker pool"):
             session.run(REQUESTS)
         session.close()
@@ -253,8 +244,7 @@ class TestForkFaultTolerance:
                 raise ValueError("request 3 is always poisoned")
             return request * request
 
-        backend = create_backend("process:2")
-        session = backend.session(bad_request)
+        session = Pool("process:2").session(bad_request)
         with pytest.raises(RuntimeError, match="poisoned"):
             session.run(REQUESTS)
         assert session.dispatch_stats.retried_tasks == 0
@@ -269,8 +259,7 @@ class TestForkFaultTolerance:
                 os.kill(os.getpid(), signal.SIGKILL)
             return request * request
 
-        backend = create_backend("process:3")
-        session = backend.session(die_always_on_5)
+        session = Pool("process:3").session(die_always_on_5)
         with pytest.raises(RuntimeError, match="parallel worker pool"):
             session.run(REQUESTS)
         assert session.dispatch_stats.worker_deaths == MAX_TASK_ATTEMPTS
@@ -278,7 +267,7 @@ class TestForkFaultTolerance:
 
 
 class TestExperimentSchedulerStealing:
-    """map_cells on a fork pool: cell-order identity, balanced cell costs."""
+    """map_cells on a fork pool: cell-order identity, balanced cells."""
 
     CELLS = build_cells(["w1", "w2"], ["o1", "o2", "o3", "o4"], base_seed=7)
 
@@ -289,7 +278,7 @@ class TestExperimentSchedulerStealing:
 
     def _map(self, backend: str):
         scheduler = ExperimentScheduler(backend=backend)
-        results = scheduler.map_cells(self.CELLS, self._run_cell, cell_costs=WEIGHTS)
+        results = scheduler.map_cells(self.CELLS, self._run_cell)
         return results, scheduler.last_dispatch_stats
 
     def test_stealing_identical_and_balanced(self):
@@ -299,7 +288,7 @@ class TestExperimentSchedulerStealing:
         assert [index for index, _, _ in stolen] == list(range(len(self.CELLS)))
         assert stats is not None
         assert stats.steals > 0
-        assert stats.idle_cost_units < _round_robin_idle_cost(2)
+        assert stats.tasks_per_worker[0] < ROUND_ROBIN_SHARE
 
     def test_harness_run_identical_under_stealing(self):
         def result_of(backend):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.errors import ExecutionError, WorkflowValidationError
-from repro.core.plan import Plan
 from repro.dfs.dataset import Dataset
 from repro.dfs.filesystem import InMemoryFileSystem
 from repro.mapreduce.engine import LocalEngine
@@ -57,7 +56,7 @@ class TestExecutionOrder:
         result, _ = WorkflowExecutor().execute(
             workflow, base_datasets={"base": Dataset("base", records=_records())}
         )
-        order = result.execution_order
+        order = list(result.job_results)
         assert order.index("J_top") < order.index("J_left")
         assert order.index("J_top") < order.index("J_right")
         assert order.index("J_left") < order.index("J_bottom")
@@ -70,7 +69,7 @@ class TestExecutionOrder:
             workflow, base_datasets={"base": Dataset("base", records=_records())}
         )
         # J_left and J_right are concurrent; insertion order decides.
-        order = result.execution_order
+        order = list(result.job_results)
         assert order.index("J_left") < order.index("J_right")
 
 
@@ -131,7 +130,7 @@ class TestOutputRouting:
             base_datasets={"base": Dataset("base", records=_records())},
             collect_outputs=True,
         )
-        assert set(result.job_outputs) == set(result.execution_order)
+        assert list(result.job_outputs) == list(result.job_results)
         assert set(result.job_outputs["J_left"]) == {"d2"}
         assert result.job_outputs["J_left"]["d2"] == fs.get("d2").all_records()
         # Without the flag nothing is snapshotted.
@@ -159,15 +158,6 @@ class TestOutputRouting:
         result, fs = WorkflowExecutor().execute(workflow)
         assert fs.exists("out")
         assert result.job_results["J2"].per_output_records["out"] == 10
-
-    def test_execute_plan_collects_outputs_by_default(self):
-        workflow = _diamond_workflow()
-        plan = Plan(workflow.copy())
-        result, fs = WorkflowExecutor().execute_plan(
-            plan, base_datasets={"base": Dataset("base", records=_records())}
-        )
-        assert set(result.job_outputs) == {"J_top", "J_left", "J_right", "J_bottom"}
-        assert result.total_counters.output_records > 0
 
     def test_engine_level_output_collection(self):
         engine = LocalEngine(collect_outputs=True)

@@ -151,10 +151,9 @@ class RecursiveRandomSearch:
             rounds = 0
             while radius >= self.min_radius and rounds < 12:
                 rounds += 1
-                exploit_points = [
-                    space.sample_near(center, radius, rng)
-                    for _ in range(self.exploitation_samples)
-                ]
+                exploit_points = space.sample_near(
+                    center, radius, rng, self.exploitation_samples
+                )
                 exploit_values = run_generation(exploit_points)
                 improved = False
                 for point, value in zip(exploit_points, exploit_values):

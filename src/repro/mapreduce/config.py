@@ -253,26 +253,41 @@ class ConfigurationSpace:
         center: Sequence[object],
         radius: float,
         rng: DeterministicRNG,
-    ) -> Tuple[object, ...]:
-        """One point in the neighbourhood of ``center`` of relative size ``radius``.
+        count: int,
+    ) -> List[Tuple[object, ...]]:
+        """``count`` points in the neighbourhood of ``center`` of relative size ``radius``.
 
         A bool is redrawn with probability ``radius`` (two draws) and kept
         otherwise (one); an int is drawn uniformly within ``radius`` of the
         range around its centre value, then clamped (``round`` of a float is
-        already an ``int``).
+        already an ``int``).  What a dimension's draw is scaled and clamped
+        by is worked out once for the generation; the points are drawn one
+        after the other, each dimension in order, so the stream is consumed
+        as by ``count`` single-point draws.
         """
         draw = rng.draw
-        point = []
+        # Per dimension: (None, kept value, None, None) for a bool, (start, extent, low, high)
+        # for an int.
+        rows = []
         for (is_bool, low, high, width), value in zip(self._rows, center):
             if is_bool:
-                point.append(draw() < 0.5 if draw() < radius else bool(value))
+                rows.append((None, bool(value), None, None))
             else:
                 value = float(value)
                 span = width * radius
                 start = value - span
-                drawn = start + (value + span - start) * draw()
-                point.append(round(low if drawn < low else high if high < drawn else drawn))
-        return tuple(point)
+                rows.append((start, value + span - start, low, high))
+        points = []
+        for _ in range(count):
+            point = []
+            for start, extent, low, high in rows:
+                if start is None:  # a bool: ``extent`` holds its kept value
+                    point.append(draw() < 0.5 if draw() < radius else extent)
+                else:
+                    drawn = start + extent * draw()
+                    point.append(round(low if drawn < low else high if high < drawn else drawn))
+            points.append(tuple(point))
+        return points
 
     def clamp(self, point: Mapping[str, object]) -> Dict[str, object]:
         """Clamp a point into the space's domain, dropping unknown names."""

@@ -11,10 +11,10 @@ narrow partition keys show up in the final runtime.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import ceil, log2
 from operator import attrgetter
-from typing import Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.spec import MB, ClusterSpec
 from repro.mapreduce.config import JobConfig
@@ -38,7 +38,7 @@ DECOMPRESSION_CPU_S_PER_MB = 0.006
 PIPELINE_CONTENTION_FACTOR = 0.04
 
 
-#: The ``JobConfig`` settings the job model reads, in the order :func:`job_time` takes them.
+#: The ``JobConfig`` settings the job model reads, in the order :class:`JobKernel` takes them.
 JOB_MODEL_SETTINGS = (
     "num_reduce_tasks", "split_size_mb", "io_sort_mb", "compress_map_output", "compress_output",
 )
@@ -66,81 +66,234 @@ class JobTimeEstimate:
         return self.startup_s + self.map_phase_s + self.shuffle_s + self.reduce_phase_s
 
 
+#: The slot setters of :class:`JobTimeEstimate`, in field order.
+_ESTIMATE_SETTERS = tuple(
+    JobTimeEstimate.__dict__[name].__set__ for name in JobTimeEstimate.__slots__
+)
+
+
+def _estimate(
+    map_phase_s: float,
+    shuffle_s: float,
+    reduce_phase_s: float,
+    startup_s: float,
+    num_map_tasks: int,
+    num_reduce_tasks: int,
+    map_task_s: float,
+    reduce_task_s: float,
+    _new=object.__new__,
+    _setters=_ESTIMATE_SETTERS,
+) -> JobTimeEstimate:
+    """``JobTimeEstimate(...)``, the same frozen value built for half the cost.
+
+    A frozen dataclass's ``__init__`` sets each field through
+    ``object.__setattr__``; setting the slots directly skips that detour.  A
+    kernel builds one estimate per call, and on a memo hit that ``__init__``
+    would be about half of the call.
+    """
+    estimate = _new(JobTimeEstimate)
+    s0, s1, s2, s3, s4, s5, s6, s7 = _setters
+    s0(estimate, map_phase_s)
+    s1(estimate, shuffle_s)
+    s2(estimate, reduce_phase_s)
+    s3(estimate, startup_s)
+    s4(estimate, num_map_tasks)
+    s5(estimate, num_reduce_tasks)
+    s6(estimate, map_task_s)
+    s7(estimate, reduce_task_s)
+    return estimate
+
+
 def estimate_job_time(
     dataflow: JobDataflow,
     config: JobConfig,
     cluster: ClusterSpec,
 ) -> JobTimeEstimate:
-    """Estimate the runtime of one job from its dataflow, config, and cluster."""
-    return job_time(dataflow, job_model_settings(config), cluster)
+    """Estimate the runtime of one job from its dataflow, config, and cluster.
 
-
-def job_time(
-    dataflow: JobDataflow,
-    settings: Tuple[int, int, int, bool, bool],
-    cluster: ClusterSpec,
-) -> JobTimeEstimate:
-    """:func:`estimate_job_time` on the values of :data:`JOB_MODEL_SETTINGS`.
-
-    One flat function: an RRS sample passes its point's values straight in
-    (``OverlaySession.objective``), so it reads each input once and builds no
-    object but its answer.  Each float keeps the operation order of the
-    phase-by-phase derivation it replaced (``tests/jobmodel_oracle.py`` holds
-    that derivation and checks ``==``).
+    The two halves of :class:`JobKernel`, called directly: a one-off
+    estimate has no later call to share a memo with.  The keys are derived
+    as ``JobKernel.__call__`` derives them.
     """
-    num_reduce_tasks, split_size_mb, io_sort_mb, compress_map_output, compress_output = settings
-    read_bps, write_bps, network_bps, map_slots, reduce_slots, max_streams = (
-        cluster.job_model_constants
+    num_reduce_tasks, split_size_mb, io_sort_mb, compress_map_output, compress_output = (
+        job_model_settings(config)
     )
-    task_startup_s = cluster.task_startup_s
-    cpu_speed_factor = cluster.cpu_speed_factor
-    pipeline_count = dataflow.pipeline_count
-    contention = 1.0 + PIPELINE_CONTENTION_FACTOR * (pipeline_count - 1)
-    map_only = dataflow.map_only or num_reduce_tasks == 0
-
-    # Map: one task per split, or per producer reduce task under chaining.
     chained = dataflow.chained_map_tasks
     if chained:
         num_map_tasks = max(1, int(chained))
     else:
-        num_map_tasks = max(1, math.ceil(dataflow.input_bytes / (split_size_mb * MB)))
+        num_map_tasks = max(1, ceil(dataflow.input_bytes / (split_size_mb * MB)))
+    if dataflow.map_only or num_reduce_tasks == 0:
+        map_task_s, map_phase_s = _map_half(
+            dataflow, cluster, num_map_tasks, None, compress_output
+        )
+        return _estimate(
+            map_phase_s, 0.0, 0.0, cluster.job_startup_s, num_map_tasks, 0, map_task_s, 0.0
+        )
+    effective_sort_mb = max(8.0, io_sort_mb / dataflow.pipeline_count)
+    spill_passes = max(
+        1.0, ceil((dataflow.map_output_bytes / num_map_tasks / MB) / effective_sort_mb)
+    )
+    map_task_s, map_phase_s = _map_half(
+        dataflow, cluster, num_map_tasks, spill_passes, compress_map_output
+    )
+    num_reduce_tasks = max(1, num_reduce_tasks)
+    shuffle_s, reduce_phase_s, reduce_task_s = _reduce_half(
+        dataflow, cluster, num_reduce_tasks, compress_map_output, compress_output
+    )
+    return _estimate(
+        map_phase_s,
+        shuffle_s,
+        reduce_phase_s,
+        cluster.job_startup_s,
+        num_map_tasks,
+        num_reduce_tasks,
+        map_task_s,
+        reduce_task_s,
+    )
+
+
+class JobKernel:
+    """The job model of one dataflow on one cluster, over the values of :data:`JOB_MODEL_SETTINGS`.
+
+    The model splits into two halves, each memoized on what it reads
+    (its *read set*) rather than on the whole configuration:
+
+    * the map half reads the number of map tasks, the spill passes and
+      ``compress_map_output`` — or, for a map-only job, the number of map
+      tasks and ``compress_output`` (:func:`_map_half`);
+    * the reduce half reads the reduce-task count and the two compression
+      flags (:func:`_reduce_half`).
+
+    Deriving the two keys is a division and a ceiling or two; an RRS sweep
+    draws far fewer distinct keys than distinct configurations, so a kernel
+    held for a candidate's samples (``OverlaySession``) pays each half once
+    per key.  :func:`estimate_job_time` calls the halves without a memo.
+    Every float keeps the operation order of the phase-by-phase derivation
+    the model started as (``tests/jobmodel_oracle.py`` holds it and checks
+    ``==``), so a memo hit is the number a fresh call computes.
+    """
+
+    __slots__ = (
+        "dataflow", "cluster", "chained", "map_only", "pipeline_count", "input_bytes",
+        "map_output_bytes", "startup_s", "maps", "reduces",
+    )
+
+    def __init__(self, dataflow: JobDataflow, cluster: ClusterSpec) -> None:
+        self.dataflow = dataflow
+        self.cluster = cluster
+        # Under chaining, one map task per producer reduce task, whatever the split size.
+        chained = dataflow.chained_map_tasks
+        self.chained = max(1, int(chained)) if chained else 0
+        self.map_only = dataflow.map_only
+        self.pipeline_count = dataflow.pipeline_count
+        self.input_bytes = dataflow.input_bytes
+        self.map_output_bytes = dataflow.map_output_bytes
+        self.startup_s = cluster.job_startup_s
+        #: Map-half key -> ``(map_task_s, map_phase_s)``.
+        self.maps: Dict[Tuple, Tuple[float, float]] = {}
+        #: Reduce-half key -> ``(shuffle_s, reduce_phase_s, reduce_task_s)``.
+        self.reduces: Dict[Tuple, Tuple[float, float, float]] = {}
+
+    def __call__(self, settings: Tuple[int, int, int, bool, bool]) -> JobTimeEstimate:
+        """The job's estimate under ``settings``: ``==`` :func:`estimate_job_time` under them."""
+        num_reduce_tasks, split_size_mb, io_sort_mb, compress_map_output, compress_output = settings
+        num_map_tasks = self.chained or max(1, ceil(self.input_bytes / (split_size_mb * MB)))
+        if self.map_only or num_reduce_tasks == 0:
+            # Written straight back to the DFS: no collect, spill or sort.
+            key = (num_map_tasks, None, compress_output)
+            half = self.maps.get(key)
+            if half is None:
+                half = self.maps[key] = _map_half(
+                    self.dataflow, self.cluster, num_map_tasks, None, compress_output
+                )
+            map_task_s, map_phase_s = half
+            return _estimate(
+                map_phase_s, 0.0, 0.0, self.startup_s, num_map_tasks, 0, map_task_s, 0.0
+            )
+        # Memory available to the sort buffer is shared by packed pipelines.
+        effective_sort_mb = max(8.0, io_sort_mb / self.pipeline_count)
+        spill_passes = max(
+            1.0, ceil((self.map_output_bytes / num_map_tasks / MB) / effective_sort_mb)
+        )
+        key = (num_map_tasks, spill_passes, compress_map_output)
+        half = self.maps.get(key)
+        if half is None:
+            half = self.maps[key] = _map_half(
+                self.dataflow, self.cluster, num_map_tasks, spill_passes, compress_map_output
+            )
+        map_task_s, map_phase_s = half
+        num_reduce_tasks = max(1, num_reduce_tasks)
+        key = (num_reduce_tasks, compress_map_output, compress_output)
+        half = self.reduces.get(key)
+        if half is None:
+            half = self.reduces[key] = _reduce_half(
+                self.dataflow, self.cluster, num_reduce_tasks, compress_map_output, compress_output
+            )
+        shuffle_s, reduce_phase_s, reduce_task_s = half
+        return _estimate(
+            map_phase_s,
+            shuffle_s,
+            reduce_phase_s,
+            self.startup_s,
+            num_map_tasks,
+            num_reduce_tasks,
+            map_task_s,
+            reduce_task_s,
+        )
+
+
+def _map_half(
+    dataflow: JobDataflow,
+    cluster: ClusterSpec,
+    num_map_tasks: int,
+    spill_passes: Optional[float],
+    compress: bool,
+) -> Tuple[float, float]:
+    """``(map_task_s, map_phase_s)``: read, map CPU, and spill — or, when
+    ``spill_passes`` is ``None`` (a map-only job), the write back to the DFS.
+
+    ``compress`` is ``compress_map_output``, or ``compress_output`` for a map-only job.
+    """
+    read_bps, write_bps, _, map_slots, _, _ = cluster.job_model_constants
+    contention = 1.0 + PIPELINE_CONTENTION_FACTOR * (dataflow.pipeline_count - 1)
     read_s = dataflow.input_bytes / num_map_tasks / read_bps
     cpu_s = (
         dataflow.input_records / num_map_tasks
         * dataflow.map_cpu_cost_per_record
         * CPU_COST_UNIT_SECONDS
-        * cpu_speed_factor
+        * cluster.cpu_speed_factor
         * contention
     )
-    if map_only:
-        # Written straight back to the DFS: no collect, spill or sort.
+    if spill_passes is None:
         write_bytes = dataflow.output_bytes / num_map_tasks
         compress_cpu = 0.0
-        if compress_output:
+        if compress:
             compress_cpu = (write_bytes / MB) * COMPRESSION_CPU_S_PER_MB
             write_bytes *= COMPRESSION_RATIO
         spill_s = write_bytes / write_bps + compress_cpu
     else:
-        # Memory available to the sort buffer is shared by packed pipelines.
         map_output_bytes_per_task = dataflow.map_output_bytes / num_map_tasks
-        effective_sort_mb = max(8.0, io_sort_mb / pipeline_count)
-        spill_passes = max(1.0, math.ceil((map_output_bytes_per_task / MB) / effective_sort_mb))
-        spill_bytes = map_output_bytes_per_task * (1.0 + 0.25 * math.log2(max(1.0, spill_passes)))
+        spill_bytes = map_output_bytes_per_task * (1.0 + 0.25 * log2(max(1.0, spill_passes)))
         compress_cpu = 0.0
-        if compress_map_output:
+        if compress:
             compress_cpu = (spill_bytes / MB) * COMPRESSION_CPU_S_PER_MB
             spill_bytes *= COMPRESSION_RATIO
         spill_s = spill_bytes / write_bps + spill_bytes / read_bps * 0.5 + compress_cpu
     map_task_s = read_s + cpu_s + spill_s
-    map_phase_s = -(-num_map_tasks // map_slots) * (map_task_s + task_startup_s)
+    return map_task_s, -(-num_map_tasks // map_slots) * (map_task_s + cluster.task_startup_s)
 
-    if map_only:
-        return JobTimeEstimate(
-            map_phase_s, 0.0, 0.0, cluster.job_startup_s, num_map_tasks, 0, map_task_s, 0.0
-        )
 
+def _reduce_half(
+    dataflow: JobDataflow,
+    cluster: ClusterSpec,
+    num_reduce_tasks: int,
+    compress_map_output: bool,
+    compress_output: bool,
+) -> Tuple[float, float, float]:
+    """``(shuffle_s, reduce_phase_s, reduce_task_s)``: shuffle, merge, reduce CPU and write."""
+    read_bps, write_bps, network_bps, _, reduce_slots, max_streams = cluster.job_model_constants
     # Shuffle: one stream per reduce task, up to one per node.
-    num_reduce_tasks = max(1, num_reduce_tasks)
     shuffle_bytes = dataflow.shuffle_bytes
     if compress_map_output:
         shuffle_bytes *= COMPRESSION_RATIO
@@ -157,11 +310,12 @@ def job_time(
     if compress_map_output:
         decompress_cpu = (bytes_per_reducer / MB) * DECOMPRESSION_CPU_S_PER_MB
     merge_s = bytes_per_reducer / write_bps * 0.5 + bytes_per_reducer / read_bps + decompress_cpu
+    contention = 1.0 + PIPELINE_CONTENTION_FACTOR * (dataflow.pipeline_count - 1)
     cpu_s = (
         dataflow.reduce_input_records / reducers
         * dataflow.reduce_cpu_cost_per_record
         * CPU_COST_UNIT_SECONDS
-        * cpu_speed_factor
+        * cluster.cpu_speed_factor
         * contention
     )
     write_bytes = dataflow.output_bytes / reducers
@@ -171,14 +325,5 @@ def job_time(
         write_bytes *= COMPRESSION_RATIO
     write_s = write_bytes / write_bps + compress_cpu
     reduce_task_s = merge_s + cpu_s + write_s
-    reduce_phase_s = -(-num_reduce_tasks // reduce_slots) * task_startup_s + reduce_task_s
-    return JobTimeEstimate(
-        map_phase_s,
-        shuffle_s,
-        reduce_phase_s,
-        cluster.job_startup_s,
-        num_map_tasks,
-        num_reduce_tasks,
-        map_task_s,
-        reduce_task_s,
-    )
+    reduce_phase_s = -(-num_reduce_tasks // reduce_slots) * cluster.task_startup_s + reduce_task_s
+    return shuffle_s, reduce_phase_s, reduce_task_s

@@ -22,6 +22,10 @@ query of the optimizer stack and makes them incremental:
   it cannot move; an RRS point goes straight into the job model
   (:meth:`OverlaySession.objective`), and ``JobConfig`` objects are built only
   where that walk re-derives a fact reader or starts over;
+* each job a candidate's samples reach holds a
+  :class:`~repro.whatif.jobmodel.JobKernel` for its base dataflow (and one
+  for its combiner-flipped dataflow), so each half of the job model runs once
+  per distinct key it reads for the candidate's life;
 * the cheap per-phase job model (``estimate_job_time``) runs on the dataflow
   of every job whose configuration is asked about, and the makespan of every
   level holding one is recomputed, so the returned
@@ -83,9 +87,8 @@ from repro.common.store import (  # noqa: F401  (CacheLoadReport, cluster_cache_
     current_origin,
 )
 from repro.mapreduce.config import ConfigDimension, ConfigurationSpace, JobConfig, SettingSlots
-from repro.whatif.dataflow import JobDataflow
-from repro.whatif.jobmodel import JOB_MODEL_SETTINGS, JobTimeEstimate, estimate_job_time
-from repro.whatif.jobmodel import job_model_settings, job_time
+from repro.whatif.jobmodel import JOB_MODEL_SETTINGS, JobKernel, JobTimeEstimate
+from repro.whatif.jobmodel import estimate_job_time, job_model_settings
 from repro.whatif.model import COST_MODEL_VERSION, VertexCost, WhatIfEngine, WorkflowCostEstimate
 from repro.whatif.model import ConfigOverlay, config_of
 from repro.whatif.scheduling import level_makespan
@@ -258,12 +261,12 @@ class _Job:
 
     __slots__ = (
         "name", "vertex", "position", "level", "slot", "config", "settings", "combiner",
-        "has_combiner", "prior", "fact_reader", "flipped",
+        "has_combiner", "prior", "kernel", "fact_reader", "flipped",
     )
 
     def __init__(
         self, position: int, level: int, slot: int, vertex: JobVertex, prior: VertexCost,
-        fact_reader: bool,
+        fact_reader: bool, cluster: ClusterSpec,
     ) -> None:
         job = vertex.job
         self.name = job.name
@@ -275,10 +278,12 @@ class _Job:
         self.combiner = job.config.combiner_enabled
         self.has_combiner = job.has_combiner
         self.prior = prior  # the base's result
+        #: The job model of the base's dataflow, memoized for the session.
+        self.kernel = JobKernel(prior.dataflow, cluster)
         self.fact_reader = fact_reader
-        #: With its combiner flipped: ``((JobDataflow, contributions), origin
-        #: of the memo row that answered)``, once asked (``_flipped``).
-        self.flipped: Optional[Tuple[Tuple, str]] = None
+        #: With its combiner flipped: ``(kernel, contributions, origin of the
+        #: memo row that answered)``, once asked (``_flipped``).
+        self.flipped: Optional[Tuple[JobKernel, Tuple, str]] = None
 
 
 class OverlaySession:
@@ -334,7 +339,8 @@ class OverlaySession:
         if job is None:
             basis = self._base.basis
             job = self._jobs[name] = _Job(
-                *self._walk_rank()[name], basis.costed[name], name in basis.fact_readers
+                *self._walk_rank()[name], basis.costed[name], name in basis.fact_readers,
+                self.service.cluster,
             )
         return job
 
@@ -355,8 +361,8 @@ class OverlaySession:
         Resolved once: each tuned job's place in the base walk, its setting
         slots (a constraint-held reduce count left out), and where each of
         the job model's values comes from (the point, or the job's own
-        config).  A sample reads those values straight into
-        :func:`~repro.whatif.jobmodel.job_time`; it builds ``JobConfig``\\ s
+        config).  A sample reads those values straight into each job's
+        :class:`~repro.whatif.jobmodel.JobKernel`; it builds ``JobConfig``\\ s
         only when its walk re-derives a fact reader or starts over.
         """
         workflow = self.workflow
@@ -517,7 +523,6 @@ class OverlaySession:
         only to re-derive a fact reader or to start over.
         """
         workflow = self.workflow
-        cluster = self.service.cluster
         sizes = self._base.dataset_sizes
         configs = None
         moved = []
@@ -543,10 +548,10 @@ class OverlaySession:
                 costed_vertex = self._cost_vertex(job.vertex, workflow, sizes, configs)
                 estimate, contributions = costed_vertex.estimate, costed_vertex.output_contributions
             elif flipped:
-                dataflow, contributions = self._flipped(job)
-                estimate = job_time(dataflow, settings, cluster)
+                kernel, contributions = self._flipped(job)
+                estimate = kernel(settings)
             else:  # kept
-                moved.append((job, job_time(job.prior.dataflow, settings, cluster)))
+                moved.append((job, job.kernel(settings)))
                 continue
             if contributions != job.prior.output_contributions:
                 if configs is None:
@@ -571,28 +576,30 @@ class OverlaySession:
             makespans[index] = level_makespan(estimates, self.service.cluster)
         return left_sum(makespans)
 
-    def _flipped(self, job: _Job) -> Tuple[JobDataflow, Tuple[Tuple[str, float, float], ...]]:
-        """``job``'s dataflow and contributions with its combiner flipped.
+    def _flipped(self, job: _Job) -> Tuple[JobKernel, Tuple[Tuple[str, float, float], ...]]:
+        """The job model of ``job``'s dataflow with its combiner flipped, and its contributions.
 
         ``job`` reads no producer fact and the base's sizes are fixed, so
         within a session there is one such derivation: the first flip takes
         the signature → memo → derive step, and a later one is credited as
         that memo row answering it would be — a hit, cross-origin by the
-        row's origin.  (A disabled memo answers nothing: every flip derives.)
+        row's origin — and reuses its kernel.  (A disabled memo answers
+        nothing: every flip derives.)
         """
         if job.flipped is not None:
-            derived, origin = job.flipped
+            kernel, contributions, origin = job.flipped
             if origin != self._origin:
                 self._cross_origin_hits += 1
-            return derived
+            return kernel, contributions
         sizes = self._base.dataset_sizes
         configs = {job.name: job.config.replace(combiner_enabled=not job.combiner)}
         engine = self.service.engine
         signature = engine.vertex_dataflow_signature(job.vertex, self.workflow, sizes, configs)
-        derived, origin = self._derived(signature, job.vertex, sizes, configs)
+        (dataflow, contributions), origin = self._derived(signature, job.vertex, sizes, configs)
+        kernel = JobKernel(dataflow, self.service.cluster)
         if self.service.enabled:
-            job.flipped = (derived, origin)
-        return derived
+            job.flipped = (kernel, contributions, origin)
+        return kernel, contributions
 
     def _cost_vertex(self, vertex, workflow, sizes, configs) -> VertexCost:
         # Cache-aware drop-in for WhatIfEngine.cost_vertex, plugged into the

@@ -128,8 +128,10 @@ class _TopologyIndex:
     its position in that table.  All three are filled in one pass by the
     constructor and never edited.  ``topo_names``/``level_names`` cache the
     topological order and levels by name (the caller re-binds names to its
-    *current* vertex objects, so rebinding a vertex never stales them); they
-    are filled on first use and are the only writes to a built index.
+    *current* vertex objects, so rebinding a vertex never stales them), and
+    ``ancestors`` maps each job name to the names of every job it
+    transitively reads from; they are filled on first use and are the only
+    writes to a built index.
 
     A workflow holds its index until an edit moves an edge, then drops it;
     edge-preserving rebinds (:meth:`Workflow.annotate_job`, config-only
@@ -138,7 +140,7 @@ class _TopologyIndex:
     lazy caches filled through one holder included — with no protocol.
     """
 
-    __slots__ = ("producers", "consumers", "order", "topo_names", "level_names")
+    __slots__ = ("producers", "consumers", "order", "topo_names", "level_names", "ancestors")
 
     def __init__(self, jobs: Dict[str, "JobVertex"]) -> None:
         self.producers: Dict[str, List[str]] = {}
@@ -152,6 +154,7 @@ class _TopologyIndex:
                 self.producers.setdefault(dataset_name, []).append(name)
         self.topo_names: Optional[List[str]] = None
         self.level_names: Optional[List[List[str]]] = None
+        self.ancestors: Optional[Dict[str, Set[str]]] = None
         TOPOLOGY_COUNTERS.index_builds += 1
 
 
@@ -504,25 +507,26 @@ class Workflow:
         precedes itself.  (The pre-index implementation started its upward
         walk *at* ``consumer``, so ``depends_on(x, x)`` returned ``True``
         for every job — callers pairing a job against itself would have
-        concluded it could never be packed with anything.)
+        concluded it could never be packed with anything.)  Answered from
+        the index's ancestor table, filled in one pass over the topological
+        order at the first call, so horizontal packing's pairwise checks
+        cost a set lookup each.
         """
         TOPOLOGY_COUNTERS.index_queries += 1
+        self.job(consumer)  # an unknown consumer raises
         index = self._topology()
-        frontier = [p.name for p in self.producer_jobs(consumer)]
-        seen: Set[str] = set()
-        while frontier:
-            current = frontier.pop()
-            if current == producer:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            current_vertex = self._jobs[current]
-            for dataset_name in current_vertex.job.input_datasets:
-                writers = index.producers.get(dataset_name)
-                if writers and writers[0] != current:
-                    frontier.append(writers[0])
-        return False
+        if index.ancestors is None:
+            ancestors: Dict[str, Set[str]] = {}
+            for vertex in self.topological_order():
+                above: Set[str] = set()
+                for dataset_name in vertex.job.input_datasets:
+                    writers = index.producers.get(dataset_name)
+                    if writers and writers[0] != vertex.name:
+                        above.add(writers[0])
+                        above |= ancestors[writers[0]]
+                ancestors[vertex.name] = above
+            index.ancestors = ancestors
+        return producer in index.ancestors[consumer]
 
     # ----------------------------------------------------------------- copy
     def copy(self, name: Optional[str] = None) -> "Workflow":

@@ -105,8 +105,8 @@ class TestConfigurationSpace:
         space = ConfigurationSpace.for_job(max_reduce_tasks=50)
         rng = DeterministicRNG(3)
         center = space.sample(rng)
-        for _ in range(20):
-            point = dict(zip(space.names, space.sample_near(center, 0.1, rng)))
+        for values in space.sample_near(center, 0.1, rng, 20):
+            point = dict(zip(space.names, values))
             assert 1 <= point["num_reduce_tasks"] <= 50
 
     def test_clamp(self):

@@ -46,7 +46,10 @@ from repro.mapreduce.pipeline import Pipeline
 from repro.profiler import Profiler
 from repro.verification import RandomWorkflowGenerator
 from repro.whatif.dataflow import JobDataflow
-from repro.whatif.jobmodel import JobTimeEstimate
+from repro.whatif import jobmodel
+from repro.whatif import model as whatif_model
+from repro.whatif import service as whatif_service
+from repro.whatif.jobmodel import JobKernel, JobTimeEstimate
 from repro.whatif.model import WhatIfEngine
 from repro.whatif.service import CostService, OverlaySession
 from repro.workflow.annotations import DatasetAnnotation, JobAnnotations, ProfileAnnotation
@@ -331,6 +334,70 @@ class TestColdOptimizeBounds:
         assert counts["with_values"] <= bound, counts
         assert counts["signatures"] <= 2 * combiner_jobs + counts["fact reader re-derivations"], counts
         assert counts["walked"] > 0 and counts["bound configs"] > 0
+
+    @pytest.mark.parametrize("label", ("rollup31", "BR"))
+    def test_a_job_model_half_runs_once_per_key_per_candidate_job(self, label, monkeypatch):
+        """A candidate's samples reach the job model through the kernels its
+        session holds per job (base and combiner-flipped dataflow): each half
+        runs at most once per distinct key per (candidate, job), so fewer
+        times than the kernels are called.  ``estimate_job_time``, the cold
+        path of full walks and re-derivations, calls the halves without a memo
+        and is not counted."""
+        halves = collections.Counter()
+        sessions, cold = [], []
+        kernel_calls = [0]
+
+        def track_sessions(attribute, change):
+            original = getattr(OverlaySession, attribute)
+
+            def tracked(session, *args):
+                change(session)
+                return original(session, *args)
+
+            monkeypatch.setattr(OverlaySession, attribute, tracked)
+
+        # The candidate is the open session (kept alive by the counter's keys).
+        track_sessions("__enter__", sessions.append)
+        track_sessions("__exit__", lambda session: sessions.pop())
+
+        for module in (jobmodel, whatif_model, whatif_service):
+            estimate = module.estimate_job_time
+
+            def cold_estimate(*args, estimate=estimate):
+                cold.append(None)
+                try:
+                    return estimate(*args)
+                finally:
+                    cold.pop()
+
+            monkeypatch.setattr(module, "estimate_job_time", cold_estimate)
+
+        for name in ("_map_half", "_reduce_half"):
+            half = getattr(jobmodel, name)
+
+            def counted(dataflow, cluster, *key, half=half, name=name):
+                if sessions and not cold:
+                    # The job is the dataflow its kernel holds, by identity.
+                    halves[(sessions[-1], id(dataflow), name, key)] += 1
+                return half(dataflow, cluster, *key)
+
+            monkeypatch.setattr(jobmodel, name, counted)
+
+        call = JobKernel.__call__
+
+        def counted_call(kernel, settings):
+            kernel_calls[0] += 1
+            return call(kernel, settings)
+
+        monkeypatch.setattr(JobKernel, "__call__", counted_call)
+
+        StubbyOptimizer(ClusterSpec.paper_cluster(), seed=17).optimize(golden.plan_of(label))
+        repeated = {key: runs for key, runs in halves.items() if runs > 1}
+        assert not repeated, repeated
+        reduce_halves = sum(1 for key in halves if key[2] == "_reduce_half")
+        map_halves = len(halves) - reduce_halves
+        assert 0 < reduce_halves < kernel_calls[0], (reduce_halves, kernel_calls)
+        assert 0 < map_halves < kernel_calls[0], (map_halves, kernel_calls)
 
     @pytest.mark.parametrize("abbr", ("IR", "BR"))
     def test_costing_a_candidate_copies_no_plan_and_rebinds_no_vertex(self, abbr):

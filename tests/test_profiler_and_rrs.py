@@ -149,7 +149,9 @@ def _oracle_sample_near(dim, center, radius, rng):
 class TestSamplerDrawOrder:
     """The space's tuple samplers consume the stream exactly as the
     per-dimension samplers they replaced: same values, same generator state,
-    so every RRS run — and every decision built on one — is unchanged."""
+    so every RRS run — and every decision built on one — is unchanged.  A
+    neighbourhood generation of ``count`` points equals ``count`` sequential
+    draws of the oracle."""
 
     @staticmethod
     def _random_space(maker):
@@ -182,14 +184,22 @@ class TestSamplerDrawOrder:
             expected = tuple(_oracle_sample(dim, oracle) for dim in space.dimensions)
             assert [(type(v), v) for v in point] == [(type(v), v) for v in expected], trial
             assert ours._random.getstate() == oracle._random.getstate(), trial
-            for step in range(4):
+            for step in range(6):
                 centre = point if step % 2 else self._random_centre(maker, space)
                 radius = maker.choice([0.05, 0.3, 1.0, maker.random()])
-                point = space.sample_near(centre, radius, ours)
-                expected = tuple(
-                    _oracle_sample_near(dim, value, radius, oracle)
-                    for dim, value in zip(space.dimensions, centre)
-                )
-                context = f"trial={trial} step={step}"
-                assert [(type(v), v) for v in point] == [(type(v), v) for v in expected], context
+                # A generation is ``count`` sequential draws of the oracle.
+                count = (1, 2, 10)[step % 3]
+                points = space.sample_near(centre, radius, ours, count)
+                expected = [
+                    tuple(
+                        _oracle_sample_near(dim, value, radius, oracle)
+                        for dim, value in zip(space.dimensions, centre)
+                    )
+                    for _ in range(count)
+                ]
+                context = f"trial={trial} step={step} count={count}"
+                assert len(points) == count, context
+                for point, want in zip(points, expected):
+                    assert [(type(v), v) for v in point] == [(type(v), v) for v in want], context
                 assert ours._random.getstate() == oracle._random.getstate(), context
+                point = points[-1]

@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.common.errors import WorkflowValidationError
 from repro.mapreduce.config import JobConfig
 from repro.mapreduce.job import simple_job
 from repro.verification import RandomWorkflowGenerator
@@ -207,6 +208,83 @@ class TestRandomMutationSequences:
         _assert_index_consistent(
             generator.telemetry_rollup(seed, num_channels=20, fanin=6).workflow
         )
+
+
+def _generated_dags(seed):
+    generator = RandomWorkflowGenerator().with_config(min_jobs=6, max_jobs=10, profile=False)
+    return (
+        generator.generate(seed).workflow,
+        diamond_shared_sink(generator, seed).workflow,
+        generator.wide_fanout(seed, num_jobs=20).workflow,
+        generator.telemetry_rollup(seed, num_channels=20, fanin=6).workflow,
+    )
+
+
+def _assert_depends_on_equals_the_oracle(workflow):
+    names = workflow.job_names
+    ours = {(a, b): workflow.depends_on(a, b) for a in names for b in names}
+    assert ours == {(a, b): oracle.depends_on(workflow, a, b) for a in names for b in names}
+    assert any(ours.values()) or len(names) < 2 or not workflow.intermediate_datasets()
+
+
+class TestAncestorTable:
+    """``depends_on`` answers from an ancestor table the index fills at the
+    first call: equal to the upward walk of ``tests/graph_oracle.py`` for
+    every pair, shared by copies like the cached order, and gone with the
+    index an edge-moving edit drops."""
+
+    @pytest.mark.parametrize("seed", (5, 11, 23))
+    def test_every_pair_equals_the_oracle_before_and_after_edge_moving_edits(self, seed):
+        rng = random.Random(seed)
+        for workflow in _generated_dags(seed):
+            _assert_depends_on_equals_the_oracle(workflow)
+            for step in range(6):
+                names = workflow.job_names
+                edit = step % 3
+                if edit == 0 and len(names) > 2:
+                    workflow.remove_job(rng.choice(names))
+                elif edit == 1:
+                    # Rewired onto a base input: every edge into the job moves.
+                    victim = rng.choice(names)
+                    old = workflow.job(victim).job
+                    source = rng.choice([d.name for d in workflow.base_datasets()])
+                    workflow.replace_job(
+                        victim, _chain_job(f"R{step}", source, old.output_datasets[0])
+                    )
+                else:
+                    feed = rng.choice([d.name for d in workflow.datasets])
+                    workflow.add_job(_chain_job(f"A{step}", feed, f"out{seed}_{step}"))
+                assert workflow._topo_index is None
+                _assert_depends_on_equals_the_oracle(workflow)
+
+    def test_a_copy_reads_the_table_and_an_edge_moving_edit_drops_it(self):
+        workflow = _build_wide()
+        names = workflow.job_names
+        assert workflow.depends_on(names[-1], names[0]) == oracle.depends_on(
+            workflow, names[-1], names[0]
+        )
+        table = workflow._topo_index.ancestors
+        assert table is not None
+        TOPOLOGY_COUNTERS.reset()
+        clone = workflow.copy()
+        _assert_depends_on_equals_the_oracle(clone)
+        # Read through the copy: the same table, nothing built or sorted.
+        assert clone._topo_index.ancestors is table
+        snapshot = TOPOLOGY_COUNTERS.snapshot()
+        assert snapshot["index_builds"] == snapshot["toposort_builds"] == 0
+        clone.remove_job(names[-1])
+        assert clone._topo_index is None and workflow._topo_index.ancestors is table
+        _assert_depends_on_equals_the_oracle(clone)
+        assert clone._topo_index.ancestors is not table
+        assert TOPOLOGY_COUNTERS.snapshot()["index_builds"] == 1
+        _assert_depends_on_equals_the_oracle(workflow)
+
+    def test_an_unknown_consumer_raises_and_an_unknown_producer_is_no_ancestor(self):
+        workflow = _build_base()
+        with pytest.raises(WorkflowValidationError, match="job 'nope' not in workflow"):
+            workflow.depends_on("nope", "J0")
+        assert workflow.depends_on("J3", "J0") and not workflow.depends_on("J0", "J3")
+        assert not workflow.depends_on("J3", "nope")
 
 
 #: The wide input of the counter contracts: a ~100-job telemetry rollup (88

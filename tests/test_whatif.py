@@ -18,6 +18,7 @@ from repro.whatif import (
     adjust_profile_for_intra_job_packing,
     estimate_job_time,
 )
+from repro.whatif.jobmodel import JobKernel
 from repro.whatif.scheduling import level_makespan, workflow_makespan
 from repro.workflow.annotations import ProfileAnnotation
 from repro.workflow.executor import WorkflowExecutor
@@ -212,6 +213,61 @@ class TestJobModelOracle:
                 assert level_makespan(estimates, cluster) == jobmodel_oracle.level_makespan(
                     estimates, cluster
                 )
+
+
+#: One dataflow per branch of the kernel's key derivation and halves.
+KERNEL_DATAFLOWS = {
+    "plain": _dataflow(),
+    "map-only": _dataflow(map_only=True),
+    "chained": _dataflow(chained_map_tasks=37),
+    "capped reducers": _dataflow(distinct_reduce_groups=12.0, distinct_partition_keys=30),
+    "partition-capped": _dataflow(distinct_partition_keys=7),
+    "packed": _dataflow(pipeline_count=3, map_output_bytes=40 * GB),
+    "many spills": _dataflow(map_output_bytes=300 * GB),
+}
+
+#: Settings in JOB_MODEL_SETTINGS order; a reduce count of 0 takes the map-only branch.
+KERNEL_SETTINGS = [
+    (reduces, split, sort, compress_map_output, compress_output)
+    for reduces in (0, 1, 5, 40, 300)
+    for split in (8, 64, 256)
+    for sort in (8, 128, 512)
+    for compress_map_output in (False, True)
+    for compress_output in (False, True)
+]
+
+
+class TestJobKernel:
+    """A kernel held across many settings answers each ``==`` the
+    phase-by-phase oracle on every field, whether a half was computed for
+    the call or came from the kernel's memo of an earlier key."""
+
+    @pytest.mark.parametrize("label", sorted(KERNEL_DATAFLOWS))
+    @pytest.mark.parametrize("cluster", ORACLE_CLUSTERS, ids=("paper", "small", "paper7", "slow-cpu"))
+    def test_memoized_halves_equal_the_oracle(self, label, cluster):
+        dataflow = KERNEL_DATAFLOWS[label]
+        kernel = JobKernel(dataflow, cluster)
+        # Twice over, the second pass shuffled: every half it reads is a memo hit.
+        order = KERNEL_SETTINGS + random.Random(label).sample(KERNEL_SETTINGS, len(KERNEL_SETTINGS))
+        for settings in order:
+            reduces, split, sort, compress_map_output, compress_output = settings
+            config = JobConfig(
+                num_reduce_tasks=reduces, split_size_mb=split, io_sort_mb=sort,
+                compress_map_output=compress_map_output, compress_output=compress_output,
+            )
+            ours = kernel(settings)
+            theirs = jobmodel_oracle.estimate_job_time(dataflow, config, cluster)
+            for name in jobmodel_oracle.FIELDS:
+                assert getattr(ours, name) == getattr(theirs, name), (label, settings, name)
+                assert type(getattr(ours, name)) is type(getattr(theirs, name)), (label, name)
+            assert ours.total_s == theirs.total_s
+        # Each half ran once per key, and far fewer times than it was read.
+        assert len(kernel.maps) + len(kernel.reduces) < len(KERNEL_SETTINGS)
+        passes = {key[1] for key in kernel.maps}
+        if label == "many spills":
+            assert max(passes - {None}) > 1  # more than one spill pass is exercised
+        if dataflow.map_only:
+            assert not kernel.reduces and passes == {None}
 
 
 class TestScheduling:

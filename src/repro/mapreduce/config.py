@@ -263,11 +263,14 @@ class ConfigurationSpace:
         already an ``int``).  What a dimension's draw is scaled and clamped
         by is worked out once for the generation; the points are drawn one
         after the other, each dimension in order, so the stream is consumed
-        as by ``count`` single-point draws.
+        as by ``count`` single-point draws.  An int whose whole neighbourhood
+        lies in its range is not clamped: ``start + extent * draw`` lies
+        between ``start`` and ``start + extent`` (rounding is monotone), where
+        a clamp returns the drawn value.
         """
         draw = rng.draw
         # Per dimension: (None, kept value, None, None) for a bool, (start, extent, low, high)
-        # for an int.
+        # for an int, (start, extent, None, None) for an int it need not clamp.
         rows = []
         for (is_bool, low, high, width), value in zip(self._rows, center):
             if is_bool:
@@ -276,13 +279,19 @@ class ConfigurationSpace:
                 value = float(value)
                 span = width * radius
                 start = value - span
-                rows.append((start, value + span - start, low, high))
+                extent = value + span - start
+                if low <= start <= start + extent <= high:
+                    rows.append((start, extent, None, None))
+                else:
+                    rows.append((start, extent, low, high))
         points = []
         for _ in range(count):
             point = []
             for start, extent, low, high in rows:
                 if start is None:  # a bool: ``extent`` holds its kept value
                     point.append(draw() < 0.5 if draw() < radius else extent)
+                elif low is None:
+                    point.append(round(start + extent * draw()))
                 else:
                     drawn = start + extent * draw()
                     point.append(round(low if drawn < low else high if high < drawn else drawn))

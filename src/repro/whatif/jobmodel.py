@@ -46,10 +46,16 @@ JOB_MODEL_SETTINGS = (
 #: The values of :data:`JOB_MODEL_SETTINGS` on a ``JobConfig``, as a tuple.
 job_model_settings = attrgetter(*JOB_MODEL_SETTINGS)
 
+#: What the level model reads of a job: ``(total_s, map_slot_s, reduce_slot_s,
+#: shuffle_s, startup_s)``, a slot-seconds term being the job's tasks times
+#: (task time + task start-up) (:meth:`JobKernel.terms`,
+#: :func:`~repro.whatif.scheduling.level_terms`).
+LevelTerms = Tuple[float, float, float, float, float]
+
 
 @dataclass(frozen=True, slots=True)
 class JobTimeEstimate:
-    """Phase-by-phase time estimate of one job (slots: hot-loop allocation)."""
+    """Phase-by-phase time estimate of one job."""
 
     map_phase_s: float
     shuffle_s: float
@@ -66,44 +72,6 @@ class JobTimeEstimate:
         return self.startup_s + self.map_phase_s + self.shuffle_s + self.reduce_phase_s
 
 
-#: The slot setters of :class:`JobTimeEstimate`, in field order.
-_ESTIMATE_SETTERS = tuple(
-    JobTimeEstimate.__dict__[name].__set__ for name in JobTimeEstimate.__slots__
-)
-
-
-def _estimate(
-    map_phase_s: float,
-    shuffle_s: float,
-    reduce_phase_s: float,
-    startup_s: float,
-    num_map_tasks: int,
-    num_reduce_tasks: int,
-    map_task_s: float,
-    reduce_task_s: float,
-    _new=object.__new__,
-    _setters=_ESTIMATE_SETTERS,
-) -> JobTimeEstimate:
-    """``JobTimeEstimate(...)``, the same frozen value built for half the cost.
-
-    A frozen dataclass's ``__init__`` sets each field through
-    ``object.__setattr__``; setting the slots directly skips that detour.  A
-    kernel builds one estimate per call, and on a memo hit that ``__init__``
-    would be about half of the call.
-    """
-    estimate = _new(JobTimeEstimate)
-    s0, s1, s2, s3, s4, s5, s6, s7 = _setters
-    s0(estimate, map_phase_s)
-    s1(estimate, shuffle_s)
-    s2(estimate, reduce_phase_s)
-    s3(estimate, startup_s)
-    s4(estimate, num_map_tasks)
-    s5(estimate, num_reduce_tasks)
-    s6(estimate, map_task_s)
-    s7(estimate, reduce_task_s)
-    return estimate
-
-
 def estimate_job_time(
     dataflow: JobDataflow,
     config: JobConfig,
@@ -113,7 +81,7 @@ def estimate_job_time(
 
     The two halves of :class:`JobKernel`, called directly: a one-off
     estimate has no later call to share a memo with.  The keys are derived
-    as ``JobKernel.__call__`` derives them.
+    as :meth:`JobKernel.terms` derives them.
     """
     num_reduce_tasks, split_size_mb, io_sort_mb, compress_map_output, compress_output = (
         job_model_settings(config)
@@ -124,24 +92,24 @@ def estimate_job_time(
     else:
         num_map_tasks = max(1, ceil(dataflow.input_bytes / (split_size_mb * MB)))
     if dataflow.map_only or num_reduce_tasks == 0:
-        map_task_s, map_phase_s = _map_half(
+        map_task_s, map_phase_s, _ = _map_half(
             dataflow, cluster, num_map_tasks, None, compress_output
         )
-        return _estimate(
+        return JobTimeEstimate(
             map_phase_s, 0.0, 0.0, cluster.job_startup_s, num_map_tasks, 0, map_task_s, 0.0
         )
     effective_sort_mb = max(8.0, io_sort_mb / dataflow.pipeline_count)
     spill_passes = max(
         1.0, ceil((dataflow.map_output_bytes / num_map_tasks / MB) / effective_sort_mb)
     )
-    map_task_s, map_phase_s = _map_half(
+    map_task_s, map_phase_s, _ = _map_half(
         dataflow, cluster, num_map_tasks, spill_passes, compress_map_output
     )
     num_reduce_tasks = max(1, num_reduce_tasks)
-    shuffle_s, reduce_phase_s, reduce_task_s = _reduce_half(
+    shuffle_s, reduce_phase_s, reduce_task_s, _ = _reduce_half(
         dataflow, cluster, num_reduce_tasks, compress_map_output, compress_output
     )
-    return _estimate(
+    return JobTimeEstimate(
         map_phase_s,
         shuffle_s,
         reduce_phase_s,
@@ -165,18 +133,21 @@ class JobKernel:
     * the reduce half reads the reduce-task count and the two compression
       flags (:func:`_reduce_half`).
 
-    Deriving the two keys is a division and a ceiling or two; an RRS sweep
-    draws far fewer distinct keys than distinct configurations, so a kernel
-    held for a candidate's samples (``OverlaySession``) pays each half once
-    per key.  :func:`estimate_job_time` calls the halves without a memo.
-    Every float keeps the operation order of the phase-by-phase derivation
-    the model started as (``tests/jobmodel_oracle.py`` holds it and checks
-    ``==``), so a memo hit is the number a fresh call computes.
+    Each half's memo value carries the half's slot-seconds, so the kernel's
+    one entry, :meth:`terms`, answers what the level model reads of the job
+    with two float additions and no :class:`JobTimeEstimate`.  Deriving the
+    two keys is a division and a ceiling or two; an RRS sweep draws far fewer
+    distinct keys than distinct configurations, so a kernel held for a
+    candidate's samples (``OverlaySession``) pays each half once per key.
+    :func:`estimate_job_time` calls the halves without a memo.  Every float
+    keeps the operation order of the phase-by-phase derivation the model
+    started as (``tests/jobmodel_oracle.py`` holds it and checks ``==``), so
+    a memo hit is the number a fresh call computes.
     """
 
     __slots__ = (
         "dataflow", "cluster", "chained", "map_only", "pipeline_count", "input_bytes",
-        "map_output_bytes", "startup_s", "maps", "reduces",
+        "map_output_bytes", "startup_s", "no_reduce", "maps", "reduces",
     )
 
     def __init__(self, dataflow: JobDataflow, cluster: ClusterSpec) -> None:
@@ -190,15 +161,24 @@ class JobKernel:
         self.input_bytes = dataflow.input_bytes
         self.map_output_bytes = dataflow.map_output_bytes
         self.startup_s = cluster.job_startup_s
-        #: Map-half key -> ``(map_task_s, map_phase_s)``.
-        self.maps: Dict[Tuple, Tuple[float, float]] = {}
-        #: Reduce-half key -> ``(shuffle_s, reduce_phase_s, reduce_task_s)``.
-        self.reduces: Dict[Tuple, Tuple[float, float, float]] = {}
+        #: A map-only job's reduce half: no shuffle, no reduce phase, no reduce task.
+        self.no_reduce = (0.0, 0.0, 0.0, 0 * (0.0 + cluster.task_startup_s))
+        #: Map-half key -> ``(map_task_s, map_phase_s, map_slot_s)``.
+        self.maps: Dict[Tuple, Tuple[float, float, float]] = {}
+        #: Reduce-half key -> ``(shuffle_s, reduce_phase_s, reduce_task_s, reduce_slot_s)``.
+        self.reduces: Dict[Tuple, Tuple[float, float, float, float]] = {}
 
-    def __call__(self, settings: Tuple[int, int, int, bool, bool]) -> JobTimeEstimate:
-        """The job's estimate under ``settings``: ``==`` :func:`estimate_job_time` under them."""
+    def terms(self, settings: Tuple[int, int, int, bool, bool]) -> LevelTerms:
+        """The job's level terms under ``settings``: ``==`` ``level_terms`` of
+        :func:`estimate_job_time` under them."""
+        # Each ``max(a, b)`` of the derivation is spelled ``b if b > a else a``,
+        # what ``max`` returns (the first of equals), without the builtin's call:
+        # four of those were half of a memo hit.
         num_reduce_tasks, split_size_mb, io_sort_mb, compress_map_output, compress_output = settings
-        num_map_tasks = self.chained or max(1, ceil(self.input_bytes / (split_size_mb * MB)))
+        num_map_tasks = self.chained
+        if not num_map_tasks:
+            num_map_tasks = ceil(self.input_bytes / (split_size_mb * MB))
+            num_map_tasks = num_map_tasks if num_map_tasks > 1 else 1
         if self.map_only or num_reduce_tasks == 0:
             # Written straight back to the DFS: no collect, spill or sort.
             key = (num_map_tasks, None, compress_output)
@@ -207,39 +187,37 @@ class JobKernel:
                 half = self.maps[key] = _map_half(
                     self.dataflow, self.cluster, num_map_tasks, None, compress_output
                 )
-            map_task_s, map_phase_s = half
-            return _estimate(
-                map_phase_s, 0.0, 0.0, self.startup_s, num_map_tasks, 0, map_task_s, 0.0
-            )
-        # Memory available to the sort buffer is shared by packed pipelines.
-        effective_sort_mb = max(8.0, io_sort_mb / self.pipeline_count)
-        spill_passes = max(
-            1.0, ceil((self.map_output_bytes / num_map_tasks / MB) / effective_sort_mb)
-        )
-        key = (num_map_tasks, spill_passes, compress_map_output)
-        half = self.maps.get(key)
-        if half is None:
-            half = self.maps[key] = _map_half(
-                self.dataflow, self.cluster, num_map_tasks, spill_passes, compress_map_output
-            )
-        map_task_s, map_phase_s = half
-        num_reduce_tasks = max(1, num_reduce_tasks)
-        key = (num_reduce_tasks, compress_map_output, compress_output)
-        half = self.reduces.get(key)
-        if half is None:
-            half = self.reduces[key] = _reduce_half(
-                self.dataflow, self.cluster, num_reduce_tasks, compress_map_output, compress_output
-            )
-        shuffle_s, reduce_phase_s, reduce_task_s = half
-        return _estimate(
-            map_phase_s,
+            reduce = self.no_reduce
+        else:
+            # Memory available to the sort buffer is shared by packed pipelines.
+            sort_mb = io_sort_mb / self.pipeline_count
+            sort_mb = sort_mb if sort_mb > 8.0 else 8.0
+            spill_passes = ceil((self.map_output_bytes / num_map_tasks / MB) / sort_mb)
+            spill_passes = spill_passes if spill_passes > 1.0 else 1.0
+            key = (num_map_tasks, spill_passes, compress_map_output)
+            half = self.maps.get(key)
+            if half is None:
+                half = self.maps[key] = _map_half(
+                    self.dataflow, self.cluster, num_map_tasks, spill_passes, compress_map_output
+                )
+            num_reduce_tasks = num_reduce_tasks if num_reduce_tasks > 1 else 1
+            key = (num_reduce_tasks, compress_map_output, compress_output)
+            reduce = self.reduces.get(key)
+            if reduce is None:
+                reduce = self.reduces[key] = _reduce_half(
+                    self.dataflow, self.cluster, num_reduce_tasks, compress_map_output,
+                    compress_output,
+                )
+        _, map_phase_s, map_slot_s = half
+        shuffle_s, reduce_phase_s, _, reduce_slot_s = reduce
+        startup_s = self.startup_s
+        # ``total_s`` as JobTimeEstimate adds it.
+        return (
+            startup_s + map_phase_s + shuffle_s + reduce_phase_s,
+            map_slot_s,
+            reduce_slot_s,
             shuffle_s,
-            reduce_phase_s,
-            self.startup_s,
-            num_map_tasks,
-            num_reduce_tasks,
-            map_task_s,
-            reduce_task_s,
+            startup_s,
         )
 
 
@@ -249,9 +227,9 @@ def _map_half(
     num_map_tasks: int,
     spill_passes: Optional[float],
     compress: bool,
-) -> Tuple[float, float]:
-    """``(map_task_s, map_phase_s)``: read, map CPU, and spill — or, when
-    ``spill_passes`` is ``None`` (a map-only job), the write back to the DFS.
+) -> Tuple[float, float, float]:
+    """``(map_task_s, map_phase_s, map_slot_s)``: read, map CPU, and spill — or,
+    when ``spill_passes`` is ``None`` (a map-only job), the write back to the DFS.
 
     ``compress`` is ``compress_map_output``, or ``compress_output`` for a map-only job.
     """
@@ -281,7 +259,8 @@ def _map_half(
             spill_bytes *= COMPRESSION_RATIO
         spill_s = spill_bytes / write_bps + spill_bytes / read_bps * 0.5 + compress_cpu
     map_task_s = read_s + cpu_s + spill_s
-    return map_task_s, -(-num_map_tasks // map_slots) * (map_task_s + cluster.task_startup_s)
+    task_s = map_task_s + cluster.task_startup_s
+    return map_task_s, -(-num_map_tasks // map_slots) * task_s, num_map_tasks * task_s
 
 
 def _reduce_half(
@@ -290,21 +269,28 @@ def _reduce_half(
     num_reduce_tasks: int,
     compress_map_output: bool,
     compress_output: bool,
-) -> Tuple[float, float, float]:
-    """``(shuffle_s, reduce_phase_s, reduce_task_s)``: shuffle, merge, reduce CPU and write."""
+) -> Tuple[float, float, float, float]:
+    """``(shuffle_s, reduce_phase_s, reduce_task_s, reduce_slot_s)``: shuffle, merge,
+    reduce CPU and write, and the half's slot-seconds."""
+    # ``min(a, b)`` / ``max(a, b)`` are spelled ``b if b < a else a`` / ``b if b > a
+    # else a``, what the builtins return, without their calls (a half runs per
+    # memo miss, thousands of times a sweep).
     read_bps, write_bps, network_bps, _, reduce_slots, max_streams = cluster.job_model_constants
     # Shuffle: one stream per reduce task, up to one per node.
     shuffle_bytes = dataflow.shuffle_bytes
     if compress_map_output:
         shuffle_bytes *= COMPRESSION_RATIO
-    shuffle_s = shuffle_bytes / (network_bps * max(1, min(num_reduce_tasks, max_streams)))
+    streams = max_streams if max_streams < num_reduce_tasks else num_reduce_tasks
+    shuffle_s = shuffle_bytes / (network_bps * (streams if streams > 1 else 1))
 
     # Reduce: useful parallelism is capped by distinct groups / partition keys.
     groups, keys = dataflow.distinct_reduce_groups, dataflow.distinct_partition_keys
     reducers = float(num_reduce_tasks)
     if groups or keys:
-        cap = max(1.0, min(groups, keys) if groups and keys else groups or keys)
-        reducers = float(max(1.0, min(reducers, cap)))
+        cap = (keys if keys < groups else groups) if groups and keys else groups or keys
+        cap = cap if cap > 1.0 else 1.0
+        reducers = cap if cap < reducers else reducers
+        reducers = float(reducers if reducers > 1.0 else 1.0)
     bytes_per_reducer = shuffle_bytes / reducers
     decompress_cpu = 0.0
     if compress_map_output:
@@ -325,5 +311,7 @@ def _reduce_half(
         write_bytes *= COMPRESSION_RATIO
     write_s = write_bytes / write_bps + compress_cpu
     reduce_task_s = merge_s + cpu_s + write_s
-    reduce_phase_s = -(-num_reduce_tasks // reduce_slots) * cluster.task_startup_s + reduce_task_s
-    return shuffle_s, reduce_phase_s, reduce_task_s
+    task_startup_s = cluster.task_startup_s
+    reduce_phase_s = -(-num_reduce_tasks // reduce_slots) * task_startup_s + reduce_task_s
+    reduce_slot_s = num_reduce_tasks * (reduce_task_s + task_startup_s)
+    return shuffle_s, reduce_phase_s, reduce_task_s, reduce_slot_s

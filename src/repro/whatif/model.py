@@ -36,8 +36,8 @@ from repro.mapreduce.config import JobConfig
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.pipeline import Pipeline
 from repro.whatif.dataflow import JobDataflow
-from repro.whatif.jobmodel import JobTimeEstimate, estimate_job_time
-from repro.whatif.scheduling import level_makespan
+from repro.whatif.jobmodel import JobTimeEstimate, LevelTerms, estimate_job_time
+from repro.whatif.scheduling import level_makespan, level_terms
 from repro.workflow.annotations import OperatorProfile, ProfileAnnotation
 from repro.workflow.graph import DatasetVertex, JobVertex, Workflow
 
@@ -117,6 +117,8 @@ class CostingBasis:
     vertices: Tuple[List[JobVertex], List[DatasetVertex]]
     levels: List[List[JobVertex]]
     costed: Dict[str, VertexCost]
+    #: Each level's jobs' level terms (``level_terms``), in level order.
+    terms: List[List[LevelTerms]]
     level_makespans: List[float]
     #: The jobs whose signature reads a producer's reduce-task count or chaining
     #: (chained jobs, partition-pruned readers); all else reaches them as sizes.
@@ -161,7 +163,9 @@ class WhatIfEngine:
         """
         cluster = self.cluster
         levels = workflow.topological_levels()
+        task_startup_s = cluster.task_startup_s
         costed: Dict[str, VertexCost] = {}
+        terms: List[List[LevelTerms]] = []
         makespans: List[float] = []
         sizes = self.base_dataset_sizes(workflow)
         fact_readers: Set[str] = set()
@@ -179,15 +183,20 @@ class WhatIfEngine:
                 ):
                     fact_readers.add(vertex.job.name)
                 costed[vertex.job.name] = costed_vertex
-            estimates = [costed[vertex.job.name].estimate for vertex in level]
-            makespans.append(level_makespan(estimates, cluster))
+            terms.append([
+                level_terms(costed[vertex.job.name].estimate, task_startup_s) for vertex in level
+            ])
+            makespans.append(level_makespan(terms[-1], cluster))
         reusable = settled and not configs
         vertices = (workflow.jobs, workflow.datasets)
         return WorkflowCostEstimate(
             total_s=left_sum(makespans),
             per_job={name: costed_vertex.estimate for name, costed_vertex in costed.items()},
             dataset_sizes=dict(sizes),
-            basis=CostingBasis(vertices, levels, costed, makespans, fact_readers) if reusable else None,
+            basis=(
+                CostingBasis(vertices, levels, costed, terms, makespans, fact_readers)
+                if reusable else None
+            ),
         )
 
     # ------------------------------------------------------ per-vertex steps

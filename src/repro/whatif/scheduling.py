@@ -16,34 +16,44 @@ from typing import Sequence
 
 from repro.cluster import ClusterSpec
 from repro.common import left_sum
-from repro.whatif.jobmodel import JobTimeEstimate
+from repro.whatif.jobmodel import JobTimeEstimate, LevelTerms
 
 
-def level_makespan(estimates: Sequence[JobTimeEstimate], cluster: ClusterSpec) -> float:
-    """Makespan of one level of concurrently runnable jobs."""
-    if not estimates:
+def level_terms(estimate: JobTimeEstimate, task_startup_s: float) -> LevelTerms:
+    """What :func:`level_makespan` reads of a job, from its estimate.
+
+    ``==`` :meth:`~repro.whatif.jobmodel.JobKernel.terms` under the settings
+    the estimate was made for: a slot-seconds term is the job's tasks times
+    (task time + ``task_startup_s``).
+    """
+    return (
+        estimate.total_s,
+        estimate.num_map_tasks * (estimate.map_task_s + task_startup_s),
+        estimate.num_reduce_tasks * (estimate.reduce_task_s + task_startup_s),
+        estimate.shuffle_s,
+        estimate.startup_s,
+    )
+
+
+def level_makespan(terms: Sequence[LevelTerms], cluster: ClusterSpec) -> float:
+    """Makespan of one level of concurrently runnable jobs, from their level terms."""
+    if not terms:
         return 0.0
-    if len(estimates) == 1:
-        return estimates[0].total_s
+    if len(terms) == 1:
+        return terms[0][0]
+    totals, map_slot_seconds, reduce_slot_seconds, shuffles, startups = zip(*terms)
+    map_slots, reduce_slots = cluster.job_model_constants[3:5]
 
     # Bound (a): slot-constrained aggregate work, summed left to right.
-    map_slots, reduce_slots = cluster.job_model_constants[3:5]
-    task_startup_s = cluster.task_startup_s
-    map_slot_seconds = reduce_slot_seconds = 0
-    for e in estimates:
-        map_slot_seconds += e.num_map_tasks * (e.map_task_s + task_startup_s)
-        reduce_slot_seconds += e.num_reduce_tasks * (e.reduce_task_s + task_startup_s)
     aggregate_bound = (
-        map_slot_seconds / map_slots
-        + reduce_slot_seconds / reduce_slots
-        + max(e.shuffle_s for e in estimates)
-        + max(e.startup_s for e in estimates)
+        left_sum(map_slot_seconds) / map_slots
+        + left_sum(reduce_slot_seconds) / reduce_slots
+        + max(shuffles)
+        + max(startups)
     )
 
     # Bound (b): the slowest individual job run with the whole cluster.
-    individual_bound = max(e.total_s for e in estimates)
-
-    return max(aggregate_bound, individual_bound)
+    return max(aggregate_bound, max(totals))
 
 
 def workflow_makespan(
@@ -51,4 +61,8 @@ def workflow_makespan(
     cluster: ClusterSpec,
 ) -> float:
     """Total workflow runtime: levels run one after another."""
-    return left_sum(level_makespan(level, cluster) for level in per_level_estimates)
+    task_startup_s = cluster.task_startup_s
+    return left_sum(
+        level_makespan([level_terms(estimate, task_startup_s) for estimate in level], cluster)
+        for level in per_level_estimates
+    )

@@ -26,11 +26,13 @@ query of the optimizer stack and makes them incremental:
   :class:`~repro.whatif.jobmodel.JobKernel` for its base dataflow (and one
   for its combiner-flipped dataflow), so each half of the job model runs once
   per distinct key it reads for the candidate's life;
-* the cheap per-phase job model (``estimate_job_time``) runs on the dataflow
-  of every job whose configuration is asked about, and the makespan of every
-  level holding one is recomputed, so the returned
-  :class:`~repro.whatif.model.WorkflowCostEstimate` is *exactly* equal to a
-  cold full re-estimation (``docs/costing.md``, "Costing a sample").
+* the cheap per-phase job model runs on the dataflow of every job whose
+  configuration is asked about — a sample asks each kernel for the job's
+  level terms (:meth:`~repro.whatif.jobmodel.JobKernel.terms`), and the
+  makespan of every level holding one is summed again from the base's terms
+  — so the returned :class:`~repro.whatif.model.WorkflowCostEstimate` is
+  *exactly* equal to a cold full re-estimation (``docs/costing.md``,
+  "Costing a sample").
 
 There is one memo level on purpose: nothing is stored per RRS sample.  A
 finer level (signature + job-model knobs → final estimate) would hold ~92 %
@@ -74,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cluster import ClusterSpec
 from repro.common import left_sum
@@ -87,15 +89,19 @@ from repro.common.store import (  # noqa: F401  (CacheLoadReport, cluster_cache_
     current_origin,
 )
 from repro.mapreduce.config import ConfigDimension, ConfigurationSpace, JobConfig, SettingSlots
-from repro.whatif.jobmodel import JOB_MODEL_SETTINGS, JobKernel, JobTimeEstimate
+from repro.whatif.jobmodel import JOB_MODEL_SETTINGS, JobKernel, JobTimeEstimate, LevelTerms
 from repro.whatif.jobmodel import estimate_job_time, job_model_settings
 from repro.whatif.model import COST_MODEL_VERSION, VertexCost, WhatIfEngine, WorkflowCostEstimate
 from repro.whatif.model import ConfigOverlay, config_of
-from repro.whatif.scheduling import level_makespan
+from repro.whatif.scheduling import level_makespan, level_terms
 from repro.workflow.graph import JobVertex, Workflow
 
 #: An RRS sample: its values in its space's dimension order.
 Point = Tuple[object, ...]
+
+#: A job a sample's walk moved: ``(job, its level terms, the kernel that
+#: answered)``, or for a re-derived job ``(job, its level terms, its estimate)``.
+Moved = Tuple["_Job", LevelTerms, Union[JobKernel, JobTimeEstimate]]
 
 #: Default bound on cached per-vertex dataflows; old entries are evicted LRU.
 DEFAULT_MAX_CACHE_ENTRIES = 200_000
@@ -307,10 +313,9 @@ class OverlaySession:
         self._profiled = all(vertex.annotations.has_profile for vertex in workflow.jobs)
         self._base: Optional[WorkflowCostEstimate] = None
         #: The base's walk, built at the first sample: each job's (position,
-        #: level index, index in its level, vertex) by name, each level's base
-        #: estimates, and the jobs resolved so far.
+        #: level index, index in its level, vertex) by name, and the jobs
+        #: resolved so far.
         self._rank: Dict[str, Tuple[int, int, int, JobVertex]] = {}
-        self._levels: List[List[JobTimeEstimate]] = []
         self._jobs: Dict[str, _Job] = {}
         self._recosted: Set[str] = set()
         self._cross_origin_hits = 0
@@ -327,11 +332,9 @@ class OverlaySession:
     def _walk_rank(self) -> Dict[str, Tuple[int, int, int, JobVertex]]:
         # The base's walk, built at the first sample.
         if not self._rank:
-            basis = self._base.basis
-            for index, level in enumerate(basis.levels):
+            for index, level in enumerate(self._base.basis.levels):
                 for slot, vertex in enumerate(level):
                     self._rank[vertex.job.name] = (len(self._rank), index, slot, vertex)
-                self._levels.append([basis.costed[vertex.job.name].estimate for vertex in level])
         return self._rank
 
     def _job(self, name: str) -> _Job:
@@ -505,7 +508,11 @@ class OverlaySession:
         if restarted is not None:
             return restarted
         per_job = dict(base.per_job)
-        per_job.update((job.name, estimate) for job, estimate in moved)
+        cluster = self.service.cluster
+        for job, _, answer in moved:
+            if isinstance(answer, JobKernel):  # the job model of its dataflow, unmemoized
+                answer = estimate_job_time(answer.dataflow, configs[job.name], cluster)
+            per_job[job.name] = answer
         return WorkflowCostEstimate(
             total_s=self._total(moved), per_job=per_job, dataset_sizes=base.dataset_sizes
         )
@@ -513,14 +520,16 @@ class OverlaySession:
     def _walk(
         self, steps: List[Tuple[_Job, Optional[Tuple], Optional[bool], Optional[JobConfig]]],
         materialise: Callable[[], Dict[str, JobConfig]],
-    ) -> Tuple[Optional[List[Tuple[_Job, JobTimeEstimate]]], Optional[WorkflowCostEstimate]]:
-        """The one walk of a sample: ``(moved jobs' estimates, None)``, or ``(None, full walk)``.
+    ) -> Tuple[Optional[List[Moved]], Optional[WorkflowCostEstimate]]:
+        """The one walk of a sample: ``(moved jobs, None)``, or ``(None, full walk)``.
 
         ``steps`` are ``(job, job-model settings, combiner flag, JobConfig or
         None)`` the sample binds, in the base's walk order; a fact reader it
         does not overlay comes as ``(job, None, None, None)``.
         ``materialise()`` is the sample's overlay as ``JobConfig``\\ s: asked
-        only to re-derive a fact reader or to start over.
+        only to re-derive a fact reader or to start over.  A moved job
+        carries its level terms (what :meth:`_total` sums) and what answers
+        for its estimate (:data:`Moved`), which only :meth:`estimate` builds.
         """
         workflow = self.workflow
         sizes = self._base.dataset_sizes
@@ -546,34 +555,36 @@ class OverlaySession:
                 if configs is None:
                     configs = materialise()
                 costed_vertex = self._cost_vertex(job.vertex, workflow, sizes, configs)
-                estimate, contributions = costed_vertex.estimate, costed_vertex.output_contributions
+                answer, contributions = costed_vertex.estimate, costed_vertex.output_contributions
+                terms = level_terms(answer, self.service.cluster.task_startup_s)
             elif flipped:
-                kernel, contributions = self._flipped(job)
-                estimate = kernel(settings)
+                answer, contributions = self._flipped(job)
+                terms = answer.terms(settings)
             else:  # kept
-                moved.append((job, job.kernel(settings)))
+                moved.append((job, job.kernel.terms(settings), job.kernel))
                 continue
             if contributions != job.prior.output_contributions:
                 if configs is None:
                     configs = materialise()
                 return None, self.service.engine.run_costing(workflow, self._cost_vertex, configs)
-            moved.append((job, estimate))
+            moved.append((job, terms, answer))
         return moved, None
 
-    def _total(self, moved: List[Tuple[_Job, JobTimeEstimate]]) -> float:
+    def _total(self, moved: List[Moved]) -> float:
         # The base's per-level makespans, those of the levels ``moved`` touched summed again.
         base = self._base
         if not moved:
             return base.total_s
-        touched: Dict[int, List[JobTimeEstimate]] = {}
-        for job, estimate in moved:
-            estimates = touched.get(job.level)
-            if estimates is None:
-                estimates = touched[job.level] = self._levels[job.level].copy()
-            estimates[job.slot] = estimate
-        makespans = base.basis.level_makespans.copy()
-        for index, estimates in touched.items():
-            makespans[index] = level_makespan(estimates, self.service.cluster)
+        basis = base.basis
+        touched: Dict[int, List[LevelTerms]] = {}
+        for job, terms, _ in moved:
+            level = touched.get(job.level)
+            if level is None:
+                level = touched[job.level] = basis.terms[job.level].copy()
+            level[job.slot] = terms
+        makespans = basis.level_makespans.copy()
+        for index, level in touched.items():
+            makespans[index] = level_makespan(level, self.service.cluster)
         return left_sum(makespans)
 
     def _flipped(self, job: _Job) -> Tuple[JobKernel, Tuple[Tuple[str, float, float], ...]]:

@@ -647,6 +647,42 @@ class TestOverlaySession:
         assert delta.queries == 1 + len(samples) == visits["whatif.estimate"]
         assert delta.cross_origin_hits > 0 and delta.job_full_recosts > 0
 
+    @pytest.mark.parametrize("capacity", [2, 4, 8, 16, 64])
+    @pytest.mark.parametrize("abbr", ["BA", "IR"])
+    def test_an_evicting_memo_answers_alike_and_credits_alike_once_it_holds_the_rows(
+        self, abbr, capacity
+    ):
+        """A later combiner flip is credited as its memo row answering it
+        would be, without an LRU lookup (``_flipped``).  Where the memo is
+        so small that it evicts that row while the session is open, the
+        same sample asked alone would re-derive it, so only the answers are
+        promised there; once the memo holds the rows the samples read, the
+        counters are the one-by-one counters too."""
+        plan = _with_fact_readers(abbr)
+        _, _, samples = _points(plan, DeterministicRNG(11), 16)
+        runs = {}
+        for mode in ("session", "one by one"):
+            service = CostService(CLUSTER, max_cache_entries=capacity)
+            with attributed((service,), "warm"):  # rows another origin stored
+                warm = service.estimate_workflow(plan.workflow)
+                for _, configs in samples[::2]:
+                    service.estimate_workflow(plan.workflow, configs, warm)
+            before = service.stats_snapshot()
+            with attributed((service,), "cold"):
+                base = service.estimate_workflow(plan.workflow)
+                if mode == "session":
+                    with service.overlay(plan.workflow, base) as session:
+                        answers = [session.estimate(configs) for _, configs in samples]
+                else:
+                    answers = [
+                        service.estimate_workflow(plan.workflow, configs, base)
+                        for _, configs in samples
+                    ]
+            runs[mode] = (answers, service.stats_snapshot().since(before))
+        assert runs["session"][0] == runs["one by one"][0]
+        if capacity >= 16:
+            assert runs["session"][1] == runs["one by one"][1]
+
     def test_a_fact_readers_combiner_flip_is_derived_under_its_moved_producer(self):
         """A combiner job made a partition-pruned reader of a hash-partitioned
         producer: a point that flips its combiner and moves the producer's

@@ -338,11 +338,11 @@ class TestColdOptimizeBounds:
     @pytest.mark.parametrize("label", ("rollup31", "BR"))
     def test_a_job_model_half_runs_once_per_key_per_candidate_job(self, label, monkeypatch):
         """A candidate's samples reach the job model through the kernels its
-        session holds per job (base and combiner-flipped dataflow): each half
-        runs at most once per distinct key per (candidate, job), so fewer
-        times than the kernels are called.  ``estimate_job_time``, the cold
-        path of full walks and re-derivations, calls the halves without a memo
-        and is not counted."""
+        session holds per job (base and combiner-flipped dataflow), asking
+        each for the job's level terms: each half runs at most once per
+        distinct key per (candidate, job), so fewer times than the kernels
+        are asked.  ``estimate_job_time``, the cold path of full walks and
+        re-derivations, calls the halves without a memo and is not counted."""
         halves = collections.Counter()
         sessions, cold = [], []
         kernel_calls = [0]
@@ -383,13 +383,14 @@ class TestColdOptimizeBounds:
 
             monkeypatch.setattr(jobmodel, name, counted)
 
-        call = JobKernel.__call__
+        # A sample enters the job model through a kernel's level terms.
+        terms = JobKernel.terms
 
-        def counted_call(kernel, settings):
+        def counted_terms(kernel, settings):
             kernel_calls[0] += 1
-            return call(kernel, settings)
+            return terms(kernel, settings)
 
-        monkeypatch.setattr(JobKernel, "__call__", counted_call)
+        monkeypatch.setattr(JobKernel, "terms", counted_terms)
 
         StubbyOptimizer(ClusterSpec.paper_cluster(), seed=17).optimize(golden.plan_of(label))
         repeated = {key: runs for key, runs in halves.items() if runs > 1}
@@ -459,7 +460,7 @@ class TestColdOptimizeBounds:
         sample = next(iter(estimate.per_job.values()))
         assert isinstance(sample, JobTimeEstimate) and not hasattr(sample, "__dict__")
         assert not hasattr(JobDataflow(*[1] * 9), "__dict__")
-        # The eight phase fields and nothing else: every RRS sample builds one.
+        # The eight phase fields and nothing else: every cold job estimate builds one.
         assert JobTimeEstimate.__slots__ == (
             "map_phase_s", "shuffle_s", "reduce_phase_s", "startup_s",
             "num_map_tasks", "num_reduce_tasks", "map_task_s", "reduce_task_s",

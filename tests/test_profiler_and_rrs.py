@@ -1,5 +1,6 @@
 """Tests for the profiler and Recursive Random Search."""
 
+import collections
 import random
 
 import pytest
@@ -203,3 +204,49 @@ class TestSamplerDrawOrder:
                     assert [(type(v), v) for v in point] == [(type(v), v) for v in want], context
                 assert ours._random.getstate() == oracle._random.getstate(), context
                 point = points[-1]
+
+    def test_generations_at_the_bounds_mix_clamped_and_unclamped_ints(self):
+        """Centres at and near each int's bounds and in its middle, under
+        radii small enough that some neighbourhoods stay inside the range
+        (drawn without a clamp) and large enough that others do not: the
+        same values, types and generator state as the oracle's draws."""
+        maker = random.Random(7)
+        cases = collections.Counter()
+        for trial in range(120):
+            dims = [ConfigDimension("flag", "bool")]
+            for index in range(maker.randint(2, 8)):
+                low = maker.choice([0, 1, 8, maker.uniform(-50.0, 50.0)])
+                width = maker.choice([1, 7, 255, maker.uniform(0.5, 900.0)])
+                dims.append(ConfigDimension(f"d{index}", "int", low, low + width))
+            space = ConfigurationSpace(dimensions=dims)
+            seed = maker.randrange(2**31)
+            ours, oracle = DeterministicRNG(seed), DeterministicRNG(seed)
+            for step in range(4):
+                centre = tuple(
+                    maker.random() < 0.5
+                    if dim.kind == "bool"
+                    else maker.choice([
+                        dim.low, dim.high, int(dim.low), int(dim.high),
+                        (dim.low + dim.high) / 2, round((dim.low + dim.high) / 2),
+                    ])
+                    for dim in dims
+                )
+                radius = maker.choice([0.0, 1e-9, 0.01, 0.05, 0.3, 1.0])
+                for dim, value in zip(dims[1:], centre[1:]):
+                    span = (dim.high - dim.low) * radius
+                    inside = dim.low <= float(value) - span and float(value) + span <= dim.high
+                    cases["unclamped" if inside else "clamped"] += 1
+                count = (1, 3, 10, 2)[step]
+                points = space.sample_near(centre, radius, ours, count)
+                expected = [
+                    tuple(
+                        _oracle_sample_near(dim, value, radius, oracle)
+                        for dim, value in zip(dims, centre)
+                    )
+                    for _ in range(count)
+                ]
+                context = f"trial={trial} step={step} radius={radius}"
+                for point, want in zip(points, expected):
+                    assert [(type(v), v) for v in point] == [(type(v), v) for v in want], context
+                assert ours._random.getstate() == oracle._random.getstate(), context
+        assert cases["unclamped"] > 100 and cases["clamped"] > 100, cases

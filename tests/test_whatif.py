@@ -1,5 +1,6 @@
 """Tests for the What-if cost model, actual-cost model, and adjustments."""
 
+import collections
 import dataclasses
 import random
 
@@ -18,8 +19,8 @@ from repro.whatif import (
     adjust_profile_for_intra_job_packing,
     estimate_job_time,
 )
-from repro.whatif.jobmodel import JobKernel
-from repro.whatif.scheduling import level_makespan, workflow_makespan
+from repro.whatif.jobmodel import JobKernel, job_model_settings
+from repro.whatif.scheduling import level_makespan, level_terms, workflow_makespan
 from repro.workflow.annotations import ProfileAnnotation
 from repro.workflow.executor import WorkflowExecutor
 from repro.workloads import build_workload
@@ -186,6 +187,11 @@ def _assert_equals_the_oracle(dataflow, config, cluster):
     return ours
 
 
+def _makespan(estimates, cluster):
+    """``level_makespan`` of a level held as estimates."""
+    return level_makespan([level_terms(e, cluster.task_startup_s) for e in estimates], cluster)
+
+
 class TestJobModelOracle:
     """The flat job model ``==`` the phase-by-phase one it replaced, on every
     field, and ``level_makespan`` ``==`` its loop-summed original: exact
@@ -200,7 +206,7 @@ class TestJobModelOracle:
     @given(st.lists(st.tuples(_dataflows, _configs), max_size=8), st.sampled_from(ORACLE_CLUSTERS))
     def test_level_makespan_equals_the_oracle(self, jobs, cluster):
         estimates = [estimate_job_time(dataflow, config, cluster) for dataflow, config in jobs]
-        assert level_makespan(estimates, cluster) == jobmodel_oracle.level_makespan(estimates, cluster)
+        assert _makespan(estimates, cluster) == jobmodel_oracle.level_makespan(estimates, cluster)
 
     @pytest.mark.equivalence
     @pytest.mark.parametrize("seed", equivalence_seeds())
@@ -210,7 +216,7 @@ class TestJobModelOracle:
             level = [_assert_equals_the_oracle(*_random_job(rng), cluster) for _ in range(60)]
             for size in (2, 5, 60):
                 estimates = level[:size]
-                assert level_makespan(estimates, cluster) == jobmodel_oracle.level_makespan(
+                assert _makespan(estimates, cluster) == jobmodel_oracle.level_makespan(
                     estimates, cluster
                 )
 
@@ -238,9 +244,10 @@ KERNEL_SETTINGS = [
 
 
 class TestJobKernel:
-    """A kernel held across many settings answers each ``==`` the
-    phase-by-phase oracle on every field, whether a half was computed for
-    the call or came from the kernel's memo of an earlier key."""
+    """A kernel held across many settings answers each with the level terms
+    of the phase-by-phase oracle's estimate (``==``, every term a float),
+    whether a half was computed for the call or came from the kernel's memo
+    of an earlier key."""
 
     @pytest.mark.parametrize("label", sorted(KERNEL_DATAFLOWS))
     @pytest.mark.parametrize("cluster", ORACLE_CLUSTERS, ids=("paper", "small", "paper7", "slow-cpu"))
@@ -249,19 +256,22 @@ class TestJobKernel:
         kernel = JobKernel(dataflow, cluster)
         # Twice over, the second pass shuffled: every half it reads is a memo hit.
         order = KERNEL_SETTINGS + random.Random(label).sample(KERNEL_SETTINGS, len(KERNEL_SETTINGS))
+        calls = collections.Counter()
         for settings in order:
             reduces, split, sort, compress_map_output, compress_output = settings
             config = JobConfig(
                 num_reduce_tasks=reduces, split_size_mb=split, io_sort_mb=sort,
                 compress_map_output=compress_map_output, compress_output=compress_output,
             )
-            ours = kernel(settings)
             theirs = jobmodel_oracle.estimate_job_time(dataflow, config, cluster)
-            for name in jobmodel_oracle.FIELDS:
-                assert getattr(ours, name) == getattr(theirs, name), (label, settings, name)
-                assert type(getattr(ours, name)) is type(getattr(theirs, name)), (label, name)
-            assert ours.total_s == theirs.total_s
+            rows = len(kernel.maps) + len(kernel.reduces)
+            ours = kernel.terms(settings)
+            calls["computed" if len(kernel.maps) + len(kernel.reduces) > rows else "memo"] += 1
+            assert ours == level_terms(theirs, cluster.task_startup_s), (label, settings)
+            assert [type(term) for term in ours] == [float] * 5, (label, settings)
+            assert ours[0] == theirs.total_s
         # Each half ran once per key, and far fewer times than it was read.
+        assert calls["computed"] and calls["memo"] > len(KERNEL_SETTINGS), calls
         assert len(kernel.maps) + len(kernel.reduces) < len(KERNEL_SETTINGS)
         passes = {key[1] for key in kernel.maps}
         if label == "many spills":
@@ -270,17 +280,48 @@ class TestJobKernel:
             assert not kernel.reduces and passes == {None}
 
 
+class TestLevelTerms:
+    """What the level model reads of a job: a kernel's terms ``==``
+    ``level_terms`` of the phase-by-phase oracle's estimate on random jobs,
+    and ``level_makespan`` over terms ``==`` the oracle's over estimates."""
+
+    @settings(max_examples=300)
+    @given(_dataflows, _configs, st.sampled_from(ORACLE_CLUSTERS))
+    def test_random_jobs_terms_equal_the_oracles_level_terms(self, dataflow, config, cluster):
+        theirs = jobmodel_oracle.estimate_job_time(dataflow, config, cluster)
+        kernel = JobKernel(dataflow, cluster)
+        for _ in range(2):  # fresh, then a memo hit
+            assert kernel.terms(job_model_settings(config)) == level_terms(
+                theirs, cluster.task_startup_s
+            )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_level_makespan_over_terms_equals_the_oracle(self, seed):
+        rng = random.Random(seed)
+        for cluster in ORACLE_CLUSTERS:
+            pool = [estimate_job_time(*_random_job(rng), cluster) for _ in range(12)]
+            levels = [[], [pool[0]], [pool[1], pool[1]], [pool[2]] * 5]  # empty, single, ties
+            for _ in range(40):
+                level = rng.sample(pool, rng.randint(1, 8))
+                levels.append(level + rng.sample(level, rng.randint(0, len(level))))  # repeats tie
+            for level in levels:
+                terms = [level_terms(e, cluster.task_startup_s) for e in level]
+                assert level_makespan(terms, cluster) == jobmodel_oracle.level_makespan(
+                    level, cluster
+                ), (seed, len(level))
+
+
 class TestScheduling:
     def test_single_job_level(self):
         estimate = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=50), CLUSTER)
-        assert level_makespan([estimate], CLUSTER) == estimate.total_s
+        assert _makespan([estimate], CLUSTER) == estimate.total_s
 
     def test_two_small_jobs_run_concurrently(self):
         small = _dataflow(input_bytes=0.5 * GB, input_records=1e6, map_output_bytes=0.1 * GB,
                           map_output_records=1e5, shuffle_records=1e5, shuffle_bytes=0.1 * GB,
                           reduce_input_records=1e5, output_records=1e4, output_bytes=0.01 * GB)
         estimate = estimate_job_time(small, JobConfig(num_reduce_tasks=4), CLUSTER)
-        level = level_makespan([estimate, estimate], CLUSTER)
+        level = _makespan([estimate, estimate], CLUSTER)
         assert level < 2 * estimate.total_s * 0.95
 
     def test_workflow_makespan_sums_levels(self):

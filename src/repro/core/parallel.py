@@ -22,11 +22,13 @@ parent's stores when the session ends ("merge on join").
 
 Determinism contract: a pool only changes *where* a request runs, never
 its result.  The cost service guarantees bit-identical estimates with or
-without cache reuse, every search derives its RNG streams from stable keys,
-and responses come back in request order — so the fork pool, at any worker
-count, produces byte-for-byte the same optimizer decisions as the serial
-pool (``tests/test_work_stealing.py``,
+without cache reuse, and every search derives its RNG streams from stable keys —
+so the fork pool, at any worker count, produces byte-for-byte the same
+optimizer decisions as the serial pool (``tests/test_work_stealing.py``,
 ``test_experiment_orchestration.py``, ``test_planning_service.py``).
+:meth:`Session.stream` yields each ``(index, response)`` the moment its
+reply arrives, in completion order; :meth:`Session.run` collects that
+stream back into request order.  Either way the responses are the same.
 
 A forked session has one dispatch path: the parent keeps every worker busy
 with exactly one request and hands out the next the moment a response
@@ -48,7 +50,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.faults import fault_site
 from repro.common.store import ShardedStore, attributed, current_origin
@@ -247,11 +249,12 @@ class Session:
 
     Sessions exist because a fork pool must fork *after* the data its
     workers need (prepared workloads, the server's registry) has been
-    created: the caller opens a session, issues :meth:`run` calls (a cell
-    list, a request batch), and closes it, at which point worker state is
-    merged back.  ``run`` preserves request order in its response list
-    regardless of how requests were distributed, and every session
-    accumulates a :class:`DispatchStats` across its ``run`` calls.
+    created: the caller opens a session, issues :meth:`stream` or :meth:`run`
+    calls (a request batch, a cell list), and closes it, at which point
+    worker state is merged back.  ``stream`` yields each response as it
+    finishes; ``run`` collects them in request order regardless of how
+    requests were distributed.  Every session accumulates a
+    :class:`DispatchStats` across its calls.
     """
 
     def __init__(
@@ -310,8 +313,15 @@ class Session:
             child_conn.close()
             self._workers.append((parent_conn, process))
 
-    def run(self, requests: Sequence[Any]) -> List[Any]:
-        """Execute every request and return responses in request order."""
+    def stream(self, requests: Sequence[Any]) -> Iterator[Tuple[int, Any]]:
+        """Execute every request, yielding ``(index, response)`` as each finishes.
+
+        A forked session yields a reply right after folding in its stats
+        deltas, in completion order; the inline path yields after each
+        request, in request order.  A consumer that stops iterating while
+        requests are still in flight closes the session, so no later call
+        can read one of their replies as its own.
+        """
         if self._closed:
             raise RuntimeError("session is closed")
         self.dispatch_stats.runs += 1
@@ -319,16 +329,23 @@ class Session:
             # Inline: a serial pool, or a batch not worth a pipe round-trip —
             # identical by the determinism contract.  worker_slot=-1: the
             # caller, never a target for pool-worker kill specs.
-            responses = []
-            for request in requests:
+            for index, request in enumerate(requests):
                 fault_site("parallel.task", worker_slot=-1)
-                responses.append(self._worker_fn(request))
+                response = self._worker_fn(request)
                 self.dispatch_stats.record(0)
-            return responses
+                yield index, response
+            return
         self._ensure_workers()
         if not self._alive_slots():
             raise RuntimeError("parallel worker pool has no live workers left")
-        return self._run_on_workers(requests)
+        yield from self._stream_on_workers(requests)
+
+    def run(self, requests: Sequence[Any]) -> List[Any]:
+        """Execute every request and return responses in request order."""
+        responses: List[Any] = [None] * len(requests)
+        for index, response in self.stream(requests):
+            responses[index] = response
+        return responses
 
     def _alive_slots(self) -> List[int]:
         return [slot for slot in range(len(self._workers)) if slot not in self._dead]
@@ -341,7 +358,7 @@ class Session:
         self.dispatch_stats.worker_deaths += 1
         return process
 
-    def _run_on_workers(self, requests: Sequence[Any]) -> List[Any]:
+    def _stream_on_workers(self, requests: Sequence[Any]) -> Iterator[Tuple[int, Any]]:
         """Parent-driven dispatch: idle workers get requests one at a time.
 
         The parent keeps every worker busy with exactly one request and
@@ -353,13 +370,13 @@ class Session:
         orphaned request is retried on a surviving worker (up to
         :data:`MAX_TASK_ATTEMPTS` executions); the run only fails if a
         request exhausts its attempts, every worker dies, or a request
-        raises inside ``worker_fn``.
+        raises inside ``worker_fn``, and only after every reply still in
+        flight has been received and yielded.
         """
         stats = self.dispatch_stats
         total_workers = len(self._workers)
         pending: deque = deque(enumerate(requests))
         attempts: Dict[int, int] = {}
-        responses: List[Any] = [None] * len(requests)
         in_flight: Dict[Any, Tuple[int, int]] = {}  # conn -> (request index, slot)
         errors: List[str] = []
         aborting = False
@@ -421,19 +438,28 @@ class Session:
                     aborting = True
                     continue
                 _tag, response, deltas = message
-                responses[index] = response
                 # "Stolen" = ran somewhere other than its round-robin slot.
                 stats.record(slot, stolen=index % total_workers != slot)
                 # The parent's counters never saw the child's work: fold the
                 # whole delta in (global stats + attribution sinks).
-                for store, delta in zip(self._stores, deltas):
-                    store.apply_external_delta(delta)
+                self._apply_deltas(deltas)
+                try:
+                    yield index, response
+                except GeneratorExit:
+                    # Abandoned with replies still owed: close, so no later
+                    # call reads one of them as its own.
+                    if in_flight:
+                        self.close()
+                    raise
         if errors:
             self.close()
             raise RuntimeError(
                 "parallel worker pool failed:\n" + "\n".join(errors)
             )
-        return responses
+
+    def _apply_deltas(self, deltas) -> None:
+        for store, delta in zip(self._stores, deltas):
+            store.apply_external_delta(delta)
 
     def close(self) -> None:
         """Tear the session down: merge the workers' new entries, reap them."""
@@ -447,6 +473,11 @@ class Session:
             try:
                 conn.send(("stop",))
                 message = conn.recv()
+                while message[0] == "done":
+                    # An abandoned stream's reply: its work happened, so its
+                    # deltas count like the entries merged below.
+                    self._apply_deltas(message[2])
+                    message = conn.recv()
                 if message[0] == "final":
                     for store, entries in zip(self._stores, message[1]):
                         store.absorb_entries(entries)

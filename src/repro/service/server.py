@@ -3,15 +3,17 @@
 Request path (see ``docs/service.md`` for the full diagram)::
 
     client coroutine --submit()--> AdmissionQueue --take_batch()--> dispatcher
-        thread --session.run(batch)--> worker pool
+        thread --session.stream(batch)--> worker pool
         --_execute()--> _Outcome(PlanResponse) --_complete()--> client future
 
 One **dispatcher thread** owns the pool session.  It drains the
 admission queue in per-tenant round-robin order into micro-batches and
 fans each batch onto a :class:`~repro.core.parallel.Pool`, whose fork pool
 hands idle workers the next request, so a tenant's expensive workflow
-occupies one worker while cheap requests keep flowing around it.  Results resolve the
-clients' asyncio futures back on the event loop.
+occupies one worker while cheap requests keep flowing around it.  Each
+reply resolves its client's asyncio future back on the event loop as soon
+as it arrives, so a request's latency is its own queue wait and service
+time, never a batch-mate's.
 
 Every request executes :func:`~repro.common.store.attributed` over the
 shared stores — under the tenant's **origin label**, with one per-request
@@ -555,19 +557,22 @@ class PlanningServer:
             for t in tickets
         ]
         dispatched = time.perf_counter()
+        unanswered = dict(enumerate(tickets))
         try:
-            outcomes = session.run(work)
+            # Each ticket is answered the moment its reply arrives, not when
+            # its slowest batch-mate finishes.
+            for index, outcome in session.stream(work):
+                self._resolve(unanswered.pop(index), outcome, dispatched)
         except RuntimeError as exc:
             # The pool failed hard (all workers dead, or a request kept
-            # dying).  Fail this batch cleanly and recycle the pool so the
-            # next batch gets fresh workers; nothing was double-absorbed —
-            # one request is one reply carrying its deltas.
+            # dying).  Fail the tickets still unanswered and recycle the
+            # pool so the next batch gets fresh workers; an answered one
+            # keeps its response and ledgers — one request is one reply
+            # carrying its deltas, so nothing was double-absorbed.
             self._close_session()
-            for ticket in tickets:
+            for ticket in unanswered.values():
                 self._resolve_error(ticket, f"worker pool failed: {exc}", dispatched)
             return
-        for ticket, outcome in zip(tickets, outcomes):
-            self._resolve(ticket, outcome, dispatched)
         # A fork pool survives individual deaths; recycle once the
         # batch is answered so capacity recovers (close merges the
         # survivors' caches, the next batch re-forks at full strength).

@@ -318,6 +318,78 @@ class TestFaultInjection:
         with install_fault_plan(plan):
             asyncio.run(main())
 
+    def test_a_doomed_requests_batch_mate_keeps_its_answer_and_ledger(self, catalog):
+        # pj's worker dies on every attempt, so the pool fails the batch;
+        # rand-a, held into the same batch, finished first and stays answered.
+        plan = FaultPlan(
+            [FaultSpec(site="server.execute", kind="kill", match={"workload": "pj"})],
+            name="kill-pj",
+        )
+
+        async def main():
+            server = make_server(catalog, pool="process:2")
+            marks = ledger_marks(server)
+            await server.start(serve=False)
+            try:
+                futures = [
+                    asyncio.ensure_future(server.submit(PlanRequest(tenant=t, workload=w)))
+                    for t, w in (("t0", "rand-a"), ("t1", "pj"))
+                ]
+                await asyncio.sleep(0.05)
+                server.resume()
+                survivor, doomed = await asyncio.gather(*futures)
+            finally:
+                await server.stop()
+            assert survivor.ok, survivor.error
+            assert survivor.identity() == oracle(catalog, "rand-a", "Stubby")
+            assert survivor.cost_stats.queries > 0
+            assert not doomed.ok and "worker pool failed" in doomed.error
+            assert_ledgers_reconcile(server, marks)
+
+        with install_fault_plan(plan):
+            asyncio.run(asyncio.wait_for(main(), timeout=120))
+
+    def test_a_slow_batch_mate_does_not_hold_back_a_cheap_answer(self, catalog):
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    site="server.execute",
+                    kind="latency",
+                    delay_s=0.5,
+                    match={"workload": "pj"},
+                )
+            ],
+            name="slow-pj",
+        )
+
+        async def main():
+            server = make_server(catalog, pool="process:2")
+            await server.start(serve=False)
+            resolved = []
+            try:
+                futures = {
+                    name: asyncio.ensure_future(server.submit(request))
+                    for name, request in (
+                        ("slow", PlanRequest(tenant="t0", workload="pj")),
+                        ("cheap", PlanRequest(tenant="t1", workload="rand-a", optimizer="Baseline")),
+                    )
+                }
+                for name, future in futures.items():
+                    future.add_done_callback(lambda _f, name=name: resolved.append(name))
+                await asyncio.sleep(0.05)
+                server.resume()
+                await asyncio.gather(*futures.values())
+            finally:
+                await server.stop()
+            slow, cheap = (futures[name].result() for name in ("slow", "cheap"))
+            assert slow.ok and cheap.ok
+            assert cheap.latency_s < 0.5
+            assert resolved == ["cheap", "slow"]
+            assert slow.latency_s >= 0.5
+
+        with install_fault_plan(plan):
+            asyncio.run(asyncio.wait_for(main(), timeout=120))
+
     def test_client_timeout_withdraws_quietly(self, catalog):
         async def main():
             server = make_server(catalog, pool="serial")

@@ -20,10 +20,12 @@ one-request-at-a-time dispatch exists for:
 import os
 import signal
 import time
+from dataclasses import dataclass
 
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.common.store import CounterStats, ShardedStore, current_origin
 from repro.core.parallel import MAX_TASK_ATTEMPTS, DispatchStats, Pool
 from repro.experiments import ExperimentHarness, ExperimentScheduler, build_cells
 from repro.verification import FaultPlan, FaultSpec, install_fault_plan
@@ -43,6 +45,29 @@ def _square(request: int) -> int:
 def _weighted_sleep(request: int) -> int:
     time.sleep(0.02 * WEIGHTS[request])
     return request * request
+
+
+def _slow_first(request: int) -> int:
+    # Request 0 goes to slot 0 and outlasts every other request of a batch.
+    if request == 0:
+        time.sleep(0.5)
+    return request * request
+
+
+@dataclass
+class _TallyStats(CounterStats):
+    stores: int = 0
+
+
+class _Tally(ShardedStore):
+    """A minimal store: one entry and one counted store per request."""
+
+    STATS = _TallyStats
+    MAX_EXPORTED = 64
+
+    def put(self, request: int) -> None:
+        self._store((request,), request, current_origin())
+        self._apply_delta(_TallyStats(stores=1))
 
 
 def _run(spec: str, worker_fn=_square):
@@ -177,6 +202,58 @@ class TestBackendPlumbing:
         with pytest.raises(RuntimeError, match="parallel worker pool failed"):
             with pool.session(explode) as session:
                 session.run(list(range(6)))
+
+
+class TestStream:
+    """``stream`` yields each reply as it arrives; ``run`` collects request order."""
+
+    @pytest.mark.parametrize("spec", ["serial", "process:2"])
+    def test_each_index_is_yielded_exactly_once(self, spec):
+        with Pool(spec).session(_square) as session:
+            streamed = list(session.stream(list(range(23))))
+        assert sorted(index for index, _response in streamed) == list(range(23))
+        assert all(response == index * index for index, response in streamed)
+
+    def test_a_fork_pool_streams_in_completion_order(self):
+        with Pool("process:2").session(_slow_first) as session:
+            order = [index for index, _response in session.stream([0, 1, 2])]
+        # Slot 1 answers 1 and 2 while slot 0 still sleeps through 0.
+        assert order == [1, 2, 0]
+
+    @pytest.mark.parametrize("spec", ["serial", "process:2"])
+    def test_run_still_returns_request_order(self, spec):
+        with Pool(spec).session(_slow_first) as session:
+            assert session.run([0, 1, 2]) == [0, 1, 4]
+
+    def test_a_serial_pool_streams_inline_in_request_order(self):
+        with Pool("serial").session(_square) as session:
+            stream = session.stream([3, 1, 2])
+            assert next(stream) == (0, 9)
+            # Inline: the next request has not run until it is asked for.
+            assert session.dispatch_stats.tasks == 1
+            assert list(stream) == [(1, 1), (2, 4)]
+            assert not session.forked
+
+    def test_an_abandoned_stream_closes_its_session(self):
+        tally = _Tally(cluster=None, max_entries=64)
+
+        def tallied(request: int) -> int:
+            tally.put(request)
+            return _slow_first(request)
+
+        session = Pool("process:2").session(tallied, (tally,))
+        stream = session.stream([0, 1, 2])
+        assert next(stream) == (1, 1)
+        # Request 0 is still in flight: its reply must never reach a later
+        # call, so the session closes instead of serving again.
+        stream.close()
+        assert not session.forked
+        # Closing drained request 0's reply, so its delta counts and its
+        # worker's entries merged; request 2 was never sent.
+        assert (tally.stats.stores, tally.cache_size) == (2, 2)
+        with pytest.raises(RuntimeError, match="session is closed"):
+            session.run([5, 6])
+        session.close()
 
 
 class TestStealingIdentity:

@@ -46,12 +46,19 @@ def sort_key_for(record: Mapping[str, object], fields: Sequence[str]) -> tuple:
     """Build a tuple usable as a sort/group key over ``fields``.
 
     Values are wrapped with their type name so heterogeneous columns (e.g.
-    ``None`` mixed with ints) still compare deterministically.
+    ``None`` mixed with ints) still compare deterministically.  The exact
+    types ``str``, ``int`` and ``float`` are tested first; ``bool``, other
+    subclasses and anything else take the ``isinstance`` chain.
     """
     key = []
     for field in fields:
         value = record.get(field)
-        if value is None:
+        kind = type(value)
+        if kind is str:
+            key.append((3, value))
+        elif kind is int or kind is float:
+            key.append((2, float(value)))
+        elif value is None:
             key.append((0, ""))
         elif isinstance(value, bool):
             key.append((1, int(value)))
@@ -67,17 +74,23 @@ def record_size_bytes(record: Mapping[str, object]) -> int:
 
     The estimate mirrors a simple text serialization: 8 bytes per numeric
     field, string length for strings, plus 2 bytes of per-field overhead.
+    The exact types ``str``, ``int`` and ``float`` are tested first; a
+    subclass of ``str`` is measured by its ``str()``, like any other value.
     """
     size = 0
     for field, value in record.items():
-        size += 2
-        if value is None:
+        kind = type(value)
+        if kind is str:
+            size += len(value)
+        elif kind is int or kind is float:
+            size += 8
+        elif value is None:
             size += 1
         elif isinstance(value, (int, float, bool)):
             size += 8
         else:
             size += len(str(value))
-        size += len(field) // 4  # amortized field-name overhead
+        size += 2 + len(field) // 4  # per-field overhead, amortized field name
     return max(size, 1)
 
 

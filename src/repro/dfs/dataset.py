@@ -17,10 +17,10 @@ read-sharing opportunities — are preserved at small scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.common.hashing import stable_hash
-from repro.common.records import Record, record_size_bytes, sort_key_for
+from repro.common.records import Record, read_only, record_size_bytes, sort_key_for
 from repro.dfs.layout import DataLayout
 
 
@@ -53,8 +53,9 @@ class Dataset:
 
     :meth:`load` is the only writer of the contents: it stores the records
     read-only and fixes :attr:`num_records`, :attr:`raw_bytes` and (on first
-    read) :attr:`content_fingerprint` for that load, so the search and the
-    what-if engine read a dataset's statistics without touching a record.
+    read) :attr:`content_fingerprint` and :attr:`field_ranges` for that load,
+    so the search, the what-if engine and the local engine read a dataset's
+    statistics without touching a record.
     ``scale_factor`` stays a plain attribute, assigned freely after loading;
     the ``logical_*`` sizes multiply by its current value on every read.
     """
@@ -107,6 +108,7 @@ class Dataset:
         self._num_records = sum(p.num_records for p in partitions)
         self._raw_bytes = sum(p.raw_bytes for p in partitions)
         self._content_fingerprint: Optional[int] = None
+        self._field_ranges: Optional[Mapping[str, Tuple[object, object]]] = None
 
     # ------------------------------------------------------------ inspection
     @property
@@ -158,15 +160,9 @@ class Dataset:
             )
         return self._content_fingerprint
 
-    def records(self, partition_indexes: Optional[Sequence[int]] = None) -> Iterator[Record]:
-        """Iterate records, optionally restricted to some partitions.
-
-        Restricting to a subset of partition indexes is how partition pruning
-        manifests at execution time.
-        """
+    def records(self) -> Iterator[Record]:
+        """Iterate copies of the records, in stored (partition, offset) order."""
         for partition in self._partitions:
-            if partition_indexes is not None and partition.index not in partition_indexes:
-                continue
             for record in partition.records:
                 yield dict(record)
 
@@ -174,16 +170,35 @@ class Dataset:
         """All records as a list of copies."""
         return list(self.records())
 
-    def field_range(self, field_name: str) -> Optional[tuple]:
-        """(min, max) of a numeric field, or ``None`` if absent/non-numeric."""
-        values = [
-            record[field_name]
-            for record in self.records()
-            if isinstance(record.get(field_name), (int, float)) and not isinstance(record.get(field_name), bool)
-        ]
-        if not values:
-            return None
-        return (min(values), max(values))
+    @property
+    def field_ranges(self) -> Mapping[str, Tuple[object, object]]:
+        """``field -> (min, max)`` over the numeric (``int`` / ``float``, not
+        ``bool``) values of each field, read-only.
+
+        Taken in one pass on first read and kept until the next :meth:`load`.
+        A field with no numeric value has no entry; of equal extremes (``0``
+        and ``0.0``) the first in stored order is kept, as ``min`` / ``max``
+        keep it.
+        """
+        if self._field_ranges is None:
+            ranges: Dict[str, List[object]] = {}
+            for partition in self._partitions:
+                for record in partition.records:
+                    for name, value in record.items():
+                        kind = type(value)
+                        if kind is not int and kind is not float and (
+                            isinstance(value, bool) or not isinstance(value, (int, float))
+                        ):
+                            continue
+                        extremes = ranges.get(name)
+                        if extremes is None:
+                            ranges[name] = [value, value]
+                        elif value < extremes[0]:
+                            extremes[0] = value
+                        elif value > extremes[1]:
+                            extremes[1] = value
+            self._field_ranges = read_only({name: tuple(pair) for name, pair in ranges.items()})
+        return self._field_ranges
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -103,7 +103,7 @@ class LocalEngine:
         if not job.is_map_only:
             self._run_shuffle_and_reduce(job, shuffle_buffer, stats, counters, reduce_outputs, sort_fields_by_tag)
 
-        self._record_key_cardinalities(job, shuffle_buffer, counters)
+        self._record_key_cardinalities(job, shuffle_buffer, counters, sort_fields_by_tag)
         self._merge_operator_stats(stats, counters)
 
         written = self._write_outputs(job, filesystem, map_only_outputs, reduce_outputs, counters, input_scale)
@@ -126,10 +126,13 @@ class LocalEngine:
         filesystem: InMemoryFileSystem,
         counters: ExecutionCounters,
     ) -> Tuple[List[List[Tuple[str, Record]]], float]:
-        """Build map splits as lists of (dataset_name, record) pairs.
+        """Build map splits as lists of (dataset_name, stored record) pairs.
 
         Records are tagged with their source dataset so that, inside a map
-        task, only the pipelines reading that dataset process them.
+        task, only the pipelines reading that dataset process them.  A split
+        holds the stored records themselves (a map function sees the copy
+        :meth:`_pipeline_input_pairs` makes), and the map input counters add
+        the statistics :meth:`Dataset.load` fixed for each partition read.
         """
         allowed_partitions = self._allowed_partitions_per_dataset(job)
         splits: List[List[Tuple[str, Record]]] = []
@@ -139,22 +142,26 @@ class LocalEngine:
             dataset = filesystem.get(dataset_name)
             max_scale = max(max_scale, dataset.scale_factor)
             allowed = allowed_partitions.get(dataset_name)
+            partitions = [
+                partition
+                for partition in dataset.partitions
+                if allowed is None or partition.index in allowed
+            ]
+            for partition in partitions:
+                counters.map_input_records += partition.num_records
+                counters.map_input_bytes += partition.raw_bytes
             if job.config.chained_input:
                 # One split per stored partition, records in stored order
                 # (postcondition 2 of intra-job vertical packing).
-                for partition in dataset.partitions:
-                    if allowed is not None and partition.index not in allowed:
-                        continue
-                    split = [(dataset_name, dict(record)) for record in partition.records]
-                    if split:
-                        splits.append(split)
-                    self._count_input(split, counters)
+                for partition in partitions:
+                    if partition.records:
+                        splits.append([(dataset_name, record) for record in partition.records])
             else:
                 records = [
                     (dataset_name, record)
-                    for record in dataset.records(partition_indexes=allowed)
+                    for partition in partitions
+                    for record in partition.records
                 ]
-                self._count_input(records, counters)
                 for chunk_start in range(0, len(records), RECORDS_PER_SPLIT):
                     chunk = records[chunk_start : chunk_start + RECORDS_PER_SPLIT]
                     if chunk:
@@ -190,11 +197,6 @@ class LocalEngine:
                 allowed[dataset_name] = tuple(sorted(union))
         return allowed
 
-    @staticmethod
-    def _count_input(records: Sequence[Tuple[str, Record]], counters: ExecutionCounters) -> None:
-        counters.map_input_records += len(records)
-        counters.map_input_bytes += sum(record_size_bytes(record) for _, record in records)
-
     def _run_map_task(
         self,
         job: MapReduceJob,
@@ -210,12 +212,10 @@ class LocalEngine:
             pairs = self._pipeline_input_pairs(pipeline, split)
             produced = run_map_chain(pipeline.map_ops, pairs, stats)
             if pipeline.is_map_only:
+                # Sized once, by the load that stores it (_write_outputs).
                 bucket = map_only_outputs.setdefault(pipeline.output_dataset, [])
                 for key, value in produced:
-                    record = merge(key, value)
-                    bucket.append(record)
-                    counters.output_records += 1
-                    counters.output_bytes += record_size_bytes(record)
+                    bucket.append(merge(key, value))
             else:
                 outputs = task_shuffle.setdefault(pipeline.tag, [])
                 outputs.extend(produced)
@@ -224,21 +224,25 @@ class LocalEngine:
         for pipeline in job.pipelines:
             if pipeline.is_map_only or pipeline.tag not in task_shuffle:
                 continue
+            # Each pair is sized once; the spill and the shuffle move the
+            # same pairs unless a combiner rewrote them.  The sums are ints,
+            # so adding them whole to the float counters is exact.
             pairs = task_shuffle[pipeline.tag]
+            size = sum(record_size_bytes(k) + record_size_bytes(v) for k, v in pairs)
             counters.map_output_records += len(pairs)
-            counters.map_output_bytes += sum(
-                record_size_bytes(k) + record_size_bytes(v) for k, v in pairs
-            )
+            counters.map_output_bytes += size
             combiner = pipeline.map_side_combiner
             if combiner is not None and job.config.combiner_enabled and pairs:
                 pairs = self._apply_combiner(pipeline, combiner, pairs, counters)
-            sort_fields = sort_fields_by_tag[pipeline.tag]
-            for key, value in pairs:
-                counters.spilled_records += 1
-                size = record_size_bytes(key) + record_size_bytes(value)
-                counters.spilled_bytes += size
-                counters.shuffle_bytes += size
-                shuffle_buffer.append((pipeline.tag, sort_key_for(key, sort_fields), key, value))
+                size = sum(record_size_bytes(k) + record_size_bytes(v) for k, v in pairs)
+            counters.spilled_records += len(pairs)
+            counters.spilled_bytes += size
+            counters.shuffle_bytes += size
+            tag = pipeline.tag
+            sort_fields = sort_fields_by_tag[tag]
+            shuffle_buffer.extend(
+                (tag, sort_key_for(key, sort_fields), key, value) for key, value in pairs
+            )
 
     @staticmethod
     def _pipeline_input_pairs(
@@ -316,18 +320,16 @@ class LocalEngine:
                 pipeline = pipelines_by_tag.get(tag)
                 if pipeline is None:
                     raise ExecutionError(f"shuffle produced unknown tag {tag!r}")
-                groups = self._group_entries(entries[start:end], pipeline.shuffle_group_fields)
+                group_fields = pipeline.shuffle_group_fields
+                groups = self._group_entries(
+                    entries[start:end], group_fields, sort_fields_by_tag[tag] == group_fields
+                )
                 group_list = list(groups)
                 counters.reduce_input_groups += len(group_list)
+                # Sized once, by the load that stores it (_write_outputs).
                 bucket = reduce_outputs.setdefault(pipeline.output_dataset, [])
                 for key, value in run_reduce_chain(pipeline.reduce_ops, group_list, stats):
-                    record = merge(key, value)
-                    bucket.append(record)
-                    counters.reduce_output_records += 1
-                    size = record_size_bytes(record)
-                    counters.reduce_output_bytes += size
-                    counters.output_records += 1
-                    counters.output_bytes += size
+                    bucket.append(merge(key, value))
                 start = end
 
     def _execution_reduce_tasks(self, job: MapReduceJob) -> int:
@@ -337,13 +339,19 @@ class LocalEngine:
 
     @staticmethod
     def _group_entries(
-        entries: Sequence[_ShuffleEntry], group_fields: Tuple[str, ...]
+        entries: Sequence[_ShuffleEntry], group_fields: Tuple[str, ...], sorted_by_group: bool
     ) -> Iterator[Tuple[Record, List[Record]]]:
+        """Consecutive entries with equal group keys, as ``(key, values)``.
+
+        When the tag was sorted on its group fields (``sorted_by_group``),
+        the stored sort key is the group key; an explicit partitioner that
+        sorts on other fields has the key built from the group fields.
+        """
         current_key_tuple: Optional[tuple] = None
         current_key: Optional[Record] = None
         values: List[Record] = []
-        for _, _, key, value in entries:
-            key_tuple = sort_key_for(key, group_fields)
+        for _, sort_key, key, value in entries:
+            key_tuple = sort_key if sorted_by_group else sort_key_for(key, group_fields)
             if current_key_tuple is None or key_tuple != current_key_tuple:
                 if current_key is not None:
                     yield current_key, values
@@ -360,6 +368,7 @@ class LocalEngine:
         job: MapReduceJob,
         shuffle_buffer: List[_ShuffleEntry],
         counters: ExecutionCounters,
+        sort_fields_by_tag: Dict[str, Tuple[str, ...]],
     ) -> None:
         partitioner = job.effective_partitioner
         field_sets: List[Tuple[str, ...]] = []
@@ -369,7 +378,12 @@ class LocalEngine:
         if partitioner.fields and tuple(partitioner.fields) not in field_sets:
             field_sets.append(tuple(partitioner.fields))
         for fields in field_sets:
-            distinct = {sort_key_for(key, fields) for _, _, key, _ in shuffle_buffer}
+            # An entry of a tag sorted on ``fields`` carries its key already.
+            sorted_on = {tag: sort_fields == fields for tag, sort_fields in sort_fields_by_tag.items()}
+            distinct = {
+                sort_key if sorted_on[tag] else sort_key_for(key, fields)
+                for tag, sort_key, key, _ in shuffle_buffer
+            }
             counters.key_cardinalities[tuple(fields)] = len(distinct)
 
     @staticmethod
@@ -389,19 +403,32 @@ class LocalEngine:
         counters: ExecutionCounters,
         input_scale: float,
     ) -> List[str]:
+        """Store each output dataset and count what the loads stored.
+
+        An output record is sized once, by the :meth:`Dataset.load` that
+        stores it: the output counters add the loaded datasets' statistics,
+        and the reduce-side ones re-size reduce records only for a dataset
+        that also holds map-only records.
+        """
         written: List[str] = []
         for pipeline in job.pipelines:
             name = pipeline.output_dataset
             if name in written:
                 continue
-            records: List[Record] = []
-            records.extend(map_only_outputs.get(name, []))
-            records.extend(reduce_outputs.get(name, []))
+            mapped = map_only_outputs.get(name, [])
+            reduced = reduce_outputs.get(name, [])
             layout = self._output_layout(job, pipeline, filesystem)
             dataset = Dataset(name, layout=layout, scale_factor=input_scale)
-            dataset.load(records)
+            dataset.load(mapped + reduced)
             filesystem.put(dataset)
             written.append(name)
+            counters.output_records += dataset.num_records
+            counters.output_bytes += dataset.raw_bytes
+            counters.reduce_output_records += len(reduced)
+            if mapped:
+                counters.reduce_output_bytes += sum(map(record_size_bytes, reduced))
+            else:
+                counters.reduce_output_bytes += dataset.raw_bytes
         # Keep counters' output byte view consistent with compression.
         if job.config.compress_output:
             counters.output_bytes *= 0.35

@@ -98,15 +98,14 @@ class Profiler:
 
     def annotate_dataset(self, dataset: Dataset) -> DatasetAnnotation:
         """Build a dataset annotation (physical design + statistics) for a dataset."""
-        schema: tuple = ()
-        for record in dataset.records():
-            schema = tuple(sorted(record.keys()))
-            break
-        field_ranges = {}
-        for field_name in schema:
-            value_range = dataset.field_range(field_name)
-            if value_range is not None:
-                field_ranges[field_name] = (float(value_range[0]), float(value_range[1]))
+        first = next((r for p in dataset.partitions for r in p.records), None)
+        schema = tuple(sorted(first)) if first is not None else ()
+        ranges = dataset.field_ranges
+        field_ranges = {
+            name: (float(ranges[name][0]), float(ranges[name][1]))
+            for name in schema
+            if name in ranges
+        }
         partitioning = dataset.layout.partitioning
         split_points = None
         if partitioning.kind == "range" and partitioning.ranges is not None:

@@ -7,7 +7,10 @@ profiled) and the three wide DAGs of ``bench/``'s ``cold_wide`` workload —
 and, of the same run, the plan's whole ``cost_stats`` (:data:`COST_STATS`)
 and each unit's counters summed over its subplans (:data:`UNIT_COUNTERS`),
 so a costing refactor that moves no counter is checked, not compared by
-hand.  ``tests/test_golden_fingerprints.py`` re-derives all three under two
+hand.  :data:`ENGINE_COUNTERS` pins the local engine the same way: per plan,
+a sha256 of what executing the unoptimized and the optimized plan counted
+and what profiling it derived (:func:`engine_digest`).
+``tests/test_golden_fingerprints.py`` re-derives all four under two
 ``PYTHONHASHSEED`` values.
 
 This module imports only ``repro`` and the standard library, so any
@@ -98,6 +101,22 @@ UNIT_COUNTERS = {
     ],
 }
 
+#: Per plan, :func:`engine_digest` of its unoptimized workflow, its profile
+#: and its optimized plan.
+ENGINE_COUNTERS = {
+    "IR": "9b0fda1ede94b99e024f0daba2e23dcfa6f5b9717c74263341eedc28f7e61551",
+    "SN": "0b9a03846d594634ad68e149645e932c12f50b7f6f37752ac07b3d0ca7d19696",
+    "LA": "bd827bf6a110a824051bddfcf72efa65c12775986c59fb5850c1d316cf5c4c06",
+    "WG": "d0683acbcc77d6ccc606329575170ded8e877eb2057f328b026dbe5737acaed7",
+    "BA": "0bd5d4b19b2bb5c7cb88ba5a16493361231d1a4e893cf6cac5007d20e7df22e6",
+    "BR": "6745ed0d716e715756440d7e6ffd0403e862f8404dca6fc3adeb54921ce7aa4c",
+    "PJ": "8f01d356ecce7edaa02885295d2ce43b0be39249c11588ba7c8bca58f7e8a4f2",
+    "US": "2b9fdc8df2ad6e4052bdba9a961e467a97a4d90dd686b8d66b0bf857b8d77771",
+    "fanout32": "19ea2332619dedc0a267db376a647e08a646376f1997d206511d87ce186fd901",
+    "rollup31": "1811702e554980e43b1a20ab7e6dd59577673ecbe69a81eea54b8cba16c5dcc3",
+    "rollup100": "5973cd00e066792895055cc646d9636eb5fb473ce2406feb22689f7733e655e2",
+}
+
 HASH_SEEDS = ("0", "3")
 
 #: The ``cold_wide`` DAGs (bench/common.py: ``WIDE_SHAPES``, ``WIDE_DAG_SEED``).
@@ -116,30 +135,58 @@ def _plans():
 
 def plan_of(label):
     """The pinned plan ``label``, profiled."""
+    return _profiled(label)[0]
+
+
+def _profiled(label):
+    """``(plan, workflow, base datasets, profiling result)`` of plan ``label``."""
     from repro.profiler import Profiler
     from repro.verification import RandomWorkflowGenerator
     from repro.workloads import build_workload
 
     wide = {shape[0]: (offset, shape) for offset, shape in enumerate(WIDE_SHAPES)}
     if label not in wide:
-        workload = build_workload(label, scale=0.15)
-        Profiler().profile_workflow(workload.workflow, workload.base_datasets)
-        return workload.plan
-    offset, (_, method, shape) = wide[label]
-    generator = RandomWorkflowGenerator().with_config(records_per_dataset=60, profile=False)
-    generated = getattr(generator, method)(1 + offset, **shape)
-    Profiler().profile_workflow(generated.workflow, generated.base_datasets)
-    return generated.plan
+        built = build_workload(label, scale=0.15)
+    else:
+        offset, (_, method, shape) = wide[label]
+        generator = RandomWorkflowGenerator().with_config(records_per_dataset=60, profile=False)
+        built = getattr(generator, method)(1 + offset, **shape)
+    profiling = Profiler().profile_workflow(built.workflow, built.base_datasets)
+    return built.plan, built.workflow, built.base_datasets, profiling
+
+
+def engine_digest(workflow, base_datasets, profiling, optimized):
+    """sha256 of the ``repr`` of what the local engine counted for one plan.
+
+    That is, for the unoptimized ``workflow`` and then the ``optimized``
+    plan's workflow, each executed once over ``base_datasets``: every job's
+    name, whole ``ExecutionCounters`` (operators and key cardinalities
+    included) and ``per_output_records``; then ``profiling``'s job profiles
+    and dataset annotations.
+    """
+    from repro.workflow.executor import WorkflowExecutor
+
+    executions = []
+    for target in (workflow, optimized.workflow):
+        execution, _ = WorkflowExecutor().execute(target, base_datasets=base_datasets)
+        executions.append([
+            (name, job.counters, job.per_output_records)
+            for name, job in execution.job_results.items()
+        ])
+    pinned = (executions, profiling.job_profiles, profiling.dataset_annotations)
+    return hashlib.sha256(repr(pinned).encode()).hexdigest()
 
 
 def compute():
-    """``{"digests": ..., "cost_stats": ..., "unit_counters": ...}``, each by plan label."""
+    """``{"digests": ..., "cost_stats": ..., "unit_counters": ...,
+    "engine_counters": ...}``, each by plan label."""
     from repro.cluster import ClusterSpec
     from repro.core.optimizer import StubbyOptimizer
 
     cluster = ClusterSpec.paper_cluster()
-    tables = {"digests": {}, "cost_stats": {}, "unit_counters": {}}
-    for label, plan in _plans():
+    tables = {"digests": {}, "cost_stats": {}, "unit_counters": {}, "engine_counters": {}}
+    for label in GOLDEN:
+        plan, workflow, base_datasets, profiling = _profiled(label)
         result = StubbyOptimizer(cluster, seed=17).optimize(plan)
         pinned = (result.decision_fingerprint(), result.estimated_cost_s, result.cost_stats.queries)
         tables["digests"][label] = hashlib.sha256(repr(pinned).encode()).hexdigest()
@@ -154,6 +201,9 @@ def compute():
             ]
             for report in result.unit_reports
         ]
+        tables["engine_counters"][label] = engine_digest(
+            workflow, base_datasets, profiling, result.plan
+        )
     return tables
 
 
@@ -163,7 +213,12 @@ def _as_json(value):
 
 
 #: The pinned tables, as :func:`compute` returns them.
-PINNED = {"digests": GOLDEN, "cost_stats": COST_STATS, "unit_counters": UNIT_COUNTERS}
+PINNED = {
+    "digests": GOLDEN,
+    "cost_stats": COST_STATS,
+    "unit_counters": UNIT_COUNTERS,
+    "engine_counters": ENGINE_COUNTERS,
+}
 
 
 def run_script_under(hash_seed, script, *args):
@@ -191,7 +246,7 @@ if __name__ == "__main__":
             for label in GOLDEN
             if tables[table].get(label) != _as_json(pinned.get(label))
         ]
-        matched = f"all {len(GOLDEN)} match GOLDEN, COST_STATS and UNIT_COUNTERS"
+        matched = f"all {len(GOLDEN)} match GOLDEN, COST_STATS, UNIT_COUNTERS and ENGINE_COUNTERS"
         verdict = f"misses {missed}" if missed else matched
         print(sys.version.split()[0], verdict, file=sys.stderr)
         sys.exit(1 if missed else 0)

@@ -1,7 +1,9 @@
 """Tests for record helpers in repro.common.records."""
 
+from enum import IntEnum
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.common.records import (
     merge,
@@ -10,6 +12,7 @@ from repro.common.records import (
     records_equal,
     sort_key_for,
 )
+from tests import engine_oracle
 
 
 class TestProject:
@@ -132,3 +135,58 @@ class TestRecordProperties:
     def test_sort_key_total_order(self, records):
         keys = [sort_key_for(r, ["a", "b"]) for r in records]
         assert sorted(keys) == sorted(keys, key=lambda k: k)
+
+
+class Tagged(str):
+    """A ``str`` subclass whose ``str()`` is not itself: measured by ``str()``."""
+
+    def __str__(self):
+        return f"<{str.__str__(self)}>"
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+_MIXED_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((-0.0, 0.0, float("inf"), float("-inf"), float("nan"))),
+    st.text(max_size=6),
+    st.text(max_size=6).map(Tagged),
+    st.sampled_from(tuple(Level)),
+    st.lists(st.one_of(st.integers(-9, 9), st.text(max_size=3), st.none()), max_size=3),
+)
+_FIELDS = st.sampled_from(("a", "bb", "field_c", "a_much_longer_name"))
+
+
+def _typed(value):
+    """``value`` with the type of every part: ``nan`` / ``-0.0`` compare by ``repr``."""
+    if isinstance(value, tuple):
+        return ("tuple", tuple(_typed(part) for part in value))
+    return (type(value).__qualname__, repr(value))
+
+
+class TestHelpersEqualTheirOracle:
+    """The exact-type fast paths return what the ``isinstance`` chain in
+    ``tests/engine_oracle.py`` returns, with the same types."""
+
+    @given(st.dictionaries(_FIELDS, _MIXED_VALUES, max_size=4))
+    @example({"a": Tagged("xy"), "bb": True, "field_c": Level.HIGH})
+    @example({"a": -0.0, "bb": float("nan"), "field_c": 2**60 + 1})
+    def test_record_size_bytes(self, record):
+        ours, oracle = record_size_bytes(record), engine_oracle.record_size_bytes(record)
+        assert _typed(ours) == _typed(oracle)
+
+    @given(
+        st.dictionaries(_FIELDS, _MIXED_VALUES, max_size=4),
+        st.lists(_FIELDS, max_size=5),
+    )
+    @example({"a": Tagged("xy"), "bb": False}, ["a", "bb", "missing"])
+    @example({"a": Level.LOW, "bb": float("nan"), "field_c": -0.0}, ["field_c", "bb", "a"])
+    def test_sort_key_for(self, record, fields):
+        ours, oracle = sort_key_for(record, fields), engine_oracle.sort_key_for(record, fields)
+        assert _typed(ours) == _typed(oracle)

@@ -13,7 +13,7 @@ from repro.dfs import (
     PartitionScheme,
     RangePartitioning,
 )
-from tests import key_oracle
+from tests import engine_oracle, key_oracle
 
 
 class TestRangePartitioning:
@@ -110,8 +110,9 @@ class TestDataset:
     def test_partition_pruned_read(self):
         layout = DataLayout(partitioning=PartitionScheme.ranged("v", [10.0, 20.0]))
         dataset = Dataset("d", records=_records(), layout=layout)
-        pruned = list(dataset.records(partition_indexes=(0,)))
+        pruned = [r for p in dataset.partitions if p.index in (0,) for r in p.records]
         assert pruned and all(r["v"] < 10 for r in pruned)
+        assert len(pruned) == dataset.partitions[0].num_records
 
     def test_logical_size_uses_scale_factor(self):
         dataset = Dataset("d", records=_records(), scale_factor=100.0)
@@ -120,8 +121,8 @@ class TestDataset:
 
     def test_field_range(self):
         dataset = Dataset("d", records=_records())
-        assert dataset.field_range("v") == (0.0, 29.0)
-        assert dataset.field_range("missing") is None
+        assert dataset.field_ranges["v"] == (0.0, 29.0)
+        assert "missing" not in dataset.field_ranges
 
 
 _VALUES = st.one_of(st.none(), st.integers(-50, 50), st.floats(-50, 50), st.text(max_size=6))
@@ -192,6 +193,78 @@ class TestStatisticsAreFixedAtLoad:
             partition.records = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
             partition.raw_bytes = 0
+
+
+class _CountingRecord(dict):
+    """A record that counts how often its fields are walked."""
+
+    walks = 0
+
+    def items(self):
+        type(self).walks += 1
+        return super().items()
+
+
+_RANGE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.floats(-5, 5),
+    st.sampled_from((-0.0, 0.0, float("nan"), float("inf"))),
+    st.text(max_size=3),
+)
+
+
+class TestFieldRangesAreFixedAtLoad:
+    """``field_ranges`` is one pass per ``load()``, equal to the deleted
+    per-field ``field_range`` (``tests/engine_oracle.py``) for every field."""
+
+    def test_taken_once_per_load_and_reset_by_load(self):
+        _CountingRecord.walks = 0
+        records = [_CountingRecord(k=float(i % 5), v=float(i)) for i in range(30)]
+        dataset = Dataset("d", records=records)
+        walked_by_load = _CountingRecord.walks  # raw_bytes sizes each record once
+        first = dataset.field_ranges
+        assert _CountingRecord.walks == walked_by_load + 30
+        assert dataset.field_ranges is first  # a second read walks no record
+        assert _CountingRecord.walks == walked_by_load + 30
+        with pytest.raises(TypeError):
+            first["v"] = (0, 0)
+        dataset.load(records[:10])
+        assert dataset.field_ranges == {"k": (0.0, 4.0), "v": (0.0, 9.0)}
+        assert dict(first) == {"k": (0.0, 4.0), "v": (0.0, 29.0)}
+
+    def test_bool_is_not_numeric_and_the_first_of_equal_extremes_is_kept(self):
+        dataset = Dataset(
+            "d",
+            records=[
+                {"flag": True, "v": 0, "w": -0.0},
+                {"flag": False, "v": 0.0, "w": 0},
+                {"flag": True, "v": -0.0, "w": 0.0},
+            ],
+        )
+        ranges = dataset.field_ranges
+        assert "flag" not in ranges
+        assert [repr(value) for value in ranges["v"]] == ["0", "0"]
+        assert [repr(value) for value in ranges["w"]] == ["-0.0", "-0.0"]
+
+    @given(
+        st.lists(
+            st.fixed_dictionaries({"k": _RANGE_VALUES}, optional={"v": _RANGE_VALUES, "w": _RANGE_VALUES}),
+            max_size=60,
+        ),
+        _PARTITIONINGS,
+    )
+    def test_equal_the_per_field_oracle(self, records, partitioning):
+        dataset = Dataset("d", records=records, layout=DataLayout(partitioning=partitioning))
+        ranges = dataset.field_ranges
+        for name in ("k", "v", "w"):
+            expected = engine_oracle.field_range(dataset, name)
+            if expected is None:
+                assert name not in ranges
+            else:
+                assert repr(ranges[name]) == repr(expected)
+                assert [type(v) for v in ranges[name]] == [type(v) for v in expected]
 
 
 class TestInMemoryFileSystem:

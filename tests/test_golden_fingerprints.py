@@ -3,8 +3,9 @@
 Every refactor of the search and the cost layers promises "decisions
 byte-identical to the parent commit"; this file is that promise as a test.
 ``tests/golden_digests.py`` pins a digest per plan (the eight canned
-workloads and the three wide DAGs of ``cold_wide``), and each plan's
-``cost_stats`` and per-unit counters; its ``--check`` re-derives them here
+workloads and the three wide DAGs of ``cold_wide``), each plan's
+``cost_stats`` and per-unit counters, and a digest of what the local engine
+counted executing and profiling it; its ``--check`` re-derives them here
 in a subprocess under two ``PYTHONHASHSEED`` values, so the answers are also
 shown independent of hash order and of anything the test process has warmed.
 """
@@ -48,6 +49,17 @@ def test_cost_counters_match_the_pinned_tables(table, hash_seed):
     rrs_evaluations)`` summed over its subplans."""
     pinned = json.loads(json.dumps(PINNED[table]))
     assert _tables_under(hash_seed)[table] == pinned
+
+
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+def test_engine_counters_match_the_pinned_table(hash_seed):
+    """An engine refactor moves no counter: per plan, every job's whole
+    ``ExecutionCounters`` and ``per_output_records`` executing the
+    unoptimized and the optimized plan, and the profiles derived from them."""
+    assert _tables_under(hash_seed)["engine_counters"] == PINNED["engine_counters"], (
+        "the local engine no longer counts what it counted; regenerate "
+        "ENGINE_COUNTERS only for a deliberate change of what it measures"
+    )
 
 
 def test_every_plan_is_pinned():

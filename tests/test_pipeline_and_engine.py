@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dfs import DataLayout, Dataset, InMemoryFileSystem, PartitionScheme
+from repro.dfs import dataset as dataset_module
 from repro.mapreduce import (
     JobConfig,
     LocalEngine,
@@ -15,12 +16,17 @@ from repro.mapreduce import (
     map_operator,
     reduce_operator,
 )
+from repro.mapreduce import engine as engine_module
 from repro.mapreduce.job import simple_job
 from repro.mapreduce.pipeline import (
     OperatorStats,
     run_map_chain,
     run_reduce_chain,
 )
+from repro.verification import RandomWorkflowGenerator
+from repro.workflow.executor import WorkflowExecutor
+from repro.workloads import WORKLOAD_ORDER, build_workload
+from tests import engine_oracle
 
 
 def word_map(key, value):
@@ -372,3 +378,124 @@ class TestEngineGroupByProperty:
         for k, v in pairs:
             expected[float(k)] = expected.get(float(k), 0.0) + float(v)
         assert got == expected
+
+
+def _pair_bytes(pairs):
+    return sum(engine_oracle.record_size_bytes(k) + engine_oracle.record_size_bytes(v) for k, v in pairs)
+
+
+class TestCountersEqualARecount:
+    def test_a_combined_shuffle_is_sized_after_the_combiner(self):
+        fs = InMemoryFileSystem()
+        fs.put(_word_dataset(["a b", "a c c"]))
+        job = _wordcount_job(
+            config=JobConfig(num_reduce_tasks=2, combiner_enabled=True), combiner=count_combine
+        )
+        counters = LocalEngine().execute_job(job, fs).counters
+        emitted = [({"word": w}, {"n": 1.0}) for w in "a b a c c".split()]
+        combined = [({"word": w}, {"n": n}) for w, n in (("a", 2.0), ("b", 1.0), ("c", 2.0))]
+        assert counters.map_output_bytes == _pair_bytes(emitted)
+        assert counters.spilled_bytes == counters.shuffle_bytes == _pair_bytes(combined)
+        stored = fs.get("counts").all_records()
+        assert counters.output_bytes == counters.reduce_output_bytes == sum(
+            map(engine_oracle.record_size_bytes, stored)
+        )
+
+    def test_an_explicit_partitioner_sorting_on_more_fields_still_groups_on_the_group_fields(self):
+        records = [{"k": float(i % 3), "s": float(i % 4), "v": 1.0} for i in range(24)]
+        fs = InMemoryFileSystem()
+        fs.put(Dataset("data", records=records))
+
+        def key_map(key, value):
+            yield {"k": value["k"], "s": value["s"]}, {"v": value["v"]}
+
+        def sum_reduce(key, values):
+            yield key, {"total": float(sum(v["v"] for v in values))}
+
+        job = simple_job(
+            "sums", "data", "sums_out", key_map, sum_reduce, group_fields=("k",),
+            config=JobConfig(num_reduce_tasks=2),
+        ).with_partitioner(PartitionFunction(kind="hash", fields=("k",), sort_fields=("k", "s")))
+        counters = LocalEngine().execute_job(job, fs).counters
+        assert counters.reduce_input_groups == 3
+        assert counters.key_cardinalities == {("k",): 3}
+        got = {r["k"]: r["total"] for r in fs.get("sums_out").all_records()}
+        assert got == {0.0: 8.0, 1.0: 8.0, 2.0: 8.0}
+
+
+def _exercising_generated_dag():
+    """A generated DAG whose execution combines, reads chained and prunes.
+
+    Its first base dataset is re-stored range-partitioned on ``x``; every
+    pipeline reading it skips partition 0, every job enables its combiner,
+    and every other job reads its input one split per stored partition.
+    """
+    generated = RandomWorkflowGenerator().with_config(
+        min_jobs=5, max_jobs=5, combiner_probability=1.0, records_per_dataset=150, profile=False
+    ).generate(11)
+    base = dict(generated.base_datasets)
+    name = sorted(base)[0]
+    layout = DataLayout(partitioning=PartitionScheme.ranged("x", [25.0, 50.0, 75.0]), sort_fields=("k",))
+    base[name] = Dataset(name, records=base[name].all_records(), layout=layout)
+    workflow = generated.workflow
+    for index, job_name in enumerate(workflow.job_names):
+        def derive(job, index=index):
+            config = job.config.replace(
+                combiner_enabled=True, max_parallel_maps_per_producer_reduce=index % 2
+            )
+            pipelines = [
+                p.with_partition_filter(name, (1, 2, 3)) if p.reads(name) else p for p in job.pipelines
+            ]
+            return dataclasses.replace(job, pipelines=pipelines).with_config(config)
+
+        workflow.update_job(job_name, derive)
+    return workflow, base, name
+
+
+class TestEachRecordIsSizedOnce:
+    """No input record is sized, and a shuffle-pair half, a combined pair's
+    half and a stored record at most once each: the map input counters come
+    from the stored partitions, the spill and the shuffle reuse the map
+    output's sizes unless a combiner rewrote the pairs, and the output
+    counters come from the loads that store the records."""
+
+    @staticmethod
+    def _count_sizings(monkeypatch):
+        sized = []
+        for module in (engine_module, dataset_module):
+            def counting(record, original=module.record_size_bytes):
+                sized.append(record)
+                return original(record)
+
+            monkeypatch.setattr(module, "record_size_bytes", counting)
+        return sized
+
+    def _assert_sized_once(self, monkeypatch, workflow, base_datasets):
+        stored_inputs = {id(r) for d in base_datasets.values() for p in d.partitions for r in p.records}
+        sized = self._count_sizings(monkeypatch)
+        execution, _ = WorkflowExecutor().execute(workflow, base_datasets=base_datasets)
+        bound = 0
+        for result in execution.job_results.values():
+            counters = result.counters
+            bound += 2 * counters.map_output_records + 2 * counters.combine_output_records
+            bound += sum(result.per_output_records.values())
+        assert not any(id(record) in stored_inputs for record in sized)
+        assert 0 < len(sized) <= bound
+        return execution
+
+    @pytest.mark.parametrize("label", WORKLOAD_ORDER)
+    def test_canned_workflows(self, label, monkeypatch):
+        workload = build_workload(label, scale=0.05)
+        self._assert_sized_once(monkeypatch, workload.workflow, workload.base_datasets)
+
+    def test_a_generated_dag_that_combines_reads_chained_and_prunes(self, monkeypatch):
+        workflow, base, ranged = _exercising_generated_dag()
+        execution = self._assert_sized_once(monkeypatch, workflow, base)
+        counters = [result.counters for result in execution.job_results.values()]
+        assert any(c.combine_input_records > c.combine_output_records > 0 for c in counters)
+        assert any(vertex.job.config.chained_input for vertex in workflow.jobs)
+        pruned = [v.name for v in workflow.jobs if v.job.pipelines[0].allowed_partitions(ranged)]
+        assert pruned and all(
+            execution.counters_for(name).map_input_records < base[ranged].num_records
+            for name in pruned
+        )

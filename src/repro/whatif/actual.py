@@ -63,8 +63,14 @@ class ActualCostModel:
             level_estimates: List[JobTimeEstimate] = []
             for vertex in level:
                 counters = execution.counters_for(vertex.name)
-                dataflow = self.dataflow_from_counters(vertex, workflow, counters, filesystem)
-                estimate = estimate_job_time(dataflow, vertex.job.config, self.cluster)
+                dataflow = self.dataflow_from_counters(vertex, counters, filesystem)
+                chained_map_tasks = (
+                    self._producer_reduce_tasks(vertex, workflow)
+                    if vertex.job.config.chained_input else None
+                )
+                estimate = estimate_job_time(
+                    dataflow, vertex.job.config, self.cluster, chained_map_tasks
+                )
                 per_job[vertex.name] = estimate
                 level_estimates.append(estimate)
             per_level.append(level_estimates)
@@ -74,7 +80,6 @@ class ActualCostModel:
     def dataflow_from_counters(
         self,
         vertex: JobVertex,
-        workflow: Workflow,
         counters: ExecutionCounters,
         filesystem: InMemoryFileSystem,
     ) -> JobDataflow:
@@ -101,10 +106,6 @@ class ActualCostModel:
             counters, [tuple(job.effective_partitioner.fields)] if job.effective_partitioner.fields else []
         )
 
-        chained_map_tasks: Optional[int] = None
-        if job.config.chained_input:
-            chained_map_tasks = self._producer_reduce_tasks(vertex, workflow)
-
         return JobDataflow(
             input_bytes=max(1.0, counters.map_input_bytes * scale),
             input_records=input_records,
@@ -121,7 +122,6 @@ class ActualCostModel:
             pipeline_count=len(job.pipelines),
             distinct_reduce_groups=distinct_groups,
             distinct_partition_keys=distinct_partition_keys,
-            chained_map_tasks=chained_map_tasks,
         )
 
     # ------------------------------------------------------------- helpers

@@ -8,7 +8,10 @@
   (ground-truth path).
 
 Either way, :func:`repro.whatif.jobmodel.estimate_job_time` turns the
-dataflow plus configuration plus cluster spec into phase-by-phase times.
+dataflow plus configuration plus cluster spec into phase-by-phase times.  A
+chained job's map-task count (its chain source's reduce-task count) is not
+part of the dataflow: it is a job-model input, like the split size it
+replaces.
 """
 
 from __future__ import annotations
@@ -53,9 +56,6 @@ class JobDataflow:
     #: reduce parallelism after intra-job vertical packing narrows the
     #: partition key (paper §3.1 "performance implications").
     distinct_partition_keys: Optional[float] = None
-    #: When the chaining constraint applies, map-side parallelism is fixed to
-    #: the producer's reduce-task count.
-    chained_map_tasks: Optional[int] = None
 
     def __post_init__(self) -> None:
         for name in (

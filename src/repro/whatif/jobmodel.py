@@ -46,6 +46,14 @@ JOB_MODEL_SETTINGS = (
 #: The values of :data:`JOB_MODEL_SETTINGS` on a ``JobConfig``, as a tuple.
 job_model_settings = attrgetter(*JOB_MODEL_SETTINGS)
 
+#: What :meth:`JobKernel.terms` reads, in order: the :data:`JOB_MODEL_SETTINGS`,
+#: then the job's chained map-task count (0 when it is not chained).  Under
+#: vertical packing's chaining constraint a job runs one map task per reduce
+#: task of its chain source, whatever its split size; like the settings, that
+#: count is read by the job model only, so it is in no dataflow key.
+JOB_MODEL_INPUTS = (*JOB_MODEL_SETTINGS, "chained_map_tasks")
+JobModelInputs = Tuple[int, int, int, bool, bool, int]
+
 #: What the level model reads of a job: ``(total_s, map_slot_s, reduce_slot_s,
 #: shuffle_s, startup_s)``, a slot-seconds term being the job's tasks times
 #: (task time + task start-up) (:meth:`JobKernel.terms`,
@@ -76,19 +84,22 @@ def estimate_job_time(
     dataflow: JobDataflow,
     config: JobConfig,
     cluster: ClusterSpec,
+    chained_map_tasks: Optional[int],
 ) -> JobTimeEstimate:
     """Estimate the runtime of one job from its dataflow, config, and cluster.
 
-    The two halves of :class:`JobKernel`, called directly: a one-off
-    estimate has no later call to share a memo with.  The keys are derived
-    as :meth:`JobKernel.terms` derives them.
+    ``chained_map_tasks`` is the job's map-task count under the chaining
+    constraint — its chain source's reduce-task count — or 0 / ``None`` for
+    a job whose map tasks follow from ``split_size_mb``.  The two halves of
+    :class:`JobKernel`, called directly: a one-off estimate has no later
+    call to share a memo with.  The keys are derived as
+    :meth:`JobKernel.terms` derives them.
     """
     num_reduce_tasks, split_size_mb, io_sort_mb, compress_map_output, compress_output = (
         job_model_settings(config)
     )
-    chained = dataflow.chained_map_tasks
-    if chained:
-        num_map_tasks = max(1, int(chained))
+    if chained_map_tasks:
+        num_map_tasks = max(1, int(chained_map_tasks))
     else:
         num_map_tasks = max(1, ceil(dataflow.input_bytes / (split_size_mb * MB)))
     if dataflow.map_only or num_reduce_tasks == 0:
@@ -122,12 +133,13 @@ def estimate_job_time(
 
 
 class JobKernel:
-    """The job model of one dataflow on one cluster, over the values of :data:`JOB_MODEL_SETTINGS`.
+    """The job model of one dataflow on one cluster, over :data:`JOB_MODEL_INPUTS`.
 
     The model splits into two halves, each memoized on what it reads
     (its *read set*) rather than on the whole configuration:
 
-    * the map half reads the number of map tasks, the spill passes and
+    * the map half reads the number of map tasks (the chained count, else
+      derived from ``split_size_mb``), the spill passes and
       ``compress_map_output`` — or, for a map-only job, the number of map
       tasks and ``compress_output`` (:func:`_map_half`);
     * the reduce half reads the reduce-task count and the two compression
@@ -146,16 +158,13 @@ class JobKernel:
     """
 
     __slots__ = (
-        "dataflow", "cluster", "chained", "map_only", "pipeline_count", "input_bytes",
+        "dataflow", "cluster", "map_only", "pipeline_count", "input_bytes",
         "map_output_bytes", "startup_s", "no_reduce", "maps", "reduces",
     )
 
     def __init__(self, dataflow: JobDataflow, cluster: ClusterSpec) -> None:
         self.dataflow = dataflow
         self.cluster = cluster
-        # Under chaining, one map task per producer reduce task, whatever the split size.
-        chained = dataflow.chained_map_tasks
-        self.chained = max(1, int(chained)) if chained else 0
         self.map_only = dataflow.map_only
         self.pipeline_count = dataflow.pipeline_count
         self.input_bytes = dataflow.input_bytes
@@ -168,14 +177,17 @@ class JobKernel:
         #: Reduce-half key -> ``(shuffle_s, reduce_phase_s, reduce_task_s, reduce_slot_s)``.
         self.reduces: Dict[Tuple, Tuple[float, float, float, float]] = {}
 
-    def terms(self, settings: Tuple[int, int, int, bool, bool]) -> LevelTerms:
-        """The job's level terms under ``settings``: ``==`` ``level_terms`` of
-        :func:`estimate_job_time` under them."""
+    def terms(self, inputs: JobModelInputs) -> LevelTerms:
+        """The job's level terms under ``inputs``: ``==`` ``level_terms`` of
+        :func:`estimate_job_time` under them.
+
+        A chained count is taken as given: it is a reduce-task count, at least 1.
+        """
         # Each ``max(a, b)`` of the derivation is spelled ``b if b > a else a``,
         # what ``max`` returns (the first of equals), without the builtin's call:
         # four of those were half of a memo hit.
-        num_reduce_tasks, split_size_mb, io_sort_mb, compress_map_output, compress_output = settings
-        num_map_tasks = self.chained
+        (num_reduce_tasks, split_size_mb, io_sort_mb, compress_map_output, compress_output,
+         num_map_tasks) = inputs
         if not num_map_tasks:
             num_map_tasks = ceil(self.input_bytes / (split_size_mb * MB))
             num_map_tasks = num_map_tasks if num_map_tasks > 1 else 1

@@ -25,7 +25,7 @@ When a job carries no profile annotation the engine falls back to the simple
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster import ClusterSpec
@@ -120,9 +120,13 @@ class CostingBasis:
     #: Each level's jobs' level terms (``level_terms``), in level order.
     terms: List[List[LevelTerms]]
     level_makespans: List[float]
-    #: The jobs whose signature reads a producer's reduce-task count or chaining
-    #: (chained jobs, partition-pruned readers); all else reaches them as sizes.
+    #: The jobs whose signature reads a producer's reduce-task count (a
+    #: partition-pruned input of a reducing, hash-partitioned producer); all
+    #: else reaches them as sizes.
     fact_readers: Set[str]
+    #: The jobs under the chaining constraint: their chained map-task count
+    #: (:meth:`WhatIfEngine.chained_map_tasks`) is a job-model input.
+    chained: Set[str]
 
 
 class WhatIfEngine:
@@ -169,6 +173,7 @@ class WhatIfEngine:
         makespans: List[float] = []
         sizes = self.base_dataset_sizes(workflow)
         fact_readers: Set[str] = set()
+        chained: Set[str] = set()
         # Every dataset was sized once, before its first reader: the final
         # sizes are then the sizes each job was costed on.
         settled = True
@@ -178,10 +183,10 @@ class WhatIfEngine:
                 contributions = costed_vertex.output_contributions
                 settled = settled and not any(entry[0] in sizes for entry in contributions)
                 self.apply_output_contributions(sizes, contributions)
-                if vertex.job.config.chained_input or any(
-                    pipeline.input_partition_filter for pipeline in vertex.job.pipelines
-                ):
+                if self._reads_a_reduce_count(vertex, workflow):
                     fact_readers.add(vertex.job.name)
+                if vertex.job.config.chained_input:
+                    chained.add(vertex.job.name)
                 costed[vertex.job.name] = costed_vertex
             terms.append([
                 level_terms(costed[vertex.job.name].estimate, task_startup_s) for vertex in level
@@ -194,7 +199,7 @@ class WhatIfEngine:
             per_job={name: costed_vertex.estimate for name, costed_vertex in costed.items()},
             dataset_sizes=dict(sizes),
             basis=(
-                CostingBasis(vertices, levels, costed, terms, makespans, fact_readers)
+                CostingBasis(vertices, levels, costed, terms, makespans, fact_readers, chained)
                 if reusable else None
             ),
         )
@@ -215,7 +220,9 @@ class WhatIfEngine:
         :meth:`apply_output_contributions`) before costing downstream jobs.
         """
         dataflow, contributions = self.derive_vertex_dataflow(vertex, workflow, sizes, configs)
-        estimate = estimate_job_time(dataflow, config_of(vertex, configs), self.cluster)
+        config = config_of(vertex, configs)
+        chained = self.chained_map_tasks(vertex, workflow, configs) if config.chained_input else 0
+        estimate = estimate_job_time(dataflow, config, self.cluster, chained)
         return VertexCost(estimate, contributions, dataflow)
 
     def derive_vertex_dataflow(
@@ -267,16 +274,18 @@ class WhatIfEngine:
         contributions, so the signature is the memoization key of the
         incremental :class:`~repro.whatif.service.CostService`.  Deliberately
         excludes the job *name* (structurally identical jobs share cache
-        entries) and the configuration dimensions only the per-phase job
-        model reads (reduce tasks, split size, sort buffer, compression) —
-        the service runs the job model on every lookup, hit or miss — so RRS
-        samples that only move job-model knobs reuse the derived dataflow.
+        entries) and what only the per-phase job model reads — the
+        configuration's reduce tasks, split size, sort buffer and
+        compression, and the chaining constraint with the chained map-task
+        count it resolves to (:meth:`chained_map_tasks`) — since the service
+        runs the job model on every lookup, hit or miss; so RRS samples that
+        only move those reuse the derived dataflow, a chained reader's under
+        any reduce-task count of its chain source.
 
-        Producer-dependent facts are only included where the derivation
-        reads them — partition counts only for inputs with a
-        partition-pruning filter, chained map tasks only under the chaining
-        constraint — so a config change on a producer does not spuriously
-        invalidate consumers.
+        A producer-dependent fact is only included where the derivation
+        reads it — a partition count only for an input with a
+        partition-pruning filter — so a config change on a producer does not
+        spuriously invalidate consumers.
 
         The signature is assembled **incrementally**: the vertex-content half
         (pipelines, operators, partitioner, profile key) is the vertex's own
@@ -288,10 +297,10 @@ class WhatIfEngine:
         is the signature with the overlay bound.
         """
         local = self.vertex_content_key(vertex)
+        combiner_active = local.combiner_active
         config = configs and configs.get(vertex.job.name)
         if config:
-            active = vertex.job.has_combiner and config.combiner_enabled
-            local = replace(local, combiner_active=active, chained_input=config.chained_input)
+            combiner_active = vertex.job.has_combiner and config.combiner_enabled
         pipeline_parts = []
         for pipeline_key in local.pipelines:
             inputs = []
@@ -312,25 +321,17 @@ class WhatIfEngine:
                     pipeline_key.output_dataset,
                 )
             )
-        chained_map_tasks = (
-            self._chained_map_tasks(vertex, workflow, configs) if local.chained_input else None
-        )
-        return (
-            tuple(pipeline_parts),
-            local.partitioner_fields,
-            local.combiner_active,
-            local.profile_key,
-            (local.chained_input, chained_map_tasks),
-        )
+        return (tuple(pipeline_parts), local.partitioner_fields, combiner_active, local.profile_key)
 
     def vertex_content_key(self, vertex: JobVertex) -> VertexContentKey:
         """:attr:`JobVertex.content_key <repro.workflow.graph.JobVertex.content_key>`, counted.
 
         Hashable, picklable, and content-equal across plan copies: pipelines
         (operators, inputs, outputs), partitioner fields, combiner activity,
-        profile content, and the chaining flag.  Each part is built once per
-        value it describes, so keying every vertex of a mostly-shared plan
-        copy walks only the pipelines its rewrite rebound.  A read that has to
+        profile content, and the chaining flag (which the dataflow signature
+        leaves out).  Each part is built once per value it describes, so
+        keying every vertex of a mostly-shared plan copy walks only the
+        pipelines its rewrite rebound.  A read that has to
         walk one counts as a ``signature_derivations``, any other as a
         ``signature_memo_hits``.
         """
@@ -415,7 +416,6 @@ class WhatIfEngine:
 
         distinct_groups = self._distinct_reduce_groups(job, profile)
         distinct_partition_keys = self._distinct_partition_keys(job, profile)
-        chained_map_tasks = self._chained_map_tasks(vertex, workflow, configs)
 
         return JobDataflow(
             input_bytes=max(input_bytes, 1.0),
@@ -433,7 +433,6 @@ class WhatIfEngine:
             pipeline_count=len(job.pipelines),
             distinct_reduce_groups=distinct_groups,
             distinct_partition_keys=distinct_partition_keys,
-            chained_map_tasks=chained_map_tasks,
         )
 
     # ------------------------------------------------------------- internals
@@ -504,6 +503,21 @@ class WhatIfEngine:
         if total is None or total <= 0:
             return 1.0
         return max(0.0, min(1.0, len(allowed) / total))
+
+    @staticmethod
+    def _reads_a_reduce_count(vertex: JobVertex, workflow: Workflow) -> bool:
+        # Whether some pruned input's partition count is its producer's
+        # reduce-task count (``_dataset_partition_count``'s one config read).
+        for pipeline in vertex.job.pipelines:
+            for dataset_name in pipeline.input_partition_filter:
+                producer = workflow.producer_of(dataset_name)
+                if (
+                    producer is not None
+                    and producer.job.effective_partitioner.kind != "range"
+                    and not producer.job.is_map_only
+                ):
+                    return True
+        return False
 
     @staticmethod
     def _dataset_partition_count(dataset_name: str, workflow: Workflow, configs: ConfigOverlay) -> Optional[int]:
@@ -601,19 +615,37 @@ class WhatIfEngine:
         return cardinality if cardinality > 0 else None
 
     @staticmethod
-    def _chained_map_tasks(vertex: JobVertex, workflow: Workflow, configs: ConfigOverlay) -> Optional[int]:
+    def chain_source(
+        vertex: JobVertex, workflow: Workflow, configs: ConfigOverlay = None
+    ) -> Optional[JobVertex]:
+        """The job whose reduce tasks ``vertex``'s map tasks follow under the
+        chaining constraint, or ``None`` (not chained, or no reducing producer).
+
+        In input order, the first reducing producer, or the source a map-only
+        producer that is itself chained passes on.
+        """
         if not config_of(vertex, configs).chained_input:
             return None
         for dataset_name in vertex.job.input_datasets:
             producer = workflow.producer_of(dataset_name)
             if producer is not None and not producer.job.is_map_only:
-                return max(1, config_of(producer, configs).num_reduce_tasks)
+                return producer
             if producer is not None and config_of(producer, configs).chained_input:
                 # Producer is itself chained; inherit its constraint.
-                inherited = WhatIfEngine._chained_map_tasks(producer, workflow, configs)
-                if inherited is not None:
-                    return inherited
+                source = WhatIfEngine.chain_source(producer, workflow, configs)
+                if source is not None:
+                    return source
         return None
+
+    @staticmethod
+    def chained_map_tasks(
+        vertex: JobVertex, workflow: Workflow, configs: ConfigOverlay = None
+    ) -> int:
+        """``vertex``'s map-task count under the chaining constraint — its
+        :meth:`chain_source`'s reduce-task count — or 0 when it has none: the
+        job-model input :func:`~repro.whatif.jobmodel.estimate_job_time` takes."""
+        source = WhatIfEngine.chain_source(vertex, workflow, configs)
+        return 0 if source is None else max(1, config_of(source, configs).num_reduce_tasks)
 
     # ------------------------------------------------------------- fallback
     def job_count_estimate(self, workflow: Workflow, configs: ConfigOverlay = None) -> WorkflowCostEstimate:

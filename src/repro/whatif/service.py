@@ -17,11 +17,14 @@ query of the optimizer stack and makes them incremental:
 * a candidate's RRS samples are configuration overlays costed in one
   :meth:`CostService.overlay` session: the snapshot check, profile check,
   origin label, walk order and stats delta are paid once per candidate, and
-  a sample walks only the jobs it overlays and the fact readers they can
-  reach — no plan copy, and no signature or lookup for a job whose dataflow
-  it cannot move; an RRS point goes straight into the job model
-  (:meth:`OverlaySession.objective`), and ``JobConfig`` objects are built only
-  where that walk re-derives a fact reader or starts over;
+  a sample walks only the jobs it overlays, the chained jobs whose chain
+  source it overlays, and the *fact readers* they can reach (the jobs pruned
+  on a hash-partitioned producer's output, whose partition count is that
+  producer's reduce-task count) — no plan copy, and no signature or lookup
+  for a job whose dataflow it cannot move; an RRS point goes straight into
+  the job model (:meth:`OverlaySession.objective`), and ``JobConfig``
+  objects are built only where that walk re-derives a fact reader or starts
+  over;
 * each job a candidate's samples reach holds a
   :class:`~repro.whatif.jobmodel.JobKernel` for its base dataflow (and one
   for its combiner-flipped dataflow), so each half of the job model runs once
@@ -89,8 +92,8 @@ from repro.common.store import (  # noqa: F401  (CacheLoadReport, cluster_cache_
     current_origin,
 )
 from repro.mapreduce.config import ConfigDimension, ConfigurationSpace, JobConfig, SettingSlots
-from repro.whatif.jobmodel import JOB_MODEL_SETTINGS, JobKernel, JobTimeEstimate, LevelTerms
-from repro.whatif.jobmodel import estimate_job_time, job_model_settings
+from repro.whatif.jobmodel import JOB_MODEL_INPUTS, JobKernel, JobModelInputs, JobTimeEstimate
+from repro.whatif.jobmodel import LevelTerms, estimate_job_time, job_model_settings
 from repro.whatif.model import COST_MODEL_VERSION, VertexCost, WhatIfEngine, WorkflowCostEstimate
 from repro.whatif.model import ConfigOverlay, config_of
 from repro.whatif.scheduling import level_makespan, level_terms
@@ -113,8 +116,10 @@ MAX_EXPORTED_ENTRIES = 20_000
 #: On-disk layout version of persisted cache files; files written under a
 #: different layout are rejected wholesale.  Version 3: one memo level — rows
 #: are plain ``(dataflow signature, (JobDataflow, contributions), origin)``;
-#: version-2 files held level-tagged 4-tuples.
-CACHE_FORMAT_VERSION = 3
+#: version-2 files held level-tagged 4-tuples.  Version 4 dropped the chained
+#: map-task count (and the chaining flag) from the signature and from
+#: ``JobDataflow``: it is a job-model input.
+CACHE_FORMAT_VERSION = 4
 
 #: Environment variable naming a persisted-cache path; consulted only by the
 #: owners that also merge-save it (``ExperimentHarness``, ``PlanningServer``)
@@ -266,13 +271,13 @@ class _Job:
     """One job of a session's base walk, resolved at the first sample that reaches it."""
 
     __slots__ = (
-        "name", "vertex", "position", "level", "slot", "config", "settings", "combiner",
+        "name", "vertex", "position", "level", "slot", "config", "inputs", "combiner",
         "has_combiner", "prior", "kernel", "fact_reader", "flipped",
     )
 
     def __init__(
         self, position: int, level: int, slot: int, vertex: JobVertex, prior: VertexCost,
-        fact_reader: bool, cluster: ClusterSpec,
+        fact_reader: bool, chained_map_tasks: int, cluster: ClusterSpec,
     ) -> None:
         job = vertex.job
         self.name = job.name
@@ -280,7 +285,8 @@ class _Job:
         # Its index in the walk, its level's index, and its index in that level.
         self.position, self.level, self.slot = position, level, slot
         self.config = job.config
-        self.settings = job_model_settings(job.config)
+        #: What its kernel reads: its settings, then its chained map-task count.
+        self.inputs: JobModelInputs = (*job_model_settings(job.config), chained_map_tasks)
         self.combiner = job.config.combiner_enabled
         self.has_combiner = job.has_combiner
         self.prior = prior  # the base's result
@@ -295,12 +301,12 @@ class _Job:
 class OverlaySession:
     """One :meth:`CostService.overlay` session (``docs/costing.md``, "Costing a sample").
 
-    A sample walks only the overlaid jobs and the base's fact readers, in the
-    base's walk order: each is *carried*, *kept* (the base's dataflow under
-    the job model again) or *re-derived*, and if a re-derived job's output
-    sizes differ the sample starts over as a full walk.  :meth:`estimate`
-    takes a sample as ``JobConfig``\\ s, :meth:`objective` as RRS points; both
-    walk :meth:`_walk`.
+    A sample walks only the overlaid jobs, the chained jobs whose count it
+    moves and the base's fact readers, in the base's walk order: each is
+    *carried*, *kept* (the base's dataflow under the job model again) or
+    *re-derived*, and if a re-derived job's output sizes differ the sample
+    starts over as a full walk.  :meth:`estimate` takes a sample as
+    ``JobConfig``\\ s, :meth:`objective` as RRS points; both walk :meth:`_walk`.
     """
 
     def __init__(
@@ -341,9 +347,10 @@ class OverlaySession:
         job = self._jobs.get(name)
         if job is None:
             basis = self._base.basis
+            position, level, slot, vertex = self._walk_rank()[name]
             job = self._jobs[name] = _Job(
-                *self._walk_rank()[name], basis.costed[name], name in basis.fact_readers,
-                self.service.cluster,
+                position, level, slot, vertex, basis.costed[name], name in basis.fact_readers,
+                self.service.engine.chained_map_tasks(vertex, self.workflow), self.service.cluster,
             )
         return job
 
@@ -364,9 +371,12 @@ class OverlaySession:
         Resolved once: each tuned job's place in the base walk, its setting
         slots (a constraint-held reduce count left out), and where each of
         the job model's values comes from (the point, or the job's own
-        config).  A sample reads those values straight into each job's
-        :class:`~repro.whatif.jobmodel.JobKernel`; it builds ``JobConfig``\\ s
-        only when its walk re-derives a fact reader or starts over.
+        config) — a chained job's map-task count from its chain source's
+        reduce-task slot, so a chained job under a tuned source is walked
+        too, tuned or not.  A sample reads those values straight into each
+        job's :class:`~repro.whatif.jobmodel.JobKernel`; it builds
+        ``JobConfig``\\ s only when its walk re-derives a fact reader or
+        starts over.
         """
         workflow = self.workflow
         jobs = workflow.num_jobs
@@ -390,21 +400,31 @@ class OverlaySession:
             for index, _, floor in held
             if not _normalised(space.dimensions[index], floor)
         })
-        # A sample reads each tuned job's values from ``point + own``: from
-        # its slots, or from ``own``, the values of its config no slot sets.
+        # A sample reads each walked job's kernel inputs and combiner flag from
+        # ``point + own``: from its slots, or from ``own``, its values no slot sets.
         width = len(space.dimensions)
         own: List[object] = []
+        at = {name: {setting: index for index, setting, _ in slots[name]} for name, _, _ in tuned}
+        basis = self._base.basis
+        for name in basis.chained:
+            # The count is the chain source's reduce-task count: where a slot
+            # sets that, the chained job is walked too, tuned or not.
+            source = self.service.engine.chain_source(workflow.job(name), workflow)
+            slot = None if source is None else at.get(source.name, {}).get("num_reduce_tasks")
+            if slot is not None:
+                at.setdefault(name, {})["chained_map_tasks"] = slot
         order = {}
-        for name, config, _ in tuned:
-            at = {setting: index for index, setting, _ in slots[name]}
-            for setting in (*JOB_MODEL_SETTINGS, "combiner_enabled"):
-                if setting not in at:
-                    at[setting] = width + len(own)
-                    own.append(getattr(config, setting))
-            pick = itemgetter(*(at[setting] for setting in JOB_MODEL_SETTINGS))
-            order[name] = (self._job(name), pick, at["combiner_enabled"])
+        read = (*JOB_MODEL_INPUTS, "combiner_enabled")
+        for name, places in at.items():
+            job = self._job(name)
+            for setting, value in zip(read, (*job.inputs, job.combiner)):
+                if setting not in places:
+                    places[setting] = width + len(own)
+                    own.append(value)
+            pick = itemgetter(*(places[setting] for setting in JOB_MODEL_INPUTS))
+            order[name] = (job, pick, places["combiner_enabled"])
         own = tuple(own)
-        for name in self._base.basis.fact_readers:
+        for name in basis.fact_readers:
             order.setdefault(name, (self._job(name), None, None))
         order = sorted(order.values(), key=lambda entry: entry[0].position)  # walk order
 
@@ -416,13 +436,13 @@ class OverlaySession:
             steps = []
             for job, pick, combiner_at in order:
                 if pick is not None:
-                    settings = pick(values)
+                    inputs = pick(values)
                     combiner = values[combiner_at]
-                    if settings != job.settings or combiner != job.combiner:
-                        steps.append((job, settings, combiner, None))
+                    if inputs != job.inputs or combiner != job.combiner:
+                        steps.append((job, inputs, combiner))
                         continue
                 if job.fact_reader:
-                    steps.append((job, None, None, None))
+                    steps.append((job, None, None))
             self._recosted = set()
             self._cross_origin_hits = 0
             moved, restarted = self._walk(
@@ -438,9 +458,12 @@ class OverlaySession:
         self, point: Point, slots: Dict[str, SettingSlots], names: Iterable[str]
     ) -> Dict[str, JobConfig]:
         # The overlay ``point`` binds on ``names``: JobConfig.with_values, as
-        # applying the point to the plan would bind it.
+        # applying the point to the plan would bind it.  A name without slots
+        # (a chained job walked for its source's count) binds nothing.
         configs = {}
         for name in names:
+            if name not in slots:
+                continue
             own = self.workflow.job(name).job.config
             config = own.with_values(point, slots[name])
             if config is not own:
@@ -494,16 +517,22 @@ class OverlaySession:
     def _sample(
         self, base: WorkflowCostEstimate, configs: Dict[str, JobConfig]
     ) -> WorkflowCostEstimate:
-        # ``configs`` as the walk's steps: the overlaid jobs and the fact readers, in walk order.
+        # ``configs`` as the walk's steps, in walk order: the overlaid jobs, the
+        # chained jobs whose count it moves, and the fact readers.
         rank = self._walk_rank()
+        basis = base.basis
+        workflow = self.workflow
+        chained_map_tasks = self.service.engine.chained_map_tasks
         steps = []
-        for name in sorted({*configs, *base.basis.fact_readers}, key=rank.__getitem__):
+        for name in sorted({*configs, *basis.chained, *basis.fact_readers}, key=rank.__getitem__):
+            job = self._job(name)
             config = configs.get(name)
-            if config is None:
-                steps.append((self._job(name), None, None, None))
-            else:
-                settings = job_model_settings(config)
-                steps.append((self._job(name), settings, config.combiner_enabled, config))
+            chained = chained_map_tasks(job.vertex, workflow, configs)
+            if config is not None or chained != job.inputs[-1]:
+                config = config or job.config
+                steps.append((job, (*job_model_settings(config), chained), config.combiner_enabled))
+            elif job.fact_reader:
+                steps.append((job, None, None))
         moved, restarted = self._walk(steps, lambda: configs)
         if restarted is not None:
             return restarted
@@ -511,21 +540,27 @@ class OverlaySession:
         cluster = self.service.cluster
         for job, _, answer in moved:
             if isinstance(answer, JobKernel):  # the job model of its dataflow, unmemoized
-                answer = estimate_job_time(answer.dataflow, configs[job.name], cluster)
+                answer = estimate_job_time(
+                    answer.dataflow, config_of(job.vertex, configs), cluster,
+                    chained_map_tasks(job.vertex, workflow, configs),
+                )
             per_job[job.name] = answer
         return WorkflowCostEstimate(
             total_s=self._total(moved), per_job=per_job, dataset_sizes=base.dataset_sizes
         )
 
     def _walk(
-        self, steps: List[Tuple[_Job, Optional[Tuple], Optional[bool], Optional[JobConfig]]],
+        self, steps: List[Tuple[_Job, Optional[JobModelInputs], Optional[bool]]],
         materialise: Callable[[], Dict[str, JobConfig]],
     ) -> Tuple[Optional[List[Moved]], Optional[WorkflowCostEstimate]]:
         """The one walk of a sample: ``(moved jobs, None)``, or ``(None, full walk)``.
 
-        ``steps`` are ``(job, job-model settings, combiner flag, JobConfig or
-        None)`` the sample binds, in the base's walk order; a fact reader it
-        does not overlay comes as ``(job, None, None, None)``.
+        ``steps`` are ``(job, kernel inputs, combiner flag)`` the sample
+        binds, in the base's walk order; a fact reader it does not move comes
+        as ``(job, None, None)``.  Only a fact reader's dataflow reads another
+        job's configuration (its producer's reduce-task count), so only a
+        fact reader is re-derived for what the walk met before it; a chained
+        job's count is one of its kernel inputs.
         ``materialise()`` is the sample's overlay as ``JobConfig``\\ s: asked
         only to re-derive a fact reader or to start over.  A moved job
         carries its level terms (what :meth:`_total` sums) and what answers
@@ -535,22 +570,19 @@ class OverlaySession:
         sizes = self._base.dataset_sizes
         configs = None
         moved = []
-        # A producer's reduce-task count or chaining moved (it is walked before its readers).
+        # A producer's reduce-task count moved (it is walked before its readers).
         facts_moved = False
-        for job, settings, combiner, config in steps:
+        for job, inputs, combiner in steps:
             rederive = facts_moved and job.fact_reader
             flipped = False
-            if settings is None:
+            if inputs is None:
                 if not rederive:
                     continue  # carried
             else:
-                chaining_moved = (
-                    config is not None and config.chained_input != job.config.chained_input
-                )
-                if chaining_moved or settings[0] != job.settings[0]:
+                if inputs[0] != job.inputs[0]:
                     facts_moved = True
                 flipped = job.has_combiner and combiner != job.combiner
-                rederive = rederive or chaining_moved or (flipped and job.fact_reader)
+                rederive = rederive or (flipped and job.fact_reader)
             if rederive:
                 if configs is None:
                     configs = materialise()
@@ -559,9 +591,9 @@ class OverlaySession:
                 terms = level_terms(answer, self.service.cluster.task_startup_s)
             elif flipped:
                 answer, contributions = self._flipped(job)
-                terms = answer.terms(settings)
+                terms = answer.terms(inputs)
             else:  # kept
-                moved.append((job, job.kernel.terms(settings), job.kernel))
+                moved.append((job, job.kernel.terms(inputs), job.kernel))
                 continue
             if contributions != job.prior.output_contributions:
                 if configs is None:
@@ -590,12 +622,13 @@ class OverlaySession:
     def _flipped(self, job: _Job) -> Tuple[JobKernel, Tuple[Tuple[str, float, float], ...]]:
         """The job model of ``job``'s dataflow with its combiner flipped, and its contributions.
 
-        ``job`` reads no producer fact and the base's sizes are fixed, so
-        within a session there is one such derivation: the first flip takes
-        the signature → memo → derive step, and a later one is credited as
-        that memo row answering it would be — a hit, cross-origin by the
-        row's origin — and reuses its kernel.  (A disabled memo answers
-        nothing: every flip derives.)
+        ``job`` is no fact reader (its dataflow reads no other job's
+        configuration; a chained job's count is a kernel input) and the
+        base's sizes are fixed, so within a session there is one such
+        derivation: the first flip takes the signature → memo → derive step,
+        and a later one is credited as that memo row answering it would be —
+        a hit, cross-origin by the row's origin — and reuses its kernel.  (A
+        disabled memo answers nothing: every flip derives.)
         """
         if job.flipped is not None:
             kernel, contributions, origin = job.flipped
@@ -617,9 +650,12 @@ class OverlaySession:
         # engine's shared run_costing traversal so the service cannot drift
         # from the cold path.  Hit or miss, the job model runs on the
         # configuration asked about: nothing here is per sample.
-        signature = self.service.engine.vertex_dataflow_signature(vertex, workflow, sizes, configs)
+        engine = self.service.engine
+        signature = engine.vertex_dataflow_signature(vertex, workflow, sizes, configs)
         (dataflow, contributions), _ = self._derived(signature, vertex, sizes, configs)
-        estimate = estimate_job_time(dataflow, config_of(vertex, configs), self.service.cluster)
+        config = config_of(vertex, configs)
+        chained = engine.chained_map_tasks(vertex, workflow, configs) if config.chained_input else 0
+        estimate = estimate_job_time(dataflow, config, self.service.cluster, chained)
         return VertexCost(estimate, contributions, dataflow)
 
     def _derived(

@@ -18,6 +18,9 @@ interpreter can print them::
 
     PYTHONPATH=src python tests/golden_digests.py           # digests and counters, as JSON
     PYTHONPATH=src python tests/golden_digests.py --check   # the same; exit 1 unless all are pinned
+
+``--check`` names each missed row on standard error, and prints a missed
+counter row (``COST_STATS``, ``UNIT_COUNTERS``) as ``pinned -> computed``.
 """
 
 import hashlib
@@ -51,14 +54,14 @@ COST_STATS_FIELDS = (
 
 #: Each plan's ``cost_stats``, as :data:`COST_STATS_FIELDS`.
 COST_STATS = {
-    "IR": (465, 1126, 1012, 114, 1, 0, 0),
+    "IR": (465, 1126, 1116, 10, 1, 0, 0),
     "SN": (541, 1623, 1614, 9, 1, 0, 0),
     "LA": (525, 1996, 1987, 9, 2, 0, 0),
     "WG": (225, 450, 448, 2, 1, 0, 0),
-    "BA": (685, 2740, 2650, 90, 1, 0, 0),
-    "BR": (1411, 8093, 7819, 274, 1, 0, 0),
-    "PJ": (397, 1191, 989, 202, 1, 0, 0),
-    "US": (709, 2127, 1757, 370, 1, 0, 0),
+    "BA": (685, 2740, 2734, 6, 1, 0, 0),
+    "BR": (1411, 8093, 8079, 14, 1, 0, 0),
+    "PJ": (397, 1191, 1186, 5, 1, 0, 0),
+    "US": (709, 2127, 2117, 10, 1, 0, 0),
     "fanout32": (245, 6724, 6687, 37, 3, 0, 0),
     "rollup31": (629, 14915, 14870, 45, 1, 0, 0),
     "rollup100": (785, 41957, 41829, 128, 1, 0, 0),
@@ -68,8 +71,7 @@ COST_STATS = {
 #: rrs_evaluations)`` summed over the unit's subplans.
 UNIT_COUNTERS = {
     "IR": [
-        (188, 456, 48, 185), (112, 291, 1, 110), (36, 72, 0, 35), (84, 103, 65, 83),
-        (44, 88, 0, 43),
+        (188, 495, 9, 185), (112, 291, 1, 110), (36, 72, 0, 35), (84, 168, 0, 83), (44, 88, 0, 43),
     ],
     "SN": [
         (196, 716, 8, 193), (68, 204, 0, 67), (44, 132, 0, 43), (136, 323, 1, 134),
@@ -81,15 +83,15 @@ UNIT_COUNTERS = {
     ],
     "WG": [(52, 102, 2, 51), (52, 104, 0, 51), (68, 136, 0, 67), (52, 104, 0, 51)],
     "BA": [
-        (168, 607, 65, 166), (92, 368, 0, 91), (84, 335, 1, 83), (60, 240, 0, 59),
-        (108, 408, 24, 107), (60, 240, 0, 59), (60, 240, 0, 59), (52, 208, 0, 51),
+        (168, 667, 5, 166), (92, 368, 0, 91), (84, 335, 1, 83), (60, 240, 0, 59),
+        (108, 432, 0, 107), (60, 240, 0, 59), (60, 240, 0, 59), (52, 208, 0, 51),
     ],
     "BR": [
-        (52, 357, 7, 51), (852, 5154, 266, 843), (84, 420, 0, 83), (52, 260, 0, 51),
-        (36, 180, 0, 35), (152, 715, 1, 150), (76, 304, 0, 75), (68, 272, 0, 67), (36, 144, 0, 35),
+        (52, 357, 7, 51), (852, 5414, 6, 843), (84, 420, 0, 83), (52, 260, 0, 51), (36, 180, 0, 35),
+        (152, 715, 1, 150), (76, 304, 0, 75), (68, 272, 0, 67), (36, 144, 0, 35),
     ],
-    "PJ": [(232, 559, 137, 228), (36, 108, 0, 35), (92, 211, 65, 91), (36, 108, 0, 35)],
-    "US": [(576, 1393, 335, 568), (36, 108, 0, 35), (60, 145, 35, 59), (36, 108, 0, 35)],
+    "PJ": [(232, 691, 5, 228), (36, 108, 0, 35), (92, 276, 0, 91), (36, 108, 0, 35)],
+    "US": [(576, 1718, 10, 568), (36, 108, 0, 35), (60, 180, 0, 59), (36, 108, 0, 35)],
     "fanout32": [(100, 3165, 35, 99), (144, 3490, 2, 142)],
     "rollup31": [
         (108, 3308, 40, 107), (92, 2851, 1, 91), (36, 1116, 0, 35), (260, 3580, 4, 257),
@@ -236,17 +238,26 @@ def run_script_under(hash_seed, script, *args):
     return done.stdout
 
 
+#: The tables whose missed rows ``--check`` prints as ``pinned -> computed``.
+COUNTER_TABLES = ("cost_stats", "unit_counters")
+
+
 if __name__ == "__main__":
     tables = compute()
     print(json.dumps(tables))
     if "--check" in sys.argv[1:]:
         missed = [
-            f"{table}:{label}"
+            (table, label)
             for table, pinned in PINNED.items()
             for label in GOLDEN
             if tables[table].get(label) != _as_json(pinned.get(label))
         ]
         matched = f"all {len(GOLDEN)} match GOLDEN, COST_STATS, UNIT_COUNTERS and ENGINE_COUNTERS"
-        verdict = f"misses {missed}" if missed else matched
+        labels = [f"{table}:{label}" for table, label in missed]
+        verdict = f"misses {labels}" if missed else matched
         print(sys.version.split()[0], verdict, file=sys.stderr)
+        for table, label in missed:
+            if table in COUNTER_TABLES:
+                pinned = _as_json(PINNED[table].get(label))
+                print(f"  {table}:{label} {pinned} -> {tables[table][label]}", file=sys.stderr)
         sys.exit(1 if missed else 0)

@@ -5,12 +5,13 @@ flat function, relocated out of ``src/``.
 the per-call ``details`` dict, and reads the cluster's derived constants from
 one ``cached_property``; ``repro.whatif.scheduling.level_makespan`` reads the
 same constants.  The functions here are the phase-by-phase originals,
-verbatim but for two things: ``JobDataflow.parallelism_cap`` and
+verbatim but for three things: ``JobDataflow.parallelism_cap`` and
 ``ClusterSpec.map_waves`` / ``reduce_waves`` (deleted from ``src/`` with
 their one reader) are the functions :func:`parallelism_cap`,
-:func:`map_waves_of` and :func:`reduce_waves_of`, and :func:`level_makespan`
-adds its two sums in explicit left-to-right loops — what ``sum()`` did up to
-Python 3.11.  Every estimate ``src/`` returns must
+:func:`map_waves_of` and :func:`reduce_waves_of`; the chained map-task count,
+no longer a ``JobDataflow`` field, is :func:`estimate_job_time`'s fourth
+argument, read as the field was; and :func:`level_makespan` adds its two sums
+in explicit left-to-right loops — what ``sum()`` did up to Python 3.11.  Every estimate ``src/`` returns must
 be ``==`` theirs, field by field (``tests/test_whatif.py``).
 """
 
@@ -84,11 +85,12 @@ def estimate_job_time(
     dataflow: JobDataflow,
     config: JobConfig,
     cluster: ClusterSpec,
+    chained_map_tasks: Optional[int],
 ) -> JobTimeEstimate:
     """Estimate the runtime of one job from its dataflow, config, and cluster."""
     details: Dict[str, float] = {}
 
-    num_map_tasks = _num_map_tasks(dataflow, config)
+    num_map_tasks = _num_map_tasks(dataflow, config, chained_map_tasks)
     details["num_map_tasks"] = num_map_tasks
 
     map_task_s = _map_task_time(dataflow, config, cluster, num_map_tasks, details)
@@ -144,9 +146,9 @@ def estimate_job_time(
 # ---------------------------------------------------------------------------
 
 
-def _num_map_tasks(dataflow: JobDataflow, config: JobConfig) -> int:
-    if dataflow.chained_map_tasks:
-        return max(1, int(dataflow.chained_map_tasks))
+def _num_map_tasks(dataflow: JobDataflow, config: JobConfig, chained_map_tasks: Optional[int]) -> int:
+    if chained_map_tasks:
+        return max(1, int(chained_map_tasks))
     split_bytes = config.split_size_mb * MB
     return max(1, int(math.ceil(dataflow.input_bytes / split_bytes)))
 

@@ -206,9 +206,39 @@ class TestHostileFiles:
         # The next persist() merge-saves over it: rejected again, then replaced.
         assert persist([service]) == service.cache_size > 0
         with open(path, "rb") as handle:
-            assert pickle.load(handle)["format_version"] == CACHE_FORMAT_VERSION == 3
+            assert pickle.load(handle)["format_version"] == CACHE_FORMAT_VERSION == 4
         reloaded = CostService(CLUSTER, cache_path=str(path))
         assert reloaded.last_load.loaded and reloaded.last_load.entries == service.cache_size
+
+    def test_version_3_file_of_chained_count_keys_is_replaced_on_persist(
+        self, tmp_path, profiled_workflow
+    ):
+        # Version 3 keyed a row on the chaining flag and the chained
+        # map-task count too (a fifth signature part); version 4 reads the
+        # count in the job model only.
+        path = tmp_path / "chained_count.cache"
+        rows = [
+            (signature + ((False, None),), derived, origin)
+            for signature, derived, origin in _warmed_service(profiled_workflow)._entries_snapshot()
+        ]
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "format_version": 3,
+                    "model_version": service_module.COST_MODEL_VERSION,
+                    "cluster_key": cluster_cache_key(CLUSTER),
+                    "entries": rows,
+                }
+            )
+        )
+        service = CostService(CLUSTER, cache_path=str(path))
+        assert service.cache_size == 0
+        self._assert_rejected_but_functional(service, "format version mismatch", profiled_workflow)
+        assert persist([service]) == service.cache_size > 0
+        with open(path, "rb") as handle:
+            saved = pickle.load(handle)
+        assert saved["format_version"] == 4
+        assert all(len(signature) == 4 for signature, _, _ in saved["entries"])
 
     def test_model_version_mismatch(self, tmp_path, profiled_workflow, monkeypatch):
         path = str(tmp_path / "old_model.cache")

@@ -49,6 +49,7 @@ from repro.verification import (
     install_fault_plan,
 )
 from repro.whatif import CostService, WhatIfEngine
+from repro.whatif.model import config_of
 from repro.whatif.service import CostServiceStats, OverlaySession
 from repro.workloads import WORKLOAD_ORDER, build_workload
 from tests.conftest import equivalence_seeds
@@ -354,7 +355,8 @@ class TestOverlayEqualsCold:
         packing (IR, BA, US: chained readers) and partition pruning (US: pruned
         readers of a produced dataset; LA prunes a base dataset, which has no
         producer to overlay) included: overlaying a producer must reach the
-        readers of its reduce-task count."""
+        readers of its reduce-task count — a chained reader through its
+        map-task count, a pruned reader through its dataflow."""
         workload = _profiled(abbr, scale=0.15)
         result = StubbyOptimizer(CLUSTER, seed=17).optimize(workload.plan)
         rng = DeterministicRNG(17)
@@ -370,8 +372,9 @@ class TestOverlayEqualsCold:
                         service, plan, base, configs,
                         f"{abbr} {report.phase} {record.transformations} #{index} step={step}",
                     )
-                readers_reached += len(base.basis.fact_readers)
-        assert readers_reached > 0 or abbr == "LA", f"{abbr}: no fact reader was ever reached"
+                # IR and BA prune nothing: they must reach a chained reader.
+                readers_reached += len(base.basis.chained | base.basis.fact_readers)
+        assert readers_reached > 0 or abbr == "LA", f"{abbr}: no chained or pruned reader was reached"
 
     def test_moved_contributions_turn_the_query_into_a_full_walk(self):
         """A hash-partitioned producer feeding a partition-pruned reader: its
@@ -427,7 +430,7 @@ class TestOverlayEqualsCold:
                 rewritten = transformation.apply(rewritten, application)
         service = CostService(CLUSTER)
         checked = 0
-        fact_readers = set()
+        readers = set()
         for plan in (raw, rewritten):
             base = service.estimate_workflow(plan.workflow)
             for name in plan.job_names:
@@ -443,9 +446,9 @@ class TestOverlayEqualsCold:
                             f"{abbr} {name}.{config_field.name}={value!r}",
                         )
                         checked += 1
-            fact_readers |= base.basis.fact_readers
+            readers |= base.basis.chained | base.basis.fact_readers
         assert checked >= 2 * len(dataclasses.fields(JobConfig))
-        assert fact_readers, f"{abbr}: the rewritten plan holds no chained or pruned reader"
+        assert readers, f"{abbr}: the rewritten plan holds no chained or pruned reader"
 
 
 class TestOverlayContract:
@@ -583,6 +586,21 @@ class TestOverlaySession:
     # their reduce count; BA, IR: combiner jobs (BA's forced-single too).
     @pytest.mark.parametrize("abbr", ["BR", "US", "BA", "IR"])
     def test_a_session_credits_what_its_samples_one_by_one_would(self, abbr, monkeypatch):
+        """Rows another origin stored answer some of the lookups."""
+        self._credits_alike(abbr, True, monkeypatch)
+
+    @pytest.mark.parametrize("abbr", ["BR", "US", "BA", "IR"])
+    def test_a_session_on_a_cold_memo_credits_what_its_samples_one_by_one_would(
+        self, abbr, monkeypatch
+    ):
+        """Every row is derived under the session's origin.  A sample derives
+        only a combiner flip, a re-derived fact reader or a walk that started
+        over, and a warm memo already holds those of these samples: here the
+        derivations are credited too."""
+        self._credits_alike(abbr, False, monkeypatch)
+
+    @staticmethod
+    def _credits_alike(abbr, warm, monkeypatch):
         plan = _with_fact_readers(abbr)
         space, tuned, samples = _points(plan, DeterministicRNG(11), 16)
         moves = collections.Counter()
@@ -606,10 +624,11 @@ class TestOverlaySession:
         runs = {}
         for mode in ("session", "one by one", "points"):
             service = CostService(CLUSTER)
-            with attributed((service,), "warm"):  # rows another origin stored
-                warm = service.estimate_workflow(plan.workflow)
-                for _, configs in samples[::2]:
-                    service.estimate_workflow(plan.workflow, configs, warm)
+            if warm:
+                with attributed((service,), "warm"):  # rows another origin stored
+                    warm_base = service.estimate_workflow(plan.workflow)
+                    for _, configs in samples[::2]:
+                        service.estimate_workflow(plan.workflow, configs, warm_base)
             before = service.stats_snapshot()
             applies = []
             apply_delta = service._apply_delta
@@ -645,7 +664,10 @@ class TestOverlaySession:
             assert applies == 2, mode  # the base, then the session
         assert one_by_one[3] == 1 + len(samples)
         assert delta.queries == 1 + len(samples) == visits["whatif.estimate"]
-        assert delta.cross_origin_hits > 0 and delta.job_full_recosts > 0
+        if warm:
+            assert delta.cross_origin_hits > 0
+        else:
+            assert delta.job_full_recosts > 0 and delta.cross_origin_hits == 0
 
     @pytest.mark.parametrize("capacity", [2, 4, 8, 16, 64])
     @pytest.mark.parametrize("abbr", ["BA", "IR"])
@@ -871,6 +893,198 @@ class TestOverlaySession:
                     assert cost(point) == session.estimate(configs).total_s == cold.total_s, context
         stats = service.stats
         assert stats.job_cache_hits + stats.job_full_recosts == stats.job_queries
+
+
+def _chained_through_map_only():
+    """Seed 7269's reducing ``J1`` -> map-only ``J2`` -> combiner job ``J3``,
+    with ``J2`` and ``J3`` under the chaining constraint: ``J3``'s chain
+    source is ``J1``, reached through ``J2``."""
+    plan = RandomWorkflowGenerator().generate(7269).plan
+    for name in ("R7269_J2", "R7269_J3"):
+        config = plan.job(name).job.config
+        plan.set_job_config(name, config.replace(max_parallel_maps_per_producer_reduce=1))
+    return plan
+
+
+def _chained_plans():
+    """``(label, plan)``: every canned plan and every subplan its search
+    enumerated that holds a chained job (one of each signature), then
+    :func:`_chained_through_map_only`."""
+    seen = set()
+    for abbr in WORKLOAD_ORDER:
+        workload = _profiled(abbr)
+        result = StubbyOptimizer(CLUSTER, seed=17).optimize(workload.plan)
+        plans = [(abbr, workload.plan)] + [
+            (f"{abbr} {report.phase} {record.transformations} #{index}", record.plan)
+            for report in result.unit_reports
+            for index, record in enumerate(report.subplans)
+        ]
+        for label, plan in plans:
+            signature = plan.signature()
+            if signature in seen or not any(v.job.config.chained_input for v in plan.workflow.jobs):
+                continue
+            seen.add(signature)
+            yield label, plan
+    yield "through a map-only producer", _chained_through_map_only()
+
+
+class TestChainedCount:
+    """A chained job's map-task count — its chain source's reduce-task count —
+    is a job-model input (``docs/costing.md``, "Signatures and invalidation"): a
+    moved source keeps the reader on its kernel, and the memo holds no row
+    per count."""
+
+    def test_every_source_count_equals_cold_and_derives_no_row_per_count(self, monkeypatch):
+        """Per chain, the source's reduce-task count over its whole search
+        range, with and without a combiner flip on the reader: the session's
+        estimate and its objective ``==`` the cold engine on the materialised
+        plan, and a reader without a pruned input is derived once per (input
+        sizes, combiner state), whatever the count."""
+        engine = WhatIfEngine(CLUSTER)
+        search = StubbyOptimizer(CLUSTER).search
+        checked = collections.Counter()
+        for label, plan in _chained_plans():
+            workflow = plan.workflow
+            for reader in workflow.jobs:
+                source = engine.chain_source(reader, workflow)
+                if source is None:
+                    continue
+                producers = {workflow.producer_of(name) for name in reader.job.input_datasets}
+                checked["through a map-only producer"] += source not in producers
+                pruned = any(pipeline.input_partition_filter for pipeline in reader.job.pipelines)
+                space, initial, tuned = search._joint_space(plan, [source.name, reader.name])
+                at_rest = tuple(space.clamp(initial)[name] for name in space.names)
+                slots = {setting: index for index, setting in tuned[source.name]}
+                flips = [False]
+                if reader.job.has_combiner:
+                    flips.append(True)
+                    slots["flip"] = {s: i for i, s in tuned[reader.name]}["combiner_enabled"]
+                if "num_reduce_tasks" in slots:
+                    dimension = space.dimensions[slots["num_reduce_tasks"]]
+                    counts = range(int(dimension.low), int(dimension.high) + 1)
+                else:  # held at one task
+                    counts = [None]
+
+                service = CostService(CLUSTER)
+                derived = collections.Counter()
+                derive = service.engine.derive_vertex_dataflow
+
+                def counting(vertex, workflow, sizes, configs=None):
+                    if vertex.name == reader.name:
+                        combiner = vertex.job.has_combiner and config_of(vertex, configs).combiner_enabled
+                        inputs = tuple(sizes[name] for name in vertex.job.input_datasets)
+                        derived[(inputs, combiner)] += 1
+                    return derive(vertex, workflow, sizes, configs)
+
+                monkeypatch.setattr(service.engine, "derive_vertex_dataflow", counting)
+                with service.overlay(workflow) as session:
+                    session.estimate()
+                    cost = session.objective(space, tuned.items())
+                    for count in counts:
+                        for flip in flips:
+                            point = list(at_rest)
+                            if count is not None:
+                                point[slots["num_reduce_tasks"]] = count
+                            if flip:
+                                point[slots["flip"]] = not point[slots["flip"]]
+                            point = tuple(point)
+                            configs = {}
+                            for name, dims in tuned.items():
+                                own = plan.job(name).job.config
+                                moved = own.with_values(point, own.setting_slots(dims))
+                                if moved is not own:
+                                    configs[name] = moved
+                            cold = WhatIfEngine(CLUSTER).estimate_workflow(
+                                _materialised(plan, configs).workflow
+                            )
+                            context = f"{label}: {reader.name} under {source.name}={count} flip={flip}"
+                            assert session.estimate(configs) == cold, context
+                            assert cost(point) == cold.total_s, context
+                            checked["samples"] += 1
+                if not pruned:
+                    assert set(derived.values()) == {1}, (label, reader.name, derived)
+                    checked["unpruned readers"] += 1
+                checked["flipped"] += len(flips) - 1
+        assert checked["through a map-only producer"] > 0, checked
+        assert checked["unpruned readers"] > 0 and checked["flipped"] > 0, checked
+
+    # BR, PJ: chained readers; US: chained readers and readers pruned on a
+    # range-partitioned producer's output, whose partition count is fixed.
+    @pytest.mark.parametrize("abbr", ["BR", "PJ", "US"])
+    def test_a_moved_reduce_count_rederives_no_reader_that_does_not_read_it(
+        self, abbr, monkeypatch
+    ):
+        """During a cold ``optimize()``, a job whose dataflow reads no
+        producer's reduce-task count — none but a reader pruned on a reducing,
+        hash-partitioned producer's output does — is derived (or even
+        re-keyed and looked up) inside a sample's walk only through its
+        combiner flip (``_flipped``) or a walk that started over: never
+        because a chain source's or another producer's reduce-task count
+        moved."""
+        where = []
+        derivations = collections.Counter()
+
+        def inside(owner, attribute, label):
+            original = getattr(owner, attribute)
+
+            def wrapped(*args, **kwargs):
+                where.append(label)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    where.pop()
+
+            monkeypatch.setattr(owner, attribute, wrapped)
+
+        def reads_a_reduce_count(vertex, workflow):
+            for pipeline in vertex.job.pipelines:
+                for name in pipeline.input_partition_filter:
+                    producer = workflow.producer_of(name)
+                    if producer is not None and not producer.job.is_map_only and (
+                        producer.job.effective_partitioner.kind != "range"
+                    ):
+                        return True
+            return False
+
+        walk = OverlaySession._walk
+
+        def counted_walk(session, steps, materialise):
+            # Steps moving a chained count; samples moving a reduce count over a pruned reader.
+            derivations["count moves"] += sum(
+                inputs is not None and inputs[-1] != job.inputs[-1] for job, inputs, _ in steps
+            )
+            derivations["pruned moves"] += any(
+                inputs is not None and inputs[0] != job.inputs[0] for job, inputs, _ in steps
+            ) and any(
+                pipeline.input_partition_filter
+                for vertex in session.workflow.jobs
+                for pipeline in vertex.job.pipelines
+            )
+            return walk(session, steps, materialise)
+
+        monkeypatch.setattr(OverlaySession, "_walk", counted_walk)
+        inside(OverlaySession, "_walk", "walk")
+        inside(OverlaySession, "_flipped", "flip")
+        inside(WhatIfEngine, "run_costing", "full walk")
+        derive = WhatIfEngine.derive_vertex_dataflow
+        rederive = OverlaySession._cost_vertex
+
+        def counted(engine, vertex, workflow, sizes, configs=None):
+            if where and not reads_a_reduce_count(vertex, workflow):
+                derivations[where[-1]] += 1
+            return derive(engine, vertex, workflow, sizes, configs)
+
+        def counted_lookup(session, vertex, workflow, sizes, configs):
+            if where[-1:] == ["walk"] and not reads_a_reduce_count(vertex, workflow):
+                derivations["walk lookups"] += 1
+            return rederive(session, vertex, workflow, sizes, configs)
+
+        monkeypatch.setattr(WhatIfEngine, "derive_vertex_dataflow", counted)
+        monkeypatch.setattr(OverlaySession, "_cost_vertex", counted_lookup)
+        StubbyOptimizer(CLUSTER, seed=17).optimize(_profiled(abbr, scale=0.15).plan)
+        assert derivations["count moves"] > 0, derivations
+        assert derivations["walk"] == derivations["walk lookups"] == 0, derivations
+        assert derivations["pruned moves"] > 0 or abbr != "US", derivations
 
 
 class TestOptimizerIntegration:

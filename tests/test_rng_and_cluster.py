@@ -90,16 +90,14 @@ class TestClusterSpec:
         """One map wave per ``total_map_slots`` tasks, charged a task start-up each."""
         cluster = ClusterSpec.paper_cluster()
         for tasks, waves in ((1, 1), (cluster.total_map_slots, 1), (cluster.total_map_slots + 1, 2)):
-            estimate = estimate_job_time(
-                _dataflow(chained_map_tasks=tasks), JobConfig(num_reduce_tasks=1), cluster
-            )
+            estimate = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=1), cluster, tasks)
             assert estimate.num_map_tasks == tasks
             assert estimate.map_phase_s == waves * (estimate.map_task_s + cluster.task_startup_s)
 
     def test_reduce_waves(self):
         cluster = ClusterSpec.paper_cluster()
         estimate = estimate_job_time(
-            _dataflow(), JobConfig(num_reduce_tasks=cluster.total_reduce_slots * 3), cluster
+            _dataflow(), JobConfig(num_reduce_tasks=cluster.total_reduce_slots * 3), cluster, 0
         )
         assert estimate.reduce_phase_s == 3 * cluster.task_startup_s + estimate.reduce_task_s
 

@@ -51,45 +51,43 @@ def _dataflow(**overrides):
 
 class TestJobModel:
     def test_more_input_takes_longer(self):
-        small = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=50), CLUSTER)
+        small = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=50), CLUSTER, 0)
         big = estimate_job_time(
-            _dataflow(input_bytes=100 * GB, input_records=1e9), JobConfig(num_reduce_tasks=50), CLUSTER
+            _dataflow(input_bytes=100 * GB, input_records=1e9), JobConfig(num_reduce_tasks=50), CLUSTER, 0
         )
         assert big.total_s > small.total_s
 
     def test_more_reducers_speed_up_reduce_phase(self):
-        few = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=2), CLUSTER)
-        many = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=100), CLUSTER)
+        few = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=2), CLUSTER, 0)
+        many = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=100), CLUSTER, 0)
         assert many.reduce_phase_s < few.reduce_phase_s
 
     def test_parallelism_capped_by_distinct_partition_keys(self):
         capped = estimate_job_time(
-            _dataflow(distinct_partition_keys=2.0), JobConfig(num_reduce_tasks=100), CLUSTER
+            _dataflow(distinct_partition_keys=2.0), JobConfig(num_reduce_tasks=100), CLUSTER, 0
         )
-        uncapped = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=100), CLUSTER)
+        uncapped = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=100), CLUSTER, 0)
         assert capped.reduce_phase_s > uncapped.reduce_phase_s
 
     def test_map_only_has_no_shuffle_or_reduce(self):
-        estimate = estimate_job_time(_dataflow(map_only=True), JobConfig(num_reduce_tasks=0), CLUSTER)
+        estimate = estimate_job_time(_dataflow(map_only=True), JobConfig(num_reduce_tasks=0), CLUSTER, 0)
         assert estimate.shuffle_s == 0.0
         assert estimate.reduce_phase_s == 0.0
 
     def test_compression_reduces_shuffle_time(self):
-        plain = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=50), CLUSTER)
+        plain = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=50), CLUSTER, 0)
         compressed = estimate_job_time(
-            _dataflow(), JobConfig(num_reduce_tasks=50, compress_map_output=True), CLUSTER
+            _dataflow(), JobConfig(num_reduce_tasks=50, compress_map_output=True), CLUSTER, 0
         )
         assert compressed.shuffle_s < plain.shuffle_s
 
     def test_chained_map_tasks_override_split_derivation(self):
-        estimate = estimate_job_time(
-            _dataflow(chained_map_tasks=17), JobConfig(num_reduce_tasks=10), CLUSTER
-        )
+        estimate = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=10), CLUSTER, 17)
         assert estimate.num_map_tasks == 17
 
     def test_pipeline_contention_costs_more(self):
-        single = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=50), CLUSTER)
-        packed = estimate_job_time(_dataflow(pipeline_count=3), JobConfig(num_reduce_tasks=50), CLUSTER)
+        single = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=50), CLUSTER, 0)
+        packed = estimate_job_time(_dataflow(pipeline_count=3), JobConfig(num_reduce_tasks=50), CLUSTER, 0)
         assert packed.total_s > single.total_s
 
     def test_dataflow_validation(self):
@@ -131,8 +129,9 @@ _dataflows = st.builds(
     pipeline_count=st.integers(1, 4),
     distinct_reduce_groups=_caps,
     distinct_partition_keys=_caps,
-    chained_map_tasks=st.one_of(st.none(), st.integers(0, 400)),
 )
+#: A chained map-task count, or none.
+_chained = st.one_of(st.none(), st.integers(0, 400))
 _configs = st.builds(
     JobConfig,
     num_reduce_tasks=st.integers(0, 300),
@@ -147,7 +146,8 @@ _configs = st.builds(
 
 
 def _random_job(rng):
-    """One ``(dataflow, config)`` from ``rng``: the strategies above, seeded."""
+    """One ``(dataflow, config, chained map-task count)`` from ``rng``: the
+    strategies above, seeded."""
     def amount():
         return rng.choice([0.0, rng.uniform(0.0, 1e13), rng.uniform(0.0, 1e6), rng.randint(1, 10**9)])
 
@@ -162,8 +162,8 @@ def _random_job(rng):
         pipeline_count=rng.randint(1, 4),
         distinct_reduce_groups=cap(),
         distinct_partition_keys=cap(),
-        chained_map_tasks=rng.choice([None, 0, rng.randint(1, 400)]),
     )
+    chained_map_tasks = rng.choice([None, 0, rng.randint(1, 400)])
     config = JobConfig(
         num_reduce_tasks=rng.randint(0, 300),
         split_size_mb=rng.randint(1, 1024),
@@ -174,12 +174,12 @@ def _random_job(rng):
         max_parallel_maps_per_producer_reduce=rng.randint(0, 3),
         forced_single_reduce=rng.random() < 0.2,
     )
-    return dataflow, config
+    return dataflow, config, chained_map_tasks
 
 
-def _assert_equals_the_oracle(dataflow, config, cluster):
-    ours = estimate_job_time(dataflow, config, cluster)
-    theirs = jobmodel_oracle.estimate_job_time(dataflow, config, cluster)
+def _assert_equals_the_oracle(dataflow, config, chained, cluster):
+    ours = estimate_job_time(dataflow, config, cluster, chained)
+    theirs = jobmodel_oracle.estimate_job_time(dataflow, config, cluster, chained)
     for name in jobmodel_oracle.FIELDS:
         assert getattr(ours, name) == getattr(theirs, name), (name, dataflow, config, cluster)
         assert type(getattr(ours, name)) is type(getattr(theirs, name)), name
@@ -198,14 +198,19 @@ class TestJobModelOracle:
     equality, so every estimate and decision built on them is unchanged."""
 
     @settings(max_examples=400)
-    @given(_dataflows, _configs, st.sampled_from(ORACLE_CLUSTERS))
-    def test_estimate_job_time_equals_the_oracle(self, dataflow, config, cluster):
-        _assert_equals_the_oracle(dataflow, config, cluster)
+    @given(_dataflows, _configs, _chained, st.sampled_from(ORACLE_CLUSTERS))
+    def test_estimate_job_time_equals_the_oracle(self, dataflow, config, chained, cluster):
+        _assert_equals_the_oracle(dataflow, config, chained, cluster)
 
     @settings(max_examples=150)
-    @given(st.lists(st.tuples(_dataflows, _configs), max_size=8), st.sampled_from(ORACLE_CLUSTERS))
+    @given(
+        st.lists(st.tuples(_dataflows, _configs, _chained), max_size=8),
+        st.sampled_from(ORACLE_CLUSTERS),
+    )
     def test_level_makespan_equals_the_oracle(self, jobs, cluster):
-        estimates = [estimate_job_time(dataflow, config, cluster) for dataflow, config in jobs]
+        estimates = [
+            estimate_job_time(dataflow, config, cluster, chained) for dataflow, config, chained in jobs
+        ]
         assert _makespan(estimates, cluster) == jobmodel_oracle.level_makespan(estimates, cluster)
 
     @pytest.mark.equivalence
@@ -221,15 +226,16 @@ class TestJobModelOracle:
                 )
 
 
-#: One dataflow per branch of the kernel's key derivation and halves.
-KERNEL_DATAFLOWS = {
-    "plain": _dataflow(),
-    "map-only": _dataflow(map_only=True),
-    "chained": _dataflow(chained_map_tasks=37),
-    "capped reducers": _dataflow(distinct_reduce_groups=12.0, distinct_partition_keys=30),
-    "partition-capped": _dataflow(distinct_partition_keys=7),
-    "packed": _dataflow(pipeline_count=3, map_output_bytes=40 * GB),
-    "many spills": _dataflow(map_output_bytes=300 * GB),
+#: One ``(dataflow, chained map-task count)`` per branch of the kernel's key
+#: derivation and halves.
+KERNEL_JOBS = {
+    "plain": (_dataflow(), 0),
+    "map-only": (_dataflow(map_only=True), 0),
+    "chained": (_dataflow(), 37),
+    "capped reducers": (_dataflow(distinct_reduce_groups=12.0, distinct_partition_keys=30), 0),
+    "partition-capped": (_dataflow(distinct_partition_keys=7), 0),
+    "packed": (_dataflow(pipeline_count=3, map_output_bytes=40 * GB), 0),
+    "many spills": (_dataflow(map_output_bytes=300 * GB), 0),
 }
 
 #: Settings in JOB_MODEL_SETTINGS order; a reduce count of 0 takes the map-only branch.
@@ -249,10 +255,10 @@ class TestJobKernel:
     whether a half was computed for the call or came from the kernel's memo
     of an earlier key."""
 
-    @pytest.mark.parametrize("label", sorted(KERNEL_DATAFLOWS))
+    @pytest.mark.parametrize("label", sorted(KERNEL_JOBS))
     @pytest.mark.parametrize("cluster", ORACLE_CLUSTERS, ids=("paper", "small", "paper7", "slow-cpu"))
     def test_memoized_halves_equal_the_oracle(self, label, cluster):
-        dataflow = KERNEL_DATAFLOWS[label]
+        dataflow, chained = KERNEL_JOBS[label]
         kernel = JobKernel(dataflow, cluster)
         # Twice over, the second pass shuffled: every half it reads is a memo hit.
         order = KERNEL_SETTINGS + random.Random(label).sample(KERNEL_SETTINGS, len(KERNEL_SETTINGS))
@@ -263,9 +269,9 @@ class TestJobKernel:
                 num_reduce_tasks=reduces, split_size_mb=split, io_sort_mb=sort,
                 compress_map_output=compress_map_output, compress_output=compress_output,
             )
-            theirs = jobmodel_oracle.estimate_job_time(dataflow, config, cluster)
+            theirs = jobmodel_oracle.estimate_job_time(dataflow, config, cluster, chained)
             rows = len(kernel.maps) + len(kernel.reduces)
-            ours = kernel.terms(settings)
+            ours = kernel.terms((*settings, chained))
             calls["computed" if len(kernel.maps) + len(kernel.reduces) > rows else "memo"] += 1
             assert ours == level_terms(theirs, cluster.task_startup_s), (label, settings)
             assert [type(term) for term in ours] == [float] * 5, (label, settings)
@@ -286,12 +292,13 @@ class TestLevelTerms:
     and ``level_makespan`` over terms ``==`` the oracle's over estimates."""
 
     @settings(max_examples=300)
-    @given(_dataflows, _configs, st.sampled_from(ORACLE_CLUSTERS))
-    def test_random_jobs_terms_equal_the_oracles_level_terms(self, dataflow, config, cluster):
-        theirs = jobmodel_oracle.estimate_job_time(dataflow, config, cluster)
+    @given(_dataflows, _configs, _chained, st.sampled_from(ORACLE_CLUSTERS))
+    def test_random_jobs_terms_equal_the_oracles_level_terms(self, dataflow, config, chained, cluster):
+        theirs = jobmodel_oracle.estimate_job_time(dataflow, config, cluster, chained)
         kernel = JobKernel(dataflow, cluster)
+        inputs = (*job_model_settings(config), chained or 0)  # a kernel's count is an int
         for _ in range(2):  # fresh, then a memo hit
-            assert kernel.terms(job_model_settings(config)) == level_terms(
+            assert kernel.terms(inputs) == level_terms(
                 theirs, cluster.task_startup_s
             )
 
@@ -299,7 +306,8 @@ class TestLevelTerms:
     def test_level_makespan_over_terms_equals_the_oracle(self, seed):
         rng = random.Random(seed)
         for cluster in ORACLE_CLUSTERS:
-            pool = [estimate_job_time(*_random_job(rng), cluster) for _ in range(12)]
+            jobs = [_random_job(rng) for _ in range(12)]
+            pool = [estimate_job_time(df, config, cluster, chained) for df, config, chained in jobs]
             levels = [[], [pool[0]], [pool[1], pool[1]], [pool[2]] * 5]  # empty, single, ties
             for _ in range(40):
                 level = rng.sample(pool, rng.randint(1, 8))
@@ -313,19 +321,19 @@ class TestLevelTerms:
 
 class TestScheduling:
     def test_single_job_level(self):
-        estimate = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=50), CLUSTER)
+        estimate = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=50), CLUSTER, 0)
         assert _makespan([estimate], CLUSTER) == estimate.total_s
 
     def test_two_small_jobs_run_concurrently(self):
         small = _dataflow(input_bytes=0.5 * GB, input_records=1e6, map_output_bytes=0.1 * GB,
                           map_output_records=1e5, shuffle_records=1e5, shuffle_bytes=0.1 * GB,
                           reduce_input_records=1e5, output_records=1e4, output_bytes=0.01 * GB)
-        estimate = estimate_job_time(small, JobConfig(num_reduce_tasks=4), CLUSTER)
+        estimate = estimate_job_time(small, JobConfig(num_reduce_tasks=4), CLUSTER, 0)
         level = _makespan([estimate, estimate], CLUSTER)
         assert level < 2 * estimate.total_s * 0.95
 
     def test_workflow_makespan_sums_levels(self):
-        estimate = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=50), CLUSTER)
+        estimate = estimate_job_time(_dataflow(), JobConfig(num_reduce_tasks=50), CLUSTER, 0)
         total = workflow_makespan([[estimate], [estimate]], CLUSTER)
         assert total == pytest.approx(2 * estimate.total_s)
 

@@ -3,10 +3,10 @@
 The What-if engine answers "how long would this (possibly hypothetical) plan
 take on this cluster?" from four inputs (paper §5): the jobs' profile
 annotations, the candidate configurations, the input datasets' size/layout,
-and the cluster specification.  The same per-phase job model is reused by the
-*actual* cost path, which feeds it measured execution counters instead of
-profile-derived estimates — giving the estimated-vs-actual comparison of
-Figure 14.
+and the cluster specification.  The *actual* cost path walks the same
+workflow walk with the same job model, but builds each job's dataflow from
+measured execution counters instead of deriving it from profiles — giving
+the estimated-vs-actual comparison of Figure 14.
 """
 
 from repro.whatif.dataflow import JobDataflow

@@ -8,10 +8,10 @@ The evaluation needs two cost figures for every plan:
 
 Since our substrate is a simulator, the actual cost is obtained by executing
 the plan with the local engine (which yields exact dataflow counters) and
-feeding those *measured* counters — scaled to the logical dataset size —
-through the same per-phase job model.  The two paths share the model but
-differ in their inputs, exactly like Starfish's predictions vs. Hadoop's
-measured runtimes differ in the paper's Figure 14.
+running the What-if engine's workflow walk over dataflows built from those
+*measured* counters, scaled to the logical dataset size.  The two paths share
+the walk but differ in their dataflows, exactly like Starfish's predictions
+vs. Hadoop's measured runtimes differ in the paper's Figure 14.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from repro.dfs.filesystem import InMemoryFileSystem
 from repro.mapreduce.counters import ExecutionCounters
 from repro.mapreduce.job import MapReduceJob
 from repro.whatif.dataflow import JobDataflow
-from repro.whatif.jobmodel import JobTimeEstimate, estimate_job_time
-from repro.whatif.scheduling import workflow_makespan
+from repro.whatif.jobmodel import JobTimeEstimate
+from repro.whatif.model import VertexCost, WhatIfEngine
 from repro.workflow.executor import WorkflowExecutionResult
 from repro.workflow.graph import JobVertex, Workflow
 
@@ -42,7 +42,7 @@ class ActualCostModel:
     """Converts measured execution counters into simulated cluster runtimes."""
 
     def __init__(self, cluster: ClusterSpec) -> None:
-        self.cluster = cluster
+        self.engine = WhatIfEngine(cluster)
 
     def workflow_cost(
         self,
@@ -50,32 +50,18 @@ class ActualCostModel:
         execution: WorkflowExecutionResult,
         filesystem: InMemoryFileSystem,
     ) -> ActualWorkflowCost:
-        """Cost a fully executed workflow.
+        """Cost a fully executed workflow: ``run_costing`` over measured dataflows.
 
-        Walks the same cached ``topological_levels()`` the What-if engine
-        uses (the workflow's topology index, built once per edge structure
-        and usually already warm from the execution that produced
-        ``execution``), so actual-cost accounting stays cheap on wide DAGs.
+        A measured job reads and adds no sizes, so the walk starts from none.
         """
-        per_job: Dict[str, JobTimeEstimate] = {}
-        per_level: List[List[JobTimeEstimate]] = []
-        for level in workflow.topological_levels():
-            level_estimates: List[JobTimeEstimate] = []
-            for vertex in level:
-                counters = execution.counters_for(vertex.name)
-                dataflow = self.dataflow_from_counters(vertex, counters, filesystem)
-                chained_map_tasks = (
-                    self._producer_reduce_tasks(vertex, workflow)
-                    if vertex.job.config.chained_input else None
-                )
-                estimate = estimate_job_time(
-                    dataflow, vertex.job.config, self.cluster, chained_map_tasks
-                )
-                per_job[vertex.name] = estimate
-                level_estimates.append(estimate)
-            per_level.append(level_estimates)
-        total = workflow_makespan(per_level, self.cluster)
-        return ActualWorkflowCost(total_s=total, per_job=per_job)
+
+        def measured(vertex: JobVertex, workflow: Workflow, sizes, configs) -> VertexCost:
+            counters = execution.counters_for(vertex.name)
+            dataflow = self.dataflow_from_counters(vertex, counters, filesystem)
+            return VertexCost(self.engine.job_estimate(vertex, workflow, dataflow), (), dataflow)
+
+        walked = self.engine.run_costing(workflow, measured, sizes={})
+        return ActualWorkflowCost(total_s=walked.total_s, per_job=walked.per_job)
 
     def dataflow_from_counters(
         self,
@@ -166,11 +152,3 @@ class ActualCostModel:
                 total += counters.key_cardinalities[fields]
                 found = True
         return total if found else None
-
-    @staticmethod
-    def _producer_reduce_tasks(vertex: JobVertex, workflow: Workflow) -> Optional[int]:
-        for dataset_name in vertex.job.input_datasets:
-            producer = workflow.producer_of(dataset_name)
-            if producer is not None and not producer.job.is_map_only:
-                return max(1, producer.job.config.num_reduce_tasks)
-        return None

@@ -8,6 +8,7 @@ downstream jobs, and combines per-level makespans into the workflow estimate.
 
 Costing is exposed as composable per-vertex steps — :meth:`WhatIfEngine.cost_vertex`
 produces one job's time estimate together with its output-size contributions,
+:meth:`WhatIfEngine.job_estimate` is its job-model half (the actual-cost judge's too),
 :meth:`WhatIfEngine.apply_output_contributions` advances the size state, and
 :meth:`WhatIfEngine.vertex_dataflow_signature` captures every input the
 dataflow derivation of a vertex reads — so
@@ -153,13 +154,15 @@ class WhatIfEngine:
         workflow: Workflow,
         cost_vertex_fn: Callable[..., VertexCost],
         configs: ConfigOverlay = None,
+        sizes: Optional[Dict[str, Tuple[float, float]]] = None,
     ) -> WorkflowCostEstimate:
         """The one full workflow-costing traversal, parameterized by per-vertex costing.
 
-        Walks the topological levels, calls ``cost_vertex_fn(vertex,
-        workflow, sizes, configs)`` for each job (the cold :meth:`cost_vertex`
-        here; a cache-aware wrapper in the cost service), propagates the
-        returned output-size contributions, and combines per-level makespans.
+        Walks the topological levels from ``sizes`` (default: :meth:`base_dataset_sizes`),
+        calls ``cost_vertex_fn(vertex, workflow, sizes, configs)`` for each job (the
+        cold :meth:`cost_vertex` here; a cache-aware wrapper in the cost service;
+        measured counters in the actual-cost judge), propagates the returned
+        output-size contributions, and combines per-level makespans.
         Sharing this single driver is what keeps the memoized service
         *exactly* equal to a cold estimation by construction.  An answer
         without ``configs`` carries the :class:`CostingBasis` a cost-service
@@ -171,7 +174,8 @@ class WhatIfEngine:
         costed: Dict[str, VertexCost] = {}
         terms: List[List[LevelTerms]] = []
         makespans: List[float] = []
-        sizes = self.base_dataset_sizes(workflow)
+        if sizes is None:
+            sizes = self.base_dataset_sizes(workflow)
         fact_readers: Set[str] = set()
         chained: Set[str] = set()
         # Every dataset was sized once, before its first reader: the final
@@ -220,10 +224,21 @@ class WhatIfEngine:
         :meth:`apply_output_contributions`) before costing downstream jobs.
         """
         dataflow, contributions = self.derive_vertex_dataflow(vertex, workflow, sizes, configs)
+        estimate = self.job_estimate(vertex, workflow, dataflow, configs)
+        return VertexCost(estimate, contributions, dataflow)
+
+    def job_estimate(
+        self,
+        vertex: JobVertex,
+        workflow: Workflow,
+        dataflow: JobDataflow,
+        configs: ConfigOverlay = None,
+    ) -> JobTimeEstimate:
+        """The job-model step of every walk: ``vertex``'s estimate from ``dataflow``,
+        under its configuration and its chained map-task count (:meth:`chained_map_tasks`)."""
         config = config_of(vertex, configs)
         chained = self.chained_map_tasks(vertex, workflow, configs) if config.chained_input else 0
-        estimate = estimate_job_time(dataflow, config, self.cluster, chained)
-        return VertexCost(estimate, contributions, dataflow)
+        return estimate_job_time(dataflow, config, self.cluster, chained)
 
     def derive_vertex_dataflow(
         self,

@@ -60,7 +60,8 @@ def workflow_makespan(
     per_level_estimates: Sequence[Sequence[JobTimeEstimate]],
     cluster: ClusterSpec,
 ) -> float:
-    """Total workflow runtime: levels run one after another."""
+    """Total workflow runtime: levels run one after another.  Only
+    ``bench/tracing.py`` reads it (``WhatIfEngine.run_costing`` sums its own)."""
     task_startup_s = cluster.task_startup_s
     return left_sum(
         level_makespan([level_terms(estimate, task_startup_s) for estimate in level], cluster)

@@ -93,9 +93,9 @@ from repro.common.store import (  # noqa: F401  (CacheLoadReport, cluster_cache_
 )
 from repro.mapreduce.config import ConfigDimension, ConfigurationSpace, JobConfig, SettingSlots
 from repro.whatif.jobmodel import JOB_MODEL_INPUTS, JobKernel, JobModelInputs, JobTimeEstimate
-from repro.whatif.jobmodel import LevelTerms, estimate_job_time, job_model_settings
+from repro.whatif.jobmodel import LevelTerms, job_model_settings
 from repro.whatif.model import COST_MODEL_VERSION, VertexCost, WhatIfEngine, WorkflowCostEstimate
-from repro.whatif.model import ConfigOverlay, config_of
+from repro.whatif.model import ConfigOverlay
 from repro.whatif.scheduling import level_makespan, level_terms
 from repro.workflow.graph import JobVertex, Workflow
 
@@ -537,13 +537,10 @@ class OverlaySession:
         if restarted is not None:
             return restarted
         per_job = dict(base.per_job)
-        cluster = self.service.cluster
+        job_estimate = self.service.engine.job_estimate
         for job, _, answer in moved:
             if isinstance(answer, JobKernel):  # the job model of its dataflow, unmemoized
-                answer = estimate_job_time(
-                    answer.dataflow, config_of(job.vertex, configs), cluster,
-                    chained_map_tasks(job.vertex, workflow, configs),
-                )
+                answer = job_estimate(job.vertex, workflow, answer.dataflow, configs)
             per_job[job.name] = answer
         return WorkflowCostEstimate(
             total_s=self._total(moved), per_job=per_job, dataset_sizes=base.dataset_sizes
@@ -653,9 +650,7 @@ class OverlaySession:
         engine = self.service.engine
         signature = engine.vertex_dataflow_signature(vertex, workflow, sizes, configs)
         (dataflow, contributions), _ = self._derived(signature, vertex, sizes, configs)
-        config = config_of(vertex, configs)
-        chained = engine.chained_map_tasks(vertex, workflow, configs) if config.chained_input else 0
-        estimate = estimate_job_time(dataflow, config, self.service.cluster, chained)
+        estimate = engine.job_estimate(vertex, workflow, dataflow, configs)
         return VertexCost(estimate, contributions, dataflow)
 
     def _derived(

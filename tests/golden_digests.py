@@ -9,8 +9,9 @@ and each unit's counters summed over its subplans (:data:`UNIT_COUNTERS`),
 so a costing refactor that moves no counter is checked, not compared by
 hand.  :data:`ENGINE_COUNTERS` pins the local engine the same way: per plan,
 a sha256 of what executing the unoptimized and the optimized plan counted
-and what profiling it derived (:func:`engine_digest`).
-``tests/test_golden_fingerprints.py`` re-derives all four under two
+and what profiling it derived (:func:`engine_digest`); :data:`ACTUAL_COSTS`
+pins what the judge prices those two executions at (:func:`actual_digest`).
+``tests/test_golden_fingerprints.py`` re-derives all five under two
 ``PYTHONHASHSEED`` values.
 
 This module imports only ``repro`` and the standard library, so any
@@ -119,6 +120,22 @@ ENGINE_COUNTERS = {
     "rollup100": "5973cd00e066792895055cc646d9636eb5fb473ce2406feb22689f7733e655e2",
 }
 
+#: Per plan, :func:`actual_digest` of its unoptimized workflow and its
+#: optimized plan.
+ACTUAL_COSTS = {
+    "IR": "ed4252e341c4c9fd967072d3ce61f91621a39b79bfc12f596881fcc4bb832dec",
+    "SN": "497e10fcbfcab1ccd79efb5ee17a2e6b0256d6a76949103788d8bd2a432b26bf",
+    "LA": "aa85a0c92be3dbcd5887a40e9fdaeba4ce5a9db30a17b3e0e68157bd229ff546",
+    "WG": "8b9a8b64d92187224a9fe524ad2fc690221ddc9bb3c17d6dbd6bbb05c5b026f2",
+    "BA": "c17b018620e68a984c3790805ac6ae90863ec04181cf0a528693e05ca34adabb",
+    "BR": "149d9bfeda0c50de009da1aed5cb4ae66de72872e0180333ca67a466fb754eee",
+    "PJ": "7739d8aa71ced6c45cda5212a5be9784b317bcb1667ea4760eb783f060b17c96",
+    "US": "1ee8d33033464e361cfbb08dbfc81e9d1f828c3aa054ceb0f3f71d86e63e399e",
+    "fanout32": "a3e2b354f8cf238b5f5638ad9f84f38b0f9f7e9ae3eccc1a74377241ca3bfd2b",
+    "rollup31": "512d918d1cfff4ed06b52f4bdf6c1d19d63290c7219e22dfb0bb2b2edb9f85d7",
+    "rollup100": "9926e8753e253a0f37adc7679f0d70cf6088313ddae2d296aaadfedf2f35dc3a",
+}
+
 HASH_SEEDS = ("0", "3")
 
 #: The ``cold_wide`` DAGs (bench/common.py: ``WIDE_SHAPES``, ``WIDE_DAG_SEED``).
@@ -157,36 +174,64 @@ def _profiled(label):
     return built.plan, built.workflow, built.base_datasets, profiling
 
 
-def engine_digest(workflow, base_datasets, profiling, optimized):
-    """sha256 of the ``repr`` of what the local engine counted for one plan.
-
-    That is, for the unoptimized ``workflow`` and then the ``optimized``
-    plan's workflow, each executed once over ``base_datasets``: every job's
-    name, whole ``ExecutionCounters`` (operators and key cardinalities
-    included) and ``per_output_records``; then ``profiling``'s job profiles
-    and dataset annotations.
-    """
+def executions(workflow, base_datasets, optimized):
+    """``(workflow, execution, filesystem)`` of the unoptimized ``workflow`` and
+    then the ``optimized`` plan's workflow, each executed once over ``base_datasets``."""
     from repro.workflow.executor import WorkflowExecutor
 
-    executions = []
-    for target in (workflow, optimized.workflow):
-        execution, _ = WorkflowExecutor().execute(target, base_datasets=base_datasets)
-        executions.append([
+    return [
+        (target, *WorkflowExecutor().execute(target, base_datasets=base_datasets))
+        for target in (workflow, optimized.workflow)
+    ]
+
+
+def engine_digest(executed, profiling):
+    """sha256 of the ``repr`` of what the local engine counted for one plan.
+
+    That is, for each of the two :func:`executions`: every job's name, whole
+    ``ExecutionCounters`` (operators and key cardinalities included) and
+    ``per_output_records``; then ``profiling``'s job profiles and dataset
+    annotations.
+    """
+    counted = [
+        [
             (name, job.counters, job.per_output_records)
             for name, job in execution.job_results.items()
-        ])
-    pinned = (executions, profiling.job_profiles, profiling.dataset_annotations)
+        ]
+        for _, execution, _ in executed
+    ]
+    pinned = (counted, profiling.job_profiles, profiling.dataset_annotations)
     return hashlib.sha256(repr(pinned).encode()).hexdigest()
+
+
+def actual_digest(executed, cluster):
+    """sha256 of the ``repr`` of what the judge (``ActualCostModel``) prices
+    each of the two :func:`executions` at: its ``total_s``, then per job by
+    name ``(name, num_map_tasks, num_reduce_tasks, total_s)``."""
+    from repro.whatif import ActualCostModel
+
+    judge = ActualCostModel(cluster)
+    priced = []
+    for workflow, execution, filesystem in executed:
+        actual = judge.workflow_cost(workflow, execution, filesystem)
+        priced.append((actual.total_s, [
+            (name, job.num_map_tasks, job.num_reduce_tasks, job.total_s)
+            for name, job in sorted(actual.per_job.items())
+        ]))
+    return hashlib.sha256(repr(priced).encode()).hexdigest()
 
 
 def compute():
     """``{"digests": ..., "cost_stats": ..., "unit_counters": ...,
-    "engine_counters": ...}``, each by plan label."""
+    "engine_counters": ..., "actual_costs": ...}``, each by plan label."""
     from repro.cluster import ClusterSpec
     from repro.core.optimizer import StubbyOptimizer
 
     cluster = ClusterSpec.paper_cluster()
-    tables = {"digests": {}, "cost_stats": {}, "unit_counters": {}, "engine_counters": {}}
+    tables = {
+        "digests": {}, "cost_stats": {}, "unit_counters": {}, "engine_counters": {},
+        "actual_costs": {},
+    }
     for label in GOLDEN:
         plan, workflow, base_datasets, profiling = _profiled(label)
         result = StubbyOptimizer(cluster, seed=17).optimize(plan)
@@ -203,9 +248,9 @@ def compute():
             ]
             for report in result.unit_reports
         ]
-        tables["engine_counters"][label] = engine_digest(
-            workflow, base_datasets, profiling, result.plan
-        )
+        executed = executions(workflow, base_datasets, result.plan)
+        tables["engine_counters"][label] = engine_digest(executed, profiling)
+        tables["actual_costs"][label] = actual_digest(executed, cluster)
     return tables
 
 
@@ -220,6 +265,7 @@ PINNED = {
     "cost_stats": COST_STATS,
     "unit_counters": UNIT_COUNTERS,
     "engine_counters": ENGINE_COUNTERS,
+    "actual_costs": ACTUAL_COSTS,
 }
 
 
@@ -252,7 +298,10 @@ if __name__ == "__main__":
             for label in GOLDEN
             if tables[table].get(label) != _as_json(pinned.get(label))
         ]
-        matched = f"all {len(GOLDEN)} match GOLDEN, COST_STATS, UNIT_COUNTERS and ENGINE_COUNTERS"
+        matched = (
+            f"all {len(GOLDEN)} match GOLDEN, COST_STATS, UNIT_COUNTERS, ENGINE_COUNTERS "
+            "and ACTUAL_COSTS"
+        )
         labels = [f"{table}:{label}" for table, label in missed]
         verdict = f"misses {labels}" if missed else matched
         print(sys.version.split()[0], verdict, file=sys.stderr)

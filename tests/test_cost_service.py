@@ -48,9 +48,10 @@ from repro.verification import (
     RandomWorkflowGenerator,
     install_fault_plan,
 )
-from repro.whatif import CostService, WhatIfEngine
+from repro.whatif import ActualCostModel, CostService, WhatIfEngine
 from repro.whatif.model import config_of
 from repro.whatif.service import CostServiceStats, OverlaySession
+from repro.workflow.executor import WorkflowExecutor
 from repro.workloads import WORKLOAD_ORDER, build_workload
 from tests.conftest import equivalence_seeds
 
@@ -1085,6 +1086,21 @@ class TestChainedCount:
         assert derivations["count moves"] > 0, derivations
         assert derivations["walk"] == derivations["walk lookups"] == 0, derivations
         assert derivations["pruned moves"] > 0 or abbr != "US", derivations
+
+    def test_the_judge_resolves_a_chain_as_the_estimate_does(self):
+        """The judge (``ActualCostModel``) walks the estimate's walk: through
+        a map-only chained producer, ``R7269_J3`` runs its chain source's two
+        reduce tasks as map tasks on both sides, and the totals agree."""
+        plan = _chained_through_map_only()
+        base_datasets = RandomWorkflowGenerator().generate(7269).base_datasets
+        execution, filesystem = WorkflowExecutor().execute(
+            plan.workflow, base_datasets=base_datasets
+        )
+        actual = ActualCostModel(CLUSTER).workflow_cost(plan.workflow, execution, filesystem)
+        estimate = WhatIfEngine(CLUSTER).estimate_workflow(plan.workflow)
+        assert actual.per_job["R7269_J3"].num_map_tasks == 2
+        assert estimate.per_job["R7269_J3"].num_map_tasks == 2
+        assert actual.total_s == estimate.total_s
 
 
 class TestOptimizerIntegration:

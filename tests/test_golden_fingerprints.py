@@ -4,10 +4,12 @@ Every refactor of the search and the cost layers promises "decisions
 byte-identical to the parent commit"; this file is that promise as a test.
 ``tests/golden_digests.py`` pins a digest per plan (the eight canned
 workloads and the three wide DAGs of ``cold_wide``), each plan's
-``cost_stats`` and per-unit counters, and a digest of what the local engine
-counted executing and profiling it; its ``--check`` re-derives them here
-in a subprocess under two ``PYTHONHASHSEED`` values, so the answers are also
-shown independent of hash order and of anything the test process has warmed.
+``cost_stats`` and per-unit counters, a digest of what the local engine
+counted executing and profiling it, and one of what the judge
+(``ActualCostModel``) prices those executions at; its ``--check``
+re-derives them here in a subprocess under two ``PYTHONHASHSEED`` values,
+so the answers are also shown independent of hash order and of anything
+the test process has warmed.
 """
 
 import functools
@@ -59,6 +61,17 @@ def test_engine_counters_match_the_pinned_table(hash_seed):
     assert _tables_under(hash_seed)["engine_counters"] == PINNED["engine_counters"], (
         "the local engine no longer counts what it counted; regenerate "
         "ENGINE_COUNTERS only for a deliberate change of what it measures"
+    )
+
+
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+def test_actual_costs_match_the_pinned_table(hash_seed):
+    """A refactor of the judge moves no actual cost: per plan, its ``total_s``
+    and every job's (map tasks, reduce tasks, ``total_s``) for the
+    unoptimized workflow and the optimized plan."""
+    assert _tables_under(hash_seed)["actual_costs"] == PINNED["actual_costs"], (
+        "the judge no longer prices the pinned executions as it did; regenerate "
+        "ACTUAL_COSTS only for a deliberate change of how actual cost is measured"
     )
 
 

@@ -48,7 +48,6 @@ from repro.verification import RandomWorkflowGenerator
 from repro.whatif.dataflow import JobDataflow
 from repro.whatif import jobmodel
 from repro.whatif import model as whatif_model
-from repro.whatif import service as whatif_service
 from repro.whatif.jobmodel import JobKernel, JobTimeEstimate
 from repro.whatif.model import WhatIfEngine
 from repro.whatif.service import CostService, OverlaySession
@@ -342,7 +341,8 @@ class TestColdOptimizeBounds:
         each for the job's level terms: each half runs at most once per
         distinct key per (candidate, job), so fewer times than the kernels
         are asked.  ``estimate_job_time``, the cold path of full walks and
-        re-derivations, calls the halves without a memo and is not counted."""
+        re-derivations (called only through ``WhatIfEngine.job_estimate``),
+        calls the halves without a memo and is not counted."""
         halves = collections.Counter()
         sessions, cold = [], []
         kernel_calls = [0]
@@ -360,7 +360,7 @@ class TestColdOptimizeBounds:
         track_sessions("__enter__", sessions.append)
         track_sessions("__exit__", lambda session: sessions.pop())
 
-        for module in (jobmodel, whatif_model, whatif_service):
+        for module in (jobmodel, whatif_model):
             estimate = module.estimate_job_time
 
             def cold_estimate(*args, estimate=estimate):

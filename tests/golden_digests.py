@@ -3,16 +3,19 @@
 Per plan, a sha256 of ``repr((decision_fingerprint(), estimated_cost_s,
 cost_stats.queries))`` of a cold ``StubbyOptimizer(cluster,
 seed=17).optimize(plan)`` — the eight canned workloads (scale 0.15,
-profiled) and the three wide DAGs of ``bench/``'s ``cold_wide`` workload —
-and, of the same run, the plan's whole ``cost_stats`` (:data:`COST_STATS`)
+profiled), the three wide DAGs of ``bench/``'s ``cold_wide`` workload and
+``IRsort``, IR whose ``IR_J2`` keys its map output on ``(doc, word)``,
+groups on ``doc`` and sorts each partition on both (:func:`_secondary_sort`)
+— and, of the same run, the plan's whole ``cost_stats`` (:data:`COST_STATS`)
 and each unit's counters summed over its subplans (:data:`UNIT_COUNTERS`),
 so a costing refactor that moves no counter is checked, not compared by
 hand.  :data:`ENGINE_COUNTERS` pins the local engine the same way: per plan,
 a sha256 of what executing the unoptimized and the optimized plan counted
 and what profiling it derived (:func:`engine_digest`); :data:`ACTUAL_COSTS`
 pins what the judge prices those two executions at (:func:`actual_digest`).
-``tests/test_golden_fingerprints.py`` re-derives all five under two
-``PYTHONHASHSEED`` values.
+:data:`STARFISH` pins the Starfish baseline on the eight canned plans
+(:func:`starfish_digest`).  ``tests/test_golden_fingerprints.py`` re-derives
+all six under two ``PYTHONHASHSEED`` values.
 
 This module imports only ``repro`` and the standard library, so any
 interpreter can print them::
@@ -45,6 +48,7 @@ GOLDEN = {
     "fanout32": "7a057cc2a7cb8b83c7400c45005bc742c9e073612f8726a7e2eeb8239a0ea502",
     "rollup31": "963c0254ed6be296e83ed04c6926082a598938f23e6ee29e37d7b749cdcafbcc",
     "rollup100": "60c68449839d2a0e27b3997175cffcdeb6a62f0ee19320b875e0049a25fcb0b7",
+    "IRsort": "0431704a6647c85b78f7c935ee6a95840e2eff19811b9d10f9f8804c6730d96d",
 }
 
 #: The ``cost_stats`` fields :data:`COST_STATS` pins, in order.
@@ -66,6 +70,7 @@ COST_STATS = {
     "fanout32": (245, 6724, 6687, 37, 3, 0, 0),
     "rollup31": (629, 14915, 14870, 45, 1, 0, 0),
     "rollup100": (785, 41957, 41829, 128, 1, 0, 0),
+    "IRsort": (465, 1126, 1116, 10, 1, 0, 0),
 }
 
 #: Per unit, in order, ``(queries, job_cache_hits, job_full_recosts,
@@ -102,6 +107,9 @@ UNIT_COUNTERS = {
         (108, 10677, 123, 107), (108, 10799, 1, 107), (52, 5200, 0, 51), (228, 11836, 4, 225),
         (92, 1196, 0, 91), (152, 1536, 0, 150), (44, 572, 0, 43),
     ],
+    "IRsort": [
+        (188, 495, 9, 185), (112, 291, 1, 110), (36, 72, 0, 35), (84, 168, 0, 83), (44, 88, 0, 43),
+    ],
 }
 
 #: Per plan, :func:`engine_digest` of its unoptimized workflow, its profile
@@ -118,6 +126,7 @@ ENGINE_COUNTERS = {
     "fanout32": "19ea2332619dedc0a267db376a647e08a646376f1997d206511d87ce186fd901",
     "rollup31": "1811702e554980e43b1a20ab7e6dd59577673ecbe69a81eea54b8cba16c5dcc3",
     "rollup100": "5973cd00e066792895055cc646d9636eb5fb473ce2406feb22689f7733e655e2",
+    "IRsort": "8653e9a8a4f49ea1ae637226b0311789287c0b987bc5eb1806ea0823f6c82a54",
 }
 
 #: Per plan, :func:`actual_digest` of its unoptimized workflow and its
@@ -134,6 +143,19 @@ ACTUAL_COSTS = {
     "fanout32": "a3e2b354f8cf238b5f5638ad9f84f38b0f9f7e9ae3eccc1a74377241ca3bfd2b",
     "rollup31": "512d918d1cfff4ed06b52f4bdf6c1d19d63290c7219e22dfb0bb2b2edb9f85d7",
     "rollup100": "9926e8753e253a0f37adc7679f0d70cf6088313ddae2d296aaadfedf2f35dc3a",
+    "IRsort": "a7d226d6d920714216775d3a92804023833317a4f22ea6c455edb761f5315e09",
+}
+
+#: Per canned plan, :func:`starfish_digest` of a cold ``StarfishOptimizer(cluster)``.
+STARFISH = {
+    "IR": "3a84b751923a881caf1b201c575b77b6ca7235f48cc211ab4f74e597d253c26e",
+    "SN": "87a14532063e5910a0af20f28173e7ef15fca9bf34848f94d515204f9bf0a658",
+    "LA": "2242c7f63d83c4bf7ee20d58e331ac9ff112e2b91c38c34ff11289a0373ef941",
+    "WG": "7951859e2dea03ca30849e104fab9b59424b8dc6d25354d3b3c1ea3d9b499060",
+    "BA": "d54a26ae5a8383b6dddaca61fd05282e72c648767723e3b956c1b691def8f847",
+    "BR": "b48cf900ce49a49308f8107b4faab51261935bf7e1a41e4536c3635272e33f34",
+    "PJ": "1ab9966e158480422535f497815cf548db5f0fcc7be25871c70f031f3b9cba96",
+    "US": "ee1f9c50dea824c50471672d3eda6b8cb5234e0b48131b7d8fe25a66fc2ef646",
 }
 
 HASH_SEEDS = ("0", "3")
@@ -146,8 +168,12 @@ WIDE_SHAPES = (
 )
 
 
+#: The eight canned workloads' labels.
+CANNED = ("IR", "SN", "LA", "WG", "BA", "BR", "PJ", "US")
+
+
 def _plans():
-    """``(label, plan)`` of the eleven pinned plans, profiled."""
+    """``(label, plan)`` of the twelve pinned plans, profiled."""
     for label in GOLDEN:
         yield label, plan_of(label)
 
@@ -164,7 +190,10 @@ def _profiled(label):
     from repro.workloads import build_workload
 
     wide = {shape[0]: (offset, shape) for offset, shape in enumerate(WIDE_SHAPES)}
-    if label not in wide:
+    if label == "IRsort":
+        built = build_workload("IR", scale=0.15)
+        _secondary_sort(built.workflow)
+    elif label not in wide:
         built = build_workload(label, scale=0.15)
     else:
         offset, (_, method, shape) = wide[label]
@@ -172,6 +201,36 @@ def _profiled(label):
         built = getattr(generator, method)(1 + offset, **shape)
     profiling = Profiler().profile_workflow(built.workflow, built.base_datasets)
     return built.plan, built.workflow, built.base_datasets, profiling
+
+
+def _secondary_sort(workflow):
+    """Rebind IR's ``IR_J2`` to a secondary sort: its map keys on ``(doc, word)``,
+    its reduce still groups on ``doc``, and an explicit hash partitioner on
+    ``doc`` sorts each partition on ``(doc, word)`` — so the engine must build
+    each group key from the group fields, not take the entry's sort key."""
+    import dataclasses
+
+    from repro.mapreduce.partitioner import PartitionFunction
+    from repro.mapreduce.pipeline import map_operator
+    from repro.workflow.annotations import SchemaAnnotation
+    from repro.workloads import common
+
+    def rebind(job):
+        (pipeline,) = job.pipelines
+        keyed = common.key_by(["doc", "word"], value_fields=["word", "tf"])
+        wide = map_operator("IR_J2.map", keyed, cpu_cost_per_record=2.0)
+        return dataclasses.replace(
+            job,
+            pipelines=[dataclasses.replace(pipeline, map_ops=[wide])],
+            partitioner=PartitionFunction(kind="hash", fields=("doc",), sort_fields=("doc", "word")),
+        )
+
+    workflow.update_job("IR_J2", rebind)
+    workflow.annotate_job("IR_J2", schema=SchemaAnnotation.of(
+        k1=["doc", "word"], v1=["doc", "word", "tf"],
+        k2=["doc", "word"], v2=["word", "tf"],
+        k3=["doc"], v3=["word", "tf", "doc_total"],
+    ))
 
 
 def executions(workflow, base_datasets, optimized):
@@ -221,16 +280,27 @@ def actual_digest(executed, cluster):
     return hashlib.sha256(repr(priced).encode()).hexdigest()
 
 
+def starfish_digest(result):
+    """sha256 of the ``repr`` of a Starfish result: its plan's ``signature()``,
+    each job's whole ``JobConfig.key`` by name, ``estimated_cost_s`` and
+    ``cost_stats`` (as :data:`COST_STATS_FIELDS`)."""
+    configs = sorted((vertex.name, vertex.job.config.key) for vertex in result.plan.workflow.jobs)
+    stats = [getattr(result.cost_stats, name) for name in COST_STATS_FIELDS]
+    pinned = (result.plan.signature(), configs, result.estimated_cost_s, stats)
+    return hashlib.sha256(repr(pinned).encode()).hexdigest()
+
+
 def compute():
     """``{"digests": ..., "cost_stats": ..., "unit_counters": ...,
-    "engine_counters": ..., "actual_costs": ...}``, each by plan label."""
+    "engine_counters": ..., "actual_costs": ..., "starfish": ...}``, each by plan label."""
+    from repro.baselines import StarfishOptimizer
     from repro.cluster import ClusterSpec
     from repro.core.optimizer import StubbyOptimizer
 
     cluster = ClusterSpec.paper_cluster()
     tables = {
         "digests": {}, "cost_stats": {}, "unit_counters": {}, "engine_counters": {},
-        "actual_costs": {},
+        "actual_costs": {}, "starfish": {},
     }
     for label in GOLDEN:
         plan, workflow, base_datasets, profiling = _profiled(label)
@@ -251,6 +321,8 @@ def compute():
         executed = executions(workflow, base_datasets, result.plan)
         tables["engine_counters"][label] = engine_digest(executed, profiling)
         tables["actual_costs"][label] = actual_digest(executed, cluster)
+        if label in CANNED:
+            tables["starfish"][label] = starfish_digest(StarfishOptimizer(cluster).optimize(workflow))
     return tables
 
 
@@ -266,6 +338,7 @@ PINNED = {
     "unit_counters": UNIT_COUNTERS,
     "engine_counters": ENGINE_COUNTERS,
     "actual_costs": ACTUAL_COSTS,
+    "starfish": STARFISH,
 }
 
 
@@ -295,12 +368,12 @@ if __name__ == "__main__":
         missed = [
             (table, label)
             for table, pinned in PINNED.items()
-            for label in GOLDEN
+            for label in (CANNED if table == "starfish" else GOLDEN)
             if tables[table].get(label) != _as_json(pinned.get(label))
         ]
         matched = (
             f"all {len(GOLDEN)} match GOLDEN, COST_STATS, UNIT_COUNTERS, ENGINE_COUNTERS "
-            "and ACTUAL_COSTS"
+            f"and ACTUAL_COSTS, and all {len(CANNED)} STARFISH"
         )
         labels = [f"{table}:{label}" for table, label in missed]
         verdict = f"misses {labels}" if missed else matched

@@ -3,10 +3,11 @@
 Every refactor of the search and the cost layers promises "decisions
 byte-identical to the parent commit"; this file is that promise as a test.
 ``tests/golden_digests.py`` pins a digest per plan (the eight canned
-workloads and the three wide DAGs of ``cold_wide``), each plan's
-``cost_stats`` and per-unit counters, a digest of what the local engine
-counted executing and profiling it, and one of what the judge
-(``ActualCostModel``) prices those executions at; its ``--check``
+workloads, the three wide DAGs of ``cold_wide`` and a secondary-sort variant
+of IR), each plan's ``cost_stats`` and per-unit counters, a digest of what
+the local engine counted executing and profiling it, one of what the judge
+(``ActualCostModel``) prices those executions at, and one of what the
+Starfish baseline chooses for each canned plan; its ``--check``
 re-derives them here in a subprocess under two ``PYTHONHASHSEED`` values,
 so the answers are also shown independent of hash order and of anything
 the test process has warmed.
@@ -18,7 +19,7 @@ import json
 import pytest
 
 from tests import golden_digests
-from tests.golden_digests import GOLDEN, HASH_SEEDS, PINNED, run_script_under
+from tests.golden_digests import CANNED, GOLDEN, HASH_SEEDS, PINNED, run_script_under
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,6 +76,17 @@ def test_actual_costs_match_the_pinned_table(hash_seed):
     )
 
 
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+def test_starfish_matches_the_pinned_table(hash_seed):
+    """A refactor of the sample path moves no Starfish answer: per canned
+    plan, its plan signature, every job's whole config, its estimate and its
+    ``cost_stats``."""
+    assert _tables_under(hash_seed)["starfish"] == PINNED["starfish"], (
+        "the Starfish baseline no longer tunes or counts as it did"
+    )
+
+
 def test_every_plan_is_pinned():
     assert set(_digests_under(HASH_SEEDS[0])) == set(GOLDEN)
-    assert all(set(table) == set(GOLDEN) for table in PINNED.values())
+    assert set(PINNED["starfish"]) == set(CANNED)
+    assert all(set(table) == set(GOLDEN) for name, table in PINNED.items() if name != "starfish")

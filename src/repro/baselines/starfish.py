@@ -10,6 +10,7 @@ order so upstream choices are visible when tuning downstream jobs).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from repro.baselines.base import BaselineOptimizer
@@ -38,31 +39,34 @@ class StarfishOptimizer(BaselineOptimizer):
         self._rng = DeterministicRNG(seed)
 
     def _optimize_plan(self, plan: Plan) -> Plan:
-        baseline = self.costs.estimate_workflow(plan.workflow)
-        if baseline.cost_basis != "whatif":
-            # Without profiles Starfish cannot cost configurations; fall back
-            # to the rule-of-thumb settings.
-            ConfigurationTransformation.rule_of_thumb_config(plan, self.cluster)
-            return plan
-
-        for vertex in plan.workflow.topological_order():
-            space = ConfigurationTransformation.space_for_job(plan, vertex.name, self.cluster)
-            if not space.dimensions:
-                continue
-            config = plan.workflow.job(vertex.name).job.config
-            # One session per tuned job: its base is the plan as tuned so far.
-            with self.costs.overlay(plan.workflow, baseline) as session:
-                result = self.rrs.search(
-                    space,
-                    session.objective(space, [(vertex.name, tuple(enumerate(space.names)))]),
-                    initial_point=config.as_dict(),
-                    rng=self._rng.fork(vertex.name),
-                )
-            if result.best_point:
-                ConfigurationTransformation.apply_settings_in_place(plan, {vertex.name: result.best_point})
-                plan.record(
-                    ConfigurationTransformation.application_for(vertex.name, result.best_point).as_applied()
-                )
-                # The edit retired the base (it answers for the vertices it was taken on).
-                baseline = self.costs.estimate_workflow(plan.workflow)
+        pending = deque(vertex.name for vertex in plan.workflow.topological_order())
+        while True:
+            # One session per base, the plan as tuned so far: it stays open across
+            # tuned jobs until a search chooses, and the choice edits the plan
+            # once the session has closed.
+            chosen = None
+            with self.costs.overlay(plan.workflow) as session:
+                if session.estimate().cost_basis != "whatif":
+                    break
+                while pending and chosen is None:
+                    name = pending.popleft()
+                    space = ConfigurationTransformation.space_for_job(plan, name, self.cluster)
+                    if not space.dimensions:
+                        continue
+                    result = self.rrs.search(
+                        space,
+                        session.objective(space, [(name, tuple(enumerate(space.names)))]),
+                        initial_point=plan.workflow.job(name).job.config.as_dict(),
+                        rng=self._rng.fork(name),
+                    )
+                    if result.best_point:
+                        chosen = (name, result.best_point)
+            if chosen is None:
+                return plan
+            name, point = chosen
+            ConfigurationTransformation.apply_settings_in_place(plan, {name: point})
+            plan.record(ConfigurationTransformation.application_for(name, point).as_applied())
+        # Without profiles Starfish cannot cost configurations; fall back to
+        # the rule-of-thumb settings.
+        ConfigurationTransformation.rule_of_thumb_config(plan, self.cluster)
         return plan

@@ -40,7 +40,7 @@ from repro.whatif.dataflow import JobDataflow
 from repro.whatif.jobmodel import JobTimeEstimate, LevelTerms, estimate_job_time
 from repro.whatif.scheduling import level_makespan, level_terms
 from repro.workflow.annotations import OperatorProfile, ProfileAnnotation
-from repro.workflow.graph import DatasetVertex, JobVertex, Workflow
+from repro.workflow.graph import JobVertex, Workflow
 
 #: Simulated seconds charged per job under the fallback job-count cost model.
 JOB_COUNT_COST_SECONDS = 1_000.0
@@ -112,10 +112,10 @@ class VertexCost:
 
 @dataclass(frozen=True, slots=True)
 class CostingBasis:
-    """One full traversal's intermediate results, held by reference (``run_costing``)."""
+    """One full traversal's intermediate results, held by reference (``run_costing``):
+    what a :class:`~repro.whatif.service.CostService` session walks its samples
+    from, taken on the workflow the session costs."""
 
-    #: The job and dataset vertices (compared by identity) it answers for.
-    vertices: Tuple[List[JobVertex], List[DatasetVertex]]
     levels: List[List[JobVertex]]
     costed: Dict[str, VertexCost]
     #: Each level's jobs' level terms (``level_terms``), in level order.
@@ -197,13 +197,12 @@ class WhatIfEngine:
             ])
             makespans.append(level_makespan(terms[-1], cluster))
         reusable = settled and not configs
-        vertices = (workflow.jobs, workflow.datasets)
         return WorkflowCostEstimate(
             total_s=left_sum(makespans),
             per_job={name: costed_vertex.estimate for name, costed_vertex in costed.items()},
             dataset_sizes=dict(sizes),
             basis=(
-                CostingBasis(vertices, levels, costed, terms, makespans, fact_readers, chained)
+                CostingBasis(levels, costed, terms, makespans, fact_readers, chained)
                 if reusable else None
             ),
         )
@@ -663,7 +662,7 @@ class WhatIfEngine:
         return 0 if source is None else max(1, config_of(source, configs).num_reduce_tasks)
 
     # ------------------------------------------------------------- fallback
-    def job_count_estimate(self, workflow: Workflow, configs: ConfigOverlay = None) -> WorkflowCostEstimate:
+    def job_count_estimate(self, workflow: Workflow) -> WorkflowCostEstimate:
         """The profile-free fallback estimate (cost basis ``job_count``)."""
         per_job: Dict[str, JobTimeEstimate] = {}
         for vertex in workflow.jobs:
@@ -673,7 +672,7 @@ class WhatIfEngine:
                 reduce_phase_s=0.0 if vertex.job.is_map_only else JOB_COUNT_COST_SECONDS / 2,
                 startup_s=0.0,
                 num_map_tasks=1,
-                num_reduce_tasks=config_of(vertex, configs).num_reduce_tasks,
+                num_reduce_tasks=vertex.job.config.num_reduce_tasks,
                 map_task_s=0.0,
                 reduce_task_s=0.0,
             )

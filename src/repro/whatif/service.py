@@ -14,17 +14,17 @@ query of the optimizer stack and makes them incremental:
   the expensive half of costing a job;
 * only the mutated jobs — and downstream jobs whose input sizes or
   producer-dependent facts actually changed — are derived again;
-* a candidate's RRS samples are configuration overlays costed in one
-  :meth:`CostService.overlay` session: the snapshot check, profile check,
-  origin label, walk order and stats delta are paid once per candidate, and
-  a sample walks only the jobs it overlays, the chained jobs whose chain
+* a candidate's RRS samples are configuration points costed in one
+  :meth:`CostService.overlay` session, whose first answer is their base: the
+  profile check, origin label, walk order and stats delta are paid once per
+  candidate, and a sample walks only the jobs it overlays, the chained jobs whose chain
   source it overlays, and the *fact readers* they can reach (the jobs pruned
   on a hash-partitioned producer's output, whose partition count is that
   producer's reduce-task count) — no plan copy, and no signature or lookup
-  for a job whose dataflow it cannot move; an RRS point goes straight into
-  the job model (:meth:`OverlaySession.objective`), and ``JobConfig``
-  objects are built only where that walk re-derives a fact reader or starts
-  over;
+  for a job whose dataflow it cannot move; a point goes straight into the
+  job model (:meth:`OverlaySession.objective`, the one sample entry), and
+  ``JobConfig`` objects are built only where that walk re-derives a fact
+  reader or starts over;
 * each job a candidate's samples reach holds a
   :class:`~repro.whatif.jobmodel.JobKernel` for its base dataflow (and one
   for its combiner-flipped dataflow), so each half of the job model runs once
@@ -33,9 +33,8 @@ query of the optimizer stack and makes them incremental:
   configuration is asked about — a sample asks each kernel for the job's
   level terms (:meth:`~repro.whatif.jobmodel.JobKernel.terms`), and the
   makespan of every level holding one is summed again from the base's terms
-  — so the returned :class:`~repro.whatif.model.WorkflowCostEstimate` is
-  *exactly* equal to a cold full re-estimation (``docs/costing.md``,
-  "Costing a sample").
+  — so a sample's total is *exactly* the ``total_s`` of a cold full
+  re-estimation (``docs/costing.md``, "Costing a sample").
 
 There is one memo level on purpose: nothing is stored per RRS sample.  A
 finer level (signature + job-model knobs → final estimate) would hold ~92 %
@@ -79,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster import ClusterSpec
 from repro.common import left_sum
@@ -92,7 +91,7 @@ from repro.common.store import (  # noqa: F401  (CacheLoadReport, cluster_cache_
     current_origin,
 )
 from repro.mapreduce.config import ConfigDimension, ConfigurationSpace, JobConfig, SettingSlots
-from repro.whatif.jobmodel import JOB_MODEL_INPUTS, JobKernel, JobModelInputs, JobTimeEstimate
+from repro.whatif.jobmodel import JOB_MODEL_INPUTS, JobKernel, JobModelInputs
 from repro.whatif.jobmodel import LevelTerms, job_model_settings
 from repro.whatif.model import COST_MODEL_VERSION, VertexCost, WhatIfEngine, WorkflowCostEstimate
 from repro.whatif.model import ConfigOverlay
@@ -102,9 +101,8 @@ from repro.workflow.graph import JobVertex, Workflow
 #: An RRS sample: its values in its space's dimension order.
 Point = Tuple[object, ...]
 
-#: A job a sample's walk moved: ``(job, its level terms, the kernel that
-#: answered)``, or for a re-derived job ``(job, its level terms, its estimate)``.
-Moved = Tuple["_Job", LevelTerms, Union[JobKernel, JobTimeEstimate]]
+#: A job a sample's walk moved, and its level terms.
+Moved = Tuple["_Job", LevelTerms]
 
 #: Default bound on cached per-vertex dataflows; old entries are evicted LRU.
 DEFAULT_MAX_CACHE_ENTRIES = 200_000
@@ -140,7 +138,7 @@ class CostServiceStats(CounterStats):
     workflow once (``job_queries``), with one of two outcomes —
 
     * ``job_cache_hits`` — answered **without a dataflow derivation**: a memo
-      row, or the query's ``base`` result carried over or kept under the job
+      row, or its session's base result carried over or kept under the job
       model again (at most the cheap per-phase job model ran);
     * ``job_full_recosts`` — the job was derived and costed from scratch (and
       the derivation stored: one memo row per from-scratch derivation).
@@ -231,35 +229,23 @@ class CostService(ShardedStore):
         super().__init__(cluster, max_cache_entries, enabled=enable_cache, cache_path=cache_path)
 
     # ------------------------------------------------------------------ API
-    def overlay(
-        self, workflow: Workflow, base: Optional[WorkflowCostEstimate] = None
-    ) -> "OverlaySession":
-        """A costing session (a context manager): many overlays on one unedited ``workflow``.
+    def overlay(self, workflow: Workflow) -> "OverlaySession":
+        """A costing session (a context manager): many RRS points on one ``workflow``.
 
-        ``base``, an estimate of ``workflow`` without an overlay, spares each
-        sample the jobs the overlay cannot move and never changes an answer;
-        without one, the session's first overlay-free answer becomes its base.
-        A base answers for the vertices it snapshotted: once ``workflow``
-        rebinds, adds or removes one it is ignored.  The session's counters
-        reach the global stats and the attribution sinks when it closes, in
-        one delta, whatever ends it.
+        The session's first answer (:meth:`OverlaySession.estimate`) is its
+        base: it spares each later point the jobs the point cannot move and
+        never changes an answer.  ``workflow`` must not be edited while the
+        session is open; take a new session after an edit.  The session's
+        counters reach the global stats and the attribution sinks when it
+        closes, in one delta, whatever ends it.
         """
-        return OverlaySession(self, workflow, base)
+        return OverlaySession(self, workflow)
 
-    def estimate_workflow(
-        self,
-        workflow: Workflow,
-        configs: ConfigOverlay = None,
-        base: Optional[WorkflowCostEstimate] = None,
-    ) -> WorkflowCostEstimate:
-        """Estimate ``workflow``, reusing memoized per-job dataflows where valid.
-
-        ``configs`` (job name -> ``JobConfig``) asks what ``workflow`` would
-        cost with those bound, without the plan copy; ``base`` is as for
-        :meth:`overlay`, of which this is a one-sample session.
-        """
-        with self.overlay(workflow, base) as session:
-            return session.estimate(configs)
+    def estimate_workflow(self, workflow: Workflow) -> WorkflowCostEstimate:
+        """Estimate ``workflow``, reusing memoized per-job dataflows where valid:
+        a session of one answer."""
+        with self.overlay(workflow) as session:
+            return session.estimate()
 
     def _model_version(self) -> int:
         # This module's binding, so a test (or a later PR) moving
@@ -301,17 +287,16 @@ class _Job:
 class OverlaySession:
     """One :meth:`CostService.overlay` session (``docs/costing.md``, "Costing a sample").
 
-    A sample walks only the overlaid jobs, the chained jobs whose count it
-    moves and the base's fact readers, in the base's walk order: each is
+    :meth:`estimate` answers for the workflow as it is; its first answer is
+    the session's base.  :meth:`objective` costs RRS points: a point walks
+    only the jobs it overlays, the chained jobs whose count it moves and the
+    base's fact readers, in the base's walk order (:meth:`_walk`): each is
     *carried*, *kept* (the base's dataflow under the job model again) or
-    *re-derived*, and if a re-derived job's output sizes differ the sample
-    starts over as a full walk.  :meth:`estimate` takes a sample as
-    ``JobConfig``\\ s, :meth:`objective` as RRS points; both walk :meth:`_walk`.
+    *re-derived*, and if a re-derived job's output sizes differ the point
+    starts over as a full walk.
     """
 
-    def __init__(
-        self, service: CostService, workflow: Workflow, base: Optional[WorkflowCostEstimate]
-    ) -> None:
+    def __init__(self, service: CostService, workflow: Workflow) -> None:
         self.service = service
         self.workflow = workflow
         self.delta = CostServiceStats()
@@ -325,9 +310,6 @@ class OverlaySession:
         self._jobs: Dict[str, _Job] = {}
         self._recosted: Set[str] = set()
         self._cross_origin_hits = 0
-        basis = base.basis if base is not None else None
-        if basis is not None and basis.vertices == (workflow.jobs, workflow.datasets):
-            self._base = base  # else none, or some vertex was rebound, added or removed since
 
     def __enter__(self) -> "OverlaySession":
         return self
@@ -354,10 +336,10 @@ class OverlaySession:
             )
         return job
 
-    def estimate(self, configs: ConfigOverlay = None) -> WorkflowCostEstimate:
-        """What the workflow costs with ``configs`` bound: ``==`` a cold estimate."""
+    def estimate(self) -> WorkflowCostEstimate:
+        """What the workflow costs: ``==`` a cold estimate."""
         fault_site("whatif.estimate", jobs=self.workflow.num_jobs)
-        return self._answer(configs)
+        return self._answer({})
 
     def objective(
         self, space: ConfigurationSpace, tuned: Iterable[Tuple[str, Sequence[Tuple[int, str]]]]
@@ -365,9 +347,11 @@ class OverlaySession:
         """``point -> total_s`` over the points of ``space``: the RRS objective of a candidate.
 
         ``tuned`` names each job with the ``(dimension index, setting)`` pairs
-        it reads from a point.  A point costs what :meth:`estimate` answers
-        for the overlay ``JobConfig.with_values`` binds from it — ``==``,
-        counted and fault-visited the same — and only ``total_s`` is built.
+        it reads from a point.  A point costs the ``total_s`` a cold estimate
+        answers for the workflow with the overlay ``JobConfig.with_values``
+        binds from it, and is counted and fault-visited as one query; only
+        the total is built.  Without a base (no :meth:`estimate` yet, or a
+        workflow that cannot give one) each point is a full walk.
         Resolved once: each tuned job's place in the base walk, its setting
         slots (a constraint-held reduce count left out), and where each of
         the job model's values comes from (the point, or the job's own
@@ -445,10 +429,9 @@ class OverlaySession:
                     steps.append((job, None, None))
             self._recosted = set()
             self._cross_origin_hits = 0
-            moved, restarted = self._walk(
+            total = self._walk(
                 steps, lambda: self._bind(point, slots, [step[0].name for step in steps if step[1]])
             )
-            total = restarted.total_s if restarted is not None else self._total(moved)
             self._credit(jobs)
             return total
 
@@ -470,34 +453,21 @@ class OverlaySession:
                 configs[name] = config
         return configs
 
-    def _answer(self, configs: ConfigOverlay) -> WorkflowCostEstimate:
+    def _answer(self, configs: Dict[str, JobConfig]) -> WorkflowCostEstimate:
+        # A full walk with ``configs`` bound (``_bind``), or the base.
         workflow = self.workflow
-        if configs:
-            overlay = {}
-            for name, config in configs.items():
-                own = workflow.job(name).job.config
-                if (config.num_reduce_tasks == 0) != (own.num_reduce_tasks == 0):
-                    # Reconciled with the job's shape, as MapReduceJob.__post_init__ would.
-                    config = config.replace(num_reduce_tasks=min(1, own.num_reduce_tasks))
-                if config is not own:  # else binding it changes nothing
-                    overlay[name] = config
-            configs = overlay
         if not self._profiled:
             self.delta.queries += 1
             self.delta.fallback_queries += 1
-            return self.service.engine.job_count_estimate(workflow, configs)
+            return self.service.engine.job_count_estimate(workflow)
 
         self._recosted = set()  # by name: a sample that starts over meets its jobs twice
         self._cross_origin_hits = 0
-        base = self._base
-        if base is None:
+        estimate = self._base
+        if estimate is None or configs:
             estimate = self.service.engine.run_costing(workflow, self._cost_vertex, configs)
-            if estimate.basis is not None:
+            if estimate.basis is not None:  # an overlay-free answer that can be one
                 self._base = estimate
-        elif not configs:
-            estimate = base
-        else:
-            estimate = self._sample(base, configs)
         self._credit(len(estimate.per_job))
         return estimate
 
@@ -514,43 +484,11 @@ class OverlaySession:
             delta.full_estimates += 1
         delta.cross_origin_hits += self._cross_origin_hits
 
-    def _sample(
-        self, base: WorkflowCostEstimate, configs: Dict[str, JobConfig]
-    ) -> WorkflowCostEstimate:
-        # ``configs`` as the walk's steps, in walk order: the overlaid jobs, the
-        # chained jobs whose count it moves, and the fact readers.
-        rank = self._walk_rank()
-        basis = base.basis
-        workflow = self.workflow
-        chained_map_tasks = self.service.engine.chained_map_tasks
-        steps = []
-        for name in sorted({*configs, *basis.chained, *basis.fact_readers}, key=rank.__getitem__):
-            job = self._job(name)
-            config = configs.get(name)
-            chained = chained_map_tasks(job.vertex, workflow, configs)
-            if config is not None or chained != job.inputs[-1]:
-                config = config or job.config
-                steps.append((job, (*job_model_settings(config), chained), config.combiner_enabled))
-            elif job.fact_reader:
-                steps.append((job, None, None))
-        moved, restarted = self._walk(steps, lambda: configs)
-        if restarted is not None:
-            return restarted
-        per_job = dict(base.per_job)
-        job_estimate = self.service.engine.job_estimate
-        for job, _, answer in moved:
-            if isinstance(answer, JobKernel):  # the job model of its dataflow, unmemoized
-                answer = job_estimate(job.vertex, workflow, answer.dataflow, configs)
-            per_job[job.name] = answer
-        return WorkflowCostEstimate(
-            total_s=self._total(moved), per_job=per_job, dataset_sizes=base.dataset_sizes
-        )
-
     def _walk(
         self, steps: List[Tuple[_Job, Optional[JobModelInputs], Optional[bool]]],
         materialise: Callable[[], Dict[str, JobConfig]],
-    ) -> Tuple[Optional[List[Moved]], Optional[WorkflowCostEstimate]]:
-        """The one walk of a sample: ``(moved jobs, None)``, or ``(None, full walk)``.
+    ) -> float:
+        """The one walk of a sample: its total, from the moved jobs or a full walk.
 
         ``steps`` are ``(job, kernel inputs, combiner flag)`` the sample
         binds, in the base's walk order; a fact reader it does not move comes
@@ -559,9 +497,8 @@ class OverlaySession:
         fact reader is re-derived for what the walk met before it; a chained
         job's count is one of its kernel inputs.
         ``materialise()`` is the sample's overlay as ``JobConfig``\\ s: asked
-        only to re-derive a fact reader or to start over.  A moved job
-        carries its level terms (what :meth:`_total` sums) and what answers
-        for its estimate (:data:`Moved`), which only :meth:`estimate` builds.
+        only to re-derive a fact reader or to start over.  A moved job's
+        level terms are what :meth:`_total` sums (:data:`Moved`).
         """
         workflow = self.workflow
         sizes = self._base.dataset_sizes
@@ -584,20 +521,20 @@ class OverlaySession:
                 if configs is None:
                     configs = materialise()
                 costed_vertex = self._cost_vertex(job.vertex, workflow, sizes, configs)
-                answer, contributions = costed_vertex.estimate, costed_vertex.output_contributions
-                terms = level_terms(answer, self.service.cluster.task_startup_s)
+                contributions = costed_vertex.output_contributions
+                terms = level_terms(costed_vertex.estimate, self.service.cluster.task_startup_s)
             elif flipped:
-                answer, contributions = self._flipped(job)
-                terms = answer.terms(inputs)
+                kernel, contributions = self._flipped(job)
+                terms = kernel.terms(inputs)
             else:  # kept
-                moved.append((job, job.kernel.terms(inputs), job.kernel))
+                moved.append((job, job.kernel.terms(inputs)))
                 continue
             if contributions != job.prior.output_contributions:
                 if configs is None:
                     configs = materialise()
-                return None, self.service.engine.run_costing(workflow, self._cost_vertex, configs)
-            moved.append((job, terms, answer))
-        return moved, None
+                return self.service.engine.run_costing(workflow, self._cost_vertex, configs).total_s
+            moved.append((job, terms))
+        return self._total(moved)
 
     def _total(self, moved: List[Moved]) -> float:
         # The base's per-level makespans, those of the levels ``moved`` touched summed again.
@@ -606,7 +543,7 @@ class OverlaySession:
             return base.total_s
         basis = base.basis
         touched: Dict[int, List[LevelTerms]] = {}
-        for job, terms, _ in moved:
+        for job, terms in moved:
             level = touched.get(job.level)
             if level is None:
                 level = touched[job.level] = basis.terms[job.level].copy()

@@ -75,7 +75,8 @@ def plan_decision_fingerprint(plan: Plan) -> Tuple:
     """The canonical identity of an optimizer's decision for one plan.
 
     ``plan.signature()`` captures structure only; the fingerprint adds every
-    job's chosen configuration, so two plans compare equal exactly when the
+    job's whole configuration (``JobConfig.key``: the searched settings and
+    the two constraint fields), so two plans compare equal exactly when the
     optimizer made byte-identical decisions.  This is the value the
     determinism contract is stated in — replay verification, the experiment
     orchestration tests, and the planning service's bit-identity battery all
@@ -83,12 +84,7 @@ def plan_decision_fingerprint(plan: Plan) -> Tuple:
     """
     return (
         plan.signature(),
-        tuple(
-            sorted(
-                (vertex.name, tuple(sorted(vertex.job.config.as_dict().items())))
-                for vertex in plan.workflow.jobs
-            )
-        ),
+        tuple(sorted((vertex.name, vertex.job.config.key) for vertex in plan.workflow.jobs)),
     )
 
 

@@ -35,20 +35,21 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Pinned when the digests were introduced; a refactor must reproduce them.
+#: Pinned when the digests were introduced (and again when the fingerprint
+#: came to key each job's whole ``JobConfig.key``); a refactor must reproduce them.
 GOLDEN = {
-    "IR": "0431704a6647c85b78f7c935ee6a95840e2eff19811b9d10f9f8804c6730d96d",
-    "SN": "0ec585c2e61c8e265b8160a0ee32e4191f79de512424c654954108963bf61f4c",
-    "LA": "17dd24ebf459f1da095f133137fd3cda2f797474078bc58a89a362d058cd9907",
-    "WG": "f67fd8cb6ee8ff0e8d9a2812652d133c7a1f3260c781a3400d14baab17ffdbb3",
-    "BA": "56da146b73b7d04fad42d577a5e437b7e8dcddec4078dc60381220475c73644c",
-    "BR": "71f73a0607e31732a8dd7717641df933a3e0bd005016f2a2e8188177937b74a8",
-    "PJ": "c559063da189cb7619f62ced9a88606a548c14be0cd20c8164a796225c1d85c8",
-    "US": "44b44f112cf135a0f6f9f53de30250abe570b8822531807901e72f3f7e5d26c4",
-    "fanout32": "7a057cc2a7cb8b83c7400c45005bc742c9e073612f8726a7e2eeb8239a0ea502",
-    "rollup31": "963c0254ed6be296e83ed04c6926082a598938f23e6ee29e37d7b749cdcafbcc",
-    "rollup100": "60c68449839d2a0e27b3997175cffcdeb6a62f0ee19320b875e0049a25fcb0b7",
-    "IRsort": "0431704a6647c85b78f7c935ee6a95840e2eff19811b9d10f9f8804c6730d96d",
+    "IR": "49f4dd2a7a958d578c762abcd3b714848a295e9fe674c4e7f5d708ef1d2da8c4",
+    "SN": "b68f1ba957e18a050b1ef6b277db6e2feec99cb6a336dbb83395820c29ae4c63",
+    "LA": "37057caf7b1149e0bac2005082fa992a431207e20cee432d3baeb8e098301fe9",
+    "WG": "5ee2988cb0ea3f8643ee9394b44188b1ec2f46a62bb5ccb6991b5eeba17defb8",
+    "BA": "bbc35d5ba73b510f21acdd9a5c16826d1f8c059a4308d48bc6a13f7428b94601",
+    "BR": "ac85fd28edc87d15679f76244203a2e6f84cb48e29cec21b81b1e1ea97de35f7",
+    "PJ": "c98446fc400dc53aee484ab4b0d39618fa3395b6633053e1422522957105c73f",
+    "US": "b2d7f272286314ee9038573031de3ecc1b45bee7c46c0a849a61671f1f0dd4c7",
+    "fanout32": "2096fb3e09167544136e156faf84b98a4946ead340b65ed200870b30c28ad8fc",
+    "rollup31": "c9a73ec36a4b04c214cfa2ad5530edfeb7c8e4a6a4aee9e1d5a22b20e8f45dd6",
+    "rollup100": "79f68234b1424ccae04f849b3b2b797e4f22cfcc5cf3e2c6b537f049f3128a2e",
+    "IRsort": "49f4dd2a7a958d578c762abcd3b714848a295e9fe674c4e7f5d708ef1d2da8c4",
 }
 
 #: The ``cost_stats`` fields :data:`COST_STATS` pins, in order.

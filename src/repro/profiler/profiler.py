@@ -18,7 +18,6 @@ from typing import Dict, Optional
 
 from repro.common.rng import DeterministicRNG
 from repro.dfs.dataset import Dataset
-from repro.dfs.filesystem import InMemoryFileSystem
 from repro.mapreduce.counters import ExecutionCounters
 from repro.mapreduce.engine import LocalEngine
 from repro.workflow.annotations import (

@@ -17,14 +17,14 @@ query of the optimizer stack and makes them incremental:
 * a candidate's RRS samples are configuration points costed in one
   :meth:`CostService.overlay` session, whose first answer is their base: the
   profile check, origin label, walk order and stats delta are paid once per
-  candidate, and a sample walks only the jobs it overlays, the chained jobs whose chain
-  source it overlays, and the *fact readers* they can reach (the jobs pruned
-  on a hash-partitioned producer's output, whose partition count is that
-  producer's reduce-task count) — no plan copy, and no signature or lookup
-  for a job whose dataflow it cannot move; a point goes straight into the
-  job model (:meth:`OverlaySession.objective`, the one sample entry), and
-  ``JobConfig`` objects are built only where that walk re-derives a fact
-  reader or starts over;
+  candidate, and a sample walks only the jobs it overlays, the chained jobs
+  whose chain source it overlays, and the *fact readers* they can reach
+  (the jobs pruned on a hash-partitioned producer's output, whose partition
+  count is that producer's reduce-task count) — no plan copy, and no
+  signature or lookup for a job whose dataflow it cannot move; a point goes
+  straight into the job model (:meth:`OverlaySession.objective`, the one
+  sample entry), and ``JobConfig`` objects are built only where that walk
+  re-derives a fact reader or starts over;
 * each job a candidate's samples reach holds a
   :class:`~repro.whatif.jobmodel.JobKernel` for its base dataflow (and one
   for its combiner-flipped dataflow), so each half of the job model runs once

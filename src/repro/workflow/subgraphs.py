@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from repro.workflow.graph import JobVertex, Workflow
+from repro.workflow.graph import Workflow
 
 
 class SubgraphType(Enum):

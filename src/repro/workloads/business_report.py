@@ -19,7 +19,7 @@ the paper reports for Stubby.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.common.records import KeyValue, Record
 from repro.mapreduce.config import JobConfig

@@ -10,7 +10,7 @@ and top-K selection.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.records import KeyValue, Record
 

@@ -17,7 +17,7 @@ the partition-pruning benefit §7.3 attributes to Stubby for this workload.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.common.records import KeyValue, Record
 from repro.mapreduce.config import JobConfig

@@ -16,7 +16,7 @@ map-only job can then be folded into SN_J2 by inter-job packing.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.common.records import KeyValue, Record
 from repro.mapreduce.config import JobConfig

@@ -66,6 +66,10 @@ class StarfishOptimizer(BaselineOptimizer):
             name, point = chosen
             ConfigurationTransformation.apply_settings_in_place(plan, {name: point})
             plan.record(ConfigurationTransformation.application_for(name, point).as_applied())
+            if not pending:
+                # No job left to tune: a session now would estimate a plan
+                # no one reads (optimize() prices the result itself).
+                return plan
         # Without profiles Starfish cannot cost configurations; fall back to
         # the rule-of-thumb settings.
         ConfigurationTransformation.rule_of_thumb_config(plan, self.cluster)

@@ -13,7 +13,7 @@ that scales the per-record CPU costs recorded in profile annotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import cached_property
 from typing import Tuple
 
@@ -107,6 +107,12 @@ class ClusterSpec:
             reduce_slots,
             min(reduce_slots, self.num_nodes),
         )
+
+    @cached_property
+    def cache_key(self) -> Tuple:
+        """The nested field tuple (``dataclasses.astuple``), once per spec:
+        what a store keys the cluster it was computed for on."""
+        return astuple(self)
 
     def scaled(self, num_nodes: int) -> "ClusterSpec":
         """Return a copy of this spec with a different node count."""

@@ -8,7 +8,9 @@ explicitly, so experiments and tests are reproducible run to run.
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence, TypeVar
+from bisect import bisect_left
+from itertools import accumulate
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 from repro.common.hashing import stable_hash
 
@@ -28,6 +30,9 @@ class DeterministicRNG:
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._random = random.Random(seed)
+        #: ``(n, alpha, type(alpha)) -> (cumulative weights, total)``, built on
+        #: a law's first draw from this generator and kept only as long as it.
+        self._zipf_tables: Dict[tuple, Tuple[List[float], float]] = {}
 
     @property
     def seed(self) -> int:
@@ -86,13 +91,16 @@ class DeterministicRNG:
         """
         if n <= 0:
             raise ValueError("zipf domain must be positive")
-        # Inverse-CDF sampling over the truncated harmonic weights.
-        weights = [1.0 / (i ** alpha) for i in range(1, n + 1)]
-        total = sum(weights)
-        target = self._random.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights, start=1):
-            acc += w
-            if acc >= target:
-                return i
-        return n
+        # Inverse-CDF sampling over the truncated harmonic weights.  The
+        # cumulative table adds the weights in order, as a running sum does,
+        # and ``total`` is ``sum()`` of them (compensated from Python 3.12 on),
+        # not the table's last entry; the type of ``alpha`` is in the key
+        # because ``i ** 2`` and ``i ** 2.0`` need not round alike.
+        key = (n, alpha, type(alpha))
+        table = self._zipf_tables.get(key)
+        if table is None:
+            weights = [1.0 / (i ** alpha) for i in range(1, n + 1)]
+            table = self._zipf_tables[key] = (list(accumulate(weights)), sum(weights))
+        cumulative, total = table
+        index = bisect_left(cumulative, self._random.random() * total)
+        return index + 1 if index < n else n

@@ -101,9 +101,10 @@ def cluster_cache_key(cluster) -> Tuple:
 
     Stored values carry no cluster component of their own, so a persisted
     store is only valid for a spec-identical cluster; the nested field tuple
-    captures every dimension the cost model reads.
+    captures every dimension the cost model reads
+    (:attr:`~repro.cluster.ClusterSpec.cache_key`, built once per spec).
     """
-    return dataclasses.astuple(cluster)
+    return cluster.cache_key
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,19 @@ class Dataset:
         elif scheme.kind == "hash":
             materialized = list(records)
             buckets = [[] for _ in range(max(1, min(16, len(materialized) // 64 + 1)))]
+            fields = scheme.fields
+            # Process-independent bucketing so a dataset loaded from the same
+            # records always lands in the same partitions run to run.  The
+            # material is what stable_hash folds, the str() of each key field,
+            # so each distinct one is hashed once per load.
+            count = len(buckets)
+            placed: Dict[Tuple[str, ...], int] = {}
             for record in materialized:
-                # Process-independent bucketing so a dataset loaded from the
-                # same records always lands in the same partitions run to run.
-                key = tuple(record.get(f) for f in scheme.fields)
-                buckets[stable_hash(key) % len(buckets)].append(record)
+                material = tuple([str(record.get(f)) for f in fields])
+                index = placed.get(material)
+                if index is None:
+                    index = placed[material] = stable_hash(material) % count
+                buckets[index].append(record)
         else:
             buckets = [list(records)]
         sort_fields = self.layout.sort_fields

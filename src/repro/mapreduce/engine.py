@@ -300,10 +300,9 @@ class LocalEngine:
         counters.num_reduce_tasks = job.config.num_reduce_tasks
 
         partitions: Dict[int, List[_ShuffleEntry]] = {i: [] for i in range(num_exec_reduces)}
+        place = partitioner.placer(num_exec_reduces)
         for entry in shuffle_buffer:
-            _, _, key, _ = entry
-            index = partitioner.partition_index(key, num_exec_reduces)
-            partitions[index].append(entry)
+            partitions[place(entry[2])].append(entry)
 
         pipelines_by_tag = {p.tag: p for p in job.pipelines}
         for index in range(num_exec_reduces):

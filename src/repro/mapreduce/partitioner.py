@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common.hashing import stable_hash
 from repro.common.records import Record, sort_key_for
@@ -67,22 +67,46 @@ class PartitionFunction:
 
     def partition_index(self, key: Record, num_partitions: int) -> int:
         """Compute the reduce partition for a map output key."""
+        return self.placer(num_partitions)(key)
+
+    def placer(self, num_partitions: int) -> Callable[[Record], int]:
+        """:meth:`partition_index` over ``num_partitions``, for one shuffle.
+
+        A hash placement is a function of the ``str()`` of each key field
+        (what :func:`stable_hash` folds), so the placer hashes each distinct
+        material once and keeps the index in a memo that lives as long as the
+        returned function.  The memo is keyed on those strings, not on the
+        values, so ``1``, ``1.0`` and ``True`` (one dict key) keep their own
+        placements; nothing outlives the shuffle.
+        """
         if num_partitions <= 1:
-            return 0
+            return lambda key: 0
         if self.kind == "range":
-            value = key.get(self.fields[0])
-            index = 0
-            for point in self.split_points:
-                if value is not None and _numeric(value) >= point:
-                    index += 1
-                else:
-                    break
-            return min(index, num_partitions - 1)
-        material = tuple(str(key.get(f)) for f in self.fields) if self.fields else tuple(
-            sorted((k, str(v)) for k, v in key.items())
-        )
-        # A stable, python-hash-independent partitioner so runs are reproducible.
-        return _stable_hash(material) % num_partitions
+            return lambda key: self._range_index(key, num_partitions)
+        fields = self.fields
+        placed: Dict[tuple, int] = {}
+
+        def place(key: Record) -> int:
+            material = tuple([str(key.get(f)) for f in fields]) if fields else tuple(
+                sorted((k, str(v)) for k, v in key.items())
+            )
+            index = placed.get(material)
+            if index is None:
+                # A stable, python-hash-independent partitioner so runs are reproducible.
+                index = placed[material] = stable_hash(material) % num_partitions
+            return index
+
+        return place
+
+    def _range_index(self, key: Record, num_partitions: int) -> int:
+        value = key.get(self.fields[0])
+        index = 0
+        for point in self.split_points:
+            if value is not None and _numeric(value) >= point:
+                index += 1
+            else:
+                break
+        return min(index, num_partitions - 1)
 
     def sort_key(self, key: Record) -> tuple:
         """Sort key tuple used to order pairs inside a partition."""
@@ -130,9 +154,4 @@ def _numeric(value: object) -> float:
     try:
         return float(str(value))
     except ValueError:
-        return float(_stable_hash((str(value),)) % 10_000_000)
-
-
-#: Backwards-compatible alias; the implementation lives in common.hashing so
-#: the DFS layer can use the same function without importing mapreduce.
-_stable_hash = stable_hash
+        return float(stable_hash((str(value),)) % 10_000_000)

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.hashing import stable_hash
 from repro.dfs import DataLayout, Dataset, InMemoryFileSystem, PartitionScheme
 from repro.dfs import dataset as dataset_module
 from repro.mapreduce import (
@@ -17,6 +18,7 @@ from repro.mapreduce import (
     reduce_operator,
 )
 from repro.mapreduce import engine as engine_module
+from repro.mapreduce import partitioner as partitioner_module
 from repro.mapreduce.job import simple_job
 from repro.mapreduce.pipeline import (
     OperatorStats,
@@ -450,6 +452,103 @@ def _exercising_generated_dag():
 
         workflow.update_job(job_name, derive)
     return workflow, base, name
+
+
+def _material(key, fields):
+    """What a hash placement of ``key`` on ``fields`` is a function of."""
+    if fields:
+        return tuple(str(key.get(f)) for f in fields)
+    return tuple(sorted((k, str(v)) for k, v in key.items()))
+
+
+class TestEachKeyIsHashedOnce:
+    """A shuffle and a hash-layout load call ``stable_hash`` at most once per
+    distinct key material (the ``str()`` of each key field), and every record
+    still lands where an uncached ``stable_hash`` puts it."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Counts ``stable_hash`` calls through the partitioner and the dataset
+        module, and the distinct materials of each shuffle and each hash load;
+        records each shuffle placement as ``(key, fields, partitions, index)``."""
+        hashed, shuffles, loads, placements = [], [], [], []
+        for module in (partitioner_module, dataset_module):
+            def counting(material, original=module.stable_hash):
+                hashed.append(material)
+                return original(material)
+
+            monkeypatch.setattr(module, "stable_hash", counting)
+
+        original_placer = PartitionFunction.placer
+
+        def placer(self, num_partitions):
+            place = original_placer(self, num_partitions)
+            seen = set()
+            shuffles.append(seen)
+
+            def spied(key):
+                index = place(key)
+                seen.add(_material(key, self.fields))
+                placements.append((key, self.fields, num_partitions, index))
+                return index
+
+            return spied
+
+        original_load = Dataset.load
+
+        def load(self, records):
+            records = list(records)
+            scheme = self.layout.partitioning
+            if scheme.kind == "hash":
+                loads.append({_material(r, scheme.fields) for r in records})
+            original_load(self, records)
+
+        monkeypatch.setattr(PartitionFunction, "placer", placer)
+        monkeypatch.setattr(Dataset, "load", load)
+        return hashed, shuffles, loads, placements
+
+    @pytest.mark.parametrize("label", WORKLOAD_ORDER)
+    def test_canned_workflows(self, label, monkeypatch):
+        workload = build_workload(label, scale=0.05)
+        hashed, shuffles, loads, placements = self._spy(monkeypatch)
+        WorkflowExecutor().execute(workload.workflow, base_datasets=workload.base_datasets)
+        assert shuffles and placements
+        assert 0 < len(hashed) <= sum(map(len, shuffles)) + sum(map(len, loads))
+        assert len(hashed) < len(placements)
+        for key, fields, partitions, index in placements:
+            if fields and partitions > 1:
+                assert index == stable_hash([key.get(f) for f in fields]) % partitions
+
+    def test_mixed_keys_land_where_an_uncached_hash_puts_them(self, monkeypatch):
+        values = [1, 1.0, True, "1", None]
+        records = [{"k": values[i % 5], "v": float(i)} for i in range(400)]
+        hashed, shuffles, loads, placements = self._spy(monkeypatch)
+        stored = Dataset("mixed", records=records, layout=DataLayout(partitioning=PartitionScheme.hashed("k")))
+        assert stored.num_partitions > 1
+        for partition in stored.partitions:
+            for record in partition.records:
+                assert stable_hash((record.get("k"),)) % stored.num_partitions == partition.index
+        assert [len(seen) for seen in loads] == [4] and len(hashed) == 4
+
+        def key_map(key, value):
+            yield {"k": value["k"]}, {"v": value["v"]}
+
+        def total_reduce(key, values):
+            yield key, {"total": float(sum(v["v"] for v in values))}
+
+        fs = InMemoryFileSystem()
+        fs.put(Dataset("data", records=records))
+        job = simple_job(
+            "mixed_sums", "data", "mixed_out", key_map, total_reduce, group_fields=("k",),
+            config=JobConfig(num_reduce_tasks=4),
+        )
+        del hashed[:], loads[:]
+        counters = LocalEngine().execute_job(job, fs).counters
+        placed = {(str(key["k"]), index) for key, _, _, index in placements}
+        assert placed == {(str(v), stable_hash((v,)) % 4) for v in values}
+        assert len(placements) == len(records) and [len(seen) for seen in shuffles] == [4]
+        assert len(hashed) <= 4 + sum(map(len, loads))
+        assert counters.reduce_input_records == len(records)
 
 
 class TestEachRecordIsSizedOnce:

@@ -122,6 +122,23 @@ def test_src_keeps_no_identity_table():
     assert calls == []
 
 
+def test_src_keeps_nothing_between_calls_in_a_functools_cache():
+    """Nothing under src/ uses ``functools.lru_cache`` or ``functools.cache``:
+    a set-up memo (a Zipf table, a placement) lives on its generator, shuffle
+    or load, so every build pays for a whole set-up."""
+    cached = {"lru_cache", "cache"}
+    uses = [
+        f"{path}:{node.lineno}"
+        for path, text in _src_sources()
+        for node in ast.walk(ast.parse(text))
+        if (isinstance(node, ast.Attribute) and node.attr in cached
+            and isinstance(node.value, ast.Name) and node.value.id == "functools")
+        or (isinstance(node, ast.ImportFrom) and node.module == "functools"
+            and any(alias.name in cached for alias in node.names))
+    ]
+    assert uses == []
+
+
 def test_a_store_event_has_one_count():
     """A store's attributed ledger (``cost_stats`` / ``decision_stats`` /
     ``subresult_stats``) is the only count of its events: no result type

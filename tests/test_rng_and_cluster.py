@@ -1,12 +1,21 @@
 """Tests for the deterministic RNG and the cluster specification."""
 
+import dataclasses
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cluster import ClusterSpec, NodeSpec
+from repro.common import rng as rng_module
 from repro.common.rng import DeterministicRNG
 from repro.mapreduce.config import JobConfig
 from repro.whatif import JobDataflow, estimate_job_time
 from tests.conftest import small_test_cluster
+from tests.rng_oracle import ZipfOracle, running_sums
+
+#: The exponents the data generators draw with, and 2.0.
+ZIPF_ALPHAS = (1.1, 1.2, 1.3, 1.4, 1.5, 2.0)
 
 
 def _dataflow(**overrides):
@@ -57,6 +66,68 @@ class TestDeterministicRNG:
     def test_zipf_rejects_bad_domain(self):
         with pytest.raises(ValueError):
             DeterministicRNG(0).zipf(0)
+
+
+def _typed(values):
+    return [(value, type(value)) for value in values]
+
+
+class TestZipfEqualsTheOriginalLoop:
+    """``zipf`` draws from a table built once per law and generator; every
+    draw equals the original rebuild-and-scan loop's (``tests/rng_oracle.py``)
+    by value and by type, and the table holds the loop's own floats."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        laws=st.lists(
+            st.tuples(st.integers(1, 500), st.sampled_from(ZIPF_ALPHAS)), min_size=2, max_size=2
+        ),
+        rounds=st.integers(1, 40),
+    )
+    def test_interleaved_draws_equal_the_oracle(self, seed, laws, rounds):
+        rng, oracle = DeterministicRNG(seed), ZipfOracle(seed)
+        order = [law for _ in range(rounds) for law in laws]
+        assert _typed(rng.zipf(n, alpha) for n, alpha in order) == _typed(
+            oracle.zipf(n, alpha) for n, alpha in order
+        )
+
+    @given(n=st.integers(1, 500), alpha=st.sampled_from(ZIPF_ALPHAS))
+    def test_the_table_holds_the_running_sums_and_sum_of_the_weights(self, n, alpha):
+        rng = DeterministicRNG(1)
+        rng.zipf(n, alpha)
+        assert rng._zipf_tables == {
+            (n, alpha, float): (running_sums(n, alpha), sum(1.0 / (i**alpha) for i in range(1, n + 1)))
+        }
+
+    def test_total_is_sum_not_the_last_running_sum(self, monkeypatch):
+        # Up to 3.11 ``sum()`` adds left to right, so its total equals the
+        # last running sum; a compensated ``sum()`` (3.12 on) tells them apart
+        # on every interpreter.
+        monkeypatch.setattr(rng_module, "sum", math.fsum, raising=False)
+        n, alpha = 500, 1.1
+        weights = [1.0 / (i**alpha) for i in range(1, n + 1)]
+        rng = DeterministicRNG(1)
+        rng.zipf(n, alpha)
+        cumulative, total = rng._zipf_tables[(n, alpha, float)]
+        assert total == math.fsum(weights) != cumulative[-1]
+        assert cumulative == running_sums(n, alpha)
+
+    def test_an_int_and_a_float_exponent_keep_their_own_tables(self):
+        rng, oracle = DeterministicRNG(5), ZipfOracle(5)
+        order = [(300, 2), (300, 2.0)] * 20
+        assert _typed(rng.zipf(n, alpha) for n, alpha in order) == _typed(
+            oracle.zipf(n, alpha) for n, alpha in order
+        )
+        assert set(rng._zipf_tables) == {(300, 2, int), (300, 2.0, float)}
+
+    @pytest.mark.parametrize("n", [0, -1, -500])
+    def test_a_non_positive_domain_still_raises(self, n):
+        rng = DeterministicRNG(3)
+        with pytest.raises(ValueError):
+            rng.zipf(n)
+        with pytest.raises(ValueError):
+            ZipfOracle(3).zipf(n)
+        assert rng._zipf_tables == {}
 
     def test_sample_and_choice(self):
         rng = DeterministicRNG(11)
@@ -113,6 +184,26 @@ class TestClusterSpec:
             min(cluster.total_reduce_slots, cluster.num_nodes),
         )
         assert cluster.scaled(1).job_model_constants[3:] == (2, 2, 1)
+
+    def test_cache_key_is_the_field_tuple_built_once_per_spec(self, monkeypatch):
+        from repro.cluster import spec as spec_module
+        from repro.common.store import cluster_cache_key
+
+        built = []
+
+        def counting(value, original=spec_module.astuple):
+            built.append(value)
+            return original(value)
+
+        monkeypatch.setattr(spec_module, "astuple", counting)
+        cluster = small_test_cluster()
+        assert cluster.cache_key == dataclasses.astuple(cluster)
+        assert cluster_cache_key(cluster) is cluster.cache_key
+        assert cluster_cache_key(cluster) is cluster_cache_key(cluster)
+        assert built == [cluster]
+        other = cluster.scaled(cluster.num_nodes + 1)
+        assert cluster_cache_key(other) != cluster_cache_key(cluster)
+        assert built == [cluster, other]
 
     def test_scaled_changes_node_count_only(self):
         cluster = ClusterSpec.paper_cluster().scaled(10)

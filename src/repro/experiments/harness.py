@@ -54,18 +54,11 @@ from repro.common.store import (
     resolve_env_path,
 )
 from repro.core.decision_cache import DecisionCache, DecisionCacheStats
-from repro.core.optimizer import OptimizationResult
-from repro.core.search import StubbySearch
+from repro.core.optimizer import OptimizationResult, StubbyOptimizer
 from repro.core.subresults import (
     SubResultCatalog,
     SubResultCatalogStats,
     register_workflow_outputs,
-)
-from repro.core.transformations import (
-    HorizontalPacking,
-    InterJobVerticalPacking,
-    IntraJobVerticalPacking,
-    PartitionFunctionTransformation,
 )
 from repro.core.optimization_unit import OptimizationUnitGenerator
 from repro.core.transformations.configuration import ConfigurationTransformation
@@ -523,18 +516,12 @@ class ExperimentHarness:
 
         Every subplan enumerated for the workload's first optimization unit is
         configured with its best RRS settings, executed, and costed both ways.
+        The search is a fresh optimizer's (fresh stores, default seed and RRS):
+        its empty sub-result catalog makes the reuse rewrite propose nothing.
         """
         workload = workload or self.prepare_workload(abbreviation)
         plan = workload.plan
-        search = StubbySearch(
-            cluster=self.cluster,
-            vertical_transformations=[
-                IntraJobVerticalPacking(),
-                InterJobVerticalPacking(),
-                PartitionFunctionTransformation(),
-            ],
-            horizontal_transformations=[HorizontalPacking(), PartitionFunctionTransformation()],
-        )
+        search = StubbyOptimizer(self.cluster).search
         generator = OptimizationUnitGenerator()
         unit = generator.next_unit(plan)
         if unit is None:

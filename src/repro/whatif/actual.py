@@ -58,7 +58,7 @@ class ActualCostModel:
         def measured(vertex: JobVertex, workflow: Workflow, sizes, configs) -> VertexCost:
             counters = execution.counters_for(vertex.name)
             dataflow = self.dataflow_from_counters(vertex, counters, filesystem)
-            return VertexCost(self.engine.job_estimate(vertex, workflow, dataflow), (), dataflow)
+            return self.engine.job_estimate(vertex, workflow, dataflow, ())
 
         walked = self.engine.run_costing(workflow, measured, sizes={})
         return ActualWorkflowCost(total_s=walked.total_s, per_job=walked.per_job)

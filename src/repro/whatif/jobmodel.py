@@ -90,46 +90,12 @@ def estimate_job_time(
 
     ``chained_map_tasks`` is the job's map-task count under the chaining
     constraint — its chain source's reduce-task count — or 0 / ``None`` for
-    a job whose map tasks follow from ``split_size_mb``.  The two halves of
-    :class:`JobKernel`, called directly: a one-off estimate has no later
-    call to share a memo with.  The keys are derived as
-    :meth:`JobKernel.terms` derives them.
+    a job whose map tasks follow from ``split_size_mb``.  A one-off
+    :meth:`JobKernel.estimate`; a walk holds each job's kernel instead
+    (:meth:`~repro.whatif.model.WhatIfEngine.job_estimate`).
     """
-    num_reduce_tasks, split_size_mb, io_sort_mb, compress_map_output, compress_output = (
-        job_model_settings(config)
-    )
-    if chained_map_tasks:
-        num_map_tasks = max(1, int(chained_map_tasks))
-    else:
-        num_map_tasks = max(1, ceil(dataflow.input_bytes / (split_size_mb * MB)))
-    if dataflow.map_only or num_reduce_tasks == 0:
-        map_task_s, map_phase_s, _ = _map_half(
-            dataflow, cluster, num_map_tasks, None, compress_output
-        )
-        return JobTimeEstimate(
-            map_phase_s, 0.0, 0.0, cluster.job_startup_s, num_map_tasks, 0, map_task_s, 0.0
-        )
-    effective_sort_mb = max(8.0, io_sort_mb / dataflow.pipeline_count)
-    spill_passes = max(
-        1.0, ceil((dataflow.map_output_bytes / num_map_tasks / MB) / effective_sort_mb)
-    )
-    map_task_s, map_phase_s, _ = _map_half(
-        dataflow, cluster, num_map_tasks, spill_passes, compress_map_output
-    )
-    num_reduce_tasks = max(1, num_reduce_tasks)
-    shuffle_s, reduce_phase_s, reduce_task_s, _ = _reduce_half(
-        dataflow, cluster, num_reduce_tasks, compress_map_output, compress_output
-    )
-    return JobTimeEstimate(
-        map_phase_s,
-        shuffle_s,
-        reduce_phase_s,
-        cluster.job_startup_s,
-        num_map_tasks,
-        num_reduce_tasks,
-        map_task_s,
-        reduce_task_s,
-    )
+    inputs = (*job_model_settings(config), chained_map_tasks or 0)
+    return JobKernel(dataflow, cluster).estimate(inputs)
 
 
 class JobKernel:
@@ -145,16 +111,17 @@ class JobKernel:
     * the reduce half reads the reduce-task count and the two compression
       flags (:func:`_reduce_half`).
 
-    Each half's memo value carries the half's slot-seconds, so the kernel's
-    one entry, :meth:`terms`, answers what the level model reads of the job
-    with two float additions and no :class:`JobTimeEstimate`.  Deriving the
-    two keys is a division and a ceiling or two; an RRS sweep draws far fewer
-    distinct keys than distinct configurations, so a kernel held for a
-    candidate's samples (``OverlaySession``) pays each half once per key.
-    :func:`estimate_job_time` calls the halves without a memo.  Every float
-    keeps the operation order of the phase-by-phase derivation the model
-    started as (``tests/jobmodel_oracle.py`` holds it and checks ``==``), so
-    a memo hit is the number a fresh call computes.
+    :meth:`_halves` derives the two keys — a division and a ceiling or two —
+    and reads both halves from their memos; each memo value carries the
+    half's slot-seconds.  Its two readers are :meth:`estimate`, the job's
+    :class:`JobTimeEstimate`, and :meth:`terms`, what the level model reads
+    of the job, with two float additions and no estimate.  A walk builds one
+    kernel per job it costs and asks it for both; an RRS sweep draws far
+    fewer distinct keys than distinct configurations, so the kernel a
+    candidate's session takes over from its base walk pays each half once
+    per key.  Every float keeps the operation order of the phase-by-phase
+    derivation the model started as (``tests/jobmodel_oracle.py`` holds it
+    and checks ``==``), so a memo hit is the number a fresh call computes.
     """
 
     __slots__ = (
@@ -177,9 +144,35 @@ class JobKernel:
         #: Reduce-half key -> ``(shuffle_s, reduce_phase_s, reduce_task_s, reduce_slot_s)``.
         self.reduces: Dict[Tuple, Tuple[float, float, float, float]] = {}
 
+    def estimate(self, inputs: JobModelInputs) -> JobTimeEstimate:
+        """The job's phase-by-phase estimate under ``inputs``."""
+        num_map_tasks, map_half, num_reduce_tasks, reduce_half = self._halves(inputs)
+        map_task_s, map_phase_s, _ = map_half
+        shuffle_s, reduce_phase_s, reduce_task_s, _ = reduce_half
+        return JobTimeEstimate(
+            map_phase_s, shuffle_s, reduce_phase_s, self.startup_s,
+            num_map_tasks, num_reduce_tasks, map_task_s, reduce_task_s,
+        )
+
     def terms(self, inputs: JobModelInputs) -> LevelTerms:
         """The job's level terms under ``inputs``: ``==`` ``level_terms`` of
-        :func:`estimate_job_time` under them.
+        :meth:`estimate` under them."""
+        _, (_, map_phase_s, map_slot_s), _, (shuffle_s, reduce_phase_s, _, reduce_slot_s) = (
+            self._halves(inputs)
+        )
+        startup_s = self.startup_s
+        # ``total_s`` as JobTimeEstimate adds it.
+        return (
+            startup_s + map_phase_s + shuffle_s + reduce_phase_s,
+            map_slot_s,
+            reduce_slot_s,
+            shuffle_s,
+            startup_s,
+        )
+
+    def _halves(self, inputs: JobModelInputs) -> Tuple[int, Tuple, int, Tuple]:
+        """``(map tasks, map half, reduce tasks, reduce half)`` under ``inputs``:
+        the one derivation of the job model's task counts and spill passes.
 
         A chained count is taken as given: it is a reduce-task count, at least 1.
         """
@@ -199,38 +192,27 @@ class JobKernel:
                 half = self.maps[key] = _map_half(
                     self.dataflow, self.cluster, num_map_tasks, None, compress_output
                 )
-            reduce = self.no_reduce
-        else:
-            # Memory available to the sort buffer is shared by packed pipelines.
-            sort_mb = io_sort_mb / self.pipeline_count
-            sort_mb = sort_mb if sort_mb > 8.0 else 8.0
-            spill_passes = ceil((self.map_output_bytes / num_map_tasks / MB) / sort_mb)
-            spill_passes = spill_passes if spill_passes > 1.0 else 1.0
-            key = (num_map_tasks, spill_passes, compress_map_output)
-            half = self.maps.get(key)
-            if half is None:
-                half = self.maps[key] = _map_half(
-                    self.dataflow, self.cluster, num_map_tasks, spill_passes, compress_map_output
-                )
-            num_reduce_tasks = num_reduce_tasks if num_reduce_tasks > 1 else 1
-            key = (num_reduce_tasks, compress_map_output, compress_output)
-            reduce = self.reduces.get(key)
-            if reduce is None:
-                reduce = self.reduces[key] = _reduce_half(
-                    self.dataflow, self.cluster, num_reduce_tasks, compress_map_output,
-                    compress_output,
-                )
-        _, map_phase_s, map_slot_s = half
-        shuffle_s, reduce_phase_s, _, reduce_slot_s = reduce
-        startup_s = self.startup_s
-        # ``total_s`` as JobTimeEstimate adds it.
-        return (
-            startup_s + map_phase_s + shuffle_s + reduce_phase_s,
-            map_slot_s,
-            reduce_slot_s,
-            shuffle_s,
-            startup_s,
-        )
+            return num_map_tasks, half, 0, self.no_reduce
+        # Memory available to the sort buffer is shared by packed pipelines.
+        sort_mb = io_sort_mb / self.pipeline_count
+        sort_mb = sort_mb if sort_mb > 8.0 else 8.0
+        spill_passes = ceil((self.map_output_bytes / num_map_tasks / MB) / sort_mb)
+        spill_passes = spill_passes if spill_passes > 1.0 else 1.0
+        key = (num_map_tasks, spill_passes, compress_map_output)
+        half = self.maps.get(key)
+        if half is None:
+            half = self.maps[key] = _map_half(
+                self.dataflow, self.cluster, num_map_tasks, spill_passes, compress_map_output
+            )
+        num_reduce_tasks = num_reduce_tasks if num_reduce_tasks > 1 else 1
+        key = (num_reduce_tasks, compress_map_output, compress_output)
+        reduce = self.reduces.get(key)
+        if reduce is None:
+            reduce = self.reduces[key] = _reduce_half(
+                self.dataflow, self.cluster, num_reduce_tasks, compress_map_output,
+                compress_output,
+            )
+        return num_map_tasks, half, num_reduce_tasks, reduce
 
 
 def _map_half(

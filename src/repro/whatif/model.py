@@ -8,7 +8,8 @@ downstream jobs, and combines per-level makespans into the workflow estimate.
 
 Costing is exposed as composable per-vertex steps — :meth:`WhatIfEngine.cost_vertex`
 produces one job's time estimate together with its output-size contributions,
-:meth:`WhatIfEngine.job_estimate` is its job-model half (the actual-cost judge's too),
+:meth:`WhatIfEngine.job_estimate` is its job-model half (every walk's: the cold
+engine's, the cost service's and the actual-cost judge's),
 :meth:`WhatIfEngine.apply_output_contributions` advances the size state, and
 :meth:`WhatIfEngine.vertex_dataflow_signature` captures every input the
 dataflow derivation of a vertex reads — so
@@ -37,8 +38,9 @@ from repro.mapreduce.config import JobConfig
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.pipeline import Pipeline
 from repro.whatif.dataflow import JobDataflow
-from repro.whatif.jobmodel import JobTimeEstimate, LevelTerms, estimate_job_time
-from repro.whatif.scheduling import level_makespan, level_terms
+from repro.whatif.jobmodel import JobKernel, JobModelInputs, JobTimeEstimate, LevelTerms
+from repro.whatif.jobmodel import job_model_settings
+from repro.whatif.scheduling import level_makespan
 from repro.workflow.annotations import OperatorProfile, ProfileAnnotation
 from repro.workflow.graph import JobVertex, Workflow
 
@@ -106,8 +108,10 @@ class VertexCost:
 
     estimate: JobTimeEstimate
     output_contributions: Tuple[Tuple[str, float, float], ...]
-    #: What ``estimate`` was computed from (job-model-only moves reuse it).
-    dataflow: JobDataflow
+    #: The job model of the dataflow ``estimate`` was computed from, and what
+    #: it read: the walk's level terms and a session's samples ask this kernel.
+    kernel: JobKernel = field(compare=False)
+    inputs: JobModelInputs = field(compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +122,7 @@ class CostingBasis:
 
     levels: List[List[JobVertex]]
     costed: Dict[str, VertexCost]
-    #: Each level's jobs' level terms (``level_terms``), in level order.
+    #: Each level's jobs' level terms (:meth:`JobKernel.terms`), in level order.
     terms: List[List[LevelTerms]]
     level_makespans: List[float]
     #: The jobs whose signature reads a producer's reduce-task count (a
@@ -170,7 +174,6 @@ class WhatIfEngine:
         """
         cluster = self.cluster
         levels = workflow.topological_levels()
-        task_startup_s = cluster.task_startup_s
         costed: Dict[str, VertexCost] = {}
         terms: List[List[LevelTerms]] = []
         makespans: List[float] = []
@@ -182,8 +185,10 @@ class WhatIfEngine:
         # sizes are then the sizes each job was costed on.
         settled = True
         for level in levels:
+            row: List[LevelTerms] = []
             for vertex in level:
                 costed_vertex = cost_vertex_fn(vertex, workflow, sizes, configs)
+                row.append(costed_vertex.kernel.terms(costed_vertex.inputs))
                 contributions = costed_vertex.output_contributions
                 settled = settled and not any(entry[0] in sizes for entry in contributions)
                 self.apply_output_contributions(sizes, contributions)
@@ -192,10 +197,8 @@ class WhatIfEngine:
                 if vertex.job.config.chained_input:
                     chained.add(vertex.job.name)
                 costed[vertex.job.name] = costed_vertex
-            terms.append([
-                level_terms(costed[vertex.job.name].estimate, task_startup_s) for vertex in level
-            ])
-            makespans.append(level_makespan(terms[-1], cluster))
+            terms.append(row)
+            makespans.append(level_makespan(row, cluster))
         reusable = settled and not configs
         return WorkflowCostEstimate(
             total_s=left_sum(makespans),
@@ -223,21 +226,30 @@ class WhatIfEngine:
         :meth:`apply_output_contributions`) before costing downstream jobs.
         """
         dataflow, contributions = self.derive_vertex_dataflow(vertex, workflow, sizes, configs)
-        estimate = self.job_estimate(vertex, workflow, dataflow, configs)
-        return VertexCost(estimate, contributions, dataflow)
+        return self.job_estimate(vertex, workflow, dataflow, contributions, configs)
 
     def job_estimate(
         self,
         vertex: JobVertex,
         workflow: Workflow,
         dataflow: JobDataflow,
+        contributions: Tuple[Tuple[str, float, float], ...],
         configs: ConfigOverlay = None,
-    ) -> JobTimeEstimate:
-        """The job-model step of every walk: ``vertex``'s estimate from ``dataflow``,
-        under its configuration and its chained map-task count (:meth:`chained_map_tasks`)."""
+    ) -> VertexCost:
+        """The job-model step of every walk (cold, cost service, judge): ``vertex``'s
+        cost from ``dataflow`` and its ``contributions``.
+
+        One :class:`~repro.whatif.jobmodel.JobKernel` of ``dataflow`` answers,
+        under the job's configuration and chained map-task count
+        (:meth:`chained_map_tasks`); the cost carries that kernel and its
+        inputs, so the walk's level terms are a memo hit and a cost-service
+        session's samples start from the same memo.
+        """
         config = config_of(vertex, configs)
         chained = self.chained_map_tasks(vertex, workflow, configs) if config.chained_input else 0
-        return estimate_job_time(dataflow, config, self.cluster, chained)
+        inputs = (*job_model_settings(config), chained)
+        kernel = JobKernel(dataflow, self.cluster)
+        return VertexCost(kernel.estimate(inputs), contributions, kernel, inputs)
 
     def derive_vertex_dataflow(
         self,
@@ -657,7 +669,7 @@ class WhatIfEngine:
     ) -> int:
         """``vertex``'s map-task count under the chaining constraint — its
         :meth:`chain_source`'s reduce-task count — or 0 when it has none: the
-        job-model input :func:`~repro.whatif.jobmodel.estimate_job_time` takes."""
+        last of :data:`~repro.whatif.jobmodel.JOB_MODEL_INPUTS`."""
         source = WhatIfEngine.chain_source(vertex, workflow, configs)
         return 0 if source is None else max(1, config_of(source, configs).num_reduce_tasks)
 

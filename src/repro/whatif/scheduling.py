@@ -23,8 +23,8 @@ def level_terms(estimate: JobTimeEstimate, task_startup_s: float) -> LevelTerms:
     """What :func:`level_makespan` reads of a job, from its estimate.
 
     ``==`` :meth:`~repro.whatif.jobmodel.JobKernel.terms` under the settings
-    the estimate was made for: a slot-seconds term is the job's tasks times
-    (task time + ``task_startup_s``).
+    the estimate was made for (which a walk asks instead): a slot-seconds
+    term is the job's tasks times (task time + ``task_startup_s``).
     """
     return (
         estimate.total_s,

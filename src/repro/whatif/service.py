@@ -25,10 +25,12 @@ query of the optimizer stack and makes them incremental:
   straight into the job model (:meth:`OverlaySession.objective`, the one
   sample entry), and ``JobConfig`` objects are built only where that walk
   re-derives a fact reader or starts over;
-* each job a candidate's samples reach holds a
-  :class:`~repro.whatif.jobmodel.JobKernel` for its base dataflow (and one
-  for its combiner-flipped dataflow), so each half of the job model runs once
-  per distinct key it reads for the candidate's life;
+* each job a candidate's samples reach keeps the
+  :class:`~repro.whatif.jobmodel.JobKernel` its base walk costed it with
+  (:meth:`~repro.whatif.model.WhatIfEngine.job_estimate`, the job-model step
+  of every walk) and gains one for its combiner-flipped dataflow, so each
+  half of the job model runs once per distinct key it reads for the
+  candidate's life, the base's own keys included;
 * the cheap per-phase job model runs on the dataflow of every job whose
   configuration is asked about — a sample asks each kernel for the job's
   level terms (:meth:`~repro.whatif.jobmodel.JobKernel.terms`), and the
@@ -90,12 +92,11 @@ from repro.common.store import (  # noqa: F401  (CacheLoadReport, cluster_cache_
     cluster_cache_key,
     current_origin,
 )
-from repro.mapreduce.config import ConfigDimension, ConfigurationSpace, JobConfig, SettingSlots
-from repro.whatif.jobmodel import JOB_MODEL_INPUTS, JobKernel, JobModelInputs
-from repro.whatif.jobmodel import LevelTerms, job_model_settings
+from repro.mapreduce.config import ConfigurationSpace, JobConfig, SettingSlots
+from repro.whatif.jobmodel import JOB_MODEL_INPUTS, JobKernel, JobModelInputs, LevelTerms
 from repro.whatif.model import COST_MODEL_VERSION, VertexCost, WhatIfEngine, WorkflowCostEstimate
 from repro.whatif.model import ConfigOverlay
-from repro.whatif.scheduling import level_makespan, level_terms
+from repro.whatif.scheduling import level_makespan
 from repro.workflow.graph import JobVertex, Workflow
 
 #: An RRS sample: its values in its space's dimension order.
@@ -263,7 +264,7 @@ class _Job:
 
     def __init__(
         self, position: int, level: int, slot: int, vertex: JobVertex, prior: VertexCost,
-        fact_reader: bool, chained_map_tasks: int, cluster: ClusterSpec,
+        fact_reader: bool,
     ) -> None:
         job = vertex.job
         self.name = job.name
@@ -271,13 +272,14 @@ class _Job:
         # Its index in the walk, its level's index, and its index in that level.
         self.position, self.level, self.slot = position, level, slot
         self.config = job.config
-        #: What its kernel reads: its settings, then its chained map-task count.
-        self.inputs: JobModelInputs = (*job_model_settings(job.config), chained_map_tasks)
         self.combiner = job.config.combiner_enabled
         self.has_combiner = job.has_combiner
         self.prior = prior  # the base's result
-        #: The job model of the base's dataflow, memoized for the session.
-        self.kernel = JobKernel(prior.dataflow, cluster)
+        #: The base walk's job model of the base's dataflow, memoized for the
+        #: session, and what it read: the job's settings, then its chained
+        #: map-task count.
+        self.kernel: JobKernel = prior.kernel
+        self.inputs: JobModelInputs = prior.inputs
         self.fact_reader = fact_reader
         #: With its combiner flipped: ``(kernel, contributions, origin of the
         #: memo row that answered)``, once asked (``_flipped``).
@@ -331,8 +333,7 @@ class OverlaySession:
             basis = self._base.basis
             position, level, slot, vertex = self._walk_rank()[name]
             job = self._jobs[name] = _Job(
-                position, level, slot, vertex, basis.costed[name], name in basis.fact_readers,
-                self.service.engine.chained_map_tasks(vertex, self.workflow), self.service.cluster,
+                position, level, slot, vertex, basis.costed[name], name in basis.fact_readers
             )
         return job
 
@@ -350,7 +351,12 @@ class OverlaySession:
         it reads from a point.  A point costs the ``total_s`` a cold estimate
         answers for the workflow with the overlay ``JobConfig.with_values``
         binds from it, and is counted and fault-visited as one query; only
-        the total is built.  Without a base (no :meth:`estimate` yet, or a
+        the total is built.  A sample takes a point's values as they are, so
+        a point must lie inside ``space``, and ``space`` must be one whose
+        points ``with_values`` keeps as is: a ``ValueError`` names the first
+        dimension a tuned setting reads that is not (an int dimension whose
+        low is below the setting's floor, or a flag setting on a non-bool
+        dimension).  Without a base (no :meth:`estimate` yet, or a
         workflow that cannot give one) each point is a full walk.
         Resolved once: each tuned job's place in the base walk, its setting
         slots (a constraint-held reduce count left out), and where each of
@@ -366,6 +372,18 @@ class OverlaySession:
         jobs = workflow.num_jobs
         tuned = [(name, workflow.job(name).job.config, pairs) for name, pairs in tuned]
         slots = {name: config.setting_slots(pairs) for name, config, pairs in tuned}
+        for held in slots.values():
+            for index, setting, floor in held:
+                dimension = space.dimensions[index]
+                if floor is None:
+                    kept = dimension.kind == "bool"
+                else:
+                    kept = dimension.kind == "int" and dimension.low >= floor
+                if not kept:
+                    raise ValueError(
+                        f"dimension {dimension.name!r} holds values JobConfig.with_values "
+                        f"would change for {setting!r}: a sample takes a point as it is"
+                    )
 
         if self._base is None:
 
@@ -375,15 +393,6 @@ class OverlaySession:
 
             return walked
 
-        # ``with_values`` normalises a value (a flag to ``bool``, a number
-        # rounded up to its floor); on a dimension whose every point is
-        # normalised already that is the identity, so only the others pay it.
-        loose = sorted({
-            (index, floor)
-            for held in slots.values()
-            for index, _, floor in held
-            if not _normalised(space.dimensions[index], floor)
-        })
         # A sample reads each walked job's kernel inputs and combiner flag from
         # ``point + own``: from its slots, or from ``own``, its values no slot sets.
         width = len(space.dimensions)
@@ -414,8 +423,6 @@ class OverlaySession:
 
         def sample(point: Point) -> float:
             fault_site("whatif.estimate", jobs=jobs)
-            if loose:
-                point = _normalise(point, loose)
             values = point + own
             steps = []
             for job, pick, combiner_at in order:
@@ -522,7 +529,7 @@ class OverlaySession:
                     configs = materialise()
                 costed_vertex = self._cost_vertex(job.vertex, workflow, sizes, configs)
                 contributions = costed_vertex.output_contributions
-                terms = level_terms(costed_vertex.estimate, self.service.cluster.task_startup_s)
+                terms = costed_vertex.kernel.terms(costed_vertex.inputs)
             elif flipped:
                 kernel, contributions = self._flipped(job)
                 terms = kernel.terms(inputs)
@@ -587,8 +594,7 @@ class OverlaySession:
         engine = self.service.engine
         signature = engine.vertex_dataflow_signature(vertex, workflow, sizes, configs)
         (dataflow, contributions), _ = self._derived(signature, vertex, sizes, configs)
-        estimate = engine.job_estimate(vertex, workflow, dataflow, configs)
-        return VertexCost(estimate, contributions, dataflow)
+        return engine.job_estimate(vertex, workflow, dataflow, contributions, configs)
 
     def _derived(
         self, signature: Tuple, vertex: JobVertex, sizes, configs: ConfigOverlay
@@ -607,18 +613,3 @@ class OverlaySession:
         service._store(signature, derived, self._origin)
         return derived, self._origin
 
-
-def _normalised(dimension: ConfigDimension, floor: Optional[int]) -> bool:
-    # Whether every point of ``dimension`` holds a value ``with_values`` keeps as is.
-    if floor is None:
-        return dimension.kind == "bool"
-    return dimension.kind == "int" and dimension.low >= floor
-
-
-def _normalise(point: Point, loose: List[Tuple[int, Optional[int]]]) -> Point:
-    # ``point`` with the values at ``loose`` normalised as JobConfig.with_values normalises them.
-    values = list(point)
-    for index, floor in loose:
-        value = values[index]
-        values[index] = bool(value) if floor is None else max(floor, round(float(value)))
-    return tuple(values)

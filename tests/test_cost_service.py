@@ -20,6 +20,7 @@ import collections
 import contextlib
 import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -38,7 +39,7 @@ from repro.core.transformations import (
     PartitionFunctionTransformation,
 )
 from repro.experiments import ExperimentHarness
-from repro.mapreduce.config import SETTING_FLOORS, JobConfig
+from repro.mapreduce.config import SETTING_FLOORS, ConfigurationSpace, JobConfig
 from repro.profiler import Profiler
 from repro.verification import (
     FaultPlan,
@@ -594,6 +595,36 @@ class TestOverlayContract:
             CostService(CLUSTER), plan, space, tuned, samples, "two writers"
         )
         assert base.basis is None
+
+    @pytest.mark.parametrize("based", (True, False), ids=("based", "unbased"))
+    @pytest.mark.parametrize(
+        "setting, loosen",
+        (
+            ("num_reduce_tasks", dict(low=0)),  # below the setting's floor of 1
+            ("compress_output", dict(kind="int", low=0, high=1)),  # a flag read from an int
+        ),
+    )
+    def test_a_space_with_values_would_change_is_refused(self, setting, loosen, based):
+        """A sample takes a point's values as they are, so the objective is
+        refused, naming the dimension, on a space holding values
+        ``JobConfig.with_values`` would change."""
+        plan = _profiled("IR").plan
+        space, tuned, _ = _space(plan)
+        name, index = next(
+            (name, index)
+            for name, dims in tuned.items()
+            for index, tuned_setting in dims
+            if tuned_setting == setting
+        )
+        dimensions = list(space.dimensions)
+        dimensions[index] = dataclasses.replace(dimensions[index], **loosen)
+        loose = ConfigurationSpace(dimensions=dimensions)
+        with CostService(CLUSTER).overlay(plan.workflow) as session:
+            if based:
+                session.estimate()
+            with pytest.raises(ValueError, match=re.escape(repr(f"{name}::{setting}"))):
+                session.objective(loose, tuned.items())
+            session.objective(space, tuned.items())  # the search's own space is one
 
     def test_overlay_of_an_unknown_job_is_rejected(self):
         plan = _profiled("IR").plan

@@ -47,7 +47,6 @@ from repro.profiler import Profiler
 from repro.verification import RandomWorkflowGenerator
 from repro.whatif.dataflow import JobDataflow
 from repro.whatif import jobmodel
-from repro.whatif import model as whatif_model
 from repro.whatif.jobmodel import JobKernel, JobTimeEstimate
 from repro.whatif.model import WhatIfEngine
 from repro.whatif.service import CostService, OverlaySession
@@ -336,15 +335,15 @@ class TestColdOptimizeBounds:
 
     @pytest.mark.parametrize("label", ("rollup31", "BR"))
     def test_a_job_model_half_runs_once_per_key_per_candidate_job(self, label, monkeypatch):
-        """A candidate's samples reach the job model through the kernels its
-        session holds per job (base and combiner-flipped dataflow), asking
-        each for the job's level terms: each half runs at most once per
-        distinct key per (candidate, job), so fewer times than the kernels
-        are asked.  ``estimate_job_time``, the cold path of full walks and
-        re-derivations (called only through ``WhatIfEngine.job_estimate``),
-        calls the halves without a memo and is not counted."""
+        """A candidate's samples ask each job's kernel for its level terms:
+        the kernel the session's base walk costed the job with
+        (``WhatIfEngine.job_estimate``), or the one of its combiner-flipped
+        dataflow.  So each half runs at most once per distinct key per
+        (candidate, job), the base walk's own runs included, and fewer times
+        than the samples ask the kernels.  A walk a sample starts over, or a
+        re-derivation, costs its jobs with fresh kernels and is not counted."""
         halves = collections.Counter()
-        sessions, cold = [], []
+        sessions, sampling, cold = [], [], []
         kernel_calls = [0]
 
         def track_sessions(attribute, change):
@@ -360,17 +359,28 @@ class TestColdOptimizeBounds:
         track_sessions("__enter__", sessions.append)
         track_sessions("__exit__", lambda session: sessions.pop())
 
-        for module in (jobmodel, whatif_model):
-            estimate = module.estimate_job_time
-
-            def cold_estimate(*args, estimate=estimate):
-                cold.append(None)
+        def within(stack, function):
+            def run(*args):
+                stack.append(None)
                 try:
-                    return estimate(*args)
+                    return function(*args)
                 finally:
-                    cold.pop()
+                    stack.pop()
 
-            monkeypatch.setattr(module, "estimate_job_time", cold_estimate)
+            return run
+
+        objective = OverlaySession.objective
+        monkeypatch.setattr(
+            OverlaySession, "objective",
+            lambda session, *args: within(sampling, objective(session, *args)),
+        )
+        job_estimate = WhatIfEngine.job_estimate
+        monkeypatch.setattr(
+            WhatIfEngine, "job_estimate",
+            lambda engine, *args: (within(cold, job_estimate) if sampling else job_estimate)(
+                engine, *args
+            ),
+        )
 
         for name in ("_map_half", "_reduce_half"):
             half = getattr(jobmodel, name)
@@ -386,9 +396,10 @@ class TestColdOptimizeBounds:
         # A sample enters the job model through a kernel's level terms.
         terms = JobKernel.terms
 
-        def counted_terms(kernel, settings):
-            kernel_calls[0] += 1
-            return terms(kernel, settings)
+        def counted_terms(kernel, inputs):
+            if sampling and not cold:
+                kernel_calls[0] += 1
+            return terms(kernel, inputs)
 
         monkeypatch.setattr(JobKernel, "terms", counted_terms)
 
@@ -399,6 +410,59 @@ class TestColdOptimizeBounds:
         map_halves = len(halves) - reduce_halves
         assert 0 < reduce_halves < kernel_calls[0], (reduce_halves, kernel_calls)
         assert 0 < map_halves < kernel_calls[0], (map_halves, kernel_calls)
+
+    @pytest.mark.parametrize("label", ("BR", "rollup31"))
+    def test_a_session_asks_the_kernels_its_base_walk_built(self, label, monkeypatch):
+        """One ``JobKernel`` per vertex a walk costs (``WhatIfEngine.job_estimate``,
+        the job-model step of every walk) plus one per job's first combiner
+        flip, and none anywhere else: a job a sample first reaches keeps the
+        kernel and inputs of the base walk's cost of it."""
+        steps = []  # the open step: [kernels built under it]
+        counts = collections.Counter()
+        flipped = set()
+
+        init = JobKernel.__init__
+
+        def counted_init(kernel, *args):
+            assert steps, "a JobKernel built outside a walk's vertex and a first flip"
+            steps[-1][0] += 1
+            init(kernel, *args)
+
+        monkeypatch.setattr(JobKernel, "__init__", counted_init)
+
+        def step(owner, attribute, label, before=None):
+            original = getattr(owner, attribute)
+
+            def stepped(this, *args):
+                if before is not None:
+                    before(*args)
+                steps.append([0])
+                try:
+                    return original(this, *args)
+                finally:
+                    built = steps.pop()[0]
+                    counts[label] += 1
+                    counts[f"{label} kernels"] += built
+
+            monkeypatch.setattr(owner, attribute, stepped)
+
+        step(WhatIfEngine, "job_estimate", "vertex")
+        step(OverlaySession, "_flipped", "flip", lambda job: flipped.add(job))
+
+        resolve = OverlaySession._job
+
+        def resolved(session, name):
+            job = resolve(session, name)
+            assert job.kernel is job.prior.kernel and job.inputs is job.prior.inputs, name
+            counts["jobs"] += 1
+            return job
+
+        monkeypatch.setattr(OverlaySession, "_job", resolved)
+
+        StubbyOptimizer(ClusterSpec.paper_cluster(), seed=17).optimize(golden.plan_of(label))
+        assert counts["vertex kernels"] == counts["vertex"] > 0, counts
+        assert counts["flip kernels"] == len(flipped) <= counts["flip"], counts
+        assert counts["jobs"] > 0 and (label != "rollup31" or flipped), counts
 
     @pytest.mark.parametrize("abbr", ("IR", "BR"))
     def test_costing_a_candidate_copies_no_plan_and_rebinds_no_vertex(self, abbr):

@@ -177,8 +177,10 @@ def _random_job(rng):
     return dataflow, config, chained_map_tasks
 
 
-def _assert_equals_the_oracle(dataflow, config, chained, cluster):
-    ours = estimate_job_time(dataflow, config, cluster, chained)
+def _assert_equals_the_oracle(dataflow, config, chained, cluster, ours=None):
+    """``ours`` (default: ``estimate_job_time``) ``==`` the oracle's estimate, field by field."""
+    if ours is None:
+        ours = estimate_job_time(dataflow, config, cluster, chained)
     theirs = jobmodel_oracle.estimate_job_time(dataflow, config, cluster, chained)
     for name in jobmodel_oracle.FIELDS:
         assert getattr(ours, name) == getattr(theirs, name), (name, dataflow, config, cluster)
@@ -276,6 +278,9 @@ class TestJobKernel:
             assert ours == level_terms(theirs, cluster.task_startup_s), (label, settings)
             assert [type(term) for term in ours] == [float] * 5, (label, settings)
             assert ours[0] == theirs.total_s
+            # The estimate reads the same halves: always a memo hit here.
+            estimate = kernel.estimate((*settings, chained))
+            _assert_equals_the_oracle(dataflow, config, chained, cluster, estimate)
         # Each half ran once per key, and far fewer times than it was read.
         assert calls["computed"] and calls["memo"] > len(KERNEL_SETTINGS), calls
         assert len(kernel.maps) + len(kernel.reduces) < len(KERNEL_SETTINGS)
@@ -289,18 +294,26 @@ class TestJobKernel:
 class TestLevelTerms:
     """What the level model reads of a job: a kernel's terms ``==``
     ``level_terms`` of the phase-by-phase oracle's estimate on random jobs,
-    and ``level_makespan`` over terms ``==`` the oracle's over estimates."""
+    its estimate ``==`` the oracle's, and ``level_makespan`` over terms ``==``
+    the oracle's over estimates."""
 
     @settings(max_examples=300)
     @given(_dataflows, _configs, _chained, st.sampled_from(ORACLE_CLUSTERS))
     def test_random_jobs_terms_equal_the_oracles_level_terms(self, dataflow, config, chained, cluster):
         theirs = jobmodel_oracle.estimate_job_time(dataflow, config, cluster, chained)
-        kernel = JobKernel(dataflow, cluster)
         inputs = (*job_model_settings(config), chained or 0)  # a kernel's count is an int
-        for _ in range(2):  # fresh, then a memo hit
-            assert kernel.terms(inputs) == level_terms(
-                theirs, cluster.task_startup_s
-            )
+
+        def check(kernel, reader):
+            if reader == "terms":
+                assert kernel.terms(inputs) == level_terms(theirs, cluster.task_startup_s)
+            else:
+                estimate = kernel.estimate(inputs)
+                _assert_equals_the_oracle(dataflow, config, chained, cluster, estimate)
+
+        for order in (("terms", "estimate"), ("estimate", "terms")):
+            kernel = JobKernel(dataflow, cluster)
+            for reader in order * 2:  # the first computes the halves, the rest read the memo
+                check(kernel, reader)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_level_makespan_over_terms_equals_the_oracle(self, seed):

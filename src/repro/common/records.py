@@ -70,28 +70,39 @@ def sort_key_for(record: Mapping[str, object], fields: Sequence[str]) -> tuple:
 
 
 def record_size_bytes(record: Mapping[str, object]) -> int:
-    """Rough serialized size of a record, used for byte-level dataflow stats.
+    """Rough serialized size of one record: :func:`records_size_bytes` of it."""
+    return records_size_bytes((record,))
+
+
+def records_size_bytes(records: Iterable[Mapping[str, object]]) -> int:
+    """Summed rough serialized size of ``records``, used for byte-level
+    dataflow stats.
 
     The estimate mirrors a simple text serialization: 8 bytes per numeric
-    field, string length for strings, plus 2 bytes of per-field overhead.
-    The exact types ``str``, ``int`` and ``float`` are tested first; a
-    subclass of ``str`` is measured by its ``str()``, like any other value.
+    field, string length for strings, plus 2 bytes of per-field overhead,
+    and at least 1 byte per record.  The exact types ``str``, ``int`` and
+    ``float`` are tested first; a subclass of ``str`` is measured by its
+    ``str()``, like any other value.
     """
-    size = 0
-    for field, value in record.items():
-        kind = type(value)
-        if kind is str:
-            size += len(value)
-        elif kind is int or kind is float:
-            size += 8
-        elif value is None:
-            size += 1
-        elif isinstance(value, (int, float, bool)):
-            size += 8
-        else:
-            size += len(str(value))
-        size += 2 + len(field) // 4  # per-field overhead, amortized field name
-    return max(size, 1)
+    total = 0
+    for record in records:
+        size = 0
+        for field, value in record.items():
+            kind = type(value)
+            if kind is str:
+                size += len(value)
+            elif kind is int or kind is float:
+                size += 8
+            elif value is None:
+                size += 1
+            elif isinstance(value, (int, float, bool)):
+                size += 8
+            else:
+                size += len(str(value))
+            size += 2 + len(field) // 4  # per-field overhead, amortized field name
+        # Only an empty record sums to 0: every field adds at least 2.
+        total += size or 1
+    return total
 
 
 def canonicalize(value: object, float_digits: int = 9) -> tuple:

@@ -56,8 +56,12 @@ class DeterministicRNG:
         return self._random.uniform(low, high)
 
     def randint(self, low: int, high: int) -> int:
-        """Uniform integer in ``[low, high]`` inclusive."""
-        return self._random.randint(low, high)
+        """Uniform integer in ``[low, high]`` inclusive.
+
+        ``random.Random.randint(a, b)`` is ``randrange(a, b + 1)``; calling
+        that directly draws the same stream one call shallower.
+        """
+        return self._random.randrange(low, high + 1)
 
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""

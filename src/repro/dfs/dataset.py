@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.common.hashing import stable_hash
-from repro.common.records import Record, read_only, record_size_bytes, sort_key_for
+from repro.common.records import Record, read_only, records_size_bytes, sort_key_for
 from repro.dfs.layout import DataLayout
 
 
@@ -40,7 +40,7 @@ class DatasetPartition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "raw_bytes", sum(map(record_size_bytes, self.records)))
+        object.__setattr__(self, "raw_bytes", records_size_bytes(self.records))
 
     @property
     def num_records(self) -> int:
@@ -78,8 +78,18 @@ class Dataset:
             self.load(records)
 
     # ------------------------------------------------------------------ load
-    def load(self, records: Iterable[Record]) -> None:
-        """(Re)load the dataset contents, partitioning per the layout."""
+    def load(
+        self, records: Iterable[Record], hashes: Optional[Dict[tuple, int]] = None
+    ) -> None:
+        """(Re)load the dataset contents, partitioning per the layout.
+
+        A hash layout places a record by the :func:`stable_hash` of its key
+        material (the ``str()`` of each key field, what the hash folds) and
+        hashes each distinct material once, into ``hashes`` (material ->
+        hash): the job that writes the dataset passes the table its shuffle
+        filled, any other load gets a fresh one.  A single bucket hashes
+        nothing.
+        """
         scheme = self.layout.partitioning
         if scheme.kind == "range" and scheme.ranges is not None:
             ranges = scheme.ranges
@@ -88,20 +98,22 @@ class Dataset:
                 buckets[ranges.partition_index(record.get(ranges.field))].append(record)
         elif scheme.kind == "hash":
             materialized = list(records)
-            buckets = [[] for _ in range(max(1, min(16, len(materialized) // 64 + 1)))]
-            fields = scheme.fields
-            # Process-independent bucketing so a dataset loaded from the same
-            # records always lands in the same partitions run to run.  The
-            # material is what stable_hash folds, the str() of each key field,
-            # so each distinct one is hashed once per load.
-            count = len(buckets)
-            placed: Dict[Tuple[str, ...], int] = {}
-            for record in materialized:
-                material = tuple([str(record.get(f)) for f in fields])
-                index = placed.get(material)
-                if index is None:
-                    index = placed[material] = stable_hash(material) % count
-                buckets[index].append(record)
+            count = max(1, min(16, len(materialized) // 64 + 1))
+            if count == 1:
+                buckets = [materialized]
+            else:
+                buckets = [[] for _ in range(count)]
+                # Process-independent bucketing so a dataset loaded from the
+                # same records always lands in the same partitions run to run.
+                fields = scheme.fields
+                if hashes is None:
+                    hashes = {}
+                for record in materialized:
+                    material = tuple([str(record.get(f)) for f in fields])
+                    hashed = hashes.get(material)
+                    if hashed is None:
+                        hashed = hashes[material] = stable_hash(material)
+                    buckets[hashed % count].append(record)
         else:
             buckets = [list(records)]
         sort_fields = self.layout.sort_fields

@@ -26,10 +26,12 @@ by the profiler and by the cluster cost simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, groupby
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
-from repro.common.records import Record, merge, record_size_bytes, sort_key_for
+from repro.common.records import KeyValue, Record, records_size_bytes, sort_key_for
 from repro.dfs.dataset import Dataset
 from repro.dfs.filesystem import InMemoryFileSystem
 from repro.dfs.layout import DataLayout, PartitionScheme
@@ -65,6 +67,8 @@ class JobExecutionResult:
 
 # A tagged map-output entry: (tag, sort_key, key, value)
 _ShuffleEntry = Tuple[str, tuple, Record, Record]
+_TAG, _SORT_KEY, _VALUE = itemgetter(0), itemgetter(1), itemgetter(3)
+_TAG_AND_SORT_KEY = itemgetter(0, 1)
 
 #: Records per map split of an input that is not read chained.
 RECORDS_PER_SPLIT = 2_000
@@ -88,6 +92,9 @@ class LocalEngine:
         """Execute ``job`` reading inputs from and writing outputs to ``filesystem``."""
         counters = ExecutionCounters()
         stats = OperatorStats()
+        # Key material -> stable_hash, shared by the shuffle and the output
+        # loads and dropped with this call.
+        hashes: Dict[tuple, int] = {}
 
         splits, input_scale = self._build_splits(job, filesystem, counters)
 
@@ -101,12 +108,16 @@ class LocalEngine:
 
         reduce_outputs: Dict[str, List[Record]] = {}
         if not job.is_map_only:
-            self._run_shuffle_and_reduce(job, shuffle_buffer, stats, counters, reduce_outputs, sort_fields_by_tag)
+            self._run_shuffle_and_reduce(
+                job, shuffle_buffer, stats, counters, reduce_outputs, sort_fields_by_tag, hashes
+            )
 
         self._record_key_cardinalities(job, shuffle_buffer, counters, sort_fields_by_tag)
         self._merge_operator_stats(stats, counters)
 
-        written = self._write_outputs(job, filesystem, map_only_outputs, reduce_outputs, counters, input_scale)
+        written = self._write_outputs(
+            job, filesystem, map_only_outputs, reduce_outputs, counters, input_scale, hashes
+        )
         per_output = {name: filesystem.get(name).num_records for name in written}
         output_records: Dict[str, List[Record]] = {}
         if self.collect_outputs:
@@ -130,7 +141,8 @@ class LocalEngine:
 
         Records are tagged with their source dataset so that, inside a map
         task, only the pipelines reading that dataset process them.  A split
-        holds the stored records themselves (a map function sees the copy
+        holds the stored records themselves (a map function sees the fresh
+        record its operator merges, any other chain the copy
         :meth:`_pipeline_input_pairs` makes), and the map input counters add
         the statistics :meth:`Dataset.load` fixed for each partition read.
         """
@@ -214,8 +226,7 @@ class LocalEngine:
             if pipeline.is_map_only:
                 # Sized once, by the load that stores it (_write_outputs).
                 bucket = map_only_outputs.setdefault(pipeline.output_dataset, [])
-                for key, value in produced:
-                    bucket.append(merge(key, value))
+                bucket += [{**key, **value} for key, value in produced]
             else:
                 outputs = task_shuffle.setdefault(pipeline.tag, [])
                 outputs.extend(produced)
@@ -228,13 +239,13 @@ class LocalEngine:
             # same pairs unless a combiner rewrote them.  The sums are ints,
             # so adding them whole to the float counters is exact.
             pairs = task_shuffle[pipeline.tag]
-            size = sum(record_size_bytes(k) + record_size_bytes(v) for k, v in pairs)
+            size = records_size_bytes(chain.from_iterable(pairs))
             counters.map_output_records += len(pairs)
             counters.map_output_bytes += size
             combiner = pipeline.map_side_combiner
             if combiner is not None and job.config.combiner_enabled and pairs:
                 pairs = self._apply_combiner(pipeline, combiner, pairs, counters)
-                size = sum(record_size_bytes(k) + record_size_bytes(v) for k, v in pairs)
+                size = records_size_bytes(chain.from_iterable(pairs))
             counters.spilled_records += len(pairs)
             counters.spilled_bytes += size
             counters.shuffle_bytes += size
@@ -247,10 +258,19 @@ class LocalEngine:
     @staticmethod
     def _pipeline_input_pairs(
         pipeline: Pipeline, split: Sequence[Tuple[str, Record]]
-    ) -> Iterator[Tuple[Record, Record]]:
-        for dataset_name, record in split:
-            if pipeline.reads(dataset_name):
-                yield {}, dict(record)
+    ) -> List[KeyValue]:
+        """``({}, record)`` per split record the pipeline reads.
+
+        A leading map operator merges each pair into a fresh record, so it
+        gets the stored record itself; any other chain (a map-side reduce
+        first, or no map operator at all) gets a copy, so no user function
+        can edit a stored record.
+        """
+        reads = pipeline.input_datasets
+        ops = pipeline.map_ops
+        if ops and ops[0].kind == "map":
+            return [({}, record) for name, record in split if name in reads]
+        return [({}, dict(record)) for name, record in split if name in reads]
 
     @staticmethod
     def _apply_combiner(
@@ -294,42 +314,38 @@ class LocalEngine:
         counters: ExecutionCounters,
         reduce_outputs: Dict[str, List[Record]],
         sort_fields_by_tag: Dict[str, Tuple[str, ...]],
+        hashes: Dict[tuple, int],
     ) -> None:
         partitioner = job.effective_partitioner
         num_exec_reduces = self._execution_reduce_tasks(job)
         counters.num_reduce_tasks = job.config.num_reduce_tasks
 
         partitions: Dict[int, List[_ShuffleEntry]] = {i: [] for i in range(num_exec_reduces)}
-        place = partitioner.placer(num_exec_reduces)
+        place = partitioner.placer(num_exec_reduces, hashes)
         for entry in shuffle_buffer:
             partitions[place(entry[2])].append(entry)
 
         pipelines_by_tag = {p.tag: p for p in job.pipelines}
         for index in range(num_exec_reduces):
             entries = partitions[index]
-            entries.sort(key=lambda e: (e[0], e[1]))
+            entries.sort(key=_TAG_AND_SORT_KEY)
             counters.reduce_input_records += len(entries)
             # Process each tag's run of entries through its pipeline.
-            start = 0
-            while start < len(entries):
-                tag = entries[start][0]
-                end = start
-                while end < len(entries) and entries[end][0] == tag:
-                    end += 1
+            for tag, run in groupby(entries, _TAG):
                 pipeline = pipelines_by_tag.get(tag)
                 if pipeline is None:
                     raise ExecutionError(f"shuffle produced unknown tag {tag!r}")
                 group_fields = pipeline.shuffle_group_fields
-                groups = self._group_entries(
-                    entries[start:end], group_fields, sort_fields_by_tag[tag] == group_fields
+                group_list = self._group_entries(
+                    run, group_fields, sort_fields_by_tag[tag] == group_fields
                 )
-                group_list = list(groups)
                 counters.reduce_input_groups += len(group_list)
                 # Sized once, by the load that stores it (_write_outputs).
                 bucket = reduce_outputs.setdefault(pipeline.output_dataset, [])
-                for key, value in run_reduce_chain(pipeline.reduce_ops, group_list, stats):
-                    bucket.append(merge(key, value))
-                start = end
+                bucket += [
+                    {**key, **value}
+                    for key, value in run_reduce_chain(pipeline.reduce_ops, group_list, stats)
+                ]
 
     def _execution_reduce_tasks(self, job: MapReduceJob) -> int:
         if job.config.forced_single_reduce:
@@ -338,28 +354,24 @@ class LocalEngine:
 
     @staticmethod
     def _group_entries(
-        entries: Sequence[_ShuffleEntry], group_fields: Tuple[str, ...], sorted_by_group: bool
-    ) -> Iterator[Tuple[Record, List[Record]]]:
+        entries: Iterable[_ShuffleEntry], group_fields: Tuple[str, ...], sorted_by_group: bool
+    ) -> List[Tuple[Record, List[Record]]]:
         """Consecutive entries with equal group keys, as ``(key, values)``.
 
         When the tag was sorted on its group fields (``sorted_by_group``),
         the stored sort key is the group key; an explicit partitioner that
         sorts on other fields has the key built from the group fields.
         """
-        current_key_tuple: Optional[tuple] = None
-        current_key: Optional[Record] = None
-        values: List[Record] = []
-        for _, sort_key, key, value in entries:
-            key_tuple = sort_key if sorted_by_group else sort_key_for(key, group_fields)
-            if current_key_tuple is None or key_tuple != current_key_tuple:
-                if current_key is not None:
-                    yield current_key, values
-                current_key_tuple = key_tuple
-                current_key = {f: key.get(f) for f in group_fields}
-                values = []
-            values.append(value)
-        if current_key is not None:
-            yield current_key, values
+        if sorted_by_group:
+            runs = groupby(entries, _SORT_KEY)
+        else:
+            runs = groupby(entries, lambda entry: sort_key_for(entry[2], group_fields))
+        groups: List[Tuple[Record, List[Record]]] = []
+        for _, run in runs:
+            group = list(run)
+            key = group[0][2]
+            groups.append(({f: key.get(f) for f in group_fields}, list(map(_VALUE, group))))
+        return groups
 
     # ------------------------------------------------------------- counters
     def _record_key_cardinalities(
@@ -401,6 +413,7 @@ class LocalEngine:
         reduce_outputs: Dict[str, List[Record]],
         counters: ExecutionCounters,
         input_scale: float,
+        hashes: Dict[tuple, int],
     ) -> List[str]:
         """Store each output dataset and count what the loads stored.
 
@@ -418,14 +431,14 @@ class LocalEngine:
             reduced = reduce_outputs.get(name, [])
             layout = self._output_layout(job, pipeline, filesystem)
             dataset = Dataset(name, layout=layout, scale_factor=input_scale)
-            dataset.load(mapped + reduced)
+            dataset.load(mapped + reduced, hashes)
             filesystem.put(dataset)
             written.append(name)
             counters.output_records += dataset.num_records
             counters.output_bytes += dataset.raw_bytes
             counters.reduce_output_records += len(reduced)
             if mapped:
-                counters.reduce_output_bytes += sum(map(record_size_bytes, reduced))
+                counters.reduce_output_bytes += records_size_bytes(reduced)
             else:
                 counters.reduce_output_bytes += dataset.raw_bytes
         # Keep counters' output byte view consistent with compression.

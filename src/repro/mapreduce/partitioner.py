@@ -69,32 +69,35 @@ class PartitionFunction:
         """Compute the reduce partition for a map output key."""
         return self.placer(num_partitions)(key)
 
-    def placer(self, num_partitions: int) -> Callable[[Record], int]:
+    def placer(
+        self, num_partitions: int, hashes: Optional[Dict[tuple, int]] = None
+    ) -> Callable[[Record], int]:
         """:meth:`partition_index` over ``num_partitions``, for one shuffle.
 
         A hash placement is a function of the ``str()`` of each key field
         (what :func:`stable_hash` folds), so the placer hashes each distinct
-        material once and keeps the index in a memo that lives as long as the
-        returned function.  The memo is keyed on those strings, not on the
-        values, so ``1``, ``1.0`` and ``True`` (one dict key) keep their own
-        placements; nothing outlives the shuffle.
+        material once, into ``hashes`` (material -> hash; a fresh table
+        unless the caller shares one, as a job's shuffle and output loads
+        do).  The table is keyed on those strings, not on the values, so
+        ``1``, ``1.0`` and ``True`` (one dict key) keep their own placements.
         """
         if num_partitions <= 1:
             return lambda key: 0
         if self.kind == "range":
             return lambda key: self._range_index(key, num_partitions)
         fields = self.fields
-        placed: Dict[tuple, int] = {}
+        if hashes is None:
+            hashes = {}
 
         def place(key: Record) -> int:
             material = tuple([str(key.get(f)) for f in fields]) if fields else tuple(
                 sorted((k, str(v)) for k, v in key.items())
             )
-            index = placed.get(material)
-            if index is None:
+            hashed = hashes.get(material)
+            if hashed is None:
                 # A stable, python-hash-independent partitioner so runs are reproducible.
-                index = placed[material] = stable_hash(material) % num_partitions
-            return index
+                hashed = hashes[material] = stable_hash(material)
+            return hashed % num_partitions
 
         return place
 

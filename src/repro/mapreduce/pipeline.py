@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import groupby
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.content_keys import PipelineContentKey
@@ -193,7 +194,12 @@ class Pipeline:
 # ---------------------------------------------------------------------------
 
 class OperatorStats:
-    """Mutable per-operator record counts collected during execution."""
+    """Mutable per-operator record counts collected during execution.
+
+    An operator's entry is made at its first record in (``records_in``) and
+    at its first record out (``records_out``), so the keys keep first-record
+    order; a stage adds its counts once, when its run ends.
+    """
 
     def __init__(self) -> None:
         self.records_in: Dict[str, int] = {}
@@ -223,12 +229,14 @@ def run_map_chain(
     pairs whose projected group key is equal — valid because the producing
     side guarantees the required sort order (paper §3.1 postconditions).
     """
+    if stats is None:
+        stats = OperatorStats()
     stream: Iterator[KeyValue] = iter(pairs)
     for op in operators:
         if op.kind == "map":
             stream = _apply_map(op, stream, stats)
         else:
-            stream = _apply_grouped_reduce(op, stream, stats)
+            stream = _apply_reduce(op, _consecutive_groups(stream, op.group_fields), stats)
     return stream
 
 
@@ -246,76 +254,68 @@ def run_reduce_chain(
     ops = list(operators)
     if not ops:
         raise ExecutionError("reduce chain must contain at least one operator")
-    first = ops[0]
-    if first.kind != "reduce":
+    if ops[0].kind != "reduce":
         raise ExecutionError("the first reduce-side operator must be a reduce operator")
+    if stats is None:
+        stats = OperatorStats()
+    return run_map_chain(ops[1:], _apply_reduce(ops[0], groups, stats), stats)
 
-    def first_stage() -> Iterator[KeyValue]:
-        for key, values in groups:
-            if stats is not None:
-                stats.count_in(first.name, len(values))
-            for out_key, out_value in first.fn(dict(key), values):
-                if stats is not None:
-                    stats.count_out(first.name)
+
+def _apply_map(op: Operator, stream: Iterator[KeyValue], stats: OperatorStats) -> Iterator[KeyValue]:
+    fn, name = op.fn, op.name
+    seen = produced = 0
+    try:
+        for key, value in stream:
+            if not seen:
+                stats.count_in(name, 0)
+            seen += 1
+            # A pipelined map function sees the record exactly as it would
+            # have read it from the DFS had the upstream stage written it out:
+            # the key and value fields merged into one fresh record (paper
+            # §2.1 footnote — the producer's output pairs are input "as is"
+            # to the consumer's map).
+            for out_key, out_value in fn(key, {**key, **value}):
+                if not produced:
+                    stats.count_out(name, 0)
+                produced += 1
                 yield out_key, out_value
-
-    stream: Iterator[KeyValue] = first_stage()
-    for op in ops[1:]:
-        if op.kind == "map":
-            stream = _apply_map(op, stream, stats)
-        else:
-            stream = _apply_grouped_reduce(op, stream, stats)
-    return stream
+    finally:
+        _add_counts(stats, name, seen, produced)
 
 
-def _apply_map(
-    op: Operator,
-    stream: Iterator[KeyValue],
-    stats: Optional[OperatorStats],
+def _apply_reduce(
+    op: Operator, groups: Iterable[Tuple[Record, List[Record]]], stats: OperatorStats
 ) -> Iterator[KeyValue]:
-    for key, value in stream:
-        if stats is not None:
-            stats.count_in(op.name)
-        # A pipelined map function sees the record exactly as it would have
-        # read it from the DFS had the upstream stage written it out: the key
-        # and value fields merged into one record (paper §2.1 footnote — the
-        # producer's output pairs are input "as is" to the consumer's map).
-        record = dict(key)
-        record.update(value)
-        for out_key, out_value in op.fn(key, record):
-            if stats is not None:
-                stats.count_out(op.name)
-            yield out_key, out_value
+    """Reduce each ``(key, values)`` group; the function gets a copy of the key."""
+    fn, name = op.fn, op.name
+    seen = produced = 0
+    try:
+        for key, values in groups:
+            if not seen:
+                stats.count_in(name, 0)
+            seen += len(values)
+            for out_key, out_value in fn(dict(key), values):
+                if not produced:
+                    stats.count_out(name, 0)
+                produced += 1
+                yield out_key, out_value
+    finally:
+        _add_counts(stats, name, seen, produced)
 
 
-def _apply_grouped_reduce(
-    op: Operator,
-    stream: Iterator[KeyValue],
-    stats: Optional[OperatorStats],
-) -> Iterator[KeyValue]:
-    """Group consecutive pairs with equal projected keys and reduce each group."""
-    current_group_key: Optional[tuple] = None
-    current_key: Optional[Record] = None
-    buffered: List[Record] = []
+def _add_counts(stats: OperatorStats, name: str, seen: int, produced: int) -> None:
+    """Add one stage run's counts to the entries its first records made."""
+    if seen:
+        stats.count_in(name, seen)
+    if produced:
+        stats.count_out(name, produced)
 
-    def flush() -> Iterator[KeyValue]:
-        if current_key is None:
-            return
-        if stats is not None:
-            stats.count_in(op.name, len(buffered))
-        for out_key, out_value in op.fn(dict(current_key), buffered):
-            if stats is not None:
-                stats.count_out(op.name)
-            yield out_key, out_value
 
-    for key, value in stream:
-        group_key = sort_key_for(key, op.group_fields)
-        if current_group_key is None or group_key != current_group_key:
-            for item in flush():
-                yield item
-            current_group_key = group_key
-            current_key = {f: key.get(f) for f in op.group_fields}
-            buffered = []
-        buffered.append(value)
-    for item in flush():
-        yield item
+def _consecutive_groups(
+    stream: Iterator[KeyValue], group_fields: Tuple[str, ...]
+) -> Iterator[Tuple[Record, List[Record]]]:
+    """Consecutive pairs with equal projected keys, as ``(key, values)``."""
+    for _, run in groupby(stream, lambda pair: sort_key_for(pair[0], group_fields)):
+        pairs = list(run)
+        key = pairs[0][0]
+        yield {f: key.get(f) for f in group_fields}, [value for _, value in pairs]

@@ -10,6 +10,7 @@ from repro.common.records import (
     project,
     record_size_bytes,
     records_equal,
+    records_size_bytes,
     sort_key_for,
 )
 from tests import engine_oracle
@@ -160,6 +161,12 @@ _MIXED_VALUES = st.one_of(
     st.sampled_from(tuple(Level)),
     st.lists(st.one_of(st.integers(-9, 9), st.text(max_size=3), st.none()), max_size=3),
 )
+#: Values outside every fast path, measured by their ``str()``.
+_OBJECTS = st.one_of(
+    st.builds(object),
+    st.complex_numbers(allow_nan=False, max_magnitude=1e6),
+    st.frozensets(st.integers(0, 3), max_size=2),
+)
 _FIELDS = st.sampled_from(("a", "bb", "field_c", "a_much_longer_name"))
 
 
@@ -180,6 +187,16 @@ class TestHelpersEqualTheirOracle:
     def test_record_size_bytes(self, record):
         ours, oracle = record_size_bytes(record), engine_oracle.record_size_bytes(record)
         assert _typed(ours) == _typed(oracle)
+
+    @given(st.lists(st.dictionaries(_FIELDS, _MIXED_VALUES | _OBJECTS, max_size=4), max_size=6))
+    @example([])
+    @example([{}, {}, {"a": None}])
+    @example([{"a": Tagged("xy"), "bb": True}, {}, {"field_c": Level.HIGH, "a": object()}])
+    def test_records_size_bytes_is_the_sum_of_the_oracle(self, records):
+        ours = records_size_bytes(records)
+        oracle = sum(engine_oracle.record_size_bytes(record) for record in records)
+        assert type(ours) is int and ours == oracle
+        assert records_size_bytes(iter(records)) == ours
 
     @given(
         st.dictionaries(_FIELDS, _MIXED_VALUES, max_size=4),

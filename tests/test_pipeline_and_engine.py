@@ -28,7 +28,7 @@ from repro.mapreduce.pipeline import (
 from repro.verification import RandomWorkflowGenerator
 from repro.workflow.executor import WorkflowExecutor
 from repro.workloads import WORKLOAD_ORDER, build_workload
-from tests import engine_oracle
+from tests import engine_oracle, key_oracle
 
 
 def word_map(key, value):
@@ -188,6 +188,159 @@ class TestChains:
         groups = [({"word": "a"}, [{"n": 1.0}, {"n": 1.0}])]
         out = list(run_reduce_chain(chain, groups))
         assert out[0][1]["count"] == 20.0
+
+
+class TestOperatorCountOrder:
+    """An operator's entries are made at its first record in and its first
+    record out, whatever stage adds the counts; an operator that saw no
+    record, or produced none, has no entry."""
+
+    @staticmethod
+    def _pairs():
+        return [({}, {"k": float(i // 3), "v": float(i)}) for i in range(9)]
+
+    @staticmethod
+    def _late_map(name, skip):
+        """A map that drops its first ``skip`` records."""
+        def fn(key, value):
+            if value["v"] >= skip:
+                yield {"k": value["k"]}, {"v": value["v"]}
+
+        return map_operator(name, fn)
+
+    @staticmethod
+    def _sum_reduce(name):
+        def fn(key, values):
+            yield key, {"v": float(sum(v["v"] for v in values))}
+
+        return reduce_operator(name, fn, ("k",))
+
+    def test_a_map_chain_counts_in_first_record_order(self):
+        stats = OperatorStats()
+        chain = [self._late_map("m", 4), self._sum_reduce("r")]
+        out = list(run_map_chain(chain, self._pairs(), stats))
+        assert [value["v"] for _, value in out] == [9.0, 21.0]
+        assert list(stats.records_in.items()) == [("m", 9), ("r", 5)]
+        assert list(stats.records_out.items()) == [("m", 5), ("r", 2)]
+
+    def test_a_reduce_chain_counts_in_first_record_order(self):
+        stats = OperatorStats()
+        groups = [({"k": 1.0}, [{"v": 1.0}, {"v": 2.0}]), ({"k": 2.0}, [{"v": 5.0}])]
+        chain = [self._sum_reduce("r"), self._late_map("m", 4)]
+        out = list(run_reduce_chain(chain, groups, stats))
+        assert out == [({"k": 2.0}, {"v": 5.0})]
+        assert list(stats.records_in.items()) == [("r", 3), ("m", 2)]
+        assert list(stats.records_out.items()) == [("r", 2), ("m", 1)]
+
+    def test_an_operator_with_nothing_in_or_out_has_no_entry(self):
+        stats = OperatorStats()
+        chain = [self._late_map("drops", 100), self._sum_reduce("starved")]
+        assert list(run_map_chain(chain, self._pairs(), stats)) == []
+        assert stats.records_in == {"drops": 9} and stats.records_out == {}
+        assert list(run_map_chain([self._late_map("idle", 0)], [], stats)) == []
+        assert "idle" not in stats.records_in and "idle" not in stats.records_out
+
+    def test_a_later_first_record_comes_later_across_runs_sharing_the_stats(self):
+        stats = OperatorStats()
+        list(run_map_chain([self._late_map("a", 0)], [], stats))
+        list(run_map_chain([self._late_map("b", 0)], self._pairs(), stats))
+        list(run_map_chain([self._late_map("a", 0)], self._pairs()[:2], stats))
+        assert list(stats.records_in.items()) == [("b", 9), ("a", 2)]
+        assert list(stats.records_out.items()) == [("b", 9), ("a", 2)]
+
+    def test_a_stream_closed_early_counts_what_it_read_in_first_record_order(self):
+        stats = OperatorStats()
+        chain = [self._late_map("first", 0), self._late_map("second", 0)]
+        stream = run_map_chain(chain, self._pairs(), stats)
+        next(stream), next(stream)
+        # Closing runs the last stage's clean-up before the first stage's.
+        stream.close()
+        del stream
+        assert list(stats.records_in.items()) == [("first", 2), ("second", 2)]
+        assert list(stats.records_out.items()) == [("first", 2), ("second", 2)]
+
+
+def _mutating_map(key, record):
+    """Edits its key and its record, and passes the record on as the value."""
+    key["k"] = "edited"
+    record["extra"] = "edited"
+    record["text"] = "edited"
+    yield {"k": record["k"]}, record
+
+
+def _mutating_reduce(key, values):
+    """Edits its key and every value before summing them."""
+    key["k"] = "edited"
+    for value in values:
+        value["text"] = "edited"
+        value.pop("v", None)
+    yield {"k": 0.0}, {"n": float(len(values))}
+
+
+_EDITING_MAP = map_operator("edit.map", _mutating_map)
+_EDITING_REDUCE = reduce_operator("edit.reduce", _mutating_reduce, ("k",), combiner=_mutating_reduce)
+
+
+def _editing_job(name, inputs, map_ops, reduce_ops):
+    """One pipeline from ``inputs`` to ``<name>_out``, combining if it reduces."""
+    pipeline = Pipeline(name, tuple(inputs), map_ops, reduce_ops, output_dataset=f"{name}_out")
+    config = JobConfig(num_reduce_tasks=3 if reduce_ops else 0, combiner_enabled=True)
+    return MapReduceJob(name, (pipeline,), config=config)
+
+
+#: Jobs whose user functions edit everything they are handed.
+_EDITING_JOBS = {
+    "map_edits_record_and_key": _editing_job("m", ["flat"], (_EDITING_MAP,), (_EDITING_REDUCE,)),
+    "leading_map_side_reduce": _editing_job("lr", ["sorted"], (_EDITING_REDUCE, _EDITING_MAP), ()),
+    "no_map_op": _editing_job("nm", ["flat", "sorted"], (), (_EDITING_REDUCE,)),
+    "no_operator_at_all": _editing_job("none", ["sorted"], (), ()),
+    "reduce_edits_values": _editing_job("rv", ["flat"], (_EDITING_MAP,), (_EDITING_REDUCE, _EDITING_MAP)),
+}
+
+
+class TestStoredRecordsAreNeverEdited:
+    """Whatever a user function does to what it is handed, no stored record
+    changes: a leading map operator merges each stored record into a fresh
+    one, and any other chain is handed a copy."""
+
+    @staticmethod
+    def _filesystem():
+        fs = InMemoryFileSystem()
+        records = [{"k": float(i % 7), "text": f"w{i % 5}", "v": float(i)} for i in range(300)]
+        fs.put(Dataset("flat", records=records))
+        sorted_layout = DataLayout(partitioning=PartitionScheme.hashed("k"), sort_fields=("k",))
+        fs.put(Dataset("sorted", records=records, layout=sorted_layout))
+        return fs
+
+    @staticmethod
+    def _snapshot(fs):
+        """Per dataset: each partition's records as text, ``raw_bytes`` and
+        the (now cached) content fingerprint."""
+        return {
+            name: (
+                [repr(partition.records) for partition in fs.get(name).partitions],
+                fs.get(name).raw_bytes,
+                fs.get(name).content_fingerprint,
+            )
+            for name in fs.names()
+        }
+
+    def _assert_unchanged(self, fs, snapshot):
+        assert {name: self._snapshot(fs)[name] for name in snapshot} == snapshot
+        for name in snapshot:
+            key_oracle.assert_statistics_match_a_recount(fs.get(name))
+
+    @pytest.mark.parametrize("label", sorted(_EDITING_JOBS))
+    def test_no_stored_record_changes(self, label):
+        fs = self._filesystem()
+        job = _EDITING_JOBS[label]
+        inputs = self._snapshot(fs)
+        LocalEngine().execute_job(job, fs)
+        self._assert_unchanged(fs, inputs)
+        # A job reading the first one's output edits none of it either.
+        written = self._snapshot(fs)
+        LocalEngine().execute_job(_editing_job("again", [f"{job.name}_out"], (), (_EDITING_REDUCE,)), fs)
+        self._assert_unchanged(fs, written)
 
 
 class TestLocalEngineWordCount:
@@ -462,33 +615,53 @@ def _material(key, fields):
 
 
 class TestEachKeyIsHashedOnce:
-    """A shuffle and a hash-layout load call ``stable_hash`` at most once per
-    distinct key material (the ``str()`` of each key field), and every record
-    still lands where an uncached ``stable_hash`` puts it."""
+    """A job calls ``stable_hash`` once per distinct key material (the
+    ``str()`` of each key field) its shuffle or its output loads place, and a
+    load outside a job once per material it places; every record still lands
+    where an uncached ``stable_hash`` puts it."""
 
     @staticmethod
     def _spy(monkeypatch):
         """Counts ``stable_hash`` calls through the partitioner and the dataset
-        module, and the distinct materials of each shuffle and each hash load;
-        records each shuffle placement as ``(key, fields, partitions, index)``."""
-        hashed, shuffles, loads, placements = [], [], [], []
+        module per scope (one ``execute_job``, or one load outside a job), and
+        the distinct materials each scope's shuffles and multi-partition hash
+        loads place; records each shuffle placement as ``(key, fields,
+        partitions, index)``.  A scope is ``(hashed, placed)``: the materials
+        ``stable_hash`` folded and the set the scope needed."""
+        scopes, active, shuffles, loads, placements = [], [], [], [], []
         for module in (partitioner_module, dataset_module):
             def counting(material, original=module.stable_hash):
-                hashed.append(material)
+                active[-1][0].append(material)
                 return original(material)
 
             monkeypatch.setattr(module, "stable_hash", counting)
 
+        def scoped(method):
+            def run(self, *args, **kwargs):
+                opened = not active or method is original_execute
+                if opened:
+                    active.append(([], set()))
+                    scopes.append(active[-1])
+                try:
+                    return method(self, *args, **kwargs)
+                finally:
+                    if opened:
+                        active.pop()
+
+            return run
+
         original_placer = PartitionFunction.placer
 
-        def placer(self, num_partitions):
-            place = original_placer(self, num_partitions)
+        def placer(self, num_partitions, *args):
+            place = original_placer(self, num_partitions, *args)
             seen = set()
             shuffles.append(seen)
 
             def spied(key):
                 index = place(key)
                 seen.add(_material(key, self.fields))
+                if self.kind == "hash" and num_partitions > 1:
+                    active[-1][1].add(_material(key, self.fields))
                 placements.append((key, self.fields, num_partitions, index))
                 return index
 
@@ -496,25 +669,41 @@ class TestEachKeyIsHashedOnce:
 
         original_load = Dataset.load
 
-        def load(self, records):
+        def load(self, records, *args):
             records = list(records)
+            original_load(self, records, *args)
             scheme = self.layout.partitioning
             if scheme.kind == "hash":
-                loads.append({_material(r, scheme.fields) for r in records})
-            original_load(self, records)
+                materials = {_material(r, scheme.fields) for r in records}
+                loads.append(materials)
+                if self.num_partitions > 1:
+                    active[-1][1].update(materials)
 
+        original_execute = LocalEngine.execute_job
         monkeypatch.setattr(PartitionFunction, "placer", placer)
-        monkeypatch.setattr(Dataset, "load", load)
-        return hashed, shuffles, loads, placements
+        monkeypatch.setattr(Dataset, "load", scoped(load))
+        monkeypatch.setattr(LocalEngine, "execute_job", scoped(original_execute))
+        return scopes, shuffles, loads, placements
+
+    @staticmethod
+    def _hashed(scopes):
+        return [material for hashed, _ in scopes for material in hashed]
+
+    @staticmethod
+    def _assert_one_hash_per_material(scopes):
+        for hashed, placed in scopes:
+            assert len(hashed) == len(set(hashed)) and set(hashed) == placed
 
     @pytest.mark.parametrize("label", WORKLOAD_ORDER)
     def test_canned_workflows(self, label, monkeypatch):
         workload = build_workload(label, scale=0.05)
-        hashed, shuffles, loads, placements = self._spy(monkeypatch)
+        scopes, shuffles, loads, placements = self._spy(monkeypatch)
         WorkflowExecutor().execute(workload.workflow, base_datasets=workload.base_datasets)
+        hashed = self._hashed(scopes)
         assert shuffles and placements
         assert 0 < len(hashed) <= sum(map(len, shuffles)) + sum(map(len, loads))
         assert len(hashed) < len(placements)
+        self._assert_one_hash_per_material(scopes)
         for key, fields, partitions, index in placements:
             if fields and partitions > 1:
                 assert index == stable_hash([key.get(f) for f in fields]) % partitions
@@ -522,13 +711,13 @@ class TestEachKeyIsHashedOnce:
     def test_mixed_keys_land_where_an_uncached_hash_puts_them(self, monkeypatch):
         values = [1, 1.0, True, "1", None]
         records = [{"k": values[i % 5], "v": float(i)} for i in range(400)]
-        hashed, shuffles, loads, placements = self._spy(monkeypatch)
+        scopes, shuffles, loads, placements = self._spy(monkeypatch)
         stored = Dataset("mixed", records=records, layout=DataLayout(partitioning=PartitionScheme.hashed("k")))
         assert stored.num_partitions > 1
         for partition in stored.partitions:
             for record in partition.records:
                 assert stable_hash((record.get("k"),)) % stored.num_partitions == partition.index
-        assert [len(seen) for seen in loads] == [4] and len(hashed) == 4
+        assert [len(seen) for seen in loads] == [4] and len(self._hashed(scopes)) == 4
 
         def key_map(key, value):
             yield {"k": value["k"]}, {"v": value["v"]}
@@ -542,13 +731,37 @@ class TestEachKeyIsHashedOnce:
             "mixed_sums", "data", "mixed_out", key_map, total_reduce, group_fields=("k",),
             config=JobConfig(num_reduce_tasks=4),
         )
-        del hashed[:], loads[:]
+        del scopes[:], loads[:]
         counters = LocalEngine().execute_job(job, fs).counters
         placed = {(str(key["k"]), index) for key, _, _, index in placements}
         assert placed == {(str(v), stable_hash((v,)) % 4) for v in values}
         assert len(placements) == len(records) and [len(seen) for seen in shuffles] == [4]
-        assert len(hashed) <= 4 + sum(map(len, loads))
+        assert len(scopes) == 1 and len(self._hashed(scopes)) == 4
+        self._assert_one_hash_per_material(scopes)
         assert counters.reduce_input_records == len(records)
+
+    def test_a_job_hashes_a_material_its_shuffle_hashed_not_again_in_its_output_load(self, monkeypatch):
+        records = [{"k": float(i % 40), "v": float(i)} for i in range(400)]
+        fs = InMemoryFileSystem()
+        fs.put(Dataset("data", records=records))
+
+        def key_map(key, value):
+            yield {"k": value["k"]}, {"v": value["v"]}
+
+        def copies_reduce(key, values):
+            for value in values:
+                yield key, value
+
+        job = simple_job(
+            "copies", "data", "copies_out", key_map, copies_reduce, group_fields=("k",),
+            config=JobConfig(num_reduce_tasks=4),
+        )
+        scopes, shuffles, loads, _ = self._spy(monkeypatch)
+        LocalEngine().execute_job(job, fs)
+        assert fs.get("copies_out").num_partitions > 1
+        assert [len(seen) for seen in shuffles] == [40] and [len(seen) for seen in loads] == [40]
+        assert len(scopes) == 1 and len(self._hashed(scopes)) == 40
+        self._assert_one_hash_per_material(scopes)
 
 
 class TestEachRecordIsSizedOnce:
@@ -560,13 +773,16 @@ class TestEachRecordIsSizedOnce:
 
     @staticmethod
     def _count_sizings(monkeypatch):
+        """Every record a ``records_size_bytes`` call through the engine or the
+        dataset module iterates (a shuffle pair is two records)."""
         sized = []
         for module in (engine_module, dataset_module):
-            def counting(record, original=module.record_size_bytes):
-                sized.append(record)
-                return original(record)
+            def counting(records, original=module.records_size_bytes):
+                records = list(records)
+                sized.extend(records)
+                return original(records)
 
-            monkeypatch.setattr(module, "record_size_bytes", counting)
+            monkeypatch.setattr(module, "records_size_bytes", counting)
         return sized
 
     def _assert_sized_once(self, monkeypatch, workflow, base_datasets):

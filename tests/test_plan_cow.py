@@ -585,10 +585,10 @@ class TestWarmReplayBounds:
         engine = optimizer.search.costs.engine
         walks_before = engine.signature_derivations
 
-        def no_sizing(record):
+        def no_sizing(records):
             raise AssertionError("a warm optimize() sized a record")
 
-        monkeypatch.setattr(dataset_module, "record_size_bytes", no_sizing)
+        monkeypatch.setattr(dataset_module, "records_size_bytes", no_sizing)
         counts = collections.Counter()
         for owner, name, _ in self.PARTS:
             # A cached_property calls its ``func`` only for a value not built yet.

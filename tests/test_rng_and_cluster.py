@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -135,6 +136,25 @@ class TestZipfEqualsTheOriginalLoop:
         sampled = rng.sample(items, 5)
         assert len(set(sampled)) == 5
         assert rng.choice(items) in items
+
+
+class TestRandintEqualsTheStandardLibrary:
+    @given(
+        st.integers(0, 2**32),
+        st.lists(
+            st.tuples(st.integers(-(2**40), 2**40), st.integers(0, 2**40)), min_size=1, max_size=20
+        ),
+    )
+    def test_the_stream_equals_random_randint(self, seed, bounds):
+        ours, reference = DeterministicRNG(seed), random.Random(seed)
+        for low, width in bounds:
+            drawn = ours.randint(low, low + width)
+            assert type(drawn) is int and drawn == reference.randint(low, low + width)
+        assert ours.random() == reference.random()
+
+    def test_an_empty_range_still_raises(self):
+        with pytest.raises(ValueError):
+            DeterministicRNG(1).randint(3, 2)
 
 
 class TestNodeSpec:

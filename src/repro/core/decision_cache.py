@@ -47,7 +47,7 @@ file with ``STUBBY_DECISION_CACHE``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.cluster import ClusterSpec
 from repro.common.store import CounterStats, ShardedStore, current_origin
@@ -71,6 +71,7 @@ __all__ = [
     "DECISION_CACHE_PATH_ENV_VAR",
     "DecisionCache",
     "DecisionCacheStats",
+    "DecisionKey",
     "SubunitChoice",
     "UnitDecision",
 ]
@@ -97,6 +98,21 @@ DECISION_CACHE_PATH_ENV_VAR = "STUBBY_DECISION_CACHE"
 
 #: Cap on decisions a forked worker ships back on merge-on-join.
 MAX_EXPORTED_DECISIONS = 5_000
+
+
+class DecisionKey(tuple):
+    """A unit decision key hashed once, like ``functools._HashedSeq``: equal
+    to and hashed like the plain tuple of its parts, and pickled as it, so a
+    hash taken under one ``PYTHONHASHSEED`` is never read under another."""
+
+    def __init__(self, parts) -> None:
+        self.hashvalue = tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self.hashvalue
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
 
 
 @dataclass(frozen=True)
@@ -214,6 +230,10 @@ class DecisionCache(ShardedStore):
     ) -> None:
         self.verify_hits = verify_hits
         super().__init__(cluster, max_entries, enabled, cache_path)
+
+    def _entries_snapshot(self) -> List[Tuple]:
+        # Plain-tuple keys: the loader refuses the ``builtins.tuple`` global.
+        return [(tuple(key), value, origin) for key, value, origin in self._cache.items()]
 
     def lookup(self, key: Tuple) -> Optional[Tuple[UnitDecision, bool]]:
         """The recorded decision for ``key``, or ``None`` on a miss.

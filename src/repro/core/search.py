@@ -43,6 +43,7 @@ from repro.common.store import cluster_cache_key
 from repro.core.budget import UNBOUNDED, TimeBudget
 from repro.core.decision_cache import (
     DecisionCache,
+    DecisionKey,
     SubunitChoice,
     UnitDecision,
     optional_key,
@@ -191,6 +192,8 @@ class StubbySearch:
         #: crucially no decision store (a skipped search must never record
         #: the no-op as that unit's optimal decision).
         self.replay_only = False
+        #: ``{phase: (transformations, knob part of the key)}`` during ``run()``.
+        self._run_knobs: Optional[Dict[str, Tuple[Sequence[Transformation], Tuple]]] = None
 
     # ------------------------------------------------------------------ API
     def run(
@@ -205,8 +208,9 @@ class StubbySearch:
         :class:`~repro.common.errors.DeadlineExceeded` at the next check
         point after expiry, leaving every already-composed rewrite valid.
         """
-        previous = self._budget
+        previous = self._budget, self._run_knobs
         self._budget = budget if budget is not None else UNBOUNDED
+        self._run_knobs = {}
         try:
             reports: List[UnitReport] = []
             current = plan
@@ -218,7 +222,7 @@ class StubbySearch:
                 reports.extend(phase_reports)
             return current, reports
         finally:
-            self._budget = previous
+            self._budget, self._run_knobs = previous
 
     # ---------------------------------------------------------------- phase
     def _run_phase(
@@ -359,7 +363,7 @@ class StubbySearch:
         subunits: Sequence[OptimizationUnit],
         transformations: Sequence[Transformation],
         phase: str,
-    ) -> Tuple:
+    ) -> DecisionKey:
         """Everything that determines this unit's argmin, as a hashable tuple.
 
         Workflow cost is a per-level makespan — a *max* — so a unit's best
@@ -372,7 +376,9 @@ class StubbySearch:
         Equal keys are decision-equivalent by construction; any input change
         produces a miss, never a stale hit.  What describes a frozen value is
         built once per value (``docs/search.md``, "What building it costs");
-        per unit the key reads the dataset statistics and the knobs.
+        per unit the key reads the dataset statistics, the cost-model version
+        and the cluster, and inside ``run()`` the other knobs are built once
+        per phase.  The key is hashed once, when it is built.
         """
         workflow = plan.workflow
         job_parts = []
@@ -400,26 +406,29 @@ class StubbySearch:
                     else (dataset.logical_bytes, dataset.logical_records),
                 )
             )
-        return (
+        return DecisionKey((
             ("unit", tuple((subunit.producers, subunit.consumers) for subunit in subunits)),
             ("jobs", tuple(job_parts)),
             ("datasets", tuple(dataset_parts)),
             ("lineage", tuple(sorted(plan.merge_lineage.items()))),
             ("structure", plan.signature()),
-            (
-                "knobs",
-                phase,
-                self.seed,
-                self.optimize_configurations,
-                rrs_search_key(self.rrs),
+            # Read through the module so a version bump (or a test
+            # monkeypatching it) invalidates in-memory keys too.
+            self._knobs(transformations, phase)
+            + (whatif_model.COST_MODEL_VERSION, self._cluster_key),
+        ))
+
+    def _knobs(self, transformations: Sequence[Transformation], phase: str) -> Tuple:
+        """The search-knob part of a decision key: once per phase of a ``run()``,
+        once per call outside one (where the knobs may change between calls)."""
+        memo = self._run_knobs if self._run_knobs is not None else {}
+        if phase not in memo or memo[phase][0] is not transformations:
+            memo[phase] = transformations, (
+                "knobs", phase, self.seed, self.optimize_configurations, rrs_search_key(self.rrs),
                 tuple(transformation_key(t) for t in transformations),
                 (MAX_SUBPLANS_PER_UNIT, MAX_ENUMERATION_DEPTH, MAX_COMPOSED_COMBINATIONS),
-                # Read through the module so a version bump (or a test
-                # monkeypatching it) invalidates in-memory keys too.
-                whatif_model.COST_MODEL_VERSION,
-                self._cluster_key,
-            ),
-        )
+            )
+        return memo[phase][1]
 
     def _replay_decision(
         self,

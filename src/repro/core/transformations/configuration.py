@@ -34,13 +34,8 @@ class ConfigurationTransformation(Transformation):
         return []
 
     def apply(self, plan: Plan, application: TransformationApplication) -> Plan:
-        # ``set_job_config`` rebinds only the reconfigured vertex (annotations
-        # and pipelines shared), so a candidate costs O(1), not O(workflow).
         new_plan = plan.copy()
-        job_name = application.details["job"]
-        settings: Mapping[str, object] = application.details["settings"]
-        vertex = new_plan.workflow.job(job_name)
-        new_plan.set_job_config(job_name, vertex.job.config.with_settings(settings))
+        self._reconfigure(new_plan, application.details["job"], application.details["settings"])
         return self._record(new_plan, application)
 
     # ------------------------------------------------------------- helpers
@@ -69,8 +64,16 @@ class ConfigurationTransformation(Transformation):
     def apply_settings_in_place(plan: Plan, settings_by_job: Dict[str, Mapping[str, object]]) -> None:
         """Apply configuration points to several jobs of ``plan`` in place."""
         for job_name, settings in settings_by_job.items():
-            vertex = plan.workflow.job(job_name)
-            plan.set_job_config(job_name, vertex.job.config.with_settings(settings))
+            ConfigurationTransformation._reconfigure(plan, job_name, settings)
+
+    @staticmethod
+    def _reconfigure(plan: Plan, job_name: str, settings: Mapping[str, object]) -> None:
+        # ``set_job_config`` rebinds only this vertex, so a candidate costs O(1), not
+        # O(workflow); settings the config already holds rebind nothing at all.
+        config = plan.workflow.job(job_name).job.config
+        new_config = config.with_settings(settings)
+        if new_config is not config:
+            plan.set_job_config(job_name, new_config)
 
     @staticmethod
     def rule_of_thumb_config(plan: Plan, cluster: ClusterSpec) -> None:

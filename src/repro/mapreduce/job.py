@@ -120,12 +120,17 @@ class MapReduceJob:
     # ----------------------------------------------------------- derivation
     def with_config(self, config: JobConfig) -> "MapReduceJob":
         """This job under a different configuration (pipelines shared)."""
-        derived = MapReduceJob(self.name, self.pipelines, self.partitioner, config)
-        # Same pipelines and partitioner: what this job worked out from them
-        # holds for the derived one, which shares it instead of rebuilding it.
-        for name in ("input_datasets", "output_datasets", "has_combiner", "effective_partitioner", "shape_key"):
-            if name in self.__dict__:
-                derived.__dict__[name] = self.__dict__[name]
+        if config.is_map_only != self.is_map_only:  # ``__post_init__`` fixes the reduce count
+            return MapReduceJob(self.name, self.pipelines, self.partitioner, config)
+        # Checked pipelines and partitioner, shared with what this job worked out
+        # from them alone: the constructor's work without ``__post_init__``.
+        derived = object.__new__(MapReduceJob)
+        derived.__dict__.update(
+            (name, value) for name, value in self.__dict__.items()
+            if name in ("name", "pipelines", "partitioner", "is_map_only", "input_datasets",
+                        "output_datasets", "has_combiner", "effective_partitioner", "shape_key")
+        )
+        derived.__dict__["config"] = config
         return derived
 
     def with_partitioner(self, partitioner: PartitionFunction) -> "MapReduceJob":

@@ -22,17 +22,19 @@ argmin.
 """
 
 import dataclasses
+import hashlib
 import os
 import pickle
 
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.common.store import persist, resolve_env_path
+from repro.common.store import _RestrictedUnpickler, persist, resolve_env_path
 from repro.core.decision_cache import (
     DECISION_CACHE_FORMAT_VERSION,
     DECISION_CACHE_PATH_ENV_VAR,
     DecisionCache,
+    DecisionKey,
 )
 from repro.core.optimization_unit import OptimizationUnit, OptimizationUnitGenerator
 from repro.core.optimizer import StubbyOptimizer
@@ -51,6 +53,7 @@ from repro.profiler import Profiler
 from repro.whatif import CostService
 from repro.whatif import model as whatif_model
 from repro.workloads import build_workload
+from tests import golden_digests as golden
 
 CLUSTER = ClusterSpec.paper_cluster()
 
@@ -532,6 +535,82 @@ class TestPersistence:
         assert result2.decision_stats.decision_hits > 0
         assert result2.decision_stats.cross_origin_hits == result2.decision_stats.decision_hits
         assert result1.decision_fingerprint() == result2.decision_fingerprint()
+
+
+#: Optimizes the pinned plans named in ``argv[3]`` on one decision cache and
+#: prints ``label hits misses`` per plan; ``write`` then saves the cache to
+#: ``argv[2]`` and prints the sha256 of the file's ``repr``, ``read`` starts
+#: the cache from that file.
+DECISION_FILE_SCRIPT = """
+import hashlib, pickle, sys
+sys.path.insert(0, {tests!r})
+import golden_digests as golden
+from repro.cluster import ClusterSpec
+from repro.core.decision_cache import DecisionCache
+from repro.core.optimizer import StubbyOptimizer
+
+mode, path, labels = sys.argv[1], sys.argv[2], sys.argv[3].split(",")
+cluster = ClusterSpec.paper_cluster()
+cache = DecisionCache(cluster, enabled=True, cache_path=path if mode == "read" else None)
+assert mode == "write" or cache.last_load.loaded, cache.last_load
+for label in labels:
+    stats = StubbyOptimizer(cluster, seed=17, decision_cache=cache).optimize(
+        golden.plan_of(label)
+    ).decision_stats
+    print(label, stats.decision_hits, stats.decision_misses)
+if mode == "write":
+    cache.save_cache(path)
+    with open(path, "rb") as handle:
+        print(hashlib.sha256(repr(pickle.load(handle)).encode()).hexdigest())
+"""
+
+#: The plans :data:`DECISION_FILE_SCRIPT` runs in the tests below.
+FILE_LABELS = "IR,BR,PJ"
+
+#: The sha256 of ``repr(payload)`` of the decision file that a writer whose
+#: keys were plain tuples built per unit saved for :data:`FILE_LABELS`: the
+#: rows, their order, the stamps.  A file written now unpickles to the same
+#: value, so each writer's file replays under the other's reader.
+PLAIN_KEY_WRITER_CONTENT = "efc005dd250ed5050769f6795e746ebabb495bf8653d49010da0b974ab45f960"
+
+
+class TestKeyPersistence:
+    def test_the_key_is_the_plain_tuple_and_pickles_as_one(self, tmp_path):
+        workload = _profiled()
+        key = _first_unit_key(_search(), workload.plan)
+        plain = tuple(key)
+        assert type(key) is DecisionKey and type(plain) is tuple
+        assert key == plain and plain == key
+        assert hash(key) == hash(plain)
+        assert {plain: "row"}[key] == "row" and {key: "row"}[plain] == "row"
+        copied = pickle.loads(pickle.dumps(key))
+        assert type(copied) is tuple and copied == plain
+
+        cache = DecisionCache(CLUSTER, enabled=True)
+        _optimizer(decision_cache=cache).optimize(workload.plan)
+        path = str(tmp_path / "decisions.cache")
+        assert cache.save_cache(path) > 0
+        # The loader refuses ``builtins.tuple`` as a global: each key must be
+        # written as a plain tuple, as a reader of plain-tuple keys expects.
+        with open(path, "rb") as handle:
+            rows = _RestrictedUnpickler(handle).load()["entries"]
+        assert rows and all(type(key) is tuple for key, _, _ in rows)
+
+    def test_a_file_replays_every_unit_under_another_hash_seed(self, tmp_path):
+        script = tmp_path / "decision_file.py"
+        script.write_text(DECISION_FILE_SCRIPT.format(tests=os.path.dirname(golden.__file__)))
+        path = str(tmp_path / "decisions.cache")
+        *written, content = golden.run_script_under(
+            "0", str(script), "write", path, FILE_LABELS
+        ).splitlines()
+        assert content == PLAIN_KEY_WRITER_CONTENT
+        units = {}
+        for line in written:
+            label, hits, misses = line.split()
+            assert int(hits) == 0 < int(misses)
+            units[label] = misses
+        replayed = golden.run_script_under("3", str(script), "read", path, FILE_LABELS)
+        assert replayed.splitlines() == [f"{label} {units[label]} 0" for label in units]
 
 
 def _perturbed(value):

@@ -27,6 +27,7 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.common.faults import active_plan, set_active_plan
 from repro.common.hashing import stable_hash
+from repro.core import search as search_module
 from repro.core.decision_cache import DecisionCache
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.plan import Plan
@@ -531,6 +532,20 @@ class TestColdOptimizeBounds:
         )
 
 
+class _HashCounter:
+    """A key part that counts how often a hash walks through it."""
+
+    def __init__(self, value, counts):
+        self.value, self.counts = value, counts
+
+    def __hash__(self):
+        self.counts["hash"] += 1
+        return hash(self.value)
+
+    def __eq__(self, other):
+        return isinstance(other, _HashCounter) and self.value == other.value
+
+
 class TestWarmReplayBounds:
     """What a decision replay touches, as absolute bounds (the warm twin of
     :class:`TestColdOptimizeBounds`).
@@ -597,6 +612,8 @@ class TestWarmReplayBounds:
             self._count_calls(monkeypatch, counts, vertex_class, vertex_class, "__init__")
 
         warm = optimizer.optimize(plan)
+        # What optimize() built; the fingerprints below key the final configs themselves.
+        counts = collections.Counter(counts)
         units = cold.decision_stats.decision_misses
         assert warm.decision_stats.decision_hits == units > 0
         assert warm.decision_stats.decision_misses == 0
@@ -606,6 +623,79 @@ class TestWarmReplayBounds:
             made = counts[DatasetVertex if owner is DatasetAnnotation else JobVertex]
             assert counts[owner, name] <= per_vertex * made, (owner.__name__, name, counts)
         assert engine.signature_derivations - walks_before <= counts[JobVertex]
+
+    @staticmethod
+    def _optimizer():
+        cluster = ClusterSpec.paper_cluster()
+        return StubbyOptimizer(cluster, seed=17, decision_cache=DecisionCache(cluster, enabled=True))
+
+    @pytest.mark.parametrize("label", ["IR", "BR", "rollup100"])
+    def test_the_knob_part_is_built_once_per_phase(self, label, plans, monkeypatch):
+        optimizer = self._optimizer()
+        optimizer.optimize(plans[label])
+        counts = collections.Counter()
+        for name in ("transformation_key", "rrs_search_key"):
+            self._count_calls(monkeypatch, counts, name, search_module, name)
+
+        warm = optimizer.optimize(plans[label])
+        search = optimizer.search
+        # More units than phases, or the bound could not tell.
+        assert warm.decision_stats.decision_hits > 2
+        assert counts["rrs_search_key"] <= 2
+        assert counts["transformation_key"] <= len(search.vertical_transformations) + len(
+            search.horizontal_transformations
+        )
+
+    @pytest.mark.parametrize("label", ["IR", "BR"])
+    def test_a_decision_key_is_hashed_once_per_lookup_or_store(self, label, plans):
+        optimizer = self._optimizer()
+        hashes = collections.Counter()
+        # Every key holds this part once, so it counts the hashes of whole keys.
+        optimizer.search._cluster_key = _HashCounter(optimizer.search._cluster_key, hashes)
+
+        cold = optimizer.optimize(plans[label])
+        stats = cold.decision_stats
+        assert stats.decision_misses == stats.stores > 0
+        assert hashes["hash"] == stats.lookups
+
+        hashes.clear()
+        warm = optimizer.optimize(plans[label])
+        assert warm.decision_stats.decision_hits == stats.lookups
+        assert hashes["hash"] == warm.decision_stats.lookups
+
+    def test_a_replay_rebinds_only_the_jobs_it_reconfigures(self, plans, monkeypatch):
+        applied = changed = rebound = 0
+        with_settings = JobConfig.with_settings
+        apply_settings = ConfigurationTransformation.apply_settings_in_place
+
+        def counting_with_settings(config, settings):
+            nonlocal applied, changed
+            derived = with_settings(config, settings)
+            applied += 1
+            changed += derived is not config
+            return derived
+
+        def counting_apply(plan, settings_by_job):
+            nonlocal rebound
+            before = COPY_COUNTERS.vertex_shell_copies
+            with monkeypatch.context() as inner:
+                inner.setattr(JobConfig, "with_settings", counting_with_settings)
+                apply_settings(plan, settings_by_job)
+            rebound += COPY_COUNTERS.vertex_shell_copies - before
+
+        for label in [*golden.GOLDEN][:8]:
+            optimizer = self._optimizer()
+            cold = optimizer.optimize(plans[label])
+            monkeypatch.setattr(
+                ConfigurationTransformation, "apply_settings_in_place", staticmethod(counting_apply)
+            )
+            warm = optimizer.optimize(plans[label])
+            monkeypatch.undo()
+            assert warm.decision_fingerprint() == cold.decision_fingerprint()
+            assert warm.transformations_applied == cold.transformations_applied
+            assert rebound == changed, label
+        # Some recorded settings are no-ops on the canned plans, or the test shows nothing.
+        assert changed < applied
 
     @pytest.mark.parametrize("hash_seed", golden.HASH_SEEDS)
     def test_every_unit_key_equals_the_from_scratch_builder(self, hash_seed):

@@ -1,6 +1,6 @@
 """Simulated distributed file-system: datasets, layouts, and partitions."""
 
-from repro.dfs.dataset import Dataset, DatasetPartition
+from repro.dfs.dataset import Dataset, DatasetPartition, logical_scale
 from repro.dfs.layout import DataLayout, PartitionScheme, RangePartitioning
 from repro.dfs.filesystem import InMemoryFileSystem
 
@@ -11,4 +11,5 @@ __all__ = [
     "PartitionScheme",
     "RangePartitioning",
     "InMemoryFileSystem",
+    "logical_scale",
 ]

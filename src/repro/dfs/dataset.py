@@ -17,7 +17,7 @@ read-sharing opportunities — are preserved at small scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.hashing import stable_hash
 from repro.common.records import Record, read_only, records_size_bytes, sort_key_for
@@ -152,11 +152,6 @@ class Dataset:
         return self._raw_bytes
 
     @property
-    def stored_bytes(self) -> float:
-        """Bytes on the DFS after compression (unscaled)."""
-        return self.layout.stored_bytes(self.raw_bytes)
-
-    @property
     def logical_bytes(self) -> float:
         """Scaled byte size representing the paper-scale dataset."""
         return self.raw_bytes * self.scale_factor
@@ -225,3 +220,18 @@ class Dataset:
             f"Dataset(name={self.name!r}, records={self.num_records}, "
             f"partitions={self.num_partitions}, layout={self.layout.partitioning.kind})"
         )
+
+
+def logical_scale(inputs: Sequence[Dataset]) -> float:
+    """``Σ Nᵢ·sᵢ / Σ Nᵢ``: logical records per stored record of a job reading ``inputs``.
+
+    Weighted by the *whole* inputs, whatever partitions a job prunes, so a
+    logical output has one scale under every plan.  One shared scale is
+    returned exactly; inputs with no record give their largest, none 1.0.
+    The engine stamps a job's outputs with it; the judge scales its counters.
+    """
+    scales = {dataset.scale_factor for dataset in inputs}
+    records = sum(dataset.num_records for dataset in inputs)
+    if len(scales) <= 1 or not records:
+        return max(scales, default=1.0)
+    return sum(dataset.num_records * dataset.scale_factor for dataset in inputs) / records

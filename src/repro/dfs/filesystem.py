@@ -20,22 +20,16 @@ class InMemoryFileSystem:
 
     def __init__(self) -> None:
         self._datasets: Dict[str, Dataset] = {}
-        #: Total bytes written over the lifetime of this filesystem, which
-        #: experiments use to show the intermediate-I/O savings of packing.
-        self.total_bytes_written: float = 0.0
-        self.total_bytes_read: float = 0.0
 
     def put(self, dataset: Dataset) -> None:
         """Store (or replace) a dataset."""
         self._datasets[dataset.name] = dataset
-        self.total_bytes_written += dataset.stored_bytes
 
     def get(self, name: str) -> Dataset:
         """Fetch a dataset by name, raising :class:`ExecutionError` if absent."""
-        if name not in self._datasets:
+        dataset = self._datasets.get(name)
+        if dataset is None:
             raise ExecutionError(f"dataset {name!r} does not exist in the filesystem")
-        dataset = self._datasets[name]
-        self.total_bytes_read += dataset.stored_bytes
         return dataset
 
     def exists(self, name: str) -> bool:
@@ -47,6 +41,5 @@ class InMemoryFileSystem:
         return sorted(self._datasets)
 
     def peek(self, name: str) -> Optional[Dataset]:
-        """Like :meth:`get` but returns ``None`` instead of raising and does
-        not count the access towards read statistics."""
+        """Like :meth:`get` but returns ``None`` instead of raising."""
         return self._datasets.get(name)

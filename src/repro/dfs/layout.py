@@ -120,9 +120,9 @@ class DataLayout:
     sort_fields:
         Fields each partition is sorted on (empty when unsorted).
     compressed:
-        Whether the stored bytes are compressed.
-    compression_ratio:
-        Compressed size / uncompressed size when ``compressed`` is true.
+        Whether the stored bytes are compressed.  Sizes stay raw bytes: the
+        job model (``repro.whatif.jobmodel.COMPRESSION_RATIO``) is the one
+        place that prices compression.
     block_size_mb:
         DFS block size used to derive the default number of map tasks.
     """
@@ -130,17 +130,8 @@ class DataLayout:
     partitioning: PartitionScheme = field(default_factory=PartitionScheme.unpartitioned)
     sort_fields: Tuple[str, ...] = ()
     compressed: bool = False
-    compression_ratio: float = 0.35
     block_size_mb: int = 64
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.compression_ratio <= 1.0:
-            raise ValueError("compression_ratio must be in (0, 1]")
         if self.block_size_mb <= 0:
             raise ValueError("block_size_mb must be positive")
-
-    def stored_bytes(self, raw_bytes: float) -> float:
-        """Bytes occupied on the DFS after optional compression."""
-        if self.compressed:
-            return raw_bytes * self.compression_ratio
-        return raw_bytes

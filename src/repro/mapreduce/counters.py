@@ -30,22 +30,32 @@ class OperatorCounters:
 
 @dataclass
 class ExecutionCounters:
-    """Aggregate dataflow statistics of one job execution."""
+    """Aggregate dataflow statistics of one job execution.
+
+    Every byte field counts raw (serialized, uncompressed) bytes, whatever the
+    job's compression flags: only the job model prices compression.
+    """
 
     map_input_records: int = 0
+    #: Raw bytes of the partitions the map tasks read.
     map_input_bytes: float = 0.0
     map_output_records: int = 0
+    #: Raw bytes of the map output pairs, before any combiner.
     map_output_bytes: float = 0.0
     combine_input_records: int = 0
     combine_output_records: int = 0
     spilled_records: int = 0
+    #: Raw bytes of the pairs spilled, after any combiner.
     spilled_bytes: float = 0.0
+    #: Raw bytes of the pairs shuffled (equal to ``spilled_bytes``).
     shuffle_bytes: float = 0.0
     reduce_input_groups: int = 0
     reduce_input_records: int = 0
     reduce_output_records: int = 0
+    #: Raw bytes of the records the reduce side wrote.
     reduce_output_bytes: float = 0.0
     output_records: int = 0
+    #: Raw bytes of every output dataset written (their ``raw_bytes``).
     output_bytes: float = 0.0
     num_map_tasks: int = 0
     num_reduce_tasks: int = 0
@@ -86,47 +96,3 @@ class ExecutionCounters:
         if self.output_records <= 0:
             return 0.0
         return self.output_bytes / self.output_records
-
-    def merge(self, other: "ExecutionCounters") -> None:
-        """Accumulate another job's counters into this one (workflow totals)."""
-        self.map_input_records += other.map_input_records
-        self.map_input_bytes += other.map_input_bytes
-        self.map_output_records += other.map_output_records
-        self.map_output_bytes += other.map_output_bytes
-        self.combine_input_records += other.combine_input_records
-        self.combine_output_records += other.combine_output_records
-        self.spilled_records += other.spilled_records
-        self.spilled_bytes += other.spilled_bytes
-        self.shuffle_bytes += other.shuffle_bytes
-        self.reduce_input_groups += other.reduce_input_groups
-        self.reduce_input_records += other.reduce_input_records
-        self.reduce_output_records += other.reduce_output_records
-        self.reduce_output_bytes += other.reduce_output_bytes
-        self.output_records += other.output_records
-        self.output_bytes += other.output_bytes
-        self.num_map_tasks += other.num_map_tasks
-        self.num_reduce_tasks += other.num_reduce_tasks
-        for name, op_counters in other.operators.items():
-            mine = self.operator(name)
-            mine.records_in += op_counters.records_in
-            mine.records_out += op_counters.records_out
-        for fields, count in other.key_cardinalities.items():
-            self.key_cardinalities[fields] = max(self.key_cardinalities.get(fields, 0), count)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat numeric view of the aggregate counters (no per-operator data)."""
-        return {
-            "map_input_records": self.map_input_records,
-            "map_input_bytes": self.map_input_bytes,
-            "map_output_records": self.map_output_records,
-            "map_output_bytes": self.map_output_bytes,
-            "spilled_bytes": self.spilled_bytes,
-            "shuffle_bytes": self.shuffle_bytes,
-            "reduce_input_groups": self.reduce_input_groups,
-            "reduce_input_records": self.reduce_input_records,
-            "reduce_output_records": self.reduce_output_records,
-            "output_records": self.output_records,
-            "output_bytes": self.output_bytes,
-            "num_map_tasks": self.num_map_tasks,
-            "num_reduce_tasks": self.num_reduce_tasks,
-        }

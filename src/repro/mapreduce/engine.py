@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.common.records import KeyValue, Record, records_size_bytes, sort_key_for
-from repro.dfs.dataset import Dataset
+from repro.dfs.dataset import Dataset, logical_scale
 from repro.dfs.filesystem import InMemoryFileSystem
 from repro.dfs.layout import DataLayout, PartitionScheme
 from repro.mapreduce.counters import ExecutionCounters
@@ -145,14 +145,14 @@ class LocalEngine:
         record its operator merges, any other chain the copy
         :meth:`_pipeline_input_pairs` makes), and the map input counters add
         the statistics :meth:`Dataset.load` fixed for each partition read.
+        Also returns the :func:`logical_scale` of the inputs, which the
+        outputs are stamped with.
         """
         allowed_partitions = self._allowed_partitions_per_dataset(job)
         splits: List[List[Tuple[str, Record]]] = []
-        max_scale = 1.0
+        inputs = [filesystem.get(name) for name in job.input_datasets]
 
-        for dataset_name in job.input_datasets:
-            dataset = filesystem.get(dataset_name)
-            max_scale = max(max_scale, dataset.scale_factor)
+        for dataset_name, dataset in zip(job.input_datasets, inputs):
             allowed = allowed_partitions.get(dataset_name)
             partitions = [
                 partition
@@ -180,7 +180,7 @@ class LocalEngine:
                         splits.append(chunk)
         if not splits:
             splits = [[]]
-        return splits, max_scale
+        return splits, logical_scale(inputs)
 
     def _allowed_partitions_per_dataset(self, job: MapReduceJob) -> Dict[str, Optional[Tuple[int, ...]]]:
         """Union partition-pruning filters across pipelines per dataset.
@@ -441,9 +441,6 @@ class LocalEngine:
                 counters.reduce_output_bytes += records_size_bytes(reduced)
             else:
                 counters.reduce_output_bytes += dataset.raw_bytes
-        # Keep counters' output byte view consistent with compression.
-        if job.config.compress_output:
-            counters.output_bytes *= 0.35
         return written
 
     def _output_layout(

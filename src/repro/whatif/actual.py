@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cluster import ClusterSpec
+from repro.dfs.dataset import logical_scale
 from repro.dfs.filesystem import InMemoryFileSystem
 from repro.mapreduce.counters import ExecutionCounters
 from repro.mapreduce.job import MapReduceJob
@@ -69,9 +70,15 @@ class ActualCostModel:
         counters: ExecutionCounters,
         filesystem: InMemoryFileSystem,
     ) -> JobDataflow:
-        """Build the logical-scale dataflow of one executed job."""
+        """Build the logical-scale dataflow of one executed job.
+
+        The counters are raw bytes, as an estimated dataflow's are (the job
+        model prices compression), scaled by the
+        :func:`~repro.dfs.dataset.logical_scale` of the job's inputs, the
+        scale the engine stamped the job's outputs with.
+        """
         job = vertex.job
-        scale = self._input_scale(job, filesystem)
+        scale = logical_scale([filesystem.get(name) for name in job.input_datasets])
 
         map_cpu_units, reduce_cpu_units = self._cpu_units(job, counters)
         input_records = max(1.0, counters.map_input_records * scale)
@@ -111,15 +118,6 @@ class ActualCostModel:
         )
 
     # ------------------------------------------------------------- helpers
-    @staticmethod
-    def _input_scale(job: MapReduceJob, filesystem: InMemoryFileSystem) -> float:
-        scales = []
-        for dataset_name in job.input_datasets:
-            dataset = filesystem.peek(dataset_name)
-            if dataset is not None:
-                scales.append(dataset.scale_factor)
-        return max(scales) if scales else 1.0
-
     @staticmethod
     def _cpu_units(job: MapReduceJob, counters: ExecutionCounters) -> tuple:
         map_units = 0.0

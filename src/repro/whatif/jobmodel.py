@@ -29,6 +29,9 @@ from repro.whatif.dataflow import JobDataflow
 CPU_COST_UNIT_SECONDS = 2.5e-7
 
 #: Compression behaviour used when map/reduce output compression is enabled.
+#: The ratio (compressed / raw size) is the repository's only one: every
+#: dataflow, estimated or measured (``ExecutionCounters``), carries raw bytes,
+#: and the job model shrinks the streams a job compresses here, once.
 COMPRESSION_RATIO = 0.35
 COMPRESSION_CPU_S_PER_MB = 0.012
 DECOMPRESSION_CPU_S_PER_MB = 0.006

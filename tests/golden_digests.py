@@ -12,10 +12,12 @@ so a costing refactor that moves no counter is checked, not compared by
 hand.  :data:`ENGINE_COUNTERS` pins the local engine the same way: per plan,
 a sha256 of what executing the unoptimized and the optimized plan counted
 and what profiling it derived (:func:`engine_digest`); :data:`ACTUAL_COSTS`
-pins what the judge prices those two executions at (:func:`actual_digest`).
+pins what the judge prices those two executions at (:func:`actual_digest`),
+and :data:`DATAFLOW` how far each job's estimated dataflow is from the one
+the judge measured, field by field (:func:`dataflow_ratios`).
 :data:`STARFISH` pins the Starfish baseline on the eight canned plans
 (:func:`starfish_digest`).  ``tests/test_golden_fingerprints.py`` re-derives
-all six under two ``PYTHONHASHSEED`` values.
+all seven under two ``PYTHONHASHSEED`` values.
 
 This module imports only ``repro`` and the standard library, so any
 interpreter can print them::
@@ -24,7 +26,8 @@ interpreter can print them::
     PYTHONPATH=src python tests/golden_digests.py --check   # the same; exit 1 unless all are pinned
 
 ``--check`` names each missed row on standard error, and prints a missed
-counter row (``COST_STATS``, ``UNIT_COUNTERS``) as ``pinned -> computed``.
+counter or dataflow row (``COST_STATS``, ``UNIT_COUNTERS``, ``DATAFLOW``) as
+``pinned -> computed``.
 """
 
 import hashlib
@@ -117,16 +120,16 @@ UNIT_COUNTERS = {
 #: and its optimized plan.
 ENGINE_COUNTERS = {
     "IR": "9b0fda1ede94b99e024f0daba2e23dcfa6f5b9717c74263341eedc28f7e61551",
-    "SN": "0b9a03846d594634ad68e149645e932c12f50b7f6f37752ac07b3d0ca7d19696",
-    "LA": "bd827bf6a110a824051bddfcf72efa65c12775986c59fb5850c1d316cf5c4c06",
+    "SN": "9e6a27fb3c9523026059cae731e05f1716d66fe97382f2903d0277c12934d9d9",
+    "LA": "17d3d3633ab2282546f9f09c26c2afadcaaecb09dbde9de708fb64dbaa19cc39",
     "WG": "d0683acbcc77d6ccc606329575170ded8e877eb2057f328b026dbe5737acaed7",
-    "BA": "0bd5d4b19b2bb5c7cb88ba5a16493361231d1a4e893cf6cac5007d20e7df22e6",
-    "BR": "6745ed0d716e715756440d7e6ffd0403e862f8404dca6fc3adeb54921ce7aa4c",
+    "BA": "efc84b8831ce5909fe1363db767aaf88ac91fc06fa1ec192317982a47a5bc0da",
+    "BR": "15d48b17fc5435e59a79cf3f26d03df9c25f120a440b8856914fff082caae46f",
     "PJ": "8f01d356ecce7edaa02885295d2ce43b0be39249c11588ba7c8bca58f7e8a4f2",
-    "US": "2b9fdc8df2ad6e4052bdba9a961e467a97a4d90dd686b8d66b0bf857b8d77771",
+    "US": "db8266ed16882f563430e38f42082579964e4c51f90c73bc5c41b43a1aa4c749",
     "fanout32": "19ea2332619dedc0a267db376a647e08a646376f1997d206511d87ce186fd901",
-    "rollup31": "1811702e554980e43b1a20ab7e6dd59577673ecbe69a81eea54b8cba16c5dcc3",
-    "rollup100": "5973cd00e066792895055cc646d9636eb5fb473ce2406feb22689f7733e655e2",
+    "rollup31": "2544288c2848d85d2d96287c121dc152eab0865db0df4bb6ca1dc1f7b2c4225c",
+    "rollup100": "0c9e47787cf9d973565f3789986ebac28cb8432fde59c87146e821e436fc12df",
     "IRsort": "8653e9a8a4f49ea1ae637226b0311789287c0b987bc5eb1806ea0823f6c82a54",
 }
 
@@ -134,17 +137,156 @@ ENGINE_COUNTERS = {
 #: optimized plan.
 ACTUAL_COSTS = {
     "IR": "ed4252e341c4c9fd967072d3ce61f91621a39b79bfc12f596881fcc4bb832dec",
-    "SN": "497e10fcbfcab1ccd79efb5ee17a2e6b0256d6a76949103788d8bd2a432b26bf",
-    "LA": "aa85a0c92be3dbcd5887a40e9fdaeba4ce5a9db30a17b3e0e68157bd229ff546",
-    "WG": "8b9a8b64d92187224a9fe524ad2fc690221ddc9bb3c17d6dbd6bbb05c5b026f2",
-    "BA": "c17b018620e68a984c3790805ac6ae90863ec04181cf0a528693e05ca34adabb",
-    "BR": "149d9bfeda0c50de009da1aed5cb4ae66de72872e0180333ca67a466fb754eee",
+    "SN": "66006eaefd32dabbd4ea8f2a4d95feb3a35d76d0a82b98eedfe5241bbbc50cae",
+    "LA": "15dbbf806caf69556584597750960079ef5c866ab88cf02a7f919d0f08f04a25",
+    "WG": "bab872ed69612f93b2b77e627d5b820666f98471e4d649c6eaf21d94754b200c",
+    "BA": "2c9d2a63e14db251bae4d2bd4480856b2be4192e7e4c8f3afb133c528270fd54",
+    "BR": "6f3c6bac8c1b303746aae4c60dcb9b385887f3db47c78cbbe024095053ab12a0",
     "PJ": "7739d8aa71ced6c45cda5212a5be9784b317bcb1667ea4760eb783f060b17c96",
-    "US": "1ee8d33033464e361cfbb08dbfc81e9d1f828c3aa054ceb0f3f71d86e63e399e",
+    "US": "88a400340cd0cf9b960ede7f2b8c922d67845819dff5b0468c70170aff8fc168",
     "fanout32": "a3e2b354f8cf238b5f5638ad9f84f38b0f9f7e9ae3eccc1a74377241ca3bfd2b",
-    "rollup31": "512d918d1cfff4ed06b52f4bdf6c1d19d63290c7219e22dfb0bb2b2edb9f85d7",
-    "rollup100": "9926e8753e253a0f37adc7679f0d70cf6088313ddae2d296aaadfedf2f35dc3a",
+    "rollup31": "56f64dbe1fd8cc2315562aca33a1dde1e92996155bb3caa41074dce04f5712c0",
+    "rollup100": "3308304d98ab957cd3886b8c1d15718cd03d1ee06b3d7071ebd2497398bddc3b",
     "IRsort": "a7d226d6d920714216775d3a92804023833317a4f22ea6c455edb761f5315e09",
+}
+
+#: Per plan, :func:`dataflow_ratios` of its unoptimized workflow and its
+#: optimized plan: ``[ratios compared, {side: {job: {field: est/measured}}}]``,
+#: listing only the ratios that do not read 1.000.  A ratio outside
+#: [0.95, 1.05] is a defect of the estimate (or of the judge) to mend, not a
+#: tolerance: the range is never widened.
+DATAFLOW = {
+    "IR": [70, {
+        "optimized": {
+            "IR_J1": {
+                "shuffle_records": 1.776, "shuffle_bytes": 1.776, "reduce_input_records": 1.776,
+                "distinct_partition_keys": 8.444,
+            },
+        },
+    }],
+    "SN": [98, {}],
+    "LA": [112, {
+        "unoptimized": {
+            "LA_J1": {
+                "input_bytes": 0.941,
+            },
+        },
+        "optimized": {
+            "LA_J1": {
+                "input_bytes": 1.025, "input_records": 1.178, "map_output_records": 0.429,
+                "map_output_bytes": 0.429, "shuffle_records": 0.429, "shuffle_bytes": 0.429,
+                "reduce_input_records": 0.429, "output_records": 0.429, "output_bytes": 0.429,
+            },
+            "LA_J2": {
+                "input_bytes": 0.429, "input_records": 0.429, "map_output_records": 0.429,
+                "map_output_bytes": 0.429, "shuffle_records": 0.429, "shuffle_bytes": 0.429,
+                "reduce_input_records": 0.429, "output_records": 0.429, "output_bytes": 0.429,
+            },
+            "LA_J3": {
+                "input_bytes": 0.429, "input_records": 0.429, "map_output_records": 0.429,
+                "map_output_bytes": 0.429, "shuffle_records": 0.429, "shuffle_bytes": 0.429,
+                "reduce_input_records": 0.429, "output_records": 0.429, "output_bytes": 0.429,
+            },
+            "LA_J4": {
+                "input_bytes": 0.429, "input_records": 0.429, "map_output_records": 0.429,
+                "map_output_bytes": 0.429, "shuffle_records": 0.429, "shuffle_bytes": 0.429,
+                "reduce_input_records": 0.429, "output_records": 0.429, "output_bytes": 0.429,
+            },
+        },
+    }],
+    "WG": [56, {}],
+    "BA": [112, {
+        "optimized": {
+            "BA_J4": {
+                "shuffle_records": 3.0, "shuffle_bytes": 3.0, "reduce_input_records": 3.0,
+                "reduce_cpu_cost_per_record": 3.667,
+            },
+        },
+    }],
+    "BR": [154, {
+        "optimized": {
+            "BR_J2+BR_J4+BR_J3+BR_J5": {
+                "distinct_reduce_groups": 0.751, "distinct_partition_keys": 0.994,
+            },
+        },
+    }],
+    "PJ": [84, {}],
+    "US": [84, {
+        "optimized": {
+            "US_J1": {
+                "distinct_partition_keys": 1.667,
+            },
+            "US_J2": {
+                "input_bytes": 0.639, "input_records": 0.639, "output_records": 0.273,
+                "output_bytes": 0.273, "map_cpu_cost_per_record": 0.656,
+            },
+            "US_J3": {
+                "input_bytes": 0.951, "input_records": 0.951, "output_records": 0.545,
+                "output_bytes": 0.545, "map_cpu_cost_per_record": 0.744,
+            },
+        },
+    }],
+    "fanout32": [896, {}],
+    "rollup31": [868, {
+        "optimized": {
+            "T2_C4": {
+                "shuffle_records": 3.0, "shuffle_bytes": 5.0, "reduce_input_records": 3.0,
+                "reduce_cpu_cost_per_record": 1.818,
+            },
+            "T2_C11": {
+                "shuffle_records": 3.0, "shuffle_bytes": 5.0, "reduce_input_records": 3.0,
+                "reduce_cpu_cost_per_record": 1.818,
+            },
+            "T2_C14": {
+                "shuffle_records": 3.0, "shuffle_bytes": 5.0, "reduce_input_records": 3.0,
+                "reduce_cpu_cost_per_record": 1.818,
+            },
+            "T2_C20": {
+                "shuffle_records": 3.0, "shuffle_bytes": 5.0, "reduce_input_records": 3.0,
+                "reduce_cpu_cost_per_record": 1.818,
+            },
+            "T2_C21": {
+                "shuffle_records": 3.0, "shuffle_bytes": 5.0, "reduce_input_records": 3.0,
+                "reduce_cpu_cost_per_record": 1.818,
+            },
+            "T2_R2": {
+                "shuffle_records": 0.384, "shuffle_bytes": 0.64, "reduce_input_records": 0.384,
+                "reduce_cpu_cost_per_record": 8.818,
+            },
+            "T2_R3": {
+                "shuffle_records": 1.5, "shuffle_bytes": 2.5, "reduce_input_records": 1.5,
+                "reduce_cpu_cost_per_record": 2.152,
+            },
+            "T2_TOTAL": {
+                "shuffle_records": 0.75, "shuffle_bytes": 1.25, "reduce_input_records": 0.75,
+                "reduce_cpu_cost_per_record": 1.333,
+            },
+        },
+    }],
+    "rollup100": [1582, {
+        "optimized": {
+            "T3_R8": {
+                "shuffle_records": 0.391, "shuffle_bytes": 0.652, "reduce_input_records": 0.391,
+                "reduce_cpu_cost_per_record": 7.361,
+            },
+            "T3_R10": {
+                "shuffle_records": 0.383, "shuffle_bytes": 0.638, "reduce_input_records": 0.383,
+                "reduce_cpu_cost_per_record": 6.139,
+            },
+            "T3_TOTAL": {
+                "shuffle_records": 0.273, "shuffle_bytes": 0.455, "reduce_input_records": 0.273,
+                "reduce_cpu_cost_per_record": 3.667,
+            },
+        },
+    }],
+    "IRsort": [70, {
+        "optimized": {
+            "IR_J1": {
+                "shuffle_records": 1.776, "shuffle_bytes": 1.776, "reduce_input_records": 1.776,
+                "distinct_partition_keys": 8.444,
+            },
+        },
+    }],
 }
 
 #: Per canned plan, :func:`starfish_digest` of a cold ``StarfishOptimizer(cluster)``
@@ -283,6 +425,44 @@ def actual_digest(executed, cluster):
     return hashlib.sha256(repr(priced).encode()).hexdigest()
 
 
+def dataflow_ratios(executed, cluster):
+    """``[compared, deviations]`` of the two :func:`executions`: each job's
+    est/measured ratio of every numeric ``JobDataflow`` field, rounded to three
+    digits, and how many were compared.  ``deviations`` holds, by side
+    (``unoptimized`` / ``optimized``), job and field, the ratios that do not
+    read 1.000; ``None`` where the ratio is undefined (one side ``None`` or a
+    measured 0 against a nonzero estimate).
+
+    The estimate is the what-if walk's (``basis.costed[job].kernel.dataflow``),
+    the measurement the judge's (``ActualCostModel.dataflow_from_counters``).
+    """
+    import dataclasses
+
+    from repro.whatif import ActualCostModel, WhatIfEngine
+    from repro.whatif.dataflow import JobDataflow
+
+    fields = [field.name for field in dataclasses.fields(JobDataflow) if field.name != "map_only"]
+    judge = ActualCostModel(cluster)
+    compared = 0
+    deviations = {}
+    for side, (workflow, execution, filesystem) in zip(("unoptimized", "optimized"), executed):
+        costed = WhatIfEngine(cluster).estimate_workflow(workflow).basis.costed
+        for vertex in workflow.jobs:
+            estimated = costed[vertex.name].kernel.dataflow
+            measured = judge.dataflow_from_counters(
+                vertex, execution.counters_for(vertex.name), filesystem
+            )
+            for name in fields:
+                compared += 1
+                est, got = getattr(estimated, name), getattr(measured, name)
+                if est == got:
+                    continue
+                ratio = None if est is None or not got else round(est / got, 3)
+                if ratio != 1.0:
+                    deviations.setdefault(side, {}).setdefault(vertex.name, {})[name] = ratio
+    return [compared, deviations]
+
+
 def starfish_digest(result):
     """sha256 of the ``repr`` of a Starfish result: its plan's ``signature()``,
     each job's whole ``JobConfig.key`` by name, ``estimated_cost_s`` and
@@ -295,7 +475,8 @@ def starfish_digest(result):
 
 def compute():
     """``{"digests": ..., "cost_stats": ..., "unit_counters": ...,
-    "engine_counters": ..., "actual_costs": ..., "starfish": ...}``, each by plan label."""
+    "engine_counters": ..., "actual_costs": ..., "dataflow": ..., "starfish": ...}``,
+    each by plan label."""
     from repro.baselines import StarfishOptimizer
     from repro.cluster import ClusterSpec
     from repro.core.optimizer import StubbyOptimizer
@@ -303,7 +484,7 @@ def compute():
     cluster = ClusterSpec.paper_cluster()
     tables = {
         "digests": {}, "cost_stats": {}, "unit_counters": {}, "engine_counters": {},
-        "actual_costs": {}, "starfish": {},
+        "actual_costs": {}, "dataflow": {}, "starfish": {},
     }
     for label in GOLDEN:
         plan, workflow, base_datasets, profiling = _profiled(label)
@@ -324,6 +505,7 @@ def compute():
         executed = executions(workflow, base_datasets, result.plan)
         tables["engine_counters"][label] = engine_digest(executed, profiling)
         tables["actual_costs"][label] = actual_digest(executed, cluster)
+        tables["dataflow"][label] = dataflow_ratios(executed, cluster)
         if label in CANNED:
             tables["starfish"][label] = starfish_digest(StarfishOptimizer(cluster).optimize(workflow))
     return tables
@@ -341,6 +523,7 @@ PINNED = {
     "unit_counters": UNIT_COUNTERS,
     "engine_counters": ENGINE_COUNTERS,
     "actual_costs": ACTUAL_COSTS,
+    "dataflow": DATAFLOW,
     "starfish": STARFISH,
 }
 
@@ -361,7 +544,7 @@ def run_script_under(hash_seed, script, *args):
 
 
 #: The tables whose missed rows ``--check`` prints as ``pinned -> computed``.
-COUNTER_TABLES = ("cost_stats", "unit_counters")
+COUNTER_TABLES = ("cost_stats", "unit_counters", "dataflow")
 
 
 if __name__ == "__main__":
@@ -375,8 +558,8 @@ if __name__ == "__main__":
             if tables[table].get(label) != _as_json(pinned.get(label))
         ]
         matched = (
-            f"all {len(GOLDEN)} match GOLDEN, COST_STATS, UNIT_COUNTERS, ENGINE_COUNTERS "
-            f"and ACTUAL_COSTS, and all {len(CANNED)} STARFISH"
+            f"all {len(GOLDEN)} match GOLDEN, COST_STATS, UNIT_COUNTERS, ENGINE_COUNTERS, "
+            f"ACTUAL_COSTS and DATAFLOW, and all {len(CANNED)} STARFISH"
         )
         labels = [f"{table}:{label}" for table, label in missed]
         verdict = f"misses {labels}" if missed else matched

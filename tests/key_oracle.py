@@ -45,7 +45,6 @@ def assert_statistics_match_a_recount(dataset):
     num_records, raw_bytes, partitions = recount(dataset)
     assert (dataset.num_records, dataset.raw_bytes) == (num_records, raw_bytes)
     assert [(p.index, p.num_records, p.raw_bytes) for p in dataset.partitions] == partitions
-    assert dataset.stored_bytes == dataset.layout.stored_bytes(raw_bytes)
     assert dataset.logical_bytes == raw_bytes * dataset.scale_factor
     assert dataset.logical_records == num_records * dataset.scale_factor
     assert dataset.content_fingerprint == dataset_content_fingerprint(dataset)

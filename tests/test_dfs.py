@@ -12,6 +12,7 @@ from repro.dfs import (
     InMemoryFileSystem,
     PartitionScheme,
     RangePartitioning,
+    logical_scale,
 )
 from tests import engine_oracle, key_oracle
 
@@ -60,18 +61,6 @@ class TestPartitionScheme:
         assert PartitionScheme.hashed("a").kind == "hash"
         assert PartitionScheme.ranged("a", [1.0]).ranges.num_partitions == 2
         assert PartitionScheme.unpartitioned().kind == "none"
-
-
-class TestDataLayout:
-    def test_compression_ratio_bounds(self):
-        with pytest.raises(ValueError):
-            DataLayout(compression_ratio=0.0)
-        with pytest.raises(ValueError):
-            DataLayout(compression_ratio=1.5)
-
-    def test_stored_bytes_with_compression(self):
-        layout = DataLayout(compressed=True, compression_ratio=0.5)
-        assert layout.stored_bytes(1000) == 500
 
 
 def _records(n=30):
@@ -123,6 +112,25 @@ class TestDataset:
         dataset = Dataset("d", records=_records())
         assert dataset.field_ranges["v"] == (0.0, 29.0)
         assert "missing" not in dataset.field_ranges
+
+
+class TestLogicalScale:
+    def test_inputs_are_weighted_by_their_whole_record_counts(self):
+        small = Dataset("small", records=_records(10), scale_factor=16.0)
+        large = Dataset("large", records=_records(30), scale_factor=4.0)
+        assert logical_scale([small, large]) == (10 * 16.0 + 30 * 4.0) / 40 == 7.0
+        assert logical_scale([large, small]) == 7.0
+
+    def test_one_shared_scale_is_kept_exactly(self):
+        # Σ Nᵢ·s / Σ Nᵢ need not round back to s; a shared scale is returned as is.
+        inputs = [Dataset(n, records=_records(3), scale_factor=0.1) for n in "ab"]
+        assert logical_scale(inputs) == 0.1
+        assert logical_scale(inputs[:1]) == 0.1
+
+    def test_inputs_without_records_and_no_inputs(self):
+        empty = [Dataset("a", scale_factor=2.0), Dataset("b", scale_factor=5.0)]
+        assert logical_scale(empty) == 5.0
+        assert logical_scale([]) == 1.0
 
 
 _VALUES = st.one_of(st.none(), st.integers(-50, 50), st.floats(-50, 50), st.text(max_size=6))
@@ -283,14 +291,6 @@ class TestInMemoryFileSystem:
         fs.put(Dataset("a", records=[]))
         assert fs.exists("a") and not fs.exists("c")
         assert fs.names() == ["a", "b"]
-
-    def test_io_accounting(self):
-        fs = InMemoryFileSystem()
-        fs.put(Dataset("a", records=_records()))
-        written = fs.total_bytes_written
-        assert written > 0
-        fs.get("a")
-        assert fs.total_bytes_read > 0
 
     def test_peek_does_not_raise(self):
         fs = InMemoryFileSystem()

@@ -6,7 +6,8 @@ byte-identical to the parent commit"; this file is that promise as a test.
 workloads, the three wide DAGs of ``cold_wide`` and a secondary-sort variant
 of IR), each plan's ``cost_stats`` and per-unit counters, a digest of what
 the local engine counted executing and profiling it, one of what the judge
-(``ActualCostModel``) prices those executions at, and one of what the
+(``ActualCostModel``) prices those executions at, each job's estimated
+dataflow against the measured one field by field, and one of what the
 Starfish baseline chooses for each canned plan; its ``--check``
 re-derives them here in a subprocess under two ``PYTHONHASHSEED`` values,
 so the answers are also shown independent of hash order and of anything
@@ -73,6 +74,17 @@ def test_actual_costs_match_the_pinned_table(hash_seed):
     assert _tables_under(hash_seed)["actual_costs"] == PINNED["actual_costs"], (
         "the judge no longer prices the pinned executions as it did; regenerate "
         "ACTUAL_COSTS only for a deliberate change of how actual cost is measured"
+    )
+
+
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+def test_dataflow_ratios_match_the_pinned_table(hash_seed):
+    """No estimated dataflow field moves against the measured one: per plan,
+    every job's est/measured ratio of each numeric ``JobDataflow`` field, for
+    the unoptimized workflow and the optimized plan."""
+    assert _tables_under(hash_seed)["dataflow"] == json.loads(json.dumps(PINNED["dataflow"])), (
+        "an estimated or a measured dataflow moved; a ratio that comes closer to 1.000 "
+        "is regenerated with the change that moved it, and the range is never widened"
     )
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster import ClusterSpec
 from repro.common.hashing import stable_hash
 from repro.dfs import DataLayout, Dataset, InMemoryFileSystem, PartitionScheme
 from repro.dfs import dataset as dataset_module
@@ -25,8 +26,11 @@ from repro.mapreduce.pipeline import (
     run_map_chain,
     run_reduce_chain,
 )
+from repro.profiler import Profiler
 from repro.verification import RandomWorkflowGenerator
+from repro.whatif import ActualCostModel
 from repro.workflow.executor import WorkflowExecutor
+from repro.workflow.graph import Workflow
 from repro.workloads import WORKLOAD_ORDER, build_workload
 from tests import engine_oracle, key_oracle
 
@@ -576,6 +580,67 @@ class TestCountersEqualARecount:
         assert counters.key_cardinalities == {("k",): 3}
         got = {r["k"]: r["total"] for r in fs.get("sums_out").all_records()}
         assert got == {0.0: 8.0, 1.0: 8.0, 2.0: 8.0}
+
+    @pytest.mark.parametrize("compress_output", (False, True))
+    def test_output_bytes_are_raw_whether_or_not_the_job_compresses(self, compress_output):
+        """The engine, the judge and the profiler all read raw output bytes:
+        only the job model prices compression."""
+        docs = _word_dataset(["a b a", "b c", "a d d d"])
+        job = _wordcount_job(config=JobConfig(num_reduce_tasks=2, compress_output=compress_output))
+        workflow = Workflow()
+        vertex = workflow.add_job(job)
+        execution, fs = WorkflowExecutor().execute(workflow, base_datasets={"docs": docs})
+        counters = execution.counters_for(job.name)
+        stored = fs.get("counts")
+        assert stored.layout.compressed is compress_output
+        assert counters.output_bytes == stored.raw_bytes
+        judged = ActualCostModel(ClusterSpec.paper_cluster()).dataflow_from_counters(vertex, counters, fs)
+        assert judged.output_bytes == stored.raw_bytes
+        profile = Profiler().profile_workflow(workflow, {"docs": docs}, attach=False).job_profiles[job.name]
+        assert profile.output_record_bytes == stored.raw_bytes / stored.num_records
+
+
+def _join_map(key, value):
+    yield {"k": value["k"]}, {"v": value["v"]}
+
+
+def _join_reduce(key, values):
+    yield key, {"n": float(len(values))}
+
+
+class TestOneScaleRule:
+    """A job's logical scale is ``Σ Nᵢ·sᵢ / Σ Nᵢ`` over its whole inputs, one
+    rule for the output's stamp and the judge, whatever partitions it prunes."""
+
+    @pytest.mark.parametrize("pruned", (False, True))
+    def test_a_join_of_inputs_sampled_at_different_rates(self, pruned):
+        ranged = DataLayout(partitioning=PartitionScheme.ranged("v", [10.0, 20.0]))
+        visits = Dataset(
+            "visits", records=[{"k": float(i % 4), "v": float(i)} for i in range(30)],
+            layout=ranged, scale_factor=4.0,
+        )
+        ranks = Dataset("ranks", records=[{"k": float(i), "v": 0.5} for i in range(10)], scale_factor=16.0)
+        inputs = {"visits": visits, "ranks": ranks}
+        expected = sum(d.num_records * d.scale_factor for d in inputs.values()) / sum(
+            d.num_records for d in inputs.values()
+        )
+        assert expected == 7.0
+        job = simple_job(
+            "join", ("visits", "ranks"), "joined", _join_map, _join_reduce, group_fields=("k",),
+            config=JobConfig(num_reduce_tasks=2),
+        )
+        if pruned:
+            (pipeline,) = job.pipelines
+            job = dataclasses.replace(job, pipelines=[pipeline.with_partition_filter("visits", (1, 2))])
+        workflow = Workflow()
+        vertex = workflow.add_job(job)
+        execution, fs = WorkflowExecutor().execute(workflow, base_datasets=inputs)
+        counters = execution.counters_for("join")
+        assert counters.map_input_records == (30 if not pruned else 20) + 10
+        assert fs.get("joined").scale_factor == expected
+        judged = ActualCostModel(ClusterSpec.paper_cluster()).dataflow_from_counters(vertex, counters, fs)
+        assert judged.input_bytes == counters.map_input_bytes * expected
+        assert judged.output_records == counters.output_records * expected
 
 
 def _exercising_generated_dag():

@@ -8,6 +8,13 @@
   withdrawn, and ``stats`` reconcile.  Each take is checked to be FIFO
   (by priority, then arrival) within a tenant and round-robin across
   tenants, and every shed item to be reported once, expired.
+* :class:`CircuitBreakerMachine` drives a :class:`CircuitBreaker` under a
+  fake clock as the server does: a request asks ``allow_full``, and only a
+  granted one later reports success or failure, in any order.  A model
+  predicts every answer.  After every step: at most one probe is in
+  flight while half-open, the backoff is the base doubled once per trip
+  since the last success and capped at ``max_backoff_s``, and ``trips``,
+  ``probes`` and ``short_circuits`` equal the model's.
 * A degraded rung of the ladder — replay-only, single-phase or
   unoptimized — never answers with a plan whose estimated cost exceeds
   the unoptimized plan's, over canned workloads, request seeds and what
@@ -18,12 +25,12 @@ import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.baselines import make_optimizer
 from repro.cluster import ClusterSpec
 from repro.profiler import Profiler
-from repro.service import AdmissionQueue, PlanningServer
+from repro.service import AdmissionQueue, CircuitBreaker, PlanningServer
 from repro.service.admission import AdmissionRejected
 from repro.service.degradation import LEVEL_REPLAY_ONLY, LEVEL_SINGLE_PHASE, LEVEL_UNOPTIMIZED
 from repro.workloads import WORKLOAD_ORDER, build_workload
@@ -167,6 +174,97 @@ class AdmissionQueueMachine(RuleBasedStateMachine):
 
 AdmissionQueueMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=40)
 TestAdmissionQueueMachine = AdmissionQueueMachine.TestCase
+
+
+class CircuitBreakerMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.now = 50.0
+        self.ids = itertools.count()
+        #: Granted request -> the half-open episode it probes (``None``: granted closed).
+        self.in_flight = {}
+        self.episode = 0
+        self.state, self.failures, self.retry_at, self.probing = "closed", 0, 0.0, False
+        self.trips = self.trips_since_success = self.probes = self.short_circuits = 0
+
+    @initialize(
+        threshold=st.integers(1, 3),
+        base=st.sampled_from((0.25, 0.5, 1.0)),
+        cap=st.sampled_from((1.0, 2.0, 8.0)),
+    )
+    def build(self, threshold, base, cap):
+        self.threshold, self.base, self.cap = threshold, base, cap
+        self.backoff = base
+        self.breaker = CircuitBreaker(
+            failure_threshold=threshold, backoff_s=base, max_backoff_s=cap, clock=lambda: self.now
+        )
+
+    # ----------------------------------------------------------- rules
+    @rule()
+    def request(self):
+        if self.state == "open" and self.now >= self.retry_at:
+            self.state, self.probing = "half_open", False
+            self.episode += 1
+        expected = self.state == "closed" or (self.state == "half_open" and not self.probing)
+        probe = self.state == "half_open" and expected
+        if probe:
+            self.probing = True
+            self.probes += 1
+        elif not expected:
+            self.short_circuits += 1
+        assert self.breaker.allow_full() is expected
+        if expected:
+            self.in_flight[next(self.ids)] = self.episode if probe else None
+
+    @precondition(lambda self: self.in_flight)
+    @rule(data=st.data())
+    def succeed(self, data):
+        del self.in_flight[data.draw(st.sampled_from(sorted(self.in_flight)))]
+        self.breaker.record_success()
+        self.state, self.failures, self.probing = "closed", 0, False
+        self.backoff, self.trips_since_success = self.base, 0
+
+    @precondition(lambda self: self.in_flight)
+    @rule(data=st.data())
+    def fail(self, data):
+        del self.in_flight[data.draw(st.sampled_from(sorted(self.in_flight)))]
+        self.breaker.record_failure()
+        self.failures += 1
+        if self.state == "half_open" or self.failures >= self.threshold:
+            assert self.breaker.retry_at == self.now + self.backoff
+            self.state, self.retry_at, self.probing = "open", self.now + self.backoff, False
+            self.backoff = min(self.backoff * 2, self.cap)
+            self.trips += 1
+            self.trips_since_success += 1
+
+    @rule(seconds=st.sampled_from((0.0, 0.25, 0.5, 1.0, 3.0)))
+    def advance(self, seconds):
+        self.now += seconds
+
+    # ------------------------------------------------------ invariants
+    @invariant()
+    def one_probe_at_most_while_half_open(self):
+        if self.breaker.state == "half_open":
+            assert sum(1 for episode in self.in_flight.values() if episode == self.episode) <= 1
+
+    @invariant()
+    def backoff_doubles_per_trip_since_success_up_to_the_cap(self):
+        expected = self.base
+        if self.trips_since_success:
+            expected = min(self.base * 2 ** self.trips_since_success, self.cap)
+        assert self.breaker.current_backoff_s == self.backoff == expected
+
+    @invariant()
+    def state_and_counters_match_the_model(self):
+        breaker = self.breaker
+        assert (breaker.state, breaker.consecutive_failures) == (self.state, self.failures)
+        assert (breaker.trips, breaker.probes, breaker.short_circuits) == (
+            self.trips, self.probes, self.short_circuits
+        )
+
+
+CircuitBreakerMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=40)
+TestCircuitBreakerMachine = CircuitBreakerMachine.TestCase
 
 
 # --------------------------------------------------------------------------

@@ -14,13 +14,20 @@ jobs all of whose upstream jobs are handled; a job created by merging a
 producer with its consumer is *not* handled, so it becomes a producer of a
 later unit — exactly the dynamic behaviour of Figure 9.
 
-Each :meth:`OptimizationUnitGenerator.next_unit` call walks the topological
-order and the producer/consumer adjacency of every unhandled job; both are
-answered from the workflow's topology index (cached order, O(1) adjacency,
-rebuilt in one O(jobs + edges) pass after a transformation moves an edge —
-see :mod:`repro.workflow.graph`), so unit generation over a whole run is
-O(units · (jobs + edges)) instead of the O(jobs³) the brute-force scans
-cost on wide DAGs.
+Every step reads one table,
+:meth:`Workflow.job_adjacency <repro.workflow.graph.Workflow.job_adjacency>`
+(the topological order plus each job's upstream and downstream job names),
+which lives on the workflow's topology index: it survives config-only
+rebinds and is rebuilt in one O(jobs + edges) pass after a transformation
+moves an edge, so a unit whose rewrite kept the graph's edges — every
+configuration-only unit, and every replayed decision that merged nothing —
+finds the table built.
+:meth:`OptimizationUnitGenerator.next_unit` scans the order against the
+handled set, :meth:`~OptimizationUnitGenerator.independent_subunits` answers
+a one-producer unit whose consumers all read that producer without a
+dataset walk, and :meth:`~OptimizationUnitGenerator.mark_handled` adds the
+unit's producers and prunes the handled set only when one of its names has
+left the plan (a producer merged away, or a handled job replaced).
 """
 
 from __future__ import annotations
@@ -76,21 +83,23 @@ class OptimizationUnitGenerator:
 
     def next_unit(self, plan: Plan) -> "OptimizationUnit | None":
         """The next optimization unit of ``plan``, or ``None`` when done."""
-        workflow = plan.workflow
+        adjacency = plan.workflow.job_adjacency()
+        handled = self._handled
+        upstream = adjacency.upstream
         producers: List[str] = []
-        for vertex in workflow.topological_order():
-            if vertex.name in self._handled:
-                continue
-            upstream = workflow.producer_jobs(vertex.name)
-            if all(up.name in self._handled for up in upstream):
-                producers.append(vertex.name)
+        for name in adjacency.order:
+            if name not in handled and handled.issuperset(upstream[name]):
+                producers.append(name)
         if not producers:
             return None
+        downstream = adjacency.downstream
+        taken = set(producers)
         consumers: List[str] = []
-        for producer_name in producers:
-            for consumer in workflow.consumer_jobs(producer_name):
-                if consumer.name not in consumers and consumer.name not in producers:
-                    consumers.append(consumer.name)
+        for producer in producers:
+            for consumer in downstream[producer]:
+                if consumer not in taken:
+                    taken.add(consumer)
+                    consumers.append(consumer)
         return OptimizationUnit(producers=tuple(producers), consumers=tuple(consumers))
 
     def independent_subunits(self, plan: Plan, unit: OptimizationUnit) -> List[OptimizationUnit]:
@@ -106,12 +115,20 @@ class OptimizationUnitGenerator:
         independently; the search enumerates each on its own and composes
         the chosen rewrites afterwards (see ``docs/search.md``).
 
-        Sub-units are returned in a deterministic order (by each sub-unit's
-        first producer in the original unit's producer order), which the
-        composition step relies on for placement-independent results.
+        Sub-units are returned in a deterministic order (by the position of
+        each sub-unit's first job in :attr:`OptimizationUnit.jobs`), which
+        the composition step relies on for placement-independent results.
+
+        A unit of one producer whose consumers all read its output is one
+        group by construction and comes back as is, with no dataset walk; so
+        does any unit whose walk finds one group.
         """
         workflow = plan.workflow
-        jobs = list(unit.jobs)
+        if len(unit.producers) == 1:
+            downstream = workflow.job_adjacency().downstream.get(unit.producers[0])
+            if downstream is not None and set(downstream).issuperset(unit.consumers):
+                return [unit]
+        jobs = unit.jobs
         parent: Dict[str, str] = {name: name for name in jobs}
 
         def find(name: str) -> str:
@@ -120,23 +137,23 @@ class OptimizationUnitGenerator:
                 name = parent[name]
             return name
 
-        def union(a: str, b: str) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
         touched: Dict[str, str] = {}
         for name in jobs:
             job = workflow.job(name).job
-            for dataset in list(job.input_datasets) + list(job.output_datasets):
+            for dataset in job.input_datasets + job.output_datasets:
                 if dataset in touched:
-                    union(touched[dataset], name)
+                    ra, rb = find(touched[dataset]), find(name)
+                    if ra != rb:
+                        parent[rb] = ra
                 else:
                     touched[dataset] = name
 
+        # Keyed in order of each group's first job, the order returned.
         groups: Dict[str, List[str]] = {}
         for name in jobs:
             groups.setdefault(find(name), []).append(name)
+        if len(groups) == 1 and unit.producers:
+            return [unit]
 
         producer_set = set(unit.producers)
         subunits: List[OptimizationUnit] = []
@@ -149,8 +166,6 @@ class OptimizationUnitGenerator:
                 # consumer shares its input dataset with a unit producer.
                 producers = tuple(n for n in members if n not in producer_set)
             subunits.append(OptimizationUnit(producers=producers, consumers=consumers))
-        order = {name: index for index, name in enumerate(unit.jobs)}
-        subunits.sort(key=lambda sub: min(order[n] for n in sub.jobs))
         return subunits
 
     def mark_handled(self, plan: Plan, unit: OptimizationUnit) -> None:
@@ -160,9 +175,9 @@ class OptimizationUnitGenerator:
         plan) are dropped; merged jobs keep their new names un-handled so they
         become producers of a later unit.
         """
-        workflow = plan.workflow
-        for name in unit.producers:
-            if workflow.has_job(name):
-                self._handled.add(name)
-        # Drop handled names that no longer exist to keep the set tidy.
-        self._handled = {name for name in self._handled if workflow.has_job(name)}
+        jobs = plan.workflow.job_adjacency().upstream  # one entry per job
+        handled = self._handled
+        handled.update(unit.producers)
+        if not jobs.keys() >= handled:
+            # A producer or a handled job was merged or replaced away.
+            handled.intersection_update(jobs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.rng import DeterministicRNG
 
@@ -66,6 +66,10 @@ class JobConfig:
     compress_output: bool = False
     max_parallel_maps_per_producer_reduce: int = 0
     forced_single_reduce: bool = False
+
+    #: The field names in declaration order, which :attr:`key` reads (set
+    #: below the class, from ``dataclasses.fields``).
+    _FIELD_NAMES: ClassVar[Tuple[str, ...]]
 
     def __post_init__(self) -> None:
         if self.num_reduce_tasks < 0:
@@ -144,7 +148,7 @@ class JobConfig:
         The content a cache key must pin: :meth:`as_dict` leaves out the two
         constraint fields, and :meth:`with_settings` reads one of them.
         """
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return tuple([getattr(self, name) for name in self._FIELD_NAMES])
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict view of the searched settings, for reporting and RRS seeding."""
@@ -166,6 +170,9 @@ class JobConfig:
         """
         reduces = 0 if map_only else max(1, int(cluster_reduce_slots * 0.9))
         return cls(num_reduce_tasks=reduces, split_size_mb=64, io_sort_mb=128)
+
+
+JobConfig._FIELD_NAMES = tuple(f.name for f in fields(JobConfig))
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ performed.
 Structural queries (``producer_of``/``consumers_of``/``producer_jobs``/
 ``consumer_jobs``/``base_datasets``/``terminal_datasets``/
 ``intermediate_datasets``/``depends_on``/``topological_order``/
-``topological_levels``) answer from a lazily built **topology index**
-(:class:`_TopologyIndex`): producer/consumer adjacency per dataset plus
-cached topological order and levels.  The index is a value built in one
+``topological_levels``/``job_adjacency``) answer from a lazily built
+**topology index** (:class:`_TopologyIndex`): producer/consumer adjacency
+per dataset plus cached topological order, levels, ancestor table and
+job-to-job adjacency.  The index is a value built in one
 pass over the job table: copies share it, and an edit that moves an edge
 (``add_job`` / ``remove_job`` / ``replace_job`` / an edge-changing
 ``update_job``) drops it, so the next structural query rebuilds it.  Answers
@@ -39,7 +40,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.common.content_keys import VertexContentKey, optional_key
 from repro.common.errors import WorkflowValidationError
@@ -86,7 +87,8 @@ class TopologyCounters:
     index and ``index_builds`` the indexes built (lazily, on the first
     structural query after construction or after an edge-moving edit).
     ``toposort_builds`` vs ``toposort_cache_hits`` measure how often the
-    cached topological order/levels answer a walk.  ``index_copies`` no
+    cached topological order (with the job adjacency table that carries it)
+    and levels answer a walk.  ``index_copies`` no
     longer has a writer and reads 0; the slot stays because ``bench/cold.py``
     reads it by name.  Counters are advisory (no lock): the benchmarks that
     assert on them run single-threaded.
@@ -126,9 +128,10 @@ class _TopologyIndex:
     order* so indexed answers are bit-identical (including tie-breaks) to a
     brute-force scan of the job table, and ``order`` maps each job name to
     its position in that table.  All three are filled in one pass by the
-    constructor and never edited.  ``topo_names``/``level_names`` cache the
-    topological order and levels by name (the caller re-binds names to its
-    *current* vertex objects, so rebinding a vertex never stales them), and
+    constructor and never edited.  ``adjacency`` (the :class:`JobAdjacency`
+    table: job-to-job edges and the topological order) and ``level_names``
+    hold names, not vertices (the caller re-binds names to its *current*
+    vertex objects, so rebinding a vertex never stales them), and
     ``ancestors`` maps each job name to the names of every job it
     transitively reads from; they are filled on first use and are the only
     writes to a built index.
@@ -140,7 +143,7 @@ class _TopologyIndex:
     lazy caches filled through one holder included — with no protocol.
     """
 
-    __slots__ = ("producers", "consumers", "order", "topo_names", "level_names", "ancestors")
+    __slots__ = ("producers", "consumers", "order", "adjacency", "level_names", "ancestors")
 
     def __init__(self, jobs: Dict[str, "JobVertex"]) -> None:
         self.producers: Dict[str, List[str]] = {}
@@ -152,10 +155,26 @@ class _TopologyIndex:
                 self.consumers.setdefault(dataset_name, []).append(name)
             for dataset_name in vertex.job.output_datasets:
                 self.producers.setdefault(dataset_name, []).append(name)
-        self.topo_names: Optional[List[str]] = None
+        self.adjacency: Optional[JobAdjacency] = None
         self.level_names: Optional[List[List[str]]] = None
         self.ancestors: Optional[Dict[str, Set[str]]] = None
         TOPOLOGY_COUNTERS.index_builds += 1
+
+
+class JobAdjacency(NamedTuple):
+    """Job-to-job edges by name, and the topological order they give.
+
+    ``upstream[name]`` holds the jobs whose outputs ``name`` reads, in its
+    input-dataset order, and ``downstream[name]`` the jobs reading its
+    outputs, in output-dataset then job insertion order — each without
+    repeats and without ``name`` itself.  Both dicts have one entry per job,
+    so they also answer "is this a job of the plan".  ``order`` is the
+    topological order.  Built once per topology index; read-only.
+    """
+
+    order: List[str]
+    upstream: Dict[str, Tuple[str, ...]]
+    downstream: Dict[str, Tuple[str, ...]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,34 +359,17 @@ class Workflow:
 
     def producer_jobs(self, job_name: str) -> List[JobVertex]:
         """Jobs whose output datasets this job reads (input-dataset order)."""
-        vertex = self.job(job_name)
+        self.job(job_name)  # an unknown job raises
         TOPOLOGY_COUNTERS.index_queries += 1
-        index = self._topology()
-        producers: List[JobVertex] = []
-        seen: Set[str] = set()
-        for dataset_name in vertex.job.input_datasets:
-            writers = index.producers.get(dataset_name)
-            if not writers:
-                continue
-            writer = writers[0]
-            if writer != job_name and writer not in seen:
-                seen.add(writer)
-                producers.append(self._jobs[writer])
-        return producers
+        jobs = self._jobs
+        return [jobs[name] for name in self.job_adjacency().upstream[job_name]]
 
     def consumer_jobs(self, job_name: str) -> List[JobVertex]:
         """Jobs that read any of this job's output datasets (first-seen order)."""
-        vertex = self.job(job_name)
+        self.job(job_name)  # an unknown job raises
         TOPOLOGY_COUNTERS.index_queries += 1
-        index = self._topology()
-        consumers: List[JobVertex] = []
-        seen: Set[str] = set()
-        for dataset_name in vertex.job.output_datasets:
-            for reader in index.consumers.get(dataset_name, ()):
-                if reader != job_name and reader not in seen:
-                    seen.add(reader)
-                    consumers.append(self._jobs[reader])
-        return consumers
+        jobs = self._jobs
+        return [jobs[name] for name in self.job_adjacency().downstream[job_name]]
 
     def base_datasets(self) -> List[DatasetVertex]:
         """Dataset vertices produced by no job (the workflow inputs)."""
@@ -427,48 +429,66 @@ class Workflow:
         the topology index and survives config-only rebinds; an edit that
         moves an edge drops the index and with it the order.
         """
+        jobs = self._jobs
+        return [jobs[name] for name in self.job_adjacency().order]
+
+    def job_adjacency(self) -> JobAdjacency:
+        """Every job's upstream and downstream job names plus the topological
+        order (see :class:`JobAdjacency`).
+
+        Built at the first structural walk on an index and kept on it, so
+        copies share it and an edge-moving edit drops it with the index.
+        The topological order, levels, ancestor table and producer/consumer
+        job lists all read it, and optimization-unit generation reads only it.
+        """
         index = self._topology()
-        if index.topo_names is None:
-            index.topo_names = self._compute_topo_names(index)
+        adjacency = index.adjacency
+        if adjacency is None:
+            adjacency = index.adjacency = self._build_adjacency(index)
             TOPOLOGY_COUNTERS.toposort_builds += 1
         else:
             TOPOLOGY_COUNTERS.toposort_cache_hits += 1
-        return [self._jobs[name] for name in index.topo_names]
+        return adjacency
 
-    def _compute_topo_names(self, index: _TopologyIndex) -> List[str]:
-        """Kahn's algorithm over the index, insertion-order tie-breaks."""
-        keys = index.order
+    def _build_adjacency(self, index: _TopologyIndex) -> JobAdjacency:
+        """Each job's edges in one pass over the job table, then Kahn's
+        algorithm over them with insertion-order tie-breaks."""
+        producers, consumers, keys = index.producers, index.consumers, index.order
+        upstream: Dict[str, Tuple[str, ...]] = {}
+        downstream: Dict[str, Tuple[str, ...]] = {}
         in_degree: Dict[str, int] = {}
         heap: List[Tuple[int, str]] = []
         for name, vertex in self._jobs.items():
-            seen: Set[str] = set()
-            for dataset_name in vertex.job.input_datasets:
-                writers = index.producers.get(dataset_name)
+            job = vertex.job
+            # Dicts as ordered sets: first-seen order without repeats.
+            above: Dict[str, None] = {}
+            for dataset_name in job.input_datasets:
+                writers = producers.get(dataset_name)
                 if writers:
-                    writer = writers[0]
-                    if writer != name and writer not in seen:
-                        seen.add(writer)
-            in_degree[name] = len(seen)
-            if not seen:
+                    above[writers[0]] = None
+            above.pop(name, None)
+            below: Dict[str, None] = {}
+            for dataset_name in job.output_datasets:
+                for reader in consumers.get(dataset_name, ()):
+                    below[reader] = None
+            below.pop(name, None)
+            upstream[name] = tuple(above)
+            downstream[name] = tuple(below)
+            in_degree[name] = len(above)
+            if not above:
                 heap.append((keys[name], name))
         heapq.heapify(heap)
         order: List[str] = []
         while heap:
             _, name = heapq.heappop(heap)
             order.append(name)
-            vertex = self._jobs[name]
-            notified: Set[str] = set()
-            for dataset_name in vertex.job.output_datasets:
-                for reader in index.consumers.get(dataset_name, ()):
-                    if reader == name or reader in notified:
-                        continue
-                    notified.add(reader)
-                    in_degree[reader] -= 1
-                    if in_degree[reader] == 0:
-                        heapq.heappush(heap, (keys[reader], reader))
+            for reader in downstream[name]:
+                in_degree[reader] -= 1
+                if in_degree[reader] == 0:
+                    heapq.heappush(heap, (keys[reader], reader))
         if len(order) != len(self._jobs):
             raise WorkflowValidationError("workflow graph contains a cycle")
-        return order
+        return JobAdjacency(order, upstream, downstream)
 
     def topological_levels(self) -> List[List[JobVertex]]:
         """Jobs grouped into levels of concurrently runnable jobs.
@@ -480,17 +500,14 @@ class Workflow:
         """
         index = self._topology()
         if index.level_names is None:
-            order = self.topological_order()
+            adjacency = self.job_adjacency()
             levels: Dict[str, int] = {}
-            for vertex in order:
+            for name in adjacency.order:
                 level = -1
-                for dataset_name in vertex.job.input_datasets:
-                    writers = index.producers.get(dataset_name)
-                    if writers and writers[0] != vertex.name:
-                        producer_level = levels[writers[0]]
-                        if producer_level > level:
-                            level = producer_level
-                levels[vertex.name] = level + 1
+                for writer in adjacency.upstream[name]:
+                    if levels[writer] > level:
+                        level = levels[writer]
+                levels[name] = level + 1
             grouped: Dict[int, List[str]] = {}
             for name, level in levels.items():
                 grouped.setdefault(level, []).append(name)
@@ -516,15 +533,14 @@ class Workflow:
         self.job(consumer)  # an unknown consumer raises
         index = self._topology()
         if index.ancestors is None:
+            adjacency = self.job_adjacency()
             ancestors: Dict[str, Set[str]] = {}
-            for vertex in self.topological_order():
+            for name in adjacency.order:
                 above: Set[str] = set()
-                for dataset_name in vertex.job.input_datasets:
-                    writers = index.producers.get(dataset_name)
-                    if writers and writers[0] != vertex.name:
-                        above.add(writers[0])
-                        above |= ancestors[writers[0]]
-                ancestors[vertex.name] = above
+                for writer in adjacency.upstream[name]:
+                    above.add(writer)
+                    above |= ancestors[writer]
+                ancestors[name] = above
             index.ancestors = ancestors
         return producer in index.ancestors[consumer]
 

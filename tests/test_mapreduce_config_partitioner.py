@@ -36,6 +36,7 @@ class TestJobConfig:
         fresh = JobConfig(**{**values, field: value})
         assert derived == fresh and derived.key == fresh.key != config.key
         assert derived.key[[f.name for f in dataclasses.fields(JobConfig)].index(field)] == value
+        assert derived.key == tuple(getattr(derived, f.name) for f in dataclasses.fields(JobConfig))
         assert config.replace() == config and config.replace() is not config
 
     def test_replace_validates_like_the_constructor(self):

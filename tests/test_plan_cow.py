@@ -29,6 +29,7 @@ from repro.common.faults import active_plan, set_active_plan
 from repro.common.hashing import stable_hash
 from repro.core import search as search_module
 from repro.core.decision_cache import DecisionCache
+from repro.core.optimization_unit import OptimizationUnitGenerator
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.plan import Plan
 from repro.core.search import SubplanRecord
@@ -52,7 +53,7 @@ from repro.whatif.jobmodel import JobKernel, JobTimeEstimate
 from repro.whatif.model import WhatIfEngine
 from repro.whatif.service import CostService, OverlaySession
 from repro.workflow.annotations import DatasetAnnotation, JobAnnotations, ProfileAnnotation
-from repro.workflow.graph import COPY_COUNTERS, DatasetVertex, JobVertex
+from repro.workflow.graph import COPY_COUNTERS, DatasetVertex, JobVertex, Workflow
 from repro.workloads import build_workload
 from tests import golden_digests as golden, key_oracle
 
@@ -696,6 +697,55 @@ class TestWarmReplayBounds:
             assert rebound == changed, label
         # Some recorded settings are no-ops on the canned plans, or the test shows nothing.
         assert changed < applied
+
+    def test_a_replayed_unit_reads_one_adjacency_table_per_index(self, plans, monkeypatch):
+        """Unit generation reads the plan's job adjacency table, built at
+        most once per topology index, and asks the graph for no producer or
+        consumer job list."""
+        generating = False
+        graph_walks = 0
+        built = []  # the index each table was built for
+
+        def recording(build):
+            def wrapped(workflow, index):
+                built.append(index)
+                return build(workflow, index)
+
+            return wrapped
+
+        def generation(method):
+            def wrapped(*args):
+                nonlocal generating
+                generating = True
+                try:
+                    return method(*args)
+                finally:
+                    generating = False
+
+            return wrapped
+
+        def counting(walk):
+            def wrapped(*args):
+                nonlocal graph_walks
+                graph_walks += generating
+                return walk(*args)
+
+            return wrapped
+
+        for label in [*golden.GOLDEN][:8]:
+            optimizer = self._optimizer()
+            cold = optimizer.optimize(plans[label])
+            with monkeypatch.context() as inner:
+                inner.setattr(Workflow, "_build_adjacency", recording(Workflow._build_adjacency))
+                for name in ("producer_jobs", "consumer_jobs"):
+                    inner.setattr(Workflow, name, counting(getattr(Workflow, name)))
+                for name in ("next_unit", "independent_subunits", "mark_handled"):
+                    method = getattr(OptimizationUnitGenerator, name)
+                    inner.setattr(OptimizationUnitGenerator, name, generation(method))
+                warm = optimizer.optimize(plans[label])
+            assert warm.decision_stats.decision_hits == cold.decision_stats.decision_misses > 0
+            assert graph_walks == 0, label
+        assert built and all(a is not b for i, a in enumerate(built) for b in built[:i])
 
     @pytest.mark.parametrize("hash_seed", golden.HASH_SEEDS)
     def test_every_unit_key_equals_the_from_scratch_builder(self, hash_seed):

@@ -3,7 +3,8 @@
 The contract under test: every structural query of :class:`Workflow` —
 ``producer_of``/``consumers_of``/``producer_jobs``/``consumer_jobs``/
 ``base_datasets``/``terminal_datasets``/``intermediate_datasets``/
-``depends_on``/``topological_order``/``topological_levels`` — answers from
+``depends_on``/``topological_order``/``topological_levels``/
+``job_adjacency`` — answers from
 the adjacency index with results **bit-identical** (same elements, same
 order) to the brute-force scans of ``tests/graph_oracle.py``, after *any*
 sequence of edits, applied to the original workflow and to clones sharing
@@ -58,11 +59,17 @@ def _snapshot(workflow):
     depends = {
         (a, b): workflow.depends_on(a, b) for a in job_names for b in job_names
     }
+    adjacency = workflow.job_adjacency()
     return {
         "producer": producer,
         "consumers": consumers,
         "upstream": upstream,
         "downstream": downstream,
+        "adjacency": (
+            list(adjacency.order),
+            {name: list(names) for name, names in adjacency.upstream.items()},
+            {name: list(names) for name, names in adjacency.downstream.items()},
+        ),
         "base": [d.name for d in workflow.base_datasets()],
         "terminal": [d.name for d in workflow.terminal_datasets()],
         "intermediate": [d.name for d in workflow.intermediate_datasets()],
@@ -96,15 +103,17 @@ def _scan_snapshot(workflow):
     depends = {
         (a, b): oracle.depends_on(workflow, a, b) for a in job_names for b in job_names
     }
+    order = [v.name for v in oracle.topological_order(workflow)]
     return {
         "producer": producer,
         "consumers": consumers,
         "upstream": upstream,
         "downstream": downstream,
+        "adjacency": (order, upstream, downstream),
         "base": [d.name for d in oracle.base_datasets(workflow)],
         "terminal": [d.name for d in oracle.terminal_datasets(workflow)],
         "intermediate": [d.name for d in oracle.intermediate_datasets(workflow)],
-        "order": [v.name for v in oracle.topological_order(workflow)],
+        "order": order,
         "levels": [[v.name for v in level] for level in oracle.topological_levels(workflow)],
         "depends": depends,
     }
@@ -278,6 +287,26 @@ class TestAncestorTable:
         assert clone._topo_index.ancestors is not table
         assert TOPOLOGY_COUNTERS.snapshot()["index_builds"] == 1
         _assert_depends_on_equals_the_oracle(workflow)
+
+    def test_the_job_adjacency_table_is_built_once_per_index_and_shared(self):
+        workflow = _build_wide()
+        table = workflow.job_adjacency()
+        TOPOLOGY_COUNTERS.reset()
+        assert workflow.job_adjacency() is table
+        assert [v.name for v in workflow.topological_order()] == table.order
+        clone = workflow.copy()
+        clone.update_job(
+            table.order[3], lambda job: job.with_config(job.config.replace(num_reduce_tasks=9))
+        )
+        # A config-only rebind keeps the index, and the copy reads the same table.
+        assert clone.job_adjacency() is table
+        assert TOPOLOGY_COUNTERS.snapshot()["toposort_builds"] == 0
+        clone.remove_job(table.order[-1])
+        rebuilt = clone.job_adjacency()
+        assert rebuilt is not table and workflow.job_adjacency() is table
+        assert TOPOLOGY_COUNTERS.snapshot()["toposort_builds"] == 1
+        assert list(rebuilt.upstream) == clone.job_names == list(rebuilt.downstream)
+        _assert_index_consistent(clone)
 
     def test_an_unknown_consumer_raises_and_an_unknown_producer_is_no_ancestor(self):
         workflow = _build_base()

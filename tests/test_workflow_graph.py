@@ -141,7 +141,7 @@ class TestWorkflowStructure:
         with pytest.raises(WorkflowValidationError, match="duplicate job name"):
             workflow.replace_job("J2", clash)
         assert all(a is b for a, b in zip(workflow.jobs, vertices, strict=True))
-        assert workflow._topology() is index and index.topo_names == order
+        assert workflow._topology() is index and index.adjacency.order == order
         assert (index.producers, index.consumers, index.order) == adjacency
         assert [v.name for v in workflow.topological_order()] == order
         # Replacing a job under its own name is not a collision.

@@ -65,7 +65,7 @@ class StarfishOptimizer(BaselineOptimizer):
                 return plan
             name, point = chosen
             ConfigurationTransformation.apply_settings_in_place(plan, {name: point})
-            plan.record(ConfigurationTransformation.application_for(name, point).as_applied())
+            plan.record(ConfigurationTransformation.applied_for(name, point))
             if not pending:
                 # No job left to tune: a session now would estimate a plan
                 # no one reads (optimize() prices the result itself).

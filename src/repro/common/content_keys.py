@@ -12,7 +12,7 @@ placement; equality (and therefore hits) is by content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
 __all__ = [
@@ -26,8 +26,32 @@ __all__ = [
 ]
 
 
+class _HashedOnce:
+    """Mixin of the two key classes: the hash is computed at the first
+    ``__hash__`` and kept in the ``_hash`` slot, then read back — a vertex
+    key sits in every decision key built over its vertex, and each of those
+    hashes it.  The slot is never pickled (``__reduce__`` passes the fields
+    to the constructor), so a hash taken under one ``PYTHONHASHSEED`` is
+    never read under another, and a key that no dictionary ever holds pays
+    nothing.  A class names its constructor's fields, in order, in
+    ``_parts()``.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash(self._parts())
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        return type(self), self._parts()
+
+
 @dataclass(frozen=True, slots=True)
-class PipelineContentKey:
+class PipelineContentKey(_HashedOnce):
     """The vertex-content half of one pipeline's signature part
     (:attr:`repro.mapreduce.pipeline.Pipeline.content_key`).
 
@@ -41,10 +65,16 @@ class PipelineContentKey:
     map_ops: Tuple[Tuple[str, float], ...]
     reduce_ops: Tuple[Tuple[str, float, Tuple[str, ...]], ...]
     output_dataset: str
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    __hash__ = _HashedOnce.__hash__
+
+    def _parts(self) -> Tuple:
+        return (self.inputs, self.map_ops, self.reduce_ops, self.output_dataset)
 
 
 @dataclass(frozen=True, slots=True)
-class VertexContentKey:
+class VertexContentKey(_HashedOnce):
     """Everything a vertex's dataflow signature reads from the vertex itself
     (:attr:`repro.workflow.graph.JobVertex.content_key`).
 
@@ -57,6 +87,18 @@ class VertexContentKey:
     combiner_active: bool
     profile_key: Optional[Tuple]
     chained_input: bool
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    __hash__ = _HashedOnce.__hash__
+
+    def _parts(self) -> Tuple:
+        return (
+            self.pipelines,
+            self.partitioner_fields,
+            self.combiner_active,
+            self.profile_key,
+            self.chained_input,
+        )
 
 
 def plain_value_key(value) -> Tuple:

@@ -214,47 +214,71 @@ class ShardedLRU:
     order, whatever ``PYTHONHASHSEED`` the process runs under.  "Shard" is
     the process's share of a store — a forked worker's copy is its private
     shard until merge-on-join.
+
+    Each entry also holds the key object the map holds it under, so an
+    operation compares a probe with the held key once, in its first lookup,
+    and makes every later move through the held object itself (an identity
+    match).  A hit re-keys its entry to the probe: a key loaded from a file
+    or merged from a worker is compared part by part at its first hit, and
+    from then on the map holds the probe, whose parts are the ones this
+    process builds.
     """
 
     def __init__(self, max_entries: int) -> None:
         self.max_entries = max(1, max_entries)
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple, Tuple[object, object]]" = OrderedDict()
+        #: key -> ``(value, origin, key)``, the last item the key object itself.
+        self._entries: "OrderedDict[Tuple, Tuple[object, object, Tuple]]" = OrderedDict()
 
     def lookup(self, key: Tuple):
-        """Return the ``(value, origin)`` pair for ``key``, or ``None``."""
+        """Return the ``(value, origin)`` pair for ``key``, or ``None``.
+
+        A hit becomes the most recent entry — the order ``get`` plus
+        ``move_to_end`` gives — and is held under ``key`` from now on.
+        """
+        entries = self._entries
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
+            entry = entries.get(key)
+            if entry is None:
+                return None
+            held = entry[2]
+            if held is key:
+                entries.move_to_end(key)
+            else:
+                del entries[held]
+                entries[key] = (entry[0], entry[1], key)
+            return entry[:2]
 
     def store(self, key: Tuple, value, origin=None) -> bool:
         """Insert a value (tagged with its origin); True when the key was new.
 
         Re-storing an existing key refreshes its recency like a lookup does:
         merge-on-join relies on "just written" meaning "most recently used".
+        The entry stays under the key object it is held under.
         """
         entries = self._entries
         with self._lock:
-            new = key not in entries
-            entries[key] = (value, origin)
-            if not new:
-                entries.move_to_end(key)
-            elif len(entries) > self.max_entries:
-                entries.popitem(last=False)
-            return new
+            entry = entries.get(key)
+            if entry is None:
+                entries[key] = (value, origin, key)
+                if len(entries) > self.max_entries:
+                    entries.popitem(last=False)
+                return True
+            held = entry[2]
+            entries[held] = (value, origin, held)
+            entries.move_to_end(held)
+            return False
 
     def items(self) -> List[Tuple[Tuple, object, object]]:
         """``(key, value, origin)`` rows in LRU→MRU order.
 
-        The lock is held only for the raw ``dict.items()`` copy; the row
+        The lock is held only for the raw ``dict.values()`` copy; the row
         tuples are built outside it, so a big save does not stall lookups
         for the whole rebuild.
         """
         with self._lock:
-            raw = list(self._entries.items())
-        return [(key, value, origin) for key, (value, origin) in raw]
+            raw = list(self._entries.values())
+        return [(key, value, origin) for value, origin, key in raw]
 
     def discard(self, key: Tuple) -> bool:
         """Drop one key; True when it was present."""
@@ -406,11 +430,20 @@ class ShardedStore:
             return stack
 
     def _apply_delta(self, delta: CounterStats) -> None:
-        """Fold a stats delta into the global counters and this thread's sinks."""
+        """Fold a whole stats delta into the global counters and this thread's sinks."""
+        self._count(**vars(delta))
+
+    def _count(self, **counts: int) -> None:
+        """Add ``counts`` (counter name → amount) to the global counters and
+        this thread's sinks: a store event names only the counters it moves."""
         with self._stats_lock:
-            self.stats.accumulate(delta)
+            totals = self.stats.__dict__
+            for name, amount in counts.items():
+                totals[name] += amount
         for sink in self._sink_stack():
-            sink.accumulate(delta)
+            totals = sink.__dict__
+            for name, amount in counts.items():
+                totals[name] += amount
 
     @contextmanager
     def attribute_to(self, sink: CounterStats):

@@ -88,7 +88,9 @@ DEFAULT_MAX_DECISIONS = 50_000
 #: ``forced_single_reduce``), so version-2 rows could never hit again either.
 #: 4: the vertex content key is a :mod:`repro.common.content_keys` class, so
 #: a version-3 row unpickles by a module path that no longer holds it.
-DECISION_CACHE_FORMAT_VERSION = 4
+#: 5: the two content-key classes pickle as a constructor call, so that the
+#: hash they keep is never written; version-4 rows hold their old state shape.
+DECISION_CACHE_FORMAT_VERSION = 5
 
 #: Environment variable naming the persisted decision-cache path of an
 #: ``ExperimentHarness`` or ``PlanningServer`` — the decision-level sibling of
@@ -235,36 +237,47 @@ class DecisionCache(ShardedStore):
         # Plain-tuple keys: the loader refuses the ``builtins.tuple`` global.
         return [(tuple(key), value, origin) for key, value, origin in self._cache.items()]
 
-    def lookup(self, key: Tuple) -> Optional[Tuple[UnitDecision, bool]]:
+    def lookup(self, key: Tuple, deferred: bool = False) -> Optional[Tuple[UnitDecision, bool]]:
         """The recorded decision for ``key``, or ``None`` on a miss.
 
         Returns ``(decision, cross_origin)`` — the second element is True
         when the entry was stored under a different origin label than the
-        one active now (another cell's work, or a warm-started file).
+        one active now (another cell's work, or a warm-started file).  A
+        miss is counted at once.  ``deferred=True`` leaves a hit uncounted:
+        the caller settles it with :meth:`count_hit` once the decision
+        replayed, or with :meth:`count_miss` when it could not, so every
+        lookup reaches the ledger once, as what it turned out to be.
         """
         if not self.enabled:
             return None
         entry = self._cache.lookup(key)
-        delta = DecisionCacheStats()
         if entry is None:
-            delta.decision_misses = 1
-            self._apply_delta(delta)
+            self._count(decision_misses=1)
             return None
         decision, entry_origin = entry
         cross_origin = entry_origin != current_origin()
-        delta.decision_hits = 1
-        if cross_origin:
-            delta.cross_origin_hits = 1
-        delta.replayed_subunits = len(decision.choices)
-        self._apply_delta(delta)
+        if not deferred:
+            self.count_hit(decision, cross_origin)
         return decision, cross_origin
+
+    def count_hit(self, decision: UnitDecision, cross_origin: bool) -> None:
+        """Count a (deferred) lookup that replayed ``decision``."""
+        self._count(
+            decision_hits=1,
+            cross_origin_hits=int(cross_origin),
+            replayed_subunits=len(decision.choices),
+        )
+
+    def count_miss(self) -> None:
+        """Count a (deferred) lookup whose decision could not be replayed."""
+        self._count(decision_misses=1)
 
     def store(self, key: Tuple, decision: UnitDecision) -> None:
         """Record the winning decision for ``key`` (no-op when disabled)."""
         if not self.enabled:
             return
         self._store(key, decision, current_origin())
-        self._apply_delta(DecisionCacheStats(stores=1))
+        self._count(stores=1)
 
     def invalidate_key(self, key: Tuple) -> bool:
         """Drop one memoized decision; True when it existed.

@@ -282,20 +282,28 @@ class StubbySearch:
         key = None
         if decisions is not None and decisions.enabled:
             key = self._decision_key(plan, subunits, transformations, phase)
-            hit = decisions.lookup(key)
-            if hit is not None and len(hit[0].choices) == len(subunits):
+            # Counted once the replay settles: a decision that cannot be
+            # replayed is a miss in the ledger, as it is in the reports.
+            hit = decisions.lookup(key, deferred=True)
+            if hit is not None:
                 decision, cross_origin = hit
-                try:
-                    replayed = self._replay_decision(
-                        plan, subunits, decision, transformations, phase
-                    )
-                except SubResultUnavailableError:
-                    # The recorded chain substitutes a stored sub-result that
-                    # is no longer available (evicted, or its backing records
-                    # were deleted).  Drop the stale decision and fall through
-                    # to a full search — recomputation, never a failed plan.
-                    decisions.invalidate_key(key)
+                replayed = None
+                if len(decision.choices) == len(subunits):
+                    try:
+                        replayed = self._replay_decision(
+                            plan, subunits, decision, transformations, phase
+                        )
+                    except SubResultUnavailableError:
+                        # The recorded chain substitutes a stored sub-result
+                        # that is no longer available (evicted, or its backing
+                        # records were deleted).  Drop the stale decision and
+                        # fall through to a full search — recomputation,
+                        # never a failed plan.
+                        decisions.invalidate_key(key)
+                if replayed is None:
+                    decisions.count_miss()
                 else:
+                    decisions.count_hit(decision, cross_origin)
                     replayed[1][0].unit_decision_hits = 1
                     if cross_origin:
                         replayed[1][0].cross_origin_decision_hits = 1
@@ -641,9 +649,7 @@ class StubbySearch:
             return
         ConfigurationTransformation.apply_settings_in_place(optimized, chosen.best_settings)
         for job_name, settings in chosen.best_settings.items():
-            optimized.record(
-                ConfigurationTransformation.application_for(job_name, settings).as_applied()
-            )
+            optimized.record(ConfigurationTransformation.applied_for(job_name, settings))
 
     @staticmethod
     def _candidate_combinations(per_subunit: List[List[SubplanRecord]]) -> List[Tuple[int, ...]]:

@@ -81,8 +81,9 @@ DEFAULT_MAX_SUBRESULTS = 2_000
 #: different layout are rejected wholesale.  2: signatures pin the whole
 #: ``JobConfig.key`` (version 1 keyed the six searched settings) and hold
 #: :class:`~repro.common.content_keys.VertexContentKey`, which pickles by a
-#: new module path.
-SUBRESULT_CATALOG_FORMAT_VERSION = 2
+#: new module path.  3: that class pickles as a constructor call (its kept
+#: hash is never written), so version-2 rows hold its old state shape.
+SUBRESULT_CATALOG_FORMAT_VERSION = 3
 
 #: Environment variable naming the persisted catalog path of an
 #: ``ExperimentHarness`` or ``PlanningServer`` — the data-level sibling of
@@ -223,20 +224,14 @@ class SubResultCatalog(ShardedStore):
         if not self.enabled:
             return None
         entry_row = self._cache.lookup(signature)
-        delta = SubResultCatalogStats()
         if entry_row is None:
-            delta.misses = 1
-            self._apply_delta(delta)
+            self._count(misses=1)
             return None
         entry, entry_origin = entry_row
         if not entry.has_payload:
-            delta.stale_skips = 1
-            self._apply_delta(delta)
+            self._count(stale_skips=1)
             return None
-        delta.hits = 1
-        if entry_origin != current_origin():
-            delta.cross_origin_hits = 1
-        self._apply_delta(delta)
+        self._count(hits=1, cross_origin_hits=int(entry_origin != current_origin()))
         return entry
 
     def fetch(self, signature: Tuple) -> SubResultEntry:
@@ -270,7 +265,7 @@ class SubResultCatalog(ShardedStore):
         origin = origin if origin is not None else current_origin()
         self._store(signature, entry, origin)
         self._bump_version()
-        self._apply_delta(SubResultCatalogStats(stores=1))
+        self._count(stores=1)
 
     def evict_payload(self, signature: Tuple) -> bool:
         """Drop an entry's backing records, keeping the signature (stale).
@@ -293,7 +288,7 @@ class SubResultCatalog(ShardedStore):
         Called once per ``StubbyOptimizer.optimize()``, for its final plan.
         """
         if count:
-            self._apply_delta(SubResultCatalogStats(jobs_eliminated=count))
+            self._count(jobs_eliminated=count)
 
     # ------------------------------------------------------- decision keying
     def decision_key_content(self) -> Tuple:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Sequence
 
 from repro.cluster import ClusterSpec
-from repro.core.plan import Plan
+from repro.core.plan import AppliedTransformation, Plan
 from repro.core.transformations.base import Transformation, TransformationApplication
 from repro.mapreduce.config import ConfigurationSpace, JobConfig
 
@@ -43,6 +43,16 @@ class ConfigurationTransformation(Transformation):
     def application_for(job_name: str, settings: Mapping[str, object]) -> TransformationApplication:
         """Build the application record for a chosen configuration point."""
         return TransformationApplication(
+            transformation=ConfigurationTransformation.name,
+            target_jobs=(job_name,),
+            details={"job": job_name, "settings": dict(settings)},
+        )
+
+    @staticmethod
+    def applied_for(job_name: str, settings: Mapping[str, object]) -> AppliedTransformation:
+        """The history record of a chosen configuration point:
+        ``application_for(job_name, settings).as_applied()``, built directly."""
+        return AppliedTransformation(
             transformation=ConfigurationTransformation.name,
             target_jobs=(job_name,),
             details={"job": job_name, "settings": dict(settings)},

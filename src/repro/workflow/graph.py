@@ -577,6 +577,17 @@ class Workflow:
                 f"update_job cannot rename {name!r} to {new_job.name!r}; use replace_job"
             )
         vertex = JobVertex(new_job, old.annotations)
+        key = old.__dict__.get("content_key")
+        if (
+            key is not None
+            and new_job.pipelines is old_job.pipelines
+            and new_job.effective_partitioner is old_job.effective_partitioner
+            and new_job.config.combiner_enabled == old_job.config.combiner_enabled
+            and new_job.config.chained_input == old_job.config.chained_input
+        ):
+            # Nothing the key reads moved (the annotations are the same
+            # object): the new vertex starts with the old one's key.
+            vertex.__dict__["content_key"] = key
         self._jobs[name] = vertex
         COPY_COUNTERS.vertex_shell_copies += 1
         # Same pipelines tuple (every ``with_config`` / ``with_partitioner``
@@ -594,9 +605,20 @@ class Workflow:
 
         ``changes`` are :class:`JobAnnotations` fields
         (``dataclasses.replace``); the job object is carried over as is.
+        Keys the edit cannot move are handed over: a profile-only edit keeps
+        :attr:`JobAnnotations.key` (which leaves the profile out), and an
+        edit that keeps the profile keeps :attr:`JobVertex.content_key`
+        (which reads nothing else of the annotations).
         """
         old = self.job(name)
-        vertex = JobVertex(old.job, replace(old.annotations, **changes))
+        annotations = replace(old.annotations, **changes)
+        annotations_key = old.annotations.__dict__.get("key")
+        if annotations_key is not None and changes.keys() <= {"profile"}:
+            annotations.__dict__["key"] = annotations_key
+        vertex = JobVertex(old.job, annotations)
+        content_key = old.__dict__.get("content_key")
+        if content_key is not None and "profile" not in changes:
+            vertex.__dict__["content_key"] = content_key
         self._jobs[name] = vertex
         COPY_COUNTERS.vertex_shell_copies += 1
         return vertex

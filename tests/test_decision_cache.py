@@ -21,6 +21,7 @@ here too: both must provably reduce objective calls without moving the
 argmin.
 """
 
+import copyreg
 import dataclasses
 import hashlib
 import os
@@ -29,6 +30,7 @@ import pickle
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.common.content_keys import PipelineContentKey, VertexContentKey
 from repro.common.store import _RestrictedUnpickler, persist, resolve_env_path
 from repro.core.decision_cache import (
     DECISION_CACHE_FORMAT_VERSION,
@@ -432,7 +434,7 @@ class TestPersistence:
     # Version-2 keys left out two JobConfig fields; version-3 keys name the
     # vertex content key by a module path that no longer holds it: no row of
     # either may be served.
-    @pytest.mark.parametrize("old_version", [2, 3])
+    @pytest.mark.parametrize("old_version", [2, 3, 4])
     def test_version_2_file_is_rejected_whole_and_replaced_on_persist(
         self, tmp_path, old_version
     ):
@@ -447,7 +449,7 @@ class TestPersistence:
         _optimizer(decision_cache=reloaded).optimize(workload.plan)
         assert persist([reloaded]) == reloaded.cache_size > 0
         with open(path, "rb") as handle:
-            assert pickle.load(handle)["format_version"] == DECISION_CACHE_FORMAT_VERSION == 4
+            assert pickle.load(handle)["format_version"] == DECISION_CACHE_FORMAT_VERSION == 5
         assert DecisionCache(CLUSTER, enabled=True, cache_path=path).last_load.loaded
 
     def test_keys_naming_a_class_that_moved_are_rejected_quietly(self, tmp_path, monkeypatch):
@@ -570,8 +572,11 @@ FILE_LABELS = "IR,BR,PJ"
 #: The sha256 of ``repr(payload)`` of the decision file that a writer whose
 #: keys were plain tuples built per unit saved for :data:`FILE_LABELS`: the
 #: rows, their order, the stamps.  A file written now unpickles to the same
-#: value, so each writer's file replays under the other's reader.
-PLAIN_KEY_WRITER_CONTENT = "efc005dd250ed5050769f6795e746ebabb495bf8653d49010da0b974ab45f960"
+#: value, so each writer's file replays under the other's reader.  Only the
+#: format stamp has moved since (4 → 5, content keys pickled as constructor
+#: calls): with the stamp set back to 4 the payload hashes to
+#: ``efc005dd250ed5050769f6795e746ebabb495bf8653d49010da0b974ab45f960``.
+PLAIN_KEY_WRITER_CONTENT = "2bc1649566138164e8e03aa29a2ca96d295bfdf6b94d32cc0dd54aadcb14e119"
 
 
 class TestKeyPersistence:
@@ -611,6 +616,98 @@ class TestKeyPersistence:
             units[label] = misses
         replayed = golden.run_script_under("3", str(script), "read", path, FILE_LABELS)
         assert replayed.splitlines() == [f"{label} {units[label]} 0" for label in units]
+
+
+#: Optimizes the eight canned plans on one cost service and one decision
+#: cache and prints ``label hits misses fingerprint-sha256`` per plan;
+#: ``write`` then persists both stores under ``argv[2]``, ``read`` starts both
+#: from those files.
+STORES_FILE_SCRIPT = """
+import hashlib, sys
+sys.path.insert(0, {tests!r})
+import golden_digests as golden
+from repro.cluster import ClusterSpec
+from repro.common.content_keys import PipelineContentKey, VertexContentKey
+from repro.common.store import persist
+from repro.core.decision_cache import DecisionCache
+from repro.core.optimizer import StubbyOptimizer
+from repro.whatif.service import CostService
+
+mode, directory = sys.argv[1], sys.argv[2]
+cluster = ClusterSpec.paper_cluster()
+costs = CostService(cluster, cache_path=directory + "/costs.cache")
+decisions = DecisionCache(cluster, cache_path=directory + "/decisions.cache")
+if mode == "read":
+    assert costs.last_load.loaded and decisions.last_load.loaded, (costs.last_load, decisions.last_load)
+for label in [*golden.GOLDEN][:8]:
+    result = StubbyOptimizer(
+        cluster, seed=17, cost_service=costs, decision_cache=decisions
+    ).optimize(golden.plan_of(label))
+    stats = result.decision_stats
+    digest = hashlib.sha256(repr(result.decision_fingerprint()).encode()).hexdigest()
+    print(label, stats.decision_hits, stats.decision_misses, digest)
+if mode == "write":
+    persist((costs, decisions))
+"""
+
+
+class TestFilesAcrossHashSeeds:
+    def test_canned_stores_written_under_seed_0_replay_every_unit_under_seed_3(self, tmp_path):
+        """Content keys keep their hash in a slot: a hash taken under one
+        ``PYTHONHASHSEED`` must never be read back under another."""
+        script = tmp_path / "stores_file.py"
+        script.write_text(STORES_FILE_SCRIPT.format(tests=os.path.dirname(golden.__file__)))
+        written = golden.run_script_under("0", str(script), "write", str(tmp_path)).splitlines()
+        replayed = golden.run_script_under("3", str(script), "read", str(tmp_path)).splitlines()
+        assert len(written) == len(replayed) == 8
+        for cold, warm in zip(written, replayed):
+            label, hits, misses, digest = cold.split()
+            assert int(hits) == 0 < int(misses)
+            assert warm.split() == [label, misses, "0", digest]
+
+    def test_a_file_in_the_previous_row_format_is_rejected_whole(self, tmp_path):
+        """Version-4 rows pickled the content keys' dataclass state; such a
+        file loads nothing, and a merge-save replaces it whole."""
+        workload = _profiled()
+        cache = DecisionCache(CLUSTER, enabled=True)
+        _optimizer(decision_cache=cache).optimize(workload.plan)
+        path = tmp_path / "decisions.cache"
+
+        class PreviousFormat(pickle.Pickler):
+            def reducer_override(self, obj):
+                if isinstance(obj, (PipelineContentKey, VertexContentKey)):
+                    # ``object.__reduce_ex__``'s shape for the state list the
+                    # dataclass wrote, as the previous format pickled it.
+                    state = [getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init]
+                    return copyreg.__newobj__, (type(obj),), state
+                return NotImplemented
+
+        rows = cache._entries_snapshot()
+        assert any(isinstance(part, VertexContentKey) for part in _parts(rows[0][0]))
+        payload = {
+            "format_version": 4,
+            "model_version": whatif_model.COST_MODEL_VERSION,
+            "cluster_key": CLUSTER.cache_key,
+            "entries": rows,
+        }
+        with open(path, "wb") as handle:
+            PreviousFormat(handle, protocol=pickle.HIGHEST_PROTOCOL).dump(payload)
+        reloaded = DecisionCache(CLUSTER, enabled=True, cache_path=str(path))
+        assert not reloaded.last_load.loaded and "format version" in reloaded.last_load.reason
+        assert reloaded.cache_size == 0
+        _optimizer(decision_cache=reloaded).optimize(workload.plan)
+        assert persist([reloaded]) == reloaded.cache_size > 0
+        assert DecisionCache(CLUSTER, enabled=True, cache_path=str(path)).last_load.loaded
+
+
+def _parts(value):
+    """Every object nested in ``value``'s tuples, depth first."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _parts(item)
+    elif isinstance(value, VertexContentKey):
+        yield from _parts(value.pipelines)
 
 
 def _perturbed(value):

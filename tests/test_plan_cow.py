@@ -747,6 +747,30 @@ class TestWarmReplayBounds:
             assert graph_walks == 0, label
         assert built and all(a is not b for i, a in enumerate(built) for b in built[:i])
 
+    def test_a_warm_canned_request_builds_few_content_keys(self, plans, monkeypatch):
+        """A replay's config edits that keep the pipelines, the partitioner and
+        the two flags the vertex key reads hand the old vertex's key over
+        (7.88 builds per request when every rebound vertex rebuilt its own)."""
+        cluster = ClusterSpec.paper_cluster()
+        costs, decisions = CostService(cluster), DecisionCache(cluster)
+        canned = [plans[label] for label in [*golden.GOLDEN][:8]]
+
+        def request_sweep():
+            for plan in canned:
+                optimizer = StubbyOptimizer(
+                    cluster, seed=17, cost_service=costs, decision_cache=decisions
+                )
+                optimizer.optimize(plan.copy())
+
+        request_sweep()
+        hits_before = decisions.stats_snapshot().decision_hits
+        counts = collections.Counter()
+        self._count_calls(monkeypatch, counts, "content_key", JobVertex.__dict__["content_key"], "func")
+        request_sweep()
+        stats = decisions.stats_snapshot()
+        assert stats.decision_hits - hits_before > len(canned)
+        assert counts["content_key"] / len(canned) <= 2.5, counts
+
     @pytest.mark.parametrize("hash_seed", golden.HASH_SEEDS)
     def test_every_unit_key_equals_the_from_scratch_builder(self, hash_seed):
         """8 canned + 3 wide plans, cold and warm, in a fresh interpreter."""

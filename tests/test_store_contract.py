@@ -9,6 +9,7 @@ drift per store again.  Store-specific behaviour (estimate exactness, replay
 identity, signature invalidation) stays in the stores' own test files.
 """
 
+import collections
 import dataclasses
 import os
 import pickle
@@ -19,13 +20,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.decision_cache as decision_module
 import repro.core.subresults as subresults_module
 import repro.whatif.service as service_module
 from repro.cluster import ClusterSpec
-from repro.common.store import ShardedLRU, ShardedStore, attributed, current_origin, persist
-from repro.core.decision_cache import DecisionCache, SubunitChoice, UnitDecision
+from repro.common.store import (
+    ShardedLRU,
+    ShardedStore,
+    _RestrictedUnpickler,
+    attributed,
+    current_origin,
+    persist,
+)
+from repro.core.decision_cache import DecisionCache, DecisionKey, SubunitChoice, UnitDecision
 from repro.core.parallel import Pool
 from repro.core.subresults import SubResultCatalog, SubResultEntry
 from repro.experiments import ExperimentHarness
@@ -429,6 +438,148 @@ class TestShardedLRU:
         held, survivors = done.stdout.splitlines()
         assert held == "16"
         assert survivors == str([f"job-{index}" for index in range(8, 24)])
+
+
+class _CountingKey(tuple):
+    """A key that counts the ``==`` calls made on it (a stored, foreign key:
+    one loaded from a file or merged from a worker)."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+    calls = collections.Counter()
+
+    def __eq__(self, other):
+        self.calls["eq"] += 1
+        return tuple.__eq__(self, other)
+
+
+def _row_value(store):
+    """A value each store's own lookup answers with."""
+    if isinstance(store, DecisionCache):
+        return UnitDecision(choices=(SubunitChoice.no_op(),))
+    if isinstance(store, SubResultCatalog):
+        return SubResultEntry("d", ({"k": 0},), None)
+    return ("dataflow", "contributions")
+
+
+def _public_lookup(store, key):
+    """The store's one lookup path: the decision cache's ``lookup``, the
+    catalog's ``probe``, the cost service's memo probe (what
+    ``OverlaySession._derived`` calls)."""
+    if isinstance(store, DecisionCache):
+        return store.lookup(key)
+    if isinstance(store, SubResultCatalog):
+        return store.probe(key)
+    return store._cache.lookup(key)
+
+
+class TestOneProbePerHit:
+    """A hit finds, refreshes and re-keys its entry in one probe."""
+
+    def test_a_hit_walks_a_foreign_but_equal_key_once_then_holds_the_probe(self, kind):
+        store = kind.build()
+        stored = _CountingKey(("unit", "job", 1))
+        store._store(stored, _row_value(store), None)
+        store._store(("unit", "other"), _row_value(store), None)
+        probe = ("unit", "job", 1)
+        assert probe is not stored
+        _CountingKey.calls.clear()
+        assert _public_lookup(store, probe) is not None
+        assert _CountingKey.calls["eq"] == 1
+        # The entry is now keyed by the probe, and it is the most recent.
+        keys = [key for key, _value, _origin in store._cache.items()]
+        assert keys[-1] is probe and keys == [("unit", "other"), probe]
+        # The next equal probe built from the same parts matches on identity.
+        _CountingKey.calls.clear()
+        assert _public_lookup(store, probe) is not None
+        assert _CountingKey.calls["eq"] == 0
+
+    def test_a_file_loaded_decision_key_is_replaced_by_the_probe(self, tmp_path):
+        cache = DecisionCache(CLUSTER)
+        parts = (("unit", ("J1",)), ("jobs", ("J1", "config")))
+        cache.store(DecisionKey(parts), UnitDecision(choices=(SubunitChoice.no_op(),)))
+        path = str(tmp_path / "decisions.bin")
+        cache.save_cache(path)
+        warm = DecisionCache(CLUSTER, cache_path=path)
+        [(loaded, _value, _origin)] = warm._cache.items()
+        assert type(loaded) is tuple
+        probe = DecisionKey(parts)
+        assert warm.lookup(probe) is not None
+        [(held, _value, _origin)] = warm._cache.items()
+        assert held is probe
+
+    def test_persisted_rows_stay_plain_tuples_after_hits(self, kind, tmp_path):
+        store = kind.build()
+        kind.populate(store, "alpha")
+        keys = [key for key, _value, _origin in store._cache.items()]
+        for key in keys:
+            # Re-key every entry with a probe of another tuple type.
+            probe = DecisionKey(key) if isinstance(store, DecisionCache) else tuple(key)
+            assert _public_lookup(store, probe) is not None
+        path = str(tmp_path / "store.bin")
+        assert store.save_cache(path) == len(keys)
+        with open(path, "rb") as handle:
+            rows = _RestrictedUnpickler(handle).load()["entries"]
+        assert rows and all(type(row) is tuple and type(row[0]) is tuple for row in rows)
+        assert kind.build(cache_path=path).last_load.loaded
+
+    def test_keys_equal_across_types_hit_one_entry(self, kind):
+        store = kind.build()
+        value = _row_value(store)
+        store._store((1,), value, "first")
+        store._store((2,), value, "second")
+        for probe in ((1.0,), (True,), (1,), (1.0,)):
+            hit = store._cache.lookup(probe)
+            assert hit == (value, "first")
+            assert len(store._cache) == 2
+        # Re-storing under an equal key rewrites the one entry.
+        assert not store._cache.store((True,), value, "third")
+        assert store._cache.lookup((1,)) == (value, "third")
+        assert [origin for _key, _value, origin in store._cache.items()] == ["second", "third"]
+
+
+def _model_lookup(model, key):
+    """The reference LRU lookup: ``get`` then ``move_to_end``."""
+    entry = model.get(key)
+    if entry is not None:
+        model.move_to_end(key)
+    return entry
+
+
+def _model_store(model, key, value, capacity):
+    new = key not in model
+    model[key] = (value, None)
+    if not new:
+        model.move_to_end(key)
+    elif len(model) > capacity:
+        model.popitem(last=False)
+    return new
+
+
+#: Keys drawn by the model test; ``1``, ``1.0`` and ``True`` are equal keys.
+_MODEL_KEYS = st.sampled_from([(1,), (1.0,), (True,), (2,), (2.0,), ("a",), ("b", 1), (0,), (False,)])
+_OPERATIONS = st.lists(
+    st.tuples(st.sampled_from(["store", "lookup", "discard"]), _MODEL_KEYS, st.integers(0, 9)),
+    max_size=60,
+)
+
+
+class TestLRUModel:
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 5), operations=_OPERATIONS)
+    def test_eviction_order_equals_get_and_move_to_end(self, capacity, operations):
+        lru, model = ShardedLRU(capacity), collections.OrderedDict()
+        for operation, key, value in operations:
+            if operation == "store":
+                assert lru.store(key, value) == _model_store(model, key, value, capacity)
+            elif operation == "lookup":
+                assert lru.lookup(key) == _model_lookup(model, key)
+            else:
+                assert lru.discard(key) == (model.pop(key, None) is not None)
+            rows = lru.items()
+            assert [key for key, _value, _origin in rows] == list(model)
+            assert [(value, origin) for _key, value, origin in rows] == list(model.values())
+            assert len(lru) == len(model) <= capacity
 
 
 # --------------------------------------------------------------------------

@@ -320,10 +320,12 @@ class TestStaleFallback:
         """The deployment fault: data deleted between warm runs.
 
         Run 1 records unit decisions that substitute stored sub-results.
-        The backing records are then deleted (``evict_payload``).  Run 2
-        replays those decisions, hits :class:`SubResultUnavailableError`,
-        invalidates the memoized decision, and re-searches — landing on the
-        recompute plan a catalog-less optimizer would have picked.
+        The backing records are then deleted (``evict_payload``), which
+        moves the catalog's part of every decision key, so run 2 misses
+        each unit and re-searches — landing on the recompute plan a
+        catalog-less optimizer would have picked.  A decision that *is*
+        replayed and cannot fetch its sub-result is
+        :meth:`test_an_unreplayable_hit_is_one_miss_in_the_ledger`.
         """
         first, second = _pair()
         catalog = SubResultCatalog(CLUSTER)
@@ -344,6 +346,43 @@ class TestStaleFallback:
 
         reference = StubbyOptimizer(CLUSTER).optimize(_pair()[1].plan)
         assert fingerprint(replayed.plan) == fingerprint(reference.plan)
+
+    def test_an_unreplayable_hit_is_one_miss_in_the_ledger(self, monkeypatch):
+        """A decision whose replay cannot fetch its sub-result is counted once,
+        as the miss its unit report says it was — not as a hit as well."""
+        first, second = _pair()
+        catalog = SubResultCatalog(CLUSTER)
+        _execute_and_register(catalog, first, origin="producer")
+        decisions = DecisionCache(CLUSTER, enabled=True)
+        optimizer = StubbyOptimizer(CLUSTER, subresult_catalog=catalog, decision_cache=decisions)
+        cold = optimizer.optimize(second.plan)
+        assert cold.subresult_reuse_applications >= 1
+
+        def unavailable(self, signature):
+            raise SubResultUnavailableError("forced for the test")
+
+        monkeypatch.setattr(SubResultCatalog, "fetch", unavailable)
+        before = decisions.stats_snapshot()
+        warm = optimizer.optimize(second.plan)
+        reports = warm.unit_reports
+        ledger = warm.decision_stats
+        assert ledger == decisions.stats_snapshot().since(before)
+        hits = sum(report.unit_decision_hits for report in reports)
+        misses = sum(report.unit_decision_misses for report in reports)
+        # The reuse unit could not replay: it was searched again and stored.
+        assert misses >= 1 and ledger.stores == misses
+        assert (ledger.decision_hits, ledger.decision_misses) == (hits, misses)
+        assert ledger.cross_origin_hits == sum(
+            report.cross_origin_decision_hits for report in reports
+        )
+        # A unit's first report carries its hit or miss; the rest are its
+        # other sub-units.
+        replayed, in_hit = 0, False
+        for report in reports:
+            if report.unit_decision_hits or report.unit_decision_misses:
+                in_hit = bool(report.unit_decision_hits)
+            replayed += in_hit
+        assert ledger.replayed_subunits == replayed
 
     def test_cold_search_over_stale_catalog_recomputes(self):
         first, second = _pair()
@@ -450,7 +489,7 @@ class TestPersistence:
         _execute_and_register(reloaded, first)
         assert persist([reloaded]) == reloaded.catalog_size == 2
         with open(path, "rb") as handle:
-            assert pickle.load(handle)["format_version"] == SUBRESULT_CATALOG_FORMAT_VERSION == 2
+            assert pickle.load(handle)["format_version"] == SUBRESULT_CATALOG_FORMAT_VERSION == 3
         assert SubResultCatalog(CLUSTER, cache_path=path).last_load.loaded
 
     def test_model_version_mismatch_is_rejected(self, tmp_path, monkeypatch):

@@ -1,8 +1,8 @@
 """Deterministic random number generation.
 
-All stochastic components (data generators, the profiler's sampling noise,
-Recursive Random Search) draw from a :class:`DeterministicRNG` seeded
-explicitly, so experiments and tests are reproducible run to run.
+All stochastic components (data generators, Recursive Random Search) draw
+from a :class:`DeterministicRNG` seeded explicitly, so experiments and tests
+are reproducible run to run.
 """
 
 from __future__ import annotations

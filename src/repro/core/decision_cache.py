@@ -23,13 +23,15 @@ What makes a hit provably decision-equivalent is the key.  The search
 (:meth:`~repro.core.search.StubbySearch._decision_key`) derives it from
 everything that can influence the unit's argmin:
 
-* the unit subgraph's per-vertex content keys
-  (:attr:`~repro.workflow.graph.JobVertex.content_key`, read through the
-  counting :meth:`~repro.whatif.model.WhatIfEngine.vertex_content_key`), plus
-  every job's configuration, partitioner, and :class:`JobAnnotations` content;
-* input dataset profiles/annotations and the plan's structural signature —
-  workflow cost is a per-level *makespan* (a max), so a unit's best rewrite
-  can depend on neighbouring jobs, and the whole-plan content must pin it;
+* every job's :attr:`~repro.workflow.graph.JobVertex.key` — its content
+  key, shape (name, pipelines and wiring, partition function), whole
+  configuration and :class:`JobAnnotations` content — in plan order, and
+  every dataset's :attr:`~repro.workflow.graph.DatasetVertex.key`
+  (annotation and logical sizes): workflow cost is a per-level *makespan*
+  (a max), so a unit's best rewrite can depend on neighbouring jobs, and
+  the whole-plan content must pin it.  The sub-result catalog's signature
+  reads the same two keys;
+* the unit decomposition and the plan's merge lineage;
 * the :class:`~repro.cluster.ClusterSpec` and the search knobs: RRS
   seed/budget, the transformation set (including per-transformation
   options), enumeration caps, and
@@ -53,12 +55,11 @@ from repro.cluster import ClusterSpec
 from repro.common.store import CounterStats, ShardedStore, current_origin
 
 # Content-key helpers live in the leaf module ``repro.common.content_keys``
-# (shared with the sub-result catalog and the annotation classes); re-exported
-# here because the search and the test suite have always imported them from
-# this module.
+# (shared with the annotation classes and the vertex keys); re-exported here
+# because the search and the test suite have always imported them from this
+# module.
 from repro.common.content_keys import (  # noqa: F401  (re-exports)
     filter_annotation_key,
-    optional_key,
     plain_value_key,
     rrs_search_key,
     schema_annotation_key,
@@ -90,7 +91,9 @@ DEFAULT_MAX_DECISIONS = 50_000
 #: a version-3 row unpickles by a module path that no longer holds it.
 #: 5: the two content-key classes pickle as a constructor call, so that the
 #: hash they keep is never written; version-4 rows hold their old state shape.
-DECISION_CACHE_FORMAT_VERSION = 5
+#: 6: the key holds each vertex's own key and no structural signature, so
+#: version-5 rows could never hit again.
+DECISION_CACHE_FORMAT_VERSION = 6
 
 #: Environment variable naming the persisted decision-cache path of an
 #: ``ExperimentHarness`` or ``PlanningServer`` — the decision-level sibling of

@@ -3,8 +3,8 @@
 Two callers fan work out, one level above the (serial) unit search: the
 planning server runs whole requests on a pool
 (:meth:`~repro.service.server.PlanningServer._ensure_session`) and the
-experiment scheduler whole (workload, optimizer) cells
-(:meth:`~repro.experiments.scheduler.ExperimentScheduler.map_cells`).  Both
+experiment harness whole (workload, optimizer) cells
+(:meth:`~repro.experiments.harness.ExperimentHarness.run`).  Both
 read the shared :class:`~repro.common.store.ShardedStore` s but never each
 other's results, and at that grain a fork pool measurably pays (8 cells
 1.18 s on ``process:2`` against 1.49 s serial; the server's fresh-seed

@@ -23,7 +23,7 @@ transformations are applied the same way.  Within each unit:
 The search itself is straight-line code: candidates are costed one after
 another in enumeration order, in the process that called ``run()``.  Work
 fans out one level up — whole requests on the planning server's pool, whole
-(workload, optimizer) cells on the experiment scheduler's — and those pools
+(workload, optimizer) cells on the experiment harness's — and those pools
 return bit-identical decisions wherever a search lands because nothing here
 depends on placement: every candidate derives its RNG from a stable key,
 candidates are consumed in enumeration order with index tie-breaks, and the
@@ -46,7 +46,6 @@ from repro.core.decision_cache import (
     DecisionKey,
     SubunitChoice,
     UnitDecision,
-    optional_key,
     rrs_search_key,
     transformation_key,
 )
@@ -376,50 +375,26 @@ class StubbySearch:
 
         Workflow cost is a per-level makespan — a *max* — so a unit's best
         rewrite can depend on jobs outside the unit; the key therefore pins
-        the **whole plan's** content (per-vertex local keys, configurations,
-        partitioners, annotations, dataset annotations, merge lineage,
-        structural signature), the unit decomposition, and every search knob
-        (RRS parameters including the seed, the transformation set with its
-        options, the enumeration caps, the cost-model version, the cluster).
-        Equal keys are decision-equivalent by construction; any input change
-        produces a miss, never a stale hit.  What describes a frozen value is
-        built once per value (``docs/search.md``, "What building it costs");
+        the **whole plan's** content (every job's
+        :attr:`~repro.workflow.graph.JobVertex.key`, every dataset's
+        :attr:`~repro.workflow.graph.DatasetVertex.key`, merge lineage), the
+        unit decomposition, and every search knob (RRS parameters including
+        the seed, the transformation set with its options, the enumeration
+        caps, the cost-model version, the cluster).  The job keys in
+        insertion order fix the plan's structure: each starts with its job's
+        name and shape.  Equal keys are decision-equivalent by construction;
+        any input change produces a miss, never a stale hit.  A job key is
+        built once per vertex (``docs/search.md``, "What building it costs");
         per unit the key reads the dataset statistics, the cost-model version
         and the cluster, and inside ``run()`` the other knobs are built once
         per phase.  The key is hashed once, when it is built.
         """
         workflow = plan.workflow
-        job_parts = []
-        for vertex in workflow.jobs:
-            job = vertex.job
-            job_parts.append(
-                (
-                    vertex.name,
-                    self.whatif.vertex_content_key(vertex),
-                    job.config.key,
-                    job.effective_partitioner.key,
-                    vertex.annotations.key,
-                )
-            )
-        dataset_parts = []
-        for dataset_vertex in workflow.datasets:
-            dataset = dataset_vertex.dataset
-            dataset_parts.append(
-                (
-                    dataset_vertex.name,
-                    optional_key(dataset_vertex.annotation),
-                    # Read live: ``scale_factor`` is assigned after loading.
-                    None
-                    if dataset is None
-                    else (dataset.logical_bytes, dataset.logical_records),
-                )
-            )
         return DecisionKey((
             ("unit", tuple((subunit.producers, subunit.consumers) for subunit in subunits)),
-            ("jobs", tuple(job_parts)),
-            ("datasets", tuple(dataset_parts)),
+            ("jobs", tuple(vertex.key for vertex in workflow.jobs)),
+            ("datasets", tuple((vertex.name, vertex.key) for vertex in workflow.datasets)),
             ("lineage", tuple(sorted(plan.merge_lineage.items()))),
-            ("structure", plan.signature()),
             # Read through the module so a version bump (or a test
             # monkeypatching it) invalidates in-memory keys too.
             self._knobs(transformations, phase)

@@ -12,7 +12,6 @@ from repro.experiments.microbench import (
 )
 from repro.experiments.scheduler import (
     ExperimentCell,
-    ExperimentScheduler,
     build_cells,
     cell_seed,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "ExperimentCell",
     "ExperimentHarness",
     "ExperimentRunResult",
-    "ExperimentScheduler",
     "OptimizerRun",
     "WorkloadComparison",
     "build_cells",

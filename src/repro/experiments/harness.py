@@ -21,8 +21,8 @@ Two entry points cover the two evaluation styles:
   time, each from a cold cache, so the per-optimizer timings and what-if
   counters are standalone (the Figures 11–13 requirement);
 * :meth:`ExperimentHarness.run` — a whole experiment at once: every
-  (workload × optimizer) **cell** is dispatched through the
-  :class:`~repro.experiments.scheduler.ExperimentScheduler` onto a pool
+  (workload × optimizer) **cell** is dispatched onto one
+  :class:`~repro.core.parallel.Pool` session
   (``run(backend=)``, a spec string, ``"serial"`` by default — the one
   fan-out level; each cell's search is serial), all cells sharing the harness's
   :class:`CostService` so cross-cell hits are reaped (surfaced as
@@ -62,7 +62,8 @@ from repro.core.subresults import (
 )
 from repro.core.optimization_unit import OptimizationUnitGenerator
 from repro.core.transformations.configuration import ConfigurationTransformation
-from repro.experiments.scheduler import ExperimentCell, ExperimentScheduler, build_cells
+from repro.core.parallel import Pool
+from repro.experiments.scheduler import ExperimentCell, build_cells
 from repro.profiler import Profiler
 from repro.whatif import ActualCostModel, CostService, CostServiceStats
 from repro.workflow.executor import WorkflowExecutor
@@ -286,7 +287,7 @@ class ExperimentHarness:
     def prepare_workload(self, abbreviation: str) -> Workload:
         """Build and profile a workload (profiles attached to its workflow)."""
         workload = build_workload(abbreviation, scale=self.scale, seed=self.seed)
-        profiler = Profiler(seed=self.seed)
+        profiler = Profiler()
         profiler.profile_workflow(workload.workflow, workload.base_datasets)
         return workload
 
@@ -332,11 +333,14 @@ class ExperimentHarness:
         warm :class:`CostService`: structurally identical job signatures met
         by several cells are costed once (each cell's
         ``OptimizerRun.cost_stats.cross_origin_hits`` counts what it reaped
-        from the others).  Cells are dispatched
-        through the :class:`~repro.experiments.scheduler.ExperimentScheduler`
-        onto the pool ``backend`` names (``"serial"`` or ``"process:N"``);
-        results are identical on every pool at any worker count, by the
-        scheduler's determinism contract.
+        from the others).  Cells are dispatched onto one session of the
+        pool ``backend`` names (``"serial"`` or ``"process:N"``), opened over
+        the harness's stores so forked cells merge their stats and entries
+        back on join.  Only a cell's index crosses a worker boundary (a
+        forked worker inherits the prepared workloads), and an idle worker
+        takes the next cell; results come back in cell order and are
+        identical on every pool at any worker count, by the pool's
+        determinism contract (:mod:`repro.core.parallel`).
 
         With a ``cache_path`` configured the run warm-starts from the
         persisted store (done at harness construction) and — unless
@@ -345,7 +349,7 @@ class ExperimentHarness:
         """
         abbreviations = tuple(workloads) if workloads is not None else tuple(WORKLOAD_ORDER)
         optimizer_names = tuple(optimizers)
-        scheduler = ExperimentScheduler(backend)
+        pool = Pool(backend)  # a bad spec fails before any workload is built
 
         # Serial, deterministic preparation: workloads are built, profiled,
         # and reference-executed before any fan-out, so forked cell workers
@@ -361,16 +365,20 @@ class ExperimentHarness:
         run_token = f"{os.getpid()}.{next(self._run_tokens)}"
         cache_entries_at_start = self.costs.cache_size
 
-        def run_cell(cell: ExperimentCell) -> OptimizerRun:
+        def run_cell(index: int) -> OptimizerRun:
+            cell = cells[index]
             workload, reference_outputs = prepared[cell.workload]
             return self._run_cell(cell, workload, reference_outputs, run_token)
 
         with attributed(self.stores, current_origin()) as run_sinks:
             cells_started = time.perf_counter()
-            runs = scheduler.map_cells(cells, run_cell, self.stores)
+            with pool.session(run_cell, self.stores) as session:
+                try:
+                    runs = session.run(list(range(len(cells))))
+                finally:
+                    self.last_dispatch_stats = session.dispatch_stats
             cells_s = time.perf_counter() - cells_started
         cost_stats, decision_stats, subresult_stats = run_sinks
-        self.last_dispatch_stats = scheduler.last_dispatch_stats
 
         comparisons: Dict[str, WorkloadComparison] = {}
         for cell, run in zip(cells, runs):
@@ -391,7 +399,7 @@ class ExperimentHarness:
         return ExperimentRunResult(
             comparisons=comparisons,
             optimizers=optimizer_names,
-            backend=scheduler.spec,
+            backend=pool.spec,
             prepare_s=prepare_s,
             cells_s=cells_s,
             cost_stats=cost_stats,

@@ -2,24 +2,19 @@
 
 The paper generates profile annotations with Starfish's profiler, which
 instruments unmodified MapReduce programs at run time [8].  Our equivalent
-executes the (unoptimized) workflow on the local engine — optionally over a
-*sample* of the base datasets — and derives per-operator selectivities,
-record widths, CPU costs, and key cardinalities from the execution counters.
-
-Sampling fraction and measurement noise are configurable: profiling on a
-sample with noise is what produces the estimation error visible in the
-paper's Figure 14 (estimated vs. actual cost scatter).
+executes the (unoptimized) workflow on the local engine over the full base
+datasets and derives per-operator selectivities, record widths, CPU costs,
+and key cardinalities from the execution counters.  What the estimates
+still miss is the What-if engine's own modelling error (paper Figure 14).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.common.rng import DeterministicRNG
 from repro.dfs.dataset import Dataset
 from repro.mapreduce.counters import ExecutionCounters
-from repro.mapreduce.engine import LocalEngine
 from repro.workflow.annotations import (
     DatasetAnnotation,
     OperatorProfile,
@@ -35,27 +30,10 @@ class ProfilingResult:
 
     job_profiles: Dict[str, ProfileAnnotation] = field(default_factory=dict)
     dataset_annotations: Dict[str, DatasetAnnotation] = field(default_factory=dict)
-    profiled_records: int = 0
 
 
 class Profiler:
     """Collects profile annotations by executing workflows on the local engine."""
-
-    def __init__(
-        self,
-        engine: Optional[LocalEngine] = None,
-        sample_fraction: float = 1.0,
-        noise: float = 0.0,
-        seed: int = 7,
-    ) -> None:
-        if not 0.0 < sample_fraction <= 1.0:
-            raise ValueError("sample_fraction must be in (0, 1]")
-        if noise < 0.0:
-            raise ValueError("noise must be non-negative")
-        self.engine = engine or LocalEngine()
-        self.sample_fraction = sample_fraction
-        self.noise = noise
-        self._rng = DeterministicRNG(seed)
 
     # ------------------------------------------------------------------ API
     def profile_workflow(
@@ -72,12 +50,9 @@ class Profiler:
         dataset vertices, which is the normal way to prepare a plan for
         Stubby.
         """
-        sampled = {name: self._sample(dataset) for name, dataset in base_datasets.items()}
-        executor = WorkflowExecutor(self.engine)
-        execution, filesystem = executor.execute(workflow, base_datasets=sampled)
+        execution, _ = WorkflowExecutor().execute(workflow, base_datasets=base_datasets)
 
         result = ProfilingResult()
-        result.profiled_records = sum(d.num_records for d in sampled.values())
 
         for name, dataset in base_datasets.items():
             result.dataset_annotations[name] = self.annotate_dataset(dataset)
@@ -148,17 +123,17 @@ class Profiler:
                     else map_output_bytes_per_record
                 )
                 operator_profiles[op.name] = OperatorProfile(
-                    selectivity=self._noisy(selectivity),
-                    cpu_cost_per_record=self._noisy(op.cpu_cost_per_record),
-                    output_record_bytes=self._noisy(record_bytes),
+                    selectivity=float(selectivity),
+                    cpu_cost_per_record=float(op.cpu_cost_per_record),
+                    output_record_bytes=float(record_bytes),
                 )
             for index, op in enumerate(pipeline.reduce_ops):
                 observed = counters.operators.get(op.name)
                 selectivity = observed.selectivity if observed is not None else 1.0
                 operator_profiles[op.name] = OperatorProfile(
-                    selectivity=self._noisy(selectivity),
-                    cpu_cost_per_record=self._noisy(op.cpu_cost_per_record),
-                    output_record_bytes=self._noisy(output_bytes_per_record),
+                    selectivity=float(selectivity),
+                    cpu_cost_per_record=float(op.cpu_cost_per_record),
+                    output_record_bytes=float(output_bytes_per_record),
                 )
 
         combine_reduction = 1.0
@@ -172,51 +147,22 @@ class Profiler:
             )
 
         key_cardinalities = {
-            fields: self._scale_cardinality(count)
-            for fields, count in counters.key_cardinalities.items()
+            fields: float(count) for fields, count in counters.key_cardinalities.items()
         }
 
         map_cpu, reduce_cpu = self._job_level_cpu(vertex)
         return ProfileAnnotation(
-            map_selectivity=self._noisy(counters.map_selectivity),
-            reduce_selectivity=self._noisy(counters.reduce_selectivity),
-            map_output_record_bytes=self._noisy(map_output_bytes_per_record),
-            output_record_bytes=self._noisy(output_bytes_per_record),
-            input_record_bytes=self._noisy(input_bytes_per_record),
+            map_selectivity=float(counters.map_selectivity),
+            reduce_selectivity=float(counters.reduce_selectivity),
+            map_output_record_bytes=float(map_output_bytes_per_record),
+            output_record_bytes=float(output_bytes_per_record),
+            input_record_bytes=float(input_bytes_per_record),
             combine_reduction=combine_reduction,
             map_cpu_cost_per_record=map_cpu,
             reduce_cpu_cost_per_record=reduce_cpu,
             key_cardinalities=key_cardinalities,
             operator_profiles=operator_profiles,
         )
-
-    # ------------------------------------------------------------- internals
-    def _sample(self, dataset: Dataset) -> Dataset:
-        if self.sample_fraction >= 1.0:
-            return dataset
-        records = dataset.all_records()
-        keep = max(1, int(len(records) * self.sample_fraction))
-        sampled_records = self._rng.sample(records, keep) if keep < len(records) else records
-        sampled = Dataset(
-            dataset.name,
-            layout=dataset.layout,
-            scale_factor=dataset.scale_factor / self.sample_fraction,
-        )
-        sampled.load(sampled_records)
-        return sampled
-
-    def _scale_cardinality(self, count: float) -> float:
-        if self.sample_fraction >= 1.0:
-            return float(count)
-        # Distinct counts scale sublinearly with sample size; a square-root
-        # correction is a standard first-order estimator.
-        return float(count) / (self.sample_fraction ** 0.5)
-
-    def _noisy(self, value: float) -> float:
-        if self.noise <= 0.0:
-            return float(value)
-        factor = max(0.1, 1.0 + self._rng.gauss(0.0, self.noise))
-        return float(value) * factor
 
     @staticmethod
     def _job_level_cpu(vertex: JobVertex) -> tuple:

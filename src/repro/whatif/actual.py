@@ -3,7 +3,7 @@
 The evaluation needs two cost figures for every plan:
 
 * the **estimated** cost, produced by the What-if engine from profile
-  annotations (possibly collected on a sample, with noise); and
+  annotations; and
 * the **actual** cost — what the plan really costs on the cluster.
 
 Since our substrate is a simulator, the actual cost is obtained by executing

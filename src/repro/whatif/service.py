@@ -57,7 +57,7 @@ candidates); the counters are the basis of the ``whatif.service.*``
 per-layer metrics of ``bench/run.py``.
 
 Two features support the experiment orchestration layer
-(:mod:`repro.experiments.scheduler`):
+(:meth:`repro.experiments.harness.ExperimentHarness.run`):
 
 * **origin attribution** — every cache entry is tagged with the ambient
   label (:func:`~repro.common.store.current_origin`) active when it was

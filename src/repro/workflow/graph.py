@@ -203,6 +203,16 @@ class JobVertex:
             chained_input=job.config.chained_input,
         )
 
+    @cached_property
+    def key(self) -> Tuple:
+        """Everything a stored answer may read from this job: its content
+        key, its shape (name, pipeline tags and wiring, partition function),
+        its whole configuration and its annotations.  The one job part of
+        both the unit decision key and the sub-result signature; each part
+        is built once per value it describes."""
+        job = self.job
+        return (self.content_key, job.shape_key, job.config.key, self.annotations.key)
+
 
 @dataclass(frozen=True, eq=False)
 class DatasetVertex:
@@ -215,6 +225,17 @@ class DatasetVertex:
     name: str
     dataset: Optional[Dataset] = None
     annotation: Optional[DatasetAnnotation] = None
+
+    @property
+    def key(self) -> Tuple:
+        """The dataset part of both stores' keys: its annotation and logical
+        sizes, read live because ``Dataset.scale_factor`` is assigned after
+        loading."""
+        dataset = self.dataset
+        return (
+            optional_key(self.annotation),
+            None if dataset is None else (dataset.logical_bytes, dataset.logical_records),
+        )
 
 
 class Workflow:

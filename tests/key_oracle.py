@@ -4,13 +4,19 @@
 describes (``JobConfig.key``, ``PartitionFunction.key``, ``JobAnnotations.key``,
 ``DatasetAnnotation.key``, ``MapReduceJob.shape_key`` /
 ``effective_partitioner``, ``JobVertex.content_key`` / ``Pipeline.content_key``
-/ ``ProfileAnnotation.key``) and fixes a dataset's statistics at
+/ ``ProfileAnnotation.key``, and the two vertex keys both stores read,
+``JobVertex.key`` / ``DatasetVertex.key``) and fixes a dataset's statistics at
 ``Dataset.load()``.  The functions here are the builders as they stood before
 any of that was memoised, relocated out of ``src/``: they read no memo —
 every tuple is rebuilt from the fields, every size recounted from the
 records — so ``==`` against them shows that a memoised part still says what
-its value says.  Run as a script to compare every unit key of the eleven
-pinned plans, cold and warm (exit status 1 on a mismatch).
+its value says.  :func:`legacy_decision_key` and
+:func:`legacy_subgraph_signature` are the two store keys as they stood
+before the vertex keys, each job part written out by hand: the reference
+``tests/test_vertex_keys.py`` checks that the vertex-keyed ones split keys
+alike.  Run as a script to compare every unit key and intermediate-dataset
+signature of the twelve pinned plans, cold and warm (exit status 1 on a
+mismatch).
 """
 
 import dataclasses
@@ -27,6 +33,7 @@ from repro.core.decision_cache import (
     schema_annotation_key,
     transformation_key,
 )
+from repro.core.subresults import producing_cone, subgraph_signature as src_signature
 from repro.mapreduce.partitioner import PartitionFunction
 from repro.whatif import model as whatif_model
 
@@ -119,37 +126,28 @@ def dataset_annotation_key(annotation):
     )
 
 
+def shape_key(job):
+    pipelines = tuple(
+        (
+            pipeline.tag,
+            tuple(pipeline.input_datasets),
+            tuple(op.name for op in pipeline.map_ops),
+            tuple(op.name for op in pipeline.reduce_ops),
+            pipeline.output_dataset,
+            tuple(sorted(
+                (name, tuple(indexes))
+                for name, indexes in pipeline.input_partition_filter.items()
+            )),
+        )
+        for pipeline in job.pipelines
+    )
+    return (job.name, pipelines) + partition_function_key(effective_partitioner(job))
+
+
 def plan_signature(plan):
-    parts = []
-    for vertex in plan.workflow.jobs:
-        job = vertex.job
-        partitioner = effective_partitioner(job)
-        pipelines = tuple(
-            (
-                pipeline.tag,
-                tuple(pipeline.input_datasets),
-                tuple(op.name for op in pipeline.map_ops),
-                tuple(op.name for op in pipeline.reduce_ops),
-                pipeline.output_dataset,
-                tuple(sorted(
-                    (name, tuple(indexes))
-                    for name, indexes in pipeline.input_partition_filter.items()
-                )),
-            )
-            for pipeline in job.pipelines
-        )
-        parts.append(
-            (
-                job.name,
-                pipelines,
-                partitioner.kind,
-                tuple(partitioner.fields),
-                tuple(partitioner.effective_sort_fields),
-                tuple(partitioner.split_points),
-                job.config.chained_input,
-            )
-        )
-    return tuple(sorted(parts))
+    return tuple(sorted(
+        shape_key(vertex.job) + (vertex.job.config.chained_input,) for vertex in plan.workflow.jobs
+    ))
 
 
 def profile_key(profile):
@@ -200,9 +198,66 @@ def vertex_content_key(vertex):
     )
 
 
+# ------------------------------------------------------------------ the vertex keys
+def logical_sizes(dataset):
+    if dataset is None:
+        return None
+    num_records, raw_bytes, _ = recount(dataset)
+    return (raw_bytes * dataset.scale_factor, num_records * dataset.scale_factor)
+
+
+def job_key(vertex):
+    """``JobVertex.key`` with nothing read from a memo."""
+    job = vertex.job
+    return (
+        vertex_content_key(vertex),
+        shape_key(job),
+        config_key(job.config),
+        job_annotations_key(vertex.annotations),
+    )
+
+
+def dataset_key(vertex):
+    """``DatasetVertex.key`` with nothing read from a memo."""
+    return (dataset_annotation_key(vertex.annotation), logical_sizes(vertex.dataset))
+
+
 # ------------------------------------------------------------------ the unit key
+def knobs(search, transformations, phase):
+    return (
+        "knobs",
+        phase,
+        search.seed,
+        search.optimize_configurations,
+        rrs_search_key(search.rrs),
+        tuple(transformation_key(t) for t in transformations),
+        (
+            search_module.MAX_SUBPLANS_PER_UNIT,
+            search_module.MAX_ENUMERATION_DEPTH,
+            search_module.MAX_COMPOSED_COMBINATIONS,
+        ),
+        whatif_model.COST_MODEL_VERSION,
+        cluster_cache_key(search.cluster),
+    )
+
+
 def decision_key(search, plan, subunits, transformations, phase):
     """``StubbySearch._decision_key`` with nothing read from a memo."""
+    workflow = plan.workflow
+    return (
+        ("unit", tuple((subunit.producers, subunit.consumers) for subunit in subunits)),
+        ("jobs", tuple(job_key(vertex) for vertex in workflow.jobs)),
+        ("datasets", tuple((vertex.name, dataset_key(vertex)) for vertex in workflow.datasets)),
+        ("lineage", tuple(sorted(plan.merge_lineage.items()))),
+        knobs(search, transformations, phase),
+    )
+
+
+def legacy_decision_key(search, plan, subunits, transformations, phase):
+    """The unit decision key as it stood before jobs and datasets had a key
+    of their own (decision-cache format version 5): each job part written
+    out by hand, plus the sorted structural signature of the plan.  The
+    reference the vertex-keyed :func:`decision_key` must split keys like."""
     workflow = plan.workflow
     job_parts = []
     for vertex in workflow.jobs:
@@ -250,10 +305,90 @@ def decision_key(search, plan, subunits, transformations, phase):
     )
 
 
+# ------------------------------------------------------------ the sub-result key
+def legacy_subgraph_signature(workflow, dataset_name, cluster):
+    """``subgraph_signature`` as it stood before jobs and datasets had a key
+    of their own (catalog format version 3), with nothing read from a memo."""
+    cone_jobs, base_inputs = producing_cone(workflow, dataset_name)
+    job_parts = []
+    touched_datasets = {}
+    for job_name in cone_jobs:
+        vertex = workflow.job(job_name)
+        job = vertex.job
+        for name in job.input_datasets + job.output_datasets:
+            touched_datasets[name] = None
+        job_parts.append(
+            (
+                job_name,
+                vertex_content_key(vertex),
+                config_key(job.config),
+                partition_function_key(effective_partitioner(job)),
+                job_annotations_key(vertex.annotations),
+                tuple(job.input_datasets),
+                tuple(job.output_datasets),
+            )
+        )
+    base_parts = []
+    for name in base_inputs:
+        vertex = workflow.dataset(name) if workflow.has_dataset(name) else None
+        dataset = vertex.dataset if vertex is not None else None
+        base_parts.append(
+            (
+                name,
+                dataset_annotation_key(vertex.annotation if vertex is not None else None),
+                logical_sizes(dataset),
+                dataset_content_fingerprint(dataset),
+            )
+        )
+    annotation_parts = tuple(
+        (name, dataset_annotation_key(workflow.dataset(name).annotation))
+        for name in sorted(touched_datasets)
+        if workflow.has_dataset(name)
+    )
+    return (
+        "subresult",
+        dataset_name,
+        tuple(job_parts),
+        tuple(base_parts),
+        annotation_parts,
+        whatif_model.COST_MODEL_VERSION,
+        cluster_cache_key(cluster),
+    )
+
+
+def subgraph_signature(workflow, dataset_name, cluster):
+    """``subgraph_signature`` with nothing read from a memo."""
+    cone_jobs, base_inputs = producing_cone(workflow, dataset_name)
+    touched = set(base_inputs)
+    for job_name in cone_jobs:
+        job = workflow.job(job_name).job
+        touched.update(job.input_datasets, job.output_datasets)
+    return (
+        "subresult",
+        dataset_name,
+        tuple(job_key(workflow.job(name)) for name in cone_jobs),
+        tuple((name, dataset_key(workflow.dataset(name))) for name in sorted(touched)),
+        tuple(dataset_content_fingerprint(workflow.dataset(name).dataset) for name in base_inputs),
+        whatif_model.COST_MODEL_VERSION,
+        cluster_cache_key(cluster),
+    )
+
+
+def intermediate_datasets(workflow):
+    """Names of the datasets a job writes and another reads: what the catalog stores."""
+    return [
+        vertex.name
+        for vertex in workflow.datasets
+        if workflow.producer_of(vertex.name) is not None and workflow.consumers_of(vertex.name)
+    ]
+
+
 def optimize_checking_keys(optimizer, plan):
     """``optimizer.optimize(plan)``, comparing ``_decision_key`` with
     :func:`decision_key` at every unit, on the plan going in and on the plan
-    coming out (searched or replayed).  Returns ``(result, keys compared)``."""
+    coming out (searched or replayed), and every intermediate dataset's
+    ``subgraph_signature`` with :func:`subgraph_signature` on the plans going
+    into and coming out of ``optimize()``.  Returns ``(result, keys compared)``."""
     search = optimizer.search
     inner = search.optimize_units
     compared = 0
@@ -276,9 +411,16 @@ def optimize_checking_keys(optimizer, plan):
 
     search.optimize_units = checking
     try:
-        return optimizer.optimize(plan), compared
+        result = optimizer.optimize(plan)
     finally:
         del search.optimize_units
+    for stage in (plan, result.plan):
+        workflow = stage.workflow
+        for name in intermediate_datasets(workflow):
+            assert src_signature(workflow, name, search.cluster) == subgraph_signature(
+                workflow, name, search.cluster
+            ), f"sub-result signature of {name!r} differs from the from-scratch builder"
+    return result, compared
 
 
 if __name__ == "__main__":

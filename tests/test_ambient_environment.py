@@ -27,7 +27,8 @@ from repro.core.decision_cache import DecisionCache
 from repro.core.optimizer import StubbyOptimizer
 from repro.core.search import StubbySearch
 from repro.core.subresults import SubResultCatalog
-from repro.experiments import ExperimentScheduler
+from repro.core.parallel import Pool
+from repro.experiments import ExperimentHarness
 from repro.profiler import Profiler
 from repro.whatif import CostService
 from repro.workloads import build_workload
@@ -88,7 +89,9 @@ def test_default_constructed_objects_ignore_the_environment(tmp_path, monkeypatc
     for store in stores:
         assert store.cache_path is None and store.last_load is None, type(store).__name__
         assert store.enabled is True, type(store).__name__
-    assert ExperimentScheduler().spec == "serial:1"
+    # An experiment run's pool is the backend it is handed, serial by default.
+    assert Pool().spec == "serial:1"
+    assert inspect.signature(ExperimentHarness.run).parameters["backend"].default == "serial"
 
     result = variants[0].optimize(plan.copy())
     assert result.decision_fingerprint() == clean

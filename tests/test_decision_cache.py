@@ -434,7 +434,7 @@ class TestPersistence:
     # Version-2 keys left out two JobConfig fields; version-3 keys name the
     # vertex content key by a module path that no longer holds it: no row of
     # either may be served.
-    @pytest.mark.parametrize("old_version", [2, 3, 4])
+    @pytest.mark.parametrize("old_version", [2, 3, 4, 5])
     def test_version_2_file_is_rejected_whole_and_replaced_on_persist(
         self, tmp_path, old_version
     ):
@@ -449,7 +449,7 @@ class TestPersistence:
         _optimizer(decision_cache=reloaded).optimize(workload.plan)
         assert persist([reloaded]) == reloaded.cache_size > 0
         with open(path, "rb") as handle:
-            assert pickle.load(handle)["format_version"] == DECISION_CACHE_FORMAT_VERSION == 5
+            assert pickle.load(handle)["format_version"] == DECISION_CACHE_FORMAT_VERSION == 6
         assert DecisionCache(CLUSTER, enabled=True, cache_path=path).last_load.loaded
 
     def test_keys_naming_a_class_that_moved_are_rejected_quietly(self, tmp_path, monkeypatch):
@@ -576,7 +576,10 @@ FILE_LABELS = "IR,BR,PJ"
 #: format stamp has moved since (4 → 5, content keys pickled as constructor
 #: calls): with the stamp set back to 4 the payload hashes to
 #: ``efc005dd250ed5050769f6795e746ebabb495bf8653d49010da0b974ab45f960``.
-PLAIN_KEY_WRITER_CONTENT = "2bc1649566138164e8e03aa29a2ca96d295bfdf6b94d32cc0dd54aadcb14e119"
+#: Then the rows moved (5 → 6): each key holds every vertex's own key and no
+#: structural signature; under format 5 the payload hashed to
+#: ``2bc1649566138164e8e03aa29a2ca96d295bfdf6b94d32cc0dd54aadcb14e119``.
+PLAIN_KEY_WRITER_CONTENT = "9203100cd59f6cde5e94fd498f9c43dbc37d52f47e89f11ecf840e798df519a0"
 
 
 class TestKeyPersistence:

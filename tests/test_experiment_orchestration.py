@@ -15,7 +15,6 @@ from repro.cluster import ClusterSpec
 from repro.core.parallel import Pool
 from repro.experiments import (
     ExperimentHarness,
-    ExperimentScheduler,
     build_cells,
     cell_seed,
 )
@@ -177,15 +176,6 @@ class TestWarmStart:
 
 
 class TestSchedulerPlumbing:
-    def test_the_backend_is_a_spec_string(self):
-        assert ExperimentScheduler().spec == "serial:1"
-        assert ExperimentScheduler("process:3").pool.workers == 3
-        for not_a_spec in (None, 3.14, Pool("process:2")):
-            with pytest.raises(TypeError):
-                ExperimentScheduler(not_a_spec)
-        with pytest.raises(ValueError):
-            ExperimentScheduler("warp:9")
-
     def test_cells_are_deterministic(self):
         cells = build_cells(("PJ", "BR"), ("Baseline", "Stubby"), base_seed=42)
         assert [cell.label for cell in cells] == [
@@ -203,7 +193,10 @@ class TestSchedulerPlumbing:
         assert cells[1].seed != cells[3].seed
 
     def test_map_cells_preserves_cell_order(self):
-        scheduler = ExperimentScheduler("process:2")
         cells = build_cells(("PJ", "BR", "IR"), ("A", "B"), base_seed=1)
-        labels = scheduler.map_cells(cells, lambda cell: cell.label)
+        with Pool("process:2").session(lambda index: cells[index].label) as session:
+            labels = session.run(list(range(len(cells))))
         assert labels == [cell.label for cell in cells]
+        # A bad backend spec fails before any workload is prepared.
+        with pytest.raises(ValueError):
+            _fresh_harness().run(backend="warp:9")

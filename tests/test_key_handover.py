@@ -104,6 +104,8 @@ def _annotation_edits(workflow, vertex):
 def _assert_keys_match_the_oracle(vertex):
     assert vertex.content_key == key_oracle.vertex_content_key(vertex)
     assert vertex.annotations.key == key_oracle.job_annotations_key(vertex.annotations)
+    # The job key is never handed over: it is built from the parts above.
+    assert vertex.key == key_oracle.job_key(vertex)
 
 
 def _handed_over(new, old, name):

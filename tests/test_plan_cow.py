@@ -250,7 +250,7 @@ class TestColdOptimizeBounds:
     #: IR / LA / BR).
     MAX_VERTEX_COPIES = 2
     #: Signature requests allowed to pay a derivation walk per cold optimize()
-    #: (measured 6 / 5 / 15).  Absolute: an RRS sample is an overlay on the
+    #: (measured 3 / 1 / 8).  Absolute: an RRS sample is an overlay on the
     #: candidate's baseline estimate and requests no signature for a job it
     #: cannot move, so a share of all requests would loosen as requests fall.
     MAX_SIGNATURE_DERIVATIONS = {"IR": 8, "LA": 8, "BR": 20}
@@ -569,6 +569,7 @@ class TestWarmReplayBounds:
         (PartitionFunction, "key", 2),
         (DatasetAnnotation, "key", 1),
         (JobVertex, "content_key", 1),
+        (JobVertex, "key", 1),
         (Pipeline, "content_key", 1),
         (ProfileAnnotation, "key", 1),
     )

@@ -456,7 +456,7 @@ class TestFaultInjection:
 
 class TestServerGuards:
     def test_default_pool_is_serial(self):
-        # The same default as Pool and ExperimentScheduler.
+        # The same default as Pool and ExperimentHarness.run.
         assert PlanningServer(CLUSTER).pool.spec == "serial:1"
 
     def test_bad_pool_specs_are_rejected_in_pool_terms(self):

@@ -48,33 +48,6 @@ class TestProfiler:
         assert annotation.size_bytes > 0
         assert "doc" in (annotation.schema or ())
 
-    def test_noise_changes_statistics(self, ir_workload):
-        clean = Profiler(noise=0.0).profile_workflow(
-            ir_workload.workflow.copy(), ir_workload.base_datasets, attach=False
-        )
-        noisy = Profiler(noise=0.3, seed=5).profile_workflow(
-            ir_workload.workflow.copy(), ir_workload.base_datasets, attach=False
-        )
-        assert (
-            noisy.job_profiles["IR_J1"].operator_profiles["IR_J1.map"].selectivity
-            != clean.job_profiles["IR_J1"].operator_profiles["IR_J1.map"].selectivity
-        )
-
-    def test_sampling_reduces_profiled_records(self, ir_workload):
-        full = Profiler(sample_fraction=1.0).profile_workflow(
-            ir_workload.workflow.copy(), ir_workload.base_datasets, attach=False
-        )
-        sampled = Profiler(sample_fraction=0.3).profile_workflow(
-            ir_workload.workflow.copy(), ir_workload.base_datasets, attach=False
-        )
-        assert sampled.profiled_records < full.profiled_records
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            Profiler(sample_fraction=0.0)
-        with pytest.raises(ValueError):
-            Profiler(noise=-0.1)
-
 
 class TestRecursiveRandomSearch:
     def _space(self):

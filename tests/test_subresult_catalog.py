@@ -489,7 +489,7 @@ class TestPersistence:
         _execute_and_register(reloaded, first)
         assert persist([reloaded]) == reloaded.catalog_size == 2
         with open(path, "rb") as handle:
-            assert pickle.load(handle)["format_version"] == SUBRESULT_CATALOG_FORMAT_VERSION == 3
+            assert pickle.load(handle)["format_version"] == SUBRESULT_CATALOG_FORMAT_VERSION == 4
         assert SubResultCatalog(CLUSTER, cache_path=path).last_load.loaded
 
     def test_model_version_mismatch_is_rejected(self, tmp_path, monkeypatch):

@@ -27,7 +27,7 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.common.store import CounterStats, ShardedStore, current_origin
 from repro.core.parallel import MAX_TASK_ATTEMPTS, DispatchStats, Pool
-from repro.experiments import ExperimentHarness, ExperimentScheduler, build_cells
+from repro.experiments import ExperimentHarness, build_cells
 from repro.verification import FaultPlan, FaultSpec, install_fault_plan
 
 #: One expensive request among cheap ones.  Slot 0 always takes a batch's
@@ -137,7 +137,8 @@ class TestBackendPlumbing:
         with pytest.raises(ValueError, match=expected):
             Pool("thread:2")
         with pytest.raises(ValueError, match=expected):
-            ExperimentScheduler("thread:2")
+            harness = ExperimentHarness(cluster=ClusterSpec.paper_cluster(), scale=0.12)
+            harness.run(backend="thread:2")
 
     def test_a_process_spec_must_name_its_worker_count(self):
         # Regression: a bare "process" silently meant four workers, whatever
@@ -344,7 +345,8 @@ class TestForkFaultTolerance:
 
 
 class TestExperimentSchedulerStealing:
-    """map_cells on a fork pool: cell-order identity, balanced cells."""
+    """Experiment cells on a fork pool session, as ``ExperimentHarness.run``
+    dispatches them: cell-order identity, balanced cells."""
 
     CELLS = build_cells(["w1", "w2"], ["o1", "o2", "o3", "o4"], base_seed=7)
 
@@ -354,9 +356,10 @@ class TestExperimentSchedulerStealing:
         return (cell.index, cell.label, cell.seed)
 
     def _map(self, backend: str):
-        scheduler = ExperimentScheduler(backend=backend)
-        results = scheduler.map_cells(self.CELLS, self._run_cell)
-        return results, scheduler.last_dispatch_stats
+        cells = self.CELLS
+        with Pool(backend).session(lambda index: self._run_cell(cells[index])) as session:
+            results = session.run(list(range(len(cells))))
+        return results, session.dispatch_stats
 
     def test_stealing_identical_and_balanced(self):
         serial, _ = self._map("serial")

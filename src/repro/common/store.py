@@ -12,9 +12,10 @@ dies.
 
 Concurrency model
     * Entries live in a :class:`ShardedLRU`: one lock around one recency
-      order.  The only in-process sharers are the planning server's
-      event-loop and dispatcher threads; parallelism is forked workers, each
-      holding its own copy-on-write shard of the store.
+      order.  The planning server's parent touches the stores from its
+      event loop alone (a serial pool's executor thread, while it runs a
+      request, in its place); parallelism is forked workers, each holding
+      its own copy-on-write shard of the store.
     * Counters (a :class:`CounterStats` subclass per store) are updated under
       one dedicated lock.  **Attribution sinks** are per-thread stacks: a
       caller captures the exact delta its own thread produced even while

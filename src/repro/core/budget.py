@@ -10,7 +10,7 @@ stays consistent and the caller (the planning server's degradation
 ladder) can fall back to a cheaper rung.
 
 Deadlines are absolute on ``time.monotonic()``, which on Linux is the
-system-wide ``CLOCK_MONOTONIC`` — a budget created in the dispatcher is
+system-wide ``CLOCK_MONOTONIC`` — a budget created in the server's parent is
 meaningful inside a forked worker too.  An unbounded budget's ``check``
 is a single attribute comparison, so threading a budget through the hot
 loops costs nothing when no deadline is set.

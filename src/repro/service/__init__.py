@@ -10,8 +10,8 @@ requests from many concurrent clients over one shared, persisted
   per-tenant round-robin fairness (one hot tenant cannot starve the rest),
   priority ordering within a tenant, and deadline-expired load shedding;
 * :mod:`repro.service.server` — the asyncio front end
-  (:class:`PlanningServer`) and its dispatcher, batching admitted requests
-  onto a :mod:`repro.core.parallel` backend;
+  (:class:`PlanningServer`), one event-loop thread handing each admitted
+  request to a free :mod:`repro.core.parallel` worker at once;
 * :mod:`repro.service.degradation` — the graceful-degradation ladder
   (full → replay-only → single-phase → unoptimized) and the per-tenant
   :class:`CircuitBreaker` guarding the full search (``docs/resilience.md``);
@@ -21,7 +21,7 @@ requests from many concurrent clients over one shared, persisted
 
 The contract is the same one every other layer honours, restated for
 serving: **every undegraded server answer is bit-identical to a cold
-in-process ``StubbyOptimizer.optimize()``** — concurrency, batching,
+in-process ``StubbyOptimizer.optimize()``** — concurrency, dispatch order,
 worker pools, shared caches, even worker crashes change only latency,
 never plans.  Degraded answers are explicitly labeled
 (``PlanResponse.degradation_level``), never silently substituted.

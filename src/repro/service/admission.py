@@ -17,22 +17,21 @@ latency) and cannot let one hot tenant monopolize the workers.  The
   first *within its tenant*; fairness across tenants is untouched, so a
   high-priority flood still cannot starve the neighbours) and
   ``deadline_at`` (absolute ``time.monotonic()``).  An item whose deadline
-  already passed when the dispatcher reaches it is **shed** instead of
+  already passed when the server reaches it is **shed** instead of
   dispatched — handed to the ``on_shed`` callback so the server can answer
   it with a degraded plan rather than burning a worker on a result nobody
   can use in time.
 
-The queue is thread-safe (one condition variable) and deliberately knows
-nothing about asyncio: the server's event loop offers tickets from the
-loop thread, the dispatcher thread blocks in ``take_batch``.  Cancellation
-is cooperative — :meth:`remove` withdraws a queued item (releasing its
-capacity) and the dispatcher skips items whose ticket was cancelled after
-it was already taken.
+The queue never blocks and deliberately knows nothing about asyncio: the
+server's event loop is its one caller, offering a ticket on ``submit()``
+and taking one whenever a worker is free, so it holds no lock.
+Cancellation is cooperative — :meth:`remove` withdraws a queued item
+(releasing its capacity); an item already taken is answered and its
+answer discarded by the server.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from bisect import insort
 from collections import deque
@@ -110,8 +109,7 @@ class AdmissionQueue:
     tenant can fill the whole global budget before anyone else offers.
 
     ``on_shed`` (an attribute, settable after construction) receives each
-    item shed for an expired deadline; it is invoked on the *consumer*
-    thread, outside the queue lock.
+    item shed for an expired deadline, from within :meth:`take_batch`.
     """
 
     def __init__(
@@ -135,7 +133,6 @@ class AdmissionQueue:
         self._size = 0
         self._seq = 0
         self._closed = False
-        self._cond = threading.Condition()
 
     # ------------------------------------------------------------- producers
     def offer(
@@ -151,91 +148,84 @@ class AdmissionQueue:
         first, FIFO among equals); ``deadline_at`` (absolute monotonic
         time) marks the item sheddable once passed.
         """
-        with self._cond:
-            self.stats.offered += 1
-            if self._closed:
-                self.stats.rejected_closed += 1
-                raise AdmissionRejected("queue is closed", tenant)
-            if self._size >= self.capacity:
-                self.stats.rejected_full += 1
-                raise AdmissionRejected(
-                    f"queue is full ({self._size}/{self.capacity})", tenant
-                )
-            queue = self._tenants.setdefault(tenant, _TenantQueue())
-            if (
-                self.per_tenant_capacity is not None
-                and len(queue.items) >= self.per_tenant_capacity
-            ):
-                self.stats.rejected_tenant_full += 1
-                raise AdmissionRejected(
-                    f"tenant quota is full ({len(queue.items)}/{self.per_tenant_capacity})",
-                    tenant,
-                )
-            if not queue.items and tenant not in self._ring:
-                # (membership scan: the ring holds tenants, not items — tiny)
-                self._ring.append(tenant)
-            self._seq += 1
-            entry = _Entry(order=(-priority, self._seq), deadline_at=deadline_at, item=item)
-            insort(queue.items, entry, key=lambda existing: existing.order)
-            self._size += 1
-            self.stats.accepted += 1
-            self.stats.peak_depth = max(self.stats.peak_depth, self._size)
-            self._cond.notify()
+        self.stats.offered += 1
+        if self._closed:
+            self.stats.rejected_closed += 1
+            raise AdmissionRejected("queue is closed", tenant)
+        if self._size >= self.capacity:
+            self.stats.rejected_full += 1
+            raise AdmissionRejected(
+                f"queue is full ({self._size}/{self.capacity})", tenant
+            )
+        queue = self._tenants.setdefault(tenant, _TenantQueue())
+        if (
+            self.per_tenant_capacity is not None
+            and len(queue.items) >= self.per_tenant_capacity
+        ):
+            self.stats.rejected_tenant_full += 1
+            raise AdmissionRejected(
+                f"tenant quota is full ({len(queue.items)}/{self.per_tenant_capacity})",
+                tenant,
+            )
+        if not queue.items and tenant not in self._ring:
+            # (membership scan: the ring holds tenants, not items — tiny)
+            self._ring.append(tenant)
+        self._seq += 1
+        entry = _Entry(order=(-priority, self._seq), deadline_at=deadline_at, item=item)
+        insort(queue.items, entry, key=lambda existing: existing.order)
+        self._size += 1
+        self.stats.accepted += 1
+        self.stats.peak_depth = max(self.stats.peak_depth, self._size)
 
     def remove(self, tenant: str, item: Any) -> bool:
         """Withdraw a queued item (client cancelled); True when found.
 
-        A False return means the dispatcher already took the item — the
+        A False return means the server already took the item — the
         caller's cancellation must then be honoured at completion time
         (the server discards the computed response).
         """
-        with self._cond:
-            queue = self._tenants.get(tenant)
-            if queue is None:
-                return False
-            for position, entry in enumerate(queue.items):
-                if entry.item is item:
-                    del queue.items[position]
-                    break
-            else:
-                return False
-            self._size -= 1
-            self.stats.cancelled_in_queue += 1
-            # The ring entry (if any) is lazily skipped by _pop_round_robin
-            # once the tenant's queue is empty.
-            return True
+        queue = self._tenants.get(tenant)
+        if queue is None:
+            return False
+        for position, entry in enumerate(queue.items):
+            if entry.item is item:
+                del queue.items[position]
+                break
+        else:
+            return False
+        self._size -= 1
+        self.stats.cancelled_in_queue += 1
+        # The ring entry (if any) is lazily skipped by _pop_round_robin
+        # once the tenant's queue is empty.
+        return True
 
     # ------------------------------------------------------------- consumers
-    def take_batch(self, limit: int, timeout: Optional[float] = None) -> List[Any]:
+    def take_batch(self, limit: int) -> List[Any]:
         """Take up to ``limit`` unexpired items, round-robin across tenants.
 
-        Blocks until at least one item is available, the queue closes, or
-        ``timeout`` elapses (empty list on timeout / closed-and-empty).
-        Items whose deadline passed while queued are shed — not returned —
-        and reported to :attr:`on_shed` (outside the lock) so the caller
-        can still answer them.
+        Never blocks: an empty queue gives an empty list.  Items whose
+        deadline passed while queued are shed — not returned — and reported
+        to :attr:`on_shed` once the batch is taken, so the caller can still
+        answer them.
         """
         if limit < 1:
             raise ValueError("batch limit must be >= 1")
         shed: List[Any] = []
-        with self._cond:
-            if not self._size and not self._closed:
-                self._cond.wait(timeout)
-            now = self._clock()
-            batch: List[Any] = []
-            while self._size and len(batch) < limit:
-                item = self._pop_round_robin(shed, now)
-                if item is None:
-                    break
-                batch.append(item)
-            self.stats.taken += len(batch)
+        now = self._clock()
+        batch: List[Any] = []
+        while self._size and len(batch) < limit:
+            item = self._pop_round_robin(shed, now)
+            if item is None:
+                break
+            batch.append(item)
+        self.stats.taken += len(batch)
         if shed and self.on_shed is not None:
             for item in shed:
                 self.on_shed(item)
         return batch
 
     def _pop_round_robin(self, shed: List[Any], now: float) -> Optional[Any]:
-        """Pop one live item from the ring-head tenant (lock held).
+        """Pop one live item from the ring-head tenant.
 
         Expired items at the head are shed (collected into ``shed``) until
         a live one — or an empty queue — is found.
@@ -263,28 +253,22 @@ class AdmissionQueue:
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Stop admitting; queued items remain takeable (drain-then-stop)."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        self._closed = True
 
     def reopen(self) -> None:
         """Re-admit after a close (server restart with warm caches)."""
-        with self._cond:
-            self._closed = False
+        self._closed = False
 
     @property
     def closed(self) -> bool:
-        with self._cond:
-            return self._closed
+        return self._closed
 
     def __len__(self) -> int:
-        with self._cond:
-            return self._size
+        return self._size
 
     def depth(self, tenant: Optional[str] = None) -> int:
         """Queued items, total or for one tenant."""
-        with self._cond:
-            if tenant is None:
-                return self._size
-            queue = self._tenants.get(tenant)
-            return len(queue.items) if queue else 0
+        if tenant is None:
+            return self._size
+        queue = self._tenants.get(tenant)
+        return len(queue.items) if queue else 0

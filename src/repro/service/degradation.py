@@ -24,7 +24,7 @@ profile): after ``failure_threshold`` consecutive full-search failures it
 **opens** and the tenant's requests skip straight to the degraded rungs,
 until an exponential-backoff timer lets a single **half-open probe**
 attempt the full search again.  The breaker is only touched from the
-dispatcher thread, so it needs no lock.
+server's event loop, so it needs no lock.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def level_name(level: int) -> str:
 
 
 class CircuitBreaker:
-    """Per-tenant full-search breaker (dispatcher-thread only, lock-free).
+    """Per-tenant full-search breaker (event-loop only, lock-free).
 
     * **closed** — full searches allowed; ``failure_threshold`` consecutive
       failures trip it open.

@@ -2,18 +2,22 @@
 
 Request path (see ``docs/service.md`` for the full diagram)::
 
-    client coroutine --submit()--> AdmissionQueue --take_batch()--> dispatcher
-        thread --session.stream(batch)--> worker pool
-        --_execute()--> _Outcome(PlanResponse) --_complete()--> client future
+    client coroutine --submit()--> AdmissionQueue --take_batch(1)--> free worker
+        --session.send()--> _execute() --reply--> reader callback
+        --_resolve()--> _complete() --> client future
 
-One **dispatcher thread** owns the pool session.  It drains the
-admission queue in per-tenant round-robin order into micro-batches and
-fans each batch onto a :class:`~repro.core.parallel.Pool`, whose fork pool
-hands idle workers the next request, so a tenant's expensive workflow
-occupies one worker while cheap requests keep flowing around it.  Each
-reply resolves its client's asyncio future back on the event loop as soon
-as it arrives, so a request's latency is its own queue wait and service
-time, never a batch-mate's.
+The parent runs on one thread, its event loop.  ``submit()`` offers the
+ticket to the admission queue and, while a worker is free, takes the next
+ticket in per-tenant round-robin order and hands it to that worker at once
+(continuous dispatch), so a tenant's expensive workflow occupies one worker
+while cheap requests keep flowing around it.  Each worker connection of a
+fork :class:`~repro.core.parallel.Pool` has one reader on the loop, which
+receives the reply, answers the ticket and hands the worker the next one:
+a request's latency is its own queue wait and service time, never a
+neighbour's.  A serial pool (the reference) runs each request through the
+session's inline path in the loop's executor, one at a time, so the loop
+keeps timing clients out while a request runs; a process pool never runs a
+request in the parent.
 
 Every request executes :func:`~repro.common.store.attributed` over the
 shared stores — under the tenant's **origin label**, with one per-request
@@ -35,11 +39,10 @@ from __future__ import annotations
 
 import asyncio
 import os
-import threading
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines import make_optimizer
@@ -55,12 +58,8 @@ from repro.common.store import (
 from repro.core.budget import TimeBudget
 from repro.core.decision_cache import DecisionCache, DecisionCacheStats
 from repro.core.optimizer import OptimizationResult
-from repro.core.subresults import (
-    SubResultCatalog,
-    SubResultCatalogStats,
-    register_workflow_outputs,
-)
-from repro.core.parallel import DispatchStats, Pool
+from repro.core.subresults import SubResultCatalog, SubResultCatalogStats
+from repro.core.parallel import DispatchStats, Pool, Reply, Session
 from repro.core.plan import Plan
 from repro.service.admission import AdmissionQueue, AdmissionRejected
 from repro.service.degradation import (
@@ -200,16 +199,24 @@ class _Outcome:
     full_attempted: bool = False
     full_failed: bool = False
 
+    def deltas(self) -> Tuple:
+        """The request's per-store deltas, in store order: its response's ledgers.
 
-@dataclass
+        A forked worker's reply carries these objects as they are, so the
+        pipe carries each delta once.
+        """
+        response = self.response
+        return tuple(getattr(response, ledger) for ledger in LEDGERS)
+
+
+@dataclass(eq=False)
 class _Ticket:
     """One admitted request awaiting execution.
 
     A ticket's lifecycle ends exactly once — either the client withdraws
-    it (timeout/cancel) or the server answers it — but those two events
-    race on different threads.  :meth:`claim` arbitrates: the first
-    claimant wins, so the lifecycle counters record *completed xor
-    cancelled*, never both.
+    it (timeout/cancel) or the server answers it, whichever comes first.
+    :meth:`claim` arbitrates: the first claimant wins, so the lifecycle
+    counters record *completed xor cancelled*, never both.
     """
 
     request: PlanRequest
@@ -218,22 +225,24 @@ class _Ticket:
     enqueued: float
     #: Absolute ``time.monotonic()`` deadline (``None`` = no deadline).
     deadline_at: Optional[float] = None
-    #: Dispatcher verdict: may this request attempt the full search?
+    #: Dispatch verdict: may this request attempt the full search?
     #: (False when the tenant's circuit breaker is open.)
     allow_full: bool = True
-    cancelled: bool = False
+    #: ``time.perf_counter()`` when the ticket left the queue (sent or shed).
+    dispatched: float = 0.0
     _outcome: str = ""
-    _claim_lock: threading.Lock = field(default_factory=threading.Lock)
+
+    @property
+    def cancelled(self) -> bool:
+        """True once the client's withdrawal won the claim."""
+        return self._outcome == "cancelled"
 
     def claim(self, outcome: str) -> bool:
         """Claim the ticket's single lifecycle outcome; True for the winner."""
-        with self._claim_lock:
-            if self._outcome:
-                return False
-            self._outcome = outcome
-            if outcome == "cancelled":
-                self.cancelled = True
-            return True
+        if self._outcome:
+            return False
+        self._outcome = outcome
+        return True
 
     def response(self, **fields) -> PlanResponse:
         """A parent-side answer to this ticket's request (``ok=False`` until filled)."""
@@ -286,10 +295,9 @@ class PlanningServer:
         self.cluster = cluster
         self.costs = _owned_store(CostService, cluster, cost_service, cache_path)
         self.decisions = _owned_store(DecisionCache, cluster, decision_cache, decision_cache_path)
-        #: Shared sub-result catalog: tenants report executed outputs through
-        #: :meth:`register_execution`, and subsequent plans (any tenant) may
-        #: reuse the stored bytes instead of recomputing — the ReStore story
-        #: served multi-tenant.
+        #: Shared sub-result catalog: plans of any tenant may reuse the
+        #: stored bytes instead of recomputing — the ReStore story served
+        #: multi-tenant.
         self.subresults = _owned_store(
             SubResultCatalog, cluster, subresult_catalog, subresult_catalog_path
         )
@@ -302,20 +310,21 @@ class PlanningServer:
         #: Expired-in-queue requests are answered (degraded), not dropped.
         self.admission.on_shed = self._shed_ticket
         self.stats = ServiceStats()
-        #: Per-tenant full-search circuit breakers (dispatcher-thread only).
+        #: Per-tenant full-search circuit breakers.
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breaker_config = (breaker_threshold, breaker_backoff_s)
         self._registry: Dict[str, Plan] = {}
-        self._max_batch = max(2 * self.pool.workers, 4)
-        self._session = None
-        #: Guards the detach-then-accumulate handoff between a session and
-        #: ``_pool_history`` so concurrent ``dispatch_stats()`` readers never
-        #: see a session's counters in both places at once.
-        self._session_lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
+        self._session: Optional[Session] = None
+        #: Fork pool: the file descriptor read on the loop, per live worker slot.
+        self._readers: Dict[int, int] = {}
+        #: Serial pool: the ticket running in the loop's executor.
+        self._inline: Optional[_Ticket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._running = False
-        self._stopping = False
+        self._serving = False
+        #: Resolved by the dispatch that leaves nothing queued or in flight
+        #: (what :meth:`stop` waits on).
+        self._drained: Optional[asyncio.Future] = None
         #: Dispatch counters of already-closed sessions (pool recycles).
         self._pool_history = DispatchStats(workers=self.pool.workers)
 
@@ -343,35 +352,6 @@ class PlanningServer:
     def workloads(self) -> Tuple[str, ...]:
         return tuple(sorted(self._registry))
 
-    def register_execution(
-        self,
-        workload: str,
-        outputs,
-        tenant: Optional[str] = None,
-    ) -> int:
-        """Register a tenant's executed outputs as reusable sub-results.
-
-        ``outputs`` maps dataset names to their materialized records (the
-        union of an execution result's per-job ``job_outputs``).  Every
-        intermediate dataset of the named workload present in ``outputs``
-        is stored under its producing-subgraph content signature,
-        origin-tagged ``tenant:<id>`` so other tenants' reuse of it shows up
-        as ``cross_origin_hits`` in their attribution.  Returns the number
-        of catalog entries registered.
-
-        Visibility mirrors merge-on-join: a serial pool sees
-        new entries immediately; a forked process pool's workers see them
-        after the next pool recycle or :meth:`restart` (the registration
-        lands in the parent, and workers re-fork from it).
-        """
-        plan = self._registry.get(workload)
-        if plan is None:
-            raise KeyError(f"unknown workload {workload!r}")
-        origin = f"tenant:{tenant}" if tenant is not None else f"execution:{workload}"
-        return register_workflow_outputs(
-            self.subresults, plan.workflow, outputs, origin=origin
-        )
-
     # ------------------------------------------------------------- lifecycle
     async def start(self, serve: bool = True) -> "PlanningServer":
         """Open for traffic.  ``serve=False`` admits but does not dispatch
@@ -380,7 +360,6 @@ class PlanningServer:
         if self._running:
             return self
         self._loop = asyncio.get_running_loop()
-        self._stopping = False
         self.admission.reopen()
         self._running = True
         if serve:
@@ -388,32 +367,25 @@ class PlanningServer:
         return self
 
     def resume(self) -> None:
-        """Start the dispatcher thread (idempotent)."""
+        """Start dispatching admitted requests (idempotent; on the loop thread)."""
         if not self._running:
             raise RuntimeError("server is not started")
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._thread = threading.Thread(
-            target=self._serve_loop, name="planning-server", daemon=True
-        )
-        self._thread.start()
+        self._serving = True
+        self._dispatch()
 
     async def stop(self, persist: bool = True) -> None:
         """Drain queued requests, merge worker state, persist caches."""
         if not self._running:
             return
-        self._stopping = True
         self.admission.close()
-        loop = asyncio.get_running_loop()
-        if self._thread is not None and self._thread.is_alive():
-            await loop.run_in_executor(None, self._thread.join)
-        elif len(self.admission):
-            # start(serve=False) with queued work: drain synchronously so
-            # stop() never strands accepted requests.
-            await loop.run_in_executor(None, self._serve_loop)
-        self._thread = None
-        await loop.run_in_executor(None, self._close_session)
-        self._running = False
+        # Drain-then-stop, also after start(serve=False): stop() never
+        # strands an accepted request.
+        self.resume()
+        while self._busy():
+            self._drained = self._loop.create_future()
+            await self._drained
+        self._close_session()
+        self._running = self._serving = False
         if persist:
             persist_stores(self.stores)
 
@@ -438,15 +410,20 @@ class PlanningServer:
         """Submit one request; resolves when its optimization completes.
 
         Raises :class:`AdmissionRejected` when the queue (or the tenant's
-        quota) is full, the server is stopped, or the request names an
-        unknown workload/variant; raises :class:`asyncio.TimeoutError` after
-        ``timeout`` seconds (the request is withdrawn — if it was already
-        executing, its response is discarded on completion).
+        quota) is full, the server is stopped or runs on another event
+        loop, or the request names an unknown workload/variant; raises
+        :class:`asyncio.TimeoutError` after ``timeout`` seconds (the request
+        is withdrawn — if it was already executing, its response is
+        discarded on completion).
         """
         self.stats.count(request.tenant, "submitted")
+        loop = asyncio.get_running_loop()
         if not self._running:
             self.stats.count(request.tenant, "rejected")
             raise AdmissionRejected("server is not running", request.tenant)
+        if loop is not self._loop:
+            self.stats.count(request.tenant, "rejected")
+            raise AdmissionRejected("server runs on another event loop", request.tenant)
         if request.workload not in self._registry:
             self.stats.count(request.tenant, "rejected")
             raise AdmissionRejected(f"unknown workload {request.workload!r}", request.tenant)
@@ -458,7 +435,6 @@ class PlanningServer:
             raise AdmissionRejected(
                 f"deadline_s must be positive, got {request.deadline_s!r}", request.tenant
             )
-        loop = asyncio.get_running_loop()
         ticket = _Ticket(
             request=request,
             future=loop.create_future(),
@@ -481,12 +457,13 @@ class PlanningServer:
             self.stats.count(request.tenant, "rejected")
             raise
         self.stats.count(request.tenant, "accepted")
+        self._dispatch()
         try:
             if timeout is not None:
                 return await asyncio.wait_for(ticket.future, timeout)
             return await ticket.future
         except (asyncio.CancelledError, asyncio.TimeoutError):
-            # First claimant wins: if the dispatcher already completed the
+            # First claimant wins: if the server already completed the
             # request, the cancellation is too late — the lifecycle counters
             # must show completed xor cancelled, never both.
             if ticket.claim("cancelled"):
@@ -494,33 +471,126 @@ class PlanningServer:
             self.admission.remove(request.tenant, ticket)
             raise
 
-    # ----------------------------------------------------------- dispatcher
-    def _serve_loop(self) -> None:
-        while True:
-            batch = self.admission.take_batch(self._max_batch, timeout=0.05)
-            if not batch:
-                # stop() closes admission; drain what was accepted, then exit.
-                if self.admission.closed and not len(self.admission):
-                    break
-                continue
-            tickets = [ticket for ticket in batch if not ticket.cancelled]
-            if not tickets:
-                continue
-            self._run_batch(tickets)
-            self.stats.batches += 1
+    # -------------------------------------------------------------- dispatch
+    def _dispatch(self) -> None:
+        """Hand queued tickets to free workers at once, until either runs out.
 
-    def _ensure_session(self):
-        if self._session is None:
-            self._session = self.pool.session(self._execute, self.stores)
-        return self._session
+        Called whenever one may have appeared: a ticket admitted, a reply
+        received, :meth:`resume`.  Resolves :attr:`_drained` once nothing is
+        queued or in flight.
+        """
+        while self._serving and self._worker_free():
+            taken = self.admission.take_batch(1)
+            if not taken:
+                break
+            ticket = taken[0]
+            work = self._admit(ticket)
+            if self.pool.forks:
+                self._settle(self._session.send(ticket, work))
+                self._tend()
+            else:
+                self._inline = ticket
+                future = self._loop.run_in_executor(None, self._session.run_inline, work)
+                future.add_done_callback(self._on_inline_done)
+        if self._drained is not None and not self._busy():
+            self._drained.set_result(None)
+            self._drained = None
+
+    def _worker_free(self) -> bool:
+        session = self._session
+        if session is None:
+            session = self._session = self.pool.session(
+                self._execute, self.stores, deltas_of=_Outcome.deltas
+            )
+        if not self.pool.forks:
+            return self._inline is None
+        # A session that lost a worker takes nothing new: it drains, _tend()
+        # recycles it, and the next dispatch re-forks at full strength.
+        return session.ready and session.live_workers == self.pool.workers
+
+    def _busy(self) -> bool:
+        """Anything queued or in flight."""
+        return bool(
+            len(self.admission)
+            or self._inline is not None
+            or (self._session is not None and self._session.in_flight)
+        )
+
+    def _admit(self, ticket: _Ticket) -> Tuple[str, str, str, int, Optional[float], bool]:
+        """Stamp a ticket leaving the queue with its breaker verdict; its work tuple.
+
+        The breaker is consulted here, at dispatch, so the verdict rides
+        into the worker as plain data.
+        """
+        request = ticket.request
+        breaker = self.breaker(request.tenant)
+        probing = breaker.state != "closed"
+        ticket.allow_full = breaker.allow_full()
+        if ticket.allow_full and probing:
+            self.stats.count(request.tenant, "breaker_probes")
+        elif not ticket.allow_full:
+            self.stats.count(request.tenant, "breaker_short_circuits")
+        ticket.dispatched = time.perf_counter()
+        return (
+            request.tenant,
+            request.workload,
+            request.optimizer,
+            request.seed,
+            ticket.deadline_at,
+            ticket.allow_full,
+        )
+
+    def _on_reply(self, slot: int) -> None:
+        """Reader callback of worker ``slot``: settle its reply, refill the pool."""
+        self._settle(self._session.receive(slot))
+        self._tend()
+        self._dispatch()
+
+    def _on_inline_done(self, future: "asyncio.Future[_Outcome]") -> None:
+        ticket, self._inline = self._inline, None
+        try:
+            outcome = future.result()
+        except Exception:
+            self._resolve_error(ticket, "worker pool failed: " + traceback.format_exc())
+        else:
+            self._resolve(ticket, outcome)
+        self._dispatch()
+
+    def _settle(self, replies: List[Reply]) -> None:
+        for ticket, ok, value in replies:
+            if ok:
+                self._resolve(ticket, value)
+            else:
+                # The pool failed the request: its workers kept dying under
+                # it, none is left, or it raised outside the ladder.
+                self._resolve_error(ticket, f"worker pool failed: {value}")
+
+    def _tend(self) -> None:
+        """Keep one reader per live worker; recycle a session that lost one.
+
+        A fork pool survives individual deaths; once the damaged session
+        owes no reply it closes (merging the survivors' caches) and the
+        next dispatch re-forks at full strength.
+        """
+        session = self._session
+        if len(self._readers) != session.live_workers:
+            live = session.connections()
+            for slot in [slot for slot in self._readers if slot not in live]:
+                self._loop.remove_reader(self._readers.pop(slot))
+            for slot, (conn, _process) in live.items():
+                if slot not in self._readers:
+                    self._readers[slot] = conn.fileno()
+                    self._loop.add_reader(self._readers[slot], self._on_reply, slot)
+        if session.live_workers < self.pool.workers and not session.in_flight:
+            self._close_session()
 
     def _close_session(self) -> None:
-        with self._session_lock:
-            session = self._session
-            self._session = None
-            if session is not None:
-                self._pool_history.accumulate(session.dispatch_stats)
+        session, self._session = self._session, None
+        for fd in self._readers.values():
+            self._loop.remove_reader(fd)
+        self._readers.clear()
         if session is not None:
+            self._pool_history.accumulate(session.dispatch_stats)
             session.close()
 
     def breaker(self, tenant: str) -> CircuitBreaker:
@@ -533,60 +603,14 @@ class PlanningServer:
             )
         return breaker
 
-    def _run_batch(self, tickets: List[_Ticket]) -> None:
-        session = self._ensure_session()
-        for ticket in tickets:
-            # Breaker consult happens here, on the dispatcher thread, so the
-            # verdict rides into the worker as plain data.
-            breaker = self.breaker(ticket.request.tenant)
-            probing = breaker.state != "closed"
-            ticket.allow_full = breaker.allow_full()
-            if ticket.allow_full and probing:
-                self.stats.count(ticket.request.tenant, "breaker_probes")
-            elif not ticket.allow_full:
-                self.stats.count(ticket.request.tenant, "breaker_short_circuits")
-        work = [
-            (
-                t.request.tenant,
-                t.request.workload,
-                t.request.optimizer,
-                t.request.seed,
-                t.deadline_at,
-                t.allow_full,
-            )
-            for t in tickets
-        ]
-        dispatched = time.perf_counter()
-        unanswered = dict(enumerate(tickets))
-        try:
-            # Each ticket is answered the moment its reply arrives, not when
-            # its slowest batch-mate finishes.
-            for index, outcome in session.stream(work):
-                self._resolve(unanswered.pop(index), outcome, dispatched)
-        except RuntimeError as exc:
-            # The pool failed hard (all workers dead, or a request kept
-            # dying).  Fail the tickets still unanswered and recycle the
-            # pool so the next batch gets fresh workers; an answered one
-            # keeps its response and ledgers — one request is one reply
-            # carrying its deltas, so nothing was double-absorbed.
-            self._close_session()
-            for ticket in unanswered.values():
-                self._resolve_error(ticket, f"worker pool failed: {exc}", dispatched)
-            return
-        # A fork pool survives individual deaths; recycle once the
-        # batch is answered so capacity recovers (close merges the
-        # survivors' caches, the next batch re-forks at full strength).
-        if session.forked and session.live_workers < self.pool.workers:
-            self._close_session()
-
     def _execute(self, work: Tuple[str, str, str, int, Optional[float], bool]) -> _Outcome:
         """Worker-side: run one optimization down the degradation ladder.
 
-        Runs on whatever worker the pool chose (a forked process, or
-        inline for a serial pool and one-request batches); returns only plain
-        picklable data.  Rungs are attempted cheapest-last; a rung's
-        transient failure (or an expired time budget) steps down to the
-        next, so every request ends in *some* usable plan — only a
+        Runs on whatever worker the pool chose (a forked process, or the
+        serial pool's executor thread); returns only plain picklable data.
+        Rungs are attempted cheapest-last; a rung's transient failure (or an
+        expired time budget) steps down to the next, so every request ends
+        in *some* usable plan — only a
         :class:`~repro.common.errors.TerminalError` (or the whole ladder
         failing) produces an ``ok=False`` response.
         """
@@ -715,40 +739,38 @@ class PlanningServer:
         )
 
     # ------------------------------------------------------------ resolution
-    def _resolve(self, ticket: _Ticket, outcome: _Outcome, dispatched: float) -> None:
+    def _resolve(self, ticket: _Ticket, outcome: _Outcome) -> None:
         """Answer a dispatched request with what its worker handed back."""
         self._record_full_outcome(
             ticket.request.tenant, outcome.full_attempted, outcome.full_failed, outcome.response.ok
         )
-        self._complete(ticket, outcome.response, dispatched, counted=ticket.claim("completed"))
+        self._complete(ticket, outcome.response, counted=ticket.claim("completed"))
 
-    def _resolve_error(self, ticket: _Ticket, error: str, dispatched: float) -> None:
-        """Fail a dispatched request whose pool died under it."""
+    def _resolve_error(self, ticket: _Ticket, error: str) -> None:
+        """Fail a dispatched request the pool could not run."""
         # A pool-level failure killed the full search this ticket was
         # allowed to attempt; the breaker must see it.
         self._record_full_outcome(ticket.request.tenant, ticket.allow_full, True, False)
         response = ticket.response(error=error)
-        self._complete(ticket, response, dispatched, counted=ticket.claim("completed"))
+        self._complete(ticket, response, counted=ticket.claim("completed"))
 
     def _shed_ticket(self, ticket: _Ticket) -> None:
         """Answer a deadline-expired, never-dispatched request (degraded).
 
-        Called by the admission queue (dispatcher thread, outside its lock)
-        for items shed in ``take_batch``.  The response is the ladder floor
-        — an unoptimized, validated, costed plan — delivered late rather
-        than dropped: the zero-hung-requests contract.
+        Called by the admission queue for items shed in ``take_batch``.  The
+        response is the ladder floor — an unoptimized, validated, costed
+        plan — delivered late rather than dropped: the zero-hung-requests
+        contract.
         """
-        if not ticket.claim("completed"):
-            return  # the client already withdrew it
-        shed_at = time.perf_counter()
+        ticket.dispatched = time.perf_counter()
         response = ticket.response(
             shed=True, degradation_reason="shed: deadline expired before dispatch"
         )
         with self._answering(response):
             plan = self._registry[response.workload]
             self._fill(response, self._unoptimized_result(plan), LEVEL_UNOPTIMIZED)
-        response.service_s = time.perf_counter() - shed_at
-        self._complete(ticket, response, shed_at, counted=True)
+        response.service_s = time.perf_counter() - ticket.dispatched
+        self._complete(ticket, response, counted=ticket.claim("completed"))
 
     def _record_full_outcome(
         self, tenant: str, full_attempted: bool, full_failed: bool, ok: bool
@@ -765,9 +787,7 @@ class PlanningServer:
         else:
             breaker.record_success()
 
-    def _complete(
-        self, ticket: _Ticket, response: PlanResponse, dispatched: float, counted: bool
-    ) -> None:
+    def _complete(self, ticket: _Ticket, response: PlanResponse, counted: bool) -> None:
         """The one end of every admitted request: stamp, account, deliver.
 
         Stamps the two timings only the parent can measure, folds the
@@ -777,26 +797,19 @@ class PlanningServer:
         client already claimed as cancelled; the lifecycle counters record
         completed xor cancelled (``counted``: did the server win the claim).
         """
-        response.queue_wait_s = dispatched - ticket.enqueued
+        response.queue_wait_s = ticket.dispatched - ticket.enqueued
         response.latency_s = time.perf_counter() - ticket.enqueued
         self.stats.record_completion(response, count_lifecycle=counted)
-        self._deliver(ticket, response)
-
-    def _deliver(self, ticket: _Ticket, response: PlanResponse) -> None:
-        def set_result() -> None:
-            if not ticket.future.done():
-                ticket.future.set_result(response)
-
-        ticket.loop.call_soon_threadsafe(set_result)
+        if not ticket.future.done():
+            ticket.future.set_result(response)
 
     # -------------------------------------------------------------- insight
     def dispatch_stats(self) -> DispatchStats:
         """Aggregated pool accounting across every session so far."""
         total = DispatchStats(workers=self.pool.workers)
-        with self._session_lock:
-            total.accumulate(self._pool_history)
-            if self._session is not None:
-                total.accumulate(self._session.dispatch_stats)
+        total.accumulate(self._pool_history)
+        if self._session is not None:
+            total.accumulate(self._session.dispatch_stats)
         return total
 
     def worker_pids(self) -> List[int]:

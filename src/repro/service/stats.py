@@ -22,7 +22,6 @@ argument for a shared warm cache, measured per tenant.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Type
 
@@ -112,33 +111,28 @@ class TenantStats:
 
 
 class ServiceStats:
-    """Thread-safe per-tenant roll-up of the server's activity."""
+    """Per-tenant roll-up of the server's activity (its event loop's alone)."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._tenants: Dict[str, TenantStats] = {}
-        self.batches = 0
 
     def tenant(self, name: str) -> TenantStats:
         """The (created-on-first-use) stats row of one tenant."""
-        with self._lock:
-            stats = self._tenants.get(name)
-            if stats is None:
-                stats = self._tenants[name] = TenantStats(tenant=name)
-            return stats
+        stats = self._tenants.get(name)
+        if stats is None:
+            stats = self._tenants[name] = TenantStats(tenant=name)
+        return stats
 
     @property
     def tenants(self) -> Dict[str, TenantStats]:
         """Snapshot view of the per-tenant rows (keyed by tenant id)."""
-        with self._lock:
-            return dict(self._tenants)
+        return dict(self._tenants)
 
     # ------------------------------------------------------------ recording
     def count(self, tenant: str, event: str) -> None:
         """Bump one lifecycle counter (submitted/accepted/rejected/…)."""
         stats = self.tenant(tenant)
-        with self._lock:
-            setattr(stats, event, getattr(stats, event) + 1)
+        setattr(stats, event, getattr(stats, event) + 1)
 
     def record_completion(self, response, count_lifecycle: bool = True) -> None:
         """Fold one finished request's answer into its tenant's row.
@@ -156,25 +150,24 @@ class ServiceStats:
         response as degraded).
         """
         stats = self.tenant(response.tenant)
-        with self._lock:
-            if count_lifecycle:
-                if response.ok:
-                    stats.completed += 1
-                    stats.latencies.append(response.latency_s)
-                    if response.shed:
-                        stats.shed += 1
-                    elif response.degradation_level > 0:
-                        stats.degraded += 1
-                        by_level = stats.degraded_by_level
-                        by_level[response.degradation] = by_level.get(response.degradation, 0) + 1
-                else:
-                    stats.failed += 1
-            stats.queue_wait_s += response.queue_wait_s
-            stats.service_s += response.service_s
-            for ledger in LEDGERS:
-                delta = getattr(response, ledger)
-                if delta is not None:
-                    getattr(stats, ledger).accumulate(delta)
+        if count_lifecycle:
+            if response.ok:
+                stats.completed += 1
+                stats.latencies.append(response.latency_s)
+                if response.shed:
+                    stats.shed += 1
+                elif response.degradation_level > 0:
+                    stats.degraded += 1
+                    by_level = stats.degraded_by_level
+                    by_level[response.degradation] = by_level.get(response.degradation, 0) + 1
+            else:
+                stats.failed += 1
+        stats.queue_wait_s += response.queue_wait_s
+        stats.service_s += response.service_s
+        for ledger in LEDGERS:
+            delta = getattr(response, ledger)
+            if delta is not None:
+                getattr(stats, ledger).accumulate(delta)
 
     # ------------------------------------------------------------- roll-ups
     def total(self, ledger: str) -> CounterStats:
@@ -184,18 +177,13 @@ class ServiceStats:
         global ``stats_snapshot()`` delta over the served window.
         """
         total = LEDGERS[ledger]()
-        with self._lock:
-            for stats in self._tenants.values():
-                total.accumulate(getattr(stats, ledger))
+        for stats in self._tenants.values():
+            total.accumulate(getattr(stats, ledger))
         return total
 
     def as_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            rows = {name: stats.as_dict() for name, stats in self._tenants.items()}
-            batches = self.batches
         return {
-            "batches": batches,
-            "tenants": rows,
+            "tenants": {name: stats.as_dict() for name, stats in self._tenants.items()},
             **{f"total_{ledger}": self.total(ledger).as_dict() for ledger in LEDGERS},
         }
 

@@ -18,7 +18,9 @@ sum *exactly* to the global cache deltas under any interleaving.
 
 import asyncio
 import dataclasses
+import os
 import pickle
+import threading
 
 import pytest
 
@@ -454,6 +456,63 @@ class TestFaultInjection:
         asyncio.run(main())
 
 
+class TestContinuousDispatch:
+    """The parent hands each admitted request to a free worker at once, on one thread."""
+
+    def test_a_lone_slow_request_runs_on_a_worker_and_holds_back_nothing(self, catalog):
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    site="server.execute", kind="latency", delay_s=0.5, match={"workload": "pj"}
+                )
+            ],
+            name="slow-pj",
+        )
+
+        async def main():
+            server = make_server(catalog, pool="process:2")
+            async with server:
+                slow = asyncio.ensure_future(server.submit(PlanRequest(tenant="t0", workload="pj")))
+                await asyncio.sleep(0.05)
+                cheap = await server.submit(
+                    PlanRequest(tenant="t1", workload="rand-a", optimizer="Baseline")
+                )
+                assert not slow.done()
+                return await slow, cheap
+
+        with install_fault_plan(plan):
+            slow, cheap = asyncio.run(asyncio.wait_for(main(), timeout=120))
+        assert slow.ok and cheap.ok
+        assert cheap.latency_s < 0.5
+        assert slow.worker_pid != os.getpid()
+        assert cheap.identity() == oracle(catalog, "rand-a", "Baseline")
+
+    def test_the_parent_forks_its_workers_on_one_thread(self, catalog, monkeypatch):
+        readings = []
+        fork = os.fork
+
+        def counting_fork():
+            readings.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+
+        async def main():
+            server = make_server(catalog, pool="process:2")
+            before = threading.enumerate()
+            await server.start()
+            await asyncio.gather(*[submit_ok(server, i) for i in range(4)])
+            await server.restart()
+            await asyncio.gather(*[submit_ok(server, i) for i in range(4)])
+            await server.stop()
+            return before, threading.enumerate()
+
+        before, after = asyncio.run(asyncio.wait_for(main(), timeout=120))
+        # Two sessions of two workers each.
+        assert readings == [1, 1, 1, 1]
+        assert after == before
+
+
 class TestServerGuards:
     def test_default_pool_is_serial(self):
         # The same default as Pool and ExperimentHarness.run.
@@ -558,7 +617,7 @@ class TestAdmissionQueueUnit:
             queue.offer("A", "a2")
         assert queue.closed
         assert queue.take_batch(4) == ["a1"]
-        assert queue.take_batch(4, timeout=0.01) == []
+        assert queue.take_batch(4) == []
         queue.reopen()
         queue.offer("A", "a3")
         assert queue.depth("A") == 1 and queue.depth() == 1
@@ -566,7 +625,7 @@ class TestAdmissionQueueUnit:
 
     def test_take_batch_times_out_empty(self):
         queue = AdmissionQueue(capacity=2)
-        assert queue.take_batch(2, timeout=0.01) == []
+        assert queue.take_batch(2) == []
 
 
 class TestStatsUnit:

@@ -85,7 +85,7 @@ class AdmissionQueueMachine(RuleBasedStateMachine):
             if entry[2] is None or self.now < entry[2]
         }
         before = len(self.shed_reports)
-        batch = self.queue.take_batch(limit, timeout=0)
+        batch = self.queue.take_batch(limit)
         reported = self.shed_reports[before:]
 
         assert len(batch) == len(set(batch)) == min(limit, len(live))

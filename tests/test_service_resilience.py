@@ -390,7 +390,7 @@ class TestAdmissionDeadlines:
         with pytest.raises(Exception):
             queue.offer("A", "late")
         assert queue.take_batch(4) == ["queued"]
-        assert queue.take_batch(4, timeout=0.01) == []
+        assert queue.take_batch(4) == []
 
 
 class TestTicketClaim:

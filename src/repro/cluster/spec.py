@@ -13,7 +13,7 @@ that scales the per-record CPU costs recorded in profile annotations.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from typing import Tuple
 
@@ -113,10 +113,6 @@ class ClusterSpec:
         """The nested field tuple (``dataclasses.astuple``), once per spec:
         what a store keys the cluster it was computed for on."""
         return astuple(self)
-
-    def scaled(self, num_nodes: int) -> "ClusterSpec":
-        """Return a copy of this spec with a different node count."""
-        return replace(self, num_nodes=num_nodes)
 
     @classmethod
     def paper_cluster(cls) -> "ClusterSpec":

@@ -13,7 +13,6 @@ from repro.common.errors import (
     WorkflowValidationError,
 )
 from repro.common.records import (
-    project,
     record_size_bytes,
     records_equal,
     sort_key_for,
@@ -39,7 +38,6 @@ __all__ = [
     "OptimizationError",
     "WorkflowValidationError",
     "left_sum",
-    "project",
     "record_size_bytes",
     "records_equal",
     "sort_key_for",

@@ -8,10 +8,10 @@ The serving stack additionally needs a **retryable-vs-terminal** split:
 when a request's full search fails, the planning server's degradation
 ladder retries on a cheaper rung — unless the failure says no amount of
 retrying will help (:class:`TerminalError`), in which case the request
-fails outright.  :func:`is_terminal` is the single classification point;
-anything not explicitly terminal is treated as transient, because the
-ladder exists precisely so that an unexpected optimizer bug degrades a
-response instead of failing it.
+fails outright.  ``isinstance(error, TerminalError)`` is the one
+classification; anything not explicitly terminal is treated as transient,
+because the ladder exists precisely so that an unexpected optimizer bug
+degrades a response instead of failing it.
 """
 
 
@@ -66,7 +66,3 @@ class DeadlineExceeded(RetryableError):
         self.site = site
         self.overshoot_s = overshoot_s
 
-
-def is_terminal(exc: BaseException) -> bool:
-    """True when no degradation rung should retry after this failure."""
-    return isinstance(exc, TerminalError)

@@ -29,19 +29,6 @@ def read_only(mapping: Mapping) -> Mapping:
     return MappingProxyType(dict(mapping))
 
 
-def project(record: Mapping[str, object], fields: Iterable[str]) -> Record:
-    """Return a new record containing only ``fields`` (missing fields skipped)."""
-    return {field: record[field] for field in fields if field in record}
-
-
-def merge(*records: Mapping[str, object]) -> Record:
-    """Merge records left to right; later records win on field collisions."""
-    merged: Record = {}
-    for record in records:
-        merged.update(record)
-    return merged
-
-
 def sort_key_for(record: Mapping[str, object], fields: Sequence[str]) -> tuple:
     """Build a tuple usable as a sort/group key over ``fields``.
 

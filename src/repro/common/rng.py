@@ -34,11 +34,6 @@ class DeterministicRNG:
         #: a law's first draw from this generator and kept only as long as it.
         self._zipf_tables: Dict[tuple, Tuple[List[float], float]] = {}
 
-    @property
-    def seed(self) -> int:
-        """The seed this generator was created with."""
-        return self._seed
-
     def fork(self, label: str) -> "DeterministicRNG":
         """Derive an independent generator for a named sub-component.
 
@@ -75,14 +70,6 @@ class DeterministicRNG:
     def choice(self, items: Sequence[T]) -> T:
         """Pick one element uniformly at random."""
         return self._random.choice(items)
-
-    def sample(self, items: Sequence[T], k: int) -> list:
-        """Sample ``k`` distinct elements without replacement."""
-        return self._random.sample(items, k)
-
-    def shuffle(self, items: list) -> None:
-        """Shuffle ``items`` in place."""
-        self._random.shuffle(items)
 
     def gauss(self, mu: float, sigma: float) -> float:
         """Gaussian sample."""

@@ -65,7 +65,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import ClassVar, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.common.faults import fault_site
 
@@ -168,13 +168,9 @@ class CounterStats:
 
     Every dataclass field of a subclass is an additive counter; the
     arithmetic below is derived from :func:`dataclasses.fields`, so a
-    subclass only declares its counters, its derived properties (hit rates
-    and the like) and — in :attr:`DERIVED` — which of those properties
-    :meth:`as_dict` reports next to the counters.
+    subclass only declares its counters and its derived properties (hit
+    rates and the like).
     """
-
-    #: Names of derived properties included in :meth:`as_dict`.
-    DERIVED: ClassVar[Tuple[str, ...]] = ()
 
     @classmethod
     def counter_names(cls) -> Tuple[str, ...]:
@@ -199,12 +195,6 @@ class CounterStats:
         """Counter delta between this snapshot and an earlier one."""
         mine, theirs = self.__dict__, before.__dict__
         return type(self)(**{name: mine[name] - theirs[name] for name in self.counter_names()})
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view for reports and benchmark JSON."""
-        view = {name: getattr(self, name) for name in self.counter_names()}
-        view.update((name, getattr(self, name)) for name in self.DERIVED)
-        return view
 
 
 class ShardedLRU:

@@ -47,10 +47,6 @@ class TimeBudget:
         else:
             self.deadline_at = None  # unbounded
 
-    @property
-    def unbounded(self) -> bool:
-        return self.deadline_at is None
-
     def remaining(self) -> float:
         """Seconds until the deadline (``inf`` when unbounded, floored at 0)."""
         if self.deadline_at is None:

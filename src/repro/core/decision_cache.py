@@ -49,7 +49,7 @@ file with ``STUBBY_DECISION_CACHE``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import ClusterSpec
 from repro.common.store import CounterStats, ShardedStore, current_origin
@@ -181,8 +181,6 @@ class DecisionCacheStats(CounterStats):
     ``replayed_subunits`` counts the sub-unit searches a hit saved.
     """
 
-    DERIVED: ClassVar[Tuple[str, ...]] = ("hit_rate",)
-
     decision_hits: int = 0
     decision_misses: int = 0
     cross_origin_hits: int = 0
@@ -193,13 +191,6 @@ class DecisionCacheStats(CounterStats):
     def lookups(self) -> int:
         """Unit-level lookups performed."""
         return self.decision_hits + self.decision_misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of unit lookups answered from the cache."""
-        if self.lookups == 0:
-            return 0.0
-        return self.decision_hits / self.lookups
 
 
 class DecisionCache(ShardedStore):

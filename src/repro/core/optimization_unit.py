@@ -76,11 +76,6 @@ class OptimizationUnitGenerator:
     def __init__(self) -> None:
         self._handled: Set[str] = set()
 
-    @property
-    def handled(self) -> Set[str]:
-        """Names of jobs that have already served as unit producers."""
-        return set(self._handled)
-
     def next_unit(self, plan: Plan) -> "OptimizationUnit | None":
         """The next optimization unit of ``plan``, or ``None`` when done."""
         adjacency = plan.workflow.job_adjacency()

@@ -89,12 +89,11 @@ def _reap_process(process, timeout: float = 5.0) -> None:
 class DispatchStats:
     """How one session distributed its requests across workers.
 
-    ``tasks_per_worker`` counts the requests each worker executed;
-    :attr:`idle_cost_units` condenses the imbalance into a single counter —
-    the requests' worth of time workers collectively sit idle while the
-    busiest worker drains its share.  ``runs`` counts dispatches, one per
-    request handed out (a retry is not a new one), so ``tasks / runs`` — the
-    server's ``batch_size_mean`` — reads 1.0: requests are never batched.  A
+    ``tasks_per_worker`` counts the requests each worker executed (the
+    benchmark derives the split's idle cost from it).  ``runs`` counts
+    dispatches, one per request handed out (a retry is not a new one), so
+    ``tasks / runs`` — the server's ``batch_size_mean`` — reads 1.0:
+    requests are never batched.  A
     ``steal`` is any request that ran on a different worker than round-robin
     dealing (``dispatch number % workers``) would have assigned; the
     counters additionally record worker deaths and the requests retried
@@ -123,19 +122,6 @@ class DispatchStats:
         """``tasks_per_worker`` as floats (read by the frozen ``bench/serve.py``)."""
         return [float(count) for count in self.tasks_per_worker]
 
-    @property
-    def idle_cost_units(self) -> float:
-        """Requests' worth of worker idleness implied by the split.
-
-        With per-worker task counts ``T`` over ``w`` workers this is
-        ``w * max(T) - sum(T)``: while the busiest worker finishes, every
-        other worker is idle for the difference.  Perfect balance gives 0.
-        """
-        if not self.tasks_per_worker:
-            return 0.0
-        width = max(len(self.tasks_per_worker), self.workers)
-        return float(max(self.tasks_per_worker) * width - sum(self.tasks_per_worker))
-
     def accumulate(self, other: "DispatchStats") -> None:
         """Fold another session's counters into this one (for pool recycling)."""
         self.runs += other.runs
@@ -148,18 +134,6 @@ class DispatchStats:
             self.tasks_per_worker.append(0)
         for worker, count in enumerate(other.tasks_per_worker):
             self.tasks_per_worker[worker] += count
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "workers": self.workers,
-            "runs": self.runs,
-            "tasks": self.tasks,
-            "steals": self.steals,
-            "worker_deaths": self.worker_deaths,
-            "retried_tasks": self.retried_tasks,
-            "tasks_per_worker": list(self.tasks_per_worker),
-            "idle_cost_units": self.idle_cost_units,
-        }
 
 
 class Pool:

@@ -91,11 +91,6 @@ class Plan:
         """Number of jobs in the plan's workflow."""
         return self.workflow.num_jobs
 
-    @property
-    def job_names(self) -> List[str]:
-        """Job names in insertion order."""
-        return self.workflow.job_names
-
     def job(self, name: str) -> JobVertex:
         """Fetch a job vertex by name."""
         return self.workflow.job(name)

@@ -44,7 +44,7 @@ file with ``STUBBY_SUBRESULT_CATALOG`` and merge it with
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster import ClusterSpec
 from repro.common.faults import fault_site
@@ -159,8 +159,6 @@ class SubResultCatalogStats(CounterStats):
     after.  ``jobs_eliminated`` sums the producing-cone jobs removed by
     applied rewrites.
     """
-
-    DERIVED: ClassVar[Tuple[str, ...]] = ("hit_rate",)
 
     hits: int = 0
     misses: int = 0

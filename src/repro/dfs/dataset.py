@@ -137,11 +137,6 @@ class Dataset:
         return self._partitions
 
     @property
-    def num_partitions(self) -> int:
-        """Number of stored partitions."""
-        return len(self._partitions)
-
-    @property
     def num_records(self) -> int:
         """Total record count (unscaled, i.e. the in-memory count)."""
         return self._num_records

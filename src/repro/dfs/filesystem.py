@@ -9,7 +9,7 @@ what vertical packing transformations eliminate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.errors import ExecutionError
 from repro.dfs.dataset import Dataset
@@ -35,10 +35,6 @@ class InMemoryFileSystem:
     def exists(self, name: str) -> bool:
         """Whether a dataset with this name is stored."""
         return name in self._datasets
-
-    def names(self) -> List[str]:
-        """All stored dataset names, sorted."""
-        return sorted(self._datasets)
 
     def peek(self, name: str) -> Optional[Dataset]:
         """Like :meth:`get` but returns ``None`` instead of raising."""

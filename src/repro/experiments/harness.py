@@ -139,10 +139,6 @@ class WorkloadComparison:
         """Speedup of ``optimizer`` over the Baseline."""
         return self.runs[optimizer].speedup_over(self.baseline)
 
-    def speedups(self) -> Dict[str, float]:
-        """Speedups of every optimizer over the Baseline."""
-        return {name: self.speedup(name) for name in self.runs}
-
 
 @dataclass
 class ExperimentRunResult:
@@ -180,10 +176,6 @@ class ExperimentRunResult:
     subresult_stats: SubResultCatalogStats = field(default_factory=SubResultCatalogStats)
     #: The persisted sub-result catalog path in effect, or ``None``.
     subresult_catalog_path: Optional[str] = None
-
-    def comparison(self, abbreviation: str) -> WorkloadComparison:
-        """The comparison of one workload."""
-        return self.comparisons[abbreviation]
 
     def decision_fingerprint(self) -> Tuple:
         """Every cell's results as plain data — the identity-contract value.

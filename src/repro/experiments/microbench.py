@@ -45,13 +45,6 @@ class PackingTradeoff:
     favourable_speedup: float
     unfavourable_speedup: float
 
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view used by the Figure 5 benchmark output."""
-        return {
-            "performance_improvement": self.favourable_speedup,
-            "performance_degradation": self.unfavourable_speedup,
-        }
-
 
 def _synthetic_records(num_records: int, distinct_keys: int, seed: int = 5):
     rng = DeterministicRNG(seed)

@@ -59,11 +59,6 @@ class JobExecutionResult:
     #: it is deterministic for a given input filesystem state.
     output_records: Dict[str, List[Record]] = field(default_factory=dict)
 
-    def output(self, filesystem: InMemoryFileSystem, name: Optional[str] = None) -> Dataset:
-        """Convenience accessor for one of the job's output datasets."""
-        target = name or self.output_datasets[0]
-        return filesystem.get(target)
-
 
 # A tagged map-output entry: (tag, sort_key, key, value)
 _ShuffleEntry = Tuple[str, tuple, Record, Record]

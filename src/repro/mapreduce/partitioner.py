@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common.hashing import stable_hash
-from repro.common.records import Record, sort_key_for
+from repro.common.records import Record
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,11 @@ class PartitionFunction:
             tuple(self.split_points),
         )
 
-    def partition_index(self, key: Record, num_partitions: int) -> int:
-        """Compute the reduce partition for a map output key."""
-        return self.placer(num_partitions)(key)
-
     def placer(
         self, num_partitions: int, hashes: Optional[Dict[tuple, int]] = None
     ) -> Callable[[Record], int]:
-        """:meth:`partition_index` over ``num_partitions``, for one shuffle.
+        """The reduce partition of each map output key over ``num_partitions``,
+        for one shuffle.
 
         A hash placement is a function of the ``str()`` of each key field
         (what :func:`stable_hash` folds), so the placer hashes each distinct
@@ -111,10 +108,6 @@ class PartitionFunction:
                 break
         return min(index, num_partitions - 1)
 
-    def sort_key(self, key: Record) -> tuple:
-        """Sort key tuple used to order pairs inside a partition."""
-        return sort_key_for(key, self.effective_sort_fields)
-
     def satisfies(self, other: Optional["PartitionFunction"]) -> bool:
         """Whether this function satisfies the constraints imposed by ``other``.
 
@@ -134,21 +127,6 @@ class PartitionFunction:
     def default_hash(cls, fields: Sequence[str]) -> "PartitionFunction":
         """MapReduce's default: hash partition and sort on the full key K2."""
         return cls(kind="hash", fields=tuple(fields), sort_fields=tuple(fields))
-
-    @classmethod
-    def ranged(
-        cls,
-        field: str,
-        split_points: Sequence[float],
-        sort_fields: Sequence[str] = (),
-    ) -> "PartitionFunction":
-        """Range partitioning on ``field``."""
-        return cls(
-            kind="range",
-            fields=(field,),
-            sort_fields=tuple(sort_fields) if sort_fields else (field,),
-            split_points=tuple(split_points),
-        )
 
 
 def _numeric(value: object) -> float:

@@ -211,12 +211,6 @@ class OperatorStats:
     def count_out(self, op_name: str, n: int = 1) -> None:
         self.records_out[op_name] = self.records_out.get(op_name, 0) + n
 
-    def merge(self, other: "OperatorStats") -> None:
-        for name, count in other.records_in.items():
-            self.count_in(name, count)
-        for name, count in other.records_out.items():
-            self.count_out(name, count)
-
 
 def run_map_chain(
     operators: Sequence[Operator],

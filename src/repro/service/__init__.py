@@ -43,7 +43,7 @@ from repro.service.server import (
     cold_optimize,
     oracle_fingerprint,
 )
-from repro.service.stats import ServiceStats, TenantStats, percentile
+from repro.service.stats import ServiceStats, TenantStats
 
 __all__ = [
     "AdmissionQueue",
@@ -60,5 +60,4 @@ __all__ = [
     "cold_optimize",
     "level_name",
     "oracle_fingerprint",
-    "percentile",
 ]

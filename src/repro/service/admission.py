@@ -259,16 +259,5 @@ class AdmissionQueue:
         """Re-admit after a close (server restart with warm caches)."""
         self._closed = False
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def __len__(self) -> int:
         return self._size
-
-    def depth(self, tenant: Optional[str] = None) -> int:
-        """Queued items, total or for one tenant."""
-        if tenant is None:
-            return self._size
-        queue = self._tenants.get(tenant)
-        return len(queue.items) if queue else 0

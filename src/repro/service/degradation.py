@@ -140,16 +140,6 @@ class CircuitBreaker:
         self.current_backoff_s = min(self.current_backoff_s * 2, self.max_backoff_s)
         self._probe_in_flight = False
 
-    def as_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "consecutive_failures": self.consecutive_failures,
-            "current_backoff_s": self.current_backoff_s,
-            "trips": self.trips,
-            "probes": self.probes,
-            "short_circuits": self.short_circuits,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CircuitBreaker(state={self.state!r}, "

@@ -15,9 +15,10 @@ fork :class:`~repro.core.parallel.Pool` has one reader on the loop, which
 receives the reply, answers the ticket and hands the worker the next one:
 a request's latency is its own queue wait and service time, never a
 neighbour's.  A serial pool (the reference) runs each request through the
-session's inline path in the loop's executor, one at a time, so the loop
-keeps timing clients out while a request runs; a process pool never runs a
-request in the parent.
+session's inline path on a thread of its own, one at a time, so the loop
+keeps timing clients out while a request runs; the loop joins that thread
+when it takes the answer, so no thread outlives a request.  A process pool
+never runs a request in the parent.
 
 Every request executes :func:`~repro.common.store.attributed` over the
 shared stores — under the tenant's **origin label**, with one per-request
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import threading
 import time
 import traceback
 from contextlib import contextmanager
@@ -221,7 +223,6 @@ class _Ticket:
 
     request: PlanRequest
     future: "asyncio.Future[PlanResponse]"
-    loop: asyncio.AbstractEventLoop
     enqueued: float
     #: Absolute ``time.monotonic()`` deadline (``None`` = no deadline).
     deadline_at: Optional[float] = None
@@ -317,7 +318,7 @@ class PlanningServer:
         self._session: Optional[Session] = None
         #: Fork pool: the file descriptor read on the loop, per live worker slot.
         self._readers: Dict[int, int] = {}
-        #: Serial pool: the ticket running in the loop's executor.
+        #: Serial pool: the ticket running on its own thread.
         self._inline: Optional[_Ticket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._running = False
@@ -347,10 +348,6 @@ class PlanningServer:
             else Plan(plan_or_workflow)
         )
         self._registry[name] = plan
-
-    @property
-    def workloads(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._registry))
 
     # ------------------------------------------------------------- lifecycle
     async def start(self, serve: bool = True) -> "PlanningServer":
@@ -438,7 +435,6 @@ class PlanningServer:
         ticket = _Ticket(
             request=request,
             future=loop.create_future(),
-            loop=loop,
             enqueued=time.perf_counter(),
             deadline_at=(
                 time.monotonic() + request.deadline_s
@@ -490,8 +486,9 @@ class PlanningServer:
                 self._tend()
             else:
                 self._inline = ticket
-                future = self._loop.run_in_executor(None, self._session.run_inline, work)
-                future.add_done_callback(self._on_inline_done)
+                threading.Thread(
+                    target=self._run_inline, args=(self._session.run_inline, work), daemon=True
+                ).start()
         if self._drained is not None and not self._busy():
             self._drained.set_result(None)
             self._drained = None
@@ -546,14 +543,24 @@ class PlanningServer:
         self._tend()
         self._dispatch()
 
-    def _on_inline_done(self, future: "asyncio.Future[_Outcome]") -> None:
-        ticket, self._inline = self._inline, None
+    def _run_inline(self, run_inline, work) -> None:
+        """Serial pool, on the request's own thread: run it, hand the result to the loop."""
         try:
-            outcome = future.result()
+            result = (True, run_inline(work))
         except Exception:
-            self._resolve_error(ticket, "worker pool failed: " + traceback.format_exc())
+            result = (False, "worker pool failed: " + traceback.format_exc())
+        self._loop.call_soon_threadsafe(
+            self._on_inline_done, threading.current_thread(), result
+        )
+
+    def _on_inline_done(self, thread: threading.Thread, result: Tuple[bool, object]) -> None:
+        thread.join()  # its last act was to schedule this call: returns at once
+        ticket, self._inline = self._inline, None
+        ok, value = result
+        if ok:
+            self._resolve(ticket, value)
         else:
-            self._resolve(ticket, outcome)
+            self._resolve_error(ticket, value)
         self._dispatch()
 
     def _settle(self, replies: List[Reply]) -> None:
@@ -607,7 +614,7 @@ class PlanningServer:
         """Worker-side: run one optimization down the degradation ladder.
 
         Runs on whatever worker the pool chose (a forked process, or the
-        serial pool's executor thread); returns only plain picklable data.
+        serial pool's per-request thread); returns only plain picklable data.
         Rungs are attempted cheapest-last; a rung's transient failure (or an
         expired time budget) steps down to the next, so every request ends
         in *some* usable plan — only a

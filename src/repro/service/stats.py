@@ -21,16 +21,15 @@ argument for a shared warm cache, measured per tenant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Type
+from typing import Dict, List, Type
 
 from repro.common.store import CounterStats
 from repro.core.decision_cache import DecisionCacheStats
 from repro.core.subresults import SubResultCatalogStats
 from repro.whatif.service import CostServiceStats
 
-__all__ = ["LEDGERS", "ServiceStats", "TenantStats", "percentile"]
+__all__ = ["LEDGERS", "ServiceStats", "TenantStats"]
 
 #: The attribution ledgers a request's response and a tenant's row carry, in
 #: the server's store order: field name -> the store's counter class.
@@ -39,17 +38,6 @@ LEDGERS: Dict[str, Type[CounterStats]] = {
     "decision_stats": DecisionCacheStats,
     "subresult_stats": SubResultCatalogStats,
 }
-
-
-def percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]); 0.0 for an empty sample."""
-    if not values:
-        return 0.0
-    if not 0 <= q <= 100:
-        raise ValueError("percentile q must be in [0, 100]")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 @dataclass
@@ -86,28 +74,6 @@ class TenantStats:
     #: requests; ``cross_origin_hits`` here measures plans served from
     #: sub-results another tenant's executions registered.
     subresult_stats: SubResultCatalogStats = field(default_factory=SubResultCatalogStats)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "tenant": self.tenant,
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "cancelled": self.cancelled,
-            "completed": self.completed,
-            "failed": self.failed,
-            "degraded": self.degraded,
-            "degraded_by_level": dict(self.degraded_by_level),
-            "shed": self.shed,
-            "breaker_trips": self.breaker_trips,
-            "breaker_probes": self.breaker_probes,
-            "breaker_short_circuits": self.breaker_short_circuits,
-            "queue_wait_s": self.queue_wait_s,
-            "service_s": self.service_s,
-            "latency_p50_s": percentile(self.latencies, 50),
-            "latency_p99_s": percentile(self.latencies, 99),
-            **{ledger: getattr(self, ledger).as_dict() for ledger in LEDGERS},
-        }
 
 
 class ServiceStats:
@@ -180,30 +146,3 @@ class ServiceStats:
         for stats in self._tenants.values():
             total.accumulate(getattr(stats, ledger))
         return total
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "tenants": {name: stats.as_dict() for name, stats in self._tenants.items()},
-            **{f"total_{ledger}": self.total(ledger).as_dict() for ledger in LEDGERS},
-        }
-
-    def report(self) -> str:
-        """Human-readable per-tenant table (completed, latency, hit rates)."""
-        header = (
-            f"{'tenant':<12} {'done':>5} {'fail':>5} {'rej':>5} {'cxl':>5} "
-            f"{'p50 ms':>8} {'p99 ms':>8} {'cost hit%':>10} {'decision hit%':>14} "
-            f"{'cross-origin':>13}"
-        )
-        lines = [header, "-" * len(header)]
-        for name in sorted(self.tenants):
-            stats = self.tenant(name)
-            lines.append(
-                f"{name:<12} {stats.completed:>5} {stats.failed:>5} "
-                f"{stats.rejected:>5} {stats.cancelled:>5} "
-                f"{percentile(stats.latencies, 50) * 1e3:>8.1f} "
-                f"{percentile(stats.latencies, 99) * 1e3:>8.1f} "
-                f"{stats.cost_stats.cache_hit_rate * 100:>9.1f}% "
-                f"{stats.decision_stats.hit_rate * 100:>13.1f}% "
-                f"{sum(getattr(stats, ledger).cross_origin_hits for ledger in LEDGERS):>13}"
-            )
-        return "\n".join(lines)

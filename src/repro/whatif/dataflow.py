@@ -16,7 +16,7 @@ replaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -73,20 +73,3 @@ class JobDataflow:
                 raise ValueError(f"dataflow quantity {name} cannot be negative")
         if self.pipeline_count < 1:
             raise ValueError("pipeline_count must be at least 1")
-
-    def scaled(self, factor: float) -> "JobDataflow":
-        """Scale every byte/record quantity by ``factor`` (cardinalities kept)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return replace(
-            self,
-            input_bytes=self.input_bytes * factor,
-            input_records=self.input_records * factor,
-            map_output_records=self.map_output_records * factor,
-            map_output_bytes=self.map_output_bytes * factor,
-            shuffle_records=self.shuffle_records * factor,
-            shuffle_bytes=self.shuffle_bytes * factor,
-            reduce_input_records=self.reduce_input_records * factor,
-            output_records=self.output_records * factor,
-            output_bytes=self.output_bytes * factor,
-        )

@@ -76,11 +76,6 @@ class WorkflowCostEstimate:
     #: its base (``None``: it cannot be one).  Not part of the estimate's value.
     basis: Optional["CostingBasis"] = field(default=None, repr=False, compare=False)
 
-    @property
-    def num_jobs(self) -> int:
-        """Number of jobs that were costed."""
-        return len(self.per_job)
-
 
 @dataclass(frozen=True, slots=True)
 class _PipelineFlow:

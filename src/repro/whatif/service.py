@@ -80,7 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster import ClusterSpec
 from repro.common import left_sum
@@ -150,8 +150,6 @@ class CostServiceStats(CounterStats):
     lookup — another experiment cell's work, or a warm-started cache.
     """
 
-    DERIVED: ClassVar[Tuple[str, ...]] = ("effective_full_estimates", "cache_hit_rate")
-
     queries: int = 0
     fallback_queries: int = 0
     full_estimates: int = 0
@@ -171,18 +169,6 @@ class CostServiceStats(CounterStats):
         if self.job_queries == 0:
             return 0.0
         return self.job_cache_hits / self.job_queries
-
-    @property
-    def effective_full_estimates(self) -> float:
-        """Job-weighted equivalent number of full-workflow estimations.
-
-        From-scratch job derivations divided by the mean workflow size per
-        query: the amount of full-depth costing work actually done,
-        expressed in units of "one cold workflow estimation".
-        """
-        if self.job_queries == 0 or self.queries == 0:
-            return float(self.full_estimates)
-        return self.job_full_recosts * self.queries / self.job_queries
 
 
 class CostService(ShardedStore):

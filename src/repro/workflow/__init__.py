@@ -10,7 +10,6 @@ from repro.workflow.annotations import (
     SchemaAnnotation,
 )
 from repro.workflow.graph import DatasetVertex, JobVertex, Workflow
-from repro.workflow.subgraphs import SubgraphType, classify_subgraph
 from repro.workflow.executor import WorkflowExecutionResult, WorkflowExecutor
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "DatasetVertex",
     "JobVertex",
     "Workflow",
-    "SubgraphType",
-    "classify_subgraph",
     "WorkflowExecutionResult",
     "WorkflowExecutor",
 ]

@@ -204,10 +204,6 @@ class FilterRange:
         if self.high <= self.low:
             raise AnnotationError(f"empty filter range [{self.low}, {self.high})")
 
-    def contains(self, value: float) -> bool:
-        """Whether a value satisfies the filter."""
-        return self.low <= value < self.high
-
 
 @dataclass(frozen=True)
 class FilterAnnotation:
@@ -222,11 +218,6 @@ class FilterAnnotation:
     def of(cls, **field_ranges: Tuple[float, float]) -> "FilterAnnotation":
         """Build from keyword arguments, e.g. ``FilterAnnotation.of(O=(0, 100))``."""
         return cls(ranges={name: FilterRange(low, high) for name, (low, high) in field_ranges.items()})
-
-    @property
-    def fields(self) -> Tuple[str, ...]:
-        """Fields the filter constrains."""
-        return tuple(sorted(self.ranges))
 
     def range_for(self, field_name: str) -> Optional[FilterRange]:
         """The range constraining ``field_name`` (or ``None``)."""
@@ -365,13 +356,6 @@ class ProfileAnnotation:
             key_cardinalities=cardinalities,
             operator_profiles=operators,
             combine_reduction=min(self.combine_reduction, other.combine_reduction),
-        )
-
-    def scaled(self, factor: float) -> "ProfileAnnotation":
-        """Copy with key cardinalities scaled (used when sampling data)."""
-        return replace(
-            self,
-            key_cardinalities={f: c * factor for f, c in self.key_cardinalities.items()},
         )
 
 

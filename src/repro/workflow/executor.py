@@ -35,11 +35,6 @@ class WorkflowExecutionResult:
     #: the differential-verification harness diffs at job granularity.
     job_outputs: Dict[str, Dict[str, List[Record]]] = field(default_factory=dict)
 
-    @property
-    def num_jobs(self) -> int:
-        """Number of jobs that were executed."""
-        return len(self.job_results)
-
     def counters_for(self, job_name: str) -> ExecutionCounters:
         """Counters of a specific job."""
         if job_name not in self.job_results:

@@ -18,9 +18,8 @@ of many and shares every other vertex object with its parent.
 :data:`COPY_COUNTERS` tallies the workflow copies and vertex rebinds
 performed.
 
-Structural queries (``producer_of``/``consumers_of``/``producer_jobs``/
-``consumer_jobs``/``base_datasets``/``terminal_datasets``/
-``intermediate_datasets``/``depends_on``/``topological_order``/
+Structural queries (``producer_of``/``consumers_of``/``base_datasets``/
+``terminal_datasets``/``depends_on``/``topological_order``/
 ``topological_levels``/``job_adjacency``) answer from a lazily built
 **topology index** (:class:`_TopologyIndex`): producer/consumer adjacency
 per dataset plus cached topological order, levels, ancestor table and
@@ -378,20 +377,6 @@ class Workflow:
         readers = self._topology().consumers.get(dataset_name, ())
         return [self._jobs[name] for name in readers]
 
-    def producer_jobs(self, job_name: str) -> List[JobVertex]:
-        """Jobs whose output datasets this job reads (input-dataset order)."""
-        self.job(job_name)  # an unknown job raises
-        TOPOLOGY_COUNTERS.index_queries += 1
-        jobs = self._jobs
-        return [jobs[name] for name in self.job_adjacency().upstream[job_name]]
-
-    def consumer_jobs(self, job_name: str) -> List[JobVertex]:
-        """Jobs that read any of this job's output datasets (first-seen order)."""
-        self.job(job_name)  # an unknown job raises
-        TOPOLOGY_COUNTERS.index_queries += 1
-        jobs = self._jobs
-        return [jobs[name] for name in self.job_adjacency().downstream[job_name]]
-
     def base_datasets(self) -> List[DatasetVertex]:
         """Dataset vertices produced by no job (the workflow inputs)."""
         TOPOLOGY_COUNTERS.index_queries += 1
@@ -403,16 +388,6 @@ class Workflow:
         TOPOLOGY_COUNTERS.index_queries += 1
         consumers = self._topology().consumers
         return [d for d in self._datasets.values() if not consumers.get(d.name)]
-
-    def intermediate_datasets(self) -> List[DatasetVertex]:
-        """Datasets both produced and consumed inside the workflow."""
-        TOPOLOGY_COUNTERS.index_queries += 1
-        index = self._topology()
-        return [
-            d
-            for d in self._datasets.values()
-            if index.producers.get(d.name) and index.consumers.get(d.name)
-        ]
 
     @property
     def num_jobs(self) -> int:
@@ -459,8 +434,8 @@ class Workflow:
 
         Built at the first structural walk on an index and kept on it, so
         copies share it and an edge-moving edit drops it with the index.
-        The topological order, levels, ancestor table and producer/consumer
-        job lists all read it, and optimization-unit generation reads only it.
+        The topological order, levels and ancestor table read it, and
+        optimization-unit generation reads only it.
         """
         index = self._topology()
         adjacency = index.adjacency

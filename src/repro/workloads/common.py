@@ -62,31 +62,6 @@ def range_filter(field: str, low: float, high: float) -> Callable[[Record], bool
     return predicate
 
 
-def tagged_join_map(
-    join_fields: Sequence[str],
-    side_specs: Mapping[str, Tuple[str, Sequence[str]]],
-) -> Callable[[Record, Record], Iterable[KeyValue]]:
-    """Map function for a repartition join over datasets with distinct schemas.
-
-    ``side_specs`` maps a side name to ``(marker_field, value_fields)``: a
-    record belongs to the side whose ``marker_field`` it contains.  The map
-    output value carries a ``__side`` tag so the join reducer can separate the
-    sides.
-    """
-    join_fields = tuple(join_fields)
-
-    def map_fn(key: Record, value: Record) -> Iterable[KeyValue]:
-        for side, (marker_field, value_fields) in side_specs.items():
-            if marker_field in value:
-                out_key = {f: value.get(f) for f in join_fields}
-                out_value = {f: value.get(f) for f in value_fields}
-                out_value["__side"] = side
-                yield out_key, out_value
-                return
-
-    return map_fn
-
-
 # ---------------------------------------------------------------------------
 # Reduce-side factories
 # ---------------------------------------------------------------------------
@@ -178,8 +153,9 @@ def join_reduce(
 ) -> Callable[[Record, List[Record]], Iterable[KeyValue]]:
     """Reducer producing the inner join of the two sides of a repartition join.
 
-    Expects values produced by :func:`tagged_join_map`.  The output record
-    merges the join key with the requested fields from both sides.
+    Expects values tagged with a ``__side`` field naming their side.  The
+    output record merges the join key with the requested fields from both
+    sides.
     """
     output_fields = tuple(output_fields)
 

@@ -134,7 +134,7 @@ def assert_ledgers_reconcile(server, marks):
         ("cost_stats", "decision_stats"), (server.costs, server.decisions), marks
     ):
         delta = store.stats_snapshot().since(before)
-        assert server.stats.total(ledger).as_dict() == delta.as_dict(), ledger
+        assert server.stats.total(ledger) == delta, ledger
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -65,17 +65,13 @@ class TestSchemaAnnotation:
 
 
 class TestFilterAnnotation:
-    def test_range_contains(self):
-        fr = FilterRange(0.0, 100.0)
-        assert fr.contains(0.0) and fr.contains(99.9) and not fr.contains(100.0)
-
     def test_empty_range_rejected(self):
         with pytest.raises(AnnotationError):
             FilterRange(5.0, 5.0)
 
     def test_of_constructor_and_lookup(self):
         annotation = FilterAnnotation.of(age=(10.0, 35.0))
-        assert annotation.fields == ("age",)
+        assert list(annotation.ranges) == ["age"]
         assert annotation.range_for("age").high == 35.0
         assert annotation.range_for("other") is None
 
@@ -106,9 +102,6 @@ class TestProfileAnnotation:
         assert set(merged.operator_profiles) == {"m1", "m2"}
         assert merged.cardinality(("k",)) == 5.0
 
-    def test_scaled_scales_cardinalities(self):
-        profile = ProfileAnnotation(key_cardinalities={("k",): 10.0})
-        assert profile.scaled(3.0).cardinality(("k",)) == 30.0
 
 
 class TestJobAnnotations:
@@ -131,9 +124,9 @@ class TestJobAnnotations:
             filter=FilterAnnotation.of(x=(0, 1)),
             per_input_filters={"d": FilterAnnotation.of(y=(2, 3))},
         )
-        assert annotations.filter_for("d").fields == ("y",)
-        assert annotations.filter_for("other").fields == ("x",)
-        assert annotations.filter_for().fields == ("x",)
+        assert list(annotations.filter_for("d").ranges) == ["y"]
+        assert list(annotations.filter_for("other").ranges) == ["x"]
+        assert list(annotations.filter_for().ranges) == ["x"]
 
     def test_has_flags(self):
         assert not JobAnnotations().has_profile

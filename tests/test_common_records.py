@@ -6,42 +6,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.common.records import (
-    merge,
-    project,
     record_size_bytes,
     records_equal,
     records_size_bytes,
     sort_key_for,
 )
 from tests import engine_oracle
-
-
-class TestProject:
-    def test_keeps_only_requested_fields(self):
-        record = {"a": 1, "b": 2, "c": 3}
-        assert project(record, ["a", "c"]) == {"a": 1, "c": 3}
-
-    def test_missing_fields_are_skipped(self):
-        assert project({"a": 1}, ["a", "zzz"]) == {"a": 1}
-
-    def test_empty_field_list(self):
-        assert project({"a": 1}, []) == {}
-
-    def test_does_not_mutate_input(self):
-        record = {"a": 1}
-        project(record, ["a"])
-        assert record == {"a": 1}
-
-
-class TestMerge:
-    def test_later_records_win(self):
-        assert merge({"a": 1, "b": 2}, {"b": 3}) == {"a": 1, "b": 3}
-
-    def test_merge_of_nothing_is_empty(self):
-        assert merge() == {}
-
-    def test_three_way_merge(self):
-        assert merge({"a": 1}, {"b": 2}, {"c": 3}) == {"a": 1, "b": 2, "c": 3}
 
 
 class TestSortKey:
@@ -124,13 +94,6 @@ class TestRecordProperties:
     @given(st.lists(record_strategy, max_size=20))
     def test_records_equal_permutation_invariant(self, records):
         assert records_equal(records, list(reversed(records)))
-
-    @given(record_strategy, st.lists(st.sampled_from(["a", "b", "c"]), max_size=3))
-    def test_projection_is_subset(self, record, fields):
-        projected = project(record, fields)
-        assert set(projected).issubset(set(record))
-        for key, value in projected.items():
-            assert record[key] == value
 
     @given(st.lists(record_strategy, min_size=1, max_size=10))
     def test_sort_key_total_order(self, records):

@@ -53,6 +53,7 @@ from repro.whatif.model import config_of
 from repro.whatif.service import CostServiceStats, OverlaySession
 from repro.workflow.executor import WorkflowExecutor
 from repro.workloads import WORKLOAD_ORDER, build_workload
+from tests import graph_oracle
 from tests.conftest import equivalence_seeds
 
 CLUSTER = ClusterSpec.paper_cluster()
@@ -78,7 +79,7 @@ def _assert_estimates_identical(incremental, cold, context=""):
 
 def _random_config_perturbation(plan, rng):
     """Mutate one job's configuration the way an RRS sample would."""
-    name = rng.choice(plan.job_names)
+    name = rng.choice(plan.workflow.job_names)
     config = plan.job(name).job.config
     settings = {
         "num_reduce_tasks": rng.randint(1, 12),
@@ -125,7 +126,7 @@ class TestExactness:
             plan = generated.plan
             service.estimate_workflow(plan.workflow)  # warm the cache
             for transformation in transformations:
-                for application in transformation.find_applications(plan, tuple(plan.job_names))[:2]:
+                for application in transformation.find_applications(plan, tuple(plan.workflow.job_names))[:2]:
                     transformed = transformation.apply(plan, application)
                     incremental = service.estimate_workflow(transformed.workflow)
                     cold = WhatIfEngine(CLUSTER).estimate_workflow(transformed.workflow)
@@ -266,7 +267,7 @@ class TestKeyCompleteness:
         for plan in (workload.plan, optimized):
             assert plan.num_jobs > 1
             service.estimate_workflow(plan.workflow)
-            for name in plan.job_names:
+            for name in plan.workflow.job_names:
                 config = plan.job(name).job.config
                 for config_field in dataclasses.fields(config):
                     for value in _perturbed_values(getattr(config, config_field.name)):
@@ -305,7 +306,7 @@ def _space(plan, names=None):
     """The search's joint RRS space over ``names`` (default: every job) of
     ``plan``, its tuned jobs, and its point at rest (the jobs' own values)."""
     search = StubbyOptimizer(CLUSTER).search
-    space, initial, tuned = search._joint_space(plan, names or plan.job_names)
+    space, initial, tuned = search._joint_space(plan, names or plan.workflow.job_names)
     return space, tuned, tuple(space.clamp(initial)[name] for name in space.names)
 
 
@@ -325,7 +326,7 @@ def _with_fact_readers(abbr):
     directly: it holds pruned and chained readers whatever the search prefers."""
     plan = _profiled(abbr).plan
     for transformation in (PartitionFunctionTransformation(), IntraJobVerticalPacking()):
-        for application in transformation.find_applications(plan, tuple(plan.job_names))[:1]:
+        for application in transformation.find_applications(plan, tuple(plan.workflow.job_names))[:1]:
             plan = transformation.apply(plan, application)
     return plan
 
@@ -464,12 +465,12 @@ class TestOverlayEqualsCold:
             plan = RandomWorkflowGenerator().generate(seed).plan
             workflow = plan.workflow
             for producer in workflow.jobs:
-                readers = workflow.consumer_jobs(producer.name)
+                readers = graph_oracle.consumer_jobs(workflow, producer.name)
                 if producer.job.is_map_only or producer.job.effective_partitioner.kind == "range":
                     continue
                 if producer.job.config.forced_single_reduce:
                     continue  # a held count: no point moves it
-                if not readers or not workflow.consumer_jobs(readers[0].name):
+                if not readers or not graph_oracle.consumer_jobs(workflow, readers[0].name):
                     continue
                 space, tuned, at_rest = _space(plan, [producer.name])
                 index = {setting: i for i, setting in tuned[producer.name]}["num_reduce_tasks"]
@@ -514,7 +515,7 @@ class TestOverlayEqualsCold:
         # plan then holds pruned and chained readers whatever the search prefers.
         rewritten = raw
         for transformation in (PartitionFunctionTransformation(), IntraJobVerticalPacking()):
-            for application in transformation.find_applications(rewritten, tuple(rewritten.job_names))[:1]:
+            for application in transformation.find_applications(rewritten, tuple(rewritten.workflow.job_names))[:1]:
                 rewritten = transformation.apply(rewritten, application)
         service = CostService(CLUSTER)
         checked = collections.Counter()
@@ -570,7 +571,7 @@ class TestOverlayContract:
     def test_an_unchanged_config_is_no_overlay(self):
         plan = _profiled("IR").plan
         service = CostService(CLUSTER)
-        config = plan.job(plan.job_names[0]).job.config
+        config = plan.job(plan.workflow.job_names[0]).job.config
         assert config.with_settings(config.as_dict()) is config
         space, tuned, at_rest = _space(plan)
         assert _bound(plan, tuned, at_rest) == {}  # the jobs' own values bind nothing
@@ -587,7 +588,7 @@ class TestOverlayContract:
         size a job was costed on if no dataset is contributed to by two jobs."""
         plan = RandomWorkflowGenerator().generate(PROPERTY_SEEDS[1]).plan
         workflow = plan.workflow
-        writer = next(v for v in workflow.jobs if workflow.consumer_jobs(v.name))
+        writer = next(v for v in workflow.jobs if graph_oracle.consumer_jobs(workflow, v.name))
         twin = dataclasses.replace(writer.job, name=f"{writer.name}_twin")
         workflow.add_job(twin, writer.annotations)
         space, tuned, samples = _points(plan, DeterministicRNG(PROPERTY_SEEDS[1]), 6)
@@ -631,7 +632,7 @@ class TestOverlayContract:
         space, tuned, _ = _space(plan)
         with CostService(CLUSTER).overlay(plan.workflow) as session:
             with pytest.raises(WorkflowValidationError):
-                session.objective(space, [("no-such-job", tuned[plan.job_names[0]])])
+                session.objective(space, [("no-such-job", tuned[plan.workflow.job_names[0]])])
 
     def test_a_profile_free_point_costs_the_fallback(self):
         generated = RandomWorkflowGenerator().with_config(profile=False).generate(PROPERTY_SEEDS[0])
@@ -762,7 +763,7 @@ class TestOverlaySession:
                 (producer, reader)
                 for producer in workflow.jobs
                 if not producer.job.is_map_only and producer.job.effective_partitioner.kind != "range"
-                for reader in workflow.consumer_jobs(producer.name)
+                for reader in graph_oracle.consumer_jobs(workflow, producer.name)
                 if reader.job.has_combiner
             ]
             if not pairs:
@@ -803,7 +804,7 @@ class TestOverlaySession:
         costed = 7  # samples costed before the interruption
 
         def cost_candidate(search, record):
-            search._cost_candidate(record, tuple(plan.job_names), "vertical/test/candidate-0")
+            search._cost_candidate(record, tuple(plan.workflow.job_names), "vertical/test/candidate-0")
             return record
 
         # The reference: an uninterrupted candidate, its session's delta after each query.
@@ -905,7 +906,7 @@ def _random_candidates(seed):
         HorizontalPacking(),
         PartitionFunctionTransformation(),
     ):
-        for application in transformation.find_applications(plan, tuple(plan.job_names))[:1]:
+        for application in transformation.find_applications(plan, tuple(plan.workflow.job_names))[:1]:
             candidates.append(transformation.apply(plan, application))
     return candidates
 
@@ -1133,8 +1134,9 @@ class TestOptimizerIntegration:
         assert stats is not None and stats.queries > 0
         # Queries that reused nothing at all are now rare...
         assert stats.full_estimates * 5 <= stats.queries
-        # ...and so is the job-weighted amount of full-depth costing work.
-        assert stats.effective_full_estimates * 5 <= stats.queries
+        # ...and so is the job-weighted amount of full-depth costing work:
+        # from-scratch job derivations over the mean workflow size per query.
+        assert stats.job_full_recosts * stats.queries / stats.job_queries * 5 <= stats.queries
 
     def test_unit_reports_carry_cost_stats(self):
         workload = _profiled("IR")
@@ -1171,8 +1173,8 @@ class TestMergeProvenance:
     def test_packing_records_merge_lineage(self):
         workload = _profiled("IR")
         result = StubbyOptimizer(CLUSTER).optimize(workload.plan)
-        if any("+" in name for name in result.plan.job_names):
-            merged = [name for name in result.plan.job_names if "+" in name]
+        if any("+" in name for name in result.plan.workflow.job_names):
+            merged = [name for name in result.plan.workflow.job_names if "+" in name]
             for name in merged:
                 sources = result.plan.merge_sources(name)
                 assert len(sources) > 1

@@ -175,9 +175,9 @@ class TestObservability:
         # are cross-origin because run tokens differ between run() calls.
         assert second.decision_stats.decision_hits > 0
         assert second.decision_stats.cross_origin_hits == second.decision_stats.decision_hits
-        assert second.decision_stats.hit_rate == 1.0
+        assert second.decision_stats.decision_hits == second.decision_stats.lookups
 
-        stubby = second.comparison("IR").runs["Stubby"]
+        stubby = second.comparisons["IR"].runs["Stubby"]
         assert stubby.decision_stats.decision_hits > 0
         assert stubby.decision_stats.decision_misses == 0
         # Decision counters are observability, not results: fingerprints
@@ -234,7 +234,7 @@ class TestInvalidation:
         plan = _profiled().plan
         search = _search()
         before = _first_unit_key(search, plan)
-        plan.workflow.annotate_job(plan.job_names[0], conditions={"probe": 1})
+        plan.workflow.annotate_job(plan.workflow.job_names[0], conditions={"probe": 1})
         assert _first_unit_key(search, plan) != before
 
     def test_dataset_annotation_change_changes_key(self):

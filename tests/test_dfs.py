@@ -72,12 +72,12 @@ class TestDataset:
         dataset = Dataset("d", records=_records())
         assert dataset.num_records == 30
         assert dataset.raw_bytes > 0
-        assert dataset.num_partitions == 1
+        assert len(dataset.partitions) == 1
 
     def test_range_layout_partitions_records(self):
         layout = DataLayout(partitioning=PartitionScheme.ranged("v", [10.0, 20.0]))
         dataset = Dataset("d", records=_records(), layout=layout)
-        assert dataset.num_partitions == 3
+        assert len(dataset.partitions) == 3
         assert all(r["v"] < 10 for r in dataset.partitions[0].records)
         assert all(10 <= r["v"] < 20 for r in dataset.partitions[1].records)
 
@@ -187,14 +187,14 @@ class TestStatisticsAreFixedAtLoad:
             partitioning=PartitionScheme.ranged("v", [0.0, 10.0, 20.0]), sort_fields=sort_fields
         )
         dataset = Dataset("d", records=records, layout=layout)
-        assert dataset.num_partitions == 4
+        assert len(dataset.partitions) == 4
         key_oracle.assert_statistics_match_a_recount(dataset)
         dataset.load(records[::2])
         key_oracle.assert_statistics_match_a_recount(dataset)
 
     def test_an_unloaded_dataset_is_empty_and_partitions_are_read_only(self):
         empty = Dataset("d")
-        assert (empty.num_partitions, empty.num_records, empty.raw_bytes) == (0, 0, 0)
+        assert (len(empty.partitions), empty.num_records, empty.raw_bytes) == (0, 0, 0)
         partition = Dataset("d", records=_records()).partitions[0]
         assert isinstance(partition.records, tuple)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -285,12 +285,11 @@ class TestInMemoryFileSystem:
         with pytest.raises(ExecutionError):
             InMemoryFileSystem().get("nope")
 
-    def test_exists_and_names(self):
+    def test_exists(self):
         fs = InMemoryFileSystem()
         fs.put(Dataset("b", records=[]))
         fs.put(Dataset("a", records=[]))
         assert fs.exists("a") and not fs.exists("c")
-        assert fs.names() == ["a", "b"]
 
     def test_peek_does_not_raise(self):
         fs = InMemoryFileSystem()

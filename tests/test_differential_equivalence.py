@@ -43,7 +43,7 @@ from repro.core.transformations import (
 )
 from repro.profiler import Profiler
 from repro.workloads import WORKLOAD_ORDER, build_workload
-from tests import key_oracle
+from tests import graph_oracle, key_oracle
 from tests.conftest import diamond_shared_sink, equivalence_seeds
 
 SEEDS = equivalence_seeds()
@@ -196,7 +196,7 @@ def test_generator_respects_structure_knobs(workflow_generator):
 def test_single_transformation_equivalence(seed, transformation, workflow_generator, differential):
     generated = workflow_generator.generate(seed)
     plan = generated.plan
-    applications = transformation.find_applications(plan, tuple(plan.job_names))
+    applications = transformation.find_applications(plan, tuple(plan.workflow.job_names))
     for application in applications[:4]:
         transformed = transformation.apply(plan, application)
         report = differential.compare(
@@ -215,7 +215,7 @@ def test_single_transformation_equivalence(seed, transformation, workflow_genera
 def test_single_transformation_equivalence_on_ir(transformation, differential):
     workload = _profiled_workload("IR")
     plan = workload.plan
-    applications = transformation.find_applications(plan, tuple(plan.job_names))
+    applications = transformation.find_applications(plan, tuple(plan.workflow.job_names))
     for application in applications:
         transformed = transformation.apply(plan, application)
         report = differential.compare(workload.workflow, transformed, workload.base_datasets)
@@ -358,7 +358,7 @@ def test_candidate_execution_failure_is_reported(differential, workflow_generato
     # Remove a producer so a downstream input is missing at execution time.
     victim = None
     for vertex in broken.jobs:
-        if broken.consumer_jobs(vertex.name):
+        if graph_oracle.consumer_jobs(broken, vertex.name):
             victim = vertex.name
             break
     if victim is None:

@@ -106,8 +106,3 @@ class TestFigure5Microbenchmarks:
         tradeoff = horizontal_packing_tradeoff(num_records=600, large_gb=400.0, small_gb=2.0)
         assert tradeoff.favourable_speedup > 1.0
         assert tradeoff.favourable_speedup > tradeoff.unfavourable_speedup
-
-    def test_tradeoff_as_dict(self):
-        tradeoff = vertical_packing_tradeoff(num_records=300, logical_gb=100.0)
-        payload = tradeoff.as_dict()
-        assert set(payload) == {"performance_improvement", "performance_degradation"}

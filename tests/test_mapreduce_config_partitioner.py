@@ -131,17 +131,17 @@ class TestPartitionFunction:
     def test_hash_is_deterministic_and_consistent(self):
         pf = PartitionFunction.default_hash(["k"])
         key = {"k": "value-42"}
-        assert pf.partition_index(key, 16) == pf.partition_index(dict(key), 16)
+        assert pf.placer(16)(key) == pf.placer(16)(dict(key))
 
     def test_single_partition_short_circuit(self):
         pf = PartitionFunction.default_hash(["k"])
-        assert pf.partition_index({"k": 9}, 1) == 0
+        assert pf.placer(1)({"k": 9}) == 0
 
     def test_range_partitioning(self):
-        pf = PartitionFunction.ranged("k", [10.0, 20.0])
-        assert pf.partition_index({"k": 5}, 3) == 0
-        assert pf.partition_index({"k": 15}, 3) == 1
-        assert pf.partition_index({"k": 25}, 3) == 2
+        pf = PartitionFunction(kind="range", fields=("k",), split_points=(10.0, 20.0))
+        assert pf.placer(3)({"k": 5}) == 0
+        assert pf.placer(3)({"k": 15}) == 1
+        assert pf.placer(3)({"k": 25}) == 2
 
     def test_range_requires_split_points(self):
         with pytest.raises(ValueError):
@@ -160,7 +160,9 @@ class TestPartitionFunction:
         function = PartitionFunction.default_hash(["a", "b"])
         assert function.key == ("hash", ("a", "b"), ("a", "b"), ())
         assert function.key is function.key
-        ranged = PartitionFunction.ranged("a", [1.0, 2.0], sort_fields=("a", "b"))
+        ranged = PartitionFunction(
+            kind="range", fields=("a",), sort_fields=("a", "b"), split_points=(1.0, 2.0)
+        )
         assert ranged.key == ("range", ("a",), ("a", "b"), (1.0, 2.0)) != function.key
 
     def test_satisfies_none_constraint(self):
@@ -170,14 +172,13 @@ class TestPartitionFunction:
         st.dictionaries(st.sampled_from(["a", "b"]), st.integers(-50, 50), min_size=1),
         st.integers(2, 32),
     )
-    def test_partition_index_in_range(self, key, partitions):
+    def test_placement_in_range(self, key, partitions):
         pf = PartitionFunction.default_hash(["a", "b"])
-        index = pf.partition_index(key, partitions)
+        index = pf.placer(partitions)(key)
         assert 0 <= index < partitions
 
     @given(st.integers(-1000, 1000), st.integers(2, 16))
     def test_equal_keys_same_partition(self, value, partitions):
         pf = PartitionFunction.default_hash(["k"])
-        assert pf.partition_index({"k": value}, partitions) == pf.partition_index(
-            {"k": value, "other": 1}, partitions
-        )
+        place = pf.placer(partitions)
+        assert place({"k": value}) == place({"k": value, "other": 1})

@@ -130,7 +130,7 @@ class TestJobDerivedFacts:
         job = _wordcount_job()
         default = job.effective_partitioner
         before = job.structure_key
-        ranged = PartitionFunction.ranged("word", [1.0], sort_fields=("word",))
+        ranged = PartitionFunction(kind="range", fields=("word",), split_points=(1.0,))
         derived = job.with_partitioner(ranged)
         assert derived.effective_partitioner is ranged is not default
         assert derived.structure_key[2:6] == ranged.key != before[2:6]
@@ -326,7 +326,7 @@ class TestStoredRecordsAreNeverEdited:
                 fs.get(name).raw_bytes,
                 fs.get(name).content_fingerprint,
             )
-            for name in fs.names()
+            for name in sorted(fs._datasets)
         }
 
     def _assert_unchanged(self, fs, snapshot):
@@ -500,7 +500,9 @@ class TestLocalEngineShapes:
         fs = InMemoryFileSystem()
         fs.put(_word_dataset(["a b", "c"]))
         job = _wordcount_job()
-        job = job.with_partitioner(PartitionFunction.ranged("word", [1.0], sort_fields=["word"]))
+        job = job.with_partitioner(
+            PartitionFunction(kind="range", fields=("word",), split_points=(1.0,))
+        )
         LocalEngine().execute_job(job, fs)
         layout = fs.get("counts").layout
         assert layout.partitioning.kind == "range"
@@ -741,7 +743,7 @@ class TestEachKeyIsHashedOnce:
             if scheme.kind == "hash":
                 materials = {_material(r, scheme.fields) for r in records}
                 loads.append(materials)
-                if self.num_partitions > 1:
+                if len(self.partitions) > 1:
                     active[-1][1].update(materials)
 
         original_execute = LocalEngine.execute_job
@@ -778,10 +780,10 @@ class TestEachKeyIsHashedOnce:
         records = [{"k": values[i % 5], "v": float(i)} for i in range(400)]
         scopes, shuffles, loads, placements = self._spy(monkeypatch)
         stored = Dataset("mixed", records=records, layout=DataLayout(partitioning=PartitionScheme.hashed("k")))
-        assert stored.num_partitions > 1
+        assert len(stored.partitions) > 1
         for partition in stored.partitions:
             for record in partition.records:
-                assert stable_hash((record.get("k"),)) % stored.num_partitions == partition.index
+                assert stable_hash((record.get("k"),)) % len(stored.partitions) == partition.index
         assert [len(seen) for seen in loads] == [4] and len(self._hashed(scopes)) == 4
 
         def key_map(key, value):
@@ -823,7 +825,7 @@ class TestEachKeyIsHashedOnce:
         )
         scopes, shuffles, loads, _ = self._spy(monkeypatch)
         LocalEngine().execute_job(job, fs)
-        assert fs.get("copies_out").num_partitions > 1
+        assert len(fs.get("copies_out").partitions) > 1
         assert [len(seen) for seen in shuffles] == [40] and [len(seen) for seen in loads] == [40]
         assert len(scopes) == 1 and len(self._hashed(scopes)) == 40
         self._assert_one_hash_per_material(scopes)

@@ -154,7 +154,7 @@ class TestStructuralSharing:
         assert COPY_COUNTERS.snapshot() == {
             "workflow_copies": 1, "vertex_copies": 0, "vertex_shell_copies": 0
         }
-        for name in plan.job_names:
+        for name in plan.workflow.job_names:
             assert clone.workflow.job(name) is plan.workflow.job(name)
         for vertex in plan.workflow.datasets:
             assert clone.workflow.dataset(vertex.name) is vertex
@@ -162,7 +162,7 @@ class TestStructuralSharing:
     def test_set_job_config_privatizes_only_the_touched_vertex(self):
         _, plan = _profiled_plan()
         clone = plan.copy()
-        target = plan.job_names[0]
+        target = plan.workflow.job_names[0]
         before = plan.workflow.job(target)
         old_config = before.job.config
         clone.set_job_config(target, old_config.replace(num_reduce_tasks=77))
@@ -175,7 +175,7 @@ class TestStructuralSharing:
         assert clone.workflow.job(target).job.pipelines is before.job.pipelines
         dirty = {
             name
-            for name in plan.job_names
+            for name in plan.workflow.job_names
             if clone.workflow.job(name) is not plan.workflow.job(name)
         }
         assert dirty == {target}
@@ -185,7 +185,7 @@ class TestStructuralSharing:
         _, plan = _profiled_plan()
         plan.workflow.topological_levels()  # builds the index the clone will share
         clone = plan.copy()
-        target = plan.job_names[0]
+        target = plan.workflow.job_names[0]
         config = plan.workflow.job(target).job.config
 
         def forbidden(job):
@@ -205,7 +205,7 @@ class TestStructuralSharing:
         """After a copy, an edit on the *original* rebinds there and nowhere else."""
         _, plan = _profiled_plan()
         clone = plan.copy()
-        target = plan.job_names[0]
+        target = plan.workflow.job_names[0]
         clone_fingerprint = _plan_fingerprint(clone)
         clone_vertices = list(clone.workflow.jobs)
         plan.set_job_config(
@@ -214,7 +214,7 @@ class TestStructuralSharing:
         assert _plan_fingerprint(clone) == clone_fingerprint
         assert all(a is b for a, b in zip(clone.workflow.jobs, clone_vertices, strict=True))
         assert [
-            name for name in plan.job_names
+            name for name in plan.workflow.job_names
             if plan.workflow.job(name) is not clone.workflow.job(name)
         ] == [target]
 
@@ -473,7 +473,7 @@ class TestColdOptimizeBounds:
         search = StubbyOptimizer(ClusterSpec.paper_cluster(), seed=17).search
         record = SubplanRecord(plan=plan, transformations=())
         COPY_COUNTERS.reset()
-        search._cost_candidate(record, tuple(plan.job_names), "vertical/test/candidate-0")
+        search._cost_candidate(record, tuple(plan.workflow.job_names), "vertical/test/candidate-0")
         assert record.rrs_evaluations > 50 and record.cost_stats.queries == record.rrs_evaluations + 1
         assert COPY_COUNTERS.snapshot() == {
             "workflow_copies": 0, "vertex_copies": 0, "vertex_shell_copies": 0
@@ -701,8 +701,8 @@ class TestWarmReplayBounds:
 
     def test_a_replayed_unit_reads_one_adjacency_table_per_index(self, plans, monkeypatch):
         """Unit generation reads the plan's job adjacency table, built at
-        most once per topology index, and asks the graph for no producer or
-        consumer job list."""
+        most once per topology index, and asks the graph for no dataset's
+        producer or consumers."""
         generating = False
         graph_walks = 0
         built = []  # the index each table was built for
@@ -738,7 +738,7 @@ class TestWarmReplayBounds:
             cold = optimizer.optimize(plans[label])
             with monkeypatch.context() as inner:
                 inner.setattr(Workflow, "_build_adjacency", recording(Workflow._build_adjacency))
-                for name in ("producer_jobs", "consumer_jobs"):
+                for name in ("producer_of", "consumers_of"):
                     inner.setattr(Workflow, name, counting(getattr(Workflow, name)))
                 for name in ("next_unit", "independent_subunits", "mark_handled"):
                     method = getattr(OptimizationUnitGenerator, name)
@@ -782,12 +782,12 @@ class TestWarmReplayBounds:
 class TestRecordMergeAliasing:
     def test_record_merge_on_clone_does_not_alias_parent_dict(self):
         _, plan = _profiled_plan()
-        plan.record_merge("seed+merge", tuple(plan.job_names[:2]))
+        plan.record_merge("seed+merge", tuple(plan.workflow.job_names[:2]))
         clone = plan.copy()
-        clone.record_merge("clone+merge", tuple(clone.job_names[:1]))
+        clone.record_merge("clone+merge", tuple(clone.workflow.job_names[:1]))
         assert "clone+merge" not in plan.merge_lineage
         assert "seed+merge" in clone.merge_lineage
-        plan.record_merge("parent+merge", tuple(plan.job_names[:1]))
+        plan.record_merge("parent+merge", tuple(plan.workflow.job_names[:1]))
         assert "parent+merge" not in clone.merge_lineage
 
     def test_history_append_on_clone_does_not_alias_parent_list(self):
@@ -854,7 +854,7 @@ class TestAliasingProperty:
         before = _plan_fingerprint(record_plan)
         optimized = record_plan.copy()
         ConfigurationTransformation.apply_settings_in_place(
-            optimized, {plan.job_names[0]: {"io_sort_mb": 512}}
+            optimized, {plan.workflow.job_names[0]: {"io_sort_mb": 512}}
         )
         assert _plan_fingerprint(record_plan) == before
         assert _plan_fingerprint(optimized) != before

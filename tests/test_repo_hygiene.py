@@ -351,3 +351,40 @@ def test_ambient_path_variables_never_reach_the_suites(tmp_path):
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
     assert os.listdir(tmp_path) == []
 
+
+
+def test_every_reach_audit_keep_entry_names_a_def():
+    """``tests/reach_audit.py`` keeps an unreached function by name, with a
+    reason; an entry whose def was deleted or renamed keeps nothing and only
+    hides the next function to take its name.  Checked without running the
+    recorder."""
+    from tests import reach_audit
+
+    assert reach_audit.stale_keep_entries() == []
+
+
+def test_reach_audit_finds_each_def_at_its_code_objects_first_line():
+    """The recorder reports a code object's ``co_firstlineno``; the audit
+    matches it with the line it reads off each ``def`` (the first decorator's
+    where there is one).  Every module-level function and method must agree,
+    or a reached function would read as unreached."""
+    import importlib
+
+    from tests import reach_audit
+
+    checked = 0
+    for module, qualname, _file, first, _lines in reach_audit.definitions():
+        owner = importlib.import_module(module)
+        for part in qualname.split("."):
+            owner = vars(owner).get(part) if hasattr(owner, "__dict__") else None
+            if isinstance(owner, (staticmethod, classmethod)):
+                owner = owner.__func__
+            elif isinstance(owner, property):
+                owner = owner.fget
+            elif hasattr(owner, "func") and hasattr(owner, "attrname"):  # cached_property
+                owner = owner.func
+        code = getattr(getattr(owner, "__wrapped__", owner), "__code__", None)
+        if code is not None and code.co_name == qualname.rsplit(".", 1)[-1]:
+            assert code.co_firstlineno == first, f"{module}:{qualname}"
+            checked += 1
+    assert checked > 700

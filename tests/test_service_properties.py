@@ -145,12 +145,13 @@ class AdmissionQueueMachine(RuleBasedStateMachine):
     # ------------------------------------------------------ invariants
     @invariant()
     def sizes_match(self):
-        assert len(self.queue) == self.queue.depth() == len(self.queued)
+        assert len(self.queue) == len(self.queued)
         for tenant in TENANTS:
-            assert self.queue.depth(tenant) == sum(
+            queued = self.queue._tenants.get(tenant)
+            assert (len(queued.items) if queued else 0) == sum(
                 1 for owner, _, _ in self.queued.values() if owner == tenant
             )
-        assert self.queue.closed == self.closed
+        assert self.queue._closed == self.closed
 
     @invariant()
     def every_item_is_in_one_place(self):

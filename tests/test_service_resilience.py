@@ -25,7 +25,7 @@ import pytest
 
 from repro.baselines import make_optimizer
 from repro.cluster import ClusterSpec
-from repro.common.errors import DeadlineExceeded, RetryableError, TerminalError, is_terminal
+from repro.common.errors import DeadlineExceeded, RetryableError, TerminalError
 from repro.core.budget import UNBOUNDED, TimeBudget
 from repro.profiler import Profiler
 from repro.service import (
@@ -101,7 +101,7 @@ class FakeClock:
 class TestTimeBudget:
     def test_unbounded_is_free_and_never_raises(self):
         budget = TimeBudget()
-        assert budget.unbounded
+        assert budget.deadline_at is None
         assert budget.remaining() == float("inf")
         assert not budget.expired
         budget.check("anywhere")
@@ -126,7 +126,7 @@ class TestTimeBudget:
         # The ladder's routing depends on this taxonomy: an expired budget
         # is retryable-at-a-cheaper-rung, never terminal.
         assert isinstance(excinfo.value, RetryableError)
-        assert not is_terminal(excinfo.value)
+        assert not isinstance(excinfo.value, TerminalError)
 
     def test_absolute_deadline_form(self):
         clock = FakeClock(50.0)
@@ -186,7 +186,7 @@ class TestFaultPlanUnit:
 
             with pytest.raises(TerminalInjectedFault) as excinfo:
                 fault_site("s")
-        assert is_terminal(excinfo.value)
+        assert isinstance(excinfo.value, TerminalError)
         assert isinstance(excinfo.value, TerminalError)
 
     def test_latency_kind_sleeps_instead_of_raising(self):
@@ -331,12 +331,6 @@ class TestCircuitBreaker:
         assert backoffs == [1.0, 2.0, 4.0, 4.0]
         assert breaker.trips == 4
 
-    def test_as_dict_reports_the_counters(self):
-        breaker = self.make(FakeClock(), threshold=1)
-        breaker.record_failure()
-        snapshot = breaker.as_dict()
-        assert snapshot["state"] == "open"
-        assert snapshot["trips"] == 1
 
 
 class TestAdmissionDeadlines:
@@ -395,7 +389,7 @@ class TestAdmissionDeadlines:
 
 class TestTicketClaim:
     def make_ticket(self):
-        return _Ticket(request=None, future=None, loop=None, enqueued=0.0)
+        return _Ticket(request=None, future=None, enqueued=0.0)
 
     def test_first_claimant_wins(self):
         ticket = self.make_ticket()
@@ -561,7 +555,7 @@ class TestWithdrawalRace:
             assert row.cancelled == 1
             assert row.completed == 0 and row.failed == 0
             cost_delta = server.costs.stats_snapshot().since(cost_before)
-            assert server.stats.total("cost_stats").as_dict() == cost_delta.as_dict()
+            assert server.stats.total("cost_stats") == cost_delta
 
         with install_fault_plan(plan):
             asyncio.run(main())

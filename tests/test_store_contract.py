@@ -301,7 +301,7 @@ class TestAttribution:
             with store.attribute_to(inner):
                 kind.populate(store, "cell")
         delta = store.stats_snapshot().since(before)
-        assert any(delta.as_dict().values())
+        assert delta != kind.cls.STATS()
         assert outer == inner == delta
         # Outside the scopes the sinks are closed: nothing more is credited.
         kind.populate(store, "other")
@@ -358,7 +358,7 @@ class TestAttribution:
         delta = store.stats_snapshot().since(before)
         total = kind.cls.STATS()
         for sink in sinks:
-            assert any(sink.as_dict().values())
+            assert sink != kind.cls.STATS()
             total.accumulate(sink)
         assert total == delta
         assert 0 < store.cache_size <= store.max_entries == 16
@@ -618,7 +618,7 @@ class TestAttributedScope:
             with Pool(spec).session(request, (store,)) as session:
                 assert session.run([0, 1, 2, 3]) == [0, 1, 2, 3]
         delta = store.stats_snapshot().since(before)
-        assert any(delta.as_dict().values())
+        assert delta != kind.cls.STATS()
         assert sink == delta
         # Merge-on-join brought the workers' entries home under the labels
         # their requests ran as (never the opener's).

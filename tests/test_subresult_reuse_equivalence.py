@@ -170,7 +170,7 @@ def test_three_waves_of_shared_prefix_traffic_reconcile_exactly(cluster, workflo
     for sink in (cold, mixed, replay):
         total.accumulate(sink)
     snapshot = catalog.stats_snapshot()
-    assert snapshot.as_dict() == total.as_dict()
+    assert snapshot == total
     assert snapshot.jobs_eliminated == sum(eliminated)
 
     # Reuse is cost-arbitrated over a candidate superset: against the same

@@ -56,8 +56,8 @@ def twinned(monkeypatch):
         def mark_handled(self, plan, unit):
             super().mark_handled(plan, unit)
             self.reference.mark_handled(plan, unit)
-            assert self.handled == self.reference.handled
-            seen["producers gone"] += not set(unit.producers) <= set(plan.job_names)
+            assert self._handled == self.reference.handled
+            seen["producers gone"] += not set(unit.producers) <= set(plan.workflow.job_names)
 
     monkeypatch.setattr(search_module, "OptimizationUnitGenerator", Twin)
     return seen
@@ -74,7 +74,7 @@ def _assert_walks_equal(plan):
         )
         generator.mark_handled(plan, unit)
         reference.mark_handled(plan, unit)
-        assert generator.handled == reference.handled
+        assert generator._handled == reference.handled
         units += 1
     assert reference.next_unit(plan) is None
     return units
@@ -90,7 +90,7 @@ def _assert_reports_walk_equal(result):
 def _merged(result):
     """Whether the search changed the plan's job set (a packing or a reuse)."""
     return any(
-        set(report.plan_before.job_names) != set(report.plan_after.job_names)
+        set(report.plan_before.workflow.job_names) != set(report.plan_after.workflow.job_names)
         for report in result.unit_reports
     )
 
@@ -222,7 +222,7 @@ class TestHandMadeUnits:
         generator, reference = OptimizationUnitGenerator(), unit_oracle.OptimizationUnitGenerator()
         for walker in (generator, reference):
             walker.mark_handled(plan, walker.next_unit(plan))
-        assert generator.handled == reference.handled == {"A1", "B1"}
+        assert generator._handled == reference.handled == {"A1", "B1"}
         edits = (
             (lambda workflow: workflow.replace_job("A1", _job("A1x", "src_a", "a1")), {"B1"}),
             (lambda workflow: [workflow.remove_job(name) for name in ("C", "B2", "B1")], set()),
@@ -231,7 +231,7 @@ class TestHandMadeUnits:
             edit(plan.workflow)
             for walker in (generator, reference):
                 walker.mark_handled(plan, OptimizationUnit((), ()))
-            assert generator.handled == reference.handled == left
+            assert generator._handled == reference.handled == left
         # A job that takes a pruned name again is not handled.
         plan.workflow.add_job(_job("B1", "src_b", "b9"))
         assert generator.next_unit(plan) == reference.next_unit(plan) == OptimizationUnit(

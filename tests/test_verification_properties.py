@@ -136,8 +136,8 @@ class TestRngSubstreamProperties:
         If this fails, DeterministicRNG.fork went back to a per-process hash
         and 'reproduce the divergence from seed S' silently broke.
         """
-        assert DeterministicRNG(0).fork("x").seed == DeterministicRNG(0).fork("x").seed
-        pinned = DeterministicRNG(0).fork("x").seed
+        assert DeterministicRNG(0).fork("x")._seed == DeterministicRNG(0).fork("x")._seed
+        pinned = DeterministicRNG(0).fork("x")._seed
         assert pinned == 35557987, (
             "fork() seed derivation changed; update this pin only if the "
             "change is intentional and process-independent"

@@ -96,9 +96,6 @@ class TestJobModel:
         with pytest.raises(ValueError):
             _dataflow(pipeline_count=0)
 
-    def test_dataflow_scaling(self):
-        doubled = _dataflow().scaled(2.0)
-        assert doubled.input_bytes == 2 * _dataflow().input_bytes
 
 
 #: The paper's cluster, the small test cluster and a 7-node paper cluster,
@@ -108,7 +105,7 @@ class TestJobModel:
 ORACLE_CLUSTERS = (
     ClusterSpec.paper_cluster(),
     small_test_cluster(),
-    ClusterSpec.paper_cluster().scaled(7),
+    dataclasses.replace(ClusterSpec.paper_cluster(), num_nodes=7),
     dataclasses.replace(small_test_cluster(), cpu_speed_factor=1.37, network_mb_per_s=47.0),
 )
 

@@ -1,4 +1,4 @@
-"""Tests for the workflow DAG model and subgraph classification."""
+"""Tests for the workflow DAG model."""
 
 import copy
 import dataclasses
@@ -15,12 +15,6 @@ from repro.profiler import Profiler
 from repro.workflow.annotations import JobAnnotations
 from repro.workflow.graph import DatasetVertex, JobVertex, Workflow
 from repro.workloads import build_workload
-from repro.workflow.subgraphs import (
-    SubgraphType,
-    classify_subgraph,
-    concurrently_runnable_groups,
-    shared_input_groups,
-)
 from tests import graph_oracle as oracle
 
 
@@ -64,15 +58,14 @@ class TestWorkflowStructure:
         assert {c.name for c in workflow.consumers_of("D1")} == {"J2", "J3"}
 
     def test_producer_and_consumer_jobs(self):
-        workflow = build_diamond()
-        assert {p.name for p in workflow.producer_jobs("J4")} == {"J2", "J3"}
-        assert {c.name for c in workflow.consumer_jobs("J1")} == {"J2", "J3"}
+        adjacency = build_diamond().job_adjacency()
+        assert set(adjacency.upstream["J4"]) == {"J2", "J3"}
+        assert set(adjacency.downstream["J1"]) == {"J2", "J3"}
 
     def test_base_and_terminal_datasets(self):
         workflow = build_diamond()
         assert [d.name for d in workflow.base_datasets()] == ["D0"]
         assert [d.name for d in workflow.terminal_datasets()] == ["D4"]
-        assert {d.name for d in workflow.intermediate_datasets()} == {"D1", "D2", "D3"}
 
     def test_topological_order(self):
         workflow = build_diamond()
@@ -196,7 +189,7 @@ class TestProducerConsumerDedup:
         workflow.add_job(_job("P", "D0", "D1"))
         for index in range(6):
             workflow.add_job(_job(f"C{index}", "D1", f"D2_{index}"))
-        assert [c.name for c in workflow.consumer_jobs("P")] == [
+        assert list(workflow.job_adjacency().downstream["P"]) == [
             f"C{index}" for index in range(6)
         ]
 
@@ -207,64 +200,8 @@ class TestProducerConsumerDedup:
         # J reads DB before DA: producer order must follow its input order,
         # not the producers' insertion order.
         workflow.add_job(_job("J", ("DB", "DA"), "DJ"))
-        assert [p.name for p in workflow.producer_jobs("J")] == ["B", "A"]
+        assert list(workflow.job_adjacency().upstream["J"]) == ["B", "A"]
         assert [p.name for p in oracle.producer_jobs(workflow, "J")] == ["B", "A"]
-
-
-class TestSubgraphClassification:
-    def test_none_to_one(self):
-        workflow = build_diamond()
-        edges = classify_subgraph(workflow, "D0")
-        assert edges[0].subgraph is SubgraphType.NONE_TO_ONE
-
-    def test_one_to_many(self):
-        workflow = build_diamond()
-        edges = classify_subgraph(workflow, "D1")
-        assert {e.subgraph for e in edges} == {SubgraphType.ONE_TO_MANY}
-        assert len(edges) == 2
-
-    def test_many_to_one(self):
-        workflow = build_diamond()
-        # J4 reads D2 from J2 and D3 from J3.
-        edges = classify_subgraph(workflow, "D2")
-        assert [(e.producer, e.consumer, e.subgraph) for e in edges] == [
-            ("J2", "J4", SubgraphType.MANY_TO_ONE)
-        ]
-
-    def test_one_to_none(self):
-        workflow = build_diamond()
-        edges = classify_subgraph(workflow, "D4")
-        assert edges[0].subgraph is SubgraphType.ONE_TO_NONE
-
-    def test_one_to_one(self):
-        workflow = Workflow()
-        workflow.add_job(_job("A", "D0", "D1", reduce_key="k"))
-        workflow.add_job(_job("B", "D1", "D2", reduce_key="k"))
-        edges = classify_subgraph(workflow, "D1")
-        assert [(e.producer, e.consumer, e.subgraph) for e in edges] == [
-            ("A", "B", SubgraphType.ONE_TO_ONE)
-        ]
-
-    def test_classify_pair_unrelated(self):
-        # J2 and J3 only share an input: no dataset links them as a pair.
-        workflow = build_diamond()
-        pairs = {
-            (e.producer, e.consumer)
-            for name in ("D0", "D1", "D2", "D3", "D4")
-            for e in classify_subgraph(workflow, name)
-        }
-        assert ("J2", "J3") not in pairs and ("J3", "J2") not in pairs
-        assert ("J1", "J2") in pairs and ("J3", "J4") in pairs
-
-    def test_shared_input_groups(self):
-        workflow = build_diamond()
-        groups = dict(shared_input_groups(workflow))
-        assert set(groups["D1"]) == {"J2", "J3"}
-
-    def test_concurrently_runnable_groups(self):
-        workflow = build_diamond()
-        groups = concurrently_runnable_groups(workflow)
-        assert ["J2", "J3"] in groups
 
 
 def _dataclasses_reached_from(*roots):

@@ -1,8 +1,8 @@
 """Reference implementation of optimization-unit generation.
 
-The generator as it walked the graph at every unit: ``next_unit`` asks the
-workflow for each unhandled job's producer jobs and each producer's consumer
-jobs, ``independent_subunits`` splits every unit through a union-find over
+The generator as it walked the graph at every unit: ``next_unit`` scans the
+workflow (``tests/graph_oracle.py``) for each unhandled job's producer jobs
+and each producer's consumer jobs, ``independent_subunits`` splits every unit through a union-find over
 the datasets its jobs touch, and ``mark_handled`` rebuilds the handled set.
 :class:`repro.core.optimization_unit.OptimizationUnitGenerator` answers from
 the workflow's job adjacency table instead; ``tests/test_unit_generation.py``
@@ -16,6 +16,7 @@ from typing import Dict, List, Set
 
 from repro.core.optimization_unit import OptimizationUnit
 from repro.core.plan import Plan
+from tests import graph_oracle
 
 
 class OptimizationUnitGenerator:
@@ -46,14 +47,14 @@ class OptimizationUnitGenerator:
         for vertex in workflow.topological_order():
             if vertex.name in self._handled:
                 continue
-            upstream = workflow.producer_jobs(vertex.name)
+            upstream = graph_oracle.producer_jobs(workflow, vertex.name)
             if all(up.name in self._handled for up in upstream):
                 producers.append(vertex.name)
         if not producers:
             return None
         consumers: List[str] = []
         for producer_name in producers:
-            for consumer in workflow.consumer_jobs(producer_name):
+            for consumer in graph_oracle.consumer_jobs(workflow, producer_name):
                 if consumer.name not in consumers and consumer.name not in producers:
                     consumers.append(consumer.name)
         return OptimizationUnit(producers=tuple(producers), consumers=tuple(consumers))

@@ -622,6 +622,14 @@ class PlanningServer:
         failing) produces an ``ok=False`` response.
         """
         started = time.perf_counter()
+        outcome = self._climb(work)
+        # Last, once the ladder's frame is gone: freeing the search state only
+        # it held is work done here too, so the service time covers it.
+        outcome.response.service_s = time.perf_counter() - started
+        return outcome
+
+    def _climb(self, work: Tuple[str, str, str, int, Optional[float], bool]) -> _Outcome:
+        """:meth:`_execute`'s ladder, in a frame of its own."""
         tenant, workload, optimizer, seed, deadline_at, allow_full = work
         response = PlanResponse(tenant=tenant, workload=workload, optimizer=optimizer, seed=seed)
         outcome = _Outcome(response)
@@ -671,8 +679,6 @@ class PlanningServer:
             else:
                 raise OptimizationError("degradation ladder exhausted: " + "; ".join(notes))
         response.degradation_reason = "; ".join(notes)
-        # Last, so the reported service time covers everything done here.
-        response.service_s = time.perf_counter() - started
         return outcome
 
     @contextmanager

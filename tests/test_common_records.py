@@ -6,6 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.common.records import (
+    canonical_record,
+    diff_record_multisets,
+    read_only,
     record_size_bytes,
     records_equal,
     records_size_bytes,
@@ -79,6 +82,56 @@ class TestRecordsEqual:
         assert not records_equal([{"a": 1}], [{"a": 1, "b": 2}])
 
 
+class TestReadOnly:
+    def test_assignment_raises(self):
+        frozen = read_only({"a": 1})
+        with pytest.raises(TypeError):
+            frozen["a"] = 2
+
+    def test_is_a_snapshot_of_the_source(self):
+        source = {"a": 1}
+        frozen = read_only(source)
+        source["a"] = 2
+        source["b"] = 3
+        assert dict(frozen) == {"a": 1}
+
+    def test_an_existing_snapshot_is_returned_as_is(self):
+        frozen = read_only({"a": 1})
+        assert read_only(frozen) is frozen
+
+
+class TestCanonicalRecord:
+    def test_field_order_insensitive(self):
+        assert canonical_record({"a": 1, "b": "x"}) == canonical_record({"b": "x", "a": 1})
+
+    def test_hashable_and_float_rounded(self):
+        left = canonical_record({"a": 0.1 + 0.2, "b": None})
+        right = canonical_record({"b": None, "a": 0.3})
+        assert left == right and hash(left) == hash(right)
+
+
+class TestDiffReport:
+    def test_reports_missing_and_extra_as_plain_records(self):
+        missing, extra = diff_record_multisets(
+            [{"k": "a", "flag": True, "gap": None}, {"k": "b", "flag": False, "gap": 1}],
+            [{"k": "b", "flag": False, "gap": 1}, {"k": "c", "flag": False, "gap": None}],
+        )
+        assert missing == [{"k": "a", "flag": True, "gap": None}]
+        assert extra == [{"k": "c", "flag": False, "gap": None}]
+
+    def test_counts_duplicates(self):
+        missing, extra = diff_record_multisets([{"a": 1}, {"a": 1}], [{"a": 1}])
+        assert missing == [{"a": 1}] and extra == []
+
+    def test_tolerance_pairs_off_only_matching_non_float_fields(self):
+        # Within float_atol on the float, but the string differs: no pairing.
+        missing, extra = diff_record_multisets(
+            [{"k": "a", "v": 1.0000001}], [{"k": "b", "v": 1.0000002}], float_digits=9
+        )
+        assert missing == [{"k": "a", "v": 1.0000001}]
+        assert extra == [{"k": "b", "v": 1.0000002}]
+
+
 record_strategy = st.dictionaries(
     st.sampled_from(["a", "b", "c"]),
     st.one_of(st.integers(-1000, 1000), st.text(max_size=5)),
@@ -94,6 +147,11 @@ class TestRecordProperties:
     @given(st.lists(record_strategy, max_size=20))
     def test_records_equal_permutation_invariant(self, records):
         assert records_equal(records, list(reversed(records)))
+
+    @given(st.lists(record_strategy, max_size=8), st.lists(record_strategy, max_size=8))
+    def test_diff_is_empty_exactly_when_records_equal(self, left, right):
+        missing, extra = diff_record_multisets(left, right)
+        assert (missing == [] and extra == []) == records_equal(left, right)
 
     @given(st.lists(record_strategy, min_size=1, max_size=10))
     def test_sort_key_total_order(self, records):

@@ -653,3 +653,55 @@ class TestAdmissionQueueUnit:
         queue = AdmissionQueue(capacity=2)
         assert queue.take_batch(2) == []
 
+
+
+class TestStatsUnit:
+    @staticmethod
+    def _response(tenant="t0", **fields):
+        return PlanResponse(tenant=tenant, workload="pj", optimizer="Stubby", seed=17, **fields)
+
+    def test_shed_and_degraded_are_disjoint_refinements_of_completed(self):
+        stats = ServiceStats()
+        stats.record_completion(self._response(ok=True, latency_s=0.5))
+        stats.record_completion(
+            self._response(ok=True, degradation_level=1, degradation="replay_only")
+        )
+        stats.record_completion(
+            self._response(ok=True, shed=True, degradation_level=3, degradation="unoptimized")
+        )
+        row = stats.tenant("t0")
+        assert (row.completed, row.degraded, row.shed) == (3, 1, 1)
+        assert row.degraded_by_level == {"replay_only": 1}
+        assert row.latencies == [0.5, 0.0, 0.0]
+
+    def test_a_failed_answer_counts_failed_and_no_latency(self):
+        stats = ServiceStats()
+        stats.record_completion(self._response(ok=False, latency_s=0.5, service_s=0.25))
+        row = stats.tenant("t0")
+        assert (row.completed, row.failed, row.latencies) == (0, 1, [])
+        assert row.service_s == 0.25
+
+    def test_a_cancelled_answer_still_folds_its_ledgers(self):
+        stats = ServiceStats()
+        stats.count("t0", "cancelled")
+        response = self._response(
+            ok=True, queue_wait_s=0.125, decision_stats=DecisionCacheStats(decision_hits=2)
+        )
+        stats.record_completion(response, count_lifecycle=False)
+        row = stats.tenant("t0")
+        assert (row.cancelled, row.completed, row.latencies) == (1, 0, [])
+        assert row.queue_wait_s == 0.125
+        assert row.decision_stats.decision_hits == 2
+
+    def test_total_sums_every_tenant_row(self):
+        stats = ServiceStats()
+        for tenant, hits in (("t0", 2), ("t1", 3), ("t0", 4)):
+            stats.record_completion(
+                self._response(
+                    tenant=tenant, ok=True, decision_stats=DecisionCacheStats(decision_hits=hits)
+                )
+            )
+        stats.record_completion(self._response(tenant="t2", ok=True))  # never reached a worker
+        assert stats.total("decision_stats").decision_hits == 9
+        assert stats.tenant("t0").decision_stats.decision_hits == 6
+        assert sorted(stats.tenants) == ["t0", "t1", "t2"]

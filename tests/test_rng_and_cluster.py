@@ -175,6 +175,15 @@ class TestClusterSpec:
         assert cluster.total_map_slots == 51 * 3
         assert cluster.total_reduce_slots == 51 * 2
 
+    def test_a_resized_cluster_keeps_its_node_and_scales_its_slots(self):
+        paper = ClusterSpec.paper_cluster()
+        assert paper.job_model_constants[3:] == (153, 102, 51)  # cached on ``paper``
+        resized = dataclasses.replace(paper, num_nodes=10)
+        assert resized.node == paper.node
+        assert (resized.total_map_slots, resized.total_reduce_slots) == (30, 20)
+        assert resized.job_model_constants[3:] == (30, 20, 10)
+        assert resized.cache_key != paper.cache_key
+
     def test_map_waves(self):
         """One map wave per ``total_map_slots`` tasks, charged a task start-up each."""
         cluster = ClusterSpec.paper_cluster()

@@ -13,8 +13,12 @@ from repro.core.transformations import (
     PartitionFunctionTransformation,
 )
 from repro.core.transformations.configuration import ConfigurationTransformation
+from repro.mapreduce.config import JobConfig
+from repro.mapreduce.job import simple_job
 from repro.profiler import Profiler
+from repro.workflow.annotations import DatasetAnnotation, JobAnnotations, SchemaAnnotation
 from repro.workflow.executor import WorkflowExecutor
+from repro.workflow.graph import Workflow
 from repro.workloads import build_workload
 
 
@@ -205,6 +209,117 @@ class TestHorizontalPacking:
             plan, ("BA_J2", "BA_J3")
         )
         assert applications == []
+
+
+def _identity_map(key, value):
+    yield {"k": value["k"]}, dict(value)
+
+
+def _first_value(key, values):
+    yield key, values[0]
+
+
+#: Every job below keys on ``k`` end to end, so ``k`` flows unchanged.
+KEYED = JobAnnotations(
+    schema=SchemaAnnotation.of(k1=(), v1=("k", "v"), k2=("k",), v2=("k", "v"), k3=("k",), v3=("k", "v"))
+)
+
+
+def _keyed_workflow(*edges):
+    """A workflow of ``(name, inputs, output, map_only)`` jobs annotated with :data:`KEYED`."""
+    workflow = Workflow("shapes")
+    for name, inputs, output, map_only in edges:
+        job = simple_job(
+            name,
+            inputs,
+            output,
+            _identity_map,
+            reduce_fn=None if map_only else _first_value,
+            group_fields=() if map_only else ("k",),
+            config=JobConfig(num_reduce_tasks=0 if map_only else 2),
+        )
+        workflow.add_job(job, annotations=KEYED)
+    return workflow
+
+
+def _diamond():
+    """D0 -> J1 -> D1 -> {J2, J3} -> D2/D3 -> J4 (reads both) -> D4."""
+    return _keyed_workflow(
+        ("J1", "D0", "D1", False),
+        ("J2", "D1", "D2", False),
+        ("J3", "D1", "D3", False),
+        ("J4", ("D2", "D3"), "D4", False),
+    )
+
+
+class TestSubgraphShapes:
+    """The paper's five producer-consumer subgraph shapes, as the
+    transformations' preconditions read them off the graph."""
+
+    def test_none_to_one_packs_a_consumer_of_a_laid_out_base_dataset(self):
+        workflow = _diamond()
+        assert workflow.producer_of("D0") is None
+        assert IntraJobVerticalPacking().find_applications(Plan(workflow), ("J1",)) == []
+        workflow.add_dataset(
+            "D0",
+            annotation=DatasetAnnotation(
+                partition_kind="hash", partition_fields=("k",), sort_fields=("k",)
+            ),
+        )
+        applications = IntraJobVerticalPacking().find_applications(Plan(workflow), ("J1",))
+        assert [(a.target_jobs, a.details["case"]) for a in applications] == [
+            (("J1",), "none-to-one")
+        ]
+
+    def test_one_to_one_packs_the_consumer_behind_its_producer(self):
+        workflow = _keyed_workflow(("A", "D0", "D1", False), ("B", "D1", "D2", False))
+        applications = IntraJobVerticalPacking().find_applications(Plan(workflow), ("A", "B"))
+        assert [(a.target_jobs, a.details["case"]) for a in applications] == [
+            (("A", "B"), "one-to-one")
+        ]
+        assert applications[0].details["intersection"] == ("k",)
+
+    def test_one_to_one_needs_the_producer_in_the_unit(self):
+        workflow = _keyed_workflow(("A", "D0", "D1", False), ("B", "D1", "D2", False))
+        assert IntraJobVerticalPacking().find_applications(Plan(workflow), ("B",)) == []
+
+    def test_one_to_many_siblings_are_the_only_horizontal_group(self):
+        # J2 and J3 share D1; J1 and J4 depend on them, so the extended
+        # precondition proposes no larger group.
+        applications = HorizontalPacking(allow_extended=True).find_applications(
+            Plan(_diamond()), ("J1", "J2", "J3", "J4")
+        )
+        assert [(a.target_jobs, a.details["shared_input"]) for a in applications] == [
+            (("J2", "J3"), "D1")
+        ]
+
+    def test_one_to_many_keeps_a_map_only_consumer_out_of_its_producer(self):
+        chain = _keyed_workflow(("J1", "D0", "D1", False), ("M2", "D1", "D2", True))
+        applications = InterJobVerticalPacking().find_applications(Plan(chain), ("J1", "M2"))
+        assert [a.details["case"] for a in applications] == ["absorb-consumer"]
+        fan_out = _keyed_workflow(
+            ("J1", "D0", "D1", False), ("M2", "D1", "D2", True), ("M3", "D1", "D3", True)
+        )
+        assert InterJobVerticalPacking().find_applications(Plan(fan_out), ("J1", "M2", "M3")) == []
+
+    def test_many_to_one_consumer_is_not_vertically_packed(self):
+        applications = IntraJobVerticalPacking().find_applications(
+            Plan(_diamond()), ("J1", "J2", "J3", "J4")
+        )
+        assert sorted(a.target_jobs for a in applications) == [("J1", "J2"), ("J1", "J3")]
+
+    def test_one_to_none_output_has_nothing_to_absorb(self):
+        workflow = _keyed_workflow(("J1", "D0", "D1", False), ("M2", "D1", "D2", True))
+        assert [d.name for d in workflow.terminal_datasets()] == ["D2"]
+        applications = InterJobVerticalPacking().find_applications(Plan(workflow), ("M2", "J1"))
+        assert [a.target_jobs for a in applications] == [("J1", "M2")]
+
+    def test_concurrently_runnable_siblings_share_a_level(self):
+        workflow = _diamond()
+        levels = [sorted(v.name for v in level) for level in workflow.topological_levels()]
+        assert levels == [["J1"], ["J2", "J3"], ["J4"]]
+        assert not workflow.depends_on("J2", "J3") and not workflow.depends_on("J3", "J2")
+        assert workflow.depends_on("J4", "J1")
 
 
 class TestPartitionFunctionTransformation:
